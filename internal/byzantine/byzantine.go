@@ -517,6 +517,67 @@ func (w *BatchWithholder) rewrite(acts []protocol.Action) []protocol.Action {
 	return out
 }
 
+// PullWithholder attacks the pull path behind header relays: it runs
+// consensus faithfully — proposes, votes, relays headers, so every peer
+// counts it among the holders of each block it voted for — but never
+// answers a BlockRequest. A replica the proposer's copy missed, and whose
+// first pull lands on the withholder, sees silence; it must route around
+// it by rotating to the next known holder, at the cost of one timeout.
+type PullWithholder struct {
+	inner   protocol.Engine
+	refused int64 // pull replies dropped
+}
+
+var _ protocol.Engine = (*PullWithholder)(nil)
+
+// NewPullWithholder wraps an engine to drop every pull reply it produces.
+func NewPullWithholder(inner protocol.Engine) *PullWithholder {
+	return &PullWithholder{inner: inner}
+}
+
+// ID implements protocol.Engine.
+func (w *PullWithholder) ID() types.ReplicaID { return w.inner.ID() }
+
+// Protocol implements protocol.Engine.
+func (w *PullWithholder) Protocol() string { return w.inner.Protocol() + "-pull-withholder" }
+
+// Metrics implements protocol.Engine.
+func (w *PullWithholder) Metrics() map[string]int64 { return w.inner.Metrics() }
+
+// Refused returns how many pull replies were dropped.
+func (w *PullWithholder) Refused() int64 { return w.refused }
+
+// Start implements protocol.Engine.
+func (w *PullWithholder) Start(now time.Time) []protocol.Action {
+	return w.rewrite(w.inner.Start(now))
+}
+
+// HandleMessage implements protocol.Engine.
+func (w *PullWithholder) HandleMessage(from types.ReplicaID, msg types.Message, now time.Time) []protocol.Action {
+	return w.rewrite(w.inner.HandleMessage(from, msg, now))
+}
+
+// HandleTimer implements protocol.Engine.
+func (w *PullWithholder) HandleTimer(id protocol.TimerID, now time.Time) []protocol.Action {
+	return w.rewrite(w.inner.HandleTimer(id, now))
+}
+
+// rewrite swallows pull replies — unicast body-form relays — and passes
+// everything else, header relays included, through untouched.
+func (w *PullWithholder) rewrite(acts []protocol.Action) []protocol.Action {
+	out := acts[:0]
+	for _, a := range acts {
+		if s, ok := a.(protocol.Send); ok {
+			if p, ok := s.Msg.(*types.Proposal); ok && p.Relayed && p.Block != nil {
+				w.refused++
+				continue
+			}
+		}
+		out = append(out, a)
+	}
+	return out
+}
+
 // Silent is a crash-like adversary: it participates normally until
 // SilenceAfter, then emits nothing (but keeps consuming messages, unlike a
 // crash — a "mute" fault).

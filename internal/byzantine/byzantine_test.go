@@ -239,6 +239,35 @@ func TestBatchWithholderNarrowsBodiesAndRefusesFetches(t *testing.T) {
 	}
 }
 
+// TestPullWithholderDropsOnlyPullReplies: header relays, votes and the
+// adversary's own proposal pass; the unicast body-form relay that answers
+// a BlockRequest does not.
+func TestPullWithholderDropsOnlyPullReplies(t *testing.T) {
+	_, signers := crypto.GenerateCluster(crypto.Ed25519(), 4, 8)
+	own := signedProposal(t, signers[1], 0, true)
+	foreign := signedProposal(t, signers[0], 0, true)
+	headerRelay := &types.Proposal{Header: foreign.Block.SignedHeader(), FastVote: foreign.FastVote, Relayed: true}
+	reply := &types.Proposal{Block: foreign.Block, FastVote: foreign.FastVote, Relayed: true}
+	vote := &types.VoteMsg{Votes: []types.Vote{signers[1].SignVote(types.VoteNotarize, 1, foreign.Block.ID())}}
+	inner := &scriptedEngine{id: 1, acts: []protocol.Action{
+		protocol.Broadcast{Msg: own},
+		protocol.Broadcast{Msg: headerRelay},
+		protocol.Broadcast{Msg: vote},
+		protocol.Send{To: 3, Msg: reply},
+		protocol.Send{To: 2, Msg: &types.SyncRequest{From: 1, To: 2}},
+	}}
+	w := NewPullWithholder(inner)
+	acts := w.HandleMessage(3, &types.BlockRequest{Round: 1, ID: foreign.Block.ID()}, time.Unix(0, 0))
+	if len(acts) != 4 || w.Refused() != 1 {
+		t.Fatalf("kept %d actions, refused %d; want 4 and 1", len(acts), w.Refused())
+	}
+	for _, a := range acts {
+		if s, ok := a.(protocol.Send); ok && s.Msg == types.Message(reply) {
+			t.Fatal("pull reply escaped")
+		}
+	}
+}
+
 // TestAdversaryIdentity: wrappers must report the wrapped replica's ID and
 // metrics while advertising their deviation in the protocol name.
 func TestAdversaryIdentity(t *testing.T) {
@@ -251,6 +280,7 @@ func TestAdversaryIdentity(t *testing.T) {
 		{NewEquivocatingLeader(inner, signers[3], 4), "scripted-equivocator"},
 		{NewSilent(inner, time.Unix(0, 0)), "scripted-mute"},
 		{NewVoteWithholder(inner), "scripted-withholder"},
+		{NewPullWithholder(inner), "scripted-pull-withholder"},
 	} {
 		if tc.eng.ID() != 3 {
 			t.Errorf("%s: ID() = %d, want 3", tc.want, tc.eng.ID())

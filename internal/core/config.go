@@ -80,8 +80,10 @@ type Config struct {
 	// fast-path ablation benchmarks.
 	DisableFastPath bool
 	// DisableForwarding turns off the tip-forwarding relay of Algorithm 1
-	// line 35 (the Bamboo fix of paper section 9.1). Used by the
-	// forwarding ablation benchmark.
+	// line 35 (the Bamboo fix of paper section 9.1) — the header relay a
+	// replica broadcasts when it votes for someone else's block. Body
+	// pulls are still made and answered. Used by the forwarding ablation
+	// benchmark.
 	DisableForwarding bool
 	// OptimisticProposals enables Moonshot-style proposal pipelining: when
 	// this replica holds rank 0 for the next round, it signs and broadcasts

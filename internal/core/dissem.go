@@ -88,7 +88,7 @@ func (e *Engine) onBatchResponse(m *types.BatchResponse) {
 // in-flight state.
 func (e *Engine) recordFetchDone(digest [32]byte) {
 	o := e.cfg.Obs
-	if o == nil || e.replaying || !e.batchFetch.Fetching() || e.batchFetch.Digest() != digest {
+	if o == nil || e.replaying || !e.batchFetch.Fetching() || e.batchFetch.Key() != digest {
 		return
 	}
 	start := e.batchFetch.Started()
@@ -232,7 +232,7 @@ func (e *Engine) maybeBatchFetch(now time.Time, acts []protocol.Action) []protoc
 	}
 	acts = append(acts, protocol.Send{
 		To:  e.batchFetch.Peer(),
-		Msg: &types.BatchRequest{Digest: e.batchFetch.Digest()},
+		Msg: &types.BatchRequest{Digest: e.batchFetch.Key()},
 	})
 	return append(acts, protocol.SetTimer{
 		ID: protocol.TimerID{Kind: protocol.TimerBatchFetch},
@@ -255,7 +255,7 @@ func (e *Engine) pollBatchFetch(now time.Time, acts []protocol.Action) []protoco
 		return append(acts, rearm)
 	}
 	peer := e.batchFetch.Retry(now)
-	acts = append(acts, protocol.Send{To: peer, Msg: &types.BatchRequest{Digest: e.batchFetch.Digest()}})
+	acts = append(acts, protocol.Send{To: peer, Msg: &types.BatchRequest{Digest: e.batchFetch.Key()}})
 	rearm.At = e.batchFetch.Deadline()
 	return append(acts, rearm)
 }

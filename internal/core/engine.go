@@ -70,7 +70,15 @@ type Engine struct {
 	// already decided, bytes possibly still in flight — and batchFetch
 	// schedules the fetch-on-miss unicasts for the missing bodies.
 	delivQueue []deliveryItem
-	batchFetch *dissem.Fetcher
+	batchFetch *dissem.Fetcher[[32]byte]
+
+	// Body pulls (pull.go): wanted holds the blocks this replica has heard
+	// of — by header relay or by vote — without holding their body, pulls
+	// schedules the BlockRequest unicasts for the overdue ones, and
+	// pullWake is the time the pending TimerBodyPull was armed for.
+	wanted   map[pullKey]*wantedBody
+	pulls    *dissem.Fetcher[pullKey]
+	pullWake time.Time
 
 	stopped bool
 	fault   error
@@ -121,8 +129,14 @@ type Engine struct {
 		optWithdrawn  int64
 		batchServed   int64
 		delivDropped  int64
-		epochChanges  int64
-		epochHints    int64
+
+		bodyPulls        int64
+		bodyPullRetries  int64
+		bodyPullsServed  int64
+		bodyPullsRefused int64
+
+		epochChanges int64
+		epochHints   int64
 	}
 }
 
@@ -163,7 +177,11 @@ func New(cfg Config) (*Engine, error) {
 		pendingCommit: make(map[types.BlockID]protocol.FinalizationMode),
 		syncPeers:     statesync.NewRing(cfg.Self, cfg.Keyring.N()),
 		fetcher:       statesync.NewFetcher(cfg.Self, cfg.Keyring.N(), cfg.StateSyncTimeout),
-		batchFetch:    dissem.NewFetcher(cfg.Self, cfg.Keyring.N(), cfg.BatchFetchTimeout),
+		batchFetch:    dissem.NewFetcher[[32]byte](cfg.Self, cfg.Keyring.N(), cfg.BatchFetchTimeout),
+		wanted:        make(map[pullKey]*wantedBody),
+		// A pulled body is a body fetch like any other: same per-peer
+		// silence budget as the batch fetcher.
+		pulls: dissem.NewFetcher[pullKey](cfg.Self, cfg.Keyring.N(), cfg.BatchFetchTimeout),
 	}, nil
 }
 
@@ -224,7 +242,7 @@ func (e *Engine) HandleMessage(from types.ReplicaID, msg types.Message, now time
 	e.now = now
 	switch m := msg.(type) {
 	case *types.Proposal:
-		e.onProposal(m)
+		e.onProposal(from, m)
 	case *types.VoteMsg:
 		for _, v := range m.Votes {
 			e.onVote(v)
@@ -234,6 +252,8 @@ func (e *Engine) HandleMessage(from types.ReplicaID, msg types.Message, now time
 	case *types.Advance:
 		e.onCert(m.Notarization)
 		e.onUnlock(m.Unlock)
+	case *types.BlockRequest:
+		return e.onBlockRequest(from, m)
 	case *types.SyncRequest:
 		return e.onSyncRequest(from, m)
 	case *types.SyncResponse:
@@ -273,12 +293,18 @@ func (e *Engine) HandleTimer(id protocol.TimerID, now time.Time) []protocol.Acti
 	if id.Kind == protocol.TimerBatchFetch {
 		acts = e.pollBatchFetch(now, acts)
 	}
+	if id.Kind == protocol.TimerBodyPull {
+		e.pullWake = time.Time{}
+		if len(e.wanted) == 0 {
+			return nil // the body landed before it fell overdue: the common case
+		}
+	}
 	return e.progress(now, acts)
 }
 
 // resendRound rebroadcasts this replica's state for a round it has been
-// stuck in: its own votes, the best block it holds (with parent
-// credentials), any notarization certificates, and a sync request for
+// stuck in: its own votes, the header of the best block it holds (with
+// parent credentials), any notarization certificates, and a sync request for
 // newer finalized rounds. Receivers deduplicate everything, so resends are
 // idempotent. This restores liveness when messages were lost for good
 // (crash-rebooted peers, dropped frames across TCP reconnects) — a case
@@ -307,7 +333,8 @@ func (e *Engine) resendRound(now time.Time, acts []protocol.Action) []protocol.A
 	if len(votes) > 0 {
 		acts = append(acts, protocol.Broadcast{Msg: &types.VoteMsg{Votes: votes}})
 	}
-	// The best (lowest-rank valid, else any) block we hold, as a relay.
+	// The best (lowest-rank valid, else any) block we hold, as a header
+	// relay; a receiver that lacks the body pulls it from us.
 	if b := e.bestKnownBlock(rs); b != nil {
 		acts = append(acts, protocol.Broadcast{Msg: e.relayProposal(b)})
 	}
@@ -379,10 +406,14 @@ func (e *Engine) Metrics() map[string]int64 {
 		"epoch":              int64(e.history.Current().Epoch()),
 		"epoch_changes":      e.met.epochChanges,
 		"members":            int64(e.history.Current().Size()),
+		"body_pulls":         e.met.bodyPulls,
+		"body_pull_retries":  e.met.bodyPullRetries,
+		"body_pulls_served":  e.met.bodyPullsServed,
+		"body_pulls_refused": e.met.bodyPullsRefused,
 	}
 	if e.cfg.Dissem != nil {
 		e.cfg.Dissem.Metrics(m)
-		e.batchFetch.Metrics(m)
+		m["dissemFetches"], m["dissemFetchRetries"] = e.batchFetch.Counts()
 		m["dissemServed"] = e.met.batchServed
 		m["dissemDelivQueued"] = int64(len(e.delivQueue))
 		m["dissemDelivDropped"] = e.met.delivDropped
@@ -395,28 +426,44 @@ func (e *Engine) Metrics() map[string]int64 {
 // in progress() so that every upon-clause is re-evaluated exactly once per
 // event regardless of which message kind triggered it.
 
-func (e *Engine) onProposal(m *types.Proposal) {
-	b := m.Block
-	if b == nil || b.Round < 1 || int(b.Proposer) >= e.cfg.Keyring.N() {
+func (e *Engine) onProposal(from types.ReplicaID, m *types.Proposal) {
+	var (
+		h  types.BlockHeader
+		id types.BlockID
+	)
+	switch {
+	case m.Block != nil:
+		h, id = m.Block.Header(), m.Block.ID()
+	case m.Header != nil:
+		h, id = m.Header.BlockHeader, m.Header.ID()
+	default:
 		e.met.rejected++
 		return
 	}
-	if b.Round+e.cfg.PruneKeep <= e.tree.FinalizedRound() {
+	if h.Round < 1 || int(h.Proposer) >= e.cfg.Keyring.N() {
+		e.met.rejected++
+		return
+	}
+	if h.Round+e.cfg.PruneKeep <= e.tree.FinalizedRound() {
 		return // too old to matter
 	}
 	// The epoch and rank are committed into the header; both must match
 	// the set in effect at the block's round — a non-member proposer gets
 	// NoRank and is rejected here no matter what rank it claims.
-	set := e.setFor(b.Round)
-	if b.Epoch != set.Epoch() || !set.Contains(b.Proposer) ||
-		b.Rank != set.RankOf(b.Round, b.Proposer) {
+	set := e.setFor(h.Round)
+	if h.Epoch != set.Epoch() || !set.Contains(h.Proposer) ||
+		h.Rank != set.RankOf(h.Round, h.Proposer) {
 		e.met.rejected++
 		return
 	}
-	rs := e.getRound(b.Round)
-	id := b.ID()
-	_, known := rs.blocks[id]
-	if !known {
+	rs := e.getRound(h.Round)
+	_, held := rs.blocks[id]
+	switch {
+	case held:
+		// A further copy, or a header relay of a block whose body is here:
+		// only the credentials below can be news.
+	case m.Block != nil:
+		b := m.Block
 		o := e.cfg.Obs
 		var verifyStart time.Time
 		if o != nil {
@@ -436,6 +483,19 @@ func (e *Engine) onProposal(m *types.Proposal) {
 		e.tree.Add(b)
 		if !rs.valid[id] {
 			rs.pending[id] = m
+		}
+		e.bodyArrived(b.Round, id)
+	default:
+		// A header for a block this replica does not hold. It enters
+		// neither rs.blocks nor the tree — nothing downstream can vote for,
+		// extend, or serve a block without its body — and only marks the
+		// body as wanted from the relayer (pull.go).
+		if err := e.cfg.Verifier.VerifyHeader(m.Header); err != nil {
+			e.met.rejected++
+			return
+		}
+		if !e.want(h.Round, id, h.Proposer, from) {
+			return
 		}
 	}
 	// Absorb the proposer's fast vote (Addition 2): it counts toward
@@ -485,6 +545,12 @@ func (e *Engine) onVote(v types.Vote) {
 		return
 	}
 	addVote(ledger, v.Block, v.Voter, v.Signature)
+	if _, held := rs.blocks[v.Block]; !held {
+		// A vote for a block this replica has no body for: the voter holds
+		// it (nobody votes for a body they lack), so it can be pulled from
+		// there should the proposer's copy not show up.
+		e.want(v.Round, v.Block, v.Voter, v.Voter)
+	}
 }
 
 func (e *Engine) onCert(c *types.Certificate) {
@@ -626,6 +692,7 @@ func (e *Engine) progress(now time.Time, acts []protocol.Action) []protocol.Acti
 		acts = e.flushDelivery(acts)
 		acts = e.maybeBatchFetch(now, acts)
 	}
+	acts = e.maybePull(now, acts)
 	e.maybePrune()
 	return acts
 }
@@ -1406,8 +1473,8 @@ func (e *Engine) parentCreds(r types.Round) (types.BlockID, *types.Certificate, 
 
 // tryVote implements Algorithm 1 line 33: once the notarization delay of
 // the lowest-ranked valid block has elapsed, vote for every such block not
-// yet in N, bundle a fast vote with the first (Addition 3), and relay
-// blocks proposed by others (line 35).
+// yet in N, bundle a fast vote with the first (Addition 3), and relay the
+// headers of blocks proposed by others (line 35).
 func (e *Engine) tryVote(now time.Time, acts []protocol.Action) (bool, []protocol.Action) {
 	rs := e.getRound(e.round)
 	if e.replaying || !rs.started || rs.advanced {
@@ -1440,8 +1507,9 @@ func (e *Engine) tryVote(now time.Time, acts []protocol.Action) (bool, []protoco
 		rs.notarVoted[id] = true
 		changed = true
 		if b.Rank != myRank && !e.cfg.DisableForwarding {
-			// Line 35: relay the block with its parent's credentials so
-			// replicas that missed the original broadcast catch up.
+			// Line 35: relay the block's header with its parent's
+			// credentials, so replicas that missed the original broadcast
+			// learn of the block and whom to pull its body from.
 			acts = append(acts, protocol.Broadcast{Msg: e.relayProposal(b)})
 			e.met.relays++
 		}
@@ -1465,16 +1533,24 @@ func (e *Engine) tryVote(now time.Time, acts []protocol.Action) (bool, []protoco
 	return changed, acts
 }
 
-// relayProposal rebuilds a Proposal message for a block this replica is
-// about to vote for, with the best parent credentials it holds. For
-// rank-0 blocks the relay also carries the proposer's fast vote when
-// this replica holds it: validity requires that vote (Addition 2), and
-// without it a replica the original broadcast missed — dropped
-// optimistic confirmation, or an equivocating leader sending each twin
-// to only half the cluster — could never validate the block, splitting
-// the cluster below the notarization quorum.
+// relayProposal builds the header relay of a block this replica is about
+// to vote for (or is resending): the signed header — no payload, whatever
+// the payload's form — plus the credentials of relayCreds.
 func (e *Engine) relayProposal(b *types.Block) *types.Proposal {
-	p := &types.Proposal{Block: b, Relayed: true}
+	p := &types.Proposal{Header: b.SignedHeader(), Relayed: true}
+	e.relayCreds(b, p)
+	return p
+}
+
+// relayCreds attaches to a relay of b — header form, or the body form
+// that answers a BlockRequest — the best parent credentials this replica
+// holds. For rank-0 blocks the relay also carries the proposer's fast
+// vote when this replica holds it: validity requires that vote
+// (Addition 2), and without it a replica the original broadcast missed —
+// dropped optimistic confirmation, or an equivocating leader sending
+// each twin to only half the cluster — could never validate the block,
+// splitting the cluster below the notarization quorum.
+func (e *Engine) relayCreds(b *types.Block, p *types.Proposal) {
 	if b.Rank == 0 {
 		if sig, ok := e.getRound(b.Round).fastVotes[b.ID()][b.Proposer]; ok {
 			p.FastVote = &types.Vote{
@@ -1495,7 +1571,6 @@ func (e *Engine) relayProposal(b *types.Block) *types.Proposal {
 			}
 		}
 	}
-	return p
 }
 
 // tryNotarize implements Algorithm 2 line 45: combine a quorum of

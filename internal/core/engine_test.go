@@ -616,8 +616,9 @@ func TestNoFinalizationVoteAfterDoubleNotarVote(t *testing.T) {
 	}
 }
 
-// TestRelayOnVote: voting for another replica's block relays the block
-// (Algorithm 1 line 35).
+// TestRelayOnVote: voting for another replica's block relays it
+// (Algorithm 1 line 35) — as a signed header with the proposer's fast
+// vote, never the payload.
 func TestRelayOnVote(t *testing.T) {
 	bc := mustBeacon(t, 4)
 	observer := bc.ReplicaAt(1, 3)
@@ -626,12 +627,25 @@ func TestRelayOnVote(t *testing.T) {
 	r.deliver(b.Proposer, r.proposalFor(b))
 	var relayed int
 	for _, p := range broadcasts[*types.Proposal](r) {
-		if p.Relayed && p.Block.ID() == b.ID() {
-			relayed++
+		if !p.Relayed {
+			continue
+		}
+		relayed++
+		if p.Block != nil || p.Header == nil {
+			t.Fatalf("relay carries a body: %#v", p)
+		}
+		if p.Header.ID() != b.ID() || string(p.Header.Signature) != string(b.Signature) {
+			t.Fatal("relayed header does not re-hash to the block it relays")
+		}
+		if p.FastVote == nil || p.FastVote.Voter != b.Proposer {
+			t.Fatal("rank-0 relay lost the proposer's fast vote")
+		}
+		if p.WireSize() > 400 {
+			t.Fatalf("header relay is %d bytes on the wire", p.WireSize())
 		}
 	}
-	if relayed != 1 {
-		t.Fatalf("block relayed %d times, want 1", relayed)
+	if relayed != 1 || r.eng.Metrics()["relays"] != 1 {
+		t.Fatalf("block relayed %d times (relays=%d), want 1", relayed, r.eng.Metrics()["relays"])
 	}
 }
 

@@ -48,12 +48,13 @@ func (e *Engine) ReplayOwn(msg types.Message, now time.Time) []protocol.Action {
 
 func (e *Engine) replayOwnProposal(m *types.Proposal) {
 	b := m.Block
-	if b == nil || b.Round < 1 {
+	if b == nil || b.Proposer != e.cfg.Self || m.Relayed {
+		// A (header) relay of someone else's block: ingest like a peer
+		// message — its credentials are all it can still teach.
+		e.onProposal(e.cfg.Self, m)
 		return
 	}
-	if b.Proposer != e.cfg.Self || m.Relayed {
-		// A relay of someone else's block: ingest like a peer message.
-		e.onProposal(m)
+	if b.Round < 1 {
 		return
 	}
 	if b.Round+e.cfg.PruneKeep <= e.tree.FinalizedRound() {

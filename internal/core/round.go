@@ -72,6 +72,10 @@ type roundState struct {
 	// notarTimerSet tracks ranks for which a notarization-delay timer has
 	// been requested, to avoid duplicate SetTimer actions.
 	notarTimerSet map[types.Rank]bool
+
+	// served counts the block bodies of this round sent to each peer in
+	// answer to BlockRequests (maxServedPerPeer); nil until the first.
+	served map[types.ReplicaID]int
 }
 
 func newRoundState() *roundState {

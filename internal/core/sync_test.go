@@ -183,7 +183,7 @@ func TestSyncResponseRejectsDisconnectedSegment(t *testing.T) {
 }
 
 // TestResendAfterStall: a replica stuck in a round rebroadcasts its votes
-// and best block after the resend interval, repeatedly.
+// and the header of its best block after the resend interval, repeatedly.
 func TestResendAfterStall(t *testing.T) {
 	bc := mustBeacon(t, 4)
 	observer := bc.ReplicaAt(1, 3)
@@ -191,7 +191,7 @@ func TestResendAfterStall(t *testing.T) {
 	b := r.leaderBlock(1, types.Genesis().ID(), 1)
 	r.deliver(b.Proposer, r.proposalFor(b))
 	// No further traffic: after the resend interval the engine must
-	// rebroadcast its fast+notarize votes and relay the block.
+	// rebroadcast its fast+notarize votes and relay the block's header.
 	r.clearActs()
 	interval := r.eng.resendInterval()
 	r.now = r.now.Add(interval + time.Millisecond)
@@ -207,12 +207,12 @@ func TestResendAfterStall(t *testing.T) {
 	}
 	relays := 0
 	for _, p := range broadcasts[*types.Proposal](r) {
-		if p.Relayed && p.Block.ID() == b.ID() {
+		if p.Relayed && p.Block == nil && p.Header.ID() == b.ID() {
 			relays++
 		}
 	}
 	if relays < 1 {
-		t.Fatal("resend did not relay the best known block")
+		t.Fatal("resend did not relay the best known block's header")
 	}
 	if n := len(broadcasts[*types.SyncRequest](r)); n != 0 {
 		t.Fatalf("resend broadcast %d sync requests; the probe must be unicast", n)

@@ -171,6 +171,17 @@ func (v *Verifier) VerifyBlock(b *types.Block) error {
 	return nil
 }
 
+// VerifyHeader checks the proposer signature on a signed header — the
+// same signature VerifyBlock checks on the block it belongs to, so a
+// header relay warms the cache for the body and vice versa, and no
+// payload is hashed to get there.
+func (v *Verifier) VerifyHeader(h *types.SignedHeader) error {
+	if !v.verifyOne(h.Proposer, blockDigest(h.ID()), h.Signature) {
+		return fmt.Errorf("crypto: bad proposer signature on header r=%d id=%s", h.Round, h.ID())
+	}
+	return nil
+}
+
 // VerifyVote checks a single vote's signature; cached counterpart of the
 // package-level VerifyVote.
 func (v *Verifier) VerifyVote(vt types.Vote) error {
@@ -305,6 +316,9 @@ func (v *Verifier) gather(b *sigBatch, msg types.Message) {
 	case *types.Proposal:
 		if m.Block != nil && !m.Block.IsGenesis() {
 			b.add(0, m.Block.Proposer, blockDigest(m.Block.ID()), m.Block.Signature)
+		} else if h := m.Header; h != nil && m.Block == nil {
+			// Header relay: 80 bytes to hash, whatever the payload.
+			b.add(0, h.Proposer, blockDigest(h.ID()), h.Signature)
 		}
 		if m.FastVote != nil && m.FastVote.Kind.Valid() {
 			b.add(0, m.FastVote.Voter, m.FastVote.Digest(), m.FastVote.Signature)

@@ -263,11 +263,12 @@ type RoundLatency struct {
 
 // AutoDelta derives the Δ bound for a topology and block size: the largest
 // one-way delay, inflated for jitter, plus the sender-side transmission
-// time of a full block broadcast, plus the receiver-side processing burden
-// of a round's relayed block copies, plus a fixed margin. This matches the
-// paper's methodology of setting delays "larger than the message delay
-// experienced without network disruptions" so exactly one block is
-// proposed per round in fault-free runs.
+// time of a full block broadcast, plus the receiver-side processing of
+// n−1 block-sized messages (an upper bound for Banyan, whose relays carry
+// headers; the icc baseline relays bodies), plus a fixed margin. This
+// matches the paper's methodology of setting delays "larger than the
+// message delay experienced without network disruptions" so exactly one
+// block is proposed per round in fault-free runs.
 func AutoDelta(topo *wan.Topology, blockSize int, bandwidthBps, procRateBps float64,
 	procFixed time.Duration) time.Duration {
 	d := topo.MaxOneWay()

@@ -47,6 +47,11 @@ const (
 	// (delivery gating, internal/dissem); same deadline-check-and-rotate
 	// discipline as TimerStateSync.
 	TimerBatchFetch
+	// TimerBodyPull fires when a block body this replica has heard of but
+	// does not hold becomes overdue (Δ after the header relay or vote that
+	// named it), and while the BlockRequest for it is in flight; same
+	// deadline-check-and-rotate discipline as TimerBatchFetch.
+	TimerBodyPull
 )
 
 func (k TimerKind) String() string {
@@ -63,6 +68,8 @@ func (k TimerKind) String() string {
 		return "state-sync"
 	case TimerBatchFetch:
 		return "batch-fetch"
+	case TimerBodyPull:
+		return "body-pull"
 	default:
 		return fmt.Sprintf("TimerKind(%d)", uint8(k))
 	}

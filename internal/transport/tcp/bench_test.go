@@ -29,17 +29,23 @@ func benchMessage() types.Message {
 	return &types.Proposal{Block: b, ParentNotarization: cert}
 }
 
-// BenchmarkBroadcast measures the sender-side cost of fanning one
-// message out to three peers over real loopback connections: encode,
-// frame, and enqueue. Receivers drain and decode concurrently, so the
-// reported allocs/op cover the whole wire round trip the cluster pays
-// per broadcast.
+// BenchmarkBroadcast measures the sender-side cost of the per-message
+// path over real loopback connections to three peers: encode, frame, and
+// enqueue. Receivers drain and decode concurrently, so the reported
+// allocs/op cover the whole wire round trip the cluster pays per message.
+//
+//   - fanout: one Broadcast per op (the closed check + three enqueues).
+//   - send: one unicast Send per op, round-robin (the closed check + the
+//     by-ID peer lookup + one enqueue).
+//   - duplex: fanout while the three peers keep sending back, so the
+//     sender's read loops run their per-frame closed check against it —
+//     the contention a shared mutex on that path used to serialize.
 func BenchmarkBroadcast(b *testing.B) {
 	const peers = 3
 	sinks := make([]*Transport, peers)
 	peerMap := map[types.ReplicaID]string{}
 	for i := 0; i < peers; i++ {
-		s, err := New(Config{Self: types.ReplicaID(i + 1), ListenAddr: "127.0.0.1:0"})
+		s, err := New(Config{Self: types.ReplicaID(i + 1), ListenAddr: "127.0.0.1:0", QueueLen: 1 << 16})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -56,6 +62,10 @@ func BenchmarkBroadcast(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer t.Close()
+	go func() {
+		for range t.Receive() {
+		}
+	}()
 
 	msg := benchMessage()
 	// Warm the connections so dial latency stays out of the measurement.
@@ -63,17 +73,68 @@ func BenchmarkBroadcast(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := t.Broadcast(msg); err != nil {
-			b.Fatal(err)
+	report := func(b *testing.B) {
+		if d := t.Dropped(); d > int64(b.N) {
+			b.Logf("dropped %d messages over the run (full queues)", d)
 		}
 	}
-	b.StopTimer()
-	if d := t.Dropped(); d > int64(b.N) {
-		b.Logf("dropped %d of %d broadcasts (full queues)", d, b.N)
-	}
+	b.Run("fanout", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := t.Broadcast(msg); err != nil {
+				b.Fatal(err)
+			}
+		}
+		report(b)
+	})
+	b.Run("send", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := t.Send(types.ReplicaID(i%peers+1), msg); err != nil {
+				b.Fatal(err)
+			}
+		}
+		report(b)
+	})
+	b.Run("duplex", func(b *testing.B) {
+		// Each peer dials the sender back and keeps a vote-sized message
+		// flowing at it for the length of the run.
+		stop := make(chan struct{})
+		done := make(chan struct{}, peers)
+		for i := 0; i < peers; i++ {
+			back, err := New(Config{Self: types.ReplicaID(i + 1), ListenAddr: "127.0.0.1:0",
+				Peers: map[types.ReplicaID]string{0: t.Addr()}, QueueLen: 64})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer back.Close()
+			go func() {
+				defer func() { done <- struct{}{} }()
+				small := &types.SyncRequest{From: 1, To: 2}
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+						_ = back.Send(0, small) // full queue: dropped, by design
+					}
+				}
+			}()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := t.Broadcast(msg); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		close(stop)
+		for i := 0; i < peers; i++ {
+			<-done
+		}
+		report(b)
+	})
 }
 
 // BenchmarkEncodeFrame isolates the frame-encoding step Broadcast and

@@ -17,6 +17,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"banyan/internal/metrics"
@@ -63,17 +64,21 @@ type Transport struct {
 	inbound  chan node.Inbound
 	closedCh chan struct{} // closed on Close; unblocks reader goroutines
 
-	// peerList is the fixed fan-out set, built once in New: Broadcast
-	// iterates it without taking the lock or allocating (the peer set
-	// never changes after construction; only the connections behind the
-	// queues come and go).
+	// peerList is the fixed fan-out set and peers the same set indexed by
+	// replica ID (nil where there is no peer), both built once in New:
+	// Broadcast and Send read them without taking a lock or allocating
+	// (the peer set never changes after construction; only the
+	// connections behind the queues come and go).
 	peerList []*peer
+	peers    []*peer
 
-	mu      sync.Mutex
-	peers   map[types.ReplicaID]*peer
-	conns   map[net.Conn]bool // accepted connections, closed on Close
-	closed  bool
-	dropped int64
+	// closed and dropped are read or bumped per message, so they are
+	// atomics; mu guards only the accepted-connection set.
+	closed  atomic.Bool
+	dropped atomic.Int64
+
+	mu    sync.Mutex
+	conns map[net.Conn]bool // accepted connections, closed on Close
 
 	wg sync.WaitGroup
 }
@@ -109,7 +114,6 @@ func New(cfg Config) (*Transport, error) {
 		listener: ln,
 		inbound:  make(chan node.Inbound, cfg.QueueLen),
 		closedCh: make(chan struct{}),
-		peers:    make(map[types.ReplicaID]*peer),
 		conns:    make(map[net.Conn]bool),
 	}
 	for id, addr := range cfg.Peers {
@@ -117,6 +121,9 @@ func New(cfg Config) (*Transport, error) {
 			continue
 		}
 		p := &peer{id: id, addr: addr, out: make(chan []byte, cfg.QueueLen)}
+		if int(id) >= len(t.peers) {
+			t.peers = append(t.peers, make([]*peer, int(id)+1-len(t.peers))...)
+		}
 		t.peers[id] = p
 		t.peerList = append(t.peerList, p)
 		t.wg.Add(1)
@@ -131,24 +138,17 @@ func New(cfg Config) (*Transport, error) {
 func (t *Transport) Addr() string { return t.listener.Addr().String() }
 
 // Dropped returns the number of outbound messages dropped on full queues.
-func (t *Transport) Dropped() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
+func (t *Transport) Dropped() int64 { return t.dropped.Load() }
 
 // Send implements node.Transport.
 func (t *Transport) Send(to types.ReplicaID, msg types.Message) error {
-	t.mu.Lock()
-	p, ok := t.peers[to]
-	closed := t.closed
-	t.mu.Unlock()
-	if closed {
+	if t.closed.Load() {
 		return errors.New("tcp: transport closed")
 	}
-	if !ok {
+	if int(to) >= len(t.peers) || t.peers[to] == nil {
 		return fmt.Errorf("tcp: unknown peer %d", to)
 	}
+	p := t.peers[to]
 	frame, err := encodeFrame(msg)
 	if err != nil {
 		return err
@@ -164,7 +164,7 @@ func (t *Transport) Broadcast(msg types.Message) error {
 	if err != nil {
 		return err
 	}
-	if t.isClosed() {
+	if t.closed.Load() {
 		return errors.New("tcp: transport closed")
 	}
 	for _, p := range t.peerList {
@@ -179,43 +179,29 @@ func (t *Transport) Receive() <-chan node.Inbound { return t.inbound }
 // Close implements node.Transport: stops the listener, dialers and
 // readers, then closes the receive channel.
 func (t *Transport) Close() error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
+	if t.closed.Swap(true) {
 		return nil
 	}
-	t.closed = true
-	for _, p := range t.peers {
-		close(p.out)
-	}
+	// The peer queues are never closed — dialers leave through closedCh —
+	// so a Send or Broadcast racing Close at worst parks a frame in a
+	// queue nobody drains: no send on a closed channel, hence no recover
+	// on the per-message path.
+	close(t.closedCh)
 	// Close accepted connections so blocked readers return; otherwise a
 	// reader on a quiet connection would pin Close until the remote side
 	// goes away.
+	t.mu.Lock()
 	for c := range t.conns {
 		c.Close()
 	}
 	t.mu.Unlock()
-	close(t.closedCh)
 	err := t.listener.Close()
 	t.wg.Wait()
 	close(t.inbound)
 	return err
 }
 
-func (t *Transport) isClosed() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.closed
-}
-
 func (t *Transport) enqueue(p *peer, frame []byte) {
-	defer func() {
-		// Losing the race with Close (send on closed channel) counts as a
-		// drop rather than a crash.
-		if recover() != nil {
-			t.countDrop()
-		}
-	}()
 	select {
 	case p.out <- frame:
 	default:
@@ -224,9 +210,7 @@ func (t *Transport) enqueue(p *peer, frame []byte) {
 }
 
 func (t *Transport) countDrop() {
-	t.mu.Lock()
-	t.dropped++
-	t.mu.Unlock()
+	t.dropped.Add(1)
 	if t.cfg.Drops != nil {
 		t.cfg.Drops.Inc()
 	}
@@ -248,9 +232,15 @@ func (t *Transport) dialLoop(p *peer) {
 			conn.Close()
 		}
 	}()
-	for frame := range p.out {
+	for {
+		var frame []byte
+		select {
+		case frame = <-p.out:
+		case <-t.closedCh:
+			return
+		}
 		for conn == nil {
-			if t.isClosed() {
+			if t.closed.Load() {
 				return
 			}
 			c, err := net.DialTimeout("tcp", p.addr, t.cfg.DialTimeout)
@@ -287,7 +277,7 @@ func (t *Transport) acceptLoop() {
 			return // listener closed
 		}
 		t.mu.Lock()
-		if t.closed {
+		if t.closed.Load() {
 			t.mu.Unlock()
 			conn.Close()
 			return
@@ -315,7 +305,7 @@ func (t *Transport) readLoop(conn net.Conn) {
 	var lenBuf [4]byte
 	for {
 		if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
-			if !errors.Is(err, io.EOF) && !t.isClosed() {
+			if !errors.Is(err, io.EOF) && !t.closed.Load() {
 				t.logf("tcp: read from %d: %v", from, err)
 			}
 			return
@@ -340,7 +330,7 @@ func (t *Transport) readLoop(conn net.Conn) {
 			t.logf("tcp: decode from %d: %v", from, err)
 			return
 		}
-		if t.isClosed() {
+		if t.closed.Load() {
 			return
 		}
 		// Backpressure: block until the node consumes. A stalled node

@@ -42,6 +42,8 @@ func TestEncodedSizeExact(t *testing.T) {
 			&BatchRequest{Digest: [32]byte{byte(i), 7}},
 			&BatchResponse{Digest: [32]byte{byte(i)}, Body: randomBlock(r).Payload},
 			&Proposal{Block: NewBlock(Round(i), 2, 0, BlockID{9}, randomBatchPayload(r))},
+			&Proposal{Header: randomBlock(r).SignedHeader(), ParentNotarization: randomCert(r), FastVote: &fv, Relayed: true},
+			&BlockRequest{Round: Round(i), ID: BlockID{byte(i), 3}},
 		)
 	}
 	for _, m := range msgs {
@@ -165,6 +167,65 @@ func TestAllocRegressionBareProposal(t *testing.T) {
 		}
 	}); n > 0 {
 		t.Errorf("bare proposal EncodeMessage with cache: %v allocs/op, budget 0", n)
+	}
+}
+
+// TestAllocRegressionHeaderRelay gates the messages the relay path now
+// sends once per vote: the header-form proposal (with the steady-state
+// credentials — proposer fast vote and a 3-signer parent notarization)
+// and the BlockRequest. Encode stays on the one-allocation fresh /
+// zero-allocation cached path; the in-place decode fits the proposal
+// arena like the body form does.
+func TestAllocRegressionHeaderRelay(t *testing.T) {
+	r := rand.New(rand.NewSource(18))
+	b := NewBlock(9, 2, 0, BlockID{4, 5}, BytesPayload(randomBytes(r, 64<<10)))
+	b.Signature = randomBytes(r, 64)
+	fv := Vote{Kind: VoteFast, Round: 9, Block: b.ID(), Voter: 2, Signature: randomBytes(r, 64)}
+	cert := &Certificate{Kind: CertNotarization, Round: 8, Block: b.Parent}
+	for i := 0; i < 3; i++ {
+		cert.Signers = append(cert.Signers, ReplicaID(i))
+		cert.Sigs = append(cert.Sigs, randomBytes(r, 64))
+	}
+	relay := &Proposal{Header: b.SignedHeader(), ParentNotarization: cert, FastVote: &fv, Relayed: true}
+	req := &BlockRequest{Round: 9, ID: b.ID()}
+
+	if n := testing.AllocsPerRun(200, func() {
+		relay.enc = nil // white-box: force a fresh encode each run
+		if _, err := EncodeMessage(relay); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Errorf("header relay EncodeMessage: %v allocs/op, budget 1", n)
+	}
+	if _, err := CachedEncoding(relay); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := EncodeMessage(relay); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 0 {
+		t.Errorf("header relay EncodeMessage with cache: %v allocs/op, budget 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := EncodeMessage(req); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Errorf("BlockRequest EncodeMessage: %v allocs/op, budget 1", n)
+	}
+
+	relayEnc, reqEnc := mustEncode(relay), mustEncode(req)
+	decode := func(data []byte) {
+		if _, err := decodeMessage(data, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(200, func() { decode(relayEnc) }); n > 2 {
+		t.Errorf("decode-inplace header relay: %v allocs/op, budget 2", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { decode(reqEnc) }); n > 2 {
+		t.Errorf("decode BlockRequest: %v allocs/op, budget 2", n)
 	}
 }
 

@@ -51,6 +51,34 @@ func (b *Block) Header() BlockHeader {
 	}
 }
 
+// SignedHeader is a block without its body: the hashed header plus the
+// proposer's signature over the ID it hashes to. It is what a header
+// relay carries (Proposal.Header): enough to authenticate the block's
+// existence, rank and parent, and to name the body in a BlockRequest,
+// without hashing or moving the payload.
+type SignedHeader struct {
+	BlockHeader
+	Signature []byte // proposer's signature over ID()
+
+	id     BlockID // cached hash, same contract as Block.ID
+	hashed bool
+}
+
+// ID returns the block ID the header hashes to, computed once.
+func (h *SignedHeader) ID() BlockID {
+	if !h.hashed {
+		h.id = h.BlockHeader.ID()
+		h.hashed = true
+	}
+	return h.id
+}
+
+// SignedHeader extracts the block's signed header, carrying the block's
+// cached ID along.
+func (b *Block) SignedHeader() *SignedHeader {
+	return &SignedHeader{BlockHeader: b.Header(), Signature: b.Signature, id: b.ID(), hashed: true}
+}
+
 // CertKind distinguishes the aggregate certificates of the protocol.
 type CertKind uint8
 

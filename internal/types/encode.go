@@ -245,6 +245,9 @@ func AppendMessage(buf []byte, m Message) ([]byte, error) {
 	case *BatchResponse:
 		e.hash(v.Digest)
 		encodePayload(&e, v.Body)
+	case *BlockRequest:
+		e.u64(uint64(v.Round))
+		e.id(v.ID)
 	default:
 		return nil, fmt.Errorf("types: cannot encode message of type %T", m)
 	}
@@ -433,6 +436,8 @@ func decodeMessage(data []byte, alias bool) (Message, error) {
 		m = &BatchRequest{Digest: d.hash()}
 	case MsgBatchResponse:
 		m = &BatchResponse{Digest: d.hash(), Body: decodePayload(d)}
+	case MsgBlockRequest:
+		m = &BlockRequest{Round: Round(d.u64()), ID: d.id()}
 	default:
 		return nil, fmt.Errorf("types: unknown message kind %d", kind)
 	}
@@ -467,9 +472,19 @@ func DecodeBlockPrefix(data []byte) (*Block, int, error) {
 	return b, d.off, nil
 }
 
+// proposalHeaderTag is the header form's value of the proposal's
+// block-presence byte (0 = no block, 1 = body form).
+const proposalHeaderTag = 2
+
 func encodeProposal(e *encoder, p *Proposal) {
 	e.bool(p.Relayed)
-	encodeBlock(e, p.Block)
+	if h := p.headerForm(); h != nil {
+		e.u8(proposalHeaderTag)
+		encodeHeader(e, h.BlockHeader)
+		e.bytes(h.Signature)
+	} else {
+		encodeBlock(e, p.Block)
+	}
 	encodeOptCert(e, p.ParentNotarization)
 	encodeOptUnlock(e, p.ParentUnlock)
 	if p.FastVote != nil {
@@ -492,6 +507,7 @@ const arenaSigners = 64
 type proposalArena struct {
 	p       Proposal
 	b       Block
+	h       SignedHeader
 	c       Certificate
 	fv      Vote
 	cc      ConfigChange
@@ -508,8 +524,16 @@ func decodeProposal(d *decoder) *Proposal {
 	a := &proposalArena{}
 	p := &a.p
 	p.Relayed = d.bool()
-	if d.bool() {
+	switch tag := d.u8(); tag {
+	case 0:
+	case 1:
 		p.Block = decodeBlockInto(&a.b, d, &a.cc)
+	case proposalHeaderTag:
+		a.h.BlockHeader = decodeHeader(d)
+		a.h.Signature = d.bytes()
+		p.Header = &a.h
+	default:
+		d.fail(fmt.Errorf("types: unknown proposal block form %d", tag))
 	}
 	p.ParentNotarization = decodeOptCertInto(&a.c, a.signers[:0], a.sigs[:0], d)
 	p.ParentUnlock = decodeOptUnlock(d)
@@ -782,6 +806,26 @@ func decodeOptCertInto(c *Certificate, signers []ReplicaID, sigs [][]byte, d *de
 	return c
 }
 
+func encodeHeader(e *encoder, h BlockHeader) {
+	e.u64(uint64(h.Round))
+	e.u32(h.Epoch)
+	e.u16(uint16(h.Proposer))
+	e.u16(uint16(h.Rank))
+	e.id(h.Parent)
+	e.hash(h.PayloadDigest)
+}
+
+func decodeHeader(d *decoder) BlockHeader {
+	return BlockHeader{
+		Round:         Round(d.u64()),
+		Epoch:         d.u32(),
+		Proposer:      ReplicaID(d.u16()),
+		Rank:          Rank(d.u16()),
+		Parent:        d.id(),
+		PayloadDigest: d.hash(),
+	}
+}
+
 func encodeOptUnlock(e *encoder, u *UnlockProof) {
 	if u == nil {
 		e.bool(false)
@@ -793,12 +837,7 @@ func encodeOptUnlock(e *encoder, u *UnlockProof) {
 	e.bool(u.All)
 	e.u32(uint32(len(u.Entries)))
 	for _, en := range u.Entries {
-		e.u64(uint64(en.Header.Round))
-		e.u32(en.Header.Epoch)
-		e.u16(uint16(en.Header.Proposer))
-		e.u16(uint16(en.Header.Rank))
-		e.id(en.Header.Parent)
-		e.hash(en.Header.PayloadDigest)
+		encodeHeader(e, en.Header)
 		e.u32(uint32(len(en.Voters)))
 		for i, v := range en.Voters {
 			e.u16(uint16(v))
@@ -825,14 +864,7 @@ func decodeOptUnlock(d *decoder) *UnlockProof {
 		u.Entries = make([]UnlockEntry, 0, n)
 	}
 	for i := uint32(0); i < n && d.err == nil; i++ {
-		en := UnlockEntry{Header: BlockHeader{
-			Round:    Round(d.u64()),
-			Epoch:    d.u32(),
-			Proposer: ReplicaID(d.u16()),
-			Rank:     Rank(d.u16()),
-			Parent:   d.id(),
-		}}
-		en.Header.PayloadDigest = d.hash()
+		en := UnlockEntry{Header: decodeHeader(d)}
 		m := d.u32()
 		if d.err != nil || m > maxSliceLen/8 {
 			d.fail(ErrTruncated)

@@ -189,6 +189,118 @@ func TestOptimisticProposalShapes(t *testing.T) {
 	}
 }
 
+// TestHeaderProposalRoundTrip pins the header form of a proposal — the
+// line-35 relay: signed header, credentials, no payload. Whatever the
+// payload's form (inline, synthetic, batch refs, reconfig wrapper) the
+// header re-hashes to the block's ID, the encoding is the same few
+// hundred bytes, and WireSize/EncodedSize both equal its length (a
+// header relay of a synthetic block is not charged the logical payload).
+func TestHeaderProposalRoundTrip(t *testing.T) {
+	r := rand.New(rand.NewSource(21))
+	for i := 0; i < 200; i++ {
+		b := randomBlock(r)
+		switch i % 4 {
+		case 1:
+			b.Payload = SyntheticPayload(1<<20, uint64(i))
+		case 2:
+			b.Payload = randomBatchPayload(r)
+		case 3:
+			b.Payload = ConfigChangePayload(ConfigChange{Op: ConfigRemove, Replica: 3}, BytesPayload(randomBytes(r, 4096)))
+		}
+		fv := Vote{Kind: VoteFast, Round: b.Round, Block: b.ID(), Voter: b.Proposer, Signature: randomBytes(r, 64)}
+		p := &Proposal{Header: b.SignedHeader(), Relayed: true}
+		if r.Intn(2) == 0 {
+			p.FastVote = &fv
+		}
+		bare := p.WireSize()
+		if r.Intn(2) == 0 {
+			p.ParentNotarization = randomCert(r)
+		}
+		if r.Intn(2) == 0 {
+			p.ParentUnlock = randomUnlock(r)
+		}
+		enc := mustEncode(p)
+		if p.WireSize() != len(enc) || p.EncodedSize() != len(enc) {
+			t.Fatalf("header proposal: WireSize %d, EncodedSize %d, encoded %d", p.WireSize(), p.EncodedSize(), len(enc))
+		}
+		if bare > 300 {
+			t.Fatalf("header relay without parent credentials is %d bytes (payload %d)", bare, b.Payload.Size())
+		}
+		got := roundTrip(t, p).(*Proposal)
+		if got.Block != nil || got.Header == nil || !got.Relayed {
+			t.Fatalf("header form lost in transit: %#v", got)
+		}
+		if got.Header.ID() != b.ID() || got.Header.BlockHeader != b.Header() ||
+			!bytes.Equal(got.Header.Signature, b.Signature) {
+			t.Fatalf("header changed in transit: %#v vs %v", got.Header, b)
+		}
+		if (got.FastVote == nil) != (p.FastVote == nil) ||
+			(got.FastVote != nil && got.FastVote.Digest() != fv.Digest()) {
+			t.Fatal("header relay lost or changed the proposer fast vote")
+		}
+		if !reflect.DeepEqual(got.ParentNotarization, p.ParentNotarization) ||
+			!reflect.DeepEqual(got.ParentUnlock, p.ParentUnlock) {
+			t.Fatal("header relay changed the parent credentials")
+		}
+		// In-place decode aliases the frame and keeps it as the cache.
+		ip, err := DecodeMessageInPlace(enc)
+		if err != nil || ip.(*Proposal).Header.ID() != b.ID() {
+			t.Fatalf("in-place decode: %v", err)
+		}
+	}
+
+	// Mutation fuzz: a flipped bit must never panic the decoder, and a
+	// mutant that still decodes to a header form must not keep the ID
+	// unless the flip missed the header.
+	b := randomBlock(r)
+	valid := mustEncode(&Proposal{Header: b.SignedHeader(), Relayed: true})
+	for i := 0; i < 4000; i++ {
+		data := append([]byte(nil), valid...)
+		at := r.Intn(len(data))
+		data[at] ^= byte(1 << r.Intn(8))
+		m, err := DecodeMessage(data)
+		if err != nil {
+			continue
+		}
+		// Bytes 3..82 are the hashed header (after kind, relayed, form tag).
+		if p, ok := m.(*Proposal); ok && p.Header != nil && at >= 3 && at < 3+80 && p.Header.ID() == b.ID() {
+			t.Fatalf("header mutated at byte %d still hashes to the original ID", at)
+		}
+	}
+	// An unknown block-form tag is rejected, not read as a body.
+	bad := append([]byte(nil), valid...)
+	bad[2] = 3
+	if _, err := DecodeMessage(bad); err == nil {
+		t.Fatal("unknown proposal block form accepted")
+	}
+}
+
+// TestBlockRequestRoundTrip covers the pull request: exact round-trip,
+// comparable, fixed 41-byte size, and fuzz-safe.
+func TestBlockRequestRoundTrip(t *testing.T) {
+	r := rand.New(rand.NewSource(22))
+	for i := 0; i < 100; i++ {
+		m := &BlockRequest{Round: Round(r.Uint64())}
+		r.Read(m.ID[:])
+		enc := mustEncode(m)
+		if len(enc) != 41 || m.WireSize() != 41 || m.EncodedSize() != 41 {
+			t.Fatalf("BlockRequest sizes: enc %d wire %d encoded %d", len(enc), m.WireSize(), m.EncodedSize())
+		}
+		if got := roundTrip(t, m).(*BlockRequest); *got != *m {
+			t.Fatalf("round-trip mismatch: %+v vs %+v", got, m)
+		}
+		if _, err := DecodeMessage(enc[:len(enc)-1]); err == nil {
+			t.Fatal("truncated BlockRequest accepted")
+		}
+		data := append([]byte(nil), enc...)
+		data[r.Intn(len(data))] ^= byte(1 << r.Intn(8))
+		_, _ = DecodeMessage(data) // must not panic
+	}
+	if MsgBlockRequest.String() != "block-request" {
+		t.Fatalf("kind name %q", MsgBlockRequest)
+	}
+}
+
 func randomBytes(r *rand.Rand, n int) []byte {
 	b := make([]byte, n)
 	r.Read(b)

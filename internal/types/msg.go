@@ -46,6 +46,10 @@ const (
 	// MsgBatchResponse returns a requested batch body; the digest makes it
 	// self-certifying, so any peer may serve it.
 	MsgBatchResponse
+	// MsgBlockRequest asks one peer for the body of a block the requester
+	// knows only by header or by votes (the pull path behind header
+	// relays); the answer is a full relayed MsgProposal.
+	MsgBlockRequest
 )
 
 func (k MsgKind) String() string {
@@ -74,6 +78,8 @@ func (k MsgKind) String() string {
 		return "batch-request"
 	case MsgBatchResponse:
 		return "batch-response"
+	case MsgBlockRequest:
+		return "block-request"
 	default:
 		return fmt.Sprintf("MsgKind(%d)", uint8(k))
 	}
@@ -96,11 +102,19 @@ type Message interface {
 	EncodedSize() int
 }
 
-// Proposal carries a block proposal (or a relayed block: Algorithm 1 line
-// 35 re-broadcasts a block one votes for, together with the same parent
-// credentials).
+// Proposal carries a block proposal. It has two forms. The body form
+// (Block set) is what a proposer broadcasts and what a BlockRequest is
+// answered with. The header form (Header set, Block nil) is the relay of
+// Algorithm 1 line 35: a replica that votes for a block re-broadcasts the
+// block's signed header with the same parent credentials, never the
+// payload — a body crosses each link once, proposer to replica, and a
+// replica the proposer's copy missed pulls it with a BlockRequest.
 type Proposal struct {
 	Block *Block
+	// Header is the block's signed header, set instead of Block on a
+	// header relay. It re-hashes to the block's ID, so the credentials
+	// below bind to the same block the body form would carry.
+	Header *SignedHeader
 	// ParentNotarization proves the parent was notarized. Nil when the
 	// parent is the genesis block. HotStuff uses this field as the block's
 	// justify QC.
@@ -111,7 +125,9 @@ type Proposal struct {
 	// FastVote is the proposer's own fast vote for the block; required when
 	// the block has rank 0 (Algorithm 2 line 63, Addition 2).
 	FastVote *Vote
-	// Relayed marks a forwarded copy rather than the original proposal.
+	// Relayed marks a forwarded copy rather than the original proposal:
+	// every header relay, and the body form sent in answer to a
+	// BlockRequest.
 	Relayed bool
 
 	enc []byte // memoized wire encoding (CachedEncoding)
@@ -119,11 +135,24 @@ type Proposal struct {
 
 func (*Proposal) Kind() MsgKind { return MsgProposal }
 
+// headerForm returns the signed header of a header-form proposal, nil
+// for the body form (Block wins should both be set).
+func (p *Proposal) headerForm() *SignedHeader {
+	if p.Block != nil {
+		return nil
+	}
+	return p.Header
+}
+
 // WireSize sums the proposal's components; the block's payload counts at
 // its logical size so synthetic payloads are charged like real ones.
 func (p *Proposal) WireSize() int {
 	s := 1 + 2 // kind tag + flags
-	s += blockWireSize(p.Block)
+	if h := p.headerForm(); h != nil {
+		s += headerWireSize(h)
+	} else {
+		s += blockWireSize(p.Block)
+	}
 	s += certWireSize(p.ParentNotarization)
 	s += unlockWireSize(p.ParentUnlock)
 	if p.FastVote != nil {
@@ -197,7 +226,11 @@ func (m *NewView) WireSize() int {
 // a 13-byte descriptor rather than the logical bytes WireSize charges.
 func (p *Proposal) EncodedSize() int {
 	s := 1 + 2 // kind tag + flags
-	s += blockEncodedSize(p.Block)
+	if h := p.headerForm(); h != nil {
+		s += headerWireSize(h)
+	} else {
+		s += blockEncodedSize(p.Block)
+	}
 	s += certWireSize(p.ParentNotarization)
 	s += unlockWireSize(p.ParentUnlock)
 	if p.FastVote != nil {
@@ -245,6 +278,13 @@ func blockEncodedSize(b *Block) int {
 		return 1
 	}
 	return 1 + 8 + 4 + 2 + 2 + 32 + payloadEncodedSize(b.Payload) + sliceWireSize(b.Signature)
+}
+
+// headerWireSize is the footprint of a signed header inside a proposal:
+// form tag + round + epoch + proposer + rank + parent + payload digest +
+// signature — the same whatever the payload's size or form.
+func headerWireSize(h *SignedHeader) int {
+	return 1 + 8 + 4 + 2 + 2 + 32 + 32 + sliceWireSize(h.Signature)
 }
 
 func payloadWireSize(p Payload) int {
@@ -501,6 +541,27 @@ func (m *BatchResponse) WireSize() int { return 1 + 32 + payloadWireSize(m.Body)
 // EncodedSize implements Message.
 func (m *BatchResponse) EncodedSize() int { return 1 + 32 + payloadEncodedSize(m.Body) }
 
+// BlockRequest asks one peer for the body of the round-Round block ID. A
+// replica sends it when it has heard of the block — a header relay or a
+// vote named it — but the proposer's copy is overdue; the peer answers
+// with the body-form Proposal{Relayed: true}, or stays silent when it
+// does not hold the block. Always
+// unicast; it stays comparable (tests use ==) and is 41 bytes on the
+// wire, so it carries no encoding cache.
+type BlockRequest struct {
+	Round Round
+	ID    BlockID
+}
+
+// Kind implements Message.
+func (*BlockRequest) Kind() MsgKind { return MsgBlockRequest }
+
+// WireSize implements Message.
+func (*BlockRequest) WireSize() int { return 1 + 8 + 32 }
+
+// EncodedSize implements Message.
+func (*BlockRequest) EncodedSize() int { return 1 + 8 + 32 }
+
 // Compile-time interface checks.
 var (
 	_ Message = (*Proposal)(nil)
@@ -515,4 +576,5 @@ var (
 	_ Message = (*BatchAnnounce)(nil)
 	_ Message = (*BatchRequest)(nil)
 	_ Message = (*BatchResponse)(nil)
+	_ Message = (*BlockRequest)(nil)
 )

@@ -405,10 +405,13 @@ func (r *Recorder) Err() error {
 // restarted replica re-fetches any finalized body it lost (the ack
 // quorum guarantees f+1 peers besides the origin hold it); everything
 // else — including sync and snapshot responses, whose blocks feed
-// catch-up state and must be re-adopted on replay — is recorded.
+// catch-up state and must be re-adopted on replay — is recorded. A block
+// body is therefore journaled once per replica, on arrival — the
+// proposer's copy, or the reply to a pull; header relays journal as
+// headers, and the BlockRequest that fetches a body is stateless.
 func loggedInbound(msg types.Message) bool {
 	switch msg.(type) {
-	case *types.SyncRequest, *types.SnapshotRequest,
+	case *types.SyncRequest, *types.SnapshotRequest, *types.BlockRequest,
 		*types.BatchAnnounce, *types.BatchRequest, *types.BatchResponse:
 		return false
 	default:
@@ -420,13 +423,18 @@ func loggedInbound(msg types.Message) bool {
 // and snapshot traffic is derived state (requests are stateless,
 // responses are read from the finalized tree) and would bloat the log;
 // every message that carries this replica's signatures or certificates
-// is recorded.
+// is recorded. The same goes for the body pull: a BlockRequest is
+// stateless and its answer — someone else's block, relayed in body form —
+// is read back out of round state the journal already covers; only this
+// replica's own proposal is journaled with its body.
 func loggedOwn(msg types.Message) bool {
-	switch msg.(type) {
+	switch m := msg.(type) {
 	case *types.SyncRequest, *types.SyncResponse,
-		*types.SnapshotRequest, *types.SnapshotResponse,
+		*types.SnapshotRequest, *types.SnapshotResponse, *types.BlockRequest,
 		*types.BatchAnnounce, *types.BatchRequest, *types.BatchResponse:
 		return false
+	case *types.Proposal:
+		return !(m.Relayed && m.Block != nil)
 	default:
 		return true
 	}
