@@ -58,6 +58,17 @@ func runBench(b *testing.B, cfg harness.Config) {
 	report(b, last)
 }
 
+// compared marks a run as one side of a Banyan-vs-ICC figure or table.
+// Both sides run without the line-35 relay: Banyan relays headers where
+// the icc baseline relays whole block bodies, a difference in receiver
+// load the paper does not claim — its protocols forward identically — so
+// the comparison leaves it out. BenchmarkAblationForwarding measures the
+// relay on its own.
+func compared(cfg harness.Config) harness.Config {
+	cfg.NoForwarding = true
+	return cfg
+}
+
 func topo(b *testing.B, f func() (*wan.Topology, error)) *wan.Topology {
 	b.Helper()
 	t, err := f()
@@ -77,7 +88,7 @@ func BenchmarkTable1(b *testing.B) {
 	const oneWay = 50 * time.Millisecond
 	u := wan.Uniform(4, oneWay)
 	for _, proto := range harness.Protocols() {
-		res, err := harness.Run(harness.Config{
+		res, err := harness.Run(compared(harness.Config{
 			Protocol:    proto,
 			Params:      harness.ParamsFor(proto, 4, 1, 1),
 			Topology:    u,
@@ -86,7 +97,7 @@ func BenchmarkTable1(b *testing.B) {
 			Seed:        1,
 			ProcRateBps: -1,
 			ProcFixed:   -1,
-		})
+		}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -104,7 +115,7 @@ func BenchmarkFigure1(b *testing.B) {
 		b.Run(string(proto), func(b *testing.B) {
 			var last *harness.Result
 			for i := 0; i < b.N; i++ {
-				res, err := harness.Run(harness.Config{
+				res, err := harness.Run(compared(harness.Config{
 					Protocol:    proto,
 					Params:      harness.ParamsFor(proto, 4, 1, 1),
 					Topology:    u,
@@ -113,7 +124,7 @@ func BenchmarkFigure1(b *testing.B) {
 					Seed:        uint64(i + 1),
 					ProcRateBps: -1,
 					ProcFixed:   -1,
-				})
+				}))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -133,13 +144,13 @@ func BenchmarkFigure2(b *testing.B) {
 	crash := []harness.CrashSpec{{Replica: 17}, {Replica: 18}}
 	for _, proto := range []harness.Protocol{harness.Banyan, harness.ICC} {
 		b.Run(string(proto)+"-fastpath-dark", func(b *testing.B) {
-			runBench(b, harness.Config{
+			runBench(b, compared(harness.Config{
 				Protocol:  proto,
 				Params:    harness.ParamsFor(proto, 19, 6, 1),
 				Topology:  t,
 				BlockSize: 400 << 10,
 				Crash:     crash,
-			})
+			}))
 		})
 	}
 }
@@ -162,12 +173,12 @@ func BenchmarkFigure6a(b *testing.B) {
 	for _, size := range []int{100 << 10, 400 << 10, 1600 << 10} {
 		for _, tc := range cases {
 			b.Run(tc.name+"/"+sizeName(size), func(b *testing.B) {
-				runBench(b, harness.Config{
+				runBench(b, compared(harness.Config{
 					Protocol:  tc.proto,
 					Params:    harness.ParamsFor(tc.proto, 19, tc.f, tc.p),
 					Topology:  t,
 					BlockSize: size,
-				})
+				}))
 			})
 		}
 	}
@@ -189,12 +200,12 @@ func BenchmarkFigure6b(b *testing.B) {
 	for _, size := range []int{500 << 10, 1 << 20, 2 << 20} {
 		for _, tc := range cases {
 			b.Run(tc.name+"/"+sizeName(size), func(b *testing.B) {
-				runBench(b, harness.Config{
+				runBench(b, compared(harness.Config{
 					Protocol:  tc.proto,
 					Params:    harness.ParamsFor(tc.proto, 4, 1, 1),
 					Topology:  t,
 					BlockSize: size,
-				})
+				}))
 			})
 		}
 	}
@@ -208,7 +219,7 @@ func BenchmarkFigure6c(b *testing.B) {
 		b.Run(string(proto), func(b *testing.B) {
 			var last *harness.Result
 			for i := 0; i < b.N; i++ {
-				res, err := harness.Run(harness.Config{
+				res, err := harness.Run(compared(harness.Config{
 					Protocol:   proto,
 					Params:     harness.ParamsFor(proto, 4, 1, 1),
 					Topology:   t,
@@ -216,7 +227,7 @@ func BenchmarkFigure6c(b *testing.B) {
 					Duration:   benchDuration,
 					Seed:       uint64(i + 1),
 					JitterFrac: 0.08,
-				})
+				}))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -243,7 +254,7 @@ func BenchmarkFigure6d(b *testing.B) {
 			b.Run(benchName(string(proto), crashes), func(b *testing.B) {
 				var last *harness.Result
 				for i := 0; i < b.N; i++ {
-					res, err := harness.Run(harness.Config{
+					res, err := harness.Run(compared(harness.Config{
 						Protocol:  proto,
 						Params:    harness.ParamsFor(proto, 19, 6, 1),
 						Topology:  t,
@@ -252,7 +263,7 @@ func BenchmarkFigure6d(b *testing.B) {
 						Delta:     1500 * time.Millisecond,
 						Seed:      uint64(i + 1),
 						Crash:     specs,
-					})
+					}))
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -282,12 +293,12 @@ func BenchmarkFigure6e(b *testing.B) {
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
-			runBench(b, harness.Config{
+			runBench(b, compared(harness.Config{
 				Protocol:  tc.proto,
 				Params:    harness.ParamsFor(tc.proto, 19, tc.f, tc.p),
 				Topology:  t,
 				BlockSize: 1 << 20,
-			})
+			}))
 		})
 	}
 }
@@ -305,12 +316,12 @@ func BenchmarkAblationFastPath(b *testing.B) {
 		{"icc", harness.ICC},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			runBench(b, harness.Config{
+			runBench(b, compared(harness.Config{
 				Protocol:  tc.proto,
 				Params:    harness.ParamsFor(tc.proto, 4, 1, 1),
 				Topology:  t,
 				BlockSize: 1 << 20,
-			})
+			}))
 		})
 	}
 }
@@ -374,12 +385,12 @@ func BenchmarkAblationGeography(b *testing.B) {
 				if proto == harness.ICC {
 					f, p = 6, 0
 				}
-				runBench(b, harness.Config{
+				runBench(b, compared(harness.Config{
 					Protocol:  proto,
 					Params:    harness.ParamsFor(proto, 19, f, p),
 					Topology:  t,
 					BlockSize: 400 << 10,
-				})
+				}))
 			})
 		}
 	}

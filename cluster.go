@@ -203,6 +203,9 @@ type Cluster struct {
 	recs    []*wal.Recorder // nil entries without WALDir
 	pools   []*mempool.Pool
 	stores  []*dissem.Store // nil entries without Dissem
+	// verifiers are the per-replica verification pipelines (nil entries
+	// for the baselines), rebuilt with the engine on restart.
+	verifiers []*crypto.Verifier
 	// reconfigs are the per-replica hand-off slots for validator-set
 	// changes (Banyan protocols; nil entries otherwise). They outlive
 	// engine rebuilds, so a pending change survives a crash-restart.
@@ -315,6 +318,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		recs:      make([]*wal.Recorder, maxN),
 		pools:     make([]*mempool.Pool, maxN),
 		stores:    make([]*dissem.Store, maxN),
+		verifiers: make([]*crypto.Verifier, maxN),
 		reconfigs: make([]*membership.Reconfigurator, maxN),
 		observers: make([]*obs.Observer, maxN),
 		keyring:   keyring,
@@ -357,14 +361,16 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			o := obs.New(obs.Options{TraceEvents: cfg.ObsTraceEvents})
 			c.observers[i] = o
 			// Pull-style gauges refresh at scrape time: the pool is stable
-			// across restarts, the store slot is read under c.mu because
-			// buildReplica swaps it on restart.
+			// across restarts, the store and verifier slots are read under
+			// c.mu because buildReplica swaps them on restart.
 			idx := i
 			o.OnCollect(func(o *obs.Observer) {
 				o.MempoolDepth.Set(int64(c.pools[idx].Len()))
-				if s := c.storeOf(idx); s != nil {
+				s, v := c.slotsOf(idx)
+				if s != nil {
 					o.DissemStoreBytes.Set(s.HeldBytes())
 				}
+				collectVerifier(o, v)
 			})
 		}
 		if err := c.buildReplica(i); err != nil {
@@ -374,12 +380,12 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	return c, nil
 }
 
-// storeOf returns a replica's dissemination store slot under the lock
-// (RestartReplica swaps it).
-func (c *Cluster) storeOf(i int) *dissem.Store {
+// slotsOf returns a replica's dissemination store and verifier slots
+// under the lock (RestartReplica swaps them).
+func (c *Cluster) slotsOf(i int) (*dissem.Store, *crypto.Verifier) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.stores[i]
+	return c.stores[i], c.verifiers[i]
 }
 
 // Observer returns a replica's observability bundle (nil without
@@ -405,6 +411,7 @@ func (c *Cluster) buildReplica(i int) error {
 	// engine. The baseline engines verify through the keyring
 	// directly, so building one for them would be dead weight.
 	verifier := newVerifierFor(c.cfg.Protocol, c.keyring, verifyCfg)
+	c.verifiers[i] = verifier
 	if c.cfg.Dissem {
 		// A fresh store per build: batch bodies are deliberately not
 		// journaled (the WAL holds the refs inside blocks), so a restarted
@@ -492,6 +499,20 @@ func preverifierFor(verifier *crypto.Verifier) node.Preverifier {
 		return nil
 	}
 	return verifier
+}
+
+// collectVerifier refreshes the verification gauges of a scrape from a
+// replica's pipeline (nil for the baselines): signatures found in the
+// verified cache, signatures verified, and signatures preverification
+// skipped because their round was settled.
+func collectVerifier(o *obs.Observer, v *crypto.Verifier) {
+	if v == nil {
+		return
+	}
+	hits, misses := v.CacheStats()
+	o.VerifyCacheHits.Set(hits)
+	o.VerifyCacheMisses.Set(misses)
+	o.VerifySettledSkipped.Set(v.SettledSkipped())
 }
 
 // engineTuning bundles the per-deployment engine knobs shared by

@@ -2,6 +2,8 @@ package banyan
 
 import (
 	"fmt"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
@@ -106,5 +108,51 @@ func TestClusterProtocols(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestClusterMetricsPageReportsVerification: a replica's /metrics page
+// carries the verification pipeline's counts — signatures verified, found
+// cached, and skipped as settled — and after the run the engine's counters
+// show the fast path sending one VoteMsg per replica per round, with the
+// finalization vote suppressed, and late traffic dropped as settled.
+func TestClusterMetricsPageReportsVerification(t *testing.T) {
+	cluster, err := NewCluster(ClusterConfig{N: 4, Delta: 5 * time.Millisecond, Obs: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cluster.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Stop()
+	for i := 0; i < 5; i++ {
+		if !cluster.Submit([]byte{byte(i)}) {
+			t.Fatal("submit rejected")
+		}
+		select {
+		case <-cluster.Commits():
+		case <-time.After(20 * time.Second):
+			t.Fatal("no commit")
+		}
+	}
+	rec := httptest.NewRecorder()
+	cluster.Observer(0).Handler(0).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	page := rec.Body.String()
+	for _, name := range []string{"banyan_verify_cache_hits", "banyan_verify_cache_misses", "banyan_verify_settled_skipped"} {
+		if !strings.Contains(page, "# TYPE "+name+" gauge") {
+			t.Errorf("/metrics lacks %s", name)
+		}
+	}
+	if strings.Contains(page, "banyan_verify_cache_misses 0\n") {
+		t.Error("/metrics reports no signature verified after a committed round")
+	}
+	cluster.Stop()
+	m := cluster.Metrics(0)
+	if m["final_votes_suppressed"] == 0 || m["settled_dropped"] == 0 {
+		t.Errorf("final_votes_suppressed=%d settled_dropped=%d after %d fast-path rounds",
+			m["final_votes_suppressed"], m["settled_dropped"], m["final_fast"])
+	}
+	if 2*m["votes_sent"] > 3*m["rounds"] {
+		t.Errorf("votes_sent=%d over %d rounds: finalization votes still sent on the fast path", m["votes_sent"], m["rounds"])
 	}
 }

@@ -52,6 +52,17 @@ func (o options) run(cfg harness.Config) (*harness.Result, error) {
 	return harness.Run(cfg)
 }
 
+// runCompared runs one side of a Banyan-vs-ICC figure. Both sides run
+// without the line-35 relay: Banyan relays headers where the icc baseline
+// relays whole block bodies, a difference in receiver load the paper does
+// not claim — its protocols forward identically — so the comparison
+// leaves it out. The ablation-forwarding experiment measures the relay on
+// its own.
+func (o options) runCompared(cfg harness.Config) (*harness.Result, error) {
+	cfg.NoForwarding = true
+	return o.run(cfg)
+}
+
 func run(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	var (
@@ -171,7 +182,7 @@ func runFig1(o options) error {
 		harness.Streamlet: "epoch-clocked (Δ-bound, not δ)",
 	}
 	for _, proto := range harness.Protocols() {
-		res, err := o.run(harness.Config{
+		res, err := o.runCompared(harness.Config{
 			Protocol:    proto,
 			Params:      harness.ParamsFor(proto, 4, 1, 1),
 			Topology:    topo,
@@ -204,7 +215,7 @@ func runFig2(o options) error {
 	printHeader()
 	var banyanMean, iccMean time.Duration
 	for _, proto := range []harness.Protocol{harness.Banyan, harness.ICC} {
-		res, err := o.run(harness.Config{
+		res, err := o.runCompared(harness.Config{
 			Protocol:  proto,
 			Params:    harness.ParamsFor(proto, 19, 6, 1),
 			Topology:  topo,
@@ -235,7 +246,7 @@ func fig6Sweep(o options, topo *wan.Topology, sizes []int, configs []protoConfig
 	printHeader()
 	for _, size := range sizes {
 		for _, pc := range configs {
-			res, err := o.run(harness.Config{
+			res, err := o.runCompared(harness.Config{
 				Protocol:  pc.proto,
 				Params:    harness.ParamsFor(pc.proto, topo.N(), pc.f, pc.p),
 				Topology:  topo,
@@ -314,7 +325,7 @@ func runFig6c(o options) error {
 	fmt.Printf("%-10s %10s %10s %10s %10s %10s %10s %10s\n",
 		"protocol", "mean(ms)", "sd(ms)", "min(ms)", "p50(ms)", "p95(ms)", "p99(ms)", "max(ms)")
 	for _, proto := range []harness.Protocol{harness.Banyan, harness.ICC} {
-		res, err := o.run(harness.Config{
+		res, err := o.runCompared(harness.Config{
 			Protocol:   proto,
 			Params:     harness.ParamsFor(proto, 4, 1, 1),
 			Topology:   topo,
@@ -355,7 +366,7 @@ func runFig6d(o options) error {
 			specs = append(specs, harness.CrashSpec{Replica: spread[i]})
 		}
 		for _, proto := range []harness.Protocol{harness.Banyan, harness.ICC} {
-			res, err := o.run(harness.Config{
+			res, err := o.runCompared(harness.Config{
 				Protocol:  proto,
 				Params:    harness.ParamsFor(proto, 19, 6, 1),
 				Topology:  topo,
@@ -412,7 +423,7 @@ func runTraffic(o options) error {
 		"protocol", "blocks", "msgs/block", "wire-KB/block", "overhead")
 	const blockSize = 64 << 10
 	for _, proto := range harness.Protocols() {
-		res, err := o.run(harness.Config{
+		res, err := o.runCompared(harness.Config{
 			Protocol:  proto,
 			Params:    harness.ParamsFor(proto, 19, 6, 1),
 			Topology:  topo,
@@ -483,7 +494,7 @@ func runAblationFastPath(o options) error {
 		{"banyan-nofast", harness.BanyanNoFast, 1, 1},
 		{"icc", harness.ICC, 1, 0},
 	} {
-		res, err := o.run(harness.Config{
+		res, err := o.runCompared(harness.Config{
 			Protocol:  pc.proto,
 			Params:    harness.ParamsFor(pc.proto, 4, pc.f, pc.p),
 			Topology:  topo,
@@ -550,7 +561,7 @@ func runAblationGeography(o options) error {
 			{"banyan-p4", harness.Banyan, 4, 4},
 			{"icc", harness.ICC, 6, 0},
 		} {
-			res, err := o.run(harness.Config{
+			res, err := o.runCompared(harness.Config{
 				Protocol:  pc.proto,
 				Params:    harness.ParamsFor(pc.proto, 19, pc.f, pc.p),
 				Topology:  topo,

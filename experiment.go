@@ -85,6 +85,11 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 		Duration:  cfg.Duration,
 		Delta:     cfg.Delta,
 		Seed:      cfg.Seed,
+		// Experiments exist to compare protocols, so every side runs
+		// without the line-35 relay: Banyan relays headers where the icc
+		// baseline relays whole block bodies, a difference in receiver
+		// load the paper does not claim.
+		NoForwarding: true,
 	}
 	for _, id := range cfg.CrashReplicas {
 		hcfg.Crash = append(hcfg.Crash, harness.CrashSpec{Replica: types.ReplicaID(id)})

@@ -578,6 +578,141 @@ func (w *PullWithholder) rewrite(acts []protocol.Action) []protocol.Action {
 	return out
 }
 
+// SettledFlooder attacks one victim's ingress with traffic for rounds the
+// cluster has already finalized. It runs consensus faithfully, and every
+// time its own engine commits it sprays the victim with a burst aimed a
+// few rounds behind its finalized tip: a late vote of every kind from
+// every replica, a notarization and a fast-finalization certificate, and
+// an Advance carrying a notarization and an unlock proof — all naming
+// the block that really finalized, all well-formed, all with garbage
+// signatures that differ from burst to burst, so no structural check and
+// no cache can dismiss them. An honest victim must spend no signature
+// verification on any of it: the rounds are settled there, and settled
+// traffic is dropped before a verifier is consulted.
+type SettledFlooder struct {
+	inner  protocol.Engine
+	victim types.ReplicaID
+	n      int
+
+	finalized map[types.Round]types.BlockID // recent commits, by round
+	nonce     uint64
+	items     int64
+}
+
+var _ protocol.Engine = (*SettledFlooder)(nil)
+
+// floodLag is how far behind its own finalized tip the flooder aims: far
+// enough that a victim in step with the cluster has finalized and left
+// the target round before the burst lands.
+const floodLag = 2
+
+// NewSettledFlooder wraps the adversary's own engine; n is the cluster
+// size and victim the replica the flood is unicast to.
+func NewSettledFlooder(inner protocol.Engine, victim types.ReplicaID, n int) *SettledFlooder {
+	return &SettledFlooder{inner: inner, victim: victim, n: n,
+		finalized: make(map[types.Round]types.BlockID)}
+}
+
+// ID implements protocol.Engine.
+func (f *SettledFlooder) ID() types.ReplicaID { return f.inner.ID() }
+
+// Protocol implements protocol.Engine.
+func (f *SettledFlooder) Protocol() string { return f.inner.Protocol() + "-settled-flooder" }
+
+// Metrics implements protocol.Engine.
+func (f *SettledFlooder) Metrics() map[string]int64 { return f.inner.Metrics() }
+
+// Items returns how many votes, certificates and unlock proofs have been
+// sprayed — the unit a victim's settled_dropped counter counts in.
+func (f *SettledFlooder) Items() int64 { return f.items }
+
+// BurstItems is the number of items in one burst.
+func (f *SettledFlooder) BurstItems() int64 { return int64(3*f.n + 4) }
+
+// Start implements protocol.Engine.
+func (f *SettledFlooder) Start(now time.Time) []protocol.Action {
+	return f.flood(f.inner.Start(now))
+}
+
+// HandleMessage implements protocol.Engine.
+func (f *SettledFlooder) HandleMessage(from types.ReplicaID, msg types.Message, now time.Time) []protocol.Action {
+	return f.flood(f.inner.HandleMessage(from, msg, now))
+}
+
+// HandleTimer implements protocol.Engine.
+func (f *SettledFlooder) HandleTimer(id protocol.TimerID, now time.Time) []protocol.Action {
+	return f.flood(f.inner.HandleTimer(id, now))
+}
+
+// flood passes the inner engine's actions through and appends one burst
+// per committed block whose round is floodLag behind a known commit.
+func (f *SettledFlooder) flood(acts []protocol.Action) []protocol.Action {
+	var bursts []protocol.Action
+	for _, a := range acts {
+		c, ok := a.(protocol.Commit)
+		if !ok {
+			continue
+		}
+		for _, b := range c.Blocks {
+			f.finalized[b.Round] = b.ID()
+			if b.Round <= floodLag {
+				continue
+			}
+			target := b.Round - floodLag
+			if id, ok := f.finalized[target]; ok {
+				bursts = append(bursts, f.burst(target, id)...)
+				delete(f.finalized, target)
+			}
+		}
+	}
+	return append(acts, bursts...)
+}
+
+// garbage returns 64 bytes no key ever signed, different on every call.
+func (f *SettledFlooder) garbage() []byte {
+	f.nonce++
+	sig := make([]byte, 64)
+	for i := range sig {
+		sig[i] = byte(f.nonce >> (8 * (uint(i) % 8)))
+	}
+	sig[63] = 0xa5
+	return sig
+}
+
+func (f *SettledFlooder) burst(round types.Round, id types.BlockID) []protocol.Action {
+	everyone := make([]types.ReplicaID, f.n)
+	for i := range everyone {
+		everyone[i] = types.ReplicaID(i)
+	}
+	sigs := func() [][]byte {
+		out := make([][]byte, f.n)
+		for i := range out {
+			out[i] = f.garbage()
+		}
+		return out
+	}
+	var votes []types.Vote
+	for _, kind := range []types.VoteKind{types.VoteNotarize, types.VoteFast, types.VoteFinalize} {
+		for _, voter := range everyone {
+			votes = append(votes, types.Vote{Kind: kind, Round: round, Block: id, Voter: voter, Signature: f.garbage()})
+		}
+	}
+	cert := func(kind types.CertKind) *types.Certificate {
+		return &types.Certificate{Kind: kind, Round: round, Block: id, Signers: everyone, Sigs: sigs()}
+	}
+	proof := &types.UnlockProof{Round: round, Block: id, Entries: []types.UnlockEntry{{
+		Header: types.BlockHeader{Round: round}, Voters: everyone, Sigs: sigs(),
+	}}}
+	f.items += f.BurstItems()
+	to := func(msg types.Message) protocol.Action { return protocol.Send{To: f.victim, Msg: msg} }
+	return []protocol.Action{
+		to(&types.VoteMsg{Votes: votes}),
+		to(&types.CertMsg{Cert: cert(types.CertNotarization)}),
+		to(&types.CertMsg{Cert: cert(types.CertFastFinalization)}),
+		to(&types.Advance{Notarization: cert(types.CertNotarization), Unlock: proof}),
+	}
+}
+
 // Silent is a crash-like adversary: it participates normally until
 // SilenceAfter, then emits nothing (but keeps consuming messages, unlike a
 // crash — a "mute" fault).

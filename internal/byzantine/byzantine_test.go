@@ -268,6 +268,82 @@ func TestPullWithholderDropsOnlyPullReplies(t *testing.T) {
 	}
 }
 
+// TestSettledFlooderSpraysOnlyFinalizedRounds: the inner engine's actions
+// pass through untouched; each commit adds one burst, unicast to the
+// victim alone, for the round floodLag behind it — well-formed enough to
+// pass every structural check, signed by nobody, and never twice with the
+// same bytes.
+func TestSettledFlooderSpraysOnlyFinalizedRounds(t *testing.T) {
+	const n, victim = 7, types.ReplicaID(2)
+	keyring, _ := crypto.GenerateCluster(crypto.Ed25519(), n, 8)
+	inner := &scriptedEngine{id: 6}
+	f := NewSettledFlooder(inner, victim, n)
+	blocks := make([]*types.Block, 6)
+	for i := range blocks {
+		blocks[i] = types.NewBlock(types.Round(i+1), 0, 0, types.BlockID{}, types.SyntheticPayload(8, uint64(i)))
+	}
+	seen := map[string]bool{}
+	for i, b := range blocks {
+		vote := protocol.Broadcast{Msg: &types.VoteMsg{}}
+		inner.acts = []protocol.Action{vote, protocol.Commit{Blocks: []*types.Block{b}}}
+		acts := f.HandleMessage(1, &types.CertMsg{}, time.Unix(0, 0))
+		if acts[0] != protocol.Action(vote) || len(acts) < 2 {
+			t.Fatalf("round %d: inner actions not passed through: %v", b.Round, acts)
+		}
+		flood := acts[2:]
+		if i < floodLag {
+			if len(flood) != 0 {
+				t.Fatalf("round %d: flooded before any round was %d behind the tip", b.Round, floodLag)
+			}
+			continue
+		}
+		target := blocks[i-floodLag]
+		var items int64
+		for _, a := range flood {
+			s, ok := a.(protocol.Send)
+			if !ok || s.To != victim {
+				t.Fatalf("flood action %v is not a unicast to the victim", a)
+			}
+			var certs []*types.Certificate
+			switch m := s.Msg.(type) {
+			case *types.VoteMsg:
+				for _, v := range m.Votes {
+					if v.Round != target.Round || v.Block != target.ID() || !v.Kind.Valid() {
+						t.Fatalf("vote %v does not name the finalized block of round %d", v, target.Round)
+					}
+					if crypto.VerifyVote(keyring, v) == nil || seen[string(v.Signature)] {
+						t.Fatal("flood vote verifies, or repeats an earlier signature")
+					}
+					seen[string(v.Signature)] = true
+					items++
+				}
+			case *types.CertMsg:
+				certs = append(certs, m.Cert)
+			case *types.Advance:
+				certs = append(certs, m.Notarization)
+				if m.Unlock.Round != target.Round || len(m.Unlock.Entries[0].Voters) != n {
+					t.Fatalf("unlock proof %v", m.Unlock)
+				}
+				items++
+			default:
+				t.Fatalf("unexpected flood message %T", s.Msg)
+			}
+			for _, c := range certs {
+				if c.Round != target.Round || c.CheckShape(n, n) != nil {
+					t.Fatalf("certificate %v would be dismissed on shape alone", c)
+				}
+				items++
+			}
+		}
+		if items != f.BurstItems() {
+			t.Fatalf("round %d: burst carried %d items, BurstItems says %d", b.Round, items, f.BurstItems())
+		}
+	}
+	if want := int64(len(blocks)-floodLag) * f.BurstItems(); f.Items() != want {
+		t.Fatalf("Items() = %d, want %d", f.Items(), want)
+	}
+}
+
 // TestAdversaryIdentity: wrappers must report the wrapped replica's ID and
 // metrics while advertising their deviation in the protocol name.
 func TestAdversaryIdentity(t *testing.T) {
@@ -281,6 +357,7 @@ func TestAdversaryIdentity(t *testing.T) {
 		{NewSilent(inner, time.Unix(0, 0)), "scripted-mute"},
 		{NewVoteWithholder(inner), "scripted-withholder"},
 		{NewPullWithholder(inner), "scripted-pull-withholder"},
+		{NewSettledFlooder(inner, 0, 4), "scripted-settled-flooder"},
 	} {
 		if tc.eng.ID() != 3 {
 			t.Errorf("%s: ID() = %d, want 3", tc.want, tc.eng.ID())

@@ -137,6 +137,9 @@ type Engine struct {
 
 		epochChanges int64
 		epochHints   int64
+
+		settledDropped       int64
+		finalVotesSuppressed int64
 	}
 }
 
@@ -410,7 +413,12 @@ func (e *Engine) Metrics() map[string]int64 {
 		"body_pull_retries":  e.met.bodyPullRetries,
 		"body_pulls_served":  e.met.bodyPullsServed,
 		"body_pulls_refused": e.met.bodyPullsRefused,
+
+		"settled_dropped":        e.met.settledDropped,
+		"final_votes_suppressed": e.met.finalVotesSuppressed,
+		"verify_settled_skipped": e.cfg.Verifier.SettledSkipped(),
 	}
+	m["verify_cache_hits"], m["verify_cache_misses"] = e.cfg.Verifier.CacheStats()
 	if e.cfg.Dissem != nil {
 		e.cfg.Dissem.Metrics(m)
 		m["dissemFetches"], m["dissemFetchRetries"] = e.batchFetch.Counts()
@@ -425,6 +433,51 @@ func (e *Engine) Metrics() map[string]int64 {
 // Message ingestion. These mutate state only; all protocol reactions happen
 // in progress() so that every upon-clause is re-evaluated exactly once per
 // event regardless of which message kind triggered it.
+
+// settled reports whether round r can no longer decide anything here: the
+// finalized chain runs through it and the engine has left it. Both bounds
+// only ever rise, so a settled round stays settled. Votes, certificates
+// and unlock proofs for such a round are dropped before any round state,
+// ledger or verifier is touched — nothing reads them again: finalization,
+// notarization and unlock are all evaluated from the finalized round up,
+// and a finalized parent needs no credentials. The node's preverify stage
+// skips the same items off-thread (publishSettled), so a signature for a
+// settled round is verified nowhere.
+func (e *Engine) settled(r types.Round) bool {
+	return r <= e.tree.FinalizedRound() && r < e.round
+}
+
+// Settled reports whether HandleMessage would ignore msg outright because
+// every vote, certificate and unlock proof it carries is for a settled
+// round. The WAL recorder asks before journaling an inbound message
+// (wal.SettledFilter): what the engine ignores, replay does not need.
+func (e *Engine) Settled(msg types.Message) bool {
+	switch m := msg.(type) {
+	case *types.VoteMsg:
+		for i := range m.Votes {
+			if !e.settled(m.Votes[i].Round) {
+				return false
+			}
+		}
+		return true
+	case *types.CertMsg:
+		return m.Cert == nil || e.settled(m.Cert.Round)
+	case *types.Advance:
+		return (m.Notarization == nil || e.settled(m.Notarization.Round)) &&
+			(m.Unlock == nil || e.settled(m.Unlock.Round))
+	default:
+		return false
+	}
+}
+
+// publishSettled raises the verifier's settled floor to the engine's
+// (Settle ignores a floor it already has).
+func (e *Engine) publishSettled() {
+	// The lowest round that is not settled; zero before Start.
+	if live := min(e.tree.FinalizedRound()+1, e.round); live > 0 {
+		e.cfg.Verifier.Settle(live - 1)
+	}
+}
 
 func (e *Engine) onProposal(from types.ReplicaID, m *types.Proposal) {
 	var (
@@ -515,6 +568,10 @@ func (e *Engine) onVote(v types.Vote) {
 		e.met.rejected++
 		return
 	}
+	if e.settled(v.Round) {
+		e.met.settledDropped++
+		return
+	}
 	// Membership pinning: only votes from members of the round's epoch
 	// count. This is what defeats an epoch-straddling adversary — a
 	// removed validator's key still verifies (identities are never
@@ -522,9 +579,6 @@ func (e *Engine) onVote(v types.Vote) {
 	// before they touch any ledger.
 	if !e.setFor(v.Round).Contains(v.Voter) {
 		e.met.rejected++
-		return
-	}
-	if v.Round+e.cfg.PruneKeep <= e.tree.FinalizedRound() {
 		return
 	}
 	rs := e.getRound(v.Round)
@@ -557,7 +611,8 @@ func (e *Engine) onCert(c *types.Certificate) {
 	if c == nil || c.Round < 1 {
 		return
 	}
-	if c.Round+e.cfg.PruneKeep <= e.tree.FinalizedRound() {
+	if e.settled(c.Round) {
+		e.met.settledDropped++
 		return
 	}
 	rs := e.getRound(c.Round)
@@ -612,7 +667,8 @@ func (e *Engine) onUnlock(u *types.UnlockProof) {
 	if u == nil || u.Round < 1 || e.cfg.DisableFastPath {
 		return
 	}
-	if u.Round+e.cfg.PruneKeep <= e.tree.FinalizedRound() {
+	if e.settled(u.Round) {
+		e.met.settledDropped++
 		return
 	}
 	rs := e.getRound(u.Round)
@@ -694,6 +750,7 @@ func (e *Engine) progress(now time.Time, acts []protocol.Action) []protocol.Acti
 	}
 	acts = e.maybePull(now, acts)
 	e.maybePrune()
+	e.publishSettled()
 	return acts
 }
 
@@ -1840,13 +1897,21 @@ func (e *Engine) tryAdvance(now time.Time, acts []protocol.Action) (bool, []prot
 
 	// Line 51: finalization vote if this replica notarization-voted for no
 	// other block. Suppressed during WAL replay (a new signature); the
-	// journaled vote, if one was cast, restores finalVoted instead.
+	// journaled vote, if one was cast, restores finalVoted instead. A round
+	// already explicitly finalized here gets none either: the certificate
+	// the vote would work toward exists, and this replica broadcast it a
+	// moment ago if it formed it (ARCHITECTURE.md, "Deviations from the
+	// paper", has the liveness argument).
 	if member && !e.replaying && !rs.finalVoted && nSubsetOf(rs.notarVoted, id) {
-		fv := e.cfg.Signer.SignVote(types.VoteFinalize, round, id)
-		rs.finalVoted = true
-		addVote(rs.finalVotes, id, e.cfg.Self, fv.Signature)
-		e.met.votesSent++
-		acts = append(acts, protocol.Broadcast{Msg: &types.VoteMsg{Votes: []types.Vote{fv}}})
+		if rs.finalized {
+			e.met.finalVotesSuppressed++
+		} else {
+			fv := e.cfg.Signer.SignVote(types.VoteFinalize, round, id)
+			rs.finalVoted = true
+			addVote(rs.finalVotes, id, e.cfg.Self, fv.Signature)
+			e.met.votesSent++
+			acts = append(acts, protocol.Broadcast{Msg: &types.VoteMsg{Votes: []types.Vote{fv}}})
+		}
 	}
 	// Activation barrier: leaving a round through a ConfigChange block is
 	// deferred until the round finalizes — entering round+1 earlier would

@@ -1,0 +1,326 @@
+package core
+
+import (
+	"testing"
+
+	"banyan/internal/protocol"
+	"banyan/internal/types"
+)
+
+// Settled rounds (engine.go: settled) and the conditional finalization
+// vote of Algorithm 2 line 51.
+
+// verifierLookups is the number of signatures the engine has put to its
+// verifier so far: every one is a cache lookup, hit or miss.
+func verifierLookups(r *rig) int64 {
+	hits, misses := r.eng.cfg.Verifier.CacheStats()
+	return hits + misses
+}
+
+// ledgerSizes counts what one round's state holds, so a test can assert
+// that late traffic changed none of it.
+func ledgerSizes(rs *roundState) (n int) {
+	for _, ledger := range []map[types.BlockID]map[types.ReplicaID][]byte{
+		rs.notarVotes, rs.fastVotes, rs.finalVotes,
+	} {
+		for _, byVoter := range ledger {
+			n += len(byVoter)
+		}
+	}
+	return n + len(rs.notarizations) + len(rs.unlocked) + len(rs.blocks)
+}
+
+// fastFinalizeRound1 drives an n=4 replica through round 1 on the fast
+// path — proposal, two peers' vote pairs — and returns the block and the
+// two replicas whose votes were delivered. The fourth replica's votes are
+// left for the test to deliver late.
+func fastFinalizeRound1(t *testing.T, r *rig) (*types.Block, []types.ReplicaID) {
+	t.Helper()
+	b := r.leaderBlock(1, types.Genesis().ID(), 1)
+	r.deliver(b.Proposer, r.proposalFor(b))
+	var voters []types.ReplicaID
+	for i := 0; i < r.params.N && len(voters) < 2; i++ {
+		if id := types.ReplicaID(i); id != r.eng.ID() && id != b.Proposer {
+			voters = append(voters, id)
+		}
+	}
+	r.deliver(b.Proposer, &types.VoteMsg{Votes: []types.Vote{r.notarVote(b.Proposer, b)}})
+	r.deliver(voters[0], &types.VoteMsg{Votes: []types.Vote{r.notarVote(voters[0], b), r.fastVote(voters[0], b)}})
+	if r.eng.Round() != 2 || r.eng.Tree().FinalizedRound() != 1 {
+		t.Fatalf("round %d, finalized %d after a fast-path round 1", r.eng.Round(), r.eng.Tree().FinalizedRound())
+	}
+	return b, voters
+}
+
+// TestSettledRoundIgnoresLateTraffic: once round 1 is finalized and left,
+// late votes of every kind, an Advance, finalization and notarization
+// certificates, and the round-1 credentials a round-2 proposal or a
+// round-1 header relay carries change no ledger and reach no verifier —
+// even with garbage signatures nothing is rejected, because nothing is
+// looked at.
+func TestSettledRoundIgnoresLateTraffic(t *testing.T) {
+	bc := mustBeacon(t, 4)
+	self := bc.ReplicaAt(1, 3)
+	r := newRig(t, p411, self)
+	b, voters := fastFinalizeRound1(t, r)
+	late := voters[1]
+
+	adv := broadcasts[*types.Advance](r)
+	certs := broadcasts[*types.CertMsg](r)
+	if len(adv) != 1 || len(certs) != 1 {
+		t.Fatalf("round 1 produced %d Advance and %d CertMsg broadcasts, want 1 each", len(adv), len(certs))
+	}
+	rs1 := r.eng.rounds[1]
+	sizeBefore, lookupsBefore := ledgerSizes(rs1), verifierLookups(r)
+	before := r.eng.Metrics()
+	if r.eng.cfg.Verifier.SettledFloor() != 1 {
+		t.Fatalf("published floor = %d, want 1", r.eng.cfg.Verifier.SettledFloor())
+	}
+
+	garbage := func(v types.Vote) types.Vote {
+		v.Signature = []byte("not a signature")
+		return v
+	}
+	r.clearActs()
+	// Three late votes, honestly signed, then the same three forged.
+	r.deliver(late, &types.VoteMsg{Votes: []types.Vote{
+		r.notarVote(late, b), r.fastVote(late, b), r.finalVote(late, b),
+	}})
+	r.deliver(late, &types.VoteMsg{Votes: []types.Vote{
+		garbage(r.notarVote(late, b)), garbage(r.fastVote(late, b)), garbage(r.finalVote(late, b)),
+	}})
+	// A peer's Advance and finalization certificate for the round: this
+	// replica's own are the same objects a peer would have sent.
+	r.deliver(late, adv[0])
+	r.deliver(late, certs[0])
+	r.deliver(late, &types.CertMsg{Cert: adv[0].Notarization})
+	// A forged slow-path certificate for a different block of the round.
+	r.deliver(late, &types.CertMsg{Cert: &types.Certificate{
+		Kind: types.CertFinalization, Round: 1, Block: types.BlockID{9},
+		Signers: []types.ReplicaID{0, 1, 2}, Sigs: [][]byte{{1}, {2}, {3}},
+	}})
+	// The round's header relay, with the proposer's fast vote and (for the
+	// sake of the check) round-1 credentials attached.
+	fv := r.fastVote(b.Proposer, b)
+	r.deliver(late, &types.Proposal{
+		Header: b.SignedHeader(), Relayed: true, FastVote: &fv,
+		ParentNotarization: adv[0].Notarization, ParentUnlock: adv[0].Unlock,
+	})
+
+	const dropped = 3 + 3 + 2 + 1 + 1 + 1 + 3
+	after := r.eng.Metrics()
+	if got := after["settled_dropped"] - before["settled_dropped"]; got != dropped {
+		t.Errorf("settled_dropped grew by %d, want %d", got, dropped)
+	}
+	if after["rejected"] != before["rejected"] {
+		t.Errorf("rejected grew by %d: settled garbage was looked at", after["rejected"]-before["rejected"])
+	}
+	if got := verifierLookups(r); got != lookupsBefore {
+		t.Errorf("%d signatures reached the verifier for a settled round", got-lookupsBefore)
+	}
+	if got := ledgerSizes(rs1); got != sizeBefore {
+		t.Errorf("round-1 state grew from %d to %d entries", sizeBefore, got)
+	}
+	if r.eng.extFinal[1] != nil {
+		t.Error("a certificate for a settled round was parked in extFinal")
+	}
+	if len(r.acts) != 0 {
+		t.Errorf("settled traffic produced actions: %v", r.acts)
+	}
+
+	// A round-2 proposal carrying round 1's credentials: the block and its
+	// proposer's fast vote are verified, the credentials are not.
+	b2 := r.leaderBlock(2, b.ID(), 2)
+	p2 := r.proposalFor(b2)
+	p2.ParentNotarization, p2.ParentUnlock = adv[0].Notarization, adv[0].Unlock
+	lookupsBefore = verifierLookups(r)
+	r.deliver(b2.Proposer, p2)
+	if got := verifierLookups(r) - lookupsBefore; got != 2 {
+		t.Errorf("a round-2 proposal cost %d signature lookups, want 2 (block, fast vote)", got)
+	}
+	if got := ledgerSizes(rs1); got != sizeBefore {
+		t.Errorf("round-2 proposal's parent credentials changed round-1 state (%d -> %d)", sizeBefore, got)
+	}
+	if len(broadcasts[*types.VoteMsg](r)) != 1 {
+		t.Error("round-2 block extending the finalized parent was not voted for")
+	}
+}
+
+// TestFinalizedButNotLeftStillAbsorbs: a finalization certificate that
+// arrives before the block it names leaves the round finalized but not
+// left — the chain cannot commit through a body the replica lacks. The
+// round is not settled: the notarization and unlock proof that follow
+// are absorbed, and when the body lands the replica votes, commits, and
+// leaves through the finalized block without a finalization vote.
+func TestFinalizedButNotLeftStillAbsorbs(t *testing.T) {
+	bc := mustBeacon(t, 4)
+	self := bc.ReplicaAt(1, 3)
+
+	// A donor replica runs the round to produce a genuine certificate,
+	// notarization and unlock proof.
+	donor := newRig(t, p411, bc.ReplicaAt(1, 2))
+	b, _ := fastFinalizeRound1(t, donor)
+	cert := broadcasts[*types.CertMsg](donor)[0]
+	adv := broadcasts[*types.Advance](donor)[0]
+
+	r := newRig(t, p411, self)
+	r.deliver(donor.eng.ID(), cert)
+	rs := r.eng.rounds[1]
+	if !rs.finalized || r.eng.Tree().FinalizedRound() != 0 || r.eng.Round() != 1 {
+		t.Fatalf("after a certificate without a body: finalized=%v tree=%d round=%d",
+			rs.finalized, r.eng.Tree().FinalizedRound(), r.eng.Round())
+	}
+	r.deliver(donor.eng.ID(), adv)
+	if rs.notarizations[b.ID()] == nil {
+		t.Fatal("notarization for a finalized round the replica has not left was dropped")
+	}
+	if !rs.isUnlocked(b.ID()) {
+		t.Fatal("finalized block not unlocked")
+	}
+	if got := r.eng.Metrics()["settled_dropped"]; got != 0 {
+		t.Fatalf("settled_dropped = %d before anything was settled", got)
+	}
+	r.deliver(b.Proposer, r.proposalFor(b))
+	if r.eng.Round() != 2 || len(r.commits()) != 1 {
+		t.Fatalf("round %d, %d commits after the body landed", r.eng.Round(), len(r.commits()))
+	}
+	m := r.eng.Metrics()
+	if m["advances"] != 1 || m["final_votes_suppressed"] != 1 {
+		t.Errorf("advances=%d final_votes_suppressed=%d, want 1 and 1", m["advances"], m["final_votes_suppressed"])
+	}
+	if n := finalizeVotesSent(r); n != 0 {
+		t.Errorf("%d finalization votes sent for a round finalized before the replica left it", n)
+	}
+}
+
+func finalizeVotesSent(r *rig) (n int) {
+	for _, vm := range broadcasts[*types.VoteMsg](r) {
+		for _, v := range vm.Votes {
+			if v.Kind == types.VoteFinalize {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestFastPathRoundSendsNoFinalizationVote: at n=4 the vote message that
+// completes the notarization also completes the fast quorum, so the round
+// is finalized when the replica advances. The certificate goes out; the
+// finalization vote is neither signed nor sent, and votes_sent counts the
+// one VoteMsg of the round.
+func TestFastPathRoundSendsNoFinalizationVote(t *testing.T) {
+	bc := mustBeacon(t, 4)
+	r := newRig(t, p411, bc.ReplicaAt(1, 3))
+	fastFinalizeRound1(t, r)
+	if n := finalizeVotesSent(r); n != 0 {
+		t.Fatalf("%d finalization votes sent on the fast path", n)
+	}
+	if r.eng.rounds[1].finalVoted || len(r.eng.rounds[1].finalVotes) != 0 {
+		t.Fatal("finalization vote recorded though none was sent")
+	}
+	if n := len(broadcasts[*types.CertMsg](r)); n != 1 {
+		t.Fatalf("%d certificates broadcast, want the fast finalization", n)
+	}
+	m := r.eng.Metrics()
+	if m["final_votes_suppressed"] != 1 || m["votes_sent"] != 1 || m["final_fast"] != 1 {
+		t.Fatalf("final_votes_suppressed=%d votes_sent=%d final_fast=%d, want 1, 1, 1",
+			m["final_votes_suppressed"], m["votes_sent"], m["final_fast"])
+	}
+}
+
+// TestSlowPathRoundsStillSendFinalizationVotes: wherever the replica
+// advances before the round is finalized, line 51 is untouched — a
+// crashed-leader (rank-1) round at n=4, and ordinary rank-0 rounds at
+// n=7 and n=19, where the notarization quorum is smaller than the fast
+// quorum. Each then SP-finalizes on a quorum of finalization votes.
+func TestSlowPathRoundsStillSendFinalizationVotes(t *testing.T) {
+	cases := []struct {
+		name   string
+		params types.Params
+		rank   types.Rank
+	}{
+		{"n4-crashed-leader", p411, 1},
+		{"n7", types.Params{N: 7, F: 2, P: 1}, 0},
+		{"n19", types.Params{N: 19, F: 6, P: 1}, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			bc := mustBeacon(t, tc.params.N)
+			self := bc.ReplicaAt(1, types.Rank(tc.params.N-1))
+			r := newRig(t, tc.params, self)
+			var b *types.Block
+			if tc.rank == 0 {
+				b = r.leaderBlock(1, types.Genesis().ID(), 1)
+				r.deliver(b.Proposer, r.proposalFor(b))
+			} else {
+				b = r.rankedBlock(1, tc.rank, types.Genesis().ID(), 1)
+				r.deliver(b.Proposer, &types.Proposal{Block: b})
+				r.tick(2 * rigDelta * 2) // past the rank-1 notarization delay
+			}
+			// Peers' vote pairs, up to the notarization quorum (own vote
+			// included): enough fast votes to unlock, too few to finalize.
+			need := tc.params.NotarizationQuorum() - 1
+			var peers []types.ReplicaID
+			for i := 0; i < tc.params.N && len(peers) < need; i++ {
+				if id := types.ReplicaID(i); id != self {
+					peers = append(peers, id)
+				}
+			}
+			for _, p := range peers {
+				r.deliver(p, &types.VoteMsg{Votes: []types.Vote{r.notarVote(p, b), r.fastVote(p, b)}})
+			}
+			if r.eng.Round() != 2 {
+				t.Fatalf("round = %d after a notarization quorum, want 2", r.eng.Round())
+			}
+			m := r.eng.Metrics()
+			if finalizeVotesSent(r) != 1 || m["final_votes_suppressed"] != 0 || m["final_fast"] != 0 {
+				t.Fatalf("finalization votes sent=%d suppressed=%d final_fast=%d, want 1, 0, 0",
+					finalizeVotesSent(r), m["final_votes_suppressed"], m["final_fast"])
+			}
+			for _, p := range peers[:tc.params.FinalizationQuorum()-1] {
+				r.deliver(p, &types.VoteMsg{Votes: []types.Vote{r.finalVote(p, b)}})
+			}
+			commits := r.commits()
+			if len(commits) != 1 || commits[0].Explicit != protocol.FinalizeSlow {
+				t.Fatalf("commits after a finalization-vote quorum: %v", commits)
+			}
+		})
+	}
+}
+
+// TestSettledFloorFollowsTheEngine: the floor the engine publishes to its
+// verifier is the highest round both finalized and left, and Settled
+// answers per message what HandleMessage will do with it.
+func TestSettledFloorFollowsTheEngine(t *testing.T) {
+	bc := mustBeacon(t, 4)
+	r := newRig(t, p411, bc.ReplicaAt(1, 3))
+	v := r.eng.cfg.Verifier
+	if v.SettledFloor() != 0 {
+		t.Fatalf("floor = %d before anything finalized", v.SettledFloor())
+	}
+	b := r.leaderBlock(1, types.Genesis().ID(), 1)
+	vote := &types.VoteMsg{Votes: []types.Vote{r.notarVote(b.Proposer, b)}}
+	if r.eng.Settled(vote) {
+		t.Fatal("a vote for the current round reported settled")
+	}
+	b, _ = fastFinalizeRound1(t, r)
+	if v.SettledFloor() != 1 {
+		t.Fatalf("floor = %d after round 1 finalized and was left, want 1", v.SettledFloor())
+	}
+	adv := broadcasts[*types.Advance](r)[0]
+	cert := broadcasts[*types.CertMsg](r)[0]
+	for _, msg := range []types.Message{vote, adv, cert} {
+		if !r.eng.Settled(msg) {
+			t.Errorf("%T for round 1 not reported settled", msg)
+		}
+	}
+	b2 := r.leaderBlock(2, b.ID(), 2)
+	mixed := &types.VoteMsg{Votes: []types.Vote{r.notarVote(b.Proposer, b), r.notarVote(b2.Proposer, b2)}}
+	if r.eng.Settled(mixed) {
+		t.Error("a message carrying a live vote reported settled")
+	}
+	if r.eng.Settled(r.proposalFor(b2)) {
+		t.Error("a proposal reported settled")
+	}
+}

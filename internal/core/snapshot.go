@@ -145,8 +145,10 @@ func (e *Engine) RestoreSnapshot(s *protocol.Snapshot) error {
 	// catch-up immediately, and a window conflicting with the cluster's
 	// genuine chain surfaces as a safety fault there instead of being
 	// served silently.)
+	var anchor *types.Certificate
 	if len(s.Chain) > 0 {
-		if err := e.verifySnapshotFinalization(s); err != nil {
+		var err error
+		if anchor, err = e.verifySnapshotFinalization(s); err != nil {
 			return err
 		}
 	}
@@ -173,6 +175,13 @@ func (e *Engine) RestoreSnapshot(s *protocol.Snapshot) error {
 	e.round = fin + 1
 	e.lastPrune = fin
 	e.syncHigh = fin
+	if anchor != nil {
+		// The certificate verified above anchors catch-up serving
+		// (latestFinal). It is adopted here because the copy in s.Own is,
+		// at the window tip, a certificate for a settled round by the time
+		// ReplayOwn sees it, and dropped like any other.
+		e.noteFinalCert(anchor)
+	}
 	return nil
 }
 
@@ -194,8 +203,9 @@ func finalizationQuorum(p types.Params, kind types.CertKind) (int, bool) {
 // verifySnapshotFinalization checks the snapshot carries a
 // quorum-verified finalization certificate covering its chain window
 // (see RestoreSnapshot). Snapshot always embeds the engine's newest
-// finalization certificate in Own, so a genuine checkpoint passes.
-func (e *Engine) verifySnapshotFinalization(s *protocol.Snapshot) error {
+// finalization certificate in Own, so a genuine checkpoint passes. The
+// verified certificate is returned.
+func (e *Engine) verifySnapshotFinalization(s *protocol.Snapshot) (*types.Certificate, error) {
 	tip := s.Chain[len(s.Chain)-1]
 	for _, m := range s.Own {
 		cm, ok := m.(*types.CertMsg)
@@ -215,11 +225,11 @@ func (e *Engine) verifySnapshotFinalization(s *protocol.Snapshot) error {
 			continue
 		}
 		if err := e.cfg.Verifier.VerifyCertIn(c, quorum, set); err != nil {
-			return fmt.Errorf("core: snapshot finalization certificate: %w", err)
+			return nil, fmt.Errorf("core: snapshot finalization certificate: %w", err)
 		}
-		return nil
+		return c, nil
 	}
-	return fmt.Errorf("core: snapshot has no finalization certificate covering round %d", tip.Round)
+	return nil, fmt.Errorf("core: snapshot has no finalization certificate covering round %d", tip.Round)
 }
 
 // OwnRecord summarizes this replica's own actions in one round — the

@@ -2,6 +2,7 @@ package crypto
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"banyan/internal/types"
 )
@@ -23,13 +24,21 @@ type VerifyConfig struct {
 // verdicts — but verifies signature sets through a worker pool and
 // remembers successes, so re-gossiped votes and certificates cost one
 // cache lookup instead of a curve operation. PreverifyMessage additionally
-// lets a transport stage warm the cache off the consensus goroutine.
+// lets a transport stage warm the cache off the consensus goroutine — for
+// the rounds that can still decide something: the engine the verifier
+// serves publishes its settled floor here (Settle), and preverification
+// skips every signature made for a round at or below it.
 //
-// A Verifier is safe for concurrent use.
+// A Verifier serves one replica and is safe for concurrent use.
 type Verifier struct {
 	kr    *Keyring
 	pool  *VerifierPool
 	cache *VerifiedCache // nil when caching is disabled
+
+	// settled is the highest round the replica's engine has both finalized
+	// and left; skipped counts the signatures gather passed over for it.
+	settled atomic.Uint64
+	skipped atomic.Int64
 }
 
 // NewVerifier builds a verification pipeline over the keyring.
@@ -56,6 +65,28 @@ func (v *Verifier) CacheStats() (hits, misses int64) {
 	return v.cache.Stats()
 }
 
+// Settle raises the settled floor to r: the engine has finalized round r
+// and moved past it, so no vote, certificate or unlock proof for a round
+// up to r can change its state, and it drops them unverified. The floor
+// only rises; a lower r is ignored. A preverification worker that reads a
+// floor from before the raise merely verifies a signature the engine
+// will not look at.
+func (v *Verifier) Settle(r types.Round) {
+	for {
+		cur := v.settled.Load()
+		if uint64(r) <= cur || v.settled.CompareAndSwap(cur, uint64(r)) {
+			return
+		}
+	}
+}
+
+// SettledFloor returns the highest round published through Settle.
+func (v *Verifier) SettledFloor() types.Round { return types.Round(v.settled.Load()) }
+
+// SettledSkipped returns how many signatures preverification has skipped
+// because their round was settled.
+func (v *Verifier) SettledSkipped() int64 { return v.skipped.Load() }
+
 // verifyOne checks a single signature through the cache.
 func (v *Verifier) verifyOne(id types.ReplicaID, digest [32]byte, sig []byte) bool {
 	pub := v.kr.PublicKey(id)
@@ -79,7 +110,10 @@ func (v *Verifier) verifyOne(id types.ReplicaID, digest [32]byte, sig []byte) bo
 }
 
 // sigBatch collects the uncached signatures of one aggregate (certificate
-// or unlock proof) for a pooled flush.
+// or unlock proof) or one inbound message for a pooled flush. Its slices
+// are allocated on the first signature actually queued, so an aggregate
+// the cache already covers, or a message that is settled throughout,
+// costs no allocation.
 type sigBatch struct {
 	v       *Verifier
 	pubs    [][]byte
@@ -91,9 +125,16 @@ type sigBatch struct {
 	bad int
 	// seq maps batch position back to the caller's ordering.
 	seq []int
+	// hint sizes the slices when the first signature is queued.
+	hint int
 	// limit, when positive, caps how many signatures may be queued
 	// (preverification's defense against signature-stuffed messages).
 	limit int
+	// floor is the settled floor gather read for this message (zero for
+	// the engine's own checks, which decide settledness themselves), and
+	// skipped the signatures passed over because of it.
+	floor   types.Round
+	skipped int
 }
 
 // full reports whether the batch reached its queue limit.
@@ -101,16 +142,8 @@ func (b *sigBatch) full() bool {
 	return b.limit > 0 && len(b.sigs) >= b.limit
 }
 
-func (v *Verifier) newSigBatch(capacity int) *sigBatch {
-	return &sigBatch{
-		v:       v,
-		pubs:    make([][]byte, 0, capacity),
-		digests: make([][32]byte, 0, capacity),
-		sigs:    make([][]byte, 0, capacity),
-		keys:    make([]CacheKey, 0, capacity),
-		seq:     make([]int, 0, capacity),
-		bad:     -1,
-	}
+func (v *Verifier) newSigBatch(hint int) sigBatch {
+	return sigBatch{v: v, bad: -1, hint: hint}
 }
 
 // add queues signer seq's signature unless it is already cached. It
@@ -130,6 +163,13 @@ func (b *sigBatch) add(seq int, id types.ReplicaID, digest [32]byte, sig []byte)
 			return true
 		}
 	}
+	if b.sigs == nil {
+		b.pubs = make([][]byte, 0, b.hint)
+		b.digests = make([][32]byte, 0, b.hint)
+		b.sigs = make([][]byte, 0, b.hint)
+		b.keys = make([]CacheKey, 0, b.hint)
+		b.seq = make([]int, 0, b.hint)
+	}
 	b.pubs = append(b.pubs, pub)
 	b.digests = append(b.digests, digest)
 	b.sigs = append(b.sigs, sig)
@@ -143,6 +183,9 @@ func (b *sigBatch) add(seq int, id types.ReplicaID, digest [32]byte, sig []byte)
 // (including any out-of-range signer recorded by add), or -1 when every
 // signature verified.
 func (b *sigBatch) flush() int {
+	if len(b.sigs) == 0 {
+		return b.bad
+	}
 	verdicts := b.v.pool.VerifyMany(b.pubs, b.digests, b.sigs)
 	firstBad := b.bad
 	for i, ok := range verdicts {
@@ -292,6 +335,13 @@ func (v *Verifier) VerifyUnlockProofIn(u *types.UnlockProof, threshold int, set 
 // cache lookups. Invalid signatures are simply not cached (the engine
 // will reject them); malformed messages are ignored.
 //
+// Only what can still decide something is verified: votes, certificates,
+// unlock proofs and proposal-carried credentials for a round at or below
+// the settled floor are skipped, because the engine drops exactly those
+// before it consults the verifier (core's settled check). The floor read
+// here may trail the engine's; that only verifies a signature nobody
+// will look up, never skips one the engine still needs.
+//
 // Because preverification runs before any protocol-level validation, it
 // is a CPU-amplification target: a Byzantine peer could stuff one message
 // with an arbitrary number of garbage signatures. Two defenses bound the
@@ -306,11 +356,16 @@ func (v *Verifier) PreverifyMessage(msg types.Message) {
 	}
 	batch := v.newSigBatch(16)
 	batch.limit = 4 * v.kr.N()
-	v.gather(batch, msg)
+	batch.floor = v.SettledFloor()
+	v.gather(&batch, msg)
+	if batch.skipped > 0 {
+		v.skipped.Add(int64(batch.skipped))
+	}
 	batch.flush()
 }
 
-// gather queues every signature of a message into the batch.
+// gather queues every signature of a message into the batch, except
+// those made for a round at or below the batch's settled floor.
 func (v *Verifier) gather(b *sigBatch, msg types.Message) {
 	switch m := msg.(type) {
 	case *types.Proposal:
@@ -320,19 +375,17 @@ func (v *Verifier) gather(b *sigBatch, msg types.Message) {
 			// Header relay: 80 bytes to hash, whatever the payload.
 			b.add(0, h.Proposer, blockDigest(h.ID()), h.Signature)
 		}
-		if m.FastVote != nil && m.FastVote.Kind.Valid() {
-			b.add(0, m.FastVote.Voter, m.FastVote.Digest(), m.FastVote.Signature)
+		if m.FastVote != nil {
+			v.gatherVote(b, m.FastVote)
 		}
 		v.gatherCert(b, m.ParentNotarization)
 		v.gatherUnlock(b, m.ParentUnlock)
 	case *types.VoteMsg:
-		for _, vt := range m.Votes {
+		for i := range m.Votes {
 			if b.full() {
 				return
 			}
-			if vt.Kind.Valid() {
-				b.add(0, vt.Voter, vt.Digest(), vt.Signature)
-			}
+			v.gatherVote(b, &m.Votes[i])
 		}
 	case *types.CertMsg:
 		v.gatherCert(b, m.Cert)
@@ -362,13 +415,31 @@ func (v *Verifier) gather(b *sigBatch, msg types.Message) {
 	}
 }
 
+// gatherVote queues one vote's signature.
+func (v *Verifier) gatherVote(b *sigBatch, vt *types.Vote) {
+	switch {
+	case !vt.Kind.Valid():
+	case vt.Round <= b.floor:
+		b.skipped++
+	default:
+		b.add(0, vt.Voter, vt.Digest(), vt.Signature)
+	}
+}
+
 // gatherCert queues a certificate's signatures, but only when the
 // certificate passes the engine's structural checks (sorted unique
 // in-range signers, which also bounds them at keyring.N()) — the engine
 // rejects anything else before verifying a single signature, so
 // preverifying it would be free work for an attacker.
 func (v *Verifier) gatherCert(b *sigBatch, c *types.Certificate) {
-	if c == nil || c.CheckShape(v.kr.N(), 1) != nil {
+	if c == nil {
+		return
+	}
+	if c.Round <= b.floor {
+		b.skipped += len(c.Sigs)
+		return
+	}
+	if c.CheckShape(v.kr.N(), 1) != nil {
 		return
 	}
 	digest := c.Digest()
@@ -386,6 +457,12 @@ func (v *Verifier) gatherCert(b *sigBatch, c *types.Certificate) {
 // entry at keyring.N() votes).
 func (v *Verifier) gatherUnlock(b *sigBatch, u *types.UnlockProof) {
 	if u == nil {
+		return
+	}
+	if u.Round <= b.floor {
+		for _, e := range u.Entries {
+			b.skipped += len(e.Sigs)
+		}
 		return
 	}
 	for _, e := range u.Entries {

@@ -62,9 +62,28 @@ func sumMetric(engines []protocol.Engine, key string) (total int64) {
 // to the outcome — the same seed finalizes the same block at every round
 // with header relays as with no forwarding at all, no body is ever
 // pulled, and what the relays put on the wire is headers: a few hundred
-// bytes each under 64 KiB blocks.
+// bytes each under 64 KiB blocks. At n=4 a round is finalized when its
+// replicas leave it, so no finalization votes flow and late traffic is
+// dropped as settled; at n=7 and n=19 replicas leave on the notarization
+// quorum, ahead of the fast quorum, and the finalization votes flow as
+// ever. The outcome is the same block per round at every size.
 func TestHeaderRelaySameSeedEquivalence(t *testing.T) {
-	params := types.Params{N: 4, F: 1, P: 1}
+	for _, tc := range []struct {
+		params types.Params
+		span   time.Duration
+		rounds int
+	}{
+		{types.Params{N: 4, F: 1, P: 1}, 10 * time.Second, 100},
+		{types.Params{N: 7, F: 2, P: 1}, 5 * time.Second, 50},
+		{types.Params{N: 19, F: 6, P: 1}, 2 * time.Second, 20},
+	} {
+		t.Run(fmt.Sprintf("n%d", tc.params.N), func(t *testing.T) {
+			headerRelayEquivalence(t, tc.params, tc.span, tc.rounds)
+		})
+	}
+}
+
+func headerRelayEquivalence(t *testing.T, params types.Params, span time.Duration, minRounds int) {
 	type outcome struct {
 		byRound    map[types.Round]types.BlockID
 		engines    []protocol.Engine
@@ -96,13 +115,13 @@ func TestHeaderRelaySameSeedEquivalence(t *testing.T) {
 			}
 		}
 		net, err := simnet.New(out.engines, simnet.Options{
-			Topology: wan.Uniform(4, 10*time.Millisecond),
+			Topology: wan.Uniform(params.N, 10*time.Millisecond),
 			Seed:     41,
 		}, hooks)
 		if err != nil {
 			t.Fatal(err)
 		}
-		net.Run(10 * time.Second)
+		net.Run(span)
 		if len(log.faults) > 0 {
 			t.Fatalf("faults (noForwarding=%v): %v", noForwarding, log.faults)
 		}
@@ -111,7 +130,7 @@ func TestHeaderRelaySameSeedEquivalence(t *testing.T) {
 	}
 
 	relayed, bare := run(false), run(true)
-	if len(relayed.byRound) < 100 || len(bare.byRound) < 100 {
+	if len(relayed.byRound) < minRounds || len(bare.byRound) < minRounds {
 		t.Fatalf("insufficient progress: %d and %d rounds", len(relayed.byRound), len(bare.byRound))
 	}
 	for r, id := range bare.byRound {
@@ -125,15 +144,26 @@ func TestHeaderRelaySameSeedEquivalence(t *testing.T) {
 		}
 	}
 	// One line-35 relay per voter per round, as before — only smaller.
-	rounds := int64(len(relayed.byRound))
-	if relays := sumMetric(relayed.engines, "relays"); relays < 3*rounds-6 || relays > 3*rounds+6 {
-		t.Errorf("relays = %d over %d rounds, want 3 per round", relays, rounds)
+	rounds, voters := int64(len(relayed.byRound)), int64(params.N-1)
+	if relays := sumMetric(relayed.engines, "relays"); relays < voters*(rounds-2) || relays > voters*(rounds+2) {
+		t.Errorf("relays = %d over %d rounds, want %d per round", relays, rounds, voters)
 	}
 	if sumMetric(bare.engines, "relays") != 0 || bare.relayMsgs != 0 {
 		t.Error("DisableForwarding still relayed")
 	}
-	if avg := relayed.relayBytes / relayed.relayMsgs; avg > 2048 {
+	if avg := relayed.relayBytes / relayed.relayMsgs; avg > 1024+96*params.N {
 		t.Errorf("a relay averages %d bytes on the wire under 64 KiB blocks", avg)
+	}
+	// Line 51 is skipped exactly where the round is finalized on leaving
+	// it: everywhere at n=4, nowhere when the fast quorum exceeds the
+	// notarization quorum and votes arrive together.
+	suppressed, advances := sumMetric(relayed.engines, "final_votes_suppressed"), sumMetric(relayed.engines, "advances")
+	if params.FastQuorum() == params.NotarizationQuorum() {
+		if suppressed < advances-int64(params.N) {
+			t.Errorf("final_votes_suppressed = %d of %d advances at n=%d", suppressed, advances, params.N)
+		}
+	} else if suppressed != 0 {
+		t.Errorf("final_votes_suppressed = %d at n=%d, where replicas leave before the fast quorum", suppressed, params.N)
 	}
 }
 

@@ -23,6 +23,13 @@ const (
 	GaugeEpoch            = "epoch"
 	GaugeMempoolDepth     = "mempool_depth"
 	GaugeDissemStoreBytes = "dissem_store_bytes"
+
+	// Cumulative counts read from the verification pipeline at scrape
+	// time: cache hits, cache misses (= signatures verified), and
+	// signatures skipped because their round was settled.
+	GaugeVerifyCacheHits      = "verify_cache_hits"
+	GaugeVerifyCacheMisses    = "verify_cache_misses"
+	GaugeVerifySettledSkipped = "verify_settled_skipped"
 )
 
 // Observer bundles one replica's observability instruments: the shared
@@ -50,6 +57,10 @@ type Observer struct {
 	Epoch            *metrics.Gauge
 	MempoolDepth     *metrics.Gauge
 	DissemStoreBytes *metrics.Gauge
+
+	VerifyCacheHits      *metrics.Gauge
+	VerifyCacheMisses    *metrics.Gauge
+	VerifySettledSkipped *metrics.Gauge
 
 	collectMu sync.Mutex
 	collect   []func(*Observer)
@@ -84,6 +95,10 @@ func New(opts Options) *Observer {
 		Epoch:            reg.Gauge(GaugeEpoch),
 		MempoolDepth:     reg.Gauge(GaugeMempoolDepth),
 		DissemStoreBytes: reg.Gauge(GaugeDissemStoreBytes),
+
+		VerifyCacheHits:      reg.Gauge(GaugeVerifyCacheHits),
+		VerifyCacheMisses:    reg.Gauge(GaugeVerifyCacheMisses),
+		VerifySettledSkipped: reg.Gauge(GaugeVerifySettledSkipped),
 	}
 	o.Detector = NewSlowRoundDetector(opts.SlowK, o.Tracer)
 	return o

@@ -40,6 +40,9 @@ func benchMessage() types.Message {
 //   - duplex: fanout while the three peers keep sending back, so the
 //     sender's read loops run their per-frame closed check against it —
 //     the contention a shared mutex on that path used to serialize.
+//   - burst: one round's worth of traffic per op — a 256 KiB proposal with
+//     twelve vote-sized frames queued behind it — which is the shape the
+//     dialers' batched writes and the readers' shared buffer exist for.
 func BenchmarkBroadcast(b *testing.B) {
 	const peers = 3
 	sinks := make([]*Transport, peers)
@@ -92,6 +95,29 @@ func BenchmarkBroadcast(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if err := t.Send(types.ReplicaID(i%peers+1), msg); err != nil {
 				b.Fatal(err)
+			}
+		}
+		report(b)
+	})
+	b.Run("burst", func(b *testing.B) {
+		body := make([]byte, 256<<10)
+		blk := types.NewBlock(9, 2, 0, types.BlockID{1, 2, 3}, types.BytesPayload(body))
+		blk.Signature = make([]byte, 64)
+		large := &types.Proposal{Block: blk}
+		small := &types.VoteMsg{Votes: []types.Vote{
+			{Kind: types.VoteNotarize, Round: 9, Voter: 2, Signature: make([]byte, 64)},
+			{Kind: types.VoteFast, Round: 9, Voter: 2, Signature: make([]byte, 64)},
+		}}
+		b.ReportAllocs()
+		b.SetBytes(int64(peers * len(body)))
+		for i := 0; i < b.N; i++ {
+			if err := t.Broadcast(large); err != nil {
+				b.Fatal(err)
+			}
+			for j := 0; j < 12; j++ {
+				if err := t.Broadcast(small); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 		report(b)

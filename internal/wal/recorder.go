@@ -29,6 +29,16 @@ type Replayer interface {
 	EndReplay(now time.Time) []protocol.Action
 }
 
+// SettledFilter is the optional contract of an engine that ignores
+// traffic for rounds it has finalized and left. The Recorder asks it
+// before journaling an inbound message: a vote, certificate or Advance
+// the engine is about to drop unread changes no state, so replay does not
+// need it and the log does not pay for it. internal/core implements it.
+type SettledFilter interface {
+	// Settled reports whether HandleMessage will ignore msg as settled.
+	Settled(msg types.Message) bool
+}
+
 // RecorderConfig assembles a Recorder.
 type RecorderConfig struct {
 	// Dir is the log directory (one per replica).
@@ -72,6 +82,7 @@ type RecorderConfig struct {
 // decisions as they are emitted.
 type Recorder struct {
 	eng           protocol.Engine
+	settled       SettledFilter // nil when the engine is not one
 	log           *Log
 	rec           *Recovery
 	continueOnErr bool
@@ -125,7 +136,8 @@ func NewRecorder(cfg RecorderConfig) (*Recorder, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Recorder{eng: cfg.Engine, log: log, rec: rec,
+	settled, _ := cfg.Engine.(SettledFilter)
+	r := &Recorder{eng: cfg.Engine, settled: settled, log: log, rec: rec,
 		continueOnErr:   cfg.ContinueOnError,
 		checkpointEvery: cfg.CheckpointEvery,
 		replaySkipped:   int64(rec.Skipped),
@@ -230,9 +242,11 @@ func keepReplayActions(acts, produced []protocol.Action) []protocol.Action {
 }
 
 // HandleMessage implements protocol.Engine: journal, transition, journal
-// the outputs.
+// the outputs. A message the engine is about to ignore as settled is not
+// journaled: the engine's answer here is the decision it takes inside
+// HandleMessage, on the same state.
 func (r *Recorder) HandleMessage(from types.ReplicaID, msg types.Message, now time.Time) []protocol.Action {
-	if loggedInbound(msg) {
+	if loggedInbound(msg) && !(r.settled != nil && r.settled.Settled(msg)) {
 		r.append(Record{Kind: KindInbound, From: from, Msg: msg})
 	}
 	return r.record(r.eng.HandleMessage(from, msg, now))

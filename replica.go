@@ -309,6 +309,7 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 			if store != nil {
 				o.DissemStoreBytes.Set(store.HeldBytes())
 			}
+			collectVerifier(o, verifier)
 		})
 	}
 	eng, err := buildEngine(cfg.Protocol, params, types.ReplicaID(cfg.ID),
