@@ -773,17 +773,21 @@ func (s *Silent) filter(acts []protocol.Action, now time.Time) []protocol.Action
 // VoteWithholder participates normally but never sends fast or
 // finalization votes — the "unresponsive" replica of the fast-path model:
 // with more than p of these, FP-finalization must never fire while the
-// slow path still commits.
+// slow path still commits. Its notarization votes still go out: where the
+// wrapped engine casts one as a fast vote (the first vote of a round is
+// one signature for both), the withholder signs the bare notarization
+// vote in its place.
 type VoteWithholder struct {
-	inner protocol.Engine
+	inner  protocol.Engine
+	signer *crypto.Signer
 }
 
 var _ protocol.Engine = (*VoteWithholder)(nil)
 
 // NewVoteWithholder wraps an engine to suppress its fast and finalization
-// votes.
-func NewVoteWithholder(inner protocol.Engine) *VoteWithholder {
-	return &VoteWithholder{inner: inner}
+// votes; signer is the adversary's own key.
+func NewVoteWithholder(inner protocol.Engine, signer *crypto.Signer) *VoteWithholder {
+	return &VoteWithholder{inner: inner, signer: signer}
 }
 
 // ID implements protocol.Engine.
@@ -839,8 +843,11 @@ func (w *VoteWithholder) strip(acts []protocol.Action) []protocol.Action {
 		}
 		var kept []types.Vote
 		for _, v := range vm.Votes {
-			if v.Kind == types.VoteNotarize {
+			switch v.Kind {
+			case types.VoteNotarize:
 				kept = append(kept, v)
+			case types.VoteFast:
+				kept = append(kept, w.signer.SignVote(types.VoteNotarize, v.Round, v.Block))
 			}
 		}
 		if len(kept) > 0 {
@@ -848,6 +855,118 @@ func (w *VoteWithholder) strip(acts []protocol.Action) []protocol.Action {
 		}
 	}
 	return out
+}
+
+// SplitVoter is a Byzantine voter aimed at the one-signature vote rule —
+// a fast vote counts as its voter's notarization vote for the same block —
+// producing every shape of vote the rule has to be safe against. In each
+// round it fast-votes the first block it hears of, body or header relay,
+// valid or not, with no notarization vote beside it; it sends a bare
+// notarization vote for every other block of the round it hears of, so
+// the twins of an equivocating leader get a fast vote and a notarization
+// vote between them; and it claims N ⊆ {first} with a finalization vote
+// regardless. The wrapped engine runs faithfully for everything else
+// (proposals, relays, certificates, Advance); its own votes are
+// replaced by these.
+type SplitVoter struct {
+	inner  protocol.Engine
+	signer *crypto.Signer
+
+	first  map[types.Round]types.BlockID // block fast-voted per round
+	voted  map[types.BlockID]bool        // blocks voted for, either way
+	splits int64
+}
+
+var _ protocol.Engine = (*SplitVoter)(nil)
+
+// NewSplitVoter wraps the adversary's own engine with its signer.
+func NewSplitVoter(inner protocol.Engine, signer *crypto.Signer) *SplitVoter {
+	return &SplitVoter{
+		inner: inner, signer: signer,
+		first: make(map[types.Round]types.BlockID),
+		voted: make(map[types.BlockID]bool),
+	}
+}
+
+// ID implements protocol.Engine.
+func (s *SplitVoter) ID() types.ReplicaID { return s.inner.ID() }
+
+// Protocol implements protocol.Engine.
+func (s *SplitVoter) Protocol() string { return s.inner.Protocol() + "-split-voter" }
+
+// Metrics implements protocol.Engine.
+func (s *SplitVoter) Metrics() map[string]int64 { return s.inner.Metrics() }
+
+// FastVotes counts the rounds the adversary fast-voted in.
+func (s *SplitVoter) FastVotes() int64 { return int64(len(s.first)) }
+
+// Splits counts the bare notarization votes sent for a block other than
+// the one fast-voted in the same round.
+func (s *SplitVoter) Splits() int64 { return s.splits }
+
+// Start implements protocol.Engine.
+func (s *SplitVoter) Start(now time.Time) []protocol.Action {
+	return s.strip(s.inner.Start(now))
+}
+
+// HandleMessage implements protocol.Engine.
+func (s *SplitVoter) HandleMessage(from types.ReplicaID, msg types.Message, now time.Time) []protocol.Action {
+	acts := s.strip(s.inner.HandleMessage(from, msg, now))
+	if p, ok := msg.(*types.Proposal); ok {
+		acts = s.vote(p, acts)
+	}
+	return acts
+}
+
+// HandleTimer implements protocol.Engine.
+func (s *SplitVoter) HandleTimer(id protocol.TimerID, now time.Time) []protocol.Action {
+	return s.strip(s.inner.HandleTimer(id, now))
+}
+
+// strip drops the wrapped engine's own vote messages.
+func (s *SplitVoter) strip(acts []protocol.Action) []protocol.Action {
+	out := acts[:0]
+	for _, a := range acts {
+		if bc, ok := a.(protocol.Broadcast); ok {
+			if _, isVote := bc.Msg.(*types.VoteMsg); isVote {
+				continue
+			}
+		}
+		out = append(out, a)
+	}
+	return out
+}
+
+// vote casts the adversary's votes for the block a proposal names.
+func (s *SplitVoter) vote(p *types.Proposal, acts []protocol.Action) []protocol.Action {
+	var (
+		round types.Round
+		id    types.BlockID
+	)
+	switch {
+	case p.Block != nil:
+		round, id = p.Block.Round, p.Block.ID()
+	case p.Header != nil:
+		round, id = p.Header.Round, p.Header.ID()
+	default:
+		return acts
+	}
+	if s.voted[id] {
+		return acts
+	}
+	s.voted[id] = true
+	var votes []types.Vote
+	if _, spent := s.first[round]; !spent {
+		s.first[round] = id
+		votes = []types.Vote{
+			s.signer.SignVote(types.VoteFast, round, id),
+			s.signer.SignVote(types.VoteFinalize, round, id),
+		}
+	} else {
+		s.splits++
+		votes = []types.Vote{s.signer.SignVote(types.VoteNotarize, round, id)}
+	}
+	return append(acts, protocol.Broadcast{Msg: &types.VoteMsg{Votes: votes}})
 }
 
 // EpochStraddler models a removed validator that refuses to accept its

@@ -160,14 +160,18 @@ func TestVoteWithholderStripsFastAndFinalizationVotes(t *testing.T) {
 		protocol.Broadcast{Msg: &types.VoteMsg{Votes: []types.Vote{notar, fast}}},
 		protocol.Broadcast{Msg: &types.VoteMsg{Votes: []types.Vote{final}}},
 	}}
-	w := NewVoteWithholder(inner)
+	w := NewVoteWithholder(inner, self)
 	acts := w.Start(time.Unix(0, 0))
 	if len(acts) != 1 {
 		t.Fatalf("%d broadcasts survived, want 1 (the all-stripped VoteMsg is dropped)", len(acts))
 	}
 	vm := acts[0].(protocol.Broadcast).Msg.(*types.VoteMsg)
-	if len(vm.Votes) != 1 || vm.Votes[0].Kind != types.VoteNotarize {
-		t.Fatalf("surviving votes %v, want exactly the notarization vote", vm.Votes)
+	if len(vm.Votes) != 2 || vm.Votes[0].Kind != types.VoteNotarize || vm.Votes[1].Kind != types.VoteNotarize {
+		t.Fatalf("surviving votes %v, want the notarization vote and the fast vote re-signed as one", vm.Votes)
+	}
+	keyring, _ := crypto.GenerateCluster(crypto.HMAC(), 4, 4)
+	if err := crypto.VerifyVote(keyring, vm.Votes[1]); err != nil {
+		t.Fatalf("re-signed notarization vote: %v", err)
 	}
 }
 
@@ -175,7 +179,7 @@ func TestVoteWithholderStripsProposalFastVote(t *testing.T) {
 	_, signers := crypto.GenerateCluster(crypto.HMAC(), 4, 5)
 	prop := signedProposal(t, signers[0], 0, true)
 	inner := &scriptedEngine{id: 0, acts: []protocol.Action{protocol.Broadcast{Msg: prop}}}
-	w := NewVoteWithholder(inner)
+	w := NewVoteWithholder(inner, signers[0])
 	acts := w.Start(time.Unix(0, 0))
 	if len(acts) != 1 {
 		t.Fatalf("got %d actions, want 1", len(acts))
@@ -189,6 +193,55 @@ func TestVoteWithholderStripsProposalFastVote(t *testing.T) {
 	}
 	if prop.FastVote == nil {
 		t.Fatal("withholder mutated the original proposal instead of copying it")
+	}
+}
+
+// TestSplitVoterVotes: the wrapped engine's votes are dropped; the first
+// block heard of in a round gets a lone fast vote (plus the finalization
+// vote claiming nothing else was voted for), every other block of the
+// round a bare notarization vote, and a repeat of either nothing.
+func TestSplitVoterVotes(t *testing.T) {
+	keyring, signers := crypto.GenerateCluster(crypto.HMAC(), 4, 8)
+	honest := signers[3].SignVote(types.VoteFast, 1, types.BlockID{})
+	inner := &scriptedEngine{id: 3, acts: []protocol.Action{
+		protocol.Broadcast{Msg: &types.VoteMsg{Votes: []types.Vote{honest}}},
+	}}
+	s := NewSplitVoter(inner, signers[3])
+	a := signedProposal(t, signers[0], 0, true)
+	twin := types.NewBlock(a.Block.Round, 0, 0, a.Block.Parent, types.SyntheticPayload(9, 9))
+	if err := signers[0].SignBlock(twin); err != nil {
+		t.Fatal(err)
+	}
+	kinds := func(acts []protocol.Action, block types.BlockID) []types.VoteKind {
+		t.Helper()
+		var out []types.VoteKind
+		for _, act := range acts {
+			vm, ok := act.(protocol.Broadcast).Msg.(*types.VoteMsg)
+			if !ok {
+				continue
+			}
+			for _, v := range vm.Votes {
+				if v.Voter != 3 || v.Block != block || crypto.VerifyVote(keyring, v) != nil {
+					t.Fatalf("unexpected vote %v", v)
+				}
+				out = append(out, v.Kind)
+			}
+		}
+		return out
+	}
+	got := kinds(s.HandleMessage(0, a, time.Unix(0, 0)), a.Block.ID())
+	if len(got) != 2 || got[0] != types.VoteFast || got[1] != types.VoteFinalize {
+		t.Fatalf("first block: votes %v, want [fast finalize]", got)
+	}
+	relay := &types.Proposal{Header: twin.SignedHeader(), Relayed: true}
+	if got := kinds(s.HandleMessage(1, relay, time.Unix(0, 0)), twin.ID()); len(got) != 1 || got[0] != types.VoteNotarize {
+		t.Fatalf("twin: votes %v, want [notarize]", got)
+	}
+	if got := kinds(s.HandleMessage(2, a, time.Unix(0, 0)), a.Block.ID()); len(got) != 0 {
+		t.Fatalf("repeat: votes %v, want none", got)
+	}
+	if s.FastVotes() != 1 || s.Splits() != 1 {
+		t.Fatalf("FastVotes=%d Splits=%d, want 1 and 1", s.FastVotes(), s.Splits())
 	}
 }
 
@@ -355,7 +408,8 @@ func TestAdversaryIdentity(t *testing.T) {
 	}{
 		{NewEquivocatingLeader(inner, signers[3], 4), "scripted-equivocator"},
 		{NewSilent(inner, time.Unix(0, 0)), "scripted-mute"},
-		{NewVoteWithholder(inner), "scripted-withholder"},
+		{NewVoteWithholder(inner, signers[3]), "scripted-withholder"},
+		{NewSplitVoter(inner, signers[3]), "scripted-split-voter"},
 		{NewPullWithholder(inner), "scripted-pull-withholder"},
 		{NewSettledFlooder(inner, 0, 4), "scripted-settled-flooder"},
 	} {

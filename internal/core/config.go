@@ -2,8 +2,9 @@
 // primary contribution (sections 6–8, Algorithms 1 and 2).
 //
 // Banyan extends the Internet Computer Consensus protocol with an
-// integrated fast path: alongside its first notarization vote of a round,
-// every replica broadcasts a *fast vote*; a rank-0 block that collects
+// integrated fast path: as its first notarization vote of a round, every
+// replica broadcasts a *fast vote* (one signature serves as both; see
+// roundState.recordVote); a rank-0 block that collects
 // n−p fast votes is FP-finalized after a single round trip (Addition 4),
 // while the unmodified ICC slow path (notarization, then finalization
 // votes) runs concurrently and finalizes in three steps whenever the fast

@@ -318,22 +318,9 @@ func (e *Engine) resendRound(now time.Time, acts []protocol.Action) []protocol.A
 		return acts
 	}
 	e.met.resends++
-	// Own votes for this round, across all three ledgers.
-	var votes []types.Vote
-	for kind, ledger := range map[types.VoteKind]map[types.BlockID]map[types.ReplicaID][]byte{
-		types.VoteNotarize: rs.notarVotes,
-		types.VoteFast:     rs.fastVotes,
-		types.VoteFinalize: rs.finalVotes,
-	} {
-		for block, byVoter := range ledger {
-			if sig, ok := byVoter[e.cfg.Self]; ok {
-				votes = append(votes, types.Vote{
-					Kind: kind, Round: e.round, Block: block, Voter: e.cfg.Self, Signature: sig,
-				})
-			}
-		}
-	}
-	if len(votes) > 0 {
+	// Own votes for this round, across all three ledgers (a leader's fast
+	// vote, which only ever rode its proposal, included).
+	if votes := rs.ownVotes(e.round, e.cfg.Self); len(votes) > 0 {
 		acts = append(acts, protocol.Broadcast{Msg: &types.VoteMsg{Votes: votes}})
 	}
 	// The best (lowest-rank valid, else any) block we hold, as a header
@@ -449,10 +436,13 @@ func (e *Engine) settled(r types.Round) bool {
 
 // Settled reports whether HandleMessage would ignore msg outright because
 // every vote, certificate and unlock proof it carries is for a settled
-// round. The WAL recorder asks before journaling an inbound message
-// (wal.SettledFilter): what the engine ignores, replay does not need.
+// round, or it is a header relay for one. The WAL recorder asks before
+// journaling an inbound message (wal.SettledFilter): what the engine
+// ignores, replay does not need.
 func (e *Engine) Settled(msg types.Message) bool {
 	switch m := msg.(type) {
+	case *types.Proposal:
+		return m.Block == nil && m.Header != nil && e.settled(m.Header.Round)
 	case *types.VoteMsg:
 		for i := range m.Votes {
 			if !e.settled(m.Votes[i].Round) {
@@ -488,6 +478,13 @@ func (e *Engine) onProposal(from types.ReplicaID, m *types.Proposal) {
 	case m.Block != nil:
 		h, id = m.Block.Header(), m.Block.ID()
 	case m.Header != nil:
+		if e.settled(m.Header.Round) {
+			// A header relay can only announce a block and carry credentials
+			// for its round and the one before — all settled, so it goes
+			// before the header is hashed or its signature looked up.
+			e.met.settledDropped++
+			return
+		}
 		h, id = m.Header.BlockHeader, m.Header.ID()
 	default:
 		e.met.rejected++
@@ -582,23 +579,14 @@ func (e *Engine) onVote(v types.Vote) {
 		return
 	}
 	rs := e.getRound(v.Round)
-	var ledger map[types.BlockID]map[types.ReplicaID][]byte
-	switch v.Kind {
-	case types.VoteNotarize:
-		ledger = rs.notarVotes
-	case types.VoteFinalize:
-		ledger = rs.finalVotes
-	case types.VoteFast:
-		ledger = rs.fastVotes
-	}
-	if _, dup := ledger[v.Block][v.Voter]; dup {
+	if rs.hasVote(v.Kind, v.Block, v.Voter) {
 		return
 	}
 	if err := e.cfg.Verifier.VerifyVote(v); err != nil {
 		e.met.rejected++
 		return
 	}
-	addVote(ledger, v.Block, v.Voter, v.Signature)
+	rs.recordVote(v.Kind, v.Block, v.Voter, v.Signature)
 	if _, held := rs.blocks[v.Block]; !held {
 		// A vote for a block this replica has no body for: the voter holds
 		// it (nobody votes for a body they lack), so it can be pulled from
@@ -689,11 +677,12 @@ func (e *Engine) onUnlock(u *types.UnlockProof) {
 		rs.unlocked[u.Block] = true
 	}
 	// Absorb the proof's verified fast votes: they contribute to this
-	// replica's own support sets and future proofs.
+	// replica's own support sets — notarization support included — and
+	// future proofs.
 	for _, en := range u.Entries {
 		id := en.Header.ID()
 		for i, voter := range en.Voters {
-			addVote(rs.fastVotes, id, voter, en.Sigs[i])
+			rs.recordVote(types.VoteFast, id, voter, en.Sigs[i])
 		}
 	}
 }
@@ -1381,7 +1370,7 @@ func (e *Engine) tryPropose(now time.Time, acts []protocol.Action) (bool, []prot
 	if opt := e.opt; opt != nil && opt.round == e.round {
 		e.opt = nil
 		if opt.parent == parentID {
-			return true, e.confirmOptimistic(rs, opt, acts)
+			return true, e.confirmOptimistic(rs, opt, now, acts)
 		}
 		// Withdrawn: the round certified a different parent. Re-propose on
 		// the real parent, reusing the optimistic payload — NextPayload
@@ -1425,10 +1414,8 @@ func (e *Engine) tryPropose(now time.Time, acts []protocol.Action) (bool, []prot
 	}
 	if rank == 0 && !e.cfg.DisableFastPath {
 		// Addition 2: the leader's proposal carries its own fast vote.
-		fv := e.cfg.Signer.SignVote(types.VoteFast, e.round, id)
+		fv := e.castVote(rs, id, now)
 		msg.FastVote = &fv
-		rs.fastVoteSent = true
-		addVote(rs.fastVotes, id, e.cfg.Self, fv.Signature)
 	}
 	return true, append(acts, protocol.Broadcast{Msg: msg})
 }
@@ -1503,7 +1490,7 @@ func (e *Engine) tryOptimisticPropose(acts []protocol.Action) (bool, []protocol.
 // parent credentials from the Advance broadcast that accompanied leaving
 // the previous round.
 func (e *Engine) confirmOptimistic(rs *roundState, opt *optimisticProposal,
-	acts []protocol.Action) []protocol.Action {
+	now time.Time, acts []protocol.Action) []protocol.Action {
 	b := opt.block
 	id := b.ID()
 	rs.blocks[id] = b
@@ -1512,10 +1499,29 @@ func (e *Engine) confirmOptimistic(rs *roundState, opt *optimisticProposal,
 	rs.proposed = true
 	e.met.proposals++
 	e.met.optConfirmed++
-	fv := e.cfg.Signer.SignVote(types.VoteFast, e.round, id)
-	rs.fastVoteSent = true
-	addVote(rs.fastVotes, id, e.cfg.Self, fv.Signature)
+	fv := e.castVote(rs, id, now)
 	return append(acts, protocol.Broadcast{Msg: &types.VoteMsg{Votes: []types.Vote{fv}}})
+}
+
+// castVote signs this replica's notarization vote for block id of the
+// current round, and id joins N. The first one of a round is cast as the
+// round's fast vote — Definition 6.2 casts the two together, so one
+// signature says both, and whoever counts the fast vote counts the
+// notarization vote with it (roundState.notarSupport); a bare notarization
+// vote is signed only once the fast vote is spent, or without a fast path.
+func (e *Engine) castVote(rs *roundState, id types.BlockID, now time.Time) types.Vote {
+	kind := types.VoteNotarize
+	if !rs.fastVoteSent && !e.cfg.DisableFastPath {
+		kind = types.VoteFast
+		rs.fastVoteSent = true
+	}
+	v := e.cfg.Signer.SignVote(kind, e.round, id)
+	rs.notarVoted[id] = true
+	rs.recordVote(kind, id, e.cfg.Self, v.Signature)
+	if o := e.cfg.Obs; o != nil {
+		o.Tracer.Mark(e.round, id, obs.StageVoteSent, now)
+	}
+	return v
 }
 
 // parentCreds returns the parent this replica extends in round r, plus the
@@ -1530,8 +1536,10 @@ func (e *Engine) parentCreds(r types.Round) (types.BlockID, *types.Certificate, 
 
 // tryVote implements Algorithm 1 line 33: once the notarization delay of
 // the lowest-ranked valid block has elapsed, vote for every such block not
-// yet in N, bundle a fast vote with the first (Addition 3), and relay the
-// headers of blocks proposed by others (line 35).
+// yet in N — the first vote of the round as a fast vote, which is the
+// notarization vote too (Addition 3 as one signature) — and relay the
+// headers of blocks proposed by others (line 35). A leader's own block is
+// in N since it proposed it (castVote).
 func (e *Engine) tryVote(now time.Time, acts []protocol.Action) (bool, []protocol.Action) {
 	rs := e.getRound(e.round)
 	if e.replaying || !rs.started || rs.advanced {
@@ -1561,7 +1569,6 @@ func (e *Engine) tryVote(now time.Time, acts []protocol.Action) (bool, []protoco
 		if b.Rank != minRank || rs.notarVoted[id] {
 			continue
 		}
-		rs.notarVoted[id] = true
 		changed = true
 		if b.Rank != myRank && !e.cfg.DisableForwarding {
 			// Line 35: relay the block's header with its parent's
@@ -1570,22 +1577,10 @@ func (e *Engine) tryVote(now time.Time, acts []protocol.Action) (bool, []protoco
 			acts = append(acts, protocol.Broadcast{Msg: e.relayProposal(b)})
 			e.met.relays++
 		}
-		nv := e.cfg.Signer.SignVote(types.VoteNotarize, e.round, id)
-		votes := []types.Vote{nv}
-		addVote(rs.notarVotes, id, e.cfg.Self, nv.Signature)
-		if !rs.fastVoteSent && !e.cfg.DisableFastPath {
-			// Addition 3 / line 39: first notarization vote of the round
-			// carries the fast vote.
-			fv := e.cfg.Signer.SignVote(types.VoteFast, e.round, id)
-			votes = append(votes, fv)
-			rs.fastVoteSent = true
-			addVote(rs.fastVotes, id, e.cfg.Self, fv.Signature)
-		}
+		// Addition 3 / line 39: one vote, one signature.
+		vote := e.castVote(rs, id, now)
 		e.met.votesSent++
-		if o := e.cfg.Obs; o != nil {
-			o.Tracer.Mark(e.round, id, obs.StageVoteSent, now)
-		}
-		acts = append(acts, protocol.Broadcast{Msg: &types.VoteMsg{Votes: votes}})
+		acts = append(acts, protocol.Broadcast{Msg: &types.VoteMsg{Votes: []types.Vote{vote}}})
 	}
 	return changed, acts
 }
@@ -1641,21 +1636,26 @@ func (e *Engine) tryNotarize(acts []protocol.Action) (bool, []protocol.Action) {
 			continue
 		}
 		quorum := e.setFor(r).Params().NotarizationQuorum()
-		for id, votes := range rs.notarVotes {
-			if len(votes) < quorum || rs.notarizations[id] != nil {
-				continue
+		// A block's notarization voters are split over two ledgers
+		// (notarSupport); one that has any is a key of at least one.
+		for _, ledger := range [...]voteLedger{rs.fastVotes, rs.notarVotes} {
+			for id := range ledger {
+				if rs.notarizations[id] != nil || rs.notarSupport(id) < quorum {
+					continue
+				}
+				cert, err := types.NewCertificate(types.CertNotarization, r, id,
+					append(votesFor(types.VoteFast, r, id, rs.fastVotes[id]),
+						votesFor(types.VoteNotarize, r, id, rs.notarVotes[id])...))
+				if err != nil {
+					continue
+				}
+				rs.notarizations[id] = cert
+				e.tree.MarkNotarized(id)
+				if o := e.cfg.Obs; o != nil && !e.replaying {
+					o.Tracer.Mark(r, id, obs.StageNotarized, e.now)
+				}
+				changed = true
 			}
-			cert, err := types.NewCertificate(types.CertNotarization, r, id,
-				votesFor(types.VoteNotarize, r, id, votes))
-			if err != nil {
-				continue
-			}
-			rs.notarizations[id] = cert
-			e.tree.MarkNotarized(id)
-			if o := e.cfg.Obs; o != nil && !e.replaying {
-				o.Tracer.Mark(r, id, obs.StageNotarized, e.now)
-			}
-			changed = true
 		}
 	}
 	return changed, acts
@@ -1908,7 +1908,7 @@ func (e *Engine) tryAdvance(now time.Time, acts []protocol.Action) (bool, []prot
 		} else {
 			fv := e.cfg.Signer.SignVote(types.VoteFinalize, round, id)
 			rs.finalVoted = true
-			addVote(rs.finalVotes, id, e.cfg.Self, fv.Signature)
+			rs.recordVote(types.VoteFinalize, id, e.cfg.Self, fv.Signature)
 			e.met.votesSent++
 			acts = append(acts, protocol.Broadcast{Msg: &types.VoteMsg{Votes: []types.Vote{fv}}})
 		}

@@ -211,9 +211,10 @@ func TestNonLeaderWaitsProposalDelay(t *testing.T) {
 	}
 }
 
-// TestFirstVoteBundlesFastVote: the first notarization vote of a round
-// carries a fast vote (Addition 3); later votes do not.
-func TestFirstVoteBundlesFastVote(t *testing.T) {
+// TestFirstVoteIsOneFastVote: the first vote of a round is a single fast
+// vote — it is the notarization vote for the block as well (Addition 3 in
+// one signature); a later block of the round gets a bare notarization vote.
+func TestFirstVoteIsOneFastVote(t *testing.T) {
 	bc := mustBeacon(t, 4)
 	observer := bc.ReplicaAt(1, 2) // neither leader nor rank-1
 	r := newRig(t, p411, observer)
@@ -224,15 +225,15 @@ func TestFirstVoteBundlesFastVote(t *testing.T) {
 	if len(votes) != 1 {
 		t.Fatalf("got %d vote messages, want 1", len(votes))
 	}
-	kinds := map[types.VoteKind]int{}
-	for _, v := range votes[0].Votes {
-		kinds[v.Kind]++
-		if v.Block != b.ID() {
-			t.Fatal("vote for wrong block")
-		}
+	if vs := votes[0].Votes; len(vs) != 1 || vs[0].Kind != types.VoteFast || vs[0].Block != b.ID() {
+		t.Fatalf("first vote must be one fast vote for the block, got %v", vs)
 	}
-	if kinds[types.VoteNotarize] != 1 || kinds[types.VoteFast] != 1 {
-		t.Fatalf("first vote must bundle notarize+fast, got %v", kinds)
+	rs := r.eng.rounds[1]
+	if !rs.notarVoted[b.ID()] || !rs.fastVoteSent {
+		t.Fatal("the fast vote did not put the block in N")
+	}
+	if got := rs.notarSupport(b.ID()); got != 2 {
+		t.Fatalf("notarization support = %d, want 2 (leader's fast vote + own)", got)
 	}
 
 	// An equivocating second rank-0 block gets a notarization vote only.
@@ -243,10 +244,8 @@ func TestFirstVoteBundlesFastVote(t *testing.T) {
 	if len(votes) != 1 {
 		t.Fatalf("second block: got %d vote messages, want 1", len(votes))
 	}
-	for _, v := range votes[0].Votes {
-		if v.Kind == types.VoteFast {
-			t.Fatal("fast vote cast twice in one round")
-		}
+	if vs := votes[0].Votes; len(vs) != 1 || vs[0].Kind != types.VoteNotarize || vs[0].Block != b2.ID() {
+		t.Fatalf("second block must get one bare notarization vote, got %v", vs)
 	}
 }
 

@@ -113,13 +113,16 @@ func (e *Engine) replayOwnVote(v types.Vote) {
 		return
 	}
 	rs := e.getRound(v.Round)
+	rs.recordVote(v.Kind, v.Block, v.Voter, v.Signature)
 	switch v.Kind {
 	case types.VoteNotarize:
 		rs.notarVoted[v.Block] = true
-		addVote(rs.notarVotes, v.Block, v.Voter, v.Signature)
 	case types.VoteFast:
+		// The fast vote is the notarization vote for its block as well; a
+		// journal from when the two were signed separately holds both and
+		// restores the same record.
 		rs.fastVoteSent = true
-		addVote(rs.fastVotes, v.Block, v.Voter, v.Signature)
+		rs.notarVoted[v.Block] = true
 		if opt := e.opt; opt != nil && opt.round == v.Round && opt.block.ID() == v.Block {
 			// The journaled fast vote names the pending optimistic block:
 			// that vote was its confirmation — adopt it as the round's
@@ -134,7 +137,6 @@ func (e *Engine) replayOwnVote(v types.Vote) {
 		}
 	case types.VoteFinalize:
 		rs.finalVoted = true
-		addVote(rs.finalVotes, v.Block, v.Voter, v.Signature)
 	}
 }
 

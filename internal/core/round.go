@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sort"
 	"time"
 
 	"banyan/internal/membership"
@@ -33,10 +34,13 @@ type roundState struct {
 	// (Algorithm 1 line 21).
 	notarVoted map[types.BlockID]bool
 
-	// Vote ledgers: signature by voter, per block.
-	fastVotes  map[types.BlockID]map[types.ReplicaID][]byte
-	notarVotes map[types.BlockID]map[types.ReplicaID][]byte
-	finalVotes map[types.BlockID]map[types.ReplicaID][]byte
+	// Vote ledgers: signature by voter, per block, written through
+	// recordVote. A fast vote is also its voter's notarization vote for the
+	// block, so notarVotes holds only the bare ones: a second block in the
+	// round, the no-fast-path configuration, or a Byzantine voter.
+	fastVotes  voteLedger
+	notarVotes voteLedger
+	finalVotes voteLedger
 
 	// notarizations holds formed or received notarization certificates.
 	notarizations map[types.BlockID]*types.Certificate
@@ -84,29 +88,100 @@ func newRoundState() *roundState {
 		valid:         make(map[types.BlockID]bool),
 		pending:       make(map[types.BlockID]*types.Proposal),
 		notarVoted:    make(map[types.BlockID]bool),
-		fastVotes:     make(map[types.BlockID]map[types.ReplicaID][]byte),
-		notarVotes:    make(map[types.BlockID]map[types.ReplicaID][]byte),
-		finalVotes:    make(map[types.BlockID]map[types.ReplicaID][]byte),
+		fastVotes:     make(voteLedger),
+		notarVotes:    make(voteLedger),
+		finalVotes:    make(voteLedger),
 		notarizations: make(map[types.BlockID]*types.Certificate),
 		unlocked:      make(map[types.BlockID]bool),
 		notarTimerSet: make(map[types.Rank]bool),
 	}
 }
 
-// addVote records a vote signature in the given ledger; it reports whether
-// the vote was new.
-func addVote(ledger map[types.BlockID]map[types.ReplicaID][]byte,
-	block types.BlockID, voter types.ReplicaID, sig []byte) bool {
-	m, ok := ledger[block]
-	if !ok {
-		m = make(map[types.ReplicaID][]byte)
-		ledger[block] = m
+// voteLedger maps block → voter → signature for one kind of vote.
+type voteLedger = map[types.BlockID]map[types.ReplicaID][]byte
+
+// ledger returns the ledger votes of the given kind are filed in.
+func (rs *roundState) ledger(kind types.VoteKind) voteLedger {
+	switch kind {
+	case types.VoteNotarize:
+		return rs.notarVotes
+	case types.VoteFinalize:
+		return rs.finalVotes
+	default:
+		return rs.fastVotes
 	}
-	if _, dup := m[voter]; dup {
+}
+
+// hasVote reports whether a vote would tell this round nothing new: it is
+// in its ledger already, or it is a bare notarization vote from a voter
+// whose fast vote for the same block is — the fast vote is that voter's
+// notarization vote (notarSupport).
+func (rs *roundState) hasVote(kind types.VoteKind, block types.BlockID, voter types.ReplicaID) bool {
+	if _, dup := rs.ledger(kind)[block][voter]; dup {
+		return true
+	}
+	if kind != types.VoteNotarize {
 		return false
 	}
-	m[voter] = sig
-	return true
+	_, dup := rs.fastVotes[block][voter]
+	return dup
+}
+
+// recordVote files a verified vote signature. It is the one way into the
+// ledgers, for peers' votes and this replica's own alike, so that a fast
+// vote always counts as its voter's notarization vote too: a voter is in
+// at most one of fastVotes[block] and notarVotes[block], the fast vote
+// displacing a bare notarization vote that arrived first.
+func (rs *roundState) recordVote(kind types.VoteKind, block types.BlockID, voter types.ReplicaID, sig []byte) {
+	if rs.hasVote(kind, block, voter) {
+		return
+	}
+	ledger := rs.ledger(kind)
+	byVoter, ok := ledger[block]
+	if !ok {
+		byVoter = make(map[types.ReplicaID][]byte)
+		ledger[block] = byVoter
+	}
+	byVoter[voter] = sig
+	if kind == types.VoteFast {
+		if bare := rs.notarVotes[block]; bare != nil {
+			delete(bare, voter)
+			if len(bare) == 0 {
+				delete(rs.notarVotes, block)
+			}
+		}
+	}
+}
+
+// notarSupport counts the replicas that notarization-voted for a block:
+// those that fast-voted for it — an honest fast vote is only ever cast
+// together with the notarization vote for the same block (Definition 6.2),
+// so it is sent as that vote — plus those that sent a bare notarization
+// vote (recordVote keeps the two disjoint).
+func (rs *roundState) notarSupport(block types.BlockID) int {
+	return len(rs.fastVotes[block]) + len(rs.notarVotes[block])
+}
+
+// ownVotes returns the votes the given replica holds in this round's
+// ledgers, as signed: by kind, then block ID.
+func (rs *roundState) ownVotes(round types.Round, self types.ReplicaID) []types.Vote {
+	var votes []types.Vote
+	for _, kind := range [...]types.VoteKind{types.VoteNotarize, types.VoteFinalize, types.VoteFast} {
+		for block, byVoter := range rs.ledger(kind) {
+			if sig, ok := byVoter[self]; ok {
+				votes = append(votes, types.Vote{
+					Kind: kind, Round: round, Block: block, Voter: self, Signature: sig,
+				})
+			}
+		}
+	}
+	sort.Slice(votes, func(i, j int) bool {
+		if votes[i].Kind != votes[j].Kind {
+			return votes[i].Kind < votes[j].Kind
+		}
+		return lessBlockID(votes[i].Block, votes[j].Block)
+	})
+	return votes
 }
 
 // votesFor converts a ledger entry back into Vote values for certificate
@@ -130,7 +205,7 @@ func votesFor(kind types.VoteKind, round types.Round, block types.BlockID,
 // from before the activation was known must not count toward the new
 // epoch's quorums.
 func (rs *roundState) scrubNonMembers(set *membership.ValidatorSet, notarQuorum int) {
-	scrub := func(ledger map[types.BlockID]map[types.ReplicaID][]byte) {
+	scrub := func(ledger voteLedger) {
 		for block, byVoter := range ledger {
 			for voter := range byVoter {
 				if !set.Contains(voter) {

@@ -20,9 +20,7 @@ func verifierLookups(r *rig) int64 {
 // ledgerSizes counts what one round's state holds, so a test can assert
 // that late traffic changed none of it.
 func ledgerSizes(rs *roundState) (n int) {
-	for _, ledger := range []map[types.BlockID]map[types.ReplicaID][]byte{
-		rs.notarVotes, rs.fastVotes, rs.finalVotes,
-	} {
+	for _, ledger := range []voteLedger{rs.notarVotes, rs.fastVotes, rs.finalVotes} {
 		for _, byVoter := range ledger {
 			n += len(byVoter)
 		}
@@ -31,9 +29,9 @@ func ledgerSizes(rs *roundState) (n int) {
 }
 
 // fastFinalizeRound1 drives an n=4 replica through round 1 on the fast
-// path — proposal, two peers' vote pairs — and returns the block and the
-// two replicas whose votes were delivered. The fourth replica's votes are
-// left for the test to deliver late.
+// path — the proposal with its leader's fast vote, the replica's own, one
+// peer's — and returns the block and the two non-leader peers, the first
+// of which voted. The other's votes are left for the test to deliver late.
 func fastFinalizeRound1(t *testing.T, r *rig) (*types.Block, []types.ReplicaID) {
 	t.Helper()
 	b := r.leaderBlock(1, types.Genesis().ID(), 1)
@@ -44,8 +42,7 @@ func fastFinalizeRound1(t *testing.T, r *rig) (*types.Block, []types.ReplicaID) 
 			voters = append(voters, id)
 		}
 	}
-	r.deliver(b.Proposer, &types.VoteMsg{Votes: []types.Vote{r.notarVote(b.Proposer, b)}})
-	r.deliver(voters[0], &types.VoteMsg{Votes: []types.Vote{r.notarVote(voters[0], b), r.fastVote(voters[0], b)}})
+	r.deliver(voters[0], &types.VoteMsg{Votes: []types.Vote{r.fastVote(voters[0], b)}})
 	if r.eng.Round() != 2 || r.eng.Tree().FinalizedRound() != 1 {
 		t.Fatalf("round %d, finalized %d after a fast-path round 1", r.eng.Round(), r.eng.Tree().FinalizedRound())
 	}
@@ -107,7 +104,17 @@ func TestSettledRoundIgnoresLateTraffic(t *testing.T) {
 		ParentNotarization: adv[0].Notarization, ParentUnlock: adv[0].Unlock,
 	})
 
-	const dropped = 3 + 3 + 2 + 1 + 1 + 1 + 3
+	// And one nothing about which is right — unsigned, wrong epoch, rank
+	// and proposer: a relay for a settled round goes before its header is
+	// hashed or checked, credentials and all.
+	bogus := b.SignedHeader().BlockHeader
+	bogus.Epoch, bogus.Rank, bogus.Proposer = 9, 3, late
+	r.deliver(late, &types.Proposal{
+		Header:  &types.SignedHeader{BlockHeader: bogus, Signature: []byte("not a signature")},
+		Relayed: true, FastVote: &fv,
+	})
+
+	const dropped = 3 + 3 + 2 + 1 + 1 + 1 + 1 + 1 // a header relay goes whole
 	after := r.eng.Metrics()
 	if got := after["settled_dropped"] - before["settled_dropped"]; got != dropped {
 		t.Errorf("settled_dropped grew by %d, want %d", got, dropped)
@@ -322,5 +329,14 @@ func TestSettledFloorFollowsTheEngine(t *testing.T) {
 	}
 	if r.eng.Settled(r.proposalFor(b2)) {
 		t.Error("a proposal reported settled")
+	}
+	// Of proposals only a settled round's header relay is: its body form
+	// may still be a block someone is pulling.
+	if !r.eng.Settled(&types.Proposal{Header: b.SignedHeader(), Relayed: true}) {
+		t.Error("a header relay for round 1 not reported settled")
+	}
+	if r.eng.Settled(&types.Proposal{Block: b, Relayed: true}) ||
+		r.eng.Settled(&types.Proposal{Header: b2.SignedHeader(), Relayed: true}) {
+		t.Error("a body, or a live round's header relay, reported settled")
 	}
 }

@@ -66,27 +66,7 @@ func (e *Engine) Snapshot() *protocol.Snapshot {
 				}
 			}
 		}
-		var votes []types.Vote
-		for kind, ledger := range map[types.VoteKind]map[types.BlockID]map[types.ReplicaID][]byte{
-			types.VoteNotarize: rs.notarVotes,
-			types.VoteFast:     rs.fastVotes,
-			types.VoteFinalize: rs.finalVotes,
-		} {
-			for block, byVoter := range ledger {
-				if sig, ok := byVoter[e.cfg.Self]; ok {
-					votes = append(votes, types.Vote{
-						Kind: kind, Round: r, Block: block, Voter: e.cfg.Self, Signature: sig,
-					})
-				}
-			}
-		}
-		if len(votes) > 0 {
-			sort.Slice(votes, func(i, j int) bool {
-				if votes[i].Kind != votes[j].Kind {
-					return votes[i].Kind < votes[j].Kind
-				}
-				return lessBlockID(votes[i].Block, votes[j].Block)
-			})
+		if votes := rs.ownVotes(r, e.cfg.Self); len(votes) > 0 {
 			s.Own = append(s.Own, &types.VoteMsg{Votes: votes})
 		}
 	}
@@ -240,7 +220,7 @@ type OwnRecord struct {
 	Proposed     bool
 	FastVoteSent bool
 	FinalVoted   bool
-	NotarVotes   []types.BlockID
+	NotarVotes   []types.BlockID // N: every block notarization-voted for, by fast vote or bare
 	FastVotes    []types.BlockID
 	FinalVotes   []types.BlockID
 }
@@ -253,25 +233,32 @@ func (e *Engine) OwnVotingRecord() map[types.Round]OwnRecord {
 	if fin := e.tree.FinalizedRound(); fin > e.cfg.PruneKeep {
 		floor = fin - e.cfg.PruneKeep
 	}
-	collect := func(ledger map[types.BlockID]map[types.ReplicaID][]byte) []types.BlockID {
+	sorted := func(ids []types.BlockID) []types.BlockID {
+		sort.Slice(ids, func(i, j int) bool { return lessBlockID(ids[i], ids[j]) })
+		return ids
+	}
+	collect := func(ledger voteLedger) []types.BlockID {
 		var ids []types.BlockID
 		for block, byVoter := range ledger {
 			if _, ok := byVoter[e.cfg.Self]; ok {
 				ids = append(ids, block)
 			}
 		}
-		sort.Slice(ids, func(i, j int) bool { return lessBlockID(ids[i], ids[j]) })
-		return ids
+		return sorted(ids)
 	}
 	for r, rs := range e.rounds {
 		if r <= floor {
 			continue
 		}
+		var voted []types.BlockID
+		for block := range rs.notarVoted {
+			voted = append(voted, block)
+		}
 		rec := OwnRecord{
 			Proposed:     rs.proposed,
 			FastVoteSent: rs.fastVoteSent,
 			FinalVoted:   rs.finalVoted,
-			NotarVotes:   collect(rs.notarVotes),
+			NotarVotes:   sorted(voted),
 			FastVotes:    collect(rs.fastVotes),
 			FinalVotes:   collect(rs.finalVotes),
 		}

@@ -191,19 +191,19 @@ func TestResendAfterStall(t *testing.T) {
 	b := r.leaderBlock(1, types.Genesis().ID(), 1)
 	r.deliver(b.Proposer, r.proposalFor(b))
 	// No further traffic: after the resend interval the engine must
-	// rebroadcast its fast+notarize votes and relay the block's header.
+	// rebroadcast its vote (one fast vote) and relay the block's header.
 	r.clearActs()
 	interval := r.eng.resendInterval()
 	r.now = r.now.Add(interval + time.Millisecond)
 	r.acts = append(r.acts, r.eng.HandleTimer(
 		protocol.TimerID{Round: 1, Kind: protocol.TimerResend}, r.now)...)
 
-	votes := 0
+	var votes []types.Vote
 	for _, vm := range broadcasts[*types.VoteMsg](r) {
-		votes += len(vm.Votes)
+		votes = append(votes, vm.Votes...)
 	}
-	if votes < 2 {
-		t.Fatalf("resend broadcast %d votes, want >= 2 (fast + notarize)", votes)
+	if len(votes) != 1 || votes[0].Kind != types.VoteFast || votes[0].Block != b.ID() {
+		t.Fatalf("resend broadcast %v, want the round's one fast vote", votes)
 	}
 	relays := 0
 	for _, p := range broadcasts[*types.Proposal](r) {

@@ -87,7 +87,7 @@ func TestUnlockMonotonicity(t *testing.T) {
 			prevAll := false
 			for _, idx := range order {
 				v := votes[idx]
-				addVote(rs.fastVotes, blocks[v.block].ID(), v.voter, []byte{1})
+				rs.recordVote(types.VoteFast, blocks[v.block].ID(), v.voter, []byte{1})
 				rs.recomputeUnlock(thr)
 				for id, was := range prevUnlocked {
 					if was && !rs.unlocked[id] {
@@ -167,7 +167,7 @@ func TestProofMatchesLocalState(t *testing.T) {
 			for k := 0; k <= rng.Intn(2); k++ {
 				b := blocks[rng.Intn(len(blocks))]
 				vote := signers[v].SignVote(types.VoteFast, round, b.ID())
-				addVote(rs.fastVotes, b.ID(), vote.Voter, vote.Signature)
+				rs.recordVote(types.VoteFast, b.ID(), vote.Voter, vote.Signature)
 			}
 		}
 		rs.recomputeUnlock(thr)

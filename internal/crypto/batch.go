@@ -5,52 +5,10 @@ package crypto
 // signatures per round than a plain ⌈2n/3⌉ protocol, and certificates,
 // unlock proofs and re-gossiped votes all carry the same signatures again.
 // BatchVerifier is the accumulation half of the pipeline: it collects
-// (pub, digest, sig) triples and verifies them in one flush, preferring a
-// scheme-level batch operation and falling back to per-signature
-// verification when the batch fails (so individual forgeries can be
-// pinpointed).
-
-// BatchScheme is implemented by schemes that can check many signatures in
-// one pass. VerifyBatch reports whether every triple verifies; it gives no
-// indication of which triple failed (BatchVerifier falls back to
-// per-signature verification to find out).
-//
-// Ed25519 admits true batch verification (one random linear combination of
-// all equations, roughly halving the curve work); the Go standard library
-// does not export the required edwards25519 arithmetic, so this
-// implementation's schemes provide a tight-loop VerifyBatch and the
-// pipeline's asymptotic wins come from the verified cache and the worker
-// pool instead. The interface is the seam where a curve-level batch
-// verifier plugs in without touching any caller.
-type BatchScheme interface {
-	Scheme
-	VerifyBatch(pubs [][]byte, digests [][32]byte, sigs [][]byte) bool
-}
-
-// VerifyBatch implements BatchScheme for Ed25519 as a loop over Verify
-// (see the BatchScheme comment for why no algebraic batching).
-func (s ed25519Scheme) VerifyBatch(pubs [][]byte, digests [][32]byte, sigs [][]byte) bool {
-	return loopVerifyBatch(s, pubs, digests, sigs)
-}
-
-// VerifyBatch implements BatchScheme for HMAC.
-func (s hmacScheme) VerifyBatch(pubs [][]byte, digests [][32]byte, sigs [][]byte) bool {
-	return loopVerifyBatch(s, pubs, digests, sigs)
-}
-
-func loopVerifyBatch(s Scheme, pubs [][]byte, digests [][32]byte, sigs [][]byte) bool {
-	for i := range pubs {
-		if !s.Verify(pubs[i], digests[i], sigs[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-var (
-	_ BatchScheme = ed25519Scheme{}
-	_ BatchScheme = hmacScheme{}
-)
+// (pub, digest, sig) triples and verifies them in one flush. The Go
+// standard library exports no algebraic ed25519 batch verification, so a
+// flush is one Verify per triple; the pipeline's wins come from the
+// verified cache and the worker pool.
 
 // BatchVerifier accumulates signature triples and verifies them together
 // on Flush. It is not safe for concurrent use; VerifierPool shards one
@@ -78,26 +36,12 @@ func (b *BatchVerifier) Add(pub []byte, digest [32]byte, sig []byte) {
 // Len returns the number of queued triples.
 func (b *BatchVerifier) Len() int { return len(b.pubs) }
 
-// Flush verifies every queued triple and returns one verdict per triple in
-// Add order, resetting the batch. The whole batch is tried first; on
-// failure every triple is verified individually to pinpoint the forgeries.
-// (With a true algebraic VerifyBatch the failure path should bisect
-// instead — but while VerifyBatch is itself a verification loop, bisection
-// only re-verifies honest signatures an adversary already made us check.)
+// Flush verifies every queued triple exactly once and returns one verdict
+// per triple in Add order, resetting the batch.
 func (b *BatchVerifier) Flush() []bool {
-	n := b.Len()
-	out := make([]bool, n)
-	if n == 0 {
-		return out
-	}
-	if bs, ok := b.scheme.(BatchScheme); ok && bs.VerifyBatch(b.pubs, b.digests, b.sigs) {
-		for i := range out {
-			out[i] = true
-		}
-	} else {
-		for i := range out {
-			out[i] = b.scheme.Verify(b.pubs[i], b.digests[i], b.sigs[i])
-		}
+	out := make([]bool, b.Len())
+	for i := range out {
+		out[i] = b.scheme.Verify(b.pubs[i], b.digests[i], b.sigs[i])
 	}
 	b.pubs = b.pubs[:0]
 	b.digests = b.digests[:0]

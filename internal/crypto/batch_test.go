@@ -100,26 +100,37 @@ func TestBatchVerifierMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestBatchVerifierAllValidAndAllInvalid exercises the two boundary
-// batches: the all-valid batch (batch path accepts in one pass) and the
-// all-invalid batch (every triple resolved by the per-signature fallback).
-func TestBatchVerifierAllValidAndAllInvalid(t *testing.T) {
-	for _, scheme := range schemes() {
-		for _, c := range []corruption{corruptNone, corruptForged} {
-			pubs, digests, sigs, want := buildTriples(t, scheme, 5, 33, int64(c),
-				func(int) corruption { return c })
-			bv := NewBatchVerifier(scheme)
-			for i := range pubs {
-				bv.Add(pubs[i], digests[i], sigs[i])
+// countingScheme counts Verify calls.
+type countingScheme struct {
+	Scheme
+	verifies int
+}
+
+func (c *countingScheme) Verify(pub []byte, digest [32]byte, sig []byte) bool {
+	c.verifies++
+	return c.Scheme.Verify(pub, digest, sig)
+}
+
+// TestBatchVerifierVerifiesEachTripleOnce: one forgery in a batch must not
+// make Flush verify the honest signatures around it a second time.
+func TestBatchVerifierVerifiesEachTripleOnce(t *testing.T) {
+	pubs, digests, sigs, _ := buildTriples(t, Ed25519(), 5, 33, 1,
+		func(i int) corruption {
+			if i == 16 {
+				return corruptForged
 			}
-			got := bv.Flush()
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s corruption %d: triple %d got %v want %v",
-						scheme.Name(), c, i, got[i], want[i])
-				}
-			}
-		}
+			return corruptNone
+		})
+	scheme := &countingScheme{Scheme: Ed25519()}
+	bv := NewBatchVerifier(scheme)
+	for i := range pubs {
+		bv.Add(pubs[i], digests[i], sigs[i])
+	}
+	if bv.FlushValid() {
+		t.Fatal("batch with a forgery reported all valid")
+	}
+	if scheme.verifies != len(pubs) {
+		t.Fatalf("%d verifications for %d triples", scheme.verifies, len(pubs))
 	}
 }
 

@@ -272,7 +272,8 @@ func VerifyVote(k *Keyring, v types.Vote) error {
 }
 
 // VerifyCert checks a certificate: shape (sorted unique signers meeting the
-// quorum) and every contained signature.
+// quorum) and every contained signature, each against the digest its
+// signer is marked as having signed (types.Certificate.Fast).
 func VerifyCert(k *Keyring, c *types.Certificate, quorum int) error {
 	if c == nil {
 		return fmt.Errorf("crypto: nil certificate")
@@ -280,9 +281,9 @@ func VerifyCert(k *Keyring, c *types.Certificate, quorum int) error {
 	if err := c.CheckShape(k.N(), quorum); err != nil {
 		return err
 	}
-	digest := c.Digest()
+	digests := c.SignerDigests()
 	for i, signer := range c.Signers {
-		if !k.Verify(signer, digest, c.Sigs[i]) {
+		if !k.Verify(signer, digests[c.FastBit(i)], c.Sigs[i]) {
 			return fmt.Errorf("crypto: bad signature by %d in %v", signer, c)
 		}
 	}

@@ -166,6 +166,91 @@ func TestVerifyCertRejectsForeignVotes(t *testing.T) {
 	}
 }
 
+// TestVerifyMixedNotarization: each signature of a notarization is
+// checked against the digest its signer is marked as having signed —
+// fast-vote digest for marked signers, notarization-vote digest for the
+// rest — by the free function, the Verifier and preverification alike,
+// and a genuine signature under the wrong marker value is a bad
+// signature.
+func TestVerifyMixedNotarization(t *testing.T) {
+	keyring, signers := GenerateCluster(Ed25519(), 4, 1)
+	block := types.BlockID{5}
+	fast := collectVotes(signers, types.VoteFast, 4, block, 0, 3)
+	bare := collectVotes(signers, types.VoteNotarize, 4, block, 1)
+	cert, err := types.NewCertificate(types.CertNotarization, 4, block, append(fast, bare...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := NewVerifier(keyring, VerifyConfig{})
+	verdicts := func(c *types.Certificate) (free, cached error) {
+		return VerifyCert(keyring, c, 3), NewVerifier(keyring, VerifyConfig{}).VerifyCert(c, 3)
+	}
+	if free, cached := verdicts(cert); free != nil || cached != nil {
+		t.Fatalf("mixed notarization: %v / %v", free, cached)
+	}
+	// The fast voters' signatures are the ones their loose fast votes
+	// carry: a replica that verified those pays for the bare vote only.
+	for _, vt := range fast {
+		if err := v.VerifyVote(vt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, before := v.CacheStats()
+	if err := v.VerifyCert(cert, 3); err != nil {
+		t.Fatal(err)
+	}
+	if _, misses := v.CacheStats(); misses != before+1 {
+		t.Fatalf("%d verifications for a notarization with one unseen signature", misses-before)
+	}
+	// Preverification warms the same entries.
+	pre := NewVerifier(keyring, VerifyConfig{})
+	pre.PreverifyMessage(&types.CertMsg{Cert: cert})
+	_, before = pre.CacheStats()
+	if err := pre.VerifyCert(cert, 3); err != nil {
+		t.Fatal(err)
+	}
+	if _, misses := pre.CacheStats(); misses != before {
+		t.Fatal("preverification checked a mixed notarization against the wrong digests")
+	}
+
+	// Either marker value, wrong: signer 0's fast signature unmarked,
+	// signer 1's notarization signature marked.
+	for i := range cert.Signers {
+		forged := *cert
+		forged.Fast = append([]byte(nil), cert.Fast...)
+		forged.Fast[0] ^= 1 << i
+		if free, cached := verdicts(&forged); free == nil || cached == nil {
+			t.Errorf("signer %d's marker flipped: accepted (%v / %v)", cert.Signers[i], free, cached)
+		}
+	}
+	// No marker at all over fast signatures, and the marker on any other
+	// kind of certificate — even one whose signatures all do cover the
+	// fast-vote digest.
+	unmarked := *cert
+	unmarked.Fast = nil
+	if free, cached := verdicts(&unmarked); free == nil || cached == nil {
+		t.Error("fast signatures accepted as notarization signatures")
+	}
+	ff, err := types.NewCertificate(types.CertFastFinalization, 4, block,
+		collectVotes(signers, types.VoteFast, 4, block, 0, 1, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if free, cached := verdicts(ff); free != nil || cached != nil {
+		t.Fatalf("fast finalization: %v / %v", free, cached)
+	}
+	ff.Fast = []byte{0b111}
+	if free, cached := verdicts(ff); free == nil || cached == nil {
+		t.Error("marker accepted on a fast-finalization certificate")
+	}
+	// A marker bit for a non-signer.
+	padded := *cert
+	padded.Fast = []byte{cert.Fast[0] | 0b1000}
+	if free, cached := verdicts(&padded); free == nil || cached == nil {
+		t.Error("marker naming a non-signer accepted")
+	}
+}
+
 func TestVerifyUnlockProof(t *testing.T) {
 	keyring, signers := GenerateCluster(Ed25519(), 4, 1)
 	b := types.NewBlock(5, 0, 0, types.BlockID{}, types.BytesPayload([]byte("b")))

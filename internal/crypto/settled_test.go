@@ -123,14 +123,36 @@ func TestPreverifySkipsSettledRounds(t *testing.T) {
 		t.Fatalf("SettledSkipped = %d, want %d", v.SettledSkipped(), want)
 	}
 
+	// A header relay for the settled round: neither the proposer signature
+	// nor the fast vote and credentials it carries, and nothing allocated.
+	relay := &types.Proposal{
+		Header: r1.block.SignedHeader(), Relayed: true, FastVote: &r1.votes[3],
+		ParentNotarization: r1.notar, ParentUnlock: r1.unlock,
+	}
+	skipped := v.SettledSkipped()
+	if n := testing.AllocsPerRun(10, func() { v.PreverifyMessage(relay) }); n != 0 {
+		t.Fatalf("PreverifyMessage of a settled header relay allocates %.0f times", n)
+	}
+	if n := lookups(v); n != 0 {
+		t.Fatalf("a settled header relay cost %d cache lookups, want 0", n)
+	}
+	if got := v.SettledSkipped() - skipped; got != 11*(1+1+3+3) {
+		t.Fatalf("settled header relay: %d signatures skipped over 11 calls, want %d", got, 11*8)
+	}
+	// The same relay for the live round is one lookup per signature.
+	v.PreverifyMessage(&types.Proposal{Header: r2.block.SignedHeader(), Relayed: true})
+	if n := lookups(v); n != 1 {
+		t.Fatalf("a live header relay cost %d lookups, want 1", n)
+	}
+
 	// A round-2 proposal: its own block and fast vote are verified, the
 	// round-1 parent credentials it carries are not.
 	v.PreverifyMessage(&types.Proposal{
 		Block: r2.block, FastVote: &r2.votes[3],
 		ParentNotarization: r1.notar, ParentUnlock: r1.unlock,
 	})
-	if n := lookups(v); n != 2 {
-		t.Fatalf("round-2 proposal cost %d lookups, want 2", n)
+	if n := lookups(v); n != 3 { // the block's signature is the relay's: a hit
+		t.Fatalf("round-2 proposal cost %d lookups, want 2 more", n)
 	}
 	// A mixed vote message: only the live half is verified.
 	before := lookups(v)

@@ -246,10 +246,10 @@ func (v *Verifier) VerifyCert(c *types.Certificate, quorum int) error {
 	if err := c.CheckShape(v.kr.N(), quorum); err != nil {
 		return err
 	}
-	digest := c.Digest()
+	digests := c.SignerDigests()
 	batch := v.newSigBatch(len(c.Signers))
 	for i, signer := range c.Signers {
-		batch.add(i, signer, digest, c.Sigs[i])
+		batch.add(i, signer, digests[c.FastBit(i)], c.Sigs[i])
 	}
 	if bad := batch.flush(); bad >= 0 {
 		return fmt.Errorf("crypto: bad signature by %d in %v", c.Signers[bad], c)
@@ -336,11 +336,12 @@ func (v *Verifier) VerifyUnlockProofIn(u *types.UnlockProof, threshold int, set 
 // will reject them); malformed messages are ignored.
 //
 // Only what can still decide something is verified: votes, certificates,
-// unlock proofs and proposal-carried credentials for a round at or below
-// the settled floor are skipped, because the engine drops exactly those
-// before it consults the verifier (core's settled check). The floor read
-// here may trail the engine's; that only verifies a signature nobody
-// will look up, never skips one the engine still needs.
+// unlock proofs, header relays and proposal-carried credentials for a
+// round at or below the settled floor are skipped, because the engine
+// drops exactly those before it consults the verifier (core's settled
+// check). The floor read here may trail the engine's; that only verifies
+// a signature nobody will look up, never skips one the engine still
+// needs.
 //
 // Because preverification runs before any protocol-level validation, it
 // is a CPU-amplification target: a Byzantine peer could stuff one message
@@ -372,8 +373,14 @@ func (v *Verifier) gather(b *sigBatch, msg types.Message) {
 		if m.Block != nil && !m.Block.IsGenesis() {
 			b.add(0, m.Block.Proposer, blockDigest(m.Block.ID()), m.Block.Signature)
 		} else if h := m.Header; h != nil && m.Block == nil {
-			// Header relay: 80 bytes to hash, whatever the payload.
-			b.add(0, h.Proposer, blockDigest(h.ID()), h.Signature)
+			// Header relay: 80 bytes to hash, whatever the payload — and
+			// none for a settled round, whose relays the engine drops
+			// unhashed (its credentials are settled with it, below).
+			if h.Round <= b.floor {
+				b.skipped++
+			} else {
+				b.add(0, h.Proposer, blockDigest(h.ID()), h.Signature)
+			}
 		}
 		if m.FastVote != nil {
 			v.gatherVote(b, m.FastVote)
@@ -442,12 +449,12 @@ func (v *Verifier) gatherCert(b *sigBatch, c *types.Certificate) {
 	if c.CheckShape(v.kr.N(), 1) != nil {
 		return
 	}
-	digest := c.Digest()
+	digests := c.SignerDigests()
 	for i, signer := range c.Signers {
 		if b.full() {
 			return
 		}
-		b.add(0, signer, digest, c.Sigs[i])
+		b.add(0, signer, digests[c.FastBit(i)], c.Sigs[i])
 	}
 }
 

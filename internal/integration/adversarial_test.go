@@ -161,7 +161,7 @@ func TestBanyanVoteWithholders(t *testing.T) {
 	engines := buildCluster(t, params, "banyan",
 		func(id types.ReplicaID, eng protocol.Engine, signer *crypto.Signer) protocol.Engine {
 			if withholders[id] {
-				return byzantine.NewVoteWithholder(eng)
+				return byzantine.NewVoteWithholder(eng, signer)
 			}
 			return eng
 		})

@@ -272,6 +272,56 @@ func TestAllocRegressionDecodeInPlace(t *testing.T) {
 	}
 }
 
+// TestAllocRegressionMarkedCertificate: the fast-vote marker of a
+// notarization certificate costs no allocation anywhere on the wire path
+// — it aliases the frame in place and shares the copy-mode scratch — so
+// every message that carries a notarization decodes and encodes on the
+// budget of the unmarked form.
+func TestAllocRegressionMarkedCertificate(t *testing.T) {
+	r := rand.New(rand.NewSource(19))
+	b := NewBlock(9, 2, 0, BlockID{4, 5}, BytesPayload(randomBytes(r, 512)))
+	b.Signature = randomBytes(r, 64)
+	cert := &Certificate{Kind: CertNotarization, Round: 8, Block: b.Parent}
+	for i := 0; i < 13; i++ {
+		cert.Signers = append(cert.Signers, ReplicaID(i))
+		cert.Sigs = append(cert.Sigs, randomBytes(r, 64))
+	}
+	marked := *cert
+	marked.Fast = []byte{0xFF, 0x1F}
+	shapes := func(c *Certificate) []Message {
+		return []Message{
+			&CertMsg{Cert: c},
+			&Advance{Notarization: c},
+			&Proposal{Block: b, ParentNotarization: c},
+			&Proposal{Header: b.SignedHeader(), ParentNotarization: c, Relayed: true},
+		}
+	}
+	plainMsgs, markedMsgs := shapes(cert), shapes(&marked)
+	for i := range plainMsgs {
+		for _, alias := range []bool{true, false} {
+			allocs := func(m Message) float64 {
+				enc := mustEncode(m)
+				return testing.AllocsPerRun(200, func() {
+					if _, err := decodeMessage(enc, alias); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			if plain, marked := allocs(plainMsgs[i]), allocs(markedMsgs[i]); marked > plain {
+				t.Errorf("%T decode (alias=%v): %v allocs with the marker, %v without",
+					plainMsgs[i], alias, marked, plain)
+			}
+		}
+		if n := testing.AllocsPerRun(200, func() {
+			if _, err := AppendMessage(make([]byte, 0, markedMsgs[i].EncodedSize()), markedMsgs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}); n > 1 {
+			t.Errorf("%T encode with the marker: %v allocs/op, budget 1", markedMsgs[i], n)
+		}
+	}
+}
+
 // TestDecodeArenaOverflow checks the arena fallbacks: signer counts and
 // vote bundles beyond the fixed arena capacity still decode correctly
 // (into heap slices), so the budget optimization cannot change behavior.

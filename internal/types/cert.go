@@ -124,57 +124,117 @@ func (k CertKind) VoteKind() VoteKind {
 	}
 }
 
-// Certificate is an aggregate of quorum-many votes of one kind for one
-// block. The paper aggregates votes into BLS multi-signatures; this
-// implementation substitutes a signer list plus one signature per signer
-// (see DESIGN.md section 2) — same quorum semantics, transferable, and the
-// certificate size still grows with the quorum, preserving the message-size
-// behaviour the evaluation depends on.
+// Certificate is an aggregate of quorum-many votes for one block. The
+// paper aggregates votes into BLS multi-signatures; this implementation
+// substitutes a signer list plus one signature per signer (see DESIGN.md
+// section 2) — same quorum semantics, transferable, and the certificate
+// size still grows with the quorum, preserving the message-size behaviour
+// the evaluation depends on.
+//
+// Finalization and fast-finalization certificates aggregate one kind of
+// vote, so every signature covers Digest(). A notarization certificate
+// may mix two: a replica's first vote of a round is a single fast vote
+// that is also its notarization vote for the same block (Definition 6.2 —
+// an honest fast vote is only ever cast together with that notarization
+// vote), so its signature covers the fast-vote digest. Fast marks those
+// signers. The aggregate is over two messages at most, which is what a
+// BLS deployment would carry as a two-message aggregate signature.
 type Certificate struct {
 	Kind    CertKind
 	Round   Round
 	Block   BlockID
 	Signers []ReplicaID // ascending, no duplicates
-	Sigs    [][]byte    // Sigs[i] is Signers[i]'s signature over the vote digest
+	Sigs    [][]byte    // Sigs[i] is Signers[i]'s signature over SignerDigests()[FastBit(i)]
+	// Fast is a bitmap over signer positions, notarization certificates
+	// only: bit i set means Sigs[i] covers the fast-vote digest for
+	// (Round, Block) instead of the notarization-vote digest. Empty when
+	// no signer is marked; otherwise exactly ⌈len(Signers)/8⌉ bytes with
+	// the padding bits clear.
+	Fast []byte
 }
 
-// NewCertificate assembles a certificate from collected votes of the given
-// kind for the given block. Votes for other blocks/rounds/kinds are
+// NewCertificate assembles a certificate from collected votes for the
+// given block. Votes must be of the kind the certificate aggregates; a
+// notarization certificate also takes fast votes, and when a voter
+// supplied both it keeps the fast one, so two replicas holding the same
+// voters build the same certificate. Votes for other blocks or rounds are
 // rejected.
 func NewCertificate(kind CertKind, round Round, block BlockID, votes []Vote) (*Certificate, error) {
 	want := kind.VoteKind()
-	c := &Certificate{Kind: kind, Round: round, Block: block}
-	seen := make(map[ReplicaID]bool, len(votes))
+	mixed := kind == CertNotarization
 	sorted := make([]Vote, 0, len(votes))
 	for _, v := range votes {
-		if v.Kind != want || v.Round != round || v.Block != block {
+		if (v.Kind != want && !(mixed && v.Kind == VoteFast)) || v.Round != round || v.Block != block {
 			return nil, fmt.Errorf("certificate: vote %v does not match %s for round %d block %s",
 				v, kind, round, block)
 		}
-		if seen[v.Voter] {
-			continue
-		}
-		seen[v.Voter] = true
 		sorted = append(sorted, v)
 	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Voter < sorted[j].Voter })
-	c.Signers = make([]ReplicaID, len(sorted))
-	c.Sigs = make([][]byte, len(sorted))
-	for i, v := range sorted {
-		c.Signers[i] = v.Voter
-		c.Sigs[i] = v.Signature
+	// By voter, a voter's fast vote ahead of its other one, so the
+	// duplicate dropped below is never the fast vote.
+	sort.Slice(sorted, func(i, j int) bool {
+		if sorted[i].Voter != sorted[j].Voter {
+			return sorted[i].Voter < sorted[j].Voter
+		}
+		return sorted[i].Kind == VoteFast && sorted[j].Kind != VoteFast
+	})
+	c := &Certificate{
+		Kind: kind, Round: round, Block: block,
+		Signers: make([]ReplicaID, 0, len(sorted)),
+		Sigs:    make([][]byte, 0, len(sorted)),
 	}
+	for _, v := range sorted {
+		if n := len(c.Signers); n > 0 && c.Signers[n-1] == v.Voter {
+			continue
+		}
+		if mixed && v.Kind == VoteFast {
+			if c.Fast == nil {
+				c.Fast = make([]byte, (len(sorted)+7)/8)
+			}
+			c.Fast[len(c.Signers)/8] |= 1 << (len(c.Signers) % 8)
+		}
+		c.Signers = append(c.Signers, v.Voter)
+		c.Sigs = append(c.Sigs, v.Signature)
+	}
+	c.Fast = c.Fast[:min(len(c.Fast), (len(c.Signers)+7)/8)]
 	return c, nil
 }
 
-// Digest returns the vote digest every signature in the certificate covers.
+// Digest returns the vote digest of the kind the certificate aggregates:
+// what every signature covers, except those a notarization certificate
+// marks in Fast.
 func (c *Certificate) Digest() [32]byte {
 	return VoteDigest(c.Kind.VoteKind(), c.Round, c.Block)
 }
 
+// FastBit is 1 if Signers[i] is marked as having signed the fast-vote
+// digest, 0 otherwise: Sigs[i] covers SignerDigests()[FastBit(i)].
+func (c *Certificate) FastBit(i int) int {
+	if i/8 >= len(c.Fast) {
+		return 0
+	}
+	return int(c.Fast[i/8] >> (i % 8) & 1)
+}
+
+// FastSigned reports whether Signers[i] is marked as a fast voter.
+func (c *Certificate) FastSigned(i int) bool { return c.FastBit(i) == 1 }
+
+// SignerDigests returns the two digests a certificate's signatures can
+// cover, indexed by FastBit: Digest() for unmarked signers, the fast-vote
+// digest for marked ones (computed only when there are any).
+func (c *Certificate) SignerDigests() (d [2][32]byte) {
+	d[0] = c.Digest()
+	if len(c.Fast) > 0 {
+		d[1] = VoteDigest(VoteFast, c.Round, c.Block)
+	}
+	return d
+}
+
 // CheckShape verifies the structural well-formedness of the certificate:
 // sorted unique signers with in-range IDs and one signature each, meeting
-// the given quorum. Signature verification is done by crypto.VerifyCert.
+// the given quorum, and a Fast marker only on a notarization certificate,
+// sized to the signer list, with no bit set beyond it. Signature
+// verification is done by crypto.VerifyCert.
 func (c *Certificate) CheckShape(n, quorum int) error {
 	if !c.Kind.Valid() {
 		return fmt.Errorf("certificate: invalid kind %d", c.Kind)
@@ -192,6 +252,18 @@ func (c *Certificate) CheckShape(n, quorum int) error {
 		if i > 0 && c.Signers[i-1] >= s {
 			return fmt.Errorf("certificate: signers not strictly ascending at index %d", i)
 		}
+	}
+	if len(c.Fast) == 0 {
+		return nil
+	}
+	if c.Kind != CertNotarization {
+		return fmt.Errorf("certificate: fast-vote marker on a %s certificate", c.Kind)
+	}
+	if len(c.Fast) != (len(c.Signers)+7)/8 {
+		return fmt.Errorf("certificate: %d-byte fast-vote marker for %d signers", len(c.Fast), len(c.Signers))
+	}
+	if pad := len(c.Signers) % 8; pad != 0 && c.Fast[len(c.Fast)-1]>>pad != 0 {
+		return fmt.Errorf("certificate: fast-vote marker names a non-signer")
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package types
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -47,7 +48,7 @@ func TestNewCertificateRejectsMismatches(t *testing.T) {
 		name string
 		vote Vote
 	}{
-		{"wrong kind", mkVote(VoteFast, 3, b1, 0)},
+		{"wrong kind", mkVote(VoteFinalize, 3, b1, 0)},
 		{"wrong round", mkVote(VoteNotarize, 4, b1, 0)},
 		{"wrong block", mkVote(VoteNotarize, 3, b2, 0)},
 	}
@@ -57,6 +58,110 @@ func TestNewCertificateRejectsMismatches(t *testing.T) {
 				t.Error("expected error")
 			}
 		})
+	}
+}
+
+// TestMixedNotarization: a notarization certificate takes fast votes as
+// notarization votes and marks them; a voter that supplied both keeps the
+// fast one, whatever order the votes came in.
+func TestMixedNotarization(t *testing.T) {
+	block := BlockID{7}
+	fast := func(v ReplicaID) Vote {
+		vt := mkVote(VoteFast, 3, block, v)
+		vt.Signature = []byte{byte(v), 'f'}
+		return vt
+	}
+	votes := []Vote{
+		mkVote(VoteNotarize, 3, block, 4),
+		fast(9),
+		mkVote(VoteNotarize, 3, block, 1), fast(1), // both: fast wins
+		fast(0), mkVote(VoteNotarize, 3, block, 0), // both, other order
+	}
+	c, err := NewCertificate(CertNotarization, 3, block, votes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSigners := []ReplicaID{0, 1, 4, 9}
+	wantFast := []bool{true, true, false, true}
+	if len(c.Signers) != 4 || len(c.Fast) != 1 {
+		t.Fatalf("signers %v, marker %v", c.Signers, c.Fast)
+	}
+	for i, s := range wantSigners {
+		if c.Signers[i] != s || c.FastSigned(i) != wantFast[i] {
+			t.Errorf("position %d: signer %d fast=%v, want %d fast=%v", i, c.Signers[i], c.FastSigned(i), s, wantFast[i])
+		}
+		if wantFast[i] != (len(c.Sigs[i]) == 2) {
+			t.Errorf("signer %d: kept signature %q", s, c.Sigs[i])
+		}
+	}
+	if c.FastSigned(4) || c.FastSigned(64) {
+		t.Error("FastSigned true beyond the signer list")
+	}
+	if err := c.CheckShape(10, 4); err != nil {
+		t.Fatalf("CheckShape: %v", err)
+	}
+	// Same voters, any order: the same certificate.
+	rev := make([]Vote, len(votes))
+	for i, v := range votes {
+		rev[len(votes)-1-i] = v
+	}
+	c2, err := NewCertificate(CertNotarization, 3, block, rev)
+	if err != nil || !reflect.DeepEqual(c, c2) {
+		t.Fatalf("vote order changed the certificate: %v vs %v (%v)", c, c2, err)
+	}
+	if d := c.SignerDigests(); d[0] != VoteDigest(VoteNotarize, 3, block) || d[1] != VoteDigest(VoteFast, 3, block) {
+		t.Error("SignerDigests are not the two vote digests")
+	}
+	// No fast vote, no marker: the certificate the baselines build.
+	bare, _ := NewCertificate(CertNotarization, 3, block, []Vote{mkVote(VoteNotarize, 3, block, 2)})
+	if bare.Fast != nil {
+		t.Errorf("marker %v on a certificate of bare votes", bare.Fast)
+	}
+	// Only notarization mixes: a finalization certificate takes no fast
+	// votes, a fast-finalization no notarization votes.
+	if _, err := NewCertificate(CertFinalization, 3, block, []Vote{fast(1)}); err == nil {
+		t.Error("finalization certificate accepted a fast vote")
+	}
+	if _, err := NewCertificate(CertFastFinalization, 3, block, []Vote{mkVote(VoteNotarize, 3, block, 1)}); err == nil {
+		t.Error("fast-finalization certificate accepted a notarization vote")
+	}
+}
+
+// TestCheckShapeRejectsBadMarker: the marker is structure like the signer
+// list — only on a notarization, exactly sized, no bit past the signers.
+func TestCheckShapeRejectsBadMarker(t *testing.T) {
+	mk := func(kind CertKind, signers int, marker ...byte) *Certificate {
+		c := &Certificate{Kind: kind, Round: 1, Fast: marker}
+		for i := 0; i < signers; i++ {
+			c.Signers = append(c.Signers, ReplicaID(i))
+			c.Sigs = append(c.Sigs, []byte{1})
+		}
+		return c
+	}
+	good := []*Certificate{
+		mk(CertNotarization, 3),
+		mk(CertNotarization, 3, 0b101),
+		mk(CertNotarization, 8, 0xFF),
+		mk(CertNotarization, 9, 0xFF, 0x01),
+		mk(CertFinalization, 3),
+	}
+	for _, c := range good {
+		if err := c.CheckShape(16, 1); err != nil {
+			t.Errorf("%v marker %v: %v", c, c.Fast, err)
+		}
+	}
+	bad := map[string]*Certificate{
+		"marker on a finalization":      mk(CertFinalization, 3, 0b001),
+		"marker on a fast-finalization": mk(CertFastFinalization, 3, 0b001),
+		"bit for a non-signer":          mk(CertNotarization, 3, 0b1001),
+		"bit for a non-signer, byte 2":  mk(CertNotarization, 9, 0x00, 0x02),
+		"marker too long":               mk(CertNotarization, 3, 0b001, 0),
+		"marker too short":              mk(CertNotarization, 9, 0xFF),
+	}
+	for name, c := range bad {
+		if err := c.CheckShape(16, 1); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
 
@@ -236,4 +341,59 @@ func TestUnlockProofVoteCount(t *testing.T) {
 	if got := p.VoteCount(); got != 5 {
 		t.Fatalf("VoteCount = %d, want 5", got)
 	}
+}
+
+// FuzzMixedCertificate feeds mutated CertMsg frames through decode, the
+// shape check and a re-encode: nothing panics, what decodes re-encodes to
+// an equal message of exactly EncodedSize bytes, and a certificate that
+// passes CheckShape carries a marker only as a notarization, sized to its
+// signers, with every marked position a signer's. The seed corpus (run by
+// plain `go test`) holds the unmarked and marked forms and the malformed
+// markers CheckShape exists to reject.
+func FuzzMixedCertificate(f *testing.F) {
+	cert := func(kind CertKind, signers int, marker ...byte) []byte {
+		c := &Certificate{Kind: kind, Round: 5, Block: BlockID{1}, Fast: marker}
+		for i := 0; i < signers; i++ {
+			c.Signers = append(c.Signers, ReplicaID(2*i))
+			c.Sigs = append(c.Sigs, []byte{byte(i), 1, 2, 3})
+		}
+		return mustEncode(&CertMsg{Cert: c})
+	}
+	f.Add(cert(CertNotarization, 3))
+	f.Add(cert(CertNotarization, 3, 0b101))
+	f.Add(cert(CertNotarization, 13, 0xFF, 0x1F))
+	f.Add(cert(CertNotarization, 3, 0b1000))   // bit for a non-signer
+	f.Add(cert(CertNotarization, 3, 0b001, 0)) // too long
+	f.Add(cert(CertFinalization, 3, 0b001))    // marker on another kind
+	f.Add(cert(CertFastFinalization, 5, 0b10101))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := DecodeMessage(data)
+		if err != nil {
+			return
+		}
+		cm, ok := m.(*CertMsg)
+		if !ok {
+			return
+		}
+		enc, err := EncodeMessage(&CertMsg{Cert: cm.Cert})
+		if err != nil || len(enc) != m.EncodedSize() {
+			t.Fatalf("re-encode: %v, %d bytes, EncodedSize %d", err, len(enc), m.EncodedSize())
+		}
+		again, err := DecodeMessage(enc)
+		if err != nil || !reflect.DeepEqual(again.(*CertMsg).Cert, cm.Cert) {
+			t.Fatalf("re-encoded certificate decodes differently: %v", err)
+		}
+		c := cm.Cert
+		if c == nil || c.CheckShape(1<<16, 0) != nil {
+			return
+		}
+		if len(c.Fast) > 0 && (c.Kind != CertNotarization || len(c.Fast) != (len(c.Signers)+7)/8) {
+			t.Fatalf("CheckShape passed marker %v on %v", c.Fast, c)
+		}
+		for i := len(c.Signers); i < 8*len(c.Fast)+8; i++ {
+			if c.FastSigned(i) {
+				t.Fatalf("CheckShape passed a marker naming position %d of %d signers", i, len(c.Signers))
+			}
+		}
+	})
 }

@@ -734,12 +734,23 @@ func decodeVote(d *decoder) Vote {
 	}
 }
 
+// certMarkedTag is the presence byte of a certificate that carries a
+// fast-vote marker after its signer list; a certificate without one keeps
+// presence byte 1 and its pre-marker layout, so journals and checkpoints
+// written before the marker existed still decode.
+const certMarkedTag = 2
+
 func encodeOptCert(e *encoder, c *Certificate) {
 	if c == nil {
-		e.bool(false)
+		e.u8(0)
 		return
 	}
-	e.bool(true)
+	marked := len(c.Fast) > 0
+	if marked {
+		e.u8(certMarkedTag)
+	} else {
+		e.u8(1)
+	}
 	e.u8(uint8(c.Kind))
 	e.u64(uint64(c.Round))
 	e.id(c.Block)
@@ -748,39 +759,27 @@ func encodeOptCert(e *encoder, c *Certificate) {
 		e.u16(uint16(s))
 		e.bytes(c.Sigs[i])
 	}
+	if marked {
+		e.bytes(c.Fast)
+	}
 }
 
 func decodeOptCert(d *decoder) *Certificate {
-	if !d.bool() {
-		return nil
-	}
-	c := &Certificate{
-		Kind:  CertKind(d.u8()),
-		Round: Round(d.u64()),
-		Block: d.id(),
-	}
-	n := d.u32()
-	if d.err != nil || n > maxSliceLen/8 {
-		d.fail(ErrTruncated)
-		return nil
-	}
-	if n > 0 {
-		c.Signers = make([]ReplicaID, 0, n)
-		c.Sigs = make([][]byte, 0, n)
-	}
-	for i := uint32(0); i < n && d.err == nil; i++ {
-		c.Signers = append(c.Signers, ReplicaID(d.u16()))
-		c.Sigs = append(c.Sigs, d.bytes())
-	}
-	return c
+	return decodeOptCertInto(&Certificate{}, nil, nil, d)
 }
 
-// decodeOptCertInto is decodeOptCert backed by arena storage: signers and
-// sigs are zero-length slices over the arena's fixed arrays, used as long
-// as the signer count fits and falling back to exact-size heap slices
-// when it does not.
+// decodeOptCertInto decodes an optional certificate into caller-provided
+// storage: signers and sigs are zero-length slices (over a decode arena's
+// fixed arrays, or nil), used as long as the signer count fits and
+// replaced by exact-size heap slices when it does not. The marker, like
+// every byte field, aliases the frame or the decoder's scratch.
 func decodeOptCertInto(c *Certificate, signers []ReplicaID, sigs [][]byte, d *decoder) *Certificate {
-	if !d.bool() {
+	tag := d.u8()
+	if tag == 0 {
+		return nil
+	}
+	if tag > certMarkedTag {
+		d.fail(fmt.Errorf("types: unknown certificate form %d", tag))
 		return nil
 	}
 	c.Kind = CertKind(d.u8())
@@ -802,6 +801,9 @@ func decodeOptCertInto(c *Certificate, signers []ReplicaID, sigs [][]byte, d *de
 	if n > 0 {
 		c.Signers = signers
 		c.Sigs = sigs
+	}
+	if tag == certMarkedTag {
+		c.Fast = d.bytes()
 	}
 	return c
 }

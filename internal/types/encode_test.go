@@ -60,6 +60,17 @@ func randomCert(r *rand.Rand) *Certificate {
 		r.Read(sig)
 		c.Sigs = append(c.Sigs, sig)
 	}
+	if c.Kind == CertNotarization && r.Intn(2) == 0 {
+		// Mixed notarization: a random subset of signers marked as having
+		// signed the fast-vote digest.
+		c.Fast = make([]byte, (n+7)/8)
+		for i := 0; i < n; i++ {
+			if r.Intn(2) == 0 {
+				c.Fast[i/8] |= 1 << (i % 8)
+			}
+		}
+		c.Fast[0] |= 1 // never all-clear: that form carries no marker at all
+	}
 	return c
 }
 
@@ -347,6 +358,119 @@ func TestCertMsgRoundTrip(t *testing.T) {
 			t.Fatalf("round-trip mismatch:\n got %#v\nwant %#v", got.Cert, m.Cert)
 		}
 	}
+}
+
+// TestMarkedCertificateWire covers the marker's wire form: presence byte
+// 2 and the bitmap after the signer list when (and only when) a signer is
+// marked, the pre-marker layout byte for byte otherwise — a journal
+// written before the marker existed decodes as it always did — exact
+// sizes, in-place aliasing, and a decoder that no flipped bit can panic.
+func TestMarkedCertificateWire(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	cert := &Certificate{Kind: CertNotarization, Round: 8, Block: BlockID{4}}
+	for i := 0; i < 13; i++ {
+		cert.Signers = append(cert.Signers, ReplicaID(i))
+		cert.Sigs = append(cert.Sigs, randomBytes(r, 64))
+	}
+	plain := mustEncode(&CertMsg{Cert: cert})
+	if plain[1] != 1 {
+		t.Fatalf("unmarked certificate presence byte %d, want 1", plain[1])
+	}
+	marked := *cert
+	marked.Fast = []byte{0b1010_0101, 0b0001_0001}
+	enc := mustEncode(&CertMsg{Cert: &marked})
+	if enc[1] != certMarkedTag || len(enc) != len(plain)+4+2 {
+		t.Fatalf("marked certificate: presence byte %d, %d bytes over the unmarked form", enc[1], len(enc)-len(plain))
+	}
+	if !bytes.Equal(enc[2:len(plain)], plain[2:]) {
+		t.Fatal("the marker changed the layout ahead of it")
+	}
+	for _, m := range []Message{
+		&CertMsg{Cert: &marked},
+		&Advance{Notarization: &marked, Unlock: randomUnlock(r)},
+		&Proposal{Header: randomBlock(r).SignedHeader(), ParentNotarization: &marked, Relayed: true},
+		&Proposal{Block: randomBlock(r), ParentNotarization: &marked},
+		&SyncResponse{Finalization: &marked}, // wrong kind of certificate for the field: still round-trips
+	} {
+		enc := mustEncode(m)
+		if m.EncodedSize() != len(enc) {
+			t.Fatalf("%T: EncodedSize %d, encoded %d", m, m.EncodedSize(), len(enc))
+		}
+		if got := roundTrip(t, m); !reflect.DeepEqual(normalize(got), normalize(m)) {
+			t.Fatalf("%T round-trip mismatch:\n got %#v\nwant %#v", m, got, m)
+		}
+		ip, err := DecodeMessageInPlace(enc)
+		if err != nil || !reflect.DeepEqual(normalize(ip), normalize(m)) {
+			t.Fatalf("%T in-place decode: %v", m, err)
+		}
+	}
+	// In place, the marker aliases the frame like the signatures do.
+	ip, _ := DecodeMessageInPlace(enc)
+	fast := ip.(*CertMsg).Cert.Fast
+	if &fast[0] != &enc[len(enc)-2] {
+		t.Error("in-place decode copied the marker")
+	}
+
+	// An unknown presence byte is rejected, not read as a certificate.
+	bad := append([]byte(nil), enc...)
+	bad[1] = 3
+	if _, err := DecodeMessage(bad); err == nil {
+		t.Error("unknown certificate form accepted")
+	}
+	// Mutation fuzz: no panic; a mutant that decodes is either the
+	// original or differs from it — and the shape check, not the decoder,
+	// is what judges its marker.
+	for i := 0; i < 4000; i++ {
+		data := append([]byte(nil), enc...)
+		at := r.Intn(len(data))
+		data[at] ^= byte(1 << r.Intn(8))
+		m, err := DecodeMessage(data)
+		if err != nil {
+			continue
+		}
+		if c := m.(*CertMsg).Cert; c != nil && reflect.DeepEqual(c, &marked) {
+			t.Fatalf("flip at byte %d decoded to the original certificate", at)
+		}
+	}
+	// The flips that land in the marker's length or padding are the ones
+	// CheckShape exists for.
+	for _, mutant := range []*Certificate{
+		{Kind: CertNotarization, Signers: cert.Signers, Sigs: cert.Sigs, Fast: []byte{0xFF, 0xFF}},
+		{Kind: CertNotarization, Signers: cert.Signers, Sigs: cert.Sigs, Fast: []byte{0xFF}},
+		{Kind: CertFinalization, Signers: cert.Signers, Sigs: cert.Sigs, Fast: marked.Fast},
+	} {
+		got := roundTrip(t, &CertMsg{Cert: mutant}).(*CertMsg).Cert
+		if !reflect.DeepEqual(got.Fast, mutant.Fast) {
+			t.Fatal("a malformed marker did not survive the wire to be judged")
+		}
+		if got.CheckShape(64, 1) == nil {
+			t.Errorf("malformed marker %v on a %s accepted", got.Fast, got.Kind)
+		}
+	}
+}
+
+// normalize strips what encoding memoizes (cached bytes, cached IDs) so
+// messages compare by content.
+func normalize(m Message) Message {
+	switch v := m.(type) {
+	case *CertMsg:
+		return &CertMsg{Cert: v.Cert}
+	case *Advance:
+		return &Advance{Notarization: v.Notarization, Unlock: v.Unlock}
+	case *SyncResponse:
+		return &SyncResponse{Blocks: v.Blocks, Finalization: v.Finalization}
+	case *Proposal:
+		cp := &Proposal{ParentNotarization: v.ParentNotarization, ParentUnlock: v.ParentUnlock, Relayed: v.Relayed}
+		if v.Header != nil {
+			cp.Header = &SignedHeader{BlockHeader: v.Header.BlockHeader, Signature: v.Header.Signature}
+		}
+		if v.Block != nil {
+			cp.Header = v.Block.SignedHeader()
+			cp.Header.id, cp.Header.hashed = BlockID{}, false
+		}
+		return cp
+	}
+	return m
 }
 
 func TestAdvanceRoundTrip(t *testing.T) {

@@ -339,6 +339,9 @@ func certWireSize(c *Certificate) int {
 	for _, sig := range c.Sigs {
 		s += sliceWireSize(sig)
 	}
+	if len(c.Fast) > 0 {
+		s += sliceWireSize(c.Fast)
+	}
 	return s
 }
 

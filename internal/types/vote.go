@@ -12,14 +12,18 @@ import (
 type VoteKind uint8
 
 const (
-	// VoteNotarize is a notarization vote: the voter validated the block
-	// (paper section 4, "Notarization").
+	// VoteNotarize is a bare notarization vote: the voter validated the
+	// block (paper section 4, "Notarization"). Banyan signs one only for a
+	// block it did not fast-vote — see VoteFast.
 	VoteNotarize VoteKind = iota + 1
 	// VoteFinalize is a finalization vote: the voter notarization-voted for
 	// no other block in the round (paper section 4, "Finalization").
 	VoteFinalize
 	// VoteFast is a Banyan fast vote: cast for the first block the voter
-	// notarization-votes for in a round (Definition 6.2).
+	// notarization-votes for in a round (Definition 6.2). Because it is
+	// only ever cast together with that notarization vote, it is sent as
+	// that vote too: one signature, which receivers and notarization
+	// certificates count as the voter's notarization vote for the block.
 	VoteFast
 )
 
@@ -50,8 +54,10 @@ type Vote struct {
 
 // VoteDigest is the message digest a voter signs. It covers kind, round and
 // block; the voter's identity is bound by its signing key, so it is not part
-// of the digest. This keeps all votes of one certificate on a shared digest,
-// which is what makes signature aggregation possible.
+// of the digest. This keeps all votes of one kind in a certificate on a
+// shared digest, which is what makes signature aggregation possible: one
+// digest per certificate, two at most for a notarization (its fast voters
+// signed the VoteFast digest, see Certificate.Fast).
 func VoteDigest(kind VoteKind, round Round, block BlockID) [32]byte {
 	var buf [1 + 8 + 32]byte
 	buf[0] = byte(kind)
