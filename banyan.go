@@ -24,24 +24,24 @@
 package banyan
 
 import (
-	"fmt"
 	"time"
 
 	"banyan/internal/protocol"
+	"banyan/internal/stack"
 	"banyan/internal/types"
 )
 
 // Protocol selects a consensus protocol.
-type Protocol string
+type Protocol = stack.Protocol
 
 // The four protocols of the paper's evaluation. ProtocolBanyanNoFast is
 // Banyan with the fast path disabled (the ablation of DESIGN.md §6).
 const (
-	ProtocolBanyan       Protocol = "banyan"
-	ProtocolBanyanNoFast Protocol = "banyan-nofast"
-	ProtocolICC          Protocol = "icc"
-	ProtocolHotStuff     Protocol = "hotstuff"
-	ProtocolStreamlet    Protocol = "streamlet"
+	ProtocolBanyan       = stack.Banyan
+	ProtocolBanyanNoFast = stack.BanyanNoFast
+	ProtocolICC          = stack.ICC
+	ProtocolHotStuff     = stack.HotStuff
+	ProtocolStreamlet    = stack.Streamlet
 )
 
 // FinalizationPath says how a block was explicitly finalized.
@@ -95,36 +95,11 @@ type Commit struct {
 // enforces n >= max(3f+2p-1, 3f+1) with 1 <= p <= f; the baselines
 // enforce n >= 3f+1.
 func Params(proto Protocol, n, f, p int) (types.Params, error) {
-	switch proto {
-	case ProtocolBanyan, ProtocolBanyanNoFast:
-		pr := types.Params{N: n, F: f, P: p}
-		if err := pr.Validate(); err != nil {
-			return types.Params{}, err
-		}
-		if p < 1 && proto == ProtocolBanyan {
-			return types.Params{}, fmt.Errorf("banyan: p must be at least 1")
-		}
-		return pr, nil
-	case ProtocolICC, ProtocolHotStuff, ProtocolStreamlet:
-		if n < 3*f+1 {
-			return types.Params{}, fmt.Errorf("banyan: n = %d below 3f+1 for f = %d", n, f)
-		}
-		return types.Params{N: n, F: f}, nil
-	default:
-		return types.Params{}, fmt.Errorf("banyan: unknown protocol %q", proto)
-	}
+	return stack.Params(proto, n, f, p)
 }
 
 // DefaultParams picks the largest tolerable f for n replicas: for Banyan
 // the largest f compatible with the given p; for baselines f = (n-1)/3.
 func DefaultParams(proto Protocol, n, p int) (types.Params, error) {
-	switch proto {
-	case ProtocolBanyan, ProtocolBanyanNoFast:
-		if p < 1 {
-			p = 1
-		}
-		return types.BanyanParams(n, p)
-	default:
-		return types.Params{N: n, F: types.MaxFaultyFor(n)}, nil
-	}
+	return stack.DefaultParams(proto, n, p)
 }

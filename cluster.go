@@ -3,23 +3,13 @@ package banyan
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
-	"banyan/internal/beacon"
-	"banyan/internal/blocktree"
-	"banyan/internal/core"
 	"banyan/internal/crypto"
-	"banyan/internal/dissem"
-	"banyan/internal/hotstuff"
-	"banyan/internal/icc"
-	"banyan/internal/membership"
-	"banyan/internal/mempool"
 	"banyan/internal/node"
 	"banyan/internal/obs"
-	"banyan/internal/protocol"
-	"banyan/internal/streamlet"
+	"banyan/internal/stack"
 	"banyan/internal/transport/channel"
 	"banyan/internal/types"
 	"banyan/internal/wal"
@@ -56,15 +46,10 @@ type ClusterConfig struct {
 	// Seed makes key generation deterministic (a production deployment
 	// would exchange real keys; the cluster bootstraps a demo PKI).
 	Seed uint64
-	// CommitBuffer is the capacity of the Commits channel (default 1024).
-	CommitBuffer int
 	// VerifyWorkers sizes each replica's signature-verification pool: 0
 	// selects GOMAXPROCS, 1 verifies inline, negative additionally skips
 	// the node's preverification stage.
 	VerifyWorkers int
-	// VerifyCacheSize caps each replica's verified-signature cache
-	// (0 default, negative disables caching).
-	VerifyCacheSize int
 	// WALDir, when non-empty, gives every replica a write-ahead log in
 	// WALDir/replica-<i>. Replicas journal inbound messages, their own
 	// proposals/votes/certificates and commit decisions; CrashReplica and
@@ -76,19 +61,6 @@ type ClusterConfig struct {
 	WALSyncEveryRecord bool
 	// WALSyncInterval is the group-commit window (0 = 2ms).
 	WALSyncInterval time.Duration
-	// WALSyncBytes flushes a group early at this many buffered bytes
-	// (0 = 256 KiB).
-	WALSyncBytes int
-	// WALSegmentBytes rotates log segments at this size (0 = 64 MiB).
-	WALSegmentBytes int
-	// WALNoForceOwn drops the force-log-before-send rule for replicas'
-	// own signed messages (see wal.SyncPolicy.NoForceOwn): faster, but a
-	// crash may forget a vote the network already saw.
-	WALNoForceOwn bool
-	// WALContinueOnError keeps sending own votes after a WAL write error
-	// instead of failing safe by going silent (see
-	// wal.RecorderConfig.ContinueOnError).
-	WALContinueOnError bool
 	// WALCheckpointRounds controls WAL checkpointing: every this many
 	// finalized rounds the replica journals an engine snapshot and
 	// truncates the log behind it, so restart replay and disk usage stay
@@ -147,85 +119,64 @@ type ClusterConfig struct {
 	ObsTraceEvents int
 }
 
-// defaultWALCheckpointRounds matches the engine's default PruneKeep, so
-// replay work after a checkpointed restart is the same order as the
-// engine's own in-memory retention.
-const defaultWALCheckpointRounds = 16
-
-// walCheckpointEvery resolves the WALCheckpointRounds knob.
-func walCheckpointEvery(rounds int) types.Round {
-	switch {
-	case rounds < 0:
-		return 0
-	case rounds == 0:
-		return defaultWALCheckpointRounds
-	default:
-		return types.Round(rounds)
+// options is the one mapping from the public fields to the stack's
+// options; beyond it NewCluster reads only what is the hub's own business
+// (LinkDelay, HoldStart). Adding a knob means adding it to stack.Options
+// and to the mappings that expose it (TestOptionsReadEveryField fails on
+// a field no mapping reads).
+func (cfg ClusterConfig) options() stack.Options {
+	o := stack.Options{
+		Protocol:            cfg.Protocol,
+		N:                   cfg.N,
+		F:                   cfg.F,
+		P:                   cfg.P,
+		MaxN:                cfg.MaxN,
+		Delta:               cfg.Delta,
+		BlockBytes:          cfg.MaxBlockBytes,
+		Scheme:              cfg.Scheme,
+		Seed:                cfg.Seed,
+		Verify:              crypto.VerifyConfig{Workers: cfg.VerifyWorkers},
+		OptimisticProposals: cfg.OptimisticProposals,
+		DeepPrune:           cfg.DeepPrune,
+		PruneKeep:           types.Round(cfg.PruneKeep),
+		PruneInterval:       types.Round(cfg.PruneInterval),
+		Dissem:              cfg.Dissem,
+		DissemBatchBytes:    cfg.DissemBatchBytes,
+		DissemInlineMax:     cfg.DissemInlineMax,
+		WALDir:              cfg.WALDir,
+		WALSync:             wal.SyncPolicy{EveryRecord: cfg.WALSyncEveryRecord, Interval: cfg.WALSyncInterval},
+		WALCheckpointRounds: cfg.WALCheckpointRounds,
+		Obs:                 cfg.Obs,
+		ObsTraceEvents:      cfg.ObsTraceEvents,
 	}
+	if o.Delta == 0 {
+		o.Delta = 10 * time.Millisecond
+		if cfg.LinkDelay > 0 {
+			o.Delta = 2*cfg.LinkDelay + 5*time.Millisecond
+		}
+	}
+	if o.Scheme == "" {
+		o.Scheme = "ed25519"
+	}
+	return o
 }
 
-// checkpointEveryFor gates checkpointing on the engine's capability:
-// only the Banyan core engine implements protocol.Snapshotter; the
-// baseline engines run their WAL append-only.
-func checkpointEveryFor(proto Protocol, rounds int) types.Round {
-	switch proto {
-	case ProtocolBanyan, ProtocolBanyanNoFast:
-		return walCheckpointEvery(rounds)
-	default:
-		return 0
-	}
-}
-
-// walOptions converts the ClusterConfig knobs to wal.Options.
-func (cfg ClusterConfig) walOptions() wal.Options {
-	return wal.Options{
-		Sync: wal.SyncPolicy{
-			EveryRecord: cfg.WALSyncEveryRecord,
-			Interval:    cfg.WALSyncInterval,
-			Bytes:       cfg.WALSyncBytes,
-			NoForceOwn:  cfg.WALNoForceOwn,
-		},
-		SegmentBytes: cfg.WALSegmentBytes,
-	}
-}
-
-// Cluster is an n-replica consensus cluster running in one process. It
-// exposes the replica-0 application view: submitted transactions are
-// load-balanced across all replicas' mempools, and finalized blocks are
-// streamed from replica 0 (all replicas finalize identical chains).
+// Cluster is an n-replica consensus cluster running in one process: a
+// channel hub and one host per provisioned identity. It exposes the
+// replica-0 application view: submitted transactions are load-balanced
+// across all replicas' mempools, and finalized blocks are streamed from
+// replica 0 (all replicas finalize identical chains).
 type Cluster struct {
-	cfg     ClusterConfig
-	params  types.Params
-	maxN    int
-	hub     *channel.Hub
-	nodes   []*node.Node
-	engines []protocol.Engine
-	recs    []*wal.Recorder // nil entries without WALDir
-	pools   []*mempool.Pool
-	stores  []*dissem.Store // nil entries without Dissem
-	// verifiers are the per-replica verification pipelines (nil entries
-	// for the baselines), rebuilt with the engine on restart.
-	verifiers []*crypto.Verifier
-	// reconfigs are the per-replica hand-off slots for validator-set
-	// changes (Banyan protocols; nil entries otherwise). They outlive
-	// engine rebuilds, so a pending change survives a crash-restart.
-	reconfigs []*membership.Reconfigurator
-	// observers are the per-replica observability bundles (nil entries
-	// without Obs). Like reconfigs they outlive engine rebuilds.
-	observers []*obs.Observer
-
-	// Rebuild materials for RestartReplica: the shared demo PKI and
-	// beacon every engine was constructed from.
-	keyring *crypto.Keyring
-	signers []*crypto.Signer
-	beacon  beacon.Beacon
+	opts   stack.Options
+	hub    *channel.Hub
+	hosts  []*host
+	faults faultLog
 
 	commits   chan Commit
 	rawCommit chan node.CommitEvent
 
 	mu       sync.Mutex
 	nextPool int
-	faults   []error
 	started  bool
 	stopped  bool
 	crashed  []bool
@@ -237,155 +188,48 @@ type Cluster struct {
 
 // NewCluster assembles a cluster; call Start to run it.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
-	if cfg.N <= 0 {
-		return nil, fmt.Errorf("banyan: cluster needs N > 0")
-	}
-	if cfg.Protocol == "" {
-		cfg.Protocol = ProtocolBanyan
-	}
-	if cfg.P == 0 {
-		cfg.P = 1
-	}
-	var params types.Params
-	var err error
-	if cfg.F == 0 {
-		params, err = DefaultParams(cfg.Protocol, cfg.N, cfg.P)
-	} else {
-		params, err = Params(cfg.Protocol, cfg.N, cfg.F, cfg.P)
-	}
+	opts, err := cfg.options().Fill()
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Delta == 0 {
-		cfg.Delta = 10 * time.Millisecond
-		if cfg.LinkDelay > 0 {
-			cfg.Delta = 2*cfg.LinkDelay + 5*time.Millisecond
-		}
-	}
-	if cfg.MaxBlockBytes <= 0 {
-		cfg.MaxBlockBytes = 1 << 20
-	}
-	if cfg.Scheme == "" {
-		cfg.Scheme = "ed25519"
-	}
-	if cfg.CommitBuffer <= 0 {
-		cfg.CommitBuffer = 1024
-	}
-	if cfg.Dissem {
-		if cfg.Protocol != ProtocolBanyan && cfg.Protocol != ProtocolBanyanNoFast {
-			return nil, fmt.Errorf("banyan: Dissem requires a Banyan protocol, got %q", cfg.Protocol)
-		}
-		if cfg.DissemBatchBytes <= 0 {
-			cfg.DissemBatchBytes = 64 << 10
-		}
-	}
-
-	maxN := cfg.MaxN
-	if maxN == 0 {
-		maxN = params.N
-	}
-	if maxN < params.N {
-		return nil, fmt.Errorf("banyan: MaxN %d below N %d", maxN, params.N)
-	}
-	if maxN > params.N && cfg.Protocol != ProtocolBanyan && cfg.Protocol != ProtocolBanyanNoFast {
-		return nil, fmt.Errorf("banyan: MaxN requires a Banyan protocol, got %q", cfg.Protocol)
-	}
-
-	scheme, err := crypto.SchemeByName(cfg.Scheme)
+	keyring, signers, err := opts.Keys()
 	if err != nil {
 		return nil, err
 	}
-	keyring, signers := crypto.GenerateCluster(scheme, maxN, cfg.Seed)
-	bc, err := beacon.NewRoundRobin(params.N)
-	if err != nil {
-		return nil, err
-	}
-
 	var hubOpts channel.Options
-	if cfg.LinkDelay > 0 {
-		d := cfg.LinkDelay
+	if d := cfg.LinkDelay; d > 0 {
 		hubOpts.Delay = func(_, _ types.ReplicaID) time.Duration { return d }
 	}
-	hub := channel.NewHub(maxN, hubOpts)
-
 	c := &Cluster{
-		cfg:       cfg,
-		params:    params,
-		maxN:      maxN,
-		hub:       hub,
-		nodes:     make([]*node.Node, maxN),
-		engines:   make([]protocol.Engine, maxN),
-		recs:      make([]*wal.Recorder, maxN),
-		pools:     make([]*mempool.Pool, maxN),
-		stores:    make([]*dissem.Store, maxN),
-		verifiers: make([]*crypto.Verifier, maxN),
-		reconfigs: make([]*membership.Reconfigurator, maxN),
-		observers: make([]*obs.Observer, maxN),
-		keyring:   keyring,
-		signers:   signers,
-		beacon:    bc,
-		crashed:   make([]bool, maxN),
-		crashing:  make([]bool, maxN),
-		held:      make([]bool, maxN),
-		commits:   make(chan Commit, cfg.CommitBuffer),
-		rawCommit: make(chan node.CommitEvent, cfg.CommitBuffer),
+		opts:      opts,
+		hub:       channel.NewHub(opts.MaxN, hubOpts),
+		hosts:     make([]*host, opts.MaxN),
+		crashed:   make([]bool, opts.MaxN),
+		crashing:  make([]bool, opts.MaxN),
+		held:      make([]bool, opts.MaxN),
+		commits:   make(chan Commit, commitBuffer),
+		rawCommit: make(chan node.CommitEvent, commitBuffer),
 		done:      make(chan struct{}),
 	}
-	switch cfg.Protocol {
-	case ProtocolBanyan, ProtocolBanyanNoFast:
-		for i := range c.reconfigs {
-			c.reconfigs[i] = &membership.Reconfigurator{}
-		}
-	}
 	for _, h := range cfg.HoldStart {
-		if h < 0 || h >= maxN {
-			return nil, fmt.Errorf("banyan: HoldStart replica %d out of range (n=%d)", h, maxN)
+		if h < 0 || h >= opts.MaxN {
+			return nil, fmt.Errorf("banyan: HoldStart replica %d out of range (n=%d)", h, opts.MaxN)
 		}
 		c.held[h] = true
 	}
 	// Provisioned non-genesis identities are implicitly held: they enter
 	// via JoinReplica once (or just before) a ConfigChange admits them.
-	for i := params.N; i < maxN; i++ {
+	for i := opts.N; i < opts.MaxN; i++ {
 		c.held[i] = true
 	}
-	for i := 0; i < maxN; i++ {
-		if cfg.Dissem {
-			// The batch size caps individual transactions (oversize is a
-			// typed Submit rejection, never truncation), and submitters
-			// shard so one heavy client cannot starve the rest of a batch.
-			c.pools[i] = mempool.NewShardedPool(0, cfg.DissemBatchBytes, params.N)
-		} else {
-			c.pools[i] = mempool.NewPool(0, cfg.MaxBlockBytes)
-		}
-		if cfg.Obs {
-			o := obs.New(obs.Options{TraceEvents: cfg.ObsTraceEvents})
-			c.observers[i] = o
-			// Pull-style gauges refresh at scrape time: the pool is stable
-			// across restarts, the store and verifier slots are read under
-			// c.mu because buildReplica swaps them on restart.
-			idx := i
-			o.OnCollect(func(o *obs.Observer) {
-				o.MempoolDepth.Set(int64(c.pools[idx].Len()))
-				s, v := c.slotsOf(idx)
-				if s != nil {
-					o.DissemStoreBytes.Set(s.HeldBytes())
-				}
-				collectVerifier(o, v)
-			})
-		}
+	for i := range c.hosts {
+		id := types.ReplicaID(i)
+		c.hosts[i] = newHost(id, opts, keyring, signers[i], opts.ReplicaWALDir(id), nil)
 		if err := c.buildReplica(i); err != nil {
 			return nil, err
 		}
 	}
 	return c, nil
-}
-
-// slotsOf returns a replica's dissemination store and verifier slots
-// under the lock (RestartReplica swaps them).
-func (c *Cluster) slotsOf(i int) (*dissem.Store, *crypto.Verifier) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stores[i], c.verifiers[i]
 }
 
 // Observer returns a replica's observability bundle (nil without
@@ -394,200 +238,20 @@ func (c *Cluster) slotsOf(i int) (*dissem.Store, *crypto.Verifier) {
 // are safe to read while the cluster runs, and it survives
 // crash-restarts of its replica.
 func (c *Cluster) Observer(replica int) *obs.Observer {
-	if replica < 0 || replica >= len(c.observers) {
-		return nil
+	if h := c.host(replica); h != nil {
+		return h.surv.Obs
 	}
-	return c.observers[replica]
-}
-
-// buildReplica assembles (or reassembles, after a crash) replica i's
-// engine, optional WAL recorder, and node over the shared hub. The
-// mempool is reused across restarts — submitted transactions survive.
-func (c *Cluster) buildReplica(i int) error {
-	id := types.ReplicaID(i)
-	verifyCfg := crypto.VerifyConfig{Workers: c.cfg.VerifyWorkers, CacheSize: c.cfg.VerifyCacheSize}
-	// One verifier per Banyan replica, shared between the engine and
-	// the node's preverification stage so cache warm-ups reach the
-	// engine. The baseline engines verify through the keyring
-	// directly, so building one for them would be dead weight.
-	verifier := newVerifierFor(c.cfg.Protocol, c.keyring, verifyCfg)
-	c.verifiers[i] = verifier
-	if c.cfg.Dissem {
-		// A fresh store per build: batch bodies are deliberately not
-		// journaled (the WAL holds the refs inside blocks), so a restarted
-		// replica re-fetches any finalized body it is missing — the ack
-		// quorum guarantees f+1 other holders.
-		c.stores[i] = dissem.NewStore(dissem.Config{
-			Self:       id,
-			N:          c.params.N,
-			BatchBytes: c.cfg.DissemBatchBytes,
-			InlineMax:  c.cfg.DissemInlineMax,
-			BlockBytes: c.cfg.MaxBlockBytes,
-			Source:     c.pools[i],
-		})
-	}
-	eng, err := buildEngine(c.cfg.Protocol, c.params, id, c.keyring, verifier,
-		c.signers[i], c.beacon, c.pools[i], engineTuning{
-			delta:         c.cfg.Delta,
-			deepPrune:     c.cfg.DeepPrune,
-			pruneKeep:     types.Round(c.cfg.PruneKeep),
-			pruneInterval: types.Round(c.cfg.PruneInterval),
-			optimistic:    c.cfg.OptimisticProposals,
-			dissem:        c.stores[i],
-			reconfig:      c.reconfigs[i],
-			obs:           c.observers[i],
-		})
-	if err != nil {
-		return err
-	}
-	c.engines[i] = eng
-	hosted := eng
-	if c.cfg.WALDir != "" {
-		walOpts := c.cfg.walOptions()
-		if o := c.observers[i]; o != nil {
-			walOpts.FlushHist = o.WALFlush
-		}
-		rec, err := wal.NewRecorder(wal.RecorderConfig{
-			Dir:             filepath.Join(c.cfg.WALDir, fmt.Sprintf("replica-%d", i)),
-			Engine:          eng,
-			Options:         walOpts,
-			ContinueOnError: c.cfg.WALContinueOnError,
-			CheckpointEvery: checkpointEveryFor(c.cfg.Protocol, c.cfg.WALCheckpointRounds),
-		})
-		if err != nil {
-			return err
-		}
-		c.recs[i] = rec
-		hosted = rec
-	}
-	var commitCh chan<- node.CommitEvent
-	if i == 0 {
-		commitCh = c.rawCommit
-	}
-	n, err := node.New(node.Config{
-		Engine:        hosted,
-		Transport:     c.hub.Transport(id),
-		Commits:       commitCh,
-		OnFault:       func(err error) { c.recordFault(err) },
-		Preverifier:   preverifierFor(verifier),
-		VerifyWorkers: c.cfg.VerifyWorkers,
-		Obs:           c.observers[i],
-	})
-	if err != nil {
-		return err
-	}
-	c.nodes[i] = n
 	return nil
 }
 
-// newVerifierFor builds the shared verification pipeline for the Banyan
-// engines; the baselines verify through the keyring directly and get nil.
-func newVerifierFor(proto Protocol, keyring *crypto.Keyring, cfg crypto.VerifyConfig) *crypto.Verifier {
-	switch proto {
-	case ProtocolBanyan, ProtocolBanyanNoFast:
-		return crypto.NewVerifier(keyring, cfg)
-	default:
-		return nil
+// buildReplica assembles (or reassembles, after a crash) replica i over
+// the shared hub; only replica 0 feeds the commit stream.
+func (c *Cluster) buildReplica(i int) error {
+	var commits chan<- node.CommitEvent
+	if i == 0 {
+		commits = c.rawCommit
 	}
-}
-
-// preverifierFor adapts a possibly-nil verifier to the node's Preverifier
-// interface (a typed nil inside the interface would dodge the node's
-// nil check and panic on first use).
-func preverifierFor(verifier *crypto.Verifier) node.Preverifier {
-	if verifier == nil {
-		return nil
-	}
-	return verifier
-}
-
-// collectVerifier refreshes the verification gauges of a scrape from a
-// replica's pipeline (nil for the baselines): signatures found in the
-// verified cache, signatures verified, and signatures preverification
-// skipped because their round was settled.
-func collectVerifier(o *obs.Observer, v *crypto.Verifier) {
-	if v == nil {
-		return
-	}
-	hits, misses := v.CacheStats()
-	o.VerifyCacheHits.Set(hits)
-	o.VerifyCacheMisses.Set(misses)
-	o.VerifySettledSkipped.Set(v.SettledSkipped())
-}
-
-// engineTuning bundles the per-deployment engine knobs shared by
-// Cluster and Replica construction.
-type engineTuning struct {
-	delta         time.Duration
-	deepPrune     bool
-	pruneKeep     types.Round
-	pruneInterval types.Round
-	optimistic    bool
-	dissem        *dissem.Store
-	reconfig      *membership.Reconfigurator
-	obs           *obs.Observer
-}
-
-func buildEngine(proto Protocol, params types.Params, id types.ReplicaID,
-	keyring *crypto.Keyring, verifier *crypto.Verifier, signer *crypto.Signer, bc beacon.Beacon,
-	payloads protocol.PayloadSource, tune engineTuning) (protocol.Engine, error) {
-	delta := tune.delta
-	if tune.dissem != nil && proto != ProtocolBanyan && proto != ProtocolBanyanNoFast {
-		return nil, fmt.Errorf("banyan: batch dissemination requires a Banyan protocol, got %q", proto)
-	}
-	switch proto {
-	case ProtocolBanyan, ProtocolBanyanNoFast:
-		return core.New(core.Config{
-			Params:              params,
-			Self:                id,
-			Keyring:             keyring,
-			Verifier:            verifier,
-			Signer:              signer,
-			Beacon:              bc,
-			Payloads:            payloads,
-			Delta:               delta,
-			Reconfig:            tune.reconfig,
-			DisableFastPath:     proto == ProtocolBanyanNoFast,
-			OptimisticProposals: tune.optimistic,
-			DeepPrune:           tune.deepPrune,
-			PruneKeep:           tune.pruneKeep,
-			PruneInterval:       tune.pruneInterval,
-			Dissem:              tune.dissem,
-			Obs:                 tune.obs,
-		})
-	case ProtocolICC:
-		return icc.New(icc.Config{
-			Params:   params,
-			Self:     id,
-			Keyring:  keyring,
-			Signer:   signer,
-			Beacon:   bc,
-			Payloads: payloads,
-			Delta:    delta,
-		})
-	case ProtocolHotStuff:
-		return hotstuff.New(hotstuff.Config{
-			Params:      params,
-			Self:        id,
-			Keyring:     keyring,
-			Signer:      signer,
-			Beacon:      bc,
-			Payloads:    payloads,
-			ViewTimeout: 6 * delta,
-		})
-	case ProtocolStreamlet:
-		return streamlet.New(streamlet.Config{
-			Params:        params,
-			Self:          id,
-			Keyring:       keyring,
-			Signer:        signer,
-			Beacon:        bc,
-			Payloads:      payloads,
-			EpochDuration: 2 * delta,
-		})
-	default:
-		return nil, fmt.Errorf("banyan: unknown protocol %q", proto)
-	}
+	return c.hosts[i].build(c.hub.Transport(types.ReplicaID(i)), commits, c.faults.record)
 }
 
 // Start boots every replica.
@@ -599,16 +263,24 @@ func (c *Cluster) Start() error {
 	}
 	c.started = true
 	c.mu.Unlock()
-	go c.pump()
-	for i, n := range c.nodes {
+	go c.hosts[0].pump(c.rawCommit, c.commits, c.done)
+	for i, h := range c.hosts {
 		if c.held[i] {
 			continue
 		}
-		if err := n.Start(); err != nil {
+		if err := h.node.Start(); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// host returns a replica's host, or nil for an invalid replica.
+func (c *Cluster) host(replica int) *host {
+	if replica < 0 || replica >= len(c.hosts) {
+		return nil
+	}
+	return c.hosts[replica]
 }
 
 // JoinReplica starts a replica that was held out of Start (see
@@ -620,7 +292,8 @@ func (c *Cluster) Start() error {
 func (c *Cluster) JoinReplica(replica int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if replica < 0 || replica >= len(c.nodes) {
+	h := c.host(replica)
+	if h == nil {
 		return fmt.Errorf("banyan: no replica %d", replica)
 	}
 	if !c.started || c.stopped {
@@ -632,8 +305,8 @@ func (c *Cluster) JoinReplica(replica int) error {
 	// A joiner's transport exists from join time: the traffic the hub
 	// queued for its slot while it was held predates the replica and is
 	// discarded, exactly as a real deployment would never have seen it.
-	c.hub.Drain(types.ReplicaID(replica))
-	if err := c.nodes[replica].Start(); err != nil {
+	c.hub.Drain(h.id)
+	if err := h.node.Start(); err != nil {
 		return err
 	}
 	c.held[replica] = false
@@ -648,16 +321,7 @@ func (c *Cluster) JoinReplica(replica int) error {
 // sync. The joining replica's key comes from the cluster's provisioned
 // keyring. Banyan protocols only.
 func (c *Cluster) AddValidator(replica int) error {
-	if replica < 0 || replica >= c.maxN {
-		return fmt.Errorf("banyan: no provisioned identity %d (MaxN=%d)", replica, c.maxN)
-	}
-	key := c.keyring.PublicKey(types.ReplicaID(replica))
-	if key == nil {
-		return fmt.Errorf("banyan: no key provisioned for replica %d", replica)
-	}
-	return c.proposeChange(types.ConfigChange{
-		Op: types.ConfigAdd, Replica: types.ReplicaID(replica), PubKey: key,
-	})
+	return c.proposeChange(types.ConfigAdd, replica)
 }
 
 // RemoveValidator proposes evicting a validator from the set. From the
@@ -665,33 +329,27 @@ func (c *Cluster) AddValidator(replica int) error {
 // certificates are verified against the shrunken set; the replica itself
 // keeps running as a non-voting observer. Banyan protocols only.
 func (c *Cluster) RemoveValidator(replica int) error {
-	if replica < 0 || replica >= c.maxN {
-		return fmt.Errorf("banyan: no replica %d", replica)
-	}
-	return c.proposeChange(types.ConfigChange{
-		Op: types.ConfigRemove, Replica: types.ReplicaID(replica),
-	})
+	return c.proposeChange(types.ConfigRemove, replica)
 }
 
 // proposeChange hands a change to every replica's reconfiguration slot:
 // whichever leader proposes first attaches it, a second attachment is a
 // deterministic no-op under membership.Apply, and every slot clears when
 // its engine observes the change finalized.
-func (c *Cluster) proposeChange(change types.ConfigChange) error {
+func (c *Cluster) proposeChange(op types.ConfigOp, replica int) error {
+	change, err := c.hosts[0].configChange(op, replica)
+	if err != nil {
+		return err
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.started || c.stopped {
 		return fmt.Errorf("banyan: cluster is not running")
 	}
-	proposed := false
-	for _, r := range c.reconfigs {
-		if r != nil {
-			r.Propose(change)
-			proposed = true
+	for _, h := range c.hosts {
+		if err := h.propose(change); err != nil {
+			return err
 		}
-	}
-	if !proposed {
-		return fmt.Errorf("banyan: reconfiguration requires a Banyan protocol, got %q", c.cfg.Protocol)
 	}
 	return nil
 }
@@ -700,103 +358,19 @@ func (c *Cluster) proposeChange(change types.ConfigChange) error {
 // (0 for the single-epoch baselines or an invalid replica). Safe to poll
 // while the cluster runs; tests use it to await an epoch change.
 func (c *Cluster) Epoch(replica int) uint32 {
-	h := c.historyOf(replica)
-	if h == nil {
-		return 0
+	if h := c.host(replica); h != nil {
+		return h.epoch()
 	}
-	return h.Current().Epoch()
+	return 0
 }
 
 // MemberIDs returns the validator IDs of a replica's current epoch, in
 // set order (nil for baselines or an invalid replica).
 func (c *Cluster) MemberIDs(replica int) []int {
-	h := c.historyOf(replica)
-	if h == nil {
-		return nil
+	if h := c.host(replica); h != nil {
+		return h.memberIDs()
 	}
-	members := h.Current().Members()
-	out := make([]int, len(members))
-	for i, m := range members {
-		out[i] = int(m)
-	}
-	return out
-}
-
-// historyOf returns a replica's validator-set history, or nil when the
-// engine has none (baseline protocols). The History handle is fixed at
-// engine construction and internally synchronized, so reading it while
-// the node loop owns the engine is safe.
-func (c *Cluster) historyOf(replica int) *membership.History {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if replica < 0 || replica >= len(c.engines) {
-		return nil
-	}
-	h, ok := c.engines[replica].(interface{ History() *membership.History })
-	if !ok {
-		return nil
-	}
-	return h.History()
-}
-
-// pump converts node commit events into the public Commit stream.
-func (c *Cluster) pump() {
-	defer close(c.commits)
-	for {
-		select {
-		case <-c.done:
-			return
-		case ev := <-c.rawCommit:
-			for _, b := range ev.Blocks {
-				commit := Commit{
-					Round:        uint64(b.Round),
-					Epoch:        b.Epoch,
-					BlockID:      b.ID().String(),
-					Proposer:     int(b.Proposer),
-					Transactions: decodeTransactions(c.observerStore(), b.Payload),
-					PayloadBytes: b.Payload.Size(),
-					Path:         pathOf(ev.Explicit),
-					At:           ev.At,
-				}
-				select {
-				case c.commits <- commit:
-				case <-c.done:
-					return
-				}
-			}
-		}
-	}
-}
-
-// observerStore returns replica 0's dissemination store (nil without
-// Dissem); RestartReplica swaps the slot under c.mu.
-func (c *Cluster) observerStore() *dissem.Store {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stores[0]
-}
-
-// decodeTransactions resolves a committed payload to its transaction
-// list: inline payloads decode directly; digest-list payloads decode
-// every referenced batch body (in ref order, from the local store —
-// delivery gating guarantees the bodies arrived before the commit) and
-// then the inline tail.
-func decodeTransactions(store *dissem.Store, p types.Payload) [][]byte {
-	if !p.HasBatches() {
-		return mempool.DecodeBatch(p)
-	}
-	var txs [][]byte
-	if store != nil {
-		if bodies, ok := store.Bodies(p); ok {
-			for _, body := range bodies {
-				txs = append(txs, mempool.DecodeBatch(body)...)
-			}
-		}
-	}
-	if len(p.Data) > 0 {
-		txs = append(txs, mempool.DecodeBatch(types.BytesPayload(p.Data))...)
-	}
-	return txs
+	return nil
 }
 
 // Submit queues a transaction on one replica's mempool (round-robin); it
@@ -808,17 +382,15 @@ func (c *Cluster) Submit(tx []byte) bool {
 	// Round-robin over the genesis members only: a provisioned joiner's
 	// pool would strand transactions until (unless) it ever joins and
 	// leads a round. SubmitTo reaches joiner pools explicitly.
-	c.nextPool = (c.nextPool + 1) % c.params.N
+	c.nextPool = (c.nextPool + 1) % c.opts.N
 	c.mu.Unlock()
-	return c.pools[i].Submit(tx)
+	return c.hosts[i].pool.Submit(tx)
 }
 
 // SubmitTo queues a transaction on a specific replica's mempool.
 func (c *Cluster) SubmitTo(replica int, tx []byte) bool {
-	if replica < 0 || replica >= len(c.pools) {
-		return false
-	}
-	return c.pools[replica].Submit(tx)
+	h := c.host(replica)
+	return h != nil && h.pool.Submit(tx)
 }
 
 // SubmitAs queues a transaction on a specific replica's mempool under a
@@ -826,10 +398,11 @@ func (c *Cluster) SubmitTo(replica int, tx []byte) bool {
 // returning the mempool's typed rejection (mempool.ErrTxTooLarge,
 // mempool.ErrPoolFull, mempool.ErrTxEmpty) on failure.
 func (c *Cluster) SubmitAs(replica int, submitter uint64, tx []byte) error {
-	if replica < 0 || replica >= len(c.pools) {
+	h := c.host(replica)
+	if h == nil {
 		return fmt.Errorf("banyan: no replica %d", replica)
 	}
-	return c.pools[replica].SubmitFrom(submitter, tx)
+	return h.pool.SubmitFrom(submitter, tx)
 }
 
 // Commits streams finalized blocks as observed by replica 0. The channel
@@ -837,38 +410,23 @@ func (c *Cluster) SubmitAs(replica int, submitter uint64, tx []byte) error {
 func (c *Cluster) Commits() <-chan Commit { return c.commits }
 
 // N returns the cluster size.
-func (c *Cluster) N() int { return c.params.N }
+func (c *Cluster) N() int { return c.opts.N }
 
 // ParamsUsed returns the validated (n, f, p).
 func (c *Cluster) ParamsUsed() (n, f, p int) {
-	return c.params.N, c.params.F, c.params.P
+	return c.opts.N, c.opts.F, c.opts.P
 }
 
 // Faults returns safety faults reported by any replica (must stay empty).
-func (c *Cluster) Faults() []error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]error, len(c.faults))
-	copy(out, c.faults)
-	return out
-}
+func (c *Cluster) Faults() []error { return c.faults.list() }
 
 // Metrics returns a replica's protocol counters, including its mempool's
 // typed admission rejections. Only valid after Stop.
 func (c *Cluster) Metrics(replica int) map[string]int64 {
-	c.mu.Lock()
-	if replica < 0 || replica >= len(c.nodes) {
-		c.mu.Unlock()
-		return nil
+	if h := c.host(replica); h != nil {
+		return h.metrics()
 	}
-	n := c.nodes[replica] // RestartReplica swaps this slot under c.mu
-	pool := c.pools[replica]
-	c.mu.Unlock()
-	m := n.Metrics()
-	if m != nil && pool != nil {
-		pool.Metrics(m)
-	}
-	return m
+	return nil
 }
 
 // CrashReplica simulates a crash of one replica: its node stops, and its
@@ -877,7 +435,8 @@ func (c *Cluster) Metrics(replica int) map[string]int64 {
 // to preserve liveness). RestartReplica brings it back.
 func (c *Cluster) CrashReplica(replica int) error {
 	c.mu.Lock()
-	if replica < 0 || replica >= len(c.nodes) {
+	h := c.host(replica)
+	if h == nil {
 		c.mu.Unlock()
 		return fmt.Errorf("banyan: no replica %d", replica)
 	}
@@ -886,12 +445,9 @@ func (c *Cluster) CrashReplica(replica int) error {
 		return fmt.Errorf("banyan: replica %d is not running", replica)
 	}
 	c.crashing[replica] = true
-	n, rec := c.nodes[replica], c.recs[replica]
 	c.mu.Unlock()
-	n.Stop()
-	if rec != nil {
-		rec.Crash()
-	}
+	h.node.Stop()
+	h.closeLog(false, &c.faults)
 	// Flip to crashed only now that the log is closed: RestartReplica's
 	// guard keys on crashed, so recovery can never reopen (and repair) a
 	// directory a still-live Log is appending to.
@@ -912,30 +468,7 @@ func (c *Cluster) CrashReplica(replica int) error {
 // baselines do not implement wal.Replayer) are refused rather than
 // silently restarted fresh, which would risk equivocation.
 func (c *Cluster) RestartReplica(replica int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if replica < 0 || replica >= len(c.nodes) {
-		return fmt.Errorf("banyan: no replica %d", replica)
-	}
-	if c.cfg.WALDir == "" {
-		return fmt.Errorf("banyan: RestartReplica requires WALDir")
-	}
-	if !c.started || c.stopped || !c.crashed[replica] {
-		return fmt.Errorf("banyan: replica %d is not crashed", replica)
-	}
-	// A dead process's sockets drop whatever peers sent while it was
-	// down; the channel hub queues it instead. Discard that backlog so
-	// recovery goes through WAL replay and the sync subprotocol, not
-	// through a delivery channel no real deployment has.
-	c.hub.Drain(types.ReplicaID(replica))
-	if err := c.buildReplica(replica); err != nil {
-		return err
-	}
-	if err := c.nodes[replica].Start(); err != nil {
-		return err
-	}
-	c.crashed[replica] = false
-	return nil
+	return c.restart(replica, false)
 }
 
 // RestartReplicaFresh simulates recovery from total disk loss: the
@@ -949,27 +482,36 @@ func (c *Cluster) RestartReplica(replica int) error {
 // undecided — the same caveat any real deployment restoring from
 // backup carries. Requires WALDir and a crashed replica.
 func (c *Cluster) RestartReplicaFresh(replica int) error {
+	return c.restart(replica, true)
+}
+
+func (c *Cluster) restart(replica int, diskLoss bool) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if replica < 0 || replica >= len(c.nodes) {
+	h := c.host(replica)
+	if h == nil {
 		return fmt.Errorf("banyan: no replica %d", replica)
 	}
-	if c.cfg.WALDir == "" {
-		return fmt.Errorf("banyan: RestartReplicaFresh requires WALDir")
+	if h.surv.WALDir == "" {
+		return fmt.Errorf("banyan: restarting a replica requires WALDir")
 	}
 	if !c.started || c.stopped || !c.crashed[replica] {
 		return fmt.Errorf("banyan: replica %d is not crashed", replica)
 	}
-	if err := os.RemoveAll(filepath.Join(c.cfg.WALDir, fmt.Sprintf("replica-%d", replica))); err != nil {
-		return fmt.Errorf("banyan: wiping replica %d log: %w", replica, err)
+	if diskLoss {
+		if err := os.RemoveAll(h.surv.WALDir); err != nil {
+			return fmt.Errorf("banyan: wiping replica %d log: %w", replica, err)
+		}
 	}
-	// Same socket semantics as RestartReplica: nothing queued while the
-	// process was dead survives into the restarted life.
-	c.hub.Drain(types.ReplicaID(replica))
+	// A dead process's sockets drop whatever peers sent while it was
+	// down; the channel hub queues it instead. Discard that backlog so
+	// recovery goes through WAL replay and the sync subprotocol, not
+	// through a delivery channel no real deployment has.
+	c.hub.Drain(h.id)
 	if err := c.buildReplica(replica); err != nil {
 		return err
 	}
-	if err := c.nodes[replica].Start(); err != nil {
+	if err := h.node.Start(); err != nil {
 		return err
 	}
 	c.crashed[replica] = false
@@ -980,27 +522,16 @@ func (c *Cluster) RestartReplicaFresh(replica int) error {
 // order). Only valid after Stop; integration tests use it to assert
 // byte-identical chains across live and restarted replicas.
 func (c *Cluster) FinalizedChain(replica int) []string {
-	if replica < 0 || replica >= len(c.engines) {
+	h := c.host(replica)
+	if h == nil {
 		return nil
 	}
 	select {
 	case <-c.done:
+		return h.finalizedChain()
 	default:
 		return nil // still running: the engine is owned by its node loop
 	}
-	c.mu.Lock()
-	eng := c.engines[replica]
-	c.mu.Unlock()
-	treed, ok := eng.(interface{ Tree() *blocktree.Tree })
-	if !ok {
-		return nil
-	}
-	ids := treed.Tree().FinalizedChain()
-	out := make([]string, len(ids))
-	for i, id := range ids {
-		out[i] = id.String()
-	}
-	return out
 }
 
 // Stop shuts the cluster down: replicas first (flushing WAL tails), then
@@ -1019,38 +550,18 @@ func (c *Cluster) Stop() {
 	for i := range crashed {
 		crashed[i] = c.crashed[i] || c.crashing[i]
 	}
-	held := make([]bool, len(c.held))
-	copy(held, c.held)
+	held := append([]bool(nil), c.held...)
 	c.mu.Unlock()
-	for i, n := range c.nodes {
-		if held[i] {
-			// Still held out of Start: its node loop never ran, so Stop
-			// would wait forever; its log (if any) has nothing buffered.
-			if rec := c.recs[i]; rec != nil {
-				if err := rec.Close(); err != nil {
-					c.recordFault(err)
-				}
-			}
-			continue
+	for i, h := range c.hosts {
+		// A replica still held out of Start never ran its node loop, so
+		// Stop would wait forever; its log (if any) has nothing buffered.
+		if !held[i] {
+			h.node.Stop()
 		}
-		n.Stop()
-		if rec := c.recs[i]; rec != nil && !crashed[i] {
-			// A log that died mid-run means the replica ran without
-			// durability; surface it instead of reporting a clean run.
-			if err := rec.Err(); err != nil {
-				c.recordFault(err)
-			}
-			if err := rec.Close(); err != nil {
-				c.recordFault(err)
-			}
+		if !crashed[i] {
+			h.closeLog(true, &c.faults)
 		}
 	}
 	c.hub.Close()
 	close(c.done)
-}
-
-func (c *Cluster) recordFault(err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.faults = append(c.faults, err)
 }

@@ -1,10 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"time"
 
 	"banyan/internal/harness"
 	"banyan/internal/wan"
@@ -110,32 +107,7 @@ func runDissem(o options) error {
 	fmt.Println("(bodies broadcast continuously by every replica as they are cut, so the")
 	fmt.Println(" vote path carries digests only; delivery — not voting — gates on bodies)")
 
-	if o.jsonOut == "" {
-		return nil
-	}
-	sweep := make(map[string]any, len(sizes))
-	for _, size := range sizes {
-		pt := points[size]
-		sweep[sizeLabel(size)] = map[string]any{
-			"inline_mean_ms":    round1(msF(pt.inline.Latency.Mean)),
-			"dissem_mean_ms":    round1(msF(pt.dissem.Latency.Mean)),
-			"inline_tput_mbps":  round2(pt.inline.ThroughputBps / 1e6),
-			"dissem_tput_mbps":  round2(pt.dissem.ThroughputBps / 1e6),
-			"inline_wire_b":     pt.inline.MaxProposalWire,
-			"dissem_wire_b":     pt.dissem.MaxProposalWire,
-			"tput_delta_pct":    round1(100 * (pt.dissem.ThroughputBps/pt.inline.ThroughputBps - 1)),
-			"dissem_fast_final": pt.dissem.FastFinal,
-		}
-	}
-	obj := map[string]any{
-		"note": fmt.Sprintf("cmd/bench -exp dissem -duration %s: zero-loss simnet, n=4, FourGlobal4 WAN, 25 MB/s uplink; proposal-wire is the max leader-proposal wire size post-warmup", o.duration),
-		"sweep": sweep,
-		"dissem_wire_spread_b": maxWire - minWire,
-	}
-	if pt, ok := points[gainAt]; ok {
-		obj["tput_gain_2mb_pct"] = round1(100 * (pt.dissem.ThroughputBps/pt.inline.ThroughputBps - 1))
-	}
-	return mergeJSON(o.jsonOut, "dissem", obj)
+	return nil
 }
 
 func wireLabel(b int) string {
@@ -146,37 +118,4 @@ func wireLabel(b int) string {
 		return fmt.Sprintf("%.1fKB", float64(b)/(1<<10))
 	}
 	return fmt.Sprintf("%dB", b)
-}
-
-func round1(f float64) float64 { return float64(int(f*10+0.5)) / 10 }
-func round2(f float64) float64 { return float64(int(f*100+0.5)) / 100 }
-
-// mergeJSON sets one top-level key of a snapshot file (BENCH_PR<n>.json),
-// preserving everything else — the complement of bench_snapshot.sh, which
-// owns the microbenchmark keys and preserves the experiment keys.
-func mergeJSON(path, key string, value any) error {
-	snap := map[string]json.RawMessage{}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &snap); err != nil {
-			return fmt.Errorf("merge %s: %w", path, err)
-		}
-	}
-	raw, err := json.MarshalIndent(value, "  ", "  ")
-	if err != nil {
-		return err
-	}
-	snap[key] = raw
-	if _, ok := snap["generated_utc"]; !ok {
-		stamp, _ := json.Marshal(time.Now().UTC().Format(time.RFC3339))
-		snap["generated_utc"] = stamp
-	}
-	out, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("(merged %q results into %s)\n", key, path)
-	return nil
 }

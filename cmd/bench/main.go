@@ -40,9 +40,6 @@ type options struct {
 	seed     uint64
 	quick    bool
 	verify   crypto.VerifyConfig
-	// jsonOut, when set, makes experiments that record snapshot results
-	// (dissem, obs) merge them into this BENCH_PR<n>.json file.
-	jsonOut string
 }
 
 // run executes one harness experiment with the global verification knobs
@@ -73,7 +70,6 @@ func run(args []string) error {
 		list     = fs.Bool("list", false, "list experiments and exit")
 		verifyW  = fs.Int("verify-workers", 0, "signature-verification pool size (0 = GOMAXPROCS, 1 = inline)")
 		verifyC  = fs.Int("verify-cache", 0, "verified-signature cache capacity (0 = default, <0 = disabled)")
-		jsonOut  = fs.String("json", "", "merge experiment results into this BENCH_PR<n>.json snapshot (dissem experiment)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -86,8 +82,7 @@ func run(args []string) error {
 	}
 	opts := options{
 		duration: *duration, seed: *seed, quick: *quick,
-		verify:  crypto.VerifyConfig{Workers: *verifyW, CacheSize: *verifyC},
-		jsonOut: *jsonOut,
+		verify: crypto.VerifyConfig{Workers: *verifyW, CacheSize: *verifyC},
 	}
 	if *quick && *duration == 120*time.Second {
 		opts.duration = 20 * time.Second

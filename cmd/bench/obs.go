@@ -128,31 +128,5 @@ func runObs(o options) error {
 		}
 	}
 
-	if o.jsonOut == "" {
-		return nil
-	}
-	stages := make(map[string]any, len(res.Stages))
-	for name, s := range res.Stages {
-		stages[name] = map[string]any{
-			"count":   s.Count,
-			"mean_ms": round3(msF(s.Mean)),
-			"p50_ms":  round3(msF(s.P50)),
-			"p99_ms":  round3(msF(s.P99)),
-		}
-	}
-	obj := map[string]any{
-		"note": fmt.Sprintf("cmd/bench -exp obs -duration %s: overhead on the pipeline config (obs off vs on, same seed); stage breakdown from a %s dissem+WAL+crash-restart run, histograms merged across replicas (log2 buckets)", o.duration, duration),
-		"tput_obs_off_mbps":     round2(offRes.ThroughputBps / 1e6),
-		"tput_obs_on_mbps":      round2(onRes.ThroughputBps / 1e6),
-		"tput_overhead_pct":     round2(tputDelta),
-		"wall_obs_off_s":        round2(offWall.Seconds()),
-		"wall_obs_on_s":         round2(onWall.Seconds()),
-		"wall_overhead_pct":     round1(wallDelta),
-		"stages":                stages,
-		"slow_rounds_flagged":   res.SlowRounds,
-		"restart_replayed_recs": res.RestartReplayed,
-	}
-	return mergeJSON(o.jsonOut, "obs", obj)
+	return nil
 }
-
-func round3(f float64) float64 { return float64(int(f*1000+0.5)) / 1000 }

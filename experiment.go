@@ -65,21 +65,10 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 	if cfg.N == 0 {
 		cfg.N = topo.N()
 	}
-	if cfg.Protocol == "" {
-		cfg.Protocol = ProtocolBanyan
-	}
-	var params types.Params
-	if cfg.F == 0 {
-		params, err = DefaultParams(cfg.Protocol, cfg.N, cfg.P)
-	} else {
-		params, err = Params(cfg.Protocol, cfg.N, cfg.F, cfg.P)
-	}
-	if err != nil {
-		return nil, err
-	}
 	hcfg := harness.Config{
-		Protocol:  harness.Protocol(cfg.Protocol),
-		Params:    params,
+		Protocol: cfg.Protocol,
+		// F = 0 and P = 0 select their defaults, as everywhere.
+		Params:    types.Params{N: cfg.N, F: cfg.F, P: cfg.P},
 		Topology:  topo,
 		BlockSize: cfg.BlockSizeBytes,
 		Duration:  cfg.Duration,

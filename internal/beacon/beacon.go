@@ -5,12 +5,12 @@
 // replica leads the round (paper section 4, "Block Proposal"). For its
 // evaluation the paper replaces the random beacon with a round-robin
 // rotation "to increase predictability and transparency" (section 9.1);
-// this package provides both, behind one interface.
+// that rotation is the one schedule here. The baseline engines take it
+// through the Beacon interface; the Banyan engine's schedule is its
+// validator set (internal/membership), which rotates the same way.
 package beacon
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 
 	"banyan/internal/types"
@@ -63,104 +63,5 @@ func (r *RoundRobin) ReplicaAt(round types.Round, rank types.Rank) types.Replica
 	return types.ReplicaID((uint64(round) + uint64(rank)) % n)
 }
 
-// HashChain derives an independent pseudo-random permutation per round from
-// a shared seed, standing in for a random-beacon protocol (the paper points
-// at threshold-BLS beacons; any agreed-upon randomness source works).
-// Permutations are computed by a seeded Fisher-Yates shuffle and cached.
-type HashChain struct {
-	n     int
-	seed  uint64
-	cache map[types.Round][]types.ReplicaID // rank -> replica
-	ranks map[types.Round][]types.Rank      // replica -> rank
-}
-
-// NewHashChain builds a hash-chain beacon over n replicas from a seed.
-func NewHashChain(n int, seed uint64) (*HashChain, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("beacon: n = %d must be positive", n)
-	}
-	return &HashChain{
-		n:     n,
-		seed:  seed,
-		cache: make(map[types.Round][]types.ReplicaID),
-		ranks: make(map[types.Round][]types.Rank),
-	}, nil
-}
-
-// N implements Beacon.
-func (h *HashChain) N() int { return h.n }
-
-// RankOf implements Beacon.
-func (h *HashChain) RankOf(round types.Round, id types.ReplicaID) types.Rank {
-	h.materialize(round)
-	return h.ranks[round][id]
-}
-
-// ReplicaAt implements Beacon.
-func (h *HashChain) ReplicaAt(round types.Round, rank types.Rank) types.ReplicaID {
-	h.materialize(round)
-	return h.cache[round][rank]
-}
-
-func (h *HashChain) materialize(round types.Round) {
-	if _, ok := h.cache[round]; ok {
-		return
-	}
-	perm := make([]types.ReplicaID, h.n)
-	for i := range perm {
-		perm[i] = types.ReplicaID(i)
-	}
-	rng := newRoundRNG(h.seed, round)
-	for i := h.n - 1; i > 0; i-- {
-		j := int(rng.next() % uint64(i+1))
-		perm[i], perm[j] = perm[j], perm[i]
-	}
-	ranks := make([]types.Rank, h.n)
-	for rank, id := range perm {
-		ranks[id] = types.Rank(rank)
-	}
-	h.cache[round] = perm
-	h.ranks[round] = ranks
-	// Bound the cache: keep a sliding window so long simulations do not
-	// accumulate one permutation per round forever.
-	const window = 4096
-	if len(h.cache) > window {
-		for r := range h.cache {
-			if r+window < round {
-				delete(h.cache, r)
-				delete(h.ranks, r)
-			}
-		}
-	}
-}
-
-// roundRNG is a small deterministic generator seeded by SHA-256 of
-// (seed, round), then advanced as xorshift64*.
-type roundRNG struct {
-	x uint64
-}
-
-func newRoundRNG(seed uint64, round types.Round) *roundRNG {
-	var buf [16]byte
-	binary.LittleEndian.PutUint64(buf[0:8], seed)
-	binary.LittleEndian.PutUint64(buf[8:16], uint64(round))
-	sum := sha256.Sum256(buf[:])
-	x := binary.LittleEndian.Uint64(sum[:8])
-	if x == 0 {
-		x = 1
-	}
-	return &roundRNG{x: x}
-}
-
-func (r *roundRNG) next() uint64 {
-	r.x ^= r.x >> 12
-	r.x ^= r.x << 25
-	r.x ^= r.x >> 27
-	return r.x * 0x2545F4914F6CDD1D
-}
-
-// Compile-time interface checks.
-var (
-	_ Beacon = (*RoundRobin)(nil)
-	_ Beacon = (*HashChain)(nil)
-)
+// Compile-time interface check.
+var _ Beacon = (*RoundRobin)(nil)

@@ -7,38 +7,27 @@ import (
 	"banyan/internal/types"
 )
 
-func beacons(t *testing.T, n int) map[string]Beacon {
-	t.Helper()
-	rr, err := NewRoundRobin(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hc, err := NewHashChain(n, 12345)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string]Beacon{"round-robin": rr, "hash-chain": hc}
-}
-
-// TestPermutationProperties checks, for both beacons and many rounds, that
-// RankOf and ReplicaAt are inverse bijections over [0, n).
+// TestPermutationProperties checks, over many rounds, that RankOf and
+// ReplicaAt are inverse bijections over [0, n).
 func TestPermutationProperties(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 19} {
-		for name, b := range beacons(t, n) {
-			for round := types.Round(0); round < 50; round++ {
-				seenRank := make(map[types.Rank]bool, n)
-				for id := types.ReplicaID(0); int(id) < n; id++ {
-					rank := b.RankOf(round, id)
-					if int(rank) >= n {
-						t.Fatalf("%s n=%d: rank %d out of range", name, n, rank)
-					}
-					if seenRank[rank] {
-						t.Fatalf("%s n=%d round=%d: duplicate rank %d", name, n, round, rank)
-					}
-					seenRank[rank] = true
-					if got := b.ReplicaAt(round, rank); got != id {
-						t.Fatalf("%s n=%d round=%d: ReplicaAt(RankOf(%d)) = %d", name, n, round, id, got)
-					}
+		b, err := NewRoundRobin(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := types.Round(0); round < 50; round++ {
+			seenRank := make(map[types.Rank]bool, n)
+			for id := types.ReplicaID(0); int(id) < n; id++ {
+				rank := b.RankOf(round, id)
+				if int(rank) >= n {
+					t.Fatalf("n=%d: rank %d out of range", n, rank)
+				}
+				if seenRank[rank] {
+					t.Fatalf("n=%d round=%d: duplicate rank %d", n, round, rank)
+				}
+				seenRank[rank] = true
+				if got := b.ReplicaAt(round, rank); got != id {
+					t.Fatalf("n=%d round=%d: ReplicaAt(RankOf(%d)) = %d", n, round, id, got)
 				}
 			}
 		}
@@ -68,67 +57,12 @@ func TestRoundRobinRotation(t *testing.T) {
 	}
 }
 
-func TestHashChainDeterminismAndVariation(t *testing.T) {
-	a, _ := NewHashChain(7, 9)
-	b, _ := NewHashChain(7, 9)
-	c, _ := NewHashChain(7, 10)
-	same, diff := true, false
-	for round := types.Round(0); round < 64; round++ {
-		if Leader(a, round) != Leader(b, round) {
-			same = false
-		}
-		if Leader(a, round) != Leader(c, round) {
-			diff = true
-		}
-	}
-	if !same {
-		t.Error("same seed produced different permutations")
-	}
-	if !diff {
-		t.Error("different seeds produced identical leader schedules")
-	}
-}
-
-// TestHashChainLeaderFairness: over many rounds every replica leads a
-// roughly proportional share.
-func TestHashChainLeaderFairness(t *testing.T) {
-	const n, rounds = 5, 5000
-	hc, _ := NewHashChain(n, 1)
-	counts := make(map[types.ReplicaID]int, n)
-	for round := types.Round(0); round < rounds; round++ {
-		counts[Leader(hc, round)]++
-	}
-	want := rounds / n
-	for id := types.ReplicaID(0); int(id) < n; id++ {
-		got := counts[id]
-		if got < want*7/10 || got > want*13/10 {
-			t.Errorf("replica %d led %d/%d rounds; expected about %d", id, got, rounds, want)
-		}
-	}
-}
-
-func TestHashChainCacheWindow(t *testing.T) {
-	hc, _ := NewHashChain(4, 2)
-	// Touch far more rounds than the cache window.
-	for round := types.Round(0); round < 10000; round += 10 {
-		hc.RankOf(round, 0)
-	}
-	if len(hc.cache) > 5000 {
-		t.Errorf("cache grew to %d entries; the window should bound it", len(hc.cache))
-	}
-	// Old rounds must still be recomputable and agree with a fresh beacon.
-	fresh, _ := NewHashChain(4, 2)
-	if hc.RankOf(0, 1) != fresh.RankOf(0, 1) {
-		t.Error("re-materialized permutation differs")
-	}
-}
-
 func TestInvalidN(t *testing.T) {
 	if _, err := NewRoundRobin(0); err == nil {
 		t.Error("NewRoundRobin(0) should fail")
 	}
-	if _, err := NewHashChain(-1, 1); err == nil {
-		t.Error("NewHashChain(-1) should fail")
+	if _, err := NewRoundRobin(-1); err == nil {
+		t.Error("NewRoundRobin(-1) should fail")
 	}
 }
 

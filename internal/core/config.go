@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"time"
 
-	"banyan/internal/beacon"
 	"banyan/internal/crypto"
 	"banyan/internal/dissem"
 	"banyan/internal/membership"
@@ -49,8 +48,8 @@ type Config struct {
 	Keyring *crypto.Keyring
 	// History is the epoch sequence this engine consults for quorums,
 	// leader schedules, and certificate verification. Nil builds a
-	// single-epoch history from Params, Keyring, and Beacon: members
-	// 0..n-1, which is the pre-reconfiguration behaviour.
+	// single-epoch history from Params and Keyring: members 0..n-1, which
+	// is the pre-reconfiguration behaviour.
 	History *membership.History
 	// Reconfig, when set, is the host's hand-off slot for validator-set
 	// changes: the engine attaches the pending change to its next
@@ -58,18 +57,13 @@ type Config struct {
 	Reconfig *membership.Reconfigurator
 	// Verifier is the batched, cached signature-verification pipeline the
 	// engine routes all VerifyVote/VerifyCert/VerifyUnlockProof/VerifyBlock
-	// checks through. Nil builds one over Keyring from VerifyOptions.
-	// Hosts that preverify inbound messages (internal/node's
+	// checks through. Nil builds one over Keyring with the default pool
+	// and cache. Hosts that preverify inbound messages (internal/node's
 	// verify-then-deliver stage) must pass the same Verifier here and to
 	// the node so the engine sees the warmed cache.
 	Verifier *crypto.Verifier
-	// VerifyOptions tunes the Verifier built when the field above is nil:
-	// worker-pool size and verified-signature cache capacity.
-	VerifyOptions crypto.VerifyConfig
 	// Signer signs this replica's blocks and votes.
 	Signer *crypto.Signer
-	// Beacon supplies the per-round leader permutations.
-	Beacon beacon.Beacon
 	// Payloads supplies block payloads when this replica proposes.
 	Payloads protocol.PayloadSource
 	// Delta is the message-delay bound Δ. Proposal and notarization delays
@@ -160,12 +154,6 @@ func (c *Config) validate() error {
 	if c.Keyring == nil || c.Signer == nil {
 		return errors.New("core: keyring and signer are required")
 	}
-	if c.Beacon == nil {
-		return errors.New("core: beacon is required")
-	}
-	if c.Beacon.N() != c.Params.N {
-		return fmt.Errorf("core: beacon permutes %d replicas, params say %d", c.Beacon.N(), c.Params.N)
-	}
 	if c.Keyring.N() < c.Params.N {
 		return fmt.Errorf("core: keyring holds %d keys, genesis set needs %d", c.Keyring.N(), c.Params.N)
 	}
@@ -182,7 +170,7 @@ func (c *Config) validate() error {
 			members[i] = types.ReplicaID(i)
 			keys[i] = c.Keyring.PublicKey(types.ReplicaID(i))
 		}
-		genesis, err := membership.New(0, 0, members, keys, c.Params.F, c.Params.P, c.Beacon)
+		genesis, err := membership.New(0, 0, members, keys, c.Params.F, c.Params.P)
 		if err != nil {
 			return fmt.Errorf("core: building genesis validator set: %w", err)
 		}
@@ -195,7 +183,7 @@ func (c *Config) validate() error {
 		return fmt.Errorf("core: genesis set %v disagrees with params %v", g.Params(), c.Params)
 	}
 	if c.Verifier == nil {
-		c.Verifier = crypto.NewVerifier(c.Keyring, c.VerifyOptions)
+		c.Verifier = crypto.NewVerifier(c.Keyring, crypto.VerifyConfig{})
 	}
 	if c.Payloads == nil {
 		c.Payloads = protocol.EmptyPayloads

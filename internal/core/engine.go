@@ -105,6 +105,15 @@ type Engine struct {
 	// never satisfy validBlock anywhere.
 	opt *optimisticProposal
 
+	// carry queues the payloads of own blocks that can never finalize — an
+	// own block whose round finalized another, a withdrawn or overtaken
+	// optimistic proposal — oldest first. Proposals take from it before
+	// they ask Config.Payloads for anything new (nextPayload): the source
+	// handed the payload out for good, so dropping it here would lose it.
+	// Exactly once holds because one block per round finalizes: no
+	// finalized block can name the payload of a block its round excluded.
+	carry []types.Payload
+
 	lastPrune types.Round
 
 	met struct {
@@ -127,6 +136,7 @@ type Engine struct {
 		optProposed   int64
 		optConfirmed  int64
 		optWithdrawn  int64
+		carried       int64
 		batchServed   int64
 		delivDropped  int64
 
@@ -393,6 +403,7 @@ func (e *Engine) Metrics() map[string]int64 {
 		"opt_proposed":       e.met.optProposed,
 		"opt_confirmed":      e.met.optConfirmed,
 		"opt_withdrawn":      e.met.optWithdrawn,
+		"payloads_carried":   e.met.carried,
 		"epoch":              int64(e.history.Current().Epoch()),
 		"epoch_changes":      e.met.epochChanges,
 		"members":            int64(e.history.Current().Size()),
@@ -1008,7 +1019,7 @@ func (e *Engine) onSnapshotRequest(from types.ReplicaID, m *types.SnapshotReques
 // onSnapshotResponse ingests a snapshot window. Nothing in the message is
 // trusted until it passes the same quorum-certificate gate that guards
 // WAL checkpoint restores (RestoreSnapshot): every block signature is
-// verified, ranks must match the beacon, the chain must be contiguous,
+// verified, ranks must match the leader schedule, the chain must be contiguous,
 // and the finalization certificate must carry a verified quorum naming
 // the window tip exactly — tip-exact because a peer, unlike local disk,
 // is an adversarial channel. A valid window is grafted onto the tree as
@@ -1041,17 +1052,10 @@ func (e *Engine) onSnapshotResponse(m *types.SnapshotResponse) []protocol.Action
 	// chain of single add/remove steps, and an extension of the local
 	// history (the replica's weak-subjectivity trust anchor — a response
 	// rewriting a known epoch is rejected no matter its certificate).
-	// Overlapping epochs are then swapped for the local sets so epoch 0
-	// keeps its configured beacon schedule.
 	sets, err := membership.VerifyChain(m.Sets)
 	if err != nil || e.history.VerifyExtends(m.Sets) != nil {
 		e.met.ssRejected++
 		return nil
-	}
-	for i := range sets {
-		if s := e.history.SetForEpoch(uint32(i)); s != nil {
-			sets[i] = s
-		}
 	}
 	setAt := func(r types.Round) *membership.ValidatorSet {
 		for i := len(sets) - 1; i > 0; i-- {
@@ -1349,7 +1353,8 @@ func (e *Engine) tryPropose(now time.Time, acts []protocol.Action) (bool, []prot
 	if e.opt != nil && e.opt.round < e.round {
 		// The chain advanced past the optimistic target without this
 		// replica proposing (catch-up jump): the never-fast-voted block is
-		// inert everywhere; drop it.
+		// inert everywhere; only its payload lives on.
+		e.carryPayload(e.opt.block.Payload)
 		e.opt = nil
 		e.met.optWithdrawn++
 	}
@@ -1366,26 +1371,22 @@ func (e *Engine) tryPropose(now time.Time, acts []protocol.Action) (bool, []prot
 		return false, acts
 	}
 	parentID, parentNotar, parentProof := e.parentCreds(e.round)
-	var payload types.Payload
 	if opt := e.opt; opt != nil && opt.round == e.round {
 		e.opt = nil
 		if opt.parent == parentID {
 			return true, e.confirmOptimistic(rs, opt, now, acts)
 		}
 		// Withdrawn: the round certified a different parent. Re-propose on
-		// the real parent, reusing the optimistic payload — NextPayload
-		// drains queued transactions, so drawing a fresh batch here would
-		// lose the withdrawn one.
+		// the real parent; the withdrawn block's payload is carried like
+		// any other orphan's.
 		e.met.optWithdrawn++
-		payload = opt.block.Payload
-	} else {
-		payload = e.cfg.Payloads.NextPayload(e.round)
+		e.carryPayload(opt.block.Payload)
 	}
+	payload := e.nextPayload(e.round, rank)
 	// A host-queued validator-set change rides this proposal, provided it
 	// would actually apply to the round's set (a stale or inapplicable
-	// change stays queued rather than burning its block). Wrapping is
-	// skipped if the payload already carries one (withdrawn-optimistic
-	// reuse can't hit this — optimistic proposals never carry changes).
+	// change stays queued rather than burning its block). A payload that
+	// already carries one keeps it.
 	if e.cfg.Reconfig != nil && payload.Change == nil {
 		if c := e.cfg.Reconfig.Pending(); c != nil {
 			if _, err := set.Apply(c, e.round+1); err == nil {
@@ -1471,8 +1472,7 @@ func (e *Engine) tryOptimisticPropose(acts []protocol.Action) (bool, []protocol.
 		// stale. Wait for tryPropose on the certified parent instead.
 		return false, acts
 	}
-	payload := e.cfg.Payloads.NextPayload(next)
-	b := types.NewBlock(next, e.cfg.Self, 0, parent.ID(), payload)
+	b := types.NewBlock(next, e.cfg.Self, 0, parent.ID(), e.nextPayload(next, 0))
 	b.Epoch = e.setFor(next).Epoch()
 	if err := e.cfg.Signer.SignBlock(b); err != nil {
 		e.stop(fmt.Errorf("core: signing optimistic block: %w", err))
@@ -1778,6 +1778,7 @@ func (e *Engine) commitChain(id types.BlockID, mode protocol.FinalizationMode,
 	switch {
 	case err == nil:
 		if len(chain) > 0 {
+			e.carryOrphans(chain)
 			e.applyChanges(chain)
 			acts = e.deliver(chain, mode, acts)
 		}
@@ -1788,6 +1789,56 @@ func (e *Engine) commitChain(id types.BlockID, mode protocol.FinalizationMode,
 		e.stop(err)
 		return acts, true
 	}
+}
+
+// carryOrphans queues the payload of every own block a newly finalized
+// chain excludes: the round of each chain block is decided, so this
+// replica's block of that round, if it is another one, can never finalize.
+func (e *Engine) carryOrphans(chain []*types.Block) {
+	for _, fin := range chain {
+		rs, ok := e.rounds[fin.Round]
+		if !ok {
+			continue
+		}
+		for id, b := range rs.blocks {
+			if b.Proposer == e.cfg.Self && id != fin.ID() {
+				e.carryPayload(b.Payload)
+			}
+		}
+	}
+}
+
+// carryPayload queues a payload whose block is dead for re-proposal. A
+// validator-set change riding it is dropped: the Reconfigurator keeps
+// offering a change until it observes it finalized. Replay queues nothing —
+// what the journal shows orphaned was carried, or lost with the process,
+// before the crash.
+func (e *Engine) carryPayload(p types.Payload) {
+	if p = p.WithoutChange(); e.replaying || p.Size() == 0 {
+		return
+	}
+	e.carry = append(e.carry, p)
+	e.met.carried++
+}
+
+// nextPayload returns what this replica proposes at the given rank of
+// round r: a carried payload, else a fresh one from the source. The oldest
+// carried payload is kept for a round this replica leads — the rank-0 block
+// is the one a round prefers — and a fallback proposal takes the next
+// oldest, so no payload can cycle through losing proposals forever.
+func (e *Engine) nextPayload(r types.Round, rank types.Rank) types.Payload {
+	i := 0
+	if rank > 0 {
+		i = 1
+	}
+	if i >= len(e.carry) {
+		return e.cfg.Payloads.NextPayload(r)
+	}
+	p := e.carry[i]
+	if e.carry = append(e.carry[:i], e.carry[i+1:]...); len(e.carry) == 0 {
+		e.carry = nil // release the drained backing array
+	}
+	return p
 }
 
 func isMissingAncestor(err error) bool {

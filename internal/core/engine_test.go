@@ -37,7 +37,6 @@ func newRig(t *testing.T, params types.Params, self types.ReplicaID, opts ...fun
 		Self:    self,
 		Keyring: keyring,
 		Signer:  signers[self],
-		Beacon:  bc,
 		Delta:   rigDelta,
 	}
 	for _, o := range opts {

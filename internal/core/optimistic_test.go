@@ -215,6 +215,10 @@ func TestOptimisticWithdrawOnParentMismatch(t *testing.T) {
 	if m["opt_withdrawn"] != 1 || m["opt_confirmed"] != 0 {
 		t.Fatalf("metrics withdrawn=%d confirmed=%d, want 1/0", m["opt_withdrawn"], m["opt_confirmed"])
 	}
+	// The reuse went through the carry queue, like any orphaned payload.
+	if m["payloads_carried"] != 1 || len(r.eng.carry) != 0 {
+		t.Fatalf("payloads_carried=%d with %d still queued, want 1 and 0", m["payloads_carried"], len(r.eng.carry))
+	}
 }
 
 // TestOptimisticReceiverParksBareProposal: a replica receiving the bare

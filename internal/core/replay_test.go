@@ -18,7 +18,6 @@ func replayRig(t *testing.T, r *rig, opts ...func(*Config)) *Engine {
 		Self:    r.eng.cfg.Self,
 		Keyring: r.keyring,
 		Signer:  r.signers[r.eng.cfg.Self],
-		Beacon:  r.beacon,
 		Delta:   rigDelta,
 	}
 	for _, o := range opts {

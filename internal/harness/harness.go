@@ -21,38 +21,31 @@ package harness
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
 
-	"banyan/internal/beacon"
-	"banyan/internal/core"
 	"banyan/internal/crypto"
-	"banyan/internal/dissem"
-	"banyan/internal/hotstuff"
-	"banyan/internal/icc"
 	"banyan/internal/membership"
 	"banyan/internal/mempool"
 	"banyan/internal/metrics"
-	"banyan/internal/obs"
 	"banyan/internal/protocol"
 	"banyan/internal/simnet"
-	"banyan/internal/streamlet"
+	"banyan/internal/stack"
 	"banyan/internal/types"
 	"banyan/internal/wal"
 	"banyan/internal/wan"
 )
 
 // Protocol selects the consensus engine under test.
-type Protocol string
+type Protocol = stack.Protocol
 
 // The four protocols of the paper's evaluation, plus the fast-path-ablated
 // Banyan variant.
 const (
-	Banyan       Protocol = "banyan"
-	BanyanNoFast Protocol = "banyan-nofast"
-	ICC          Protocol = "icc"
-	HotStuff     Protocol = "hotstuff"
-	Streamlet    Protocol = "streamlet"
+	Banyan       = stack.Banyan
+	BanyanNoFast = stack.BanyanNoFast
+	ICC          = stack.ICC
+	HotStuff     = stack.HotStuff
+	Streamlet    = stack.Streamlet
 )
 
 // Protocols lists the paper's four evaluated protocols in report order.
@@ -294,23 +287,21 @@ const (
 	defaultProcFixed = 150 * time.Microsecond
 )
 
+// fill resolves the simulation's own defaults — run length, link and
+// receiver models, Δ from the topology — and checks the schedule against
+// the topology; the knobs shared with the other hosts are filled and
+// checked by stack.Options.Fill.
 func (c *Config) fill() error {
 	if c.Topology == nil {
 		return fmt.Errorf("harness: topology is required")
 	}
-	if c.Params.N == 0 {
-		return fmt.Errorf("harness: params are required")
-	}
 	if c.MaxN == 0 {
 		c.MaxN = c.Params.N
-	}
-	if c.MaxN < c.Params.N {
-		return fmt.Errorf("harness: MaxN %d below n %d", c.MaxN, c.Params.N)
 	}
 	if c.MaxN != c.Topology.N() {
 		return fmt.Errorf("harness: %d provisioned replicas but topology has %d", c.MaxN, c.Topology.N())
 	}
-	if (c.MaxN > c.Params.N || len(c.Reconfig) > 0) && c.Protocol != Banyan && c.Protocol != BanyanNoFast {
+	if len(c.Reconfig) > 0 && !c.Protocol.IsBanyan() {
 		return fmt.Errorf("harness: reconfiguration requires a Banyan protocol, got %q", c.Protocol)
 	}
 	for _, r := range c.Reconfig {
@@ -320,6 +311,9 @@ func (c *Config) fill() error {
 		if int(r.Replica) >= c.MaxN {
 			return fmt.Errorf("harness: reconfig names replica %d but only %d are provisioned", r.Replica, c.MaxN)
 		}
+	}
+	if len(c.Restart) > 0 && c.WALDir == "" {
+		return fmt.Errorf("harness: Restart requires WALDir")
 	}
 	if c.Duration <= 0 {
 		c.Duration = 30 * time.Second
@@ -343,22 +337,53 @@ func (c *Config) fill() error {
 	if c.Delta == 0 {
 		c.Delta = AutoDelta(c.Topology, c.BlockSize, c.BandwidthBps, c.ProcRateBps, c.ProcFixed)
 	}
-	if c.ViewTimeout == 0 {
-		// Generous enough that the happy path never times out.
-		c.ViewTimeout = 6 * c.Delta
-	}
-	if c.Scheme == "" {
-		c.Scheme = "hmac"
-	}
-	if c.Dissem {
-		if c.Protocol != Banyan && c.Protocol != BanyanNoFast {
-			return fmt.Errorf("harness: Dissem requires a Banyan protocol, got %q", c.Protocol)
-		}
-		if c.DissemBatchBytes <= 0 {
-			c.DissemBatchBytes = 64 << 10
-		}
-	}
 	return nil
+}
+
+// Options is the one mapping from a filled Config to the stack's options
+// (see banyan.ClusterConfig.options; exported so the root package's
+// reflection test checks all three mappings in one place); the
+// simulation's own fields — the topology, link and receiver models, run
+// length and fault schedule — are read by Run.
+func (c Config) Options() stack.Options {
+	o := stack.Options{
+		Protocol:    c.Protocol,
+		N:           c.Params.N,
+		F:           c.Params.F,
+		P:           c.Params.P,
+		MaxN:        c.MaxN,
+		Delta:       c.Delta,
+		ViewTimeout: c.ViewTimeout,
+		// Streamlet is clocked on the pessimistic synchrony bound Δ rather
+		// than actual delays (it is not optimistically responsive), so its
+		// epoch gets the protocol-prescribed 2Δ with Δ set to twice the
+		// measured bound — the safety margin any real deployment needs for
+		// a parameter that, if undershot, halts progress.
+		EpochDuration:       4 * c.Delta,
+		BlockBytes:          c.BlockSize,
+		Scheme:              c.Scheme,
+		Seed:                c.Seed,
+		Verify:              c.Verify,
+		NoForwarding:        c.NoForwarding,
+		OptimisticProposals: c.OptimisticProposals,
+		DeepPrune:           c.DeepPrune,
+		PruneKeep:           c.PruneKeep,
+		PruneInterval:       c.PruneInterval,
+		Dissem:              c.Dissem,
+		DissemBatchBytes:    c.DissemBatchBytes,
+		DissemInlineMax:     c.DissemInlineMax,
+		WALDir:              c.WALDir,
+		// Per-record fsync keeps the durable prefix — and therefore the
+		// replayed execution — independent of wall-clock flush timing, and
+		// an uncheckpointed log makes a restart replay the whole run.
+		WALSync:             wal.SyncPolicy{EveryRecord: true},
+		WALCheckpointRounds: -1,
+		Obs:                 c.Obs,
+	}
+	if o.Scheme == "" {
+		o.Scheme = "hmac"
+	}
+	return o
 }
 
 // Run executes one experiment.
@@ -366,81 +391,35 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	scheme, err := crypto.SchemeByName(cfg.Scheme)
+	opts, err := cfg.Options().Fill()
 	if err != nil {
 		return nil, err
 	}
-	keyring, signers := crypto.GenerateCluster(scheme, cfg.MaxN, cfg.Seed)
-	bc, err := beacon.NewRoundRobin(cfg.Params.N)
+	keyring, signers, err := opts.Keys()
 	if err != nil {
 		return nil, err
 	}
-
-	if len(cfg.Restart) > 0 && cfg.WALDir == "" {
-		return nil, fmt.Errorf("harness: Restart requires WALDir")
-	}
-	// One reconfiguration slot per replica, surviving engine rebuilds so a
-	// pending change outlives a crash-restart (Banyan protocols only).
-	reconfigs := make([]*membership.Reconfigurator, cfg.MaxN)
-	if cfg.Protocol == Banyan || cfg.Protocol == BanyanNoFast {
-		for i := range reconfigs {
-			reconfigs[i] = &membership.Reconfigurator{}
-		}
-	}
-	// One observer per replica, surviving engine rebuilds like the
-	// reconfiguration slots, so stage histograms accumulate across a
-	// crash-restart.
-	observers := make([]*obs.Observer, cfg.MaxN)
-	if cfg.Obs {
-		for i := range observers {
-			observers[i] = obs.New(obs.Options{})
-		}
-	}
-	// mkEngine builds (or rebuilds, for restarts) one replica's engine;
-	// with a WALDir it is wrapped in a recorder over that replica's log.
+	// Each replica's survivors — synthetic payload source, log directory,
+	// reconfiguration slot, observer — span its crash-restarts: a pending
+	// change outlives one, and stage histograms accumulate across it.
+	survivors := make([]stack.Survivors, opts.MaxN)
+	engines := make([]protocol.Engine, opts.MaxN)
+	// mkEngine builds (or rebuilds, for restarts) one replica's stack and
+	// returns the engine the simulator drives.
 	mkEngine := func(i types.ReplicaID) (protocol.Engine, error) {
-		src := mempool.NewSynthetic(cfg.BlockSize, cfg.Seed^uint64(i)<<32, false)
-		// A fresh store per build: a restarted replica loses its body cache
-		// (bodies are not journaled) and refetches what delivery needs.
-		var store *dissem.Store
-		if cfg.Dissem {
-			store = dissem.NewStore(dissem.Config{
-				Self:       i,
-				N:          cfg.Params.N,
-				BatchBytes: cfg.DissemBatchBytes,
-				InlineMax:  cfg.DissemInlineMax,
-				BlockBytes: cfg.BlockSize,
-				Source:     src,
-			})
-		}
-		e, err := buildEngine(cfg, i, keyring, signers[i], bc, src, store, reconfigs[i], observers[i])
+		st, err := stack.Build(i, opts, survivors[i])
 		if err != nil {
 			return nil, err
 		}
-		if cfg.WALDir == "" {
-			return e, nil
-		}
-		walOpts := wal.Options{
-			// Per-record fsync keeps the durable prefix — and therefore the
-			// replayed execution — independent of wall-clock flush timing.
-			Sync: wal.SyncPolicy{EveryRecord: true},
-		}
-		if o := observers[i]; o != nil {
-			walOpts.FlushHist = o.WALFlush
-		}
-		return wal.NewRecorder(wal.RecorderConfig{
-			Dir:     filepath.Join(cfg.WALDir, fmt.Sprintf("replica-%d", i)),
-			Engine:  e,
-			Options: walOpts,
-		})
+		return st.Hosted, nil
 	}
-	engines := make([]protocol.Engine, cfg.MaxN)
 	for i := range engines {
-		e, err := mkEngine(types.ReplicaID(i))
-		if err != nil {
+		id := types.ReplicaID(i)
+		src := mempool.NewSynthetic(cfg.BlockSize, cfg.Seed^uint64(i)<<32, false)
+		survivors[i] = opts.NewSurvivors(keyring, signers[i], src, opts.ReplicaWALDir(id), nil)
+		if engines[i], err = mkEngine(id); err != nil {
 			return nil, err
 		}
-		engines[i] = e
 	}
 
 	// The observer must be a replica with the full run's history: not
@@ -553,10 +532,8 @@ func Run(cfg Config) (*Result, error) {
 			// Hand the change to every slot: whichever replica leads first
 			// proposes it, re-application is a deterministic no-op, and all
 			// slots clear when the finalized change is observed.
-			for _, r := range reconfigs {
-				if r != nil {
-					r.Propose(change)
-				}
+			for _, s := range survivors {
+				s.Reconfig.Propose(change)
 			}
 		})
 	}
@@ -571,7 +548,7 @@ func Run(cfg Config) (*Result, error) {
 			if diskLoss {
 				// The disk died with the process: the replica comes back
 				// with an empty log and must resync its chain from peers.
-				if err := os.RemoveAll(filepath.Join(cfg.WALDir, fmt.Sprintf("replica-%d", id))); err != nil {
+				if err := os.RemoveAll(survivors[id].WALDir); err != nil {
 					faultErrors = append(faultErrors, fmt.Errorf("replica %d disk wipe: %w", id, err))
 					return nil
 				}
@@ -654,8 +631,8 @@ func Run(cfg Config) (*Result, error) {
 		Delta:               cfg.Delta,
 	}
 	if cfg.Obs {
-		res.Stages = mergeStages(observers)
-		if d := observers[observer].Detector; d != nil {
+		res.Stages = mergeStages(survivors)
+		if d := survivors[observer].Obs.Detector; d != nil {
 			res.SlowRounds = len(d.Slow())
 		}
 	}
@@ -667,13 +644,10 @@ func Run(cfg Config) (*Result, error) {
 
 // mergeStages folds every replica's stage histograms into one summary
 // per stage name, skipping stages nothing recorded into.
-func mergeStages(observers []*obs.Observer) map[string]StageStats {
+func mergeStages(survivors []stack.Survivors) map[string]StageStats {
 	merged := map[string]metrics.HistSnapshot{}
-	for _, o := range observers {
-		if o == nil {
-			continue
-		}
-		for name, h := range o.Registry.Histograms() {
+	for _, sv := range survivors {
+		for name, h := range sv.Obs.Registry.Histograms() {
 			s := merged[name]
 			s.Merge(h)
 			merged[name] = s
@@ -694,80 +668,12 @@ func mergeStages(observers []*obs.Observer) map[string]StageStats {
 	return out
 }
 
-func buildEngine(cfg Config, id types.ReplicaID, keyring *crypto.Keyring,
-	signer *crypto.Signer, bc beacon.Beacon, src protocol.PayloadSource,
-	store *dissem.Store, reconfig *membership.Reconfigurator,
-	observer *obs.Observer) (protocol.Engine, error) {
-	switch cfg.Protocol {
-	case Banyan, BanyanNoFast:
-		return core.New(core.Config{
-			Params:              cfg.Params,
-			Self:                id,
-			Keyring:             keyring,
-			Reconfig:            reconfig,
-			Obs:                 observer,
-			VerifyOptions:       cfg.Verify,
-			Signer:              signer,
-			Beacon:              bc,
-			Payloads:            src,
-			Dissem:              store,
-			Delta:               cfg.Delta,
-			DisableFastPath:     cfg.Protocol == BanyanNoFast,
-			DisableForwarding:   cfg.NoForwarding,
-			OptimisticProposals: cfg.OptimisticProposals,
-			DeepPrune:           cfg.DeepPrune,
-			PruneKeep:           cfg.PruneKeep,
-			PruneInterval:       cfg.PruneInterval,
-		})
-	case ICC:
-		return icc.New(icc.Config{
-			Params:            cfg.Params,
-			Self:              id,
-			Keyring:           keyring,
-			Signer:            signer,
-			Beacon:            bc,
-			Payloads:          src,
-			Delta:             cfg.Delta,
-			DisableForwarding: cfg.NoForwarding,
-		})
-	case HotStuff:
-		return hotstuff.New(hotstuff.Config{
-			Params:      cfg.Params,
-			Self:        id,
-			Keyring:     keyring,
-			Signer:      signer,
-			Beacon:      bc,
-			Payloads:    src,
-			ViewTimeout: cfg.ViewTimeout,
-		})
-	case Streamlet:
-		// Streamlet is clocked on the pessimistic synchrony bound Δ rather
-		// than actual delays (it is not optimistically responsive), so its
-		// epoch gets the protocol-prescribed 2Δ with Δ set to twice the
-		// measured bound — the safety margin any real deployment needs for
-		// a parameter that, if undershot, halts progress.
-		return streamlet.New(streamlet.Config{
-			Params:        cfg.Params,
-			Self:          id,
-			Keyring:       keyring,
-			Signer:        signer,
-			Beacon:        bc,
-			Payloads:      src,
-			EpochDuration: 4 * cfg.Delta,
-		})
-	default:
-		return nil, fmt.Errorf("harness: unknown protocol %q", cfg.Protocol)
-	}
-}
-
 // ParamsFor returns the fault parameters each protocol uses at cluster
 // size n: Banyan takes (f, p) per the caller; the baselines use the
 // classic f = (n-1)/3 bound with p ignored.
 func ParamsFor(proto Protocol, n, f, p int) types.Params {
-	switch proto {
-	case Banyan, BanyanNoFast:
+	if proto.IsBanyan() {
 		return types.Params{N: n, F: f, P: p}
-	default:
-		return types.Params{N: n, F: (n - 1) / 3, P: 0}
 	}
+	return types.Params{N: n, F: (n - 1) / 3, P: 0}
 }

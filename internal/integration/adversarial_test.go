@@ -35,7 +35,7 @@ func buildCluster(t *testing.T, params types.Params, proto string,
 		case "banyan":
 			eng, err = core.New(core.Config{
 				Params: params, Self: id, Keyring: keyring, Signer: signers[i],
-				Beacon: bc, Delta: 50 * time.Millisecond,
+				Delta: 50 * time.Millisecond,
 				Payloads: protocol.PayloadFunc(func(r types.Round) types.Payload {
 					return types.SyntheticPayload(512, uint64(r)<<16|uint64(id))
 				}),

@@ -29,7 +29,6 @@ func makeDissemEngines(t *testing.T, params types.Params,
 ) []protocol.Engine {
 	t.Helper()
 	keyring, signers := crypto.GenerateCluster(crypto.Ed25519(), params.N, 99)
-	bc := mustRR(t, params.N)
 	engines := make([]protocol.Engine, params.N)
 	for i := 0; i < params.N; i++ {
 		id := types.ReplicaID(i)
@@ -42,7 +41,7 @@ func makeDissemEngines(t *testing.T, params types.Params,
 		})
 		eng, err := core.New(core.Config{
 			Params: params, Self: id, Keyring: keyring, Signer: signers[i],
-			Beacon: bc, Delta: 50 * time.Millisecond,
+			Delta:  50 * time.Millisecond,
 			Dissem: store,
 		})
 		if err != nil {

@@ -42,13 +42,12 @@ func makeOptimisticEngines(t *testing.T, params types.Params, optimistic bool,
 ) []protocol.Engine {
 	t.Helper()
 	keyring, signers := crypto.GenerateCluster(crypto.Ed25519(), params.N, 99)
-	bc := mustRR(t, params.N)
 	engines := make([]protocol.Engine, params.N)
 	for i := 0; i < params.N; i++ {
 		id := types.ReplicaID(i)
 		eng, err := core.New(core.Config{
 			Params: params, Self: id, Keyring: keyring, Signer: signers[i],
-			Beacon: bc, Delta: 50 * time.Millisecond,
+			Delta: 50 * time.Millisecond,
 			Payloads: protocol.PayloadFunc(func(r types.Round) types.Payload {
 				return types.SyntheticPayload(512, uint64(r)<<16|uint64(id))
 			}),

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"banyan/internal/beacon"
 	"banyan/internal/byzantine"
 	"banyan/internal/core"
 	"banyan/internal/crypto"
@@ -121,15 +120,11 @@ func TestReconfigAddThenRemove(t *testing.T) {
 	joiner := types.ReplicaID(4)
 
 	keyring, signers := crypto.GenerateCluster(crypto.HMAC(), maxN, 42)
-	bc, err := beacon.NewRoundRobin(params.N)
-	if err != nil {
-		t.Fatal(err)
-	}
 	recfg := make([]*membership.Reconfigurator, maxN)
 	engines := make([]protocol.Engine, maxN)
 	for i := range engines {
 		recfg[i] = &membership.Reconfigurator{}
-		engines[i] = mkBanyan(t, params, keyring, signers, bc, delta,
+		engines[i] = mkBanyan(t, params, keyring, signers, delta,
 			types.ReplicaID(i), window, withReconfig(recfg[i]))
 	}
 
@@ -240,15 +235,11 @@ func TestReconfigJoinDuringChange(t *testing.T) {
 	joiner := types.ReplicaID(4)
 
 	keyring, signers := crypto.GenerateCluster(crypto.HMAC(), maxN, 43)
-	bc, err := beacon.NewRoundRobin(params.N)
-	if err != nil {
-		t.Fatal(err)
-	}
 	recfg := make([]*membership.Reconfigurator, maxN)
 	engines := make([]protocol.Engine, maxN)
 	for i := range engines {
 		recfg[i] = &membership.Reconfigurator{}
-		engines[i] = mkBanyan(t, params, keyring, signers, bc, delta,
+		engines[i] = mkBanyan(t, params, keyring, signers, delta,
 			types.ReplicaID(i), window, withReconfig(recfg[i]))
 	}
 
@@ -300,15 +291,11 @@ func TestReconfigRemoveCurrentLeader(t *testing.T) {
 	removed := types.ReplicaID(2)
 
 	keyring, signers := crypto.GenerateCluster(crypto.HMAC(), params.N, 44)
-	bc, err := beacon.NewRoundRobin(params.N)
-	if err != nil {
-		t.Fatal(err)
-	}
 	recfg := make([]*membership.Reconfigurator, params.N)
 	engines := make([]protocol.Engine, params.N)
 	for i := range engines {
 		recfg[i] = &membership.Reconfigurator{}
-		engines[i] = mkBanyan(t, params, keyring, signers, bc, delta,
+		engines[i] = mkBanyan(t, params, keyring, signers, delta,
 			types.ReplicaID(i), window, withReconfig(recfg[i]))
 	}
 
@@ -387,10 +374,6 @@ func TestReconfigCrashRestartStraddle(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "victim")
 
 	keyring, signers := crypto.GenerateCluster(crypto.HMAC(), params.N, 45)
-	bc, err := beacon.NewRoundRobin(params.N)
-	if err != nil {
-		t.Fatal(err)
-	}
 	recfg := make([]*membership.Reconfigurator, params.N)
 	for i := range recfg {
 		recfg[i] = &membership.Reconfigurator{}
@@ -400,7 +383,7 @@ func TestReconfigCrashRestartStraddle(t *testing.T) {
 	mkVictim := func() protocol.Engine {
 		rec, err := wal.NewRecorder(wal.RecorderConfig{
 			Dir:             dir,
-			Engine:          mkBanyan(t, params, keyring, signers, bc, delta, victim, window, withReconfig(recfg[victim])),
+			Engine:          mkBanyan(t, params, keyring, signers, delta, victim, window, withReconfig(recfg[victim])),
 			CheckpointEvery: 16,
 			Options:         wal.Options{Sync: wal.SyncPolicy{EveryRecord: true}},
 		})
@@ -415,7 +398,7 @@ func TestReconfigCrashRestartStraddle(t *testing.T) {
 			engines[i] = mkVictim()
 			continue
 		}
-		engines[i] = mkBanyan(t, params, keyring, signers, bc, delta,
+		engines[i] = mkBanyan(t, params, keyring, signers, delta,
 			types.ReplicaID(i), window, withReconfig(recfg[i]))
 	}
 
@@ -494,15 +477,11 @@ func TestReconfigSameSeedEquivalence(t *testing.T) {
 
 	run := func(t *testing.T, trial int) (map[types.Round]types.BlockID, []*types.ValidatorSetDesc) {
 		keyring, signers := crypto.GenerateCluster(crypto.HMAC(), maxN, 42)
-		bc, err := beacon.NewRoundRobin(params.N)
-		if err != nil {
-			t.Fatal(err)
-		}
 		recfg := make([]*membership.Reconfigurator, maxN)
 		engines := make([]protocol.Engine, maxN)
 		for i := range engines {
 			recfg[i] = &membership.Reconfigurator{}
-			engines[i] = mkBanyan(t, params, keyring, signers, bc, delta,
+			engines[i] = mkBanyan(t, params, keyring, signers, delta,
 				types.ReplicaID(i), window, withReconfig(recfg[i]))
 		}
 		rng := rand.New(rand.NewSource(int64(5000 + trial)))
@@ -579,16 +558,12 @@ func TestReconfigEpochStraddler(t *testing.T) {
 	evil := types.ReplicaID(2)
 
 	keyring, signers := crypto.GenerateCluster(crypto.HMAC(), params.N, 46)
-	bc, err := beacon.NewRoundRobin(params.N)
-	if err != nil {
-		t.Fatal(err)
-	}
 	recfg := make([]*membership.Reconfigurator, params.N)
 	var adversary *byzantine.EpochStraddler
 	engines := make([]protocol.Engine, params.N)
 	for i := range engines {
 		recfg[i] = &membership.Reconfigurator{}
-		eng := mkBanyan(t, params, keyring, signers, bc, delta,
+		eng := mkBanyan(t, params, keyring, signers, delta,
 			types.ReplicaID(i), window, withReconfig(recfg[i]))
 		if types.ReplicaID(i) == evil {
 			adversary = byzantine.NewEpochStraddler(eng, signers[i])

@@ -28,13 +28,12 @@ func makeRelayEngines(t *testing.T, params types.Params, noForwarding bool,
 	wrap func(id types.ReplicaID, eng protocol.Engine) protocol.Engine) []protocol.Engine {
 	t.Helper()
 	keyring, signers := crypto.GenerateCluster(crypto.HMAC(), params.N, 77)
-	bc := mustRR(t, params.N)
 	engines := make([]protocol.Engine, params.N)
 	for i := range engines {
 		id := types.ReplicaID(i)
 		eng, err := core.New(core.Config{
 			Params: params, Self: id, Keyring: keyring, Signer: signers[i],
-			Beacon: bc, Delta: 50 * time.Millisecond,
+			Delta: 50 * time.Millisecond,
 			Payloads: protocol.PayloadFunc(func(r types.Round) types.Payload {
 				return types.SyntheticPayload(64<<10, uint64(r)<<16|uint64(id))
 			}),

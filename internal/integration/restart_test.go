@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"banyan/internal/beacon"
 	"banyan/internal/core"
 	"banyan/internal/crypto"
 	"banyan/internal/protocol"
@@ -34,10 +33,6 @@ func TestCrashRestartFromWAL(t *testing.T) {
 	walRoot := t.TempDir()
 
 	keyring, signers := crypto.GenerateCluster(crypto.HMAC(), params.N, 42)
-	bc, err := beacon.NewRoundRobin(params.N)
-	if err != nil {
-		t.Fatal(err)
-	}
 	isVictim := func(id types.ReplicaID) bool {
 		for _, v := range victims {
 			if id == v {
@@ -52,7 +47,6 @@ func TestCrashRestartFromWAL(t *testing.T) {
 			Self:    id,
 			Keyring: keyring,
 			Signer:  signers[id],
-			Beacon:  bc,
 			Delta:   delta,
 			Payloads: protocol.PayloadFunc(func(r types.Round) types.Payload {
 				return types.SyntheticPayload(payload, uint64(r)<<16|uint64(id))

@@ -66,10 +66,6 @@ func makeBanyanEngines(t *testing.T, params types.Params, delta time.Duration,
 	payload int, disableFast bool) []protocol.Engine {
 	t.Helper()
 	keyring, signers := crypto.GenerateCluster(crypto.HMAC(), params.N, 42)
-	bc, err := beacon.NewRoundRobin(params.N)
-	if err != nil {
-		t.Fatal(err)
-	}
 	engines := make([]protocol.Engine, params.N)
 	for i := 0; i < params.N; i++ {
 		id := types.ReplicaID(i)
@@ -78,7 +74,6 @@ func makeBanyanEngines(t *testing.T, params types.Params, delta time.Duration,
 			Self:    id,
 			Keyring: keyring,
 			Signer:  signers[i],
-			Beacon:  bc,
 			Delta:   delta,
 			Payloads: protocol.PayloadFunc(func(r types.Round) types.Payload {
 				return types.SyntheticPayload(payload, uint64(r)<<16|uint64(id))

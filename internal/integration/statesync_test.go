@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"banyan/internal/beacon"
 	"banyan/internal/core"
 	"banyan/internal/crypto"
 	"banyan/internal/protocol"
@@ -79,7 +78,7 @@ func window(cfg *core.Config) {
 }
 
 func mkBanyan(t *testing.T, params types.Params, keyring *crypto.Keyring,
-	signers []*crypto.Signer, bc beacon.Beacon, delta time.Duration,
+	signers []*crypto.Signer, delta time.Duration,
 	id types.ReplicaID, opts ...func(*core.Config)) protocol.Engine {
 	t.Helper()
 	cfg := core.Config{
@@ -87,7 +86,6 @@ func mkBanyan(t *testing.T, params types.Params, keyring *crypto.Keyring,
 		Self:    id,
 		Keyring: keyring,
 		Signer:  signers[id],
-		Beacon:  bc,
 		Delta:   delta,
 		Payloads: protocol.PayloadFunc(func(r types.Round) types.Payload {
 			return types.SyntheticPayload(256, uint64(r)<<16|uint64(id))
@@ -124,16 +122,12 @@ func TestDiskLossRejoinViaSnapshot(t *testing.T) {
 	}
 
 	keyring, signers := crypto.GenerateCluster(crypto.HMAC(), params.N, 42)
-	bc, err := beacon.NewRoundRobin(params.N)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Only the victim runs behind a recorder: its log exists solely to be
 	// destroyed, proving the rejoin owes nothing to local durable state.
 	mkVictim := func() protocol.Engine {
 		rec, err := wal.NewRecorder(wal.RecorderConfig{
 			Dir:     victimDir(),
-			Engine:  mkBanyan(t, params, keyring, signers, bc, delta, victim, window),
+			Engine:  mkBanyan(t, params, keyring, signers, delta, victim, window),
 			Options: wal.Options{Sync: wal.SyncPolicy{EveryRecord: true}},
 		})
 		if err != nil {
@@ -147,7 +141,7 @@ func TestDiskLossRejoinViaSnapshot(t *testing.T) {
 			engines[i] = mkVictim()
 			continue
 		}
-		engines[i] = mkBanyan(t, params, keyring, signers, bc, delta, types.ReplicaID(i), window)
+		engines[i] = mkBanyan(t, params, keyring, signers, delta, types.ReplicaID(i), window)
 	}
 
 	log := newRoundLog()
@@ -236,13 +230,9 @@ func TestFreshJoinReachesLiveRound(t *testing.T) {
 	joiner := types.ReplicaID(4)
 
 	keyring, signers := crypto.GenerateCluster(crypto.HMAC(), params.N, 42)
-	bc, err := beacon.NewRoundRobin(params.N)
-	if err != nil {
-		t.Fatal(err)
-	}
 	engines := make([]protocol.Engine, params.N)
 	for i := range engines {
-		engines[i] = mkBanyan(t, params, keyring, signers, bc, delta, types.ReplicaID(i), window)
+		engines[i] = mkBanyan(t, params, keyring, signers, delta, types.ReplicaID(i), window)
 	}
 
 	log := newRoundLog()

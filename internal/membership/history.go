@@ -124,7 +124,7 @@ func VerifyChain(descs []*types.ValidatorSetDesc) ([]*ValidatorSet, error) {
 		if d.Epoch != uint32(i) {
 			return nil, fmt.Errorf("membership: epoch %d at index %d", d.Epoch, i)
 		}
-		s, err := FromDesc(d, nil)
+		s, err := FromDesc(d)
 		if err != nil {
 			return nil, err
 		}
@@ -171,9 +171,7 @@ func (h *History) VerifyExtends(descs []*types.ValidatorSetDesc) error {
 }
 
 // Restore replaces the history with a verified chain (VerifyChain +
-// VerifyExtends must have passed). The epoch-0 beacon schedule of the
-// existing genesis set is retained — descriptors do not carry beacons, and
-// every replica of a deployment is configured with the same one.
+// VerifyExtends must have passed).
 func (h *History) Restore(descs []*types.ValidatorSetDesc) error {
 	sets, err := VerifyChain(descs)
 	if err != nil {
@@ -181,11 +179,9 @@ func (h *History) Restore(descs []*types.ValidatorSetDesc) error {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	genesis := h.sets[0]
-	if !genesis.Desc().Equal(sets[0].Desc()) {
+	if !h.sets[0].Desc().Equal(sets[0].Desc()) {
 		return fmt.Errorf("membership: restored genesis disagrees with configured genesis")
 	}
-	sets[0] = genesis
 	h.sets = sets
 	return nil
 }

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"sort"
 
-	"banyan/internal/beacon"
 	"banyan/internal/types"
 )
 
@@ -27,12 +26,11 @@ import (
 // leader schedule over the members. It is immutable once built; Apply
 // produces the next epoch's set.
 //
-// Leader schedule: epoch 0 delegates to the deployment's configured
-// beacon (round-robin or hash-chain over the dense genesis IDs). Later
-// epochs rotate round-robin over the ordered member list — member
-// members[r mod size] leads round r — which stays deterministic no matter
-// which IDs joined or left. ValidatorSet implements beacon.Beacon either
-// way.
+// Leader schedule: every epoch, genesis included, rotates round-robin
+// over the ordered member list — member members[r mod size] leads round r
+// — which stays deterministic no matter which IDs joined or left. Over the
+// dense genesis IDs 0..n-1 that is beacon.RoundRobin, the paper's
+// evaluation schedule.
 type ValidatorSet struct {
 	epoch      uint32
 	activation types.Round
@@ -40,15 +38,12 @@ type ValidatorSet struct {
 	keys       [][]byte          // keys[i] is members[i]'s public key
 	index      map[types.ReplicaID]int
 	params     types.Params
-	genesis    beacon.Beacon // epoch-0 schedule delegate; nil for later epochs
 }
 
 // New builds a validator set. members must be ascending and unique with
 // one key each, and the derived Params{N: len(members), F: f, P: p} must
-// satisfy the Banyan bound. For epoch 0 a beacon may be supplied to define
-// the leader schedule; it must permute exactly the member IDs 0..n-1
-// (genesis sets are dense by construction).
-func New(epoch uint32, activation types.Round, members []types.ReplicaID, keys [][]byte, f, p int, genesis beacon.Beacon) (*ValidatorSet, error) {
+// satisfy the Banyan bound.
+func New(epoch uint32, activation types.Round, members []types.ReplicaID, keys [][]byte, f, p int) (*ValidatorSet, error) {
 	d := &types.ValidatorSetDesc{
 		Epoch:      epoch,
 		Activation: activation,
@@ -60,19 +55,6 @@ func New(epoch uint32, activation types.Round, members []types.ReplicaID, keys [
 	if err := d.Validate(); err != nil {
 		return nil, fmt.Errorf("membership: %w", err)
 	}
-	if genesis != nil {
-		if epoch != 0 {
-			return nil, fmt.Errorf("membership: beacon schedule only applies to epoch 0, got epoch %d", epoch)
-		}
-		if genesis.N() != len(members) {
-			return nil, fmt.Errorf("membership: beacon permutes %d replicas but set has %d members", genesis.N(), len(members))
-		}
-		for i, m := range members {
-			if int(m) != i {
-				return nil, fmt.Errorf("membership: beacon schedule requires dense members 0..n-1, got member %d at index %d", m, i)
-			}
-		}
-	}
 	s := &ValidatorSet{
 		epoch:      epoch,
 		activation: activation,
@@ -80,7 +62,6 @@ func New(epoch uint32, activation types.Round, members []types.ReplicaID, keys [
 		keys:       append([][]byte(nil), keys...),
 		index:      make(map[types.ReplicaID]int, len(members)),
 		params:     d.Params(),
-		genesis:    genesis,
 	}
 	for i, m := range s.members {
 		s.index[m] = i
@@ -88,13 +69,9 @@ func New(epoch uint32, activation types.Round, members []types.ReplicaID, keys [
 	return s, nil
 }
 
-// FromDesc rebuilds a set from its wire descriptor. genesis supplies the
-// epoch-0 leader schedule and is ignored for later epochs.
-func FromDesc(d *types.ValidatorSetDesc, genesis beacon.Beacon) (*ValidatorSet, error) {
-	if d.Epoch != 0 {
-		genesis = nil
-	}
-	return New(d.Epoch, d.Activation, d.Members, d.Keys, int(d.F), int(d.P), genesis)
+// FromDesc rebuilds a set from its wire descriptor.
+func FromDesc(d *types.ValidatorSetDesc) (*ValidatorSet, error) {
+	return New(d.Epoch, d.Activation, d.Members, d.Keys, int(d.F), int(d.P))
 }
 
 // Epoch returns the set's epoch number (0 = genesis).
@@ -134,18 +111,9 @@ func (s *ValidatorSet) Key(id types.ReplicaID) []byte {
 	return nil
 }
 
-// N implements beacon.Beacon.
-func (s *ValidatorSet) N() int { return len(s.members) }
-
-// RankOf implements beacon.Beacon over the members; non-members get
-// types.NoRank.
+// RankOf returns id's rank in the round: its distance from the round's
+// leader in member order. Non-members get types.NoRank.
 func (s *ValidatorSet) RankOf(round types.Round, id types.ReplicaID) types.Rank {
-	if s.genesis != nil {
-		if !s.Contains(id) {
-			return types.NoRank
-		}
-		return s.genesis.RankOf(round, id)
-	}
 	i, ok := s.index[id]
 	if !ok {
 		return types.NoRank
@@ -155,11 +123,8 @@ func (s *ValidatorSet) RankOf(round types.Round, id types.ReplicaID) types.Rank 
 	return types.Rank((uint64(i) + size - shift) % size)
 }
 
-// ReplicaAt implements beacon.Beacon: the member holding rank in round.
+// ReplicaAt returns the member holding rank in the round.
 func (s *ValidatorSet) ReplicaAt(round types.Round, rank types.Rank) types.ReplicaID {
-	if s.genesis != nil {
-		return s.genesis.ReplicaAt(round, rank)
-	}
 	size := uint64(len(s.members))
 	return s.members[(uint64(round)+uint64(rank))%size]
 }
@@ -227,7 +192,7 @@ func (s *ValidatorSet) Apply(c *types.ConfigChange, activation types.Round) (*Va
 		keys = append(keys, s.keys[:i]...)
 		keys = append(keys, s.keys[i+1:]...)
 	}
-	return New(s.epoch+1, activation, members, keys, s.params.F, s.params.P, nil)
+	return New(s.epoch+1, activation, members, keys, s.params.F, s.params.P)
 }
 
 // Diff returns the single change that turns s into next, or an error when

@@ -10,7 +10,7 @@ import (
 
 func key(id types.ReplicaID) []byte { return []byte(fmt.Sprintf("key-%d", id)) }
 
-func denseSet(t *testing.T, n, f, p int, bc beacon.Beacon) *ValidatorSet {
+func denseSet(t *testing.T, n, f, p int) *ValidatorSet {
 	t.Helper()
 	members := make([]types.ReplicaID, n)
 	keys := make([][]byte, n)
@@ -18,7 +18,7 @@ func denseSet(t *testing.T, n, f, p int, bc beacon.Beacon) *ValidatorSet {
 		members[i] = types.ReplicaID(i)
 		keys[i] = key(types.ReplicaID(i))
 	}
-	s, err := New(0, 0, members, keys, f, p, bc)
+	s, err := New(0, 0, members, keys, f, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,18 +35,14 @@ func TestNewValidation(t *testing.T) {
 	}
 	cases := []struct {
 		name    string
-		epoch   uint32
 		members []types.ReplicaID
 		mangle  func(m []types.ReplicaID, k [][]byte) ([]types.ReplicaID, [][]byte)
-		beacon  bool
 	}{
 		{name: "unsorted members", members: []types.ReplicaID{2, 0, 1, 3}},
 		{name: "duplicate member", members: []types.ReplicaID{0, 1, 1, 3}},
 		{name: "key count mismatch", members: []types.ReplicaID{0, 1, 2, 3},
 			mangle: func(m []types.ReplicaID, k [][]byte) ([]types.ReplicaID, [][]byte) { return m, k[:3] }},
 		{name: "params below Banyan bound", members: []types.ReplicaID{0, 1}},
-		{name: "beacon on later epoch", epoch: 1, members: []types.ReplicaID{0, 1, 2, 3}, beacon: true},
-		{name: "beacon over sparse members", members: []types.ReplicaID{0, 1, 2, 4}, beacon: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -54,30 +50,22 @@ func TestNewValidation(t *testing.T) {
 			if tc.mangle != nil {
 				members, keys = tc.mangle(members, keys)
 			}
-			var bc beacon.Beacon
-			if tc.beacon {
-				var err error
-				bc, err = beacon.NewRoundRobin(len(members))
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			if _, err := New(tc.epoch, 0, members, keys, 1, 1, bc); err == nil {
+			if _, err := New(0, 0, members, keys, 1, 1); err == nil {
 				t.Fatalf("New accepted %s", tc.name)
 			}
 		})
 	}
 }
 
-// TestScheduleGenesisDelegates: epoch 0 must reproduce the configured
-// beacon's schedule exactly — reconfiguration must not perturb a
-// deployment that never reconfigures.
+// TestScheduleGenesisDelegates: over the dense genesis IDs the set's own
+// rotation must be beacon.RoundRobin exactly — the schedule the baselines
+// run and every chain recorded before the set became the only schedule.
 func TestScheduleGenesisDelegates(t *testing.T) {
 	bc, err := beacon.NewRoundRobin(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := denseSet(t, 4, 1, 1, bc)
+	s := denseSet(t, 4, 1, 1)
 	for r := types.Round(1); r < 40; r++ {
 		if got, want := s.Leader(r), bc.ReplicaAt(r, 0); got != want {
 			t.Fatalf("round %d leader %d, beacon says %d", r, got, want)
@@ -102,7 +90,7 @@ func TestScheduleSparseRotation(t *testing.T) {
 	for i, m := range members {
 		keys[i] = key(m)
 	}
-	s, err := New(3, 100, members, keys, 1, 1, nil)
+	s, err := New(3, 100, members, keys, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +125,7 @@ func TestScheduleSparseRotation(t *testing.T) {
 }
 
 func TestApplyAddRemove(t *testing.T) {
-	s := denseSet(t, 4, 1, 1, nil)
+	s := denseSet(t, 4, 1, 1)
 
 	added, err := s.Apply(&types.ConfigChange{Op: types.ConfigAdd, Replica: 4, PubKey: key(4)}, 50)
 	if err != nil {
@@ -173,7 +161,7 @@ func TestApplyAddRemove(t *testing.T) {
 		{"activation not after current", types.ConfigChange{Op: types.ConfigAdd, Replica: 4, PubKey: key(4)}, 0},
 		{"shrink below bound", types.ConfigChange{Op: types.ConfigRemove, Replica: 3}, 50},
 	}
-	three := denseSet(t, 4, 1, 1, nil)
+	three := denseSet(t, 4, 1, 1)
 	for _, tc := range bad {
 		s := s
 		if tc.name == "shrink below bound" {
@@ -186,7 +174,7 @@ func TestApplyAddRemove(t *testing.T) {
 }
 
 func TestDiff(t *testing.T) {
-	s := denseSet(t, 4, 1, 1, nil)
+	s := denseSet(t, 4, 1, 1)
 	added, err := s.Apply(&types.ConfigChange{Op: types.ConfigAdd, Replica: 4, PubKey: key(4)}, 50)
 	if err != nil {
 		t.Fatal(err)
@@ -218,12 +206,8 @@ func TestDiff(t *testing.T) {
 }
 
 func TestDescRoundTrip(t *testing.T) {
-	bc, err := beacon.NewRoundRobin(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := denseSet(t, 4, 1, 1, bc)
-	back, err := FromDesc(s.Desc(), bc)
+	s := denseSet(t, 4, 1, 1)
+	back, err := FromDesc(s.Desc())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,12 +215,12 @@ func TestDescRoundTrip(t *testing.T) {
 		t.Fatal("Desc round-trip changed the set")
 	}
 	if back.Leader(7) != s.Leader(7) {
-		t.Fatal("round-trip lost the beacon schedule")
+		t.Fatal("round-trip changed the leader schedule")
 	}
 }
 
 func TestHistoryLookup(t *testing.T) {
-	hist, err := NewHistory(denseSet(t, 4, 1, 1, nil))
+	hist, err := NewHistory(denseSet(t, 4, 1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,11 +260,7 @@ func TestHistoryLookup(t *testing.T) {
 }
 
 func TestVerifyChainAndRestore(t *testing.T) {
-	bc, err := beacon.NewRoundRobin(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	genesis := denseSet(t, 4, 1, 1, bc)
+	genesis := denseSet(t, 4, 1, 1)
 	hist, err := NewHistory(genesis)
 	if err != nil {
 		t.Fatal(err)
@@ -316,9 +296,8 @@ func TestVerifyChainAndRestore(t *testing.T) {
 	corrupt("rekeyed survivor", func(d []*types.ValidatorSetDesc) { d[1].Keys[0] = []byte("evil") })
 	corrupt("genesis not at round 0", func(d []*types.ValidatorSetDesc) { d[0].Activation = 1 })
 
-	// A fresh replica configured with the same genesis restores the chain;
-	// the beacon schedule survives because epoch 0 keeps the local set.
-	fresh, err := NewHistory(denseSet(t, 4, 1, 1, bc))
+	// A fresh replica configured with the same genesis restores the chain.
+	fresh, err := NewHistory(denseSet(t, 4, 1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,8 +310,8 @@ func TestVerifyChainAndRestore(t *testing.T) {
 	if fresh.Len() != 3 || fresh.Current().Epoch() != 2 {
 		t.Fatalf("restore produced %d epochs, current %d", fresh.Len(), fresh.Current().Epoch())
 	}
-	if fresh.Genesis().Leader(7) != bc.ReplicaAt(7, 0) {
-		t.Fatal("restore lost the genesis beacon schedule")
+	if fresh.Genesis().Leader(7) != genesis.Leader(7) {
+		t.Fatal("restore changed the genesis leader schedule")
 	}
 
 	// A history that already knows an epoch rejects a rewrite of it, and a
@@ -348,7 +327,7 @@ func TestVerifyChainAndRestore(t *testing.T) {
 	if err := hist.VerifyExtends(rewritten); err == nil {
 		t.Fatal("VerifyExtends accepted a rewritten epoch")
 	}
-	other, err := NewHistory(denseSet(t, 5, 1, 1, nil))
+	other, err := NewHistory(denseSet(t, 5, 1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func TestPreverifyStageSkipsSettledRounds(t *testing.T) {
 	verifier := crypto.NewVerifier(keyring, crypto.VerifyConfig{})
 	eng, err := core.New(core.Config{
 		Params: params, Self: self, Keyring: keyring, Signer: signers[self],
-		Beacon: bc, Delta: time.Second, Verifier: verifier,
+		Delta: time.Second, Verifier: verifier,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -72,8 +72,6 @@ type Options struct {
 	Registry *metrics.Registry
 	// TraceEvents is the tracer ring capacity (0 = DefaultTraceEvents).
 	TraceEvents int
-	// SlowK is the slow-round multiplier k (0 = DefaultSlowK).
-	SlowK float64
 }
 
 // New builds an Observer with all instruments registered.
@@ -100,7 +98,7 @@ func New(opts Options) *Observer {
 		VerifyCacheMisses:    reg.Gauge(GaugeVerifyCacheMisses),
 		VerifySettledSkipped: reg.Gauge(GaugeVerifySettledSkipped),
 	}
-	o.Detector = NewSlowRoundDetector(opts.SlowK, o.Tracer)
+	o.Detector = NewSlowRoundDetector(DefaultSlowK, o.Tracer)
 	return o
 }
 

@@ -121,6 +121,17 @@ func ConfigChangePayload(change ConfigChange, inner Payload) Payload {
 	return inner
 }
 
+// WithoutChange returns the payload's content with any validator-set
+// change detached (and, the change being part of payload identity, the
+// memoized digest with it).
+func (p Payload) WithoutChange() Payload {
+	if p.Change != nil {
+		p.Change = nil
+		p.digest, p.digested = [32]byte{}, false
+	}
+	return p
+}
+
 // BatchPayload builds a digest-list payload: refs is the ordered list of
 // disseminated batches the block commits, inline an optional concrete tail
 // appended after them at delivery.

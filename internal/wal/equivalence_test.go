@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"banyan/internal/beacon"
 	"banyan/internal/core"
 	"banyan/internal/crypto"
 	"banyan/internal/protocol"
@@ -30,14 +29,10 @@ func checkpointSimRun(t *testing.T, dir string, every types.Round, simFor time.D
 	params := types.Params{N: 4, F: 1, P: 1}
 	const pruneKeep = 16
 	keyring, signers := crypto.GenerateCluster(crypto.HMAC(), params.N, 42)
-	bc, err := beacon.NewRoundRobin(params.N)
-	if err != nil {
-		t.Fatal(err)
-	}
 	mkCore := func(id types.ReplicaID) *core.Engine {
 		e, err := core.New(core.Config{
 			Params: params, Self: id, Keyring: keyring, Signer: signers[id],
-			Beacon: bc, Delta: 10 * time.Millisecond, PruneKeep: pruneKeep,
+			Delta: 10 * time.Millisecond, PruneKeep: pruneKeep,
 			Payloads: protocol.PayloadFunc(func(r types.Round) types.Payload {
 				return types.SyntheticPayload(128, uint64(r)<<16|uint64(id))
 			}),

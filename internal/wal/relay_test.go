@@ -19,14 +19,10 @@ func relayCluster(t *testing.T, payload int) (func(id types.ReplicaID) *core.Eng
 	t.Helper()
 	params := types.Params{N: 4, F: 1, P: 1}
 	keyring, signers := crypto.GenerateCluster(crypto.HMAC(), params.N, 42)
-	bc, err := beacon.NewRoundRobin(params.N)
-	if err != nil {
-		t.Fatal(err)
-	}
 	return func(id types.ReplicaID) *core.Engine {
 		e, err := core.New(core.Config{
 			Params: params, Self: id, Keyring: keyring, Signer: signers[id],
-			Beacon: bc, Delta: 10 * time.Millisecond,
+			Delta: 10 * time.Millisecond,
 			Payloads: protocol.PayloadFunc(func(r types.Round) types.Payload {
 				data := make([]byte, payload)
 				for i := range data {

@@ -17,7 +17,7 @@ func finalizedByRound(t *testing.T, cluster *Cluster, replica int) map[types.Rou
 	default:
 		t.Fatal("finalizedByRound on a running cluster")
 	}
-	tree := cluster.engines[replica].(interface{ Tree() *blocktree.Tree }).Tree()
+	tree := cluster.hosts[replica].stack().Engine.(interface{ Tree() *blocktree.Tree }).Tree()
 	out := make(map[types.Round]types.BlockID)
 	for r := types.Round(1); r <= tree.FinalizedRound(); r++ {
 		if id, ok := tree.FinalizedAt(r); ok {
