@@ -1,0 +1,121 @@
+package core
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"banyan/internal/crypto"
+	"banyan/internal/protocol"
+	"banyan/internal/simnet"
+	"banyan/internal/types"
+	"banyan/internal/wan"
+)
+
+// TestAllocRegressionVoteLedger: filing the k-th fast vote of a known
+// block and re-evaluating Definition 7.6 over the round allocates nothing —
+// a bit, a slot of the signature slice, ORs and popcounts.
+func TestAllocRegressionVoteLedger(t *testing.T) {
+	const n = 19
+	params := types.Params{N: n, F: 6, P: 1}
+	rs, set := newRoundState(), genesisSet(t, params)
+	lead := types.NewBlock(1, 0, 0, types.Genesis().ID(), types.BytesPayload([]byte{1}))
+	twin := types.NewBlock(1, 0, 0, types.Genesis().ID(), types.BytesPayload([]byte{2}))
+	late := types.NewBlock(1, 1, 1, types.Genesis().ID(), types.BytesPayload([]byte{3}))
+	for _, b := range []*types.Block{lead, twin, late} {
+		rs.addBlock(b)
+		rs.recordVote(types.VoteFast, b.ID(), 0, []byte{0}, set) // sizes the block's set
+	}
+	sig, voter := []byte{1}, types.ReplicaID(1)
+	if got := testing.AllocsPerRun(n-2, func() {
+		rs.allUnlocked = false // keep the evaluation running past the threshold
+		rs.recordVote(types.VoteFast, lead.ID(), voter, sig, set)
+		rs.recordVote(types.VoteFast, late.ID(), voter, sig, set)
+		rs.recomputeUnlock(params.UnlockThreshold())
+		voter++
+	}); got != 0 {
+		t.Fatalf("recordVote + recomputeUnlock allocate %.0f times per vote, want 0", got)
+	}
+	if int(voter) != n || rs.set(types.VoteFast, lead.ID()).count() != n || !rs.unlocked[twin.ID()] {
+		t.Fatalf("%d voters filed, %d votes held, twin unlocked %v",
+			voter, rs.set(types.VoteFast, lead.ID()).count(), rs.unlocked[twin.ID()])
+	}
+}
+
+// meteredEngine counts the heap allocations one replica's engine makes
+// inside its entry points, by the round it was in on entry.
+type meteredEngine struct {
+	*Engine
+	ms      runtime.MemStats
+	byRound map[types.Round]uint64
+}
+
+func (m *meteredEngine) meter(f func() []protocol.Action) []protocol.Action {
+	r := m.Round()
+	runtime.ReadMemStats(&m.ms)
+	before := m.ms.Mallocs
+	acts := f()
+	runtime.ReadMemStats(&m.ms)
+	m.byRound[r] += m.ms.Mallocs - before
+	return acts
+}
+
+func (m *meteredEngine) HandleMessage(from types.ReplicaID, msg types.Message, now time.Time) []protocol.Action {
+	return m.meter(func() []protocol.Action { return m.Engine.HandleMessage(from, msg, now) })
+}
+
+func (m *meteredEngine) HandleTimer(id protocol.TimerID, now time.Time) []protocol.Action {
+	return m.meter(func() []protocol.Action { return m.Engine.HandleTimer(id, now) })
+}
+
+// TestAllocRegressionFastPathRound: one n=19 fast-path round — a proposal,
+// 17 header relays, 18 votes, advances, finalization votes and
+// certificates in, this replica's own relay, votes, certificates and
+// unlock proof out, under ed25519 — costs a non-leader at most 150
+// allocations (it was about 630 with map ledgers).
+func TestAllocRegressionFastPathRound(t *testing.T) {
+	const (
+		n      = 19
+		self   = types.ReplicaID(7)
+		rounds = 40
+		budget = 150
+	)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	params := types.Params{N: n, F: 6, P: 1}
+	keyring, signers := crypto.GenerateCluster(crypto.Ed25519(), n, 3)
+	engines := make([]protocol.Engine, n)
+	metered := &meteredEngine{byRound: make(map[types.Round]uint64)}
+	for i := range engines {
+		eng, err := New(Config{
+			Params: params, Self: types.ReplicaID(i), Keyring: keyring, Signer: signers[i],
+			Delta: 50 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if engines[i] = eng; eng.ID() == self {
+			metered.Engine = eng
+			engines[i] = metered
+		}
+	}
+	net, err := simnet.New(engines, simnet.Options{Topology: wan.Uniform(n, 10*time.Millisecond), JitterFrac: 0.05, Seed: 1}, simnet.Hooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for metered.Round() <= rounds && net.Elapsed() < time.Minute {
+		net.Run(net.Elapsed() + 10*time.Millisecond)
+	}
+	if got := metered.Metrics()["final_fast"]; got < rounds-2 {
+		t.Fatalf("%d of %d rounds finalized on the fast path", got, rounds)
+	}
+	set := metered.History().Genesis()
+	for r := types.Round(3); r < rounds; r++ { // the first rounds grow the engine's maps
+		switch allocs := metered.byRound[r]; {
+		case set.Leader(r) == self:
+			t.Logf("round %d (leader): %d allocations", r, allocs)
+		case allocs > budget:
+			t.Errorf("round %d: %d allocations at a non-leader, budget %d", r, allocs, budget)
+		}
+	}
+	t.Logf("allocations per round: %v", metered.byRound)
+}

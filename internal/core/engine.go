@@ -540,9 +540,12 @@ func (e *Engine) onProposal(from types.ReplicaID, m *types.Proposal) {
 			o.Tracer.Mark(b.Round, id, obs.StageProposalReceived, e.now)
 			o.Tracer.Span(b.Round, id, obs.SpanVerify, e.now, d)
 		}
-		rs.blocks[id] = b
+		rs.addBlock(b)
 		e.tree.Add(b)
 		if !rs.valid[id] {
+			if rs.pending == nil {
+				rs.pending = make(map[types.BlockID]*types.Proposal)
+			}
 			rs.pending[id] = m
 		}
 		e.bodyArrived(b.Round, id)
@@ -585,7 +588,8 @@ func (e *Engine) onVote(v types.Vote) {
 	// removed validator's key still verifies (identities are never
 	// re-keyed), but its votes for rounds past its removal are discarded
 	// before they touch any ledger.
-	if !e.setFor(v.Round).Contains(v.Voter) {
+	set := e.setFor(v.Round)
+	if !set.Contains(v.Voter) {
 		e.met.rejected++
 		return
 	}
@@ -597,7 +601,7 @@ func (e *Engine) onVote(v types.Vote) {
 		e.met.rejected++
 		return
 	}
-	rs.recordVote(v.Kind, v.Block, v.Voter, v.Signature)
+	rs.recordVote(v.Kind, v.Block, v.Voter, v.Signature, set)
 	if _, held := rs.blocks[v.Block]; !held {
 		// A vote for a block this replica has no body for: the voter holds
 		// it (nobody votes for a body they lack), so it can be pulled from
@@ -693,7 +697,7 @@ func (e *Engine) onUnlock(u *types.UnlockProof) {
 	for _, en := range u.Entries {
 		id := en.Header.ID()
 		for i, voter := range en.Voters {
-			rs.recordVote(types.VoteFast, id, voter, en.Sigs[i])
+			rs.recordVote(types.VoteFast, id, voter, en.Sigs[i], set)
 		}
 	}
 }
@@ -1298,7 +1302,7 @@ func (e *Engine) revalidate() bool {
 // proposer's fast vote. Signature and rank were verified at ingestion.
 func (e *Engine) validBlock(rs *roundState, b *types.Block) bool {
 	if b.Rank == 0 && !e.cfg.DisableFastPath {
-		if _, ok := rs.fastVotes[b.ID()][b.Proposer]; !ok {
+		if !rs.set(types.VoteFast, b.ID()).has(b.Proposer) {
 			return false
 		}
 	}
@@ -1402,11 +1406,7 @@ func (e *Engine) tryPropose(now time.Time, acts []protocol.Action) (bool, []prot
 		return true, acts
 	}
 	id := b.ID()
-	rs.blocks[id] = b
-	rs.valid[id] = true
-	e.tree.Add(b)
-	rs.proposed = true
-	e.met.proposals++
+	e.adoptOwn(rs, b)
 
 	msg := &types.Proposal{
 		Block:              b,
@@ -1491,16 +1491,20 @@ func (e *Engine) tryOptimisticPropose(acts []protocol.Action) (bool, []protocol.
 // the previous round.
 func (e *Engine) confirmOptimistic(rs *roundState, opt *optimisticProposal,
 	now time.Time, acts []protocol.Action) []protocol.Action {
-	b := opt.block
-	id := b.ID()
-	rs.blocks[id] = b
-	rs.valid[id] = true
+	e.adoptOwn(rs, opt.block)
+	e.met.optConfirmed++
+	fv := e.castVote(rs, opt.block.ID(), now)
+	return append(acts, protocol.Broadcast{Msg: &types.VoteMsg{Votes: []types.Vote{fv}}})
+}
+
+// adoptOwn makes b this replica's proposal of its round: valid by
+// construction, in blocks(k) and the tree.
+func (e *Engine) adoptOwn(rs *roundState, b *types.Block) {
+	rs.addBlock(b)
+	rs.valid[b.ID()] = true
 	e.tree.Add(b)
 	rs.proposed = true
 	e.met.proposals++
-	e.met.optConfirmed++
-	fv := e.castVote(rs, id, now)
-	return append(acts, protocol.Broadcast{Msg: &types.VoteMsg{Votes: []types.Vote{fv}}})
 }
 
 // castVote signs this replica's notarization vote for block id of the
@@ -1517,7 +1521,7 @@ func (e *Engine) castVote(rs *roundState, id types.BlockID, now time.Time) types
 	}
 	v := e.cfg.Signer.SignVote(kind, e.round, id)
 	rs.notarVoted[id] = true
-	rs.recordVote(kind, id, e.cfg.Self, v.Signature)
+	rs.recordVote(kind, id, e.cfg.Self, v.Signature, e.setFor(e.round))
 	if o := e.cfg.Obs; o != nil {
 		o.Tracer.Mark(e.round, id, obs.StageVoteSent, now)
 	}
@@ -1604,10 +1608,10 @@ func (e *Engine) relayProposal(b *types.Block) *types.Proposal {
 // splitting the cluster below the notarization quorum.
 func (e *Engine) relayCreds(b *types.Block, p *types.Proposal) {
 	if b.Rank == 0 {
-		if sig, ok := e.getRound(b.Round).fastVotes[b.ID()][b.Proposer]; ok {
+		if fast := e.getRound(b.Round).set(types.VoteFast, b.ID()); fast.has(b.Proposer) {
 			p.FastVote = &types.Vote{
 				Kind: types.VoteFast, Round: b.Round, Block: b.ID(),
-				Voter: b.Proposer, Signature: sig,
+				Voter: b.Proposer, Signature: fast.sigs[b.Proposer],
 			}
 		}
 	}
@@ -1638,24 +1642,19 @@ func (e *Engine) tryNotarize(acts []protocol.Action) (bool, []protocol.Action) {
 		quorum := e.setFor(r).Params().NotarizationQuorum()
 		// A block's notarization voters are split over two ledgers
 		// (notarSupport); one that has any is a key of at least one.
-		for _, ledger := range [...]voteLedger{rs.fastVotes, rs.notarVotes} {
-			for id := range ledger {
-				if rs.notarizations[id] != nil || rs.notarSupport(id) < quorum {
-					continue
-				}
-				cert, err := types.NewCertificate(types.CertNotarization, r, id,
-					append(votesFor(types.VoteFast, r, id, rs.fastVotes[id]),
-						votesFor(types.VoteNotarize, r, id, rs.notarVotes[id])...))
-				if err != nil {
-					continue
-				}
-				rs.notarizations[id] = cert
-				e.tree.MarkNotarized(id)
-				if o := e.cfg.Obs; o != nil && !e.replaying {
-					o.Tracer.Mark(r, id, obs.StageNotarized, e.now)
-				}
-				changed = true
+		for {
+			id, ok := rs.firstBlock(func(id types.BlockID) bool {
+				return rs.notarizations[id] == nil && rs.notarSupport(id) >= quorum
+			}, types.VoteFast, types.VoteNotarize)
+			if !ok {
+				break
 			}
+			rs.notarizations[id] = rs.certificate(types.CertNotarization, r, id)
+			e.tree.MarkNotarized(id)
+			if o := e.cfg.Obs; o != nil && !e.replaying {
+				o.Tracer.Mark(r, id, obs.StageNotarized, e.now)
+			}
+			changed = true
 		}
 	}
 	return changed, acts
@@ -1683,29 +1682,18 @@ func (e *Engine) tryFinalize(acts []protocol.Action) (bool, []protocol.Action) {
 		}
 		// FP-finalization: n-p fast votes for a valid rank-0 block.
 		if !e.cfg.DisableFastPath {
-			if id, votes, ok := rs.fastQuorumBlock(params.FastQuorum()); ok && rs.valid[id] {
-				cert, err := types.NewCertificate(types.CertFastFinalization, r, id,
-					votesFor(types.VoteFast, r, id, votes))
-				if err == nil {
-					changed = true
-					acts = e.finalizeExplicit(rs, cert, protocol.FinalizeFast, acts)
-					continue
-				}
+			if id, ok := rs.fastQuorumBlock(params.FastQuorum()); ok && rs.valid[id] {
+				changed = true
+				acts = e.finalizeExplicit(rs, rs.certificate(types.CertFastFinalization, r, id), protocol.FinalizeFast, acts)
+				continue
 			}
 		}
 		// SP-finalization: quorum of finalization votes.
-		for id, votes := range rs.finalVotes {
-			if len(votes) < params.FinalizationQuorum() {
-				continue
-			}
-			cert, err := types.NewCertificate(types.CertFinalization, r, id,
-				votesFor(types.VoteFinalize, r, id, votes))
-			if err != nil {
-				continue
-			}
+		if id, ok := rs.firstBlock(func(id types.BlockID) bool {
+			return rs.set(types.VoteFinalize, id).count() >= params.FinalizationQuorum()
+		}, types.VoteFinalize); ok {
 			changed = true
-			acts = e.finalizeExplicit(rs, cert, protocol.FinalizeSlow, acts)
-			break
+			acts = e.finalizeExplicit(rs, rs.certificate(types.CertFinalization, r, id), protocol.FinalizeSlow, acts)
 		}
 	}
 	// Retry commits blocked on missing ancestors.
@@ -1722,16 +1710,11 @@ func (e *Engine) tryFinalize(acts []protocol.Action) (bool, []protocol.Action) {
 
 // fastQuorumBlock finds a received rank-0 block holding at least quorum
 // fast votes.
-func (rs *roundState) fastQuorumBlock(quorum int) (types.BlockID, map[types.ReplicaID][]byte, bool) {
-	for id, votes := range rs.fastVotes {
-		if len(votes) < quorum {
-			continue
-		}
-		if b, ok := rs.blocks[id]; ok && b.Rank == 0 {
-			return id, votes, true
-		}
-	}
-	return types.BlockID{}, nil, false
+func (rs *roundState) fastQuorumBlock(quorum int) (types.BlockID, bool) {
+	return rs.firstBlock(func(id types.BlockID) bool {
+		b, ok := rs.blocks[id]
+		return ok && b.Rank == 0 && rs.set(types.VoteFast, id).count() >= quorum
+	}, types.VoteFast)
 }
 
 // finalizeExplicit records an explicit finalization, broadcasts the
@@ -1959,7 +1942,7 @@ func (e *Engine) tryAdvance(now time.Time, acts []protocol.Action) (bool, []prot
 		} else {
 			fv := e.cfg.Signer.SignVote(types.VoteFinalize, round, id)
 			rs.finalVoted = true
-			rs.recordVote(types.VoteFinalize, id, e.cfg.Self, fv.Signature)
+			rs.recordVote(types.VoteFinalize, id, e.cfg.Self, fv.Signature, e.setFor(round))
 			e.met.votesSent++
 			acts = append(acts, protocol.Broadcast{Msg: &types.VoteMsg{Votes: []types.Vote{fv}}})
 		}
@@ -2006,7 +1989,7 @@ func (e *Engine) advanceCandidate(rs *roundState) (types.BlockID, bool) {
 			}
 			continue
 		}
-		if !found || b.Rank < bestR || (b.Rank == bestR && lessBlockID(id, best)) {
+		if !found || b.Rank < bestR || (b.Rank == bestR && id.Compare(best) < 0) {
 			best, bestR, found = id, b.Rank, true
 		}
 	}
@@ -2035,6 +2018,9 @@ func (e *Engine) scheduleNotarTimers(now time.Time, acts []protocol.Action) []pr
 		b := rs.blocks[id]
 		if rs.notarTimerSet[b.Rank] {
 			continue
+		}
+		if rs.notarTimerSet == nil {
+			rs.notarTimerSet = make(map[types.Rank]bool)
 		}
 		rs.notarTimerSet[b.Rank] = true
 		at := rs.t0.Add(e.propDelay(b.Rank))

@@ -66,8 +66,8 @@ func TestFastVotesAloneNotarize(t *testing.T) {
 		t.Errorf("own votes %v, want one fast vote", got)
 	}
 	rs := r.eng.rounds[1]
-	if len(rs.notarVotes) != 0 {
-		t.Errorf("bare notarization votes recorded: %v", rs.notarVotes)
+	if n := rs.votesHeld(types.VoteNotarize); n != 0 {
+		t.Errorf("%d bare notarization votes recorded", n)
 	}
 	notar := broadcasts[*types.Advance](r)[0].Notarization
 	if notar == nil || notar.Block != b.ID() || len(notar.Signers) != 3 {
@@ -163,12 +163,12 @@ func TestRedundantVoteFormsCostNothing(t *testing.T) {
 
 	// Bare notarization vote first: counted; the fast vote replaces it.
 	r.deliver(peers[1], &types.VoteMsg{Votes: []types.Vote{r.notarVote(peers[1], b)}})
-	if rs.notarSupport(b.ID()) != support+1 || len(rs.notarVotes[b.ID()]) != 1 {
-		t.Fatalf("bare notarization vote: support %d, ledger %v", rs.notarSupport(b.ID()), rs.notarVotes)
+	if rs.notarSupport(b.ID()) != support+1 || rs.set(types.VoteNotarize, b.ID()).count() != 1 {
+		t.Fatalf("bare notarization vote: support %d, %d bare votes", rs.notarSupport(b.ID()), rs.votesHeld(types.VoteNotarize))
 	}
 	r.deliver(peers[1], fastVoteMsg(r, peers[1], b))
-	if rs.notarSupport(b.ID()) != support+1 || len(rs.notarVotes) != 0 {
-		t.Fatalf("fast vote after a bare one: support %d, bare ledger %v", rs.notarSupport(b.ID()), rs.notarVotes)
+	if rs.notarSupport(b.ID()) != support+1 || rs.votesHeld(types.VoteNotarize) != 0 {
+		t.Fatalf("fast vote after a bare one: support %d, %d bare votes", rs.notarSupport(b.ID()), rs.votesHeld(types.VoteNotarize))
 	}
 }
 
@@ -416,8 +416,8 @@ func TestReplayOldAndNewVoteForms(t *testing.T) {
 			len(rec.FastVotes) != 1 || rec.FastVotes[0] != a.ID() {
 			t.Fatalf("%s form restored %+v", name, rec)
 		}
-		if rs := eng.rounds[1]; len(rs.notarVotes) != 0 || rs.notarSupport(a.ID()) != 2 {
-			t.Fatalf("%s form: bare ledger %v, support %d", name, rs.notarVotes, rs.notarSupport(a.ID()))
+		if rs := eng.rounds[1]; rs.votesHeld(types.VoteNotarize) != 0 || rs.notarSupport(a.ID()) != 2 {
+			t.Fatalf("%s form: %d bare votes, support %d", name, rs.votesHeld(types.VoteNotarize), rs.notarSupport(a.ID()))
 		}
 
 		// Second life, live: the leader's twin shows up and wins the round.

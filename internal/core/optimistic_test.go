@@ -514,7 +514,7 @@ func TestReplayRestoresConfirmedOptimistic(t *testing.T) {
 	if rs == nil || !rs.proposed || !rs.fastVoteSent {
 		t.Fatal("confirmed optimistic proposal not restored as the round's proposal")
 	}
-	if len(rs.fastVotes[opt.ID()]) == 0 {
+	if rs.set(types.VoteFast, opt.ID()).count() == 0 {
 		t.Fatal("replayed confirmation fast vote missing from the ledger")
 	}
 	if _, ok := eng2.Tree().Block(opt.ID()); !ok {

@@ -141,7 +141,7 @@ func (e *Engine) maybePull(now time.Time, acts []protocol.Action) []protocol.Act
 			if due[i].round != due[j].round {
 				return due[i].round < due[j].round
 			}
-			return lessBlockID(due[i].id, due[j].id)
+			return due[i].id.Compare(due[j].id) < 0
 		})
 	}
 	for _, key := range due {
@@ -199,12 +199,13 @@ func (e *Engine) onBlockRequest(from types.ReplicaID, m *types.BlockRequest) []p
 		return nil
 	}
 	b, held := rs.blocks[m.ID]
-	if !held || rs.served[from] >= maxServedPerPeer {
+	if !held || int(from) < len(rs.served) && rs.served[from] >= maxServedPerPeer {
 		e.met.bodyPullsRefused++
 		return nil
 	}
-	if rs.served == nil {
-		rs.served = make(map[types.ReplicaID]int)
+	if int(from) >= len(rs.served) {
+		// HandleMessage bounds from by the identity registry.
+		rs.served = append(rs.served, make([]uint8, int(from)+1-len(rs.served))...)
 	}
 	rs.served[from]++
 	e.met.bodyPullsServed++

@@ -80,7 +80,7 @@ func TestHeaderForUnknownBlockIsOnlyWanted(t *testing.T) {
 		t.Fatal("bodiless block entered the tree")
 	}
 	// The credentials the relay carried are absorbed all the same.
-	if _, ok := rs.fastVotes[b.ID()][b.Proposer]; !ok {
+	if !rs.set(types.VoteFast, b.ID()).has(b.Proposer) {
 		t.Fatal("proposer fast vote carried by the header relay was dropped")
 	}
 	// Known holders, in the order heard: the relayer, then the proposer

@@ -80,12 +80,7 @@ func (e *Engine) replayOwnProposal(m *types.Proposal) {
 		e.met.optProposed++
 		return
 	}
-	id := b.ID()
-	rs.blocks[id] = b
-	rs.valid[id] = true
-	e.tree.Add(b)
-	rs.proposed = true
-	e.met.proposals++
+	e.adoptOwn(rs, b)
 	if e.opt != nil && e.opt.round == b.Round {
 		// A journaled same-round proposal WITH credentials supersedes the
 		// optimistic one: the pre-crash replica withdrew and re-proposed.
@@ -113,7 +108,7 @@ func (e *Engine) replayOwnVote(v types.Vote) {
 		return
 	}
 	rs := e.getRound(v.Round)
-	rs.recordVote(v.Kind, v.Block, v.Voter, v.Signature)
+	rs.recordVote(v.Kind, v.Block, v.Voter, v.Signature, e.setFor(v.Round))
 	switch v.Kind {
 	case types.VoteNotarize:
 		rs.notarVoted[v.Block] = true
@@ -127,11 +122,7 @@ func (e *Engine) replayOwnVote(v types.Vote) {
 			// The journaled fast vote names the pending optimistic block:
 			// that vote was its confirmation — adopt it as the round's
 			// proposal, as confirmOptimistic did before the crash.
-			rs.blocks[v.Block] = opt.block
-			rs.valid[v.Block] = true
-			e.tree.Add(opt.block)
-			rs.proposed = true
-			e.met.proposals++
+			e.adoptOwn(rs, opt.block)
 			e.met.optConfirmed++
 			e.opt = nil
 		}
@@ -151,7 +142,7 @@ func (e *Engine) EndReplay(now time.Time) []protocol.Action {
 	rs.t0 = now
 	// Notarization-delay timers were requested against pre-crash t0;
 	// forget them so scheduleNotarTimers re-arms against the new one.
-	rs.notarTimerSet = make(map[types.Rank]bool)
+	rs.notarTimerSet = nil
 	var acts []protocol.Action
 	if rank := e.setFor(e.round).RankOf(e.round, e.cfg.Self); rank > 0 && rank != types.NoRank && !rs.proposed {
 		acts = append(acts, protocol.SetTimer{

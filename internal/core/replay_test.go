@@ -99,7 +99,7 @@ func TestReplayRestoresVotingRecord(t *testing.T) {
 	if rs == nil || !rs.notarVoted[blockA.ID()] || !rs.fastVoteSent {
 		t.Fatal("replay did not restore the voting record")
 	}
-	if len(rs.fastVotes[blockA.ID()]) == 0 {
+	if rs.set(types.VoteFast, blockA.ID()).count() == 0 {
 		t.Fatal("replayed own fast vote missing from the ledger")
 	}
 }

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"banyan/internal/membership"
@@ -34,13 +34,18 @@ type roundState struct {
 	// (Algorithm 1 line 21).
 	notarVoted map[types.BlockID]bool
 
-	// Vote ledgers: signature by voter, per block, written through
-	// recordVote. A fast vote is also its voter's notarization vote for the
-	// block, so notarVotes holds only the bare ones: a second block in the
+	// votes are the ledgers, one per vote kind: a voteSet per block,
+	// written through recordVote and created by the kind's first vote. A
+	// fast vote is also its voter's notarization vote for the block, so the
+	// VoteNotarize ledger holds only the bare ones: a second block in the
 	// round, the no-fast-path configuration, or a Byzantine voter.
-	fastVotes  voteLedger
-	notarVotes voteLedger
-	finalVotes voteLedger
+	votes [types.VoteFast + 1]map[types.BlockID]*voteSet
+
+	// gen counts the changes to what Definition 7.6 is evaluated over — a
+	// vote filed, a block received, the ledgers scrubbed — and unlockGen is
+	// its value when recomputeUnlock last ran: a round nothing happened to
+	// is not evaluated again.
+	gen, unlockGen uint64
 
 	// notarizations holds formed or received notarization certificates.
 	notarizations map[types.BlockID]*types.Certificate
@@ -74,42 +79,57 @@ type roundState struct {
 	advanceProof *types.UnlockProof
 
 	// notarTimerSet tracks ranks for which a notarization-delay timer has
-	// been requested, to avoid duplicate SetTimer actions.
+	// been requested, to avoid duplicate SetTimer actions; nil until the
+	// first.
 	notarTimerSet map[types.Rank]bool
 
 	// served counts the block bodies of this round sent to each peer in
-	// answer to BlockRequests (maxServedPerPeer); nil until the first.
-	served map[types.ReplicaID]int
+	// answer to BlockRequests (maxServedPerPeer), indexed by ReplicaID; nil
+	// until the first.
+	served []uint8
 }
 
 func newRoundState() *roundState {
 	return &roundState{
 		blocks:        make(map[types.BlockID]*types.Block),
 		valid:         make(map[types.BlockID]bool),
-		pending:       make(map[types.BlockID]*types.Proposal),
 		notarVoted:    make(map[types.BlockID]bool),
-		fastVotes:     make(voteLedger),
-		notarVotes:    make(voteLedger),
-		finalVotes:    make(voteLedger),
 		notarizations: make(map[types.BlockID]*types.Certificate),
 		unlocked:      make(map[types.BlockID]bool),
-		notarTimerSet: make(map[types.Rank]bool),
 	}
 }
 
-// voteLedger maps block → voter → signature for one kind of vote.
-type voteLedger = map[types.BlockID]map[types.ReplicaID][]byte
+// addBlock files a received (or own) round block under blocks(k).
+func (rs *roundState) addBlock(b *types.Block) {
+	rs.blocks[b.ID()] = b
+	rs.gen++
+}
 
-// ledger returns the ledger votes of the given kind are filed in.
-func (rs *roundState) ledger(kind types.VoteKind) voteLedger {
-	switch kind {
-	case types.VoteNotarize:
-		return rs.notarVotes
-	case types.VoteFinalize:
-		return rs.finalVotes
-	default:
-		return rs.fastVotes
+// voteSet holds the votes of one kind for one block: the voters as a
+// bitset and their signatures indexed by ReplicaID, sized when the block's
+// first vote arrives to the span of the round's validator set, which
+// bounds every ID recordVote lets in. IDs are never reused or re-keyed, so
+// an index means the same replica in every epoch. Readers walk the
+// bitset, in voter order.
+type voteSet struct {
+	voters types.VoterSet
+	sigs   [][]byte
+}
+
+// has reports whether the voter's vote is in the set; a nil set is empty.
+func (vs *voteSet) has(voter types.ReplicaID) bool { return vs != nil && vs.voters.Has(voter) }
+
+// count returns the number of votes in the set; a nil set is empty.
+func (vs *voteSet) count() int {
+	if vs == nil {
+		return 0
 	}
+	return vs.voters.Count()
+}
+
+// set returns the votes of the given kind held for a block, nil if none.
+func (rs *roundState) set(kind types.VoteKind, block types.BlockID) *voteSet {
+	return rs.votes[kind][block]
 }
 
 // hasVote reports whether a vote would tell this round nothing new: it is
@@ -117,40 +137,45 @@ func (rs *roundState) ledger(kind types.VoteKind) voteLedger {
 // whose fast vote for the same block is — the fast vote is that voter's
 // notarization vote (notarSupport).
 func (rs *roundState) hasVote(kind types.VoteKind, block types.BlockID, voter types.ReplicaID) bool {
-	if _, dup := rs.ledger(kind)[block][voter]; dup {
-		return true
-	}
-	if kind != types.VoteNotarize {
-		return false
-	}
-	_, dup := rs.fastVotes[block][voter]
-	return dup
+	return rs.set(kind, block).has(voter) ||
+		kind == types.VoteNotarize && rs.set(types.VoteFast, block).has(voter)
 }
 
 // recordVote files a verified vote signature. It is the one way into the
-// ledgers, for peers' votes and this replica's own alike, so that a fast
-// vote always counts as its voter's notarization vote too: a voter is in
-// at most one of fastVotes[block] and notarVotes[block], the fast vote
-// displacing a bare notarization vote that arrived first.
-func (rs *roundState) recordVote(kind types.VoteKind, block types.BlockID, voter types.ReplicaID, sig []byte) {
-	if rs.hasVote(kind, block, voter) {
+// ledgers — for peers' votes, proof-carried and replayed ones and this
+// replica's own alike — so it is where the voter is pinned to the round's
+// validator set, whatever the caller checked: a non-member's vote is
+// refused, and a member's ID is an index below the set's span. It is also
+// where a fast vote is made to count as its voter's notarization vote
+// too: a voter is in at most one of the fast and the bare notarization
+// set of a block, the fast vote displacing a bare notarization vote that
+// arrived first.
+func (rs *roundState) recordVote(kind types.VoteKind, block types.BlockID, voter types.ReplicaID, sig []byte, set *membership.ValidatorSet) {
+	if !set.Contains(voter) || rs.hasVote(kind, block, voter) {
 		return
 	}
-	ledger := rs.ledger(kind)
-	byVoter, ok := ledger[block]
-	if !ok {
-		byVoter = make(map[types.ReplicaID][]byte)
-		ledger[block] = byVoter
+	if rs.votes[kind] == nil {
+		rs.votes[kind] = make(map[types.BlockID]*voteSet)
 	}
-	byVoter[voter] = sig
-	if kind == types.VoteFast {
-		if bare := rs.notarVotes[block]; bare != nil {
-			delete(bare, voter)
-			if len(bare) == 0 {
-				delete(rs.notarVotes, block)
-			}
-		}
+	vs := rs.votes[kind][block]
+	if vs == nil {
+		vs = &voteSet{}
+		rs.votes[kind][block] = vs
 	}
+	if int(voter) >= len(vs.sigs) {
+		// The block's first vote of the kind — or a later epoch, with a
+		// joiner's higher ID, took the round over since that sized the set.
+		voters, sigs := types.NewVoterSet(set.Span()), make([][]byte, set.Span())
+		copy(voters, vs.voters)
+		copy(sigs, vs.sigs)
+		vs.voters, vs.sigs = voters, sigs
+	}
+	vs.voters.Add(voter)
+	vs.sigs[voter] = sig
+	if bare := rs.set(types.VoteNotarize, block); kind == types.VoteFast && bare != nil {
+		bare.voters.Remove(voter)
+	}
+	rs.gen++
 }
 
 // notarSupport counts the replicas that notarization-voted for a block:
@@ -159,7 +184,55 @@ func (rs *roundState) recordVote(kind types.VoteKind, block types.BlockID, voter
 // so it is sent as that vote — plus those that sent a bare notarization
 // vote (recordVote keeps the two disjoint).
 func (rs *roundState) notarSupport(block types.BlockID) int {
-	return len(rs.fastVotes[block]) + len(rs.notarVotes[block])
+	return rs.set(types.VoteFast, block).count() + rs.set(types.VoteNotarize, block).count()
+}
+
+// firstBlock returns the smallest ID among the blocks holding votes of
+// the given kinds that ok accepts: several blocks of a round are dealt
+// with in ID order, never in map order.
+func (rs *roundState) firstBlock(ok func(types.BlockID) bool, kinds ...types.VoteKind) (best types.BlockID, found bool) {
+	for _, kind := range kinds {
+		for id := range rs.votes[kind] {
+			if (!found || id.Compare(best) < 0) && ok(id) {
+				best, found = id, true
+			}
+		}
+	}
+	return best, found
+}
+
+// certificate aggregates the votes held for a block into a certificate of
+// the given kind, signers ascending: what types.NewCertificate builds from
+// the same votes. A notarization takes the fast voters and the bare ones,
+// marking the former.
+func (rs *roundState) certificate(kind types.CertKind, round types.Round, block types.BlockID) *types.Certificate {
+	votes := rs.set(kind.VoteKind(), block)
+	var fast *voteSet
+	if kind == types.CertNotarization {
+		fast = rs.set(types.VoteFast, block)
+	}
+	n := votes.count() + fast.count()
+	c := &types.Certificate{
+		Kind: kind, Round: round, Block: block,
+		Signers: make([]types.ReplicaID, 0, n),
+		Sigs:    make([][]byte, 0, n),
+	}
+	if fast.count() > 0 {
+		c.Fast = make([]byte, (n+7)/8)
+	}
+	for id := types.ReplicaID(0); len(c.Signers) < n; id++ {
+		switch {
+		case fast.has(id):
+			c.Fast[len(c.Signers)/8] |= 1 << (len(c.Signers) % 8)
+			c.Sigs = append(c.Sigs, fast.sigs[id])
+		case votes.has(id):
+			c.Sigs = append(c.Sigs, votes.sigs[id])
+		default:
+			continue
+		}
+		c.Signers = append(c.Signers, id)
+	}
+	return c
 }
 
 // ownVotes returns the votes the given replica holds in this round's
@@ -167,32 +240,15 @@ func (rs *roundState) notarSupport(block types.BlockID) int {
 func (rs *roundState) ownVotes(round types.Round, self types.ReplicaID) []types.Vote {
 	var votes []types.Vote
 	for _, kind := range [...]types.VoteKind{types.VoteNotarize, types.VoteFinalize, types.VoteFast} {
-		for block, byVoter := range rs.ledger(kind) {
-			if sig, ok := byVoter[self]; ok {
+		first := len(votes)
+		for block, vs := range rs.votes[kind] {
+			if vs.has(self) {
 				votes = append(votes, types.Vote{
-					Kind: kind, Round: round, Block: block, Voter: self, Signature: sig,
+					Kind: kind, Round: round, Block: block, Voter: self, Signature: vs.sigs[self],
 				})
 			}
 		}
-	}
-	sort.Slice(votes, func(i, j int) bool {
-		if votes[i].Kind != votes[j].Kind {
-			return votes[i].Kind < votes[j].Kind
-		}
-		return lessBlockID(votes[i].Block, votes[j].Block)
-	})
-	return votes
-}
-
-// votesFor converts a ledger entry back into Vote values for certificate
-// assembly.
-func votesFor(kind types.VoteKind, round types.Round, block types.BlockID,
-	m map[types.ReplicaID][]byte) []types.Vote {
-	votes := make([]types.Vote, 0, len(m))
-	for voter, sig := range m {
-		votes = append(votes, types.Vote{
-			Kind: kind, Round: round, Block: block, Voter: voter, Signature: sig,
-		})
+		slices.SortFunc(votes[first:], func(a, b types.Vote) int { return a.Block.Compare(b.Block) })
 	}
 	return votes
 }
@@ -205,21 +261,11 @@ func votesFor(kind types.VoteKind, round types.Round, block types.BlockID,
 // from before the activation was known must not count toward the new
 // epoch's quorums.
 func (rs *roundState) scrubNonMembers(set *membership.ValidatorSet, notarQuorum int) {
-	scrub := func(ledger voteLedger) {
-		for block, byVoter := range ledger {
-			for voter := range byVoter {
-				if !set.Contains(voter) {
-					delete(byVoter, voter)
-				}
-			}
-			if len(byVoter) == 0 {
-				delete(ledger, block)
-			}
+	for _, ledger := range rs.votes {
+		for _, vs := range ledger {
+			vs.voters.And(set.Mask())
 		}
 	}
-	scrub(rs.fastVotes)
-	scrub(rs.notarVotes)
-	scrub(rs.finalVotes)
 	for id, cert := range rs.notarizations {
 		ok := len(cert.Signers) >= notarQuorum
 		for _, s := range cert.Signers {
@@ -232,8 +278,9 @@ func (rs *roundState) scrubNonMembers(set *membership.ValidatorSet, notarQuorum 
 			delete(rs.notarizations, id)
 		}
 	}
-	rs.unlocked = make(map[types.BlockID]bool)
+	clear(rs.unlocked)
 	rs.allUnlocked = false
+	rs.gen++
 }
 
 // isUnlocked reports whether the block is unlocked in this round under

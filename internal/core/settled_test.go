@@ -17,13 +17,19 @@ func verifierLookups(r *rig) int64 {
 	return hits + misses
 }
 
+// votesHeld counts the votes of one kind a round holds, over all blocks.
+func (rs *roundState) votesHeld(kind types.VoteKind) (n int) {
+	for _, vs := range rs.votes[kind] {
+		n += vs.count()
+	}
+	return n
+}
+
 // ledgerSizes counts what one round's state holds, so a test can assert
 // that late traffic changed none of it.
 func ledgerSizes(rs *roundState) (n int) {
-	for _, ledger := range []voteLedger{rs.notarVotes, rs.fastVotes, rs.finalVotes} {
-		for _, byVoter := range ledger {
-			n += len(byVoter)
-		}
+	for _, kind := range []types.VoteKind{types.VoteNotarize, types.VoteFast, types.VoteFinalize} {
+		n += rs.votesHeld(kind)
 	}
 	return n + len(rs.notarizations) + len(rs.unlocked) + len(rs.blocks)
 }
@@ -223,7 +229,7 @@ func TestFastPathRoundSendsNoFinalizationVote(t *testing.T) {
 	if n := finalizeVotesSent(r); n != 0 {
 		t.Fatalf("%d finalization votes sent on the fast path", n)
 	}
-	if r.eng.rounds[1].finalVoted || len(r.eng.rounds[1].finalVotes) != 0 {
+	if r.eng.rounds[1].finalVoted || r.eng.rounds[1].votesHeld(types.VoteFinalize) != 0 {
 		t.Fatal("finalization vote recorded though none was sent")
 	}
 	if n := len(broadcasts[*types.CertMsg](r)); n != 1 {

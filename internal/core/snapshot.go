@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"banyan/internal/protocol"
@@ -234,13 +235,13 @@ func (e *Engine) OwnVotingRecord() map[types.Round]OwnRecord {
 		floor = fin - e.cfg.PruneKeep
 	}
 	sorted := func(ids []types.BlockID) []types.BlockID {
-		sort.Slice(ids, func(i, j int) bool { return lessBlockID(ids[i], ids[j]) })
+		slices.SortFunc(ids, types.BlockID.Compare)
 		return ids
 	}
-	collect := func(ledger voteLedger) []types.BlockID {
+	collect := func(ledger map[types.BlockID]*voteSet) []types.BlockID {
 		var ids []types.BlockID
-		for block, byVoter := range ledger {
-			if _, ok := byVoter[e.cfg.Self]; ok {
+		for block, vs := range ledger {
+			if vs.has(e.cfg.Self) {
 				ids = append(ids, block)
 			}
 		}
@@ -259,8 +260,8 @@ func (e *Engine) OwnVotingRecord() map[types.Round]OwnRecord {
 			FastVoteSent: rs.fastVoteSent,
 			FinalVoted:   rs.finalVoted,
 			NotarVotes:   sorted(voted),
-			FastVotes:    collect(rs.fastVotes),
-			FinalVotes:   collect(rs.finalVotes),
+			FastVotes:    collect(rs.votes[types.VoteFast]),
+			FinalVotes:   collect(rs.votes[types.VoteFinalize]),
 		}
 		if !rec.Proposed && !rec.FastVoteSent && !rec.FinalVoted &&
 			len(rec.NotarVotes)+len(rec.FastVotes)+len(rec.FinalVotes) == 0 {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"banyan/internal/types"
 )
 
@@ -9,185 +11,98 @@ import (
 // conditions, and the construction of transferable unlock proofs.
 
 // recomputeUnlock re-evaluates Definition 7.6 for a round from its current
-// fast votes and received blocks. Support sets only grow, so unlock flags
-// are monotone and never cleared. threshold is f + p.
+// fast votes and received blocks, if either changed since it last did.
+// Support sets only grow, so unlock flags are monotone and never cleared.
+// threshold is f + p.
 //
 // Only votes for *received* blocks participate: Definition 7.1 defines
 // supp over blocks(k), and a vote for an unknown ID has an unknown rank.
 // Votes are retained, so they are reconsidered as soon as the block shows
 // up.
 func (rs *roundState) recomputeUnlock(threshold int) {
-	if rs.allUnlocked {
+	if rs.allUnlocked || rs.unlockGen == rs.gen {
 		return
 	}
+	rs.unlockGen = rs.gen
+	var buf [4]types.SupportSet
+	sets := rs.supportSets(buf[:0])
 
-	// supp(nonLeaderBlocks(k)): distinct voters over received rank!=0 blocks.
-	nonLeader := make(map[types.ReplicaID]bool)
-	for id, votes := range rs.fastVotes {
-		b, ok := rs.blocks[id]
-		if !ok || b.Rank == 0 {
-			continue
-		}
-		for voter := range votes {
-			nonLeader[voter] = true
-		}
-	}
-
-	// Condition 1, rank!=0 blocks: supp(b) is a subset of
-	// supp(nonLeaderBlocks), so the union is just supp(nonLeaderBlocks) and
-	// all of them unlock together.
-	if len(nonLeader) > threshold {
-		for id, b := range rs.blocks {
-			if b.Rank != 0 {
-				rs.unlocked[id] = true
-			}
-		}
-	}
-
-	// Condition 1, rank-0 blocks: |supp(b) ∪ supp(nonLeaderBlocks)| > f+p.
-	for id, b := range rs.blocks {
-		if b.Rank != 0 || rs.unlocked[id] {
-			continue
-		}
-		union := len(nonLeader)
-		for voter := range rs.fastVotes[id] {
-			if !nonLeader[voter] {
-				union++
-			}
-		}
-		if union > threshold {
+	// Condition 1: |supp(b) ∪ supp(nonLeaderBlocks)| > f+p. For a rank != 0
+	// block supp(b) is a subset of supp(nonLeaderBlocks), so all of them
+	// unlock together.
+	for id := range rs.blocks {
+		if !rs.unlocked[id] && types.Cond1Support(rs.supp(id), sets) > threshold {
 			rs.unlocked[id] = true
 		}
 	}
 
-	// Condition 2: |supp(nonMaxBlocks(k))| > f+p unlocks everything.
-	// Definition 7.2's max(k) is evaluated under the strict semantics of
-	// types.UnlockProof.cond2Support — the bound must hold for *every*
-	// candidate max (see the soundness discussion there): an adversary
-	// feeding this replica a partial view of an FP-finalized block's votes
-	// must not be able to trip Condition 2.
-	if rs.cond2StrictSupport() > threshold {
+	// Condition 2: |supp(nonMaxBlocks(k))| > f+p unlocks everything, max(k)
+	// read strictly (types.Cond2Support): an adversary feeding this replica
+	// a partial view of an FP-finalized block's votes must not be able to
+	// trip it.
+	if types.Cond2Support(sets) > threshold {
 		rs.allUnlocked = true
 	}
 }
 
-// cond2StrictSupport returns the minimum, over every choice of excluded
-// rank-0 block m (including no exclusion), of the distinct-voter count
-// across fast votes for received blocks other than m.
-func (rs *roundState) cond2StrictSupport() int {
-	support := func(skip types.BlockID, useSkip bool) int {
-		voters := make(map[types.ReplicaID]bool)
-		for id, votes := range rs.fastVotes {
-			if useSkip && id == skip {
-				continue
-			}
-			if _, known := rs.blocks[id]; !known {
-				continue
-			}
-			for voter := range votes {
-				voters[voter] = true
-			}
-		}
-		return len(voters)
+// supp returns supp(b): the replicas whose fast vote for the block is held.
+func (rs *roundState) supp(block types.BlockID) types.VoterSet {
+	if fast := rs.set(types.VoteFast, block); fast != nil {
+		return fast.voters
 	}
-	min := support(types.BlockID{}, false)
-	for id, b := range rs.blocks {
-		if b.Rank != 0 {
-			continue
-		}
-		if s := support(id, true); s < min {
-			min = s
-		}
-	}
-	return min
+	return nil
 }
 
-func lessBlockID(a, b types.BlockID) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
+// supportSets appends supp(b) for every received block b holding fast
+// votes: what Definition 7.6 is evaluated over.
+func (rs *roundState) supportSets(sets []types.SupportSet) []types.SupportSet {
+	for id, fast := range rs.votes[types.VoteFast] {
+		if b, known := rs.blocks[id]; known {
+			sets = append(sets, types.SupportSet{Leader: b.Rank == 0, Voters: fast.voters})
 		}
 	}
-	return false
+	return sets
 }
 
 // buildUnlockProof assembles a transferable proof (Definition 7.7) that
 // `block` is unlocked in this round, from locally held fast votes. It
 // prefers a Condition-1 proof (votes for the block itself plus votes for
-// non-leader blocks) and falls back to a Condition-2 "all unlocked" proof.
+// non-leader blocks) and falls back to a Condition-2 "all unlocked" proof
+// carrying every received block's votes — a verifier re-derives the strict
+// minimum over candidate max blocks itself, through the same evaluator.
 // Returns nil if the local votes cannot establish either condition — the
 // caller then relies on the block being finalized (unlocked by definition).
+// Entries are in block-ID order, so proofs are deterministic byte-for-byte
+// across replicas holding the same votes.
 func (rs *roundState) buildUnlockProof(round types.Round, block types.BlockID, threshold int) *types.UnlockProof {
-	// Condition 1 entries: the block itself + every received non-leader
-	// block with votes.
-	proof := &types.UnlockProof{Round: round, Block: block}
-	for id, b := range rs.blocks {
-		if id != block && b.Rank == 0 {
-			continue
-		}
-		if e, ok := rs.voteEntry(id); ok {
-			proof.Entries = append(proof.Entries, e)
-		}
+	var buf [4]types.SupportSet
+	sets := rs.supportSets(buf[:0])
+	var own types.VoterSet
+	if _, known := rs.blocks[block]; known {
+		own = rs.supp(block)
 	}
-	sortEntries(proof.Entries)
-	if proof.Evaluate(threshold) {
-		return proof
+	all := types.Cond1Support(own, sets) <= threshold // no Condition-1 proof: try Condition 2
+	if all && types.Cond2Support(sets) <= threshold {
+		return nil
 	}
-
-	// Condition 2: include every received block's votes — the strict
-	// verifier (types.UnlockProof.cond2Support) re-derives the minimum
-	// over candidate max blocks itself, and more entries only help.
-	all := &types.UnlockProof{Round: round, Block: block, All: true}
-	for id := range rs.blocks {
-		if e, ok := rs.voteEntry(id); ok {
-			all.Entries = append(all.Entries, e)
+	ids := make([]types.BlockID, 0, len(sets))
+	for id, fast := range rs.votes[types.VoteFast] {
+		b, known := rs.blocks[id]
+		if known && fast.count() > 0 && (all || id == block || b.Rank != 0) {
+			ids = append(ids, id)
 		}
 	}
-	sortEntries(all.Entries)
-	if all.Evaluate(threshold) {
-		return all
-	}
-	return nil
-}
-
-// voteEntry packages the fast votes for one received block into an
-// UnlockEntry, voters ascending.
-func (rs *roundState) voteEntry(id types.BlockID) (types.UnlockEntry, bool) {
-	b, ok := rs.blocks[id]
-	if !ok {
-		return types.UnlockEntry{}, false
-	}
-	votes := rs.fastVotes[id]
-	if len(votes) == 0 {
-		return types.UnlockEntry{}, false
-	}
-	e := types.UnlockEntry{Header: b.Header()}
-	e.Voters = make([]types.ReplicaID, 0, len(votes))
-	for voter := range votes {
-		e.Voters = append(e.Voters, voter)
-	}
-	sortReplicas(e.Voters)
-	e.Sigs = make([][]byte, len(e.Voters))
-	for i, voter := range e.Voters {
-		e.Sigs[i] = votes[voter]
-	}
-	return e, true
-}
-
-func sortReplicas(ids []types.ReplicaID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
+	slices.SortFunc(ids, types.BlockID.Compare)
+	proof := &types.UnlockProof{Round: round, Block: block, All: all, Entries: make([]types.UnlockEntry, len(ids))}
+	for i, id := range ids {
+		fast := rs.set(types.VoteFast, id)
+		e := &proof.Entries[i]
+		e.Header = rs.blocks[id].Header()
+		e.Voters = fast.voters.AppendTo(make([]types.ReplicaID, 0, fast.count()))
+		e.Sigs = make([][]byte, len(e.Voters))
+		for j, voter := range e.Voters {
+			e.Sigs[j] = fast.sigs[voter]
 		}
 	}
-}
-
-// sortEntries orders proof entries by block ID so proofs are deterministic
-// byte-for-byte across replicas holding the same votes.
-func sortEntries(entries []types.UnlockEntry) {
-	for i := 1; i < len(entries); i++ {
-		for j := i; j > 0 && lessBlockID(entries[j].Header.ID(), entries[j-1].Header.ID()); j-- {
-			entries[j], entries[j-1] = entries[j-1], entries[j]
-		}
-	}
+	return proof
 }

@@ -36,7 +36,7 @@ func TestUnlockMonotonicity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	thr := params.UnlockThreshold()
+	thr, set := params.UnlockThreshold(), genesisSet(t, params)
 
 	for trial := 0; trial < propertyTrials(60); trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
@@ -81,13 +81,13 @@ func TestUnlockMonotonicity(t *testing.T) {
 		run := func(order []int) (map[types.BlockID]bool, bool) {
 			rs := newRoundState()
 			for _, b := range blocks {
-				rs.blocks[b.ID()] = b
+				rs.addBlock(b)
 			}
 			prevUnlocked := make(map[types.BlockID]bool)
 			prevAll := false
 			for _, idx := range order {
 				v := votes[idx]
-				rs.recordVote(types.VoteFast, blocks[v.block].ID(), v.voter, []byte{1})
+				rs.recordVote(types.VoteFast, blocks[v.block].ID(), v.voter, []byte{1}, set)
 				rs.recomputeUnlock(thr)
 				for id, was := range prevUnlocked {
 					if was && !rs.unlocked[id] {
@@ -136,7 +136,7 @@ func TestProofMatchesLocalState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	thr := params.UnlockThreshold()
+	thr, set := params.UnlockThreshold(), genesisSet(t, params)
 
 	for trial := 0; trial < propertyTrials(80); trial++ {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
@@ -150,7 +150,7 @@ func TestProofMatchesLocalState(t *testing.T) {
 				t.Fatal(err)
 			}
 			blocks = append(blocks, b)
-			rs.blocks[b.ID()] = b
+			rs.addBlock(b)
 		}
 		if rng.Intn(2) == 0 { // maybe a rank-1 block
 			proposer := bc.ReplicaAt(round, 1)
@@ -160,14 +160,14 @@ func TestProofMatchesLocalState(t *testing.T) {
 				t.Fatal(err)
 			}
 			blocks = append(blocks, b)
-			rs.blocks[b.ID()] = b
+			rs.addBlock(b)
 		}
 		// Random real fast votes.
 		for v := 0; v < params.N; v++ {
 			for k := 0; k <= rng.Intn(2); k++ {
 				b := blocks[rng.Intn(len(blocks))]
 				vote := signers[v].SignVote(types.VoteFast, round, b.ID())
-				rs.recordVote(types.VoteFast, b.ID(), vote.Voter, vote.Signature)
+				rs.recordVote(types.VoteFast, b.ID(), vote.Voter, vote.Signature, set)
 			}
 		}
 		rs.recomputeUnlock(thr)

@@ -66,8 +66,8 @@ func buildTriples(t testing.TB, scheme Scheme, n, count int, seed int64,
 
 // TestBatchVerifierMatchesSequential is the core equivalence property:
 // for every mix of valid, forged, wrong-key, truncated, wrong-digest and
-// empty signatures, under both schemes, BatchVerifier.Flush returns
-// exactly the verdicts per-signature Verify would.
+// empty signatures, under both schemes, an inline batch (a one-worker
+// pool) returns exactly the verdicts per-signature Verify would.
 func TestBatchVerifierMatchesSequential(t *testing.T) {
 	for _, scheme := range schemes() {
 		t.Run(scheme.Name(), func(t *testing.T) {
@@ -77,11 +77,7 @@ func TestBatchVerifierMatchesSequential(t *testing.T) {
 				pubs, digests, sigs, want := buildTriples(t, scheme, 7, count, int64(trial),
 					func(int) corruption { return corruption(rng.Intn(int(numCorruptions))) })
 
-				bv := NewBatchVerifier(scheme)
-				for i := range pubs {
-					bv.Add(pubs[i], digests[i], sigs[i])
-				}
-				got := bv.Flush()
+				got := NewVerifierPool(scheme, 1).VerifyMany(pubs, digests, sigs)
 				for i := range want {
 					if got[i] != want[i] {
 						t.Fatalf("trial %d: triple %d: batch verdict %v, want %v",
@@ -91,9 +87,6 @@ func TestBatchVerifierMatchesSequential(t *testing.T) {
 						t.Fatalf("trial %d: triple %d: sequential verdict %v, want %v",
 							trial, i, seq, want[i])
 					}
-				}
-				if bv.Len() != 0 {
-					t.Fatalf("batch not reset after Flush: len=%d", bv.Len())
 				}
 			}
 		})
@@ -112,7 +105,7 @@ func (c *countingScheme) Verify(pub []byte, digest [32]byte, sig []byte) bool {
 }
 
 // TestBatchVerifierVerifiesEachTripleOnce: one forgery in a batch must not
-// make Flush verify the honest signatures around it a second time.
+// make the batch verify the honest signatures around it a second time.
 func TestBatchVerifierVerifiesEachTripleOnce(t *testing.T) {
 	pubs, digests, sigs, _ := buildTriples(t, Ed25519(), 5, 33, 1,
 		func(i int) corruption {
@@ -122,11 +115,7 @@ func TestBatchVerifierVerifiesEachTripleOnce(t *testing.T) {
 			return corruptNone
 		})
 	scheme := &countingScheme{Scheme: Ed25519()}
-	bv := NewBatchVerifier(scheme)
-	for i := range pubs {
-		bv.Add(pubs[i], digests[i], sigs[i])
-	}
-	if bv.FlushValid() {
+	if NewVerifierPool(scheme, 1).VerifyManyValid(pubs, digests, sigs) {
 		t.Fatal("batch with a forgery reported all valid")
 	}
 	if scheme.verifies != len(pubs) {
@@ -405,13 +394,12 @@ func FuzzBatchVerifyEquivalence(f *testing.F) {
 			pub := keyring.PublicKey(types.ReplicaID(who))
 			want := scheme.Verify(pub, digest, sig)
 
-			bv := NewBatchVerifier(scheme)
-			bv.Add(pub, digest, sig)
 			// Pair the fuzzed triple with a valid one so a failing batch
 			// exercises the mixed per-signature fallback.
 			other := signers[(who+1)%4].Sign(digest)
-			bv.Add(keyring.PublicKey(types.ReplicaID((who+1)%4)), digest, other)
-			got := bv.Flush()
+			got := NewVerifierPool(scheme, 1).VerifyMany(
+				[][]byte{pub, keyring.PublicKey(types.ReplicaID((who + 1) % 4))},
+				[][32]byte{digest, digest}, [][]byte{sig, other})
 			if got[0] != want {
 				t.Fatalf("%s: batch verdict %v, sequential %v", scheme.Name(), got[0], want)
 			}

@@ -6,10 +6,17 @@ import (
 )
 
 // VerifierPool fans signature verification out over worker goroutines.
-// One logical batch is sharded into per-worker BatchVerifiers; the call is
-// synchronous, so callers (including the deterministic consensus engine)
-// observe the same verdicts regardless of worker count or scheduling —
-// parallelism changes wall-clock time only, never results.
+// Banyan's fast path makes every round a verification burst: a ⌈3n/4⌉
+// fast quorum means substantially more vote signatures per round than a
+// plain ⌈2n/3⌉ protocol, and certificates, unlock proofs and re-gossiped
+// votes all carry the same signatures again. The Go standard library
+// exports no algebraic ed25519 batch verification, so a batch is one
+// Verify per signature; the pipeline's wins come from the verified cache
+// and from this pool. One logical batch is sharded into one contiguous
+// chunk per worker; the call is synchronous, so callers (including the
+// deterministic consensus engine) observe the same verdicts regardless of
+// worker count or scheduling — parallelism changes wall-clock time only,
+// never results.
 type VerifierPool struct {
 	scheme  Scheme
 	workers int
@@ -34,35 +41,15 @@ func (p *VerifierPool) Workers() int { return p.workers }
 // VerifyMany checks every (pub, digest, sig) triple and returns one
 // verdict per triple, in order. The three slices must have equal length.
 func (p *VerifierPool) VerifyMany(pubs [][]byte, digests [][32]byte, sigs [][]byte) []bool {
-	n := len(pubs)
-	out := make([]bool, n)
-	if n == 0 {
-		return out
+	items := make([]sigItem, len(pubs))
+	for i := range items {
+		items[i] = sigItem{pub: pubs[i], digest: digests[i], sig: sigs[i]}
 	}
-	if p.workers == 1 || n < minParallel {
-		p.verifyChunk(pubs, digests, sigs, out)
-		return out
+	p.verify(items)
+	out := make([]bool, len(items))
+	for i := range items {
+		out[i] = items[i].ok
 	}
-	// Shard into at most `workers` contiguous chunks of near-equal size;
-	// each worker writes a disjoint range of out.
-	chunks := p.workers
-	if chunks > n {
-		chunks = n
-	}
-	var wg sync.WaitGroup
-	size := (n + chunks - 1) / chunks
-	for lo := 0; lo < n; lo += size {
-		hi := lo + size
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			p.verifyChunk(pubs[lo:hi], digests[lo:hi], sigs[lo:hi], out[lo:hi])
-		}(lo, hi)
-	}
-	wg.Wait()
 	return out
 }
 
@@ -76,10 +63,30 @@ func (p *VerifierPool) VerifyManyValid(pubs [][]byte, digests [][32]byte, sigs [
 	return true
 }
 
-func (p *VerifierPool) verifyChunk(pubs [][]byte, digests [][32]byte, sigs [][]byte, out []bool) {
-	bv := NewBatchVerifier(p.scheme)
-	for i := range pubs {
-		bv.Add(pubs[i], digests[i], sigs[i])
+// verify sets every item's verdict.
+func (p *VerifierPool) verify(items []sigItem) {
+	n := len(items)
+	if p.workers == 1 || n < minParallel {
+		p.verifyChunk(items)
+		return
 	}
-	copy(out, bv.Flush())
+	// Shard into at most `workers` contiguous chunks of near-equal size;
+	// each worker writes a disjoint range of items.
+	var wg sync.WaitGroup
+	size := (n + min(p.workers, n) - 1) / min(p.workers, n)
+	for lo := 0; lo < n; lo += size {
+		wg.Add(1)
+		go func(chunk []sigItem) {
+			defer wg.Done()
+			p.verifyChunk(chunk)
+		}(items[lo:min(lo+size, n)])
+	}
+	wg.Wait()
+}
+
+func (p *VerifierPool) verifyChunk(items []sigItem) {
+	for i := range items {
+		it := &items[i]
+		it.ok = p.scheme.Verify(it.pub, it.digest, it.sig)
+	}
 }

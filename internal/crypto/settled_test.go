@@ -258,3 +258,36 @@ func TestAllocRegressionSettledVoteMsg(t *testing.T) {
 		t.Fatal("a settled VoteMsg reached the cache")
 	}
 }
+
+// TestAllocRegressionOneVoteMsg: verifying one new signature allocates
+// nothing — not in preverification of the VoteMsg that brings it (one
+// miss, one inline verification, one cache insert), and not in the
+// engine's own VerifyVote, uncached or cached.
+func TestAllocRegressionOneVoteMsg(t *testing.T) {
+	keyring, signers := GenerateCluster(Ed25519(), 4, 4)
+	v := NewVerifier(keyring, VerifyConfig{})
+	const runs = 50
+	var msgs []*types.VoteMsg
+	for r := 0; r < 2*(runs+1); r++ { // AllocsPerRun makes a warm-up call
+		vote := signers[1].SignVote(types.VoteFast, types.Round(r+1), types.BlockID{byte(r)})
+		msgs = append(msgs, &types.VoteMsg{Votes: []types.Vote{vote}})
+	}
+	next := 0
+	if n := testing.AllocsPerRun(runs, func() { v.PreverifyMessage(msgs[next]); next++ }); n != 0 {
+		t.Fatalf("PreverifyMessage of a one-vote VoteMsg allocates %.0f times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(runs, func() {
+		if err := v.VerifyVote(msgs[next].Votes[0]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}); n != 0 {
+		t.Fatalf("VerifyVote of an uncached vote allocates %.0f times, want 0", n)
+	}
+	if hits, misses := v.CacheStats(); hits != 0 || misses != int64(next) || v.cache.Len() != next {
+		t.Fatalf("%d hits, %d misses, %d cached over %d new votes", hits, misses, v.cache.Len(), next)
+	}
+	if n := testing.AllocsPerRun(runs, func() { v.PreverifyMessage(msgs[0]) }); n != 0 {
+		t.Fatalf("PreverifyMessage of a cached vote allocates %.0f times, want 0", n)
+	}
+}

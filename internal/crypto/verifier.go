@@ -109,23 +109,32 @@ func (v *Verifier) verifyOne(id types.ReplicaID, digest [32]byte, sig []byte) bo
 	return true
 }
 
+// sigItem is one queued signature: the triple to verify, its cache key,
+// its index in the caller's ordering, and the verdict once flushed.
+type sigItem struct {
+	pub    []byte
+	digest [32]byte
+	sig    []byte
+	key    CacheKey
+	seq    int
+	ok     bool
+}
+
 // sigBatch collects the uncached signatures of one aggregate (certificate
-// or unlock proof) or one inbound message for a pooled flush. Its slices
-// are allocated on the first signature actually queued, so an aggregate
-// the cache already covers, or a message that is settled throughout,
-// costs no allocation.
+// or unlock proof) or one inbound message for a pooled flush. The first
+// one queued is held in the batch itself and verified inline, so an
+// aggregate the cache already covers, a message that is settled
+// throughout, and a message that brings one new signature — a vote — cost
+// no allocation; the slice is allocated when a second is queued.
 type sigBatch struct {
-	v       *Verifier
-	pubs    [][]byte
-	digests [][32]byte
-	sigs    [][]byte
-	keys    []CacheKey
+	v     *Verifier
+	first sigItem
+	items []sigItem // every queued signature, first included, once there are two
+	n     int       // signatures queued
 	// bad is the index (into the caller's ordering) of the first signer
 	// whose key was out of range, or -1.
 	bad int
-	// seq maps batch position back to the caller's ordering.
-	seq []int
-	// hint sizes the slices when the first signature is queued.
+	// hint sizes the slice when the second signature is queued.
 	hint int
 	// limit, when positive, caps how many signatures may be queued
 	// (preverification's defense against signature-stuffed messages).
@@ -139,7 +148,7 @@ type sigBatch struct {
 
 // full reports whether the batch reached its queue limit.
 func (b *sigBatch) full() bool {
-	return b.limit > 0 && len(b.sigs) >= b.limit
+	return b.limit > 0 && b.n >= b.limit
 }
 
 func (v *Verifier) newSigBatch(hint int) sigBatch {
@@ -156,48 +165,49 @@ func (b *sigBatch) add(seq int, id types.ReplicaID, digest [32]byte, sig []byte)
 		}
 		return false
 	}
-	var key CacheKey
+	item := sigItem{pub: pub, digest: digest, sig: sig, seq: seq}
 	if b.v.cache != nil {
-		key = VerifiedKey(b.v.kr.scheme, pub, digest, sig)
-		if b.v.cache.Contains(key) {
+		item.key = VerifiedKey(b.v.kr.scheme, pub, digest, sig)
+		if b.v.cache.Contains(item.key) {
 			return true
 		}
 	}
-	if b.sigs == nil {
-		b.pubs = make([][]byte, 0, b.hint)
-		b.digests = make([][32]byte, 0, b.hint)
-		b.sigs = make([][]byte, 0, b.hint)
-		b.keys = make([]CacheKey, 0, b.hint)
-		b.seq = make([]int, 0, b.hint)
+	switch b.n {
+	case 0:
+		b.first = item
+	case 1:
+		b.items = append(make([]sigItem, 0, max(b.hint, 2)), b.first, item)
+	default:
+		b.items = append(b.items, item)
 	}
-	b.pubs = append(b.pubs, pub)
-	b.digests = append(b.digests, digest)
-	b.sigs = append(b.sigs, sig)
-	b.keys = append(b.keys, key)
-	b.seq = append(b.seq, seq)
+	b.n++
 	return true
 }
 
-// flush verifies the queued signatures through the pool, caches the
-// successes, and returns the caller-ordering index of the first failure
-// (including any out-of-range signer recorded by add), or -1 when every
-// signature verified.
+// flush verifies the queued signatures — one inline, more through the
+// pool — caches the successes, and returns the caller-ordering index of
+// the first failure (including any out-of-range signer recorded by add),
+// or -1 when every signature verified.
 func (b *sigBatch) flush() int {
-	if len(b.sigs) == 0 {
-		return b.bad
-	}
-	verdicts := b.v.pool.VerifyMany(b.pubs, b.digests, b.sigs)
 	firstBad := b.bad
-	for i, ok := range verdicts {
-		if !ok {
-			if firstBad < 0 || b.seq[i] < firstBad {
-				firstBad = b.seq[i]
+	settle := func(it *sigItem) {
+		switch {
+		case !it.ok:
+			if firstBad < 0 || it.seq < firstBad {
+				firstBad = it.seq
 			}
-			continue
+		case b.v.cache != nil:
+			b.v.cache.Add(it.key)
 		}
-		if b.v.cache != nil {
-			b.v.cache.Add(b.keys[i])
-		}
+	}
+	if b.n == 1 {
+		b.first.ok = b.v.kr.scheme.Verify(b.first.pub, b.first.digest, b.first.sig)
+		settle(&b.first)
+		return firstBad
+	}
+	b.v.pool.verify(b.items)
+	for i := range b.items {
+		settle(&b.items[i])
 	}
 	return firstBad
 }

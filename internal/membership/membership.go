@@ -37,6 +37,7 @@ type ValidatorSet struct {
 	members    []types.ReplicaID // ascending; interned — shared, never mutated
 	keys       [][]byte          // keys[i] is members[i]'s public key
 	index      map[types.ReplicaID]int
+	mask       types.VoterSet // the members as a bitset; shared, never mutated
 	params     types.Params
 }
 
@@ -63,8 +64,10 @@ func New(epoch uint32, activation types.Round, members []types.ReplicaID, keys [
 		index:      make(map[types.ReplicaID]int, len(members)),
 		params:     d.Params(),
 	}
+	s.mask = types.NewVoterSet(s.Span())
 	for i, m := range s.members {
 		s.index[m] = i
+		s.mask.Add(m)
 	}
 	return s, nil
 }
@@ -91,11 +94,16 @@ func (s *ValidatorSet) Size() int { return len(s.members) }
 // counting loops borrow it allocation-free.
 func (s *ValidatorSet) Members() []types.ReplicaID { return s.members }
 
+// Span returns one past the highest member ID: what an array indexed by
+// member ID must hold.
+func (s *ValidatorSet) Span() int { return int(s.members[len(s.members)-1]) + 1 }
+
+// Mask returns the members as a bitset, for masking vote ledgers. Shared
+// like Members: callers must not mutate it.
+func (s *ValidatorSet) Mask() types.VoterSet { return s.mask }
+
 // Contains reports whether id is a member.
-func (s *ValidatorSet) Contains(id types.ReplicaID) bool {
-	_, ok := s.index[id]
-	return ok
-}
+func (s *ValidatorSet) Contains(id types.ReplicaID) bool { return s.mask.Has(id) }
 
 // IndexOf returns id's position in the ordered member list.
 func (s *ValidatorSet) IndexOf(id types.ReplicaID) (int, bool) {

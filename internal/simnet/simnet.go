@@ -128,6 +128,7 @@ type Network struct {
 
 	now     time.Time
 	pq      eventHeap
+	free    []*event // dispatched events, for push to reuse
 	seq     uint64
 	started bool
 
@@ -215,14 +216,14 @@ func (s *Network) Engine(id types.ReplicaID) protocol.Engine { return s.engines[
 // CrashAt schedules a crash: from time t on, the replica neither receives
 // nor emits anything.
 func (s *Network) CrashAt(id types.ReplicaID, t time.Duration) {
-	s.push(&event{at: Epoch.Add(t), kind: evCrash, node: id})
+	s.push(event{at: Epoch.Add(t), kind: evCrash, node: id})
 }
 
 // RecoverAt schedules a crashed replica to resume receiving (its engine
 // state is as it was at crash time; the protocol's deadlock-freeness pulls
 // it forward).
 func (s *Network) RecoverAt(id types.ReplicaID, t time.Duration) {
-	s.push(&event{at: Epoch.Add(t), kind: evRecover, node: id})
+	s.push(event{at: Epoch.Add(t), kind: evRecover, node: id})
 }
 
 // RestartAt schedules a crash-restart: at time t the replica is replaced
@@ -235,7 +236,7 @@ func (s *Network) RecoverAt(id types.ReplicaID, t time.Duration) {
 // fire on the new one; engines discard stale timer IDs, so this models a
 // lost in-kernel timer wheel faithfully enough.
 func (s *Network) RestartAt(id types.ReplicaID, t time.Duration, rebuild func(now time.Time) protocol.Engine) {
-	s.push(&event{at: Epoch.Add(t), kind: evRestart, node: id, rebuild: rebuild})
+	s.push(event{at: Epoch.Add(t), kind: evRestart, node: id, rebuild: rebuild})
 }
 
 // JoinAt schedules a replica to join the network at time t: it is held
@@ -244,7 +245,7 @@ func (s *Network) RestartAt(id types.ReplicaID, t time.Duration, rebuild func(no
 // that exercises peer snapshot state sync. Must be called before Start.
 func (s *Network) JoinAt(id types.ReplicaID, t time.Duration) {
 	s.crashed[id] = true
-	s.push(&event{at: Epoch.Add(t), kind: evRestart, node: id})
+	s.push(event{at: Epoch.Add(t), kind: evRestart, node: id})
 }
 
 // At schedules an arbitrary callback at virtual time t. The callback runs
@@ -252,7 +253,7 @@ func (s *Network) JoinAt(id types.ReplicaID, t time.Duration) {
 // scripted control-plane actions (scheduling a reconfiguration proposal,
 // flipping a knob) that are not themselves network traffic.
 func (s *Network) At(t time.Duration, fn func(now time.Time)) {
-	s.push(&event{at: Epoch.Add(t), kind: evCall, call: fn})
+	s.push(event{at: Epoch.Add(t), kind: evCall, call: fn})
 }
 
 // Start boots every engine at the epoch. Must be called once before Run.
@@ -288,6 +289,8 @@ func (s *Network) RunUntil(deadline time.Time) {
 		heap.Pop(&s.pq)
 		s.now = next.at
 		s.dispatch(next)
+		*next = event{} // release the message; the event is recycled
+		s.free = append(s.free, next)
 	}
 	if s.now.Before(deadline) {
 		s.now = deadline
@@ -353,7 +356,7 @@ func (s *Network) apply(node types.ReplicaID, acts []protocol.Action) {
 				at = s.now
 			}
 			s.stats.Timers++
-			s.push(&event{at: at, kind: evTimer, node: node, tid: act.ID})
+			s.push(event{at: at, kind: evTimer, node: node, tid: act.ID})
 		case protocol.Commit:
 			if s.hooks.OnCommit != nil {
 				s.hooks.OnCommit(node, s.now, act)
@@ -426,7 +429,7 @@ func (s *Network) unicast(from, to types.ReplicaID, msg types.Message) {
 		arrive = start.Add(proc)
 		s.rxFree[to] = arrive
 	}
-	s.push(&event{at: arrive, kind: evDeliver, node: to, from: from, msg: msg})
+	s.push(event{at: arrive, kind: evDeliver, node: to, from: from, msg: msg})
 }
 
 // jitter derives a deterministic per-message jitter from the seed and the
@@ -448,8 +451,17 @@ func (s *Network) jitter(from, to types.ReplicaID, base time.Duration) time.Dura
 	return time.Duration(frac * s.opts.JitterFrac * float64(base))
 }
 
-func (s *Network) push(e *event) {
-	e.seq = s.seq
+// push schedules a copy of e, in an event taken from the free list when
+// one is there.
+func (s *Network) push(e event) {
+	var slot *event
+	if n := len(s.free); n > 0 {
+		slot, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		slot = new(event)
+	}
+	*slot = e
+	slot.seq = s.seq
 	s.seq++
-	heap.Push(&s.pq, e)
+	heap.Push(&s.pq, slot)
 }

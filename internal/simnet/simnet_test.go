@@ -247,3 +247,55 @@ func TestNewValidation(t *testing.T) {
 		t.Fatal("mismatched engine ID accepted")
 	}
 }
+
+// sinkEngine swallows everything it is handed.
+type sinkEngine struct {
+	id       types.ReplicaID
+	received int
+}
+
+func (e *sinkEngine) ID() types.ReplicaID                                       { return e.id }
+func (e *sinkEngine) Protocol() string                                          { return "sink" }
+func (e *sinkEngine) Metrics() map[string]int64                                 { return nil }
+func (e *sinkEngine) Start(time.Time) []protocol.Action                         { return nil }
+func (e *sinkEngine) HandleTimer(protocol.TimerID, time.Time) []protocol.Action { return nil }
+func (e *sinkEngine) HandleMessage(types.ReplicaID, types.Message, time.Time) []protocol.Action {
+	e.received++
+	return nil
+}
+
+// TestAllocRegressionBroadcastDeliver: in steady state the simulator moves
+// an already-built message from a broadcast to its n-1 deliveries without
+// allocating — dispatched events are recycled, under the full link model
+// (bandwidth, jitter, FIFO floor, receiver processing).
+func TestAllocRegressionBroadcastDeliver(t *testing.T) {
+	const n = 19
+	engines := make([]protocol.Engine, n)
+	sinks := make([]*sinkEngine, n)
+	for i := range engines {
+		sinks[i] = &sinkEngine{id: types.ReplicaID(i)}
+		engines[i] = sinks[i]
+	}
+	net, err := New(engines, Options{
+		Topology: wan.Uniform(n, 20*time.Millisecond), BandwidthBps: 1e9, JitterFrac: 0.05,
+		ProcRateBps: 1e9, ProcFixed: 10 * time.Microsecond, Seed: 1,
+	}, Hooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.Start()
+	acts := []protocol.Action{protocol.Broadcast{Msg: &types.VoteMsg{Votes: []types.Vote{{Kind: types.VoteFast, Round: 1}}}}}
+	round := func() {
+		for i := 0; i < n; i++ {
+			net.apply(types.ReplicaID(i), acts)
+		}
+		net.Run(net.Elapsed() + time.Second)
+	}
+	round() // grows the event heap and fills the free list
+	if got := testing.AllocsPerRun(20, round); got != 0 {
+		t.Fatalf("a round of %d broadcasts allocates %.0f times in steady state, want 0", n, got)
+	}
+	if want := 22 * n * (n - 1); sinks[3].received*n != want || !net.Idle() {
+		t.Fatalf("replica 3 received %d messages, want %d; idle %v", sinks[3].received, want/n, net.Idle())
+	}
+}

@@ -24,6 +24,10 @@ func (id BlockID) String() string {
 // IsZero reports whether the ID is the all-zero sentinel.
 func (id BlockID) IsZero() bool { return id == ZeroBlockID }
 
+// Compare orders IDs bytewise: the one tie-break order wherever several
+// blocks of a round are walked.
+func (id BlockID) Compare(other BlockID) int { return bytes.Compare(id[:], other[:]) }
+
 // Block is a proposal for one round of the protocol. The chain payload is an
 // opaque byte string (batched transactions in the SMR examples, a synthetic
 // bit vector in the benchmark workloads, mirroring paper section 9.2).

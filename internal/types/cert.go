@@ -299,8 +299,10 @@ type UnlockProof struct {
 //
 // Condition 1: |supp(b) ∪ supp(nonLeaderBlocks)| > f+p unlocks b.
 // Condition 2: |supp(nonMaxBlocks)| > f+p unlocks every block of the round,
-// where max is a rank-0 block with the greatest support among the entries.
+// under the strict reading of max (Cond2Support). Both are evaluated by
+// the functions the engine evaluates its own ledgers with.
 func (u *UnlockProof) Evaluate(threshold int) bool {
+	words := 0 // of a VoterSet holding the highest voter ID
 	for _, e := range u.Entries {
 		if e.Header.Round != u.Round {
 			return false
@@ -313,80 +315,38 @@ func (u *UnlockProof) Evaluate(threshold int) bool {
 				return false
 			}
 		}
+		if n := len(e.Voters); n > 0 {
+			words = max(words, int(e.Voters[n-1])/64+1)
+		}
+	}
+	// One backing array holds supp(Block), for a Condition-1 claim, and
+	// then every entry's voter set; a proof with a few entries over a
+	// committee of up to 128 stays on the stack.
+	var (
+		wordBuf [8]uint64
+		setBuf  [3]SupportSet
+	)
+	backing, sets := wordBuf[:], setBuf[:0]
+	if need := (len(u.Entries) + 1) * words; need > len(backing) {
+		backing = make([]uint64, need)
+	}
+	own := VoterSet(backing[:words])
+	for i, e := range u.Entries {
+		voters := VoterSet(backing[(i+1)*words:][:words])
+		for _, v := range e.Voters {
+			voters.Add(v)
+		}
+		if !u.All && e.Header.Rank == 0 && e.Header.ID() == u.Block {
+			for _, v := range e.Voters {
+				own.Add(v)
+			}
+		}
+		sets = append(sets, SupportSet{Leader: e.Header.Rank == 0, Voters: voters})
 	}
 	if u.All {
-		return u.cond2Support() > threshold
+		return Cond2Support(sets) > threshold
 	}
-	return u.cond1Support(u.Block) > threshold
-}
-
-// cond1Support computes |supp(b) ∪ supp(nonLeaderBlocks)| over the entries.
-func (u *UnlockProof) cond1Support(b BlockID) int {
-	voters := make(map[ReplicaID]bool)
-	for _, e := range u.Entries {
-		id := e.Header.ID()
-		if id == b || e.Header.Rank != 0 {
-			for _, v := range e.Voters {
-				voters[v] = true
-			}
-		}
-	}
-	return len(voters)
-}
-
-// cond2Support computes the Condition-2 support under the *strict*
-// semantics: the smallest |supp(entries \ {m})| over every possible choice
-// of the excluded rank-0 block m (including "m is a block the verifier has
-// not seen", i.e. excluding nothing).
-//
-// Definition 7.2 picks max(k) as the rank-0 block with the largest
-// support, but a verifier working from a transferred vote set cannot know
-// the true max: an adversary could withhold votes for an FP-finalized
-// block so that a different block looks maximal, smuggling that block's
-// honest votes into the Condition-2 count and forging an "all unlocked"
-// proof for a round with an FP-finalized block (breaking Lemma 8.5 for
-// f >= 2). Requiring the bound for every candidate max closes the gap:
-//
-//   - Sound: if block b is FP-finalized, votes for blocks other than b
-//     come from at most p honest + f Byzantine distinct voters, so the
-//     choice m = b (or m absent when b's votes are withheld) caps the
-//     support at f+p.
-//   - Live: in Lemma 8.1's pigeonhole, either supp(max) > f+p (then
-//     Condition 1 already unlocks max), or supp(max) <= f+p and the total
-//     2f+2p+1 support means removing any single rank-0 block leaves more
-//     than f+p voters, so the strict condition still fires.
-func (u *UnlockProof) cond2Support() int {
-	support := func(skip int) int {
-		voters := make(map[ReplicaID]bool)
-		for i, e := range u.Entries {
-			if i == skip {
-				continue
-			}
-			for _, v := range e.Voters {
-				voters[v] = true
-			}
-		}
-		return len(voters)
-	}
-	min := support(-1) // the excluded max may be a block with no entry
-	for i, e := range u.Entries {
-		if e.Header.Rank != 0 {
-			continue
-		}
-		if s := support(i); s < min {
-			min = s
-		}
-	}
-	return min
-}
-
-func lessID(a, b BlockID) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
+	return Cond1Support(own, sets) > threshold
 }
 
 // VoteCount returns the total number of fast votes carried by the proof.

@@ -242,7 +242,7 @@ func TestUnlockProofCondition1(t *testing.T) {
 
 // TestUnlockProofCondition2 checks the strict Condition-2 semantics: the
 // support bound must hold no matter which rank-0 block is taken as max(k)
-// (see cond2Support for why the paper-literal "largest support" choice is
+// (see Cond2Support for why the paper-literal "largest support" choice is
 // unsound against adversarial vote presentation). With n=4, f=1, p=1
 // (threshold 2), an equivocating leader's two rank-0 blocks plus a rank-1
 // block can still unlock the whole round when support is spread.
