@@ -20,7 +20,8 @@
 //   - Replica: a single replica over TCP, for multi-process deployments
 //     (cmd/banyan wires it to flags).
 //   - RunExperiment: the paper's evaluation harness on a simulated WAN
-//     (cmd/bench regenerates every table and figure with it).
+//     (cmd/bench regenerates every table and figure on the same
+//     simulator).
 package banyan
 
 import (
@@ -35,7 +36,7 @@ import (
 type Protocol = stack.Protocol
 
 // The four protocols of the paper's evaluation. ProtocolBanyanNoFast is
-// Banyan with the fast path disabled (the ablation of DESIGN.md §6).
+// Banyan with the fast path disabled (cmd/bench's ablation-fastpath).
 const (
 	ProtocolBanyan       = stack.Banyan
 	ProtocolBanyanNoFast = stack.BanyanNoFast

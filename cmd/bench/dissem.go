@@ -64,7 +64,7 @@ func runDissem(o options) error {
 				Dissem:           dissem,
 				DissemBatchBytes: batchBytes,
 			}
-			res, err := o.run(cfg)
+			res, err := harness.Run(cfg)
 			if err != nil {
 				return err
 			}
@@ -86,14 +86,8 @@ func runDissem(o options) error {
 	// The two acceptance claims, stated against the sweep.
 	minWire, maxWire := points[sizes[0]].dissem.MaxProposalWire, 0
 	for _, size := range sizes {
-		if w := points[size].dissem.MaxProposalWire; true {
-			if w < minWire {
-				minWire = w
-			}
-			if w > maxWire {
-				maxWire = w
-			}
-		}
+		w := points[size].dissem.MaxProposalWire
+		minWire, maxWire = min(minWire, w), max(maxWire, w)
 	}
 	fmt.Printf("dissem proposal wire across %s..%s sweep: %s..%s (spread %d B; decoupled iff ≤ 2 KB)\n",
 		sizeLabel(sizes[0]), sizeLabel(sizes[len(sizes)-1]),

@@ -1,6 +1,8 @@
 // Command bench regenerates every table and figure of the paper's
-// evaluation (section 9) on the discrete-event WAN simulator, plus the
-// ablation studies of DESIGN.md section 6.
+// evaluation (section 9) on the discrete-event WAN simulator, plus
+// ablations of the fast path, its parameter p, tip forwarding and quorum
+// geography, and the pipeline and dissem comparisons ARCHITECTURE.md
+// quotes for those two modes.
 //
 // Usage:
 //
@@ -9,19 +11,16 @@
 //	bench -exp table1                # analytic Table 1
 //
 // Output is aligned text, one section per experiment, with the paper's
-// reported numbers inlined for comparison. EXPERIMENTS.md records a full
-// run.
+// reported numbers inlined for comparison.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
-	"banyan/internal/crypto"
 	"banyan/internal/harness"
 	"banyan/internal/latencymodel"
 	"banyan/internal/types"
@@ -39,14 +38,6 @@ type options struct {
 	duration time.Duration
 	seed     uint64
 	quick    bool
-	verify   crypto.VerifyConfig
-}
-
-// run executes one harness experiment with the global verification knobs
-// applied.
-func (o options) run(cfg harness.Config) (*harness.Result, error) {
-	cfg.Verify = o.verify
-	return harness.Run(cfg)
 }
 
 // runCompared runs one side of a Banyan-vs-ICC figure. Both sides run
@@ -55,21 +46,19 @@ func (o options) run(cfg harness.Config) (*harness.Result, error) {
 // not claim — its protocols forward identically — so the comparison
 // leaves it out. The ablation-forwarding experiment measures the relay on
 // its own.
-func (o options) runCompared(cfg harness.Config) (*harness.Result, error) {
+func runCompared(cfg harness.Config) (*harness.Result, error) {
 	cfg.NoForwarding = true
-	return o.run(cfg)
+	return harness.Run(cfg)
 }
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	var (
-		exp      = fs.String("exp", "all", "comma-separated experiments: table1,fig1,fig2,fig6a,fig6b,fig6c,fig6d,fig6e,traffic,ablation-p,ablation-fastpath,ablation-forwarding,ablation-geography,verify,persist,pipeline,dissem,reconfig,obs or 'all'")
+		exp      = fs.String("exp", "all", "comma-separated experiments: table1,fig1,fig2,fig6a,fig6b,fig6c,fig6d,fig6e,traffic,ablation-p,ablation-fastpath,ablation-forwarding,ablation-geography,pipeline,dissem or 'all'")
 		duration = fs.Duration("duration", 120*time.Second, "virtual duration per run (paper: 120s)")
 		seed     = fs.Uint64("seed", 1, "simulation seed")
 		quick    = fs.Bool("quick", false, "short runs and fewer sweep points")
 		list     = fs.Bool("list", false, "list experiments and exit")
-		verifyW  = fs.Int("verify-workers", 0, "signature-verification pool size (0 = GOMAXPROCS, 1 = inline)")
-		verifyC  = fs.Int("verify-cache", 0, "verified-signature cache capacity (0 = default, <0 = disabled)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -80,10 +69,7 @@ func run(args []string) error {
 		}
 		return nil
 	}
-	opts := options{
-		duration: *duration, seed: *seed, quick: *quick,
-		verify: crypto.VerifyConfig{Workers: *verifyW, CacheSize: *verifyC},
-	}
+	opts := options{duration: *duration, seed: *seed, quick: *quick}
 	if *quick && *duration == 120*time.Second {
 		opts.duration = 20 * time.Second
 	}
@@ -131,12 +117,8 @@ var allExperiments = []experiment{
 	{"ablation-fastpath", "Ablation: Banyan with the fast path disabled", runAblationFastPath},
 	{"ablation-forwarding", "Ablation: tip forwarding on/off", runAblationForwarding},
 	{"ablation-geography", "Ablation: co-located vs spread quorum geography", runAblationGeography},
-	{"verify", "Microbench: sequential vs batched/cached signature verification", runVerify},
-	{"persist", "Durability: WAL group commit vs per-record fsync + crash-restart recovery", runPersist},
 	{"pipeline", "Optimistic proposal pipelining (Moonshot mode) vs baseline commit latency", runPipeline},
 	{"dissem", "Decoupled batch dissemination: digest-only proposals vs inline payloads", runDissem},
-	{"reconfig", "Reconfiguration: add/remove a validator mid-run, latency blip at epoch boundaries", runReconfig},
-	{"obs", "Observability: instrumentation overhead and per-stage latency breakdown", runObs},
 }
 
 const header = "%-22s %10s %10s %10s %10s %12s %8s %8s\n"
@@ -164,11 +146,31 @@ func runTable1(options) error {
 	return nil
 }
 
-// runFig1 measures proposal finalization latency on a uniform topology in
-// units of the one-way delay δ — the "communication steps" of Figure 1.
+// fig1OneWay is the one-way delay δ of Figure 1's uniform topology.
+const fig1OneWay = 50 * time.Millisecond
+
+// fig1Steps measures one protocol's mean proposal finalization latency on
+// a 4-replica uniform topology with the receiver processing model off, and
+// returns it together with its length in units of the one-way delay δ —
+// the "communication steps" of Figure 1.
+func fig1Steps(o options, proto harness.Protocol) (time.Duration, float64, error) {
+	res, err := runCompared(harness.Config{
+		Protocol:    proto,
+		Params:      harness.ParamsFor(proto, 4, 1, 1),
+		Topology:    wan.Uniform(4, fig1OneWay),
+		BlockSize:   1 << 10,
+		Duration:    o.duration,
+		Seed:        o.seed,
+		ProcRateBps: -1, // disable CPU model: count pure steps
+		ProcFixed:   -1,
+	})
+	if err != nil {
+		return 0, 0, err
+	}
+	return res.Latency.Mean, float64(res.Latency.Mean) / float64(fig1OneWay), nil
+}
+
 func runFig1(o options) error {
-	const oneWay = 50 * time.Millisecond
-	topo := wan.Uniform(4, oneWay)
 	fmt.Printf("%-12s %12s %10s   %s\n", "protocol", "latency(ms)", "steps(δ)", "paper")
 	paper := map[harness.Protocol]string{
 		harness.Banyan:    "2 steps (fast path)",
@@ -177,21 +179,11 @@ func runFig1(o options) error {
 		harness.Streamlet: "epoch-clocked (Δ-bound, not δ)",
 	}
 	for _, proto := range harness.Protocols() {
-		res, err := o.runCompared(harness.Config{
-			Protocol:    proto,
-			Params:      harness.ParamsFor(proto, 4, 1, 1),
-			Topology:    topo,
-			BlockSize:   1 << 10,
-			Duration:    o.duration,
-			Seed:        o.seed,
-			ProcRateBps: -1, // disable CPU model: count pure steps
-			ProcFixed:   -1,
-		})
+		mean, steps, err := fig1Steps(o, proto)
 		if err != nil {
 			return err
 		}
-		steps := float64(res.Latency.Mean) / float64(oneWay)
-		fmt.Printf("%-12s %12.1f %10.2f   %s\n", proto, msF(res.Latency.Mean), steps, paper[proto])
+		fmt.Printf("%-12s %12.1f %10.2f   %s\n", proto, msF(mean), steps, paper[proto])
 	}
 	return nil
 }
@@ -206,11 +198,11 @@ func runFig2(o options) error {
 		return err
 	}
 	// Crash p+1 = 2 replicas so the n-p = 18 fast quorum is unreachable.
-	crash := []harness.CrashSpec{{Replica: 17}, {Replica: 18}}
+	crash := []types.ReplicaID{17, 18}
 	printHeader()
-	var banyanMean, iccMean time.Duration
+	var banyanMean, iccMean, delta time.Duration
 	for _, proto := range []harness.Protocol{harness.Banyan, harness.ICC} {
-		res, err := o.runCompared(harness.Config{
+		res, err := runCompared(harness.Config{
 			Protocol:  proto,
 			Params:    harness.ParamsFor(proto, 19, 6, 1),
 			Topology:  topo,
@@ -223,13 +215,13 @@ func runFig2(o options) error {
 			return err
 		}
 		printRow(string(proto)+"+2crash", res)
+		delta = res.Delta
 		if proto == harness.Banyan {
 			banyanMean = res.Latency.Mean
 		} else {
 			iccMean = res.Latency.Mean
 		}
 	}
-	delta := harness.AutoDelta(topo, 400<<10, 625e6, 100e6, 150*time.Microsecond)
 	fmt.Printf("\nBanyan (fast path dark) vs ICC: %.1fms vs %.1fms (%+.1f%%)\n",
 		msF(banyanMean), msF(iccMean), 100*(float64(banyanMean)/float64(iccMean)-1))
 	fmt.Printf("strawman timeout-fallback protocol would add a fast-path timeout (~2Δ = %.0fms) per block: ~%.1fms\n",
@@ -241,7 +233,7 @@ func fig6Sweep(o options, topo *wan.Topology, sizes []int, configs []protoConfig
 	printHeader()
 	for _, size := range sizes {
 		for _, pc := range configs {
-			res, err := o.runCompared(harness.Config{
+			res, err := runCompared(harness.Config{
 				Protocol:  pc.proto,
 				Params:    harness.ParamsFor(pc.proto, topo.N(), pc.f, pc.p),
 				Topology:  topo,
@@ -320,7 +312,7 @@ func runFig6c(o options) error {
 	fmt.Printf("%-10s %10s %10s %10s %10s %10s %10s %10s\n",
 		"protocol", "mean(ms)", "sd(ms)", "min(ms)", "p50(ms)", "p95(ms)", "p99(ms)", "max(ms)")
 	for _, proto := range []harness.Protocol{harness.Banyan, harness.ICC} {
-		res, err := o.runCompared(harness.Config{
+		res, err := runCompared(harness.Config{
 			Protocol:   proto,
 			Params:     harness.ParamsFor(proto, 4, 1, 1),
 			Topology:   topo,
@@ -356,12 +348,8 @@ func runFig6d(o options) error {
 	fmt.Printf("%-18s %10s %12s %14s %8s %8s\n",
 		"config", "mean(ms)", "tput(MB/s)", "blkint(ms)", "fast", "slow")
 	for _, crashes := range crashCounts {
-		var specs []harness.CrashSpec
-		for i := 0; i < crashes; i++ {
-			specs = append(specs, harness.CrashSpec{Replica: spread[i]})
-		}
 		for _, proto := range []harness.Protocol{harness.Banyan, harness.ICC} {
-			res, err := o.runCompared(harness.Config{
+			res, err := runCompared(harness.Config{
 				Protocol:  proto,
 				Params:    harness.ParamsFor(proto, 19, 6, 1),
 				Topology:  topo,
@@ -369,7 +357,7 @@ func runFig6d(o options) error {
 				Duration:  o.duration,
 				Delta:     delta,
 				Seed:      o.seed,
-				Crash:     specs,
+				Crash:     spread[:crashes],
 			})
 			if err != nil {
 				return err
@@ -418,7 +406,7 @@ func runTraffic(o options) error {
 		"protocol", "blocks", "msgs/block", "wire-KB/block", "overhead")
 	const blockSize = 64 << 10
 	for _, proto := range harness.Protocols() {
-		res, err := o.runCompared(harness.Config{
+		res, err := runCompared(harness.Config{
 			Protocol:  proto,
 			Params:    harness.ParamsFor(proto, 19, 6, 1),
 			Topology:  topo,
@@ -461,7 +449,7 @@ func runAblationP(o options) error {
 			fmt.Printf("%-22s invalid: %v\n", fmt.Sprintf("f=%d,p=%d", pp.f, pp.p), err)
 			continue
 		}
-		res, err := o.run(harness.Config{
+		res, err := harness.Run(harness.Config{
 			Protocol:  harness.Banyan,
 			Params:    params,
 			Topology:  topo,
@@ -489,7 +477,7 @@ func runAblationFastPath(o options) error {
 		{"banyan-nofast", harness.BanyanNoFast, 1, 1},
 		{"icc", harness.ICC, 1, 0},
 	} {
-		res, err := o.runCompared(harness.Config{
+		res, err := runCompared(harness.Config{
 			Protocol:  pc.proto,
 			Params:    harness.ParamsFor(pc.proto, 4, pc.f, pc.p),
 			Topology:  topo,
@@ -514,7 +502,7 @@ func runAblationForwarding(o options) error {
 	printHeader()
 	for _, off := range []bool{false, true} {
 		for _, proto := range []harness.Protocol{harness.Banyan, harness.ICC} {
-			res, err := o.run(harness.Config{
+			res, err := harness.Run(harness.Config{
 				Protocol:     proto,
 				Params:       harness.ParamsFor(proto, 19, 6, 1),
 				Topology:     topo,
@@ -556,7 +544,7 @@ func runAblationGeography(o options) error {
 			{"banyan-p4", harness.Banyan, 4, 4},
 			{"icc", harness.ICC, 6, 0},
 		} {
-			res, err := o.runCompared(harness.Config{
+			res, err := runCompared(harness.Config{
 				Protocol:  pc.proto,
 				Params:    harness.ParamsFor(pc.proto, 19, pc.f, pc.p),
 				Topology:  topo,
@@ -573,72 +561,3 @@ func runAblationGeography(o options) error {
 	}
 	return nil
 }
-
-// runVerify microbenchmarks the signature-verification pipeline outside
-// the simulator: a round's notarization certificate delivered redundantly
-// (the original broadcast, a relay, and the Advance carry the same quorum
-// of signatures), verified sequentially vs through the batched pool with
-// the verified-signature cache. This is the raw-crypto view of what the
-// engine's ingestion path pays per round.
-func runVerify(o options) error {
-	const redundancy = 3
-	fmt.Println("one notarization certificate per round, delivered 3x (gossip redundancy), ed25519")
-	fmt.Printf("%-6s %8s %16s %16s %9s %10s\n",
-		"n", "quorum", "seq(ms/round)", "batch(ms/round)", "speedup", "cache-hit%")
-	for _, n := range []int{16, 64, 128} {
-		params := types.Params{N: n, F: (n - 1) / 3, P: 1}
-		quorum := params.NotarizationQuorum()
-		keyring, signers := crypto.GenerateCluster(crypto.Ed25519(), n, o.seed)
-		rounds := 50
-		if o.quick {
-			rounds = 10
-		}
-		certs := make([]*types.Certificate, rounds)
-		for r := range certs {
-			var block types.BlockID
-			block[0], block[1] = byte(r), byte(r>>8)
-			votes := make([]types.Vote, quorum)
-			for i := range votes {
-				votes[i] = signers[i].SignVote(types.VoteNotarize, types.Round(r+1), block)
-			}
-			cert, err := types.NewCertificate(types.CertNotarization, types.Round(r+1), block, votes)
-			if err != nil {
-				return err
-			}
-			certs[r] = cert
-		}
-
-		seqStart := time.Now()
-		for _, cert := range certs {
-			for d := 0; d < redundancy; d++ {
-				if err := crypto.VerifyCert(keyring, cert, quorum); err != nil {
-					return err
-				}
-			}
-		}
-		seq := time.Since(seqStart)
-
-		verifier := crypto.NewVerifier(keyring, o.verify)
-		batchStart := time.Now()
-		for _, cert := range certs {
-			for d := 0; d < redundancy; d++ {
-				if err := verifier.VerifyCert(cert, quorum); err != nil {
-					return err
-				}
-			}
-		}
-		batch := time.Since(batchStart)
-		hits, misses := verifier.CacheStats()
-		hitRate := 0.0
-		if hits+misses > 0 {
-			hitRate = 100 * float64(hits) / float64(hits+misses)
-		}
-		fmt.Printf("%-6d %8d %16.2f %16.2f %8.1fx %9.1f%%\n",
-			n, quorum,
-			msF(seq)/float64(rounds), msF(batch)/float64(rounds),
-			float64(seq)/float64(batch), hitRate)
-	}
-	return nil
-}
-
-var _ = sort.Strings // reserved for future table sorting

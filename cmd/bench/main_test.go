@@ -1,8 +1,11 @@
 package main
 
 import (
+	"fmt"
 	"testing"
 	"time"
+
+	"banyan/internal/harness"
 )
 
 func TestListFlag(t *testing.T) {
@@ -36,9 +39,24 @@ func TestQuickExperimentsRun(t *testing.T) {
 	}
 }
 
-func TestOptionDefaults(t *testing.T) {
-	o := options{duration: 120 * time.Second, seed: 1}
-	if o.duration != 120*time.Second {
-		t.Fatal("unexpected default")
+// TestFig1Steps is Figure 1's claim as an assertion: on a uniform
+// topology with the processing model off, Banyan's fast path finalizes a
+// proposal in 2 communication steps and ICC in 3, exactly.
+func TestFig1Steps(t *testing.T) {
+	o := options{duration: 20 * time.Second, seed: 1}
+	for _, tc := range []struct {
+		proto harness.Protocol
+		want  string
+	}{
+		{harness.Banyan, "2.00"},
+		{harness.ICC, "3.00"},
+	} {
+		_, steps, err := fig1Steps(o, tc.proto)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.proto, err)
+		}
+		if got := fmt.Sprintf("%.2f", steps); got != tc.want {
+			t.Errorf("%s: %s steps, want %s", tc.proto, got, tc.want)
+		}
 	}
 }

@@ -7,8 +7,8 @@ import (
 	"banyan/internal/wan"
 )
 
-// runPipeline measures optimistic proposal pipelining (Moonshot mode,
-// DESIGN.md section on OptimisticProposals): the next leader broadcasts
+// runPipeline measures optimistic proposal pipelining (Moonshot mode;
+// ARCHITECTURE.md, "Optimistic proposal pipelining"): the next leader broadcasts
 // its block on the expected parent as soon as the round's rank-0 block
 // arrives, before the round certifies. The body transfer — the dominant
 // cost at large block sizes on constrained uplinks — overlaps the
@@ -42,7 +42,7 @@ func runPipeline(o options) error {
 				Seed:                o.seed,
 				OptimisticProposals: pipelined,
 			}
-			res, err := o.run(cfg)
+			res, err := harness.Run(cfg)
 			if err != nil {
 				return err
 			}

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"banyan/internal/obs"
 )
 
 // Cluster-level batteries for decoupled batch dissemination: the
@@ -120,6 +122,7 @@ func TestClusterDissemCrashRestart(t *testing.T) {
 		// Per-record sync, as in TestClusterCrashRestartWAL: the replayed-
 		// records assertion needs a deterministic durable prefix.
 		WALSyncEveryRecord: true,
+		Obs:                true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -244,6 +247,9 @@ func TestClusterDissemCrashRestart(t *testing.T) {
 	// into a dead slot, so rejoining MUST have gone through fetch-on-miss.
 	if m["dissemFetches"] == 0 {
 		t.Error("restarted replica refetched no batch bodies")
+	}
+	if cluster.Observer(victim).Registry.Histograms()[obs.HistDissemFetch].Count == 0 {
+		t.Errorf("victim's %s histogram recorded no samples", obs.HistDissemFetch)
 	}
 	if q := m["dissemDelivQueued"]; q > 4 {
 		t.Errorf("victim still has %d gated deliveries queued at shutdown", q)

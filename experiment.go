@@ -81,7 +81,7 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 		NoForwarding: true,
 	}
 	for _, id := range cfg.CrashReplicas {
-		hcfg.Crash = append(hcfg.Crash, harness.CrashSpec{Replica: types.ReplicaID(id)})
+		hcfg.Crash = append(hcfg.Crash, types.ReplicaID(id))
 	}
 	res, err := harness.Run(hcfg)
 	if err != nil {

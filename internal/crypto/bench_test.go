@@ -1,0 +1,124 @@
+package crypto
+
+import (
+	"fmt"
+	"testing"
+
+	"banyan/internal/types"
+)
+
+// The verification pipeline against its sequential baseline: VerifyCert
+// (one ed25519 operation per signature per delivery) versus a Verifier
+// (worker pool plus verified-signature cache). Two workloads per cluster
+// size:
+//
+//   - gossip: a round's notarization certificate delivered 3 times — the
+//     original broadcast, a header relay and the Advance all carry the same
+//     quorum of signatures. This is what the engine's ingestion path
+//     actually sees; the cache collapses deliveries 2 and 3.
+//   - cold: every signature seen exactly once (worst case for the cache;
+//     the worker pool is the only lever, so on a single-core host this
+//     pair measures the pipeline's overhead).
+//
+// The batched side builds a fresh Verifier every iteration, so cache state
+// never carries across iterations: each measurement is one cold delivery
+// plus two warm ones, exactly the per-round cost.
+
+const gossipRedundancy = 3
+
+var verifySizes = []int{16, 64, 128}
+
+// verifyFixture is a keyring plus one quorum-sized notarization
+// certificate, the unit of verification work per round.
+type verifyFixture struct {
+	keyring *Keyring
+	cert    *types.Certificate
+	quorum  int
+}
+
+func newVerifyFixture(b *testing.B, n int) *verifyFixture {
+	b.Helper()
+	params := types.Params{N: n, F: (n - 1) / 3, P: 1}
+	quorum := params.NotarizationQuorum()
+	keyring, signers := GenerateCluster(Ed25519(), n, 1)
+	var block types.BlockID
+	block[0] = 7
+	votes := make([]types.Vote, quorum)
+	for i := range votes {
+		votes[i] = signers[i].SignVote(types.VoteNotarize, 1, block)
+	}
+	cert, err := types.NewCertificate(types.CertNotarization, 1, block, votes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return &verifyFixture{keyring: keyring, cert: cert, quorum: quorum}
+}
+
+// benchSizes runs fn once per cluster size, as sub-benchmarks n16, n64,
+// n128, and reports the signatures one iteration checks.
+func benchSizes(b *testing.B, sigsPerCert int, fn func(b *testing.B, fx *verifyFixture)) {
+	for _, n := range verifySizes {
+		b.Run(fmt.Sprint("n", n), func(b *testing.B) {
+			fx := newVerifyFixture(b, n)
+			b.ResetTimer()
+			fn(b, fx)
+			b.ReportMetric(float64(fx.quorum*sigsPerCert), "sigs/op")
+		})
+	}
+}
+
+// BenchmarkVerifyGossipSequential is the baseline of the headline pair:
+// every delivery of a round's certificate re-verifies every signature.
+func BenchmarkVerifyGossipSequential(b *testing.B) {
+	benchSizes(b, gossipRedundancy, func(b *testing.B, fx *verifyFixture) {
+		for i := 0; i < b.N; i++ {
+			for d := 0; d < gossipRedundancy; d++ {
+				if err := VerifyCert(fx.keyring, fx.cert, fx.quorum); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+}
+
+// BenchmarkVerifyGossipBatched is the pipeline side of the headline pair:
+// the cache absorbs the redundant deliveries, the pool parallelizes the
+// cold one.
+func BenchmarkVerifyGossipBatched(b *testing.B) {
+	benchSizes(b, gossipRedundancy, func(b *testing.B, fx *verifyFixture) {
+		for i := 0; i < b.N; i++ {
+			v := NewVerifier(fx.keyring, VerifyConfig{})
+			for d := 0; d < gossipRedundancy; d++ {
+				if err := v.VerifyCert(fx.cert, fx.quorum); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+}
+
+// BenchmarkVerifyColdSequential verifies every signature exactly once,
+// sequentially.
+func BenchmarkVerifyColdSequential(b *testing.B) {
+	benchSizes(b, 1, func(b *testing.B, fx *verifyFixture) {
+		for i := 0; i < b.N; i++ {
+			if err := VerifyCert(fx.keyring, fx.cert, fx.quorum); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkVerifyColdBatched verifies every signature exactly once through
+// the worker pool (no cache reuse): the speedup over ColdSequential tracks
+// GOMAXPROCS.
+func BenchmarkVerifyColdBatched(b *testing.B) {
+	benchSizes(b, 1, func(b *testing.B, fx *verifyFixture) {
+		for i := 0; i < b.N; i++ {
+			v := NewVerifier(fx.keyring, VerifyConfig{CacheSize: -1})
+			if err := v.VerifyCert(fx.cert, fx.quorum); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

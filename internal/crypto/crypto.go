@@ -5,10 +5,10 @@
 // The Banyan paper aggregates votes with BLS multi-signatures. BLS needs
 // pairing-friendly curves that are not in the Go standard library, so this
 // implementation substitutes per-replica signatures combined into a
-// signer-list certificate (see types.Certificate and DESIGN.md section 2).
-// The substitution preserves everything the protocol relies on:
-// unforgeability of votes, transferability of quorum certificates, and
-// certificate sizes that grow with the quorum.
+// signer-list certificate (see types.Certificate and ARCHITECTURE.md,
+// "Deviations from the paper"). The substitution preserves everything the
+// protocol relies on: unforgeability of votes, transferability of quorum
+// certificates, and certificate sizes that grow with the quorum.
 package crypto
 
 import (

@@ -6,32 +6,26 @@
 // at a non-faulty replica, latency variance, block intervals, and the
 // fast/slow path split (paper section 9.2).
 //
-// Fault injection covers permanent crashes (Config.Crash, Figure 6d)
-// and crash-restarts: with Config.WALDir every simulated replica runs
-// behind a write-ahead log (internal/wal), and Config.Restart rebuilds
-// a crashed replica from its journal mid-run — the cmd/bench "persist"
-// experiment and the crash-restart integration tests drive this path.
+// The one fault it injects is the paper's: replicas crashed from the
+// start (Config.Crash, Figures 2 and 6d). Crash-restart, disk loss,
+// late joins and reconfiguration are scenarios of their own, driven on
+// simnet directly by internal/integration and on the in-process Cluster
+// by the root package's tests.
 //
 // Everything is deterministic: identical Config values (including Seed)
-// produce identical results, because the simulator runs in virtual time
-// and the WAL uses per-record fsync under the harness so the durable
-// prefix never depends on wall-clock flush timing.
+// produce identical results, because the simulator runs in virtual time.
 package harness
 
 import (
 	"fmt"
-	"os"
 	"time"
 
-	"banyan/internal/crypto"
-	"banyan/internal/membership"
 	"banyan/internal/mempool"
 	"banyan/internal/metrics"
 	"banyan/internal/protocol"
 	"banyan/internal/simnet"
 	"banyan/internal/stack"
 	"banyan/internal/types"
-	"banyan/internal/wal"
 	"banyan/internal/wan"
 )
 
@@ -69,8 +63,6 @@ type Config struct {
 	// auto-derives it from the topology and block size, mirroring how the
 	// paper tunes delays above the undisrupted message delay.
 	Delta time.Duration
-	// ViewTimeout is HotStuff's pacemaker timeout; zero auto-derives.
-	ViewTimeout time.Duration
 	// BandwidthBps is each replica's uplink; zero selects 625 MB/s (the
 	// 5 Gbit/s burst bandwidth of the paper's t3.large instances).
 	BandwidthBps float64
@@ -85,35 +77,12 @@ type Config struct {
 	// Seed drives all randomness; identical configs with identical seeds
 	// produce identical results.
 	Seed uint64
-	// Crash lists replicas crashed at given times (Figure 6d).
-	Crash []CrashSpec
-	// Restart lists crash-restarts: at the given time the replica is
-	// rebuilt from its write-ahead log and rejoins (crash it first via
-	// Crash). Requires WALDir. A spec with DiskLoss wipes the replica's
-	// log directory first, so it restarts with no durable state and must
-	// recover its chain entirely from peers (snapshot state sync).
-	Restart []CrashSpec
-	// Join lists replicas held out of the initial start that boot cold at
-	// the given time, having observed nothing — the fresh-join scenario.
-	Join []CrashSpec
-	// MaxN is the number of replica identities provisioned (keys, engines,
-	// topology slots); zero means Params.N. Identities in [N, MaxN) are
-	// not genesis members: they run as non-voting observers (or join late
-	// via Join) until a Reconfig spec admits them. Banyan protocols only.
-	MaxN int
-	// Reconfig schedules validator-set changes: at the given virtual time
-	// the change is handed to every replica's reconfiguration slot, the
-	// next leader proposes it, and it activates the round after its block
-	// finalizes. Banyan protocols only.
-	Reconfig []ReconfigSpec
-	// WALDir, when non-empty, runs every replica behind a write-ahead
-	// log (one subdirectory per replica) with per-record fsync, so
-	// executions stay deterministic and Restart can replay. The WAL is a
-	// real-time side effect — it slows wall-clock runs, never changes
-	// virtual-time results.
-	WALDir string
+	// Crash lists replicas that are down for the whole run (Figures 2 and
+	// 6d).
+	Crash []types.ReplicaID
 	// NoForwarding disables tip forwarding in the Banyan/ICC engines (the
-	// forwarding ablation; see DESIGN.md section 6).
+	// forwarding ablation; see ARCHITECTURE.md, "Header relays and body
+	// pulls").
 	NoForwarding bool
 	// OptimisticProposals enables Moonshot-style proposal pipelining in the
 	// Banyan engines: the next leader broadcasts its block on the expected
@@ -128,49 +97,15 @@ type Config struct {
 	Dissem bool
 	// DissemBatchBytes is the dissemination batch cut size (zero: 64 KiB).
 	DissemBatchBytes int
-	// DissemInlineMax bounds the inline tail a proposal carries alongside
-	// its batch refs (zero: everything rides in batches).
-	DissemInlineMax int
-	// DeepPrune evicts finalized block bodies below the Banyan engines'
-	// prune floor, leaving each replica holding only a bounded window of
-	// the chain — the shape that forces rejoining replicas through
-	// snapshot state sync rather than block-by-block catch-up.
-	DeepPrune bool
-	// PruneKeep / PruneInterval override the Banyan engines' pruning
-	// cadence (zero keeps the engine defaults).
-	PruneKeep     types.Round
-	PruneInterval types.Round
 	// Scheme selects the signature scheme ("hmac" default, "ed25519").
 	Scheme string
-	// Verify tunes the Banyan engines' signature-verification pipeline
-	// (worker-pool size and verified-signature cache capacity). The
-	// simulator's virtual clock is independent of real compute, so these
-	// knobs change wall-clock speed of a run, never its measured results.
-	Verify crypto.VerifyConfig
 	// Obs wires an obs.Observer into every Banyan engine, and reports the
 	// merged stage-latency breakdown in Result.Stages. Virtual-time stages
-	// (commit latency, dissem fetch, delivery wait) are exact; real-time
-	// stages (verify, WAL flush) reflect the host the simulation ran on.
-	// Observers survive mid-run crash-restarts, so histograms span a
-	// replica's lives.
+	// (commit latency, dissem fetch, delivery wait) are exact; the verify
+	// stage is real time on the host the simulation ran on. Recording
+	// consumes no virtual time, so the run's results are the same with
+	// Obs on or off.
 	Obs bool
-}
-
-// CrashSpec crashes a replica at a point in virtual time. In a Restart
-// spec, DiskLoss wipes the replica's WAL directory before the rebuild.
-type CrashSpec struct {
-	Replica  types.ReplicaID
-	At       time.Duration
-	DiskLoss bool
-}
-
-// ReconfigSpec schedules one validator-set change at a point in virtual
-// time. Op is types.ConfigAdd or types.ConfigRemove; for an add, the
-// replica's provisioned key is attached automatically.
-type ReconfigSpec struct {
-	Replica types.ReplicaID
-	At      time.Duration
-	Op      types.ConfigOp
 }
 
 // Result aggregates one run's measurements.
@@ -207,28 +142,14 @@ type Result struct {
 
 	// Faults counts safety faults across the cluster (must be zero).
 	Faults int
-	// RestartReplayed sums the WAL records restarted replicas replayed
-	// (zero without Restart specs).
-	RestartReplayed int64
 	// Messages / MessageBytes count total network traffic.
 	Messages, MessageBytes int64
 	// MaxProposalWire is the largest leader-proposal wire size observed
 	// post-warmup. Under Dissem this stays near-constant as BlockSize grows
-	// (proposals carry digests, not bodies) — the decoupling the cmd/bench
-	// "dissem" experiment asserts.
+	// (proposals carry digests, not bodies) — the decoupling
+	// TestDissemDecouplesProposalWire asserts.
 	MaxProposalWire int
 
-	// Epoch is the observer's final validator-set epoch and EpochChanges
-	// the finalized ConfigChanges it applied (zero without Reconfig).
-	Epoch        uint32
-	EpochChanges int64
-	// EpochActivations lists the activation round of each post-genesis
-	// epoch at the observer, ascending.
-	EpochActivations []types.Round
-	// RoundLatencies pairs each Latency sample with the round of the block
-	// it measured, letting experiments localize latency around an epoch
-	// boundary (the cmd/bench "reconfig" blip measurement).
-	RoundLatencies []RoundLatency
 	// Delta echoes the Δ actually used (after auto-derivation).
 	Delta time.Duration
 
@@ -236,9 +157,6 @@ type Result struct {
 	// replica's histograms, keyed by the obs.Hist* names (empty without
 	// Config.Obs; stages with no samples are omitted).
 	Stages map[string]StageStats
-	// SlowRounds counts rounds the observer's slow-round detector flagged
-	// (commit latency above k×EWMA; zero without Config.Obs).
-	SlowRounds int
 }
 
 // StageStats summarizes one stage histogram.
@@ -247,14 +165,7 @@ type StageStats struct {
 	Mean, P50, P99 time.Duration
 }
 
-// RoundLatency is one proposal-finalization latency sample tagged with
-// the round of the block it measured.
-type RoundLatency struct {
-	Round   types.Round
-	Latency time.Duration
-}
-
-// AutoDelta derives the Δ bound for a topology and block size: the largest
+// autoDelta derives the Δ bound for a topology and block size: the largest
 // one-way delay, inflated for jitter, plus the sender-side transmission
 // time of a full block broadcast, plus the receiver-side processing of
 // n−1 block-sized messages (an upper bound for Banyan, whose relays carry
@@ -262,7 +173,7 @@ type RoundLatency struct {
 // matches the paper's methodology of setting delays "larger than the
 // message delay experienced without network disruptions" so exactly one
 // block is proposed per round in fault-free runs.
-func AutoDelta(topo *wan.Topology, blockSize int, bandwidthBps, procRateBps float64,
+func autoDelta(topo *wan.Topology, blockSize int, bandwidthBps, procRateBps float64,
 	procFixed time.Duration) time.Duration {
 	d := topo.MaxOneWay()
 	d += d / 4 // jitter headroom
@@ -288,32 +199,15 @@ const (
 )
 
 // fill resolves the simulation's own defaults — run length, link and
-// receiver models, Δ from the topology — and checks the schedule against
+// receiver models, Δ from the topology — and checks the cluster against
 // the topology; the knobs shared with the other hosts are filled and
 // checked by stack.Options.Fill.
 func (c *Config) fill() error {
 	if c.Topology == nil {
 		return fmt.Errorf("harness: topology is required")
 	}
-	if c.MaxN == 0 {
-		c.MaxN = c.Params.N
-	}
-	if c.MaxN != c.Topology.N() {
-		return fmt.Errorf("harness: %d provisioned replicas but topology has %d", c.MaxN, c.Topology.N())
-	}
-	if len(c.Reconfig) > 0 && !c.Protocol.IsBanyan() {
-		return fmt.Errorf("harness: reconfiguration requires a Banyan protocol, got %q", c.Protocol)
-	}
-	for _, r := range c.Reconfig {
-		if !r.Op.Valid() {
-			return fmt.Errorf("harness: invalid reconfig op %d", r.Op)
-		}
-		if int(r.Replica) >= c.MaxN {
-			return fmt.Errorf("harness: reconfig names replica %d but only %d are provisioned", r.Replica, c.MaxN)
-		}
-	}
-	if len(c.Restart) > 0 && c.WALDir == "" {
-		return fmt.Errorf("harness: Restart requires WALDir")
+	if c.Params.N != c.Topology.N() {
+		return fmt.Errorf("harness: %d replicas but topology has %d", c.Params.N, c.Topology.N())
 	}
 	if c.Duration <= 0 {
 		c.Duration = 30 * time.Second
@@ -335,7 +229,7 @@ func (c *Config) fill() error {
 		c.ProcFixed = 0
 	}
 	if c.Delta == 0 {
-		c.Delta = AutoDelta(c.Topology, c.BlockSize, c.BandwidthBps, c.ProcRateBps, c.ProcFixed)
+		c.Delta = autoDelta(c.Topology, c.BlockSize, c.BandwidthBps, c.ProcRateBps, c.ProcFixed)
 	}
 	return nil
 }
@@ -344,16 +238,14 @@ func (c *Config) fill() error {
 // (see banyan.ClusterConfig.options; exported so the root package's
 // reflection test checks all three mappings in one place); the
 // simulation's own fields — the topology, link and receiver models, run
-// length and fault schedule — are read by Run.
+// length and crashed replicas — are read by Run.
 func (c Config) Options() stack.Options {
 	o := stack.Options{
-		Protocol:    c.Protocol,
-		N:           c.Params.N,
-		F:           c.Params.F,
-		P:           c.Params.P,
-		MaxN:        c.MaxN,
-		Delta:       c.Delta,
-		ViewTimeout: c.ViewTimeout,
+		Protocol: c.Protocol,
+		N:        c.Params.N,
+		F:        c.Params.F,
+		P:        c.Params.P,
+		Delta:    c.Delta,
 		// Streamlet is clocked on the pessimistic synchrony bound Δ rather
 		// than actual delays (it is not optimistically responsive), so its
 		// epoch gets the protocol-prescribed 2Δ with Δ set to twice the
@@ -363,21 +255,10 @@ func (c Config) Options() stack.Options {
 		BlockBytes:          c.BlockSize,
 		Scheme:              c.Scheme,
 		Seed:                c.Seed,
-		Verify:              c.Verify,
 		NoForwarding:        c.NoForwarding,
 		OptimisticProposals: c.OptimisticProposals,
-		DeepPrune:           c.DeepPrune,
-		PruneKeep:           c.PruneKeep,
-		PruneInterval:       c.PruneInterval,
 		Dissem:              c.Dissem,
 		DissemBatchBytes:    c.DissemBatchBytes,
-		DissemInlineMax:     c.DissemInlineMax,
-		WALDir:              c.WALDir,
-		// Per-record fsync keeps the durable prefix — and therefore the
-		// replayed execution — independent of wall-clock flush timing, and
-		// an uncheckpointed log makes a restart replay the whole run.
-		WALSync:             wal.SyncPolicy{EveryRecord: true},
-		WALCheckpointRounds: -1,
 		Obs:                 c.Obs,
 	}
 	if o.Scheme == "" {
@@ -399,41 +280,26 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Each replica's survivors — synthetic payload source, log directory,
-	// reconfiguration slot, observer — span its crash-restarts: a pending
-	// change outlives one, and stage histograms accumulate across it.
-	survivors := make([]stack.Survivors, opts.MaxN)
-	engines := make([]protocol.Engine, opts.MaxN)
-	// mkEngine builds (or rebuilds, for restarts) one replica's stack and
-	// returns the engine the simulator drives.
-	mkEngine := func(i types.ReplicaID) (protocol.Engine, error) {
-		st, err := stack.Build(i, opts, survivors[i])
-		if err != nil {
-			return nil, err
-		}
-		return st.Hosted, nil
-	}
+	survivors := make([]stack.Survivors, opts.N)
+	engines := make([]protocol.Engine, opts.N)
 	for i := range engines {
 		id := types.ReplicaID(i)
 		src := mempool.NewSynthetic(cfg.BlockSize, cfg.Seed^uint64(i)<<32, false)
-		survivors[i] = opts.NewSurvivors(keyring, signers[i], src, opts.ReplicaWALDir(id), nil)
-		if engines[i], err = mkEngine(id); err != nil {
+		survivors[i] = opts.NewSurvivors(keyring, signers[i], src, "", nil)
+		st, err := stack.Build(id, opts, survivors[i])
+		if err != nil {
 			return nil, err
 		}
+		engines[i] = st.Hosted
 	}
 
-	// The observer must be a replica with the full run's history: not
-	// crashed, and not a late joiner (whose commit stream starts at its
-	// adopted snapshot, mid-run).
-	crashedSet := make(map[types.ReplicaID]bool, len(cfg.Crash)+len(cfg.Join))
-	for _, c := range cfg.Crash {
-		crashedSet[c.Replica] = true
-	}
-	for _, j := range cfg.Join {
-		crashedSet[j.Replica] = true
+	// The observer is the lowest-ID replica that is up.
+	crashed := make(map[types.ReplicaID]bool, len(cfg.Crash))
+	for _, id := range cfg.Crash {
+		crashed[id] = true
 	}
 	observer := types.ReplicaID(0)
-	for crashedSet[observer] {
+	for crashed[observer] {
 		observer++
 	}
 	if int(observer) >= cfg.Params.N {
@@ -456,7 +322,6 @@ func Run(cfg Config) (*Result, error) {
 		throughput      = metrics.NewThroughput(cfg.Duration - cfg.Warmup)
 		faultErrors     []error
 		maxProposalWire int
-		roundLatencies  []RoundLatency
 	)
 	hooks := simnet.Hooks{
 		OnBroadcast: func(node types.ReplicaID, at time.Time, msg types.Message) {
@@ -490,9 +355,7 @@ func Run(cfg Config) (*Result, error) {
 			for _, b := range c.Blocks {
 				if b.Proposer == node {
 					if pc, ok := proposedAt[b.ID()]; ok {
-						d := at.Sub(pc.at)
-						latency.Add(d)
-						roundLatencies = append(roundLatencies, RoundLatency{Round: b.Round, Latency: d})
+						latency.Add(at.Sub(pc.at))
 						delete(proposedAt, b.ID())
 					}
 				}
@@ -517,69 +380,10 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, c := range cfg.Crash {
-		net.CrashAt(c.Replica, c.At)
-	}
-	for _, j := range cfg.Join {
-		net.JoinAt(j.Replica, j.At)
-	}
-	for _, rc := range cfg.Reconfig {
-		change := types.ConfigChange{Op: rc.Op, Replica: rc.Replica}
-		if rc.Op == types.ConfigAdd {
-			change.PubKey = keyring.PublicKey(rc.Replica)
-		}
-		net.At(rc.At, func(time.Time) {
-			// Hand the change to every slot: whichever replica leads first
-			// proposes it, re-application is a deterministic no-op, and all
-			// slots clear when the finalized change is observed.
-			for _, s := range survivors {
-				s.Reconfig.Propose(change)
-			}
-		})
-	}
-	for _, r := range cfg.Restart {
-		id, diskLoss := r.Replica, r.DiskLoss
-		net.RestartAt(id, r.At, func(time.Time) protocol.Engine {
-			// Crash the old recorder (dropping any unsynced tail — none
-			// under per-record fsync), then recover from its directory.
-			if rec, ok := net.Engine(id).(*wal.Recorder); ok {
-				rec.Crash()
-			}
-			if diskLoss {
-				// The disk died with the process: the replica comes back
-				// with an empty log and must resync its chain from peers.
-				if err := os.RemoveAll(survivors[id].WALDir); err != nil {
-					faultErrors = append(faultErrors, fmt.Errorf("replica %d disk wipe: %w", id, err))
-					return nil
-				}
-			}
-			e, err := mkEngine(id)
-			if err != nil {
-				// Rebuild can fail on real I/O (wal.Open on a full disk).
-				// Returning nil keeps the replica crashed — visible in the
-				// results — instead of corrupting the run by re-starting
-				// the old engine.
-				faultErrors = append(faultErrors, fmt.Errorf("replica %d restart: %w", id, err))
-				return nil
-			}
-			return e
-		})
+	for _, id := range cfg.Crash {
+		net.CrashAt(id, 0)
 	}
 	net.Run(cfg.Duration)
-
-	// Dedup by replica: a replica restarted twice appears in two specs,
-	// but its recorder's counter is already cumulative across restarts.
-	var restartReplayed int64
-	counted := make(map[types.ReplicaID]bool, len(cfg.Restart))
-	for _, r := range cfg.Restart {
-		if counted[r.Replica] {
-			continue
-		}
-		counted[r.Replica] = true
-		if m := net.Engine(r.Replica).Metrics(); m != nil {
-			restartReplayed += m["wal_replayed_records"]
-		}
-	}
 
 	// Optimistic-pipelining counters are per-leader events; sum them
 	// cluster-wide so the result reflects every round, not just the
@@ -594,18 +398,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	obsMetrics := net.Engine(observer).Metrics()
-	var epoch uint32
-	var activations []types.Round
-	if h, ok := net.Engine(observer).(interface{ History() *membership.History }); ok {
-		if hist := h.History(); hist != nil {
-			epoch = hist.Current().Epoch()
-			for _, d := range hist.Descs() {
-				if d.Epoch > 0 {
-					activations = append(activations, d.Activation)
-				}
-			}
-		}
-	}
 	res := &Result{
 		Config:              cfg,
 		Latency:             latency.Summarize(),
@@ -620,21 +412,13 @@ func Run(cfg Config) (*Result, error) {
 		OptimisticConfirmed: optConfirmed,
 		OptimisticWithdrawn: optWithdrawn,
 		Faults:              len(faultErrors),
-		RestartReplayed:     restartReplayed,
 		Messages:            net.Stats().Messages,
 		MessageBytes:        net.Stats().Bytes,
 		MaxProposalWire:     maxProposalWire,
-		Epoch:               epoch,
-		EpochChanges:        obsMetrics["epoch_changes"],
-		EpochActivations:    activations,
-		RoundLatencies:      roundLatencies,
 		Delta:               cfg.Delta,
 	}
 	if cfg.Obs {
 		res.Stages = mergeStages(survivors)
-		if d := survivors[observer].Obs.Detector; d != nil {
-			res.SlowRounds = len(d.Slow())
-		}
 	}
 	if len(faultErrors) > 0 {
 		return res, fmt.Errorf("harness: safety faults: %v", faultErrors)

@@ -4,6 +4,8 @@ import (
 	"testing"
 	"time"
 
+	"banyan/internal/obs"
+	"banyan/internal/types"
 	"banyan/internal/wan"
 )
 
@@ -78,7 +80,7 @@ func TestCrashParityBanyanICC(t *testing.T) {
 			Duration:  30 * time.Second,
 			Delta:     1500 * time.Millisecond, // the paper's 3s timeout
 			Seed:      4,
-			Crash:     []CrashSpec{{Replica: 0}, {Replica: 5}},
+			Crash:     []types.ReplicaID{0, 5},
 			// Banyan relays headers, the icc baseline still relays full
 			// bodies; parity is a claim about the vote path, so the relay
 			// is off on both sides.
@@ -256,6 +258,63 @@ func TestAutoDeltaKeepsSingleProposer(t *testing.T) {
 		if res.SlowFinal > res.FastFinal/20 {
 			t.Errorf("%s: %d slow vs %d fast finalizations — Δ too tight?",
 				topo.Name(), res.SlowFinal, res.FastFinal)
+		}
+	}
+}
+
+// TestObsInvisibleToVirtualTime: recording stage histograms and trace
+// spans consumes no virtual time, so the same seed produces the same
+// virtual-time results with observers on and off — while the observers
+// do record.
+func TestObsInvisibleToVirtualTime(t *testing.T) {
+	topo, err := wan.FourGlobal4()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(on bool) *Result {
+		t.Helper()
+		res, err := Run(Config{
+			Protocol:  Banyan,
+			Params:    ParamsFor(Banyan, 4, 1, 1),
+			Topology:  topo,
+			BlockSize: 256 << 10,
+			// A constrained uplink, as in the pipeline experiment, so the
+			// optimistic path proposes, confirms and withdraws.
+			BandwidthBps:        25e6,
+			Duration:            10 * time.Second,
+			Seed:                5,
+			OptimisticProposals: true,
+			Dissem:              true,
+			Obs:                 on,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	off, on := run(false), run(true)
+	if off.BlocksCommitted == 0 {
+		t.Fatal("no block committed")
+	}
+	t.Logf("%d blocks, latency %v, %d optimistic proposals (%d withdrawn)",
+		off.BlocksCommitted, off.Latency.Mean, off.OptimisticProposed, off.OptimisticWithdrawn)
+	if off.Latency != on.Latency {
+		t.Errorf("latency: off %#v, on %#v", off.Latency, on.Latency)
+	}
+	if off.ThroughputBps != on.ThroughputBps || off.BlocksCommitted != on.BlocksCommitted {
+		t.Errorf("throughput: off %.0f B/s over %d blocks, on %.0f B/s over %d blocks",
+			off.ThroughputBps, off.BlocksCommitted, on.ThroughputBps, on.BlocksCommitted)
+	}
+	if off.Messages != on.Messages || off.MessageBytes != on.MessageBytes {
+		t.Errorf("traffic: off %d msgs / %d B, on %d msgs / %d B",
+			off.Messages, off.MessageBytes, on.Messages, on.MessageBytes)
+	}
+	if len(off.Stages) != 0 {
+		t.Errorf("stages recorded with observers off: %v", off.Stages)
+	}
+	for _, name := range []string{obs.HistCommitLatency, obs.HistVerifyTime} {
+		if on.Stages[name].Count == 0 {
+			t.Errorf("stage %q recorded no samples", name)
 		}
 	}
 }

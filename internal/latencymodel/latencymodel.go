@@ -3,7 +3,7 @@
 // creation latency, and the replica-count requirements as functions of f
 // and p, and renders the table with quorum sizes evaluated at concrete
 // parameters. The four protocols implemented in this repository also get
-// measured step counts from the Figure 1 experiment (see bench_test.go).
+// measured step counts from the Figure 1 experiment (cmd/bench -exp fig1).
 package latencymodel
 
 import (

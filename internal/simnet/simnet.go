@@ -1,7 +1,7 @@
 // Package simnet is a deterministic discrete-event network simulator for
 // consensus engines.
 //
-// It substitutes for the paper's AWS deployments (DESIGN.md section 2):
+// It substitutes for the paper's AWS deployments (section 9.2):
 // replicas are protocol.Engine instances driven by a virtual clock, links
 // have configurable propagation delay, jitter and sender-side bandwidth,
 // and crashes/partitions are injected as events. A 120-second wide-area

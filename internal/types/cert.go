@@ -126,10 +126,10 @@ func (k CertKind) VoteKind() VoteKind {
 
 // Certificate is an aggregate of quorum-many votes for one block. The
 // paper aggregates votes into BLS multi-signatures; this implementation
-// substitutes a signer list plus one signature per signer (see DESIGN.md
-// section 2) — same quorum semantics, transferable, and the certificate
-// size still grows with the quorum, preserving the message-size behaviour
-// the evaluation depends on.
+// substitutes a signer list plus one signature per signer (see
+// ARCHITECTURE.md, "Deviations from the paper") — same quorum semantics,
+// transferable, and the certificate size still grows with the quorum,
+// preserving the message-size behaviour the evaluation depends on.
 //
 // Finalization and fast-finalization certificates aggregate one kind of
 // vote, so every signature covers Digest(). A notarization certificate

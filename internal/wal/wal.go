@@ -35,7 +35,7 @@
 // the window shares one fsync. The price is a bounded durability window:
 // a crash loses at most the records appended since the last sync.
 // SyncPolicy.EveryRecord trades that window away for an fsync per append
-// (the cmd/bench "persist" experiment measures the gap).
+// (BenchmarkWALAppend measures the gap).
 package wal
 
 import (

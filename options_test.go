@@ -22,7 +22,7 @@ func TestOptionsReadEveryField(t *testing.T) {
 	t.Run("harness.Config", func(t *testing.T) {
 		everyFieldRead(t, harness.Config.Options,
 			"Topology", "Duration", "Warmup", "BandwidthBps", "ProcRateBps", "ProcFixed",
-			"JitterFrac", "Crash", "Restart", "Join", "Reconfig")
+			"JitterFrac", "Crash")
 	})
 }
 

@@ -56,8 +56,8 @@ type ReplicaConfig struct {
 	// Commits, and rejoining at its pre-crash round without equivocating.
 	WALDir string
 	// WALSyncEveryRecord fsyncs per record instead of group-committing —
-	// no durability window, at a large throughput cost (see cmd/bench
-	// -exp persist).
+	// no durability window, at a large throughput cost (BenchmarkWALAppend
+	// in internal/wal measures it).
 	WALSyncEveryRecord bool
 	// WALSyncInterval is the group-commit window (0 = 2ms): a crash loses
 	// at most the records appended within it.

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"banyan/internal/obs"
 )
 
 // waitForRound consumes replica-0 commits until one at or past round r
@@ -53,6 +55,9 @@ func TestClusterCrashRestartWAL(t *testing.T) {
 		// full replay. Checkpointed restarts (bounded replay, suffix
 		// re-delivery) are covered by TestClusterCheckpointRestart.
 		WALCheckpointRounds: -1,
+		// Stage histograms ride along: an observer survives the restart,
+		// so the victim's records span both lives.
+		Obs: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -101,6 +106,12 @@ func TestClusterCrashRestartWAL(t *testing.T) {
 	m := cluster.Metrics(victim)
 	if m["wal_replayed_records"] == 0 {
 		t.Error("restarted replica replayed no WAL records")
+	}
+	stages := cluster.Observer(victim).Registry.Histograms()
+	for _, name := range []string{obs.HistCommitLatency, obs.HistVerifyTime, obs.HistWALFlush} {
+		if stages[name].Count == 0 {
+			t.Errorf("victim's %s histogram recorded no samples", name)
+		}
 	}
 	t.Logf("victim: %d blocks (observer %d), %d replayed records, %d appends / %d syncs",
 		len(got), len(ref), m["wal_replayed_records"], m["wal_appends"], m["wal_syncs"])
