@@ -7,16 +7,20 @@ import (
 	"banyan/internal/wan"
 )
 
-// runPipeline measures optimistic proposal pipelining (Moonshot mode;
-// ARCHITECTURE.md, "Optimistic proposal pipelining"): the next leader broadcasts
-// its block on the expected parent as soon as the round's rank-0 block
-// arrives, before the round certifies. The body transfer — the dominant
-// cost at large block sizes on constrained uplinks — overlaps the
-// previous round's certificate exchange instead of serializing after it,
-// so commit latency drops by up to the body transmission time and block
-// rate rises. The experiment runs large blocks over a ~25 MB/s uplink so
-// the transfer is worth hiding (baseline and pipelined runs share seed,
-// topology, and workload; the only delta is the knob).
+// runPipeline compares optimistic proposal pipelining (Moonshot mode;
+// ARCHITECTURE.md, "Optimistic proposal pipelining") with the default
+// engine at n=4 over a 25 MB/s uplink: the next leader broadcasts its
+// block on the expected parent as soon as the round's rank-0 block
+// arrives, before the round certifies. Baseline and pipelined runs share
+// seed, topology and workload; the only delta is the knob.
+//
+// What it shows today: the mode does not pay at n=4. At 512 KB the mean
+// falls 5 % and the p50 15 %, but the p95 rises 13 %; at 1 MB the mean
+// rises 30 %, and at 2 MB 53 %. Its one win is at n=19 with a
+// bandwidth-bound uplink, where header relays carry no body (a
+// sim19_wan-shaped simulation over seeds 1–10: p50 −13 % and 7 % more
+// blocks at 25 MB/s, neutral at the default 625 MB/s). The mode stays
+// off by default until a benchmark workload measures that regime.
 func runPipeline(o options) error {
 	topo, err := wan.FourGlobal4()
 	if err != nil {

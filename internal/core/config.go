@@ -111,9 +111,6 @@ type Config struct {
 	// snapshot fetch. Zero selects the default; negative disables
 	// escalation, leaving only chain-suffix sync.
 	StateSyncStalls int
-	// StateSyncTimeout is the per-peer silence budget of a snapshot fetch
-	// before the fetcher rotates to the next peer. Zero selects 8Δ.
-	StateSyncTimeout time.Duration
 	// Dissem, when set, decouples payload dissemination from ordering: the
 	// store becomes the engine's PayloadSource (proposals commit batch
 	// digests instead of bytes; Payloads is overridden), batch bodies are
@@ -123,9 +120,6 @@ type Config struct {
 	// proposer. The same store instance must be shared with the host, which
 	// resolves committed digest lists back to transaction bytes.
 	Dissem *dissem.Store
-	// BatchFetchTimeout is the per-peer silence budget of a batch-body
-	// fetch before the fetcher rotates to the next peer. Zero selects 4Δ.
-	BatchFetchTimeout time.Duration
 	// Obs, when set, is the replica's observability bundle: the engine
 	// records commit-latency/delivery-wait/verify histograms, lifecycle
 	// trace events, round/epoch gauges, and feeds the slow-round
@@ -191,9 +185,6 @@ func (c *Config) validate() error {
 	if c.Dissem != nil {
 		c.Payloads = c.Dissem
 	}
-	if c.BatchFetchTimeout == 0 {
-		c.BatchFetchTimeout = 4 * c.Delta
-	}
 	if c.PruneInterval == 0 {
 		c.PruneInterval = defaultPruneInterval
 	}
@@ -202,9 +193,6 @@ func (c *Config) validate() error {
 	}
 	if c.StateSyncStalls == 0 {
 		c.StateSyncStalls = defaultStateSyncStalls
-	}
-	if c.StateSyncTimeout == 0 {
-		c.StateSyncTimeout = 8 * c.Delta
 	}
 	return nil
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"banyan/internal/obs"
 	"banyan/internal/protocol"
 	"banyan/internal/types"
@@ -15,8 +13,9 @@ import (
 // consensus path — and a delivery gate: a finalized chain's Commit action
 // is withheld until every batch body its payloads reference is held
 // locally, fetched on miss from the block's proposer (blocks reference
-// only proposer-own batches) with timeout rotation across peers. Safety
-// never depends on the gate; it only orders the application's view.
+// only proposer-own batches) with timeout rotation across peers, up to
+// fetch.Window digests at a time. Safety never depends on the gate; it
+// only orders the application's view.
 
 // onBatchAnnounce ingests a body broadcast or an availability ack. A
 // body-carrying announce is self-certifying (digest check) and answered
@@ -84,14 +83,17 @@ func (e *Engine) onBatchResponse(m *types.BatchResponse) {
 
 // recordFetchDone records the duration of a completing batch fetch —
 // Begin to body arrival, across peer rotations — when the arriving
-// digest is the one in flight. Called before Fetcher.Done clears the
-// in-flight state.
+// digest is in flight. Called before Fetcher.Done clears the in-flight
+// state.
 func (e *Engine) recordFetchDone(digest [32]byte) {
 	o := e.cfg.Obs
-	if o == nil || e.replaying || !e.batchFetch.Fetching() || e.batchFetch.Key() != digest {
+	if o == nil || e.replaying {
 		return
 	}
-	start := e.batchFetch.Started()
+	start, ok := e.batchFetch.Started(digest)
+	if !ok {
+		return
+	}
 	d := e.now.Sub(start)
 	o.DissemFetch.Record(d)
 	o.Tracer.Span(0, types.BlockID(digest), obs.SpanDissemFetch, start, d)
@@ -216,46 +218,4 @@ func (e *Engine) dropStaleDeliveries(floor types.Round) {
 		}
 	}
 	e.delivQueue = items
-}
-
-// maybeBatchFetch starts the next queued body fetch when none is in
-// flight: a unicast BatchRequest — to the batch's origin first, then
-// rotating — plus the deadline timer pollBatchFetch re-arms. Suppressed
-// during replay; EndReplay's live progress pass re-issues fetches for
-// anything the recovered delivery queue is missing.
-func (e *Engine) maybeBatchFetch(now time.Time, acts []protocol.Action) []protocol.Action {
-	if e.replaying || e.stopped {
-		return acts
-	}
-	if !e.batchFetch.Begin(now) {
-		return acts
-	}
-	acts = append(acts, protocol.Send{
-		To:  e.batchFetch.Peer(),
-		Msg: &types.BatchRequest{Digest: e.batchFetch.Key()},
-	})
-	return append(acts, protocol.SetTimer{
-		ID: protocol.TimerID{Kind: protocol.TimerBatchFetch},
-		At: e.batchFetch.Deadline(),
-	})
-}
-
-// pollBatchFetch handles a TimerBatchFetch fire: a request past its
-// per-peer deadline is retried against the next peer in rotation — the
-// same discipline as the snapshot fetcher's pollFetch.
-func (e *Engine) pollBatchFetch(now time.Time, acts []protocol.Action) []protocol.Action {
-	if e.cfg.Dissem == nil || !e.batchFetch.Fetching() {
-		return acts
-	}
-	rearm := protocol.SetTimer{
-		ID: protocol.TimerID{Kind: protocol.TimerBatchFetch},
-		At: e.batchFetch.Deadline(),
-	}
-	if !e.batchFetch.Expired(now) {
-		return append(acts, rearm)
-	}
-	peer := e.batchFetch.Retry(now)
-	acts = append(acts, protocol.Send{To: peer, Msg: &types.BatchRequest{Digest: e.batchFetch.Key()}})
-	rearm.At = e.batchFetch.Deadline()
-	return append(acts, rearm)
 }

@@ -6,11 +6,10 @@ import (
 	"time"
 
 	"banyan/internal/blocktree"
-	"banyan/internal/dissem"
+	"banyan/internal/fetch"
 	"banyan/internal/membership"
 	"banyan/internal/obs"
 	"banyan/internal/protocol"
-	"banyan/internal/statesync"
 	"banyan/internal/types"
 )
 
@@ -53,15 +52,16 @@ type Engine struct {
 	lastSyncFrom types.Round
 	syncStalls   int
 
-	// Snapshot state sync: syncPeers rotates the unicast target of both
-	// the suffix subprotocol and snapshot fetches; fetcher schedules the
-	// latter; syncProbe marks that the resend timer wants a pull for
-	// possibly-missed finalizations even though no certificate proves this
-	// replica behind; prefixStalls counts consecutive stalls on the first
-	// missing round — the unserveable-prefix livelock signature that
-	// escalates to a snapshot fetch.
-	syncPeers    *statesync.Ring
-	fetcher      *statesync.Fetcher
+	// Snapshot state sync: syncPeers rotates the unicast target of the
+	// suffix subprotocol; fetcher schedules snapshot fetches, keyed by the
+	// target round (it only ever holds one); syncProbe marks that the
+	// resend timer wants a pull for possibly-missed finalizations even
+	// though no certificate proves this replica behind; prefixStalls
+	// counts consecutive stalls on the first missing round — the
+	// unserveable-prefix livelock signature that escalates to a snapshot
+	// fetch.
+	syncPeers    *fetch.Ring
+	fetcher      fetchClass[types.Round]
 	syncProbe    bool
 	prefixStalls int
 
@@ -70,15 +70,13 @@ type Engine struct {
 	// already decided, bytes possibly still in flight — and batchFetch
 	// schedules the fetch-on-miss unicasts for the missing bodies.
 	delivQueue []deliveryItem
-	batchFetch *dissem.Fetcher[[32]byte]
+	batchFetch fetchClass[[32]byte]
 
 	// Body pulls (pull.go): wanted holds the blocks this replica has heard
-	// of — by header relay or by vote — without holding their body, pulls
-	// schedules the BlockRequest unicasts for the overdue ones, and
-	// pullWake is the time the pending TimerBodyPull was armed for.
-	wanted   map[pullKey]*wantedBody
-	pulls    *dissem.Fetcher[pullKey]
-	pullWake time.Time
+	// of — by header relay or by vote — without holding their body, and
+	// pulls schedules the BlockRequest unicasts for the overdue ones.
+	wanted map[pullKey]*wantedBody
+	pulls  fetchClass[pullKey]
 
 	stopped bool
 	fault   error
@@ -129,7 +127,6 @@ type Engine struct {
 		bytesCommit   int64
 		rejected      int64
 		resends       int64
-		ssFetches     int64
 		ssServed      int64
 		ssRejected    int64
 		ssBytes       int64
@@ -140,8 +137,6 @@ type Engine struct {
 		batchServed   int64
 		delivDropped  int64
 
-		bodyPulls        int64
-		bodyPullRetries  int64
 		bodyPullsServed  int64
 		bodyPullsRefused int64
 
@@ -177,25 +172,31 @@ func New(cfg Config) (*Engine, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	// Peer rotations span the whole identity registry, not just the
-	// genesis set: a joiner must fetch state from replicas it is not yet a
-	// co-member of, and the rings tolerate silent (not-yet-started) peers
-	// by timeout rotation.
-	return &Engine{
+	e := &Engine{
 		cfg:           cfg,
 		history:       cfg.History,
 		tree:          blocktree.New(),
 		rounds:        make(map[types.Round]*roundState),
 		extFinal:      make(map[types.Round]*types.Certificate),
 		pendingCommit: make(map[types.BlockID]protocol.FinalizationMode),
-		syncPeers:     statesync.NewRing(cfg.Self, cfg.Keyring.N()),
-		fetcher:       statesync.NewFetcher(cfg.Self, cfg.Keyring.N(), cfg.StateSyncTimeout),
-		batchFetch:    dissem.NewFetcher[[32]byte](cfg.Self, cfg.Keyring.N(), cfg.BatchFetchTimeout),
-		wanted:        make(map[pullKey]*wantedBody),
+		// Like the fetchers' rings, the suffix-sync rotation spans the
+		// whole identity registry (see newFetchClass).
+		syncPeers: fetch.NewRing(cfg.Self, cfg.Keyring.N()),
+		batchFetch: newFetchClass(cfg, bodyFetchDeltas*cfg.Delta, protocol.TimerBatchFetch,
+			func(d [32]byte) types.Message { return &types.BatchRequest{Digest: d} }),
+		wanted: make(map[pullKey]*wantedBody),
 		// A pulled body is a body fetch like any other: same per-peer
-		// silence budget as the batch fetcher.
-		pulls: dissem.NewFetcher[pullKey](cfg.Self, cfg.Keyring.N(), cfg.BatchFetchTimeout),
-	}, nil
+		// silence budget as a batch.
+		pulls: newFetchClass(cfg, bodyFetchDeltas*cfg.Delta, protocol.TimerBodyPull,
+			func(k pullKey) types.Message { return &types.BlockRequest{Round: k.round, ID: k.id} }),
+	}
+	// The peer serves its own window; the request only says what this
+	// replica already has.
+	e.fetcher = newFetchClass(cfg, snapshotFetchDeltas*cfg.Delta, protocol.TimerStateSync,
+		func(types.Round) types.Message { return &types.SnapshotRequest{Have: e.tree.FinalizedRound()} })
+	e.fetcher.abandon = e.snapshotReached
+	e.pulls.abandon = e.pullExhausted
+	return e, nil
 }
 
 // setFor returns the validator set in effect at round r.
@@ -300,14 +301,15 @@ func (e *Engine) HandleTimer(id protocol.TimerID, now time.Time) []protocol.Acti
 	if id.Kind == protocol.TimerResend && id.Round == e.round {
 		acts = e.resendRound(now, acts)
 	}
-	if id.Kind == protocol.TimerStateSync {
-		acts = e.pollFetch(now, acts)
-	}
-	if id.Kind == protocol.TimerBatchFetch {
-		acts = e.pollBatchFetch(now, acts)
-	}
-	if id.Kind == protocol.TimerBodyPull {
-		e.pullWake = time.Time{}
+	// A fetch timer only marks itself fired: the progress pass drives every
+	// fetch class, retrying what expired and re-arming for what is left.
+	switch id.Kind {
+	case protocol.TimerStateSync:
+		e.fetcher.wake = time.Time{}
+	case protocol.TimerBatchFetch:
+		e.batchFetch.wake = time.Time{}
+	case protocol.TimerBodyPull:
+		e.pulls.wake = time.Time{}
 		if len(e.wanted) == 0 {
 			return nil // the body landed before it fell overdue: the common case
 		}
@@ -395,7 +397,6 @@ func (e *Engine) Metrics() map[string]int64 {
 		"bytes_commit":       e.met.bytesCommit,
 		"rejected":           e.met.rejected,
 		"resends":            e.met.resends,
-		"statesync_fetches":  e.met.ssFetches,
 		"epoch_hints":        e.met.epochHints,
 		"statesync_served":   e.met.ssServed,
 		"statesync_rejected": e.met.ssRejected,
@@ -407,8 +408,6 @@ func (e *Engine) Metrics() map[string]int64 {
 		"epoch":              int64(e.history.Current().Epoch()),
 		"epoch_changes":      e.met.epochChanges,
 		"members":            int64(e.history.Current().Size()),
-		"body_pulls":         e.met.bodyPulls,
-		"body_pull_retries":  e.met.bodyPullRetries,
 		"body_pulls_served":  e.met.bodyPullsServed,
 		"body_pulls_refused": e.met.bodyPullsRefused,
 
@@ -417,6 +416,10 @@ func (e *Engine) Metrics() map[string]int64 {
 		"verify_settled_skipped": e.cfg.Verifier.SettledSkipped(),
 	}
 	m["verify_cache_hits"], m["verify_cache_misses"] = e.cfg.Verifier.CacheStats()
+	// Every snapshot request counts, the first and each rotation alike.
+	begun, rotated := e.fetcher.Counts()
+	m["statesync_fetches"] = begun + rotated
+	m["body_pulls"], m["body_pull_retries"] = e.pulls.Counts()
 	if e.cfg.Dissem != nil {
 		e.cfg.Dissem.Metrics(m)
 		m["dissemFetches"], m["dissemFetchRetries"] = e.batchFetch.Counts()
@@ -750,9 +753,16 @@ func (e *Engine) progress(now time.Time, acts []protocol.Action) []protocol.Acti
 	if e.cfg.Dissem != nil {
 		acts = e.tryDisseminate(acts)
 		acts = e.flushDelivery(acts)
-		acts = e.maybeBatchFetch(now, acts)
 	}
-	acts = e.maybePull(now, acts)
+	// Replay drops every send and timer, so fetches wait for live
+	// operation: EndReplay's progress pass begins whatever replay queued —
+	// the bodies a recovered delivery queue lacks, the headers the journal
+	// held without a body.
+	if !e.replaying && !e.stopped {
+		acts = e.fetcher.drive(now, acts)
+		acts = e.batchFetch.drive(now, acts)
+		acts = e.maybePull(now, acts)
+	}
 	e.maybePrune()
 	e.publishSettled()
 	return acts
@@ -866,8 +876,8 @@ func (e *Engine) maybeSync(now time.Time, acts []protocol.Action) []protocol.Act
 			return acts
 		}
 	}
-	if e.fetcher.Fetching() {
-		// A snapshot fetch is in flight; it lands above anything a suffix
+	if !e.fetcher.Idle() {
+		// A snapshot fetch is under way; it lands above anything a suffix
 		// request could return. Stay dirty so sync resumes for the tail.
 		if behind {
 			e.catchupDirty = true
@@ -879,7 +889,8 @@ func (e *Engine) maybeSync(now time.Time, acts []protocol.Action) []protocol.Act
 		// learned: segment blocks of the new epoch fail epoch-pinned
 		// validation on arrival. Escalate straight to a snapshot fetch,
 		// which carries the validator-set chain alongside the window.
-		return e.beginFetch(now, acts)
+		e.beginFetch()
+		return acts
 	}
 	if !e.lastSyncReq.IsZero() && now.Sub(e.lastSyncReq) < 2*e.cfg.Delta {
 		if behind {
@@ -917,7 +928,8 @@ func (e *Engine) maybeSync(now time.Time, acts []protocol.Action) []protocol.Act
 		}
 		if e.cfg.StateSyncStalls > 0 && e.prefixStalls >= e.cfg.StateSyncStalls {
 			e.prefixStalls = 0
-			return e.beginFetch(now, acts)
+			e.beginFetch()
+			return acts
 		}
 	}
 	e.lastSyncReq = now
@@ -928,53 +940,27 @@ func (e *Engine) maybeSync(now time.Time, acts []protocol.Action) []protocol.Act
 	})
 }
 
-// beginFetch escalates catch-up to a snapshot fetch: the highest known
-// finalization certificate becomes the fetch target and a SnapshotRequest
-// goes to the rotation's current peer, with a timer to rotate away from a
-// silent one. While the fetch is in flight maybeSync sends no suffix
-// requests.
-func (e *Engine) beginFetch(now time.Time, acts []protocol.Action) []protocol.Action {
-	e.fetcher.AddTarget(e.latestFinal)
-	e.fetcher.AddTarget(e.epochHint)
-	if !e.fetcher.Begin(now) {
-		return acts
+// beginFetch escalates catch-up to a snapshot fetch: the round of the
+// highest known finalization certificate becomes the fetch target, and
+// the progress pass sends the SnapshotRequest to the rotation's current
+// peer, rotating away from a silent one. maybeSync only escalates while
+// no snapshot fetch is under way and sends no suffix requests until it
+// resolves, so the fetcher holds one target at a time.
+func (e *Engine) beginFetch() {
+	target := e.latestFinal
+	if h := e.epochHint; h != nil && (target == nil || h.Round > target.Round) {
+		target = h
 	}
-	e.met.ssFetches++
-	acts = append(acts, protocol.Send{
-		To:  e.fetcher.Peer(),
-		Msg: &types.SnapshotRequest{Have: e.tree.FinalizedRound()},
-	})
-	return append(acts, protocol.SetTimer{
-		ID: protocol.TimerID{Kind: protocol.TimerStateSync},
-		At: e.fetcher.Deadline(),
-	})
+	if target != nil {
+		e.fetcher.Add(target.Round, types.NoReplica)
+	}
 }
 
-// pollFetch handles a TimerStateSync fire: if the in-flight snapshot
-// fetch has been overtaken by suffix sync it is completed silently;
-// otherwise a request past its per-peer deadline is retried against the
-// next peer in rotation.
-func (e *Engine) pollFetch(now time.Time, acts []protocol.Action) []protocol.Action {
-	if !e.fetcher.Fetching() {
-		return acts
-	}
-	fin := e.tree.FinalizedRound()
-	if fin >= e.fetcher.Target().Round {
-		e.fetcher.Done(fin)
-		return acts
-	}
-	rearm := protocol.SetTimer{
-		ID: protocol.TimerID{Kind: protocol.TimerStateSync},
-		At: e.fetcher.Deadline(),
-	}
-	if !e.fetcher.Expired(now) {
-		return append(acts, rearm)
-	}
-	peer := e.fetcher.Retry(now)
-	e.met.ssFetches++
-	acts = append(acts, protocol.Send{To: peer, Msg: &types.SnapshotRequest{Have: fin}})
-	rearm.At = e.fetcher.Deadline()
-	return append(acts, rearm)
+// snapshotReached reports whether the finalized prefix reached a snapshot
+// target — by adoption, or by suffix sync overtaking the fetch — which
+// completes the fetch.
+func (e *Engine) snapshotReached(target types.Round) bool {
+	return target <= e.tree.FinalizedRound()
 }
 
 // onSnapshotRequest serves this replica's finalized window to a peer that
@@ -1049,7 +1035,7 @@ func (e *Engine) onSnapshotResponse(m *types.SnapshotResponse) []protocol.Action
 	}
 	if tip.Round <= fin {
 		// Stale: suffix sync or another snapshot got there first.
-		e.fetcher.Done(fin)
+		e.fetcher.Drop(e.snapshotReached)
 		return nil
 	}
 	// The responder's claimed validator-set history: structurally a legal
@@ -1137,7 +1123,7 @@ func (e *Engine) onSnapshotResponse(m *types.SnapshotResponse) []protocol.Action
 	e.prefixStalls = 0
 	e.lastSyncFrom = 0
 	e.catchupDirty = true
-	e.fetcher.Done(newFin)
+	e.fetcher.Drop(e.snapshotReached)
 	e.noteFinalCert(c)
 	return acts
 }

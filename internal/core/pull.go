@@ -106,14 +106,13 @@ func (e *Engine) bodyArrived(r types.Round, id types.BlockID) {
 	}
 }
 
-// maybePull runs at the tail of every progress pass: it drops entries of
-// finalized rounds, hands overdue ones to the fetcher, starts or rotates
-// the single in-flight BlockRequest, and keeps one TimerBodyPull armed
-// for the next moment any of that can change. Suppressed during replay —
-// EndReplay's live progress pass restarts the Δ wait for every header
-// the journal held without a body.
+// maybePull runs at the tail of every live progress pass: it drops
+// entries of finalized rounds, hands overdue ones to the fetcher, starts
+// or rotates the BlockRequests in flight, and keeps one TimerBodyPull
+// armed for the next moment any of that can change. A body that lands
+// within Δ never reaches the fetcher.
 func (e *Engine) maybePull(now time.Time, acts []protocol.Action) []protocol.Action {
-	if len(e.wanted) == 0 || e.replaying || e.stopped {
+	if len(e.wanted) == 0 {
 		return acts
 	}
 	fin := e.tree.FinalizedRound()
@@ -151,39 +150,23 @@ func (e *Engine) maybePull(now time.Time, acts []protocol.Action) []protocol.Act
 			e.pulls.Add(key, h)
 		}
 	}
-	if e.pulls.Expired(now) {
-		if key := e.pulls.Key(); e.pulls.Sent() >= e.setFor(key.round).Size() {
-			// Every holder and the whole ring stayed silent: nobody this
-			// replica can reach has the body. Forget the block; hearing
-			// of it again (a resend's header relay) starts over.
-			delete(e.wanted, key)
-			e.pulls.Done(key)
-		} else {
-			e.met.bodyPullRetries++
-			e.pulls.Retry(now)
-			acts = append(acts, e.pullRequest())
-		}
+	acts = e.pulls.step(now, acts)
+	if d := e.pulls.Deadline(); wake.IsZero() || !d.IsZero() && d.Before(wake) {
+		wake = d
 	}
-	if e.pulls.Begin(now) {
-		e.met.bodyPulls++
-		acts = append(acts, e.pullRequest())
-	}
-	if e.pulls.Fetching() {
-		if d := e.pulls.Deadline(); wake.IsZero() || d.Before(wake) {
-			wake = d
-		}
-	}
-	if !wake.IsZero() && !wake.Equal(e.pullWake) {
-		e.pullWake = wake
-		acts = append(acts, protocol.SetTimer{ID: protocol.TimerID{Kind: protocol.TimerBodyPull}, At: wake})
-	}
-	return acts
+	return e.pulls.arm(wake, acts)
 }
 
-// pullRequest addresses the in-flight pull to the peer whose turn it is.
-func (e *Engine) pullRequest() protocol.Action {
-	key := e.pulls.Key()
-	return protocol.Send{To: e.pulls.Peer(), Msg: &types.BlockRequest{Round: key.round, ID: key.id}}
+// pullExhausted reports whether every holder and the whole ring stayed
+// silent on a pull whose deadline passed: nobody this replica can reach
+// has the body. The block is forgotten; hearing of it again (a resend's
+// header relay) starts over.
+func (e *Engine) pullExhausted(key pullKey) bool {
+	if e.pulls.Sent(key) < e.setFor(key.round).Size() {
+		return false
+	}
+	delete(e.wanted, key)
+	return true
 }
 
 // onBlockRequest serves a block body to a peer pulling it. Stateless for

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"banyan/internal/fetch"
 	"banyan/internal/protocol"
 	"banyan/internal/types"
 )
@@ -143,7 +144,7 @@ func TestPullFiresAtDeltaRotatesAndCancels(t *testing.T) {
 	// silence the known holders are asked in the order heard: the proposer
 	// (its fast vote rode on the first relay), then the second relayer.
 	r.deliver(second, r.headerRelayFor(b))
-	timeout := r.eng.cfg.BatchFetchTimeout
+	timeout := bodyFetchDeltas * rigDelta
 	r.pullTick(timeout - time.Millisecond)
 	if len(pullRequests(r)) != 1 {
 		t.Fatal("rotated before the silence budget ran out")
@@ -172,7 +173,7 @@ func TestPullFiresAtDeltaRotatesAndCancels(t *testing.T) {
 	if !votedFor(r, b.ID()) {
 		t.Fatal("block not voted once its body arrived")
 	}
-	if len(r.eng.wanted) != 0 || r.eng.pulls.Fetching() || r.eng.pulls.Pending() {
+	if len(r.eng.wanted) != 0 || !r.eng.pulls.Idle() {
 		t.Fatal("pull not cancelled by the body's arrival")
 	}
 	r.pullTick(10 * timeout)
@@ -339,11 +340,11 @@ func TestWantedStateIsBounded(t *testing.T) {
 	if len(r.eng.wanted) != maxWanted {
 		t.Fatalf("wanted = %d, cap %d", len(r.eng.wanted), maxWanted)
 	}
-	// Everything falls due; requests stay one at a time.
+	// Everything falls due; requests stay within the fetcher's window.
 	r.clearActs()
 	r.pullTick(rigDelta)
-	if n := len(pullRequests(r)); n != 1 {
-		t.Fatalf("%d requests in flight at once", n)
+	if n := len(pullRequests(r)); n != fetch.Window {
+		t.Fatalf("%d requests in flight at once, window %d", n, fetch.Window)
 	}
 }
 
@@ -357,7 +358,7 @@ func TestPullAbandonedAfterFullRotation(t *testing.T) {
 	relayer := bc.ReplicaAt(1, 1)
 	r.deliver(relayer, r.headerRelayFor(b))
 	r.pullTick(rigDelta)
-	timeout := r.eng.cfg.BatchFetchTimeout
+	timeout := bodyFetchDeltas * rigDelta
 	for i := 0; i < 8 && len(r.eng.wanted) > 0; i++ {
 		r.pullTick(timeout)
 	}

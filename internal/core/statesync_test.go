@@ -249,7 +249,7 @@ func TestSnapshotResponseRejectsBadAnchor(t *testing.T) {
 }
 
 // TestSnapshotFetchRotatesPeerOnTimeout: a silent peer costs one
-// StateSyncTimeout, after which the fetcher re-sends to the next peer.
+// snapshot timeout (8Δ), after which the fetcher re-sends to the next peer.
 func TestSnapshotFetchRotatesPeerOnTimeout(t *testing.T) {
 	server := newWindowServer(t, 30)
 	bc := mustBeacon(t, 4)

@@ -64,6 +64,31 @@ func buildTriples(t testing.TB, scheme Scheme, n, count int, seed int64,
 	return pubs, digests, sigs, want
 }
 
+// verifyMany runs the pool over every (pub, digest, sig) triple and
+// returns one verdict per triple, in order.
+func verifyMany(p *VerifierPool, pubs [][]byte, digests [][32]byte, sigs [][]byte) []bool {
+	items := make([]sigItem, len(pubs))
+	for i := range items {
+		items[i] = sigItem{pub: pubs[i], digest: digests[i], sig: sigs[i]}
+	}
+	p.verify(items)
+	out := make([]bool, len(items))
+	for i := range items {
+		out[i] = items[i].ok
+	}
+	return out
+}
+
+// verifyManyValid reports whether every triple verifies.
+func verifyManyValid(p *VerifierPool, pubs [][]byte, digests [][32]byte, sigs [][]byte) bool {
+	for _, ok := range verifyMany(p, pubs, digests, sigs) {
+		if !ok {
+			return false
+		}
+	}
+	return true
+}
+
 // TestBatchVerifierMatchesSequential is the core equivalence property:
 // for every mix of valid, forged, wrong-key, truncated, wrong-digest and
 // empty signatures, under both schemes, an inline batch (a one-worker
@@ -77,7 +102,7 @@ func TestBatchVerifierMatchesSequential(t *testing.T) {
 				pubs, digests, sigs, want := buildTriples(t, scheme, 7, count, int64(trial),
 					func(int) corruption { return corruption(rng.Intn(int(numCorruptions))) })
 
-				got := NewVerifierPool(scheme, 1).VerifyMany(pubs, digests, sigs)
+				got := verifyMany(NewVerifierPool(scheme, 1), pubs, digests, sigs)
 				for i := range want {
 					if got[i] != want[i] {
 						t.Fatalf("trial %d: triple %d: batch verdict %v, want %v",
@@ -115,7 +140,7 @@ func TestBatchVerifierVerifiesEachTripleOnce(t *testing.T) {
 			return corruptNone
 		})
 	scheme := &countingScheme{Scheme: Ed25519()}
-	if NewVerifierPool(scheme, 1).VerifyManyValid(pubs, digests, sigs) {
+	if verifyManyValid(NewVerifierPool(scheme, 1), pubs, digests, sigs) {
 		t.Fatal("batch with a forgery reported all valid")
 	}
 	if scheme.verifies != len(pubs) {
@@ -131,14 +156,14 @@ func TestVerifierPoolMatchesSequential(t *testing.T) {
 			pubs, digests, sigs, want := buildTriples(t, scheme, 9, 50, int64(workers),
 				func(i int) corruption { return corruption(i % int(numCorruptions)) })
 			pool := NewVerifierPool(scheme, workers)
-			got := pool.VerifyMany(pubs, digests, sigs)
+			got := verifyMany(pool, pubs, digests, sigs)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("%s workers=%d: triple %d got %v want %v",
 						scheme.Name(), workers, i, got[i], want[i])
 				}
 			}
-			if pool.VerifyManyValid(pubs, digests, sigs) {
+			if verifyManyValid(pool, pubs, digests, sigs) {
 				t.Fatalf("%s workers=%d: mixed batch reported all-valid", scheme.Name(), workers)
 			}
 		}
@@ -397,7 +422,7 @@ func FuzzBatchVerifyEquivalence(f *testing.F) {
 			// Pair the fuzzed triple with a valid one so a failing batch
 			// exercises the mixed per-signature fallback.
 			other := signers[(who+1)%4].Sign(digest)
-			got := NewVerifierPool(scheme, 1).VerifyMany(
+			got := verifyMany(NewVerifierPool(scheme, 1),
 				[][]byte{pub, keyring.PublicKey(types.ReplicaID((who + 1) % 4))},
 				[][32]byte{digest, digest}, [][]byte{sig, other})
 			if got[0] != want {

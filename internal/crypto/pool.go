@@ -38,31 +38,6 @@ func NewVerifierPool(scheme Scheme, workers int) *VerifierPool {
 // Workers returns the pool's concurrency.
 func (p *VerifierPool) Workers() int { return p.workers }
 
-// VerifyMany checks every (pub, digest, sig) triple and returns one
-// verdict per triple, in order. The three slices must have equal length.
-func (p *VerifierPool) VerifyMany(pubs [][]byte, digests [][32]byte, sigs [][]byte) []bool {
-	items := make([]sigItem, len(pubs))
-	for i := range items {
-		items[i] = sigItem{pub: pubs[i], digest: digests[i], sig: sigs[i]}
-	}
-	p.verify(items)
-	out := make([]bool, len(items))
-	for i := range items {
-		out[i] = items[i].ok
-	}
-	return out
-}
-
-// VerifyManyValid reports whether every triple verifies.
-func (p *VerifierPool) VerifyManyValid(pubs [][]byte, digests [][32]byte, sigs [][]byte) bool {
-	for _, ok := range p.VerifyMany(pubs, digests, sigs) {
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // verify sets every item's verdict.
 func (p *VerifierPool) verify(items []sigItem) {
 	n := len(items)

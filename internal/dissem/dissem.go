@@ -8,18 +8,15 @@
 // replica instead of riding the leader's uplink — the first step toward
 // parallel-leader throughput (FnF-BFT's argument, see ROADMAP).
 //
-// The layer has two passive components, driven by the consensus engine's
-// event handlers like everything else in this repository:
-//
-//   - Store: holds batch bodies by digest, cuts new batches from a Source,
-//     counts availability acks for the replica's own batches, and — as the
-//     engine's PayloadSource — assembles proposals from acked batches.
-//     Consensus votes on headers immediately; only *delivery* of finalized
-//     blocks waits for bodies.
-//   - Fetcher: the fetch-on-miss scheduler for bodies a finalized block
-//     references but the store does not hold: digest-keyed dedup, one
-//     in-flight unicast BatchRequest, origin-first peer choice, timeout
-//     rotation. The same dispatcher shape as internal/statesync.
+// The Store is passive, driven by the consensus engine's event handlers
+// like everything else in this repository: it holds batch bodies by
+// digest, cuts new batches from a Source, counts availability acks for
+// the replica's own batches, and — as the engine's PayloadSource —
+// assembles proposals from acked batches. Consensus votes on headers
+// immediately; only *delivery* of finalized blocks waits for bodies. The
+// bodies a finalized block references but the store does not hold are
+// fetched on miss through the engine's retrieval layer (internal/fetch),
+// origin first.
 package dissem
 
 import (

@@ -3,7 +3,6 @@ package dissem
 import (
 	"bytes"
 	"testing"
-	"time"
 
 	"banyan/internal/types"
 )
@@ -168,113 +167,5 @@ func TestStoreCompactRetainsWindow(t *testing.T) {
 	}
 	if !s.Has(young.Digest()) || !s.Has(undelivered.Digest()) {
 		t.Fatal("compaction dropped a retained or undelivered body")
-	}
-}
-
-func TestFetcherDedupOriginFirstRotation(t *testing.T) {
-	f := NewFetcher[[32]byte](0, 4, 100*time.Millisecond)
-	var d1, d2 [32]byte
-	d1[0], d2[0] = 1, 2
-	if !f.Add(d1, 2) || f.Add(d1, 2) {
-		t.Fatal("dedup broken")
-	}
-	f.Add(d2, 3)
-	now := time.Unix(0, 0)
-	if !f.Begin(now) || f.Begin(now) {
-		t.Fatal("Begin must start exactly one fetch")
-	}
-	if f.Key() != d1 || f.Peer() != 2 {
-		t.Fatalf("first attempt must go to the origin: peer %d", f.Peer())
-	}
-	if f.Expired(now.Add(50 * time.Millisecond)) {
-		t.Fatal("expired early")
-	}
-	if !f.Expired(now.Add(100 * time.Millisecond)) {
-		t.Fatal("not expired at deadline")
-	}
-	p1 := f.Retry(now.Add(100 * time.Millisecond))
-	if p1 == 2 || p1 == 0 {
-		t.Fatalf("retry went back to the timed-out origin or self: %d", p1)
-	}
-	seen := map[types.ReplicaID]bool{p1: true}
-	for i := 0; i < 2; i++ {
-		seen[f.Retry(now)] = true
-	}
-	if len(seen) != 3 || seen[0] {
-		t.Fatalf("rotation did not cover the peers: %v", seen)
-	}
-
-	f.Done(d1)
-	if f.Fetching() {
-		t.Fatal("Done did not clear the in-flight fetch")
-	}
-	if !f.Add(d1, 2) {
-		t.Fatal("completed digest cannot be re-added")
-	}
-	// d2 is still queued; the new d1 is behind it.
-	if !f.Begin(now) || f.Key() != d2 {
-		t.Fatalf("queue order broken: %v", f.Key())
-	}
-	// A late announce satisfies a queued (not in-flight) digest.
-	f.Done(d1)
-	f.Done(d2)
-	if f.Fetching() || f.Pending() {
-		t.Fatal("Done did not drain the fetcher")
-	}
-	if f.Begin(now) {
-		t.Fatal("empty fetcher began a fetch")
-	}
-}
-
-// TestFetcherHoldersBeforeRing checks the key-generic holder list the
-// block-body pull relies on: every peer a key was heard of from gets its
-// turn, in the order heard, before the ring is walked; a holder learned
-// while the key is queued or in flight joins the list; self and suspect
-// holders are skipped.
-func TestFetcherHoldersBeforeRing(t *testing.T) {
-	type key struct {
-		round types.Round
-		id    types.BlockID
-	}
-	f := NewFetcher[key](0, 7, 100*time.Millisecond)
-	k := key{round: 5, id: types.BlockID{9}}
-	if !f.Add(k, 4) {
-		t.Fatal("new key not queued")
-	}
-	if f.Add(k, 6) || f.Add(k, 6) || f.Add(k, 0) {
-		t.Fatal("recording a holder must not grow the queue")
-	}
-	now := time.Unix(0, 0)
-	if !f.Begin(now) || f.Peer() != 4 || f.Sent() != 1 {
-		t.Fatalf("first request must go to the peer first heard from: peer %d", f.Peer())
-	}
-	f.Add(k, 2) // learned while in flight
-	if p := f.Retry(now); p != 6 {
-		t.Fatalf("second request must go to the next holder, got %d", p)
-	}
-	if p := f.Retry(now); p != 2 {
-		t.Fatalf("self must be skipped and the late holder asked, got %d", p)
-	}
-	// Holders exhausted: the ring (1, 2, ... from self+1) takes over and
-	// never re-asks the peer that just timed out.
-	if p := f.Retry(now); p != 1 {
-		t.Fatalf("ring must take over after the holders, got %d", p)
-	}
-	if p := f.Retry(now); p == 1 || p == 0 {
-		t.Fatalf("ring re-asked the silent peer or self: %d", p)
-	}
-	if f.Sent() != 5 {
-		t.Fatalf("Sent = %d, want 5", f.Sent())
-	}
-	if fetches, retries := f.Counts(); fetches != 1 || retries != 4 {
-		t.Fatalf("Counts = %d, %d", fetches, retries)
-	}
-	f.Done(k)
-
-	// Peer 4 timed out above: while suspect it loses its holder turn.
-	k2 := key{round: 6}
-	f.Add(k2, 4)
-	if !f.Begin(now) || f.Peer() == 4 {
-		t.Fatalf("suspect holder was preferred: peer %d", f.Peer())
 	}
 }

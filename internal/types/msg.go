@@ -406,7 +406,7 @@ const MaxSyncBlocks = 64
 // SnapshotRequest asks a single peer for its finalized-window snapshot.
 // Have is the requester's finalized round; a peer replies only when its
 // window tip is strictly ahead. Unlike SyncRequest it is always unicast —
-// the fetch scheduler (internal/statesync) rotates peers on timeout
+// the fetch scheduler (internal/fetch) rotates peers on timeout
 // instead of fanning out.
 // SnapshotRequest stays comparable (tests use ==) and is 9 bytes on the
 // wire, so it carries no encoding cache.
