@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -36,9 +37,9 @@ func TestAllocRegressionVoteLedger(t *testing.T) {
 	}); got != 0 {
 		t.Fatalf("recordVote + recomputeUnlock allocate %.0f times per vote, want 0", got)
 	}
-	if int(voter) != n || rs.set(types.VoteFast, lead.ID()).count() != n || !rs.unlocked[twin.ID()] {
+	if int(voter) != n || rs.set(types.VoteFast, lead.ID()).count() != n || !rs.peek(twin.ID()).unlocked {
 		t.Fatalf("%d voters filed, %d votes held, twin unlocked %v",
-			voter, rs.set(types.VoteFast, lead.ID()).count(), rs.unlocked[twin.ID()])
+			voter, rs.set(types.VoteFast, lead.ID()).count(), rs.peek(twin.ID()).unlocked)
 	}
 }
 
@@ -68,20 +69,31 @@ func (m *meteredEngine) HandleTimer(id protocol.TimerID, now time.Time) []protoc
 	return m.meter(func() []protocol.Action { return m.Engine.HandleTimer(id, now) })
 }
 
-// TestAllocRegressionFastPathRound: one n=19 fast-path round — a proposal,
-// 17 header relays, 18 votes, advances, finalization votes and
-// certificates in, this replica's own relay, votes, certificates and
-// unlock proof out, under ed25519 — costs a non-leader at most 150
-// allocations (it was about 630 with map ledgers).
+// TestAllocRegressionFastPathRound: one fast-path round — a proposal, the
+// header relays, votes, advances and certificates in, this replica's own
+// relay, vote, certificates and unlock proof out, under ed25519 — costs a
+// non-leader at most budget allocations. At n=19 a typical round cost
+// about 630 with map ledgers and 65 with six BlockID-keyed maps per
+// round; one record per block makes it 49 (n=4: 55 → 42).
 func TestAllocRegressionFastPathRound(t *testing.T) {
-	const (
-		n      = 19
-		self   = types.ReplicaID(7)
-		rounds = 40
-		budget = 150
-	)
+	for _, tc := range []struct {
+		params types.Params
+		self   types.ReplicaID
+		budget uint64
+	}{
+		{types.Params{N: 4, F: 1, P: 1}, 2, 64},
+		{types.Params{N: 19, F: 6, P: 1}, 7, 72},
+	} {
+		t.Run(fmt.Sprintf("n%d", tc.params.N), func(t *testing.T) {
+			fastPathRoundAllocs(t, tc.params, tc.self, tc.budget)
+		})
+	}
+}
+
+func fastPathRoundAllocs(t *testing.T, params types.Params, self types.ReplicaID, budget uint64) {
+	const rounds = 40
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	params := types.Params{N: n, F: 6, P: 1}
+	n := params.N
 	keyring, signers := crypto.GenerateCluster(crypto.Ed25519(), n, 3)
 	engines := make([]protocol.Engine, n)
 	metered := &meteredEngine{byRound: make(map[types.Round]uint64)}

@@ -96,11 +96,11 @@ type Engine struct {
 	// opt is the in-flight optimistic proposal (Config.OptimisticProposals):
 	// a signed block for round opt.round, broadcast while this replica was
 	// still in round opt.round-1, extending the parent it expected that
-	// round to certify. It is deliberately NOT in rounds[opt.round].blocks
-	// or the tree — it becomes this replica's proposal only when tryPropose
-	// confirms it (certified parent matched) and fast-votes it; a mismatch
-	// withdraws it, and the block, lacking its proposer's fast vote, can
-	// never satisfy validBlock anywhere.
+	// round to certify. It is deliberately NOT among rounds[opt.round]'s
+	// blocks or in the tree — it becomes this replica's proposal only when
+	// tryPropose confirms it (certified parent matched) and fast-votes it;
+	// a mismatch withdraws it, and the block, lacking its proposer's fast
+	// vote, can never satisfy validBlock anywhere.
 	opt *optimisticProposal
 
 	// carry queues the payloads of own blocks that can never finalize — an
@@ -341,8 +341,10 @@ func (e *Engine) resendRound(now time.Time, acts []protocol.Action) []protocol.A
 		acts = append(acts, protocol.Broadcast{Msg: e.relayProposal(b)})
 	}
 	// Any notarizations formed or received for this round.
-	for _, cert := range rs.notarizations {
-		acts = append(acts, protocol.Broadcast{Msg: &types.CertMsg{Cert: cert}})
+	for _, r := range rs.byID {
+		if r.notarization != nil {
+			acts = append(acts, protocol.Broadcast{Msg: &types.CertMsg{Cert: r.notarization}})
+		}
 	}
 	// Pull finalizations we may have missed: flag a probe for maybeSync,
 	// which owns the unicast target, the 2Δ rate limit, and the
@@ -359,18 +361,17 @@ func (e *Engine) resendRound(now time.Time, acts []protocol.Action) []protocol.A
 
 func (e *Engine) bestKnownBlock(rs *roundState) *types.Block {
 	var best *types.Block
-	for id := range rs.valid {
-		b := rs.blocks[id]
-		if best == nil || b.Rank < best.Rank {
-			best = b
+	for _, r := range rs.byID {
+		if r.valid && (best == nil || r.block.Rank < best.Rank) {
+			best = r.block
 		}
 	}
 	if best != nil {
 		return best
 	}
-	for _, b := range rs.blocks {
-		if best == nil || b.Rank < best.Rank {
-			best = b
+	for _, r := range rs.byID {
+		if r.block != nil && (best == nil || r.block.Rank < best.Rank) {
+			best = r.block
 		}
 	}
 	return best
@@ -521,9 +522,8 @@ func (e *Engine) onProposal(from types.ReplicaID, m *types.Proposal) {
 		return
 	}
 	rs := e.getRound(h.Round)
-	_, held := rs.blocks[id]
 	switch {
-	case held:
+	case rs.block(id) != nil:
 		// A further copy, or a header relay of a block whose body is here:
 		// only the credentials below can be news.
 	case m.Block != nil:
@@ -543,20 +543,16 @@ func (e *Engine) onProposal(from types.ReplicaID, m *types.Proposal) {
 			o.Tracer.Mark(b.Round, id, obs.StageProposalReceived, e.now)
 			o.Tracer.Span(b.Round, id, obs.SpanVerify, e.now, d)
 		}
-		rs.addBlock(b)
-		e.tree.Add(b)
-		if !rs.valid[id] {
-			if rs.pending == nil {
-				rs.pending = make(map[types.BlockID]*types.Proposal)
-			}
-			rs.pending[id] = m
+		if r := rs.addBlock(b); !r.valid {
+			r.pending = m
 		}
+		e.tree.Add(b)
 		e.bodyArrived(b.Round, id)
 	default:
 		// A header for a block this replica does not hold. It enters
-		// neither rs.blocks nor the tree — nothing downstream can vote for,
-		// extend, or serve a block without its body — and only marks the
-		// body as wanted from the relayer (pull.go).
+		// neither the round's blocks nor the tree — nothing downstream can
+		// vote for, extend, or serve a block without its body — and only
+		// marks the body as wanted from the relayer (pull.go).
 		if err := e.cfg.Verifier.VerifyHeader(m.Header); err != nil {
 			e.met.rejected++
 			return
@@ -605,7 +601,7 @@ func (e *Engine) onVote(v types.Vote) {
 		return
 	}
 	rs.recordVote(v.Kind, v.Block, v.Voter, v.Signature, set)
-	if _, held := rs.blocks[v.Block]; !held {
+	if rs.block(v.Block) == nil {
 		// A vote for a block this replica has no body for: the voter holds
 		// it (nobody votes for a body they lack), so it can be pulled from
 		// there should the proposer's copy not show up.
@@ -629,14 +625,14 @@ func (e *Engine) onCert(c *types.Certificate) {
 	set := e.setFor(c.Round)
 	switch c.Kind {
 	case types.CertNotarization:
-		if rs.notarizations[c.Block] != nil {
+		if rs.notarization(c.Block) != nil {
 			return
 		}
 		if err := e.cfg.Verifier.VerifyCertIn(c, set.Params().NotarizationQuorum(), set); err != nil {
 			e.met.rejected++
 			return
 		}
-		rs.notarizations[c.Block] = c
+		rs.recFor(c.Block).notarization = c
 		e.tree.MarkNotarized(c.Block)
 	case types.CertFinalization, types.CertFastFinalization:
 		if rs.finalized || e.extFinal[c.Round] != nil {
@@ -655,7 +651,7 @@ func (e *Engine) onCert(c *types.Certificate) {
 		// block is known, enforce that here (otherwise it is enforced before
 		// commit, when the block arrives).
 		if c.Kind == types.CertFastFinalization {
-			if b, ok := rs.blocks[c.Block]; ok && b.Rank != 0 {
+			if b := rs.block(c.Block); b != nil && b.Rank != 0 {
 				e.met.rejected++
 				return
 			}
@@ -692,7 +688,7 @@ func (e *Engine) onUnlock(u *types.UnlockProof) {
 	if u.All {
 		rs.allUnlocked = true
 	} else {
-		rs.unlocked[u.Block] = true
+		rs.recFor(u.Block).unlocked = true
 	}
 	// Absorb the proof's verified fast votes: they contribute to this
 	// replica's own support sets — notarization support included — and
@@ -1271,12 +1267,11 @@ func (e *Engine) revalidate() bool {
 		if !ok {
 			continue
 		}
-		for id, p := range rs.pending {
-			if !e.validBlock(rs, p.Block) {
+		for _, r := range rs.byID {
+			if r.pending == nil || !e.validBlock(rs, r.pending.Block) {
 				continue
 			}
-			rs.valid[id] = true
-			delete(rs.pending, id)
+			r.valid, r.pending = true, nil
 			changed = true
 		}
 	}
@@ -1320,7 +1315,7 @@ func (e *Engine) parentOK(b *types.Block) bool {
 	if !ok {
 		return false
 	}
-	notarized := prev.notarizations[b.Parent] != nil || e.tree.IsNotarized(b.Parent)
+	notarized := prev.notarization(b.Parent) != nil || e.tree.IsNotarized(b.Parent)
 	if !notarized {
 		return false
 	}
@@ -1439,14 +1434,14 @@ func (e *Engine) tryOptimisticPropose(acts []protocol.Action) (bool, []protocol.
 	// The expected parent is the current round's unique rank-0 block. Two
 	// rank-0 blocks mean the round's leader equivocated — no safe guess.
 	var parent *types.Block
-	for _, b := range rs.blocks {
-		if b.Rank != 0 {
+	for _, r := range rs.byID {
+		if r.block == nil || r.block.Rank != 0 {
 			continue
 		}
 		if parent != nil {
 			return false, acts
 		}
-		parent = b
+		parent = r.block
 	}
 	if parent == nil {
 		return false, acts
@@ -1486,8 +1481,7 @@ func (e *Engine) confirmOptimistic(rs *roundState, opt *optimisticProposal,
 // adoptOwn makes b this replica's proposal of its round: valid by
 // construction, in blocks(k) and the tree.
 func (e *Engine) adoptOwn(rs *roundState, b *types.Block) {
-	rs.addBlock(b)
-	rs.valid[b.ID()] = true
+	rs.addBlock(b).valid = true
 	e.tree.Add(b)
 	rs.proposed = true
 	e.met.proposals++
@@ -1506,7 +1500,7 @@ func (e *Engine) castVote(rs *roundState, id types.BlockID, now time.Time) types
 		rs.fastVoteSent = true
 	}
 	v := e.cfg.Signer.SignVote(kind, e.round, id)
-	rs.notarVoted[id] = true
+	rs.recFor(id).notarVoted = true
 	rs.recordVote(kind, id, e.cfg.Self, v.Signature, e.setFor(e.round))
 	if o := e.cfg.Obs; o != nil {
 		o.Tracer.Mark(e.round, id, obs.StageVoteSent, now)
@@ -1544,19 +1538,18 @@ func (e *Engine) tryVote(now time.Time, acts []protocol.Action) (bool, []protoco
 	// Lowest rank among valid blocks: the "∄ valid block of lower rank"
 	// condition restricts voting to that rank.
 	minRank, found := types.Rank(0), false
-	for id := range rs.valid {
-		b := rs.blocks[id]
-		if !found || b.Rank < minRank {
-			minRank, found = b.Rank, true
+	for _, r := range rs.byID {
+		if r.valid && (!found || r.block.Rank < minRank) {
+			minRank, found = r.block.Rank, true
 		}
 	}
 	if !found || now.Before(rs.t0.Add(e.propDelay(minRank))) {
 		return false, acts
 	}
 	changed := false
-	for id := range rs.valid {
-		b := rs.blocks[id]
-		if b.Rank != minRank || rs.notarVoted[id] {
+	for id, r := range rs.byID {
+		b := r.block
+		if !r.valid || b.Rank != minRank || r.notarVoted {
 			continue
 		}
 		changed = true
@@ -1603,7 +1596,7 @@ func (e *Engine) relayCreds(b *types.Block, p *types.Proposal) {
 	}
 	if b.Round > 1 && !e.tree.IsFinalized(b.Parent) {
 		prev := e.getRound(b.Round - 1)
-		p.ParentNotarization = prev.notarizations[b.Parent]
+		p.ParentNotarization = prev.notarization(b.Parent)
 		if !e.cfg.DisableFastPath {
 			if prev.advanceBlock == b.Parent && prev.advanceProof != nil {
 				p.ParentUnlock = prev.advanceProof
@@ -1630,12 +1623,12 @@ func (e *Engine) tryNotarize(acts []protocol.Action) (bool, []protocol.Action) {
 		// (notarSupport); one that has any is a key of at least one.
 		for {
 			id, ok := rs.firstBlock(func(id types.BlockID) bool {
-				return rs.notarizations[id] == nil && rs.notarSupport(id) >= quorum
+				return rs.notarization(id) == nil && rs.notarSupport(id) >= quorum
 			}, types.VoteFast, types.VoteNotarize)
 			if !ok {
 				break
 			}
-			rs.notarizations[id] = rs.certificate(types.CertNotarization, r, id)
+			rs.rec(id).notarization = rs.certificate(types.CertNotarization, r, id)
 			e.tree.MarkNotarized(id)
 			if o := e.cfg.Obs; o != nil && !e.replaying {
 				o.Tracer.Mark(r, id, obs.StageNotarized, e.now)
@@ -1668,7 +1661,7 @@ func (e *Engine) tryFinalize(acts []protocol.Action) (bool, []protocol.Action) {
 		}
 		// FP-finalization: n-p fast votes for a valid rank-0 block.
 		if !e.cfg.DisableFastPath {
-			if id, ok := rs.fastQuorumBlock(params.FastQuorum()); ok && rs.valid[id] {
+			if id, ok := rs.fastQuorumBlock(params.FastQuorum()); ok && rs.rec(id).valid {
 				changed = true
 				acts = e.finalizeExplicit(rs, rs.certificate(types.CertFastFinalization, r, id), protocol.FinalizeFast, acts)
 				continue
@@ -1698,8 +1691,8 @@ func (e *Engine) tryFinalize(acts []protocol.Action) (bool, []protocol.Action) {
 // fast votes.
 func (rs *roundState) fastQuorumBlock(quorum int) (types.BlockID, bool) {
 	return rs.firstBlock(func(id types.BlockID) bool {
-		b, ok := rs.blocks[id]
-		return ok && b.Rank == 0 && rs.set(types.VoteFast, id).count() >= quorum
+		b := rs.block(id)
+		return b != nil && b.Rank == 0 && rs.set(types.VoteFast, id).count() >= quorum
 	}, types.VoteFast)
 }
 
@@ -1769,8 +1762,8 @@ func (e *Engine) carryOrphans(chain []*types.Block) {
 		if !ok {
 			continue
 		}
-		for id, b := range rs.blocks {
-			if b.Proposer == e.cfg.Self && id != fin.ID() {
+		for id, r := range rs.byID {
+			if b := r.block; b != nil && b.Proposer == e.cfg.Self && id != fin.ID() {
 				e.carryPayload(b.Payload)
 			}
 		}
@@ -1903,7 +1896,7 @@ func (e *Engine) tryAdvance(now time.Time, acts []protocol.Action) (bool, []prot
 		return false, acts
 	}
 	round := e.round
-	notar := rs.notarizations[id]
+	notar := rs.notarization(id)
 	var proof *types.UnlockProof
 	if !e.cfg.DisableFastPath {
 		proof = rs.buildUnlockProof(round, id, e.setFor(round).Params().UnlockThreshold())
@@ -1922,7 +1915,7 @@ func (e *Engine) tryAdvance(now time.Time, acts []protocol.Action) (bool, []prot
 	// the vote would work toward exists, and this replica broadcast it a
 	// moment ago if it formed it (ARCHITECTURE.md, "Deviations from the
 	// paper", has the liveness argument).
-	if member && !e.replaying && !rs.finalVoted && nSubsetOf(rs.notarVoted, id) {
+	if member && !e.replaying && !rs.finalVoted && rs.votedOnlyFor(id) {
 		if rs.finalized {
 			e.met.finalVotesSuppressed++
 		} else {
@@ -1938,7 +1931,7 @@ func (e *Engine) tryAdvance(now time.Time, acts []protocol.Action) (bool, []prot
 	// guess the next epoch. The Advance broadcast and finalization vote
 	// above still go out (they are what *forms* the finalization), and
 	// resends keep retrying while the barrier holds.
-	if b, known := rs.blocks[id]; known && b.Payload.Change != nil &&
+	if b := rs.block(id); b != nil && b.Payload.Change != nil &&
 		!(rs.finalized && rs.finalizedBlock == id) {
 		rs.barrier = true
 		return true, acts
@@ -1952,7 +1945,7 @@ func (e *Engine) tryAdvance(now time.Time, acts []protocol.Action) (bool, []prot
 // and unlocked block (ties to smaller ID for determinism).
 func (e *Engine) advanceCandidate(rs *roundState) (types.BlockID, bool) {
 	if rs.finalized {
-		if rs.notarizations[rs.finalizedBlock] != nil {
+		if rs.notarization(rs.finalizedBlock) != nil {
 			return rs.finalizedBlock, true
 		}
 	}
@@ -1961,12 +1954,12 @@ func (e *Engine) advanceCandidate(rs *roundState) (types.BlockID, bool) {
 		bestR types.Rank
 		found bool
 	)
-	for id := range rs.notarizations {
-		if !e.cfg.DisableFastPath && !rs.isUnlocked(id) {
+	for id, r := range rs.byID {
+		if r.notarization == nil || (!e.cfg.DisableFastPath && !rs.isUnlocked(id)) {
 			continue
 		}
-		b, ok := rs.blocks[id]
-		if !ok {
+		b := r.block
+		if b == nil {
 			// Certificate for a block we have not received: it is notarized
 			// but we cannot know its rank; it is still a legitimate way out
 			// of the round if unlocked.
@@ -1982,16 +1975,6 @@ func (e *Engine) advanceCandidate(rs *roundState) (types.BlockID, bool) {
 	return best, found
 }
 
-// nSubsetOf reports N ⊆ {b}.
-func nSubsetOf(n map[types.BlockID]bool, b types.BlockID) bool {
-	for id := range n {
-		if id != b {
-			return false
-		}
-	}
-	return true
-}
-
 // scheduleNotarTimers requests wake-ups at the notarization delays of
 // received blocks whose delay has not yet elapsed (Algorithm 1 line 33's
 // clock condition).
@@ -2000,15 +1983,11 @@ func (e *Engine) scheduleNotarTimers(now time.Time, acts []protocol.Action) []pr
 	if !rs.started || rs.advanced {
 		return acts
 	}
-	for id := range rs.blocks {
-		b := rs.blocks[id]
-		if rs.notarTimerSet[b.Rank] {
+	for _, r := range rs.byID {
+		b := r.block
+		if b == nil || !rs.markNotarTimer(b.Rank) {
 			continue
 		}
-		if rs.notarTimerSet == nil {
-			rs.notarTimerSet = make(map[types.Rank]bool)
-		}
-		rs.notarTimerSet[b.Rank] = true
 		at := rs.t0.Add(e.propDelay(b.Rank))
 		if !now.Before(at) {
 			continue // already elapsed; tryVote ran in this progress pass

@@ -228,7 +228,7 @@ func TestFirstVoteIsOneFastVote(t *testing.T) {
 		t.Fatalf("first vote must be one fast vote for the block, got %v", vs)
 	}
 	rs := r.eng.rounds[1]
-	if !rs.notarVoted[b.ID()] || !rs.fastVoteSent {
+	if !rs.peek(b.ID()).notarVoted || !rs.fastVoteSent {
 		t.Fatal("the fast vote did not put the block in N")
 	}
 	if got := rs.notarSupport(b.ID()); got != 2 {
@@ -478,7 +478,7 @@ func TestValidityRequiresParentCredentials(t *testing.T) {
 	b2 := r.leaderBlock(2, b1.ID(), 2)
 	r.deliver(b2.Proposer, &types.Proposal{Block: b2})
 	rs2 := r.eng.getRound(2)
-	if rs2.valid[b2.ID()] {
+	if rs2.peek(b2.ID()).valid {
 		t.Fatal("block with unknown parent credentials validated")
 	}
 
@@ -490,7 +490,7 @@ func TestValidityRequiresParentCredentials(t *testing.T) {
 		FastVote:           r.proposalFor(b2).FastVote,
 		Relayed:            true,
 	})
-	if !rs2.valid[b2.ID()] {
+	if !rs2.peek(b2.ID()).valid {
 		t.Fatal("block not validated after parent credentials arrived")
 	}
 }
@@ -662,8 +662,10 @@ func TestStaleMessagesIgnored(t *testing.T) {
 		var b *types.Block
 		if roundLeader == r.eng.ID() {
 			rs := r.eng.getRound(round)
-			for id := range rs.blocks {
-				b = rs.blocks[id]
+			for _, r := range rs.byID {
+				if r.block != nil {
+					b = r.block
+				}
 			}
 			if b == nil {
 				t.Fatalf("round %d: engine leads but proposed nothing", round)

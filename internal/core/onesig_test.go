@@ -86,7 +86,7 @@ func TestFastVotesAloneNotarize(t *testing.T) {
 	peer := newRig(t, p411, bc.ReplicaAt(1, 2))
 	peer.deliver(b.Proposer, &types.Proposal{Block: b}) // no fast vote: not votable
 	peer.deliver(r.eng.ID(), &types.CertMsg{Cert: notar})
-	if peer.eng.rounds[1].notarizations[b.ID()] == nil || peer.eng.Metrics()["rejected"] != 0 {
+	if peer.eng.rounds[1].notarization(b.ID()) == nil || peer.eng.Metrics()["rejected"] != 0 {
 		t.Fatal("a peer rejected the mixed notarization")
 	}
 }
@@ -105,9 +105,9 @@ func TestLeaderVotesWithItsProposal(t *testing.T) {
 			}
 			b := props[0].Block
 			rs := r.eng.rounds[1]
-			if !rs.notarVoted[b.ID()] || !rs.fastVoteSent || rs.notarSupport(b.ID()) != 1 {
+			if !rs.peek(b.ID()).notarVoted || !rs.fastVoteSent || rs.notarSupport(b.ID()) != 1 {
 				t.Fatalf("after proposing: N=%v fastVoteSent=%v support=%d",
-					rs.notarVoted, rs.fastVoteSent, rs.notarSupport(b.ID()))
+					rs.peek(b.ID()).notarVoted, rs.fastVoteSent, rs.notarSupport(b.ID()))
 			}
 			// Peers' fast votes up to the notarization quorum.
 			for _, p := range peersOf(r)[:params.NotarizationQuorum()-1] {
@@ -192,7 +192,7 @@ func TestMixedNotarization(t *testing.T) {
 			r.deliver(p, fastVoteMsg(r, p, b))
 		}
 	}
-	notar := r.eng.rounds[1].notarizations[b.ID()]
+	notar := r.eng.rounds[1].notarization(b.ID())
 	if notar == nil || len(notar.Signers) != params.NotarizationQuorum() {
 		t.Fatalf("notarization %v, want %d signers", notar, params.NotarizationQuorum())
 	}
@@ -209,7 +209,7 @@ func TestMixedNotarization(t *testing.T) {
 	}
 	peer := newRig(t, params, bc.ReplicaAt(1, 5))
 	peer.deliver(r.eng.ID(), &types.CertMsg{Cert: notar})
-	if peer.eng.rounds[1].notarizations[b.ID()] == nil {
+	if peer.eng.rounds[1].notarization(b.ID()) == nil {
 		t.Fatal("a peer rejected the mixed notarization")
 	}
 	// The marker is part of what is verified: flipping one bit makes a
@@ -220,7 +220,7 @@ func TestMixedNotarization(t *testing.T) {
 		forged.Fast[flip/8] ^= 1 << (flip % 8)
 		other := newRig(t, params, bc.ReplicaAt(1, 5))
 		other.deliver(r.eng.ID(), &types.CertMsg{Cert: &forged})
-		if other.eng.rounds[1].notarizations[b.ID()] != nil || other.eng.Metrics()["rejected"] != 1 {
+		if other.eng.rounds[1].notarization(b.ID()) != nil || other.eng.Metrics()["rejected"] != 1 {
 			t.Errorf("notarization with signer %d's marker flipped was accepted", notar.Signers[flip])
 		}
 	}
@@ -250,7 +250,7 @@ func TestUnlockProofFeedsNotarization(t *testing.T) {
 	if got, want := rs.notarSupport(b.ID()), adv[0].Unlock.VoteCount(); got < want {
 		t.Fatalf("notarization support %d after absorbing a proof of %d fast votes", got, want)
 	}
-	if rs.notarizations[b.ID()] == nil {
+	if rs.notarization(b.ID()) == nil {
 		t.Fatal("no notarization formed from the proof's fast votes")
 	}
 }
@@ -356,8 +356,8 @@ func TestOptimisticRoundsOneSignature(t *testing.T) {
 					b = bare[0].Block
 				}
 				rs := r.eng.rounds[2]
-				if !rs.notarVoted[b.ID()] || rs.notarSupport(b.ID()) != 1 {
-					t.Fatalf("N=%v support=%d after proposing", rs.notarVoted, rs.notarSupport(b.ID()))
+				if !rs.peek(b.ID()).notarVoted || rs.notarSupport(b.ID()) != 1 {
+					t.Fatalf("in N %v, support=%d after proposing", rs.peek(b.ID()).notarVoted, rs.notarSupport(b.ID()))
 				}
 
 				r.clearActs()

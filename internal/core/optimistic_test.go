@@ -250,7 +250,7 @@ func TestOptimisticReceiverParksBareProposal(t *testing.T) {
 	}
 	// The block may sit in the ancestry tree, but it must not be VALID —
 	// validity is what gates every vote kind.
-	if rs := r.eng.rounds[2]; rs != nil && rs.valid[b.ID()] {
+	if rs := r.eng.rounds[2]; rs != nil && rs.peek(b.ID()).valid {
 		t.Fatal("unconfirmed optimistic block marked valid")
 	}
 
@@ -575,7 +575,7 @@ func TestReplayKeepsWithdrawnOptimisticInert(t *testing.T) {
 	if rs == nil || !rs.proposed {
 		t.Fatal("fallback proposal not restored")
 	}
-	if _, ok := rs.blocks[fallback.ID()]; !ok {
+	if rs.block(fallback.ID()) == nil {
 		t.Fatal("fallback block missing from the replayed round")
 	}
 	if _, ok := eng2.Tree().Block(opt.ID()); ok {

@@ -181,8 +181,8 @@ func (e *Engine) onBlockRequest(from types.ReplicaID, m *types.BlockRequest) []p
 		e.met.bodyPullsRefused++
 		return nil
 	}
-	b, held := rs.blocks[m.ID]
-	if !held || int(from) < len(rs.served) && rs.served[from] >= maxServedPerPeer {
+	b := rs.block(m.ID)
+	if b == nil || int(from) < len(rs.served) && rs.served[from] >= maxServedPerPeer {
 		e.met.bodyPullsRefused++
 		return nil
 	}

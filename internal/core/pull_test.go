@@ -74,7 +74,7 @@ func TestHeaderForUnknownBlockIsOnlyWanted(t *testing.T) {
 		t.Fatalf("header for an unknown block produced broadcasts: %v", r.acts)
 	}
 	rs := r.eng.getRound(1)
-	if _, held := rs.blocks[b.ID()]; held || rs.valid[b.ID()] || len(rs.pending) != 0 {
+	if rs.block(b.ID()) != nil || rs.peek(b.ID()).valid || rs.peek(b.ID()).pending != nil {
 		t.Fatal("bodiless block entered round state")
 	}
 	if r.eng.Tree().Contains(b.ID()) {

@@ -111,13 +111,13 @@ func (e *Engine) replayOwnVote(v types.Vote) {
 	rs.recordVote(v.Kind, v.Block, v.Voter, v.Signature, e.setFor(v.Round))
 	switch v.Kind {
 	case types.VoteNotarize:
-		rs.notarVoted[v.Block] = true
+		rs.recFor(v.Block).notarVoted = true
 	case types.VoteFast:
 		// The fast vote is the notarization vote for its block as well; a
 		// journal from when the two were signed separately holds both and
 		// restores the same record.
 		rs.fastVoteSent = true
-		rs.notarVoted[v.Block] = true
+		rs.recFor(v.Block).notarVoted = true
 		if opt := e.opt; opt != nil && opt.round == v.Round && opt.block.ID() == v.Block {
 			// The journaled fast vote names the pending optimistic block:
 			// that vote was its confirmation — adopt it as the round's
@@ -142,7 +142,7 @@ func (e *Engine) EndReplay(now time.Time) []protocol.Action {
 	rs.t0 = now
 	// Notarization-delay timers were requested against pre-crash t0;
 	// forget them so scheduleNotarTimers re-arms against the new one.
-	rs.notarTimerSet = nil
+	clear(rs.notarTimers)
 	var acts []protocol.Action
 	if rank := e.setFor(e.round).RankOf(e.round, e.cfg.Self); rank > 0 && rank != types.NoRank && !rs.proposed {
 		acts = append(acts, protocol.SetTimer{

@@ -96,7 +96,7 @@ func TestReplayRestoresVotingRecord(t *testing.T) {
 	}
 
 	rs := eng2.rounds[1]
-	if rs == nil || !rs.notarVoted[blockA.ID()] || !rs.fastVoteSent {
+	if rs == nil || !rs.peek(blockA.ID()).notarVoted || !rs.fastVoteSent {
 		t.Fatal("replay did not restore the voting record")
 	}
 	if rs.set(types.VoteFast, blockA.ID()).count() == 0 {
@@ -139,7 +139,7 @@ func TestReplayDoesNotReproposeWithNewPayload(t *testing.T) {
 	if rs == nil || !rs.proposed {
 		t.Fatal("replay did not restore the proposed flag")
 	}
-	if !rs.valid[props[0].Block.ID()] {
+	if !rs.peek(props[0].Block.ID()).valid {
 		t.Fatal("replayed own block not marked valid")
 	}
 	if !rs.fastVoteSent {

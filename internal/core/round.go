@@ -22,24 +22,12 @@ type roundState struct {
 	advanced     bool // the replica has moved past this round (line 54)
 	finalVoted   bool // a finalization vote was broadcast (line 52)
 
-	// blocks holds every round-k block received (Definition 7.1 blocks(k)),
-	// keyed by ID. valid marks those that passed valid() (Algorithm 2
-	// line 62); pending holds proposals whose parent credentials are not
-	// yet established, awaiting revalidation.
-	blocks  map[types.BlockID]*types.Block
-	valid   map[types.BlockID]bool
-	pending map[types.BlockID]*types.Proposal
-
-	// notarVoted is N: blocks this replica notarization-voted for
-	// (Algorithm 1 line 21).
-	notarVoted map[types.BlockID]bool
-
-	// votes are the ledgers, one per vote kind: a voteSet per block,
-	// written through recordVote and created by the kind's first vote. A
-	// fast vote is also its voter's notarization vote for the block, so the
-	// VoteNotarize ledger holds only the bare ones: a second block in the
-	// round, the no-fast-path configuration, or a Byzantine voter.
-	votes [types.VoteFast + 1]map[types.BlockID]*voteSet
+	// byID is the round's one index by block ID: all it holds about a
+	// block — the block, its flags, its notarization, its votes — is one
+	// record, made by the first thing that names the ID (the block, a vote
+	// for it, a certificate, an unlock proof, this replica's own vote). Nil
+	// until then.
+	byID map[types.BlockID]*blockState
 
 	// gen counts the changes to what Definition 7.6 is evaluated over — a
 	// vote filed, a block received, the ledgers scrubbed — and unlockGen is
@@ -47,13 +35,9 @@ type roundState struct {
 	// is not evaluated again.
 	gen, unlockGen uint64
 
-	// notarizations holds formed or received notarization certificates.
-	notarizations map[types.BlockID]*types.Certificate
-
-	// Unlock state (Definition 7.6). unlocked marks per-block Condition-1
-	// unlocks; allUnlocked is the sticky Condition-2 state covering every
-	// current and future block of the round.
-	unlocked    map[types.BlockID]bool
+	// allUnlocked is the sticky Condition-2 unlock state (Definition 7.6),
+	// covering every current and future block of the round; a block's
+	// Condition-1 unlock is its record's.
 	allUnlocked bool
 
 	// finalized records an explicit finalization seen for this round.
@@ -78,10 +62,10 @@ type roundState struct {
 	advanceNotar *types.Certificate
 	advanceProof *types.UnlockProof
 
-	// notarTimerSet tracks ranks for which a notarization-delay timer has
-	// been requested, to avoid duplicate SetTimer actions; nil until the
-	// first.
-	notarTimerSet map[types.Rank]bool
+	// notarTimers marks, as a bitset (bit rank%64 of word rank/64), the
+	// ranks for which a notarization-delay timer has been requested, to
+	// avoid duplicate SetTimer actions; nil until the first.
+	notarTimers []uint64
 
 	// served counts the block bodies of this round sent to each peer in
 	// answer to BlockRequests (maxServedPerPeer), indexed by ReplicaID; nil
@@ -89,20 +73,99 @@ type roundState struct {
 	served []uint8
 }
 
-func newRoundState() *roundState {
-	return &roundState{
-		blocks:        make(map[types.BlockID]*types.Block),
-		valid:         make(map[types.BlockID]bool),
-		notarVoted:    make(map[types.BlockID]bool),
-		notarizations: make(map[types.BlockID]*types.Certificate),
-		unlocked:      make(map[types.BlockID]bool),
-	}
+// blockState is what a round holds for one block ID.
+type blockState struct {
+	// block is the block once received (Definition 7.1 blocks(k)): votes,
+	// certificates and unlock proofs can name an ID before its body is here.
+	block *types.Block
+	// valid marks a block that passed valid() (Algorithm 2 line 62);
+	// pending is its proposal while the parent credentials are not yet
+	// established, awaiting revalidation.
+	valid   bool
+	pending *types.Proposal
+	// notarVoted puts the block in N: this replica notarization-voted for
+	// it (Algorithm 1 line 21).
+	notarVoted bool
+	// unlocked marks a Condition-1 unlock (Definition 7.6).
+	unlocked bool
+	// notarization is the block's certificate, formed or received.
+	notarization *types.Certificate
+	// votes are the block's ledgers, one per vote kind, written through
+	// recordVote; a kind's set exists from its first vote on (set). A fast
+	// vote is also its voter's notarization vote for the block, so the
+	// VoteNotarize ledger holds only the bare ones: a second block in the
+	// round, the no-fast-path configuration, or a Byzantine voter.
+	votes [types.VoteFast + 1]voteSet
 }
 
-// addBlock files a received (or own) round block under blocks(k).
-func (rs *roundState) addBlock(b *types.Block) {
-	rs.blocks[b.ID()] = b
+func newRoundState() *roundState { return &roundState{} }
+
+// rec returns the record of a block ID, nil when the round holds nothing
+// for it.
+func (rs *roundState) rec(id types.BlockID) *blockState { return rs.byID[id] }
+
+// recFor returns the record of a block ID, making it on first use.
+func (rs *roundState) recFor(id types.BlockID) *blockState {
+	r := rs.byID[id]
+	if r == nil {
+		if rs.byID == nil {
+			rs.byID = make(map[types.BlockID]*blockState)
+		}
+		r = &blockState{}
+		rs.byID[id] = r
+	}
+	return r
+}
+
+// block returns the round's block with this ID, nil while its body is not
+// here.
+func (rs *roundState) block(id types.BlockID) *types.Block {
+	if r := rs.byID[id]; r != nil {
+		return r.block
+	}
+	return nil
+}
+
+// notarization returns the block's notarization certificate, nil if none.
+func (rs *roundState) notarization(id types.BlockID) *types.Certificate {
+	if r := rs.byID[id]; r != nil {
+		return r.notarization
+	}
+	return nil
+}
+
+// addBlock files a received (or own) round block under blocks(k) and
+// returns its record.
+func (rs *roundState) addBlock(b *types.Block) *blockState {
+	r := rs.recFor(b.ID())
+	r.block = b
 	rs.gen++
+	return r
+}
+
+// votedOnlyFor reports N ⊆ {b}: this replica notarization-voted for no
+// other block of the round.
+func (rs *roundState) votedOnlyFor(b types.BlockID) bool {
+	for id, r := range rs.byID {
+		if r.notarVoted && id != b {
+			return false
+		}
+	}
+	return true
+}
+
+// markNotarTimer records that the notarization-delay timer of a rank was
+// requested; it reports false if it was already.
+func (rs *roundState) markNotarTimer(rank types.Rank) bool {
+	w, bit := int(rank/64), uint64(1)<<(rank%64)
+	if w >= len(rs.notarTimers) {
+		rs.notarTimers = append(rs.notarTimers, make([]uint64, w+1-len(rs.notarTimers))...)
+	}
+	if rs.notarTimers[w]&bit != 0 {
+		return false
+	}
+	rs.notarTimers[w] |= bit
+	return true
 }
 
 // voteSet holds the votes of one kind for one block: the voters as a
@@ -127,9 +190,19 @@ func (vs *voteSet) count() int {
 	return vs.voters.Count()
 }
 
+// set returns the votes of the given kind held for the block, nil if
+// none: a set exists once sized by its first vote. A nil record holds
+// none.
+func (r *blockState) set(kind types.VoteKind) *voteSet {
+	if r == nil || r.votes[kind].sigs == nil {
+		return nil
+	}
+	return &r.votes[kind]
+}
+
 // set returns the votes of the given kind held for a block, nil if none.
 func (rs *roundState) set(kind types.VoteKind, block types.BlockID) *voteSet {
-	return rs.votes[kind][block]
+	return rs.byID[block].set(kind)
 }
 
 // hasVote reports whether a vote would tell this round nothing new: it is
@@ -154,14 +227,8 @@ func (rs *roundState) recordVote(kind types.VoteKind, block types.BlockID, voter
 	if !set.Contains(voter) || rs.hasVote(kind, block, voter) {
 		return
 	}
-	if rs.votes[kind] == nil {
-		rs.votes[kind] = make(map[types.BlockID]*voteSet)
-	}
-	vs := rs.votes[kind][block]
-	if vs == nil {
-		vs = &voteSet{}
-		rs.votes[kind][block] = vs
-	}
+	r := rs.recFor(block)
+	vs := &r.votes[kind]
 	if int(voter) >= len(vs.sigs) {
 		// The block's first vote of the kind — or a later epoch, with a
 		// joiner's higher ID, took the round over since that sized the set.
@@ -172,7 +239,7 @@ func (rs *roundState) recordVote(kind types.VoteKind, block types.BlockID, voter
 	}
 	vs.voters.Add(voter)
 	vs.sigs[voter] = sig
-	if bare := rs.set(types.VoteNotarize, block); kind == types.VoteFast && bare != nil {
+	if bare := r.set(types.VoteNotarize); kind == types.VoteFast && bare != nil {
 		bare.voters.Remove(voter)
 	}
 	rs.gen++
@@ -191,10 +258,16 @@ func (rs *roundState) notarSupport(block types.BlockID) int {
 // the given kinds that ok accepts: several blocks of a round are dealt
 // with in ID order, never in map order.
 func (rs *roundState) firstBlock(ok func(types.BlockID) bool, kinds ...types.VoteKind) (best types.BlockID, found bool) {
-	for _, kind := range kinds {
-		for id := range rs.votes[kind] {
-			if (!found || id.Compare(best) < 0) && ok(id) {
-				best, found = id, true
+	for id, r := range rs.byID {
+		if found && id.Compare(best) >= 0 {
+			continue
+		}
+		for _, kind := range kinds {
+			if r.set(kind) != nil {
+				if ok(id) {
+					best, found = id, true
+				}
+				break
 			}
 		}
 	}
@@ -241,8 +314,8 @@ func (rs *roundState) ownVotes(round types.Round, self types.ReplicaID) []types.
 	var votes []types.Vote
 	for _, kind := range [...]types.VoteKind{types.VoteNotarize, types.VoteFinalize, types.VoteFast} {
 		first := len(votes)
-		for block, vs := range rs.votes[kind] {
-			if vs.has(self) {
+		for block, r := range rs.byID {
+			if vs := r.set(kind); vs.has(self) {
 				votes = append(votes, types.Vote{
 					Kind: kind, Round: round, Block: block, Voter: self, Signature: vs.sigs[self],
 				})
@@ -261,24 +334,24 @@ func (rs *roundState) ownVotes(round types.Round, self types.ReplicaID) []types.
 // from before the activation was known must not count toward the new
 // epoch's quorums.
 func (rs *roundState) scrubNonMembers(set *membership.ValidatorSet, notarQuorum int) {
-	for _, ledger := range rs.votes {
-		for _, vs := range ledger {
-			vs.voters.And(set.Mask())
+	for _, r := range rs.byID {
+		for kind := range r.votes {
+			r.votes[kind].voters.And(set.Mask())
 		}
-	}
-	for id, cert := range rs.notarizations {
-		ok := len(cert.Signers) >= notarQuorum
-		for _, s := range cert.Signers {
-			if !set.Contains(s) {
-				ok = false
-				break
+		if cert := r.notarization; cert != nil {
+			ok := len(cert.Signers) >= notarQuorum
+			for _, s := range cert.Signers {
+				if !set.Contains(s) {
+					ok = false
+					break
+				}
+			}
+			if !ok {
+				r.notarization = nil
 			}
 		}
-		if !ok {
-			delete(rs.notarizations, id)
-		}
+		r.unlocked = false
 	}
-	clear(rs.unlocked)
 	rs.allUnlocked = false
 	rs.gen++
 }
@@ -286,7 +359,7 @@ func (rs *roundState) scrubNonMembers(set *membership.ValidatorSet, notarQuorum 
 // isUnlocked reports whether the block is unlocked in this round under
 // Definition 7.6, where finalized blocks are unlocked by definition.
 func (rs *roundState) isUnlocked(id types.BlockID) bool {
-	if rs.allUnlocked || rs.unlocked[id] {
+	if r := rs.byID[id]; rs.allUnlocked || r != nil && r.unlocked {
 		return true
 	}
 	return rs.finalized && rs.finalizedBlock == id

@@ -19,8 +19,8 @@ func verifierLookups(r *rig) int64 {
 
 // votesHeld counts the votes of one kind a round holds, over all blocks.
 func (rs *roundState) votesHeld(kind types.VoteKind) (n int) {
-	for _, vs := range rs.votes[kind] {
-		n += vs.count()
+	for _, r := range rs.byID {
+		n += r.set(kind).count()
 	}
 	return n
 }
@@ -31,7 +31,27 @@ func ledgerSizes(rs *roundState) (n int) {
 	for _, kind := range []types.VoteKind{types.VoteNotarize, types.VoteFast, types.VoteFinalize} {
 		n += rs.votesHeld(kind)
 	}
-	return n + len(rs.notarizations) + len(rs.unlocked) + len(rs.blocks)
+	for _, r := range rs.byID {
+		if r.notarization != nil {
+			n++
+		}
+		if r.unlocked {
+			n++
+		}
+		if r.block != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// peek returns a copy of a block's record, the zero record when the round
+// holds nothing for the ID.
+func (rs *roundState) peek(id types.BlockID) blockState {
+	if r := rs.rec(id); r != nil {
+		return *r
+	}
+	return blockState{}
 }
 
 // fastFinalizeRound1 drives an n=4 replica through round 1 on the fast
@@ -184,7 +204,7 @@ func TestFinalizedButNotLeftStillAbsorbs(t *testing.T) {
 			rs.finalized, r.eng.Tree().FinalizedRound(), r.eng.Round())
 	}
 	r.deliver(donor.eng.ID(), adv)
-	if rs.notarizations[b.ID()] == nil {
+	if rs.notarization(b.ID()) == nil {
 		t.Fatal("notarization for a finalized round the replica has not left was dropped")
 	}
 	if !rs.isUnlocked(b.ID()) {

@@ -60,9 +60,9 @@ func (e *Engine) Snapshot() *protocol.Snapshot {
 	for _, r := range rounds {
 		rs := e.rounds[r]
 		if rs.proposed {
-			for _, b := range rs.blocks {
-				if b.Proposer == e.cfg.Self {
-					s.Own = append(s.Own, &types.Proposal{Block: b})
+			for _, bs := range rs.byID {
+				if bs.block != nil && bs.block.Proposer == e.cfg.Self {
+					s.Own = append(s.Own, &types.Proposal{Block: bs.block})
 					break
 				}
 			}
@@ -238,10 +238,10 @@ func (e *Engine) OwnVotingRecord() map[types.Round]OwnRecord {
 		slices.SortFunc(ids, types.BlockID.Compare)
 		return ids
 	}
-	collect := func(ledger map[types.BlockID]*voteSet) []types.BlockID {
+	collect := func(rs *roundState, kind types.VoteKind) []types.BlockID {
 		var ids []types.BlockID
-		for block, vs := range ledger {
-			if vs.has(e.cfg.Self) {
+		for block, bs := range rs.byID {
+			if bs.set(kind).has(e.cfg.Self) {
 				ids = append(ids, block)
 			}
 		}
@@ -252,16 +252,18 @@ func (e *Engine) OwnVotingRecord() map[types.Round]OwnRecord {
 			continue
 		}
 		var voted []types.BlockID
-		for block := range rs.notarVoted {
-			voted = append(voted, block)
+		for block, bs := range rs.byID {
+			if bs.notarVoted {
+				voted = append(voted, block)
+			}
 		}
 		rec := OwnRecord{
 			Proposed:     rs.proposed,
 			FastVoteSent: rs.fastVoteSent,
 			FinalVoted:   rs.finalVoted,
 			NotarVotes:   sorted(voted),
-			FastVotes:    collect(rs.votes[types.VoteFast]),
-			FinalVotes:   collect(rs.votes[types.VoteFinalize]),
+			FastVotes:    collect(rs, types.VoteFast),
+			FinalVotes:   collect(rs, types.VoteFinalize),
 		}
 		if !rec.Proposed && !rec.FastVoteSent && !rec.FinalVoted &&
 			len(rec.NotarVotes)+len(rec.FastVotes)+len(rec.FinalVotes) == 0 {

@@ -21,8 +21,10 @@ func buildFinalizedChain(t *testing.T, r *rig, rounds types.Round) []*types.Bloc
 		var b *types.Block
 		if roundLeader == r.eng.ID() {
 			rs := r.eng.getRound(round)
-			for id := range rs.blocks {
-				b = rs.blocks[id]
+			for _, r := range rs.byID {
+				if r.block != nil {
+					b = r.block
+				}
 			}
 			if b == nil {
 				t.Fatalf("round %d: engine leads but proposed nothing", round)

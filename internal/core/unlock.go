@@ -30,9 +30,9 @@ func (rs *roundState) recomputeUnlock(threshold int) {
 	// Condition 1: |supp(b) ∪ supp(nonLeaderBlocks)| > f+p. For a rank != 0
 	// block supp(b) is a subset of supp(nonLeaderBlocks), so all of them
 	// unlock together.
-	for id := range rs.blocks {
-		if !rs.unlocked[id] && types.Cond1Support(rs.supp(id), sets) > threshold {
-			rs.unlocked[id] = true
+	for _, r := range rs.byID {
+		if r.block != nil && !r.unlocked && types.Cond1Support(r.supp(), sets) > threshold {
+			r.unlocked = true
 		}
 	}
 
@@ -46,8 +46,8 @@ func (rs *roundState) recomputeUnlock(threshold int) {
 }
 
 // supp returns supp(b): the replicas whose fast vote for the block is held.
-func (rs *roundState) supp(block types.BlockID) types.VoterSet {
-	if fast := rs.set(types.VoteFast, block); fast != nil {
+func (r *blockState) supp() types.VoterSet {
+	if fast := r.set(types.VoteFast); fast != nil {
 		return fast.voters
 	}
 	return nil
@@ -56,9 +56,9 @@ func (rs *roundState) supp(block types.BlockID) types.VoterSet {
 // supportSets appends supp(b) for every received block b holding fast
 // votes: what Definition 7.6 is evaluated over.
 func (rs *roundState) supportSets(sets []types.SupportSet) []types.SupportSet {
-	for id, fast := range rs.votes[types.VoteFast] {
-		if b, known := rs.blocks[id]; known {
-			sets = append(sets, types.SupportSet{Leader: b.Rank == 0, Voters: fast.voters})
+	for _, r := range rs.byID {
+		if fast := r.set(types.VoteFast); fast != nil && r.block != nil {
+			sets = append(sets, types.SupportSet{Leader: r.block.Rank == 0, Voters: fast.voters})
 		}
 	}
 	return sets
@@ -78,26 +78,26 @@ func (rs *roundState) buildUnlockProof(round types.Round, block types.BlockID, t
 	var buf [4]types.SupportSet
 	sets := rs.supportSets(buf[:0])
 	var own types.VoterSet
-	if _, known := rs.blocks[block]; known {
-		own = rs.supp(block)
+	if r := rs.rec(block); r != nil && r.block != nil {
+		own = r.supp()
 	}
 	all := types.Cond1Support(own, sets) <= threshold // no Condition-1 proof: try Condition 2
 	if all && types.Cond2Support(sets) <= threshold {
 		return nil
 	}
 	ids := make([]types.BlockID, 0, len(sets))
-	for id, fast := range rs.votes[types.VoteFast] {
-		b, known := rs.blocks[id]
-		if known && fast.count() > 0 && (all || id == block || b.Rank != 0) {
+	for id, r := range rs.byID {
+		if r.block != nil && r.set(types.VoteFast).count() > 0 && (all || id == block || r.block.Rank != 0) {
 			ids = append(ids, id)
 		}
 	}
 	slices.SortFunc(ids, types.BlockID.Compare)
 	proof := &types.UnlockProof{Round: round, Block: block, All: all, Entries: make([]types.UnlockEntry, len(ids))}
 	for i, id := range ids {
-		fast := rs.set(types.VoteFast, id)
+		r := rs.rec(id)
+		fast := r.set(types.VoteFast)
 		e := &proof.Entries[i]
-		e.Header = rs.blocks[id].Header()
+		e.Header = r.block.Header()
 		e.Voters = fast.voters.AppendTo(make([]types.ReplicaID, 0, fast.count()))
 		e.Sigs = make([][]byte, len(e.Voters))
 		for j, voter := range e.Voters {

@@ -389,8 +389,8 @@ func compareWithOracle(t *testing.T, when string, rs *roundState, oracle *oracle
 	round types.Round, thr int, keyring *crypto.Keyring, rng *rand.Rand) {
 	t.Helper()
 	unlocked := make(map[types.BlockID]bool)
-	for id, u := range rs.unlocked {
-		if u {
+	for id, r := range rs.byID {
+		if r.unlocked {
 			unlocked[id] = true
 		}
 	}

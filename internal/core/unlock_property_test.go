@@ -90,15 +90,15 @@ func TestUnlockMonotonicity(t *testing.T) {
 				rs.recordVote(types.VoteFast, blocks[v.block].ID(), v.voter, []byte{1}, set)
 				rs.recomputeUnlock(thr)
 				for id, was := range prevUnlocked {
-					if was && !rs.unlocked[id] {
+					if was && !rs.peek(id).unlocked {
 						t.Fatalf("trial %d: unlock revoked for %s", trial, id)
 					}
 				}
 				if prevAll && !rs.allUnlocked {
 					t.Fatalf("trial %d: allUnlocked revoked", trial)
 				}
-				for id := range rs.unlocked {
-					prevUnlocked[id] = rs.unlocked[id]
+				for id, r := range rs.byID {
+					prevUnlocked[id] = r.unlocked
 				}
 				prevAll = rs.allUnlocked
 			}

@@ -371,27 +371,42 @@ func TestPreverifyBoundsAdversarialMessages(t *testing.T) {
 	}
 }
 
-// TestVerifiedCacheEviction fills the cache past capacity and checks old
-// entries fall out while the map never exceeds the cap.
+// TestVerifiedCacheEviction: the cache is round-scoped. Settle drops the
+// entries at or below the floor and keeps the rest, an entry for a
+// settled round is not admitted, a lower floor changes nothing, and at
+// the cap the cache empties before it admits, so it never holds more than
+// maxCached keys.
 func TestVerifiedCacheEviction(t *testing.T) {
-	c := NewVerifiedCache(8)
+	c := NewVerifiedCache()
 	mk := func(i int) CacheKey {
 		var k CacheKey
-		k[0], k[1] = byte(i), byte(i>>8)
-		k[31] = 1 // never the zero sentinel
+		k[0], k[1], k[2] = byte(i), byte(i>>8), byte(i>>16)
 		return k
 	}
-	for i := 0; i < 32; i++ {
-		c.Add(mk(i))
-		if c.Len() > 8 {
-			t.Fatalf("cache grew to %d entries (cap 8)", c.Len())
+	for r := 1; r <= 10; r++ {
+		for j := 0; j < 3; j++ {
+			c.Add(mk(3*r+j), types.Round(r))
 		}
 	}
-	if c.Contains(mk(0)) {
-		t.Fatal("oldest entry survived 4x-capacity insertion")
+	c.Settle(7)
+	if c.Len() != 9 || c.Contains(mk(3*7+2)) || !c.Contains(mk(3*8)) {
+		t.Fatalf("after Settle(7): %d entries, round 7 held %v, round 8 held %v",
+			c.Len(), c.Contains(mk(3*7+2)), c.Contains(mk(3*8)))
 	}
-	if !c.Contains(mk(31)) {
-		t.Fatal("newest entry evicted")
+	c.Settle(5)
+	c.Add(mk(100), 7)
+	c.Add(mk(101), 6)
+	if c.Len() != 9 || c.Contains(mk(100)) || c.Contains(mk(101)) {
+		t.Fatalf("a settled round's entry was admitted: %d entries", c.Len())
+	}
+	// A validator signing far-future rounds, which no Settle reaches, fills
+	// the cache; the next entry empties it first.
+	for i := 0; c.Len() < maxCached; i++ {
+		c.Add(mk(1000+i), types.Round(1<<40+i))
+	}
+	c.Add(mk(1<<20), 11)
+	if c.Len() != 1 || !c.Contains(mk(1<<20)) {
+		t.Fatalf("at the cap: %d entries after one more Add, want only the new one", c.Len())
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"sync"
+
+	"banyan/internal/types"
 )
 
 // VerifiedCache remembers signatures that have already verified, so that
@@ -16,14 +18,17 @@ import (
 // deterministic, making the cached verdict sound. Only successes are
 // cached — a forged signature is re-checked (and re-rejected) every time.
 //
-// The cache is a fixed-capacity LRU safe for concurrent use: the node's
-// preverification workers warm it while the consensus goroutine reads it.
+// The cache is round-scoped: every entry records the round its signature
+// was made for, Settle drops the entries at or below the settled floor,
+// and an entry for a settled round is not stored — nothing verifies a
+// settled round's signatures again. It therefore holds the rounds in
+// flight, not a fixed capacity, and allocates nothing up front. It is
+// safe for concurrent use: the node's preverification workers warm it
+// while the consensus goroutine reads it.
 type VerifiedCache struct {
-	mu   sync.Mutex
-	cap  int
-	m    map[CacheKey]int // key -> index into ring
-	ring []CacheKey       // circular eviction order (approximate LRU: FIFO ring)
-	next int
+	mu    sync.Mutex
+	m     map[CacheKey]types.Round // key -> its signature's round; nil until the first Add
+	floor types.Round              // the settled floor: no entry at or below it
 
 	hits, misses int64
 }
@@ -31,23 +36,17 @@ type VerifiedCache struct {
 // CacheKey identifies one verified (scheme, pub, digest, sig) triple.
 type CacheKey [32]byte
 
-// DefaultCacheSize is the per-replica verified-signature capacity used
-// when a configuration leaves the size zero. At 32 bytes per key it is
-// ~256 KiB and covers several rounds of traffic at n in the hundreds.
-const DefaultCacheSize = 8192
+// maxCached caps the entries whatever the rounds in flight. Honest
+// traffic stays far below it — a round brings about two signatures per
+// validator, and Settle drops a round once it is finalized and left — but
+// a validator that signs for far-future rounds, which no Settle reaches,
+// could fill it. At the cap Add empties the cache before it stores the
+// new entry: what was dropped is verified again the next time it is
+// seen, so such a validator costs CPU, never memory.
+const maxCached = 8192
 
-// NewVerifiedCache builds a cache holding up to size verified keys;
-// size <= 0 selects DefaultCacheSize.
-func NewVerifiedCache(size int) *VerifiedCache {
-	if size <= 0 {
-		size = DefaultCacheSize
-	}
-	return &VerifiedCache{
-		cap:  size,
-		m:    make(map[CacheKey]int, size),
-		ring: make([]CacheKey, size),
-	}
-}
+// NewVerifiedCache builds an empty cache.
+func NewVerifiedCache() *VerifiedCache { return &VerifiedCache{} }
 
 // VerifiedKey computes the cache key for a signature triple.
 func VerifiedKey(scheme Scheme, pub []byte, digest [32]byte, sig []byte) CacheKey {
@@ -79,19 +78,37 @@ func (c *VerifiedCache) Contains(k CacheKey) bool {
 	return ok
 }
 
-// Add records a verified key, evicting the oldest entry when full.
-func (c *VerifiedCache) Add(k CacheKey) {
+// Add records a verified key for a signature made for round r, unless r
+// is settled.
+func (c *VerifiedCache) Add(k CacheKey, r types.Round) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.m[k]; ok {
+	if _, ok := c.m[k]; ok || r <= c.floor {
 		return
 	}
-	if old := c.ring[c.next]; old != (CacheKey{}) {
-		delete(c.m, old)
+	switch {
+	case c.m == nil:
+		c.m = make(map[CacheKey]types.Round)
+	case len(c.m) >= maxCached:
+		clear(c.m)
 	}
-	c.ring[c.next] = k
-	c.m[k] = c.next
-	c.next = (c.next + 1) % c.cap
+	c.m[k] = r
+}
+
+// Settle raises the floor to r and drops every entry at or below it. The
+// floor only rises; a lower r is ignored.
+func (c *VerifiedCache) Settle(r types.Round) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if r <= c.floor {
+		return
+	}
+	c.floor = r
+	for k, kr := range c.m {
+		if kr <= r {
+			delete(c.m, k)
+		}
+	}
 }
 
 // Len returns the number of cached keys.

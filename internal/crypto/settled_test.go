@@ -249,7 +249,7 @@ func TestAllocRegressionSettledVoteMsg(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { v.PreverifyMessage(msg) }); n != 0 {
 		t.Fatalf("PreverifyMessage of a settled VoteMsg allocates %.0f times, want 0", n)
 	}
-	batch := v.newSigBatch(16)
+	batch := v.newSigBatch()
 	batch.floor = v.SettledFloor()
 	if n := testing.AllocsPerRun(100, func() { v.gather(&batch, msg) }); n != 0 {
 		t.Fatalf("gather of a settled VoteMsg allocates %.0f times, want 0", n)
@@ -289,5 +289,75 @@ func TestAllocRegressionOneVoteMsg(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(runs, func() { v.PreverifyMessage(msgs[0]) }); n != 0 {
 		t.Fatalf("PreverifyMessage of a cached vote allocates %.0f times, want 0", n)
+	}
+}
+
+// TestAllocRegressionUncachedAdvance: an Advance whose 3-signer
+// notarization is new — three signatures queued in a pooled batch,
+// verified and cached — and the Settle that later drops them allocate
+// nothing once the pool and the cache's table are warm.
+func TestAllocRegressionUncachedAdvance(t *testing.T) {
+	keyring, signers := GenerateCluster(Ed25519(), 4, 4)
+	v := NewVerifier(keyring, VerifyConfig{})
+	const runs, warm = 50, 10
+	var advs []*types.Advance
+	for r := types.Round(1); r <= warm+runs+1; r++ {
+		id := types.BlockID{byte(r)}
+		cert, err := types.NewCertificate(types.CertNotarization, r, id,
+			collectVotes(signers, types.VoteNotarize, r, id, 0, 1, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		advs = append(advs, &types.Advance{Notarization: cert})
+	}
+	next := 0
+	step := func() {
+		r := advs[next].Notarization.Round
+		v.PreverifyMessage(advs[next])
+		v.Settle(r - 1)
+		next++
+	}
+	for next < warm {
+		step()
+	}
+	if n := testing.AllocsPerRun(runs, step); n != 0 {
+		t.Fatalf("PreverifyMessage of an uncached Advance allocates %.0f times, want 0", n)
+	}
+	if hits, misses := v.CacheStats(); hits != 0 || misses != int64(3*next) || v.cache.Len() != 3 {
+		t.Fatalf("%d hits, %d misses, %d cached over %d Advances", hits, misses, v.cache.Len(), next)
+	}
+}
+
+// TestCacheHoldsOnlyUnsettledRounds: after 1000 rounds settled two behind
+// the newest, the cache holds the two unsettled rounds' signatures and no
+// more, and a signature for a settled round verifies without being
+// admitted — checking it again costs a second miss.
+func TestCacheHoldsOnlyUnsettledRounds(t *testing.T) {
+	keyring, signers := GenerateCluster(HMAC(), 4, 12)
+	v := NewVerifier(keyring, VerifyConfig{})
+	const rounds = 1000
+	for r := types.Round(1); r <= rounds; r++ {
+		id := types.BlockID{byte(r), byte(r >> 8)}
+		v.PreverifyMessage(&types.VoteMsg{Votes: collectVotes(signers, types.VoteNotarize, r, id, 0, 1, 2)})
+		if err := v.VerifyBlock(signRound(t, signers, r).block); err != nil {
+			t.Fatal(err)
+		}
+		if r > 2 {
+			v.Settle(r - 2)
+		}
+	}
+	if n := v.cache.Len(); n != 2*(3+1) {
+		t.Fatalf("%d entries cached after %d rounds, want the %d of rounds %d and %d",
+			n, rounds, 2*(3+1), rounds-1, rounds)
+	}
+	late := signers[3].SignVote(types.VoteFinalize, 5, types.BlockID{5})
+	for i := 0; i < 2; i++ {
+		_, before := v.CacheStats()
+		if err := v.VerifyVote(late); err != nil {
+			t.Fatal(err)
+		}
+		if _, after := v.CacheStats(); after != before+1 || v.cache.Len() != 2*(3+1) {
+			t.Fatalf("check %d of a settled round's vote: %d misses, %d cached", i+1, after-before, v.cache.Len())
+		}
 	}
 }

@@ -2,6 +2,7 @@ package crypto
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"banyan/internal/types"
@@ -13,9 +14,6 @@ type VerifyConfig struct {
 	// Workers sizes the verification worker pool: 0 selects GOMAXPROCS,
 	// 1 verifies inline, larger values cap the fan-out.
 	Workers int
-	// CacheSize caps the verified-signature cache: 0 selects
-	// DefaultCacheSize, negative disables caching entirely.
-	CacheSize int
 }
 
 // Verifier is the batched, cached verification pipeline over one keyring.
@@ -26,14 +24,15 @@ type VerifyConfig struct {
 // cache lookup instead of a curve operation. PreverifyMessage additionally
 // lets a transport stage warm the cache off the consensus goroutine — for
 // the rounds that can still decide something: the engine the verifier
-// serves publishes its settled floor here (Settle), and preverification
-// skips every signature made for a round at or below it.
+// serves publishes its settled floor here (Settle), preverification
+// skips every signature made for a round at or below it, and the cache
+// drops and no longer admits them.
 //
 // A Verifier serves one replica and is safe for concurrent use.
 type Verifier struct {
 	kr    *Keyring
 	pool  *VerifierPool
-	cache *VerifiedCache // nil when caching is disabled
+	cache *VerifiedCache
 
 	// settled is the highest round the replica's engine has both finalized
 	// and left; skipped counts the signatures gather passed over for it.
@@ -43,38 +42,36 @@ type Verifier struct {
 
 // NewVerifier builds a verification pipeline over the keyring.
 func NewVerifier(kr *Keyring, cfg VerifyConfig) *Verifier {
-	v := &Verifier{
-		kr:   kr,
-		pool: NewVerifierPool(kr.Scheme(), cfg.Workers),
+	return &Verifier{
+		kr:    kr,
+		pool:  NewVerifierPool(kr.Scheme(), cfg.Workers),
+		cache: NewVerifiedCache(),
 	}
-	if cfg.CacheSize >= 0 {
-		v.cache = NewVerifiedCache(cfg.CacheSize)
-	}
-	return v
 }
 
 // Keyring returns the keyring the verifier checks against.
 func (v *Verifier) Keyring() *Keyring { return v.kr }
 
-// CacheStats returns cumulative cache (hits, misses); zeros when caching
-// is disabled.
+// CacheStats returns cumulative cache (hits, misses).
 func (v *Verifier) CacheStats() (hits, misses int64) {
-	if v.cache == nil {
-		return 0, 0
-	}
 	return v.cache.Stats()
 }
 
 // Settle raises the settled floor to r: the engine has finalized round r
 // and moved past it, so no vote, certificate or unlock proof for a round
-// up to r can change its state, and it drops them unverified. The floor
-// only rises; a lower r is ignored. A preverification worker that reads a
-// floor from before the raise merely verifies a signature the engine
-// will not look at.
+// up to r can change its state, and it drops them unverified. The cache
+// drops its entries for those rounds with them. The floor only rises; a
+// lower r is ignored. A preverification worker that reads a floor from
+// before the raise merely verifies a signature the engine will not look
+// at, and the cache does not keep it.
 func (v *Verifier) Settle(r types.Round) {
 	for {
 		cur := v.settled.Load()
-		if uint64(r) <= cur || v.settled.CompareAndSwap(cur, uint64(r)) {
+		if uint64(r) <= cur {
+			return
+		}
+		if v.settled.CompareAndSwap(cur, uint64(r)) {
+			v.cache.Settle(r)
 			return
 		}
 	}
@@ -87,55 +84,61 @@ func (v *Verifier) SettledFloor() types.Round { return types.Round(v.settled.Loa
 // because their round was settled.
 func (v *Verifier) SettledSkipped() int64 { return v.skipped.Load() }
 
-// verifyOne checks a single signature through the cache.
-func (v *Verifier) verifyOne(id types.ReplicaID, digest [32]byte, sig []byte) bool {
+// verifyOne checks a single signature, made for round r, through the
+// cache.
+func (v *Verifier) verifyOne(r types.Round, id types.ReplicaID, digest [32]byte, sig []byte) bool {
 	pub := v.kr.PublicKey(id)
 	if pub == nil {
 		return false
 	}
-	var key CacheKey
-	if v.cache != nil {
-		key = VerifiedKey(v.kr.scheme, pub, digest, sig)
-		if v.cache.Contains(key) {
-			return true
-		}
+	key := VerifiedKey(v.kr.scheme, pub, digest, sig)
+	if v.cache.Contains(key) {
+		return true
 	}
 	if !v.kr.scheme.Verify(pub, digest, sig) {
 		return false
 	}
-	if v.cache != nil {
-		v.cache.Add(key)
-	}
+	v.cache.Add(key, r)
 	return true
 }
 
-// sigItem is one queued signature: the triple to verify, its cache key,
-// its index in the caller's ordering, and the verdict once flushed.
+// sigItem is one queued signature: the triple to verify, the round it was
+// made for, its cache key, its index in the caller's ordering, and the
+// verdict once flushed.
 type sigItem struct {
 	pub    []byte
 	digest [32]byte
 	sig    []byte
+	round  types.Round
 	key    CacheKey
 	seq    int
 	ok     bool
 }
 
+// sigItems recycles the slices a sigBatch queues its signatures in once
+// there are two or more: flush hands its slice back, cleared, so a
+// message or aggregate that brings several new signatures allocates
+// nothing once the pool is warm. A new slice has room for 16, and one
+// that grew past that goes back grown.
+var sigItems = sync.Pool{New: func() any {
+	s := make([]sigItem, 0, 16)
+	return &s
+}}
+
 // sigBatch collects the uncached signatures of one aggregate (certificate
 // or unlock proof) or one inbound message for a pooled flush. The first
 // one queued is held in the batch itself and verified inline, so an
 // aggregate the cache already covers, a message that is settled
-// throughout, and a message that brings one new signature — a vote — cost
-// no allocation; the slice is allocated when a second is queued.
+// throughout, and a message that brings one new signature — a vote — never
+// touch the slice pool; a second one takes a slice from it.
 type sigBatch struct {
 	v     *Verifier
 	first sigItem
-	items []sigItem // every queued signature, first included, once there are two
-	n     int       // signatures queued
+	items *[]sigItem // every queued signature, first included, once there are two
+	n     int        // signatures queued
 	// bad is the index (into the caller's ordering) of the first signer
 	// whose key was out of range, or -1.
 	bad int
-	// hint sizes the slice when the second signature is queued.
-	hint int
 	// limit, when positive, caps how many signatures may be queued
 	// (preverification's defense against signature-stuffed messages).
 	limit int
@@ -151,13 +154,14 @@ func (b *sigBatch) full() bool {
 	return b.limit > 0 && b.n >= b.limit
 }
 
-func (v *Verifier) newSigBatch(hint int) sigBatch {
-	return sigBatch{v: v, bad: -1, hint: hint}
+func (v *Verifier) newSigBatch() sigBatch {
+	return sigBatch{v: v, bad: -1}
 }
 
-// add queues signer seq's signature unless it is already cached. It
-// reports false when the signer has no key in the keyring.
-func (b *sigBatch) add(seq int, id types.ReplicaID, digest [32]byte, sig []byte) bool {
+// add queues signer seq's signature, made for round r, unless it is
+// already cached. It reports false when the signer has no key in the
+// keyring.
+func (b *sigBatch) add(seq int, r types.Round, id types.ReplicaID, digest [32]byte, sig []byte) bool {
 	pub := b.v.kr.PublicKey(id)
 	if pub == nil {
 		if b.bad < 0 {
@@ -165,20 +169,19 @@ func (b *sigBatch) add(seq int, id types.ReplicaID, digest [32]byte, sig []byte)
 		}
 		return false
 	}
-	item := sigItem{pub: pub, digest: digest, sig: sig, seq: seq}
-	if b.v.cache != nil {
-		item.key = VerifiedKey(b.v.kr.scheme, pub, digest, sig)
-		if b.v.cache.Contains(item.key) {
-			return true
-		}
+	item := sigItem{pub: pub, digest: digest, sig: sig, round: r, seq: seq,
+		key: VerifiedKey(b.v.kr.scheme, pub, digest, sig)}
+	if b.v.cache.Contains(item.key) {
+		return true
 	}
 	switch b.n {
 	case 0:
 		b.first = item
 	case 1:
-		b.items = append(make([]sigItem, 0, max(b.hint, 2)), b.first, item)
+		b.items = sigItems.Get().(*[]sigItem)
+		*b.items = append(*b.items, b.first, item)
 	default:
-		b.items = append(b.items, item)
+		*b.items = append(*b.items, item)
 	}
 	b.n++
 	return true
@@ -187,27 +190,33 @@ func (b *sigBatch) add(seq int, id types.ReplicaID, digest [32]byte, sig []byte)
 // flush verifies the queued signatures — one inline, more through the
 // pool — caches the successes, and returns the caller-ordering index of
 // the first failure (including any out-of-range signer recorded by add),
-// or -1 when every signature verified.
+// or -1 when every signature verified. A slice taken from the pool goes
+// back to it, cleared.
 func (b *sigBatch) flush() int {
 	firstBad := b.bad
 	settle := func(it *sigItem) {
-		switch {
-		case !it.ok:
+		if !it.ok {
 			if firstBad < 0 || it.seq < firstBad {
 				firstBad = it.seq
 			}
-		case b.v.cache != nil:
-			b.v.cache.Add(it.key)
+			return
 		}
+		b.v.cache.Add(it.key, it.round)
 	}
-	if b.n == 1 {
+	switch {
+	case b.n == 1:
 		b.first.ok = b.v.kr.scheme.Verify(b.first.pub, b.first.digest, b.first.sig)
 		settle(&b.first)
-		return firstBad
-	}
-	b.v.pool.verify(b.items)
-	for i := range b.items {
-		settle(&b.items[i])
+	case b.n > 1:
+		items := *b.items
+		b.v.pool.verify(items)
+		for i := range items {
+			settle(&items[i])
+		}
+		clear(items)
+		*b.items = items[:0]
+		sigItems.Put(b.items)
+		b.items = nil
 	}
 	return firstBad
 }
@@ -218,7 +227,7 @@ func (v *Verifier) VerifyBlock(b *types.Block) error {
 	if b.IsGenesis() {
 		return nil
 	}
-	if !v.verifyOne(b.Proposer, blockDigest(b.ID()), b.Signature) {
+	if !v.verifyOne(b.Round, b.Proposer, blockDigest(b.ID()), b.Signature) {
 		return fmt.Errorf("crypto: bad proposer signature on %v", b)
 	}
 	return nil
@@ -229,7 +238,7 @@ func (v *Verifier) VerifyBlock(b *types.Block) error {
 // header relay warms the cache for the body and vice versa, and no
 // payload is hashed to get there.
 func (v *Verifier) VerifyHeader(h *types.SignedHeader) error {
-	if !v.verifyOne(h.Proposer, blockDigest(h.ID()), h.Signature) {
+	if !v.verifyOne(h.Round, h.Proposer, blockDigest(h.ID()), h.Signature) {
 		return fmt.Errorf("crypto: bad proposer signature on header r=%d id=%s", h.Round, h.ID())
 	}
 	return nil
@@ -241,7 +250,7 @@ func (v *Verifier) VerifyVote(vt types.Vote) error {
 	if !vt.Kind.Valid() {
 		return fmt.Errorf("crypto: invalid vote kind in %v", vt)
 	}
-	if !v.verifyOne(vt.Voter, vt.Digest(), vt.Signature) {
+	if !v.verifyOne(vt.Round, vt.Voter, vt.Digest(), vt.Signature) {
 		return fmt.Errorf("crypto: bad signature on %v", vt)
 	}
 	return nil
@@ -257,9 +266,9 @@ func (v *Verifier) VerifyCert(c *types.Certificate, quorum int) error {
 		return err
 	}
 	digests := c.SignerDigests()
-	batch := v.newSigBatch(len(c.Signers))
+	batch := v.newSigBatch()
 	for i, signer := range c.Signers {
-		batch.add(i, signer, digests[c.FastBit(i)], c.Sigs[i])
+		batch.add(i, c.Round, signer, digests[c.FastBit(i)], c.Sigs[i])
 	}
 	if bad := batch.flush(); bad >= 0 {
 		return fmt.Errorf("crypto: bad signature by %d in %v", c.Signers[bad], c)
@@ -286,12 +295,12 @@ func (v *Verifier) VerifyUnlockProof(u *types.UnlockProof, threshold int) error 
 		id    types.BlockID
 	}
 	refs := make([]ref, 0, total)
-	batch := v.newSigBatch(total)
+	batch := v.newSigBatch()
 	for _, e := range u.Entries {
 		id := e.Header.ID()
 		digest := types.VoteDigest(types.VoteFast, u.Round, id)
 		for i, voter := range e.Voters {
-			batch.add(len(refs), voter, digest, e.Sigs[i])
+			batch.add(len(refs), u.Round, voter, digest, e.Sigs[i])
 			refs = append(refs, ref{voter: voter, id: id})
 		}
 	}
@@ -362,10 +371,7 @@ func (v *Verifier) VerifyUnlockProofIn(u *types.UnlockProof, threshold int, set 
 // small multiple of the cluster size — anything beyond the cap is left
 // for the engine, which rejects malformed aggregates before verifying.
 func (v *Verifier) PreverifyMessage(msg types.Message) {
-	if v.cache == nil {
-		return // nothing to warm
-	}
-	batch := v.newSigBatch(16)
+	batch := v.newSigBatch()
 	batch.limit = 4 * v.kr.N()
 	batch.floor = v.SettledFloor()
 	v.gather(&batch, msg)
@@ -381,7 +387,7 @@ func (v *Verifier) gather(b *sigBatch, msg types.Message) {
 	switch m := msg.(type) {
 	case *types.Proposal:
 		if m.Block != nil && !m.Block.IsGenesis() {
-			b.add(0, m.Block.Proposer, blockDigest(m.Block.ID()), m.Block.Signature)
+			b.add(0, m.Block.Round, m.Block.Proposer, blockDigest(m.Block.ID()), m.Block.Signature)
 		} else if h := m.Header; h != nil && m.Block == nil {
 			// Header relay: 80 bytes to hash, whatever the payload — and
 			// none for a settled round, whose relays the engine drops
@@ -389,7 +395,7 @@ func (v *Verifier) gather(b *sigBatch, msg types.Message) {
 			if h.Round <= b.floor {
 				b.skipped++
 			} else {
-				b.add(0, h.Proposer, blockDigest(h.ID()), h.Signature)
+				b.add(0, h.Round, h.Proposer, blockDigest(h.ID()), h.Signature)
 			}
 		}
 		if m.FastVote != nil {
@@ -415,7 +421,7 @@ func (v *Verifier) gather(b *sigBatch, msg types.Message) {
 				return
 			}
 			if blk != nil && !blk.IsGenesis() {
-				b.add(0, blk.Proposer, blockDigest(blk.ID()), blk.Signature)
+				b.add(0, blk.Round, blk.Proposer, blockDigest(blk.ID()), blk.Signature)
 			}
 		}
 		v.gatherCert(b, m.Finalization)
@@ -425,7 +431,7 @@ func (v *Verifier) gather(b *sigBatch, msg types.Message) {
 				return
 			}
 			if blk != nil && !blk.IsGenesis() {
-				b.add(0, blk.Proposer, blockDigest(blk.ID()), blk.Signature)
+				b.add(0, blk.Round, blk.Proposer, blockDigest(blk.ID()), blk.Signature)
 			}
 		}
 		v.gatherCert(b, m.Finalization)
@@ -439,7 +445,7 @@ func (v *Verifier) gatherVote(b *sigBatch, vt *types.Vote) {
 	case vt.Round <= b.floor:
 		b.skipped++
 	default:
-		b.add(0, vt.Voter, vt.Digest(), vt.Signature)
+		b.add(0, vt.Round, vt.Voter, vt.Digest(), vt.Signature)
 	}
 }
 
@@ -464,7 +470,7 @@ func (v *Verifier) gatherCert(b *sigBatch, c *types.Certificate) {
 		if b.full() {
 			return
 		}
-		b.add(0, signer, digests[c.FastBit(i)], c.Sigs[i])
+		b.add(0, c.Round, signer, digests[c.FastBit(i)], c.Sigs[i])
 	}
 }
 
@@ -492,7 +498,7 @@ func (v *Verifier) gatherUnlock(b *sigBatch, u *types.UnlockProof) {
 			if b.full() {
 				return
 			}
-			b.add(0, voter, digest, e.Sigs[i])
+			b.add(0, u.Round, voter, digest, e.Sigs[i])
 		}
 	}
 }

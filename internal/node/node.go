@@ -7,7 +7,6 @@
 package node
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"runtime"
@@ -227,25 +226,40 @@ func (n *Node) run() {
 				return
 			}
 		case <-timerC:
-			now := n.clock()
-			for {
-				next, ok := n.nextTimer()
-				if !ok || next.at.After(now) {
-					break
-				}
-				heap.Pop(&n.timers)
-				if n.timerGen[next.id] != next.gen {
-					continue // superseded
-				}
-				// The live generation fired: forget the ID so the map does
-				// not grow with one entry per round forever.
-				delete(n.timerGen, next.id)
-				if !n.apply(n.cfg.Engine.HandleTimer(next.id, now)) {
-					return
-				}
+			if !n.fireTimers(n.clock()) {
+				return
 			}
 		}
 	}
+}
+
+// fireTimers hands every live timer due by now to the engine, earliest
+// first; it returns false when the node must stop.
+func (n *Node) fireTimers(now time.Time) bool {
+	for {
+		next, ok := n.nextTimer()
+		if !ok || next.at.After(now) {
+			return true
+		}
+		n.timers.pop()
+		// The live generation fired: forget the ID so the map does not grow
+		// with one entry per round forever.
+		delete(n.timerGen, next.id)
+		if !n.apply(n.cfg.Engine.HandleTimer(next.id, now)) {
+			return false
+		}
+	}
+}
+
+// slot carries one message through the preverify stage. The stage owns a
+// fixed ring of them, each with a done channel made once: a message
+// costs the stage no allocation. done holds one token, sent by the
+// worker that verified the message and taken by the reorderer before the
+// slot is reused, so the send never blocks.
+type slot struct {
+	in   Inbound
+	enq  time.Time // when the dispatcher queued it (zero when obs is off)
+	done chan struct{}
 }
 
 // preverify is the verify-then-deliver stage: it fans inbound messages
@@ -255,79 +269,83 @@ func (n *Node) run() {
 // sequence the transport delivered — only cheaper to verify. All stage
 // goroutines exit when the transport channel closes or the node stops.
 func (n *Node) preverify(inbound <-chan Inbound, workers int) <-chan Inbound {
-	type pending struct {
-		in   Inbound
-		enq  time.Time // when the dispatcher queued it (zero when obs is off)
-		done chan struct{}
-	}
 	depth := 4 * workers
-	order := make(chan *pending, depth)
-	work := make(chan *pending, depth)
+	slots := make([]slot, depth)
+	// free, order and work each hold every slot at most once, so a send to
+	// any of them never blocks.
+	free := make(chan *slot, depth)
+	for i := range slots {
+		slots[i].done = make(chan struct{}, 1)
+		free <- &slots[i]
+	}
+	order := make(chan *slot, depth)
+	work := make(chan *slot, depth)
 	out := make(chan Inbound, depth)
 
 	o := n.cfg.Obs
 	for i := 0; i < workers; i++ {
 		go func() {
-			for p := range work {
+			for s := range work {
 				if o != nil {
 					pick := time.Now()
-					o.PreverifyWait.Record(pick.Sub(p.enq))
-					n.cfg.Preverifier.PreverifyMessage(p.in.Msg)
+					o.PreverifyWait.Record(pick.Sub(s.enq))
+					n.cfg.Preverifier.PreverifyMessage(s.in.Msg)
 					o.VerifyTime.Record(time.Since(pick))
 				} else {
-					n.cfg.Preverifier.PreverifyMessage(p.in.Msg)
+					n.cfg.Preverifier.PreverifyMessage(s.in.Msg)
 				}
-				close(p.done)
+				s.done <- struct{}{}
 			}
 		}()
 	}
-	// Dispatcher: tag each message with a completion signal, keep the
-	// arrival order in `order`, and hand the work to the pool. The
-	// receive itself races n.stop: the transport channel may be a shared
-	// hub queue that outlives this node (crash-restart reuses it for the
-	// replacement node), so a stopped dispatcher must detach rather than
-	// keep consuming — and discarding — the successor's messages.
+	// Dispatcher: put each message in a free slot, keep the arrival order
+	// in `order`, and hand the work to the pool. It takes a slot before it
+	// takes a message, and the receive itself races n.stop: the transport
+	// channel may be a shared hub queue that outlives this node
+	// (crash-restart reuses it for the replacement node), so a stopped
+	// dispatcher must detach rather than keep consuming — and discarding —
+	// the successor's messages.
 	go func() {
 		defer close(order)
 		defer close(work)
 		for {
-			var p *pending
+			var s *slot
+			select {
+			case s = <-free:
+			case <-n.stop:
+				return
+			}
 			select {
 			case in, ok := <-inbound:
 				if !ok {
 					return
 				}
-				p = &pending{in: in, done: make(chan struct{})}
+				s.in = in
 				if o != nil {
-					p.enq = time.Now()
+					s.enq = time.Now()
 				}
 			case <-n.stop:
 				return
 			}
-			select {
-			case order <- p:
-			case <-n.stop:
-				return
-			}
-			select {
-			case work <- p:
-			case <-n.stop:
-				return
-			}
+			order <- s
+			work <- s
 		}
 	}()
 	// Reorderer: release messages downstream strictly in arrival order,
-	// each once its verification finished.
+	// each once its verification finished, returning the slot first.
 	go func() {
 		defer close(out)
-		for p := range order {
+		for s := range order {
 			select {
-			case <-p.done:
+			case <-s.done:
 			case <-n.stop:
 				return
 			}
+			in := s.in
+			s.in = Inbound{}
+			free <- s
 			select {
-			case out <- p.in:
+			case out <- in:
 			case <-n.stop:
 				return
 			}
@@ -376,14 +394,14 @@ func (n *Node) apply(acts []protocol.Action) bool {
 func (n *Node) setTimer(act protocol.SetTimer) {
 	gen := n.timerGen[act.ID] + 1
 	n.timerGen[act.ID] = gen
-	heap.Push(&n.timers, pendingTimer{at: act.At, id: act.ID, gen: gen})
+	n.timers.push(pendingTimer{at: act.At, id: act.ID, gen: gen})
 }
 
 func (n *Node) nextTimer() (pendingTimer, bool) {
 	for len(n.timers) > 0 {
 		top := n.timers[0]
 		if n.timerGen[top.id] != top.gen {
-			heap.Pop(&n.timers) // superseded entry
+			n.timers.pop() // superseded entry
 			continue
 		}
 		return top, true
@@ -397,16 +415,44 @@ type pendingTimer struct {
 	gen uint64
 }
 
+// timerHeap is a binary min-heap on the due time, the earliest at index
+// 0. It sifts exactly as container/heap does, so timers due at the same
+// instant fire in the same order, without boxing an entry per push or
+// pop.
 type timerHeap []pendingTimer
 
-func (h timerHeap) Len() int           { return len(h) }
-func (h timerHeap) Less(i, j int) bool { return h[i].at.Before(h[j].at) }
-func (h timerHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *timerHeap) Push(x any)        { *h = append(*h, x.(pendingTimer)) }
-func (h *timerHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+func (h *timerHeap) push(t pendingTimer) {
+	*h = append(*h, t)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !s[i].at.Before(s[p].at) {
+			break
+		}
+		s[i], s[p] = s[p], s[i]
+		i = p
+	}
+}
+
+// pop removes the earliest timer.
+func (h *timerHeap) pop() {
+	s := *h
+	last := len(s) - 1
+	s[0] = s[last]
+	s = s[:last]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= len(s) {
+			break
+		}
+		if r := m + 1; r < len(s) && s[r].at.Before(s[m].at) {
+			m = r
+		}
+		if !s[m].at.Before(s[i].at) {
+			break
+		}
+		s[i], s[m] = s[m], s[i]
+		i = m
+	}
+	*h = s
 }

@@ -1,7 +1,9 @@
 package node
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -134,6 +136,117 @@ func TestPreverifyDisabled(t *testing.T) {
 	waitFor(t, func() bool { return eng.receivedCount() == 1 })
 	if pv.count() != 0 {
 		t.Fatalf("preverifier ran %d times despite VerifyWorkers=-1", pv.count())
+	}
+}
+
+// quietEngine counts what it handles and allocates nothing doing so.
+type quietEngine struct {
+	scriptEngine
+	handled, fired atomic.Int64
+}
+
+func (q *quietEngine) HandleMessage(types.ReplicaID, types.Message, time.Time) []protocol.Action {
+	q.handled.Add(1)
+	return nil
+}
+
+func (q *quietEngine) HandleTimer(protocol.TimerID, time.Time) []protocol.Action {
+	q.fired.Add(1)
+	return nil
+}
+
+// quietPreverifier counts the messages it sees, allocation-free.
+type quietPreverifier struct{ seen atomic.Int64 }
+
+func (p *quietPreverifier) PreverifyMessage(types.Message) { p.seen.Add(1) }
+
+// TestAllocRegressionPreverifyStage: a message through a running
+// preverify stage — dispatcher, worker, reorderer, event loop — costs no
+// allocation: the stage reuses a fixed ring of slots and their done
+// channels.
+func TestAllocRegressionPreverifyStage(t *testing.T) {
+	const total = 10000
+	eng, pv, tr := &quietEngine{}, &quietPreverifier{}, newMemTransport()
+	n, err := New(Config{Engine: eng, Transport: tr, Preverifier: pv, VerifyWorkers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer n.Stop()
+	msg := &types.SyncRequest{From: 1}
+	deliver := func(k int64) {
+		want := eng.handled.Load() + k
+		for i := int64(0); i < k; i++ {
+			tr.in <- Inbound{From: 1, Msg: msg}
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for eng.handled.Load() < want {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of %d messages reached the engine", eng.handled.Load(), want)
+			}
+			runtime.Gosched()
+		}
+	}
+	deliver(100) // the stage's goroutines grow their stacks
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	deliver(total)
+	runtime.ReadMemStats(&after)
+	if per := float64(after.Mallocs-before.Mallocs) / total; per > 0.01 {
+		t.Fatalf("%.3f allocations per message through the preverify stage, want <= 0.01", per)
+	}
+	if got := pv.seen.Load(); got != total+100 {
+		t.Fatalf("preverifier saw %d messages, want %d", got, total+100)
+	}
+}
+
+// TestAllocRegressionSetTimer: setting timers — one of them superseded
+// before it is due — and firing them costs nothing once the heap and the
+// generation map have their room.
+func TestAllocRegressionSetTimer(t *testing.T) {
+	eng := &quietEngine{}
+	n, err := New(Config{Engine: eng, Transport: newMemTransport()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := time.Unix(100, 0)
+	notar := protocol.TimerID{Round: 1, Kind: protocol.TimerNotarize}
+	acts := []protocol.Action{
+		protocol.SetTimer{ID: notar, At: at.Add(-time.Millisecond)},
+		protocol.SetTimer{ID: protocol.TimerID{Round: 1, Kind: protocol.TimerResend}, At: at},
+		protocol.SetTimer{ID: notar, At: at}, // supersedes the first
+	}
+	const runs = 100
+	if got := testing.AllocsPerRun(runs, func() {
+		if !n.apply(acts) || !n.fireTimers(at) {
+			t.Fatal("node stopped")
+		}
+	}); got != 0 {
+		t.Fatalf("apply + fire of SetTimer allocates %.0f times, want 0", got)
+	}
+	if got := eng.fired.Load(); got != 2*(runs+1) { // AllocsPerRun makes a warm-up call
+		t.Fatalf("%d timers fired over %d runs, want 2 per run", got, runs+1)
+	}
+	if len(n.timers) != 0 || len(n.timerGen) != 0 {
+		t.Fatalf("%d timers and %d generations left after firing all", len(n.timers), len(n.timerGen))
+	}
+}
+
+// TestTimerHeapOrder: timers fire earliest first, whatever order they were
+// set in.
+func TestTimerHeapOrder(t *testing.T) {
+	var h timerHeap
+	base := time.Unix(0, 0)
+	for _, ms := range []int{5, 1, 9, 3, 7, 3, 0, 8, 2, 6, 4} {
+		h.push(pendingTimer{at: base.Add(time.Duration(ms) * time.Millisecond)})
+	}
+	for prev := base; len(h) > 0; h.pop() {
+		if h[0].at.Before(prev) {
+			t.Fatalf("timer at %v popped after one at %v", h[0].at.Sub(base), prev.Sub(base))
+		}
+		prev = h[0].at
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package channel provides an in-process transport: a hub connects n
-// replicas through buffered channels with optional per-link delay, loss
-// and partitions. It backs the runnable examples (whole clusters in one
-// process, real time) and the node-runtime tests; wide-area experiments
+// replicas through buffered channels with an optional per-link delay. It
+// backs the runnable examples (whole clusters in one process, real time)
+// and the node-runtime tests; fault scenarios and wide-area experiments
 // use the discrete-event simulator instead.
 //
 // Messages are delivered by pointer, never deep-copied or re-encoded:
@@ -15,8 +15,8 @@ package channel
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"banyan/internal/node"
@@ -31,10 +31,6 @@ type Options struct {
 	QueueLen int
 	// Delay, when non-nil, returns the one-way delivery delay per link.
 	Delay func(from, to types.ReplicaID) time.Duration
-	// DropRate in [0,1) drops messages at random (seeded by Seed).
-	DropRate float64
-	// Seed drives the loss randomness.
-	Seed int64
 }
 
 // Hub connects n in-process replicas.
@@ -43,16 +39,11 @@ type Hub struct {
 	opts   Options
 	queues []chan node.Inbound
 
-	mu          sync.Mutex
-	rng         *rand.Rand
-	partitioned map[linkKey]bool
-	dropped     int64
-	closed      bool
+	closed  atomic.Bool
+	dropped atomic.Int64
 
 	wg sync.WaitGroup
 }
-
-type linkKey struct{ from, to types.ReplicaID }
 
 // NewHub creates a hub for n replicas.
 func NewHub(n int, opts Options) *Hub {
@@ -60,11 +51,9 @@ func NewHub(n int, opts Options) *Hub {
 		opts.QueueLen = 4096
 	}
 	h := &Hub{
-		n:           n,
-		opts:        opts,
-		queues:      make([]chan node.Inbound, n),
-		rng:         rand.New(rand.NewSource(opts.Seed)),
-		partitioned: make(map[linkKey]bool),
+		n:      n,
+		opts:   opts,
+		queues: make([]chan node.Inbound, n),
 	}
 	for i := range h.queues {
 		h.queues[i] = make(chan node.Inbound, opts.QueueLen)
@@ -75,43 +64,6 @@ func NewHub(n int, opts Options) *Hub {
 // Transport returns the transport endpoint for replica id.
 func (h *Hub) Transport(id types.ReplicaID) node.Transport {
 	return &endpoint{hub: h, id: id}
-}
-
-// Partition cuts the link from -> to (one direction). Use both calls for a
-// full cut.
-func (h *Hub) Partition(from, to types.ReplicaID) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.partitioned[linkKey{from, to}] = true
-}
-
-// Heal restores the link from -> to.
-func (h *Hub) Heal(from, to types.ReplicaID) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	delete(h.partitioned, linkKey{from, to})
-}
-
-// Isolate cuts every link to and from the replica.
-func (h *Hub) Isolate(id types.ReplicaID) {
-	for j := 0; j < h.n; j++ {
-		if types.ReplicaID(j) == id {
-			continue
-		}
-		h.Partition(id, types.ReplicaID(j))
-		h.Partition(types.ReplicaID(j), id)
-	}
-}
-
-// Rejoin restores every link to and from the replica.
-func (h *Hub) Rejoin(id types.ReplicaID) {
-	for j := 0; j < h.n; j++ {
-		if types.ReplicaID(j) == id {
-			continue
-		}
-		h.Heal(id, types.ReplicaID(j))
-		h.Heal(types.ReplicaID(j), id)
-	}
 }
 
 // Drain discards everything queued for a replica. A replica provisioned
@@ -129,24 +81,17 @@ func (h *Hub) Drain(id types.ReplicaID) {
 	}
 }
 
-// Dropped returns the number of messages dropped (loss, partitions, full
-// queues).
-func (h *Hub) Dropped() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.dropped
-}
+// Dropped returns the number of messages dropped (full queues, sends
+// after Close).
+func (h *Hub) Dropped() int64 { return h.dropped.Load() }
 
 // Close shuts the hub down; pending delayed deliveries are awaited, then
-// all queues close.
+// all queues close. Sends after Close are dropped; the replicas must have
+// stopped sending before it is called.
 func (h *Hub) Close() {
-	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
+	if !h.closed.CompareAndSwap(false, true) {
 		return
 	}
-	h.closed = true
-	h.mu.Unlock()
 	h.wg.Wait()
 	for _, q := range h.queues {
 		close(q)
@@ -154,19 +99,10 @@ func (h *Hub) Close() {
 }
 
 func (h *Hub) deliver(from, to types.ReplicaID, msg types.Message) {
-	h.mu.Lock()
-	if h.closed || h.partitioned[linkKey{from, to}] {
-		h.dropped++
-		h.mu.Unlock()
+	if h.closed.Load() {
+		h.dropped.Add(1)
 		return
 	}
-	if h.opts.DropRate > 0 && h.rng.Float64() < h.opts.DropRate {
-		h.dropped++
-		h.mu.Unlock()
-		return
-	}
-	h.mu.Unlock()
-
 	var delay time.Duration
 	if h.opts.Delay != nil {
 		delay = h.opts.Delay(from, to)
@@ -179,10 +115,7 @@ func (h *Hub) deliver(from, to types.ReplicaID, msg types.Message) {
 	h.wg.Add(1)
 	time.AfterFunc(delay, func() {
 		defer h.wg.Done()
-		h.mu.Lock()
-		closed := h.closed
-		h.mu.Unlock()
-		if !closed {
+		if !h.closed.Load() {
 			h.enqueue(to, in)
 		}
 	})
@@ -192,9 +125,7 @@ func (h *Hub) enqueue(to types.ReplicaID, in node.Inbound) {
 	select {
 	case h.queues[to] <- in:
 	default:
-		h.mu.Lock()
-		h.dropped++
-		h.mu.Unlock()
+		h.dropped.Add(1)
 	}
 }
 

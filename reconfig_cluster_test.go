@@ -47,6 +47,27 @@ func waitForEpoch(t *testing.T, cluster *Cluster, epoch uint32, deadline time.Du
 	}
 }
 
+// waitForReplicaEpoch drains the commit stream until the given replica
+// itself reports the epoch: the observer's stream can run ahead of a
+// replica that is still catching up.
+func waitForReplicaEpoch(t *testing.T, cluster *Cluster, replica int, epoch uint32, deadline time.Duration) {
+	t.Helper()
+	timeout := time.After(deadline)
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	for cluster.Epoch(replica) < epoch {
+		select {
+		case _, ok := <-cluster.Commits():
+			if !ok {
+				t.Fatal("commit stream closed early")
+			}
+		case <-tick.C:
+		case <-timeout:
+			t.Fatalf("timed out waiting for replica %d to reach epoch %d (at %d)", replica, epoch, cluster.Epoch(replica))
+		}
+	}
+}
+
 func memberSet(ids []int) map[int]bool {
 	m := make(map[int]bool, len(ids))
 	for _, id := range ids {
@@ -113,8 +134,11 @@ func TestClusterReconfigureAddRemove(t *testing.T) {
 		t.Fatalf("epoch-2 members %v, want the joiner evicted", cluster.MemberIDs(0))
 	}
 
-	// The evicted replica keeps following the chain as an observer.
+	// The evicted replica keeps following the chain as an observer. It may
+	// still be catching up through a second snapshot when the observer is
+	// 40 rounds on, so the test waits for it to reach epoch 2 itself.
 	waitForRound(t, cluster, epoch2At+40, 30*time.Second)
+	waitForReplicaEpoch(t, cluster, joiner, 2, 30*time.Second)
 	cluster.Stop()
 
 	if faults := cluster.Faults(); len(faults) > 0 {
