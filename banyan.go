@@ -1,10 +1,10 @@
 // Package banyan is the public API of this repository: a Go implementation
 // of Banyan — the fast rotating-leader BFT protocol of Vonlanthen,
-// Sliwinski, Albarello and Wattenhofer (Middleware 2024) — together with
-// the ICC, chained-HotStuff and Streamlet baselines, an in-process cluster
-// runtime, a TCP replica runtime for multi-process deployments, and a
-// deterministic WAN simulation harness that regenerates the paper's
-// evaluation.
+// Sliwinski, Albarello and Wattenhofer (Middleware 2024) — with an
+// in-process cluster runtime, a TCP replica runtime for multi-process
+// deployments, and a deterministic WAN simulation harness that regenerates
+// the paper's evaluation against the ICC, chained-HotStuff and Streamlet
+// baselines.
 //
 // Quick start (see examples/quickstart for the full program):
 //
@@ -15,34 +15,35 @@
 //
 // Three layers are exposed:
 //
-//   - Cluster: an n-replica consensus cluster in one process (channel
+//   - Cluster: an n-replica Banyan cluster in one process (channel
 //     transport), for applications and tests.
-//   - Replica: a single replica over TCP, for multi-process deployments
-//     (cmd/banyan wires it to flags).
-//   - RunExperiment: the paper's evaluation harness on a simulated WAN
-//     (cmd/bench regenerates every table and figure on the same
-//     simulator).
+//   - Replica: a single Banyan replica over TCP, for multi-process
+//     deployments (cmd/banyan wires it to flags).
+//   - RunExperiment: the paper's evaluation harness on a simulated WAN,
+//     the only place the baselines run (cmd/bench regenerates every table
+//     and figure on the same simulator).
 package banyan
 
 import (
 	"time"
 
+	"banyan/internal/harness"
 	"banyan/internal/protocol"
-	"banyan/internal/stack"
 	"banyan/internal/types"
 )
 
-// Protocol selects a consensus protocol.
-type Protocol = stack.Protocol
+// Protocol selects the consensus protocol of a simulated experiment
+// (ExperimentConfig). Cluster and Replica always run Banyan.
+type Protocol = harness.Protocol
 
 // The four protocols of the paper's evaluation. ProtocolBanyanNoFast is
 // Banyan with the fast path disabled (cmd/bench's ablation-fastpath).
 const (
-	ProtocolBanyan       = stack.Banyan
-	ProtocolBanyanNoFast = stack.BanyanNoFast
-	ProtocolICC          = stack.ICC
-	ProtocolHotStuff     = stack.HotStuff
-	ProtocolStreamlet    = stack.Streamlet
+	ProtocolBanyan       = harness.Banyan
+	ProtocolBanyanNoFast = harness.BanyanNoFast
+	ProtocolICC          = harness.ICC
+	ProtocolHotStuff     = harness.HotStuff
+	ProtocolStreamlet    = harness.Streamlet
 )
 
 // FinalizationPath says how a block was explicitly finalized.
@@ -74,8 +75,7 @@ func pathOf(m protocol.FinalizationMode) FinalizationPath {
 type Commit struct {
 	// Round is the block's round (chain height).
 	Round uint64
-	// Epoch is the validator-set epoch the block was certified under
-	// (always 0 for the single-epoch baseline protocols).
+	// Epoch is the validator-set epoch the block was certified under.
 	Epoch uint32
 	// BlockID is the hex-prefixed block identifier.
 	BlockID string
@@ -96,11 +96,11 @@ type Commit struct {
 // enforces n >= max(3f+2p-1, 3f+1) with 1 <= p <= f; the baselines
 // enforce n >= 3f+1.
 func Params(proto Protocol, n, f, p int) (types.Params, error) {
-	return stack.Params(proto, n, f, p)
+	return harness.Params(proto, n, f, p)
 }
 
 // DefaultParams picks the largest tolerable f for n replicas: for Banyan
 // the largest f compatible with the given p; for baselines f = (n-1)/3.
 func DefaultParams(proto Protocol, n, p int) (types.Params, error) {
-	return stack.DefaultParams(proto, n, p)
+	return harness.DefaultParams(proto, n, p)
 }

@@ -23,15 +23,13 @@ type ClusterConfig struct {
 	// slots, engines); zero means N. Identities in [N, MaxN) are not
 	// genesis members: they boot later via JoinReplica — cold, catching up
 	// through state sync — and become voters only when a finalized
-	// ConfigChange admits them (AddValidator). Banyan protocols only.
+	// ConfigChange admits them (AddValidator).
 	MaxN int
 	// F is the number of Byzantine faults tolerated; zero picks the
 	// maximum for N.
 	F int
 	// P is Banyan's fast-path slack (1 <= p <= f); zero picks 1.
 	P int
-	// Protocol selects the engine; empty picks ProtocolBanyan.
-	Protocol Protocol
 	// Delta is the message-delay bound Δ used for rank delays and epoch
 	// lengths; zero picks a LAN-appropriate 10ms.
 	Delta time.Duration
@@ -85,15 +83,15 @@ type ClusterConfig struct {
 	// the Banyan engines: the next leader signs and broadcasts its block
 	// on the expected parent before the round certifies, confirming it
 	// with its fast vote or withdrawing it on a parent mismatch (see
-	// core.Config.OptimisticProposals). Requires ProtocolBanyan (the fast
-	// path). Keep the knob stable across restarts of a WAL-backed cluster.
+	// core.Config.OptimisticProposals). Keep the knob stable across
+	// restarts of a WAL-backed cluster.
 	OptimisticProposals bool
-	// Dissem decouples payload dissemination from ordering (Banyan
-	// protocols only): replicas cut mempool transactions into
-	// digest-addressed batches broadcast off the consensus path, blocks
-	// commit ordered digest lists instead of transaction bytes, and
-	// finalized delivery — never voting — waits for batch availability
-	// (fetch-on-miss from the proposer). See internal/dissem.
+	// Dissem decouples payload dissemination from ordering: replicas cut
+	// mempool transactions into digest-addressed batches broadcast off
+	// the consensus path, blocks commit ordered digest lists instead of
+	// transaction bytes, and finalized delivery — never voting — waits for
+	// batch availability (fetch-on-miss from the proposer). See
+	// internal/dissem.
 	Dissem bool
 	// DissemBatchBytes is the dissemination batch cut size; transactions
 	// larger than this are rejected at Submit. Zero picks 64 KiB. Only
@@ -126,7 +124,6 @@ type ClusterConfig struct {
 // a field no mapping reads).
 func (cfg ClusterConfig) options() stack.Options {
 	o := stack.Options{
-		Protocol:            cfg.Protocol,
 		N:                   cfg.N,
 		F:                   cfg.F,
 		P:                   cfg.P,
@@ -226,6 +223,11 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		id := types.ReplicaID(i)
 		c.hosts[i] = newHost(id, opts, keyring, signers[i], opts.ReplicaWALDir(id), nil)
 		if err := c.buildReplica(i); err != nil {
+			// The replicas built so far never started, but their logs are
+			// open: each holds a segment file and a group-commit goroutine.
+			for _, built := range c.hosts[:i] {
+				built.closeLog(true, &c.faults)
+			}
 			return nil, err
 		}
 	}
@@ -319,7 +321,7 @@ func (c *Cluster) JoinReplica(replica int) error {
 // new set takes effect at R+1 — the joiner votes from its first
 // post-activation round, having caught up through JoinReplica's state
 // sync. The joining replica's key comes from the cluster's provisioned
-// keyring. Banyan protocols only.
+// keyring.
 func (c *Cluster) AddValidator(replica int) error {
 	return c.proposeChange(types.ConfigAdd, replica)
 }
@@ -327,7 +329,7 @@ func (c *Cluster) AddValidator(replica int) error {
 // RemoveValidator proposes evicting a validator from the set. From the
 // activation round on, the evicted replica's votes carry no weight and
 // certificates are verified against the shrunken set; the replica itself
-// keeps running as a non-voting observer. Banyan protocols only.
+// keeps running as a non-voting observer.
 func (c *Cluster) RemoveValidator(replica int) error {
 	return c.proposeChange(types.ConfigRemove, replica)
 }
@@ -347,16 +349,14 @@ func (c *Cluster) proposeChange(op types.ConfigOp, replica int) error {
 		return fmt.Errorf("banyan: cluster is not running")
 	}
 	for _, h := range c.hosts {
-		if err := h.propose(change); err != nil {
-			return err
-		}
+		h.propose(change)
 	}
 	return nil
 }
 
 // Epoch returns the validator-set epoch a replica currently operates in
-// (0 for the single-epoch baselines or an invalid replica). Safe to poll
-// while the cluster runs; tests use it to await an epoch change.
+// (0 for an invalid replica). Safe to poll while the cluster runs; tests
+// use it to await an epoch change.
 func (c *Cluster) Epoch(replica int) uint32 {
 	if h := c.host(replica); h != nil {
 		return h.epoch()
@@ -365,7 +365,7 @@ func (c *Cluster) Epoch(replica int) uint32 {
 }
 
 // MemberIDs returns the validator IDs of a replica's current epoch, in
-// set order (nil for baselines or an invalid replica).
+// set order (nil for an invalid replica).
 func (c *Cluster) MemberIDs(replica int) []int {
 	if h := c.host(replica); h != nil {
 		return h.memberIDs()
@@ -464,9 +464,6 @@ func (c *Cluster) CrashReplica(replica int) error {
 // rejoins the cluster at its recovered round, catching up on whatever
 // finalized while it was down via the sync subprotocol. Requires WALDir;
 // restarting replica 0 re-delivers its recovered chain on Commits.
-// Engines that cannot replay a journal (the hotstuff/streamlet
-// baselines do not implement wal.Replayer) are refused rather than
-// silently restarted fresh, which would risk equivocation.
 func (c *Cluster) RestartReplica(replica int) error {
 	return c.restart(replica, false)
 }

@@ -68,49 +68,6 @@ func TestClusterCommitsTransactions(t *testing.T) {
 	}
 }
 
-// TestClusterProtocols checks every protocol makes progress through the
-// public API.
-func TestClusterProtocols(t *testing.T) {
-	for _, proto := range []Protocol{ProtocolBanyan, ProtocolBanyanNoFast, ProtocolICC, ProtocolHotStuff, ProtocolStreamlet} {
-		proto := proto
-		t.Run(string(proto), func(t *testing.T) {
-			cluster, err := NewCluster(ClusterConfig{
-				N:        4,
-				Protocol: proto,
-				Delta:    5 * time.Millisecond,
-				Scheme:   "hmac",
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := cluster.Start(); err != nil {
-				t.Fatal(err)
-			}
-			defer cluster.Stop()
-
-			if !cluster.Submit([]byte("hello")) {
-				t.Fatal("submit rejected")
-			}
-			deadline := time.After(20 * time.Second)
-			for {
-				select {
-				case c, ok := <-cluster.Commits():
-					if !ok {
-						t.Fatal("commit stream closed early")
-					}
-					for _, tx := range c.Transactions {
-						if string(tx) == "hello" {
-							return
-						}
-					}
-				case <-deadline:
-					t.Fatal("timed out waiting for the transaction to commit")
-				}
-			}
-		})
-	}
-}
-
 // TestClusterMetricsPageReportsVerification: a replica's /metrics page
 // carries the verification pipeline's counts — signatures verified, found
 // cached, and skipped as settled — and after the run the engine's counters

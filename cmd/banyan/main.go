@@ -41,7 +41,6 @@ func run(args []string) error {
 		id       = fs.Int("id", 0, "this replica's ID in [0, n)")
 		peerList = fs.String("peers", "", "comma-separated replica addresses, index = replica ID (required)")
 		listen   = fs.String("listen", "", "listen address (default: the peers entry for -id)")
-		proto    = fs.String("protocol", "banyan", "protocol: banyan, banyan-nofast, icc, hotstuff, streamlet")
 		fFlag    = fs.Int("f", 0, "Byzantine faults tolerated (0 = maximum for n)")
 		pFlag    = fs.Int("p", 1, "Banyan fast-path slack p")
 		delta    = fs.Duration("delta", 50*time.Millisecond, "message-delay bound Δ")
@@ -80,7 +79,6 @@ func run(args []string) error {
 		N:                  n,
 		F:                  *fFlag,
 		P:                  *pFlag,
-		Protocol:           banyan.Protocol(*proto),
 		ListenAddr:         listenAddr,
 		Peers:              peers,
 		Delta:              *delta,
@@ -103,7 +101,7 @@ func run(args []string) error {
 		return err
 	}
 	defer replica.Stop()
-	fmt.Printf("replica %d/%d (%s) listening on %s\n", *id, n, *proto, replica.Addr())
+	fmt.Printf("replica %d/%d listening on %s\n", *id, n, replica.Addr())
 	if addr := replica.ObsAddr(); addr != "" {
 		fmt.Printf("observability endpoint at http://%s/metrics (pprof under /debug/pprof/)\n", addr)
 	}

@@ -24,8 +24,8 @@
 // replica — whose body store is in-memory only — refetches what delivery
 // needs. CI combines -dissem with the crash-restart script above.
 //
-// With -reconfig the run scripts a live membership change (banyan
-// protocols only): one extra identity is provisioned, the cluster runs
+// With -reconfig the run scripts a live membership change: one extra
+// identity is provisioned, the cluster runs
 // deep-pruned, and mid-run the extra replica is booted cold and admitted
 // by a finalized ConfigChange (it catches up through snapshot state sync
 // and votes from the next epoch), then removed again. The run fails
@@ -59,7 +59,6 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("localnet", flag.ContinueOnError)
 	var (
 		n          = fs.Int("n", 4, "number of replicas")
-		proto      = fs.String("protocol", "banyan", "protocol: banyan, banyan-nofast, icc, hotstuff, streamlet")
 		pFlag      = fs.Int("p", 1, "Banyan fast-path slack p")
 		delta      = fs.Duration("delta", 20*time.Millisecond, "message-delay bound Δ")
 		duration   = fs.Duration("duration", 15*time.Second, "run time")
@@ -73,11 +72,11 @@ func run(args []string) error {
 		crashAt    = fs.Duration("crash-at", 0, "when to kill it (0 = duration/3)")
 		restartAt  = fs.Duration("restart-at", 0, "when to restart it from its WAL (0 = 2*duration/3)")
 		diskLoss   = fs.Bool("disk-loss", false, "wipe the crashed replica's WAL before restarting: it returns with no durable state and must recover its chain from peers via snapshot state sync (runs all replicas deep-pruned so only a bounded window is serveable)")
-		optimistic = fs.Bool("optimistic", false, "enable optimistic proposal pipelining (Moonshot mode): the next leader broadcasts its block on the expected parent before the round certifies (banyan protocol only)")
-		dissem     = fs.Bool("dissem", false, "route payloads through the batch-dissemination layer: proposals commit batch digests, bodies travel out-of-band, delivery gates on availability (banyan protocols only)")
+		optimistic = fs.Bool("optimistic", false, "enable optimistic proposal pipelining (Moonshot mode): the next leader broadcasts its block on the expected parent before the round certifies")
+		dissem     = fs.Bool("dissem", false, "route payloads through the batch-dissemination layer: proposals commit batch digests, bodies travel out-of-band, delivery gates on availability")
 		dissemB    = fs.Int("dissem-batch", 0, "dissemination batch cut size in bytes (0 = 64 KiB); transactions larger than this are rejected at Submit")
 		dissemI    = fs.Int("dissem-inline", 0, "max inline tail bytes a proposal carries alongside its batch refs (0 = everything rides in batches)")
-		reconfig   = fs.Bool("reconfig", false, "script a live membership change: boot an extra replica mid-run, admit it via a finalized ConfigChange (it enters through snapshot state sync), then remove it again (banyan protocols only; runs deep-pruned)")
+		reconfig   = fs.Bool("reconfig", false, "script a live membership change: boot an extra replica mid-run, admit it via a finalized ConfigChange (it enters through snapshot state sync), then remove it again (runs deep-pruned)")
 		addAt      = fs.Duration("add-at", 0, "when to boot and admit the extra replica (0 = duration/4)")
 		removeAt   = fs.Duration("remove-at", 0, "when to remove it again (0 = duration/2)")
 		obsAddr    = fs.String("obs-addr", "", "serve replica 0's observability endpoint on this address: /metrics (Prometheus text), /debug/pprof/*, /trace (Chrome trace JSON), /trace/summary, /slow")
@@ -146,7 +145,6 @@ func run(args []string) error {
 			N:                   *n,
 			MaxN:                maxN,
 			P:                   *pFlag,
-			Protocol:            banyan.Protocol(*proto),
 			Peers:               peers,
 			Delta:               *delta,
 			WALSyncInterval:     *walSync,
@@ -206,8 +204,8 @@ func run(args []string) error {
 			}
 		}
 	}()
-	fmt.Printf("localnet: %d %s replicas on 127.0.0.1:%d..%d, %v\n",
-		*n, *proto, base, base+*n-1, *duration)
+	fmt.Printf("localnet: %d banyan replicas on 127.0.0.1:%d..%d, %v\n",
+		*n, base, base+*n-1, *duration)
 	if addr := replicas[0].ObsAddr(); addr != "" {
 		fmt.Printf("localnet: observability endpoint at http://%s/metrics (pprof under /debug/pprof/)\n", addr)
 	}

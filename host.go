@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"banyan/internal/blocktree"
 	"banyan/internal/crypto"
 	"banyan/internal/dissem"
 	"banyan/internal/membership"
@@ -59,12 +58,10 @@ func newHost(id types.ReplicaID, opts stack.Options, keyring *crypto.Keyring,
 			if st.Store != nil {
 				o.DissemStoreBytes.Set(st.Store.HeldBytes())
 			}
-			if v := st.Verifier; v != nil {
-				hits, misses := v.CacheStats()
-				o.VerifyCacheHits.Set(hits)
-				o.VerifyCacheMisses.Set(misses)
-				o.VerifySettledSkipped.Set(v.SettledSkipped())
-			}
+			hits, misses := st.Verifier.CacheStats()
+			o.VerifyCacheHits.Set(hits)
+			o.VerifyCacheMisses.Set(misses)
+			o.VerifySettledSkipped.Set(st.Verifier.SettledSkipped())
 		})
 	}
 	return h
@@ -78,20 +75,15 @@ func (h *host) build(tr node.Transport, commits chan<- node.CommitEvent, onFault
 	if err != nil {
 		return err
 	}
-	cfg := node.Config{
+	n, err := node.New(node.Config{
 		Engine:        st.Hosted,
 		Transport:     tr,
 		Commits:       commits,
 		OnFault:       onFault,
+		Preverifier:   st.Verifier,
 		VerifyWorkers: h.opts.Verify.Workers,
 		Obs:           h.surv.Obs,
-	}
-	if st.Verifier != nil {
-		// Assigned only when set: a typed nil inside the interface would
-		// dodge the node's nil check and panic on first use.
-		cfg.Preverifier = st.Verifier
-	}
-	n, err := node.New(cfg)
+	})
 	if err != nil {
 		if st.Recorder != nil {
 			st.Recorder.Close()
@@ -130,30 +122,17 @@ func (h *host) metrics() map[string]int64 {
 	return m
 }
 
-// members returns the current epoch's validator set, or nil when the
-// engine has no history (baseline protocols). The History handle is fixed
-// at engine construction and internally synchronized, so reading it while
-// the node loop owns the engine is safe.
+// members returns the current epoch's validator set. The History handle
+// is fixed at engine construction and internally synchronized, so reading
+// it while the node loop owns the engine is safe.
 func (h *host) members() *membership.ValidatorSet {
-	e, ok := h.stack().Engine.(interface{ History() *membership.History })
-	if !ok {
-		return nil
-	}
-	return e.History().Current()
+	return h.stack().Engine.History().Current()
 }
 
-func (h *host) epoch() uint32 {
-	if set := h.members(); set != nil {
-		return set.Epoch()
-	}
-	return 0
-}
+func (h *host) epoch() uint32 { return h.members().Epoch() }
 
 func (h *host) memberIDs() []int {
 	set := h.members()
-	if set == nil {
-		return nil
-	}
 	out := make([]int, set.Size())
 	for i, m := range set.Members() {
 		out[i] = int(m)
@@ -162,14 +141,9 @@ func (h *host) memberIDs() []int {
 }
 
 // finalizedChain returns the engine's finalized block IDs (hex, round
-// order), or nil for an engine without a block tree. The engine must be at
-// rest.
+// order). The engine must be at rest.
 func (h *host) finalizedChain() []string {
-	treed, ok := h.stack().Engine.(interface{ Tree() *blocktree.Tree })
-	if !ok {
-		return nil
-	}
-	ids := treed.Tree().FinalizedChain()
+	ids := h.stack().Engine.Tree().FinalizedChain()
 	out := make([]string, len(ids))
 	for i, id := range ids {
 		out[i] = id.String()
@@ -196,13 +170,7 @@ func (h *host) configChange(op types.ConfigOp, id int) (types.ConfigChange, erro
 // time it leads a round it attaches the change to its proposal, and the
 // slot clears when its engine observes the change finalized — whoever
 // proposed it.
-func (h *host) propose(change types.ConfigChange) error {
-	if h.surv.Reconfig == nil {
-		return fmt.Errorf("banyan: reconfiguration requires a Banyan protocol, got %q", h.opts.Protocol)
-	}
-	h.surv.Reconfig.Propose(change)
-	return nil
-}
+func (h *host) propose(change types.ConfigChange) { h.surv.Reconfig.Propose(change) }
 
 // pump converts the host's node commit events into the public Commit
 // stream until done closes; it closes out on return.

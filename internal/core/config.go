@@ -46,11 +46,6 @@ type Config struct {
 	// of every identity the deployment may ever admit, so joiners can
 	// speak (state sync, batch fetch) before their first epoch as voters.
 	Keyring *crypto.Keyring
-	// History is the epoch sequence this engine consults for quorums,
-	// leader schedules, and certificate verification. Nil builds a
-	// single-epoch history from Params and Keyring: members 0..n-1, which
-	// is the pre-reconfiguration behaviour.
-	History *membership.History
 	// Reconfig, when set, is the host's hand-off slot for validator-set
 	// changes: the engine attaches the pending change to its next
 	// proposal and clears the slot when it observes the change finalized.
@@ -106,11 +101,6 @@ type Config struct {
 	// below its window; peers that far behind recover via snapshot state
 	// sync, which this option therefore depends on for cluster liveness.
 	DeepPrune bool
-	// StateSyncStalls is how many consecutive sync stalls on the first
-	// missing round (an unserveable prefix: no peer holds it) escalate to a
-	// snapshot fetch. Zero selects the default; negative disables
-	// escalation, leaving only chain-suffix sync.
-	StateSyncStalls int
 	// Dissem, when set, decouples payload dissemination from ordering: the
 	// store becomes the engine's PayloadSource (proposals commit batch
 	// digests instead of bytes; Payloads is overridden), batch bodies are
@@ -129,9 +119,12 @@ type Config struct {
 }
 
 const (
-	defaultPruneInterval   = 64
-	defaultPruneKeep       = 16
-	defaultStateSyncStalls = 3
+	defaultPruneInterval = 64
+	defaultPruneKeep     = 16
+	// stateSyncStalls is how many consecutive sync stalls on the first
+	// missing round (an unserveable prefix: no peer holds it) escalate to a
+	// snapshot fetch.
+	stateSyncStalls = 3
 )
 
 func (c *Config) validate() error {
@@ -157,25 +150,6 @@ func (c *Config) validate() error {
 	if c.Delta <= 0 {
 		return errors.New("core: Delta must be positive")
 	}
-	if c.History == nil {
-		members := make([]types.ReplicaID, c.Params.N)
-		keys := make([][]byte, c.Params.N)
-		for i := range members {
-			members[i] = types.ReplicaID(i)
-			keys[i] = c.Keyring.PublicKey(types.ReplicaID(i))
-		}
-		genesis, err := membership.New(0, 0, members, keys, c.Params.F, c.Params.P)
-		if err != nil {
-			return fmt.Errorf("core: building genesis validator set: %w", err)
-		}
-		c.History, err = membership.NewHistory(genesis)
-		if err != nil {
-			return err
-		}
-	}
-	if g := c.History.Genesis(); g.Size() != c.Params.N || g.Params() != c.Params {
-		return fmt.Errorf("core: genesis set %v disagrees with params %v", g.Params(), c.Params)
-	}
 	if c.Verifier == nil {
 		c.Verifier = crypto.NewVerifier(c.Keyring, crypto.VerifyConfig{})
 	}
@@ -191,8 +165,22 @@ func (c *Config) validate() error {
 	if c.PruneKeep == 0 {
 		c.PruneKeep = defaultPruneKeep
 	}
-	if c.StateSyncStalls == 0 {
-		c.StateSyncStalls = defaultStateSyncStalls
-	}
 	return nil
+}
+
+// genesisHistory builds the epoch sequence an engine starts from: a single
+// epoch of members 0..n-1 with the keys the keyring holds for them.
+// Reconfiguration grows it from there.
+func (c *Config) genesisHistory() (*membership.History, error) {
+	members := make([]types.ReplicaID, c.Params.N)
+	keys := make([][]byte, c.Params.N)
+	for i := range members {
+		members[i] = types.ReplicaID(i)
+		keys[i] = c.Keyring.PublicKey(types.ReplicaID(i))
+	}
+	genesis, err := membership.New(0, 0, members, keys, c.Params.F, c.Params.P)
+	if err != nil {
+		return nil, fmt.Errorf("core: building genesis validator set: %w", err)
+	}
+	return membership.NewHistory(genesis)
 }

@@ -20,11 +20,11 @@ type Engine struct {
 	cfg  Config
 	tree *blocktree.Tree
 
-	// history is the epoch-scoped validator-set sequence (Config.History):
-	// every quorum size, leader rank, and certificate check consults the
-	// set in effect at the relevant round. It grows only when a
-	// ConfigChange block finalizes (applyChanges) or a verified
-	// snapshot/checkpoint restores a longer prefix.
+	// history is the epoch-scoped validator-set sequence, starting from
+	// the genesis set: every quorum size, leader rank, and certificate
+	// check consults the set in effect at the relevant round. It grows
+	// only when a ConfigChange block finalizes (applyChanges) or a
+	// verified snapshot/checkpoint restores a longer prefix.
 	history *membership.History
 
 	round  types.Round // current round k
@@ -172,9 +172,13 @@ func New(cfg Config) (*Engine, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	history, err := cfg.genesisHistory()
+	if err != nil {
+		return nil, err
+	}
 	e := &Engine{
 		cfg:           cfg,
-		history:       cfg.History,
+		history:       history,
 		tree:          blocktree.New(),
 		rounds:        make(map[types.Round]*roundState),
 		extFinal:      make(map[types.Round]*types.Certificate),
@@ -452,7 +456,7 @@ func (e *Engine) settled(r types.Round) bool {
 // Settled reports whether HandleMessage would ignore msg outright because
 // every vote, certificate and unlock proof it carries is for a settled
 // round, or it is a header relay for one. The WAL recorder asks before
-// journaling an inbound message (wal.SettledFilter): what the engine
+// journaling an inbound message (wal.Engine.Settled): what the engine
 // ignores, replay does not need.
 func (e *Engine) Settled(msg types.Message) bool {
 	switch m := msg.(type) {
@@ -841,7 +845,7 @@ func (e *Engine) tryJump(now time.Time, acts []protocol.Action) (bool, []protoco
 // When the stall is pinned at the first missing round — the prefix itself
 // is unserveable because every peer has pruned past it (fresh join, disk
 // loss, deep-pruned cluster) — suffix requests can never make progress;
-// after StateSyncStalls consecutive prefix stalls the engine escalates to
+// after stateSyncStalls consecutive prefix stalls the engine escalates to
 // a snapshot fetch (beginFetch) and the suffix subprotocol stands down
 // until the fetch resolves.
 func (e *Engine) maybeSync(now time.Time, acts []protocol.Action) []protocol.Action {
@@ -922,7 +926,7 @@ func (e *Engine) maybeSync(now time.Time, acts []protocol.Action) []protocol.Act
 			e.syncStalls = 0
 			e.prefixStalls = 0
 		}
-		if e.cfg.StateSyncStalls > 0 && e.prefixStalls >= e.cfg.StateSyncStalls {
+		if e.prefixStalls >= stateSyncStalls {
 			e.prefixStalls = 0
 			e.beginFetch()
 			return acts

@@ -7,7 +7,7 @@ import (
 	"banyan/internal/types"
 )
 
-// WAL replay (the wal.Replayer contract). A restarted replica rebuilds
+// WAL replay (the wal.Engine contract). A restarted replica rebuilds
 // its state by re-running the journaled message sequence through the
 // normal ingestion paths — signatures are re-verified, certificates
 // re-form from the replayed vote ledgers, finalizations re-commit the

@@ -47,52 +47,12 @@ func stallOnce(r *rig) {
 		protocol.TimerID{Round: r.eng.Round(), Kind: protocol.TimerResend}, r.now)...)
 }
 
-// TestUnserveablePrefixLivelock is the regression test for the catch-up
-// hole this package fixes: with snapshot escalation disabled
-// (StateSyncStalls < 0, the pre-fix behaviour), a fresh replica facing
-// peers that hold only a finalized window re-requests the same
-// unserveable prefix forever and never finalizes anything.
-func TestUnserveablePrefixLivelock(t *testing.T) {
-	server := newWindowServer(t, 30)
-	bc := mustBeacon(t, 4)
-	fresh := newRig(t, p411, bc.ReplicaAt(1, 3), func(cfg *Config) {
-		cfg.StateSyncStalls = -1
-	})
-
-	fresh.clearActs()
-	fresh.deliver(server.eng.ID(), &types.CertMsg{Cert: server.eng.latestFinal})
-	for i := 0; i < 12; i++ {
-		// Route every sync request to the window server; it must not be
-		// able to serve any of them.
-		for _, s := range sends[*types.SyncRequest](fresh) {
-			req := s.Msg.(*types.SyncRequest)
-			if req.From != 1 {
-				t.Fatalf("iteration %d: request From=%d; the stall loop must re-ask the prefix", i, req.From)
-			}
-			for _, a := range server.eng.HandleMessage(fresh.eng.ID(), req, server.now) {
-				if _, ok := a.(protocol.Send); ok {
-					t.Fatal("deep-pruned server served the prefix")
-				}
-			}
-		}
-		fresh.clearActs()
-		stallOnce(fresh)
-	}
-	if len(sends[*types.SnapshotRequest](fresh)) != 0 {
-		t.Fatal("escalation disabled but a snapshot request was sent")
-	}
-	if fin := fresh.eng.Tree().FinalizedRound(); fin != 0 {
-		t.Fatalf("finalized %d rounds; the pre-fix livelock should finalize none", fin)
-	}
-	if fresh.eng.Round() != 1 {
-		t.Fatalf("round advanced to %d during livelock", fresh.eng.Round())
-	}
-}
-
-// TestSnapshotFetchRecoversFreshReplica is the post-fix half of the
-// regression: the same scenario escalates to a snapshot fetch after
-// StateSyncStalls prefix stalls, adopts the server's window through the
-// quorum-cert trust gate, commits it, and jumps to the live round.
+// TestSnapshotFetchRecoversFreshReplica: a fresh replica facing peers
+// that hold only a finalized window cannot be served the prefix by
+// suffix sync, and would re-request it forever. After stateSyncStalls
+// prefix stalls it escalates to a snapshot fetch, adopts the server's
+// window through the quorum-cert trust gate, commits it, and jumps to the
+// live round.
 func TestSnapshotFetchRecoversFreshReplica(t *testing.T) {
 	server := newWindowServer(t, 30)
 	serverFin := server.eng.Tree().FinalizedRound()

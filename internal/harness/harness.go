@@ -6,6 +6,11 @@
 // at a non-faulty replica, latency variance, block intervals, and the
 // fast/slow path split (paper section 9.2).
 //
+// It is the one place that knows which engine runs: Banyan replicas are
+// assembled by internal/stack like every other host's, and the baselines
+// the paper compares against — ICC, HotStuff and Streamlet — are built
+// here and run only in simulation.
+//
 // The one fault it injects is the paper's: replicas crashed from the
 // start (Config.Crash, Figures 2 and 6d). Crash-restart, disk loss,
 // late joins and reconfiguration are scenarios of their own, driven on
@@ -20,33 +25,76 @@ import (
 	"fmt"
 	"time"
 
+	"banyan/internal/beacon"
+	"banyan/internal/crypto"
+	"banyan/internal/hotstuff"
+	"banyan/internal/icc"
 	"banyan/internal/mempool"
 	"banyan/internal/metrics"
 	"banyan/internal/protocol"
 	"banyan/internal/simnet"
 	"banyan/internal/stack"
+	"banyan/internal/streamlet"
 	"banyan/internal/types"
 	"banyan/internal/wan"
 )
 
 // Protocol selects the consensus engine under test.
-type Protocol = stack.Protocol
+type Protocol string
 
-// The four protocols of the paper's evaluation, plus the fast-path-ablated
-// Banyan variant.
+// The four protocols of the paper's evaluation, plus Banyan with the fast
+// path disabled (the ablation).
 const (
-	Banyan       = stack.Banyan
-	BanyanNoFast = stack.BanyanNoFast
-	ICC          = stack.ICC
-	HotStuff     = stack.HotStuff
-	Streamlet    = stack.Streamlet
+	Banyan       Protocol = "banyan"
+	BanyanNoFast Protocol = "banyan-nofast"
+	ICC          Protocol = "icc"
+	HotStuff     Protocol = "hotstuff"
+	Streamlet    Protocol = "streamlet"
 )
+
+// IsBanyan reports whether p runs the Banyan core engine, assembled by
+// internal/stack. The baselines are single-epoch, inline-payload engines.
+func (p Protocol) IsBanyan() bool { return p == Banyan || p == BanyanNoFast }
 
 // Protocols lists the paper's four evaluated protocols in report order.
 func Protocols() []Protocol { return []Protocol{Banyan, ICC, HotStuff, Streamlet} }
 
+// Params validates and normalizes (n, f, p) for a protocol: Banyan
+// enforces n >= max(3f+2p-1, 3f+1) with 1 <= p <= f; the baselines
+// enforce n >= 3f+1.
+func Params(proto Protocol, n, f, p int) (types.Params, error) {
+	switch proto {
+	case Banyan, BanyanNoFast:
+		pr := types.Params{N: n, F: f, P: p}
+		if err := pr.Validate(); err != nil {
+			return types.Params{}, err
+		}
+		if p < 1 && proto == Banyan {
+			return types.Params{}, fmt.Errorf("banyan: p must be at least 1")
+		}
+		return pr, nil
+	case ICC, HotStuff, Streamlet:
+		if n < 3*f+1 {
+			return types.Params{}, fmt.Errorf("banyan: n = %d below 3f+1 for f = %d", n, f)
+		}
+		return types.Params{N: n, F: f}, nil
+	default:
+		return types.Params{}, fmt.Errorf("banyan: unknown protocol %q", proto)
+	}
+}
+
+// DefaultParams picks the largest tolerable f for n replicas: for Banyan
+// the largest f compatible with the given p; for baselines f = (n-1)/3.
+func DefaultParams(proto Protocol, n, p int) (types.Params, error) {
+	if !proto.IsBanyan() {
+		return types.Params{N: n, F: types.MaxFaultyFor(n)}, nil
+	}
+	return types.BanyanParams(n, max(p, 1))
+}
+
 // Config describes one experiment run.
 type Config struct {
+	// Protocol selects the engine; empty picks Banyan.
 	Protocol Protocol
 	// Params carries n, f and (for Banyan) p.
 	Params types.Params
@@ -237,21 +285,17 @@ func (c *Config) fill() error {
 // Options is the one mapping from a filled Config to the stack's options
 // (see banyan.ClusterConfig.options; exported so the root package's
 // reflection test checks all three mappings in one place); the
-// simulation's own fields — the topology, link and receiver models, run
-// length and crashed replicas — are read by Run.
+// simulation's own fields — which engine runs, the topology, link and
+// receiver models, run length and crashed replicas — are read by Run.
+// Of the protocol, the stack learns only whether Banyan runs without its
+// fast path.
 func (c Config) Options() stack.Options {
 	o := stack.Options{
-		Protocol: c.Protocol,
-		N:        c.Params.N,
-		F:        c.Params.F,
-		P:        c.Params.P,
-		Delta:    c.Delta,
-		// Streamlet is clocked on the pessimistic synchrony bound Δ rather
-		// than actual delays (it is not optimistically responsive), so its
-		// epoch gets the protocol-prescribed 2Δ with Δ set to twice the
-		// measured bound — the safety margin any real deployment needs for
-		// a parameter that, if undershot, halts progress.
-		EpochDuration:       4 * c.Delta,
+		N:                   c.Params.N,
+		F:                   c.Params.F,
+		P:                   c.Params.P,
+		Delta:               c.Delta,
+		DisableFastPath:     c.Protocol == BanyanNoFast,
 		BlockBytes:          c.BlockSize,
 		Scheme:              c.Scheme,
 		Seed:                c.Seed,
@@ -272,25 +316,18 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	opts, err := cfg.Options().Fill()
+	var (
+		engines   []protocol.Engine
+		survivors []stack.Survivors
+		err       error
+	)
+	if cfg.Protocol == "" || cfg.Protocol.IsBanyan() {
+		engines, survivors, err = cfg.banyan()
+	} else {
+		engines, err = cfg.baseline()
+	}
 	if err != nil {
 		return nil, err
-	}
-	keyring, signers, err := opts.Keys()
-	if err != nil {
-		return nil, err
-	}
-	survivors := make([]stack.Survivors, opts.N)
-	engines := make([]protocol.Engine, opts.N)
-	for i := range engines {
-		id := types.ReplicaID(i)
-		src := mempool.NewSynthetic(cfg.BlockSize, cfg.Seed^uint64(i)<<32, false)
-		survivors[i] = opts.NewSurvivors(keyring, signers[i], src, "", nil)
-		st, err := stack.Build(id, opts, survivors[i])
-		if err != nil {
-			return nil, err
-		}
-		engines[i] = st.Hosted
 	}
 
 	// The observer is the lowest-ID replica that is up.
@@ -424,6 +461,110 @@ func Run(cfg Config) (*Result, error) {
 		return res, fmt.Errorf("harness: safety faults: %v", faultErrors)
 	}
 	return res, nil
+}
+
+// payloads is replica i's synthetic payload source.
+func (c Config) payloads(i int) *mempool.Synthetic {
+	return mempool.NewSynthetic(c.BlockSize, c.Seed^uint64(i)<<32, false)
+}
+
+// banyan assembles the cluster through the replica stack, as every other
+// host does.
+func (c Config) banyan() ([]protocol.Engine, []stack.Survivors, error) {
+	opts, err := c.Options().Fill()
+	if err != nil {
+		return nil, nil, err
+	}
+	keyring, signers, err := opts.Keys()
+	if err != nil {
+		return nil, nil, err
+	}
+	survivors := make([]stack.Survivors, opts.N)
+	engines := make([]protocol.Engine, opts.N)
+	for i := range engines {
+		survivors[i] = opts.NewSurvivors(keyring, signers[i], c.payloads(i), "", nil)
+		st, err := stack.Build(types.ReplicaID(i), opts, survivors[i])
+		if err != nil {
+			return nil, nil, err
+		}
+		engines[i] = st.Hosted
+	}
+	return engines, survivors, nil
+}
+
+// baseline assembles a cluster of one of the paper's baselines. They take
+// their leader schedule as a round-robin beacon — Banyan's is its
+// validator set, which rotates the same way — and have no verification
+// pipeline, dissemination, log or observer.
+func (c Config) baseline() ([]protocol.Engine, error) {
+	if c.Dissem {
+		return nil, fmt.Errorf("banyan: Dissem requires a Banyan protocol, got %q", c.Protocol)
+	}
+	f := c.Params.F
+	if f == 0 {
+		f = types.MaxFaultyFor(c.Params.N)
+	}
+	params, err := Params(c.Protocol, c.Params.N, f, 0)
+	if err != nil {
+		return nil, err
+	}
+	scheme, err := crypto.SchemeByName(c.Options().Scheme)
+	if err != nil {
+		return nil, err
+	}
+	keyring, signers := crypto.GenerateCluster(scheme, params.N, c.Seed)
+	bc, err := beacon.NewRoundRobin(params.N)
+	if err != nil {
+		return nil, err
+	}
+	engines := make([]protocol.Engine, params.N)
+	for i := range engines {
+		id := types.ReplicaID(i)
+		switch c.Protocol {
+		case ICC:
+			engines[i], err = icc.New(icc.Config{
+				Params:            params,
+				Self:              id,
+				Keyring:           keyring,
+				Signer:            signers[i],
+				Beacon:            bc,
+				Payloads:          c.payloads(i),
+				Delta:             c.Delta,
+				DisableForwarding: c.NoForwarding,
+			})
+		case HotStuff:
+			engines[i], err = hotstuff.New(hotstuff.Config{
+				Params:   params,
+				Self:     id,
+				Keyring:  keyring,
+				Signer:   signers[i],
+				Beacon:   bc,
+				Payloads: c.payloads(i),
+				// Generous enough that the happy path never times out.
+				ViewTimeout: 6 * c.Delta,
+			})
+		case Streamlet:
+			engines[i], err = streamlet.New(streamlet.Config{
+				Params:   params,
+				Self:     id,
+				Keyring:  keyring,
+				Signer:   signers[i],
+				Beacon:   bc,
+				Payloads: c.payloads(i),
+				// Streamlet is clocked on the pessimistic synchrony bound Δ
+				// rather than actual delays (it is not optimistically
+				// responsive), so its epoch gets the protocol-prescribed 2Δ
+				// with Δ set to twice the measured bound — the safety margin
+				// any real deployment needs for a parameter that, if
+				// undershot, halts progress.
+				EpochDuration: 4 * c.Delta,
+			})
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return engines, nil
 }
 
 // mergeStages folds every replica's stage histograms into one summary

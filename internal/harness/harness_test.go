@@ -62,6 +62,55 @@ func TestHeadlineShape(t *testing.T) {
 	}
 }
 
+// TestProtocolRunsPinned pins a short run of each of the five protocols —
+// Banyan through the replica stack, the fast-path ablation through the
+// same stack, and the three baselines built here — to its latency,
+// block, message and byte counts. Any change to how an engine is
+// assembled or configured moves one of them. A baseline with
+// dissemination is refused: only the Banyan engine has the layer.
+func TestProtocolRunsPinned(t *testing.T) {
+	topo, err := wan.FourGlobal4()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []struct {
+		proto                     Protocol
+		p50, p95                  time.Duration
+		blocks, messages, msgByte int64
+	}{
+		{Banyan, 116381506, 125673950, 43, 2181, 10171677},
+		{BanyanNoFast, 170129544, 172663730, 44, 2904, 10039818},
+		{ICC, 171043667, 173404418, 43, 2874, 38335938},
+		{HotStuff, 313111099, 358024813, 50, 334, 11065855},
+		{Streamlet, 455443274, 503605710, 12, 210, 2770278},
+	} {
+		res, err := Run(Config{
+			Protocol:   want.proto,
+			Params:     ParamsFor(want.proto, 4, 1, 1),
+			Topology:   topo,
+			BlockSize:  64 << 10,
+			Duration:   5 * time.Second,
+			Seed:       1,
+			JitterFrac: 0.05,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", want.proto, err)
+		}
+		if res.Latency.P50 != want.p50 || res.Latency.P95 != want.p95 || res.BlocksCommitted != want.blocks ||
+			res.Messages != want.messages || res.MessageBytes != want.msgByte {
+			t.Errorf("%s: p50 %d p95 %d, %d blocks, %d messages, %d bytes; want %d %d, %d, %d, %d",
+				want.proto, res.Latency.P50, res.Latency.P95, res.BlocksCommitted, res.Messages, res.MessageBytes,
+				want.p50, want.p95, want.blocks, want.messages, want.msgByte)
+		}
+	}
+
+	_, err = Run(Config{Protocol: ICC, Params: ParamsFor(ICC, 4, 1, 1), Topology: topo,
+		Duration: time.Second, Dissem: true})
+	if want := `banyan: Dissem requires a Banyan protocol, got "icc"`; err == nil || err.Error() != want {
+		t.Errorf("ICC with Dissem: error %v, want %q", err, want)
+	}
+}
+
 // TestCrashParityBanyanICC is Figure 6d's claim as an assertion: under
 // crash faults Banyan behaves exactly like ICC (no penalty for trying the
 // fast path).

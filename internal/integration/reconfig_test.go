@@ -73,19 +73,14 @@ func withReconfig(r *membership.Reconfigurator) func(*core.Config) {
 	return func(c *core.Config) { c.Reconfig = r }
 }
 
-// historyOf extracts the epoch history from a (possibly recorder-wrapped)
-// engine.
+// historyOf extracts the epoch history from a Banyan engine.
 func historyOf(t *testing.T, e protocol.Engine) *membership.History {
 	t.Helper()
-	h, ok := e.(interface{ History() *membership.History })
+	eng, ok := e.(*core.Engine)
 	if !ok {
-		t.Fatalf("engine %T does not expose History()", e)
+		t.Fatalf("engine %T is not a Banyan engine", e)
 	}
-	hist := h.History()
-	if hist == nil {
-		t.Fatalf("engine %T returned a nil History", e)
-	}
-	return hist
+	return eng.History()
 }
 
 // proposeToAll queues the change on every replica's reconfigurator:
@@ -380,10 +375,12 @@ func TestReconfigCrashRestartStraddle(t *testing.T) {
 	}
 	// The victim's reconfigurator outlives its engine rebuilds, like the
 	// host layers do, so a pending change survives the crash.
+	var victimEng *core.Engine
 	mkVictim := func() protocol.Engine {
+		victimEng = mkBanyan(t, params, keyring, signers, delta, victim, window, withReconfig(recfg[victim]))
 		rec, err := wal.NewRecorder(wal.RecorderConfig{
 			Dir:             dir,
-			Engine:          mkBanyan(t, params, keyring, signers, delta, victim, window, withReconfig(recfg[victim])),
+			Engine:          victimEng,
 			CheckpointEvery: 16,
 			Options:         wal.Options{Sync: wal.SyncPolicy{EveryRecord: true}},
 		})
@@ -430,7 +427,7 @@ func TestReconfigCrashRestartStraddle(t *testing.T) {
 	}
 	log.checkRoundConsistent(t)
 
-	hist := historyOf(t, net.Engine(victim))
+	hist := victimEng.History()
 	if hist.Len() != 2 {
 		t.Fatalf("victim history holds %d sets after straddling restarts, want 2 (metrics: %v)",
 			hist.Len(), net.Engine(victim).Metrics())

@@ -79,7 +79,7 @@ func window(cfg *core.Config) {
 
 func mkBanyan(t *testing.T, params types.Params, keyring *crypto.Keyring,
 	signers []*crypto.Signer, delta time.Duration,
-	id types.ReplicaID, opts ...func(*core.Config)) protocol.Engine {
+	id types.ReplicaID, opts ...func(*core.Config)) *core.Engine {
 	t.Helper()
 	cfg := core.Config{
 		Params:  params,

@@ -1,11 +1,13 @@
-// Package stack assembles one replica. The three hosts of this repository
-// — the in-process Cluster, the TCP Replica and the simulation harness —
-// differ in transport and clock only; the pipeline behind them (verifier →
-// dissemination store → engine → WAL recorder), the defaults of its knobs
-// and the rules for which knobs go together live here, once. A host maps
-// its public configuration to Options, fills them, provisions each
-// replica's Survivors and calls Build — again after a crash, with the same
-// Survivors, which is all a restart is.
+// Package stack assembles one Banyan replica. The three hosts of this
+// repository — the in-process Cluster, the TCP Replica and the simulation
+// harness — differ in transport and clock only; the pipeline behind them
+// (verifier → dissemination store → engine → WAL recorder), the defaults
+// of its knobs and the rules for which knobs go together live here, once.
+// A host maps its public configuration to Options, fills them, provisions
+// each replica's Survivors and calls Build — again after a crash, with the
+// same Survivors, which is all a restart is. The paper's baselines are not
+// built here: they run only in simulation, and internal/harness builds
+// them.
 package stack
 
 import (
@@ -13,109 +15,51 @@ import (
 	"path/filepath"
 	"time"
 
-	"banyan/internal/beacon"
 	"banyan/internal/core"
 	"banyan/internal/crypto"
 	"banyan/internal/dissem"
-	"banyan/internal/hotstuff"
-	"banyan/internal/icc"
 	"banyan/internal/membership"
 	"banyan/internal/mempool"
 	"banyan/internal/metrics"
 	"banyan/internal/obs"
 	"banyan/internal/protocol"
-	"banyan/internal/streamlet"
 	"banyan/internal/types"
 	"banyan/internal/wal"
 )
-
-// Protocol selects a consensus engine.
-type Protocol string
-
-// The four protocols of the paper's evaluation, plus Banyan with the fast
-// path disabled (the ablation).
-const (
-	Banyan       Protocol = "banyan"
-	BanyanNoFast Protocol = "banyan-nofast"
-	ICC          Protocol = "icc"
-	HotStuff     Protocol = "hotstuff"
-	Streamlet    Protocol = "streamlet"
-)
-
-// IsBanyan reports whether p runs the Banyan core engine — the one with a
-// verification pipeline, dissemination, epochs, checkpoints and replay.
-// The baselines are single-epoch, inline-payload engines.
-func (p Protocol) IsBanyan() bool { return p == Banyan || p == BanyanNoFast }
-
-// Params validates and normalizes (n, f, p) for a protocol: Banyan
-// enforces n >= max(3f+2p-1, 3f+1) with 1 <= p <= f; the baselines
-// enforce n >= 3f+1.
-func Params(proto Protocol, n, f, p int) (types.Params, error) {
-	switch proto {
-	case Banyan, BanyanNoFast:
-		pr := types.Params{N: n, F: f, P: p}
-		if err := pr.Validate(); err != nil {
-			return types.Params{}, err
-		}
-		if p < 1 && proto == Banyan {
-			return types.Params{}, fmt.Errorf("banyan: p must be at least 1")
-		}
-		return pr, nil
-	case ICC, HotStuff, Streamlet:
-		if n < 3*f+1 {
-			return types.Params{}, fmt.Errorf("banyan: n = %d below 3f+1 for f = %d", n, f)
-		}
-		return types.Params{N: n, F: f}, nil
-	default:
-		return types.Params{}, fmt.Errorf("banyan: unknown protocol %q", proto)
-	}
-}
-
-// DefaultParams picks the largest tolerable f for n replicas: for Banyan
-// the largest f compatible with the given p; for baselines f = (n-1)/3.
-func DefaultParams(proto Protocol, n, p int) (types.Params, error) {
-	if !proto.IsBanyan() {
-		return types.Params{N: n, F: types.MaxFaultyFor(n)}, nil
-	}
-	if p < 1 {
-		p = 1
-	}
-	return types.BanyanParams(n, p)
-}
 
 // Options are the knobs every host shares. The zero value of a field
 // selects its default (Fill); Delta, Scheme and the payload source have
 // per-host defaults and are the host's to set.
 type Options struct {
-	// Protocol selects the engine; empty picks Banyan.
-	Protocol Protocol
-	// N, F, P are the genesis fault parameters: F = 0 picks the maximum
-	// for N, P = 0 picks 1 (see Params).
+	// N, F, P are the genesis fault parameters, which must satisfy
+	// n >= max(3f+2p-1, 3f+1): F = 0 picks the maximum for N and P, P = 0
+	// picks 1.
 	N, F, P int
 	// MaxN is the number of identities provisioned with keys; zero means
-	// N. Identities in [N, MaxN) join by reconfiguration (Banyan only).
+	// N. Identities in [N, MaxN) join by reconfiguration.
 	MaxN int
 	// Delta is the message-delay bound Δ. Required.
 	Delta time.Duration
-	// ViewTimeout is HotStuff's pacemaker timeout (0 = 6Δ) and
-	// EpochDuration Streamlet's epoch length (0 = 2Δ).
-	ViewTimeout, EpochDuration time.Duration
+	// DisableFastPath runs the engine without fast votes
+	// (core.Config.DisableFastPath): the fast-path ablation, which only the
+	// simulation harness asks for.
+	DisableFastPath bool
 	// BlockBytes caps one proposal's payload (0 = 1 MiB).
 	BlockBytes int
 	// Scheme and Seed derive the shared demo PKI (Keys).
 	Scheme string
 	Seed   uint64
-	// Verify sizes the Banyan verification pipeline.
+	// Verify sizes the verification pipeline.
 	Verify crypto.VerifyConfig
-	// NoForwarding disables the line-35 relay in the Banyan/ICC engines.
+	// NoForwarding disables the line-35 relay.
 	NoForwarding bool
 	// OptimisticProposals, DeepPrune, PruneKeep and PruneInterval are the
 	// core.Config fields of the same names.
 	OptimisticProposals      bool
 	DeepPrune                bool
 	PruneKeep, PruneInterval types.Round
-	// Dissem routes payloads through the dissemination layer (Banyan
-	// only); DissemBatchBytes is the batch cut size (0 = 64 KiB) and
+	// Dissem routes payloads through the dissemination layer;
+	// DissemBatchBytes is the batch cut size (0 = 64 KiB) and
 	// DissemInlineMax the inline tail bound.
 	Dissem                            bool
 	DissemBatchBytes, DissemInlineMax int
@@ -142,18 +86,15 @@ func (o Options) Fill() (Options, error) {
 	if o.N <= 0 {
 		return o, fmt.Errorf("banyan: need N > 0")
 	}
-	if o.Protocol == "" {
-		o.Protocol = Banyan
-	}
 	if o.P == 0 {
 		o.P = 1
 	}
-	var params types.Params
+	params := types.Params{N: o.N, F: o.F, P: o.P}
 	var err error
 	if o.F == 0 {
-		params, err = DefaultParams(o.Protocol, o.N, o.P)
+		params, err = types.BanyanParams(o.N, max(o.P, 1))
 	} else {
-		params, err = Params(o.Protocol, o.N, o.F, o.P)
+		err = params.Validate()
 	}
 	if err != nil {
 		return o, err
@@ -165,21 +106,8 @@ func (o Options) Fill() (Options, error) {
 	if o.MaxN < o.N {
 		return o, fmt.Errorf("banyan: MaxN %d below N %d", o.MaxN, o.N)
 	}
-	if o.MaxN > o.N && !o.Protocol.IsBanyan() {
-		return o, fmt.Errorf("banyan: MaxN requires a Banyan protocol, got %q", o.Protocol)
-	}
-	if o.Dissem && !o.Protocol.IsBanyan() {
-		return o, fmt.Errorf("banyan: Dissem requires a Banyan protocol, got %q", o.Protocol)
-	}
 	if o.Delta <= 0 {
 		return o, fmt.Errorf("banyan: Delta must be positive")
-	}
-	if o.ViewTimeout == 0 {
-		// Generous enough that the happy path never times out.
-		o.ViewTimeout = 6 * o.Delta
-	}
-	if o.EpochDuration == 0 {
-		o.EpochDuration = 2 * o.Delta
 	}
 	if o.BlockBytes <= 0 {
 		o.BlockBytes = 1 << 20
@@ -243,20 +171,18 @@ type Survivors struct {
 	Signer   *crypto.Signer
 	Payloads Source
 	// WALDir is this replica's own log directory; empty runs without one.
-	WALDir string
-	// Reconfig is nil for the baseline protocols, Obs without Options.Obs.
+	WALDir   string
 	Reconfig *membership.Reconfigurator
-	Obs      *obs.Observer
+	// Obs is nil without Options.Obs.
+	Obs *obs.Observer
 }
 
 // NewSurvivors provisions a replica's survivors from filled options. reg,
 // when non-nil, is the registry the observer registers its instruments in.
 func (o Options) NewSurvivors(keyring *crypto.Keyring, signer *crypto.Signer,
 	payloads Source, walDir string, reg *metrics.Registry) Survivors {
-	s := Survivors{Keyring: keyring, Signer: signer, Payloads: payloads, WALDir: walDir}
-	if o.Protocol.IsBanyan() {
-		s.Reconfig = &membership.Reconfigurator{}
-	}
+	s := Survivors{Keyring: keyring, Signer: signer, Payloads: payloads, WALDir: walDir,
+		Reconfig: &membership.Reconfigurator{}}
 	if o.Obs {
 		s.Obs = obs.New(obs.Options{Registry: reg, TraceEvents: o.ObsTraceEvents})
 	}
@@ -269,10 +195,9 @@ type Stack struct {
 	// Engine otherwise.
 	Hosted protocol.Engine
 	// Engine is the bare consensus engine.
-	Engine protocol.Engine
+	Engine *core.Engine
 	// Verifier is the verification pipeline shared by the engine and the
 	// host's preverification stage, so cache warm-ups reach the engine.
-	// Nil for the baselines, which verify through the keyring directly.
 	Verifier *crypto.Verifier
 	// Store is nil without Dissem. It is fresh per build: batch bodies are
 	// deliberately not journaled (the WAL holds the refs inside blocks), so
@@ -285,10 +210,7 @@ type Stack struct {
 
 // Build assembles replica self from filled options and its survivors.
 func Build(self types.ReplicaID, o Options, s Survivors) (*Stack, error) {
-	st := &Stack{}
-	if o.Protocol.IsBanyan() {
-		st.Verifier = crypto.NewVerifier(s.Keyring, o.Verify)
-	}
+	st := &Stack{Verifier: crypto.NewVerifier(s.Keyring, o.Verify)}
 	if o.Dissem {
 		st.Store = dissem.NewStore(dissem.Config{
 			Self:       self,
@@ -299,7 +221,24 @@ func Build(self types.ReplicaID, o Options, s Survivors) (*Stack, error) {
 			Source:     s.Payloads,
 		})
 	}
-	eng, err := newEngine(self, o, s, st)
+	eng, err := core.New(core.Config{
+		Params:              o.Params(),
+		Self:                self,
+		Keyring:             s.Keyring,
+		Verifier:            st.Verifier,
+		Signer:              s.Signer,
+		Payloads:            s.Payloads,
+		Delta:               o.Delta,
+		Reconfig:            s.Reconfig,
+		DisableFastPath:     o.DisableFastPath,
+		DisableForwarding:   o.NoForwarding,
+		OptimisticProposals: o.OptimisticProposals,
+		DeepPrune:           o.DeepPrune,
+		PruneKeep:           o.PruneKeep,
+		PruneInterval:       o.PruneInterval,
+		Dissem:              st.Store,
+		Obs:                 s.Obs,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -312,89 +251,15 @@ func Build(self types.ReplicaID, o Options, s Survivors) (*Stack, error) {
 		walOpts.FlushHist = s.Obs.WALFlush
 	}
 	st.Recorder, err = wal.NewRecorder(wal.RecorderConfig{
-		Dir:             s.WALDir,
-		Engine:          eng,
-		Options:         walOpts,
-		CheckpointEvery: checkpointEvery(eng, o.WALCheckpointRounds),
+		Dir:     s.WALDir,
+		Engine:  eng,
+		Options: walOpts,
+		// A negative cadence never checkpoints.
+		CheckpointEvery: types.Round(max(o.WALCheckpointRounds, 0)),
 	})
 	if err != nil {
 		return nil, err
 	}
 	st.Hosted = st.Recorder
 	return st, nil
-}
-
-// checkpointEvery gates the checkpoint cadence on the engine's capability:
-// only an engine that can summarize itself (protocol.Snapshotter — the
-// Banyan core engine) is checkpointed; the baselines run their log
-// append-only. Zero means never.
-func checkpointEvery(eng protocol.Engine, rounds int) types.Round {
-	if _, ok := eng.(protocol.Snapshotter); !ok || rounds < 0 {
-		return 0
-	}
-	return types.Round(rounds)
-}
-
-func newEngine(self types.ReplicaID, o Options, s Survivors, st *Stack) (protocol.Engine, error) {
-	if o.Protocol.IsBanyan() {
-		return core.New(core.Config{
-			Params:              o.Params(),
-			Self:                self,
-			Keyring:             s.Keyring,
-			Verifier:            st.Verifier,
-			Signer:              s.Signer,
-			Payloads:            s.Payloads,
-			Delta:               o.Delta,
-			Reconfig:            s.Reconfig,
-			DisableFastPath:     o.Protocol == BanyanNoFast,
-			DisableForwarding:   o.NoForwarding,
-			OptimisticProposals: o.OptimisticProposals,
-			DeepPrune:           o.DeepPrune,
-			PruneKeep:           o.PruneKeep,
-			PruneInterval:       o.PruneInterval,
-			Dissem:              st.Store,
-			Obs:                 s.Obs,
-		})
-	}
-	// The baselines take their leader schedule as a beacon; Banyan's is
-	// its validator set, which rotates the same way.
-	bc, err := beacon.NewRoundRobin(o.N)
-	if err != nil {
-		return nil, err
-	}
-	switch o.Protocol {
-	case ICC:
-		return icc.New(icc.Config{
-			Params:            o.Params(),
-			Self:              self,
-			Keyring:           s.Keyring,
-			Signer:            s.Signer,
-			Beacon:            bc,
-			Payloads:          s.Payloads,
-			Delta:             o.Delta,
-			DisableForwarding: o.NoForwarding,
-		})
-	case HotStuff:
-		return hotstuff.New(hotstuff.Config{
-			Params:      o.Params(),
-			Self:        self,
-			Keyring:     s.Keyring,
-			Signer:      s.Signer,
-			Beacon:      bc,
-			Payloads:    s.Payloads,
-			ViewTimeout: o.ViewTimeout,
-		})
-	case Streamlet:
-		return streamlet.New(streamlet.Config{
-			Params:        o.Params(),
-			Self:          self,
-			Keyring:       s.Keyring,
-			Signer:        s.Signer,
-			Beacon:        bc,
-			Payloads:      s.Payloads,
-			EpochDuration: o.EpochDuration,
-		})
-	default:
-		return nil, fmt.Errorf("banyan: unknown protocol %q", o.Protocol)
-	}
 }

@@ -47,7 +47,7 @@ func checkpointSimRun(t *testing.T, dir string, every types.Round, simFor time.D
 		engines[i] = mkCore(types.ReplicaID(i))
 	}
 	rec, err := NewRecorder(RecorderConfig{
-		Dir: dir, Engine: engines[0], CheckpointEvery: every,
+		Dir: dir, Engine: engines[0].(*core.Engine), CheckpointEvery: every,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -4,22 +4,23 @@ import (
 	"fmt"
 	"time"
 
-	"banyan/internal/membership"
 	"banyan/internal/protocol"
 	"banyan/internal/types"
 )
 
-// Replayer is the recovery contract an engine opts into. An engine that
-// implements it can be rebuilt from a WAL: the Recorder brackets a
-// replay with BeginReplay/EndReplay, feeds journaled peer messages back
-// through HandleMessage, and hands the replica's own journaled messages
-// to ReplayOwn so the engine restores its voting record (which blocks it
-// proposed, notarize-voted, fast-voted and finalize-voted for) without
-// signing anything new. Between the brackets the engine must not create
-// signatures — re-deciding a vote with post-crash timing is how a
-// restarted replica equivocates. internal/core implements it.
-type Replayer interface {
+// Engine is the engine a Recorder wraps: a protocol.Engine that can be
+// rebuilt from its journal. The Recorder brackets a replay with
+// BeginReplay/EndReplay, restores a checkpoint through RestoreSnapshot,
+// feeds journaled peer messages back through HandleMessage, and hands the
+// replica's own journaled messages to ReplayOwn so the engine restores its
+// voting record (which blocks it proposed, notarize-voted, fast-voted and
+// finalize-voted for) without signing anything new. Between the brackets
+// the engine must not create signatures — re-deciding a vote with
+// post-crash timing is how a restarted replica equivocates. The Banyan
+// core engine implements it.
+type Engine interface {
 	protocol.Engine
+	protocol.Snapshotter
 	// BeginReplay enters replay mode before Start is called.
 	BeginReplay()
 	// ReplayOwn ingests a message this replica itself sent pre-crash.
@@ -27,15 +28,11 @@ type Replayer interface {
 	// EndReplay leaves replay mode, re-arms timers for the recovered
 	// round, and returns the actions to resume live operation with.
 	EndReplay(now time.Time) []protocol.Action
-}
-
-// SettledFilter is the optional contract of an engine that ignores
-// traffic for rounds it has finalized and left. The Recorder asks it
-// before journaling an inbound message: a vote, certificate or Advance
-// the engine is about to drop unread changes no state, so replay does not
-// need it and the log does not pay for it. internal/core implements it.
-type SettledFilter interface {
-	// Settled reports whether HandleMessage will ignore msg as settled.
+	// Settled reports whether HandleMessage will ignore msg as settled:
+	// traffic for a round the engine has finalized and left. The Recorder
+	// asks before journaling an inbound message — a message the engine
+	// drops unread changes no state, so replay does not need it and the
+	// log does not pay for it.
 	Settled(msg types.Message) bool
 }
 
@@ -43,34 +40,18 @@ type SettledFilter interface {
 type RecorderConfig struct {
 	// Dir is the log directory (one per replica).
 	Dir string
-	// Engine is the wrapped consensus engine. Required. If it implements
-	// Replayer, a non-empty log is replayed on Start. An engine that does
-	// not is only accepted over an empty log (which it still records):
-	// NewRecorder refuses to reopen a non-empty log with it, because
-	// starting fresh would silently discard the journaled voting record
-	// while the network may still hold the pre-crash votes — the
-	// equivocation the WAL exists to prevent.
-	Engine protocol.Engine
+	// Engine is the wrapped consensus engine. Required. A non-empty log is
+	// replayed into it on Start.
+	Engine Engine
 	// Options tune the log (sync policy, segment size).
 	Options Options
-	// ContinueOnError keeps externalizing the replica's own signed
-	// messages after a WAL write error. By default the Recorder fails
-	// safe: once a record carrying this replica's signature cannot be
-	// made durable, the message is suppressed — never handed to the
-	// transport — and the replica goes silent (crash-faulty, which BFT
-	// tolerates) rather than voting without a journal and risking
-	// equivocation after a restart. Set ContinueOnError to trade that
-	// guarantee for availability on a dying disk; the error still
-	// surfaces through Err and the wal_errors metric either way.
-	ContinueOnError bool
 	// CheckpointEvery, when positive, checkpoints the log each time the
 	// finalized round advances by that many rounds: the engine's
 	// protocol.Snapshot is journaled, the log rotates, and the segments
 	// behind the checkpoint are deleted, bounding restart replay and disk
-	// usage by the checkpoint window instead of uptime. Requires an
-	// engine that implements protocol.Snapshotter (in addition to
-	// Replayer). Zero disables checkpointing; existing checkpoints in the
-	// log are still honored on recovery.
+	// usage by the checkpoint window instead of uptime. Zero disables
+	// checkpointing; existing checkpoints in the log are still honored on
+	// recovery.
 	CheckpointEvery types.Round
 }
 
@@ -81,11 +62,9 @@ type RecorderConfig struct {
 // outbound messages before the host's transport sends them, and commit
 // decisions as they are emitted.
 type Recorder struct {
-	eng           protocol.Engine
-	settled       SettledFilter // nil when the engine is not one
-	log           *Log
-	rec           *Recovery
-	continueOnErr bool
+	eng Engine
+	log *Log
+	rec *Recovery
 
 	// Checkpoint cadence: every checkpointEvery finalized rounds past
 	// lastCheckpoint (0 = disabled).
@@ -102,47 +81,16 @@ type Recorder struct {
 var _ protocol.Engine = (*Recorder)(nil)
 
 // NewRecorder opens (or reopens) the log and wraps the engine. Recovery
-// happens on Start. Reopening a non-empty log with an engine that
-// cannot replay it is refused (see RecorderConfig.Engine); the check
-// runs against a read-only scan before the log is opened, so a refusal
-// leaves the directory untouched — no repair, no fresh segment, and no
-// file growth when a supervisor retries the same misconfiguration.
+// happens on Start.
 func NewRecorder(cfg RecorderConfig) (*Recorder, error) {
-	_, canReplay := cfg.Engine.(Replayer)
-	_, canSnapshot := cfg.Engine.(protocol.Snapshotter)
-	if !canReplay || !canSnapshot {
-		records, checkpoints, err := probeDir(cfg.Dir)
-		if err != nil {
-			return nil, err
-		}
-		if records && !canReplay {
-			return nil, fmt.Errorf("wal: %s engine cannot replay the records journaled in %s "+
-				"(it does not implement wal.Replayer); restarting it fresh would discard the "+
-				"pre-crash voting record and risk equivocation — use an empty directory to start over",
-				cfg.Engine.Protocol(), cfg.Dir)
-		}
-		if checkpoints && !canSnapshot {
-			return nil, fmt.Errorf("wal: %s engine cannot restore the checkpoint journaled in %s "+
-				"(it does not implement protocol.Snapshotter); the records the checkpoint summarizes "+
-				"were truncated away, so replaying without it would lose the pre-crash voting record",
-				cfg.Engine.Protocol(), cfg.Dir)
-		}
-	}
-	if cfg.CheckpointEvery > 0 && !canSnapshot {
-		return nil, fmt.Errorf("wal: CheckpointEvery requires an engine implementing protocol.Snapshotter, %s does not",
-			cfg.Engine.Protocol())
-	}
 	log, rec, err := Open(cfg.Dir, cfg.Options)
 	if err != nil {
 		return nil, err
 	}
-	settled, _ := cfg.Engine.(SettledFilter)
-	r := &Recorder{eng: cfg.Engine, settled: settled, log: log, rec: rec,
-		continueOnErr:   cfg.ContinueOnError,
+	return &Recorder{eng: cfg.Engine, log: log, rec: rec,
 		checkpointEvery: cfg.CheckpointEvery,
 		replaySkipped:   int64(rec.Skipped),
-	}
-	return r, nil
+	}, nil
 }
 
 // Recovered reports what Open found on disk (records are released after
@@ -152,16 +100,6 @@ func (r *Recorder) Recovered() Recovery { return *r.rec }
 // Log exposes the underlying log (for Sync in tests and benchmarks).
 func (r *Recorder) Log() *Log { return r.log }
 
-// History forwards to the hosted engine's validator-set history when it
-// has one (the Banyan core engine), nil otherwise — so hosts that probe
-// engines for epoch state see through the recorder wrapper.
-func (r *Recorder) History() *membership.History {
-	if h, ok := r.eng.(interface{ History() *membership.History }); ok {
-		return h.History()
-	}
-	return nil
-}
-
 // ID implements protocol.Engine.
 func (r *Recorder) ID() types.ReplicaID { return r.eng.ID() }
 
@@ -169,11 +107,11 @@ func (r *Recorder) ID() types.ReplicaID { return r.eng.ID() }
 func (r *Recorder) Protocol() string { return r.eng.Protocol() }
 
 // Start implements protocol.Engine. With an empty log it is a plain
-// recorded Start. With journaled records and a Replayer engine it
-// replays: peer messages re-enter HandleMessage (signatures re-verified,
-// certificates re-formed, commits re-derived), own messages restore the
-// voting record, and the host receives the recovered chain as ordinary
-// Commit actions followed by the actions that resume live operation.
+// recorded Start. With journaled records it replays: peer messages
+// re-enter HandleMessage (signatures re-verified, certificates re-formed,
+// commits re-derived), own messages restore the voting record, and the
+// host receives the recovered chain as ordinary Commit actions followed
+// by the actions that resume live operation.
 //
 // When the log was checkpointed, replay is two-phase: the checkpoint's
 // snapshot re-anchors the block tree and its own-message bundle restores
@@ -184,18 +122,14 @@ func (r *Recorder) Protocol() string { return r.eng.Protocol() }
 func (r *Recorder) Start(now time.Time) []protocol.Action {
 	records := r.rec.Records
 	r.rec.Records = nil
-	rep, canReplay := r.eng.(Replayer)
-	if len(records) == 0 || !canReplay {
+	if len(records) == 0 {
 		return r.record(r.eng.Start(now))
 	}
-	rep.BeginReplay()
-	acts := keepReplayActions(nil, rep.Start(now))
+	r.eng.BeginReplay()
+	acts := keepReplayActions(nil, r.eng.Start(now))
 	if records[0].Kind == KindCheckpoint {
 		snap := records[0].Snapshot
-		// NewRecorder refuses checkpointed logs unless the engine is a
-		// Snapshotter, so the assertion cannot fail here.
-		sn := r.eng.(protocol.Snapshotter)
-		if err := sn.RestoreSnapshot(snap); err != nil {
+		if err := r.eng.RestoreSnapshot(snap); err != nil {
 			// A checkpoint that does not restore is local state corruption
 			// beyond repair-by-replay (the summarized records are gone);
 			// halting beats rejoining with a hole in the voting record.
@@ -204,7 +138,7 @@ func (r *Recorder) Start(now time.Time) []protocol.Action {
 			})
 		}
 		for _, m := range snap.Own {
-			acts = keepReplayActions(acts, rep.ReplayOwn(m, now))
+			acts = keepReplayActions(acts, r.eng.ReplayOwn(m, now))
 		}
 		r.lastCheckpoint = snap.FinalizedRound
 		r.replayedRecords++
@@ -213,9 +147,9 @@ func (r *Recorder) Start(now time.Time) []protocol.Action {
 	for _, rec := range records {
 		switch rec.Kind {
 		case KindInbound:
-			acts = keepReplayActions(acts, rep.HandleMessage(rec.From, rec.Msg, now))
+			acts = keepReplayActions(acts, r.eng.HandleMessage(rec.From, rec.Msg, now))
 		case KindOwn:
-			acts = keepReplayActions(acts, rep.ReplayOwn(rec.Msg, now))
+			acts = keepReplayActions(acts, r.eng.ReplayOwn(rec.Msg, now))
 		}
 		r.replayedRecords++
 	}
@@ -224,7 +158,7 @@ func (r *Recorder) Start(now time.Time) []protocol.Action {
 			r.replayedCommits += int64(len(c.Blocks))
 		}
 	}
-	return append(acts, r.record(rep.EndReplay(now))...)
+	return append(acts, r.record(r.eng.EndReplay(now))...)
 }
 
 // keepReplayActions filters actions produced during replay: commits are
@@ -246,7 +180,7 @@ func keepReplayActions(acts, produced []protocol.Action) []protocol.Action {
 // journaled: the engine's answer here is the decision it takes inside
 // HandleMessage, on the same state.
 func (r *Recorder) HandleMessage(from types.ReplicaID, msg types.Message, now time.Time) []protocol.Action {
-	if loggedInbound(msg) && !(r.settled != nil && r.settled.Settled(msg)) {
+	if loggedInbound(msg) && !r.eng.Settled(msg) {
 		r.append(Record{Kind: KindInbound, From: from, Msg: msg})
 	}
 	return r.record(r.eng.HandleMessage(from, msg, now))
@@ -293,10 +227,11 @@ func (r *Recorder) Crash() { r.log.Crash() }
 // own-signature message is released, the classic force-log-before-
 // externalize rule), commits as decisions. If an own record cannot be
 // made durable — the append or the forced sync fails — the own-signature
-// messages of the batch are dropped from the returned actions (unless
-// ContinueOnError): a vote the journal never saw must not reach the
-// network, or a restart could re-decide it differently and equivocate.
-// Going silent is ordinary crash-fault behavior the protocol tolerates.
+// messages of the batch are dropped from the returned actions: a vote the
+// journal never saw must not reach the network, or a restart could
+// re-decide it differently and equivocate. Going silent is ordinary
+// crash-fault behavior the protocol tolerates; the error still surfaces
+// through Err and the wal_errors metric.
 func (r *Recorder) record(acts []protocol.Action) []protocol.Action {
 	ownAppended, ownDurable := false, true
 	var commitTip types.Round
@@ -340,7 +275,7 @@ func (r *Recorder) record(acts []protocol.Action) []protocol.Action {
 	if r.checkpointEvery > 0 && commitTip >= r.lastCheckpoint+r.checkpointEvery {
 		r.checkpoint()
 	}
-	if ownAppended && !ownDurable && !r.continueOnErr {
+	if ownAppended && !ownDurable {
 		return r.suppressOwn(acts)
 	}
 	return acts
@@ -352,7 +287,7 @@ func (r *Recorder) record(acts []protocol.Action) []protocol.Action {
 // ordinary append path still provides durability), and if the log is
 // truly dying its sticky error fails the own-record path anyway.
 func (r *Recorder) checkpoint() {
-	snap := r.eng.(protocol.Snapshotter).Snapshot()
+	snap := r.eng.Snapshot()
 	if err := r.log.AppendCheckpoint(Record{Kind: KindCheckpoint, Round: snap.FinalizedRound, Snapshot: snap}); err != nil {
 		r.walErrs++
 		return

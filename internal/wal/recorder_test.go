@@ -2,7 +2,6 @@ package wal
 
 import (
 	"errors"
-	"os"
 	"testing"
 	"time"
 
@@ -10,7 +9,7 @@ import (
 	"banyan/internal/types"
 )
 
-// fakeEngine is a scripted Replayer: it emits preset actions and records
+// fakeEngine is a scripted Engine: it emits preset actions and records
 // every call the Recorder makes, so tests can assert journaling and
 // replay order without a real cluster.
 type fakeEngine struct {
@@ -42,6 +41,9 @@ func (f *fakeEngine) EndReplay(time.Time) []protocol.Action {
 	f.calls = append(f.calls, "end-replay")
 	return f.take()
 }
+func (f *fakeEngine) Settled(types.Message) bool               { return false }
+func (f *fakeEngine) Snapshot() *protocol.Snapshot             { return &protocol.Snapshot{} }
+func (f *fakeEngine) RestoreSnapshot(*protocol.Snapshot) error { return nil }
 func (f *fakeEngine) take() []protocol.Action {
 	a := f.actions
 	f.actions = nil
@@ -168,83 +170,6 @@ func TestRecorderForcesOwnBeforeSend(t *testing.T) {
 	}
 }
 
-// plainEngine is a protocol.Engine that does NOT implement Replayer —
-// the shape of the baseline engines (hotstuff, streamlet).
-type plainEngine struct{ f *fakeEngine }
-
-func (p *plainEngine) ID() types.ReplicaID { return p.f.ID() }
-func (p *plainEngine) Protocol() string    { return "plain" }
-func (p *plainEngine) Start(now time.Time) []protocol.Action {
-	return p.f.Start(now)
-}
-func (p *plainEngine) HandleMessage(from types.ReplicaID, msg types.Message, now time.Time) []protocol.Action {
-	return p.f.HandleMessage(from, msg, now)
-}
-func (p *plainEngine) HandleTimer(id protocol.TimerID, now time.Time) []protocol.Action {
-	return p.f.HandleTimer(id, now)
-}
-func (p *plainEngine) Metrics() map[string]int64 { return p.f.Metrics() }
-
-// TestRecorderRefusesNonReplayerOverNonEmptyLog: an engine that cannot
-// replay must not silently restart fresh over a journal holding a
-// voting record — the network may still hold the pre-crash votes, so a
-// fresh round 1 can re-vote them differently (equivocation). NewRecorder
-// must refuse; an empty log stays fine; the refused log is untouched.
-func TestRecorderRefusesNonReplayerOverNonEmptyLog(t *testing.T) {
-	dir := t.TempDir()
-	now := time.Unix(100, 0)
-	eng := &fakeEngine{}
-	rec, err := NewRecorder(RecorderConfig{Dir: dir, Engine: eng,
-		Options: Options{Sync: SyncPolicy{EveryRecord: true}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec.Start(now)
-	eng.actions = []protocol.Action{protocol.Broadcast{Msg: voteMsg(1)}}
-	rec.HandleMessage(1, voteMsg(1), now)
-	rec.Crash()
-
-	before, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewRecorder(RecorderConfig{Dir: dir, Engine: &plainEngine{f: &fakeEngine{}},
-		Options: Options{Sync: SyncPolicy{EveryRecord: true}}}); err == nil {
-		t.Fatal("non-Replayer engine accepted over a non-empty log")
-	}
-	// The refusal happens before the log is opened: no repair, no fresh
-	// segment — a supervisor crash-looping on this misconfiguration must
-	// not grow the directory.
-	after, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(after) != len(before) {
-		t.Fatalf("refused NewRecorder mutated the directory: %d -> %d entries", len(before), len(after))
-	}
-
-	// An empty directory is fine: the plain engine starts fresh and the
-	// log records.
-	rec2, err := NewRecorder(RecorderConfig{Dir: t.TempDir(), Engine: &plainEngine{f: &fakeEngine{}},
-		Options: Options{Sync: SyncPolicy{EveryRecord: true}}})
-	if err != nil {
-		t.Fatalf("non-Replayer engine refused over an empty log: %v", err)
-	}
-	rec2.Close()
-
-	// The refusal must not have damaged the journal: a Replayer engine
-	// still recovers everything.
-	rec3, err := NewRecorder(RecorderConfig{Dir: dir, Engine: &fakeEngine{},
-		Options: Options{Sync: SyncPolicy{EveryRecord: true}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rec3.Close()
-	if got := rec3.Recovered(); got.Truncated || len(got.Records) != 2 {
-		t.Fatalf("after refusal recovered %d records (truncated=%v), want 2", len(got.Records), got.Truncated)
-	}
-}
-
 // countSends tallies own-signature Broadcast/Send actions in a batch.
 func countSends(acts []protocol.Action) int {
 	n := 0
@@ -262,8 +187,7 @@ func countSends(acts []protocol.Action) int {
 // silent (crash-faulty) instead of running with a journal that
 // under-reports what the network saw, which is the equivocation window
 // the WAL exists to close. Commits still reach the host, the error is
-// visible in metrics, and ContinueOnError opts back into the old
-// behavior.
+// visible in metrics.
 func TestRecorderSuppressesSendsOnWALError(t *testing.T) {
 	now := time.Unix(100, 0)
 	batch := func() []protocol.Action {
@@ -334,27 +258,6 @@ func TestRecorderSuppressesSendsOnWALError(t *testing.T) {
 		}
 		if rec.Err() == nil {
 			t.Fatal("sync failure not sticky")
-		}
-	})
-
-	t.Run("ContinueOnError keeps sending", func(t *testing.T) {
-		eng := &fakeEngine{}
-		rec, err := NewRecorder(RecorderConfig{Dir: t.TempDir(), Engine: eng,
-			Options:         Options{Sync: SyncPolicy{EveryRecord: true}},
-			ContinueOnError: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer rec.Crash()
-		rec.Start(now)
-		stick(rec)
-		eng.actions = batch()
-		acts := rec.HandleMessage(1, voteMsg(2), now)
-		if n := countSends(acts); n != 2 {
-			t.Fatalf("%d own sends with ContinueOnError, want 2", n)
-		}
-		if m := rec.Metrics(); m["wal_errors"] == 0 {
-			t.Fatal("error not counted under ContinueOnError")
 		}
 	})
 }

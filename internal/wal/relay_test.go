@@ -51,7 +51,7 @@ func TestRecorderJournalsOneBodyPerRound(t *testing.T) {
 	for i := range engines {
 		engines[i] = mk(types.ReplicaID(i))
 	}
-	rec, err := NewRecorder(RecorderConfig{Dir: dir, Engine: engines[0]})
+	rec, err := NewRecorder(RecorderConfig{Dir: dir, Engine: engines[0].(*core.Engine)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 )
 
 // TestRecorderSkipsSettledTraffic: the recorder journals inbound messages
-// before the engine sees them, so it asks the engine first (SettledFilter)
+// before the engine sees them, so it asks the engine first (Engine.Settled)
 // and leaves out what the engine is about to ignore. On the n=4 fast path
 // that is most of a round's inbound traffic — the third voter's votes and
 // every peer's Advance and finalization certificate arrive after this
@@ -120,4 +120,4 @@ func TestRecorderSkipsSettledTraffic(t *testing.T) {
 	}
 }
 
-var _ SettledFilter = (*core.Engine)(nil)
+var _ Engine = (*core.Engine)(nil)

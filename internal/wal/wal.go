@@ -401,43 +401,6 @@ func syncDir(dir string) {
 	}
 }
 
-// probeDir reports whether any segment in dir holds at least one valid
-// record, and whether any of those records is a checkpoint. Purely
-// read-only — no repair, no segment creation — so callers can probe a
-// directory before deciding to Open it. A missing directory simply has
-// no records.
-func probeDir(dir string) (records, checkpoints bool, err error) {
-	entries, err := os.ReadDir(dir)
-	if os.IsNotExist(err) {
-		return false, false, nil
-	}
-	if err != nil {
-		return false, false, fmt.Errorf("wal: %w", err)
-	}
-	for _, e := range entries {
-		if records && checkpoints {
-			break // both answers known; skip the remaining I/O
-		}
-		if _, ok := segIndex(e.Name()); !ok {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			return false, false, fmt.Errorf("wal: %w", err)
-		}
-		var recs []Record
-		scanSegment(data, &recs)
-		for _, r := range recs {
-			records = true
-			if r.Kind == KindCheckpoint {
-				checkpoints = true
-				break
-			}
-		}
-	}
-	return records, checkpoints, nil
-}
-
 // scanSegment appends a segment's valid record prefix to out, returning
 // the prefix's byte length and whether the segment was consumed cleanly
 // to its end.

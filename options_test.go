@@ -20,8 +20,10 @@ func TestOptionsReadEveryField(t *testing.T) {
 		everyFieldRead(t, ReplicaConfig.options, "ID", "ListenAddr", "Peers", "Logf")
 	})
 	t.Run("harness.Config", func(t *testing.T) {
+		// Protocol picks the engine in Run; of it the stack sees only the
+		// fast-path ablation, which a protocol named "x" is not.
 		everyFieldRead(t, harness.Config.Options,
-			"Topology", "Duration", "Warmup", "BandwidthBps", "ProcRateBps", "ProcFixed",
+			"Protocol", "Topology", "Duration", "Warmup", "BandwidthBps", "ProcRateBps", "ProcFixed",
 			"JitterFrac", "Crash")
 	})
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"banyan/internal/blocktree"
 	"banyan/internal/types"
 )
 
@@ -17,7 +16,7 @@ func finalizedByRound(t *testing.T, cluster *Cluster, replica int) map[types.Rou
 	default:
 		t.Fatal("finalizedByRound on a running cluster")
 	}
-	tree := cluster.hosts[replica].stack().Engine.(interface{ Tree() *blocktree.Tree }).Tree()
+	tree := cluster.hosts[replica].stack().Engine.Tree()
 	out := make(map[types.Round]types.BlockID)
 	for r := types.Round(1); r <= tree.FinalizedRound(); r++ {
 		if id, ok := tree.FinalizedAt(r); ok {

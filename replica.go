@@ -27,10 +27,7 @@ type ReplicaConfig struct {
 	// keys for; zero means N. Identities in [N, MaxN) start as non-voting
 	// observers (they catch up via state sync) and become voters when a
 	// finalized ConfigChange admits them — see ProposeAddValidator.
-	// Banyan protocols only.
 	MaxN int
-	// Protocol selects the engine; empty picks ProtocolBanyan.
-	Protocol Protocol
 	// ListenAddr is the local listen address; Peers maps every replica ID
 	// to its address (the entry for ID is ignored).
 	ListenAddr string
@@ -113,7 +110,6 @@ type ReplicaConfig struct {
 // the transport's own fields (ID, addresses, Logf) and ObsAddr.
 func (cfg ReplicaConfig) options() stack.Options {
 	o := stack.Options{
-		Protocol:            cfg.Protocol,
 		N:                   cfg.N,
 		F:                   cfg.F,
 		P:                   cfg.P,
@@ -265,7 +261,7 @@ func (r *Replica) Commits() <-chan Commit { return r.commits }
 // finalizes at round R the grown set takes effect at R+1. For the change
 // to land promptly, call this on every running replica — whichever leads
 // first proposes it, and every replica's slot clears when the change
-// finalizes. Banyan protocols only.
+// finalizes.
 func (r *Replica) ProposeAddValidator(id int) error {
 	return r.proposeChange(types.ConfigAdd, id)
 }
@@ -283,15 +279,16 @@ func (r *Replica) proposeChange(op types.ConfigOp, id int) error {
 	if err != nil {
 		return err
 	}
-	return r.host.propose(change)
+	r.host.propose(change)
+	return nil
 }
 
 // Epoch returns the validator-set epoch this replica currently operates
-// in (0 for the single-epoch baselines). Safe to poll while running.
+// in. Safe to poll while running.
 func (r *Replica) Epoch() uint32 { return r.host.epoch() }
 
 // MemberIDs returns the validator IDs of this replica's current epoch,
-// in set order (nil for baselines).
+// in set order.
 func (r *Replica) MemberIDs() []int { return r.host.memberIDs() }
 
 // Faults returns safety faults (must stay empty).

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -314,5 +316,36 @@ func TestClusterRestartRequiresWAL(t *testing.T) {
 	}
 	if err := cluster.RestartReplica(2); err == nil {
 		t.Fatal("RestartReplica without WALDir must fail")
+	}
+}
+
+// TestNewClusterReleasesLogsOnError: when a later replica cannot be
+// built, NewCluster closes the logs of the replicas it already built, so
+// no segment file stays open and no group-commit goroutine outlives the
+// error.
+func TestNewClusterReleasesLogsOnError(t *testing.T) {
+	dir := t.TempDir()
+	// A regular file where replica 2's log directory belongs.
+	if err := os.WriteFile(filepath.Join(dir, "replica-2"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := syncLoops()
+	if _, err := NewCluster(ClusterConfig{N: 4, Delta: 5 * time.Millisecond, Scheme: "hmac", WALDir: dir}); err == nil {
+		t.Fatal("NewCluster built a replica whose log directory is a file")
+	}
+	if n := syncLoops(); n != before {
+		t.Fatalf("%d WAL group-commit goroutines after the failed NewCluster, %d before", n, before)
+	}
+}
+
+// syncLoops counts the running WAL group-commit goroutines.
+func syncLoops() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "wal.(*Log).syncLoop(")
+		}
+		buf = make([]byte, 2*len(buf))
 	}
 }
