@@ -145,6 +145,7 @@ type Engine struct {
 
 		settledDropped       int64
 		finalVotesSuppressed int64
+		advancesSkipped      int64
 	}
 }
 
@@ -418,6 +419,7 @@ func (e *Engine) Metrics() map[string]int64 {
 
 		"settled_dropped":        e.met.settledDropped,
 		"final_votes_suppressed": e.met.finalVotesSuppressed,
+		"advances_skipped":       e.met.advancesSkipped,
 		"verify_settled_skipped": e.cfg.Verifier.SettledSkipped(),
 	}
 	m["verify_cache_hits"], m["verify_cache_misses"] = e.cfg.Verifier.CacheStats()
@@ -659,6 +661,7 @@ func (e *Engine) onCert(c *types.Certificate) {
 				e.met.rejected++
 				return
 			}
+			e.absorbFast(rs, c)
 		}
 		if c.Round <= e.round+1 {
 			e.extFinal[c.Round] = c
@@ -667,6 +670,24 @@ func (e *Engine) onCert(c *types.Certificate) {
 	default:
 		e.met.rejected++
 	}
+}
+
+// absorbFast makes a fast-finalization certificate, formed here or
+// received, its block's notarization and unlock credential at any live
+// round. Its n−p fast votes are n−p notarization votes, at least the
+// notarization quorum, and a support set of n−p > f+p unlocks the block
+// under Definition 7.6 condition 1. It replaces a notarization certificate
+// the block already holds while the round is live here: the fast one
+// proves more, and holding it is what lets tryAdvance leave the round
+// without an Advance. A round already left keeps the certificate it was
+// left with, which its credentials (advanceNotar) still hold on to.
+func (e *Engine) absorbFast(rs *roundState, c *types.Certificate) {
+	r := rs.recFor(c.Block)
+	if r.notarization == nil || !rs.advanced {
+		r.notarization = c
+	}
+	r.unlocked = true
+	e.tree.MarkNotarized(c.Block)
 }
 
 func (e *Engine) onUnlock(u *types.UnlockProof) {
@@ -1472,8 +1493,8 @@ func (e *Engine) tryOptimisticPropose(acts []protocol.Action) (bool, []protocol.
 // certified: the already-broadcast block becomes this round's proposal,
 // and the fast vote receivers have been waiting for goes out as a tiny
 // VoteMsg — the block body is already on the wire, and receivers take the
-// parent credentials from the Advance broadcast that accompanied leaving
-// the previous round.
+// parent credentials from the Advance, or the fast-finalization
+// certificate, broadcast as the previous round was left.
 func (e *Engine) confirmOptimistic(rs *roundState, opt *optimisticProposal,
 	now time.Time, acts []protocol.Action) []protocol.Action {
 	e.adoptOwn(rs, opt.block)
@@ -1601,7 +1622,8 @@ func (e *Engine) relayCreds(b *types.Block, p *types.Proposal) {
 	if b.Round > 1 && !e.tree.IsFinalized(b.Parent) {
 		prev := e.getRound(b.Round - 1)
 		p.ParentNotarization = prev.notarization(b.Parent)
-		if !e.cfg.DisableFastPath {
+		// A fast-finalization certificate is its own unlock proof.
+		if !e.cfg.DisableFastPath && !isFast(p.ParentNotarization) {
 			if prev.advanceBlock == b.Parent && prev.advanceProof != nil {
 				p.ParentUnlock = prev.advanceProof
 			} else {
@@ -1614,7 +1636,9 @@ func (e *Engine) relayCreds(b *types.Block, p *types.Proposal) {
 
 // tryNotarize implements Algorithm 2 line 45: combine a quorum of
 // notarization votes into a notarization certificate, each round under
-// its own epoch's quorum.
+// its own epoch's quorum. A block that tryFinalize FP-finalizes later in
+// the same pass gets none: its fast-finalization certificate is its
+// notarization (absorbFast).
 func (e *Engine) tryNotarize(acts []protocol.Action) (bool, []protocol.Action) {
 	changed := false
 	for r := e.tree.FinalizedRound(); r <= e.round; r++ {
@@ -1623,11 +1647,12 @@ func (e *Engine) tryNotarize(acts []protocol.Action) (bool, []protocol.Action) {
 			continue
 		}
 		quorum := e.setFor(r).Params().NotarizationQuorum()
+		fast, fastOK := e.fastFinalizable(r, rs)
 		// A block's notarization voters are split over two ledgers
 		// (notarSupport); one that has any is a key of at least one.
 		for {
 			id, ok := rs.firstBlock(func(id types.BlockID) bool {
-				return rs.notarization(id) == nil && rs.notarSupport(id) >= quorum
+				return rs.notarization(id) == nil && !(fastOK && id == fast) && rs.notarSupport(id) >= quorum
 			}, types.VoteFast, types.VoteNotarize)
 			if !ok {
 				break
@@ -1656,7 +1681,6 @@ func (e *Engine) tryFinalize(acts []protocol.Action) (bool, []protocol.Action) {
 		if rs.finalized {
 			continue
 		}
-		params := e.setFor(r).Params()
 		// Received certificate for a round at or below our own.
 		if cert := e.extFinal[r]; cert != nil {
 			changed = true
@@ -1664,16 +1688,15 @@ func (e *Engine) tryFinalize(acts []protocol.Action) (bool, []protocol.Action) {
 			continue
 		}
 		// FP-finalization: n-p fast votes for a valid rank-0 block.
-		if !e.cfg.DisableFastPath {
-			if id, ok := rs.fastQuorumBlock(params.FastQuorum()); ok && rs.rec(id).valid {
-				changed = true
-				acts = e.finalizeExplicit(rs, rs.certificate(types.CertFastFinalization, r, id), protocol.FinalizeFast, acts)
-				continue
-			}
+		if id, ok := e.fastFinalizable(r, rs); ok {
+			changed = true
+			acts = e.finalizeExplicit(rs, rs.certificate(types.CertFastFinalization, r, id), protocol.FinalizeFast, acts)
+			continue
 		}
 		// SP-finalization: quorum of finalization votes.
+		quorum := e.setFor(r).Params().FinalizationQuorum()
 		if id, ok := rs.firstBlock(func(id types.BlockID) bool {
-			return rs.set(types.VoteFinalize, id).count() >= params.FinalizationQuorum()
+			return rs.set(types.VoteFinalize, id).count() >= quorum
 		}, types.VoteFinalize); ok {
 			changed = true
 			acts = e.finalizeExplicit(rs, rs.certificate(types.CertFinalization, r, id), protocol.FinalizeSlow, acts)
@@ -1691,6 +1714,19 @@ func (e *Engine) tryFinalize(acts []protocol.Action) (bool, []protocol.Action) {
 	return changed, acts
 }
 
+// fastFinalizable returns the block tryFinalize FP-finalizes in round r on
+// this progress pass: a valid rank-0 block holding n-p fast votes, in a
+// live round at or below the current one that no certificate has
+// finalized yet.
+func (e *Engine) fastFinalizable(r types.Round, rs *roundState) (types.BlockID, bool) {
+	if e.cfg.DisableFastPath || rs.finalized || e.extFinal[r] != nil ||
+		r <= e.tree.FinalizedRound() || r > e.round {
+		return types.BlockID{}, false
+	}
+	id, ok := rs.fastQuorumBlock(e.setFor(r).Params().FastQuorum())
+	return id, ok && rs.rec(id).valid
+}
+
 // fastQuorumBlock finds a received rank-0 block holding at least quorum
 // fast votes.
 func (rs *roundState) fastQuorumBlock(quorum int) (types.BlockID, bool) {
@@ -1702,6 +1738,8 @@ func (rs *roundState) fastQuorumBlock(quorum int) (types.BlockID, bool) {
 
 // finalizeExplicit records an explicit finalization, broadcasts the
 // certificate if this replica formed it (line 58), and commits the chain.
+// A fast certificate formed here becomes its block's notarization, as a
+// received one did in onCert.
 func (e *Engine) finalizeExplicit(rs *roundState, cert *types.Certificate,
 	mode protocol.FinalizationMode, acts []protocol.Action) []protocol.Action {
 	rs.finalized = true
@@ -1709,6 +1747,10 @@ func (e *Engine) finalizeExplicit(rs *roundState, cert *types.Certificate,
 	e.noteFinalCert(cert)
 	if o := e.cfg.Obs; o != nil && !e.replaying {
 		if mode == protocol.FinalizeFast {
+			if rs.notarization(cert.Block) == nil {
+				// The certificate is the block's notarization as well.
+				o.Tracer.Mark(cert.Round, cert.Block, obs.StageNotarized, e.now)
+			}
 			o.Tracer.Mark(cert.Round, cert.Block, obs.StageFastCertified, e.now)
 		}
 		// Commit latency is measured from round entry (rs.t0) to the
@@ -1722,6 +1764,7 @@ func (e *Engine) finalizeExplicit(rs *roundState, cert *types.Certificate,
 	switch mode {
 	case protocol.FinalizeFast:
 		e.met.fastFinal++
+		e.absorbFast(rs, cert)
 		acts = append(acts, protocol.Broadcast{Msg: &types.CertMsg{Cert: cert}})
 	case protocol.FinalizeSlow:
 		e.met.slowFinal++
@@ -1863,8 +1906,10 @@ func (e *Engine) scrubNonMembers(set *membership.ValidatorSet) {
 
 // tryAdvance implements Algorithm 2 line 48 (Restriction 2, Additions 1):
 // once a notarized and unlocked block exists and the fast vote is out,
-// broadcast the notarization and unlock proof, send a finalization vote if
-// N ⊆ {b} (line 51), and enter the next round.
+// broadcast the notarization and unlock proof — unless the block's
+// credential is its fast-finalization certificate, which already went out
+// as a CertMsg — send a finalization vote if N ⊆ {b} (line 51), and enter
+// the next round.
 func (e *Engine) tryAdvance(now time.Time, acts []protocol.Action) (bool, []protocol.Action) {
 	rs := e.getRound(e.round)
 	if !rs.started {
@@ -1901,16 +1946,23 @@ func (e *Engine) tryAdvance(now time.Time, acts []protocol.Action) (bool, []prot
 	}
 	round := e.round
 	notar := rs.notarization(id)
-	var proof *types.UnlockProof
-	if !e.cfg.DisableFastPath {
-		proof = rs.buildUnlockProof(round, id, e.setFor(round).Params().UnlockThreshold())
-	}
 	rs.advanced = true
 	rs.advanceBlock = id
 	rs.advanceNotar = notar
-	rs.advanceProof = proof
-	e.met.advances++
-	acts = append(acts, protocol.Broadcast{Msg: &types.Advance{Notarization: notar, Unlock: proof}})
+	if isFast(notar) {
+		// The fast-finalization certificate is the notarization and the
+		// unlock proof at once (absorbFast). Whoever formed it broadcast it
+		// (line 58, in this very pass if this replica did), and that
+		// CertMsg carries everything an Advance would: none is sent, and no
+		// unlock proof is built.
+		e.met.advancesSkipped++
+	} else {
+		if !e.cfg.DisableFastPath {
+			rs.advanceProof = rs.buildUnlockProof(round, id, e.setFor(round).Params().UnlockThreshold())
+		}
+		e.met.advances++
+		acts = append(acts, protocol.Broadcast{Msg: &types.Advance{Notarization: notar, Unlock: rs.advanceProof}})
+	}
 
 	// Line 51: finalization vote if this replica notarization-voted for no
 	// other block. Suppressed during WAL replay (a new signature); the

@@ -277,7 +277,9 @@ func TestVoteRespectsRankOrdering(t *testing.T) {
 
 // TestFPFinalization drives a full fast-path round at the leader: with
 // n-p = 3 fast votes the block FP-finalizes and commits after a single
-// round trip, with the fast finalization broadcast (Addition 4).
+// round trip, with the fast finalization broadcast (Addition 4). That
+// certificate is the round's notarization and unlock credential too, so
+// the leader leaves the round without an Advance.
 func TestFPFinalization(t *testing.T) {
 	bc := mustBeacon(t, 4)
 	leader := beacon.Leader(bc, 1)
@@ -304,29 +306,32 @@ func TestFPFinalization(t *testing.T) {
 	if len(commits[0].Blocks) != 1 || !commits[0].Blocks[0].Equal(b) {
 		t.Fatalf("committed wrong chain %v", commits[0].Blocks)
 	}
-	// The fast finalization certificate is broadcast.
-	var fastCerts int
-	for _, c := range broadcasts[*types.CertMsg](r) {
-		if c.Cert.Kind == types.CertFastFinalization && c.Cert.Block == b.ID() {
-			fastCerts++
-		}
+	// The fast finalization certificate is broadcast, and it is the only
+	// certificate that is.
+	certs := broadcasts[*types.CertMsg](r)
+	if len(certs) != 1 || certs[0].Cert.Kind != types.CertFastFinalization || certs[0].Cert.Block != b.ID() {
+		t.Fatalf("certificates broadcast %v, want one fast finalization of %s", certs, b.ID())
 	}
-	if fastCerts != 1 {
-		t.Fatalf("fast finalization broadcast %d times, want 1", fastCerts)
+	fast := certs[0].Cert
+	if err := crypto.VerifyCert(r.keyring, fast, r.params.NotarizationQuorum()); err != nil {
+		t.Fatalf("fast certificate does not verify as a notarization quorum: %v", err)
 	}
-	// The engine advanced to round 2 and broadcast the Advance message
-	// with notarization + unlock proof (Addition 1).
+	// The engine advanced to round 2 through the fast certificate: it is
+	// the round's notarization, no Advance went out, and no unlock proof
+	// was built.
 	if r.eng.Round() != 2 {
 		t.Fatalf("round = %d, want 2", r.eng.Round())
 	}
-	advs := broadcasts[*types.Advance](r)
-	if len(advs) != 1 || advs[0].Notarization == nil || advs[0].Unlock == nil {
-		t.Fatalf("bad advance broadcast %+v", advs)
+	if advs := broadcasts[*types.Advance](r); len(advs) != 0 {
+		t.Fatalf("Advance broadcast after a fast-path round: %+v", advs)
 	}
-	if err := crypto.VerifyUnlockProof(r.keyring, advs[0].Unlock, r.params.UnlockThreshold()); err != nil {
-		t.Fatalf("advance unlock proof does not verify: %v", err)
+	rs := r.eng.rounds[1]
+	if rs.notarization(b.ID()) != fast || rs.advanceNotar != fast || rs.advanceProof != nil {
+		t.Fatalf("round 1 notarization %v, left with %v and unlock proof %v; want the fast certificate alone",
+			rs.notarization(b.ID()), rs.advanceNotar, rs.advanceProof)
 	}
-	if m := r.eng.Metrics(); m["final_fast"] != 1 || m["final_slow"] != 0 {
+	if m := r.eng.Metrics(); m["final_fast"] != 1 || m["final_slow"] != 0 ||
+		m["advances"] != 0 || m["advances_skipped"] != 1 {
 		t.Fatalf("metrics %v", m)
 	}
 }

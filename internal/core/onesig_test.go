@@ -53,8 +53,9 @@ func voteKinds(r *rig) (kinds []types.VoteKind) {
 // its leader's fast vote, casts its own, and receives one peer's — three
 // fast votes and not one notarization vote. The round notarizes,
 // fast-finalizes and is left on three signature verifications (block,
-// leader's vote, peer's vote), and the notarization it broadcasts marks
-// every signer as a fast voter and verifies as such.
+// leader's vote, peer's vote). Its notarization is the fast-finalization
+// certificate it broadcasts — no separate notarization certificate is
+// formed — which verifies as a notarization quorum of fast signatures.
 func TestFastVotesAloneNotarize(t *testing.T) {
 	bc := mustBeacon(t, 4)
 	r := newRig(t, p411, bc.ReplicaAt(1, 3))
@@ -69,25 +70,29 @@ func TestFastVotesAloneNotarize(t *testing.T) {
 	if n := rs.votesHeld(types.VoteNotarize); n != 0 {
 		t.Errorf("%d bare notarization votes recorded", n)
 	}
-	notar := broadcasts[*types.Advance](r)[0].Notarization
-	if notar == nil || notar.Block != b.ID() || len(notar.Signers) != 3 {
-		t.Fatalf("Advance carries %v, want a 3-signer notarization of %s", notar, b.ID())
+	certs := broadcasts[*types.CertMsg](r)
+	if len(certs) != 1 {
+		t.Fatalf("%d certificates broadcast, want the fast finalization alone", len(certs))
 	}
-	for i := range notar.Signers {
-		if !notar.FastSigned(i) {
-			t.Errorf("signer %d not marked as a fast voter", notar.Signers[i])
-		}
+	notar := certs[0].Cert
+	if notar.Kind != types.CertFastFinalization || notar.Block != b.ID() || len(notar.Signers) != 3 {
+		t.Fatalf("broadcast %v, want a 3-signer fast finalization of %s", notar, b.ID())
+	}
+	if rs.notarization(b.ID()) != notar {
+		t.Fatalf("round 1 notarization %v, want the fast certificate", rs.notarization(b.ID()))
 	}
 	if err := crypto.VerifyCert(r.keyring, notar, p411.NotarizationQuorum()); err != nil {
-		t.Fatalf("mixed notarization does not verify: %v", err)
+		t.Fatalf("fast certificate does not verify as a notarization quorum: %v", err)
 	}
 
-	// A peer that saw none of the votes takes the certificate on its own.
+	// A peer that saw none of the votes takes the certificate on its own,
+	// as the block's notarization and unlock.
 	peer := newRig(t, p411, bc.ReplicaAt(1, 2))
 	peer.deliver(b.Proposer, &types.Proposal{Block: b}) // no fast vote: not votable
 	peer.deliver(r.eng.ID(), &types.CertMsg{Cert: notar})
-	if peer.eng.rounds[1].notarization(b.ID()) == nil || peer.eng.Metrics()["rejected"] != 0 {
-		t.Fatal("a peer rejected the mixed notarization")
+	prs := peer.eng.rounds[1]
+	if prs.notarization(b.ID()) != notar || !prs.peek(b.ID()).unlocked || peer.eng.Metrics()["rejected"] != 0 {
+		t.Fatal("a peer did not take the fast certificate as the block's notarization and unlock")
 	}
 }
 

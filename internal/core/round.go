@@ -58,6 +58,8 @@ type roundState struct {
 	// the round through; it becomes the parent of the replica's round-(k+1)
 	// proposal. advanceNotar/advanceProof are its credentials, reused in
 	// proposals (Addition 2) and the Advance broadcast (Addition 1).
+	// advanceProof is nil when advanceNotar is the round's fast-finalization
+	// certificate, which proves the unlock itself (and no Advance went out).
 	advanceBlock types.BlockID
 	advanceNotar *types.Certificate
 	advanceProof *types.UnlockProof
@@ -86,9 +88,12 @@ type blockState struct {
 	// notarVoted puts the block in N: this replica notarization-voted for
 	// it (Algorithm 1 line 21).
 	notarVoted bool
-	// unlocked marks a Condition-1 unlock (Definition 7.6).
+	// unlocked marks a Condition-1 unlock (Definition 7.6), from the votes
+	// held or from a fast-finalization certificate.
 	unlocked bool
-	// notarization is the block's certificate, formed or received.
+	// notarization is the block's certificate, formed or received: a
+	// notarization certificate, or the fast-finalization certificate that
+	// replaces it once held (absorbFast).
 	notarization *types.Certificate
 	// votes are the block's ledgers, one per vote kind, written through
 	// recordVote; a kind's set exists from its first vote on (set). A fast
@@ -132,6 +137,12 @@ func (rs *roundState) notarization(id types.BlockID) *types.Certificate {
 		return r.notarization
 	}
 	return nil
+}
+
+// isFast reports whether a block's notarization credential is its
+// fast-finalization certificate, which is its unlock proof too.
+func isFast(c *types.Certificate) bool {
+	return c != nil && c.Kind == types.CertFastFinalization
 }
 
 // addBlock files a received (or own) round block under blocks(k) and
@@ -350,7 +361,10 @@ func (rs *roundState) scrubNonMembers(set *membership.ValidatorSet, notarQuorum 
 				r.notarization = nil
 			}
 		}
-		r.unlocked = false
+		// A fast-finalization certificate that survives still unlocks its
+		// block: at least a notarization quorum of members fast-voted it,
+		// more than f+p.
+		r.unlocked = isFast(r.notarization)
 	}
 	rs.allUnlocked = false
 	rs.gen++

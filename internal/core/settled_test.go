@@ -75,6 +75,17 @@ func fastFinalizeRound1(t *testing.T, r *rig) (*types.Block, []types.ReplicaID) 
 	return b, voters
 }
 
+// round1Advance is the Advance for block b of round 1 that a peer leaving
+// the round on its notarization sends, built from the votes r holds. A
+// replica that leaves through the fast certificate sends none.
+func round1Advance(r *rig, b *types.Block) *types.Advance {
+	rs := r.eng.rounds[1]
+	return &types.Advance{
+		Notarization: rs.certificate(types.CertNotarization, 1, b.ID()),
+		Unlock:       rs.buildUnlockProof(1, b.ID(), r.params.UnlockThreshold()),
+	}
+}
+
 // TestSettledRoundIgnoresLateTraffic: once round 1 is finalized and left,
 // late votes of every kind, an Advance, finalization and notarization
 // certificates, and the round-1 credentials a round-2 proposal or a
@@ -88,11 +99,11 @@ func TestSettledRoundIgnoresLateTraffic(t *testing.T) {
 	b, voters := fastFinalizeRound1(t, r)
 	late := voters[1]
 
-	adv := broadcasts[*types.Advance](r)
 	certs := broadcasts[*types.CertMsg](r)
-	if len(adv) != 1 || len(certs) != 1 {
-		t.Fatalf("round 1 produced %d Advance and %d CertMsg broadcasts, want 1 each", len(adv), len(certs))
+	if n := len(broadcasts[*types.Advance](r)); n != 0 || len(certs) != 1 {
+		t.Fatalf("round 1 produced %d Advance and %d CertMsg broadcasts, want 0 and 1", n, len(certs))
 	}
+	adv := []*types.Advance{round1Advance(r, b)}
 	rs1 := r.eng.rounds[1]
 	sizeBefore, lookupsBefore := ledgerSizes(rs1), verifierLookups(r)
 	before := r.eng.Metrics()
@@ -113,7 +124,7 @@ func TestSettledRoundIgnoresLateTraffic(t *testing.T) {
 		garbage(r.notarVote(late, b)), garbage(r.fastVote(late, b)), garbage(r.finalVote(late, b)),
 	}})
 	// A peer's Advance and finalization certificate for the round: this
-	// replica's own are the same objects a peer would have sent.
+	// replica's own certificate is the same object a peer would have sent.
 	r.deliver(late, adv[0])
 	r.deliver(late, certs[0])
 	r.deliver(late, &types.CertMsg{Cert: adv[0].Notarization})
@@ -181,49 +192,106 @@ func TestSettledRoundIgnoresLateTraffic(t *testing.T) {
 
 // TestFinalizedButNotLeftStillAbsorbs: a finalization certificate that
 // arrives before the block it names leaves the round finalized but not
-// left — the chain cannot commit through a body the replica lacks. The
-// round is not settled: the notarization and unlock proof that follow
-// are absorbed, and when the body lands the replica votes, commits, and
-// leaves through the finalized block without a finalization vote.
+// left — the chain cannot commit through a body the replica lacks, and the
+// replica has not voted. The round is not settled, and when the body lands
+// the replica votes, commits, and leaves through the finalized block
+// without a finalization vote.
+//   - slow: a certificate of finalization votes proves no notarization. The
+//     notarization and unlock proof of a peer's later Advance are absorbed,
+//     and the replica leaves on them with an Advance of its own.
+//   - fast: the fast-finalization certificate is the block's notarization
+//     and unlock at once. A later Advance is looked at rather than dropped
+//     but displaces nothing, and the replica leaves without an Advance.
 func TestFinalizedButNotLeftStillAbsorbs(t *testing.T) {
 	bc := mustBeacon(t, 4)
 	self := bc.ReplicaAt(1, 3)
 
-	// A donor replica runs the round to produce a genuine certificate,
+	// A donor replica runs the round to produce a genuine fast certificate,
 	// notarization and unlock proof.
 	donor := newRig(t, p411, bc.ReplicaAt(1, 2))
 	b, _ := fastFinalizeRound1(t, donor)
-	cert := broadcasts[*types.CertMsg](donor)[0]
-	adv := broadcasts[*types.Advance](donor)[0]
+	fastCert := broadcasts[*types.CertMsg](donor)[0]
+	adv := round1Advance(donor, b)
+	var finalVotes []types.Vote
+	for _, peer := range []types.ReplicaID{0, 1, 2} {
+		finalVotes = append(finalVotes, donor.finalVote(peer, b))
+	}
+	slowCert, err := types.NewCertificate(types.CertFinalization, 1, b.ID(), finalVotes)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	r := newRig(t, p411, self)
-	r.deliver(donor.eng.ID(), cert)
-	rs := r.eng.rounds[1]
-	if !rs.finalized || r.eng.Tree().FinalizedRound() != 0 || r.eng.Round() != 1 {
-		t.Fatalf("after a certificate without a body: finalized=%v tree=%d round=%d",
-			rs.finalized, r.eng.Tree().FinalizedRound(), r.eng.Round())
+	// finalizedNotLeft delivers cert to a fresh replica and checks the round
+	// is finalized but neither committed nor left.
+	finalizedNotLeft := func(t *testing.T, cert *types.Certificate) (*rig, *roundState) {
+		t.Helper()
+		r := newRig(t, p411, self)
+		r.deliver(donor.eng.ID(), &types.CertMsg{Cert: cert})
+		rs := r.eng.rounds[1]
+		if !rs.finalized || r.eng.Tree().FinalizedRound() != 0 || r.eng.Round() != 1 {
+			t.Fatalf("after a certificate without a body: finalized=%v tree=%d round=%d",
+				rs.finalized, r.eng.Tree().FinalizedRound(), r.eng.Round())
+		}
+		return r, rs
 	}
-	r.deliver(donor.eng.ID(), adv)
-	if rs.notarization(b.ID()) == nil {
-		t.Fatal("notarization for a finalized round the replica has not left was dropped")
+	// bodyLands delivers the block and checks the replica commits and leaves
+	// with the given Advance counts and no finalization vote.
+	bodyLands := func(t *testing.T, r *rig, advances, skipped int64) {
+		t.Helper()
+		if m := r.eng.Metrics(); m["settled_dropped"] != 0 || m["rejected"] != 0 {
+			t.Fatalf("settled_dropped = %d, rejected = %d before anything was settled", m["settled_dropped"], m["rejected"])
+		}
+		r.deliver(b.Proposer, r.proposalFor(b))
+		if r.eng.Round() != 2 || len(r.commits()) != 1 {
+			t.Fatalf("round %d, %d commits after the body landed", r.eng.Round(), len(r.commits()))
+		}
+		m := r.eng.Metrics()
+		if m["advances"] != advances || m["advances_skipped"] != skipped || m["final_votes_suppressed"] != 1 {
+			t.Errorf("advances=%d advances_skipped=%d final_votes_suppressed=%d, want %d, %d and 1",
+				m["advances"], m["advances_skipped"], m["final_votes_suppressed"], advances, skipped)
+		}
+		if n := len(broadcasts[*types.Advance](r)); int64(n) != advances {
+			t.Errorf("%d Advance broadcasts, want %d", n, advances)
+		}
+		if n := finalizeVotesSent(r); n != 0 {
+			t.Errorf("%d finalization votes sent for a round finalized before the replica left it", n)
+		}
 	}
-	if !rs.isUnlocked(b.ID()) {
-		t.Fatal("finalized block not unlocked")
-	}
-	if got := r.eng.Metrics()["settled_dropped"]; got != 0 {
-		t.Fatalf("settled_dropped = %d before anything was settled", got)
-	}
-	r.deliver(b.Proposer, r.proposalFor(b))
-	if r.eng.Round() != 2 || len(r.commits()) != 1 {
-		t.Fatalf("round %d, %d commits after the body landed", r.eng.Round(), len(r.commits()))
-	}
-	m := r.eng.Metrics()
-	if m["advances"] != 1 || m["final_votes_suppressed"] != 1 {
-		t.Errorf("advances=%d final_votes_suppressed=%d, want 1 and 1", m["advances"], m["final_votes_suppressed"])
-	}
-	if n := finalizeVotesSent(r); n != 0 {
-		t.Errorf("%d finalization votes sent for a round finalized before the replica left it", n)
-	}
+
+	t.Run("slow", func(t *testing.T) {
+		r, rs := finalizedNotLeft(t, slowCert)
+		// isUnlocked holds for a finalized block by definition; the record's
+		// flag says whether a credential unlocked it.
+		if rs.notarization(b.ID()) != nil || rs.peek(b.ID()).unlocked {
+			t.Fatal("a certificate of finalization votes notarized or unlocked the block")
+		}
+		r.deliver(donor.eng.ID(), adv)
+		if rs.notarization(b.ID()) != adv.Notarization {
+			t.Fatal("notarization for a finalized round the replica has not left was dropped")
+		}
+		if !rs.isUnlocked(b.ID()) {
+			t.Fatal("finalized block not unlocked")
+		}
+		// The replica's own two votes and the proposer's are short of a
+		// notarization quorum: it leaves on the absorbed certificate, and
+		// its Advance carries it.
+		bodyLands(t, r, 1, 0)
+		if sent := broadcasts[*types.Advance](r); len(sent) != 1 || sent[0].Notarization != adv.Notarization {
+			t.Error("the replica's Advance does not carry the absorbed notarization")
+		}
+	})
+
+	t.Run("fast", func(t *testing.T) {
+		r, rs := finalizedNotLeft(t, fastCert.Cert)
+		if rs.notarization(b.ID()) != fastCert.Cert || !rs.peek(b.ID()).unlocked {
+			t.Fatal("the fast certificate did not become the block's notarization and unlock")
+		}
+		r.deliver(donor.eng.ID(), adv)
+		if rs.notarization(b.ID()) != fastCert.Cert || !rs.peek(b.ID()).unlocked {
+			t.Fatal("a later Advance displaced the fast certificate")
+		}
+		bodyLands(t, r, 0, 1)
+	})
 }
 
 func finalizeVotesSent(r *rig) (n int) {
@@ -341,7 +409,7 @@ func TestSettledFloorFollowsTheEngine(t *testing.T) {
 	if v.SettledFloor() != 1 {
 		t.Fatalf("floor = %d after round 1 finalized and was left, want 1", v.SettledFloor())
 	}
-	adv := broadcasts[*types.Advance](r)[0]
+	adv := round1Advance(r, b)
 	cert := broadcasts[*types.CertMsg](r)[0]
 	for _, msg := range []types.Message{vote, adv, cert} {
 		if !r.eng.Settled(msg) {

@@ -78,7 +78,11 @@ func TestProtocolRunsPinned(t *testing.T) {
 		p50, p95                  time.Duration
 		blocks, messages, msgByte int64
 	}{
-		{Banyan, 116381506, 125673950, 43, 2181, 10171677},
+		// A fast-finalized round is left through its fast certificate, with
+		// no Advance and no unlock proof on the next proposal: 2181 → 1611
+		// messages, and p50 116.38 → 114.21 ms, 43 → 44 blocks, as the
+		// lighter proposals arrive sooner.
+		{Banyan, 114209581, 125222610, 44, 1611, 9900771},
 		{BanyanNoFast, 170129544, 172663730, 44, 2904, 10039818},
 		{ICC, 171043667, 173404418, 43, 2874, 38335938},
 		{HotStuff, 313111099, 358024813, 50, 334, 11065855},

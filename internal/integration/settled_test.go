@@ -13,9 +13,10 @@ import (
 )
 
 // Whole-cluster checks for settled rounds: traffic for a round a replica
-// has finalized and left is free to reject, and a replica that never sees
-// a finalization certificate loses nothing by its peers no longer sending
-// finalization votes for fast-path rounds.
+// has finalized and left is free to reject, a replica that never sees a
+// finalization certificate loses nothing by its peers no longer sending
+// finalization votes for fast-path rounds, and one that never sees a vote
+// loses nothing by their no longer sending Advances for them.
 
 // TestSettledFlooderCostsVictimNothing (n=7): one replica sprays another
 // with garbage-signed votes, certificates and unlock proofs for rounds
@@ -139,5 +140,60 @@ func TestCertStarvedReplicaStillFinalizes(t *testing.T) {
 	}
 	if sent := sumMetric(engines, "final_votes_suppressed"); sent < int64(len(ref))*3 {
 		t.Errorf("final_votes_suppressed = %d over %d fast-path rounds: finalization votes still flow", sent, len(ref))
+	}
+}
+
+// TestVoteStarvedReplicaStillAdvances (n=4): every VoteMsg addressed to
+// one replica is lost, so it never collects a notarization quorum of votes
+// itself. No replica sends an Advance for a fast-path round any more: the
+// fast certificate its peers broadcast is the round's notarization and
+// unlock, and the starved replica must leave every round through it. It
+// must finalize every round the others do, with the same blocks, and never
+// fall back on resends. This is the Advance-starved mirror of
+// TestCertStarvedReplicaStillFinalizes.
+func TestVoteStarvedReplicaStillAdvances(t *testing.T) {
+	params := types.Params{N: 4, F: 1, P: 1}
+	const starved = types.ReplicaID(3)
+	engines := makeRelayEngines(t, params, false, nil)
+	log := newRoundLog()
+	var lost int
+	net, err := simnet.New(engines, simnet.Options{
+		Topology: wan.Uniform(params.N, 10*time.Millisecond),
+		Seed:     31,
+		Filter: func(_, to types.ReplicaID, msg types.Message, _ time.Time) bool {
+			if _, isVote := msg.(*types.VoteMsg); isVote && to == starved {
+				lost++
+				return false
+			}
+			return true
+		},
+	}, log.hooks())
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.Run(10 * time.Second)
+	if len(log.faults) > 0 {
+		t.Fatalf("safety faults: %v", log.faults)
+	}
+	log.checkRoundConsistent(t)
+
+	ref, got := log.chains[0], log.chains[starved]
+	if len(ref) < 100 || lost < len(ref) {
+		t.Fatalf("run too short: %d rounds, %d vote messages dropped", len(ref), lost)
+	}
+	// The last round or two may still be in flight at the starved replica.
+	if len(got) < len(ref)-2 {
+		t.Fatalf("starved replica finalized %d of %d rounds", len(got), len(ref))
+	}
+	m := engines[starved].Metrics()
+	if m["resends"] != 0 {
+		t.Errorf("starved replica resent %d times: a round stalled", m["resends"])
+	}
+	if m["advances_skipped"] < int64(len(got))-2 || m["final_fast"] != 0 {
+		t.Errorf("starved replica left %d of %d rounds through a fast certificate, formed %d itself",
+			m["advances_skipped"], len(got), m["final_fast"])
+	}
+	if sent := sumMetric(engines, "advances"); sent != 0 {
+		t.Errorf("%d Advances sent over %d fast-path rounds", sent, len(ref))
 	}
 }
