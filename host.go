@@ -188,7 +188,7 @@ func (h *host) pump(raw <-chan node.CommitEvent, out chan<- Commit, done <-chan 
 					Epoch:        b.Epoch,
 					BlockID:      b.ID().String(),
 					Proposer:     int(b.Proposer),
-					Transactions: decodeTransactions(store, b.Payload),
+					Transactions: decodeTransactions(store, b.Payload, b.Round),
 					PayloadBytes: b.Payload.Size(),
 					Path:         pathOf(ev.Explicit),
 					At:           ev.At,
@@ -203,21 +203,24 @@ func (h *host) pump(raw <-chan node.CommitEvent, out chan<- Commit, done <-chan 
 	}
 }
 
-// decodeTransactions resolves a committed payload to its transaction
-// list: inline payloads decode directly; digest-list payloads decode
-// every referenced batch body (in ref order, from the local store —
-// delivery gating guarantees the bodies arrived before the commit) and
-// then the inline tail.
-func decodeTransactions(store *dissem.Store, p types.Payload) [][]byte {
+// decodeTransactions resolves a committed payload, finalized at round r,
+// to its transaction list: inline payloads decode directly; digest-list
+// payloads decode every referenced batch body that delivery does not skip
+// (in ref order, from the local store — delivery gating guarantees the
+// bodies arrived before the commit) and then the inline tail.
+func decodeTransactions(store *dissem.Store, p types.Payload, r types.Round) [][]byte {
 	if !p.HasBatches() {
 		return mempool.DecodeBatch(p)
 	}
 	var txs [][]byte
-	if store != nil {
-		if bodies, ok := store.Bodies(p); ok {
-			for _, body := range bodies {
-				txs = append(txs, mempool.DecodeBatch(body)...)
-			}
+	for i := 0; store != nil && i < len(p.Batches); i++ {
+		body, ok := store.Body(p, r, i)
+		switch {
+		case !ok:
+		case txs == nil:
+			txs = mempool.DecodeBatch(body)
+		default:
+			txs = append(txs, mempool.DecodeBatch(body)...)
 		}
 	}
 	if len(p.Data) > 0 {

@@ -517,6 +517,69 @@ func (w *BatchWithholder) rewrite(acts []protocol.Action) []protocol.Action {
 	return out
 }
 
+// BatchFlooder attacks the dissemination layer's memory and block space:
+// it runs consensus faithfully and, with every event it handles,
+// broadcasts burst fresh junk batch bodies from a bottomless supply.
+// Proposals take any origin's held batches, so without a bound one such
+// origin would fill every honest store and every honest block; the
+// per-origin cap holds what each replica keeps of it, unfinalized, to
+// 2×BlockBytes + BatchBytes and refuses the rest unacked.
+type BatchFlooder struct {
+	inner       protocol.Engine
+	size, burst int
+	flooded     int64 // junk bodies broadcast
+}
+
+var _ protocol.Engine = (*BatchFlooder)(nil)
+
+// FloodSeedMark is set in the seed of every synthetic body a BatchFlooder
+// broadcasts, so tests can tell its batches from honest ones.
+const FloodSeedMark = uint64(1) << 63
+
+// NewBatchFlooder wraps an engine to broadcast burst synthetic bodies of
+// size bytes with every event.
+func NewBatchFlooder(inner protocol.Engine, size, burst int) *BatchFlooder {
+	return &BatchFlooder{inner: inner, size: size, burst: burst}
+}
+
+// ID implements protocol.Engine.
+func (f *BatchFlooder) ID() types.ReplicaID { return f.inner.ID() }
+
+// Protocol implements protocol.Engine.
+func (f *BatchFlooder) Protocol() string { return f.inner.Protocol() + "-batch-flooder" }
+
+// Metrics implements protocol.Engine.
+func (f *BatchFlooder) Metrics() map[string]int64 { return f.inner.Metrics() }
+
+// Flooded returns how many junk bodies were broadcast.
+func (f *BatchFlooder) Flooded() int64 { return f.flooded }
+
+// Start implements protocol.Engine.
+func (f *BatchFlooder) Start(now time.Time) []protocol.Action {
+	return f.flood(f.inner.Start(now))
+}
+
+// HandleMessage implements protocol.Engine.
+func (f *BatchFlooder) HandleMessage(from types.ReplicaID, msg types.Message, now time.Time) []protocol.Action {
+	return f.flood(f.inner.HandleMessage(from, msg, now))
+}
+
+// HandleTimer implements protocol.Engine.
+func (f *BatchFlooder) HandleTimer(id protocol.TimerID, now time.Time) []protocol.Action {
+	return f.flood(f.inner.HandleTimer(id, now))
+}
+
+func (f *BatchFlooder) flood(acts []protocol.Action) []protocol.Action {
+	for i := 0; i < f.burst; i++ {
+		f.flooded++
+		body := types.SyntheticPayload(f.size, FloodSeedMark|uint64(f.ID())<<32|uint64(f.flooded))
+		acts = append(acts, protocol.Broadcast{Msg: &types.BatchAnnounce{
+			Origin: f.ID(), Digest: body.Digest(), Body: body,
+		}})
+	}
+	return acts
+}
+
 // PullWithholder attacks the pull path behind header relays: it runs
 // consensus faithfully — proposes, votes, relays headers, so every peer
 // counts it among the holders of each block it voted for — but never

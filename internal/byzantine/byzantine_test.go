@@ -424,3 +424,24 @@ func TestAdversaryIdentity(t *testing.T) {
 		}
 	}
 }
+
+func TestBatchFlooderAddsFreshBodies(t *testing.T) {
+	vote := types.Vote{Kind: types.VoteNotarize, Round: 1}
+	inner := &scriptedEngine{id: 2, acts: []protocol.Action{
+		protocol.Broadcast{Msg: &types.VoteMsg{Votes: []types.Vote{vote}}},
+	}}
+	f := NewBatchFlooder(inner, 64, 3)
+	acts := f.Start(time.Unix(0, 0))
+	seen := map[[32]byte]bool{}
+	for _, a := range acts[1:] {
+		ann := a.(protocol.Broadcast).Msg.(*types.BatchAnnounce)
+		if ann.Origin != 2 || ann.Body.Size() != 64 || ann.Body.Digest() != ann.Digest ||
+			ann.Body.SynthSeed&FloodSeedMark == 0 || seen[ann.Digest] {
+			t.Fatalf("bad junk announce %+v", ann)
+		}
+		seen[ann.Digest] = true
+	}
+	if _, ok := acts[0].(protocol.Broadcast).Msg.(*types.VoteMsg); !ok || len(seen) != 3 || f.Flooded() != 3 {
+		t.Fatalf("acts %v: want the engine's vote, then 3 fresh bodies", acts)
+	}
+}

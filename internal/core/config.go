@@ -16,6 +16,13 @@
 // The engine is a deterministic state machine per the protocol package
 // contract; all Algorithm 1/2 line references appear next to the code that
 // implements them.
+//
+// Which payload a proposal carries was always the proposer's choice. With
+// Config.Dissem the payload is a list of batch digests, and any leader
+// proposes every batch its store holds that the proposal's parent chain
+// does not reference yet, whoever cut it; a batch stays proposable until
+// a finalized block references it, and delivery skips a ref the finalized
+// chain already delivered (dissem.go).
 package core
 
 import (
@@ -59,7 +66,8 @@ type Config struct {
 	Verifier *crypto.Verifier
 	// Signer signs this replica's blocks and votes.
 	Signer *crypto.Signer
-	// Payloads supplies block payloads when this replica proposes.
+	// Payloads supplies block payloads when this replica proposes
+	// (Dissem replaces it).
 	Payloads protocol.PayloadSource
 	// Delta is the message-delay bound Δ. Proposal and notarization delays
 	// are Δ_prop(r) = Δ_notary(r) = 2Δ·r (paper section 4). Deployments set
@@ -102,13 +110,14 @@ type Config struct {
 	// sync, which this option therefore depends on for cluster liveness.
 	DeepPrune bool
 	// Dissem, when set, decouples payload dissemination from ordering: the
-	// store becomes the engine's PayloadSource (proposals commit batch
-	// digests instead of bytes; Payloads is overridden), batch bodies are
-	// broadcast off the consensus path as BatchAnnounce messages, and
-	// *delivery* of finalized blocks — never voting or finalization — is
-	// gated on body availability, with fetch-on-miss against the block's
-	// proposer. The same store instance must be shared with the host, which
-	// resolves committed digest lists back to transaction bytes.
+	// store replaces Payloads (proposals commit batch digests instead of
+	// bytes: any origin's held batches that the proposal's parent chain
+	// does not reference yet), batch bodies are broadcast off the
+	// consensus path as BatchAnnounce messages, and *delivery* of
+	// finalized blocks — never voting or finalization — is gated on body
+	// availability, with fetch-on-miss against the block's proposer. The
+	// same store instance must be shared with the host, which resolves
+	// committed digest lists back to transaction bytes.
 	Dissem *dissem.Store
 	// Obs, when set, is the replica's observability bundle: the engine
 	// records commit-latency/delivery-wait/verify histograms, lifecycle
@@ -155,9 +164,6 @@ func (c *Config) validate() error {
 	}
 	if c.Payloads == nil {
 		c.Payloads = protocol.EmptyPayloads
-	}
-	if c.Dissem != nil {
-		c.Payloads = c.Dissem
 	}
 	if c.PruneInterval == 0 {
 		c.PruneInterval = defaultPruneInterval

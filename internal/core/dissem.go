@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"banyan/internal/obs"
 	"banyan/internal/protocol"
 	"banyan/internal/types"
@@ -12,15 +14,21 @@ import (
 // asynchronous plane — batch bodies broadcast continuously off the
 // consensus path — and a delivery gate: a finalized chain's Commit action
 // is withheld until every batch body its payloads reference is held
-// locally, fetched on miss from the block's proposer (blocks reference
-// only proposer-own batches) with timeout rotation across peers, up to
-// fetch.Window digests at a time. Safety never depends on the gate; it
-// only orders the application's view.
+// locally, fetched on miss from the block's proposer (a proposer holds
+// every batch it references, whoever cut it) with timeout rotation across
+// peers, up to fetch.Window digests at a time. Safety never depends on
+// the gate; it only orders the application's view. A proposal takes any
+// origin's held batches that its parent chain does not reference
+// (nextPayload); a newly finalized chain is marked in the store before it
+// queues (deliver), which takes its batches out of the pool and marks the
+// refs an earlier finalized block already delivered, for delivery to
+// skip.
 
 // onBatchAnnounce ingests a body broadcast or an availability ack. A
 // body-carrying announce is self-certifying (digest check) and answered
 // with an ack — an announce with the same digest and no body — so the
-// origin can count availability before referencing the batch.
+// origin can count availability before referencing the batch. A body the
+// store refuses (its origin is over its cap) is not acked.
 func (e *Engine) onBatchAnnounce(from types.ReplicaID, m *types.BatchAnnounce) []protocol.Action {
 	if e.cfg.Dissem == nil {
 		e.met.rejected++
@@ -36,7 +44,9 @@ func (e *Engine) onBatchAnnounce(from types.ReplicaID, m *types.BatchAnnounce) [
 		e.met.rejected++
 		return nil
 	}
-	e.cfg.Dissem.Put(m.Digest, m.Body)
+	if !e.cfg.Dissem.Accept(from, m) {
+		return nil
+	}
 	e.recordFetchDone(m.Digest)
 	e.batchFetch.Done(m.Digest)
 	return []protocol.Action{protocol.Send{
@@ -116,9 +126,10 @@ func (e *Engine) tryDisseminate(acts []protocol.Action) []protocol.Action {
 }
 
 // deliver routes a newly finalized chain to the application. Inline mode
-// commits immediately; dissemination mode enqueues the chain behind any
-// earlier gated deliveries (application order must match finalization
-// order) and flushes whatever prefix has its bodies.
+// commits immediately; dissemination mode marks the chain finalized in
+// the store, enqueues it behind any earlier gated deliveries (application
+// order must match finalization order) and flushes whatever prefix has
+// its bodies.
 func (e *Engine) deliver(chain []*types.Block, mode protocol.FinalizationMode,
 	acts []protocol.Action) []protocol.Action {
 	if e.cfg.Dissem == nil {
@@ -132,26 +143,28 @@ func (e *Engine) deliver(chain []*types.Block, mode protocol.FinalizationMode,
 		}
 		return append(acts, protocol.Commit{Blocks: chain, Explicit: mode})
 	}
+	for _, b := range chain {
+		e.cfg.Dissem.MarkFinalized(b.Payload, b.Round)
+	}
 	e.delivQueue = append(e.delivQueue, deliveryItem{blocks: chain, mode: mode, enq: e.now})
 	return e.flushDelivery(acts)
 }
 
 // flushDelivery emits Commit actions for the longest prefix of the
 // delivery queue whose batch bodies are all held, and queues fetches for
-// the digests blocking the head. A partially deliverable chain commits
-// its resolvable prefix as FinalizeIndirect (the original mode describes
-// the chain's tip, which is still gated); commit metrics count here, at
-// delivery, so blocks_commit/bytes_commit mean what the application saw.
+// the digests every gated block lacks, so consecutive losses recover in
+// parallel within the fetch window rather than one head at a time. A
+// partially deliverable chain commits its resolvable prefix as
+// FinalizeIndirect (the original mode describes the chain's tip, which is
+// still gated); commit metrics count here, at delivery, so
+// blocks_commit/bytes_commit mean what the application saw.
 func (e *Engine) flushDelivery(acts []protocol.Action) []protocol.Action {
+	defer e.fetchGated()
 	for len(e.delivQueue) > 0 {
 		it := &e.delivQueue[0]
 		n := 0
 		for _, b := range it.blocks {
-			missing := e.cfg.Dissem.Missing(b.Payload)
-			if len(missing) > 0 {
-				for _, d := range missing {
-					e.batchFetch.Add(d, b.Proposer)
-				}
+			if len(e.cfg.Dissem.Missing(b.Payload, b.Round)) > 0 {
 				break
 			}
 			n++
@@ -185,6 +198,46 @@ func (e *Engine) flushDelivery(acts []protocol.Action) []protocol.Action {
 	return acts
 }
 
+// fetchMissing queues a fetch, proposer first, for every body b
+// references that the store lacks. Called for every gated delivery, and
+// for every block as it arrives (onProposal), so that under loss a body
+// whose announce went astray is usually in hand by the time its block
+// finalizes. A block that never finalizes leaves its fetched bodies to
+// the next Compact, and an unanswered fetch no gated delivery needs is
+// abandoned (batchUnneeded).
+func (e *Engine) fetchMissing(b *types.Block) {
+	for _, d := range e.cfg.Dissem.Missing(b.Payload, b.Round) {
+		e.batchFetch.Add(d, b.Proposer)
+	}
+}
+
+// batchUnneeded is the batch fetcher's abandon hook: a fetch every peer
+// has let expire is given up unless a gated delivery lacks the body. A
+// prefetch for a block that never finalizes would otherwise hold a window
+// slot forever; if the block does finalize, the delivery gate asks again.
+func (e *Engine) batchUnneeded(d [32]byte) bool {
+	if e.batchFetch.Sent(d) < e.setFor(e.round).Size() {
+		return false
+	}
+	for _, it := range e.delivQueue {
+		for _, b := range it.blocks {
+			if slices.Contains(e.cfg.Dissem.Missing(b.Payload, b.Round), d) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// fetchGated queues the fetches every gated delivery needs.
+func (e *Engine) fetchGated() {
+	for _, it := range e.delivQueue {
+		for _, b := range it.blocks {
+			e.fetchMissing(b)
+		}
+	}
+}
+
 // dropStaleDeliveries discards gated delivery-queue blocks the engine has
 // pruned past. Behind the retention window a body is no longer guaranteed
 // recoverable anywhere — peers compact behind the same floor — and the
@@ -194,15 +247,17 @@ func (e *Engine) flushDelivery(acts []protocol.Action) []protocol.Action {
 // deliveries reference long-compacted batches: catch-up moves the floor
 // past them, the stale head is dropped, and live delivery resumes. Blocks
 // whose bodies are all held are never dropped, and the fetcher abandons
-// the dropped digests so rotation stops burning timeouts on them.
+// the dropped digests so rotation stops burning timeouts on them. The
+// bodies a dropped block does hold count as delivered, so they compact.
 func (e *Engine) dropStaleDeliveries(floor types.Round) {
 	items := e.delivQueue[:0]
 	for _, it := range e.delivQueue {
 		kept := make([]*types.Block, 0, len(it.blocks))
 		for _, b := range it.blocks {
-			missing := e.cfg.Dissem.Missing(b.Payload)
+			missing := e.cfg.Dissem.Missing(b.Payload, b.Round)
 			if b.Round < floor && len(missing) > 0 {
 				e.met.delivDropped++
+				e.cfg.Dissem.MarkDelivered(b.Payload, b.Round)
 				for _, d := range missing {
 					e.batchFetch.Done(d)
 				}

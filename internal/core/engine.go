@@ -110,7 +110,13 @@ type Engine struct {
 	// handed the payload out for good, so dropping it here would lose it.
 	// Exactly once holds because one block per round finalizes: no
 	// finalized block can name the payload of a block its round excluded.
+	// Under Config.Dissem only inline tails are carried: batch refs stay
+	// in the store's pool until a finalized block references them.
 	carry []types.Payload
+
+	// chainScratch backs chainRefs: the batch refs of a proposal's
+	// unfinalized parent chain.
+	chainScratch []types.BatchRef
 
 	lastPrune types.Round
 
@@ -187,11 +193,11 @@ func New(cfg Config) (*Engine, error) {
 		// Like the fetchers' rings, the suffix-sync rotation spans the
 		// whole identity registry (see newFetchClass).
 		syncPeers: fetch.NewRing(cfg.Self, cfg.Keyring.N()),
-		batchFetch: newFetchClass(cfg, bodyFetchDeltas*cfg.Delta, protocol.TimerBatchFetch,
+		batchFetch: newFetchClass(cfg, batchFetchDeltas*cfg.Delta, protocol.TimerBatchFetch,
 			func(d [32]byte) types.Message { return &types.BatchRequest{Digest: d} }),
 		wanted: make(map[pullKey]*wantedBody),
-		// A pulled body is a body fetch like any other: same per-peer
-		// silence budget as a batch.
+		// A pulled body may be a whole block: it gets the body budget, a
+		// batch the round-trip one.
 		pulls: newFetchClass(cfg, bodyFetchDeltas*cfg.Delta, protocol.TimerBodyPull,
 			func(k pullKey) types.Message { return &types.BlockRequest{Round: k.round, ID: k.id} }),
 	}
@@ -201,6 +207,7 @@ func New(cfg Config) (*Engine, error) {
 		func(types.Round) types.Message { return &types.SnapshotRequest{Have: e.tree.FinalizedRound()} })
 	e.fetcher.abandon = e.snapshotReached
 	e.pulls.abandon = e.pullExhausted
+	e.batchFetch.abandon = e.batchUnneeded
 	return e, nil
 }
 
@@ -554,6 +561,9 @@ func (e *Engine) onProposal(from types.ReplicaID, m *types.Proposal) {
 		}
 		e.tree.Add(b)
 		e.bodyArrived(b.Round, id)
+		if e.cfg.Dissem != nil && !e.replaying {
+			e.fetchMissing(b)
+		}
 	default:
 		// A header for a block this replica does not hold. It enters
 		// neither the round's blocks nor the tree — nothing downstream can
@@ -1392,7 +1402,7 @@ func (e *Engine) tryPropose(now time.Time, acts []protocol.Action) (bool, []prot
 		e.met.optWithdrawn++
 		e.carryPayload(opt.block.Payload)
 	}
-	payload := e.nextPayload(e.round, rank)
+	payload := e.nextPayload(e.round, rank, parentID)
 	// A host-queued validator-set change rides this proposal, provided it
 	// would actually apply to the round's set (a stale or inapplicable
 	// change stays queued rather than burning its block). A payload that
@@ -1478,7 +1488,7 @@ func (e *Engine) tryOptimisticPropose(acts []protocol.Action) (bool, []protocol.
 		// stale. Wait for tryPropose on the certified parent instead.
 		return false, acts
 	}
-	b := types.NewBlock(next, e.cfg.Self, 0, parent.ID(), e.nextPayload(next, 0))
+	b := types.NewBlock(next, e.cfg.Self, 0, parent.ID(), e.nextPayload(next, 0, parent.ID()))
 	b.Epoch = e.setFor(next).Epoch()
 	if err := e.cfg.Signer.SignBlock(b); err != nil {
 		e.stop(fmt.Errorf("core: signing optimistic block: %w", err))
@@ -1711,6 +1721,13 @@ func (e *Engine) tryFinalize(acts []protocol.Action) (bool, []protocol.Action) {
 			changed = true
 		}
 	}
+	// A commit still blocked once this replica is two rounds past its
+	// finalized tip is no body in flight: an ancestor's proposal, relays
+	// and votes all missed it, so nothing queued a pull. Suffix sync
+	// fetches the chain instead.
+	if len(e.pendingCommit) > 0 && e.round > e.tree.FinalizedRound()+2 {
+		e.catchupDirty = true
+	}
 	return changed, acts
 }
 
@@ -1819,11 +1836,16 @@ func (e *Engine) carryOrphans(chain []*types.Block) {
 
 // carryPayload queues a payload whose block is dead for re-proposal. A
 // validator-set change riding it is dropped: the Reconfigurator keeps
-// offering a change until it observes it finalized. Replay queues nothing —
-// what the journal shows orphaned was carried, or lost with the process,
-// before the crash.
+// offering a change until it observes it finalized. Batch refs are
+// dropped too: the store keeps a batch proposable until a finalized block
+// references it, so only an inline tail needs carrying. Replay queues
+// nothing — what the journal shows orphaned was carried, or lost with the
+// process, before the crash.
 func (e *Engine) carryPayload(p types.Payload) {
-	if p = p.WithoutChange(); e.replaying || p.Size() == 0 {
+	if p = p.WithoutChange(); p.HasBatches() {
+		p = types.BytesPayload(p.Data)
+	}
+	if e.replaying || p.Size() == 0 {
 		return
 	}
 	e.carry = append(e.carry, p)
@@ -1831,23 +1853,53 @@ func (e *Engine) carryPayload(p types.Payload) {
 }
 
 // nextPayload returns what this replica proposes at the given rank of
-// round r: a carried payload, else a fresh one from the source. The oldest
-// carried payload is kept for a round this replica leads — the rank-0 block
-// is the one a round prefers — and a fallback proposal takes the next
-// oldest, so no payload can cycle through losing proposals forever.
-func (e *Engine) nextPayload(r types.Round, rank types.Rank) types.Payload {
+// round r on parent: a carried payload, else a fresh one from the source;
+// under Config.Dissem, the store's proposable batches that the parent
+// chain does not reference yet, with a carried inline tail if there is
+// one. The oldest carried payload is kept for a round this replica leads
+// — the rank-0 block is the one a round prefers — and a fallback proposal
+// takes the next oldest, so no payload can cycle through losing proposals
+// forever.
+func (e *Engine) nextPayload(r types.Round, rank types.Rank, parent types.BlockID) types.Payload {
+	carried, ok := e.takeCarried(rank)
+	switch {
+	case e.cfg.Dissem != nil:
+		return e.cfg.Dissem.Propose(e.chainRefs(parent), carried.Data)
+	case ok:
+		return carried
+	default:
+		return e.cfg.Payloads.NextPayload(r)
+	}
+}
+
+// takeCarried pops the carried payload a proposal at rank may take.
+func (e *Engine) takeCarried(rank types.Rank) (types.Payload, bool) {
 	i := 0
 	if rank > 0 {
 		i = 1
 	}
 	if i >= len(e.carry) {
-		return e.cfg.Payloads.NextPayload(r)
+		return types.Payload{}, false
 	}
 	p := e.carry[i]
 	if e.carry = append(e.carry[:i], e.carry[i+1:]...); len(e.carry) == 0 {
 		e.carry = nil // release the drained backing array
 	}
-	return p
+	return p, true
+}
+
+// chainRefs returns the batch refs of the blocks from parent down to the
+// local finalized tip: what a proposal on parent must not reference
+// again (the refs of finalized blocks have left the store's pool). The
+// slice is scratch, reused by the next call.
+func (e *Engine) chainRefs(parent types.BlockID) []types.BatchRef {
+	refs := e.chainScratch[:0]
+	fin := e.tree.FinalizedRound()
+	for b, ok := e.tree.Block(parent); ok && b.Round > fin; b, ok = e.tree.Block(b.Parent) {
+		refs = append(refs, b.Payload.Batches...)
+	}
+	e.chainScratch = refs
+	return refs
 }
 
 func isMissingAncestor(err error) bool {

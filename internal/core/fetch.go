@@ -9,9 +9,11 @@ import (
 )
 
 // Per-peer silence budgets, in Δ, before a fetch rotates to the next
-// peer. A body request costs one round trip plus serving time; a snapshot
+// peer. A batch request is one round trip, each way within Δ; a block
+// body request costs one round trip plus serving time; a snapshot
 // response carries a whole finalized window.
 const (
+	batchFetchDeltas    = 2
 	bodyFetchDeltas     = 4
 	snapshotFetchDeltas = 8
 )

@@ -136,6 +136,13 @@ func (e *Engine) RestoreSnapshot(s *protocol.Snapshot) error {
 	if err := e.tree.RestoreFinalized(s.Chain); err != nil {
 		return err
 	}
+	if e.cfg.Dissem != nil {
+		// The window is finalized history: its refs enter the store's
+		// finalized-digest index, as a live finalization's would.
+		for _, b := range s.Chain {
+			e.cfg.Dissem.MarkFinalized(b.Payload, b.Round)
+		}
+	}
 	fin := e.tree.FinalizedRound()
 	if fin != s.FinalizedRound {
 		return fmt.Errorf("core: snapshot claims finalized round %d, window restores %d",

@@ -27,6 +27,20 @@ func (q *queueSource) CutBatch(max int) types.Payload {
 
 func tx(b byte, n int) []byte { return bytes.Repeat([]byte{b}, n) }
 
+// accept hands s body as origin's announce.
+func accept(s *Store, origin types.ReplicaID, body types.Payload) bool {
+	return s.Accept(origin, &types.BatchAnnounce{Origin: origin, Digest: body.Digest(), Body: body})
+}
+
+// digests lists a payload's ref digests.
+func digests(p types.Payload) [][32]byte {
+	var out [][32]byte
+	for _, r := range p.Batches {
+		out = append(out, r.Digest)
+	}
+	return out
+}
+
 func TestStoreCutAnnounceAckPropose(t *testing.T) {
 	src := &queueSource{txs: [][]byte{tx('a', 100), tx('b', 100), tx('c', 100)}}
 	s := NewStore(Config{Self: 0, N: 4, BatchBytes: 200, BlockBytes: 1000, AckQuorum: 2, Source: src})
@@ -44,31 +58,37 @@ func TestStoreCutAnnounceAckPropose(t *testing.T) {
 		}
 	}
 	// Without quorum acks nothing is proposable.
-	if p := s.NextPayload(1); p.Size() != 0 {
+	if p := s.Propose(nil, nil); p.Size() != 0 {
 		t.Fatalf("unacked batch proposed: %+v", p)
 	}
-	// Re-queue: NextPayload must not have consumed the batches.
 	s.RecordAck(anns[0].Digest, 1)
 	s.RecordAck(anns[0].Digest, 1) // duplicate, ignored
 	s.RecordAck(anns[0].Digest, 0) // self, ignored
-	if p := s.NextPayload(2); p.Size() != 0 {
+	if p := s.Propose(nil, nil); p.Size() != 0 {
 		t.Fatal("batch proposed below ack quorum")
 	}
 	s.RecordAck(anns[0].Digest, 2)
-	p := s.NextPayload(3)
+	p := s.Propose(nil, nil)
 	if len(p.Batches) != 1 || p.Batches[0].Digest != anns[0].Digest || p.Batches[0].Size != 200 {
 		t.Fatalf("acked prefix not proposed: %+v", p.Batches)
 	}
-	// The second batch stays queued (FIFO prefix stopped at it), and the
-	// first never reappears.
-	if p := s.NextPayload(4); p.Size() != 0 {
-		t.Fatal("second batch proposed without acks, or first duplicated")
+	// Proposing does not consume: a proposal on a parent chain that lacks
+	// the block (its block was orphaned) names the batch again, one on a
+	// chain holding it does not — and the second batch waits for acks.
+	if again := s.Propose(nil, nil); len(again.Batches) != 1 || again.Batches[0].Digest != anns[0].Digest {
+		t.Fatalf("batch of an undecided block not proposable again: %+v", again.Batches)
+	}
+	if next := s.Propose(p.Batches, nil); next.Size() != 0 {
+		t.Fatal("second batch proposed without acks, or the chain's batch repeated")
 	}
 	s.RecordAck(anns[1].Digest, 1)
 	s.RecordAck(anns[1].Digest, 3)
-	p = s.NextPayload(5)
-	if len(p.Batches) != 1 || p.Batches[0].Digest != anns[1].Digest {
-		t.Fatalf("second batch not proposed after acks: %+v", p.Batches)
+	next := s.Propose(p.Batches, nil)
+	if len(next.Batches) != 1 || next.Batches[0].Digest != anns[1].Digest {
+		t.Fatalf("second batch not proposed after acks: %+v", next.Batches)
+	}
+	if got := s.acks; got != 4 {
+		t.Fatalf("acks = %d, want 4 (two per batch, stopping at the quorum)", got)
 	}
 }
 
@@ -83,7 +103,7 @@ func TestStoreFIFOPrefixStopsAtUnacked(t *testing.T) {
 	// part of the committed sequence, so the prefix stops at the gap.
 	s.RecordAck(anns[0].Digest, 1)
 	s.RecordAck(anns[2].Digest, 1)
-	p := s.NextPayload(1)
+	p := s.Propose(nil, nil)
 	if len(p.Batches) != 1 || p.Batches[0].Digest != anns[0].Digest {
 		t.Fatalf("expected exactly the acked prefix, got %+v", p.Batches)
 	}
@@ -96,11 +116,11 @@ func TestStoreBlockBytesBudget(t *testing.T) {
 	for _, a := range anns {
 		s.RecordAck(a.Digest, 1)
 	}
-	p := s.NextPayload(1)
+	p := s.Propose(nil, nil)
 	if len(p.Batches) != 2 || p.Size() != 200 {
 		t.Fatalf("block budget not honored: %d batches, %d bytes", len(p.Batches), p.Size())
 	}
-	p = s.NextPayload(2)
+	p = s.Propose(p.Batches, nil)
 	if len(p.Batches) != 1 {
 		t.Fatalf("remaining batch not proposed next: %+v", p.Batches)
 	}
@@ -113,17 +133,30 @@ func TestStoreInlineTail(t *testing.T) {
 	for _, a := range anns {
 		s.RecordAck(a.Digest, 1)
 	}
-	p := s.NextPayload(1)
+	p := s.Propose(nil, nil)
 	if len(p.Batches) != len(anns) {
 		t.Fatalf("acked batches not all proposed: %d", len(p.Batches))
 	}
 	// Now submit a latency-sensitive tx: with batches drained it rides the
 	// inline tail of the next proposal instead of a dissemination cycle.
 	src.txs = append(src.txs, tx('z', 20))
-	p = s.NextPayload(2)
+	p = s.Propose(p.Batches, nil)
 	if len(p.Batches) != 0 || !bytes.Equal(p.Data, tx('z', 20)) {
 		t.Fatalf("inline tail missing: %+v", p)
 	}
+	// A carried tail rides instead of a fresh cut.
+	src.txs = append(src.txs, tx('y', 20))
+	if p = s.Propose(digests2refs(anns), tx('x', 8)); !bytes.Equal(p.Data, tx('x', 8)) || len(src.txs) != 1 {
+		t.Fatalf("carried tail not proposed as is: %+v", p)
+	}
+}
+
+func digests2refs(anns []*types.BatchAnnounce) []types.BatchRef {
+	refs := make([]types.BatchRef, len(anns))
+	for i, a := range anns {
+		refs[i] = types.BatchRef{Digest: a.Digest, Size: uint32(a.Body.Size())}
+	}
+	return refs
 }
 
 func TestStorePutGetMissingBodies(t *testing.T) {
@@ -137,17 +170,22 @@ func TestStorePutGetMissingBodies(t *testing.T) {
 		{Digest: b1.Digest(), Size: 50},
 		{Digest: b2.Digest(), Size: 60},
 	}, nil)
-	missing := s.Missing(p)
+	missing := s.Missing(p, 1)
 	if len(missing) != 1 || missing[0] != b2.Digest() {
 		t.Fatalf("wrong missing set: %v", missing)
 	}
-	if _, ok := s.Bodies(p); ok {
-		t.Fatal("Bodies succeeded with a missing batch")
+	if _, ok := s.Body(p, 1, 1); ok {
+		t.Fatal("Body served a missing batch")
 	}
 	s.Put(b2.Digest(), b2)
-	bodies, ok := s.Bodies(p)
-	if !ok || len(bodies) != 2 || !bytes.Equal(bodies[0].Data, b1.Data) || !bytes.Equal(bodies[1].Data, b2.Data) {
-		t.Fatalf("Bodies wrong: %v %v", bodies, ok)
+	got0, ok0 := s.Body(p, 1, 0)
+	got1, ok1 := s.Body(p, 1, 1)
+	if !ok0 || !ok1 || !bytes.Equal(got0.Data, b1.Data) || !bytes.Equal(got1.Data, b2.Data) {
+		t.Fatalf("Body wrong: %v %v", got0, got1)
+	}
+	// A fetched body is never proposable.
+	if p := s.Propose(nil, nil); p.Size() != 0 {
+		t.Fatalf("fetched body pooled: %+v", p.Batches)
 	}
 }
 
@@ -156,16 +194,207 @@ func TestStoreCompactRetainsWindow(t *testing.T) {
 	old := types.BytesPayload(tx('o', 10))
 	young := types.BytesPayload(tx('y', 10))
 	undelivered := types.BytesPayload(tx('u', 10))
-	s.Put(old.Digest(), old)
-	s.Put(young.Digest(), young)
-	s.Put(undelivered.Digest(), undelivered)
-	s.MarkDelivered(types.BatchPayload([]types.BatchRef{{Digest: old.Digest(), Size: 10}}, nil), 5)
-	s.MarkDelivered(types.BatchPayload([]types.BatchRef{{Digest: young.Digest(), Size: 10}}, nil), 20)
-	s.Compact(10)
-	if s.Has(old.Digest()) {
-		t.Fatal("compaction kept a body behind the floor")
+	pooled := types.BytesPayload(tx('p', 10))
+	orphan := types.BytesPayload(tx('x', 10))
+	ref := func(b types.Payload) types.Payload {
+		return types.BatchPayload([]types.BatchRef{{Digest: b.Digest(), Size: 10}}, nil)
 	}
-	if !s.Has(young.Digest()) || !s.Has(undelivered.Digest()) {
-		t.Fatal("compaction dropped a retained or undelivered body")
+	for r, b := range []types.Payload{old, young, undelivered} {
+		accept(s, 1, b)
+		s.MarkFinalized(ref(b), types.Round([]int{5, 20, 8}[r]))
+	}
+	accept(s, 2, pooled)
+	s.Put(orphan.Digest(), orphan) // neither pooled nor finalized
+	s.MarkDelivered(ref(old), 5)
+	s.MarkDelivered(ref(young), 20)
+	s.Compact(10)
+	if s.Has(old.Digest()) || s.Has(orphan.Digest()) {
+		t.Fatal("compaction kept a body behind the floor, or one nothing references")
+	}
+	if !s.Has(young.Digest()) || !s.Has(undelivered.Digest()) || !s.Has(pooled.Digest()) {
+		t.Fatal("compaction dropped a retained, undelivered or pooled body")
+	}
+}
+
+// TestStoreProposesEveryOrigin: another origin's batch is proposable the
+// moment its body arrives, without acks, in receipt order beside the own
+// acked ones; a proposal skips what its parent chain references.
+func TestStoreProposesEveryOrigin(t *testing.T) {
+	src := &queueSource{txs: [][]byte{tx('a', 10)}}
+	s := NewStore(Config{Self: 0, N: 4, BatchBytes: 10, BlockBytes: 100, AckQuorum: 1, Source: src})
+	f1, f2 := types.BytesPayload(tx('f', 10)), types.BytesPayload(tx('g', 10))
+	accept(s, 2, f1)
+	own := s.TakeAnnounces()[0]
+	accept(s, 3, f2)
+
+	p := s.Propose(nil, nil)
+	if got := digests(p); len(got) != 2 || got[0] != f1.Digest() || got[1] != f2.Digest() {
+		t.Fatalf("proposal = %x, want both foreign batches (the own one is unacked)", got)
+	}
+	s.RecordAck(own.Digest, 1)
+	p = s.Propose(p.Batches[:1], nil)
+	if got := digests(p); len(got) != 2 || got[0] != own.Digest || got[1] != f2.Digest() {
+		t.Fatalf("proposal on a chain holding f1 = %x, want own then f2 in receipt order", got)
+	}
+	if m := metrics(s); m["dissemForeignRefs"] != 3 {
+		t.Fatalf("dissemForeignRefs = %d, want 3", m["dissemForeignRefs"])
+	}
+}
+
+func metrics(s *Store) map[string]int64 {
+	m := map[string]int64{}
+	s.Metrics(m)
+	return m
+}
+
+// TestStoreFinalizedDigestNeverPooledAgain: a batch leaves the pool when
+// a finalized block references it; a late announce of it is stored,
+// served and acked, but never proposed.
+func TestStoreFinalizedDigestNeverPooledAgain(t *testing.T) {
+	s := NewStore(Config{Self: 0, N: 4})
+	b := types.BytesPayload(tx('l', 10))
+	p := types.BatchPayload([]types.BatchRef{{Digest: b.Digest(), Size: 10}}, nil)
+	s.MarkFinalized(p, 3)
+	if !accept(s, 1, b) {
+		t.Fatal("late announce of a finalized digest refused")
+	}
+	if got, ok := s.Get(b.Digest()); !ok || !bytes.Equal(got.Data, b.Data) {
+		t.Fatal("late body not served")
+	}
+	if q := s.Propose(nil, nil); q.Size() != 0 {
+		t.Fatalf("finalized digest proposed again: %+v", q.Batches)
+	}
+	// Pooled first, then finalized: it leaves the pool.
+	c := types.BytesPayload(tx('m', 10))
+	accept(s, 2, c)
+	s.MarkFinalized(types.BatchPayload([]types.BatchRef{{Digest: c.Digest(), Size: 10}}, nil), 4)
+	if q := s.Propose(nil, nil); q.Size() != 0 {
+		t.Fatalf("finalized batch still pooled: %+v", q.Batches)
+	}
+}
+
+// TestStoreSkipsRepeatedRefs: a ref repeated within a block, or repeating
+// one finalized within the index window, is skipped at delivery; beyond
+// the window it is delivered again.
+func TestStoreSkipsRepeatedRefs(t *testing.T) {
+	s := NewStore(Config{Self: 0, N: 4})
+	b := types.BytesPayload(tx('r', 10))
+	ref := types.BatchRef{Digest: b.Digest(), Size: 10}
+	s.Put(b.Digest(), b)
+	twice := types.BatchPayload([]types.BatchRef{ref, ref}, nil)
+	s.MarkFinalized(twice, 10)
+	s.MarkFinalized(twice, 10) // marking again changes nothing
+	if _, ok := s.Body(twice, 10, 0); !ok {
+		t.Fatal("first ref skipped")
+	}
+	if _, ok := s.Body(twice, 10, 1); ok {
+		t.Fatal("second ref of the same block delivered")
+	}
+	once := types.BatchPayload([]types.BatchRef{ref}, nil)
+	s.MarkFinalized(once, 10+indexWindow)
+	if _, ok := s.Body(once, 10+indexWindow, 0); ok {
+		t.Fatal("repeat within the window delivered")
+	}
+	if len(s.Missing(once, 10+indexWindow)) != 0 {
+		t.Fatal("a skipped ref gates delivery")
+	}
+	s.MarkFinalized(once, 11+indexWindow)
+	if _, ok := s.Body(once, 11+indexWindow, 0); !ok {
+		t.Fatal("repeat beyond the window skipped")
+	}
+}
+
+// TestStoreCapsForeignBytesPerOrigin: an origin's pooled bytes stop at
+// 2×BlockBytes + BatchBytes; announces beyond are refused (not stored,
+// not acked) and counted, and finalization frees room again.
+func TestStoreCapsForeignBytesPerOrigin(t *testing.T) {
+	s := NewStore(Config{Self: 0, N: 4, BatchBytes: 10, BlockBytes: 20})
+	var first types.Payload
+	for i := 0; i < 6; i++ {
+		b := types.BytesPayload(tx(byte('a'+i), 10))
+		if i == 0 {
+			first = b
+		}
+		if got, want := accept(s, 3, b), i < 5; got != want {
+			t.Fatalf("batch %d accepted = %v, want %v", i, got, want)
+		}
+	}
+	m := metrics(s)
+	if m["dissemRefused"] != 1 || m["dissemForeignHeldMax"] != 50 || m["dissemBodiesHeld"] != 5 {
+		t.Fatalf("refused %d, held max %d, bodies %d; want 1, 50, 5",
+			m["dissemRefused"], m["dissemForeignHeldMax"], m["dissemBodiesHeld"])
+	}
+	other := types.BytesPayload(tx('z', 10))
+	if !accept(s, 2, other) {
+		t.Fatal("another origin refused for the first one's bytes")
+	}
+	s.MarkFinalized(types.BatchPayload([]types.BatchRef{{Digest: first.Digest(), Size: 10}}, nil), 1)
+	if late := types.BytesPayload(tx('f', 10)); !accept(s, 3, late) {
+		t.Fatal("finalization did not free the origin's room")
+	}
+}
+
+// countingSource cuts one fixed batch per call, preallocated, so the
+// allocation test sees only the store's own work.
+type countingSource struct {
+	bodies []types.Payload
+	next   int
+}
+
+func (c *countingSource) CutBatch(int) types.Payload {
+	if c.next == len(c.bodies) {
+		return types.Payload{}
+	}
+	c.next++
+	return c.bodies[c.next-1]
+}
+
+// TestAllocRegressionDissemCycle: one batch through cut → ack → propose →
+// finalize → deliver → compact costs two allocations: the batch's record
+// (body, announce and acks in one object) and the ref list the proposal's
+// block keeps. Acks count without a map, and the pool, the announce list
+// and the pick list are reused.
+func TestAllocRegressionDissemCycle(t *testing.T) {
+	const runs = 200
+	src := &countingSource{}
+	for i := 0; i < runs+10; i++ {
+		b := types.BytesPayload(append(tx('t', 60), byte(i), byte(i>>8)))
+		b.Digest()
+		src.bodies = append(src.bodies, b)
+	}
+	s := NewStore(Config{Self: 0, N: 4, BatchBytes: 64, BlockBytes: 32, Source: src})
+	round := types.Round(0)
+	cycle := func() {
+		round++
+		anns := s.TakeAnnounces()
+		for _, a := range anns {
+			s.RecordAck(a.Digest, 1)
+			s.RecordAck(a.Digest, 2)
+		}
+		p := s.Propose(nil, nil)
+		s.MarkFinalized(p, round)
+		s.MarkDelivered(p, round)
+		s.Compact(round)
+	}
+	cycle() // warm the maps and scratch slices
+	if allocs := testing.AllocsPerRun(runs, cycle); allocs > 2 {
+		t.Fatalf("cut → ack → propose → finalize allocates %.0f times per batch, want ≤ 2", allocs)
+	}
+	if round < 100 || s.cut < 100 {
+		t.Fatalf("the cycle ran %d rounds and cut %d batches", round, s.cut)
+	}
+}
+
+// TestAckSetBeyondInline: quorums larger than the inline set spill over
+// and still count each peer once.
+func TestAckSetBeyondInline(t *testing.T) {
+	var a ackSet
+	const quorum = ackInline + 3
+	for i := 0; i < 2*quorum; i++ {
+		a.add(types.ReplicaID(i%(quorum+1)), quorum)
+		a.add(types.ReplicaID(i%(quorum+1)), quorum)
+	}
+	if a.n != quorum || len(a.more) != quorum-ackInline {
+		t.Fatalf("ackSet holds %d peers (%d spilled), want %d", a.n, len(a.more), quorum)
 	}
 }

@@ -28,21 +28,34 @@ func makeDissemEngines(t *testing.T, params types.Params,
 	wrap func(id types.ReplicaID, eng protocol.Engine, signer *crypto.Signer) protocol.Engine,
 ) []protocol.Engine {
 	t.Helper()
+	engines, _ := makeDissemCluster(t, params, func(id types.ReplicaID) dissem.Source {
+		return mempool.NewSynthetic(4<<10, 99^uint64(id)<<32, false)
+	}, wrap)
+	return engines
+}
+
+// makeDissemCluster is makeDissemEngines with a per-replica source (nil:
+// the replica cuts nothing) that also returns the stores.
+func makeDissemCluster(t *testing.T, params types.Params, source func(types.ReplicaID) dissem.Source,
+	wrap func(id types.ReplicaID, eng protocol.Engine, signer *crypto.Signer) protocol.Engine,
+) ([]protocol.Engine, []*dissem.Store) {
+	t.Helper()
 	keyring, signers := crypto.GenerateCluster(crypto.Ed25519(), params.N, 99)
 	engines := make([]protocol.Engine, params.N)
+	stores := make([]*dissem.Store, params.N)
 	for i := 0; i < params.N; i++ {
 		id := types.ReplicaID(i)
-		store := dissem.NewStore(dissem.Config{
+		stores[i] = dissem.NewStore(dissem.Config{
 			Self:       id,
 			N:          params.N,
 			BatchBytes: 4 << 10,
 			BlockBytes: 8 << 10,
-			Source:     mempool.NewSynthetic(4<<10, 99^uint64(id)<<32, false),
+			Source:     source(id),
 		})
 		eng, err := core.New(core.Config{
 			Params: params, Self: id, Keyring: keyring, Signer: signers[i],
 			Delta:  50 * time.Millisecond,
-			Dissem: store,
+			Dissem: stores[i],
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -52,7 +65,7 @@ func makeDissemEngines(t *testing.T, params types.Params,
 			engines[i] = wrap(id, eng, signers[i])
 		}
 	}
-	return engines
+	return engines, stores
 }
 
 // TestDissemBatchWithholder: a Byzantine origin announces its batch
@@ -154,5 +167,209 @@ func TestDissemRandomizedLossReorder(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// batchCounter counts, per replica, the batch bodies its commits deliver
+// (the refs delivery does not skip), keyed by body digest.
+type batchCounter map[types.ReplicaID]map[[32]byte]int
+
+// hook wraps a commit hook to count every delivered body, and calls seen
+// (if set) with each.
+func (c batchCounter) hook(stores []*dissem.Store, base func(types.ReplicaID, time.Time, protocol.Commit),
+	seen func(node types.ReplicaID, body types.Payload)) func(types.ReplicaID, time.Time, protocol.Commit) {
+	return func(node types.ReplicaID, at time.Time, cm protocol.Commit) {
+		base(node, at, cm)
+		if c[node] == nil {
+			c[node] = make(map[[32]byte]int)
+		}
+		for _, b := range cm.Blocks {
+			for i := range b.Payload.Batches {
+				if body, ok := stores[node].Body(b.Payload, b.Round, i); ok {
+					c[node][body.Digest()]++
+					if seen != nil {
+						seen(node, body)
+					}
+				}
+			}
+		}
+	}
+}
+
+// listSource hands out a fixed list of batch bodies, one per cut.
+type listSource struct{ bodies []types.Payload }
+
+func (l *listSource) CutBatch(int) types.Payload {
+	if len(l.bodies) == 0 {
+		return types.Payload{}
+	}
+	b := l.bodies[0]
+	l.bodies = l.bodies[1:]
+	return b
+}
+
+// TestDissemStrandedOriginCommitsOnce: replica 3 cuts k batches (its whole
+// 2×BlockBytes inventory), collects
+// their acks and crashes before it leads a round. Its batches are no
+// longer its own to propose: the survivors propose them, every one
+// commits exactly once at each survivor, and once compaction passes them
+// no survivor holds a body.
+func TestDissemStrandedOriginCommitsOnce(t *testing.T) {
+	params := types.Params{N: 4, F: 1, P: 1}
+	const (
+		k        = 4
+		stranded = types.ReplicaID(3)
+		oneWay   = 10 * time.Millisecond
+	)
+	var bodies []types.Payload
+	for i := 0; i < k; i++ {
+		bodies = append(bodies, types.SyntheticPayload(4<<10, 0x57A4D<<20|uint64(i)))
+	}
+	engines, stores := makeDissemCluster(t, params, func(id types.ReplicaID) dissem.Source {
+		if id == stranded {
+			return &listSource{bodies: append([]types.Payload(nil), bodies...)}
+		}
+		return nil
+	}, nil)
+	held := func(i int) int64 { return engines[i].Metrics()["dissemBodiesHeld"] }
+	baseline := held(0)
+
+	log := newCommitLog()
+	hooks := log.hooks()
+	counts := batchCounter{}
+	hooks.OnCommit = counts.hook(stores, hooks.OnCommit, nil)
+	net, err := simnet.New(engines, simnet.Options{Topology: wan.Uniform(4, oneWay), Seed: 5}, hooks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Announces land at 10 ms and their acks at 20 ms; replica 3 leads
+	// round 4, some 60 ms in.
+	net.CrashAt(stranded, 25*time.Millisecond)
+	net.Run(8 * time.Second)
+
+	if len(log.faults) > 0 {
+		t.Fatalf("faults: %v", log.faults)
+	}
+	log.checkPrefixConsistent(t)
+	m := engines[stranded].Metrics()
+	if m["proposals"] != 0 || m["dissemAcks"] < int64(k*2) {
+		t.Fatalf("replica 3 made %d proposals and holds %d acks; want none and its k batches acked",
+			m["proposals"], m["dissemAcks"])
+	}
+	for i := range engines {
+		id := types.ReplicaID(i)
+		if id == stranded {
+			continue
+		}
+		for j, b := range bodies {
+			if n := counts[id][b.Digest()]; n != 1 {
+				t.Errorf("survivor %d delivered stranded batch %d %d times, want once", id, j, n)
+			}
+		}
+		fin := engines[i].(*core.Engine).Tree().FinalizedRound()
+		if fin < 2*64 {
+			t.Fatalf("survivor %d finalized only %d rounds: no compaction passed the batches", id, fin)
+		}
+		if got := held(i); got != baseline {
+			t.Errorf("survivor %d holds %d bodies after compaction, baseline %d", id, got, baseline)
+		}
+	}
+}
+
+// floodSource classifies a delivered synthetic body by its origin: the
+// flooder's junk, or the honest synthetic source of a replica.
+func floodOrigin(body types.Payload) (types.ReplicaID, bool) {
+	if body.SynthSeed&byzantine.FloodSeedMark != 0 {
+		return 0, true
+	}
+	return types.ReplicaID(body.SynthSeed >> 32 & 0xFF), false
+}
+
+// TestDissemBatchFlooderIsCapped: replica 2 runs consensus faithfully and
+// floods junk batch bodies with every event. Each honest replica holds at
+// most 2×BlockBytes + BatchBytes of its unfinalized bodies and refuses
+// the rest; honest origins' batches keep committing. The same cluster
+// without the flooder refuses nothing, and its leaders propose other
+// origins' batches.
+func TestDissemBatchFlooderIsCapped(t *testing.T) {
+	params := types.Params{N: 4, F: 1, P: 1}
+	const (
+		evil     = types.ReplicaID(2)
+		capBytes = 2*(8<<10) + 4<<10
+	)
+	synthetic := func(id types.ReplicaID) dissem.Source {
+		return mempool.NewSynthetic(4<<10, 99^uint64(id)<<32, false)
+	}
+	for _, flood := range []bool{false, true} {
+		var flooder *byzantine.BatchFlooder
+		engines, stores := makeDissemCluster(t, params, synthetic,
+			func(id types.ReplicaID, eng protocol.Engine, _ *crypto.Signer) protocol.Engine {
+				if flood && id == evil {
+					flooder = byzantine.NewBatchFlooder(eng, 4<<10, 1)
+					return flooder
+				}
+				return eng
+			})
+		honest := map[types.ReplicaID]bool{0: true, 1: true, 3: true}
+		if !flood {
+			honest[evil] = true
+		}
+		var heldMax, foreignRefs int64
+		junk := map[types.ReplicaID]int{}
+		fromHonest := map[types.ReplicaID]map[types.ReplicaID]int{}
+		log := newCommitLog()
+		hooks := log.hooks()
+		counts := batchCounter{}
+		hooks.OnCommit = counts.hook(stores, hooks.OnCommit, func(node types.ReplicaID, body types.Payload) {
+			if origin, isJunk := floodOrigin(body); isJunk {
+				junk[node]++
+			} else {
+				if fromHonest[node] == nil {
+					fromHonest[node] = map[types.ReplicaID]int{}
+				}
+				fromHonest[node][origin]++
+			}
+			for id := range honest {
+				heldMax = max(heldMax, engines[id].Metrics()["dissemForeignHeldMax"])
+			}
+		})
+		net, err := simnet.New(engines, simnet.Options{Topology: wan.Uniform(4, 10*time.Millisecond), Seed: 43}, hooks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net.Run(10 * time.Second)
+
+		if len(log.faults) > 0 {
+			t.Fatalf("flood=%v: faults: %v", flood, log.faults)
+		}
+		log.checkPrefixConsistent(t)
+		if heldMax > capBytes {
+			t.Errorf("flood=%v: an honest replica held %d unfinalized bytes of one origin, cap %d", flood, heldMax, capBytes)
+		}
+		for id := range honest {
+			m := engines[id].Metrics()
+			if refused := m["dissemRefused"]; flood != (refused > 0) {
+				t.Errorf("flood=%v: honest replica %d refused %d announces", flood, id, refused)
+			}
+			foreignRefs += m["dissemForeignRefs"]
+			for origin := range honest {
+				if origin != evil && fromHonest[id][origin] < 100 {
+					t.Errorf("flood=%v: replica %d delivered %d batches of honest origin %d",
+						flood, id, fromHonest[id][origin], origin)
+				}
+			}
+			for digest, n := range counts[id] {
+				if n != 1 {
+					t.Fatalf("flood=%v: replica %d delivered batch %x %d times", flood, id, digest[:4], n)
+				}
+			}
+		}
+		if !flood && foreignRefs == 0 {
+			t.Error("no replica proposed another origin's batch")
+		}
+		if flood {
+			t.Logf("flooder broadcast %d junk bodies; replica 0 delivered %d of them, %v honest",
+				flooder.Flooded(), junk[0], fromHonest[0])
+		}
 	}
 }
