@@ -373,9 +373,11 @@ func (c *Cluster) MemberIDs(replica int) []int {
 	return nil
 }
 
-// Submit queues a transaction on one replica's mempool (round-robin); it
-// is proposed the next time that replica leads a round. It reports false
-// when the mempool rejected the transaction.
+// Submit queues a transaction on one replica's mempool (round-robin). It
+// reports false when the mempool rejected the transaction. Without Dissem,
+// that replica proposes it the next time it leads a round. With Dissem,
+// that replica broadcasts it in a batch, and the next leader that holds
+// the batch proposes it.
 func (c *Cluster) Submit(tx []byte) bool {
 	c.mu.Lock()
 	i := c.nextPool

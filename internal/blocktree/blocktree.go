@@ -197,63 +197,28 @@ func (t *Tree) Finalize(id types.BlockID) ([]*types.Block, error) {
 	return chain, nil
 }
 
-// RestoreFinalized seeds a fresh tree from a finalized chain window
-// recovered from a WAL checkpoint: blocks in ascending round order,
-// contiguous by parent links. Every block is stored, marked notarized
-// and finalized (finalized blocks are both by definition), and the
-// finalized height advances to the window's tip, so a later Finalize
-// whose chain joins the restored tip succeeds exactly as it would have
-// on the pre-crash tree. The window's oldest parent is allowed to be
-// absent — history below the checkpoint floor is gone by design, and
-// finalizations that would need it surface as ErrMissingAncestor (the
-// sync subprotocol's cue), never as silent acceptance.
-//
-// Restore is only valid on a tree that has seen no blocks beyond genesis;
-// restoring onto a populated tree is a programming error and is refused.
-func (t *Tree) RestoreFinalized(chain []*types.Block) error {
-	if len(t.blocks) > 1 || t.finalizedRound != 0 {
-		return errors.New("blocktree: RestoreFinalized on a non-empty tree")
-	}
-	for i, b := range chain {
-		if b == nil {
-			return fmt.Errorf("blocktree: restore chain has nil block at %d", i)
-		}
-		if i > 0 {
-			prev := chain[i-1]
-			if b.Parent != prev.ID() || b.Round <= prev.Round {
-				return fmt.Errorf("blocktree: restore chain breaks at round %d", b.Round)
-			}
-		}
-		id := b.ID()
-		t.blocks[id] = b
-		t.byRound[b.Round] = append(t.byRound[b.Round], id)
-		t.notarized[id] = true
-		t.finalized[b.Round] = id
-		if b.Round > t.finalizedRound {
-			t.finalizedRound = b.Round
-		}
-	}
-	return nil
-}
-
-// AdoptFinalized grafts a finalized chain window received from a peer
-// (state sync) onto a live tree. Unlike RestoreFinalized it works on a
-// populated tree: the window replaces whatever unfinalized guesswork the
-// tree held for those rounds as the canonical finalized chain. The caller
-// has already verified the window cryptographically (block signatures plus
-// a quorum finalization certificate covering the tip); this method checks
+// AdoptFinalized grafts a finalized chain window — a peer's snapshot
+// (state sync) or a WAL checkpoint's (restart) — onto the tree, fresh or
+// populated: the window replaces whatever unfinalized guesswork the tree
+// held for those rounds as the canonical finalized chain, and a later
+// Finalize whose chain joins the window's tip succeeds exactly as it
+// would have on the tree the window was taken from. The caller has
+// already verified the window cryptographically (block signatures plus a
+// quorum finalization certificate covering the tip); this method checks
 // only structure and consistency:
 //
-//   - blocks ascend in contiguous parent-linked order (like RestoreFinalized);
+//   - blocks ascend in contiguous parent-linked order;
 //   - any overlap with the already-finalized prefix must agree block for
 //     block, otherwise ErrSafetyViolation (a quorum-certified chain that
 //     contradicts our finalized prefix is the protocol's fatal condition);
 //   - a window whose tip is at or below the current finalized round is
 //     stale and adopts to nothing.
 //
-// Like a checkpoint restore, the window's oldest parent may be absent:
-// history below the window floor stays unknown, which is fine because the
-// finalized prefix is append-only from here on.
+// The window's oldest parent may be absent: history below the window
+// floor stays unknown, which is fine because the finalized prefix is
+// append-only from here on, and a finalization that would need it
+// surfaces as ErrMissingAncestor (the sync subprotocol's cue), never as
+// silent acceptance.
 //
 // It returns the newly finalized blocks (rounds strictly above the old
 // finalized round) in chain order, for the host's Commit stream.

@@ -130,9 +130,11 @@ type Config struct {
 const (
 	defaultPruneInterval = 64
 	defaultPruneKeep     = 16
-	// stateSyncStalls is how many consecutive sync stalls on the first
-	// missing round (an unserveable prefix: no peer holds it) escalate to a
-	// snapshot fetch.
+	// stateSyncStalls is how many peers a suffix segment is asked of in
+	// vain before catch-up gives up on it (syncExpired): at the first
+	// missing round (an unserveable prefix: no peer holds it) it escalates
+	// to a snapshot fetch, above it sync restarts from the finalized
+	// prefix.
 	stateSyncStalls = 3
 )
 

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"banyan/internal/blocktree"
-	"banyan/internal/fetch"
 	"banyan/internal/membership"
 	"banyan/internal/obs"
 	"banyan/internal/protocol"
@@ -42,28 +41,21 @@ type Engine struct {
 	// certificate seen or formed (it anchors sync responses and proves
 	// this replica behind); syncHigh is the highest round up to which the
 	// tree holds a contiguous chain fetched by sync; catchupDirty marks
-	// that new catch-up material arrived; lastSyncReq, lastSyncFrom and
-	// syncStalls rate-limit and reset a stalled sync.
+	// that new catch-up material arrived; syncProbe marks that the resend
+	// timer wants a pull for possibly-missed finalizations even though no
+	// certificate proves this replica behind.
 	latestFinal  *types.Certificate
 	epochHint    *types.Certificate
 	syncHigh     types.Round
 	catchupDirty bool
-	lastSyncReq  time.Time
-	lastSyncFrom types.Round
-	syncStalls   int
-
-	// Snapshot state sync: syncPeers rotates the unicast target of the
-	// suffix subprotocol; fetcher schedules snapshot fetches, keyed by the
-	// target round (it only ever holds one); syncProbe marks that the
-	// resend timer wants a pull for possibly-missed finalizations even
-	// though no certificate proves this replica behind; prefixStalls
-	// counts consecutive stalls on the first missing round — the
-	// unserveable-prefix livelock signature that escalates to a snapshot
-	// fetch.
-	syncPeers    *fetch.Ring
-	fetcher      fetchClass[types.Round]
 	syncProbe    bool
-	prefixStalls int
+
+	// segments schedules suffix sync's SyncRequests, keyed by a segment's
+	// first round; snapshots schedules snapshot fetches, keyed by the
+	// target round. Each holds one key at a time, so catch-up asks one
+	// peer at a time.
+	segments  fetchClass[types.Round]
+	snapshots fetchClass[types.Round]
 
 	// Batch dissemination (Config.Dissem): delivQueue holds finalized
 	// chains whose Commit is gated on batch-body availability — ordering
@@ -190,9 +182,6 @@ func New(cfg Config) (*Engine, error) {
 		rounds:        make(map[types.Round]*roundState),
 		extFinal:      make(map[types.Round]*types.Certificate),
 		pendingCommit: make(map[types.BlockID]protocol.FinalizationMode),
-		// Like the fetchers' rings, the suffix-sync rotation spans the
-		// whole identity registry (see newFetchClass).
-		syncPeers: fetch.NewRing(cfg.Self, cfg.Keyring.N()),
 		batchFetch: newFetchClass(cfg, batchFetchDeltas*cfg.Delta, protocol.TimerBatchFetch,
 			func(d [32]byte) types.Message { return &types.BatchRequest{Digest: d} }),
 		wanted: make(map[pullKey]*wantedBody),
@@ -201,11 +190,13 @@ func New(cfg Config) (*Engine, error) {
 		pulls: newFetchClass(cfg, bodyFetchDeltas*cfg.Delta, protocol.TimerBodyPull,
 			func(k pullKey) types.Message { return &types.BlockRequest{Round: k.round, ID: k.id} }),
 	}
+	e.segments = newFetchClass(cfg, syncFetchDeltas*cfg.Delta, protocol.TimerSuffixSync, e.segmentRequest)
+	e.segments.abandon = e.syncExpired
 	// The peer serves its own window; the request only says what this
 	// replica already has.
-	e.fetcher = newFetchClass(cfg, snapshotFetchDeltas*cfg.Delta, protocol.TimerStateSync,
+	e.snapshots = newFetchClass(cfg, snapshotFetchDeltas*cfg.Delta, protocol.TimerStateSync,
 		func(types.Round) types.Message { return &types.SnapshotRequest{Have: e.tree.FinalizedRound()} })
-	e.fetcher.abandon = e.snapshotReached
+	e.snapshots.abandon = e.snapshotReached
 	e.pulls.abandon = e.pullExhausted
 	e.batchFetch.abandon = e.batchUnneeded
 	return e, nil
@@ -316,8 +307,10 @@ func (e *Engine) HandleTimer(id protocol.TimerID, now time.Time) []protocol.Acti
 	// A fetch timer only marks itself fired: the progress pass drives every
 	// fetch class, retrying what expired and re-arming for what is left.
 	switch id.Kind {
+	case protocol.TimerSuffixSync:
+		e.segments.wake = time.Time{}
 	case protocol.TimerStateSync:
-		e.fetcher.wake = time.Time{}
+		e.snapshots.wake = time.Time{}
 	case protocol.TimerBatchFetch:
 		e.batchFetch.wake = time.Time{}
 	case protocol.TimerBodyPull:
@@ -359,9 +352,10 @@ func (e *Engine) resendRound(now time.Time, acts []protocol.Action) []protocol.A
 		}
 	}
 	// Pull finalizations we may have missed: flag a probe for maybeSync,
-	// which owns the unicast target, the 2Δ rate limit, and the
-	// high-water-mark bookkeeping — a direct request from here would
-	// bypass all three and re-fetch segments already in flight.
+	// which queues one segment on the suffix class unless one is in
+	// flight. A direct request from here would bypass the class — its
+	// one-peer-at-a-time rule, its 2Δ silence budget, and the
+	// high-water mark — and re-fetch a segment already in flight.
 	e.syncProbe = true
 	// Re-arm with the same interval.
 	acts = append(acts, protocol.SetTimer{
@@ -431,7 +425,7 @@ func (e *Engine) Metrics() map[string]int64 {
 	}
 	m["verify_cache_hits"], m["verify_cache_misses"] = e.cfg.Verifier.CacheStats()
 	// Every snapshot request counts, the first and each rotation alike.
-	begun, rotated := e.fetcher.Counts()
+	begun, rotated := e.snapshots.Counts()
 	m["statesync_fetches"] = begun + rotated
 	m["body_pulls"], m["body_pull_retries"] = e.pulls.Counts()
 	if e.cfg.Dissem != nil {
@@ -790,7 +784,8 @@ func (e *Engine) progress(now time.Time, acts []protocol.Action) []protocol.Acti
 	// the bodies a recovered delivery queue lacks, the headers the journal
 	// held without a body.
 	if !e.replaying && !e.stopped {
-		acts = e.fetcher.drive(now, acts)
+		acts = e.segments.drive(now, acts)
+		acts = e.snapshots.drive(now, acts)
 		acts = e.batchFetch.drive(now, acts)
 		acts = e.maybePull(now, acts)
 	}
@@ -865,20 +860,12 @@ func (e *Engine) tryJump(now time.Time, acts []protocol.Action) (bool, []protoco
 
 // maybeSync drives the catch-up subprotocol: when a finalization
 // certificate proves the cluster is ahead, try to commit through it and —
-// while blocks are still missing — request the next contiguous chain
-// segment, rate-limited to one request per 2Δ. Requests are unicast to a
-// rotating peer (a broadcast would draw up to n−1 full-segment responses
-// for one missing segment); a stalled request rotates to the next peer.
-// The resend timer's periodic pull for possibly-missed finalizations
-// (syncProbe) shares this path so it inherits the same rate limit and
-// high-water-mark bookkeeping.
-//
-// When the stall is pinned at the first missing round — the prefix itself
-// is unserveable because every peer has pruned past it (fresh join, disk
-// loss, deep-pruned cluster) — suffix requests can never make progress;
-// after stateSyncStalls consecutive prefix stalls the engine escalates to
-// a snapshot fetch (beginFetch) and the suffix subprotocol stands down
-// until the fetch resolves.
+// while blocks are still missing — queue the next contiguous chain
+// segment on the suffix class (segments). The class unicasts the request
+// to one peer at a time and gives each peer 2Δ; syncExpired decides what
+// a segment whose peer stayed silent becomes. The resend timer's pull for
+// possibly-missed finalizations (syncProbe) queues a segment the same
+// way.
 func (e *Engine) maybeSync(now time.Time, acts []protocol.Action) []protocol.Action {
 	probe := e.syncProbe
 	e.syncProbe = false
@@ -886,11 +873,10 @@ func (e *Engine) maybeSync(now time.Time, acts []protocol.Action) []protocol.Act
 		return acts
 	}
 	e.catchupDirty = false
-	fin := e.tree.FinalizedRound()
-	if e.epochHint != nil && e.epochHint.Round <= fin {
+	if e.epochHint != nil && e.epochHint.Round <= e.tree.FinalizedRound() {
 		e.epochHint = nil // caught up past the hinted round
 	}
-	behind := e.latestFinal != nil && e.latestFinal.Round > fin
+	behind := e.behind()
 	hinted := e.epochHint != nil
 	if !behind && !probe && !hinted {
 		return acts
@@ -901,13 +887,14 @@ func (e *Engine) maybeSync(now time.Time, acts []protocol.Action) []protocol.Act
 		acts, done = e.commitChain(e.latestFinal.Block, protocol.FinalizeIndirect, acts)
 		if done {
 			// Caught up: fast-forward the current round immediately.
+			e.segments.Drop(e.segmentHeld)
 			if c, a := e.tryJump(now, acts); c {
 				acts = a
 			}
 			return acts
 		}
 	}
-	if !e.fetcher.Idle() {
+	if !e.snapshots.Idle() {
 		// A snapshot fetch is under way; it lands above anything a suffix
 		// request could return. Stay dirty so sync resumes for the tail.
 		if behind {
@@ -923,67 +910,82 @@ func (e *Engine) maybeSync(now time.Time, acts []protocol.Action) []protocol.Act
 		e.beginFetch()
 		return acts
 	}
-	if !e.lastSyncReq.IsZero() && now.Sub(e.lastSyncReq) < 2*e.cfg.Delta {
-		if behind {
-			e.catchupDirty = true // revisit after the rate-limit window
-		}
-		return acts
+	e.segments.Drop(e.segmentHeld)
+	if e.segments.Idle() {
+		e.segments.Add(e.syncFrom(), types.NoReplica)
 	}
-	from := fin + 1
-	if e.syncHigh >= from {
-		from = e.syncHigh + 1
-	}
+	return acts
+}
+
+// behind reports whether a finalization certificate proves the cluster
+// ahead of this replica's finalized prefix.
+func (e *Engine) behind() bool {
+	return e.latestFinal != nil && e.latestFinal.Round > e.tree.FinalizedRound()
+}
+
+// syncFrom is the first round suffix sync still lacks: above the
+// finalized prefix and above the contiguous chain sync already fetched.
+func (e *Engine) syncFrom() types.Round {
+	return max(e.tree.FinalizedRound(), e.syncHigh) + 1
+}
+
+// segmentHeld reports whether the tree already holds the segment that
+// starts at from, fetched or finalized by any path.
+func (e *Engine) segmentHeld(from types.Round) bool { return from < e.syncFrom() }
+
+// segmentRequest asks for the chain from a segment's first round up to
+// the highest known finalization; the serving peer caps the response at
+// MaxSyncBlocks and the requester iterates.
+func (e *Engine) segmentRequest(from types.Round) types.Message {
 	to := from + types.MaxSyncBlocks - 1
-	if behind {
-		if e.latestFinal.Round > to {
-			to = e.latestFinal.Round // the serving peer caps per response
-		}
-		if from == e.lastSyncFrom {
-			// No progress since the last request (lost response, a peer that
-			// cannot serve the segment, or a poisoned syncHigh from a bogus
-			// segment): rotate peers and retry; after repeated stalls restart
-			// the fetch from the finalized prefix.
-			e.syncStalls++
-			e.syncPeers.Advance()
-			if from == fin+1 {
-				e.prefixStalls++
-			}
-			if e.syncStalls > 3 {
-				e.syncHigh = fin
-				e.syncStalls = 0
-				from = fin + 1
-			}
-		} else {
-			e.syncStalls = 0
-			e.prefixStalls = 0
-		}
-		if e.prefixStalls >= stateSyncStalls {
-			e.prefixStalls = 0
-			e.beginFetch()
-			return acts
-		}
+	if e.latestFinal != nil && e.latestFinal.Round > to {
+		to = e.latestFinal.Round
 	}
-	e.lastSyncReq = now
-	e.lastSyncFrom = from
-	return append(acts, protocol.Send{
-		To:  e.syncPeers.Current(),
-		Msg: &types.SyncRequest{From: from, To: to},
-	})
+	return &types.SyncRequest{From: from, To: to}
+}
+
+// syncExpired is the suffix class's abandon hook, asked about a segment
+// whose peer stayed silent for 2Δ: false re-sends it to the next peer.
+// A probe (nothing proves this replica behind) is dropped and never
+// retried; the next resend timer probes again. So is a segment a snapshot
+// fetch will land above. A segment the tree holds by now gives way to the
+// next one. A segment stateSyncStalls peers left unserved means the chain
+// cannot continue from it: at the first missing round no peer holds the
+// prefix any more (fresh join, disk loss, deep-pruned cluster), so
+// catch-up escalates to a snapshot fetch; above it, syncHigh may stand on
+// a bogus segment, so catch-up restarts from the finalized prefix.
+func (e *Engine) syncExpired(from types.Round) bool {
+	if !e.behind() || !e.snapshots.Idle() {
+		return true
+	}
+	switch fin := e.tree.FinalizedRound(); {
+	case e.segmentHeld(from):
+		// The next segment follows below.
+	case e.segments.Sent(from) < stateSyncStalls:
+		return false
+	case from == fin+1:
+		e.beginFetch()
+		return true
+	default:
+		e.syncHigh = fin
+	}
+	e.segments.Add(e.syncFrom(), types.NoReplica)
+	return true
 }
 
 // beginFetch escalates catch-up to a snapshot fetch: the round of the
 // highest known finalization certificate becomes the fetch target, and
 // the progress pass sends the SnapshotRequest to the rotation's current
-// peer, rotating away from a silent one. maybeSync only escalates while
-// no snapshot fetch is under way and sends no suffix requests until it
-// resolves, so the fetcher holds one target at a time.
+// peer, rotating away from a silent one. Nothing escalates and no segment
+// is queued while a snapshot fetch is under way, so the snapshot class
+// holds one target at a time.
 func (e *Engine) beginFetch() {
 	target := e.latestFinal
 	if h := e.epochHint; h != nil && (target == nil || h.Round > target.Round) {
 		target = h
 	}
 	if target != nil {
-		e.fetcher.Add(target.Round, types.NoReplica)
+		e.snapshots.Add(target.Round, types.NoReplica)
 	}
 }
 
@@ -1007,27 +1009,12 @@ func (e *Engine) onSnapshotRequest(from types.ReplicaID, m *types.SnapshotReques
 	if e.latestFinal == nil || e.latestFinal.Round != fin {
 		return nil // mid-catch-up ourselves; cannot anchor our own tip
 	}
-	tipID, ok := e.tree.FinalizedAt(fin)
-	if !ok || e.latestFinal.Block != tipID {
+	if tipID, ok := e.tree.FinalizedAt(fin); !ok || e.latestFinal.Block != tipID {
 		return nil
 	}
-	// Walk tip-to-floor along parent links, like Snapshot(): contiguous by
-	// construction.
-	floor := types.Round(1)
-	if fin > e.cfg.PruneKeep {
-		floor = fin - e.cfg.PruneKeep + 1
-	}
-	var chain []*types.Block
-	b, ok := e.tree.Block(tipID)
-	for ok && b.Round >= floor && !b.IsGenesis() {
-		chain = append(chain, b)
-		b, ok = e.tree.Block(b.Parent)
-	}
+	chain := e.finalizedWindow()
 	if len(chain) == 0 {
 		return nil
-	}
-	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-		chain[i], chain[j] = chain[j], chain[i]
 	}
 	e.met.ssServed++
 	return []protocol.Action{protocol.Send{To: from, Msg: &types.SnapshotResponse{
@@ -1037,103 +1024,44 @@ func (e *Engine) onSnapshotRequest(from types.ReplicaID, m *types.SnapshotReques
 	}}}
 }
 
-// onSnapshotResponse ingests a snapshot window. Nothing in the message is
-// trusted until it passes the same quorum-certificate gate that guards
-// WAL checkpoint restores (RestoreSnapshot): every block signature is
-// verified, ranks must match the leader schedule, the chain must be contiguous,
-// and the finalization certificate must carry a verified quorum naming
-// the window tip exactly — tip-exact because a peer, unlike local disk,
-// is an adversarial channel. A valid window is grafted onto the tree as
-// finalized history (Tree.AdoptFinalized) and committed; the certificate
-// then drives ordinary suffix sync for the tail.
+// onSnapshotResponse ingests a peer's snapshot window through the trust
+// gate WAL checkpoint restores pass too (adoptWindow), anchored
+// tip-exactly because a peer, unlike local disk, is an adversarial
+// channel. An adopted window is committed; the certificate then drives
+// ordinary suffix sync for the tail.
 func (e *Engine) onSnapshotResponse(m *types.SnapshotResponse) []protocol.Action {
-	if !e.replaying && !e.fetcher.Fetching() {
+	if !e.replaying && !e.snapshots.Fetching() {
 		// Unsolicited: only a replica that escalated to a snapshot fetch
 		// (or is replaying one from its WAL) ingests state this way.
 		e.met.ssRejected++
 		return nil
 	}
 	n := len(m.Chain)
-	if n == 0 || n > types.MaxSnapshotBlocks || m.Finalization == nil {
+	if n == 0 || n > types.MaxSnapshotBlocks || m.Chain[n-1] == nil {
 		e.met.ssRejected++
 		return nil
 	}
-	fin := e.tree.FinalizedRound()
-	tip := m.Chain[n-1]
-	if tip == nil {
-		e.met.ssRejected++
-		return nil
-	}
-	if tip.Round <= fin {
+	if m.Chain[n-1].Round <= e.tree.FinalizedRound() {
 		// Stale: suffix sync or another snapshot got there first.
-		e.fetcher.Drop(e.snapshotReached)
+		e.snapshots.Drop(e.snapshotReached)
 		return nil
 	}
-	// The responder's claimed validator-set history: structurally a legal
-	// chain of single add/remove steps, and an extension of the local
-	// history (the replica's weak-subjectivity trust anchor — a response
-	// rewriting a known epoch is rejected no matter its certificate).
-	sets, err := membership.VerifyChain(m.Sets)
-	if err != nil || e.history.VerifyExtends(m.Sets) != nil {
-		e.met.ssRejected++
-		return nil
-	}
-	setAt := func(r types.Round) *membership.ValidatorSet {
-		for i := len(sets) - 1; i > 0; i-- {
-			if sets[i].Activation() <= r {
-				return sets[i]
-			}
-		}
-		return sets[0]
-	}
-	for i, b := range m.Chain {
-		if b == nil || b.Round < 1 {
-			e.met.ssRejected++
-			return nil
-		}
-		set := setAt(b.Round)
-		if b.Epoch != set.Epoch() ||
-			!set.Contains(b.Proposer) || b.Rank != set.RankOf(b.Round, b.Proposer) {
-			e.met.ssRejected++
-			return nil
-		}
-		if i > 0 && (b.Parent != m.Chain[i-1].ID() || b.Round <= m.Chain[i-1].Round) {
-			e.met.ssRejected++
-			return nil
-		}
-		if err := e.cfg.Verifier.VerifyBlock(b); err != nil {
-			e.met.ssRejected++
-			return nil
-		}
-	}
-	c := m.Finalization
-	tipSet := setAt(tip.Round)
-	quorum, ok := finalizationQuorum(tipSet.Params(), c.Kind)
-	if !ok || c.Round != tip.Round || c.Block != tip.ID() {
-		e.met.ssRejected++
-		return nil
-	}
-	if err := e.cfg.Verifier.VerifyCertIn(c, quorum, tipSet); err != nil {
-		e.met.ssRejected++
-		return nil
-	}
-	if err := e.history.Restore(m.Sets); err != nil {
-		e.met.ssRejected++
-		return nil
-	}
-	e.scrubNonMembers(e.history.Current())
-	added, err := e.tree.AdoptFinalized(m.Chain)
-	if err != nil {
+	added, err := e.adoptWindow(m.Sets, m.Chain, m.Finalization, true)
+	if errors.Is(err, blocktree.ErrSafetyViolation) {
 		// A quorum-certified window contradicting our finalized prefix is
 		// the protocol's fatal condition.
 		e.stop(err)
+		return nil
+	}
+	if err != nil {
+		e.met.ssRejected++
 		return nil
 	}
 	e.met.ssBytes += int64(m.WireSize())
 	newFin := e.tree.FinalizedRound()
 	rs := e.getRound(newFin)
 	rs.finalized = true
-	rs.finalizedBlock = tip.ID()
+	rs.finalizedBlock = m.Chain[n-1].ID()
 	var acts []protocol.Action
 	if len(added) > 0 {
 		e.met.indirectFinal++
@@ -1147,15 +1075,11 @@ func (e *Engine) onSnapshotResponse(m *types.SnapshotResponse) []protocol.Action
 			delete(e.pendingCommit, id)
 		}
 	}
-	// Reset the suffix subprotocol's bookkeeping: it resumes above the
-	// window for the tail between the snapshot and the live tip.
-	e.syncHigh = newFin
-	e.syncStalls = 0
-	e.prefixStalls = 0
-	e.lastSyncFrom = 0
+	// Suffix sync resumes above the window for the tail between the
+	// snapshot and the live tip.
 	e.catchupDirty = true
-	e.fetcher.Drop(e.snapshotReached)
-	e.noteFinalCert(c)
+	e.snapshots.Drop(e.snapshotReached)
+	e.noteFinalCert(m.Finalization)
 	return acts
 }
 

@@ -9,19 +9,21 @@ import (
 )
 
 // Per-peer silence budgets, in Δ, before a fetch rotates to the next
-// peer. A batch request is one round trip, each way within Δ; a block
-// body request costs one round trip plus serving time; a snapshot
-// response carries a whole finalized window.
+// peer. A batch request and a chain suffix request are one round trip,
+// each way within Δ; a block body request costs one round trip plus
+// serving time; a snapshot response carries a whole finalized window.
 const (
 	batchFetchDeltas    = 2
+	syncFetchDeltas     = 2
 	bodyFetchDeltas     = 4
 	snapshotFetchDeltas = 8
 )
 
 // fetchClass is one kind of item the engine fetches on miss through the
 // retrieval layer: batch bodies by digest (dissem.go), block bodies by
-// round and ID (pull.go), snapshots by target round (state sync). The
-// class supplies its request message and timer kind; the loop is shared.
+// round and ID (pull.go), chain suffix segments by first round and
+// snapshots by target round (catch-up, engine.go). The class supplies its
+// request message and timer kind; the loop is shared.
 type fetchClass[K comparable] struct {
 	*fetch.Fetcher[K]
 	timer   protocol.TimerKind
@@ -71,7 +73,8 @@ func (c *fetchClass[K]) arm(at time.Time, acts []protocol.Action) []protocol.Act
 }
 
 // drive runs one step and arms the timer for the earliest deadline in
-// flight.
+// flight, the keys the step began included.
 func (c *fetchClass[K]) drive(now time.Time, acts []protocol.Action) []protocol.Action {
-	return c.arm(c.Deadline(), c.step(now, acts))
+	acts = c.step(now, acts)
+	return c.arm(c.Deadline(), acts)
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 
+	"banyan/internal/membership"
 	"banyan/internal/protocol"
 	"banyan/internal/types"
 )
@@ -20,34 +21,19 @@ import (
 var _ protocol.Snapshotter = (*Engine)(nil)
 
 // Snapshot implements protocol.Snapshotter: it exports the finalized
-// window (walked tip-to-floor along parent links, so the result is
-// contiguous by construction) and, per live round, this replica's own
+// window (finalizedWindow) and, per live round, this replica's own
 // proposal and votes, reconstructed as wire messages that ReplayOwn can
 // ingest. The newest finalization certificate rides along so a restored
 // replica can immediately follow and serve catch-up.
 func (e *Engine) Snapshot() *protocol.Snapshot {
-	fin := e.tree.FinalizedRound()
-	s := &protocol.Snapshot{Round: e.round, FinalizedRound: fin, Sets: e.history.Descs()}
-
-	// Finalized window: the last PruneKeep finalized blocks.
-	floor := types.Round(1)
-	if fin > e.cfg.PruneKeep {
-		floor = fin - e.cfg.PruneKeep + 1
+	s := &protocol.Snapshot{
+		Round:          e.round,
+		FinalizedRound: e.tree.FinalizedRound(),
+		Chain:          e.finalizedWindow(),
+		Sets:           e.history.Descs(),
 	}
-	if id, ok := e.tree.FinalizedAt(fin); ok && fin >= 1 {
-		var chain []*types.Block
-		b, ok := e.tree.Block(id)
-		for ok && b.Round >= floor && !b.IsGenesis() {
-			chain = append(chain, b)
-			b, ok = e.tree.Block(b.Parent)
-		}
-		for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-			chain[i], chain[j] = chain[j], chain[i]
-		}
-		s.Chain = chain
-		if len(chain) > 0 {
-			s.FinalizedRound = chain[len(chain)-1].Round
-		}
+	if len(s.Chain) > 0 {
+		s.FinalizedRound = s.Chain[len(s.Chain)-1].Round
 	}
 
 	// Own voting record, one message bundle per live round, in round
@@ -84,6 +70,30 @@ func (e *Engine) Snapshot() *protocol.Snapshot {
 	return s
 }
 
+// finalizedWindow returns the last PruneKeep finalized blocks, oldest
+// first: the window a checkpoint records and a snapshot request is
+// served. It is walked tip-to-floor along parent links, so it is
+// contiguous by construction; it is empty before anything finalizes.
+func (e *Engine) finalizedWindow() []*types.Block {
+	fin := e.tree.FinalizedRound()
+	id, ok := e.tree.FinalizedAt(fin)
+	if fin < 1 || !ok {
+		return nil
+	}
+	floor := types.Round(1)
+	if fin > e.cfg.PruneKeep {
+		floor = fin - e.cfg.PruneKeep + 1
+	}
+	var chain []*types.Block
+	b, ok := e.tree.Block(id)
+	for ok && b.Round >= floor && !b.IsGenesis() {
+		chain = append(chain, b)
+		b, ok = e.tree.Block(b.Parent)
+	}
+	slices.Reverse(chain)
+	return chain
+}
+
 // RestoreSnapshot implements protocol.Snapshotter: it re-anchors the
 // block tree at the snapshot's finalized window and re-enters the round
 // after it. Own messages are NOT absorbed here — the WAL recorder feeds
@@ -94,47 +104,30 @@ func (e *Engine) RestoreSnapshot(s *protocol.Snapshot) error {
 	if !e.replaying {
 		return fmt.Errorf("core: RestoreSnapshot outside replay mode")
 	}
-	// Restore the validator-set history first: every signature and quorum
-	// check below — and the replay that follows — must run under the
-	// epochs in effect when the checkpoint was taken. Restore re-verifies
-	// the chain of sets structurally and anchors it at the configured
-	// genesis set, so a corrupted checkpoint cannot smuggle in an epoch.
-	if len(s.Sets) > 0 {
-		if err := e.history.Restore(s.Sets); err != nil {
-			return err
-		}
-	}
-	// Re-verify the window's proposer signatures before adopting it: the
-	// checkpoint is local disk, not a trusted channel.
-	for _, b := range s.Chain {
-		if b == nil {
-			return fmt.Errorf("core: snapshot chain contains nil block")
-		}
-		if set := e.setFor(b.Round); b.Epoch != set.Epoch() || !set.Contains(b.Proposer) {
-			return fmt.Errorf("core: snapshot block r=%d outside its epoch's set", b.Round)
-		}
-		if err := e.cfg.Verifier.VerifyBlock(b); err != nil {
-			return fmt.Errorf("core: snapshot block r=%d: %w", b.Round, err)
-		}
-	}
-	// The window must be *finalized*, not merely well-signed: a
-	// proposer-signed chain of abandoned-fork blocks would otherwise
-	// restore as finalized history. Require a quorum-verified
-	// finalization certificate at or above the window tip; at the tip it
-	// must name the tip block. (A certificate above the tip means the
-	// replica crashed mid-catch-up; the restored replica re-enters
-	// catch-up immediately, and a window conflicting with the cluster's
-	// genuine chain surfaces as a safety fault there instead of being
-	// served silently.)
+	// The anchor is the newest finalization certificate, which Snapshot
+	// writes into Own.
 	var anchor *types.Certificate
-	if len(s.Chain) > 0 {
-		var err error
-		if anchor, err = e.verifySnapshotFinalization(s); err != nil {
-			return err
+	for _, m := range s.Own {
+		if cm, ok := m.(*types.CertMsg); ok && cm.Cert != nil {
+			anchor = cm.Cert
 		}
 	}
-	if err := e.tree.RestoreFinalized(s.Chain); err != nil {
-		return err
+	if len(s.Chain) > 0 {
+		// The checkpoint is local disk, not a trusted channel: its window
+		// passes the gate a peer's snapshot passes. Its anchor may lie above
+		// the tip: Snapshot records the newest certificate, and a replica
+		// that crashed mid-catch-up had finalized less. The restored replica
+		// re-enters catch-up at once, and a window conflicting with the
+		// cluster's genuine chain surfaces there as a safety fault instead
+		// of being served silently. A checkpoint without a set history
+		// holds the genesis epoch.
+		sets := s.Sets
+		if len(sets) == 0 {
+			sets = e.history.Descs()
+		}
+		if _, err := e.adoptWindow(sets, s.Chain, anchor, false); err != nil {
+			return err
+		}
 	}
 	if e.cfg.Dissem != nil {
 		// The window is finalized history: its refs enter the store's
@@ -148,6 +141,8 @@ func (e *Engine) RestoreSnapshot(s *protocol.Snapshot) error {
 		return fmt.Errorf("core: snapshot claims finalized round %d, window restores %d",
 			s.FinalizedRound, fin)
 	}
+	e.round = fin + 1
+	e.lastPrune = fin
 	if fin >= 1 {
 		// The restored tip is the block the replica leaves round fin
 		// through; without this, a post-restore proposal in round fin+1
@@ -159,11 +154,6 @@ func (e *Engine) RestoreSnapshot(s *protocol.Snapshot) error {
 		rs.advanceBlock = head.ID()
 		rs.finalized = true
 		rs.finalizedBlock = head.ID()
-	}
-	e.round = fin + 1
-	e.lastPrune = fin
-	e.syncHigh = fin
-	if anchor != nil {
 		// The certificate verified above anchors catch-up serving
 		// (latestFinal). It is adopted here because the copy in s.Own is,
 		// at the window tip, a certificate for a settled round by the time
@@ -173,51 +163,83 @@ func (e *Engine) RestoreSnapshot(s *protocol.Snapshot) error {
 	return nil
 }
 
-// finalizationQuorum is the quorum-certificate trust gate shared by WAL
-// checkpoint restores (verifySnapshotFinalization) and peer snapshot
-// ingestion (onSnapshotResponse): the quorum a finalization certificate
-// of the given kind must clear, or false for kinds that finalize nothing.
-func finalizationQuorum(p types.Params, kind types.CertKind) (int, bool) {
-	switch kind {
+// adoptWindow is the one gate a finalized window enters the replica by,
+// from a peer's snapshot response or from its own WAL checkpoint. Nothing
+// in the window is trusted until it passes, and nothing changes unless it
+// passes:
+//
+//   - the set history is a legal chain of single add/remove steps that
+//     extends the local one (the replica's weak-subjectivity trust anchor:
+//     a window rewriting a known epoch is refused whatever its
+//     certificate);
+//   - every block carries its round's epoch, a member proposer of that
+//     epoch's set, that proposer's rank, its proposer's signature, and a
+//     link to the block before it;
+//   - the certificate is a finalization at the quorum of its round's set,
+//     naming the tip — or, when tipExact is false, any later round.
+//
+// The set history is then restored and the window grafted onto the tree
+// as finalized history (Tree.AdoptFinalized); the newly finalized blocks
+// are returned. An error from AdoptFinalized is ErrSafetyViolation: a
+// certified window contradicting the finalized prefix.
+func (e *Engine) adoptWindow(sets []*types.ValidatorSetDesc, chain []*types.Block,
+	c *types.Certificate, tipExact bool) ([]*types.Block, error) {
+	claimed, err := membership.VerifyChain(sets)
+	if err != nil {
+		return nil, err
+	}
+	if err := e.history.VerifyExtends(sets); err != nil {
+		return nil, err
+	}
+	if len(chain) == 0 {
+		return nil, fmt.Errorf("core: empty window")
+	}
+	setAt := func(r types.Round) *membership.ValidatorSet {
+		for i := len(claimed) - 1; i > 0; i-- {
+			if claimed[i].Activation() <= r {
+				return claimed[i]
+			}
+		}
+		return claimed[0]
+	}
+	for i, b := range chain {
+		if b == nil || b.Round < 1 {
+			return nil, fmt.Errorf("core: window block %d missing or before round 1", i)
+		}
+		set := setAt(b.Round)
+		if b.Epoch != set.Epoch() || !set.Contains(b.Proposer) || b.Rank != set.RankOf(b.Round, b.Proposer) {
+			return nil, fmt.Errorf("core: window block r=%d outside its epoch's leader schedule", b.Round)
+		}
+		if i > 0 && (b.Parent != chain[i-1].ID() || b.Round <= chain[i-1].Round) {
+			return nil, fmt.Errorf("core: window breaks at round %d", b.Round)
+		}
+		if err := e.cfg.Verifier.VerifyBlock(b); err != nil {
+			return nil, fmt.Errorf("core: window block r=%d: %w", b.Round, err)
+		}
+	}
+	tip := chain[len(chain)-1]
+	if c == nil || c.Round < tip.Round || c.Round == tip.Round && c.Block != tip.ID() ||
+		tipExact && c.Round != tip.Round {
+		return nil, fmt.Errorf("core: window has no finalization certificate covering round %d", tip.Round)
+	}
+	set := setAt(c.Round)
+	var quorum int
+	switch c.Kind {
 	case types.CertFinalization:
-		return p.FinalizationQuorum(), true
+		quorum = set.Params().FinalizationQuorum()
 	case types.CertFastFinalization:
-		return p.FastQuorum(), true
+		quorum = set.Params().FastQuorum()
 	default:
-		return 0, false
+		return nil, fmt.Errorf("core: window certificate of kind %v finalizes nothing", c.Kind)
 	}
-}
-
-// verifySnapshotFinalization checks the snapshot carries a
-// quorum-verified finalization certificate covering its chain window
-// (see RestoreSnapshot). Snapshot always embeds the engine's newest
-// finalization certificate in Own, so a genuine checkpoint passes. The
-// verified certificate is returned.
-func (e *Engine) verifySnapshotFinalization(s *protocol.Snapshot) (*types.Certificate, error) {
-	tip := s.Chain[len(s.Chain)-1]
-	for _, m := range s.Own {
-		cm, ok := m.(*types.CertMsg)
-		if !ok || cm.Cert == nil {
-			continue
-		}
-		c := cm.Cert
-		set := e.setFor(c.Round)
-		quorum, ok := finalizationQuorum(set.Params(), c.Kind)
-		if !ok {
-			continue
-		}
-		if c.Round < tip.Round {
-			continue
-		}
-		if c.Round == tip.Round && c.Block != tip.ID() {
-			continue
-		}
-		if err := e.cfg.Verifier.VerifyCertIn(c, quorum, set); err != nil {
-			return nil, fmt.Errorf("core: snapshot finalization certificate: %w", err)
-		}
-		return c, nil
+	if err := e.cfg.Verifier.VerifyCertIn(c, quorum, set); err != nil {
+		return nil, fmt.Errorf("core: window finalization certificate: %w", err)
 	}
-	return nil, fmt.Errorf("core: snapshot has no finalization certificate covering round %d", tip.Round)
+	if err := e.history.Restore(sets); err != nil {
+		return nil, err
+	}
+	e.scrubNonMembers(e.history.Current())
+	return e.tree.AdoptFinalized(chain)
 }
 
 // OwnRecord summarizes this replica's own actions in one round — the

@@ -39,8 +39,9 @@ func newWindowServer(t *testing.T, rounds types.Round) *rig {
 }
 
 // stallOnce fires the fresh replica's resend timer past the interval —
-// exactly what a stuck replica does on its own — driving one probe
-// through maybeSync.
+// exactly what a stuck replica does on its own. The interval is past the
+// in-flight segment's 2Δ deadline, so the suffix class re-sends it to the
+// next peer or, after stateSyncStalls requests, escalates.
 func stallOnce(r *rig) {
 	r.now = r.now.Add(r.eng.resendInterval() + time.Millisecond)
 	r.acts = append(r.acts, r.eng.HandleTimer(
@@ -125,7 +126,7 @@ func TestSnapshotFetchRecoversFreshReplica(t *testing.T) {
 		t.Fatalf("statesync metrics off: bytes=%d rejected=%d",
 			m["statesync_bytes"], m["statesync_rejected"])
 	}
-	if fresh.eng.fetcher.Fetching() {
+	if fresh.eng.snapshots.Fetching() {
 		t.Fatal("fetch not completed after adoption")
 	}
 }
@@ -165,8 +166,9 @@ func TestUnsolicitedSnapshotResponseRejected(t *testing.T) {
 
 // TestSnapshotResponseRejectsBadAnchor: while a fetch is in flight, a
 // window whose certificate does not name the tip exactly — or whose
-// chain was tampered with — is rejected without adoption, and the fetch
-// stays live for the next peer.
+// chain was tampered with, or any window the checkpoint entrance refuses
+// (badWindows) — is rejected without adoption, and the fetch stays live
+// for the next peer.
 func TestSnapshotResponseRejectsBadAnchor(t *testing.T) {
 	server := newWindowServer(t, 30)
 	serveActs := server.eng.HandleMessage(3, &types.SnapshotRequest{Have: 0}, server.now)
@@ -175,10 +177,10 @@ func TestSnapshotResponseRejectsBadAnchor(t *testing.T) {
 	bc := mustBeacon(t, 4)
 	fresh := newRig(t, p411, bc.ReplicaAt(1, 3))
 	fresh.deliver(server.eng.ID(), &types.CertMsg{Cert: server.eng.latestFinal})
-	for i := 0; i < 10 && !fresh.eng.fetcher.Fetching(); i++ {
+	for i := 0; i < 10 && !fresh.eng.snapshots.Fetching(); i++ {
 		stallOnce(fresh)
 	}
-	if !fresh.eng.fetcher.Fetching() {
+	if !fresh.eng.snapshots.Fetching() {
 		t.Fatal("setup: fetch never started")
 	}
 
@@ -197,7 +199,18 @@ func TestSnapshotResponseRejectsBadAnchor(t *testing.T) {
 	if got := fresh.eng.Metrics()["statesync_rejected"]; got != 2 {
 		t.Fatalf("statesync_rejected = %d, want 2", got)
 	}
-	if !fresh.eng.fetcher.Fetching() {
+	rejected := int64(2)
+	for _, bad := range badWindows(server, good) {
+		fresh.deliver(server.eng.ID(), bad.w)
+		rejected++
+		if got := fresh.eng.Metrics()["statesync_rejected"]; got != rejected {
+			t.Fatalf("%s: statesync_rejected = %d, want %d", bad.name, got, rejected)
+		}
+		if fin, epochs := fresh.eng.Tree().FinalizedRound(), fresh.eng.History().Len(); fin != 0 || epochs != 1 {
+			t.Fatalf("%s: refused window left finalized round %d, %d epochs", bad.name, fin, epochs)
+		}
+	}
+	if !fresh.eng.snapshots.Fetching() {
 		t.Fatal("fetch abandoned after a bad response; it must await the retry timer")
 	}
 
@@ -215,7 +228,7 @@ func TestSnapshotFetchRotatesPeerOnTimeout(t *testing.T) {
 	bc := mustBeacon(t, 4)
 	fresh := newRig(t, p411, bc.ReplicaAt(1, 3))
 	fresh.deliver(server.eng.ID(), &types.CertMsg{Cert: server.eng.latestFinal})
-	for i := 0; i < 10 && !fresh.eng.fetcher.Fetching(); i++ {
+	for i := 0; i < 10 && !fresh.eng.snapshots.Fetching(); i++ {
 		stallOnce(fresh)
 	}
 	first := sends[*types.SnapshotRequest](fresh)

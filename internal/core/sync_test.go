@@ -165,6 +165,63 @@ func TestLaggingReplicaCatchesUpViaSync(t *testing.T) {
 	}
 }
 
+// TestSuffixSyncRotatesPeerOnTimeout: a silent peer costs one suffix
+// timeout (2Δ), after which the class timer alone — no inbound message,
+// no resend timer — re-sends the same segment to the next ring peer.
+func TestSuffixSyncRotatesPeerOnTimeout(t *testing.T) {
+	bc := mustBeacon(t, 4)
+	full := newRig(t, p411, beacon.Leader(bc, 1))
+	buildFinalizedChain(t, full, 10)
+	lag := newRig(t, p411, bc.ReplicaAt(1, 3))
+	lag.clearActs()
+	lag.deliver(full.eng.ID(), &types.CertMsg{Cert: full.eng.latestFinal})
+	first := sends[*types.SyncRequest](lag)
+	if len(first) != 1 {
+		t.Fatalf("setup: %d sync requests, want 1", len(first))
+	}
+	var timer *protocol.SetTimer
+	for _, a := range lag.acts {
+		if st, ok := a.(protocol.SetTimer); ok && st.ID.Kind == protocol.TimerSuffixSync {
+			timer = &st
+		}
+	}
+	if timer == nil || !timer.At.Equal(lag.now.Add(2*rigDelta)) {
+		t.Fatalf("suffix request armed %v, want a timer 2Δ out", timer)
+	}
+
+	// Before the deadline: the timer fire re-arms without resending.
+	lag.clearActs()
+	lag.now = lag.now.Add(time.Millisecond)
+	lag.acts = lag.eng.HandleTimer(timer.ID, lag.now)
+	if len(sends[*types.SyncRequest](lag)) != 0 {
+		t.Fatal("resent before the per-peer deadline")
+	}
+
+	// At the deadline: the same segment goes to the next peer.
+	lag.clearActs()
+	lag.now = timer.At
+	lag.acts = lag.eng.HandleTimer(timer.ID, lag.now)
+	retries := sends[*types.SyncRequest](lag)
+	if len(retries) != 1 {
+		t.Fatalf("expected one retry, got %d", len(retries))
+	}
+	if retries[0].To == first[0].To || retries[0].To == lag.eng.ID() {
+		t.Fatalf("retry went to %d (first was %d)", retries[0].To, first[0].To)
+	}
+	if got, want := *retries[0].Msg.(*types.SyncRequest), *first[0].Msg.(*types.SyncRequest); got != want {
+		t.Fatalf("retry asked for %+v, want the same segment %+v", got, want)
+	}
+	rearmed := false
+	for _, a := range lag.acts {
+		if st, ok := a.(protocol.SetTimer); ok && st.ID.Kind == protocol.TimerSuffixSync {
+			rearmed = st.At.Equal(lag.now.Add(2 * rigDelta))
+		}
+	}
+	if !rearmed {
+		t.Fatal("suffix timer not re-armed 2Δ after the retry")
+	}
+}
+
 // TestSyncResponseRejectsDisconnectedSegment: blocks that do not connect
 // to the local tree are dropped and do not advance the high-water mark.
 func TestSyncResponseRejectsDisconnectedSegment(t *testing.T) {
@@ -234,6 +291,32 @@ func TestResendAfterStall(t *testing.T) {
 	}
 	if r.eng.Metrics()["resends"] != 1 {
 		t.Fatalf("resends metric = %d", r.eng.Metrics()["resends"])
+	}
+
+	// Nothing proves this replica behind, so each probe is dropped at its
+	// deadline: never re-sent, never escalated, however many resend
+	// timers probe again.
+	for i := 0; i <= stateSyncStalls; i++ {
+		if i > 0 {
+			r.clearActs()
+			r.now = r.now.Add(interval)
+			r.acts = r.eng.HandleTimer(protocol.TimerID{Round: 1, Kind: protocol.TimerResend}, r.now)
+			if len(sends[*types.SyncRequest](r)) != 1 {
+				t.Fatalf("resend %d did not probe", i+1)
+			}
+		}
+		r.clearActs()
+		r.now = r.now.Add(2 * rigDelta)
+		r.acts = r.eng.HandleTimer(protocol.TimerID{Kind: protocol.TimerSuffixSync}, r.now)
+		if n := len(sends[*types.SyncRequest](r)); n != 0 {
+			t.Fatalf("probe %d re-sent %d times at its deadline", i+1, n)
+		}
+		if len(sends[*types.SnapshotRequest](r)) != 0 {
+			t.Fatalf("probe %d escalated to a snapshot fetch", i+1)
+		}
+		if !r.eng.segments.Idle() {
+			t.Fatalf("probe %d still held after its deadline", i+1)
+		}
 	}
 
 	// A stale resend fire (old round) does nothing.

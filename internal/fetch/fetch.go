@@ -1,10 +1,10 @@
 // Package fetch is the retrieval layer: the one scheduler for "this
-// replica lacks X and these peers hold it". The engine runs three
+// replica lacks X and these peers hold it". The engine runs four
 // instances — batch bodies keyed by digest (delivery gating), block
-// bodies keyed by round and ID (the pull behind header relays), and
-// snapshots keyed by target round (state sync) — and drives all three
-// through the same loop: Begin → send; on a passed deadline, Retry →
-// resend.
+// bodies keyed by round and ID (the pull behind header relays), chain
+// suffix segments keyed by first round (catch-up) and snapshots keyed by
+// target round (state sync) — and drives all four through the same loop:
+// Begin → send; on a passed deadline, Retry → resend.
 //
 // The scheduler is passive like the engine that owns it: it holds no
 // crypto and never sends anything itself. Responses are self-certifying
@@ -25,29 +25,29 @@ import (
 // of batch bodies asks for them Window at a time instead of one by one.
 const Window = 8
 
-// Ring iterates over the peers of one replica in a fixed rotation,
-// skipping the replica itself. Fetch retries and the engine's unicast
-// chain-suffix sync draw peers from a Ring so retry traffic spreads over
-// the cluster instead of hammering one replica.
-type Ring struct {
+// ring iterates over the peers of one replica in a fixed rotation,
+// skipping the replica itself. A Fetcher draws the peers it asks after a
+// key's holders from its ring, so retry traffic spreads over the cluster
+// instead of hammering one replica.
+type ring struct {
 	self   types.ReplicaID
 	n      int
 	cursor int
 }
 
-// NewRing creates a rotation over the n-1 peers of self. n must be >= 2.
-func NewRing(self types.ReplicaID, n int) *Ring {
-	return &Ring{self: self, n: n}
+// newRing creates a rotation over the n-1 peers of self. n must be >= 2.
+func newRing(self types.ReplicaID, n int) *ring {
+	return &ring{self: self, n: n}
 }
 
 // Current returns the peer the rotation points at.
-func (r *Ring) Current() types.ReplicaID {
+func (r *ring) Current() types.ReplicaID {
 	id := (int(r.self) + 1 + r.cursor%(r.n-1)) % r.n
 	return types.ReplicaID(id)
 }
 
 // Advance moves to the next peer and returns it.
-func (r *Ring) Advance() types.ReplicaID {
+func (r *ring) Advance() types.ReplicaID {
 	r.cursor = (r.cursor + 1) % (r.n - 1)
 	return r.Current()
 }
@@ -66,7 +66,7 @@ func (r *Ring) Advance() types.ReplicaID {
 // same-seed simulations depend on.
 type Fetcher[K comparable] struct {
 	self    types.ReplicaID
-	ring    *Ring
+	ring    *ring
 	timeout time.Duration
 
 	queue    []*target[K]     // waiting for a window slot, oldest first
@@ -106,7 +106,7 @@ type target[K comparable] struct {
 func NewFetcher[K comparable](self types.ReplicaID, n int, timeout time.Duration) *Fetcher[K] {
 	return &Fetcher[K]{
 		self:    self,
-		ring:    NewRing(self, n),
+		ring:    newRing(self, n),
 		timeout: timeout,
 		keys:    make(map[K]*target[K]),
 		suspect: make(map[types.ReplicaID]time.Time),

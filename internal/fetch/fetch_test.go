@@ -8,7 +8,7 @@ import (
 )
 
 func TestRingSkipsSelf(t *testing.T) {
-	r := NewRing(2, 4)
+	r := newRing(2, 4)
 	seen := map[types.ReplicaID]int{}
 	for i := 0; i < 9; i++ {
 		p := r.Current()

@@ -52,6 +52,9 @@ const (
 	// named it), and while the BlockRequest for it is in flight; same
 	// deadline-check-and-rotate discipline as TimerBatchFetch.
 	TimerBodyPull
+	// TimerSuffixSync fires while a catch-up SyncRequest is in flight;
+	// same deadline-check-and-rotate discipline as TimerStateSync.
+	TimerSuffixSync
 )
 
 func (k TimerKind) String() string {
@@ -70,6 +73,8 @@ func (k TimerKind) String() string {
 		return "batch-fetch"
 	case TimerBodyPull:
 		return "body-pull"
+	case TimerSuffixSync:
+		return "suffix-sync"
 	default:
 		return fmt.Sprintf("TimerKind(%d)", uint8(k))
 	}

@@ -363,7 +363,8 @@ func sliceWireSize(b []byte) int { return 4 + len(b) }
 
 // SyncRequest asks peers for finalized blocks in rounds [From, To]. A
 // replica that detects it is behind (a finalization certificate for a
-// round it cannot connect to its tree) broadcasts one, rate-limited, and
+// round it cannot connect to its tree) unicasts one to one peer at a
+// time, re-sends it to the next peer when that one stays silent, and
 // repeats until caught up.
 // SyncRequest stays comparable (tests use ==) and is 17 bytes on the
 // wire, so it carries no encoding cache.

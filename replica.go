@@ -237,7 +237,10 @@ func (r *Replica) ObsAddr() string {
 	return r.obsSrv.Addr()
 }
 
-// Submit queues a transaction for proposal when this replica leads.
+// Submit queues a transaction on this replica's mempool. Without Dissem,
+// this replica proposes it the next time it leads a round. With Dissem,
+// this replica broadcasts it in a batch, and the next leader that holds
+// the batch proposes it.
 func (r *Replica) Submit(tx []byte) bool { return r.host.pool.Submit(tx) }
 
 // SubmitErr queues a transaction, returning the mempool's typed
