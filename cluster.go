@@ -12,7 +12,6 @@ import (
 	"banyan/internal/stack"
 	"banyan/internal/transport/channel"
 	"banyan/internal/types"
-	"banyan/internal/wal"
 )
 
 // ClusterConfig configures an in-process cluster.
@@ -49,27 +48,17 @@ type ClusterConfig struct {
 	// the node's preverification stage.
 	VerifyWorkers int
 	// WALDir, when non-empty, gives every replica a write-ahead log in
-	// WALDir/replica-<i>. Replicas journal inbound messages, their own
-	// proposals/votes/certificates and commit decisions; CrashReplica and
-	// RestartReplica then express crash-restart scenarios: a restarted
-	// replica replays its log, restores its voting record (so it cannot
-	// equivocate), and rejoins the live cluster.
+	// WALDir/replica-<i>. Replicas journal the proposals and votes they
+	// sign, each durable before it is sent, plus commit marks; every
+	// PruneKeep finalized rounds they checkpoint and truncate the log, so
+	// restart work and disk usage stay bounded by that window. CrashReplica
+	// and RestartReplica then express crash-restart scenarios: a restarted
+	// replica restores its voting record (so it cannot equivocate) and
+	// takes the chain back from its peers, re-delivering commits from its
+	// last checkpoint onward as catch-up lands them — the application is
+	// assumed to have durably applied (or snapshotted) everything the
+	// checkpoint summarizes.
 	WALDir string
-	// WALSyncEveryRecord fsyncs per record instead of group-committing.
-	WALSyncEveryRecord bool
-	// WALSyncInterval is the group-commit window (0 = 2ms).
-	WALSyncInterval time.Duration
-	// WALCheckpointRounds controls WAL checkpointing: every this many
-	// finalized rounds the replica journals an engine snapshot and
-	// truncates the log behind it, so restart replay and disk usage stay
-	// O(window) instead of growing with uptime. Zero selects the default
-	// (16 rounds, matching the engine's pruning window); negative
-	// disables checkpointing (append-only log, full replay). Note that a
-	// replica restarted from a checkpoint re-delivers commits only from
-	// the checkpoint window onward — the application is assumed to have
-	// durably applied (or snapshotted) everything the checkpoint
-	// summarizes.
-	WALCheckpointRounds int
 	// DeepPrune evicts finalized block bodies below the Banyan engines'
 	// prune floor. Replicas then hold (and can serve catch-up from) only
 	// a bounded window of the chain; peers that fall behind that window —
@@ -141,8 +130,6 @@ func (cfg ClusterConfig) options() stack.Options {
 		DissemBatchBytes:    cfg.DissemBatchBytes,
 		DissemInlineMax:     cfg.DissemInlineMax,
 		WALDir:              cfg.WALDir,
-		WALSync:             wal.SyncPolicy{EveryRecord: cfg.WALSyncEveryRecord, Interval: cfg.WALSyncInterval},
-		WALCheckpointRounds: cfg.WALCheckpointRounds,
 		Obs:                 cfg.Obs,
 		ObsTraceEvents:      cfg.ObsTraceEvents,
 	}
@@ -461,19 +448,19 @@ func (c *Cluster) CrashReplica(replica int) error {
 }
 
 // RestartReplica rebuilds a crashed replica from its write-ahead log and
-// starts it: the log replays into a fresh engine (restoring blocktree,
-// certificates, and the replica's own voting record), and the replica
-// rejoins the cluster at its recovered round, catching up on whatever
-// finalized while it was down via the sync subprotocol. Requires WALDir;
-// restarting replica 0 re-delivers its recovered chain on Commits.
+// starts it: a fresh engine restores its checkpoint and the replica's
+// own voting record from the log, and the replica rejoins the cluster
+// from its checkpoint, catching up on everything finalized since via the
+// sync subprotocol. Requires WALDir; restarting replica 0 re-delivers
+// the chain above its checkpoint on Commits.
 func (c *Cluster) RestartReplica(replica int) error {
 	return c.restart(replica, false)
 }
 
 // RestartReplicaFresh simulates recovery from total disk loss: the
 // crashed replica's write-ahead log directory is deleted and the
-// replica restarts with no durable state at all. It cannot replay — it
-// rebuilds its chain from peers instead, through sync responses while
+// replica restarts with no durable state at all. It has no checkpoint —
+// it rebuilds its chain from peers, through sync responses while
 // peers still hold the blocks and through quorum-certified snapshot
 // state sync once they have pruned past its position. The replica's
 // voting record is gone with the disk, so unlike RestartReplica this is
@@ -504,7 +491,7 @@ func (c *Cluster) restart(replica int, diskLoss bool) error {
 	}
 	// A dead process's sockets drop whatever peers sent while it was
 	// down; the channel hub queues it instead. Discard that backlog so
-	// recovery goes through WAL replay and the sync subprotocol, not
+	// recovery goes through the WAL and the sync subprotocol, not
 	// through a delivery channel no real deployment has.
 	c.hub.Drain(h.id)
 	if err := c.buildReplica(replica); err != nil {

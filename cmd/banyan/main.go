@@ -47,9 +47,7 @@ func run(args []string) error {
 		seed     = fs.Uint64("cluster-seed", 42, "shared demo-PKI seed (must match across replicas)")
 		load     = fs.Int("load", 0, "transactions per second to self-submit (0 = none)")
 		txSize   = fs.Int("tx-size", 256, "bytes per generated transaction")
-		walDir   = fs.String("wal-dir", "", "write-ahead log directory; a restarted process with the same -wal-dir replays it and rejoins (empty = no durability)")
-		walSync  = fs.Duration("wal-sync", 0, "WAL group-commit window (0 = 2ms default)")
-		walEvery = fs.Bool("wal-sync-every-record", false, "fsync the WAL per record instead of group-committing")
+		walDir   = fs.String("wal-dir", "", "write-ahead log directory; a restarted process with the same -wal-dir restores its votes from it and rejoins (empty = no durability)")
 		quiet    = fs.Bool("quiet", false, "suppress per-block output, print one summary line per 100 blocks")
 		obsAddr  = fs.String("obs-addr", "", "serve the observability endpoint on this address: /metrics (Prometheus text), /debug/pprof/*, /trace (Chrome trace JSON), /trace/summary, /slow")
 		verbose  = fs.Bool("v", false, "log transport diagnostics")
@@ -75,18 +73,16 @@ func run(args []string) error {
 	}
 
 	cfg := banyan.ReplicaConfig{
-		ID:                 *id,
-		N:                  n,
-		F:                  *fFlag,
-		P:                  *pFlag,
-		ListenAddr:         listenAddr,
-		Peers:              peers,
-		Delta:              *delta,
-		ClusterSeed:        *seed,
-		WALDir:             *walDir,
-		WALSyncInterval:    *walSync,
-		WALSyncEveryRecord: *walEvery,
-		ObsAddr:            *obsAddr,
+		ID:          *id,
+		N:           n,
+		F:           *fFlag,
+		P:           *pFlag,
+		ListenAddr:  listenAddr,
+		Peers:       peers,
+		Delta:       *delta,
+		ClusterSeed: *seed,
+		WALDir:      *walDir,
+		ObsAddr:     *obsAddr,
 	}
 	if *verbose {
 		cfg.Logf = func(format string, a ...any) {

@@ -6,8 +6,10 @@
 //
 // With -wal-dir every replica keeps a write-ahead log, and the
 // -crash/-crash-at/-restart-at flags script a crash-restart: the chosen
-// replica is killed mid-run (its WAL loses the unsynced group-commit
-// tail, as a real crash would), restarted from the log, and the run
+// replica is killed mid-run (its WAL loses the commit marks of the
+// unsynced group-commit tail, as a real crash would; every proposal and
+// vote it sent is already durable), restarted from the log — its voting
+// record restored, its chain taken back from its peers — and the run
 // fails unless it catches back up to the live tip. CI runs this as the
 // crash-restart smoke test:
 //
@@ -66,8 +68,6 @@ func run(args []string) error {
 		txSize     = fs.Int("tx-size", 512, "bytes per transaction")
 		basePort   = fs.Int("base-port", 0, "first TCP port (0 = ephemeral ports)")
 		walDir     = fs.String("wal-dir", "", "write-ahead log root (one subdirectory per replica; empty = no WAL)")
-		walSync    = fs.Duration("wal-sync", 0, "WAL group-commit window (0 = 2ms default)")
-		walEvery   = fs.Bool("wal-sync-every-record", false, "fsync the WAL per record instead of group-committing")
 		crashID    = fs.Int("crash", -1, "replica to kill mid-run (requires -wal-dir; must not be 0, the observer)")
 		crashAt    = fs.Duration("crash-at", 0, "when to kill it (0 = duration/3)")
 		restartAt  = fs.Duration("restart-at", 0, "when to restart it from its WAL (0 = 2*duration/3)")
@@ -86,7 +86,7 @@ func run(args []string) error {
 	}
 	if *crashID >= 0 {
 		if *walDir == "" {
-			return fmt.Errorf("-crash requires -wal-dir (the restart replays the log)")
+			return fmt.Errorf("-crash requires -wal-dir (the restart restores from the log)")
 		}
 		if *crashID == 0 || *crashID >= *n {
 			return fmt.Errorf("-crash %d out of range (observer 0 cannot be crashed)", *crashID)
@@ -147,8 +147,6 @@ func run(args []string) error {
 			P:                   *pFlag,
 			Peers:               peers,
 			Delta:               *delta,
-			WALSyncInterval:     *walSync,
-			WALSyncEveryRecord:  *walEvery,
 			OptimisticProposals: *optimistic,
 			Dissem:              *dissem,
 			DissemBatchBytes:    *dissemB,
@@ -246,7 +244,7 @@ func run(args []string) error {
 		restartC = time.After(*restartAt)
 	}
 	// victimRound tracks the highest round the restarted victim has
-	// committed — replayed history first, live commits once it rejoins.
+	// committed — through catch-up first, live commits once it rejoins.
 	var victimRound atomic.Uint64
 	restarted := false
 

@@ -107,9 +107,9 @@ func TestClusterDissemSameSeedEquivalence(t *testing.T) {
 }
 
 // TestClusterDissemCrashRestart: a dissemination-mode replica crashes and
-// restarts from a WAL that journals batch refs, not bodies (the batch
-// store is rebuilt empty). Replay re-finalizes its pre-crash window with
-// every body missing, so the delivery gate must refetch each one from the
+// restarts from a WAL that holds no batch bodies (the batch store is
+// rebuilt empty). Catch-up re-finalizes its pre-crash window with every
+// body missing, so the delivery gate must refetch each one from the
 // ack-quorum holders before re-delivering — nothing lost, nothing
 // reordered, and no equivocation from the restarted proposer.
 func TestClusterDissemCrashRestart(t *testing.T) {
@@ -119,10 +119,7 @@ func TestClusterDissemCrashRestart(t *testing.T) {
 		Scheme: "hmac",
 		Dissem: true,
 		WALDir: t.TempDir(),
-		// Per-record sync, as in TestClusterCrashRestartWAL: the replayed-
-		// records assertion needs a deterministic durable prefix.
-		WALSyncEveryRecord: true,
-		Obs:                true,
+		Obs:    true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +215,7 @@ func TestClusterDissemCrashRestart(t *testing.T) {
 		t.Fatalf("empty chains: observer %d, victim %d", len(ref), len(got))
 	}
 	// The victim's delivered chain must be a contiguous window of the
-	// observer's — checkpointed replay may start it past genesis, but
+	// observer's — a checkpointed restart may start it past genesis, but
 	// within the window nothing may be missing or transposed.
 	start := -1
 	for i, id := range ref {

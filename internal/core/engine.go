@@ -218,6 +218,10 @@ func (e *Engine) Protocol() string {
 	return "banyan"
 }
 
+// PruneKeep returns the resolved number of finalized rounds the engine
+// retains below its finalized height.
+func (e *Engine) PruneKeep() types.Round { return e.cfg.PruneKeep }
+
 // Round returns the engine's current round (for tests and the harness).
 func (e *Engine) Round() types.Round { return e.round }
 
@@ -454,32 +458,6 @@ func (e *Engine) Metrics() map[string]int64 {
 // settled round is verified nowhere.
 func (e *Engine) settled(r types.Round) bool {
 	return r <= e.tree.FinalizedRound() && r < e.round
-}
-
-// Settled reports whether HandleMessage would ignore msg outright because
-// every vote, certificate and unlock proof it carries is for a settled
-// round, or it is a header relay for one. The WAL recorder asks before
-// journaling an inbound message (wal.Engine.Settled): what the engine
-// ignores, replay does not need.
-func (e *Engine) Settled(msg types.Message) bool {
-	switch m := msg.(type) {
-	case *types.Proposal:
-		return m.Block == nil && m.Header != nil && e.settled(m.Header.Round)
-	case *types.VoteMsg:
-		for i := range m.Votes {
-			if !e.settled(m.Votes[i].Round) {
-				return false
-			}
-		}
-		return true
-	case *types.CertMsg:
-		return m.Cert == nil || e.settled(m.Cert.Round)
-	case *types.Advance:
-		return (m.Notarization == nil || e.settled(m.Notarization.Round)) &&
-			(m.Unlock == nil || e.settled(m.Unlock.Round))
-	default:
-		return false
-	}
 }
 
 // publishSettled raises the verifier's settled floor to the engine's
@@ -1485,7 +1463,10 @@ func (e *Engine) parentCreds(r types.Round) (types.BlockID, *types.Certificate, 
 // in N since it proposed it (castVote).
 func (e *Engine) tryVote(now time.Time, acts []protocol.Action) (bool, []protocol.Action) {
 	rs := e.getRound(e.round)
-	if e.replaying || !rs.started || rs.advanced {
+	if e.replaying || !rs.started || rs.advanced || rs.finalVoted {
+		// A finalization vote says N ⊆ {b} for good (line 51): live, the
+		// round was left with it; restored from the journal into a round
+		// re-entered through catch-up, no other block may join N.
 		return false, acts
 	}
 	myRank := e.setFor(e.round).RankOf(e.round, e.cfg.Self)

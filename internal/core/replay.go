@@ -7,16 +7,16 @@ import (
 	"banyan/internal/types"
 )
 
-// WAL replay (the wal.Engine contract). A restarted replica rebuilds
-// its state by re-running the journaled message sequence through the
-// normal ingestion paths — signatures are re-verified, certificates
-// re-form from the replayed vote ledgers, finalizations re-commit the
-// chain — while replay mode keeps the engine from creating any *new*
-// signature. The replica's own pre-crash messages are restored through
-// ReplayOwn, which sets the "I already did this" flags (proposed,
-// notarVoted, fastVoteSent, finalVoted) that the safety argument depends
-// on: without them, a restarted replica could re-decide a round with
-// post-crash timing and vote for a different block — equivocation.
+// WAL replay (the wal.Engine contract). A restarted replica restores
+// what only it knows — its own pre-crash proposals and votes, from its
+// checkpoint and its journal — through ReplayOwn, which sets the "I
+// already did this" flags (proposed, notarVoted, fastVoteSent,
+// finalVoted) that the safety argument depends on: without them, a
+// restarted replica could re-decide a round with post-crash timing and
+// vote for a different block — equivocation. Replay mode keeps the
+// engine from creating any new signature meanwhile. The chain and the
+// other replicas' votes come back from the cluster through catch-up;
+// a flag restored for a round catch-up has not reached yet waits there.
 
 // BeginReplay puts the engine in replay mode. Call before Start.
 func (e *Engine) BeginReplay() { e.replaying = true }

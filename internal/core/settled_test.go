@@ -391,8 +391,7 @@ func TestSlowPathRoundsStillSendFinalizationVotes(t *testing.T) {
 }
 
 // TestSettledFloorFollowsTheEngine: the floor the engine publishes to its
-// verifier is the highest round both finalized and left, and Settled
-// answers per message what HandleMessage will do with it.
+// verifier is the highest round both finalized and left.
 func TestSettledFloorFollowsTheEngine(t *testing.T) {
 	bc := mustBeacon(t, 4)
 	r := newRig(t, p411, bc.ReplicaAt(1, 3))
@@ -400,37 +399,8 @@ func TestSettledFloorFollowsTheEngine(t *testing.T) {
 	if v.SettledFloor() != 0 {
 		t.Fatalf("floor = %d before anything finalized", v.SettledFloor())
 	}
-	b := r.leaderBlock(1, types.Genesis().ID(), 1)
-	vote := &types.VoteMsg{Votes: []types.Vote{r.notarVote(b.Proposer, b)}}
-	if r.eng.Settled(vote) {
-		t.Fatal("a vote for the current round reported settled")
-	}
-	b, _ = fastFinalizeRound1(t, r)
+	fastFinalizeRound1(t, r)
 	if v.SettledFloor() != 1 {
 		t.Fatalf("floor = %d after round 1 finalized and was left, want 1", v.SettledFloor())
-	}
-	adv := round1Advance(r, b)
-	cert := broadcasts[*types.CertMsg](r)[0]
-	for _, msg := range []types.Message{vote, adv, cert} {
-		if !r.eng.Settled(msg) {
-			t.Errorf("%T for round 1 not reported settled", msg)
-		}
-	}
-	b2 := r.leaderBlock(2, b.ID(), 2)
-	mixed := &types.VoteMsg{Votes: []types.Vote{r.notarVote(b.Proposer, b), r.notarVote(b2.Proposer, b2)}}
-	if r.eng.Settled(mixed) {
-		t.Error("a message carrying a live vote reported settled")
-	}
-	if r.eng.Settled(r.proposalFor(b2)) {
-		t.Error("a proposal reported settled")
-	}
-	// Of proposals only a settled round's header relay is: its body form
-	// may still be a block someone is pulling.
-	if !r.eng.Settled(&types.Proposal{Header: b.SignedHeader(), Relayed: true}) {
-		t.Error("a header relay for round 1 not reported settled")
-	}
-	if r.eng.Settled(&types.Proposal{Block: b, Relayed: true}) ||
-		r.eng.Settled(&types.Proposal{Header: b2.SignedHeader(), Relayed: true}) {
-		t.Error("a body, or a live round's header relay, reported settled")
 	}
 }

@@ -8,10 +8,10 @@ import "banyan/internal/types"
 //
 //   - the finalized chain window (the rounds the engine still retains
 //     under its pruning policy), which re-anchors the block tree so
-//     post-checkpoint messages connect;
-//   - the replica's own messages for every live round — proposals, votes,
-//     certificates — whose replay restores the "I already did this" flags
-//     that make a restarted replica unable to equivocate;
+//     catch-up continues from it;
+//   - the replica's own proposals and votes for every live round, whose
+//     replay restores the "I already did this" flags that make a
+//     restarted replica unable to equivocate;
 //   - the newest finalization certificate, so the replica can serve and
 //     follow catch-up immediately.
 //
@@ -30,7 +30,7 @@ import "banyan/internal/types"
 type Snapshot struct {
 	// Round is the engine's current round when the snapshot was taken.
 	// Informational: restore re-enters from FinalizedRound+1 and lets
-	// replayed records and live catch-up advance from there.
+	// live catch-up advance from there.
 	Round types.Round
 	// FinalizedRound is the finalized height the snapshot captures.
 	FinalizedRound types.Round
@@ -51,7 +51,7 @@ type Snapshot struct {
 
 // Snapshotter is implemented by engines that can summarize themselves
 // into a Snapshot and be rebuilt from one. The WAL recorder uses it to
-// checkpoint the log: replay then starts from the snapshot instead of
+// checkpoint the log: restart then starts from the snapshot instead of
 // the beginning of history, making restart cost independent of uptime.
 type Snapshotter interface {
 	// Snapshot captures the engine's durable state. Called between

@@ -64,21 +64,13 @@ type Options struct {
 	Dissem                            bool
 	DissemBatchBytes, DissemInlineMax int
 	// WALDir, when non-empty, runs every replica behind a write-ahead
-	// log; WALSync is its sync policy and WALCheckpointRounds the
-	// checkpoint cadence in finalized rounds (0 = 16, negative = never).
-	WALDir              string
-	WALSync             wal.SyncPolicy
-	WALCheckpointRounds int
+	// log, checkpointed every PruneKeep finalized rounds.
+	WALDir string
 	// Obs gives every replica an obs.Observer with a tracer ring of
 	// ObsTraceEvents events (0 = obs.DefaultTraceEvents).
 	Obs            bool
 	ObsTraceEvents int
 }
-
-// defaultWALCheckpointRounds matches the engine's default PruneKeep, so
-// replay work after a checkpointed restart is the same order as the
-// engine's own in-memory retention.
-const defaultWALCheckpointRounds = 16
 
 // Fill validates the options and returns them with every defaulted field
 // resolved — the one copy of both. Fill is idempotent.
@@ -114,9 +106,6 @@ func (o Options) Fill() (Options, error) {
 	}
 	if o.DissemBatchBytes <= 0 {
 		o.DissemBatchBytes = 64 << 10
-	}
-	if o.WALCheckpointRounds == 0 {
-		o.WALCheckpointRounds = defaultWALCheckpointRounds
 	}
 	return o, nil
 }
@@ -200,9 +189,8 @@ type Stack struct {
 	// host's preverification stage, so cache warm-ups reach the engine.
 	Verifier *crypto.Verifier
 	// Store is nil without Dissem. It is fresh per build: batch bodies are
-	// deliberately not journaled (the WAL holds the refs inside blocks), so
-	// a restarted replica refetches any finalized body it is missing — the
-	// ack quorum guarantees f+1 other holders.
+	// not journaled, so a restarted replica refetches any finalized body
+	// it is missing — the ack quorum guarantees f+1 other holders.
 	Store *dissem.Store
 	// Recorder is nil without a log directory.
 	Recorder *wal.Recorder
@@ -246,7 +234,7 @@ func Build(self types.ReplicaID, o Options, s Survivors) (*Stack, error) {
 	if s.WALDir == "" {
 		return st, nil
 	}
-	walOpts := wal.Options{Sync: o.WALSync}
+	var walOpts wal.Options
 	if s.Obs != nil {
 		walOpts.FlushHist = s.Obs.WALFlush
 	}
@@ -254,8 +242,9 @@ func Build(self types.ReplicaID, o Options, s Survivors) (*Stack, error) {
 		Dir:     s.WALDir,
 		Engine:  eng,
 		Options: walOpts,
-		// A negative cadence never checkpoints.
-		CheckpointEvery: types.Round(max(o.WALCheckpointRounds, 0)),
+		// The checkpoint window is the engine's retention window: a
+		// restart restores no more than the engine would still hold.
+		CheckpointEvery: eng.PruneKeep(),
 	})
 	if err != nil {
 		return nil, err

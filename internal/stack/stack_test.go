@@ -107,7 +107,7 @@ func TestFillDefaultsAndRefusals(t *testing.T) {
 	}
 	want := base
 	want.F, want.P, want.MaxN = 1, 1, 4
-	want.BlockBytes, want.DissemBatchBytes, want.WALCheckpointRounds = 1<<20, 64<<10, 16
+	want.BlockBytes, want.DissemBatchBytes = 1<<20, 64<<10
 	if o != want {
 		t.Fatalf("filled options\n got %+v\nwant %+v", o, want)
 	}

@@ -14,10 +14,11 @@ import (
 // first vote of a round became one signature. A journal from before —
 // the replica's own [notarize, fast] pair, peers' pairs, the leader's
 // separate notarization vote, an unmarked notarization certificate — and
-// one in today's form — lone fast votes — replay to the same round, chain
-// and own voting record, with nothing rejected and nothing signed anew.
+// one in today's form — lone fast votes — restore the same own voting
+// record, with nothing rejected and nothing signed anew. (Both hold
+// inbound records, as journals of their time did; restart skips them.)
 func TestJournalOldAndNewVoteForms(t *testing.T) {
-	mk, signers := relayCluster(t, 64)
+	mk, signers := coreCluster(t, 64)
 	t0 := time.Unix(100, 0)
 	var prop *types.Proposal
 	for id := types.ReplicaID(0); prop == nil; id++ {
@@ -58,18 +59,7 @@ func TestJournalOldAndNewVoteForms(t *testing.T) {
 	restored := make(map[string]*core.Engine)
 	for name, records := range journals {
 		dir := t.TempDir()
-		log, _, err := Open(dir, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range records {
-			if err := log.Append(r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := log.Close(); err != nil {
-			t.Fatal(err)
-		}
+		writeLog(t, dir, records)
 		eng := mk(self)
 		rec, err := NewRecorder(RecorderConfig{Dir: dir, Engine: eng})
 		if err != nil {
@@ -86,9 +76,8 @@ func TestJournalOldAndNewVoteForms(t *testing.T) {
 				}
 			}
 		}
-		if m := eng.Metrics(); m["rejected"] != 0 || eng.Round() != 2 || eng.Tree().FinalizedRound() != 1 {
-			t.Fatalf("%s journal: rejected=%d round=%d finalized=%d, want 0, 2, 1",
-				name, m["rejected"], eng.Round(), eng.Tree().FinalizedRound())
+		if m := eng.Metrics(); m["rejected"] != 0 {
+			t.Fatalf("%s journal: rejected=%d, want 0", name, m["rejected"])
 		}
 		restored[name] = eng
 	}

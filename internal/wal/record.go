@@ -12,18 +12,19 @@ import (
 type Kind uint8
 
 const (
-	// KindInbound is a consensus message received from a peer, appended
-	// before the engine processes it.
+	// KindInbound is a consensus message received from a peer. The
+	// Recorder no longer writes it; the codec still reads it, so a log
+	// written when it did recovers past such records, which restart skips.
 	KindInbound Kind = iota + 1
-	// KindOwn is a message this replica generated (proposal, votes,
-	// certificate, advance), appended before the transport sends it. These
-	// records restore the replica's own voting record on replay, which is
-	// what prevents post-restart equivocation.
+	// KindOwn is a message this replica signed (its proposal or a vote),
+	// appended before the transport sends it. These records restore the
+	// replica's own voting record on restart, which is what prevents
+	// post-restart equivocation.
 	KindOwn
 	// KindCommit is a finalization decision: the explicitly finalized
 	// block, the path that finalized it, and the size of the committed
-	// batch. Commit records are bookkeeping for tooling and tests; replay
-	// re-derives commits from the message records.
+	// batch. Commit records are bookkeeping for tooling and tests; restart
+	// does not read them.
 	KindCommit
 	// KindCheckpoint is an engine snapshot (protocol.Snapshot): the
 	// finalized chain window plus the replica's own voting record for

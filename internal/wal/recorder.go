@@ -8,16 +8,15 @@ import (
 	"banyan/internal/types"
 )
 
-// Engine is the engine a Recorder wraps: a protocol.Engine that can be
-// rebuilt from its journal. The Recorder brackets a replay with
-// BeginReplay/EndReplay, restores a checkpoint through RestoreSnapshot,
-// feeds journaled peer messages back through HandleMessage, and hands the
-// replica's own journaled messages to ReplayOwn so the engine restores its
-// voting record (which blocks it proposed, notarize-voted, fast-voted and
-// finalize-voted for) without signing anything new. Between the brackets
-// the engine must not create signatures — re-deciding a vote with
-// post-crash timing is how a restarted replica equivocates. The Banyan
-// core engine implements it.
+// Engine is the engine a Recorder wraps: a protocol.Engine that can
+// restore its voting record from its journal. The Recorder brackets a
+// restart with BeginReplay/EndReplay, restores a checkpoint through
+// RestoreSnapshot, and hands the replica's own journaled messages to
+// ReplayOwn so the engine restores its voting record (which blocks it
+// proposed, notarize-voted, fast-voted and finalize-voted for) without
+// signing anything new. Between the brackets the engine must not create
+// signatures — re-deciding a vote with post-crash timing is how a
+// restarted replica equivocates. The Banyan core engine implements it.
 type Engine interface {
 	protocol.Engine
 	protocol.Snapshotter
@@ -28,12 +27,6 @@ type Engine interface {
 	// EndReplay leaves replay mode, re-arms timers for the recovered
 	// round, and returns the actions to resume live operation with.
 	EndReplay(now time.Time) []protocol.Action
-	// Settled reports whether HandleMessage will ignore msg as settled:
-	// traffic for a round the engine has finalized and left. The Recorder
-	// asks before journaling an inbound message — a message the engine
-	// drops unread changes no state, so replay does not need it and the
-	// log does not pay for it.
-	Settled(msg types.Message) bool
 }
 
 // RecorderConfig assembles a Recorder.
@@ -57,10 +50,12 @@ type RecorderConfig struct {
 
 // Recorder wraps a protocol.Engine with a write-ahead log. It is itself
 // a protocol.Engine, so every host (node runtime, simulator) can run a
-// durable replica without knowing about the WAL: inbound messages are
-// journaled before the engine's state transition, the engine's own
-// outbound messages before the host's transport sends them, and commit
-// decisions as they are emitted.
+// durable replica without knowing about the WAL. It journals only what
+// this replica alone knows: the messages that carry its own signature —
+// its proposals and votes — before the host's transport sends them, plus
+// commit marks and checkpoints. Everything else a restarted replica needs
+// (blocks, other replicas' votes, certificates) its peers still hold and
+// hand back through catch-up.
 type Recorder struct {
 	eng Engine
 	log *Log
@@ -107,18 +102,14 @@ func (r *Recorder) ID() types.ReplicaID { return r.eng.ID() }
 func (r *Recorder) Protocol() string { return r.eng.Protocol() }
 
 // Start implements protocol.Engine. With an empty log it is a plain
-// recorded Start. With journaled records it replays: peer messages
-// re-enter HandleMessage (signatures re-verified, certificates re-formed,
-// commits re-derived), own messages restore the voting record, and the
-// host receives the recovered chain as ordinary Commit actions followed
-// by the actions that resume live operation.
-//
-// When the log was checkpointed, replay is two-phase: the checkpoint's
-// snapshot re-anchors the block tree and its own-message bundle restores
-// the pre-checkpoint voting record (through the same ReplayOwn path as
-// journaled records, so signatures re-verify), then only the records
-// journaled after the checkpoint replay — O(checkpoint window) work
-// regardless of uptime.
+// recorded Start. Otherwise it restores: the newest checkpoint's snapshot
+// re-anchors the block tree and its own-message bundle restores the
+// pre-checkpoint voting record, then the own records journaled after it
+// restore the rest — all through ReplayOwn, so every signature
+// re-verifies. Rounds above the checkpoint come back live, through
+// catch-up, and their commits reach the host as it lands them. An
+// inbound record, which logs written before the journal narrowed to own
+// signatures hold, is skipped: the cluster re-supplies what it taught.
 func (r *Recorder) Start(now time.Time) []protocol.Action {
 	records := r.rec.Records
 	r.rec.Records = nil
@@ -146,10 +137,11 @@ func (r *Recorder) Start(now time.Time) []protocol.Action {
 	}
 	for _, rec := range records {
 		switch rec.Kind {
-		case KindInbound:
-			acts = keepReplayActions(acts, r.eng.HandleMessage(rec.From, rec.Msg, now))
 		case KindOwn:
 			acts = keepReplayActions(acts, r.eng.ReplayOwn(rec.Msg, now))
+		case KindInbound:
+			r.replaySkipped++
+			continue
 		}
 		r.replayedRecords++
 	}
@@ -175,14 +167,9 @@ func keepReplayActions(acts, produced []protocol.Action) []protocol.Action {
 	return acts
 }
 
-// HandleMessage implements protocol.Engine: journal, transition, journal
-// the outputs. A message the engine is about to ignore as settled is not
-// journaled: the engine's answer here is the decision it takes inside
-// HandleMessage, on the same state.
+// HandleMessage implements protocol.Engine: transition, then journal the
+// outputs.
 func (r *Recorder) HandleMessage(from types.ReplicaID, msg types.Message, now time.Time) []protocol.Action {
-	if loggedInbound(msg) && !r.eng.Settled(msg) {
-		r.append(Record{Kind: KindInbound, From: from, Msg: msg})
-	}
 	return r.record(r.eng.HandleMessage(from, msg, now))
 }
 
@@ -221,17 +208,17 @@ func (r *Recorder) Close() error { return r.log.Close() }
 // Crash abandons the unsynced tail and closes the log (simulated crash).
 func (r *Recorder) Crash() { r.log.Crash() }
 
-// record journals the engine's outputs: own messages before the host
-// sends them (the node applies actions after this returns, and — unless
-// SyncPolicy.NoForceOwn — the group is forced to disk before any
-// own-signature message is released, the classic force-log-before-
-// externalize rule), commits as decisions. If an own record cannot be
-// made durable — the append or the forced sync fails — the own-signature
-// messages of the batch are dropped from the returned actions: a vote the
-// journal never saw must not reach the network, or a restart could
-// re-decide it differently and equivocate. Going silent is ordinary
-// crash-fault behavior the protocol tolerates; the error still surfaces
-// through Err and the wal_errors metric.
+// record journals the engine's outputs: own-signature messages before
+// the host sends them (the node applies actions after this returns, and
+// the group is forced to disk before any of them is released, the
+// classic force-log-before-externalize rule), commits as marks that ride
+// the group window. If an own record cannot be made durable — the append
+// or the forced sync fails — the own-signature messages of the batch are
+// dropped from the returned actions: a vote the journal never saw must
+// not reach the network, or a restart could re-decide it differently and
+// equivocate. Going silent is ordinary crash-fault behavior the protocol
+// tolerates; the error still surfaces through Err and the wal_errors
+// metric.
 func (r *Recorder) record(acts []protocol.Action) []protocol.Action {
 	ownAppended, ownDurable := false, true
 	var commitTip types.Round
@@ -264,7 +251,7 @@ func (r *Recorder) record(acts []protocol.Action) []protocol.Action {
 			})
 		}
 	}
-	if ownAppended && !r.log.opts.Sync.NoForceOwn && !r.log.opts.Sync.EveryRecord {
+	if ownAppended && !r.log.opts.Sync.EveryRecord {
 		// One fsync covers every own record of this action batch plus the
 		// whole pending group.
 		if err := r.log.Sync(); err != nil {
@@ -283,7 +270,7 @@ func (r *Recorder) record(acts []protocol.Action) []protocol.Action {
 
 // checkpoint snapshots the engine and journals it, truncating the log
 // behind the checkpoint. Failures are counted but non-fatal: a missed
-// checkpoint only means the next restart replays more records (the
+// checkpoint only means the next restart replays more own records (the
 // ordinary append path still provides durability), and if the log is
 // truly dying its sticky error fails the own-record path anyway.
 func (r *Recorder) checkpoint() {
@@ -347,44 +334,18 @@ func (r *Recorder) Err() error {
 	return r.log.err
 }
 
-// loggedInbound says which peer messages are journaled. Sync and
-// snapshot requests are stateless (served from the tree) and skipped, as
-// is all batch-dissemination traffic — bodies would multiply the log by
-// the payload volume, and the blocks journal the batch *refs*, so a
-// restarted replica re-fetches any finalized body it lost (the ack
-// quorum guarantees f+1 peers besides the origin hold it); everything
-// else — including sync and snapshot responses, whose blocks feed
-// catch-up state and must be re-adopted on replay — is recorded. A block
-// body is therefore journaled once per replica, on arrival — the
-// proposer's copy, or the reply to a pull; header relays journal as
-// headers, and the BlockRequest that fetches a body is stateless.
-func loggedInbound(msg types.Message) bool {
-	switch msg.(type) {
-	case *types.SyncRequest, *types.SnapshotRequest, *types.BlockRequest,
-		*types.BatchAnnounce, *types.BatchRequest, *types.BatchResponse:
-		return false
-	default:
-		return true
-	}
-}
-
-// loggedOwn says which of the replica's own messages are journaled. Sync
-// and snapshot traffic is derived state (requests are stateless,
-// responses are read from the finalized tree) and would bloat the log;
-// every message that carries this replica's signatures or certificates
-// is recorded. The same goes for the body pull: a BlockRequest is
-// stateless and its answer — someone else's block, relayed in body form —
-// is read back out of round state the journal already covers; only this
-// replica's own proposal is journaled with its body.
+// loggedOwn says which of the replica's own messages are journaled: the
+// ones that carry its signature, its proposals and its votes. Relays are
+// someone else's block; certificates and Advances hold other replicas'
+// votes, which the cluster re-supplies; sync, snapshot, pull and batch
+// traffic is stateless or derived.
 func loggedOwn(msg types.Message) bool {
 	switch m := msg.(type) {
-	case *types.SyncRequest, *types.SyncResponse,
-		*types.SnapshotRequest, *types.SnapshotResponse, *types.BlockRequest,
-		*types.BatchAnnounce, *types.BatchRequest, *types.BatchResponse:
-		return false
 	case *types.Proposal:
-		return !(m.Relayed && m.Block != nil)
-	default:
+		return !m.Relayed
+	case *types.VoteMsg:
 		return true
+	default:
+		return false
 	}
 }

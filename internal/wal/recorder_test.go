@@ -41,7 +41,6 @@ func (f *fakeEngine) EndReplay(time.Time) []protocol.Action {
 	f.calls = append(f.calls, "end-replay")
 	return f.take()
 }
-func (f *fakeEngine) Settled(types.Message) bool               { return false }
 func (f *fakeEngine) Snapshot() *protocol.Snapshot             { return &protocol.Snapshot{} }
 func (f *fakeEngine) RestoreSnapshot(*protocol.Snapshot) error { return nil }
 func (f *fakeEngine) take() []protocol.Action {
@@ -61,6 +60,7 @@ func TestRecorderJournalsAndReplays(t *testing.T) {
 	now := time.Unix(100, 0)
 
 	// First life: start, receive a message, emit a vote and a commit.
+	// The inbound message itself is not journaled.
 	eng := &fakeEngine{}
 	rec, err := NewRecorder(RecorderConfig{Dir: dir, Engine: eng,
 		Options: Options{Sync: SyncPolicy{EveryRecord: true}}})
@@ -76,20 +76,20 @@ func TestRecorderJournalsAndReplays(t *testing.T) {
 	rec.HandleMessage(5, voteMsg(1), now)
 	rec.Crash() // even with EveryRecord, everything is already durable
 
-	// Second life: the journal must replay — inbound through
-	// HandleMessage, own through ReplayOwn, bracketed by Begin/EndReplay —
-	// and the commit record must not re-enter the engine.
+	// Second life: the own vote must replay through ReplayOwn, bracketed
+	// by Begin/EndReplay, and the commit record must not re-enter the
+	// engine.
 	eng2 := &fakeEngine{}
 	rec2, err := NewRecorder(RecorderConfig{Dir: dir, Engine: eng2,
 		Options: Options{Sync: SyncPolicy{EveryRecord: true}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rec2.Recovered(); got.Truncated || len(got.Records) != 3 {
-		t.Fatalf("recovered %d records (truncated=%v), want 3", len(got.Records), got.Truncated)
+	if got := rec2.Recovered(); got.Truncated || len(got.Records) != 2 {
+		t.Fatalf("recovered %d records (truncated=%v), want 2", len(got.Records), got.Truncated)
 	}
 	rec2.Start(now)
-	want := []string{"begin-replay", "start", "msg:vote", "replay-own:vote", "end-replay"}
+	want := []string{"begin-replay", "start", "replay-own:vote", "end-replay"}
 	if len(eng2.calls) != len(want) {
 		t.Fatalf("replay calls = %v, want %v", eng2.calls, want)
 	}
@@ -99,7 +99,7 @@ func TestRecorderJournalsAndReplays(t *testing.T) {
 		}
 	}
 	m := rec2.Metrics()
-	if m["wal_replayed_records"] != 3 {
+	if m["wal_replayed_records"] != 2 {
 		t.Fatalf("wal_replayed_records = %d", m["wal_replayed_records"])
 	}
 	if err := rec2.Close(); err != nil {
@@ -122,7 +122,9 @@ func TestRecorderForcesOwnBeforeSend(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec.Start(now)
-	// An inbound-only batch stays in the group buffer...
+	// A commit mark stays in the group buffer...
+	commit := protocol.Commit{Blocks: []*types.Block{types.Genesis()}, Explicit: protocol.FinalizeSlow}
+	eng.actions = []protocol.Action{commit}
 	rec.HandleMessage(1, voteMsg(1), now)
 	// ...but a batch carrying an own vote forces the whole group down.
 	eng.actions = []protocol.Action{protocol.Broadcast{Msg: voteMsg(2)}}
@@ -133,10 +135,10 @@ func TestRecorderForcesOwnBeforeSend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// All three records survive: the forced sync for the own vote
-	// committed the buffered inbound records with it.
-	if len(recovery.Records) != 3 {
-		t.Fatalf("recovered %d records, want 3 (own-vote sync must commit the group)", len(recovery.Records))
+	// Both records survive: the forced sync for the own vote committed
+	// the buffered commit mark with it.
+	if len(recovery.Records) != 2 {
+		t.Fatalf("recovered %d records, want 2 (own-vote sync must commit the group)", len(recovery.Records))
 	}
 	var ownDurable bool
 	for _, r := range recovery.Records {
@@ -146,27 +148,6 @@ func TestRecorderForcesOwnBeforeSend(t *testing.T) {
 	}
 	if !ownDurable {
 		t.Fatal("own vote not durable after record() returned")
-	}
-
-	// With NoForceOwn the same sequence loses everything to the crash.
-	dir2 := t.TempDir()
-	noForce := lazy
-	noForce.Sync.NoForceOwn = true
-	eng2 := &fakeEngine{}
-	rec2, err := NewRecorder(RecorderConfig{Dir: dir2, Engine: eng2, Options: noForce})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec2.Start(now)
-	eng2.actions = []protocol.Action{protocol.Broadcast{Msg: voteMsg(2)}}
-	rec2.HandleMessage(2, voteMsg(2), now)
-	rec2.Crash()
-	_, recovery2, err := Open(dir2, noForce)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recovery2.Records) != 0 {
-		t.Fatalf("NoForceOwn recovered %d records, want 0", len(recovery2.Records))
 	}
 }
 
@@ -275,6 +256,7 @@ func TestRecorderReplayFiltersActions(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec.Start(now)
+	eng.actions = []protocol.Action{protocol.Broadcast{Msg: voteMsg(7)}}
 	rec.HandleMessage(1, voteMsg(7), now)
 	rec.Crash()
 
@@ -285,9 +267,9 @@ func TestRecorderReplayFiltersActions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rec2.Close()
-	// The replayed inbound message makes the engine emit one of each
-	// action kind; only Commit may pass the filter (plus EndReplay's
-	// live actions, which pass unfiltered).
+	// The replayed own vote makes the engine emit one of each action
+	// kind; only Commit may pass the filter (plus EndReplay's live
+	// actions, which pass unfiltered).
 	commit := protocol.Commit{Blocks: []*types.Block{types.Genesis()}, Explicit: protocol.FinalizeSlow}
 	eng2.actions = []protocol.Action{
 		protocol.Broadcast{Msg: voteMsg(7)},

@@ -1,8 +1,9 @@
 // Package wal is a durable write-ahead log for consensus replicas: a
 // segmented, CRC-framed append-only log with group commit, plus a
-// Recorder that wraps any protocol.Engine and journals its inputs and
-// outputs so a crashed replica can rebuild blocktree and protocol state
-// on restart.
+// Recorder that wraps the engine and journals what the replica alone
+// knows — the proposals and votes it signed, plus commit marks and
+// checkpoints — so a crashed replica restarts unable to equivocate and
+// takes everything else back from its peers.
 //
 // # Log format
 //
@@ -33,9 +34,12 @@
 // background syncer flushes + fsyncs the batch once per SyncPolicy
 // window (or earlier when SyncPolicy.Bytes accumulate). Every record of
 // the window shares one fsync. The price is a bounded durability window:
-// a crash loses at most the records appended since the last sync.
-// SyncPolicy.EveryRecord trades that window away for an fsync per append
-// (BenchmarkWALAppend measures the gap).
+// a crash loses at most the records appended since the last sync. The
+// Recorder closes that window for every record that matters: it forces
+// the group to disk before a message this replica signed leaves, so only
+// commit marks ever wait for the window. SyncPolicy.EveryRecord trades
+// the window away for an fsync per append (BenchmarkWALAppend measures
+// the gap).
 package wal
 
 import (
@@ -79,17 +83,6 @@ type SyncPolicy struct {
 	// Bytes flushes the group early once this much is buffered. Zero
 	// selects 256 KiB.
 	Bytes int
-	// NoForceOwn removes the write-ahead discipline for the replica's
-	// own messages. By default the Recorder forces the group to disk
-	// before handing a message this replica signed to the transport, so
-	// the journal can never under-report a vote the network saw — the
-	// invariant that makes a restarted replica unable to equivocate.
-	// Inbound records still ride the group window (they dominate volume;
-	// own messages are a handful per round), and the forced sync commits
-	// the whole pending group, so amortization survives. Set NoForceOwn
-	// for maximum throughput at the price of a crash window in which a
-	// sent vote is forgotten.
-	NoForceOwn bool
 }
 
 func (p SyncPolicy) normalize() SyncPolicy {

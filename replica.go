@@ -12,7 +12,6 @@ import (
 	"banyan/internal/stack"
 	"banyan/internal/transport/tcp"
 	"banyan/internal/types"
-	"banyan/internal/wal"
 )
 
 // ReplicaConfig configures a single TCP-connected replica for
@@ -45,24 +44,15 @@ type ReplicaConfig struct {
 	// GOMAXPROCS, 1 verifies inline, negative additionally skips the
 	// node's preverification stage.
 	VerifyWorkers int
-	// WALDir, when non-empty, enables the write-ahead log: inbound
-	// messages, this replica's own proposals/votes/certificates, and
-	// commit decisions are journaled to the directory, and a restarted
-	// replica (same WALDir) replays the log on Start — rebuilding its
-	// blocktree and voting record, re-delivering the committed chain on
-	// Commits, and rejoining at its pre-crash round without equivocating.
+	// WALDir, when non-empty, enables the write-ahead log: the proposals
+	// and votes this replica signs are journaled to the directory, each
+	// durable before it is sent, plus commit marks and a checkpoint every
+	// PruneKeep finalized rounds. A restarted replica (same WALDir)
+	// restores its voting record from the log on Start, so it cannot
+	// equivocate, and takes the chain back from its peers, re-delivering
+	// on Commits everything above its last checkpoint as catch-up lands
+	// it.
 	WALDir string
-	// WALSyncEveryRecord fsyncs per record instead of group-committing —
-	// no durability window, at a large throughput cost (BenchmarkWALAppend
-	// in internal/wal measures it).
-	WALSyncEveryRecord bool
-	// WALSyncInterval is the group-commit window (0 = 2ms): a crash loses
-	// at most the records appended within it.
-	WALSyncInterval time.Duration
-	// WALCheckpointRounds checkpoints and truncates the WAL every this
-	// many finalized rounds (0 = default 16, negative = disabled); see
-	// ClusterConfig.WALCheckpointRounds.
-	WALCheckpointRounds int
 	// DeepPrune evicts finalized block bodies below the engine's prune
 	// floor; see ClusterConfig.DeepPrune. A deployment running DeepPrune
 	// serves catch-up from a bounded window, and replicas that lose
@@ -127,8 +117,6 @@ func (cfg ReplicaConfig) options() stack.Options {
 		DissemBatchBytes:    cfg.DissemBatchBytes,
 		DissemInlineMax:     cfg.DissemInlineMax,
 		WALDir:              cfg.WALDir,
-		WALSync:             wal.SyncPolicy{EveryRecord: cfg.WALSyncEveryRecord, Interval: cfg.WALSyncInterval},
-		WALCheckpointRounds: cfg.WALCheckpointRounds,
 		Obs:                 cfg.Obs || cfg.ObsAddr != "",
 		ObsTraceEvents:      cfg.ObsTraceEvents,
 	}

@@ -29,11 +29,11 @@ func TestClusterFreshJoinAndDiskLossRestart(t *testing.T) {
 		// Tight deep-pruned windows: every replica holds only its last 8
 		// finalized rounds, so a joiner 30+ rounds behind cannot be served
 		// block-by-block and must take the snapshot path.
-		DeepPrune:           true,
-		PruneKeep:           8,
-		PruneInterval:       8,
-		WALCheckpointRounds: 8,
-		HoldStart:           []int{joiner},
+		// The WAL checkpoints every PruneKeep rounds too.
+		DeepPrune:     true,
+		PruneKeep:     8,
+		PruneInterval: 8,
+		HoldStart:     []int{joiner},
 	})
 	if err != nil {
 		t.Fatal(err)
