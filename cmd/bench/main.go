@@ -393,10 +393,11 @@ func runFig6e(o options) error {
 }
 
 // runTraffic measures message complexity: messages and bytes on the wire
-// per finalized block, for each protocol. The paper (section 2, "Other
-// aspects") notes Banyan's fast path adds only constant per-round message
-// overhead over ICC — fast votes ride on existing messages and the Advance
-// broadcast replaces ICC's notarization broadcast.
+// per finalized block, for each protocol, then Banyan's split by wire
+// kind. The paper (section 2, "Other aspects") notes Banyan's fast path
+// adds only constant per-round message overhead over ICC — fast votes
+// ride on existing messages and the Advance broadcast replaces ICC's
+// notarization broadcast.
 func runTraffic(o options) error {
 	topo, err := wan.FourGlobal19()
 	if err != nil {
@@ -405,6 +406,7 @@ func runTraffic(o options) error {
 	fmt.Printf("%-12s %12s %14s %16s %14s\n",
 		"protocol", "blocks", "msgs/block", "wire-KB/block", "overhead")
 	const blockSize = 64 << 10
+	var banyan *harness.Result
 	for _, proto := range harness.Protocols() {
 		res, err := runCompared(harness.Config{
 			Protocol:  proto,
@@ -421,6 +423,9 @@ func runTraffic(o options) error {
 			fmt.Printf("%-12s %12d %14s %16s %14s\n", proto, 0, "-", "-", "-")
 			continue
 		}
+		if proto == harness.Banyan {
+			banyan = res
+		}
 		msgsPerBlock := float64(res.Messages) / float64(res.BlocksCommitted)
 		kbPerBlock := float64(res.MessageBytes) / float64(res.BlocksCommitted) / 1024
 		// Overhead: wire bytes beyond the payload itself, per block.
@@ -431,6 +436,17 @@ func runTraffic(o options) error {
 	}
 	fmt.Println("(overhead = wire bytes beyond one payload copy, as a multiple of the payload;")
 	fmt.Println(" includes the n-1 unicasts of every broadcast plus tip-forwarding relays)")
+	if banyan == nil {
+		return nil
+	}
+	blocks := float64(banyan.BlocksCommitted)
+	fmt.Printf("\n%-18s %14s %16s %12s\n", "banyan kind", "msgs/block", "wire-KB/block", "bytes/msg")
+	for kind, st := range banyan.Traffic {
+		if st.Messages > 0 {
+			fmt.Printf("%-18s %14.1f %16.1f %12.0f\n", types.MsgKind(kind),
+				float64(st.Messages)/blocks, float64(st.Bytes)/blocks/1024, float64(st.Bytes)/float64(st.Messages))
+		}
+	}
 	return nil
 }
 

@@ -887,13 +887,15 @@ func (w *VoteWithholder) strip(acts []protocol.Action) []protocol.Action {
 		}
 		vm, ok := bc.Msg.(*types.VoteMsg)
 		if !ok {
-			// Strip fast votes riding on own proposals too. The copy is
-			// rebuilt field by field rather than by struct assignment so it
-			// cannot inherit the original's memoized wire encoding (which
-			// would still contain the fast vote being stripped).
+			// Strip fast votes riding on proposals and header relays too.
+			// The copy is rebuilt field by field rather than by struct
+			// assignment so it cannot inherit the original's memoized wire
+			// encoding (which would still contain the fast vote being
+			// stripped); a field left out here is missing from the copy.
 			if p, isProp := bc.Msg.(*types.Proposal); isProp && p.FastVote != nil {
 				cp := &types.Proposal{
 					Block:              p.Block,
+					Header:             p.Header,
 					ParentNotarization: p.ParentNotarization,
 					ParentUnlock:       p.ParentUnlock,
 					Relayed:            p.Relayed,

@@ -613,15 +613,33 @@ func (e *Engine) onCert(c *types.Certificate) {
 	set := e.setFor(c.Round)
 	switch c.Kind {
 	case types.CertNotarization:
-		if rs.notarization(c.Block) != nil {
+		// A certificate that unlocks itself is news even where the block
+		// holds a notarization already: the held one may be of bare
+		// signatures — a vote withholder's among them — and prove nothing
+		// about the unlock.
+		held := rs.notarization(c.Block)
+		unlocks := !e.cfg.DisableFastPath && unlocksItself(c, set)
+		if held != nil && (!unlocks || unlocksItself(held, set)) {
 			return
 		}
 		if err := e.cfg.Verifier.VerifyCertIn(c, set.Params().NotarizationQuorum(), set); err != nil {
 			e.met.rejected++
 			return
 		}
-		rs.recFor(c.Block).notarization = c
+		r := rs.recFor(c.Block)
+		r.notarization = c
 		e.tree.MarkNotarized(c.Block)
+		if unlocks {
+			// What an unlock proof of the same fast votes would teach
+			// (onUnlock): the block is unlocked, and the votes join this
+			// replica's support sets and notarization support.
+			r.unlocked = true
+			for i, voter := range c.Signers {
+				if c.FastSigned(i) {
+					rs.recordVote(types.VoteFast, c.Block, voter, c.Sigs[i], set)
+				}
+			}
+		}
 	case types.CertFinalization, types.CertFastFinalization:
 		if rs.finalized || e.extFinal[c.Round] != nil {
 			return
@@ -657,8 +675,8 @@ func (e *Engine) onCert(c *types.Certificate) {
 // absorbFast makes a fast-finalization certificate, formed here or
 // received, its block's notarization and unlock credential at any live
 // round. Its n−p fast votes are n−p notarization votes, at least the
-// notarization quorum, and a support set of n−p > f+p unlocks the block
-// under Definition 7.6 condition 1. It replaces a notarization certificate
+// notarization quorum, and n−p > f+p of them make it a certificate that
+// unlocks itself (unlocksItself). It replaces a notarization certificate
 // the block already holds while the round is live here: the fast one
 // proves more, and holding it is what lets tryAdvance leave the round
 // without an Advance. A round already left keeps the certificate it was
@@ -1537,8 +1555,7 @@ func (e *Engine) relayCreds(b *types.Block, p *types.Proposal) {
 	if b.Round > 1 && !e.tree.IsFinalized(b.Parent) {
 		prev := e.getRound(b.Round - 1)
 		p.ParentNotarization = prev.notarization(b.Parent)
-		// A fast-finalization certificate is its own unlock proof.
-		if !e.cfg.DisableFastPath && !isFast(p.ParentNotarization) {
+		if !e.cfg.DisableFastPath && !unlocksItself(p.ParentNotarization, e.setFor(b.Round-1)) {
 			if prev.advanceBlock == b.Parent && prev.advanceProof != nil {
 				p.ParentUnlock = prev.advanceProof
 			} else {
@@ -1863,7 +1880,8 @@ func (e *Engine) scrubNonMembers(set *membership.ValidatorSet) {
 
 // tryAdvance implements Algorithm 2 line 48 (Restriction 2, Additions 1):
 // once a notarized and unlocked block exists and the fast vote is out,
-// broadcast the notarization and unlock proof — unless the block's
+// broadcast the notarization and unlock proof — no proof when the
+// notarization unlocks itself, and no Advance at all when the block's
 // credential is its fast-finalization certificate, which already went out
 // as a CertMsg — send a finalization vote if N ⊆ {b} (line 51), and enter
 // the next round.
@@ -1893,7 +1911,8 @@ func (e *Engine) tryAdvance(now time.Time, acts []protocol.Action) (bool, []prot
 	}
 	// Observers (non-members of the round's epoch) never cast a fast vote;
 	// they leave the round on certificates alone.
-	member := e.setFor(e.round).Contains(e.cfg.Self)
+	round, set := e.round, e.setFor(e.round)
+	member := set.Contains(e.cfg.Self)
 	if member && !rs.fastVoteSent && !e.cfg.DisableFastPath {
 		return false, acts
 	}
@@ -1901,22 +1920,20 @@ func (e *Engine) tryAdvance(now time.Time, acts []protocol.Action) (bool, []prot
 	if !ok {
 		return false, acts
 	}
-	round := e.round
 	notar := rs.notarization(id)
 	rs.advanced = true
 	rs.advanceBlock = id
 	rs.advanceNotar = notar
-	if isFast(notar) {
+	if !e.cfg.DisableFastPath && !unlocksItself(notar, set) {
+		rs.advanceProof = rs.buildUnlockProof(round, id, set.Params().UnlockThreshold())
+	}
+	if notar.Kind == types.CertFastFinalization {
 		// The fast-finalization certificate is the notarization and the
 		// unlock proof at once (absorbFast). Whoever formed it broadcast it
 		// (line 58, in this very pass if this replica did), and that
-		// CertMsg carries everything an Advance would: none is sent, and no
-		// unlock proof is built.
+		// CertMsg carries everything an Advance would: none is sent.
 		e.met.advancesSkipped++
 	} else {
-		if !e.cfg.DisableFastPath {
-			rs.advanceProof = rs.buildUnlockProof(round, id, e.setFor(round).Params().UnlockThreshold())
-		}
 		e.met.advances++
 		acts = append(acts, protocol.Broadcast{Msg: &types.Advance{Notarization: notar, Unlock: rs.advanceProof}})
 	}
@@ -1934,7 +1951,7 @@ func (e *Engine) tryAdvance(now time.Time, acts []protocol.Action) (bool, []prot
 		} else {
 			fv := e.cfg.Signer.SignVote(types.VoteFinalize, round, id)
 			rs.finalVoted = true
-			rs.recordVote(types.VoteFinalize, id, e.cfg.Self, fv.Signature, e.setFor(round))
+			rs.recordVote(types.VoteFinalize, id, e.cfg.Self, fv.Signature, set)
 			e.met.votesSent++
 			acts = append(acts, protocol.Broadcast{Msg: &types.VoteMsg{Votes: []types.Vote{fv}}})
 		}

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"banyan/internal/crypto"
 	"banyan/internal/protocol"
 	"banyan/internal/types"
 )
@@ -138,11 +137,14 @@ func TestFastCertMsgAloneLeavesTheRound(t *testing.T) {
 
 // TestRoundLeftOnNotarizationStillSendsAdvance (n=7): the notarization
 // quorum (5) is below the fast quorum (6), so a replica leaves on the
-// notarization before the round can fast-finalize. That exit is unchanged:
-// an Advance with the notarization and an unlock proof that verifies, a
-// finalization vote, and a next proposal carrying both credentials. The
-// fast certificate formed later finalizes the round, which keeps the
-// notarization it was left with, and sends no second Advance.
+// notarization before the round can fast-finalize. All five signers are
+// fast-marked, more than f+p = 3, so the notarization unlocks itself: the
+// Advance carries it and no unlock proof, a finalization vote goes out,
+// and the next proposal carries the notarization alone. A fresh peer that
+// receives only the Advance holds the block notarized and unlocked, and
+// validates that proposal without a ParentUnlock. The fast certificate
+// formed later finalizes the round, which keeps the notarization it was
+// left with, and sends no second Advance.
 func TestRoundLeftOnNotarizationStillSendsAdvance(t *testing.T) {
 	params := types.Params{N: 7, F: 2, P: 1}
 	bc := mustBeacon(t, params.N)
@@ -159,27 +161,43 @@ func TestRoundLeftOnNotarizationStillSendsAdvance(t *testing.T) {
 		t.Fatalf("round %d after a notarization quorum, want 2", r.eng.Round())
 	}
 	advs := broadcasts[*types.Advance](r)
-	if len(advs) != 1 || advs[0].Notarization == nil || advs[0].Unlock == nil {
-		t.Fatalf("Advances %+v, want one with a notarization and an unlock proof", advs)
+	if len(advs) != 1 || advs[0].Notarization == nil || advs[0].Unlock != nil {
+		t.Fatalf("Advances %+v, want one with a notarization and no unlock proof", advs)
 	}
 	adv := advs[0]
 	if adv.Notarization.Kind != types.CertNotarization {
 		t.Fatalf("Advance carries a %s certificate", adv.Notarization.Kind)
 	}
-	if err := crypto.VerifyUnlockProof(r.keyring, adv.Unlock, params.UnlockThreshold()); err != nil {
-		t.Fatalf("Advance unlock proof does not verify: %v", err)
+	if !unlocksItself(adv.Notarization, genesisSet(t, params)) {
+		t.Fatal("the Advance's notarization does not unlock itself")
 	}
 	if finalizeVotesSent(r) != 1 {
 		t.Fatalf("%d finalization votes sent, want 1", finalizeVotesSent(r))
 	}
 	props := ownRound2Proposals(r)
-	if len(props) != 1 || props[0].ParentNotarization != adv.Notarization || props[0].ParentUnlock != adv.Unlock {
-		t.Fatalf("round-2 proposal does not carry the Advance's credentials: %+v", props)
+	if len(props) != 1 || props[0].ParentNotarization != adv.Notarization || props[0].ParentUnlock != nil {
+		t.Fatalf("round-2 proposal does not carry the Advance's notarization alone: %+v", props)
 	}
 	m := r.eng.Metrics()
 	if m["advances"] != 1 || m["advances_skipped"] != 0 || m["final_fast"] != 0 {
 		t.Fatalf("advances=%d advances_skipped=%d final_fast=%d, want 1, 0, 0",
 			m["advances"], m["advances_skipped"], m["final_fast"])
+	}
+
+	// A peer that holds nothing of round 1 learns the unlock from the
+	// Advance alone, with the notarization's fast votes.
+	fresh := newRig(t, params, peers[need+1])
+	fresh.deliver(self, adv)
+	frs1 := fresh.eng.rounds[1]
+	if frs1.notarization(b1.ID()) != adv.Notarization || !frs1.isUnlocked(b1.ID()) {
+		t.Fatalf("fresh peer: notarization %v, unlocked %v", frs1.notarization(b1.ID()), frs1.isUnlocked(b1.ID()))
+	}
+	if got := frs1.set(types.VoteFast, b1.ID()).count(); got != params.NotarizationQuorum() {
+		t.Fatalf("fresh peer holds %d fast votes from the notarization, want %d", got, params.NotarizationQuorum())
+	}
+	fresh.deliver(self, props[0])
+	if !fresh.eng.rounds[2].peek(props[0].Block.ID()).valid || fresh.eng.Metrics()["rejected"] != 0 {
+		t.Fatal("fresh peer did not validate the round-2 proposal on the notarization alone")
 	}
 
 	// The sixth fast vote FP-finalizes the round already left.
@@ -192,7 +210,7 @@ func TestRoundLeftOnNotarizationStillSendsAdvance(t *testing.T) {
 	}
 	rs := r.eng.rounds[1]
 	if r.eng.Tree().FinalizedRound() != 1 || rs.notarization(b1.ID()) != adv.Notarization ||
-		rs.advanceNotar != adv.Notarization || rs.advanceProof != adv.Unlock {
+		rs.advanceNotar != adv.Notarization || rs.advanceProof != nil {
 		t.Fatal("the late fast certificate did not finalize the round, or moved the credentials it was left with")
 	}
 	if n := len(broadcasts[*types.Advance](r)); n != 0 || r.eng.Metrics()["advances"] != 1 {

@@ -233,19 +233,30 @@ func TestMixedNotarization(t *testing.T) {
 
 // TestUnlockProofFeedsNotarization: fast votes that arrive inside an
 // unlock proof — verified once, as part of the proof — count toward the
-// notarization quorum like any others.
+// notarization quorum like any others. The donor's notarization forms on
+// two bare votes and three fast ones, f+p fast-marked signers, so it does
+// not unlock itself; the fourth fast vote unlocks the block, and the
+// donor's Advance carries the proof beside the notarization.
 func TestUnlockProofFeedsNotarization(t *testing.T) {
 	params := types.Params{N: 7, F: 2, P: 1}
 	bc := mustBeacon(t, params.N)
 	donor := newRig(t, params, bc.ReplicaAt(1, 5))
 	b := donor.leaderBlock(1, types.Genesis().ID(), 1)
 	donor.deliver(b.Proposer, donor.proposalFor(b))
-	for _, p := range peersOf(donor, b.Proposer)[:params.NotarizationQuorum()-2] {
-		donor.deliver(p, fastVoteMsg(donor, p, b))
+	peers := peersOf(donor, b.Proposer)
+	for _, p := range peers[:2] {
+		donor.deliver(p, &types.VoteMsg{Votes: []types.Vote{donor.notarVote(p, b)}})
 	}
+	donor.deliver(peers[2], fastVoteMsg(donor, peers[2], b))
+	notar := donor.eng.rounds[1].notarization(b.ID())
+	if notar == nil || unlocksItself(notar, genesisSet(t, params)) || donor.eng.Round() != 1 {
+		t.Fatalf("donor's notarization %v, round %d: want one that does not unlock itself, still in round 1",
+			notar, donor.eng.Round())
+	}
+	donor.deliver(peers[3], fastVoteMsg(donor, peers[3], b))
 	adv := broadcasts[*types.Advance](donor)
-	if len(adv) != 1 || adv[0].Unlock == nil {
-		t.Fatalf("donor broadcast %d Advances", len(adv))
+	if len(adv) != 1 || adv[0].Unlock == nil || adv[0].Notarization != notar {
+		t.Fatalf("donor broadcast %v, want one Advance with its notarization and an unlock proof", adv)
 	}
 
 	r := newRig(t, params, bc.ReplicaAt(1, 6))

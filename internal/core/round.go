@@ -58,8 +58,9 @@ type roundState struct {
 	// the round through; it becomes the parent of the replica's round-(k+1)
 	// proposal. advanceNotar/advanceProof are its credentials, reused in
 	// proposals (Addition 2) and the Advance broadcast (Addition 1).
-	// advanceProof is nil when advanceNotar is the round's fast-finalization
-	// certificate, which proves the unlock itself (and no Advance went out).
+	// advanceProof is nil when advanceNotar unlocks itself (unlocksItself);
+	// when advanceNotar is the round's fast-finalization certificate, no
+	// Advance went out either.
 	advanceBlock types.BlockID
 	advanceNotar *types.Certificate
 	advanceProof *types.UnlockProof
@@ -89,11 +90,12 @@ type blockState struct {
 	// it (Algorithm 1 line 21).
 	notarVoted bool
 	// unlocked marks a Condition-1 unlock (Definition 7.6), from the votes
-	// held or from a fast-finalization certificate.
+	// held, an unlock proof, or a certificate that unlocks itself.
 	unlocked bool
 	// notarization is the block's certificate, formed or received: a
 	// notarization certificate, or the fast-finalization certificate that
-	// replaces it once held (absorbFast).
+	// replaces it once held (absorbFast). A received notarization that
+	// unlocks itself replaces one that does not (onCert).
 	notarization *types.Certificate
 	// votes are the block's ledgers, one per vote kind, written through
 	// recordVote; a kind's set exists from its first vote on (set). A fast
@@ -139,10 +141,27 @@ func (rs *roundState) notarization(id types.BlockID) *types.Certificate {
 	return nil
 }
 
-// isFast reports whether a block's notarization credential is its
-// fast-finalization certificate, which is its unlock proof too.
-func isFast(c *types.Certificate) bool {
-	return c != nil && c.Kind == types.CertFastFinalization
+// unlocksItself reports whether a verified certificate proves its block
+// unlocked on its own (Definition 7.6 condition 1): more than f+p members
+// of the round's set signed the block's fast-vote digest in it — every
+// signer of a fast-finalization certificate, the fast-marked signers of a
+// notarization. Each such signature is a verified fast vote for the block
+// by a distinct member, so |supp(b)| > f+p wherever the certificate is
+// held, and it needs no separate unlock proof beside it.
+func unlocksItself(c *types.Certificate, set *membership.ValidatorSet) bool {
+	if c == nil {
+		return false
+	}
+	all := c.Kind == types.CertFastFinalization
+	threshold, fast := set.Params().UnlockThreshold(), 0
+	for i, s := range c.Signers {
+		if (all || c.FastSigned(i)) && set.Contains(s) {
+			if fast++; fast > threshold {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // addBlock files a received (or own) round block under blocks(k) and
@@ -361,10 +380,9 @@ func (rs *roundState) scrubNonMembers(set *membership.ValidatorSet, notarQuorum 
 				r.notarization = nil
 			}
 		}
-		// A fast-finalization certificate that survives still unlocks its
-		// block: at least a notarization quorum of members fast-voted it,
-		// more than f+p.
-		r.unlocked = isFast(r.notarization)
+		// A certificate that survives and still unlocks itself over the
+		// set's members keeps its block unlocked.
+		r.unlocked = unlocksItself(r.notarization, set)
 	}
 	rs.allUnlocked = false
 	rs.gen++

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"strconv"
@@ -128,15 +129,27 @@ func TestUnlockMonotonicity(t *testing.T) {
 // unlocked from its own votes, the transferable proof it builds must
 // verify under the same threshold — and vice versa, a verifying proof must
 // describe a genuinely unlocked state. This ties Definition 7.6 (local)
-// to Definition 7.7 (transferable) across random scenarios.
+// to Definition 7.7 (transferable) across random scenarios of fast and
+// bare notarization votes. The notarization certificate built from the
+// held votes unlocks itself exactly when its fast-marked signers, taken
+// as a proof of their own, establish Definition 7.6 — and then the block
+// is unlocked locally too.
 func TestProofMatchesLocalState(t *testing.T) {
-	params := types.Params{N: 4, F: 1, P: 1}
+	for _, params := range clusterSizes {
+		t.Run(fmt.Sprintf("n%d", params.N), func(t *testing.T) {
+			proofMatchesLocalState(t, params)
+		})
+	}
+}
+
+func proofMatchesLocalState(t *testing.T, params types.Params) {
 	keyring, signers := crypto.GenerateCluster(crypto.HMAC(), params.N, 9)
 	bc, err := beacon.NewRoundRobin(params.N)
 	if err != nil {
 		t.Fatal(err)
 	}
 	thr, set := params.UnlockThreshold(), genesisSet(t, params)
+	selfUnlocking := 0
 
 	for trial := 0; trial < propertyTrials(80); trial++ {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
@@ -162,12 +175,18 @@ func TestProofMatchesLocalState(t *testing.T) {
 			blocks = append(blocks, b)
 			rs.addBlock(b)
 		}
-		// Random real fast votes.
+		// Random real votes: one or two fast votes per voter (a Byzantine
+		// voter may cast two), and maybe a bare notarization vote.
 		for v := 0; v < params.N; v++ {
 			for k := 0; k <= rng.Intn(2); k++ {
 				b := blocks[rng.Intn(len(blocks))]
 				vote := signers[v].SignVote(types.VoteFast, round, b.ID())
 				rs.recordVote(types.VoteFast, b.ID(), vote.Voter, vote.Signature, set)
+			}
+			if rng.Intn(2) == 0 {
+				b := blocks[rng.Intn(len(blocks))]
+				vote := signers[v].SignVote(types.VoteNotarize, round, b.ID())
+				rs.recordVote(types.VoteNotarize, b.ID(), vote.Voter, vote.Signature, set)
 			}
 		}
 		rs.recomputeUnlock(thr)
@@ -185,6 +204,34 @@ func TestProofMatchesLocalState(t *testing.T) {
 			} else if proof != nil {
 				t.Fatalf("trial %d: proof built for a locked block", trial)
 			}
+
+			cert := rs.certificate(types.CertNotarization, round, id)
+			if err := crypto.VerifyCert(keyring, cert, 0); err != nil {
+				t.Fatalf("trial %d: notarization from the held votes does not verify: %v", trial, err)
+			}
+			marked := types.UnlockEntry{Header: b.Header()}
+			for i, s := range cert.Signers {
+				if cert.FastSigned(i) {
+					marked.Voters = append(marked.Voters, s)
+					marked.Sigs = append(marked.Sigs, cert.Sigs[i])
+				}
+			}
+			def76 := crypto.VerifyUnlockProof(keyring, &types.UnlockProof{
+				Round: round, Block: id, Entries: []types.UnlockEntry{marked},
+			}, thr) == nil
+			if got := unlocksItself(cert, set); got != def76 {
+				t.Fatalf("trial %d: unlocksItself = %v with %d fast-marked signers, Definition 7.6 says %v",
+					trial, got, len(marked.Voters), def76)
+			}
+			if def76 {
+				selfUnlocking++
+				if !rs.isUnlocked(id) {
+					t.Fatalf("trial %d: a notarization from the held votes unlocks a block the round holds locked", trial)
+				}
+			}
 		}
+	}
+	if selfUnlocking == 0 {
+		t.Fatal("no trial built a notarization that unlocks itself")
 	}
 }

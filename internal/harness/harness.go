@@ -190,8 +190,10 @@ type Result struct {
 
 	// Faults counts safety faults across the cluster (must be zero).
 	Faults int
-	// Messages / MessageBytes count total network traffic.
+	// Messages / MessageBytes count total network traffic, and Traffic
+	// splits it by wire kind, indexed by types.MsgKind.
 	Messages, MessageBytes int64
+	Traffic                [types.NumMsgKinds]simnet.KindStats
 	// MaxProposalWire is the largest leader-proposal wire size observed
 	// post-warmup. Under Dissem this stays near-constant as BlockSize grows
 	// (proposals carry digests, not bodies) — the decoupling
@@ -435,6 +437,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	obsMetrics := net.Engine(observer).Metrics()
+	stats := net.Stats()
 	res := &Result{
 		Config:              cfg,
 		Latency:             latency.Summarize(),
@@ -449,8 +452,9 @@ func Run(cfg Config) (*Result, error) {
 		OptimisticConfirmed: optConfirmed,
 		OptimisticWithdrawn: optWithdrawn,
 		Faults:              len(faultErrors),
-		Messages:            net.Stats().Messages,
-		MessageBytes:        net.Stats().Bytes,
+		Messages:            stats.Messages,
+		MessageBytes:        stats.Bytes,
+		Traffic:             stats.ByKind,
 		MaxProposalWire:     maxProposalWire,
 		Delta:               cfg.Delta,
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"banyan/internal/obs"
+	"banyan/internal/simnet"
 	"banyan/internal/types"
 	"banyan/internal/wan"
 )
@@ -105,6 +106,14 @@ func TestProtocolRunsPinned(t *testing.T) {
 			t.Errorf("%s: p50 %d p95 %d, %d blocks, %d messages, %d bytes; want %d %d, %d, %d, %d",
 				want.proto, res.Latency.P50, res.Latency.P95, res.BlocksCommitted, res.Messages, res.MessageBytes,
 				want.p50, want.p95, want.blocks, want.messages, want.msgByte)
+		}
+		var sum simnet.KindStats
+		for _, k := range res.Traffic {
+			sum.Messages += k.Messages
+			sum.Bytes += k.Bytes
+		}
+		if sum.Messages != res.Messages || sum.Bytes != res.MessageBytes {
+			t.Errorf("%s: traffic by kind sums to %+v, not the totals", want.proto, sum)
 		}
 	}
 

@@ -178,6 +178,13 @@ func TestBanyanVoteWithholders(t *testing.T) {
 	if m["blocks_commit"] < 50 {
 		t.Errorf("slow path committed only %d blocks", m["blocks_commit"])
 	}
+	// The withholders' header relays arrive whole: stripping the fast vote
+	// from a relay keeps its header.
+	for _, id := range []types.ReplicaID{0, 1} {
+		if got := engines[id].Metrics()["rejected"]; got != 0 {
+			t.Errorf("honest replica %d rejected %d messages", id, got)
+		}
+	}
 }
 
 // TestBanyanMuteReplica: a replica that goes mute mid-run (mute fault, not

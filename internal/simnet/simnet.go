@@ -153,6 +153,15 @@ type Stats struct {
 	Crashes  int64
 	SimTime  time.Duration
 	Faults   int
+
+	// ByKind splits Messages and Bytes by wire kind, indexed by
+	// types.MsgKind: a fixed table, so counting allocates nothing.
+	ByKind [types.NumMsgKinds]KindStats
+}
+
+// KindStats counts the messages of one kind sent and their wire bytes.
+type KindStats struct {
+	Messages, Bytes int64
 }
 
 // Epoch is the virtual time origin of every simulation.
@@ -392,6 +401,10 @@ func (s *Network) unicast(from, to types.ReplicaID, msg types.Message) {
 	size := msg.WireSize()
 	s.stats.Messages++
 	s.stats.Bytes += int64(size)
+	if k := int(msg.Kind()); k < len(s.stats.ByKind) {
+		s.stats.ByKind[k].Messages++
+		s.stats.ByKind[k].Bytes += int64(size)
+	}
 
 	// Sender NIC serialization: unicasts from one host share the uplink.
 	txStart := s.now

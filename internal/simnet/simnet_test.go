@@ -203,6 +203,12 @@ func TestFilterDropsMessages(t *testing.T) {
 	if net.Stats().Dropped != 10 || dropped != 10 {
 		t.Fatalf("dropped = %d (filter saw %d)", net.Stats().Dropped, dropped)
 	}
+	// A dropped message is not sent: only the ten to replica 1 count, all
+	// of them under their kind.
+	st := net.Stats()
+	if want := (KindStats{Messages: 10, Bytes: st.Bytes}); st.Messages != 10 || st.ByKind[types.MsgProposal] != want {
+		t.Fatalf("sent %d messages, by kind %+v; want 10, all proposals", st.Messages, st.ByKind)
+	}
 }
 
 // TestDeterminism: identical seeds produce identical delivery schedules;
@@ -267,7 +273,8 @@ func (e *sinkEngine) HandleMessage(types.ReplicaID, types.Message, time.Time) []
 // TestAllocRegressionBroadcastDeliver: in steady state the simulator moves
 // an already-built message from a broadcast to its n-1 deliveries without
 // allocating — dispatched events are recycled, under the full link model
-// (bandwidth, jitter, FIFO floor, receiver processing).
+// (bandwidth, jitter, FIFO floor, receiver processing), and every send is
+// counted under its kind.
 func TestAllocRegressionBroadcastDeliver(t *testing.T) {
 	const n = 19
 	engines := make([]protocol.Engine, n)
@@ -297,5 +304,9 @@ func TestAllocRegressionBroadcastDeliver(t *testing.T) {
 	}
 	if want := 22 * n * (n - 1); sinks[3].received*n != want || !net.Idle() {
 		t.Fatalf("replica 3 received %d messages, want %d; idle %v", sinks[3].received, want/n, net.Idle())
+	}
+	size := int64(acts[0].(protocol.Broadcast).Msg.WireSize())
+	if st := net.Stats(); st.ByKind[types.MsgVote] != (KindStats{Messages: st.Messages, Bytes: st.Messages * size}) {
+		t.Fatalf("votes by kind %+v, want all %d messages of %d bytes", st.ByKind[types.MsgVote], st.Messages, size)
 	}
 }

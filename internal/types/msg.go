@@ -52,6 +52,10 @@ const (
 	MsgBlockRequest
 )
 
+// NumMsgKinds bounds the MsgKind values: a table indexed by kind has this
+// many entries, entry 0 naming no kind.
+const NumMsgKinds = int(MsgBlockRequest) + 1
+
 func (k MsgKind) String() string {
 	switch k {
 	case MsgProposal:
