@@ -49,10 +49,10 @@ type ClusterConfig struct {
 	VerifyWorkers int
 	// WALDir, when non-empty, gives every replica a write-ahead log in
 	// WALDir/replica-<i>. Replicas journal the proposals and votes they
-	// sign, each durable before it is sent, plus commit marks; every
-	// PruneKeep finalized rounds they checkpoint and truncate the log, so
-	// restart work and disk usage stay bounded by that window. CrashReplica
-	// and RestartReplica then express crash-restart scenarios: a restarted
+	// sign, each durable before it is sent; every PruneKeep finalized
+	// rounds they checkpoint and truncate the log, so restart work and
+	// disk usage stay bounded by that window. CrashReplica and
+	// RestartReplica then express crash-restart scenarios: a restarted
 	// replica restores its voting record (so it cannot equivocate) and
 	// takes the chain back from its peers, re-delivering commits from its
 	// last checkpoint onward as catch-up lands them — the application is
@@ -65,9 +65,11 @@ type ClusterConfig struct {
 	// fresh joiners, disk-loss restarts — recover via peer snapshot state
 	// sync instead of block-by-block replay.
 	DeepPrune bool
-	// PruneKeep / PruneInterval override the Banyan engines' pruning
-	// cadence in rounds (0 = engine defaults: keep 16, prune every 64).
-	PruneKeep, PruneInterval int
+	// PruneKeep is how many rounds below the finalized height the Banyan
+	// engines retain (0 = 16): every PruneKeep finalized rounds they drop
+	// the state below fin − PruneKeep, so a replica holds between
+	// PruneKeep and 2×PruneKeep rounds.
+	PruneKeep int
 	// OptimisticProposals enables Moonshot-style proposal pipelining in
 	// the Banyan engines: the next leader signs and broadcasts its block
 	// on the expected parent before the round certifies, confirming it
@@ -86,10 +88,6 @@ type ClusterConfig struct {
 	// larger than this are rejected at Submit. Zero picks 64 KiB. Only
 	// meaningful with Dissem.
 	DissemBatchBytes int
-	// DissemInlineMax bounds the inline tail a proposal may carry
-	// alongside its batch refs, letting latency-sensitive transactions
-	// skip a dissemination cycle. Zero means everything rides in batches.
-	DissemInlineMax int
 	// HoldStart lists replicas excluded from Start. A held replica boots
 	// later via JoinReplica, cold, having observed nothing — the
 	// fresh-join scenario.
@@ -125,10 +123,8 @@ func (cfg ClusterConfig) options() stack.Options {
 		OptimisticProposals: cfg.OptimisticProposals,
 		DeepPrune:           cfg.DeepPrune,
 		PruneKeep:           types.Round(cfg.PruneKeep),
-		PruneInterval:       types.Round(cfg.PruneInterval),
 		Dissem:              cfg.Dissem,
 		DissemBatchBytes:    cfg.DissemBatchBytes,
-		DissemInlineMax:     cfg.DissemInlineMax,
 		WALDir:              cfg.WALDir,
 		Obs:                 cfg.Obs,
 		ObsTraceEvents:      cfg.ObsTraceEvents,

@@ -6,12 +6,10 @@
 //
 // With -wal-dir every replica keeps a write-ahead log, and the
 // -crash/-crash-at/-restart-at flags script a crash-restart: the chosen
-// replica is killed mid-run (its WAL loses the commit marks of the
-// unsynced group-commit tail, as a real crash would; every proposal and
-// vote it sent is already durable), restarted from the log — its voting
-// record restored, its chain taken back from its peers — and the run
-// fails unless it catches back up to the live tip. CI runs this as the
-// crash-restart smoke test:
+// replica is killed mid-run (every proposal and vote it sent is already
+// durable), restarted from the log — its voting record restored, its
+// chain taken back from its peers — and the run fails unless it catches
+// back up to the live tip. CI runs this as the crash-restart smoke test:
 //
 //	localnet -duration 10s -wal-dir /tmp/wal -crash 1 -crash-at 3s -restart-at 5s
 //
@@ -75,7 +73,6 @@ func run(args []string) error {
 		optimistic = fs.Bool("optimistic", false, "enable optimistic proposal pipelining (Moonshot mode): the next leader broadcasts its block on the expected parent before the round certifies")
 		dissem     = fs.Bool("dissem", false, "route payloads through the batch-dissemination layer: proposals commit batch digests, bodies travel out-of-band, delivery gates on availability")
 		dissemB    = fs.Int("dissem-batch", 0, "dissemination batch cut size in bytes (0 = 64 KiB); transactions larger than this are rejected at Submit")
-		dissemI    = fs.Int("dissem-inline", 0, "max inline tail bytes a proposal carries alongside its batch refs (0 = everything rides in batches)")
 		reconfig   = fs.Bool("reconfig", false, "script a live membership change: boot an extra replica mid-run, admit it via a finalized ConfigChange (it enters through snapshot state sync), then remove it again (runs deep-pruned)")
 		addAt      = fs.Duration("add-at", 0, "when to boot and admit the extra replica (0 = duration/4)")
 		removeAt   = fs.Duration("remove-at", 0, "when to remove it again (0 = duration/2)")
@@ -150,7 +147,6 @@ func run(args []string) error {
 			OptimisticProposals: *optimistic,
 			Dissem:              *dissem,
 			DissemBatchBytes:    *dissemB,
-			DissemInlineMax:     *dissemI,
 		}
 		if *diskLoss || *reconfig {
 			// Deep-pruned, tight windows: peers can only serve their last
@@ -159,7 +155,6 @@ func run(args []string) error {
 			// block-by-block catch-up.
 			cfg.DeepPrune = true
 			cfg.PruneKeep = 8
-			cfg.PruneInterval = 8
 		}
 		if *walDir != "" {
 			cfg.WALDir = filepath.Join(*walDir, fmt.Sprintf("replica-%d", i))

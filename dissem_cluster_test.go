@@ -2,11 +2,15 @@ package banyan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"banyan/internal/dissem"
+	"banyan/internal/mempool"
 	"banyan/internal/obs"
+	"banyan/internal/types"
 )
 
 // Cluster-level batteries for decoupled batch dissemination: the
@@ -253,4 +257,35 @@ func TestClusterDissemCrashRestart(t *testing.T) {
 	}
 	t.Logf("victim: %d blocks (observer %d, window start %d), %d replayed records, %d fetches, %d stale drops",
 		len(got), len(ref), start, m["wal_replayed_records"], m["dissemFetches"], m["dissemDelivDropped"])
+}
+
+// TestDecodeRefsThenInlineTail: an honest replica proposes no inline
+// tail beside its batch refs, but the digest-list wire form carries one
+// and a peer may send it (an older version, or a Byzantine proposer).
+// decodeTransactions resolves such a committed payload to the bodies of
+// its refs in ref order, then the tail.
+func TestDecodeRefsThenInlineTail(t *testing.T) {
+	cut := func(txs ...string) types.Payload {
+		pool := mempool.NewPool(1<<20, 1<<20)
+		for _, tx := range txs {
+			if err := pool.SubmitErr([]byte(tx)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return pool.CutBatch(1 << 20)
+	}
+	first, second, tail := cut("a1", "a2"), cut("b1"), cut("t1", "t2")
+	store := dissem.NewStore(dissem.Config{Self: 1, N: 4})
+	var refs []types.BatchRef
+	for _, body := range []types.Payload{first, second} {
+		store.Put(body.Digest(), body)
+		refs = append(refs, types.BatchRef{Digest: body.Digest(), Size: uint32(body.Size())})
+	}
+	var got []string
+	for _, tx := range decodeTransactions(store, types.BatchPayload(refs, tail.Data), 5) {
+		got = append(got, string(tx))
+	}
+	if want := []string{"a1", "a2", "b1", "t1", "t2"}; !slices.Equal(got, want) {
+		t.Fatalf("decoded %q, want %q", got, want)
+	}
 }

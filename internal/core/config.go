@@ -97,11 +97,10 @@ type Config struct {
 	// proposal inert. The knob must be kept stable across restarts of a
 	// WAL-backed replica, as replay classifies journaled proposals with it.
 	OptimisticProposals bool
-	// PruneInterval controls how often (in rounds) old state is discarded.
-	// Zero selects the default.
-	PruneInterval types.Round
-	// PruneKeep is how many rounds below the finalized height are retained.
-	// Zero selects the default.
+	// PruneKeep is how many rounds below the finalized height are retained,
+	// and the pruning cadence: every PruneKeep finalized rounds the state
+	// below fin − PruneKeep is dropped, so between PruneKeep and
+	// 2×PruneKeep rounds stay held. Zero selects the default.
 	PruneKeep types.Round
 	// DeepPrune additionally evicts finalized block bodies below the prune
 	// floor (Tree.PruneDeep), bounding memory by the window size instead of
@@ -128,8 +127,7 @@ type Config struct {
 }
 
 const (
-	defaultPruneInterval = 64
-	defaultPruneKeep     = 16
+	defaultPruneKeep = 16
 	// stateSyncStalls is how many peers a suffix segment is asked of in
 	// vain before catch-up gives up on it (syncExpired): at the first
 	// missing round (an unserveable prefix: no peer holds it) it escalates
@@ -166,9 +164,6 @@ func (c *Config) validate() error {
 	}
 	if c.Payloads == nil {
 		c.Payloads = protocol.EmptyPayloads
-	}
-	if c.PruneInterval == 0 {
-		c.PruneInterval = defaultPruneInterval
 	}
 	if c.PruneKeep == 0 {
 		c.PruneKeep = defaultPruneKeep

@@ -102,8 +102,8 @@ type Engine struct {
 	// handed the payload out for good, so dropping it here would lose it.
 	// Exactly once holds because one block per round finalizes: no
 	// finalized block can name the payload of a block its round excluded.
-	// Under Config.Dissem only inline tails are carried: batch refs stay
-	// in the store's pool until a finalized block references them.
+	// Under Config.Dissem nothing is carried: a batch stays in the store's
+	// pool until a finalized block references it.
 	carry []types.Payload
 
 	// chainScratch backs chainRefs: the batch refs of a proposal's
@@ -1758,16 +1758,15 @@ func (e *Engine) carryOrphans(chain []*types.Block) {
 
 // carryPayload queues a payload whose block is dead for re-proposal. A
 // validator-set change riding it is dropped: the Reconfigurator keeps
-// offering a change until it observes it finalized. Batch refs are
-// dropped too: the store keeps a batch proposable until a finalized block
-// references it, so only an inline tail needs carrying. Replay queues
-// nothing — what the journal shows orphaned was carried, or lost with the
-// process, before the crash.
+// offering a change until it observes it finalized. Under Config.Dissem
+// nothing is queued: the store keeps a batch proposable until a finalized
+// block references it. Replay queues nothing either — what the journal
+// shows orphaned was carried, or lost with the process, before the crash.
 func (e *Engine) carryPayload(p types.Payload) {
-	if p = p.WithoutChange(); p.HasBatches() {
-		p = types.BytesPayload(p.Data)
+	if e.cfg.Dissem != nil || e.replaying {
+		return
 	}
-	if e.replaying || p.Size() == 0 {
+	if p = p.WithoutChange(); p.Size() == 0 {
 		return
 	}
 	e.carry = append(e.carry, p)
@@ -1775,23 +1774,20 @@ func (e *Engine) carryPayload(p types.Payload) {
 }
 
 // nextPayload returns what this replica proposes at the given rank of
-// round r on parent: a carried payload, else a fresh one from the source;
-// under Config.Dissem, the store's proposable batches that the parent
-// chain does not reference yet, with a carried inline tail if there is
-// one. The oldest carried payload is kept for a round this replica leads
-// — the rank-0 block is the one a round prefers — and a fallback proposal
-// takes the next oldest, so no payload can cycle through losing proposals
-// forever.
+// round r on parent: under Config.Dissem, the store's proposable batches
+// that the parent chain does not reference yet; otherwise a carried
+// payload, else a fresh one from the source. The oldest carried payload
+// is kept for a round this replica leads — the rank-0 block is the one a
+// round prefers — and a fallback proposal takes the next oldest, so no
+// payload can cycle through losing proposals forever.
 func (e *Engine) nextPayload(r types.Round, rank types.Rank, parent types.BlockID) types.Payload {
-	carried, ok := e.takeCarried(rank)
-	switch {
-	case e.cfg.Dissem != nil:
-		return e.cfg.Dissem.Propose(e.chainRefs(parent), carried.Data)
-	case ok:
-		return carried
-	default:
-		return e.cfg.Payloads.NextPayload(r)
+	if e.cfg.Dissem != nil {
+		return e.cfg.Dissem.Propose(e.chainRefs(parent))
 	}
+	if carried, ok := e.takeCarried(rank); ok {
+		return carried
+	}
+	return e.cfg.Payloads.NextPayload(r)
 }
 
 // takeCarried pops the carried payload a proposal at rank may take.
@@ -2037,10 +2033,11 @@ func (e *Engine) stop(err error) {
 	}
 }
 
-// maybePrune drops state for rounds far below the finalized height.
+// maybePrune drops the state below fin − PruneKeep each time the finalized
+// height has advanced PruneKeep rounds past the last prune.
 func (e *Engine) maybePrune() {
 	fin := e.tree.FinalizedRound()
-	if fin < e.lastPrune+e.cfg.PruneInterval {
+	if fin < e.lastPrune+e.cfg.PruneKeep {
 		return
 	}
 	e.lastPrune = fin

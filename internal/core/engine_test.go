@@ -653,11 +653,32 @@ func TestRelayOnVote(t *testing.T) {
 }
 
 // TestStaleMessagesIgnored: messages for long-finalized rounds do not
-// disturb the engine or allocate state.
+// disturb the engine or allocate state, and after every round the engine
+// holds no round state and no tree block more than 2×PruneKeep rounds
+// below its finalized height: it prunes every PruneKeep finalized rounds,
+// down to fin − PruneKeep.
 func TestStaleMessagesIgnored(t *testing.T) {
+	const keep = 2
 	bc := mustBeacon(t, 4)
 	leader := beacon.Leader(bc, 1)
-	r := newRig(t, p411, leader, func(c *Config) { c.PruneKeep = 2; c.PruneInterval = 1 })
+	r := newRig(t, p411, leader, func(c *Config) { c.PruneKeep = keep; c.DeepPrune = true })
+	retained := func(round types.Round) {
+		fin := r.eng.Tree().FinalizedRound()
+		if fin <= 2*keep {
+			return
+		}
+		low := fin - 2*keep
+		for held := range r.eng.rounds {
+			if held < low {
+				t.Fatalf("round %d: holds state for round %d, finalized %d", round, held, fin)
+			}
+		}
+		for held := types.Round(1); held < low; held++ {
+			if ids := r.eng.Tree().AtRound(held); len(ids) > 0 {
+				t.Fatalf("round %d: tree holds %d blocks of round %d, finalized %d", round, len(ids), held, fin)
+			}
+		}
+	}
 	// Drive 40 fast rounds: whichever replica leads, fabricate its block
 	// (when it is a peer) and the peers' votes; the engine's own votes
 	// complete the quorums.
@@ -688,6 +709,7 @@ func TestStaleMessagesIgnored(t *testing.T) {
 			}})
 		}
 		parent = b.ID()
+		retained(round)
 	}
 	if r.eng.Tree().FinalizedRound() < 30 {
 		t.Fatalf("only finalized %d rounds", r.eng.Tree().FinalizedRound())

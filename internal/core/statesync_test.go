@@ -15,7 +15,6 @@ import (
 func deepPruned(cfg *Config) {
 	cfg.DeepPrune = true
 	cfg.PruneKeep = 8
-	cfg.PruneInterval = 8
 }
 
 // newWindowServer builds a deep-pruned rig finalized through `rounds`

@@ -25,7 +25,7 @@ func TestVerifyCertInEpochPinning(t *testing.T) {
 	block[0] = 9
 	straddler := 4
 	oldSet := idSet{0: true, 1: true, 2: true, 3: true, 4: true} // epoch E
-	newSet := idSet{0: true, 1: true, 2: true, 3: true}         // epoch E+1, straddler removed
+	newSet := idSet{0: true, 1: true, 2: true, 3: true}          // epoch E+1, straddler removed
 	const quorum = 3
 
 	// A cert the straddler signed while still a member: valid in its

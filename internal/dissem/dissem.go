@@ -2,11 +2,11 @@
 // cut mempool transactions into self-certifying batches (digest-addressed,
 // sharded by the submitting replica), broadcast the batch bodies
 // continuously off the consensus path, and track per-peer availability
-// acks. Blocks then commit an ordered list of batch digests (plus a small
-// inline tail) instead of carrying bytes, so the vote path's message size
-// is independent of block size and the broadcast load is shared by every
-// replica instead of riding the leader's uplink — the first step toward
-// parallel-leader throughput (FnF-BFT's argument, see ROADMAP).
+// acks. Blocks then commit an ordered list of batch digests instead of
+// carrying bytes, so the vote path's message size is independent of block
+// size and the broadcast load is shared by every replica instead of
+// riding the leader's uplink — the first step toward parallel-leader
+// throughput (FnF-BFT's argument, see ROADMAP).
 //
 // The Store is passive, driven by the consensus engine's event handlers
 // like everything else in this repository: it holds batch bodies by
@@ -57,10 +57,6 @@ type Config struct {
 	// BatchBytes is the cut size: batches are at most this many logical
 	// bytes. Default 64 KiB.
 	BatchBytes int
-	// InlineMax bounds the inline tail a proposal may carry alongside its
-	// batch refs (latency-sensitive transactions skip dissemination).
-	// Default 0: everything rides in batches.
-	InlineMax int
 	// AckQuorum is the number of distinct peers that must acknowledge an
 	// own batch before this replica references it from a proposal; f+1
 	// guarantees at least one honest holder besides the origin, so a
@@ -189,9 +185,6 @@ func NewStore(cfg Config) *Store {
 	}
 	if cfg.AckQuorum <= 0 {
 		cfg.AckQuorum = (cfg.N-1)/3 + 1
-	}
-	if cfg.InlineMax < 0 {
-		cfg.InlineMax = 0
 	}
 	return &Store{
 		cfg:        cfg,
@@ -359,15 +352,13 @@ func (s *Store) RecordAck(digest [32]byte, peer types.ReplicaID) {
 // refs of the blocks between the proposal's parent and the local
 // finalized tip. An own batch waits for its ack quorum, and so do the own
 // batches cut after it (cut order is part of the committed sequence);
-// another origin's batch is proposable as soon as its body is held.
-// tail, when non-nil, is a carried inline tail that rides the proposal;
-// otherwise an inline tail is cut directly from the source. An empty
-// payload is a valid proposal, so availability never stalls the vote
-// path.
-func (s *Store) Propose(chain []types.BatchRef, tail []byte) types.Payload {
+// another origin's batch is proposable as soon as its body is held. An
+// empty payload is a valid proposal, so availability never stalls the
+// vote path.
+func (s *Store) Propose(chain []types.BatchRef) types.Payload {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	used := len(tail)
+	used := 0
 	pick := s.pick[:0]
 	ownBlocked := false
 	for _, ann := range s.pool {
@@ -388,28 +379,19 @@ func (s *Store) Propose(chain []types.BatchRef, tail []byte) types.Payload {
 			break
 		}
 	}
-	var refs []types.BatchRef
-	if len(pick) > 0 {
-		refs = make([]types.BatchRef, len(pick))
-		for i, b := range pick {
-			refs[i] = types.BatchRef{Digest: b.ann.Digest, Size: uint32(b.size())}
-			if !b.own {
-				s.foreignRefs++
-			}
+	if len(pick) == 0 {
+		return types.Payload{}
+	}
+	refs := make([]types.BatchRef, len(pick))
+	for i, b := range pick {
+		refs[i] = types.BatchRef{Digest: b.ann.Digest, Size: uint32(b.size())}
+		if !b.own {
+			s.foreignRefs++
 		}
 	}
 	clear(pick)
 	s.pick = pick[:0]
-	if tail == nil && s.cfg.Source != nil && s.cfg.InlineMax > 0 && used < s.cfg.BlockBytes {
-		max := min(s.cfg.InlineMax, s.cfg.BlockBytes-used)
-		if cut := s.cfg.Source.CutBatch(max); cut.Size() > 0 {
-			tail = cut.Materialize()
-		}
-	}
-	if len(refs) == 0 && len(tail) == 0 {
-		return types.Payload{}
-	}
-	return types.BatchPayload(refs, tail)
+	return types.BatchPayload(refs, nil)
 }
 
 // referenced reports whether chain holds a ref to digest.

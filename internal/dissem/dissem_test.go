@@ -58,32 +58,32 @@ func TestStoreCutAnnounceAckPropose(t *testing.T) {
 		}
 	}
 	// Without quorum acks nothing is proposable.
-	if p := s.Propose(nil, nil); p.Size() != 0 {
+	if p := s.Propose(nil); p.Size() != 0 {
 		t.Fatalf("unacked batch proposed: %+v", p)
 	}
 	s.RecordAck(anns[0].Digest, 1)
 	s.RecordAck(anns[0].Digest, 1) // duplicate, ignored
 	s.RecordAck(anns[0].Digest, 0) // self, ignored
-	if p := s.Propose(nil, nil); p.Size() != 0 {
+	if p := s.Propose(nil); p.Size() != 0 {
 		t.Fatal("batch proposed below ack quorum")
 	}
 	s.RecordAck(anns[0].Digest, 2)
-	p := s.Propose(nil, nil)
+	p := s.Propose(nil)
 	if len(p.Batches) != 1 || p.Batches[0].Digest != anns[0].Digest || p.Batches[0].Size != 200 {
 		t.Fatalf("acked prefix not proposed: %+v", p.Batches)
 	}
 	// Proposing does not consume: a proposal on a parent chain that lacks
 	// the block (its block was orphaned) names the batch again, one on a
 	// chain holding it does not — and the second batch waits for acks.
-	if again := s.Propose(nil, nil); len(again.Batches) != 1 || again.Batches[0].Digest != anns[0].Digest {
+	if again := s.Propose(nil); len(again.Batches) != 1 || again.Batches[0].Digest != anns[0].Digest {
 		t.Fatalf("batch of an undecided block not proposable again: %+v", again.Batches)
 	}
-	if next := s.Propose(p.Batches, nil); next.Size() != 0 {
+	if next := s.Propose(p.Batches); next.Size() != 0 {
 		t.Fatal("second batch proposed without acks, or the chain's batch repeated")
 	}
 	s.RecordAck(anns[1].Digest, 1)
 	s.RecordAck(anns[1].Digest, 3)
-	next := s.Propose(p.Batches, nil)
+	next := s.Propose(p.Batches)
 	if len(next.Batches) != 1 || next.Batches[0].Digest != anns[1].Digest {
 		t.Fatalf("second batch not proposed after acks: %+v", next.Batches)
 	}
@@ -103,7 +103,7 @@ func TestStoreFIFOPrefixStopsAtUnacked(t *testing.T) {
 	// part of the committed sequence, so the prefix stops at the gap.
 	s.RecordAck(anns[0].Digest, 1)
 	s.RecordAck(anns[2].Digest, 1)
-	p := s.Propose(nil, nil)
+	p := s.Propose(nil)
 	if len(p.Batches) != 1 || p.Batches[0].Digest != anns[0].Digest {
 		t.Fatalf("expected exactly the acked prefix, got %+v", p.Batches)
 	}
@@ -116,47 +116,14 @@ func TestStoreBlockBytesBudget(t *testing.T) {
 	for _, a := range anns {
 		s.RecordAck(a.Digest, 1)
 	}
-	p := s.Propose(nil, nil)
+	p := s.Propose(nil)
 	if len(p.Batches) != 2 || p.Size() != 200 {
 		t.Fatalf("block budget not honored: %d batches, %d bytes", len(p.Batches), p.Size())
 	}
-	p = s.Propose(p.Batches, nil)
+	p = s.Propose(p.Batches)
 	if len(p.Batches) != 1 {
 		t.Fatalf("remaining batch not proposed next: %+v", p.Batches)
 	}
-}
-
-func TestStoreInlineTail(t *testing.T) {
-	src := &queueSource{txs: [][]byte{tx('a', 400), tx('b', 30)}}
-	s := NewStore(Config{Self: 0, N: 4, BatchBytes: 400, BlockBytes: 1000, InlineMax: 64, AckQuorum: 1, Source: src})
-	anns := s.TakeAnnounces() // cuts everything: 400B batch + 30B batch
-	for _, a := range anns {
-		s.RecordAck(a.Digest, 1)
-	}
-	p := s.Propose(nil, nil)
-	if len(p.Batches) != len(anns) {
-		t.Fatalf("acked batches not all proposed: %d", len(p.Batches))
-	}
-	// Now submit a latency-sensitive tx: with batches drained it rides the
-	// inline tail of the next proposal instead of a dissemination cycle.
-	src.txs = append(src.txs, tx('z', 20))
-	p = s.Propose(p.Batches, nil)
-	if len(p.Batches) != 0 || !bytes.Equal(p.Data, tx('z', 20)) {
-		t.Fatalf("inline tail missing: %+v", p)
-	}
-	// A carried tail rides instead of a fresh cut.
-	src.txs = append(src.txs, tx('y', 20))
-	if p = s.Propose(digests2refs(anns), tx('x', 8)); !bytes.Equal(p.Data, tx('x', 8)) || len(src.txs) != 1 {
-		t.Fatalf("carried tail not proposed as is: %+v", p)
-	}
-}
-
-func digests2refs(anns []*types.BatchAnnounce) []types.BatchRef {
-	refs := make([]types.BatchRef, len(anns))
-	for i, a := range anns {
-		refs[i] = types.BatchRef{Digest: a.Digest, Size: uint32(a.Body.Size())}
-	}
-	return refs
 }
 
 func TestStorePutGetMissingBodies(t *testing.T) {
@@ -184,7 +151,7 @@ func TestStorePutGetMissingBodies(t *testing.T) {
 		t.Fatalf("Body wrong: %v %v", got0, got1)
 	}
 	// A fetched body is never proposable.
-	if p := s.Propose(nil, nil); p.Size() != 0 {
+	if p := s.Propose(nil); p.Size() != 0 {
 		t.Fatalf("fetched body pooled: %+v", p.Batches)
 	}
 }
@@ -227,12 +194,12 @@ func TestStoreProposesEveryOrigin(t *testing.T) {
 	own := s.TakeAnnounces()[0]
 	accept(s, 3, f2)
 
-	p := s.Propose(nil, nil)
+	p := s.Propose(nil)
 	if got := digests(p); len(got) != 2 || got[0] != f1.Digest() || got[1] != f2.Digest() {
 		t.Fatalf("proposal = %x, want both foreign batches (the own one is unacked)", got)
 	}
 	s.RecordAck(own.Digest, 1)
-	p = s.Propose(p.Batches[:1], nil)
+	p = s.Propose(p.Batches[:1])
 	if got := digests(p); len(got) != 2 || got[0] != own.Digest || got[1] != f2.Digest() {
 		t.Fatalf("proposal on a chain holding f1 = %x, want own then f2 in receipt order", got)
 	}
@@ -261,14 +228,14 @@ func TestStoreFinalizedDigestNeverPooledAgain(t *testing.T) {
 	if got, ok := s.Get(b.Digest()); !ok || !bytes.Equal(got.Data, b.Data) {
 		t.Fatal("late body not served")
 	}
-	if q := s.Propose(nil, nil); q.Size() != 0 {
+	if q := s.Propose(nil); q.Size() != 0 {
 		t.Fatalf("finalized digest proposed again: %+v", q.Batches)
 	}
 	// Pooled first, then finalized: it leaves the pool.
 	c := types.BytesPayload(tx('m', 10))
 	accept(s, 2, c)
 	s.MarkFinalized(types.BatchPayload([]types.BatchRef{{Digest: c.Digest(), Size: 10}}, nil), 4)
-	if q := s.Propose(nil, nil); q.Size() != 0 {
+	if q := s.Propose(nil); q.Size() != 0 {
 		t.Fatalf("finalized batch still pooled: %+v", q.Batches)
 	}
 }
@@ -371,7 +338,7 @@ func TestAllocRegressionDissemCycle(t *testing.T) {
 			s.RecordAck(a.Digest, 1)
 			s.RecordAck(a.Digest, 2)
 		}
-		p := s.Propose(nil, nil)
+		p := s.Propose(nil)
 		s.MarkFinalized(p, round)
 		s.MarkDelivered(p, round)
 		s.Compact(round)

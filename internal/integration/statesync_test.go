@@ -74,7 +74,6 @@ func (l *roundLog) checkRoundConsistent(t *testing.T) {
 func window(cfg *core.Config) {
 	cfg.DeepPrune = true
 	cfg.PruneKeep = 8
-	cfg.PruneInterval = 8
 }
 
 func mkBanyan(t *testing.T, params types.Params, keyring *crypto.Keyring,

@@ -53,16 +53,15 @@ type Options struct {
 	Verify crypto.VerifyConfig
 	// NoForwarding disables the line-35 relay.
 	NoForwarding bool
-	// OptimisticProposals, DeepPrune, PruneKeep and PruneInterval are the
-	// core.Config fields of the same names.
-	OptimisticProposals      bool
-	DeepPrune                bool
-	PruneKeep, PruneInterval types.Round
+	// OptimisticProposals, DeepPrune and PruneKeep are the core.Config
+	// fields of the same names.
+	OptimisticProposals bool
+	DeepPrune           bool
+	PruneKeep           types.Round
 	// Dissem routes payloads through the dissemination layer;
-	// DissemBatchBytes is the batch cut size (0 = 64 KiB) and
-	// DissemInlineMax the inline tail bound.
-	Dissem                            bool
-	DissemBatchBytes, DissemInlineMax int
+	// DissemBatchBytes is the batch cut size (0 = 64 KiB).
+	Dissem           bool
+	DissemBatchBytes int
 	// WALDir, when non-empty, runs every replica behind a write-ahead
 	// log, checkpointed every PruneKeep finalized rounds.
 	WALDir string
@@ -204,7 +203,6 @@ func Build(self types.ReplicaID, o Options, s Survivors) (*Stack, error) {
 			Self:       self,
 			N:          o.N,
 			BatchBytes: o.DissemBatchBytes,
-			InlineMax:  o.DissemInlineMax,
 			BlockBytes: o.BlockBytes,
 			Source:     s.Payloads,
 		})
@@ -223,7 +221,6 @@ func Build(self types.ReplicaID, o Options, s Survivors) (*Stack, error) {
 		OptimisticProposals: o.OptimisticProposals,
 		DeepPrune:           o.DeepPrune,
 		PruneKeep:           o.PruneKeep,
-		PruneInterval:       o.PruneInterval,
 		Dissem:              st.Store,
 		Obs:                 s.Obs,
 	})

@@ -38,6 +38,11 @@ const (
 	// write. It bounds what one failed write can lose and how many frame
 	// references the dialer holds while the socket is busy.
 	maxWriteBatch = 16
+	// dialTimeout bounds one connection attempt.
+	dialTimeout = 3 * time.Second
+	// maxFrame bounds the length an inbound frame may declare; a longer
+	// one closes the connection.
+	maxFrame = 32 << 20
 )
 
 // Config assembles a TCP transport.
@@ -50,16 +55,12 @@ type Config struct {
 	// Peers maps every other replica to its address. An entry for Self is
 	// ignored.
 	Peers map[types.ReplicaID]string
-	// DialTimeout bounds connection attempts (default 3s).
-	DialTimeout time.Duration
 	// RetryInterval paces reconnection attempts (default 500ms).
 	RetryInterval time.Duration
 	// QueueLen is the per-peer outbound queue and the shared inbound queue
 	// capacity (default 1024). Full outbound queues drop (consensus
 	// tolerates loss); the inbound queue applies backpressure.
 	QueueLen int
-	// MaxFrame bounds accepted frame sizes (default 32 MiB).
-	MaxFrame int
 	// Logf, when non-nil, receives connection lifecycle diagnostics.
 	Logf func(format string, args ...any)
 	// Drops, when non-nil, is incremented for every outbound message
@@ -106,17 +107,11 @@ type peer struct {
 
 // New starts listening and dialing. Callers should Close the transport.
 func New(cfg Config) (*Transport, error) {
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 3 * time.Second
-	}
 	if cfg.RetryInterval <= 0 {
 		cfg.RetryInterval = 500 * time.Millisecond
 	}
 	if cfg.QueueLen <= 0 {
 		cfg.QueueLen = 1024
-	}
-	if cfg.MaxFrame <= 0 {
-		cfg.MaxFrame = 32 << 20
 	}
 	ln, err := net.Listen("tcp", cfg.ListenAddr)
 	if err != nil {
@@ -270,7 +265,7 @@ func (t *Transport) dialLoop(p *peer) {
 			if t.closed.Load() {
 				return
 			}
-			c, err := net.DialTimeout("tcp", p.addr, t.cfg.DialTimeout)
+			c, err := net.DialTimeout("tcp", p.addr, dialTimeout)
 			if err != nil {
 				t.logf("tcp: dial %d@%s: %v", p.id, p.addr, err)
 				time.Sleep(t.cfg.RetryInterval)
@@ -350,7 +345,7 @@ func (t *Transport) readLoop(conn net.Conn) {
 			return
 		}
 		n := binary.LittleEndian.Uint32(lenBuf[:])
-		if int(n) > t.cfg.MaxFrame || n == 0 {
+		if int(n) > maxFrame || n == 0 {
 			t.logf("tcp: bad frame length %d from %d", n, from)
 			return
 		}

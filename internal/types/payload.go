@@ -23,8 +23,9 @@ import (
 // A third representation decouples dissemination from ordering: when
 // Batches is non-empty the payload *references* batch bodies by digest
 // instead of carrying them. The block commits the ordered digest list
-// (plus a small inline tail in Data for latency-sensitive transactions);
-// the bodies travel out-of-band through internal/dissem. Size still
+// (plus an optional inline tail in Data, which the wire form carries but
+// honest proposers leave empty); the bodies travel out-of-band through
+// internal/dissem. Size still
 // reports the logical byte count — inline tail plus the sum of the
 // referenced batch sizes — so throughput accounting is representation-
 // independent, while the wire encoding of the proposal stays a few bytes

@@ -65,8 +65,8 @@ func ownVotes(votes ...types.Vote) Record {
 // TestRecorderJournalsOnlyOwnSignatures: over a live run that relays
 // headers, forms and forwards certificates and checkpoints, the journal
 // holds nothing but what this replica signed — its proposals and its
-// votes — plus commit marks and checkpoints. Everything else a restart
-// needs, the cluster still holds.
+// votes — plus checkpoints: no commit record, although the run commits.
+// Everything else a restart needs, the cluster still holds.
 func TestRecorderJournalsOnlyOwnSignatures(t *testing.T) {
 	mk, _ := coreCluster(t, 256)
 	const self = types.ReplicaID(0)
@@ -101,7 +101,7 @@ func TestRecorderJournalsOnlyOwnSignatures(t *testing.T) {
 	counts := make(map[string]int)
 	for i, r := range recovery.Records {
 		switch r.Kind {
-		case KindCommit, KindCheckpoint:
+		case KindCheckpoint:
 			counts[r.Kind.String()]++
 			continue
 		case KindOwn:
@@ -125,7 +125,7 @@ func TestRecorderJournalsOnlyOwnSignatures(t *testing.T) {
 			t.Fatalf("record %d journals a %T", i, msg)
 		}
 	}
-	for _, kind := range []string{"proposal", "votes", "commit"} {
+	for _, kind := range []string{"proposal", "votes", "checkpoint"} {
 		if counts[kind] == 0 {
 			t.Errorf("the journal holds no %s record: %v", kind, counts)
 		}

@@ -23,8 +23,9 @@ const (
 	KindOwn
 	// KindCommit is a finalization decision: the explicitly finalized
 	// block, the path that finalized it, and the size of the committed
-	// batch. Commit records are bookkeeping for tooling and tests; restart
-	// does not read them.
+	// batch. The Recorder no longer writes it; the codec still reads it,
+	// so a log written when it did recovers past such records, which
+	// restart ignores.
 	KindCommit
 	// KindCheckpoint is an engine snapshot (protocol.Snapshot): the
 	// finalized chain window plus the replica's own voting record for

@@ -53,9 +53,9 @@ type RecorderConfig struct {
 // durable replica without knowing about the WAL. It journals only what
 // this replica alone knows: the messages that carry its own signature —
 // its proposals and votes — before the host's transport sends them, plus
-// commit marks and checkpoints. Everything else a restarted replica needs
-// (blocks, other replicas' votes, certificates) its peers still hold and
-// hand back through catch-up.
+// checkpoints. Everything else a restarted replica needs (blocks, other
+// replicas' votes, certificates) its peers still hold and hand back
+// through catch-up.
 type Recorder struct {
 	eng Engine
 	log *Log
@@ -211,14 +211,14 @@ func (r *Recorder) Crash() { r.log.Crash() }
 // record journals the engine's outputs: own-signature messages before
 // the host sends them (the node applies actions after this returns, and
 // the group is forced to disk before any of them is released, the
-// classic force-log-before-externalize rule), commits as marks that ride
-// the group window. If an own record cannot be made durable — the append
-// or the forced sync fails — the own-signature messages of the batch are
-// dropped from the returned actions: a vote the journal never saw must
-// not reach the network, or a restart could re-decide it differently and
-// equivocate. Going silent is ordinary crash-fault behavior the protocol
-// tolerates; the error still surfaces through Err and the wal_errors
-// metric.
+// classic force-log-before-externalize rule). Commits are not journaled;
+// the highest committed round only drives the checkpoint cadence. If an
+// own record cannot be made durable — the append or the forced sync
+// fails — the own-signature messages of the batch are dropped from the
+// returned actions: a vote the journal never saw must not reach the
+// network, or a restart could re-decide it differently and equivocate.
+// Going silent is ordinary crash-fault behavior the protocol tolerates;
+// the error still surfaces through Err and the wal_errors metric.
 func (r *Recorder) record(acts []protocol.Action) []protocol.Action {
 	ownAppended, ownDurable := false, true
 	var commitTip types.Round
@@ -235,20 +235,9 @@ func (r *Recorder) record(acts []protocol.Action) []protocol.Action {
 				ownAppended = true
 			}
 		case protocol.Commit:
-			if len(act.Blocks) == 0 {
-				continue
+			if len(act.Blocks) > 0 {
+				commitTip = max(commitTip, act.Blocks[len(act.Blocks)-1].Round)
 			}
-			tip := act.Blocks[len(act.Blocks)-1]
-			if tip.Round > commitTip {
-				commitTip = tip.Round
-			}
-			r.append(Record{
-				Kind:   KindCommit,
-				Round:  tip.Round,
-				Block:  tip.ID(),
-				Mode:   uint8(act.Explicit),
-				Blocks: uint32(len(act.Blocks)),
-			})
 		}
 	}
 	if ownAppended && !r.log.opts.Sync.EveryRecord {

@@ -60,7 +60,8 @@ func TestRecorderJournalsAndReplays(t *testing.T) {
 	now := time.Unix(100, 0)
 
 	// First life: start, receive a message, emit a vote and a commit.
-	// The inbound message itself is not journaled.
+	// Only the vote is journaled: neither the inbound message nor the
+	// commit is.
 	eng := &fakeEngine{}
 	rec, err := NewRecorder(RecorderConfig{Dir: dir, Engine: eng,
 		Options: Options{Sync: SyncPolicy{EveryRecord: true}}})
@@ -77,16 +78,15 @@ func TestRecorderJournalsAndReplays(t *testing.T) {
 	rec.Crash() // even with EveryRecord, everything is already durable
 
 	// Second life: the own vote must replay through ReplayOwn, bracketed
-	// by Begin/EndReplay, and the commit record must not re-enter the
-	// engine.
+	// by Begin/EndReplay.
 	eng2 := &fakeEngine{}
 	rec2, err := NewRecorder(RecorderConfig{Dir: dir, Engine: eng2,
 		Options: Options{Sync: SyncPolicy{EveryRecord: true}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rec2.Recovered(); got.Truncated || len(got.Records) != 2 {
-		t.Fatalf("recovered %d records (truncated=%v), want 2", len(got.Records), got.Truncated)
+	if got := rec2.Recovered(); got.Truncated || len(got.Records) != 1 {
+		t.Fatalf("recovered %d records (truncated=%v), want 1", len(got.Records), got.Truncated)
 	}
 	rec2.Start(now)
 	want := []string{"begin-replay", "start", "replay-own:vote", "end-replay"}
@@ -99,7 +99,7 @@ func TestRecorderJournalsAndReplays(t *testing.T) {
 		}
 	}
 	m := rec2.Metrics()
-	if m["wal_replayed_records"] != 2 {
+	if m["wal_replayed_records"] != 1 {
 		t.Fatalf("wal_replayed_records = %d", m["wal_replayed_records"])
 	}
 	if err := rec2.Close(); err != nil {
@@ -122,12 +122,11 @@ func TestRecorderForcesOwnBeforeSend(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec.Start(now)
-	// A commit mark stays in the group buffer...
+	// A batch carrying an own vote (and a commit, which is not journaled)
+	// forces the group down before record() returns; the crash right
+	// after abandons only what was never synced.
 	commit := protocol.Commit{Blocks: []*types.Block{types.Genesis()}, Explicit: protocol.FinalizeSlow}
-	eng.actions = []protocol.Action{commit}
-	rec.HandleMessage(1, voteMsg(1), now)
-	// ...but a batch carrying an own vote forces the whole group down.
-	eng.actions = []protocol.Action{protocol.Broadcast{Msg: voteMsg(2)}}
+	eng.actions = []protocol.Action{protocol.Broadcast{Msg: voteMsg(2)}, commit}
 	rec.HandleMessage(2, voteMsg(2), now)
 	rec.Crash()
 
@@ -135,19 +134,8 @@ func TestRecorderForcesOwnBeforeSend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Both records survive: the forced sync for the own vote committed
-	// the buffered commit mark with it.
-	if len(recovery.Records) != 2 {
-		t.Fatalf("recovered %d records, want 2 (own-vote sync must commit the group)", len(recovery.Records))
-	}
-	var ownDurable bool
-	for _, r := range recovery.Records {
-		if r.Kind == KindOwn {
-			ownDurable = true
-		}
-	}
-	if !ownDurable {
-		t.Fatal("own vote not durable after record() returned")
+	if len(recovery.Records) != 1 || recovery.Records[0].Kind != KindOwn {
+		t.Fatalf("recovered %v, want the own vote alone: it must be durable when record() returns", recovery.Records)
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package wal is a durable write-ahead log for consensus replicas: a
 // segmented, CRC-framed append-only log with group commit, plus a
 // Recorder that wraps the engine and journals what the replica alone
-// knows — the proposals and votes it signed, plus commit marks and
-// checkpoints — so a crashed replica restarts unable to equivocate and
-// takes everything else back from its peers.
+// knows — the proposals and votes it signed, plus checkpoints — so a
+// crashed replica restarts unable to equivocate and takes everything else
+// back from its peers.
 //
 // # Log format
 //
@@ -35,9 +35,10 @@
 // window (or earlier when SyncPolicy.Bytes accumulate). Every record of
 // the window shares one fsync. The price is a bounded durability window:
 // a crash loses at most the records appended since the last sync. The
-// Recorder closes that window for every record that matters: it forces
-// the group to disk before a message this replica signed leaves, so only
-// commit marks ever wait for the window. SyncPolicy.EveryRecord trades
+// Recorder closes that window for every record it writes: it forces the
+// group to disk before a message this replica signed leaves, and a
+// checkpoint syncs as it lands, so the window only batches the own
+// records of one action batch into one fsync. SyncPolicy.EveryRecord trades
 // the window away for an fsync per append (BenchmarkWALAppend measures
 // the gap).
 package wal

@@ -4,8 +4,11 @@ import (
 	"reflect"
 	"testing"
 
+	"banyan/internal/core"
+	"banyan/internal/dissem"
 	"banyan/internal/harness"
 	"banyan/internal/stack"
+	"banyan/internal/transport/tcp"
 )
 
 // TestOptionsReadEveryField: a field added to one of the three public
@@ -26,6 +29,29 @@ func TestOptionsReadEveryField(t *testing.T) {
 			"Protocol", "Topology", "Duration", "Warmup", "BandwidthBps", "ProcRateBps", "ProcFixed",
 			"JitterFrac", "Crash")
 	})
+}
+
+// TestConfigFieldCounts pins how many knobs each configuration layer
+// has. A knob with one value in use is a constant, and one the code can
+// work out is no knob at all; a count that moves up needs the reason
+// ROADMAP's ground rules ask for, and one that moves down updates the pin.
+func TestConfigFieldCounts(t *testing.T) {
+	for _, c := range []struct {
+		cfg  any
+		want int
+	}{
+		{ClusterConfig{}, 19},
+		{ReplicaConfig{}, 22},
+		{stack.Options{}, 19},
+		{core.Config{}, 15},
+		{dissem.Config{}, 6},
+		{tcp.Config{}, 7},
+	} {
+		if got := reflect.TypeOf(c.cfg).NumField(); got != c.want {
+			t.Errorf("%T has %d fields, pinned at %d: ROADMAP's ground rules admit no new config "+
+				"field without a stated reason it must exist; update the pin with that reason", c.cfg, got, c.want)
+		}
+	}
 }
 
 // everyFieldRead sets every field of the zero configuration C non-zero,

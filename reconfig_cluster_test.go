@@ -90,9 +90,8 @@ func TestClusterReconfigureAddRemove(t *testing.T) {
 		Scheme: "hmac",
 		// Deep-pruned windows force the joiner through snapshot state sync
 		// (the PR 6 path) before its first vote.
-		DeepPrune:     true,
-		PruneKeep:     8,
-		PruneInterval: 8,
+		DeepPrune: true,
+		PruneKeep: 8,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -46,12 +46,11 @@ type ReplicaConfig struct {
 	VerifyWorkers int
 	// WALDir, when non-empty, enables the write-ahead log: the proposals
 	// and votes this replica signs are journaled to the directory, each
-	// durable before it is sent, plus commit marks and a checkpoint every
-	// PruneKeep finalized rounds. A restarted replica (same WALDir)
-	// restores its voting record from the log on Start, so it cannot
-	// equivocate, and takes the chain back from its peers, re-delivering
-	// on Commits everything above its last checkpoint as catch-up lands
-	// it.
+	// durable before it is sent, plus a checkpoint every PruneKeep
+	// finalized rounds. A restarted replica (same WALDir) restores its
+	// voting record from the log on Start, so it cannot equivocate, and
+	// takes the chain back from its peers, re-delivering on Commits
+	// everything above its last checkpoint as catch-up lands it.
 	WALDir string
 	// DeepPrune evicts finalized block bodies below the engine's prune
 	// floor; see ClusterConfig.DeepPrune. A deployment running DeepPrune
@@ -59,9 +58,10 @@ type ReplicaConfig struct {
 	// their disk rejoin via peer snapshot state sync (point a fresh
 	// Replica at an empty WALDir and Start it).
 	DeepPrune bool
-	// PruneKeep / PruneInterval override the engine's pruning cadence in
-	// rounds (0 = engine defaults).
-	PruneKeep, PruneInterval int
+	// PruneKeep is how many rounds below the finalized height the engine
+	// retains (0 = 16), and how often, in finalized rounds, it drops the
+	// rest; see ClusterConfig.PruneKeep.
+	PruneKeep int
 	// OptimisticProposals enables Moonshot-style proposal pipelining (see
 	// ClusterConfig.OptimisticProposals): the next leader broadcasts its
 	// block on the expected parent before the round certifies. Every
@@ -76,9 +76,6 @@ type ReplicaConfig struct {
 	// DissemBatchBytes is the dissemination batch cut size; transactions
 	// larger than this are rejected at Submit. Zero picks 64 KiB.
 	DissemBatchBytes int
-	// DissemInlineMax bounds the inline tail a proposal may carry
-	// alongside its batch refs. Zero means everything rides in batches.
-	DissemInlineMax int
 	// Obs enables the observability layer: block-lifecycle tracing,
 	// stage-latency histograms (commit latency, preverify wait, verify
 	// time, WAL flush, dissem fetch, delivery wait), and gauges, all
@@ -112,10 +109,8 @@ func (cfg ReplicaConfig) options() stack.Options {
 		OptimisticProposals: cfg.OptimisticProposals,
 		DeepPrune:           cfg.DeepPrune,
 		PruneKeep:           types.Round(cfg.PruneKeep),
-		PruneInterval:       types.Round(cfg.PruneInterval),
 		Dissem:              cfg.Dissem,
 		DissemBatchBytes:    cfg.DissemBatchBytes,
-		DissemInlineMax:     cfg.DissemInlineMax,
 		WALDir:              cfg.WALDir,
 		Obs:                 cfg.Obs || cfg.ObsAddr != "",
 		ObsTraceEvents:      cfg.ObsTraceEvents,

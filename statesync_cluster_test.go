@@ -30,10 +30,9 @@ func TestClusterFreshJoinAndDiskLossRestart(t *testing.T) {
 		// finalized rounds, so a joiner 30+ rounds behind cannot be served
 		// block-by-block and must take the snapshot path.
 		// The WAL checkpoints every PruneKeep rounds too.
-		DeepPrune:     true,
-		PruneKeep:     8,
-		PruneInterval: 8,
-		HoldStart:     []int{joiner},
+		DeepPrune: true,
+		PruneKeep: 8,
+		HoldStart: []int{joiner},
 	})
 	if err != nil {
 		t.Fatal(err)
