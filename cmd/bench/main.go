@@ -74,25 +74,29 @@ func run(args []string) error {
 		opts.duration = 20 * time.Second
 	}
 
+	// Every name is checked before anything runs.
+	known := map[string]bool{"all": true}
+	for _, e := range allExperiments {
+		known[e.name] = true
+	}
 	want := map[string]bool{}
 	for _, name := range strings.Split(*exp, ",") {
-		want[strings.TrimSpace(name)] = true
+		name = strings.TrimSpace(name)
+		if !known[name] {
+			return fmt.Errorf("unknown experiment %q (try -list)", name)
+		}
+		want[name] = true
 	}
-	ranAny := false
 	for _, e := range allExperiments {
 		if !want["all"] && !want[e.name] {
 			continue
 		}
-		ranAny = true
 		fmt.Printf("==== %s — %s ====\n", e.name, e.desc)
 		start := time.Now()
 		if err := e.run(opts); err != nil {
 			return fmt.Errorf("%s: %w", e.name, err)
 		}
 		fmt.Printf("(%s in %.1fs wall time)\n\n", e.name, time.Since(start).Seconds())
-	}
-	if !ranAny {
-		return fmt.Errorf("no experiment matched %q (try -list)", *exp)
 	}
 	return nil
 }

@@ -14,9 +14,13 @@ func TestListFlag(t *testing.T) {
 	}
 }
 
+// TestUnknownExperiment: an unknown name fails the whole run, even next
+// to a known one, and before anything runs.
 func TestUnknownExperiment(t *testing.T) {
-	if err := run([]string{"-exp", "fig99"}); err == nil {
-		t.Fatal("unknown experiment accepted")
+	for _, exp := range []string{"fig99", "fig1,nosuch"} {
+		if err := run([]string{"-exp", exp}); err == nil {
+			t.Fatalf("-exp %s accepted", exp)
+		}
 	}
 }
 

@@ -63,7 +63,7 @@ func runPipeline(o options) error {
 			"  Δ "+sizeLabel(size),
 			100*(float64(opt.Latency.Mean)/float64(base.Latency.Mean)-1),
 			100*(float64(opt.Latency.P50)/float64(base.Latency.P50)-1),
-			opt.OptimisticProposed, opt.OptimisticConfirmed, opt.OptimisticWithdrawn)
+			opt.Counters["opt_proposed"], opt.Counters["opt_confirmed"], opt.Counters["opt_withdrawn"])
 	}
 	fmt.Println("(at n=4 the mode does not pay: at 512KB the mean falls 5% and the p50 15% but the")
 	fmt.Println(" p95 rises 13%; at 1MB the mean rises 30%, at 2MB 53%. Its one measured win is n=19")

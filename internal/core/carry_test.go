@@ -18,7 +18,7 @@ import (
 func proposeAtRank(t *testing.T, r *rig) *types.Block {
 	t.Helper()
 	round := r.eng.Round()
-	r.tick(r.eng.propDelay(r.beacon.RankOf(round, r.eng.ID())))
+	r.tick(r.eng.propDelay(r.set.RankOf(round, r.eng.ID())))
 	own := ownProposalAt(r, round)
 	if own == nil {
 		t.Fatalf("round %d: engine did not propose at its rank delay", round)
@@ -66,9 +66,9 @@ func ownProposalAt(r *rig, round types.Round) *types.Block {
 // 1 to the leader's; leading round 2, it proposes the same payload again
 // and the source is not asked for another.
 func TestOrphanedOwnPayloadIsCarried(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	self := bc.ReplicaAt(1, 1)
-	if bc.ReplicaAt(2, 0) != self {
+	set := genesisSet(t, p411)
+	self := set.ReplicaAt(1, 1)
+	if set.ReplicaAt(2, 0) != self {
 		t.Fatal("setup: the round-1 rank-1 replica should lead round 2")
 	}
 	var calls []types.Round
@@ -96,7 +96,7 @@ func TestOrphanedOwnPayloadIsCarried(t *testing.T) {
 // TestWinningOwnPayloadIsNotCarried: an own block that finalizes leaves
 // nothing behind, and the next proposal draws a fresh payload.
 func TestWinningOwnPayloadIsNotCarried(t *testing.T) {
-	leader := mustBeacon(t, 4).ReplicaAt(1, 0)
+	leader := genesisSet(t, p411).ReplicaAt(1, 0)
 	var calls []types.Round
 	r := newRig(t, p411, leader, countingPayloads(&calls))
 	buildFinalizedChain(t, r, 5) // the rig leads rounds 1 and 5
@@ -112,8 +112,8 @@ func TestWinningOwnPayloadIsNotCarried(t *testing.T) {
 // block lost, but what that orphaned was carried — or lost with the
 // process — before the crash; queuing it again could commit it twice.
 func TestNothingCarriedDuringReplay(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	self := bc.ReplicaAt(1, 1)
+	set := genesisSet(t, p411)
+	self := set.ReplicaAt(1, 1)
 	r := newRig(t, p411, self)
 	a := r.leaderBlock(1, types.Genesis().ID(), 'a')
 	loseRound(t, r, a)
@@ -131,7 +131,7 @@ func TestNothingCarriedDuringReplay(t *testing.T) {
 		eng2.ReplayOwn(m, now)
 	}
 	eng2.HandleMessage(a.Proposer, r.proposalFor(a), now)
-	eng2.HandleMessage(a.Proposer, r.fastFinalCert(a, a.Proposer, bc.ReplicaAt(1, 2), bc.ReplicaAt(1, 3)), now)
+	eng2.HandleMessage(a.Proposer, r.fastFinalCert(a, a.Proposer, set.ReplicaAt(1, 2), set.ReplicaAt(1, 3)), now)
 	if eng2.Tree().FinalizedRound() != 1 {
 		t.Fatal("replay did not re-finalize round 1")
 	}
@@ -151,8 +151,8 @@ func TestNothingCarriedDuringReplay(t *testing.T) {
 // leaves the oldest carried payload for the round this replica leads and
 // draws its own, so a payload cannot cycle through losing proposals.
 func TestOldestCarriedPayloadWaitsForLedRound(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	self := bc.ReplicaAt(1, 2) // rank 2, then rank 1, then leader
+	set := genesisSet(t, p411)
+	self := set.ReplicaAt(1, 2) // rank 2, then rank 1, then leader
 	var calls []types.Round
 	r := newRig(t, p411, self, countingPayloads(&calls))
 	a := r.leaderBlock(1, types.Genesis().ID(), 'a')
@@ -183,9 +183,9 @@ func TestOldestCarriedPayloadWaitsForLedRound(t *testing.T) {
 // so the payload is carried without it.
 func TestCarriedPayloadDropsItsChange(t *testing.T) {
 	params := types.Params{N: 5, F: 1, P: 1}
-	bc := mustBeacon(t, 5)
-	self := bc.ReplicaAt(1, 1) // leads round 2
-	change := types.ConfigChange{Op: types.ConfigRemove, Replica: bc.ReplicaAt(1, 4)}
+	set := genesisSet(t, params)
+	self := set.ReplicaAt(1, 1) // leads round 2
+	change := types.ConfigChange{Op: types.ConfigRemove, Replica: set.ReplicaAt(1, 4)}
 	slot := &membership.Reconfigurator{}
 	slot.Propose(change)
 	var calls []types.Round
@@ -217,8 +217,8 @@ func TestCarriedPayloadDropsItsChange(t *testing.T) {
 // could be confirmed or withdrawn; the inert block is dropped and its
 // payload rides the next own proposal.
 func TestOvertakenOptimisticPayloadIsCarried(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	self := bc.ReplicaAt(2, 0)
+	set := genesisSet(t, p411)
+	self := set.ReplicaAt(2, 0)
 	var calls []types.Round
 	r := newRig(t, p411, self, withOptimistic, countingPayloads(&calls))
 	a := r.leaderBlock(1, types.Genesis().ID(), 'a')
@@ -239,7 +239,7 @@ func TestOvertakenOptimisticPayloadIsCarried(t *testing.T) {
 	r.clearActs()
 	r.deliver(tip.Proposer, &types.SyncResponse{
 		Blocks:       chain,
-		Finalization: r.fastFinalCert(tip, bc.ReplicaAt(5, 0), bc.ReplicaAt(5, 1), bc.ReplicaAt(5, 2)).Cert,
+		Finalization: r.fastFinalCert(tip, set.ReplicaAt(5, 0), set.ReplicaAt(5, 1), set.ReplicaAt(5, 2)).Cert,
 	})
 	if r.eng.Round() != 6 {
 		t.Fatalf("round = %d, want 6 (jumped past the optimistic target)", r.eng.Round())

@@ -150,9 +150,6 @@ func (c *Config) validate() error {
 	if c.Keyring == nil || c.Signer == nil {
 		return errors.New("core: keyring and signer are required")
 	}
-	if c.Keyring.N() < c.Params.N {
-		return fmt.Errorf("core: keyring holds %d keys, genesis set needs %d", c.Keyring.N(), c.Params.N)
-	}
 	if int(c.Self) >= c.Keyring.N() {
 		return fmt.Errorf("core: self id %d not in the key registry (%d identities)", c.Self, c.Keyring.N())
 	}
@@ -175,13 +172,7 @@ func (c *Config) validate() error {
 // epoch of members 0..n-1 with the keys the keyring holds for them.
 // Reconfiguration grows it from there.
 func (c *Config) genesisHistory() (*membership.History, error) {
-	members := make([]types.ReplicaID, c.Params.N)
-	keys := make([][]byte, c.Params.N)
-	for i := range members {
-		members[i] = types.ReplicaID(i)
-		keys[i] = c.Keyring.PublicKey(types.ReplicaID(i))
-	}
-	genesis, err := membership.New(0, 0, members, keys, c.Params.F, c.Params.P)
+	genesis, err := membership.Genesis(c.Keyring, c.Params)
 	if err != nil {
 		return nil, fmt.Errorf("core: building genesis validator set: %w", err)
 	}

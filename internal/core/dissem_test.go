@@ -37,7 +37,7 @@ func (r *rig) refBlock(round types.Round, rank types.Rank, parent types.BlockID,
 	for i, b := range bodies {
 		refs[i] = types.BatchRef{Digest: b.Digest(), Size: uint32(b.Size())}
 	}
-	proposer := r.beacon.ReplicaAt(round, rank)
+	proposer := r.set.ReplicaAt(round, rank)
 	blk := types.NewBlock(round, proposer, rank, parent, types.BatchPayload(refs, nil))
 	if err := r.signers[proposer].SignBlock(blk); err != nil {
 		r.t.Fatal(err)
@@ -85,11 +85,11 @@ func deliveredBatches(r *rig, store *dissem.Store) [][32]byte {
 // x and is notarized but not finalized; leading round 2 on it, the
 // replica proposes the other held batch y and not x again.
 func TestLeaderSkipsRefsOfItsParentChain(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	self := bc.ReplicaAt(2, 0)
+	set := genesisSet(t, p411)
+	self := set.ReplicaAt(2, 0)
 	r, _ := newDissemRig(t, self)
 	x, y := batchBody('x'), batchBody('y')
-	origin := bc.ReplicaAt(1, 3)
+	origin := set.ReplicaAt(1, 3)
 	r.announce(origin, x)
 	r.announce(origin, y)
 
@@ -100,7 +100,7 @@ func TestLeaderSkipsRefsOfItsParentChain(t *testing.T) {
 	r.deliver(b.Proposer, r.proposalFor(b))
 	d := r.rankedBlock(1, 2, types.Genesis().ID(), 'd')
 	r.deliver(d.Proposer, &types.Proposal{Block: d})
-	for _, p := range []types.ReplicaID{bc.ReplicaAt(1, 2), bc.ReplicaAt(1, 3)} {
+	for _, p := range []types.ReplicaID{set.ReplicaAt(1, 2), set.ReplicaAt(1, 3)} {
 		r.deliver(p, &types.VoteMsg{Votes: []types.Vote{r.notarVote(p, b), r.fastVote(p, d)}})
 	}
 	if r.eng.Round() != 2 || r.eng.Tree().FinalizedRound() != 0 {
@@ -123,14 +123,14 @@ func TestLeaderSkipsRefsOfItsParentChain(t *testing.T) {
 // proposing x loses round 1; nothing is carried, and leading round 2 it
 // proposes x again from the pool.
 func TestOrphanedOwnBlockLeavesRefsPooled(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	self := bc.ReplicaAt(1, 1)
-	if bc.ReplicaAt(2, 0) != self {
+	set := genesisSet(t, p411)
+	self := set.ReplicaAt(1, 1)
+	if set.ReplicaAt(2, 0) != self {
 		t.Fatal("setup: the round-1 rank-1 replica should lead round 2")
 	}
 	r, _ := newDissemRig(t, self)
 	x := batchBody('x')
-	r.announce(bc.ReplicaAt(1, 3), x)
+	r.announce(set.ReplicaAt(1, 3), x)
 
 	lost := loseRound(t, r, r.leaderBlock(1, types.Genesis().ID(), 'a'))
 	if got := refDigests(lost.Payload); len(got) != 1 || got[0] != x.Digest() {
@@ -153,8 +153,8 @@ func TestOrphanedOwnBlockLeavesRefsPooled(t *testing.T) {
 // late by announce, z by fetch. Both are acked or stored, delivered and
 // served, and the replica's next proposal names neither.
 func TestLateBodyOfFinalizedDigestIsServedNotProposed(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	self := bc.ReplicaAt(3, 0)
+	set := genesisSet(t, p411)
+	self := set.ReplicaAt(3, 0)
 	r, store := newDissemRig(t, self)
 	x, z := batchBody('x'), batchBody('z')
 	b1 := r.refBlock(1, 0, types.Genesis().ID(), x, z)
@@ -175,7 +175,7 @@ func TestLateBodyOfFinalizedDigestIsServedNotProposed(t *testing.T) {
 	}
 
 	r.clearActs()
-	origin := bc.ReplicaAt(1, 2)
+	origin := set.ReplicaAt(1, 2)
 	r.announce(origin, x)
 	if acks := sends[*types.BatchAnnounce](r); len(acks) != 1 || acks[0].To != origin {
 		t.Fatalf("late announce answered with %v, want one ack to its origin", acks)
@@ -185,7 +185,7 @@ func TestLateBodyOfFinalizedDigestIsServedNotProposed(t *testing.T) {
 		t.Fatalf("delivered %x, want x then z", got)
 	}
 	r.clearActs()
-	peer := bc.ReplicaAt(1, 3)
+	peer := set.ReplicaAt(1, 3)
 	r.deliver(peer, &types.BatchRequest{Digest: x.Digest()})
 	if resp := sends[*types.BatchResponse](r); len(resp) != 1 || resp[0].To != peer {
 		t.Fatal("late body not served")
@@ -207,13 +207,13 @@ func TestLateBodyOfFinalizedDigestIsServedNotProposed(t *testing.T) {
 // again, although round 1's finalized block already did. Every replica
 // delivers x once — the repeat is skipped, never fetched — and y.
 func TestRepeatedRefDeliveredOnce(t *testing.T) {
-	bc := mustBeacon(t, 4)
+	set := genesisSet(t, p411)
 	x, y := batchBody('x'), batchBody('y')
 	var first [][32]byte
-	for _, self := range []types.ReplicaID{bc.ReplicaAt(1, 2), bc.ReplicaAt(1, 3)} {
+	for _, self := range []types.ReplicaID{set.ReplicaAt(1, 2), set.ReplicaAt(1, 3)} {
 		r, store := newDissemRig(t, self)
-		r.announce(bc.ReplicaAt(1, 0), x)
-		r.announce(bc.ReplicaAt(1, 0), y)
+		r.announce(set.ReplicaAt(1, 0), x)
+		r.announce(set.ReplicaAt(1, 0), y)
 		b1 := r.refBlock(1, 0, types.Genesis().ID(), x)
 		b2 := r.refBlock(2, 0, b1.ID(), x, y)
 		for _, b := range []*types.Block{b1, b2} {
@@ -243,8 +243,8 @@ func TestRepeatedRefDeliveredOnce(t *testing.T) {
 // proposer and then the ring, and gives up after as many expired requests
 // as the set has members, instead of holding a fetch-window slot forever.
 func TestUnservedPrefetchIsAbandoned(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	r, _ := newDissemRig(t, bc.ReplicaAt(1, 3))
+	set := genesisSet(t, p411)
+	r, _ := newDissemRig(t, set.ReplicaAt(1, 3))
 	b := r.refBlock(1, 0, types.Genesis().ID(), batchBody('x'))
 	r.deliver(b.Proposer, r.proposalFor(b))
 	if reqs := sends[*types.BatchRequest](r); len(reqs) != 1 || reqs[0].To != b.Proposer {

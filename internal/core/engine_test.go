@@ -4,8 +4,8 @@ import (
 	"testing"
 	"time"
 
-	"banyan/internal/beacon"
 	"banyan/internal/crypto"
+	"banyan/internal/membership"
 	"banyan/internal/protocol"
 	"banyan/internal/types"
 )
@@ -17,7 +17,7 @@ type rig struct {
 	params  types.Params
 	keyring *crypto.Keyring
 	signers []*crypto.Signer
-	beacon  beacon.Beacon
+	set     *membership.ValidatorSet // the engine's genesis set: its leader schedule
 	eng     *Engine
 	now     time.Time
 	acts    []protocol.Action
@@ -28,10 +28,6 @@ const rigDelta = 10 * time.Millisecond
 func newRig(t *testing.T, params types.Params, self types.ReplicaID, opts ...func(*Config)) *rig {
 	t.Helper()
 	keyring, signers := crypto.GenerateCluster(crypto.HMAC(), params.N, 7)
-	bc, err := beacon.NewRoundRobin(params.N)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := Config{
 		Params:  params,
 		Self:    self,
@@ -51,7 +47,7 @@ func newRig(t *testing.T, params types.Params, self types.ReplicaID, opts ...fun
 		params:  params,
 		keyring: keyring,
 		signers: signers,
-		beacon:  bc,
+		set:     eng.History().Genesis(),
 		eng:     eng,
 		now:     time.Unix(0, 0),
 	}
@@ -73,7 +69,7 @@ func (r *rig) tick(d time.Duration) {
 // leaderBlock builds and signs a rank-0 block for the round.
 func (r *rig) leaderBlock(round types.Round, parent types.BlockID, tag byte) *types.Block {
 	r.t.Helper()
-	leader := beacon.Leader(r.beacon, round)
+	leader := r.set.Leader(round)
 	b := types.NewBlock(round, leader, 0, parent, types.BytesPayload([]byte{tag}))
 	if err := r.signers[leader].SignBlock(b); err != nil {
 		r.t.Fatal(err)
@@ -84,7 +80,7 @@ func (r *rig) leaderBlock(round types.Round, parent types.BlockID, tag byte) *ty
 // rankedBlock builds a signed block of the given rank for the round.
 func (r *rig) rankedBlock(round types.Round, rank types.Rank, parent types.BlockID, tag byte) *types.Block {
 	r.t.Helper()
-	proposer := r.beacon.ReplicaAt(round, rank)
+	proposer := r.set.ReplicaAt(round, rank)
 	b := types.NewBlock(round, proposer, rank, parent, types.BytesPayload([]byte{tag}))
 	if err := r.signers[proposer].SignBlock(b); err != nil {
 		r.t.Fatal(err)
@@ -161,7 +157,7 @@ var p411 = types.Params{N: 4, F: 1, P: 1}
 // TestLeaderProposesImmediately: the round-1 leader proposes at Start with
 // its fast vote attached.
 func TestLeaderProposesImmediately(t *testing.T) {
-	leader := beacon.Leader(mustBeacon(t, 4), 1)
+	leader := genesisSet(t, p411).Leader(1)
 	r := newRig(t, p411, leader)
 	props := broadcasts[*types.Proposal](r)
 	if len(props) != 1 {
@@ -175,20 +171,11 @@ func TestLeaderProposesImmediately(t *testing.T) {
 	}
 }
 
-func mustBeacon(t *testing.T, n int) beacon.Beacon {
-	t.Helper()
-	b, err := beacon.NewRoundRobin(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
 // TestNonLeaderWaitsProposalDelay: a rank-r replica proposes only after
 // 2Δ·r (Algorithm 1 line 23).
 func TestNonLeaderWaitsProposalDelay(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	var rank1 types.ReplicaID = bc.ReplicaAt(1, 1)
+	set := genesisSet(t, p411)
+	var rank1 types.ReplicaID = set.ReplicaAt(1, 1)
 	r := newRig(t, p411, rank1)
 	if len(broadcasts[*types.Proposal](r)) != 0 {
 		t.Fatal("rank-1 replica proposed before its delay")
@@ -214,8 +201,8 @@ func TestNonLeaderWaitsProposalDelay(t *testing.T) {
 // vote — it is the notarization vote for the block as well (Addition 3 in
 // one signature); a later block of the round gets a bare notarization vote.
 func TestFirstVoteIsOneFastVote(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	observer := bc.ReplicaAt(1, 2) // neither leader nor rank-1
+	set := genesisSet(t, p411)
+	observer := set.ReplicaAt(1, 2) // neither leader nor rank-1
 	r := newRig(t, p411, observer)
 	b := r.leaderBlock(1, types.Genesis().ID(), 1)
 	r.deliver(b.Proposer, r.proposalFor(b))
@@ -252,8 +239,8 @@ func TestFirstVoteIsOneFastVote(t *testing.T) {
 // higher-rank block gets no vote; and a rank-1 block is voted only after
 // its notarization delay when no rank-0 block exists.
 func TestVoteRespectsRankOrdering(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	observer := bc.ReplicaAt(1, 3)
+	set := genesisSet(t, p411)
+	observer := set.ReplicaAt(1, 3)
 	r := newRig(t, p411, observer)
 	rank1 := r.rankedBlock(1, 1, types.Genesis().ID(), 1)
 	r.deliver(rank1.Proposer, &types.Proposal{Block: rank1})
@@ -281,14 +268,14 @@ func TestVoteRespectsRankOrdering(t *testing.T) {
 // certificate is the round's notarization and unlock credential too, so
 // the leader leaves the round without an Advance.
 func TestFPFinalization(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	leader := beacon.Leader(bc, 1)
+	set := genesisSet(t, p411)
+	leader := set.Leader(1)
 	r := newRig(t, p411, leader)
 	props := broadcasts[*types.Proposal](r)
 	b := props[0].Block
 
 	// Two peers return fast votes (plus the leader's own = 3 = n-p).
-	peer1, peer2 := bc.ReplicaAt(1, 1), bc.ReplicaAt(1, 2)
+	peer1, peer2 := set.ReplicaAt(1, 1), set.ReplicaAt(1, 2)
 	r.clearActs()
 	r.deliver(peer1, &types.VoteMsg{Votes: []types.Vote{r.fastVote(peer1, b), r.notarVote(peer1, b)}})
 	if len(r.commits()) != 0 {
@@ -339,11 +326,11 @@ func TestFPFinalization(t *testing.T) {
 // TestSPFinalization: without enough fast votes, finalization votes carry
 // the round (the ICC slow path embedded in Banyan).
 func TestSPFinalization(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	leader := beacon.Leader(bc, 1)
+	set := genesisSet(t, p411)
+	leader := set.Leader(1)
 	r := newRig(t, p411, leader)
 	b := broadcasts[*types.Proposal](r)[0].Block
-	peer1, peer2 := bc.ReplicaAt(1, 1), bc.ReplicaAt(1, 2)
+	peer1, peer2 := set.ReplicaAt(1, 1), set.ReplicaAt(1, 2)
 
 	// The peers' fast votes went to a rank-1 block c (they saw it first),
 	// so b can never collect n-p = 3 fast votes: the fast path is dark.
@@ -389,9 +376,9 @@ func TestSPFinalization(t *testing.T) {
 // TestFigure4UnlockConditions reproduces Figure 4 (n=4, f=1, p=1,
 // threshold f+p=2) against the engine's internal unlock state.
 func TestFigure4UnlockConditions(t *testing.T) {
-	bc := mustBeacon(t, 4)
+	set := genesisSet(t, p411)
 	// The observer is the round-1 rank-3 replica so it proposes nothing.
-	observer := bc.ReplicaAt(1, 3)
+	observer := set.ReplicaAt(1, 3)
 	r := newRig(t, p411, observer)
 
 	// Round k (=1): the rank-0 block receives fast votes from replicas
@@ -404,7 +391,7 @@ func TestFigure4UnlockConditions(t *testing.T) {
 	}
 	// Note the observer's own fast vote (cast on delivery, Addition 3)
 	// plus the leader's (from the proposal) make two votes: still locked.
-	v1 := bc.ReplicaAt(1, 1)
+	v1 := set.ReplicaAt(1, 1)
 	r.deliver(v1, &types.VoteMsg{Votes: []types.Vote{r.fastVote(v1, b)}})
 	if !rs.isUnlocked(b.ID()) {
 		t.Fatal("three fast votes (leader + own + peer) must unlock the rank-0 block (Condition 1)")
@@ -418,8 +405,8 @@ func TestFigure4UnlockConditions(t *testing.T) {
 // situation: support spread over an equivocating leader's blocks and a
 // rank-1 block unlocks every block of the round.
 func TestCondition2UnlocksAll(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	observer := bc.ReplicaAt(1, 3)
+	set := genesisSet(t, p411)
+	observer := set.ReplicaAt(1, 3)
 	r := newRig(t, p411, observer)
 	genesis := types.Genesis().ID()
 
@@ -431,7 +418,7 @@ func TestCondition2UnlocksAll(t *testing.T) {
 	c := r.rankedBlock(1, 1, genesis, 3)
 	leader := a.Proposer
 	rank1 := c.Proposer
-	other := bc.ReplicaAt(1, 2)
+	other := set.ReplicaAt(1, 2)
 
 	r.deliver(leader, r.proposalFor(a))  // leader's fast vote on a
 	r.deliver(leader, r.proposalFor(bb)) // leader's fast vote on bb (equivocated fast votes)
@@ -454,8 +441,8 @@ func TestCondition2UnlocksAll(t *testing.T) {
 // TestValidityRequiresParentCredentials: a round-2 block is pending until
 // its parent is known notarized and unlocked.
 func TestValidityRequiresParentCredentials(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	observer := bc.ReplicaAt(1, 3)
+	set := genesisSet(t, p411)
+	observer := set.ReplicaAt(1, 3)
 	r := newRig(t, p411, observer)
 
 	// Build round 1 completely from peer messages.
@@ -503,12 +490,12 @@ func TestValidityRequiresParentCredentials(t *testing.T) {
 // TestRejectsBadMessages: wrong rank claims, bad signatures and foreign
 // votes are rejected and counted.
 func TestRejectsBadMessages(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	observer := bc.ReplicaAt(1, 3)
+	set := genesisSet(t, p411)
+	observer := set.ReplicaAt(1, 3)
 	r := newRig(t, p411, observer)
 
 	// Wrong rank claim.
-	leader := beacon.Leader(bc, 1)
+	leader := set.Leader(1)
 	bad := types.NewBlock(1, leader, 2 /* lies about rank */, types.Genesis().ID(), types.Payload{})
 	if err := r.signers[leader].SignBlock(bad); err != nil {
 		t.Fatal(err)
@@ -534,8 +521,8 @@ func TestRejectsBadMessages(t *testing.T) {
 // TestIndirectFinalizationViaCertificate: receiving a finalization
 // certificate finalizes without local votes.
 func TestIndirectFinalizationViaCertificate(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	observer := bc.ReplicaAt(1, 3)
+	set := genesisSet(t, p411)
+	observer := set.ReplicaAt(1, 3)
 	r := newRig(t, p411, observer)
 	b := r.leaderBlock(1, types.Genesis().ID(), 1)
 	r.deliver(b.Proposer, r.proposalFor(b))
@@ -563,15 +550,15 @@ func TestIndirectFinalizationViaCertificate(t *testing.T) {
 // TestDisableFastPath: the ablated engine sends no fast votes and
 // finalizes via the slow path only.
 func TestDisableFastPath(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	leader := beacon.Leader(bc, 1)
+	set := genesisSet(t, p411)
+	leader := set.Leader(1)
 	r := newRig(t, p411, leader, func(c *Config) { c.DisableFastPath = true })
 	props := broadcasts[*types.Proposal](r)
 	if len(props) != 1 || props[0].FastVote != nil {
 		t.Fatalf("nofast proposal %v", props)
 	}
 	b := props[0].Block
-	peer1, peer2 := bc.ReplicaAt(1, 1), bc.ReplicaAt(1, 2)
+	peer1, peer2 := set.ReplicaAt(1, 1), set.ReplicaAt(1, 2)
 	r.deliver(peer1, &types.VoteMsg{Votes: []types.Vote{r.notarVote(peer1, b)}})
 	r.deliver(peer2, &types.VoteMsg{Votes: []types.Vote{r.notarVote(peer2, b)}})
 	if r.eng.Round() != 2 {
@@ -591,8 +578,8 @@ func TestDisableFastPath(t *testing.T) {
 // TestNoFinalizationVoteAfterDoubleNotarVote: a replica that notarization-
 // voted two blocks must not send a finalization vote (line 51's N ⊆ {b}).
 func TestNoFinalizationVoteAfterDoubleNotarVote(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	observer := bc.ReplicaAt(1, 3)
+	set := genesisSet(t, p411)
+	observer := set.ReplicaAt(1, 3)
 	r := newRig(t, p411, observer)
 	genesis := types.Genesis().ID()
 	a := r.leaderBlock(1, genesis, 1)
@@ -604,7 +591,7 @@ func TestNoFinalizationVoteAfterDoubleNotarVote(t *testing.T) {
 	// notarize and unlock (peers at ranks 1 and 2; the observer holds
 	// rank 3 and the leader rank 0).
 	for _, rank := range []types.Rank{1, 2} {
-		peer := bc.ReplicaAt(1, rank)
+		peer := set.ReplicaAt(1, rank)
 		r.deliver(peer, &types.VoteMsg{Votes: []types.Vote{r.notarVote(peer, a), r.fastVote(peer, a)}})
 	}
 	if r.eng.Round() != 2 {
@@ -623,8 +610,8 @@ func TestNoFinalizationVoteAfterDoubleNotarVote(t *testing.T) {
 // (Algorithm 1 line 35) — as a signed header with the proposer's fast
 // vote, never the payload.
 func TestRelayOnVote(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	observer := bc.ReplicaAt(1, 3)
+	set := genesisSet(t, p411)
+	observer := set.ReplicaAt(1, 3)
 	r := newRig(t, p411, observer)
 	b := r.leaderBlock(1, types.Genesis().ID(), 1)
 	r.deliver(b.Proposer, r.proposalFor(b))
@@ -659,8 +646,8 @@ func TestRelayOnVote(t *testing.T) {
 // down to fin − PruneKeep.
 func TestStaleMessagesIgnored(t *testing.T) {
 	const keep = 2
-	bc := mustBeacon(t, 4)
-	leader := beacon.Leader(bc, 1)
+	set := genesisSet(t, p411)
+	leader := set.Leader(1)
 	r := newRig(t, p411, leader, func(c *Config) { c.PruneKeep = keep; c.DeepPrune = true })
 	retained := func(round types.Round) {
 		fin := r.eng.Tree().FinalizedRound()
@@ -684,7 +671,7 @@ func TestStaleMessagesIgnored(t *testing.T) {
 	// complete the quorums.
 	parent := types.Genesis().ID()
 	for round := types.Round(1); round <= 40; round++ {
-		roundLeader := beacon.Leader(r.beacon, round)
+		roundLeader := r.set.Leader(round)
 		var b *types.Block
 		if roundLeader == r.eng.ID() {
 			rs := r.eng.getRound(round)

@@ -59,8 +59,8 @@ func checkLeftThroughFastCert(t *testing.T, r *rig, cert *types.Certificate) *ty
 // validates that proposal from the certificate, and votes for it once the
 // round-1 body lands.
 func TestLeaderLeavesThroughItsFastCertificate(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	self := bc.ReplicaAt(2, 0)
+	set := genesisSet(t, p411)
+	self := set.ReplicaAt(2, 0)
 	r := newRig(t, p411, self)
 	b1 := r.leaderBlock(1, types.Genesis().ID(), 1)
 	r.deliver(b1.Proposer, r.proposalFor(b1))
@@ -113,8 +113,8 @@ func TestLeaderLeavesThroughItsFastCertificate(t *testing.T) {
 // through it with no Advance, does not re-broadcast it, and proposes on
 // it.
 func TestFastCertMsgAloneLeavesTheRound(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	self := bc.ReplicaAt(2, 0)
+	set := genesisSet(t, p411)
+	self := set.ReplicaAt(2, 0)
 	r := newRig(t, p411, self)
 	b1 := r.leaderBlock(1, types.Genesis().ID(), 1)
 	r.deliver(b1.Proposer, r.proposalFor(b1))
@@ -147,8 +147,8 @@ func TestFastCertMsgAloneLeavesTheRound(t *testing.T) {
 // left with, and sends no second Advance.
 func TestRoundLeftOnNotarizationStillSendsAdvance(t *testing.T) {
 	params := types.Params{N: 7, F: 2, P: 1}
-	bc := mustBeacon(t, params.N)
-	self := bc.ReplicaAt(2, 0)
+	set := genesisSet(t, params)
+	self := set.ReplicaAt(2, 0)
 	r := newRig(t, params, self)
 	b1 := r.leaderBlock(1, types.Genesis().ID(), 1)
 	r.deliver(b1.Proposer, r.proposalFor(b1))
@@ -224,8 +224,8 @@ func TestRoundLeftOnNotarizationStillSendsAdvance(t *testing.T) {
 // credentials it left the round with before the crash, and proposes the
 // next round on them.
 func TestReplayedFastRoundKeepsItsCredentials(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	self := bc.ReplicaAt(2, 0)
+	set := genesisSet(t, p411)
+	self := set.ReplicaAt(2, 0)
 	r := newRig(t, p411, self)
 	b1 := r.leaderBlock(1, types.Genesis().ID(), 1)
 	voter := peersOf(r, b1.Proposer)[0]

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"banyan/internal/beacon"
 	"banyan/internal/dissem"
 	"banyan/internal/fetch"
 	"banyan/internal/protocol"
@@ -16,10 +15,10 @@ import (
 // asks the origin for a whole window of them at once, not one by one.
 func TestRestartRefetchesBatchesInWindow(t *testing.T) {
 	const missing = fetch.Window + 4
-	bc := mustBeacon(t, 4)
-	self := bc.ReplicaAt(1, 3)
+	set := genesisSet(t, p411)
+	self := set.ReplicaAt(1, 3)
 	r := newRig(t, p411, self)
-	leader := beacon.Leader(r.beacon, 1)
+	leader := r.set.Leader(1)
 	refs := make([]types.BatchRef, missing)
 	for i := range refs {
 		refs[i] = types.BatchRef{Digest: [32]byte{byte(i + 1)}, Size: 1}
@@ -35,7 +34,7 @@ func TestRestartRefetchesBatchesInWindow(t *testing.T) {
 	e.BeginReplay()
 	e.Start(r.now)
 	e.HandleMessage(leader, r.proposalFor(b), r.now)
-	e.HandleMessage(leader, r.fastFinalCert(b, bc.ReplicaAt(1, 0), bc.ReplicaAt(1, 1), bc.ReplicaAt(1, 2)), r.now)
+	e.HandleMessage(leader, r.fastFinalCert(b, set.ReplicaAt(1, 0), set.ReplicaAt(1, 1), set.ReplicaAt(1, 2)), r.now)
 	if e.Tree().FinalizedRound() != 1 {
 		t.Fatal("setup: replay did not finalize the block")
 	}

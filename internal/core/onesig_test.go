@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"banyan/internal/beacon"
 	"banyan/internal/crypto"
 	"banyan/internal/protocol"
 	"banyan/internal/types"
@@ -57,8 +56,8 @@ func voteKinds(r *rig) (kinds []types.VoteKind) {
 // certificate it broadcasts — no separate notarization certificate is
 // formed — which verifies as a notarization quorum of fast signatures.
 func TestFastVotesAloneNotarize(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	r := newRig(t, p411, bc.ReplicaAt(1, 3))
+	set := genesisSet(t, p411)
+	r := newRig(t, p411, set.ReplicaAt(1, 3))
 	b, _ := fastFinalizeRound1(t, r)
 	if got := verifierLookups(r); got != 3 {
 		t.Errorf("round 1 cost %d signature lookups, want 3", got)
@@ -87,7 +86,7 @@ func TestFastVotesAloneNotarize(t *testing.T) {
 
 	// A peer that saw none of the votes takes the certificate on its own,
 	// as the block's notarization and unlock.
-	peer := newRig(t, p411, bc.ReplicaAt(1, 2))
+	peer := newRig(t, p411, set.ReplicaAt(1, 2))
 	peer.deliver(b.Proposer, &types.Proposal{Block: b}) // no fast vote: not votable
 	peer.deliver(r.eng.ID(), &types.CertMsg{Cert: notar})
 	prs := peer.eng.rounds[1]
@@ -102,7 +101,7 @@ func TestFastVotesAloneNotarize(t *testing.T) {
 func TestLeaderVotesWithItsProposal(t *testing.T) {
 	for _, params := range clusterSizes {
 		t.Run(fmt.Sprintf("n%d", params.N), func(t *testing.T) {
-			leader := beacon.Leader(mustBeacon(t, params.N), 1)
+			leader := genesisSet(t, params).Leader(1)
 			r := newRig(t, params, leader)
 			props := broadcasts[*types.Proposal](r)
 			if len(props) != 1 || props[0].FastVote == nil {
@@ -144,8 +143,8 @@ func TestLeaderVotesWithItsProposal(t *testing.T) {
 // signature.
 func TestRedundantVoteFormsCostNothing(t *testing.T) {
 	params := types.Params{N: 7, F: 2, P: 1}
-	bc := mustBeacon(t, params.N)
-	r := newRig(t, params, bc.ReplicaAt(1, 6))
+	set := genesisSet(t, params)
+	r := newRig(t, params, set.ReplicaAt(1, 6))
 	b := r.leaderBlock(1, types.Genesis().ID(), 1)
 	r.deliver(b.Proposer, r.proposalFor(b))
 	rs := r.eng.rounds[1]
@@ -184,8 +183,8 @@ func TestRedundantVoteFormsCostNothing(t *testing.T) {
 // accepts it.
 func TestMixedNotarization(t *testing.T) {
 	params := types.Params{N: 7, F: 2, P: 1}
-	bc := mustBeacon(t, params.N)
-	r := newRig(t, params, bc.ReplicaAt(1, 6))
+	set := genesisSet(t, params)
+	r := newRig(t, params, set.ReplicaAt(1, 6))
 	b := r.leaderBlock(1, types.Genesis().ID(), 1)
 	r.deliver(b.Proposer, r.proposalFor(b))
 	peers := peersOf(r, b.Proposer)
@@ -212,7 +211,7 @@ func TestMixedNotarization(t *testing.T) {
 	if err := crypto.VerifyCert(r.keyring, notar, params.NotarizationQuorum()); err != nil {
 		t.Fatal(err)
 	}
-	peer := newRig(t, params, bc.ReplicaAt(1, 5))
+	peer := newRig(t, params, set.ReplicaAt(1, 5))
 	peer.deliver(r.eng.ID(), &types.CertMsg{Cert: notar})
 	if peer.eng.rounds[1].notarization(b.ID()) == nil {
 		t.Fatal("a peer rejected the mixed notarization")
@@ -223,7 +222,7 @@ func TestMixedNotarization(t *testing.T) {
 		forged := *notar
 		forged.Fast = append([]byte(nil), notar.Fast...)
 		forged.Fast[flip/8] ^= 1 << (flip % 8)
-		other := newRig(t, params, bc.ReplicaAt(1, 5))
+		other := newRig(t, params, set.ReplicaAt(1, 5))
 		other.deliver(r.eng.ID(), &types.CertMsg{Cert: &forged})
 		if other.eng.rounds[1].notarization(b.ID()) != nil || other.eng.Metrics()["rejected"] != 1 {
 			t.Errorf("notarization with signer %d's marker flipped was accepted", notar.Signers[flip])
@@ -239,8 +238,8 @@ func TestMixedNotarization(t *testing.T) {
 // donor's Advance carries the proof beside the notarization.
 func TestUnlockProofFeedsNotarization(t *testing.T) {
 	params := types.Params{N: 7, F: 2, P: 1}
-	bc := mustBeacon(t, params.N)
-	donor := newRig(t, params, bc.ReplicaAt(1, 5))
+	set := genesisSet(t, params)
+	donor := newRig(t, params, set.ReplicaAt(1, 5))
 	b := donor.leaderBlock(1, types.Genesis().ID(), 1)
 	donor.deliver(b.Proposer, donor.proposalFor(b))
 	peers := peersOf(donor, b.Proposer)
@@ -259,7 +258,7 @@ func TestUnlockProofFeedsNotarization(t *testing.T) {
 		t.Fatalf("donor broadcast %v, want one Advance with its notarization and an unlock proof", adv)
 	}
 
-	r := newRig(t, params, bc.ReplicaAt(1, 6))
+	r := newRig(t, params, set.ReplicaAt(1, 6))
 	r.deliver(b.Proposer, &types.Proposal{Block: b}) // body only: nothing to vote on yet
 	r.deliver(donor.eng.ID(), &types.Advance{Unlock: adv[0].Unlock})
 	rs := r.eng.rounds[1]
@@ -279,8 +278,8 @@ func TestUnlockProofFeedsNotarization(t *testing.T) {
 func TestCrashedLeaderRoundFirstVoteIsFast(t *testing.T) {
 	for _, params := range clusterSizes {
 		t.Run(fmt.Sprintf("n%d", params.N), func(t *testing.T) {
-			bc := mustBeacon(t, params.N)
-			self := bc.ReplicaAt(1, types.Rank(params.N-1))
+			set := genesisSet(t, params)
+			self := set.ReplicaAt(1, types.Rank(params.N-1))
 			r := newRig(t, params, self)
 			b := r.rankedBlock(1, 1, types.Genesis().ID(), 1)
 			r.deliver(b.Proposer, &types.Proposal{Block: b})
@@ -321,8 +320,8 @@ func TestOptimisticRoundsOneSignature(t *testing.T) {
 	for _, params := range clusterSizes {
 		for _, withdraw := range []bool{false, true} {
 			t.Run(fmt.Sprintf("n%d/withdraw=%v", params.N, withdraw), func(t *testing.T) {
-				bc := mustBeacon(t, params.N)
-				self := bc.ReplicaAt(2, 0)
+				set := genesisSet(t, params)
+				self := set.ReplicaAt(2, 0)
 				r := newRig(t, params, self, withOptimistic)
 				a := r.leaderBlock(1, types.Genesis().ID(), 'a')
 				r.deliver(a.Proposer, r.proposalFor(a))
@@ -402,8 +401,8 @@ func TestOptimisticRoundsOneSignature(t *testing.T) {
 // not fast-vote again, and — having notarization-voted for that block —
 // sends no finalization vote for the twin the round then notarizes.
 func TestReplayOldAndNewVoteForms(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	self := bc.ReplicaAt(1, 1)
+	set := genesisSet(t, p411)
+	self := set.ReplicaAt(1, 1)
 	r := newRig(t, p411, self)
 	a := r.leaderBlock(1, types.Genesis().ID(), 'a')
 	r.deliver(a.Proposer, r.proposalFor(a))
@@ -439,7 +438,7 @@ func TestReplayOldAndNewVoteForms(t *testing.T) {
 		// Second life, live: the leader's twin shows up and wins the round.
 		twin := r.leaderBlock(1, types.Genesis().ID(), 'z')
 		acts := eng.HandleMessage(twin.Proposer, r.proposalFor(twin), now)
-		for _, p := range []types.ReplicaID{bc.ReplicaAt(1, 2), bc.ReplicaAt(1, 3)} {
+		for _, p := range []types.ReplicaID{set.ReplicaAt(1, 2), set.ReplicaAt(1, 3)} {
 			acts = append(acts, eng.HandleMessage(p, fastVoteMsg(r, p, twin), now)...)
 		}
 		if eng.Round() != 2 {

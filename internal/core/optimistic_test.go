@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"banyan/internal/beacon"
 	"banyan/internal/blocktree"
 	"banyan/internal/protocol"
 	"banyan/internal/types"
@@ -90,8 +89,8 @@ func TestOptimisticConfigRequiresFastPath(t *testing.T) {
 // parent, the already-broadcast block is confirmed by a tiny fast-vote
 // message — no second body broadcast, no second payload draw.
 func TestOptimisticProposeAndConfirm(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	self := bc.ReplicaAt(2, 0) // leader of round 2
+	set := genesisSet(t, p411)
+	self := set.ReplicaAt(2, 0) // leader of round 2
 	var calls []types.Round
 	r := newRig(t, p411, self, withOptimistic, countingPayloads(&calls))
 
@@ -113,7 +112,7 @@ func TestOptimisticProposeAndConfirm(t *testing.T) {
 	// Certify round 1 on the expected parent: two peer fast votes plus the
 	// proposer's (attached) and this replica's own reach n-p = 3.
 	r.clearActs()
-	peer1, peer2 := bc.ReplicaAt(1, 2), bc.ReplicaAt(1, 3)
+	peer1, peer2 := set.ReplicaAt(1, 2), set.ReplicaAt(1, 3)
 	r.deliver(peer1, &types.VoteMsg{Votes: []types.Vote{r.fastVote(peer1, a), r.notarVote(peer1, a)}})
 	r.deliver(peer2, &types.VoteMsg{Votes: []types.Vote{r.fastVote(peer2, a), r.notarVote(peer2, a)}})
 
@@ -158,8 +157,8 @@ func TestOptimisticProposeAndConfirm(t *testing.T) {
 // reusing the optimistic payload (a second draw would lose queued
 // transactions in a real mempool).
 func TestOptimisticWithdrawOnParentMismatch(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	self := bc.ReplicaAt(2, 0)
+	set := genesisSet(t, p411)
+	self := set.ReplicaAt(2, 0)
 	var calls []types.Round
 	r := newRig(t, p411, self, withOptimistic, countingPayloads(&calls))
 
@@ -176,7 +175,7 @@ func TestOptimisticWithdrawOnParentMismatch(t *testing.T) {
 	a2 := r.leaderBlock(1, types.Genesis().ID(), 'z')
 	r.clearActs()
 	r.deliver(a2.Proposer, r.proposalFor(a2))
-	peer1, peer2 := bc.ReplicaAt(1, 2), bc.ReplicaAt(1, 3)
+	peer1, peer2 := set.ReplicaAt(1, 2), set.ReplicaAt(1, 3)
 	r.deliver(peer1, &types.VoteMsg{Votes: []types.Vote{r.fastVote(peer1, a2), r.notarVote(peer1, a2)}})
 	r.deliver(peer2, &types.VoteMsg{Votes: []types.Vote{r.fastVote(peer2, a2), r.notarVote(peer2, a2)}})
 
@@ -226,8 +225,8 @@ func TestOptimisticWithdrawOnParentMismatch(t *testing.T) {
 // vote) until the confirmation arrives — the inertness that makes
 // withdrawal safe.
 func TestOptimisticReceiverParksBareProposal(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	observer := bc.ReplicaAt(1, 3)
+	set := genesisSet(t, p411)
+	observer := set.ReplicaAt(1, 3)
 	r := newRig(t, p411, observer, withOptimistic)
 
 	a := r.leaderBlock(1, types.Genesis().ID(), 'a')
@@ -235,7 +234,7 @@ func TestOptimisticReceiverParksBareProposal(t *testing.T) {
 	r.clearActs()
 
 	// Round 2's pipelined block arrives bare while round 1 is still open.
-	leader2 := bc.ReplicaAt(2, 0)
+	leader2 := set.ReplicaAt(2, 0)
 	b := types.NewBlock(2, leader2, 0, a.ID(), types.BytesPayload([]byte{'b'}))
 	if err := r.signers[leader2].SignBlock(b); err != nil {
 		t.Fatal(err)
@@ -256,7 +255,7 @@ func TestOptimisticReceiverParksBareProposal(t *testing.T) {
 
 	// Certify round 1, then deliver the confirmation: the parked block
 	// becomes valid and this replica fast-votes it.
-	peer1, peer2 := bc.ReplicaAt(1, 1), bc.ReplicaAt(1, 2)
+	peer1, peer2 := set.ReplicaAt(1, 1), set.ReplicaAt(1, 2)
 	r.deliver(peer1, &types.VoteMsg{Votes: []types.Vote{r.fastVote(peer1, a), r.notarVote(peer1, a)}})
 	r.deliver(peer2, &types.VoteMsg{Votes: []types.Vote{r.fastVote(peer2, a), r.notarVote(peer2, a)}})
 	if r.eng.Round() != 2 {
@@ -282,8 +281,8 @@ func TestOptimisticReceiverParksBareProposal(t *testing.T) {
 // — voting for it could notarize a chain that contradicts the finalized
 // prefix and halt the cluster (see parentOK).
 func TestStaleFinalizedParentRejected(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	r := newRig(t, p411, bc.ReplicaAt(4, 0)) // idle observer for rounds 1-3
+	set := genesisSet(t, p411)
+	r := newRig(t, p411, set.ReplicaAt(4, 0)) // idle observer for rounds 1-3
 
 	a1 := r.leaderBlock(1, types.Genesis().ID(), 'a')
 	r.deliver(a1.Proposer, r.proposalFor(a1))
@@ -326,8 +325,8 @@ func TestStaleFinalizedParentRejected(t *testing.T) {
 // safety-fault path (SafetyFault action, engine halt) rather than be
 // absorbed.
 func TestConflictingFinalizationFaults(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	r := newRig(t, p411, bc.ReplicaAt(4, 0))
+	set := genesisSet(t, p411)
+	r := newRig(t, p411, set.ReplicaAt(4, 0))
 
 	a1 := r.leaderBlock(1, types.Genesis().ID(), 'a')
 	r.deliver(a1.Proposer, r.proposalFor(a1))
@@ -369,8 +368,8 @@ func TestConflictingFinalizationFaults(t *testing.T) {
 // TestOptimisticDisabledNoBareBroadcast: without the knob the engine
 // never emits a credential-less proposal.
 func TestOptimisticDisabledNoBareBroadcast(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	r := newRig(t, p411, bc.ReplicaAt(2, 0))
+	set := genesisSet(t, p411)
+	r := newRig(t, p411, set.ReplicaAt(2, 0))
 	a := r.leaderBlock(1, types.Genesis().ID(), 'a')
 	r.deliver(a.Proposer, r.proposalFor(a))
 	if len(bareProposals(r)) != 0 {
@@ -391,9 +390,9 @@ func TestOptimisticDisabledNoBareBroadcast(t *testing.T) {
 // messages (journal order).
 func optimisticFirstLife(t *testing.T) (*rig, *types.Block, []types.Message) {
 	t.Helper()
-	bc := mustBeacon(t, 4)
+	set := genesisSet(t, p411)
 	var calls []types.Round
-	r := newRig(t, p411, bc.ReplicaAt(2, 0), withOptimistic, countingPayloads(&calls))
+	r := newRig(t, p411, set.ReplicaAt(2, 0), withOptimistic, countingPayloads(&calls))
 	a := r.leaderBlock(1, types.Genesis().ID(), 'a')
 	r.deliver(a.Proposer, r.proposalFor(a))
 	if len(bareProposals(r)) != 1 {
@@ -439,8 +438,8 @@ func TestReplayRestoresPendingOptimistic(t *testing.T) {
 	// Live continuation: certify round 1 on the expected parent — the
 	// confirmation must fast-vote the journaled block, without a second
 	// body broadcast.
-	bc := r.beacon
-	peer1, peer2 := bc.ReplicaAt(1, 2), bc.ReplicaAt(1, 3)
+	set := r.set
+	peer1, peer2 := set.ReplicaAt(1, 2), set.ReplicaAt(1, 3)
 	var live []protocol.Action
 	live = append(live, eng2.HandleMessage(peer1,
 		&types.VoteMsg{Votes: []types.Vote{r.fastVote(peer1, a), r.notarVote(peer1, a)}}, now)...)
@@ -479,8 +478,8 @@ func TestReplayRestoresPendingOptimistic(t *testing.T) {
 func TestReplayRestoresConfirmedOptimistic(t *testing.T) {
 	r, a, phase1 := optimisticFirstLife(t)
 	opt := bareProposals(r)[0].Block
-	bc := r.beacon
-	peer1, peer2 := bc.ReplicaAt(1, 2), bc.ReplicaAt(1, 3)
+	set := r.set
+	peer1, peer2 := set.ReplicaAt(1, 2), set.ReplicaAt(1, 3)
 	votes1 := &types.VoteMsg{Votes: []types.Vote{r.fastVote(peer1, a), r.notarVote(peer1, a)}}
 	votes2 := &types.VoteMsg{Votes: []types.Vote{r.fastVote(peer2, a), r.notarVote(peer2, a)}}
 	r.clearActs()
@@ -532,9 +531,9 @@ func TestReplayRestoresConfirmedOptimistic(t *testing.T) {
 func TestReplayKeepsWithdrawnOptimisticInert(t *testing.T) {
 	r, a, phase1 := optimisticFirstLife(t)
 	opt := bareProposals(r)[0].Block
-	bc := r.beacon
+	set := r.set
 	a2 := r.leaderBlock(1, types.Genesis().ID(), 'z')
-	peer1, peer2 := bc.ReplicaAt(1, 2), bc.ReplicaAt(1, 3)
+	peer1, peer2 := set.ReplicaAt(1, 2), set.ReplicaAt(1, 3)
 	votes1 := &types.VoteMsg{Votes: []types.Vote{r.fastVote(peer1, a2), r.notarVote(peer1, a2)}}
 	votes2 := &types.VoteMsg{Votes: []types.Vote{r.fastVote(peer2, a2), r.notarVote(peer2, a2)}}
 	r.clearActs()
@@ -587,5 +586,3 @@ func TestReplayKeepsWithdrawnOptimisticInert(t *testing.T) {
 			m["opt_withdrawn"], m["opt_confirmed"])
 	}
 }
-
-var _ = beacon.Leader // beacon is referenced via rig helpers too

@@ -63,10 +63,10 @@ func votedFor(r *rig, id types.BlockID) bool {
 // no vote, no relay, and no bodiless block in rs.blocks or the tree;
 // only a wanted entry and a timer Δ out.
 func TestHeaderForUnknownBlockIsOnlyWanted(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	r := newRig(t, p411, bc.ReplicaAt(1, 3))
+	set := genesisSet(t, p411)
+	r := newRig(t, p411, set.ReplicaAt(1, 3))
 	b := r.leaderBlock(1, types.Genesis().ID(), 1)
-	relayer := bc.ReplicaAt(1, 1)
+	relayer := set.ReplicaAt(1, 1)
 	r.clearActs()
 	r.deliver(relayer, r.headerRelayFor(b))
 
@@ -118,11 +118,11 @@ func TestHeaderForUnknownBlockIsOnlyWanted(t *testing.T) {
 // before Δ; at Δ one BlockRequest to the relayer; on silence the next
 // known holder, then the ring; cancelled the moment the body lands.
 func TestPullFiresAtDeltaRotatesAndCancels(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	self := bc.ReplicaAt(1, 3)
+	set := genesisSet(t, p411)
+	self := set.ReplicaAt(1, 3)
 	r := newRig(t, p411, self)
 	b := r.leaderBlock(1, types.Genesis().ID(), 1)
-	relayer, second := bc.ReplicaAt(1, 2), bc.ReplicaAt(1, 1)
+	relayer, second := set.ReplicaAt(1, 2), set.ReplicaAt(1, 1)
 	r.clearActs()
 	r.deliver(relayer, r.headerRelayFor(b))
 
@@ -186,10 +186,10 @@ func TestPullFiresAtDeltaRotatesAndCancels(t *testing.T) {
 // overtaking the body: the header arrives first, the proposer's copy
 // within Δ — zero requests, ever.
 func TestDirectCopyBeforeDeltaNeverPulls(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	r := newRig(t, p411, bc.ReplicaAt(1, 3))
+	set := genesisSet(t, p411)
+	r := newRig(t, p411, set.ReplicaAt(1, 3))
 	b := r.leaderBlock(1, types.Genesis().ID(), 1)
-	r.deliver(bc.ReplicaAt(1, 1), r.headerRelayFor(b))
+	r.deliver(set.ReplicaAt(1, 1), r.headerRelayFor(b))
 	r.now = r.now.Add(rigDelta / 2)
 	r.deliver(b.Proposer, r.proposalFor(b))
 	if !votedFor(r, b.ID()) {
@@ -201,7 +201,7 @@ func TestDirectCopyBeforeDeltaNeverPulls(t *testing.T) {
 		t.Fatalf("%d pull requests on the honest path", n)
 	}
 	// A header relay arriving after the body changes nothing either.
-	r.deliver(bc.ReplicaAt(1, 2), r.headerRelayFor(b))
+	r.deliver(set.ReplicaAt(1, 2), r.headerRelayFor(b))
 	if len(r.eng.wanted) != 0 {
 		t.Fatal("header relay of a held block left a wanted entry")
 	}
@@ -209,10 +209,10 @@ func TestDirectCopyBeforeDeltaNeverPulls(t *testing.T) {
 
 // TestVoteForUnknownBlockPullsFromVoter: a vote alone names a holder.
 func TestVoteForUnknownBlockPullsFromVoter(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	r := newRig(t, p411, bc.ReplicaAt(1, 3))
+	set := genesisSet(t, p411)
+	r := newRig(t, p411, set.ReplicaAt(1, 3))
 	b := r.leaderBlock(1, types.Genesis().ID(), 1)
-	voter := bc.ReplicaAt(1, 1)
+	voter := set.ReplicaAt(1, 1)
 	r.clearActs()
 	r.deliver(voter, &types.VoteMsg{Votes: []types.Vote{r.notarVote(voter, b), r.fastVote(voter, b)}})
 	r.pullTick(rigDelta)
@@ -225,8 +225,8 @@ func TestVoteForUnknownBlockPullsFromVoter(t *testing.T) {
 // holds the block answers the BlockRequest with the body-form relay, and
 // the requester validates it from the credentials it carries and votes.
 func TestServedPullReplyValidatesAndIsVoted(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	serverID, requesterID := bc.ReplicaAt(1, 2), bc.ReplicaAt(1, 3)
+	set := genesisSet(t, p411)
+	serverID, requesterID := set.ReplicaAt(1, 2), set.ReplicaAt(1, 3)
 	server := newRig(t, p411, serverID)
 	b := server.leaderBlock(1, types.Genesis().ID(), 1)
 	server.deliver(b.Proposer, server.proposalFor(b))
@@ -278,11 +278,11 @@ func TestServedPullReplyValidatesAndIsVoted(t *testing.T) {
 // TestServeBounds: unknown blocks are refused silently, and one peer gets
 // at most maxServedPerPeer bodies per round.
 func TestServeBounds(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	r := newRig(t, p411, bc.ReplicaAt(1, 3))
+	set := genesisSet(t, p411)
+	r := newRig(t, p411, set.ReplicaAt(1, 3))
 	b := r.leaderBlock(1, types.Genesis().ID(), 1)
 	r.deliver(b.Proposer, r.proposalFor(b))
-	peer := bc.ReplicaAt(1, 1)
+	peer := set.ReplicaAt(1, 1)
 	r.clearActs()
 	r.deliver(peer, &types.BlockRequest{Round: 1, ID: types.BlockID{0xBA, 0xD}})
 	r.deliver(peer, &types.BlockRequest{Round: 77, ID: b.ID()})
@@ -300,7 +300,7 @@ func TestServeBounds(t *testing.T) {
 	}
 	// Another peer has its own budget.
 	r.clearActs()
-	r.deliver(bc.ReplicaAt(1, 2), &types.BlockRequest{Round: 1, ID: b.ID()})
+	r.deliver(set.ReplicaAt(1, 2), &types.BlockRequest{Round: 1, ID: b.ID()})
 	if len(sends[*types.Proposal](r)) != 1 {
 		t.Fatal("second peer not served")
 	}
@@ -310,9 +310,9 @@ func TestServeBounds(t *testing.T) {
 // headers per round, a voter as many vote-named IDs, and the total is
 // capped at maxWanted whatever the number of rounds.
 func TestWantedStateIsBounded(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	r := newRig(t, p411, bc.ReplicaAt(1, 3))
-	relayer := bc.ReplicaAt(1, 1)
+	set := genesisSet(t, p411)
+	r := newRig(t, p411, set.ReplicaAt(1, 3))
+	relayer := set.ReplicaAt(1, 1)
 	for i := 0; i < maxWantedPerSource+3; i++ {
 		r.deliver(relayer, r.headerRelayFor(r.leaderBlock(1, types.Genesis().ID(), byte(i))))
 	}
@@ -352,10 +352,10 @@ func TestWantedStateIsBounded(t *testing.T) {
 // after every holder and the ring had their turn, and hearing of it again
 // starts over.
 func TestPullAbandonedAfterFullRotation(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	r := newRig(t, p411, bc.ReplicaAt(1, 3))
+	set := genesisSet(t, p411)
+	r := newRig(t, p411, set.ReplicaAt(1, 3))
 	b := r.leaderBlock(1, types.Genesis().ID(), 1)
-	relayer := bc.ReplicaAt(1, 1)
+	relayer := set.ReplicaAt(1, 1)
 	r.deliver(relayer, r.headerRelayFor(b))
 	r.pullTick(rigDelta)
 	timeout := bodyFetchDeltas * rigDelta
@@ -377,12 +377,12 @@ func TestPullAbandonedAfterFullRotation(t *testing.T) {
 // TestFinalizedRoundDropsWanted: once the round finalizes (here: a rival
 // block this replica does hold) the bodiless block is moot.
 func TestFinalizedRoundDropsWanted(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	r := newRig(t, p411, bc.ReplicaAt(4, 0))
+	set := genesisSet(t, p411)
+	r := newRig(t, p411, set.ReplicaAt(4, 0))
 	a := r.leaderBlock(1, types.Genesis().ID(), 'a')
 	twin := r.leaderBlock(1, types.Genesis().ID(), 'b')
 	r.deliver(a.Proposer, r.proposalFor(a))
-	r.deliver(bc.ReplicaAt(1, 1), r.headerRelayFor(twin))
+	r.deliver(set.ReplicaAt(1, 1), r.headerRelayFor(twin))
 	if len(r.eng.wanted) != 1 {
 		t.Fatal("twin header not wanted")
 	}
@@ -404,17 +404,17 @@ func TestFinalizedRoundDropsWanted(t *testing.T) {
 // carrying that vote and the parent credentials validates the parked
 // body — no pull, the body is already here.
 func TestBareOptimisticBodyPlusHeaderRelayZeroPulls(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	r := newRig(t, p411, bc.ReplicaAt(1, 3))
+	set := genesisSet(t, p411)
+	r := newRig(t, p411, set.ReplicaAt(1, 3))
 	a := r.leaderBlock(1, types.Genesis().ID(), 'a')
 	r.deliver(a.Proposer, r.proposalFor(a))
-	leader2 := bc.ReplicaAt(2, 0)
+	leader2 := set.ReplicaAt(2, 0)
 	b := types.NewBlock(2, leader2, 0, a.ID(), types.BytesPayload([]byte{'b'}))
 	if err := r.signers[leader2].SignBlock(b); err != nil {
 		t.Fatal(err)
 	}
 	r.deliver(leader2, &types.Proposal{Block: b}) // bare body, parked
-	peer1, peer2 := bc.ReplicaAt(1, 1), bc.ReplicaAt(1, 2)
+	peer1, peer2 := set.ReplicaAt(1, 1), set.ReplicaAt(1, 2)
 	r.deliver(peer1, &types.VoteMsg{Votes: []types.Vote{r.fastVote(peer1, a), r.notarVote(peer1, a)}})
 	r.deliver(peer2, &types.VoteMsg{Votes: []types.Vote{r.fastVote(peer2, a), r.notarVote(peer2, a)}})
 	if r.eng.Round() != 2 {
@@ -438,10 +438,10 @@ func TestBareOptimisticBodyPlusHeaderRelayZeroPulls(t *testing.T) {
 // but no body (the crash hit between the two). Replay must not vote,
 // must not wedge, and the live engine re-pulls after a fresh Δ.
 func TestReplayHeaderWithoutBodyRepulls(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	r := newRig(t, p411, bc.ReplicaAt(1, 3))
+	set := genesisSet(t, p411)
+	r := newRig(t, p411, set.ReplicaAt(1, 3))
 	b := r.leaderBlock(1, types.Genesis().ID(), 1)
-	relayer := bc.ReplicaAt(1, 1)
+	relayer := set.ReplicaAt(1, 1)
 	relay := r.headerRelayFor(b)
 
 	e := replayRig(t, r)

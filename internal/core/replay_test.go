@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"banyan/internal/beacon"
 	"banyan/internal/protocol"
 	"banyan/internal/types"
 )
@@ -68,8 +67,8 @@ func countSigning(acts []protocol.Action) (votes, proposals int) {
 // engine must not re-issue the votes it already cast — re-deciding a
 // round with post-crash timing is how a restarted replica equivocates.
 func TestReplayRestoresVotingRecord(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	self := bc.ReplicaAt(1, 1) // non-leader in round 1
+	set := genesisSet(t, p411)
+	self := set.ReplicaAt(1, 1) // non-leader in round 1
 	r := newRig(t, p411, self)
 	blockA := r.leaderBlock(1, r.eng.Tree().Genesis().ID(), 'a')
 	r.deliver(blockA.Proposer, r.proposalFor(blockA))
@@ -108,8 +107,8 @@ func TestReplayRestoresVotingRecord(t *testing.T) {
 // after proposing; on replay it must adopt the journaled block instead
 // of signing a second, different proposal for the same round.
 func TestReplayDoesNotReproposeWithNewPayload(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	leader := beacon.Leader(bc, 1)
+	set := genesisSet(t, p411)
+	leader := set.Leader(1)
 	r := newRig(t, p411, leader, func(c *Config) {
 		c.Payloads = protocol.PayloadFunc(func(types.Round) types.Payload {
 			return types.BytesPayload([]byte("pre-crash"))
@@ -151,8 +150,8 @@ func TestReplayDoesNotReproposeWithNewPayload(t *testing.T) {
 // round must re-derive the commit and leave the engine in the next
 // round, exactly where it crashed.
 func TestReplayRecommitsAndAdvances(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	self := bc.ReplicaAt(1, 1)
+	set := genesisSet(t, p411)
+	self := set.ReplicaAt(1, 1)
 	r := newRig(t, p411, self)
 	blockA := r.leaderBlock(1, r.eng.Tree().Genesis().ID(), 'a')
 	inboundProposal := r.proposalFor(blockA)

@@ -54,8 +54,8 @@ func TestSelfUnlockBoundary(t *testing.T) {
 	thr := p721.UnlockThreshold()
 	for _, marked := range []int{thr, thr + 1} {
 		t.Run(fmt.Sprintf("fast=%d", marked), func(t *testing.T) {
-			bc := mustBeacon(t, p721.N)
-			self := bc.ReplicaAt(2, 0)
+			set := genesisSet(t, p721)
+			self := set.ReplicaAt(2, 0)
 			r := newRig(t, p721, self)
 			b1 := r.leaderBlock(1, types.Genesis().ID(), 1)
 			r.deliver(b1.Proposer, r.proposalFor(b1)) // the leader's fast vote and this replica's
@@ -126,8 +126,8 @@ func TestSelfUnlockBoundary(t *testing.T) {
 // certificate, and the replica leaves through it with no unlock proof.
 // Once held, a further notarization of the block is not even verified.
 func TestSelfUnlockingCertReplacesBareNotarization(t *testing.T) {
-	bc := mustBeacon(t, p721.N)
-	r := newRig(t, p721, bc.ReplicaAt(1, 5))
+	set := genesisSet(t, p721)
+	r := newRig(t, p721, set.ReplicaAt(1, 5))
 	b1 := r.leaderBlock(1, types.Genesis().ID(), 1)
 	r.deliver(b1.Proposer, r.proposalFor(b1))
 	peers := peersOf(r, b1.Proposer)
@@ -172,10 +172,10 @@ func TestSelfUnlockingCertReplacesBareNotarization(t *testing.T) {
 // holds a notarization already, and neither unlocks the block nor adds a
 // vote.
 func TestFlippedFastMarkerUnlocksNothing(t *testing.T) {
-	bc := mustBeacon(t, p721.N)
+	set := genesisSet(t, p721)
 	for _, held := range []bool{false, true} {
 		t.Run(fmt.Sprintf("held=%v", held), func(t *testing.T) {
-			r := newRig(t, p721, bc.ReplicaAt(1, 6))
+			r := newRig(t, p721, set.ReplicaAt(1, 6))
 			b1 := r.leaderBlock(1, types.Genesis().ID(), 1)
 			peers := peersOf(r)
 			genuine := mixedNotarization(r, b1, peers[:3], peers[3:5])
@@ -217,14 +217,14 @@ func TestFlippedFastMarkerUnlocksNothing(t *testing.T) {
 // the certificate, which still unlocks itself over the new set.
 func TestScrubReDerivesSelfUnlock(t *testing.T) {
 	params := types.Params{N: 7, F: 1, P: 1} // f+p = 2 before and after a removal
-	bc := mustBeacon(t, params.N)
+	set := genesisSet(t, params)
 	for _, tc := range []struct {
 		name     string
 		gone     int // index into the replicas the test picks below
 		unlocked bool
 	}{{"fast signer removed", 0, false}, {"non-signer removed", 5, true}} {
 		t.Run(tc.name, func(t *testing.T) {
-			r := newRig(t, params, bc.ReplicaAt(1, 6))
+			r := newRig(t, params, set.ReplicaAt(1, 6))
 			b1 := r.leaderBlock(1, types.Genesis().ID(), 1)
 			ids := peersOf(r) // six replicas: three fast signers, two bare, one silent
 			cert := mixedNotarization(r, b1, ids[:3], ids[3:5])
@@ -252,8 +252,8 @@ func TestScrubReDerivesSelfUnlock(t *testing.T) {
 // that builds a proof for every Advance sends — is accepted, and so is a
 // proposal carrying both as parent credentials.
 func TestSeparateProofAdvanceAccepted(t *testing.T) {
-	bc := mustBeacon(t, p721.N)
-	donor := newRig(t, p721, bc.ReplicaAt(2, 0))
+	set := genesisSet(t, p721)
+	donor := newRig(t, p721, set.ReplicaAt(2, 0))
 	b1 := donor.leaderBlock(1, types.Genesis().ID(), 1)
 	donor.deliver(b1.Proposer, donor.proposalFor(b1))
 	for _, p := range peersOf(donor, b1.Proposer)[:p721.NotarizationQuorum()-2] {
@@ -272,7 +272,7 @@ func TestSeparateProofAdvanceAccepted(t *testing.T) {
 	prop.ParentUnlock = proof
 
 	for _, withAdvance := range []bool{true, false} {
-		r := newRig(t, p721, bc.ReplicaAt(1, 6))
+		r := newRig(t, p721, set.ReplicaAt(1, 6))
 		if withAdvance {
 			r.deliver(donor.eng.ID(), adv)
 		}

@@ -93,8 +93,8 @@ func round1Advance(r *rig, b *types.Block) *types.Advance {
 // even with garbage signatures nothing is rejected, because nothing is
 // looked at.
 func TestSettledRoundIgnoresLateTraffic(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	self := bc.ReplicaAt(1, 3)
+	set := genesisSet(t, p411)
+	self := set.ReplicaAt(1, 3)
 	r := newRig(t, p411, self)
 	b, voters := fastFinalizeRound1(t, r)
 	late := voters[1]
@@ -203,12 +203,12 @@ func TestSettledRoundIgnoresLateTraffic(t *testing.T) {
 //     and unlock at once. A later Advance is looked at rather than dropped
 //     but displaces nothing, and the replica leaves without an Advance.
 func TestFinalizedButNotLeftStillAbsorbs(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	self := bc.ReplicaAt(1, 3)
+	set := genesisSet(t, p411)
+	self := set.ReplicaAt(1, 3)
 
 	// A donor replica runs the round to produce a genuine fast certificate,
 	// notarization and unlock proof.
-	donor := newRig(t, p411, bc.ReplicaAt(1, 2))
+	donor := newRig(t, p411, set.ReplicaAt(1, 2))
 	b, _ := fastFinalizeRound1(t, donor)
 	fastCert := broadcasts[*types.CertMsg](donor)[0]
 	adv := round1Advance(donor, b)
@@ -311,8 +311,8 @@ func finalizeVotesSent(r *rig) (n int) {
 // finalization vote is neither signed nor sent, and votes_sent counts the
 // one VoteMsg of the round.
 func TestFastPathRoundSendsNoFinalizationVote(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	r := newRig(t, p411, bc.ReplicaAt(1, 3))
+	set := genesisSet(t, p411)
+	r := newRig(t, p411, set.ReplicaAt(1, 3))
 	fastFinalizeRound1(t, r)
 	if n := finalizeVotesSent(r); n != 0 {
 		t.Fatalf("%d finalization votes sent on the fast path", n)
@@ -347,8 +347,8 @@ func TestSlowPathRoundsStillSendFinalizationVotes(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			bc := mustBeacon(t, tc.params.N)
-			self := bc.ReplicaAt(1, types.Rank(tc.params.N-1))
+			set := genesisSet(t, tc.params)
+			self := set.ReplicaAt(1, types.Rank(tc.params.N-1))
 			r := newRig(t, tc.params, self)
 			var b *types.Block
 			if tc.rank == 0 {
@@ -393,8 +393,8 @@ func TestSlowPathRoundsStillSendFinalizationVotes(t *testing.T) {
 // TestSettledFloorFollowsTheEngine: the floor the engine publishes to its
 // verifier is the highest round both finalized and left.
 func TestSettledFloorFollowsTheEngine(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	r := newRig(t, p411, bc.ReplicaAt(1, 3))
+	set := genesisSet(t, p411)
+	r := newRig(t, p411, set.ReplicaAt(1, 3))
 	v := r.eng.cfg.Verifier
 	if v.SettledFloor() != 0 {
 		t.Fatalf("floor = %d before anything finalized", v.SettledFloor())

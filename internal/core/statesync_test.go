@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"banyan/internal/beacon"
 	"banyan/internal/protocol"
 	"banyan/internal/types"
 )
@@ -21,8 +20,8 @@ func deepPruned(cfg *Config) {
 // rounds, so it holds only its last PruneKeep finalized blocks.
 func newWindowServer(t *testing.T, rounds types.Round) *rig {
 	t.Helper()
-	bc := mustBeacon(t, 4)
-	r := newRig(t, p411, beacon.Leader(bc, 1), deepPruned)
+	set := genesisSet(t, p411)
+	r := newRig(t, p411, set.Leader(1), deepPruned)
 	buildFinalizedChain(t, r, rounds)
 	fin := r.eng.Tree().FinalizedRound()
 	if fin < rounds-1 {
@@ -56,8 +55,8 @@ func stallOnce(r *rig) {
 func TestSnapshotFetchRecoversFreshReplica(t *testing.T) {
 	server := newWindowServer(t, 30)
 	serverFin := server.eng.Tree().FinalizedRound()
-	bc := mustBeacon(t, 4)
-	fresh := newRig(t, p411, bc.ReplicaAt(1, 3))
+	set := genesisSet(t, p411)
+	fresh := newRig(t, p411, set.ReplicaAt(1, 3))
 
 	fresh.clearActs()
 	fresh.deliver(server.eng.ID(), &types.CertMsg{Cert: server.eng.latestFinal})
@@ -152,8 +151,8 @@ func TestUnsolicitedSnapshotResponseRejected(t *testing.T) {
 	serveActs := server.eng.HandleMessage(3, &types.SnapshotRequest{Have: 0}, server.now)
 	resp := serveActs[0].(protocol.Send).Msg.(*types.SnapshotResponse)
 
-	bc := mustBeacon(t, 4)
-	fresh := newRig(t, p411, bc.ReplicaAt(1, 3))
+	set := genesisSet(t, p411)
+	fresh := newRig(t, p411, set.ReplicaAt(1, 3))
 	fresh.deliver(server.eng.ID(), resp)
 	if fin := fresh.eng.Tree().FinalizedRound(); fin != 0 {
 		t.Fatalf("unsolicited snapshot adopted (fin=%d)", fin)
@@ -173,8 +172,8 @@ func TestSnapshotResponseRejectsBadAnchor(t *testing.T) {
 	serveActs := server.eng.HandleMessage(3, &types.SnapshotRequest{Have: 0}, server.now)
 	good := serveActs[0].(protocol.Send).Msg.(*types.SnapshotResponse)
 
-	bc := mustBeacon(t, 4)
-	fresh := newRig(t, p411, bc.ReplicaAt(1, 3))
+	set := genesisSet(t, p411)
+	fresh := newRig(t, p411, set.ReplicaAt(1, 3))
 	fresh.deliver(server.eng.ID(), &types.CertMsg{Cert: server.eng.latestFinal})
 	for i := 0; i < 10 && !fresh.eng.snapshots.Fetching(); i++ {
 		stallOnce(fresh)
@@ -224,8 +223,8 @@ func TestSnapshotResponseRejectsBadAnchor(t *testing.T) {
 // snapshot timeout (8Δ), after which the fetcher re-sends to the next peer.
 func TestSnapshotFetchRotatesPeerOnTimeout(t *testing.T) {
 	server := newWindowServer(t, 30)
-	bc := mustBeacon(t, 4)
-	fresh := newRig(t, p411, bc.ReplicaAt(1, 3))
+	set := genesisSet(t, p411)
+	fresh := newRig(t, p411, set.ReplicaAt(1, 3))
 	fresh.deliver(server.eng.ID(), &types.CertMsg{Cert: server.eng.latestFinal})
 	for i := 0; i < 10 && !fresh.eng.snapshots.Fetching(); i++ {
 		stallOnce(fresh)

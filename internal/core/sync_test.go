@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"banyan/internal/beacon"
 	"banyan/internal/protocol"
 	"banyan/internal/types"
 )
@@ -17,7 +16,7 @@ func buildFinalizedChain(t *testing.T, r *rig, rounds types.Round) []*types.Bloc
 	var chain []*types.Block
 	parent := types.Genesis().ID()
 	for round := types.Round(1); round <= rounds; round++ {
-		roundLeader := beacon.Leader(r.beacon, round)
+		roundLeader := r.set.Leader(round)
 		var b *types.Block
 		if roundLeader == r.eng.ID() {
 			rs := r.eng.getRound(round)
@@ -51,8 +50,8 @@ func buildFinalizedChain(t *testing.T, r *rig, rounds types.Round) []*types.Bloc
 // answers SyncRequests with the chain segment and its latest finalization
 // certificate.
 func TestSyncRequestServesFinalizedChain(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	leader := beacon.Leader(bc, 1)
+	set := genesisSet(t, p411)
+	leader := set.Leader(1)
 	r := newRig(t, p411, leader)
 	chain := buildFinalizedChain(t, r, 10)
 	if r.eng.Tree().FinalizedRound() < 9 {
@@ -101,14 +100,14 @@ func TestSyncRequestServesFinalizedChain(t *testing.T) {
 // far-ahead finalization certificate requests a sync, ingests the
 // response, commits the chain and jumps its round forward.
 func TestLaggingReplicaCatchesUpViaSync(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	leader := beacon.Leader(bc, 1)
+	set := genesisSet(t, p411)
+	leader := set.Leader(1)
 	full := newRig(t, p411, leader)
 	buildFinalizedChain(t, full, 10)
 	fullEng := full.eng
 
 	// The lagging replica: a different rig sharing the same cluster keys.
-	lag := newRig(t, p411, bc.ReplicaAt(1, 3))
+	lag := newRig(t, p411, set.ReplicaAt(1, 3))
 	if lag.eng.Round() != 1 {
 		t.Fatal("setup: lagging replica should start at round 1")
 	}
@@ -169,10 +168,10 @@ func TestLaggingReplicaCatchesUpViaSync(t *testing.T) {
 // timeout (2Δ), after which the class timer alone — no inbound message,
 // no resend timer — re-sends the same segment to the next ring peer.
 func TestSuffixSyncRotatesPeerOnTimeout(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	full := newRig(t, p411, beacon.Leader(bc, 1))
+	set := genesisSet(t, p411)
+	full := newRig(t, p411, set.Leader(1))
 	buildFinalizedChain(t, full, 10)
-	lag := newRig(t, p411, bc.ReplicaAt(1, 3))
+	lag := newRig(t, p411, set.ReplicaAt(1, 3))
 	lag.clearActs()
 	lag.deliver(full.eng.ID(), &types.CertMsg{Cert: full.eng.latestFinal})
 	first := sends[*types.SyncRequest](lag)
@@ -225,10 +224,10 @@ func TestSuffixSyncRotatesPeerOnTimeout(t *testing.T) {
 // TestSyncResponseRejectsDisconnectedSegment: blocks that do not connect
 // to the local tree are dropped and do not advance the high-water mark.
 func TestSyncResponseRejectsDisconnectedSegment(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	r := newRig(t, p411, bc.ReplicaAt(1, 3))
+	set := genesisSet(t, p411)
+	r := newRig(t, p411, set.ReplicaAt(1, 3))
 	// A block whose parent is unknown garbage.
-	orphan := types.NewBlock(5, beacon.Leader(bc, 5), 0, types.BlockID{9, 9}, types.Payload{})
+	orphan := types.NewBlock(5, set.Leader(5), 0, types.BlockID{9, 9}, types.Payload{})
 	if err := r.signers[orphan.Proposer].SignBlock(orphan); err != nil {
 		t.Fatal(err)
 	}
@@ -244,8 +243,8 @@ func TestSyncResponseRejectsDisconnectedSegment(t *testing.T) {
 // TestResendAfterStall: a replica stuck in a round rebroadcasts its votes
 // and the header of its best block after the resend interval, repeatedly.
 func TestResendAfterStall(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	observer := bc.ReplicaAt(1, 3)
+	set := genesisSet(t, p411)
+	observer := set.ReplicaAt(1, 3)
 	r := newRig(t, p411, observer)
 	b := r.leaderBlock(1, types.Genesis().ID(), 1)
 	r.deliver(b.Proposer, r.proposalFor(b))
@@ -332,8 +331,8 @@ func TestResendAfterStall(t *testing.T) {
 // the commit happens once the block arrives (and its rank is checked
 // against the certificate's premise by validity at that point).
 func TestFastFinalCertForUnknownBlock(t *testing.T) {
-	bc := mustBeacon(t, 4)
-	observer := bc.ReplicaAt(1, 3)
+	set := genesisSet(t, p411)
+	observer := set.ReplicaAt(1, 3)
 	r := newRig(t, p411, observer)
 	b := r.leaderBlock(1, types.Genesis().ID(), 1)
 	var votes []types.Vote

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"testing"
 
-	"banyan/internal/beacon"
 	"banyan/internal/crypto"
 	"banyan/internal/types"
 )
@@ -33,10 +32,6 @@ func TestUnlockMonotonicity(t *testing.T) {
 	params := types.Params{N: 7, F: 2, P: 1}
 	keyring, signers := crypto.GenerateCluster(crypto.HMAC(), params.N, 3)
 	_ = keyring
-	bc, err := beacon.NewRoundRobin(params.N)
-	if err != nil {
-		t.Fatal(err)
-	}
 	thr, set := params.UnlockThreshold(), genesisSet(t, params)
 
 	for trial := 0; trial < propertyTrials(60); trial++ {
@@ -50,7 +45,7 @@ func TestUnlockMonotonicity(t *testing.T) {
 		var blocks []*types.Block
 		nLeaderBlocks := 1 + rng.Intn(2)
 		for i := 0; i < nLeaderBlocks; i++ {
-			b := types.NewBlock(round, beacon.Leader(bc, round), 0,
+			b := types.NewBlock(round, set.Leader(round), 0,
 				types.Genesis().ID(), types.BytesPayload([]byte{byte(i)}))
 			if err := signers[b.Proposer].SignBlock(b); err != nil {
 				t.Fatal(err)
@@ -58,7 +53,7 @@ func TestUnlockMonotonicity(t *testing.T) {
 			blocks = append(blocks, b)
 		}
 		for rank := types.Rank(1); int(rank) <= rng.Intn(3); rank++ {
-			proposer := bc.ReplicaAt(round, rank)
+			proposer := set.ReplicaAt(round, rank)
 			b := types.NewBlock(round, proposer, rank,
 				types.Genesis().ID(), types.BytesPayload([]byte{0xF0 ^ byte(rank)}))
 			if err := signers[proposer].SignBlock(b); err != nil {
@@ -144,10 +139,6 @@ func TestProofMatchesLocalState(t *testing.T) {
 
 func proofMatchesLocalState(t *testing.T, params types.Params) {
 	keyring, signers := crypto.GenerateCluster(crypto.HMAC(), params.N, 9)
-	bc, err := beacon.NewRoundRobin(params.N)
-	if err != nil {
-		t.Fatal(err)
-	}
 	thr, set := params.UnlockThreshold(), genesisSet(t, params)
 	selfUnlocking := 0
 
@@ -157,7 +148,7 @@ func proofMatchesLocalState(t *testing.T, params types.Params) {
 		rs := newRoundState()
 		var blocks []*types.Block
 		for i := 0; i < 1+rng.Intn(2); i++ { // 1-2 rank-0 blocks
-			b := types.NewBlock(round, beacon.Leader(bc, round), 0,
+			b := types.NewBlock(round, set.Leader(round), 0,
 				types.Genesis().ID(), types.BytesPayload([]byte{byte(i)}))
 			if err := signers[b.Proposer].SignBlock(b); err != nil {
 				t.Fatal(err)
@@ -166,7 +157,7 @@ func proofMatchesLocalState(t *testing.T, params types.Params) {
 			rs.addBlock(b)
 		}
 		if rng.Intn(2) == 0 { // maybe a rank-1 block
-			proposer := bc.ReplicaAt(round, 1)
+			proposer := set.ReplicaAt(round, 1)
 			b := types.NewBlock(round, proposer, 1, types.Genesis().ID(),
 				types.BytesPayload([]byte{0xAA}))
 			if err := signers[proposer].SignBlock(b); err != nil {

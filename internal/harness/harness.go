@@ -25,10 +25,10 @@ import (
 	"fmt"
 	"time"
 
-	"banyan/internal/beacon"
 	"banyan/internal/crypto"
 	"banyan/internal/hotstuff"
 	"banyan/internal/icc"
+	"banyan/internal/membership"
 	"banyan/internal/mempool"
 	"banyan/internal/metrics"
 	"banyan/internal/protocol"
@@ -183,10 +183,10 @@ type Result struct {
 	// finalizations by path.
 	FastFinal, SlowFinal, IndirectFinal int64
 
-	// OptimisticProposed / OptimisticConfirmed / OptimisticWithdrawn sum
-	// the optimistic-pipelining counters across the cluster (zero unless
-	// Config.OptimisticProposals).
-	OptimisticProposed, OptimisticConfirmed, OptimisticWithdrawn int64
+	// Counters sums every replica's engine counters (protocol.Engine's
+	// Metrics) per key across the cluster: opt_proposed, settled_dropped,
+	// verify_cache_misses and the rest.
+	Counters map[string]int64
 
 	// Faults counts safety faults across the cluster (must be zero).
 	Faults int
@@ -424,39 +424,32 @@ func Run(cfg Config) (*Result, error) {
 	}
 	net.Run(cfg.Duration)
 
-	// Optimistic-pipelining counters are per-leader events; sum them
-	// cluster-wide so the result reflects every round, not just the
-	// observer's turns at rank 0.
-	var optProposed, optConfirmed, optWithdrawn int64
-	for i := 0; i < len(engines); i++ {
-		if m := net.Engine(types.ReplicaID(i)).Metrics(); m != nil {
-			optProposed += m["opt_proposed"]
-			optConfirmed += m["opt_confirmed"]
-			optWithdrawn += m["opt_withdrawn"]
+	counters := map[string]int64{}
+	for i := range engines {
+		for k, v := range net.Engine(types.ReplicaID(i)).Metrics() {
+			counters[k] += v
 		}
 	}
 
 	obsMetrics := net.Engine(observer).Metrics()
 	stats := net.Stats()
 	res := &Result{
-		Config:              cfg,
-		Latency:             latency.Summarize(),
-		LatencySamples:      latency.Samples(),
-		ThroughputBps:       throughput.BytesPerSecond(),
-		BlocksCommitted:     throughput.Blocks,
-		BlockInterval:       throughput.BlockInterval(),
-		FastFinal:           obsMetrics["final_fast"],
-		SlowFinal:           obsMetrics["final_slow"],
-		IndirectFinal:       obsMetrics["final_indirect"],
-		OptimisticProposed:  optProposed,
-		OptimisticConfirmed: optConfirmed,
-		OptimisticWithdrawn: optWithdrawn,
-		Faults:              len(faultErrors),
-		Messages:            stats.Messages,
-		MessageBytes:        stats.Bytes,
-		Traffic:             stats.ByKind,
-		MaxProposalWire:     maxProposalWire,
-		Delta:               cfg.Delta,
+		Config:          cfg,
+		Latency:         latency.Summarize(),
+		LatencySamples:  latency.Samples(),
+		ThroughputBps:   throughput.BytesPerSecond(),
+		BlocksCommitted: throughput.Blocks,
+		BlockInterval:   throughput.BlockInterval(),
+		FastFinal:       obsMetrics["final_fast"],
+		SlowFinal:       obsMetrics["final_slow"],
+		IndirectFinal:   obsMetrics["final_indirect"],
+		Counters:        counters,
+		Faults:          len(faultErrors),
+		Messages:        stats.Messages,
+		MessageBytes:    stats.Bytes,
+		Traffic:         stats.ByKind,
+		MaxProposalWire: maxProposalWire,
+		Delta:           cfg.Delta,
 	}
 	if cfg.Obs {
 		res.Stages = mergeStages(survivors)
@@ -496,9 +489,9 @@ func (c Config) banyan() ([]protocol.Engine, []stack.Survivors, error) {
 	return engines, survivors, nil
 }
 
-// baseline assembles a cluster of one of the paper's baselines. They take
-// their leader schedule as a round-robin beacon — Banyan's is its
-// validator set, which rotates the same way — and have no verification
+// baseline assembles a cluster of one of the paper's baselines. They run
+// on the genesis validator set, which gives them their quorums and the
+// round-robin leader schedule Banyan uses, and have no verification
 // pipeline, dissemination, log or observer.
 func (c Config) baseline() ([]protocol.Engine, error) {
 	if c.Dissem {
@@ -517,7 +510,7 @@ func (c Config) baseline() ([]protocol.Engine, error) {
 		return nil, err
 	}
 	keyring, signers := crypto.GenerateCluster(scheme, params.N, c.Seed)
-	bc, err := beacon.NewRoundRobin(params.N)
+	set, err := membership.Genesis(keyring, params)
 	if err != nil {
 		return nil, err
 	}
@@ -527,33 +520,30 @@ func (c Config) baseline() ([]protocol.Engine, error) {
 		switch c.Protocol {
 		case ICC:
 			engines[i], err = icc.New(icc.Config{
-				Params:            params,
+				Set:               set,
 				Self:              id,
 				Keyring:           keyring,
 				Signer:            signers[i],
-				Beacon:            bc,
 				Payloads:          c.payloads(i),
 				Delta:             c.Delta,
 				DisableForwarding: c.NoForwarding,
 			})
 		case HotStuff:
 			engines[i], err = hotstuff.New(hotstuff.Config{
-				Params:   params,
+				Set:      set,
 				Self:     id,
 				Keyring:  keyring,
 				Signer:   signers[i],
-				Beacon:   bc,
 				Payloads: c.payloads(i),
 				// Generous enough that the happy path never times out.
 				ViewTimeout: 6 * c.Delta,
 			})
 		case Streamlet:
 			engines[i], err = streamlet.New(streamlet.Config{
-				Params:   params,
+				Set:      set,
 				Self:     id,
 				Keyring:  keyring,
 				Signer:   signers[i],
-				Beacon:   bc,
 				Payloads: c.payloads(i),
 				// Streamlet is clocked on the pessimistic synchrony bound Δ
 				// rather than actual delays (it is not optimistically

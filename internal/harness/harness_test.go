@@ -359,7 +359,7 @@ func TestObsInvisibleToVirtualTime(t *testing.T) {
 		t.Fatal("no block committed")
 	}
 	t.Logf("%d blocks, latency %v, %d optimistic proposals (%d withdrawn)",
-		off.BlocksCommitted, off.Latency.Mean, off.OptimisticProposed, off.OptimisticWithdrawn)
+		off.BlocksCommitted, off.Latency.Mean, off.Counters["opt_proposed"], off.Counters["opt_withdrawn"])
 	if off.Latency != on.Latency {
 		t.Errorf("latency: off %#v, on %#v", off.Latency, on.Latency)
 	}
@@ -379,4 +379,36 @@ func TestObsInvisibleToVirtualTime(t *testing.T) {
 			t.Errorf("stage %q recorded no samples", name)
 		}
 	}
+}
+
+// TestCountersSummedAcrossReplicas: Result.Counters carries the engine
+// counters no figure reads — late traffic dropped for settled rounds,
+// verification cache misses — summed over the cluster, and a seed
+// reproduces them exactly.
+func TestCountersSummedAcrossReplicas(t *testing.T) {
+	topo, err := wan.FourGlobal4()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() *Result {
+		res, err := Run(Config{
+			Protocol:  Banyan,
+			Params:    ParamsFor(Banyan, 4, 1, 1),
+			Topology:  topo,
+			BlockSize: 4 << 10,
+			Duration:  3 * time.Second,
+			Seed:      1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	a, b := run(), run()
+	for _, key := range []string{"settled_dropped", "verify_cache_misses"} {
+		if a.Counters[key] == 0 || a.Counters[key] != b.Counters[key] {
+			t.Errorf("%s: %d then %d, want the same non-zero count", key, a.Counters[key], b.Counters[key])
+		}
+	}
+	t.Logf("counters: %v", a.Counters)
 }

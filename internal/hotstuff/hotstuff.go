@@ -22,25 +22,24 @@ import (
 	"fmt"
 	"time"
 
-	"banyan/internal/beacon"
 	"banyan/internal/blocktree"
 	"banyan/internal/crypto"
+	"banyan/internal/membership"
 	"banyan/internal/protocol"
 	"banyan/internal/types"
 )
 
 // Config assembles everything a HotStuff engine instance needs.
 type Config struct {
-	// Params carries n and f; quorums are 2f+1 (n >= 3f+1).
-	Params types.Params
+	// Set is the genesis validator set: its Params carry n and f (quorums
+	// are 2f+1), and its rotation gives every view's leader.
+	Set *membership.ValidatorSet
 	// Self is this replica's ID.
 	Self types.ReplicaID
 	// Keyring holds every replica's public key.
 	Keyring *crypto.Keyring
 	// Signer signs this replica's blocks and votes.
 	Signer *crypto.Signer
-	// Beacon rotates leaders (rank-0 replica of a view is its leader).
-	Beacon beacon.Beacon
 	// Payloads supplies block payloads when this replica leads.
 	Payloads protocol.PayloadSource
 	// ViewTimeout is the pacemaker timeout for a view without progress.
@@ -48,17 +47,14 @@ type Config struct {
 }
 
 func (c *Config) validate() error {
-	if c.Params.N < 3*c.Params.F+1 {
-		return fmt.Errorf("hotstuff: n = %d below 3f+1 for f = %d", c.Params.N, c.Params.F)
+	if c.Set == nil {
+		return errors.New("hotstuff: validator set is required")
 	}
 	if c.Keyring == nil || c.Signer == nil {
 		return errors.New("hotstuff: keyring and signer are required")
 	}
-	if c.Beacon == nil || c.Beacon.N() != c.Params.N {
-		return errors.New("hotstuff: beacon must permute exactly n replicas")
-	}
-	if int(c.Self) >= c.Params.N {
-		return fmt.Errorf("hotstuff: self id %d out of range (n=%d)", c.Self, c.Params.N)
+	if !c.Set.Contains(c.Self) {
+		return fmt.Errorf("hotstuff: self id %d not in the validator set", c.Self)
 	}
 	if c.ViewTimeout <= 0 {
 		return errors.New("hotstuff: ViewTimeout must be positive")
@@ -70,7 +66,7 @@ func (c *Config) validate() error {
 }
 
 // quorum is 2f+1.
-func (c *Config) quorum() int { return 2*c.Params.F + 1 }
+func (c *Config) quorum() int { return 2*c.Set.Params().F + 1 }
 
 // Engine is the chained-HotStuff state machine for one replica.
 type Engine struct {
@@ -153,7 +149,7 @@ func (e *Engine) Start(now time.Time) []protocol.Action {
 
 // HandleMessage implements protocol.Engine.
 func (e *Engine) HandleMessage(from types.ReplicaID, msg types.Message, now time.Time) []protocol.Action {
-	if e.stopped || int(from) >= e.cfg.Params.N {
+	if e.stopped || !e.cfg.Set.Contains(from) {
 		return nil
 	}
 	var acts []protocol.Action
@@ -182,7 +178,7 @@ func (e *Engine) HandleTimer(id protocol.TimerID, now time.Time) []protocol.Acti
 	var acts []protocol.Action
 	next := e.view + 1
 	nv := e.makeNewView(next)
-	leader := beacon.Leader(e.cfg.Beacon, next)
+	leader := e.cfg.Set.Leader(next)
 	if leader == e.cfg.Self {
 		e.recordNewView(nv)
 	} else {
@@ -277,7 +273,7 @@ func (e *Engine) qcBlock(qc *types.Certificate) types.BlockID {
 // NewView messages (after timeouts).
 func (e *Engine) tryPropose(now time.Time, acts []protocol.Action) []protocol.Action {
 	v := e.view
-	if e.proposedIn[v] || beacon.Leader(e.cfg.Beacon, v) != e.cfg.Self {
+	if e.proposedIn[v] || e.cfg.Set.Leader(v) != e.cfg.Self {
 		return acts
 	}
 	ready := qcView(e.highQC) == v-1 || len(e.newViews[v]) >= e.cfg.quorum()
@@ -304,12 +300,12 @@ func (e *Engine) tryPropose(now time.Time, acts []protocol.Action) []protocol.Ac
 // rule, and votes if the safety rule allows.
 func (e *Engine) onProposal(m *types.Proposal, now time.Time, acts []protocol.Action) []protocol.Action {
 	b := m.Block
-	if b == nil || b.Round < 1 || int(b.Proposer) >= e.cfg.Params.N {
+	if b == nil || b.Round < 1 || !e.cfg.Set.Contains(b.Proposer) {
 		e.met.rejected++
 		return acts
 	}
 	// The proposer must lead the block's view.
-	if beacon.Leader(e.cfg.Beacon, b.Round) != b.Proposer || b.Rank != 0 {
+	if e.cfg.Set.Leader(b.Round) != b.Proposer || b.Rank != 0 {
 		e.met.rejected++
 		return acts
 	}
@@ -345,7 +341,7 @@ func (e *Engine) onProposal(m *types.Proposal, now time.Time, acts []protocol.Ac
 	}
 	e.lastVoted = b.Round
 	vote := e.cfg.Signer.SignVote(types.VoteNotarize, b.Round, b.ID())
-	next := beacon.Leader(e.cfg.Beacon, b.Round+1)
+	next := e.cfg.Set.Leader(b.Round + 1)
 	e.met.votesSent++
 	if next == e.cfg.Self {
 		acts = e.onVote(vote, now, acts)
@@ -438,12 +434,12 @@ func (e *Engine) commit(b *types.Block, acts []protocol.Action) []protocol.Actio
 // onVote collects view votes; the leader of the next view forms a QC at
 // quorum and proposes immediately (optimistic responsiveness).
 func (e *Engine) onVote(v types.Vote, now time.Time, acts []protocol.Action) []protocol.Action {
-	if v.Kind != types.VoteNotarize || v.Round < 1 || int(v.Voter) >= e.cfg.Params.N {
+	if v.Kind != types.VoteNotarize || v.Round < 1 || !e.cfg.Set.Contains(v.Voter) {
 		e.met.rejected++
 		return acts
 	}
 	// Only the leader of view v+1 aggregates votes of view v.
-	if beacon.Leader(e.cfg.Beacon, v.Round+1) != e.cfg.Self {
+	if e.cfg.Set.Leader(v.Round+1) != e.cfg.Self {
 		return acts
 	}
 	byBlock, ok := e.votes[v.Round]
@@ -489,11 +485,11 @@ func (e *Engine) onVote(v types.Vote, now time.Time, acts []protocol.Action) []p
 
 // onNewView collects pacemaker messages for views this replica leads.
 func (e *Engine) onNewView(m *types.NewView, now time.Time, acts []protocol.Action) []protocol.Action {
-	if m.Round < 1 || int(m.Sender) >= e.cfg.Params.N {
+	if m.Round < 1 || !e.cfg.Set.Contains(m.Sender) {
 		e.met.rejected++
 		return acts
 	}
-	if beacon.Leader(e.cfg.Beacon, m.Round) != e.cfg.Self {
+	if e.cfg.Set.Leader(m.Round) != e.cfg.Self {
 		return acts
 	}
 	if !e.cfg.Keyring.Verify(m.Sender, newViewDigest(m.Round, m.Sender), m.Signature) {

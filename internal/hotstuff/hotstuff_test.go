@@ -4,8 +4,8 @@ import (
 	"testing"
 	"time"
 
-	"banyan/internal/beacon"
 	"banyan/internal/crypto"
+	"banyan/internal/membership"
 	"banyan/internal/protocol"
 	"banyan/internal/simnet"
 	"banyan/internal/types"
@@ -16,18 +16,17 @@ func cluster(t *testing.T, n int, timeout time.Duration) ([]protocol.Engine, *cr
 	t.Helper()
 	params := types.Params{N: n, F: (n - 1) / 3}
 	keyring, signers := crypto.GenerateCluster(crypto.HMAC(), n, 3)
-	bc, err := beacon.NewRoundRobin(n)
+	set, err := membership.Genesis(keyring, params)
 	if err != nil {
 		t.Fatal(err)
 	}
 	engines := make([]protocol.Engine, n)
 	for i := 0; i < n; i++ {
 		eng, err := New(Config{
-			Params:      params,
+			Set:         set,
 			Self:        types.ReplicaID(i),
 			Keyring:     keyring,
 			Signer:      signers[i],
-			Beacon:      bc,
 			ViewTimeout: timeout,
 		})
 		if err != nil {
@@ -134,8 +133,7 @@ func TestSafetyRuleRejectsStaleView(t *testing.T) {
 	e.Start(now)
 
 	_, signers := crypto.GenerateCluster(crypto.HMAC(), 4, 3)
-	bc, _ := beacon.NewRoundRobin(4)
-	leader1 := beacon.Leader(bc, 1)
+	leader1 := e.cfg.Set.Leader(1)
 	b := types.NewBlock(1, leader1, 0, types.Genesis().ID(), types.BytesPayload([]byte{1}))
 	if err := signers[leader1].SignBlock(b); err != nil {
 		t.Fatal(err)
@@ -180,8 +178,7 @@ func TestRejectsNonLeaderProposal(t *testing.T) {
 	now := time.Unix(0, 0)
 	e.Start(now)
 	_, signers := crypto.GenerateCluster(crypto.HMAC(), 4, 3)
-	bc, _ := beacon.NewRoundRobin(4)
-	notLeader := beacon.Leader(bc, 2) // leads view 2, not view 1
+	notLeader := e.cfg.Set.Leader(2) // leads view 2, not view 1
 	b := types.NewBlock(1, notLeader, 0, types.Genesis().ID(), types.Payload{})
 	if err := signers[notLeader].SignBlock(b); err != nil {
 		t.Fatal(err)

@@ -21,25 +21,25 @@ import (
 	"fmt"
 	"time"
 
-	"banyan/internal/beacon"
 	"banyan/internal/blocktree"
 	"banyan/internal/crypto"
+	"banyan/internal/membership"
 	"banyan/internal/protocol"
 	"banyan/internal/types"
 )
 
 // Config assembles everything an ICC engine instance needs.
 type Config struct {
-	// Params carries n and f (ICC ignores p and uses n−f quorums).
-	Params types.Params
+	// Set is the genesis validator set: its Params carry n and f (ICC
+	// ignores p and uses n−f quorums), and its rotation gives every
+	// round's ranks.
+	Set *membership.ValidatorSet
 	// Self is this replica's ID.
 	Self types.ReplicaID
 	// Keyring holds every replica's public key.
 	Keyring *crypto.Keyring
 	// Signer signs this replica's blocks and votes.
 	Signer *crypto.Signer
-	// Beacon supplies per-round leader permutations.
-	Beacon beacon.Beacon
 	// Payloads supplies block payloads when this replica proposes.
 	Payloads protocol.PayloadSource
 	// Delta is the message-delay bound Δ; proposal and notarization delays
@@ -48,23 +48,21 @@ type Config struct {
 	// DisableForwarding turns off the tip-forwarding relay (see
 	// core.Config.DisableForwarding).
 	DisableForwarding bool
-	// PruneInterval / PruneKeep bound retained state, as in core.Config.
-	PruneInterval types.Round
-	PruneKeep     types.Round
 }
 
+// pruneKeep is how many rounds below the finalized height are retained,
+// and the pruning cadence, as in core.Config.PruneKeep.
+const pruneKeep types.Round = 16
+
 func (c *Config) validate() error {
-	if c.Params.N < 3*c.Params.F+1 {
-		return fmt.Errorf("icc: n = %d below 3f+1 for f = %d", c.Params.N, c.Params.F)
+	if c.Set == nil {
+		return errors.New("icc: validator set is required")
 	}
 	if c.Keyring == nil || c.Signer == nil {
 		return errors.New("icc: keyring and signer are required")
 	}
-	if c.Beacon == nil || c.Beacon.N() != c.Params.N {
-		return errors.New("icc: beacon must permute exactly n replicas")
-	}
-	if int(c.Self) >= c.Params.N {
-		return fmt.Errorf("icc: self id %d out of range (n=%d)", c.Self, c.Params.N)
+	if !c.Set.Contains(c.Self) {
+		return fmt.Errorf("icc: self id %d not in the validator set", c.Self)
 	}
 	if c.Delta <= 0 {
 		return errors.New("icc: Delta must be positive")
@@ -72,17 +70,11 @@ func (c *Config) validate() error {
 	if c.Payloads == nil {
 		c.Payloads = protocol.EmptyPayloads
 	}
-	if c.PruneInterval == 0 {
-		c.PruneInterval = 64
-	}
-	if c.PruneKeep == 0 {
-		c.PruneKeep = 16
-	}
 	return nil
 }
 
 // quorum is ICC's n−f threshold for notarizations and finalizations.
-func (c *Config) quorum() int { return c.Params.ICCQuorum() }
+func (c *Config) quorum() int { return c.Set.Params().ICCQuorum() }
 
 type roundState struct {
 	started bool
@@ -136,13 +128,11 @@ type Engine struct {
 	extFinal      map[types.Round]*types.Certificate
 	pendingCommit map[types.BlockID]protocol.FinalizationMode
 
-	// Catch-up state, exactly as in the Banyan engine (see core.Engine).
+	// latestFinal is the highest-round finalization certificate seen;
+	// catchupDirty flags that its chain is not yet committed. ICC has no
+	// network catch-up: the chain's blocks arrive as ordinary proposals.
 	latestFinal  *types.Certificate
-	syncHigh     types.Round
 	catchupDirty bool
-	lastSyncReq  time.Time
-	lastSyncFrom types.Round
-	syncStalls   int
 
 	stopped bool
 	fault   error
@@ -160,7 +150,6 @@ type Engine struct {
 		blocksCommit  int64
 		bytesCommit   int64
 		rejected      int64
-		resends       int64
 	}
 }
 
@@ -201,7 +190,7 @@ func (e *Engine) Start(now time.Time) []protocol.Action {
 
 // HandleMessage implements protocol.Engine.
 func (e *Engine) HandleMessage(from types.ReplicaID, msg types.Message, now time.Time) []protocol.Action {
-	if e.stopped || int(from) >= e.cfg.Params.N {
+	if e.stopped || !e.cfg.Set.Contains(from) {
 		return nil
 	}
 	switch m := msg.(type) {
@@ -215,10 +204,6 @@ func (e *Engine) HandleMessage(from types.ReplicaID, msg types.Message, now time
 		e.onCert(m.Cert)
 	case *types.Advance:
 		e.onCert(m.Notarization)
-	case *types.SyncRequest:
-		return e.onSyncRequest(from, m)
-	case *types.SyncResponse:
-		e.onSyncResponse(m)
 	default:
 		e.met.rejected++
 		return nil
@@ -227,83 +212,11 @@ func (e *Engine) HandleMessage(from types.ReplicaID, msg types.Message, now time
 }
 
 // HandleTimer implements protocol.Engine.
-func (e *Engine) HandleTimer(id protocol.TimerID, now time.Time) []protocol.Action {
+func (e *Engine) HandleTimer(_ protocol.TimerID, now time.Time) []protocol.Action {
 	if e.stopped {
 		return nil
 	}
-	var acts []protocol.Action
-	if id.Kind == protocol.TimerResend && id.Round == e.round {
-		acts = e.resendRound(now, acts)
-	}
-	return e.progress(now, acts)
-}
-
-// resendRound rebroadcasts this replica's round state after a stall; see
-// core.Engine.resendRound.
-func (e *Engine) resendRound(now time.Time, acts []protocol.Action) []protocol.Action {
-	rs := e.getRound(e.round)
-	if !rs.started || rs.advanced {
-		return acts
-	}
-	e.met.resends++
-	var votes []types.Vote
-	for kind, ledger := range map[types.VoteKind]map[types.BlockID]map[types.ReplicaID][]byte{
-		types.VoteNotarize: rs.notarVotes,
-		types.VoteFinalize: rs.finalVotes,
-	} {
-		for block, byVoter := range ledger {
-			if sig, ok := byVoter[e.cfg.Self]; ok {
-				votes = append(votes, types.Vote{
-					Kind: kind, Round: e.round, Block: block, Voter: e.cfg.Self, Signature: sig,
-				})
-			}
-		}
-	}
-	if len(votes) > 0 {
-		acts = append(acts, protocol.Broadcast{Msg: &types.VoteMsg{Votes: votes}})
-	}
-	if b := e.bestKnownBlock(rs); b != nil {
-		p := &types.Proposal{Block: b, Relayed: true}
-		if b.Round > 1 && !e.tree.IsFinalized(b.Parent) {
-			p.ParentNotarization = e.getRound(b.Round - 1).notarizations[b.Parent]
-		}
-		acts = append(acts, protocol.Broadcast{Msg: p})
-	}
-	for _, cert := range rs.notarizations {
-		acts = append(acts, protocol.Broadcast{Msg: &types.CertMsg{Cert: cert}})
-	}
-	acts = append(acts, protocol.Broadcast{Msg: &types.SyncRequest{
-		From: e.tree.FinalizedRound() + 1,
-		To:   e.tree.FinalizedRound() + types.MaxSyncBlocks,
-	}})
-	acts = append(acts, protocol.SetTimer{
-		ID: protocol.TimerID{Round: e.round, Kind: protocol.TimerResend},
-		At: now.Add(e.resendInterval()),
-	})
-	return acts
-}
-
-func (e *Engine) bestKnownBlock(rs *roundState) *types.Block {
-	var best *types.Block
-	for id := range rs.valid {
-		b := rs.blocks[id]
-		if best == nil || b.Rank < best.Rank {
-			best = b
-		}
-	}
-	if best != nil {
-		return best
-	}
-	for _, b := range rs.blocks {
-		if best == nil || b.Rank < best.Rank {
-			best = b
-		}
-	}
-	return best
-}
-
-func (e *Engine) resendInterval() time.Duration {
-	return 2 * e.cfg.Delta * time.Duration(e.cfg.Params.N+2)
+	return e.progress(now, nil)
 }
 
 // Metrics implements protocol.Engine.
@@ -319,7 +232,6 @@ func (e *Engine) Metrics() map[string]int64 {
 		"blocks_commit":  e.met.blocksCommit,
 		"bytes_commit":   e.met.bytesCommit,
 		"rejected":       e.met.rejected,
-		"resends":        e.met.resends,
 	}
 }
 
@@ -328,14 +240,14 @@ func (e *Engine) Metrics() map[string]int64 {
 
 func (e *Engine) onProposal(m *types.Proposal) {
 	b := m.Block
-	if b == nil || b.Round < 1 || int(b.Proposer) >= e.cfg.Params.N {
+	if b == nil || b.Round < 1 || !e.cfg.Set.Contains(b.Proposer) {
 		e.met.rejected++
 		return
 	}
-	if b.Round+e.cfg.PruneKeep <= e.tree.FinalizedRound() {
+	if b.Round+pruneKeep <= e.tree.FinalizedRound() {
 		return
 	}
-	if b.Rank != e.cfg.Beacon.RankOf(b.Round, b.Proposer) {
+	if b.Rank != e.cfg.Set.RankOf(b.Round, b.Proposer) {
 		e.met.rejected++
 		return
 	}
@@ -358,11 +270,11 @@ func (e *Engine) onProposal(m *types.Proposal) {
 }
 
 func (e *Engine) onVote(v types.Vote) {
-	if v.Round < 1 || int(v.Voter) >= e.cfg.Params.N {
+	if v.Round < 1 || !e.cfg.Set.Contains(v.Voter) {
 		e.met.rejected++
 		return
 	}
-	if v.Round+e.cfg.PruneKeep <= e.tree.FinalizedRound() {
+	if v.Round+pruneKeep <= e.tree.FinalizedRound() {
 		return
 	}
 	rs := e.getRound(v.Round)
@@ -396,7 +308,7 @@ func (e *Engine) onCert(c *types.Certificate) {
 	if c == nil || c.Round < 1 {
 		return
 	}
-	if c.Round+e.cfg.PruneKeep <= e.tree.FinalizedRound() {
+	if c.Round+pruneKeep <= e.tree.FinalizedRound() {
 		return
 	}
 	rs := e.getRound(c.Round)
@@ -467,13 +379,13 @@ func (e *Engine) progress(now time.Time, acts []protocol.Action) []protocol.Acti
 		}
 	}
 	acts = e.scheduleNotarTimers(now, acts)
-	acts = e.maybeSync(now, acts)
+	acts = e.commitLatestFinal(now, acts)
 	e.maybePrune()
 	return acts
 }
 
 // noteFinalCert remembers the highest-round finalization certificate and
-// flags catch-up work when it proves the cluster is ahead.
+// flags its chain for commitLatestFinal when it lies past the next round.
 func (e *Engine) noteFinalCert(c *types.Certificate) {
 	if e.latestFinal == nil || c.Round > e.latestFinal.Round {
 		e.latestFinal = c
@@ -502,119 +414,23 @@ func (e *Engine) tryJump(now time.Time, acts []protocol.Action) (bool, []protoco
 	return true, acts
 }
 
-// maybeSync drives catch-up; see core.Engine.maybeSync.
-func (e *Engine) maybeSync(now time.Time, acts []protocol.Action) []protocol.Action {
-	if !e.catchupDirty || e.latestFinal == nil {
+// commitLatestFinal commits the chain under latestFinal once all its
+// blocks are present, then fast-forwards past the finalized rounds.
+func (e *Engine) commitLatestFinal(now time.Time, acts []protocol.Action) []protocol.Action {
+	if !e.catchupDirty {
+		return acts
+	}
+	if e.latestFinal.Round <= e.tree.FinalizedRound() {
+		e.catchupDirty = false
+		return acts
+	}
+	acts, done := e.commitChain(e.latestFinal.Block, protocol.FinalizeIndirect, acts)
+	if !done {
 		return acts
 	}
 	e.catchupDirty = false
-	fin := e.tree.FinalizedRound()
-	if e.latestFinal.Round <= fin {
-		return acts
-	}
-	var done bool
-	acts, done = e.commitChain(e.latestFinal.Block, protocol.FinalizeIndirect, acts)
-	if done {
-		// Caught up: fast-forward the current round immediately.
-		if c, a := e.tryJump(now, acts); c {
-			acts = a
-		}
-		return acts
-	}
-	if !e.lastSyncReq.IsZero() && now.Sub(e.lastSyncReq) < 2*e.cfg.Delta {
-		e.catchupDirty = true
-		return acts
-	}
-	from := fin + 1
-	if e.syncHigh >= from {
-		from = e.syncHigh + 1
-	}
-	if from == e.lastSyncFrom {
-		e.syncStalls++
-		if e.syncStalls > 3 {
-			e.syncHigh = fin
-			e.syncStalls = 0
-			from = fin + 1
-		}
-	} else {
-		e.syncStalls = 0
-	}
-	e.lastSyncReq = now
-	e.lastSyncFrom = from
-	return append(acts, protocol.Broadcast{Msg: &types.SyncRequest{
-		From: from,
-		To:   e.latestFinal.Round,
-	}})
-}
-
-// onSyncRequest serves finalized blocks to a lagging peer.
-func (e *Engine) onSyncRequest(from types.ReplicaID, m *types.SyncRequest) []protocol.Action {
-	start := m.From
-	if start < 1 {
-		start = 1
-	}
-	fin := e.tree.FinalizedRound()
-	end := m.To
-	if end > fin {
-		end = fin
-	}
-	if max := start + types.MaxSyncBlocks - 1; end > max {
-		end = max
-	}
-	if end < start {
-		return nil
-	}
-	resp := &types.SyncResponse{Finalization: e.latestFinal}
-	for r := start; r <= end; r++ {
-		id, ok := e.tree.FinalizedAt(r)
-		if !ok {
-			break
-		}
-		b, ok := e.tree.Block(id)
-		if !ok {
-			break
-		}
-		resp.Blocks = append(resp.Blocks, b)
-	}
-	if len(resp.Blocks) == 0 {
-		return nil
-	}
-	return []protocol.Action{protocol.Send{To: from, Msg: resp}}
-}
-
-// onSyncResponse ingests a catch-up segment; see core.Engine.
-func (e *Engine) onSyncResponse(m *types.SyncResponse) {
-	if len(m.Blocks) > types.MaxSyncBlocks {
-		e.met.rejected++
-		return
-	}
-	for _, b := range m.Blocks {
-		if b == nil || b.Round < 1 || int(b.Proposer) >= e.cfg.Params.N {
-			e.met.rejected++
-			continue
-		}
-		if b.Rank != e.cfg.Beacon.RankOf(b.Round, b.Proposer) {
-			e.met.rejected++
-			continue
-		}
-		if !e.tree.Contains(b.Parent) {
-			break
-		}
-		if !e.tree.Contains(b.ID()) {
-			if err := crypto.VerifyBlock(e.cfg.Keyring, b); err != nil {
-				e.met.rejected++
-				continue
-			}
-			e.tree.Add(b)
-		}
-		if b.Round > e.syncHigh {
-			e.syncHigh = b.Round
-		}
-	}
-	e.catchupDirty = true
-	if m.Finalization != nil {
-		e.onCert(m.Finalization)
-	}
+	_, acts = e.tryJump(now, acts)
+	return acts
 }
 
 func (e *Engine) getRound(r types.Round) *roundState {
@@ -632,17 +448,13 @@ func (e *Engine) enterRound(r types.Round, now time.Time, acts []protocol.Action
 	rs.started = true
 	rs.t0 = now
 	e.met.roundsStarted++
-	rank := e.cfg.Beacon.RankOf(r, e.cfg.Self)
+	rank := e.cfg.Set.RankOf(r, e.cfg.Self)
 	if rank > 0 {
 		acts = append(acts, protocol.SetTimer{
 			ID: protocol.TimerID{Round: r, Kind: protocol.TimerPropose, Rank: rank},
 			At: now.Add(e.delay(rank)),
 		})
 	}
-	acts = append(acts, protocol.SetTimer{
-		ID: protocol.TimerID{Round: r, Kind: protocol.TimerResend},
-		At: now.Add(e.resendInterval()),
-	})
 	return acts
 }
 
@@ -689,7 +501,7 @@ func (e *Engine) tryPropose(now time.Time, acts []protocol.Action) (bool, []prot
 	if !rs.started || rs.proposed || rs.advanced {
 		return false, acts
 	}
-	rank := e.cfg.Beacon.RankOf(e.round, e.cfg.Self)
+	rank := e.cfg.Set.RankOf(e.round, e.cfg.Self)
 	if now.Before(rs.t0.Add(e.delay(rank))) {
 		return false, acts
 	}
@@ -736,7 +548,7 @@ func (e *Engine) tryVote(now time.Time, acts []protocol.Action) (bool, []protoco
 		return false, acts
 	}
 	changed := false
-	myRank := e.cfg.Beacon.RankOf(e.round, e.cfg.Self)
+	myRank := e.cfg.Set.RankOf(e.round, e.cfg.Self)
 	for id := range rs.valid {
 		b := rs.blocks[id]
 		if b.Rank != minRank || rs.notarVoted[id] {
@@ -966,14 +778,14 @@ func (e *Engine) stop(err error) {
 
 func (e *Engine) maybePrune() {
 	fin := e.tree.FinalizedRound()
-	if fin < e.lastPrune+e.cfg.PruneInterval {
+	if fin < e.lastPrune+pruneKeep {
 		return
 	}
 	e.lastPrune = fin
-	if fin <= e.cfg.PruneKeep {
+	if fin <= pruneKeep {
 		return
 	}
-	floor := fin - e.cfg.PruneKeep
+	floor := fin - pruneKeep
 	for r := range e.rounds {
 		if r < floor {
 			delete(e.rounds, r)

@@ -4,46 +4,55 @@ import (
 	"testing"
 	"time"
 
-	"banyan/internal/beacon"
 	"banyan/internal/crypto"
+	"banyan/internal/membership"
 	"banyan/internal/protocol"
 	"banyan/internal/types"
 )
 
 type rig struct {
 	t       *testing.T
-	params  types.Params
 	keyring *crypto.Keyring
 	signers []*crypto.Signer
-	beacon  beacon.Beacon
+	set     *membership.ValidatorSet
 	eng     *Engine
 	now     time.Time
 	acts    []protocol.Action
 }
 
-const rigDelta = 10 * time.Millisecond
+const (
+	rigDelta = 10 * time.Millisecond
+	rigSeed  = 7
+)
 
-func newRig(t *testing.T, params types.Params, self types.ReplicaID) *rig {
+// genesisSet is the validator set a rig over params runs on; tests pick
+// the replica a rig plays from its schedule.
+func genesisSet(t *testing.T, params types.Params) *membership.ValidatorSet {
 	t.Helper()
-	keyring, signers := crypto.GenerateCluster(crypto.HMAC(), params.N, 7)
-	bc, err := beacon.NewRoundRobin(params.N)
+	keyring, _ := crypto.GenerateCluster(crypto.HMAC(), params.N, rigSeed)
+	set, err := membership.Genesis(keyring, params)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return set
+}
+
+func newRig(t *testing.T, set *membership.ValidatorSet, self types.ReplicaID) *rig {
+	t.Helper()
+	keyring, signers := crypto.GenerateCluster(crypto.HMAC(), set.Size(), rigSeed)
 	eng, err := New(Config{
-		Params:  params,
+		Set:     set,
 		Self:    self,
 		Keyring: keyring,
 		Signer:  signers[self],
-		Beacon:  bc,
 		Delta:   rigDelta,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := &rig{
-		t: t, params: params, keyring: keyring, signers: signers,
-		beacon: bc, eng: eng, now: time.Unix(0, 0),
+		t: t, keyring: keyring, signers: signers,
+		set: set, eng: eng, now: time.Unix(0, 0),
 	}
 	r.acts = eng.Start(r.now)
 	return r
@@ -56,7 +65,7 @@ func (r *rig) deliver(from types.ReplicaID, msg types.Message) {
 
 func (r *rig) leaderBlock(round types.Round, parent types.BlockID, tag byte) *types.Block {
 	r.t.Helper()
-	leader := beacon.Leader(r.beacon, round)
+	leader := r.set.Leader(round)
 	b := types.NewBlock(round, leader, 0, parent, types.BytesPayload([]byte{tag}))
 	if err := r.signers[leader].SignBlock(b); err != nil {
 		r.t.Fatal(err)
@@ -97,9 +106,9 @@ var p41 = types.Params{N: 4, F: 1}
 // on the rank-0 proposal, notarization N after n-f NVs, finalization vote
 // FV on round advance, and finalization F + output after n-f FVs.
 func TestFigure3Walkthrough(t *testing.T) {
-	bc, _ := beacon.NewRoundRobin(4)
-	observer := bc.ReplicaAt(1, 3)
-	r := newRig(t, p41, observer)
+	set := genesisSet(t, p41)
+	observer := set.ReplicaAt(1, 3)
+	r := newRig(t, set, observer)
 
 	// Step 1: the rank-0 block of round k arrives; the replica sends a
 	// notarization vote (NV).
@@ -123,7 +132,7 @@ func TestFigure3Walkthrough(t *testing.T) {
 	// Step 2: two more NVs arrive; with the replica's own that is
 	// n-f = 3 -> the block is notarized (N), the replica advances and
 	// broadcasts a finalization vote (FV) since it voted only for b.
-	peer1, peer2 := bc.ReplicaAt(1, 1), bc.ReplicaAt(1, 2)
+	peer1, peer2 := set.ReplicaAt(1, 1), set.ReplicaAt(1, 2)
 	r.deliver(peer1, &types.VoteMsg{Votes: []types.Vote{r.vote(types.VoteNotarize, peer1, b)}})
 	if r.eng.Round() != 1 {
 		t.Fatal("advanced with only 2 notarization votes")
@@ -181,16 +190,16 @@ func (r *rig) clearActs() { r.acts = nil }
 // TestImplicitFinalization: rounds without explicit finalization are
 // implicitly finalized by a later round's explicit finalization.
 func TestImplicitFinalization(t *testing.T) {
-	bc, _ := beacon.NewRoundRobin(4)
-	observer := bc.ReplicaAt(1, 3)
-	r := newRig(t, p41, observer)
+	set := genesisSet(t, p41)
+	observer := set.ReplicaAt(1, 3)
+	r := newRig(t, set, observer)
 	genesis := types.Genesis().ID()
 
 	// Round 1 notarizes (the replica advances) but nobody finalizes it.
 	b1 := r.leaderBlock(1, genesis, 1)
 	r.deliver(b1.Proposer, &types.Proposal{Block: b1})
 	for _, rank := range []types.Rank{1, 2} {
-		peer := bc.ReplicaAt(1, rank)
+		peer := set.ReplicaAt(1, rank)
 		r.deliver(peer, &types.VoteMsg{Votes: []types.Vote{r.vote(types.VoteNotarize, peer, b1)}})
 	}
 	if r.eng.Round() != 2 {
@@ -201,9 +210,9 @@ func TestImplicitFinalization(t *testing.T) {
 	b2 := r.leaderBlock(2, b1.ID(), 2)
 	r.deliver(b2.Proposer, &types.Proposal{Block: b2})
 	for _, rank := range []types.Rank{1, 2} {
-		peer := bc.ReplicaAt(2, rank)
+		peer := set.ReplicaAt(2, rank)
 		if peer == r.eng.ID() {
-			peer = bc.ReplicaAt(2, 3)
+			peer = set.ReplicaAt(2, 3)
 		}
 		r.deliver(peer, &types.VoteMsg{Votes: []types.Vote{r.vote(types.VoteNotarize, peer, b2)}})
 	}
@@ -231,12 +240,12 @@ func TestImplicitFinalization(t *testing.T) {
 // TestICCIgnoresFastVotes: fast votes are a Banyan concept; the ICC engine
 // must ignore them without counting rejections.
 func TestICCIgnoresFastVotes(t *testing.T) {
-	bc, _ := beacon.NewRoundRobin(4)
-	observer := bc.ReplicaAt(1, 3)
-	r := newRig(t, p41, observer)
+	set := genesisSet(t, p41)
+	observer := set.ReplicaAt(1, 3)
+	r := newRig(t, set, observer)
 	b := r.leaderBlock(1, types.Genesis().ID(), 1)
 	r.deliver(b.Proposer, &types.Proposal{Block: b})
-	peer := bc.ReplicaAt(1, 1)
+	peer := set.ReplicaAt(1, 1)
 	r.deliver(peer, &types.VoteMsg{Votes: []types.Vote{r.vote(types.VoteFast, peer, b)}})
 	if got := r.eng.Metrics()["rejected"]; got != 0 {
 		t.Fatalf("rejected = %d, want 0", got)
@@ -249,9 +258,9 @@ func TestICCIgnoresFastVotes(t *testing.T) {
 // TestICCValidityGatesOnNotarizedParent: a round-2 block is pending until
 // its parent is known notarized.
 func TestICCValidityGatesOnNotarizedParent(t *testing.T) {
-	bc, _ := beacon.NewRoundRobin(4)
-	observer := bc.ReplicaAt(1, 3)
-	r := newRig(t, p41, observer)
+	set := genesisSet(t, p41)
+	observer := set.ReplicaAt(1, 3)
+	r := newRig(t, set, observer)
 	b1 := r.leaderBlock(1, types.Genesis().ID(), 1)
 	b2 := r.leaderBlock(2, b1.ID(), 2)
 	r.deliver(b2.Proposer, &types.Proposal{Block: b2})

@@ -4,11 +4,11 @@ import (
 	"testing"
 	"time"
 
-	"banyan/internal/beacon"
 	"banyan/internal/byzantine"
 	"banyan/internal/core"
 	"banyan/internal/crypto"
 	"banyan/internal/icc"
+	"banyan/internal/membership"
 	"banyan/internal/protocol"
 	"banyan/internal/simnet"
 	"banyan/internal/types"
@@ -23,7 +23,7 @@ func buildCluster(t *testing.T, params types.Params, proto string,
 ) []protocol.Engine {
 	t.Helper()
 	keyring, signers := crypto.GenerateCluster(crypto.Ed25519(), params.N, 99)
-	bc, err := beacon.NewRoundRobin(params.N)
+	set, err := membership.Genesis(keyring, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,8 +42,8 @@ func buildCluster(t *testing.T, params types.Params, proto string,
 			})
 		case "icc":
 			eng, err = icc.New(icc.Config{
-				Params: params, Self: id, Keyring: keyring, Signer: signers[i],
-				Beacon: bc, Delta: 50 * time.Millisecond,
+				Set: set, Self: id, Keyring: keyring, Signer: signers[i],
+				Delta: 50 * time.Millisecond,
 			})
 		default:
 			t.Fatalf("unknown protocol %q", proto)
@@ -108,24 +108,16 @@ func TestBanyanEquivocatingLeader(t *testing.T) {
 	// The equivocator actually equivocated: at least one of its rounds has
 	// two blocks stored at an honest replica.
 	tree := engines[0].(*core.Engine).Tree()
+	set := engines[0].(*core.Engine).History().Genesis()
 	sawEquivocation := false
 	for round := types.Round(1); round < 40 && !sawEquivocation; round++ {
-		if beacon.Leader(mustRR(t, 4), round) == evil && len(tree.AtRound(round)) > 1 {
+		if set.Leader(round) == evil && len(tree.AtRound(round)) > 1 {
 			sawEquivocation = true
 		}
 	}
 	if !sawEquivocation {
 		t.Log("note: equivocation not observed in replica 0's tree (may have been pruned)")
 	}
-}
-
-func mustRR(t *testing.T, n int) beacon.Beacon {
-	t.Helper()
-	b, err := beacon.NewRoundRobin(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
 }
 
 // TestICCEquivocatingLeader: the ICC baseline also survives equivocation.
@@ -342,43 +334,6 @@ func TestExperimentDeterminism(t *testing.T) {
 	t2, c2 := run()
 	if t1 != t2 || c1 != c2 {
 		t.Fatalf("non-deterministic: (%v, %d) vs (%v, %d)", t1, c1, t2, c2)
-	}
-}
-
-// TestICCPartitionHeal exercises the ICC engine's catch-up subprotocol the
-// same way as the Banyan test.
-func TestICCPartitionHeal(t *testing.T) {
-	params := types.Params{N: 4, F: 1}
-	engines := makeICCEngines(t, params, 50*time.Millisecond, 512)
-	cut := func(at time.Time) bool {
-		from := simnet.Epoch.Add(3 * time.Second)
-		to := simnet.Epoch.Add(8 * time.Second)
-		return !at.Before(from) && at.Before(to)
-	}
-	log := newCommitLog()
-	net, err := simnet.New(engines, simnet.Options{
-		Topology: wan.Uniform(4, 10*time.Millisecond),
-		Seed:     12,
-		Filter: func(from, to types.ReplicaID, _ types.Message, at time.Time) bool {
-			if (from == 3 || to == 3) && cut(at) {
-				return false
-			}
-			return true
-		},
-	}, log.hooks())
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.Run(30 * time.Second)
-
-	if len(log.faults) > 0 {
-		t.Fatalf("faults: %v", log.faults)
-	}
-	log.checkPrefixConsistent(t)
-	major := engines[0].(*icc.Engine).Tree().FinalizedRound()
-	minor := engines[3].(*icc.Engine).Tree().FinalizedRound()
-	if minor+20 < major {
-		t.Errorf("partitioned replica at round %d, majority at %d: did not catch up", minor, major)
 	}
 }
 

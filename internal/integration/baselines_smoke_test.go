@@ -4,9 +4,9 @@ import (
 	"testing"
 	"time"
 
-	"banyan/internal/beacon"
 	"banyan/internal/crypto"
 	"banyan/internal/hotstuff"
+	"banyan/internal/membership"
 	"banyan/internal/protocol"
 	"banyan/internal/simnet"
 	"banyan/internal/streamlet"
@@ -17,7 +17,7 @@ import (
 func makeHotStuffEngines(t *testing.T, params types.Params, timeout time.Duration, payload int) []protocol.Engine {
 	t.Helper()
 	keyring, signers := crypto.GenerateCluster(crypto.HMAC(), params.N, 42)
-	bc, err := beacon.NewRoundRobin(params.N)
+	set, err := membership.Genesis(keyring, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,11 +25,10 @@ func makeHotStuffEngines(t *testing.T, params types.Params, timeout time.Duratio
 	for i := 0; i < params.N; i++ {
 		id := types.ReplicaID(i)
 		e, err := hotstuff.New(hotstuff.Config{
-			Params:      params,
+			Set:         set,
 			Self:        id,
 			Keyring:     keyring,
 			Signer:      signers[i],
-			Beacon:      bc,
 			ViewTimeout: timeout,
 			Payloads: protocol.PayloadFunc(func(r types.Round) types.Payload {
 				return types.SyntheticPayload(payload, uint64(r)<<16|uint64(id))
@@ -46,7 +45,7 @@ func makeHotStuffEngines(t *testing.T, params types.Params, timeout time.Duratio
 func makeStreamletEngines(t *testing.T, params types.Params, epoch time.Duration, payload int) []protocol.Engine {
 	t.Helper()
 	keyring, signers := crypto.GenerateCluster(crypto.HMAC(), params.N, 42)
-	bc, err := beacon.NewRoundRobin(params.N)
+	set, err := membership.Genesis(keyring, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,11 +53,10 @@ func makeStreamletEngines(t *testing.T, params types.Params, epoch time.Duration
 	for i := 0; i < params.N; i++ {
 		id := types.ReplicaID(i)
 		e, err := streamlet.New(streamlet.Config{
-			Params:        params,
+			Set:           set,
 			Self:          id,
 			Keyring:       keyring,
 			Signer:        signers[i],
-			Beacon:        bc,
 			EpochDuration: epoch,
 			Payloads: protocol.PayloadFunc(func(r types.Round) types.Payload {
 				return types.SyntheticPayload(payload, uint64(r)<<16|uint64(id))

@@ -8,10 +8,10 @@ import (
 	"testing"
 	"time"
 
-	"banyan/internal/beacon"
 	"banyan/internal/core"
 	"banyan/internal/crypto"
 	"banyan/internal/icc"
+	"banyan/internal/membership"
 	"banyan/internal/protocol"
 	"banyan/internal/simnet"
 	"banyan/internal/types"
@@ -91,7 +91,7 @@ func makeBanyanEngines(t *testing.T, params types.Params, delta time.Duration,
 func makeICCEngines(t *testing.T, params types.Params, delta time.Duration, payload int) []protocol.Engine {
 	t.Helper()
 	keyring, signers := crypto.GenerateCluster(crypto.HMAC(), params.N, 42)
-	bc, err := beacon.NewRoundRobin(params.N)
+	set, err := membership.Genesis(keyring, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +99,10 @@ func makeICCEngines(t *testing.T, params types.Params, delta time.Duration, payl
 	for i := 0; i < params.N; i++ {
 		id := types.ReplicaID(i)
 		e, err := icc.New(icc.Config{
-			Params:  params,
+			Set:     set,
 			Self:    id,
 			Keyring: keyring,
 			Signer:  signers[i],
-			Beacon:  bc,
 			Delta:   delta,
 			Payloads: protocol.PayloadFunc(func(r types.Round) types.Payload {
 				return types.SyntheticPayload(payload, uint64(r)<<16|uint64(id))

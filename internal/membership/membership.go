@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"sort"
 
+	"banyan/internal/crypto"
 	"banyan/internal/types"
 )
 
@@ -29,8 +30,10 @@ import (
 // Leader schedule: every epoch, genesis included, rotates round-robin
 // over the ordered member list — member members[r mod size] leads round r
 // — which stays deterministic no matter which IDs joined or left. Over the
-// dense genesis IDs 0..n-1 that is beacon.RoundRobin, the paper's
-// evaluation schedule.
+// dense genesis IDs 0..n-1 (Genesis) the leader of round r is r mod n:
+// the round-robin rotation the paper's evaluation substitutes for the
+// random beacon (section 9.1), and the one schedule Banyan and the
+// baselines share.
 type ValidatorSet struct {
 	epoch      uint32
 	activation types.Round
@@ -70,6 +73,22 @@ func New(epoch uint32, activation types.Round, members []types.ReplicaID, keys [
 		s.mask.Add(m)
 	}
 	return s, nil
+}
+
+// Genesis builds the epoch-0 set: members 0..n−1 under their keyring
+// keys, with the given quorum parameters. The keyring may hold more
+// identities than n (those join later by reconfiguration).
+func Genesis(keys *crypto.Keyring, params types.Params) (*ValidatorSet, error) {
+	if keys.N() < params.N {
+		return nil, fmt.Errorf("membership: keyring holds %d keys, genesis set needs %d", keys.N(), params.N)
+	}
+	members := make([]types.ReplicaID, max(params.N, 0))
+	pubs := make([][]byte, len(members))
+	for i := range members {
+		members[i] = types.ReplicaID(i)
+		pubs[i] = keys.PublicKey(members[i])
+	}
+	return New(0, 0, members, pubs, params.F, params.P)
 }
 
 // FromDesc rebuilds a set from its wire descriptor.
@@ -131,10 +150,11 @@ func (s *ValidatorSet) RankOf(round types.Round, id types.ReplicaID) types.Rank 
 	return types.Rank((uint64(i) + size - shift) % size)
 }
 
-// ReplicaAt returns the member holding rank in the round.
+// ReplicaAt returns the member holding rank in the round. The round is
+// reduced before the rank is added, so rounds near 2^64 do not wrap.
 func (s *ValidatorSet) ReplicaAt(round types.Round, rank types.Rank) types.ReplicaID {
 	size := uint64(len(s.members))
-	return s.members[(uint64(round)+uint64(rank))%size]
+	return s.members[(uint64(round)%size+uint64(rank))%size]
 }
 
 // Leader returns the round's rank-0 member.

@@ -1,10 +1,13 @@
 package membership
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"testing"
+	"testing/quick"
 
-	"banyan/internal/beacon"
+	"banyan/internal/crypto"
 	"banyan/internal/types"
 )
 
@@ -57,28 +60,150 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// TestScheduleGenesisDelegates: over the dense genesis IDs the set's own
-// rotation must be beacon.RoundRobin exactly — the schedule the baselines
-// run and every chain recorded before the set became the only schedule.
-func TestScheduleGenesisDelegates(t *testing.T) {
-	bc, err := beacon.NewRoundRobin(4)
+func genesisSet(t *testing.T, n int) *ValidatorSet {
+	t.Helper()
+	keys, _ := crypto.GenerateCluster(crypto.HMAC(), n, 1)
+	s, err := Genesis(keys, types.Params{N: n, F: (n - 1) / 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := denseSet(t, 4, 1, 1)
-	for r := types.Round(1); r < 40; r++ {
-		if got, want := s.Leader(r), bc.ReplicaAt(r, 0); got != want {
-			t.Fatalf("round %d leader %d, beacon says %d", r, got, want)
+	return s
+}
+
+// TestScheduleGenesisDelegates: over the genesis members 0..n−1 the set's
+// rotation is the closed form the paper's evaluation runs (section 9.1)
+// — the leader of round r is r mod n and replica id's rank is
+// (id − r) mod n — for small and for arbitrarily large rounds.
+func TestScheduleGenesisDelegates(t *testing.T) {
+	for _, n := range []int{1, 4, 19} {
+		s := genesisSet(t, n)
+		rounds := []types.Round{math.MaxUint64, math.MaxUint64 - 7, 1 << 40}
+		for r := types.Round(0); r < types.Round(3*n+2); r++ {
+			rounds = append(rounds, r)
 		}
-		for _, id := range s.Members() {
-			if got, want := s.RankOf(r, id), bc.RankOf(r, id); got != want {
-				t.Fatalf("round %d rank of %d: %d, beacon says %d", r, id, got, want)
+		for _, r := range rounds {
+			if got, want := s.Leader(r), types.ReplicaID(uint64(r)%uint64(n)); got != want {
+				t.Fatalf("n=%d round %d: leader %d, want %d", n, r, got, want)
+			}
+			for _, id := range s.Members() {
+				want := types.Rank((uint64(id) + uint64(n) - uint64(r)%uint64(n)) % uint64(n))
+				if rk := s.RankOf(r, id); rk != want {
+					t.Fatalf("n=%d round %d: rank of %d is %d, want %d", n, r, id, rk, want)
+				}
+			}
+		}
+		if s.RankOf(3, types.ReplicaID(n)) != types.NoRank {
+			t.Fatalf("n=%d: non-member got a rank", n)
+		}
+	}
+}
+
+// TestGenesisPermutationProperties checks, over many rounds, that the
+// genesis set's RankOf and ReplicaAt are inverse bijections over [0, n).
+func TestGenesisPermutationProperties(t *testing.T) {
+	for _, n := range []int{1, 2, 4, 19} {
+		s := genesisSet(t, n)
+		for round := types.Round(0); round < 50; round++ {
+			seenRank := make(map[types.Rank]bool, n)
+			for id := types.ReplicaID(0); int(id) < n; id++ {
+				rank := s.RankOf(round, id)
+				if int(rank) >= n {
+					t.Fatalf("n=%d: rank %d out of range", n, rank)
+				}
+				if seenRank[rank] {
+					t.Fatalf("n=%d round=%d: duplicate rank %d", n, round, rank)
+				}
+				seenRank[rank] = true
+				if got := s.ReplicaAt(round, rank); got != id {
+					t.Fatalf("n=%d round=%d: ReplicaAt(RankOf(%d)) = %d", n, round, id, got)
+				}
 			}
 		}
 	}
-	if s.RankOf(3, types.ReplicaID(9)) != types.NoRank {
-		t.Fatal("non-member got a rank")
+}
+
+// TestGenesisRoundRobinRotation: the genesis leader of round k is replica
+// k mod n, and every replica leads exactly once per n consecutive rounds.
+func TestGenesisRoundRobinRotation(t *testing.T) {
+	s := genesisSet(t, 4)
+	for round := types.Round(0); round < 12; round++ {
+		if got := s.Leader(round); got != types.ReplicaID(round%4) {
+			t.Errorf("round %d leader = %d, want %d", round, got, round%4)
+		}
 	}
+	counts := make(map[types.ReplicaID]int)
+	for round := types.Round(100); round < 104; round++ {
+		counts[s.Leader(round)]++
+	}
+	for id, c := range counts {
+		if c != 1 {
+			t.Errorf("replica %d led %d times in one rotation", id, c)
+		}
+	}
+}
+
+// TestGenesisQuickRoundRobinInverse is the property that ReplicaAt inverts
+// RankOf on the genesis set for arbitrary rounds.
+func TestGenesisQuickRoundRobinInverse(t *testing.T) {
+	s := genesisSet(t, 19)
+	f := func(round uint64, id uint8) bool {
+		replica := types.ReplicaID(id % 19)
+		r := types.Round(round)
+		return s.ReplicaAt(r, s.RankOf(r, replica)) == replica
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestGenesis: the genesis set holds members 0..n−1 under their own
+// keyring keys even when the keyring provisions more identities (MaxN),
+// accepts the baselines' parameters (p = 0, f = (n−1)/3), and rejects an
+// empty set.
+func TestGenesis(t *testing.T) {
+	t.Run("keyring larger than n", func(t *testing.T) {
+		keys, _ := crypto.GenerateCluster(crypto.HMAC(), 7, 1)
+		s, err := Genesis(keys, types.Params{N: 4, F: 1, P: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Size() != 4 || s.Epoch() != 0 || s.Activation() != 0 {
+			t.Fatalf("size %d epoch %d activation %d, want 4/0/0", s.Size(), s.Epoch(), s.Activation())
+		}
+		for id := types.ReplicaID(0); id < 7; id++ {
+			if member := id < 4; s.Contains(id) != member {
+				t.Fatalf("Contains(%d) = %v, want %v", id, !member, member)
+			}
+			if id < 4 && !bytes.Equal(s.Key(id), keys.PublicKey(id)) {
+				t.Fatalf("member %d does not hold its keyring key", id)
+			}
+		}
+	})
+	t.Run("baseline params", func(t *testing.T) {
+		for _, n := range []int{4, 7, 19} {
+			params := types.Params{N: n, F: (n - 1) / 3}
+			keys, _ := crypto.GenerateCluster(crypto.HMAC(), n, 1)
+			s, err := Genesis(keys, params)
+			if err != nil {
+				t.Fatalf("n=%d: %v", n, err)
+			}
+			if s.Params() != params {
+				t.Fatalf("n=%d: params %+v, want %+v", n, s.Params(), params)
+			}
+		}
+	})
+	t.Run("zero n", func(t *testing.T) {
+		keys, _ := crypto.GenerateCluster(crypto.HMAC(), 4, 1)
+		if _, err := Genesis(keys, types.Params{}); err == nil {
+			t.Fatal("Genesis accepted n = 0")
+		}
+	})
+	t.Run("keyring smaller than n", func(t *testing.T) {
+		keys, _ := crypto.GenerateCluster(crypto.HMAC(), 3, 1)
+		if _, err := Genesis(keys, types.Params{N: 4, F: 1}); err == nil {
+			t.Fatal("Genesis accepted members without keys")
+		}
+	})
 }
 
 // TestScheduleSparseRotation: later epochs rotate round-robin over the

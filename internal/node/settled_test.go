@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"banyan/internal/beacon"
 	"banyan/internal/core"
 	"banyan/internal/crypto"
 	"banyan/internal/types"
@@ -21,10 +20,6 @@ import (
 func TestPreverifyStageSkipsSettledRounds(t *testing.T) {
 	params := types.Params{N: 4, F: 1, P: 1}
 	keyring, signers := crypto.GenerateCluster(crypto.Ed25519(), params.N, 11)
-	bc, err := beacon.NewRoundRobin(params.N)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const self = types.ReplicaID(0) // rank 3 in round 1, rank 2 in round 2
 	verifier := crypto.NewVerifier(keyring, crypto.VerifyConfig{})
 	eng, err := core.New(core.Config{
@@ -34,6 +29,7 @@ func TestPreverifyStageSkipsSettledRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	set := eng.History().Genesis()
 	tr := newMemTransport()
 	commits := make(chan CommitEvent, 4)
 	n, err := New(Config{Engine: eng, Transport: tr, Commits: commits,
@@ -47,7 +43,7 @@ func TestPreverifyStageSkipsSettledRounds(t *testing.T) {
 	defer n.Stop()
 
 	block := func(round types.Round, parent types.BlockID) (*types.Block, *types.Proposal) {
-		leader := beacon.Leader(bc, round)
+		leader := set.Leader(round)
 		b := types.NewBlock(round, leader, 0, parent, types.BytesPayload([]byte{byte(round)}))
 		if err := signers[leader].SignBlock(b); err != nil {
 			t.Fatal(err)

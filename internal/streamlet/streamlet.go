@@ -17,45 +17,42 @@ import (
 	"fmt"
 	"time"
 
-	"banyan/internal/beacon"
 	"banyan/internal/blocktree"
 	"banyan/internal/crypto"
+	"banyan/internal/membership"
 	"banyan/internal/protocol"
 	"banyan/internal/types"
 )
 
 // Config assembles everything a Streamlet engine instance needs.
 type Config struct {
-	// Params carries n and f; the vote quorum is n−f.
-	Params types.Params
+	// Set is the genesis validator set: its Params carry n and f (the vote
+	// quorum is n−f), and its rotation gives every epoch's leader.
+	Set *membership.ValidatorSet
 	// Self is this replica's ID.
 	Self types.ReplicaID
 	// Keyring holds every replica's public key.
 	Keyring *crypto.Keyring
 	// Signer signs this replica's blocks and votes.
 	Signer *crypto.Signer
-	// Beacon rotates epoch leaders.
-	Beacon beacon.Beacon
 	// Payloads supplies block payloads when this replica leads.
 	Payloads protocol.PayloadSource
 	// EpochDuration is the epoch length (the protocol prescribes 2Δ).
 	EpochDuration time.Duration
-	// PruneKeep bounds retained epochs below the finalized height.
-	PruneKeep types.Round
 }
 
+// pruneKeep bounds retained epochs below the finalized height.
+const pruneKeep types.Round = 64
+
 func (c *Config) validate() error {
-	if c.Params.N < 3*c.Params.F+1 {
-		return fmt.Errorf("streamlet: n = %d below 3f+1 for f = %d", c.Params.N, c.Params.F)
+	if c.Set == nil {
+		return errors.New("streamlet: validator set is required")
 	}
 	if c.Keyring == nil || c.Signer == nil {
 		return errors.New("streamlet: keyring and signer are required")
 	}
-	if c.Beacon == nil || c.Beacon.N() != c.Params.N {
-		return errors.New("streamlet: beacon must permute exactly n replicas")
-	}
-	if int(c.Self) >= c.Params.N {
-		return fmt.Errorf("streamlet: self id %d out of range (n=%d)", c.Self, c.Params.N)
+	if !c.Set.Contains(c.Self) {
+		return fmt.Errorf("streamlet: self id %d not in the validator set", c.Self)
 	}
 	if c.EpochDuration <= 0 {
 		return errors.New("streamlet: EpochDuration must be positive")
@@ -63,13 +60,13 @@ func (c *Config) validate() error {
 	if c.Payloads == nil {
 		c.Payloads = protocol.EmptyPayloads
 	}
-	if c.PruneKeep == 0 {
-		c.PruneKeep = 64
-	}
 	return nil
 }
 
-func (c *Config) quorum() int { return c.Params.N - c.Params.F }
+func (c *Config) quorum() int {
+	p := c.Set.Params()
+	return p.N - p.F
+}
 
 // Engine is the Streamlet state machine for one replica.
 type Engine struct {
@@ -139,7 +136,7 @@ func (e *Engine) Start(now time.Time) []protocol.Action {
 
 // HandleMessage implements protocol.Engine.
 func (e *Engine) HandleMessage(from types.ReplicaID, msg types.Message, now time.Time) []protocol.Action {
-	if e.stopped || int(from) >= e.cfg.Params.N {
+	if e.stopped || !e.cfg.Set.Contains(from) {
 		return nil
 	}
 	var acts []protocol.Action
@@ -190,7 +187,7 @@ func (e *Engine) enterEpoch(ep types.Round, now time.Time, acts []protocol.Actio
 		At: e.start.Add(time.Duration(ep) * e.cfg.EpochDuration),
 	})
 	e.prune()
-	if beacon.Leader(e.cfg.Beacon, ep) != e.cfg.Self || e.proposedIn[ep] {
+	if e.cfg.Set.Leader(ep) != e.cfg.Self || e.proposedIn[ep] {
 		return acts
 	}
 	// Propose extending a longest notarized chain.
@@ -242,11 +239,11 @@ func lessID(a, b types.BlockID) bool {
 
 func (e *Engine) onProposal(m *types.Proposal, acts []protocol.Action) []protocol.Action {
 	b := m.Block
-	if b == nil || b.Round < 1 || int(b.Proposer) >= e.cfg.Params.N {
+	if b == nil || b.Round < 1 || !e.cfg.Set.Contains(b.Proposer) {
 		e.met.rejected++
 		return acts
 	}
-	if beacon.Leader(e.cfg.Beacon, b.Round) != b.Proposer || b.Rank != 0 {
+	if e.cfg.Set.Leader(b.Round) != b.Proposer || b.Rank != 0 {
 		e.met.rejected++
 		return acts
 	}
@@ -275,7 +272,7 @@ func (e *Engine) onProposal(m *types.Proposal, acts []protocol.Action) []protoco
 }
 
 func (e *Engine) onVote(v types.Vote, acts []protocol.Action) []protocol.Action {
-	if v.Kind != types.VoteNotarize || v.Round < 1 || int(v.Voter) >= e.cfg.Params.N {
+	if v.Kind != types.VoteNotarize || v.Round < 1 || !e.cfg.Set.Contains(v.Voter) {
 		e.met.rejected++
 		return acts
 	}
@@ -403,10 +400,10 @@ func (e *Engine) checkTripleHead(b3 *types.Block, acts []protocol.Action) []prot
 
 func (e *Engine) prune() {
 	fin := e.tree.FinalizedRound()
-	if fin <= e.cfg.PruneKeep {
+	if fin <= pruneKeep {
 		return
 	}
-	floor := fin - e.cfg.PruneKeep
+	floor := fin - pruneKeep
 	for ep := range e.votes {
 		if ep < floor {
 			delete(e.votes, ep)

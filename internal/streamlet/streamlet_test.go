@@ -4,8 +4,8 @@ import (
 	"testing"
 	"time"
 
-	"banyan/internal/beacon"
 	"banyan/internal/crypto"
+	"banyan/internal/membership"
 	"banyan/internal/protocol"
 	"banyan/internal/simnet"
 	"banyan/internal/types"
@@ -16,18 +16,17 @@ func cluster(t *testing.T, n int, epoch time.Duration) []protocol.Engine {
 	t.Helper()
 	params := types.Params{N: n, F: (n - 1) / 3}
 	keyring, signers := crypto.GenerateCluster(crypto.HMAC(), n, 5)
-	bc, err := beacon.NewRoundRobin(n)
+	set, err := membership.Genesis(keyring, params)
 	if err != nil {
 		t.Fatal(err)
 	}
 	engines := make([]protocol.Engine, n)
 	for i := 0; i < n; i++ {
 		eng, err := New(Config{
-			Params:        params,
+			Set:           set,
 			Self:          types.ReplicaID(i),
 			Keyring:       keyring,
 			Signer:        signers[i],
-			Beacon:        bc,
 			EpochDuration: epoch,
 		})
 		if err != nil {
@@ -102,19 +101,10 @@ func TestCrashedLeaderSkipsEpoch(t *testing.T) {
 		t.Fatalf("committed %d blocks with one crashed replica", len(committed))
 	}
 	for epoch := range committed {
-		if beacon.Leader(mustBeacon(t, 4), epoch) == 2 {
+		if engines[0].(*Engine).cfg.Set.Leader(epoch) == 2 {
 			t.Fatalf("epoch %d led by the crashed replica produced a block", epoch)
 		}
 	}
-}
-
-func mustBeacon(t *testing.T, n int) beacon.Beacon {
-	t.Helper()
-	b, err := beacon.NewRoundRobin(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
 }
 
 // TestVoteOnlyForCurrentEpochLeader: proposals from the wrong leader or
@@ -125,10 +115,10 @@ func TestVoteOnlyForCurrentEpochLeader(t *testing.T) {
 	now := time.Unix(0, 0)
 	e.Start(now)
 	_, signers := crypto.GenerateCluster(crypto.HMAC(), 4, 5)
-	bc := mustBeacon(t, 4)
+	set := e.cfg.Set
 
 	// Wrong epoch (2, while the replica is in 1).
-	leader2 := beacon.Leader(bc, 2)
+	leader2 := set.Leader(2)
 	b2 := types.NewBlock(2, leader2, 0, types.Genesis().ID(), types.Payload{})
 	if err := signers[leader2].SignBlock(b2); err != nil {
 		t.Fatal(err)
@@ -139,7 +129,7 @@ func TestVoteOnlyForCurrentEpochLeader(t *testing.T) {
 	}
 
 	// Correct epoch and leader: one vote, broadcast.
-	leader1 := beacon.Leader(bc, 1)
+	leader1 := set.Leader(1)
 	b1 := types.NewBlock(1, leader1, 0, types.Genesis().ID(), types.Payload{})
 	if err := signers[leader1].SignBlock(b1); err != nil {
 		t.Fatal(err)
@@ -180,8 +170,8 @@ func TestVoteRequiresLongestChainExtension(t *testing.T) {
 	now := time.Unix(0, 0)
 	e.Start(now)
 	_, signers := crypto.GenerateCluster(crypto.HMAC(), 4, 5)
-	bc := mustBeacon(t, 4)
-	leader1 := beacon.Leader(bc, 1)
+	set := e.cfg.Set
+	leader1 := set.Leader(1)
 
 	// Build a notarized chain of length 1 locally: block b0 at epoch 1
 	// gets 3 votes.
@@ -202,7 +192,7 @@ func TestVoteRequiresLongestChainExtension(t *testing.T) {
 	// (shorter than the notarized chain through b0): no vote.
 	acts := e.HandleTimer(protocol.TimerID{Round: 2, Kind: protocol.TimerView}, now.Add(time.Minute))
 	_ = acts
-	leader2 := beacon.Leader(bc, 2)
+	leader2 := set.Leader(2)
 	short := types.NewBlock(2, leader2, 0, types.Genesis().ID(), types.BytesPayload([]byte{2}))
 	if err := signers[leader2].SignBlock(short); err != nil {
 		t.Fatal(err)

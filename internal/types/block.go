@@ -34,7 +34,7 @@ func (id BlockID) Compare(other BlockID) int { return bytes.Compare(id[:], other
 //
 // The Rank field is the proposer's rank in the round's leader permutation.
 // It is carried in the block for convenience and must be validated against
-// the beacon by every receiver.
+// the leader schedule of the round's validator set by every receiver.
 type Block struct {
 	Round Round
 	// Epoch is the membership epoch the block was proposed under: the

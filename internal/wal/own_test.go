@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"banyan/internal/beacon"
 	"banyan/internal/core"
 	"banyan/internal/crypto"
 	"banyan/internal/protocol"
@@ -142,16 +141,13 @@ func TestRecorderJournalsOnlyOwnSignatures(t *testing.T) {
 // records behind; restart skips them.
 func TestRecorderSkipsInboundRecords(t *testing.T) {
 	mk, signers := coreCluster(t, 64)
-	bc, err := beacon.NewRoundRobin(4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const self = types.ReplicaID(1)
+	set := mk(self).History().Genesis()
 	// Round a is led by a peer; self leads round b; round c is led by a
 	// peer and self leaves it with a finalization vote.
 	var a, b, c types.Round
 	for r := types.Round(1); c == 0; r++ {
-		switch leader := beacon.Leader(bc, r); {
+		switch leader := set.Leader(r); {
 		case leader == self && b == 0:
 			b = r
 		case leader != self && a == 0:
@@ -161,7 +157,7 @@ func TestRecorderSkipsInboundRecords(t *testing.T) {
 		}
 	}
 	block := func(r types.Round, tag byte) *types.Block {
-		leader := beacon.Leader(bc, r)
+		leader := set.Leader(r)
 		blk := types.NewBlock(r, leader, 0, types.BlockID{tag}, types.BytesPayload([]byte{tag}))
 		if err := signers[leader].SignBlock(blk); err != nil {
 			t.Fatal(err)

@@ -7,7 +7,10 @@ import (
 	"banyan/internal/core"
 	"banyan/internal/dissem"
 	"banyan/internal/harness"
+	"banyan/internal/hotstuff"
+	"banyan/internal/icc"
 	"banyan/internal/stack"
+	"banyan/internal/streamlet"
 	"banyan/internal/transport/tcp"
 )
 
@@ -46,6 +49,9 @@ func TestConfigFieldCounts(t *testing.T) {
 		{core.Config{}, 15},
 		{dissem.Config{}, 6},
 		{tcp.Config{}, 7},
+		{icc.Config{}, 7},
+		{hotstuff.Config{}, 6},
+		{streamlet.Config{}, 6},
 	} {
 		if got := reflect.TypeOf(c.cfg).NumField(); got != c.want {
 			t.Errorf("%T has %d fields, pinned at %d: ROADMAP's ground rules admit no new config "+
