@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"banyan/internal/crypto"
 	"banyan/internal/node"
 	"banyan/internal/obs"
 	"banyan/internal/stack"
@@ -14,7 +13,9 @@ import (
 	"banyan/internal/types"
 )
 
-// ClusterConfig configures an in-process cluster.
+// ClusterConfig configures an in-process cluster. A cluster tolerates
+// the largest f that N and P allow, caps blocks at 1 MiB of transactions
+// and, under Dissem, cuts 64 KiB batches; ReplicaConfig sets all three.
 type ClusterConfig struct {
 	// N is the number of replicas in the genesis validator set. Required.
 	N int
@@ -24,9 +25,6 @@ type ClusterConfig struct {
 	// through state sync — and become voters only when a finalized
 	// ConfigChange admits them (AddValidator).
 	MaxN int
-	// F is the number of Byzantine faults tolerated; zero picks the
-	// maximum for N.
-	F int
 	// P is Banyan's fast-path slack (1 <= p <= f); zero picks 1.
 	P int
 	// Delta is the message-delay bound Δ used for rank delays and epoch
@@ -35,18 +33,12 @@ type ClusterConfig struct {
 	// LinkDelay simulates a uniform one-way delay between replicas; zero
 	// means direct in-memory delivery.
 	LinkDelay time.Duration
-	// MaxBlockBytes caps the transaction batch per block (default 1 MiB).
-	MaxBlockBytes int
 	// Scheme selects the signature scheme ("ed25519" default for clusters,
 	// "hmac" for cheap simulation).
 	Scheme string
 	// Seed makes key generation deterministic (a production deployment
 	// would exchange real keys; the cluster bootstraps a demo PKI).
 	Seed uint64
-	// VerifyWorkers sizes each replica's signature-verification pool: 0
-	// selects GOMAXPROCS, 1 verifies inline, negative additionally skips
-	// the node's preverification stage.
-	VerifyWorkers int
 	// WALDir, when non-empty, gives every replica a write-ahead log in
 	// WALDir/replica-<i>. Replicas journal the proposals and votes they
 	// sign, each durable before it is sent; every PruneKeep finalized
@@ -81,13 +73,9 @@ type ClusterConfig struct {
 	// mempool transactions into digest-addressed batches broadcast off
 	// the consensus path, blocks commit ordered digest lists instead of
 	// transaction bytes, and finalized delivery — never voting — waits for
-	// batch availability (fetch-on-miss from the proposer). See
-	// internal/dissem.
+	// batch availability (fetch-on-miss from the proposer). Submit
+	// rejects a transaction larger than a batch. See internal/dissem.
 	Dissem bool
-	// DissemBatchBytes is the dissemination batch cut size; transactions
-	// larger than this are rejected at Submit. Zero picks 64 KiB. Only
-	// meaningful with Dissem.
-	DissemBatchBytes int
 	// HoldStart lists replicas excluded from Start. A held replica boots
 	// later via JoinReplica, cold, having observed nothing — the
 	// fresh-join scenario.
@@ -112,19 +100,15 @@ type ClusterConfig struct {
 func (cfg ClusterConfig) options() stack.Options {
 	o := stack.Options{
 		N:                   cfg.N,
-		F:                   cfg.F,
 		P:                   cfg.P,
 		MaxN:                cfg.MaxN,
 		Delta:               cfg.Delta,
-		BlockBytes:          cfg.MaxBlockBytes,
 		Scheme:              cfg.Scheme,
 		Seed:                cfg.Seed,
-		Verify:              crypto.VerifyConfig{Workers: cfg.VerifyWorkers},
 		OptimisticProposals: cfg.OptimisticProposals,
 		DeepPrune:           cfg.DeepPrune,
 		PruneKeep:           types.Round(cfg.PruneKeep),
 		Dissem:              cfg.Dissem,
-		DissemBatchBytes:    cfg.DissemBatchBytes,
 		WALDir:              cfg.WALDir,
 		Obs:                 cfg.Obs,
 		ObsTraceEvents:      cfg.ObsTraceEvents,
@@ -242,9 +226,9 @@ func (c *Cluster) buildReplica(i int) error {
 // Start boots every replica.
 func (c *Cluster) Start() error {
 	c.mu.Lock()
-	if c.started {
+	if c.started || c.stopped {
 		c.mu.Unlock()
-		return fmt.Errorf("banyan: cluster already started")
+		return fmt.Errorf("banyan: cluster already started or stopped")
 	}
 	c.started = true
 	c.mu.Unlock()
@@ -397,11 +381,6 @@ func (c *Cluster) Commits() <-chan Commit { return c.commits }
 // N returns the cluster size.
 func (c *Cluster) N() int { return c.opts.N }
 
-// ParamsUsed returns the validated (n, f, p).
-func (c *Cluster) ParamsUsed() (n, f, p int) {
-	return c.opts.N, c.opts.F, c.opts.P
-}
-
 // Faults returns safety faults reported by any replica (must stay empty).
 func (c *Cluster) Faults() []error { return c.faults.list() }
 
@@ -517,7 +496,7 @@ func (c *Cluster) FinalizedChain(replica int) []string {
 }
 
 // Stop shuts the cluster down: replicas first (flushing WAL tails), then
-// the hub.
+// the hub. Commits closes; a cluster stopped before Start never starts.
 func (c *Cluster) Stop() {
 	c.mu.Lock()
 	if c.stopped {
@@ -525,6 +504,7 @@ func (c *Cluster) Stop() {
 		return
 	}
 	c.stopped = true
+	started := c.started
 	// A replica mid-CrashReplica (crashing set, crashed not yet) must be
 	// treated as crashed: closing its log here would flush the very tail
 	// the simulated crash is about to abandon.
@@ -532,18 +512,16 @@ func (c *Cluster) Stop() {
 	for i := range crashed {
 		crashed[i] = c.crashed[i] || c.crashing[i]
 	}
-	held := append([]bool(nil), c.held...)
 	c.mu.Unlock()
 	for i, h := range c.hosts {
-		// A replica still held out of Start never ran its node loop, so
-		// Stop would wait forever; its log (if any) has nothing buffered.
-		if !held[i] {
-			h.node.Stop()
-		}
+		h.node.Stop()
 		if !crashed[i] {
 			h.closeLog(true, &c.faults)
 		}
 	}
 	c.hub.Close()
 	close(c.done)
+	if !started {
+		close(c.commits) // no pump ran to close it
+	}
 }

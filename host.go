@@ -76,13 +76,12 @@ func (h *host) build(tr node.Transport, commits chan<- node.CommitEvent, onFault
 		return err
 	}
 	n, err := node.New(node.Config{
-		Engine:        st.Hosted,
-		Transport:     tr,
-		Commits:       commits,
-		OnFault:       onFault,
-		Preverifier:   st.Verifier,
-		VerifyWorkers: h.opts.Verify.Workers,
-		Obs:           h.surv.Obs,
+		Engine:      st.Hosted,
+		Transport:   tr,
+		Commits:     commits,
+		OnFault:     onFault,
+		Preverifier: st.Verifier,
+		Obs:         h.surv.Obs,
 	})
 	if err != nil {
 		if st.Recorder != nil {

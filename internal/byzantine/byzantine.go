@@ -18,6 +18,36 @@ import (
 	"banyan/internal/types"
 )
 
+// adversary is what every adversary here shares: it runs the wrapped
+// engine faithfully — ID and Metrics are the engine's — names itself after
+// it with suffix appended, and passes every action batch the engine
+// returns through hook, the adversary's own rewrite.
+type adversary struct {
+	protocol.Engine
+	suffix string
+	hook   func(acts []protocol.Action, now time.Time) []protocol.Action
+}
+
+var _ protocol.Engine = (*adversary)(nil)
+
+// Protocol implements protocol.Engine.
+func (a *adversary) Protocol() string { return a.Engine.Protocol() + a.suffix }
+
+// Start implements protocol.Engine.
+func (a *adversary) Start(now time.Time) []protocol.Action {
+	return a.hook(a.Engine.Start(now), now)
+}
+
+// HandleMessage implements protocol.Engine.
+func (a *adversary) HandleMessage(from types.ReplicaID, msg types.Message, now time.Time) []protocol.Action {
+	return a.hook(a.Engine.HandleMessage(from, msg, now), now)
+}
+
+// HandleTimer implements protocol.Engine.
+func (a *adversary) HandleTimer(id protocol.TimerID, now time.Time) []protocol.Action {
+	return a.hook(a.Engine.HandleTimer(id, now), now)
+}
+
 // EquivocatingLeader runs the wrapped engine faithfully except when it
 // proposes: each proposal is split into two conflicting blocks — the
 // original to one half of the cluster, a forged twin (same parent, other
@@ -25,46 +55,22 @@ import (
 // is the "Byzantine leader proposes conflicting blocks" scenario of the
 // paper's Remark 7.3 and Lemma 8.1.
 type EquivocatingLeader struct {
-	inner  protocol.Engine
+	adversary
 	signer *crypto.Signer
 	n      int
 }
 
-var _ protocol.Engine = (*EquivocatingLeader)(nil)
-
 // NewEquivocatingLeader wraps an engine (the adversary's own replica) with
 // its signer; n is the cluster size.
 func NewEquivocatingLeader(inner protocol.Engine, signer *crypto.Signer, n int) *EquivocatingLeader {
-	return &EquivocatingLeader{inner: inner, signer: signer, n: n}
-}
-
-// ID implements protocol.Engine.
-func (e *EquivocatingLeader) ID() types.ReplicaID { return e.inner.ID() }
-
-// Protocol implements protocol.Engine.
-func (e *EquivocatingLeader) Protocol() string { return e.inner.Protocol() + "-equivocator" }
-
-// Metrics implements protocol.Engine.
-func (e *EquivocatingLeader) Metrics() map[string]int64 { return e.inner.Metrics() }
-
-// Start implements protocol.Engine.
-func (e *EquivocatingLeader) Start(now time.Time) []protocol.Action {
-	return e.rewrite(e.inner.Start(now))
-}
-
-// HandleMessage implements protocol.Engine.
-func (e *EquivocatingLeader) HandleMessage(from types.ReplicaID, msg types.Message, now time.Time) []protocol.Action {
-	return e.rewrite(e.inner.HandleMessage(from, msg, now))
-}
-
-// HandleTimer implements protocol.Engine.
-func (e *EquivocatingLeader) HandleTimer(id protocol.TimerID, now time.Time) []protocol.Action {
-	return e.rewrite(e.inner.HandleTimer(id, now))
+	e := &EquivocatingLeader{signer: signer, n: n}
+	e.adversary = adversary{inner, "-equivocator", e.rewrite}
+	return e
 }
 
 // rewrite splits own-proposal broadcasts into conflicting per-recipient
 // sends and passes everything else through.
-func (e *EquivocatingLeader) rewrite(acts []protocol.Action) []protocol.Action {
+func (e *EquivocatingLeader) rewrite(acts []protocol.Action, _ time.Time) []protocol.Action {
 	out := make([]protocol.Action, 0, len(acts))
 	for _, a := range acts {
 		bc, ok := a.(protocol.Broadcast)
@@ -133,28 +139,19 @@ func (e *EquivocatingLeader) split(prop *types.Proposal) []protocol.Action {
 // commit quorums to share an honest replica, and honest replicas vote
 // for at most one rank-0 block per round.
 type OptimisticEquivocator struct {
-	inner  protocol.Engine
+	adversary
 	signer *crypto.Signer
 	n      int
 	twins  map[types.BlockID]*types.Block // original block ID → forged twin
 }
 
-var _ protocol.Engine = (*OptimisticEquivocator)(nil)
-
 // NewOptimisticEquivocator wraps an engine (the adversary's own replica)
 // with its signer; n is the cluster size.
 func NewOptimisticEquivocator(inner protocol.Engine, signer *crypto.Signer, n int) *OptimisticEquivocator {
-	return &OptimisticEquivocator{inner: inner, signer: signer, n: n, twins: make(map[types.BlockID]*types.Block)}
+	e := &OptimisticEquivocator{signer: signer, n: n, twins: make(map[types.BlockID]*types.Block)}
+	e.adversary = adversary{inner, "-opt-equivocator", e.rewrite}
+	return e
 }
-
-// ID implements protocol.Engine.
-func (e *OptimisticEquivocator) ID() types.ReplicaID { return e.inner.ID() }
-
-// Protocol implements protocol.Engine.
-func (e *OptimisticEquivocator) Protocol() string { return e.inner.Protocol() + "-opt-equivocator" }
-
-// Metrics implements protocol.Engine.
-func (e *OptimisticEquivocator) Metrics() map[string]int64 { return e.inner.Metrics() }
 
 // Pairs returns the equivocated (original, twin) block-ID pairs produced
 // so far, keyed by the original's ID. Tests use it to assert at most one
@@ -167,22 +164,7 @@ func (e *OptimisticEquivocator) Pairs() map[types.BlockID]types.BlockID {
 	return out
 }
 
-// Start implements protocol.Engine.
-func (e *OptimisticEquivocator) Start(now time.Time) []protocol.Action {
-	return e.rewrite(e.inner.Start(now))
-}
-
-// HandleMessage implements protocol.Engine.
-func (e *OptimisticEquivocator) HandleMessage(from types.ReplicaID, msg types.Message, now time.Time) []protocol.Action {
-	return e.rewrite(e.inner.HandleMessage(from, msg, now))
-}
-
-// HandleTimer implements protocol.Engine.
-func (e *OptimisticEquivocator) HandleTimer(id protocol.TimerID, now time.Time) []protocol.Action {
-	return e.rewrite(e.inner.HandleTimer(id, now))
-}
-
-func (e *OptimisticEquivocator) rewrite(acts []protocol.Action) []protocol.Action {
+func (e *OptimisticEquivocator) rewrite(acts []protocol.Action, _ time.Time) []protocol.Action {
 	out := make([]protocol.Action, 0, len(acts))
 	for _, a := range acts {
 		bc, ok := a.(protocol.Broadcast)
@@ -291,33 +273,23 @@ func (e *OptimisticEquivocator) splitVotes(vm *types.VoteMsg) []protocol.Action 
 // refuse to vote for it (a rank-0 block must extend the previous round's
 // tip), costing the adversary its round but never safety.
 type StaleParentLeader struct {
-	inner  protocol.Engine
+	adversary
 	signer *crypto.Signer
 	seen   map[types.BlockID]*types.Block // every block observed, for ancestry lookups
 	forged map[types.BlockID]*types.Block // original block ID → stale-parent forgery
 }
 
-var _ protocol.Engine = (*StaleParentLeader)(nil)
-
 // NewStaleParentLeader wraps an engine (the adversary's own replica)
 // with its signer.
 func NewStaleParentLeader(inner protocol.Engine, signer *crypto.Signer) *StaleParentLeader {
-	return &StaleParentLeader{
-		inner:  inner,
+	s := &StaleParentLeader{
 		signer: signer,
 		seen:   make(map[types.BlockID]*types.Block),
 		forged: make(map[types.BlockID]*types.Block),
 	}
+	s.adversary = adversary{inner, "-stale-parent", s.rewrite}
+	return s
 }
-
-// ID implements protocol.Engine.
-func (s *StaleParentLeader) ID() types.ReplicaID { return s.inner.ID() }
-
-// Protocol implements protocol.Engine.
-func (s *StaleParentLeader) Protocol() string { return s.inner.Protocol() + "-stale-parent" }
-
-// Metrics implements protocol.Engine.
-func (s *StaleParentLeader) Metrics() map[string]int64 { return s.inner.Metrics() }
 
 // ForgedIDs returns the stale-parent blocks broadcast so far. Tests use
 // it to assert none ever commits.
@@ -329,25 +301,15 @@ func (s *StaleParentLeader) ForgedIDs() []types.BlockID {
 	return out
 }
 
-// Start implements protocol.Engine.
-func (s *StaleParentLeader) Start(now time.Time) []protocol.Action {
-	return s.rewrite(s.inner.Start(now))
-}
-
 // HandleMessage implements protocol.Engine.
 func (s *StaleParentLeader) HandleMessage(from types.ReplicaID, msg types.Message, now time.Time) []protocol.Action {
 	if p, ok := msg.(*types.Proposal); ok && p.Block != nil {
 		s.seen[p.Block.ID()] = p.Block
 	}
-	return s.rewrite(s.inner.HandleMessage(from, msg, now))
+	return s.adversary.HandleMessage(from, msg, now)
 }
 
-// HandleTimer implements protocol.Engine.
-func (s *StaleParentLeader) HandleTimer(id protocol.TimerID, now time.Time) []protocol.Action {
-	return s.rewrite(s.inner.HandleTimer(id, now))
-}
-
-func (s *StaleParentLeader) rewrite(acts []protocol.Action) []protocol.Action {
+func (s *StaleParentLeader) rewrite(acts []protocol.Action, _ time.Time) []protocol.Action {
 	out := make([]protocol.Action, 0, len(acts))
 	for _, a := range acts {
 		bc, ok := a.(protocol.Broadcast)
@@ -434,14 +396,12 @@ func (s *StaleParentLeader) resign(vm *types.VoteMsg) *types.VoteMsg {
 // for bodies) and recover delivery through fetch-on-miss rotation: the
 // origin costs one timeout, then the request lands on an acked holder.
 type BatchWithholder struct {
-	inner protocol.Engine
+	adversary
 	serve map[types.ReplicaID]bool
 
 	withheld int64 // announce copies suppressed
 	refused  int64 // fetch responses dropped
 }
-
-var _ protocol.Engine = (*BatchWithholder)(nil)
 
 // NewBatchWithholder wraps an engine; serve lists the peers that still
 // receive its batch bodies (size it to the ack quorum: the minimum that
@@ -451,17 +411,10 @@ func NewBatchWithholder(inner protocol.Engine, serve []types.ReplicaID) *BatchWi
 	for _, id := range serve {
 		m[id] = true
 	}
-	return &BatchWithholder{inner: inner, serve: m}
+	w := &BatchWithholder{serve: m}
+	w.adversary = adversary{inner, "-batch-withholder", w.rewrite}
+	return w
 }
-
-// ID implements protocol.Engine.
-func (w *BatchWithholder) ID() types.ReplicaID { return w.inner.ID() }
-
-// Protocol implements protocol.Engine.
-func (w *BatchWithholder) Protocol() string { return w.inner.Protocol() + "-batch-withholder" }
-
-// Metrics implements protocol.Engine.
-func (w *BatchWithholder) Metrics() map[string]int64 { return w.inner.Metrics() }
 
 // Withheld returns how many body announce copies were suppressed.
 func (w *BatchWithholder) Withheld() int64 { return w.withheld }
@@ -469,25 +422,10 @@ func (w *BatchWithholder) Withheld() int64 { return w.withheld }
 // Refused returns how many fetch responses were dropped.
 func (w *BatchWithholder) Refused() int64 { return w.refused }
 
-// Start implements protocol.Engine.
-func (w *BatchWithholder) Start(now time.Time) []protocol.Action {
-	return w.rewrite(w.inner.Start(now))
-}
-
-// HandleMessage implements protocol.Engine.
-func (w *BatchWithholder) HandleMessage(from types.ReplicaID, msg types.Message, now time.Time) []protocol.Action {
-	return w.rewrite(w.inner.HandleMessage(from, msg, now))
-}
-
-// HandleTimer implements protocol.Engine.
-func (w *BatchWithholder) HandleTimer(id protocol.TimerID, now time.Time) []protocol.Action {
-	return w.rewrite(w.inner.HandleTimer(id, now))
-}
-
 // rewrite narrows own body broadcasts to the served subset and swallows
 // fetch responses; acks for other replicas' batches and every consensus
 // message pass through untouched.
-func (w *BatchWithholder) rewrite(acts []protocol.Action) []protocol.Action {
+func (w *BatchWithholder) rewrite(acts []protocol.Action, _ time.Time) []protocol.Action {
 	out := make([]protocol.Action, 0, len(acts))
 	for _, a := range acts {
 		switch act := a.(type) {
@@ -525,12 +463,10 @@ func (w *BatchWithholder) rewrite(acts []protocol.Action) []protocol.Action {
 // per-origin cap holds what each replica keeps of it, unfinalized, to
 // 2×BlockBytes + BatchBytes and refuses the rest unacked.
 type BatchFlooder struct {
-	inner       protocol.Engine
+	adversary
 	size, burst int
 	flooded     int64 // junk bodies broadcast
 }
-
-var _ protocol.Engine = (*BatchFlooder)(nil)
 
 // FloodSeedMark is set in the seed of every synthetic body a BatchFlooder
 // broadcasts, so tests can tell its batches from honest ones.
@@ -539,37 +475,15 @@ const FloodSeedMark = uint64(1) << 63
 // NewBatchFlooder wraps an engine to broadcast burst synthetic bodies of
 // size bytes with every event.
 func NewBatchFlooder(inner protocol.Engine, size, burst int) *BatchFlooder {
-	return &BatchFlooder{inner: inner, size: size, burst: burst}
+	f := &BatchFlooder{size: size, burst: burst}
+	f.adversary = adversary{inner, "-batch-flooder", f.flood}
+	return f
 }
-
-// ID implements protocol.Engine.
-func (f *BatchFlooder) ID() types.ReplicaID { return f.inner.ID() }
-
-// Protocol implements protocol.Engine.
-func (f *BatchFlooder) Protocol() string { return f.inner.Protocol() + "-batch-flooder" }
-
-// Metrics implements protocol.Engine.
-func (f *BatchFlooder) Metrics() map[string]int64 { return f.inner.Metrics() }
 
 // Flooded returns how many junk bodies were broadcast.
 func (f *BatchFlooder) Flooded() int64 { return f.flooded }
 
-// Start implements protocol.Engine.
-func (f *BatchFlooder) Start(now time.Time) []protocol.Action {
-	return f.flood(f.inner.Start(now))
-}
-
-// HandleMessage implements protocol.Engine.
-func (f *BatchFlooder) HandleMessage(from types.ReplicaID, msg types.Message, now time.Time) []protocol.Action {
-	return f.flood(f.inner.HandleMessage(from, msg, now))
-}
-
-// HandleTimer implements protocol.Engine.
-func (f *BatchFlooder) HandleTimer(id protocol.TimerID, now time.Time) []protocol.Action {
-	return f.flood(f.inner.HandleTimer(id, now))
-}
-
-func (f *BatchFlooder) flood(acts []protocol.Action) []protocol.Action {
+func (f *BatchFlooder) flood(acts []protocol.Action, _ time.Time) []protocol.Action {
 	for i := 0; i < f.burst; i++ {
 		f.flooded++
 		body := types.SyntheticPayload(f.size, FloodSeedMark|uint64(f.ID())<<32|uint64(f.flooded))
@@ -587,47 +501,23 @@ func (f *BatchFlooder) flood(acts []protocol.Action) []protocol.Action {
 // first pull lands on the withholder, sees silence; it must route around
 // it by rotating to the next known holder, at the cost of one timeout.
 type PullWithholder struct {
-	inner   protocol.Engine
+	adversary
 	refused int64 // pull replies dropped
 }
 
-var _ protocol.Engine = (*PullWithholder)(nil)
-
 // NewPullWithholder wraps an engine to drop every pull reply it produces.
 func NewPullWithholder(inner protocol.Engine) *PullWithholder {
-	return &PullWithholder{inner: inner}
+	w := &PullWithholder{}
+	w.adversary = adversary{inner, "-pull-withholder", w.rewrite}
+	return w
 }
-
-// ID implements protocol.Engine.
-func (w *PullWithholder) ID() types.ReplicaID { return w.inner.ID() }
-
-// Protocol implements protocol.Engine.
-func (w *PullWithholder) Protocol() string { return w.inner.Protocol() + "-pull-withholder" }
-
-// Metrics implements protocol.Engine.
-func (w *PullWithholder) Metrics() map[string]int64 { return w.inner.Metrics() }
 
 // Refused returns how many pull replies were dropped.
 func (w *PullWithholder) Refused() int64 { return w.refused }
 
-// Start implements protocol.Engine.
-func (w *PullWithholder) Start(now time.Time) []protocol.Action {
-	return w.rewrite(w.inner.Start(now))
-}
-
-// HandleMessage implements protocol.Engine.
-func (w *PullWithholder) HandleMessage(from types.ReplicaID, msg types.Message, now time.Time) []protocol.Action {
-	return w.rewrite(w.inner.HandleMessage(from, msg, now))
-}
-
-// HandleTimer implements protocol.Engine.
-func (w *PullWithholder) HandleTimer(id protocol.TimerID, now time.Time) []protocol.Action {
-	return w.rewrite(w.inner.HandleTimer(id, now))
-}
-
 // rewrite swallows pull replies — unicast body-form relays — and passes
 // everything else, header relays included, through untouched.
-func (w *PullWithholder) rewrite(acts []protocol.Action) []protocol.Action {
+func (w *PullWithholder) rewrite(acts []protocol.Action, _ time.Time) []protocol.Action {
 	out := acts[:0]
 	for _, a := range acts {
 		if s, ok := a.(protocol.Send); ok {
@@ -653,7 +543,7 @@ func (w *PullWithholder) rewrite(acts []protocol.Action) []protocol.Action {
 // verification on any of it: the rounds are settled there, and settled
 // traffic is dropped before a verifier is consulted.
 type SettledFlooder struct {
-	inner  protocol.Engine
+	adversary
 	victim types.ReplicaID
 	n      int
 
@@ -661,8 +551,6 @@ type SettledFlooder struct {
 	nonce     uint64
 	items     int64
 }
-
-var _ protocol.Engine = (*SettledFlooder)(nil)
 
 // floodLag is how far behind its own finalized tip the flooder aims: far
 // enough that a victim in step with the cluster has finalized and left
@@ -672,18 +560,10 @@ const floodLag = 2
 // NewSettledFlooder wraps the adversary's own engine; n is the cluster
 // size and victim the replica the flood is unicast to.
 func NewSettledFlooder(inner protocol.Engine, victim types.ReplicaID, n int) *SettledFlooder {
-	return &SettledFlooder{inner: inner, victim: victim, n: n,
-		finalized: make(map[types.Round]types.BlockID)}
+	f := &SettledFlooder{victim: victim, n: n, finalized: make(map[types.Round]types.BlockID)}
+	f.adversary = adversary{inner, "-settled-flooder", f.flood}
+	return f
 }
-
-// ID implements protocol.Engine.
-func (f *SettledFlooder) ID() types.ReplicaID { return f.inner.ID() }
-
-// Protocol implements protocol.Engine.
-func (f *SettledFlooder) Protocol() string { return f.inner.Protocol() + "-settled-flooder" }
-
-// Metrics implements protocol.Engine.
-func (f *SettledFlooder) Metrics() map[string]int64 { return f.inner.Metrics() }
 
 // Items returns how many votes, certificates and unlock proofs have been
 // sprayed — the unit a victim's settled_dropped counter counts in.
@@ -692,24 +572,9 @@ func (f *SettledFlooder) Items() int64 { return f.items }
 // BurstItems is the number of items in one burst.
 func (f *SettledFlooder) BurstItems() int64 { return int64(3*f.n + 4) }
 
-// Start implements protocol.Engine.
-func (f *SettledFlooder) Start(now time.Time) []protocol.Action {
-	return f.flood(f.inner.Start(now))
-}
-
-// HandleMessage implements protocol.Engine.
-func (f *SettledFlooder) HandleMessage(from types.ReplicaID, msg types.Message, now time.Time) []protocol.Action {
-	return f.flood(f.inner.HandleMessage(from, msg, now))
-}
-
-// HandleTimer implements protocol.Engine.
-func (f *SettledFlooder) HandleTimer(id protocol.TimerID, now time.Time) []protocol.Action {
-	return f.flood(f.inner.HandleTimer(id, now))
-}
-
 // flood passes the inner engine's actions through and appends one burst
 // per committed block whose round is floodLag behind a known commit.
-func (f *SettledFlooder) flood(acts []protocol.Action) []protocol.Action {
+func (f *SettledFlooder) flood(acts []protocol.Action, _ time.Time) []protocol.Action {
 	var bursts []protocol.Action
 	for _, a := range acts {
 		c, ok := a.(protocol.Commit)
@@ -780,40 +645,16 @@ func (f *SettledFlooder) burst(round types.Round, id types.BlockID) []protocol.A
 // SilenceAfter, then emits nothing (but keeps consuming messages, unlike a
 // crash — a "mute" fault).
 type Silent struct {
-	inner protocol.Engine
+	adversary
 	// SilenceAfter is the time from which the replica stops emitting.
 	SilenceAfter time.Time
 }
 
-var _ protocol.Engine = (*Silent)(nil)
-
 // NewSilent wraps an engine to go mute at the given time.
 func NewSilent(inner protocol.Engine, after time.Time) *Silent {
-	return &Silent{inner: inner, SilenceAfter: after}
-}
-
-// ID implements protocol.Engine.
-func (s *Silent) ID() types.ReplicaID { return s.inner.ID() }
-
-// Protocol implements protocol.Engine.
-func (s *Silent) Protocol() string { return s.inner.Protocol() + "-mute" }
-
-// Metrics implements protocol.Engine.
-func (s *Silent) Metrics() map[string]int64 { return s.inner.Metrics() }
-
-// Start implements protocol.Engine.
-func (s *Silent) Start(now time.Time) []protocol.Action {
-	return s.filter(s.inner.Start(now), now)
-}
-
-// HandleMessage implements protocol.Engine.
-func (s *Silent) HandleMessage(from types.ReplicaID, msg types.Message, now time.Time) []protocol.Action {
-	return s.filter(s.inner.HandleMessage(from, msg, now), now)
-}
-
-// HandleTimer implements protocol.Engine.
-func (s *Silent) HandleTimer(id protocol.TimerID, now time.Time) []protocol.Action {
-	return s.filter(s.inner.HandleTimer(id, now), now)
+	s := &Silent{SilenceAfter: after}
+	s.adversary = adversary{inner, "-mute", s.filter}
+	return s
 }
 
 func (s *Silent) filter(acts []protocol.Action, now time.Time) []protocol.Action {
@@ -841,43 +682,19 @@ func (s *Silent) filter(acts []protocol.Action, now time.Time) []protocol.Action
 // one signature for both), the withholder signs the bare notarization
 // vote in its place.
 type VoteWithholder struct {
-	inner  protocol.Engine
+	adversary
 	signer *crypto.Signer
 }
-
-var _ protocol.Engine = (*VoteWithholder)(nil)
 
 // NewVoteWithholder wraps an engine to suppress its fast and finalization
 // votes; signer is the adversary's own key.
 func NewVoteWithholder(inner protocol.Engine, signer *crypto.Signer) *VoteWithholder {
-	return &VoteWithholder{inner: inner, signer: signer}
+	w := &VoteWithholder{signer: signer}
+	w.adversary = adversary{inner, "-withholder", w.strip}
+	return w
 }
 
-// ID implements protocol.Engine.
-func (w *VoteWithholder) ID() types.ReplicaID { return w.inner.ID() }
-
-// Protocol implements protocol.Engine.
-func (w *VoteWithholder) Protocol() string { return w.inner.Protocol() + "-withholder" }
-
-// Metrics implements protocol.Engine.
-func (w *VoteWithholder) Metrics() map[string]int64 { return w.inner.Metrics() }
-
-// Start implements protocol.Engine.
-func (w *VoteWithholder) Start(now time.Time) []protocol.Action {
-	return w.strip(w.inner.Start(now))
-}
-
-// HandleMessage implements protocol.Engine.
-func (w *VoteWithholder) HandleMessage(from types.ReplicaID, msg types.Message, now time.Time) []protocol.Action {
-	return w.strip(w.inner.HandleMessage(from, msg, now))
-}
-
-// HandleTimer implements protocol.Engine.
-func (w *VoteWithholder) HandleTimer(id protocol.TimerID, now time.Time) []protocol.Action {
-	return w.strip(w.inner.HandleTimer(id, now))
-}
-
-func (w *VoteWithholder) strip(acts []protocol.Action) []protocol.Action {
+func (w *VoteWithholder) strip(acts []protocol.Action, _ time.Time) []protocol.Action {
 	out := make([]protocol.Action, 0, len(acts))
 	for _, a := range acts {
 		bc, ok := a.(protocol.Broadcast)
@@ -934,7 +751,7 @@ func (w *VoteWithholder) strip(acts []protocol.Action) []protocol.Action {
 // (proposals, relays, certificates, Advance); its own votes are
 // replaced by these.
 type SplitVoter struct {
-	inner  protocol.Engine
+	adversary
 	signer *crypto.Signer
 
 	first  map[types.Round]types.BlockID // block fast-voted per round
@@ -942,25 +759,16 @@ type SplitVoter struct {
 	splits int64
 }
 
-var _ protocol.Engine = (*SplitVoter)(nil)
-
 // NewSplitVoter wraps the adversary's own engine with its signer.
 func NewSplitVoter(inner protocol.Engine, signer *crypto.Signer) *SplitVoter {
-	return &SplitVoter{
-		inner: inner, signer: signer,
-		first: make(map[types.Round]types.BlockID),
-		voted: make(map[types.BlockID]bool),
+	s := &SplitVoter{
+		signer: signer,
+		first:  make(map[types.Round]types.BlockID),
+		voted:  make(map[types.BlockID]bool),
 	}
+	s.adversary = adversary{inner, "-split-voter", s.strip}
+	return s
 }
-
-// ID implements protocol.Engine.
-func (s *SplitVoter) ID() types.ReplicaID { return s.inner.ID() }
-
-// Protocol implements protocol.Engine.
-func (s *SplitVoter) Protocol() string { return s.inner.Protocol() + "-split-voter" }
-
-// Metrics implements protocol.Engine.
-func (s *SplitVoter) Metrics() map[string]int64 { return s.inner.Metrics() }
 
 // FastVotes counts the rounds the adversary fast-voted in.
 func (s *SplitVoter) FastVotes() int64 { return int64(len(s.first)) }
@@ -969,27 +777,17 @@ func (s *SplitVoter) FastVotes() int64 { return int64(len(s.first)) }
 // the one fast-voted in the same round.
 func (s *SplitVoter) Splits() int64 { return s.splits }
 
-// Start implements protocol.Engine.
-func (s *SplitVoter) Start(now time.Time) []protocol.Action {
-	return s.strip(s.inner.Start(now))
-}
-
 // HandleMessage implements protocol.Engine.
 func (s *SplitVoter) HandleMessage(from types.ReplicaID, msg types.Message, now time.Time) []protocol.Action {
-	acts := s.strip(s.inner.HandleMessage(from, msg, now))
+	acts := s.adversary.HandleMessage(from, msg, now)
 	if p, ok := msg.(*types.Proposal); ok {
 		acts = s.vote(p, acts)
 	}
 	return acts
 }
 
-// HandleTimer implements protocol.Engine.
-func (s *SplitVoter) HandleTimer(id protocol.TimerID, now time.Time) []protocol.Action {
-	return s.strip(s.inner.HandleTimer(id, now))
-}
-
 // strip drops the wrapped engine's own vote messages.
-func (s *SplitVoter) strip(acts []protocol.Action) []protocol.Action {
+func (s *SplitVoter) strip(acts []protocol.Action, _ time.Time) []protocol.Action {
 	out := acts[:0]
 	for _, a := range acts {
 		if bc, ok := a.(protocol.Broadcast); ok {
@@ -1046,39 +844,25 @@ func (s *SplitVoter) vote(p *types.Proposal, acts []protocol.Action) []protocol.
 // assert both, plus that the cluster keeps finalizing without the
 // straddler's weight.
 type EpochStraddler struct {
-	inner  protocol.Engine
+	adversary
 	signer *crypto.Signer
 
 	activation types.Round // first round self is no longer a member; 0 = still one
 	forged     int64
 }
 
-var _ protocol.Engine = (*EpochStraddler)(nil)
-
 // NewEpochStraddler wraps the adversary's own engine with its signer.
 func NewEpochStraddler(inner protocol.Engine, signer *crypto.Signer) *EpochStraddler {
-	return &EpochStraddler{inner: inner, signer: signer}
-}
-
-// ID implements protocol.Engine.
-func (e *EpochStraddler) ID() types.ReplicaID { return e.inner.ID() }
-
-// Protocol implements protocol.Engine.
-func (e *EpochStraddler) Protocol() string { return e.inner.Protocol() + "-epoch-straddler" }
-
-// Metrics implements protocol.Engine.
-func (e *EpochStraddler) Metrics() map[string]int64 { return e.inner.Metrics() }
-
-// Start implements protocol.Engine.
-func (e *EpochStraddler) Start(now time.Time) []protocol.Action {
-	return e.observe(e.inner.Start(now))
+	e := &EpochStraddler{signer: signer}
+	e.adversary = adversary{inner, "-epoch-straddler", e.observe}
+	return e
 }
 
 // HandleMessage implements protocol.Engine: faithful processing, plus —
 // once removed — a forged vote pair for every proposal at or past the
 // activation round.
 func (e *EpochStraddler) HandleMessage(from types.ReplicaID, msg types.Message, now time.Time) []protocol.Action {
-	acts := e.observe(e.inner.HandleMessage(from, msg, now))
+	acts := e.adversary.HandleMessage(from, msg, now)
 	prop, ok := msg.(*types.Proposal)
 	if !ok || prop.Block == nil || e.activation == 0 || prop.Block.Round < e.activation {
 		return acts
@@ -1092,14 +876,9 @@ func (e *EpochStraddler) HandleMessage(from types.ReplicaID, msg types.Message, 
 	return append(acts, protocol.Broadcast{Msg: votes})
 }
 
-// HandleTimer implements protocol.Engine.
-func (e *EpochStraddler) HandleTimer(id protocol.TimerID, now time.Time) []protocol.Action {
-	return e.observe(e.inner.HandleTimer(id, now))
-}
-
 // observe watches the inner engine's commits for the finalized
 // ConfigChange that evicts self and records its activation round.
-func (e *EpochStraddler) observe(acts []protocol.Action) []protocol.Action {
+func (e *EpochStraddler) observe(acts []protocol.Action, _ time.Time) []protocol.Action {
 	if e.activation > 0 {
 		return acts
 	}

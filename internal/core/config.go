@@ -157,7 +157,7 @@ func (c *Config) validate() error {
 		return errors.New("core: Delta must be positive")
 	}
 	if c.Verifier == nil {
-		c.Verifier = crypto.NewVerifier(c.Keyring, crypto.VerifyConfig{})
+		c.Verifier = crypto.NewVerifier(c.Keyring)
 	}
 	if c.Payloads == nil {
 		c.Payloads = protocol.EmptyPayloads

@@ -235,14 +235,6 @@ func (e *Engine) Params() types.Params { return e.cfg.Params }
 // History exposes the validator-set history for hosts and tests.
 func (e *Engine) History() *membership.History { return e.history }
 
-// Member reports whether this replica is a voting member of the set in
-// effect at its current round. A non-member (a joiner syncing toward its
-// first epoch, or a removed validator) runs as an observer: it follows
-// finalization and serves state but proposes and votes nothing.
-func (e *Engine) Member() bool {
-	return e.setFor(e.round).Contains(e.cfg.Self)
-}
-
 // Start implements protocol.Engine: the replica enters round 1.
 func (e *Engine) Start(now time.Time) []protocol.Action {
 	e.now = now

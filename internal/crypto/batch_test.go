@@ -177,7 +177,7 @@ func TestVerifierMatchesFreeFunctions(t *testing.T) {
 	for _, scheme := range schemes() {
 		t.Run(scheme.Name(), func(t *testing.T) {
 			keyring, signers := GenerateCluster(scheme, 4, 3)
-			v := NewVerifier(keyring, VerifyConfig{})
+			v := NewVerifier(keyring)
 			var block types.BlockID
 			block[2] = 9
 
@@ -231,7 +231,7 @@ func TestVerifierMatchesFreeFunctions(t *testing.T) {
 // pipeline, including the falsified-rank rejection.
 func TestVerifierUnlockProofMatches(t *testing.T) {
 	keyring, signers := GenerateCluster(Ed25519(), 4, 1)
-	v := NewVerifier(keyring, VerifyConfig{})
+	v := NewVerifier(keyring)
 	b := types.NewBlock(5, 0, 0, types.BlockID{}, types.BytesPayload([]byte("b")))
 	id := b.ID()
 	votes := collectVotes(signers, types.VoteFast, 5, id, 0, 1, 2)
@@ -267,7 +267,7 @@ func TestVerifierUnlockProofMatches(t *testing.T) {
 // (and re-rejected) on every delivery; only successes may enter the cache.
 func TestVerifierNeverCachesFailures(t *testing.T) {
 	keyring, signers := GenerateCluster(Ed25519(), 4, 2)
-	v := NewVerifier(keyring, VerifyConfig{})
+	v := NewVerifier(keyring)
 	vote := signers[0].SignVote(types.VoteFast, 1, types.BlockID{})
 	bad := vote
 	bad.Signature = append([]byte(nil), vote.Signature...)
@@ -287,7 +287,7 @@ func TestVerifierNeverCachesFailures(t *testing.T) {
 // engine-side verification of the same material must be pure cache hits.
 func TestPreverifyWarmsCache(t *testing.T) {
 	keyring, signers := GenerateCluster(Ed25519(), 4, 5)
-	v := NewVerifier(keyring, VerifyConfig{})
+	v := NewVerifier(keyring)
 	var block types.BlockID
 	block[1] = 3
 	votes := collectVotes(signers, types.VoteNotarize, 2, block, 0, 1, 2)
@@ -313,7 +313,7 @@ func TestPreverifyWarmsCache(t *testing.T) {
 // malformed shape (it only warms the cache; judging is the engine's job).
 func TestPreverifyMalformedMessages(t *testing.T) {
 	keyring, signers := GenerateCluster(Ed25519(), 4, 6)
-	v := NewVerifier(keyring, VerifyConfig{})
+	v := NewVerifier(keyring)
 	blk := types.NewBlock(1, 0, 0, types.BlockID{}, types.BytesPayload([]byte("p")))
 	if err := signers[0].SignBlock(blk); err != nil {
 		t.Fatal(err)
@@ -342,7 +342,7 @@ func TestPreverifyMalformedMessages(t *testing.T) {
 func TestPreverifyBoundsAdversarialMessages(t *testing.T) {
 	const n = 4
 	keyring, signers := GenerateCluster(HMAC(), n, 8)
-	v := NewVerifier(keyring, VerifyConfig{})
+	v := NewVerifier(keyring)
 
 	// Unsorted signers violate certificate shape: no signature may even
 	// be looked up, let alone verified.

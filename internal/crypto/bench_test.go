@@ -87,7 +87,7 @@ func BenchmarkVerifyGossipSequential(b *testing.B) {
 func BenchmarkVerifyGossipBatched(b *testing.B) {
 	benchSizes(b, gossipRedundancy, func(b *testing.B, fx *verifyFixture) {
 		for i := 0; i < b.N; i++ {
-			v := NewVerifier(fx.keyring, VerifyConfig{})
+			v := NewVerifier(fx.keyring)
 			for d := 0; d < gossipRedundancy; d++ {
 				if err := v.VerifyCert(fx.cert, fx.quorum); err != nil {
 					b.Fatal(err)
@@ -116,7 +116,7 @@ func BenchmarkVerifyColdSequential(b *testing.B) {
 func BenchmarkVerifyColdBatched(b *testing.B) {
 	benchSizes(b, 1, func(b *testing.B, fx *verifyFixture) {
 		for i := 0; i < b.N; i++ {
-			v := NewVerifier(fx.keyring, VerifyConfig{})
+			v := NewVerifier(fx.keyring)
 			if err := v.VerifyCert(fx.cert, fx.quorum); err != nil {
 				b.Fatal(err)
 			}

@@ -211,11 +211,6 @@ type Signer struct {
 	priv   []byte
 }
 
-// NewSigner wraps a private key for a replica.
-func NewSigner(id types.ReplicaID, scheme Scheme, priv []byte) *Signer {
-	return &Signer{id: id, scheme: scheme, priv: priv}
-}
-
 // ID returns the replica the signer signs for.
 func (s *Signer) ID() types.ReplicaID { return s.id }
 

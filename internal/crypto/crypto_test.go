@@ -181,9 +181,9 @@ func TestVerifyMixedNotarization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := NewVerifier(keyring, VerifyConfig{})
+	v := NewVerifier(keyring)
 	verdicts := func(c *types.Certificate) (free, cached error) {
-		return VerifyCert(keyring, c, 3), NewVerifier(keyring, VerifyConfig{}).VerifyCert(c, 3)
+		return VerifyCert(keyring, c, 3), NewVerifier(keyring).VerifyCert(c, 3)
 	}
 	if free, cached := verdicts(cert); free != nil || cached != nil {
 		t.Fatalf("mixed notarization: %v / %v", free, cached)
@@ -203,7 +203,7 @@ func TestVerifyMixedNotarization(t *testing.T) {
 		t.Fatalf("%d verifications for a notarization with one unseen signature", misses-before)
 	}
 	// Preverification warms the same entries.
-	pre := NewVerifier(keyring, VerifyConfig{})
+	pre := NewVerifier(keyring)
 	pre.PreverifyMessage(&types.CertMsg{Cert: cert})
 	_, before = pre.CacheStats()
 	if err := pre.VerifyCert(cert, 3); err != nil {

@@ -65,7 +65,7 @@ func TestVerifyCertInEpochPinning(t *testing.T) {
 	}
 
 	// The cached Verifier facade applies the same pin.
-	v := NewVerifier(keyring, VerifyConfig{})
+	v := NewVerifier(keyring)
 	if err := v.VerifyCertIn(after, quorum, newSet); err == nil {
 		t.Fatal("Verifier.VerifyCertIn accepted the removed validator's signature")
 	}

@@ -57,7 +57,7 @@ func lookups(v *Verifier) int64 {
 // however many goroutines it is raised.
 func TestSettleIsMonotone(t *testing.T) {
 	keyring, _ := GenerateCluster(HMAC(), 4, 1)
-	v := NewVerifier(keyring, VerifyConfig{})
+	v := NewVerifier(keyring)
 	v.Settle(5)
 	v.Settle(3)
 	if v.SettledFloor() != 5 {
@@ -102,7 +102,7 @@ func TestSettleIsMonotone(t *testing.T) {
 // the same credentials for round 2 are verified and cached.
 func TestPreverifySkipsSettledRounds(t *testing.T) {
 	keyring, signers := GenerateCluster(Ed25519(), 4, 3)
-	v := NewVerifier(keyring, VerifyConfig{})
+	v := NewVerifier(keyring)
 	r1, r2 := signRound(t, signers, 1), signRound(t, signers, 2)
 	v.Settle(1)
 
@@ -191,7 +191,7 @@ func TestPreverifySkipsSettledRounds(t *testing.T) {
 func TestPreverifyUnderAdvancingFloor(t *testing.T) {
 	const rounds = 200
 	keyring, signers := GenerateCluster(HMAC(), 4, 9)
-	v := NewVerifier(keyring, VerifyConfig{})
+	v := NewVerifier(keyring)
 	msgs := make([]*types.VoteMsg, rounds+1)
 	for r := 1; r <= rounds; r++ {
 		var id types.BlockID
@@ -243,7 +243,7 @@ func TestPreverifyUnderAdvancingFloor(t *testing.T) {
 // cache key.
 func TestAllocRegressionSettledVoteMsg(t *testing.T) {
 	keyring, signers := GenerateCluster(Ed25519(), 4, 4)
-	v := NewVerifier(keyring, VerifyConfig{})
+	v := NewVerifier(keyring)
 	msg := &types.VoteMsg{Votes: signRound(t, signers, 7).votes}
 	v.Settle(7)
 	if n := testing.AllocsPerRun(100, func() { v.PreverifyMessage(msg) }); n != 0 {
@@ -265,7 +265,7 @@ func TestAllocRegressionSettledVoteMsg(t *testing.T) {
 // engine's own VerifyVote, uncached or cached.
 func TestAllocRegressionOneVoteMsg(t *testing.T) {
 	keyring, signers := GenerateCluster(Ed25519(), 4, 4)
-	v := NewVerifier(keyring, VerifyConfig{})
+	v := NewVerifier(keyring)
 	const runs = 50
 	var msgs []*types.VoteMsg
 	for r := 0; r < 2*(runs+1); r++ { // AllocsPerRun makes a warm-up call
@@ -298,7 +298,7 @@ func TestAllocRegressionOneVoteMsg(t *testing.T) {
 // nothing once the pool and the cache's table are warm.
 func TestAllocRegressionUncachedAdvance(t *testing.T) {
 	keyring, signers := GenerateCluster(Ed25519(), 4, 4)
-	v := NewVerifier(keyring, VerifyConfig{})
+	v := NewVerifier(keyring)
 	const runs, warm = 50, 10
 	var advs []*types.Advance
 	for r := types.Round(1); r <= warm+runs+1; r++ {
@@ -334,7 +334,7 @@ func TestAllocRegressionUncachedAdvance(t *testing.T) {
 // admitted — checking it again costs a second miss.
 func TestCacheHoldsOnlyUnsettledRounds(t *testing.T) {
 	keyring, signers := GenerateCluster(HMAC(), 4, 12)
-	v := NewVerifier(keyring, VerifyConfig{})
+	v := NewVerifier(keyring)
 	const rounds = 1000
 	for r := types.Round(1); r <= rounds; r++ {
 		id := types.BlockID{byte(r), byte(r >> 8)}

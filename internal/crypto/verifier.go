@@ -8,19 +8,11 @@ import (
 	"banyan/internal/types"
 )
 
-// VerifyConfig tunes a Verifier. The zero value selects sensible defaults
-// for both simulators and deployments.
-type VerifyConfig struct {
-	// Workers sizes the verification worker pool: 0 selects GOMAXPROCS,
-	// 1 verifies inline, larger values cap the fan-out.
-	Workers int
-}
-
 // Verifier is the batched, cached verification pipeline over one keyring.
 // It offers the same checks as the package-level VerifyBlock / VerifyVote /
 // VerifyCert / VerifyUnlockProof functions — byte-for-byte identical
-// verdicts — but verifies signature sets through a worker pool and
-// remembers successes, so re-gossiped votes and certificates cost one
+// verdicts — but verifies signature sets through a worker pool of
+// GOMAXPROCS goroutines and remembers successes, so re-gossiped votes and certificates cost one
 // cache lookup instead of a curve operation. PreverifyMessage additionally
 // lets a transport stage warm the cache off the consensus goroutine — for
 // the rounds that can still decide something: the engine the verifier
@@ -40,11 +32,12 @@ type Verifier struct {
 	skipped atomic.Int64
 }
 
-// NewVerifier builds a verification pipeline over the keyring.
-func NewVerifier(kr *Keyring, cfg VerifyConfig) *Verifier {
+// NewVerifier builds a verification pipeline over the keyring, with a
+// worker pool of GOMAXPROCS.
+func NewVerifier(kr *Keyring) *Verifier {
 	return &Verifier{
 		kr:    kr,
-		pool:  NewVerifierPool(kr.Scheme(), cfg.Workers),
+		pool:  NewVerifierPool(kr.Scheme(), 0),
 		cache: NewVerifiedCache(),
 	}
 }

@@ -134,9 +134,6 @@ func (e *Engine) ID() types.ReplicaID { return e.cfg.Self }
 // Protocol implements protocol.Engine.
 func (e *Engine) Protocol() string { return "hotstuff" }
 
-// View returns the current view (tests/harness).
-func (e *Engine) View() types.Round { return e.view }
-
 // Tree exposes the block tree (tests/harness).
 func (e *Engine) Tree() *blocktree.Tree { return e.tree }
 

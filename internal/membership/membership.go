@@ -124,12 +124,6 @@ func (s *ValidatorSet) Mask() types.VoterSet { return s.mask }
 // Contains reports whether id is a member.
 func (s *ValidatorSet) Contains(id types.ReplicaID) bool { return s.mask.Has(id) }
 
-// IndexOf returns id's position in the ordered member list.
-func (s *ValidatorSet) IndexOf(id types.ReplicaID) (int, bool) {
-	i, ok := s.index[id]
-	return i, ok
-}
-
 // Key returns a member's public key, or nil for non-members.
 func (s *ValidatorSet) Key(id types.ReplicaID) []byte {
 	if i, ok := s.index[id]; ok {

@@ -254,6 +254,36 @@ func TestNodeStopTwice(t *testing.T) {
 	}
 }
 
+// TestStopBeforeStart: Stop on a node that never started returns at once
+// and closes the transport, and a later Start fails.
+func TestStopBeforeStart(t *testing.T) {
+	tr := newMemTransport()
+	n, err := New(Config{Engine: &scriptEngine{id: 0}, Transport: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stopped := make(chan struct{})
+	go func() {
+		n.Stop()
+		n.Stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stop on a node that never started did not return")
+	}
+	tr.mu.Lock()
+	closed := tr.closed
+	tr.mu.Unlock()
+	if !closed {
+		t.Fatal("Stop left the transport open")
+	}
+	if err := n.Start(); err == nil {
+		t.Fatal("Start after Stop accepted")
+	}
+}
+
 func TestNodeValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("nil engine accepted")

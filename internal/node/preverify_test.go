@@ -28,6 +28,15 @@ func (p *countingPreverifier) PreverifyMessage(msg types.Message) {
 	p.mu.Unlock()
 }
 
+// procs sets GOMAXPROCS to n for the rest of the test: the preverify
+// stage sizes itself from it. A test that calls it must not run in
+// parallel.
+func procs(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 func (p *countingPreverifier) count() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -40,7 +49,8 @@ func TestPreverifyStageDeliversInOrder(t *testing.T) {
 	eng := &scriptEngine{id: 0}
 	tr := newMemTransport()
 	pv := &countingPreverifier{delay: 100 * time.Microsecond}
-	n, err := New(Config{Engine: eng, Transport: tr, Preverifier: pv, VerifyWorkers: 4})
+	procs(t, 4)
+	n, err := New(Config{Engine: eng, Transport: tr, Preverifier: pv})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +108,8 @@ func TestPreverifyRunsBeforeDelivery(t *testing.T) {
 		return nil
 	}
 	tr := newMemTransport()
-	n, err := New(Config{Engine: eng, Transport: tr, Preverifier: pv, VerifyWorkers: 2})
+	procs(t, 4)
+	n, err := New(Config{Engine: eng, Transport: tr, Preverifier: pv})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,13 +129,14 @@ func TestPreverifyRunsBeforeDelivery(t *testing.T) {
 	}
 }
 
-// TestPreverifyDisabled: a negative worker count must bypass the stage
-// entirely even when a Preverifier is configured.
+// TestPreverifyDisabled: on a single processor, where nothing could
+// overlap, the stage is skipped even when a Preverifier is configured.
 func TestPreverifyDisabled(t *testing.T) {
 	eng := &scriptEngine{id: 0}
 	tr := newMemTransport()
 	pv := &countingPreverifier{}
-	n, err := New(Config{Engine: eng, Transport: tr, Preverifier: pv, VerifyWorkers: -1})
+	procs(t, 1)
+	n, err := New(Config{Engine: eng, Transport: tr, Preverifier: pv})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +147,7 @@ func TestPreverifyDisabled(t *testing.T) {
 	tr.in <- Inbound{From: 1, Msg: &types.CertMsg{}}
 	waitFor(t, func() bool { return eng.receivedCount() == 1 })
 	if pv.count() != 0 {
-		t.Fatalf("preverifier ran %d times despite VerifyWorkers=-1", pv.count())
+		t.Fatalf("preverifier ran %d times despite GOMAXPROCS=1", pv.count())
 	}
 }
 
@@ -167,7 +179,8 @@ func (p *quietPreverifier) PreverifyMessage(types.Message) { p.seen.Add(1) }
 func TestAllocRegressionPreverifyStage(t *testing.T) {
 	const total = 10000
 	eng, pv, tr := &quietEngine{}, &quietPreverifier{}, newMemTransport()
-	n, err := New(Config{Engine: eng, Transport: tr, Preverifier: pv, VerifyWorkers: 2})
+	procs(t, 4)
+	n, err := New(Config{Engine: eng, Transport: tr, Preverifier: pv})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +269,8 @@ func TestPreverifyStopMidStream(t *testing.T) {
 	eng := &scriptEngine{id: 0}
 	tr := newMemTransport()
 	pv := &countingPreverifier{delay: time.Millisecond}
-	n, err := New(Config{Engine: eng, Transport: tr, Preverifier: pv, VerifyWorkers: 2})
+	procs(t, 4)
+	n, err := New(Config{Engine: eng, Transport: tr, Preverifier: pv})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func TestPreverifyStageSkipsSettledRounds(t *testing.T) {
 	params := types.Params{N: 4, F: 1, P: 1}
 	keyring, signers := crypto.GenerateCluster(crypto.Ed25519(), params.N, 11)
 	const self = types.ReplicaID(0) // rank 3 in round 1, rank 2 in round 2
-	verifier := crypto.NewVerifier(keyring, crypto.VerifyConfig{})
+	verifier := crypto.NewVerifier(keyring)
 	eng, err := core.New(core.Config{
 		Params: params, Self: self, Keyring: keyring, Signer: signers[self],
 		Delta: time.Second, Verifier: verifier,
@@ -32,8 +32,9 @@ func TestPreverifyStageSkipsSettledRounds(t *testing.T) {
 	set := eng.History().Genesis()
 	tr := newMemTransport()
 	commits := make(chan CommitEvent, 4)
+	procs(t, 4)
 	n, err := New(Config{Engine: eng, Transport: tr, Commits: commits,
-		Preverifier: verifier, VerifyWorkers: 2})
+		Preverifier: verifier})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,7 +83,6 @@ const (
 	evDeliver eventKind = iota + 1
 	evTimer
 	evCrash
-	evRecover
 	evRestart
 	evCall
 )
@@ -228,13 +227,6 @@ func (s *Network) CrashAt(id types.ReplicaID, t time.Duration) {
 	s.push(event{at: Epoch.Add(t), kind: evCrash, node: id})
 }
 
-// RecoverAt schedules a crashed replica to resume receiving (its engine
-// state is as it was at crash time; the protocol's deadlock-freeness pulls
-// it forward).
-func (s *Network) RecoverAt(id types.ReplicaID, t time.Duration) {
-	s.push(event{at: Epoch.Add(t), kind: evRecover, node: id})
-}
-
 // RestartAt schedules a crash-restart: at time t the replica is replaced
 // by the engine the rebuild callback returns — typically a fresh engine
 // recovered from a write-ahead log (wal.NewRecorder over the crashed
@@ -317,8 +309,6 @@ func (s *Network) dispatch(e *event) {
 			s.crashed[e.node] = true
 			s.stats.Crashes++
 		}
-	case evRecover:
-		s.crashed[e.node] = false
 	case evRestart:
 		if e.rebuild != nil {
 			ne := e.rebuild(s.now)

@@ -29,7 +29,8 @@ import (
 
 // Options are the knobs every host shares. The zero value of a field
 // selects its default (Fill); Delta, Scheme and the payload source have
-// per-host defaults and are the host's to set.
+// per-host defaults and are the host's to set. The verification pipeline
+// has no knob: it sizes itself from GOMAXPROCS.
 type Options struct {
 	// N, F, P are the genesis fault parameters, which must satisfy
 	// n >= max(3f+2p-1, 3f+1): F = 0 picks the maximum for N and P, P = 0
@@ -49,8 +50,6 @@ type Options struct {
 	// Scheme and Seed derive the shared demo PKI (Keys).
 	Scheme string
 	Seed   uint64
-	// Verify sizes the verification pipeline.
-	Verify crypto.VerifyConfig
 	// NoForwarding disables the line-35 relay.
 	NoForwarding bool
 	// OptimisticProposals, DeepPrune and PruneKeep are the core.Config
@@ -197,7 +196,7 @@ type Stack struct {
 
 // Build assembles replica self from filled options and its survivors.
 func Build(self types.ReplicaID, o Options, s Survivors) (*Stack, error) {
-	st := &Stack{Verifier: crypto.NewVerifier(s.Keyring, o.Verify)}
+	st := &Stack{Verifier: crypto.NewVerifier(s.Keyring)}
 	if o.Dissem {
 		st.Store = dissem.NewStore(dissem.Config{
 			Self:       self,

@@ -5,20 +5,17 @@ import "math/bits"
 // VoterSet is a set of replica IDs as a bitset: bit id%64 of word id/64.
 // It is the support set supp(·) of Definitions 7.1–7.6 and the voter half
 // of the engine's vote ledgers; everything that reads votes works on its
-// words. A set has room for the IDs below Cap; reads beyond it see an
-// empty set, Add does not grow it.
+// words. A set has room for the IDs below 64 × its length; reads beyond
+// them see an empty set, Add does not grow it.
 type VoterSet []uint64
 
 // NewVoterSet returns an empty set with room for the IDs below n.
 func NewVoterSet(n int) VoterSet { return make(VoterSet, (n+63)/64) }
 
-// Cap is the number of IDs the set has room for.
-func (s VoterSet) Cap() int { return 64 * len(s) }
-
 // Has reports whether id is in the set.
 func (s VoterSet) Has(id ReplicaID) bool { return s.word(int(id/64))>>(id%64)&1 == 1 }
 
-// Add inserts id, which must be below Cap.
+// Add inserts id, which the set must have room for.
 func (s VoterSet) Add(id ReplicaID) { s[id/64] |= 1 << (id % 64) }
 
 // Remove deletes id from the set.

@@ -9,6 +9,7 @@ import (
 	"banyan/internal/harness"
 	"banyan/internal/hotstuff"
 	"banyan/internal/icc"
+	"banyan/internal/node"
 	"banyan/internal/stack"
 	"banyan/internal/streamlet"
 	"banyan/internal/transport/tcp"
@@ -43,9 +44,11 @@ func TestConfigFieldCounts(t *testing.T) {
 		cfg  any
 		want int
 	}{
-		{ClusterConfig{}, 19},
-		{ReplicaConfig{}, 22},
-		{stack.Options{}, 19},
+		{ClusterConfig{}, 15},
+		{ReplicaConfig{}, 21},
+		{harness.Config{}, 19},
+		{stack.Options{}, 18},
+		{node.Config{}, 7},
 		{core.Config{}, 15},
 		{dissem.Config{}, 6},
 		{tcp.Config{}, 7},

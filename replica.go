@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"banyan/internal/crypto"
 	"banyan/internal/metrics"
 	"banyan/internal/node"
 	"banyan/internal/obs"
@@ -40,10 +39,6 @@ type ReplicaConfig struct {
 	// ClusterSeed derives the shared demo PKI deterministically; every
 	// replica of a deployment must use the same value.
 	ClusterSeed uint64
-	// VerifyWorkers sizes the signature-verification pool: 0 selects
-	// GOMAXPROCS, 1 verifies inline, negative additionally skips the
-	// node's preverification stage.
-	VerifyWorkers int
 	// WALDir, when non-empty, enables the write-ahead log: the proposals
 	// and votes this replica signs are journaled to the directory, each
 	// durable before it is sent, plus a checkpoint every PruneKeep
@@ -105,7 +100,6 @@ func (cfg ReplicaConfig) options() stack.Options {
 		BlockBytes:          cfg.MaxBlockBytes,
 		Scheme:              cfg.Scheme,
 		Seed:                cfg.ClusterSeed,
-		Verify:              crypto.VerifyConfig{Workers: cfg.VerifyWorkers},
 		OptimisticProposals: cfg.OptimisticProposals,
 		DeepPrune:           cfg.DeepPrune,
 		PruneKeep:           types.Round(cfg.PruneKeep),
@@ -136,6 +130,7 @@ type Replica struct {
 	rawCommit chan node.CommitEvent
 
 	mu      sync.Mutex
+	started bool
 	stopped bool
 	done    chan struct{}
 }
@@ -193,15 +188,22 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 // Addr returns the bound listen address.
 func (r *Replica) Addr() string { return r.tr.Addr() }
 
-// Start runs the replica.
+// Start runs the replica. It fails on a replica already started or
+// stopped.
 func (r *Replica) Start() error {
-	if r.obsAddr != "" && r.obsSrv == nil {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.started || r.stopped {
+		return fmt.Errorf("banyan: replica already started or stopped")
+	}
+	if r.obsAddr != "" {
 		srv, err := obs.Serve(r.obsAddr, r.host.surv.Obs, r.host.id)
 		if err != nil {
 			return fmt.Errorf("banyan: obs endpoint: %w", err)
 		}
 		r.obsSrv = srv
 	}
+	r.started = true
 	go r.host.pump(r.rawCommit, r.commits, r.done)
 	return r.host.node.Start()
 }
@@ -238,7 +240,8 @@ func (r *Replica) SubmitFrom(submitter uint64, tx []byte) error {
 	return r.host.pool.SubmitFrom(submitter, tx)
 }
 
-// Commits streams blocks finalized by this replica.
+// Commits streams blocks finalized by this replica. The channel closes
+// on Stop or Crash.
 func (r *Replica) Commits() <-chan Commit { return r.commits }
 
 // ProposeAddValidator queues a ConfigChange admitting a provisioned
@@ -305,6 +308,7 @@ func (r *Replica) shutdown(flush bool) {
 		return
 	}
 	r.stopped = true
+	started := r.started
 	r.mu.Unlock()
 	if r.obsSrv != nil {
 		r.obsSrv.Close()
@@ -312,4 +316,7 @@ func (r *Replica) shutdown(flush bool) {
 	r.host.node.Stop()
 	r.host.closeLog(flush, &r.faults)
 	close(r.done)
+	if !started {
+		close(r.commits) // no pump ran to close it
+	}
 }
