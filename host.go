@@ -61,7 +61,6 @@ func newHost(id types.ReplicaID, opts stack.Options, keyring *crypto.Keyring,
 			hits, misses := st.Verifier.CacheStats()
 			o.VerifyCacheHits.Set(hits)
 			o.VerifyCacheMisses.Set(misses)
-			o.VerifySettledSkipped.Set(st.Verifier.SettledSkipped())
 		})
 	}
 	return h
@@ -76,12 +75,10 @@ func (h *host) build(tr node.Transport, commits chan<- node.CommitEvent, onFault
 		return err
 	}
 	n, err := node.New(node.Config{
-		Engine:      st.Hosted,
-		Transport:   tr,
-		Commits:     commits,
-		OnFault:     onFault,
-		Preverifier: st.Verifier,
-		Obs:         h.surv.Obs,
+		Engine:    st.Hosted,
+		Transport: tr,
+		Commits:   commits,
+		OnFault:   onFault,
 	})
 	if err != nil {
 		if st.Recorder != nil {

@@ -60,9 +60,7 @@ type Config struct {
 	// Verifier is the batched, cached signature-verification pipeline the
 	// engine routes all VerifyVote/VerifyCert/VerifyUnlockProof/VerifyBlock
 	// checks through. Nil builds one over Keyring with the default pool
-	// and cache. Hosts that preverify inbound messages (internal/node's
-	// verify-then-deliver stage) must pass the same Verifier here and to
-	// the node so the engine sees the warmed cache.
+	// and cache.
 	Verifier *crypto.Verifier
 	// Signer signs this replica's blocks and votes.
 	Signer *crypto.Signer

@@ -417,7 +417,6 @@ func (e *Engine) Metrics() map[string]int64 {
 		"settled_dropped":        e.met.settledDropped,
 		"final_votes_suppressed": e.met.finalVotesSuppressed,
 		"advances_skipped":       e.met.advancesSkipped,
-		"verify_settled_skipped": e.cfg.Verifier.SettledSkipped(),
 	}
 	m["verify_cache_hits"], m["verify_cache_misses"] = e.cfg.Verifier.CacheStats()
 	// Every snapshot request counts, the first and each rotation alike.
@@ -445,15 +444,16 @@ func (e *Engine) Metrics() map[string]int64 {
 // and unlock proofs for such a round are dropped before any round state,
 // ledger or verifier is touched — nothing reads them again: finalization,
 // notarization and unlock are all evaluated from the finalized round up,
-// and a finalized parent needs no credentials. The node's preverify stage
-// skips the same items off-thread (publishSettled), so a signature for a
-// settled round is verified nowhere.
+// and a finalized parent needs no credentials. The verifier is consulted
+// only after this check, so a signature for a settled round is verified
+// nowhere.
 func (e *Engine) settled(r types.Round) bool {
 	return r <= e.tree.FinalizedRound() && r < e.round
 }
 
-// publishSettled raises the verifier's settled floor to the engine's
-// (Settle ignores a floor it already has).
+// publishSettled raises the verifier cache's settled floor to the
+// engine's, so the cache drops the settled rounds' entries (Settle
+// ignores a floor it already has).
 func (e *Engine) publishSettled() {
 	// The lowest round that is not settled; zero before Start.
 	if live := min(e.tree.FinalizedRound()+1, e.round); live > 0 {

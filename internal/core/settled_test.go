@@ -107,9 +107,6 @@ func TestSettledRoundIgnoresLateTraffic(t *testing.T) {
 	rs1 := r.eng.rounds[1]
 	sizeBefore, lookupsBefore := ledgerSizes(rs1), verifierLookups(r)
 	before := r.eng.Metrics()
-	if r.eng.cfg.Verifier.SettledFloor() != 1 {
-		t.Fatalf("published floor = %d, want 1", r.eng.cfg.Verifier.SettledFloor())
-	}
 
 	garbage := func(v types.Vote) types.Vote {
 		v.Signature = []byte("not a signature")
@@ -391,16 +388,35 @@ func TestSlowPathRoundsStillSendFinalizationVotes(t *testing.T) {
 }
 
 // TestSettledFloorFollowsTheEngine: the floor the engine publishes to its
-// verifier is the highest round both finalized and left.
+// verifier is the highest round both finalized and left. The verifier's
+// cache shows it: it admits a signature above the floor, so a second check
+// is a hit, and keeps none at or below it, so a second check misses again.
 func TestSettledFloorFollowsTheEngine(t *testing.T) {
 	set := genesisSet(t, p411)
 	r := newRig(t, p411, set.ReplicaAt(1, 3))
 	v := r.eng.cfg.Verifier
-	if v.SettledFloor() != 0 {
-		t.Fatalf("floor = %d before anything finalized", v.SettledFloor())
+	fresh := byte(0xe0)
+	admitted := func(round types.Round) bool {
+		t.Helper()
+		fresh++
+		vt := r.signers[0].SignVote(types.VoteNotarize, round, types.BlockID{fresh})
+		_, before := v.CacheStats()
+		for i := 0; i < 2; i++ {
+			if err := v.VerifyVote(vt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, after := v.CacheStats()
+		return after-before == 1
+	}
+	if !admitted(1) {
+		t.Fatal("round 1 settled before anything finalized")
 	}
 	fastFinalizeRound1(t, r)
-	if v.SettledFloor() != 1 {
-		t.Fatalf("floor = %d after round 1 finalized and was left, want 1", v.SettledFloor())
+	if admitted(1) {
+		t.Fatal("round 1 not settled after it finalized and was left")
+	}
+	if !admitted(2) {
+		t.Fatal("round 2 settled while the engine is in it")
 	}
 }

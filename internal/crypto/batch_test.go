@@ -283,9 +283,11 @@ func TestVerifierNeverCachesFailures(t *testing.T) {
 	}
 }
 
-// TestPreverifyWarmsCache: after PreverifyMessage on a worker, the
-// engine-side verification of the same material must be pure cache hits.
-func TestPreverifyWarmsCache(t *testing.T) {
+// TestVerifierWarmsCache: loose votes and the certificate that aggregates
+// them share cache entries. After VerifyVote of two of a notarization's
+// votes, VerifyCert checks only the third signature; after that, the
+// third loose vote is a cache hit.
+func TestVerifierWarmsCache(t *testing.T) {
 	keyring, signers := GenerateCluster(Ed25519(), 4, 5)
 	v := NewVerifier(keyring)
 	var block types.BlockID
@@ -295,79 +297,50 @@ func TestPreverifyWarmsCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v.PreverifyMessage(&types.CertMsg{Cert: cert})
-	_, missesBefore := v.CacheStats()
+	for _, vt := range votes[:2] {
+		if err := v.VerifyVote(vt); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := v.VerifyCert(cert, 3); err != nil {
 		t.Fatal(err)
 	}
-	hits, misses := v.CacheStats()
-	if misses != missesBefore {
-		t.Fatalf("VerifyCert after preverify missed the cache (%d new misses)", misses-missesBefore)
+	if hits, misses := v.CacheStats(); hits != 2 || misses != 3 {
+		t.Fatalf("VerifyCert after two loose votes: %d hits, %d misses, want 2 and 3", hits, misses)
 	}
-	if hits < int64(len(cert.Signers)) {
-		t.Fatalf("expected ≥%d cache hits, got %d", len(cert.Signers), hits)
-	}
-}
-
-// TestPreverifyMalformedMessages: preverification must tolerate every
-// malformed shape (it only warms the cache; judging is the engine's job).
-func TestPreverifyMalformedMessages(t *testing.T) {
-	keyring, signers := GenerateCluster(Ed25519(), 4, 6)
-	v := NewVerifier(keyring)
-	blk := types.NewBlock(1, 0, 0, types.BlockID{}, types.BytesPayload([]byte("p")))
-	if err := signers[0].SignBlock(blk); err != nil {
+	if err := v.VerifyVote(votes[2]); err != nil {
 		t.Fatal(err)
 	}
-	fv := signers[0].SignVote(types.VoteFast, 1, blk.ID())
-	msgs := []types.Message{
-		&types.Proposal{}, // nil block
-		&types.Proposal{Block: blk, FastVote: &fv},
-		&types.VoteMsg{},
-		&types.VoteMsg{Votes: []types.Vote{{Kind: 99, Voter: 200}}},
-		&types.CertMsg{}, // nil cert
-		&types.CertMsg{Cert: &types.Certificate{Kind: 1, Signers: []types.ReplicaID{0}, Sigs: nil}},
-		&types.Advance{},
-		&types.SyncResponse{Blocks: []*types.Block{nil, blk}},
-		&types.SyncRequest{},
-	}
-	for _, m := range msgs {
-		v.PreverifyMessage(m) // must not panic
+	if hits, misses := v.CacheStats(); hits != 3 || misses != 3 {
+		t.Fatalf("loose vote after its certificate: %d hits, %d misses, want 3 and 3", hits, misses)
 	}
 }
 
-// TestPreverifyBoundsAdversarialMessages: preverification runs before any
-// protocol validation, so it must not be a CPU-amplification target — a
-// shape-violating aggregate is skipped outright, and a signature-stuffed
-// message is capped at a small multiple of the cluster size.
-func TestPreverifyBoundsAdversarialMessages(t *testing.T) {
-	const n = 4
-	keyring, signers := GenerateCluster(HMAC(), n, 8)
+// TestMalformedAggregatesCostNoLookup: a certificate or unlock proof that
+// fails its structural checks — unsorted signers, voters and signatures
+// out of step — is rejected before a single signature is looked up, so a
+// peer cannot make the verifier work with an aggregate the engine would
+// refuse anyway.
+func TestMalformedAggregatesCostNoLookup(t *testing.T) {
+	keyring, signers := GenerateCluster(HMAC(), 4, 8)
 	v := NewVerifier(keyring)
-
-	// Unsorted signers violate certificate shape: no signature may even
-	// be looked up, let alone verified.
 	sig := signers[0].Sign([32]byte{})
-	v.PreverifyMessage(&types.CertMsg{Cert: &types.Certificate{
+	if err := v.VerifyCert(&types.Certificate{
 		Kind:    types.CertNotarization,
 		Round:   1,
 		Signers: []types.ReplicaID{2, 1, 0},
 		Sigs:    [][]byte{sig, sig, sig},
-	}})
+	}, 3); err == nil {
+		t.Fatal("certificate with unsorted signers accepted")
+	}
+	if err := v.VerifyUnlockProof(&types.UnlockProof{Round: 1, Entries: []types.UnlockEntry{{
+		Voters: []types.ReplicaID{0, 1},
+		Sigs:   [][]byte{sig},
+	}}}, 2); err == nil {
+		t.Fatal("unlock proof with more voters than signatures accepted")
+	}
 	if hits, misses := v.CacheStats(); hits+misses != 0 {
-		t.Fatalf("malformed cert caused %d cache lookups, want 0", hits+misses)
-	}
-
-	// A vote-stuffed message (1000 distinct valid votes) must be capped
-	// at 4n signatures of preverification work.
-	var votes []types.Vote
-	for i := 0; i < 1000; i++ {
-		var block types.BlockID
-		block[0], block[1] = byte(i), byte(i>>8)
-		votes = append(votes, signers[i%n].SignVote(types.VoteNotarize, 1, block))
-	}
-	v.PreverifyMessage(&types.VoteMsg{Votes: votes})
-	if hits, misses := v.CacheStats(); hits+misses > int64(4*n) {
-		t.Fatalf("stuffed VoteMsg caused %d signature lookups, want <= %d", hits+misses, 4*n)
+		t.Fatalf("malformed aggregates cost %d cache lookups, want 0", hits+misses)
 	}
 }
 

@@ -23,8 +23,8 @@ import (
 // and an entry for a settled round is not stored — nothing verifies a
 // settled round's signatures again. It therefore holds the rounds in
 // flight, not a fixed capacity, and allocates nothing up front. It is
-// safe for concurrent use: the node's preverification workers warm it
-// while the consensus goroutine reads it.
+// safe for concurrent use: a metrics scrape reads its counters while the
+// consensus goroutine fills it.
 type VerifiedCache struct {
 	mu    sync.Mutex
 	m     map[CacheKey]types.Round // key -> its signature's round; nil until the first Add

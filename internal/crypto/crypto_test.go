@@ -169,9 +169,8 @@ func TestVerifyCertRejectsForeignVotes(t *testing.T) {
 // TestVerifyMixedNotarization: each signature of a notarization is
 // checked against the digest its signer is marked as having signed —
 // fast-vote digest for marked signers, notarization-vote digest for the
-// rest — by the free function, the Verifier and preverification alike,
-// and a genuine signature under the wrong marker value is a bad
-// signature.
+// rest — by the free function and the Verifier alike, and a genuine
+// signature under the wrong marker value is a bad signature.
 func TestVerifyMixedNotarization(t *testing.T) {
 	keyring, signers := GenerateCluster(Ed25519(), 4, 1)
 	block := types.BlockID{5}
@@ -202,17 +201,6 @@ func TestVerifyMixedNotarization(t *testing.T) {
 	if _, misses := v.CacheStats(); misses != before+1 {
 		t.Fatalf("%d verifications for a notarization with one unseen signature", misses-before)
 	}
-	// Preverification warms the same entries.
-	pre := NewVerifier(keyring)
-	pre.PreverifyMessage(&types.CertMsg{Cert: cert})
-	_, before = pre.CacheStats()
-	if err := pre.VerifyCert(cert, 3); err != nil {
-		t.Fatal(err)
-	}
-	if _, misses := pre.CacheStats(); misses != before {
-		t.Fatal("preverification checked a mixed notarization against the wrong digests")
-	}
-
 	// Either marker value, wrong: signer 0's fast signature unmarked,
 	// signer 1's notarization signature marked.
 	for i := range cert.Signers {

@@ -9,11 +9,9 @@ package node
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
-	"banyan/internal/obs"
 	"banyan/internal/protocol"
 	"banyan/internal/types"
 )
@@ -49,14 +47,6 @@ type CommitEvent struct {
 	At       time.Time
 }
 
-// Preverifier verifies the signatures a message carries before the
-// message reaches the engine, caching the results (crypto.Verifier
-// implements it). It must be safe for concurrent use and must not judge
-// the message — acceptance stays with the engine.
-type Preverifier interface {
-	PreverifyMessage(msg types.Message)
-}
-
 // Config assembles a node.
 type Config struct {
 	// Engine is the consensus state machine to host. Required.
@@ -71,23 +61,9 @@ type Config struct {
 	// OnFault, when non-nil, is called once if the engine reports a safety
 	// violation; the node stops afterwards.
 	OnFault func(error)
-	// Preverifier, when non-nil, inserts a verify-then-deliver stage
-	// between the transport and the engine: inbound messages have their
-	// signatures verified (and cached) on a worker pool, then are handed
-	// to the engine in arrival order. The engine's own verification of the
-	// same signatures becomes cache lookups, moving the dominant crypto
-	// cost off the consensus goroutine. Pass the engine's crypto.Verifier.
-	// The stage runs GOMAXPROCS workers, and is skipped on a single-proc
-	// host, where nothing can overlap.
-	Preverifier Preverifier
 	// Clock returns the current time; nil selects time.Now. Tests inject
 	// fake clocks here.
 	Clock func() time.Time
-	// Obs, when non-nil, instruments the preverify stage: per-message
-	// queue-wait and verify-time histograms (real time — this pipeline
-	// is CPU- and scheduling-bound). The engine's own instruments are
-	// wired separately through its config.
-	Obs *obs.Observer
 }
 
 // Node runs one replica.
@@ -206,12 +182,6 @@ func (n *Node) run() {
 	idle := time.NewTimer(time.Hour)
 	defer idle.Stop()
 	inbound := n.cfg.Transport.Receive()
-	// The stage only helps when verification can overlap engine
-	// processing, which needs a second processor. On a single-proc host
-	// it would add scheduling hops for nothing.
-	if workers := runtime.GOMAXPROCS(0); n.cfg.Preverifier != nil && workers > 1 {
-		inbound = n.preverify(inbound, workers)
-	}
 	for {
 		var timerC <-chan time.Time
 		if next, ok := n.nextTimer(); ok {
@@ -257,109 +227,6 @@ func (n *Node) fireTimers(now time.Time) bool {
 			return false
 		}
 	}
-}
-
-// slot carries one message through the preverify stage. The stage owns a
-// fixed ring of them, each with a done channel made once: a message
-// costs the stage no allocation. done holds one token, sent by the
-// worker that verified the message and taken by the reorderer before the
-// slot is reused, so the send never blocks.
-type slot struct {
-	in   Inbound
-	enq  time.Time // when the dispatcher queued it (zero when obs is off)
-	done chan struct{}
-}
-
-// preverify is the verify-then-deliver stage: it fans inbound messages
-// over `workers` goroutines that run the Preverifier (warming the
-// signature cache), while a reorder queue preserves arrival order into the
-// returned channel. The engine therefore observes exactly the message
-// sequence the transport delivered — only cheaper to verify. All stage
-// goroutines exit when the transport channel closes or the node stops.
-func (n *Node) preverify(inbound <-chan Inbound, workers int) <-chan Inbound {
-	depth := 4 * workers
-	slots := make([]slot, depth)
-	// free, order and work each hold every slot at most once, so a send to
-	// any of them never blocks.
-	free := make(chan *slot, depth)
-	for i := range slots {
-		slots[i].done = make(chan struct{}, 1)
-		free <- &slots[i]
-	}
-	order := make(chan *slot, depth)
-	work := make(chan *slot, depth)
-	out := make(chan Inbound, depth)
-
-	o := n.cfg.Obs
-	for i := 0; i < workers; i++ {
-		go func() {
-			for s := range work {
-				if o != nil {
-					pick := time.Now()
-					o.PreverifyWait.Record(pick.Sub(s.enq))
-					n.cfg.Preverifier.PreverifyMessage(s.in.Msg)
-					o.VerifyTime.Record(time.Since(pick))
-				} else {
-					n.cfg.Preverifier.PreverifyMessage(s.in.Msg)
-				}
-				s.done <- struct{}{}
-			}
-		}()
-	}
-	// Dispatcher: put each message in a free slot, keep the arrival order
-	// in `order`, and hand the work to the pool. It takes a slot before it
-	// takes a message, and the receive itself races n.stop: the transport
-	// channel may be a shared hub queue that outlives this node
-	// (crash-restart reuses it for the replacement node), so a stopped
-	// dispatcher must detach rather than keep consuming — and discarding —
-	// the successor's messages.
-	go func() {
-		defer close(order)
-		defer close(work)
-		for {
-			var s *slot
-			select {
-			case s = <-free:
-			case <-n.stop:
-				return
-			}
-			select {
-			case in, ok := <-inbound:
-				if !ok {
-					return
-				}
-				s.in = in
-				if o != nil {
-					s.enq = time.Now()
-				}
-			case <-n.stop:
-				return
-			}
-			order <- s
-			work <- s
-		}
-	}()
-	// Reorderer: release messages downstream strictly in arrival order,
-	// each once its verification finished, returning the slot first.
-	go func() {
-		defer close(out)
-		for s := range order {
-			select {
-			case <-s.done:
-			case <-n.stop:
-				return
-			}
-			in := s.in
-			s.in = Inbound{}
-			free <- s
-			select {
-			case out <- in:
-			case <-n.stop:
-				return
-			}
-		}
-	}()
-	return out
 }
 
 // apply executes engine actions; it returns false when the node must stop

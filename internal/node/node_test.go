@@ -2,7 +2,9 @@ package node
 
 import (
 	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -281,6 +283,170 @@ func TestStopBeforeStart(t *testing.T) {
 	}
 	if err := n.Start(); err == nil {
 		t.Fatal("Start after Stop accepted")
+	}
+}
+
+// hubEndpoint reads a queue shared with whichever node holds the replica
+// slot next, as the in-process hub's endpoints do: closing it leaves the
+// queue open for the successor.
+type hubEndpoint struct{ q chan Inbound }
+
+func (h hubEndpoint) Send(types.ReplicaID, types.Message) error { return nil }
+func (h hubEndpoint) Broadcast(types.Message) error             { return nil }
+func (h hubEndpoint) Receive() <-chan Inbound                   { return h.q }
+func (h hubEndpoint) Close() error                              { return nil }
+
+// TestStoppedNodeLeavesHubQueue: a node stopped while its queue is full
+// hands the engine every message it took, and takes nothing once Stop has
+// returned: its crash-restart successor, reading the same queue, gets all
+// the rest, and every later message.
+func TestStoppedNodeLeavesHubQueue(t *testing.T) {
+	const first, later = 32, 16
+	q := make(chan Inbound, first+later)
+	start := func(eng *scriptEngine) *Node {
+		n, err := New(Config{Engine: eng, Transport: hubEndpoint{q}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Start(); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	old := &scriptEngine{id: 0, onMsg: func(types.ReplicaID, types.Message, time.Time) []protocol.Action {
+		time.Sleep(time.Millisecond)
+		return nil
+	}}
+	n := start(old)
+	for i := 0; i < first; i++ {
+		q <- Inbound{From: 1, Msg: &types.SyncRequest{From: types.Round(i)}}
+	}
+	waitFor(t, func() bool { return old.receivedCount() > 0 })
+	stopped := make(chan struct{})
+	go func() { n.Stop(); close(stopped) }()
+	select {
+	case <-stopped:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stop deadlocked with a full queue")
+	}
+	took := old.receivedCount()
+	for i := first; i < first+later; i++ {
+		q <- Inbound{From: 1, Msg: &types.SyncRequest{From: types.Round(i)}}
+	}
+	next := &scriptEngine{id: 0}
+	succ := start(next)
+	defer succ.Stop()
+	waitFor(t, func() bool { return next.receivedCount() == first+later-took })
+	if got := old.receivedCount(); got != took {
+		t.Fatalf("stopped node took %d more messages", got-took)
+	}
+	next.mu.Lock()
+	defer next.mu.Unlock()
+	for i, m := range next.received {
+		if want := types.Round(took + i); m.(*types.SyncRequest).From != want {
+			t.Fatalf("successor's delivery %d is message %d, want %d", i, m.(*types.SyncRequest).From, want)
+		}
+	}
+}
+
+// quietEngine counts what it handles and allocates nothing doing so.
+type quietEngine struct {
+	scriptEngine
+	handled, fired atomic.Int64
+}
+
+func (q *quietEngine) HandleMessage(types.ReplicaID, types.Message, time.Time) []protocol.Action {
+	q.handled.Add(1)
+	return nil
+}
+
+func (q *quietEngine) HandleTimer(protocol.TimerID, time.Time) []protocol.Action {
+	q.fired.Add(1)
+	return nil
+}
+
+// TestAllocRegressionNodeMessage: a message through a running node —
+// transport queue to event loop to engine — costs no allocation.
+func TestAllocRegressionNodeMessage(t *testing.T) {
+	const total = 10000
+	eng, tr := &quietEngine{}, newMemTransport()
+	n, err := New(Config{Engine: eng, Transport: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer n.Stop()
+	msg := &types.SyncRequest{From: 1}
+	deliver := func(k int64) {
+		want := eng.handled.Load() + k
+		for i := int64(0); i < k; i++ {
+			tr.in <- Inbound{From: 1, Msg: msg}
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for eng.handled.Load() < want {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of %d messages reached the engine", eng.handled.Load(), want)
+			}
+			runtime.Gosched()
+		}
+	}
+	deliver(100) // the event loop's goroutine grows its stack
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	deliver(total)
+	runtime.ReadMemStats(&after)
+	if per := float64(after.Mallocs-before.Mallocs) / total; per > 0.01 {
+		t.Fatalf("%.3f allocations per message through the node, want <= 0.01", per)
+	}
+}
+
+// TestAllocRegressionSetTimer: setting timers — one of them superseded
+// before it is due — and firing them costs nothing once the heap and the
+// generation map have their room.
+func TestAllocRegressionSetTimer(t *testing.T) {
+	eng := &quietEngine{}
+	n, err := New(Config{Engine: eng, Transport: newMemTransport()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := time.Unix(100, 0)
+	notar := protocol.TimerID{Round: 1, Kind: protocol.TimerNotarize}
+	acts := []protocol.Action{
+		protocol.SetTimer{ID: notar, At: at.Add(-time.Millisecond)},
+		protocol.SetTimer{ID: protocol.TimerID{Round: 1, Kind: protocol.TimerResend}, At: at},
+		protocol.SetTimer{ID: notar, At: at}, // supersedes the first
+	}
+	const runs = 100
+	if got := testing.AllocsPerRun(runs, func() {
+		if !n.apply(acts) || !n.fireTimers(at) {
+			t.Fatal("node stopped")
+		}
+	}); got != 0 {
+		t.Fatalf("apply + fire of SetTimer allocates %.0f times, want 0", got)
+	}
+	if got := eng.fired.Load(); got != 2*(runs+1) { // AllocsPerRun makes a warm-up call
+		t.Fatalf("%d timers fired over %d runs, want 2 per run", got, runs+1)
+	}
+	if len(n.timers) != 0 || len(n.timerGen) != 0 {
+		t.Fatalf("%d timers and %d generations left after firing all", len(n.timers), len(n.timerGen))
+	}
+}
+
+// TestTimerHeapOrder: timers fire earliest first, whatever order they were
+// set in.
+func TestTimerHeapOrder(t *testing.T) {
+	var h timerHeap
+	base := time.Unix(0, 0)
+	for _, ms := range []int{5, 1, 9, 3, 7, 3, 0, 8, 2, 6, 4} {
+		h.push(pendingTimer{at: base.Add(time.Duration(ms) * time.Millisecond)})
+	}
+	for prev := base; len(h) > 0; h.pop() {
+		if h[0].at.Before(prev) {
+			t.Fatalf("timer at %v popped after one at %v", h[0].at.Sub(base), prev.Sub(base))
+		}
+		prev = h[0].at
 	}
 }
 

@@ -9,15 +9,13 @@ import (
 	"banyan/internal/types"
 )
 
-// TestPreverifyStageSkipsSettledRounds runs a real engine behind the
-// verify-then-deliver stage with the verifier the two share. Once round 1
+// TestNodeSkipsSettledRounds runs a real engine in a node. Once round 1
 // is finalized and left, honestly signed late traffic for it — which
 // would cost a cache miss, i.e. a curve operation, per signature if
-// anyone looked — is verified neither by a stage worker nor by the engine
-// goroutine: the miss counter moves only for the round-2 proposal sent
-// behind it, the stage reports the signatures as skipped, and the engine
-// reports the items as dropped.
-func TestPreverifyStageSkipsSettledRounds(t *testing.T) {
+// anyone looked — is not verified: the miss counter moves only for the
+// round-2 proposal sent behind it, and the engine reports the items as
+// dropped.
+func TestNodeSkipsSettledRounds(t *testing.T) {
 	params := types.Params{N: 4, F: 1, P: 1}
 	keyring, signers := crypto.GenerateCluster(crypto.Ed25519(), params.N, 11)
 	const self = types.ReplicaID(0) // rank 3 in round 1, rank 2 in round 2
@@ -32,9 +30,7 @@ func TestPreverifyStageSkipsSettledRounds(t *testing.T) {
 	set := eng.History().Genesis()
 	tr := newMemTransport()
 	commits := make(chan CommitEvent, 4)
-	procs(t, 4)
-	n, err := New(Config{Engine: eng, Transport: tr, Commits: commits,
-		Preverifier: verifier})
+	n, err := New(Config{Engine: eng, Transport: tr, Commits: commits})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +70,6 @@ func TestPreverifyStageSkipsSettledRounds(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("round 1 did not finalize")
 	}
-	// The commit is applied after the engine's progress pass returned, so
-	// the floor is published by now.
-	if verifier.SettledFloor() != 1 {
-		t.Fatalf("settled floor = %d after round 1 committed", verifier.SettledFloor())
-	}
 	_, missesBefore := verifier.CacheStats()
 
 	// Late, valid, never-seen signatures for round 1: 3 votes, and a
@@ -101,7 +92,7 @@ func TestPreverifyStageSkipsSettledRounds(t *testing.T) {
 	tr.in <- Inbound{From: 3, Msg: &types.CertMsg{Cert: cert(types.CertFastFinalization, types.VoteFast)}}
 	tr.in <- Inbound{From: 3, Msg: &types.Advance{Notarization: notar}}
 	// The round-2 proposal behind them carries the same notarization as
-	// its parent credential; the stage keeps arrival order, so the vote it
+	// its parent credential; the node keeps arrival order, so the vote it
 	// draws means everything before it went through.
 	_, p2 := block(2, b1.ID())
 	p2.ParentNotarization = notar
@@ -121,9 +112,6 @@ func TestPreverifyStageSkipsSettledRounds(t *testing.T) {
 	if _, misses := verifier.CacheStats(); misses-missesBefore != 2 {
 		t.Errorf("%d signatures verified, want 2 (round-2 block and fast vote): settled traffic was verified",
 			misses-missesBefore)
-	}
-	if got := verifier.SettledSkipped(); got != 3+3+3+3 {
-		t.Errorf("stage skipped %d signatures as settled, want 12", got)
 	}
 	if got := n.Metrics()["settled_dropped"]; got != 3+1+1+1 {
 		t.Errorf("engine dropped %d items as settled, want 6", got)

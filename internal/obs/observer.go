@@ -13,11 +13,15 @@ import (
 // them with "banyan_" and suffixes histograms with "_seconds").
 const (
 	HistCommitLatency = "commit_latency"
-	HistPreverifyWait = "preverify_wait"
 	HistVerifyTime    = "verify_time"
 	HistWALFlush      = "wal_flush"
 	HistDissemFetch   = "dissem_fetch"
 	HistDeliveryWait  = "delivery_wait"
+
+	// HistPreverifyWait is registered and recorded by nothing. It stays
+	// because benchmark/perlayer.go reads it by name; its
+	// node.preverify_wait_* figures read 0, as any layer that is off does.
+	HistPreverifyWait = "preverify_wait"
 
 	GaugeRound            = "round"
 	GaugeEpoch            = "epoch"
@@ -25,11 +29,9 @@ const (
 	GaugeDissemStoreBytes = "dissem_store_bytes"
 
 	// Cumulative counts read from the verification pipeline at scrape
-	// time: cache hits, cache misses (= signatures verified), and
-	// signatures skipped because their round was settled.
-	GaugeVerifyCacheHits      = "verify_cache_hits"
-	GaugeVerifyCacheMisses    = "verify_cache_misses"
-	GaugeVerifySettledSkipped = "verify_settled_skipped"
+	// time: cache hits and cache misses (= signatures verified).
+	GaugeVerifyCacheHits   = "verify_cache_hits"
+	GaugeVerifyCacheMisses = "verify_cache_misses"
 )
 
 // Observer bundles one replica's observability instruments: the shared
@@ -47,7 +49,6 @@ type Observer struct {
 	Detector *SlowRoundDetector
 
 	CommitLatency *metrics.Histogram
-	PreverifyWait *metrics.Histogram
 	VerifyTime    *metrics.Histogram
 	WALFlush      *metrics.Histogram
 	DissemFetch   *metrics.Histogram
@@ -58,9 +59,8 @@ type Observer struct {
 	MempoolDepth     *metrics.Gauge
 	DissemStoreBytes *metrics.Gauge
 
-	VerifyCacheHits      *metrics.Gauge
-	VerifyCacheMisses    *metrics.Gauge
-	VerifySettledSkipped *metrics.Gauge
+	VerifyCacheHits   *metrics.Gauge
+	VerifyCacheMisses *metrics.Gauge
 
 	collectMu sync.Mutex
 	collect   []func(*Observer)
@@ -84,7 +84,6 @@ func New(opts Options) *Observer {
 		Registry:         reg,
 		Tracer:           NewTracer(opts.TraceEvents),
 		CommitLatency:    reg.Histogram(HistCommitLatency),
-		PreverifyWait:    reg.Histogram(HistPreverifyWait),
 		VerifyTime:       reg.Histogram(HistVerifyTime),
 		WALFlush:         reg.Histogram(HistWALFlush),
 		DissemFetch:      reg.Histogram(HistDissemFetch),
@@ -94,9 +93,8 @@ func New(opts Options) *Observer {
 		MempoolDepth:     reg.Gauge(GaugeMempoolDepth),
 		DissemStoreBytes: reg.Gauge(GaugeDissemStoreBytes),
 
-		VerifyCacheHits:      reg.Gauge(GaugeVerifyCacheHits),
-		VerifyCacheMisses:    reg.Gauge(GaugeVerifyCacheMisses),
-		VerifySettledSkipped: reg.Gauge(GaugeVerifySettledSkipped),
+		VerifyCacheHits:   reg.Gauge(GaugeVerifyCacheHits),
+		VerifyCacheMisses: reg.Gauge(GaugeVerifyCacheMisses),
 	}
 	o.Detector = NewSlowRoundDetector(DefaultSlowK, o.Tracer)
 	return o

@@ -26,7 +26,7 @@ func TestObserverNew(t *testing.T) {
 		t.Errorf("round gauge = %d, want 42", got)
 	}
 	for _, name := range []string{
-		HistCommitLatency, HistPreverifyWait, HistVerifyTime,
+		HistCommitLatency, HistVerifyTime,
 		HistWALFlush, HistDissemFetch, HistDeliveryWait,
 	} {
 		if _, ok := o.Registry.Histograms()[name]; !ok {

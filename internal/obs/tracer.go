@@ -31,7 +31,6 @@ type Stage uint8
 const (
 	// Instant stages (Dur == 0): the block reached this lifecycle point.
 	StageProposalReceived Stage = iota
-	StagePreverifyQueued
 	StageVoteSent
 	StageNotarized
 	StageFastCertified
@@ -41,7 +40,6 @@ const (
 
 	// Span stages (Dur > 0): time attributed to a subsystem.
 	SpanVerify      // signature/structure verification of one message
-	SpanPreverify   // preverify-stage wait + verify in the node pipeline
 	SpanWALFlush    // one group-commit flush (write + fsync)
 	SpanDissemFetch // one batch fetch, Begin to body arrival
 	SpanStateSync   // one snapshot fetch attempt
@@ -50,7 +48,6 @@ const (
 
 var stageNames = [numStages]string{
 	StageProposalReceived: "proposal_received",
-	StagePreverifyQueued:  "preverify_queued",
 	StageVoteSent:         "vote_sent",
 	StageNotarized:        "notarized",
 	StageFastCertified:    "fast_certified",
@@ -58,7 +55,6 @@ var stageNames = [numStages]string{
 	StageFinalized:        "finalized",
 	StageDelivered:        "delivered",
 	SpanVerify:            "verify",
-	SpanPreverify:         "preverify",
 	SpanWALFlush:          "wal_flush",
 	SpanDissemFetch:       "dissem_fetch",
 	SpanStateSync:         "statesync_fetch",

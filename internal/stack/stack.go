@@ -183,8 +183,8 @@ type Stack struct {
 	Hosted protocol.Engine
 	// Engine is the bare consensus engine.
 	Engine *core.Engine
-	// Verifier is the verification pipeline shared by the engine and the
-	// host's preverification stage, so cache warm-ups reach the engine.
+	// Verifier is the engine's verification pipeline; the host reads its
+	// cache counters for the metrics page.
 	Verifier *crypto.Verifier
 	// Store is nil without Dissem. It is fresh per build: batch bodies are
 	// not journaled, so a restarted replica refetches any finalized body

@@ -85,11 +85,10 @@ func Genesis() *Block {
 // Caching contract: blocks are immutable once constructed (NewBlock +
 // SignBlock, or wire decode), and the first ID call must happen-before
 // any concurrent use of the block. Hosts satisfy this by construction —
-// a proposer hashes when signing, and a receiver's preverification stage
-// hashes (off the consensus goroutine, with a happens-before edge on the
-// hand-off) before the engine sees the block — so the engine, encoder,
-// and journal all read a warm cache instead of re-running SHA-256 at
-// propose, vote, certify, encode, and journal time.
+// a proposer hashes when signing, and a decoded block belongs to the one
+// receiver whose engine goroutine hashes it first — so the engine,
+// encoder, and journal all read a warm cache instead of re-running
+// SHA-256 at propose, vote, certify, encode, and journal time.
 func (b *Block) ID() BlockID {
 	if !b.hashed {
 		b.id = b.computeID()

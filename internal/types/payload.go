@@ -177,8 +177,8 @@ func (p Payload) Size() int {
 //
 // Concurrency follows the Block.ID contract: the first Digest call must
 // happen-before any concurrent use of the payload. Hosts satisfy this
-// naturally — a proposer hashes before broadcasting, and a receiver's
-// preverification stage hashes before the message is released downstream.
+// naturally — a proposer hashes before broadcasting, and a decoded
+// payload belongs to the one receiver whose engine goroutine hashes it.
 func (p *Payload) Digest() [32]byte {
 	if !p.digested {
 		p.digest = p.computeDigest()

@@ -48,7 +48,7 @@ func TestConfigFieldCounts(t *testing.T) {
 		{ReplicaConfig{}, 21},
 		{harness.Config{}, 19},
 		{stack.Options{}, 18},
-		{node.Config{}, 7},
+		{node.Config{}, 5},
 		{core.Config{}, 15},
 		{dissem.Config{}, 6},
 		{tcp.Config{}, 7},

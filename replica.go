@@ -72,8 +72,8 @@ type ReplicaConfig struct {
 	// larger than this are rejected at Submit. Zero picks 64 KiB.
 	DissemBatchBytes int
 	// Obs enables the observability layer: block-lifecycle tracing,
-	// stage-latency histograms (commit latency, preverify wait, verify
-	// time, WAL flush, dissem fetch, delivery wait), and gauges, all
+	// stage-latency histograms (commit latency, verify time, WAL flush,
+	// dissem fetch, delivery wait), and gauges, all
 	// registered in the replica's metrics registry. Implied by ObsAddr.
 	Obs bool
 	// ObsAddr, when non-empty, serves the observability endpoint on this
