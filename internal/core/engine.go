@@ -1072,7 +1072,10 @@ func (e *Engine) onSnapshotResponse(m *types.SnapshotResponse) []protocol.Action
 }
 
 // onSyncRequest serves a catch-up request from this replica's finalized
-// chain; blocks are capped per response and the requester iterates.
+// chain; the requester iterates. A response holds at most MaxSyncBlocks
+// blocks, and it stops before its encoding (summed exactly, as the
+// transport's frame check sums it) would pass types.MaxFrame — the frame
+// a peer would refuse — while always holding at least one block.
 func (e *Engine) onSyncRequest(from types.ReplicaID, m *types.SyncRequest) []protocol.Action {
 	start := m.From
 	if start < 1 {
@@ -1090,6 +1093,7 @@ func (e *Engine) onSyncRequest(from types.ReplicaID, m *types.SyncRequest) []pro
 		return nil
 	}
 	resp := &types.SyncResponse{Finalization: e.latestFinal}
+	size := resp.EncodedSize()
 	for r := start; r <= end; r++ {
 		id, ok := e.tree.FinalizedAt(r)
 		if !ok {
@@ -1097,6 +1101,10 @@ func (e *Engine) onSyncRequest(from types.ReplicaID, m *types.SyncRequest) []pro
 		}
 		b, ok := e.tree.Block(id)
 		if !ok {
+			break
+		}
+		size += types.BlockEncodedSize(b)
+		if len(resp.Blocks) > 0 && size > types.MaxFrame {
 			break
 		}
 		resp.Blocks = append(resp.Blocks, b)

@@ -13,6 +13,15 @@ import (
 // observer whose chain state we then use to serve or request syncs.
 func buildFinalizedChain(t *testing.T, r *rig, rounds types.Round) []*types.Block {
 	t.Helper()
+	return buildFinalizedChainOf(t, r, rounds, func(round types.Round, parent types.BlockID) *types.Block {
+		return r.leaderBlock(round, parent, byte(round))
+	})
+}
+
+// buildFinalizedChainOf is buildFinalizedChain with the peers' blocks
+// built by block; the engine's own come from its payload source.
+func buildFinalizedChainOf(t *testing.T, r *rig, rounds types.Round, block func(types.Round, types.BlockID) *types.Block) []*types.Block {
+	t.Helper()
 	var chain []*types.Block
 	parent := types.Genesis().ID()
 	for round := types.Round(1); round <= rounds; round++ {
@@ -29,7 +38,7 @@ func buildFinalizedChain(t *testing.T, r *rig, rounds types.Round) []*types.Bloc
 				t.Fatalf("round %d: engine leads but proposed nothing", round)
 			}
 		} else {
-			b = r.leaderBlock(round, parent, byte(round))
+			b = block(round, parent)
 			r.deliver(roundLeader, r.proposalFor(b))
 		}
 		for peer := types.ReplicaID(0); int(peer) < r.params.N; peer++ {
@@ -92,6 +101,61 @@ func TestSyncRequestServesFinalizedChain(t *testing.T) {
 	for _, a := range r.acts {
 		if _, ok := a.(protocol.Send); ok {
 			t.Fatal("responded to a request beyond the finalized prefix")
+		}
+	}
+}
+
+// TestSyncResponseFitsOneFrame: with 1 MiB blocks, 32 finalized rounds
+// encode to more than types.MaxFrame, a frame the requester's transport
+// would refuse. The responder stops within the bound, and the requester's
+// next request, from the round after the last block served, continues
+// the chain.
+func TestSyncResponseFitsOneFrame(t *testing.T) {
+	body := types.BytesPayload(make([]byte, 1<<20))
+	set := genesisSet(t, p411)
+	r := newRig(t, p411, set.Leader(1), func(c *Config) {
+		c.Payloads = protocol.PayloadFunc(func(types.Round) types.Payload { return body })
+	})
+	chain := buildFinalizedChainOf(t, r, 34, func(round types.Round, parent types.BlockID) *types.Block {
+		leader := r.set.Leader(round)
+		b := types.NewBlock(round, leader, 0, parent, body)
+		if err := r.signers[leader].SignBlock(b); err != nil {
+			t.Fatal(err)
+		}
+		return b
+	})
+	if fin := r.eng.Tree().FinalizedRound(); fin < 32 {
+		t.Fatalf("setup: finalized only %d rounds", fin)
+	}
+	whole := &types.SyncResponse{Blocks: chain[:32], Finalization: r.eng.latestFinal}
+	if whole.EncodedSize() <= types.MaxFrame {
+		t.Fatalf("setup: 32 blocks encode to %d bytes, within the %d-byte frame", whole.EncodedSize(), types.MaxFrame)
+	}
+
+	served := types.Round(0)
+	for served < 32 {
+		r.clearActs()
+		r.deliver(2, &types.SyncRequest{From: served + 1, To: 32})
+		var resp *types.SyncResponse
+		for _, a := range r.acts {
+			if s, ok := a.(protocol.Send); ok {
+				if m, ok := s.Msg.(*types.SyncResponse); ok {
+					resp = m
+				}
+			}
+		}
+		if resp == nil || len(resp.Blocks) == 0 {
+			t.Fatalf("no sync response from round %d", served+1)
+		}
+		if size := resp.EncodedSize(); size > types.MaxFrame {
+			t.Fatalf("response from round %d: %d blocks encode to %d bytes, over the %d-byte frame",
+				served+1, len(resp.Blocks), size, types.MaxFrame)
+		}
+		for _, b := range resp.Blocks {
+			if !b.Equal(chain[served]) {
+				t.Fatalf("response block for round %d is not the finalized one", served+1)
+			}
+			served++
 		}
 	}
 }

@@ -5,12 +5,11 @@
 // use the discrete-event simulator instead.
 //
 // Messages are delivered by pointer, never deep-copied or re-encoded:
-// consensus messages are immutable once emitted (the contract
-// types.CachedEncoding and Block.ID caching also rely on), so aliasing
-// one message across n receive queues is safe and keeps the in-process
-// fan-out allocation-free. The channel hand-off supplies the
-// happens-before edge that makes the sender-side digest and encoding
-// caches readable by every receiver.
+// consensus messages are immutable once emitted (the contract Block.ID
+// and Payload.Digest caching also rely on), so aliasing one message
+// across n receive queues is safe and keeps the in-process fan-out
+// allocation-free. The channel hand-off supplies the happens-before edge
+// that makes the sender-side digest caches readable by every receiver.
 package channel
 
 import (

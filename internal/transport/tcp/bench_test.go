@@ -2,6 +2,8 @@ package tcp
 
 import (
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"banyan/internal/types"
@@ -37,6 +39,11 @@ func benchMessage() types.Message {
 //   - fanout: one Broadcast per op (the closed check + three enqueues).
 //   - send: one unicast Send per op, round-robin (the closed check + the
 //     by-ID peer lookup + one enqueue).
+//   - large: one Broadcast per op of a proposal with a 256 KiB payload,
+//     which the frame references instead of copying. Each op waits until
+//     the three peers have decoded it, so the queues never pile up
+//     payload-sized frames; it runs first, while no earlier case's
+//     frames are still arriving.
 //   - duplex: fanout while the three peers keep sending back, so the
 //     sender's read loops run their per-frame closed check against it —
 //     the contention a shared mutex on that path used to serialize.
@@ -47,6 +54,7 @@ func BenchmarkBroadcast(b *testing.B) {
 	const peers = 3
 	sinks := make([]*Transport, peers)
 	peerMap := map[types.ReplicaID]string{}
+	var received atomic.Int64
 	for i := 0; i < peers; i++ {
 		s, err := New(Config{Self: types.ReplicaID(i + 1), ListenAddr: "127.0.0.1:0", QueueLen: 1 << 16})
 		if err != nil {
@@ -57,6 +65,7 @@ func BenchmarkBroadcast(b *testing.B) {
 		peerMap[types.ReplicaID(i+1)] = s.Addr()
 		go func(s *Transport) {
 			for range s.Receive() {
+				received.Add(1)
 			}
 		}(s)
 	}
@@ -75,12 +84,33 @@ func BenchmarkBroadcast(b *testing.B) {
 	if err := t.Broadcast(msg); err != nil {
 		b.Fatal(err)
 	}
+	for received.Load() < peers {
+		runtime.Gosched()
+	}
 
 	report := func(b *testing.B) {
 		if d := t.Dropped(); d > int64(b.N) {
 			b.Logf("dropped %d messages over the run (full queues)", d)
 		}
 	}
+	body := make([]byte, 256<<10)
+	blk := types.NewBlock(9, 2, 0, types.BlockID{1, 2, 3}, types.BytesPayload(body))
+	blk.Signature = make([]byte, 64)
+	large := &types.Proposal{Block: blk}
+	b.Run("large", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(peers * len(body)))
+		for i := 0; i < b.N; i++ {
+			want := received.Load() + peers
+			if err := t.Broadcast(large); err != nil {
+				b.Fatal(err)
+			}
+			for received.Load() < want {
+				runtime.Gosched()
+			}
+		}
+		report(b)
+	})
 	b.Run("fanout", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -100,10 +130,6 @@ func BenchmarkBroadcast(b *testing.B) {
 		report(b)
 	})
 	b.Run("burst", func(b *testing.B) {
-		body := make([]byte, 256<<10)
-		blk := types.NewBlock(9, 2, 0, types.BlockID{1, 2, 3}, types.BytesPayload(body))
-		blk.Signature = make([]byte, 64)
-		large := &types.Proposal{Block: blk}
 		small := &types.VoteMsg{Votes: []types.Vote{
 			{Kind: types.VoteNotarize, Round: 9, Voter: 2, Signature: make([]byte, 64)},
 			{Kind: types.VoteFast, Round: 9, Voter: 2, Signature: make([]byte, 64)},

@@ -6,8 +6,14 @@
 //
 // Framing: a connection opens with a 10-byte hello (8-byte magic, 2-byte
 // sender ID); every subsequent frame is a 4-byte little-endian length
-// followed by that many bytes of message encoding. Oversized or malformed
-// frames close the connection; the dialer reconnects.
+// followed by that many bytes of message encoding. A frame is built once
+// per message as segments (types.AppendMessageVec): a small head with the
+// length prefix and every field under types.RefMin bytes, and the large
+// fields — a block's payload, a batch body — referenced where they lie,
+// never copied. The dialer hands the segments
+// of a batch of frames to one vectored write. A message over
+// types.MaxFrame is refused at the sender; an oversized or malformed
+// inbound frame closes the connection, and the dialer reconnects.
 package tcp
 
 import (
@@ -40,9 +46,6 @@ const (
 	maxWriteBatch = 16
 	// dialTimeout bounds one connection attempt.
 	dialTimeout = 3 * time.Second
-	// maxFrame bounds the length an inbound frame may declare; a longer
-	// one closes the connection.
-	maxFrame = 32 << 20
 )
 
 // Config assembles a TCP transport.
@@ -102,7 +105,18 @@ var _ node.Transport = (*Transport)(nil)
 type peer struct {
 	id   types.ReplicaID
 	addr string
-	out  chan []byte
+	out  chan frame
+}
+
+// frame is one length-prefixed message as the segments a vectored write
+// sends: head holds the length prefix and every byte the encoder wrote,
+// and each ref is a large field of the message, spliced in at its offset
+// in head (types.Segments). A message with no field of types.RefMin bytes
+// is a head alone, in one exact-size allocation. A frame is immutable
+// once built, so every peer queue shares it.
+type frame struct {
+	head []byte
+	refs []types.Ref
 }
 
 // New starts listening and dialing. Callers should Close the transport.
@@ -128,7 +142,7 @@ func New(cfg Config) (*Transport, error) {
 		if id == cfg.Self {
 			continue
 		}
-		p := &peer{id: id, addr: addr, out: make(chan []byte, cfg.QueueLen)}
+		p := &peer{id: id, addr: addr, out: make(chan frame, cfg.QueueLen)}
 		if int(id) >= len(t.peers) {
 			t.peers = append(t.peers, make([]*peer, int(id)+1-len(t.peers))...)
 		}
@@ -157,18 +171,18 @@ func (t *Transport) Send(to types.ReplicaID, msg types.Message) error {
 		return fmt.Errorf("tcp: unknown peer %d", to)
 	}
 	p := t.peers[to]
-	frame, err := encodeFrame(msg)
+	f, err := encodeFrame(msg)
 	if err != nil {
 		return err
 	}
-	t.enqueue(p, frame)
+	t.enqueue(p, f)
 	return nil
 }
 
 // Broadcast implements node.Transport: the message is encoded into one
-// frame (a single exact-size allocation) shared by every peer queue.
+// frame shared by every peer queue.
 func (t *Transport) Broadcast(msg types.Message) error {
-	frame, err := encodeFrame(msg)
+	f, err := encodeFrame(msg)
 	if err != nil {
 		return err
 	}
@@ -176,7 +190,7 @@ func (t *Transport) Broadcast(msg types.Message) error {
 		return errors.New("tcp: transport closed")
 	}
 	for _, p := range t.peerList {
-		t.enqueue(p, frame)
+		t.enqueue(p, f)
 	}
 	return nil
 }
@@ -209,9 +223,9 @@ func (t *Transport) Close() error {
 	return err
 }
 
-func (t *Transport) enqueue(p *peer, frame []byte) {
+func (t *Transport) enqueue(p *peer, f frame) {
 	select {
-	case p.out <- frame:
+	case p.out <- f:
 	default:
 		t.countDrop()
 	}
@@ -233,8 +247,10 @@ func (t *Transport) logf(format string, args ...any) {
 // dialLoop maintains the outbound connection to one peer, writing frames
 // from its queue and reconnecting on failure. After taking a frame it
 // also takes what is already queued behind it, up to maxWriteBatch, and
-// hands the lot to one vectored write: a round's burst of small frames
-// costs one system call, not one each. Frames leave in queue order.
+// hands the segments of the lot to one vectored write: a round's burst of
+// small frames costs one system call, not one each, and a large field
+// goes from the message to the socket without a copy. Frames leave in
+// queue order.
 func (t *Transport) dialLoop(p *peer) {
 	defer t.wg.Done()
 	var conn net.Conn
@@ -243,20 +259,25 @@ func (t *Transport) dialLoop(p *peer) {
 			conn.Close()
 		}
 	}()
-	batch := make([][]byte, 0, maxWriteBatch)
+	// segs holds the segments of up to maxWriteBatch frames, three for a
+	// proposal and one for most frames; it grows to the largest batch.
+	segs := make([][]byte, 0, 3*maxWriteBatch)
+	// bufs escapes through WriteTo's pointer receiver; declared once, it
+	// is allocated once per dialer, not once per write.
+	var bufs net.Buffers
 	for {
-		batch = batch[:0]
+		segs = segs[:0]
 		select {
-		case frame := <-p.out:
-			batch = append(batch, frame)
+		case f := <-p.out:
+			segs = types.Segments(segs, f.head, f.refs)
 		case <-t.closedCh:
 			return
 		}
 	drain:
-		for len(batch) < maxWriteBatch {
+		for n := 1; n < maxWriteBatch; n++ {
 			select {
-			case frame := <-p.out:
-				batch = append(batch, frame)
+			case f := <-p.out:
+				segs = types.Segments(segs, f.head, f.refs)
 			default:
 				break drain
 			}
@@ -281,9 +302,9 @@ func (t *Transport) dialLoop(p *peer) {
 			t.logf("tcp: connected to %d@%s", p.id, p.addr)
 		}
 		// WriteTo consumes its receiver, so it gets a copy of the slice
-		// header; the frames it wrote are cleared from the shared backing
-		// array as it goes.
-		bufs := net.Buffers(batch)
+		// header; the segments it wrote are cleared from the shared
+		// backing array as it goes.
+		bufs = segs
 		if _, err := bufs.WriteTo(conn); err != nil {
 			t.logf("tcp: write to %d: %v", p.id, err)
 			conn.Close()
@@ -292,8 +313,8 @@ func (t *Transport) dialLoop(p *peer) {
 			// with the next frames after reconnecting.
 		}
 		// Drop the references a failed write left behind, so a parked
-		// dialer pins no frame.
-		clear(batch)
+		// dialer pins no frame and no payload.
+		clear(segs)
 	}
 }
 
@@ -345,7 +366,7 @@ func (t *Transport) readLoop(conn net.Conn) {
 			return
 		}
 		n := binary.LittleEndian.Uint32(lenBuf[:])
-		if int(n) > maxFrame || n == 0 {
+		if int(n) > types.MaxFrame || n == 0 {
 			t.logf("tcp: bad frame length %d from %d", n, from)
 			return
 		}
@@ -378,31 +399,39 @@ func (t *Transport) readLoop(conn net.Conn) {
 	}
 }
 
-// encodeFrame builds a length-prefixed frame in one exact-size
-// allocation and installs the frame body as the message's cached
-// encoding, so a later consumer of the same message (the WAL journaling
-// an own broadcast, a unicast Send after a Broadcast) reuses the bytes
-// instead of re-encoding. The frame is immutable once built — it is
-// shared by every peer queue — which is what makes the alias safe.
-// Caching is single-writer by construction: frames are only encoded on
-// the goroutine that owns the message (the node's event loop).
-func encodeFrame(msg types.Message) ([]byte, error) {
+// encodeFrame builds the length-prefixed frame of msg. The message is
+// encoded in reference mode into a pooled scratch buffer, and only its
+// head — the fixed fields and the byte fields under types.RefMin, a few
+// hundred bytes for a proposal and the whole of a vote — is copied out,
+// in one exact-size allocation; its large fields stay where they lie.
+// The frame does not touch the message: no encoding is cached on it.
+func encodeFrame(msg types.Message) (frame, error) {
 	size := msg.EncodedSize()
-	frame := make([]byte, 4, 4+size)
-	binary.LittleEndian.PutUint32(frame[:4], uint32(size))
-	frame, err := types.AppendMessage(frame, msg)
-	if err != nil {
-		return nil, err
+	if size > types.MaxFrame {
+		// The receiver would close the connection on this frame, losing
+		// every frame queued behind it.
+		return frame{}, fmt.Errorf("tcp: %T encodes to %d bytes, over the %d-byte frame bound", msg, size, types.MaxFrame)
 	}
-	if len(frame)-4 != size {
-		// The prefix was written from the EncodedSize prediction; if an
-		// implementation ever lets it drift from the appended bytes, fail
+	bp := types.GetBuffer()
+	defer types.PutBuffer(bp)
+	scratch, refs, err := types.AppendMessageVec(append((*bp)[:0], 0, 0, 0, 0), msg)
+	if err != nil {
+		return frame{}, err
+	}
+	*bp = scratch[:0] // let the pool keep a grown buffer
+	n := len(scratch) - 4
+	for _, r := range refs {
+		n += len(r.Data)
+	}
+	if n != size {
+		// The prefix is written from the EncodedSize prediction; if an
+		// implementation ever lets it drift from the encoded bytes, fail
 		// the send here rather than ship a mis-framed stream that tears
 		// down the peer connection with no local clue.
-		return nil, fmt.Errorf("tcp: %T EncodedSize %d != encoded length %d", msg, size, len(frame)-4)
+		return frame{}, fmt.Errorf("tcp: %T EncodedSize %d != encoded length %d", msg, size, n)
 	}
-	types.SetCachedEncoding(msg, frame[4:len(frame):len(frame)])
-	return frame, nil
+	binary.LittleEndian.PutUint32(scratch[:4], uint32(size))
+	return frame{head: append(make([]byte, 0, len(scratch)), scratch...), refs: refs}, nil
 }
 
 func writeHello(c net.Conn, self types.ReplicaID) error {

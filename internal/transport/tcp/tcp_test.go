@@ -395,3 +395,32 @@ func TestReconnectMidBatch(t *testing.T) {
 	close(stop)
 	<-done
 }
+
+// TestOversizedMessageRefused: a message over types.MaxFrame fails at
+// the sender instead of going out as a frame the peer would close the
+// connection on, and the connection keeps carrying what follows.
+func TestOversizedMessageRefused(t *testing.T) {
+	trs := pairedTransports(t, 2)
+	body := types.BytesPayload(make([]byte, 1<<20))
+	huge := &types.SyncResponse{}
+	for r := types.Round(1); len(huge.Blocks) == 0 || huge.EncodedSize() <= types.MaxFrame; r++ {
+		huge.Blocks = append(huge.Blocks, types.NewBlock(r, 0, 0, types.BlockID{}, body))
+	}
+	if err := trs[0].Send(1, huge); err == nil {
+		t.Fatalf("Send of a %d-byte message succeeded", huge.EncodedSize())
+	}
+	if err := trs[0].Broadcast(huge); err == nil {
+		t.Fatalf("Broadcast of a %d-byte message succeeded", huge.EncodedSize())
+	}
+	if err := trs[0].Send(1, &types.SyncRequest{From: 1, To: 2}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case in := <-trs[1].Receive():
+		if _, ok := in.Msg.(*types.SyncRequest); !ok {
+			t.Fatalf("unexpected message %#v", in.Msg)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("message after the refused one not delivered")
+	}
+}

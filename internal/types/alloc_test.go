@@ -57,9 +57,10 @@ func TestEncodedSizeExact(t *testing.T) {
 	}
 }
 
-// TestCachedEncodingStable checks the memoized encoding matches a fresh
-// encode, survives repeated calls, and is installed by the in-place
-// decoder.
+// TestCachedEncodingStable checks the in-place decoder installs its input
+// as the message's cached encoding, that EncodeMessage returns it on
+// every call and AppendMessage copies it, and that encoding a message
+// never caches anything on it.
 func TestCachedEncodingStable(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	m := &VoteMsg{Votes: []Vote{randomVote(r), randomVote(r)}}
@@ -67,38 +68,28 @@ func TestCachedEncodingStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1, err := CachedEncoding(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, _ := CachedEncoding(m)
-	if !bytes.Equal(fresh, c1) || &c1[0] != &c2[0] {
-		t.Fatal("cached encoding not stable or not equal to fresh encode")
-	}
-	// EncodeMessage and AppendMessage must reuse the cache.
-	e, err := EncodeMessage(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &e[0] != &c1[0] {
-		t.Fatal("EncodeMessage did not return the cached encoding")
-	}
-	app, err := AppendMessage(make([]byte, 0, len(c1)), m)
-	if err != nil || !bytes.Equal(app, c1) {
-		t.Fatalf("AppendMessage mismatch: %v", err)
-	}
-
-	// In-place decode retains the input as the cache.
 	dec, err := DecodeMessageInPlace(fresh)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := CachedEncoding(dec)
+	c1, err := EncodeMessage(dec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &got[0] != &fresh[0] {
-		t.Fatal("DecodeMessageInPlace did not install the input as cached encoding")
+	c2, _ := EncodeMessage(dec)
+	if !bytes.Equal(fresh, c1) || &c1[0] != &fresh[0] || &c2[0] != &c1[0] {
+		t.Fatal("EncodeMessage did not return the in-place decoder's input")
+	}
+	app, err := AppendMessage(make([]byte, 0, len(c1)), dec)
+	if err != nil || !bytes.Equal(app, c1) {
+		t.Fatalf("AppendMessage mismatch: %v", err)
+	}
+
+	// An encoded message keeps no cache: each encode is a fresh buffer.
+	e1, _ := EncodeMessage(m)
+	e2, _ := EncodeMessage(m)
+	if !bytes.Equal(e1, fresh) || &e1[0] == &e2[0] || m.enc != nil {
+		t.Fatal("EncodeMessage cached an encoding on the message")
 	}
 }
 
@@ -128,14 +119,11 @@ func TestDecodeMessageInPlaceAliases(t *testing.T) {
 	}
 }
 
-// TestAllocRegressionEncode gates the steady-state allocation budget of
-// the encode hot path: one exact-size allocation for a fresh encode,
-// zero for an append into pre-reserved capacity, zero for a cached
-// re-encode. A failure here means the zero-allocation pipeline regressed.
 // TestAllocRegressionBareProposal gates the optimistic body broadcast —
 // a credential-less rank-0 proposal — the same way: it is sent once per
 // round by the pipelining leader and must stay on the one-allocation
-// fresh-encode / zero-allocation cached path, with EncodedSize exact.
+// fresh-encode path, and re-encode with zero allocations once decoded in
+// place, with EncodedSize exact.
 func TestAllocRegressionBareProposal(t *testing.T) {
 	r := rand.New(rand.NewSource(15))
 	b := NewBlock(7, 3, 0, BlockID{1, 2, 3}, SyntheticPayload(4096, 99))
@@ -151,18 +139,18 @@ func TestAllocRegressionBareProposal(t *testing.T) {
 		t.Fatalf("EncodedSize %d != encoded length %d", got, want)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		m.enc = nil // white-box: force a fresh encode each run
 		if _, err := EncodeMessage(m); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 1 {
 		t.Errorf("bare proposal EncodeMessage: %v allocs/op, budget 1", n)
 	}
-	if _, err := CachedEncoding(m); err != nil {
+	dec, err := DecodeMessageInPlace(enc)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		if _, err := EncodeMessage(m); err != nil {
+		if _, err := EncodeMessage(dec); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 0 {
@@ -173,9 +161,9 @@ func TestAllocRegressionBareProposal(t *testing.T) {
 // TestAllocRegressionHeaderRelay gates the messages the relay path now
 // sends once per vote: the header-form proposal (with the steady-state
 // credentials — proposer fast vote and a 3-signer parent notarization)
-// and the BlockRequest. Encode stays on the one-allocation fresh /
-// zero-allocation cached path; the in-place decode fits the proposal
-// arena like the body form does.
+// and the BlockRequest. Encode stays on the one-allocation fresh path,
+// and a relay decoded in place re-encodes with none; the in-place decode
+// fits the proposal arena like the body form does.
 func TestAllocRegressionHeaderRelay(t *testing.T) {
 	r := rand.New(rand.NewSource(18))
 	b := NewBlock(9, 2, 0, BlockID{4, 5}, BytesPayload(randomBytes(r, 64<<10)))
@@ -190,18 +178,18 @@ func TestAllocRegressionHeaderRelay(t *testing.T) {
 	req := &BlockRequest{Round: 9, ID: b.ID()}
 
 	if n := testing.AllocsPerRun(200, func() {
-		relay.enc = nil // white-box: force a fresh encode each run
 		if _, err := EncodeMessage(relay); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 1 {
 		t.Errorf("header relay EncodeMessage: %v allocs/op, budget 1", n)
 	}
-	if _, err := CachedEncoding(relay); err != nil {
+	received, err := DecodeMessageInPlace(mustEncode(relay))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		if _, err := EncodeMessage(relay); err != nil {
+		if _, err := EncodeMessage(received); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 0 {
@@ -359,12 +347,16 @@ func TestDecodeArenaOverflow(t *testing.T) {
 	}
 }
 
+// TestAllocRegressionEncode gates the steady-state allocation budget of
+// the encode hot path: one exact-size allocation for a fresh encode,
+// zero for an append into pre-reserved capacity, zero for re-encoding a
+// message decoded in place. A failure here means the zero-allocation
+// pipeline regressed.
 func TestAllocRegressionEncode(t *testing.T) {
 	r := rand.New(rand.NewSource(14))
 	m := &VoteMsg{Votes: []Vote{randomVote(r), randomVote(r)}}
 
 	if n := testing.AllocsPerRun(200, func() {
-		m.enc = nil // white-box: force a fresh encode each run
 		if _, err := EncodeMessage(m); err != nil {
 			t.Fatal(err)
 		}
@@ -381,11 +373,12 @@ func TestAllocRegressionEncode(t *testing.T) {
 		t.Errorf("AppendMessage into reserved capacity: %v allocs/op, budget 0", n)
 	}
 
-	if _, err := CachedEncoding(m); err != nil {
+	dec, err := DecodeMessageInPlace(mustEncode(m))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		if _, err := EncodeMessage(m); err != nil {
+		if _, err := EncodeMessage(dec); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 0 {

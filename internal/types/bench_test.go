@@ -83,13 +83,14 @@ func BenchmarkEncodeDecode(b *testing.B) {
 			}
 		})
 		b.Run("encode-cached/"+name, func(b *testing.B) {
-			if _, err := CachedEncoding(m); err != nil {
+			dec, err := DecodeMessageInPlace(enc)
+			if err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.SetBytes(int64(len(enc)))
 			for i := 0; i < b.N; i++ {
-				if _, err := EncodeMessage(m); err != nil {
+				if _, err := EncodeMessage(dec); err != nil {
 					b.Fatal(err)
 				}
 			}

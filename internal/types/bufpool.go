@@ -5,10 +5,9 @@ import "sync"
 // Scratch-buffer pool shared by the encode paths that frame messages —
 // the TCP transport's frame writer and the WAL's record framing — so
 // steady-state encoding allocates nothing. A pooled buffer is strictly
-// scratch: its bytes must be fully consumed (written to a socket or a
+// scratch: its bytes must be fully consumed (copied, or written to a
 // bufio.Writer) before PutBuffer, and it must never be handed to
-// DecodeMessageInPlace or SetCachedEncoding, both of which retain their
-// input.
+// DecodeMessageInPlace, which retains its input.
 
 const (
 	// bufPoolInitCap sizes fresh pool buffers to hold a typical vote or

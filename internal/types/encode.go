@@ -19,9 +19,13 @@ var ErrTruncated = errors.New("types: truncated encoding")
 // repository produces.
 const maxSliceLen = 64 << 20
 
-// encoder appends values to a buffer.
+// encoder appends values to a buffer. In reference mode (vec) a byte
+// field of at least RefMin bytes is not appended: bytes writes its length
+// prefix and records the field as a Ref at the current offset.
 type encoder struct {
-	buf []byte
+	buf  []byte
+	refs []Ref
+	vec  bool
 }
 
 func (e *encoder) u8(v uint8)   { e.buf = append(e.buf, v) }
@@ -35,6 +39,10 @@ func (e *encoder) hash(v [32]byte) {
 
 func (e *encoder) bytes(v []byte) {
 	e.u32(uint32(len(v)))
+	if e.vec && len(v) >= RefMin {
+		e.refs = append(e.refs, Ref{At: len(e.buf), Data: v})
+		return
+	}
 	e.buf = append(e.buf, v...)
 }
 
@@ -174,11 +182,9 @@ func (d *decoder) done() error {
 }
 
 // EncodeMessage serializes any consensus message, prefixed with its kind
-// tag, in exactly one exact-size allocation (EncodedSize bytes). If the
-// message already carries a cached encoding (CachedEncoding,
-// DecodeMessageInPlace, or a transport frame built from it), that cache is
-// returned directly; treat the result as read-only. The inverse is
-// DecodeMessage.
+// tag, in exactly one exact-size allocation (EncodedSize bytes). A
+// message decoded by DecodeMessageInPlace returns its received bytes
+// instead; treat the result as read-only. The inverse is DecodeMessage.
 func EncodeMessage(m Message) ([]byte, error) {
 	if enc := cachedEncoding(m); enc != nil {
 		return enc, nil
@@ -188,32 +194,84 @@ func EncodeMessage(m Message) ([]byte, error) {
 
 // AppendMessage appends the wire encoding of m to buf and returns the
 // extended slice. Reserving EncodedSize() bytes of spare capacity makes
-// the call allocation-free, which is how the TCP frame writer and the
-// WAL's record framing share pooled buffers instead of allocating per
-// message.
+// the call allocation-free, which is how the WAL's record framing shares
+// pooled buffers instead of allocating per message. The TCP transport
+// frames with AppendMessageVec, which leaves large fields in place.
 func AppendMessage(buf []byte, m Message) ([]byte, error) {
 	if enc := cachedEncoding(m); enc != nil {
 		return append(buf, enc...), nil
 	}
 	e := encoder{buf: buf}
+	if err := e.message(m); err != nil {
+		return nil, err
+	}
+	return e.buf, nil
+}
+
+// RefMin is the smallest byte field AppendMessageVec takes by reference,
+// so votes, certificates and header relays still encode into one buffer.
+// The 4 KiB value is unmeasured: the only TCP workload sends 256 KiB
+// payloads, and any threshold up to that size frames them the same way.
+const RefMin = 4 << 10
+
+// A Ref is a byte field that AppendMessageVec took by reference: Data
+// belongs at offset At of the bytes the encoder appended.
+type Ref struct {
+	At   int
+	Data []byte
+}
+
+// AppendMessageVec is AppendMessage in reference mode: every byte field
+// of at least RefMin bytes (a payload, a batch body) is left where it
+// lies and returned as a Ref instead of being copied into buf. Segments
+// reassembles the encoding, byte for byte what AppendMessage produces.
+// The Refs alias the message and, like it, must never be modified.
+func AppendMessageVec(buf []byte, m Message) ([]byte, []Ref, error) {
+	e := encoder{buf: buf, vec: true}
+	if err := e.message(m); err != nil {
+		return nil, nil, err
+	}
+	return e.buf, e.refs, nil
+}
+
+// Segments appends to dst the pieces whose concatenation is the encoding
+// AppendMessageVec split into head and refs: head up to each Ref, the
+// Ref's data, and head's tail. Empty pieces are left out.
+func Segments(dst [][]byte, head []byte, refs []Ref) [][]byte {
+	off := 0
+	for _, r := range refs {
+		if r.At > off {
+			dst = append(dst, head[off:r.At])
+		}
+		dst = append(dst, r.Data)
+		off = r.At
+	}
+	if off < len(head) {
+		dst = append(dst, head[off:])
+	}
+	return dst
+}
+
+// message appends the kind tag and encoding of m.
+func (e *encoder) message(m Message) error {
 	e.u8(uint8(m.Kind()))
 	switch v := m.(type) {
 	case *Proposal:
-		encodeProposal(&e, v)
+		encodeProposal(e, v)
 	case *VoteMsg:
 		e.u16(uint16(len(v.Votes)))
 		for _, vote := range v.Votes {
-			encodeVote(&e, vote)
+			encodeVote(e, vote)
 		}
 	case *CertMsg:
-		encodeOptCert(&e, v.Cert)
+		encodeOptCert(e, v.Cert)
 	case *Advance:
-		encodeOptCert(&e, v.Notarization)
-		encodeOptUnlock(&e, v.Unlock)
+		encodeOptCert(e, v.Notarization)
+		encodeOptUnlock(e, v.Unlock)
 	case *NewView:
 		e.u64(uint64(v.Round))
 		e.u16(uint16(v.Sender))
-		encodeOptCert(&e, v.HighQC)
+		encodeOptCert(e, v.HighQC)
 		e.bytes(v.Signature)
 	case *SyncRequest:
 		e.u64(uint64(v.From))
@@ -221,63 +279,41 @@ func AppendMessage(buf []byte, m Message) ([]byte, error) {
 	case *SyncResponse:
 		e.u32(uint32(len(v.Blocks)))
 		for _, b := range v.Blocks {
-			encodeBlock(&e, b)
+			encodeBlock(e, b)
 		}
-		encodeOptCert(&e, v.Finalization)
+		encodeOptCert(e, v.Finalization)
 	case *SnapshotRequest:
 		e.u64(uint64(v.Have))
 	case *SnapshotResponse:
 		e.u32(uint32(len(v.Chain)))
 		for _, b := range v.Chain {
-			encodeBlock(&e, b)
+			encodeBlock(e, b)
 		}
-		encodeOptCert(&e, v.Finalization)
+		encodeOptCert(e, v.Finalization)
 		e.u32(uint32(len(v.Sets)))
 		for _, s := range v.Sets {
-			encodeValidatorSetDesc(&e, s)
+			encodeValidatorSetDesc(e, s)
 		}
 	case *BatchAnnounce:
 		e.u16(uint16(v.Origin))
 		e.hash(v.Digest)
-		encodePayload(&e, v.Body)
+		encodePayload(e, v.Body)
 	case *BatchRequest:
 		e.hash(v.Digest)
 	case *BatchResponse:
 		e.hash(v.Digest)
-		encodePayload(&e, v.Body)
+		encodePayload(e, v.Body)
 	case *BlockRequest:
 		e.u64(uint64(v.Round))
 		e.id(v.ID)
 	default:
-		return nil, fmt.Errorf("types: cannot encode message of type %T", m)
+		return fmt.Errorf("types: cannot encode message of type %T", m)
 	}
-	return e.buf, nil
+	return nil
 }
 
-// CachedEncoding returns the message's wire encoding, computing and
-// memoizing it on first call (messages are immutable once constructed, so
-// the bytes can never go stale). The encode-once fan-out rides on this:
-// the WAL recorder journals the same bytes the TCP transport frames, and
-// a message decoded by DecodeMessageInPlace re-encodes for free. The
-// returned slice is shared — callers must not modify it.
-//
-// Concurrency matches the Block.ID contract: the first call must
-// happen-before any concurrent use, which holds on the hosts' event
-// loops (a message is encoded by the goroutine that created or decoded
-// it before any other goroutine sees it).
-func CachedEncoding(m Message) ([]byte, error) {
-	if enc := cachedEncoding(m); enc != nil {
-		return enc, nil
-	}
-	enc, err := AppendMessage(make([]byte, 0, m.EncodedSize()), m)
-	if err != nil {
-		return nil, err
-	}
-	setCachedEncoding(m, enc)
-	return enc, nil
-}
-
-// cachedEncoding returns the memoized encoding, or nil.
+// cachedEncoding returns the received encoding DecodeMessageInPlace kept,
+// or nil.
 func cachedEncoding(m Message) []byte {
 	switch v := m.(type) {
 	case *Proposal:
@@ -302,7 +338,7 @@ func cachedEncoding(m Message) []byte {
 	return nil
 }
 
-// setCachedEncoding installs a memoized encoding. enc must hold exactly
+// setCachedEncoding installs a received encoding. enc must hold exactly
 // the message's wire bytes and must never be modified afterwards.
 func setCachedEncoding(m Message, enc []byte) {
 	switch v := m.(type) {
@@ -327,13 +363,6 @@ func setCachedEncoding(m Message, enc []byte) {
 	}
 }
 
-// SetCachedEncoding records enc as m's wire encoding without copying.
-// enc must be exactly the bytes EncodeMessage would produce (typically
-// the body of a frame that was just encoded or received) and must not be
-// modified afterwards. Transports use it to share one encoded frame
-// between consumers.
-func SetCachedEncoding(m Message, enc []byte) { setCachedEncoding(m, enc) }
-
 // DecodeMessage parses a frame produced by EncodeMessage. Decoded byte
 // fields are copied out of data, so the caller keeps ownership of it.
 func DecodeMessage(data []byte) (Message, error) {
@@ -343,7 +372,8 @@ func DecodeMessage(data []byte) (Message, error) {
 // DecodeMessageInPlace parses a frame like DecodeMessage but without
 // copying: every byte field of the returned message (signatures, payload
 // data) aliases data, and data is retained as the message's cached
-// encoding.
+// encoding, which EncodeMessage, AppendMessage and AppendMessageVec
+// return or reference instead of encoding again.
 //
 // Ownership contract: the caller transfers data to the message. The
 // buffer must not be modified, reused, or returned to a pool afterwards,

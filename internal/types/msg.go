@@ -134,7 +134,7 @@ type Proposal struct {
 	// BlockRequest.
 	Relayed bool
 
-	enc []byte // memoized wire encoding (CachedEncoding)
+	enc []byte // received wire encoding (DecodeMessageInPlace)
 }
 
 func (*Proposal) Kind() MsgKind { return MsgProposal }
@@ -169,7 +169,7 @@ func (p *Proposal) WireSize() int {
 type VoteMsg struct {
 	Votes []Vote
 
-	enc []byte // memoized wire encoding (CachedEncoding)
+	enc []byte // received wire encoding (DecodeMessageInPlace)
 }
 
 func (*VoteMsg) Kind() MsgKind { return MsgVote }
@@ -186,7 +186,7 @@ func (m *VoteMsg) WireSize() int {
 type CertMsg struct {
 	Cert *Certificate
 
-	enc []byte // memoized wire encoding (CachedEncoding)
+	enc []byte // received wire encoding (DecodeMessageInPlace)
 }
 
 func (*CertMsg) Kind() MsgKind { return MsgCert }
@@ -200,7 +200,7 @@ type Advance struct {
 	Notarization *Certificate
 	Unlock       *UnlockProof
 
-	enc []byte // memoized wire encoding (CachedEncoding)
+	enc []byte // received wire encoding (DecodeMessageInPlace)
 }
 
 func (*Advance) Kind() MsgKind { return MsgAdvance }
@@ -217,7 +217,7 @@ type NewView struct {
 	// Signature authenticates the (round, sender) pair.
 	Signature []byte
 
-	enc []byte // memoized wire encoding (CachedEncoding)
+	enc []byte // received wire encoding (DecodeMessageInPlace)
 }
 
 func (*NewView) Kind() MsgKind { return MsgNewView }
@@ -390,7 +390,7 @@ type SyncResponse struct {
 	Blocks       []*Block
 	Finalization *Certificate
 
-	enc []byte // memoized wire encoding (CachedEncoding)
+	enc []byte // received wire encoding (DecodeMessageInPlace)
 }
 
 // Kind implements Message.
@@ -406,7 +406,14 @@ func (m *SyncResponse) WireSize() int {
 }
 
 // MaxSyncBlocks bounds the blocks in one SyncResponse; requesters iterate.
+// A responder also stops adding blocks before the response's encoding
+// would pass MaxFrame, so large blocks make for shorter segments.
 const MaxSyncBlocks = 64
+
+// MaxFrame bounds one message's encoding (EncodedSize). A transport
+// refuses to send a longer message, and a receiver closes the connection
+// a longer frame arrives on.
+const MaxFrame = 32 << 20
 
 // SnapshotRequest asks a single peer for its finalized-window snapshot.
 // Have is the requester's finalized round; a peer replies only when its
@@ -443,7 +450,7 @@ type SnapshotResponse struct {
 	Finalization *Certificate
 	Sets         []*ValidatorSetDesc
 
-	enc []byte // memoized wire encoding (CachedEncoding)
+	enc []byte // received wire encoding (DecodeMessageInPlace)
 }
 
 // Kind implements Message.
@@ -495,7 +502,7 @@ type BatchAnnounce struct {
 	Digest [32]byte
 	Body   Payload
 
-	enc []byte // memoized wire encoding (CachedEncoding)
+	enc []byte // received wire encoding (DecodeMessageInPlace)
 }
 
 // Kind implements Message.
@@ -537,7 +544,7 @@ type BatchResponse struct {
 	Digest [32]byte
 	Body   Payload
 
-	enc []byte // memoized wire encoding (CachedEncoding)
+	enc []byte // received wire encoding (DecodeMessageInPlace)
 }
 
 // Kind implements Message.

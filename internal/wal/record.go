@@ -99,10 +99,9 @@ func (r Record) payloadSize() int {
 }
 
 // appendPayload appends the record payload to buf (the CRC frame is the
-// Log's job). Message bodies reuse the message's cached encoding when
-// one exists — the same bytes the transport framed or received — so
-// journaling a message costs a memcpy, not a re-encode, and with a
-// pooled buffer no allocation at all.
+// Log's job). A message body is encoded straight into buf (a received
+// message's bytes are copied as they arrived), so with a pooled buffer
+// journaling allocates nothing.
 func (r Record) appendPayload(buf []byte) ([]byte, error) {
 	switch r.Kind {
 	case KindInbound:

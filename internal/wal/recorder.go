@@ -271,14 +271,10 @@ func (r *Recorder) checkpoint() {
 	r.lastCheckpoint = snap.FinalizedRound
 }
 
-// appendOwn journals one of the replica's own messages. The message's
-// canonical encoding is memoized first (the recorder runs on the node
-// loop, before the transport sees the message, so it is the single
-// writer the cache contract requires): the WAL writes those bytes here
-// and the transport frames the very same bytes afterwards — encode once,
-// fan out everywhere.
+// appendOwn journals one of the replica's own messages. The log encodes
+// it into its pooled record buffer; nothing is memoized on the message,
+// whose large fields the TCP transport then sends by reference.
 func (r *Recorder) appendOwn(msg types.Message) bool {
-	types.CachedEncoding(msg) //nolint:errcheck // append re-derives the error below
 	return r.append(Record{Kind: KindOwn, Msg: msg})
 }
 

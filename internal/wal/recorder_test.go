@@ -139,6 +139,37 @@ func TestRecorderForcesOwnBeforeSend(t *testing.T) {
 	}
 }
 
+// TestRecorderLeavesOwnMessageUncached: journaling an own proposal
+// encodes it into the log's pooled buffer and caches nothing on the
+// message, so the TCP transport still sends its payload by reference. A
+// cached message would re-encode without allocating.
+func TestRecorderLeavesOwnMessageUncached(t *testing.T) {
+	eng := &fakeEngine{}
+	rec, err := NewRecorder(RecorderConfig{Dir: t.TempDir(), Engine: eng,
+		Options: Options{Sync: SyncPolicy{EveryRecord: true}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	now := time.Unix(100, 0)
+	rec.Start(now)
+	b := types.NewBlock(4, 3, 0, types.BlockID{1}, types.BytesPayload(make([]byte, 4<<10)))
+	b.Signature = []byte("sig")
+	own := &types.Proposal{Block: b}
+	eng.actions = []protocol.Action{protocol.Broadcast{Msg: own}}
+	rec.HandleMessage(2, voteMsg(3), now)
+	if n := rec.Metrics()["wal_appends"]; n != 1 {
+		t.Fatalf("wal_appends = %d, want the own proposal journaled", n)
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		if _, err := types.EncodeMessage(own); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Fatalf("EncodeMessage of the journaled proposal: %v allocs/op, want 1 (no cached encoding)", n)
+	}
+}
+
 // countSends tallies own-signature Broadcast/Send actions in a batch.
 func countSends(acts []protocol.Action) int {
 	n := 0
