@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -282,10 +283,64 @@ func TestDecodeRefsThenInlineTail(t *testing.T) {
 		refs = append(refs, types.BatchRef{Digest: body.Digest(), Size: uint32(body.Size())})
 	}
 	var got []string
-	for _, tx := range decodeTransactions(store, types.BatchPayload(refs, tail.Data), 5) {
+	for _, tx := range decodeTransactions(store, types.BatchPayload(refs, tail.Materialize()), 5) {
 		got = append(got, string(tx))
 	}
 	if want := []string{"a1", "a2", "b1", "t1", "t2"}; !slices.Equal(got, want) {
 		t.Fatalf("decoded %q, want %q", got, want)
+	}
+}
+
+// TestDecodeTransactionsSharedTxs: on an in-process hub every replica
+// holds the same batch bodies, each the list of transactions the origin's
+// pool claimed. decodeTransactions appends the second body's transactions
+// to the first body's decoded list, so that list must come back clipped:
+// two replicas decoding at once would otherwise both write into the
+// shared list's spare capacity (a race under -race, and a corrupted list
+// without it).
+func TestDecodeTransactionsSharedTxs(t *testing.T) {
+	pool := mempool.NewPool(1<<20, 1<<20)
+	cut := func(txs ...string) types.Payload {
+		for _, tx := range txs {
+			if err := pool.SubmitErr([]byte(tx)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return pool.CutBatch(1 << 20)
+	}
+	first, second := cut("a1", "a2", "a3", "a4", "a5"), cut("b1", "b2")
+	shared := first.Txs()
+	if cap(shared)-len(shared) < len(second.Txs()) {
+		t.Fatalf("fixture: first body's list (len %d, cap %d) has no room for the second's %d",
+			len(shared), cap(shared), len(second.Txs()))
+	}
+	store := dissem.NewStore(dissem.Config{Self: 1, N: 4})
+	var refs []types.BatchRef
+	for _, body := range []types.Payload{first, second} {
+		store.Put(body.Digest(), body)
+		refs = append(refs, types.BatchRef{Digest: body.Digest(), Size: uint32(body.Size())})
+	}
+	want := []string{"a1", "a2", "a3", "a4", "a5", "b1", "b2"}
+	var wg sync.WaitGroup
+	got := make([][]string, 2)
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, tx := range decodeTransactions(store, types.BatchPayload(refs, nil), 5) {
+				got[g] = append(got[g], string(tx))
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		if !slices.Equal(got[g], want) {
+			t.Fatalf("decoder %d read %q, want %q", g, got[g], want)
+		}
+	}
+	for i, tx := range shared[len(shared):cap(shared)] {
+		if tx != nil {
+			t.Fatalf("decoding wrote %q into the shared list's spare slot %d", tx, i)
+		}
 	}
 }

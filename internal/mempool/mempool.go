@@ -8,7 +8,10 @@
 //   - Pool: a submitter-sharded FIFO transaction mempool for the SMR
 //     example applications — clients submit opaque transactions, proposers
 //     drain them into block payloads (or dissemination batches) up to a
-//     size limit.
+//     size limit. A payload is the list of transactions drained
+//     (types.TxsPayload), so the pool copies no transaction after
+//     Submit; the TCP transport copies one under types.RefMin into its
+//     frame head.
 package mempool
 
 import (
@@ -90,17 +93,16 @@ func (s *Synthetic) CutBatch(max int) types.Payload {
 // function of the submission sequence — the property the dissemination
 // layer's same-sequence equivalence with inline payloads rests on.
 //
-// Locking is split so client-facing Submit never stalls behind block
-// construction: the ingress mutex guards only the queues (Submit holds it
-// for an append), while NextPayload/CutBatch serialize builders on their
-// own mutex, claim the transactions that fit under a brief ingress
-// critical section (length arithmetic only), and assemble the batch —
-// the memcpy-heavy part — with the ingress lock released.
+// One mutex guards the queues. Submit holds it for a copy of the
+// transaction and an append; NextPayload/CutBatch hold it while they
+// detach the transactions that fit (pointer and length work only), and the
+// detached list becomes the payload as it is, so no lock covers a batch
+// copy.
 //
-// Transactions are length-prefixed when batched into a payload; DecodeBatch
-// recovers them on commit.
+// A payload's bytes are its transactions, each behind its length;
+// DecodeBatch recovers the transactions on commit.
 type Pool struct {
-	mu       sync.Mutex // ingress: guards shards and bytes
+	mu       sync.Mutex // guards shards and bytes
 	shards   []poolShard
 	bytes    int
 	maxBytes int // cap on buffered bytes; Submit fails beyond it
@@ -108,8 +110,6 @@ type Pool struct {
 
 	rejectedOversize int64
 	rejectedFull     int64
-
-	buildMu sync.Mutex // serializes batch construction
 }
 
 type poolShard struct {
@@ -195,10 +195,8 @@ func (p *Pool) Metrics(m map[string]int64) {
 // 4-byte length prefixes) from the shards, round-robin one transaction
 // per non-empty shard per pass, FIFO within a shard, always starting at
 // shard 0 so the drain order is a pure function of the queue state.
-// Caller must hold buildMu; the ingress lock is taken internally for the
-// O(claimed) pointer work only. Returns the claimed transactions in drain
-// order and their total batched size.
-func (p *Pool) claim(budget int) ([][]byte, int) {
+// Returns the claimed transactions in drain order.
+func (p *Pool) claim(budget int) [][]byte {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var (
@@ -226,29 +224,15 @@ func (p *Pool) claim(budget int) ([][]byte, int) {
 			break
 		}
 	}
-	return claimed, size
-}
-
-func batchOf(claimed [][]byte, size int) types.Payload {
-	if len(claimed) == 0 {
-		return types.Payload{}
-	}
-	batch := make([]byte, 0, size)
-	for _, tx := range claimed {
-		batch = binary.LittleEndian.AppendUint32(batch, uint32(len(tx)))
-		batch = append(batch, tx...)
-	}
-	return types.BytesPayload(batch)
+	return claimed
 }
 
 // NextPayload implements protocol.PayloadSource: drains queued
-// transactions into a length-prefixed batch of at most maxBlock bytes. An
-// empty pool yields an empty payload (empty blocks keep the chain
-// growing, as in the paper's implementation).
+// transactions into a payload of at most maxBlock bytes, length prefixes
+// included. An empty pool yields an empty payload (empty blocks keep the
+// chain growing, as in the paper's implementation).
 func (p *Pool) NextPayload(types.Round) types.Payload {
-	p.buildMu.Lock()
-	defer p.buildMu.Unlock()
-	return batchOf(p.claim(p.maxBlock))
+	return types.TxsPayload(p.claim(p.maxBlock))
 }
 
 // CutBatch implements dissem.Source: identical drain discipline to
@@ -257,17 +241,26 @@ func (p *Pool) NextPayload(types.Round) types.Payload {
 // disseminated batches commits the same transaction sequence an inline
 // chain would.
 func (p *Pool) CutBatch(max int) types.Payload {
-	p.buildMu.Lock()
-	defer p.buildMu.Unlock()
 	if max > p.maxBlock {
 		max = p.maxBlock
 	}
-	return batchOf(p.claim(max))
+	return types.TxsPayload(p.claim(max))
 }
 
 // DecodeBatch splits a payload produced by Pool.NextPayload back into
-// transactions. It returns nil for empty or malformed payloads.
+// transactions. It returns nil for empty or malformed payloads. The
+// result of a list payload is the list itself, clipped so that appending
+// to it allocates: the list may be shared, as every replica on an
+// in-process hub holds the leader's payload.
 func DecodeBatch(payload types.Payload) [][]byte {
+	if txs := payload.Txs(); len(txs) > 0 {
+		for _, tx := range txs {
+			if len(tx) == 0 {
+				return nil
+			}
+		}
+		return txs[:len(txs):len(txs)]
+	}
 	data := payload.Data
 	var txs [][]byte
 	for len(data) >= 4 {

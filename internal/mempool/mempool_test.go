@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -298,4 +299,63 @@ func TestQuickBatchRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestDecodeBatchListClipped: a pool batch is the list it claimed, and
+// DecodeBatch returns that list clipped to its length, so a caller that
+// appends to the result cannot write into the list's spare capacity. A
+// list with a zero-length transaction, or none, decodes to nil as the
+// contiguous form does.
+func TestDecodeBatchListClipped(t *testing.T) {
+	pool := NewPool(0, 1<<20)
+	for _, tx := range []string{"a", "bb", "ccc"} {
+		if err := pool.SubmitErr([]byte(tx)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := pool.NextPayload(1)
+	if cap(p.Txs()) == len(p.Txs()) {
+		t.Fatalf("fixture: claimed list has no spare capacity (len %d)", len(p.Txs()))
+	}
+	got := DecodeBatch(p)
+	if len(got) != 3 || cap(got) != len(got) || string(got[2]) != "ccc" {
+		t.Fatalf("DecodeBatch = %q (cap %d), want the 3 transactions clipped", got, cap(got))
+	}
+	if DecodeBatch(types.TxsPayload([][]byte{[]byte("x"), {}})) != nil {
+		t.Fatal("zero-length transaction in a list decoded")
+	}
+	if DecodeBatch(types.TxsPayload([][]byte{})) != nil {
+		t.Fatal("empty list should decode to nil")
+	}
+}
+
+// TestAllocRegressionNextPayload: draining a full 256 KiB block of 15
+// 16 KiB transactions copies none of them; the list of claimed
+// transactions is all NextPayload allocates.
+func TestAllocRegressionNextPayload(t *testing.T) {
+	const rounds = 20
+	pool := NewPool(0, 256<<10)
+	tx := make([]byte, 16<<10)
+	var ms runtime.MemStats
+	var total uint64
+	for i := 0; i < rounds; i++ {
+		for k := 0; k < 15; k++ {
+			if err := pool.SubmitErr(tx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		p := pool.NextPayload(1)
+		runtime.ReadMemStats(&ms)
+		total += ms.TotalAlloc - before
+		if len(p.Txs()) != 15 || pool.Len() != 0 {
+			t.Fatalf("drained %d transactions, %d left; want all 15", len(p.Txs()), pool.Len())
+		}
+	}
+	per := total / rounds
+	if per >= 1<<10 {
+		t.Errorf("NextPayload allocates %d B per 256 KiB block, budget < 1 KiB", per)
+	}
+	t.Logf("NextPayload: %d B per 256 KiB block", per)
 }

@@ -102,6 +102,45 @@ func TestAllocRegressionBroadcastLargeProposal(t *testing.T) {
 	}
 }
 
+// TestAllocRegressionBroadcastSmallTxs: a proposal whose payload is a list
+// of transactions under types.RefMin — a block of 512 B transactions just
+// over 1 MiB — broadcasts in one allocation of its head, into which each
+// transaction is copied once: the cost of the contiguous batch it
+// replaces. The budget is the head rounded up to whole 8 KiB pages, plus
+// a page for the rest. Encoding it into a growing scratch buffer and
+// copying the head out read ~6 MB per broadcast.
+func TestAllocRegressionBroadcastSmallTxs(t *testing.T) {
+	const peers, runs = 3, 8
+	tr, read := discardSender(t, peers)
+	r := rand.New(rand.NewSource(6))
+	txs := make([][]byte, 2040)
+	for i := range txs {
+		txs[i] = make([]byte, 512)
+		r.Read(txs[i])
+	}
+	b := types.NewBlock(9, 0, 0, types.BlockID{1}, types.TxsPayload(txs))
+	b.Signature = make([]byte, 64)
+	m := &types.Proposal{Block: b}
+	if m.EncodedSize() <= 1<<20 {
+		t.Fatalf("proposal encodes to %d bytes; the case is a block over 1 MiB", m.EncodedSize())
+	}
+	broadcastDrained(t, tr, read, peers, m)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if err := tr.Broadcast(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perOp := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("Broadcast of a %d-byte proposal of 512 B transactions to %d peers: %d B/op", m.EncodedSize(), peers, perOp)
+	if budget := uint64(m.EncodedSize() + 16<<10); perOp >= budget {
+		t.Errorf("Broadcast of a proposal of 512 B transactions: %d B/op, budget < %d", perOp, budget)
+	}
+}
+
 // TestAllocRegressionBroadcastSmall: a vote, a certificate and a header
 // relay each broadcast in one allocation, the exact-size frame every peer
 // queue shares.

@@ -7,10 +7,11 @@
 // Framing: a connection opens with a 10-byte hello (8-byte magic, 2-byte
 // sender ID); every subsequent frame is a 4-byte little-endian length
 // followed by that many bytes of message encoding. A frame is built once
-// per message as segments (types.AppendMessageVec): a small head with the
-// length prefix and every field under types.RefMin bytes, and the large
-// fields — a block's payload, a batch body — referenced where they lie,
-// never copied. The dialer hands the segments
+// per message as segments (types.AppendMessageVec): a head, one
+// exact-size allocation holding the length prefix and every field under
+// types.RefMin bytes, and the large fields — a block's payload or each
+// of its transactions, a batch body — referenced where they lie, never
+// copied. The dialer hands the segments
 // of a batch of frames to one vectored write. A message over
 // types.MaxFrame is refused at the sender; an oversized or malformed
 // inbound frame closes the connection, and the dialer reconnects.
@@ -377,8 +378,7 @@ func (t *Transport) readLoop(conn net.Conn) {
 		}
 		// Zero-copy decode: buf is freshly allocated per frame and handed
 		// to the message outright (never reused by this loop), so decoded
-		// byte fields alias it instead of copying, and the WAL can journal
-		// the received bytes without re-encoding. See DecodeMessageInPlace
+		// byte fields alias it instead of copying. See DecodeMessageInPlace
 		// for the ownership contract.
 		msg, err := types.DecodeMessageInPlace(buf)
 		if err != nil {
@@ -400,11 +400,12 @@ func (t *Transport) readLoop(conn net.Conn) {
 }
 
 // encodeFrame builds the length-prefixed frame of msg. The message is
-// encoded in reference mode into a pooled scratch buffer, and only its
-// head — the fixed fields and the byte fields under types.RefMin, a few
-// hundred bytes for a proposal and the whole of a vote — is copied out,
-// in one exact-size allocation; its large fields stay where they lie.
-// The frame does not touch the message: no encoding is cached on it.
+// encoded in reference mode straight into one exact-size allocation, the
+// head (types.VecHeadSize): the fixed fields and the byte fields under
+// types.RefMin — a few hundred bytes for a proposal of large
+// transactions, the whole of a vote or of a block of small transactions.
+// Each of those bytes is copied once; the large fields stay where they
+// lie. The frame does not touch the message: no encoding is cached on it.
 func encodeFrame(msg types.Message) (frame, error) {
 	size := msg.EncodedSize()
 	if size > types.MaxFrame {
@@ -412,14 +413,11 @@ func encodeFrame(msg types.Message) (frame, error) {
 		// every frame queued behind it.
 		return frame{}, fmt.Errorf("tcp: %T encodes to %d bytes, over the %d-byte frame bound", msg, size, types.MaxFrame)
 	}
-	bp := types.GetBuffer()
-	defer types.PutBuffer(bp)
-	scratch, refs, err := types.AppendMessageVec(append((*bp)[:0], 0, 0, 0, 0), msg)
+	head, refs, err := types.AppendMessageVec(make([]byte, 4, 4+types.VecHeadSize(msg)), msg)
 	if err != nil {
 		return frame{}, err
 	}
-	*bp = scratch[:0] // let the pool keep a grown buffer
-	n := len(scratch) - 4
+	n := len(head) - 4
 	for _, r := range refs {
 		n += len(r.Data)
 	}
@@ -430,8 +428,8 @@ func encodeFrame(msg types.Message) (frame, error) {
 		// down the peer connection with no local clue.
 		return frame{}, fmt.Errorf("tcp: %T EncodedSize %d != encoded length %d", msg, size, n)
 	}
-	binary.LittleEndian.PutUint32(scratch[:4], uint32(size))
-	return frame{head: append(make([]byte, 0, len(scratch)), scratch...), refs: refs}, nil
+	binary.LittleEndian.PutUint32(head[:4], uint32(size))
+	return frame{head: head, refs: refs}, nil
 }
 
 func writeHello(c net.Conn, self types.ReplicaID) error {

@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -137,6 +138,40 @@ func TestLargeFrame(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("large frame not delivered")
+	}
+}
+
+// TestTxsPayloadCrossesWire: a block whose payload is a transaction list
+// (a mempool batch), sent with its large transactions by reference,
+// arrives as the contiguous payload of the same bytes and block ID.
+func TestTxsPayloadCrossesWire(t *testing.T) {
+	trs := pairedTransports(t, 2)
+	var txs [][]byte
+	for i := 0; i < 15; i++ {
+		tx := make([]byte, 16<<10)
+		for j := range tx {
+			tx[j] = byte(i + j)
+		}
+		txs = append(txs, tx, []byte{byte(i)})
+	}
+	b := types.NewBlock(3, 0, 0, types.BlockID{}, types.TxsPayload(txs))
+	if err := trs[0].Send(1, &types.Proposal{Block: b}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case in := <-trs[1].Receive():
+		p, ok := in.Msg.(*types.Proposal)
+		if !ok {
+			t.Fatalf("unexpected message %#v", in.Msg)
+		}
+		if p.Block.ID() != b.ID() {
+			t.Fatal("block identity changed in transit")
+		}
+		if !bytes.Equal(p.Block.Payload.Data, b.Payload.Materialize()) {
+			t.Fatal("received payload is not the list's bytes")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("list payload not delivered")
 	}
 }
 

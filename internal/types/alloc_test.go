@@ -57,11 +57,11 @@ func TestEncodedSizeExact(t *testing.T) {
 	}
 }
 
-// TestCachedEncodingStable checks the in-place decoder installs its input
-// as the message's cached encoding, that EncodeMessage returns it on
-// every call and AppendMessage copies it, and that encoding a message
-// never caches anything on it.
-func TestCachedEncodingStable(t *testing.T) {
+// TestReencodeStable checks a message decoded in place re-encodes to its
+// received bytes on every call, through EncodeMessage and AppendMessage,
+// each time into a fresh buffer that does not alias the input, and that
+// encoding a message leaves nothing on it: each encode is a fresh buffer.
+func TestReencodeStable(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	m := &VoteMsg{Votes: []Vote{randomVote(r), randomVote(r)}}
 	fresh, err := AppendMessage(nil, m)
@@ -77,19 +77,22 @@ func TestCachedEncodingStable(t *testing.T) {
 		t.Fatal(err)
 	}
 	c2, _ := EncodeMessage(dec)
-	if !bytes.Equal(fresh, c1) || &c1[0] != &fresh[0] || &c2[0] != &c1[0] {
-		t.Fatal("EncodeMessage did not return the in-place decoder's input")
+	if !bytes.Equal(fresh, c1) || !bytes.Equal(c2, c1) {
+		t.Fatal("EncodeMessage did not reproduce the in-place decoder's input")
+	}
+	if &c1[0] == &fresh[0] || &c2[0] == &c1[0] {
+		t.Fatal("EncodeMessage returned a buffer it did not allocate")
 	}
 	app, err := AppendMessage(make([]byte, 0, len(c1)), dec)
 	if err != nil || !bytes.Equal(app, c1) {
 		t.Fatalf("AppendMessage mismatch: %v", err)
 	}
 
-	// An encoded message keeps no cache: each encode is a fresh buffer.
+	// An encoded message keeps nothing: each encode is a fresh buffer.
 	e1, _ := EncodeMessage(m)
 	e2, _ := EncodeMessage(m)
-	if !bytes.Equal(e1, fresh) || &e1[0] == &e2[0] || m.enc != nil {
-		t.Fatal("EncodeMessage cached an encoding on the message")
+	if !bytes.Equal(e1, fresh) || !bytes.Equal(e2, fresh) || &e1[0] == &e2[0] {
+		t.Fatal("EncodeMessage reused a buffer across calls")
 	}
 }
 
@@ -122,8 +125,8 @@ func TestDecodeMessageInPlaceAliases(t *testing.T) {
 // TestAllocRegressionBareProposal gates the optimistic body broadcast —
 // a credential-less rank-0 proposal — the same way: it is sent once per
 // round by the pipelining leader and must stay on the one-allocation
-// fresh-encode path, and re-encode with zero allocations once decoded in
-// place, with EncodedSize exact.
+// encode path, and, once decoded in place, re-encode into a reserved
+// buffer with zero allocations, with EncodedSize exact.
 func TestAllocRegressionBareProposal(t *testing.T) {
 	r := rand.New(rand.NewSource(15))
 	b := NewBlock(7, 3, 0, BlockID{1, 2, 3}, SyntheticPayload(4096, 99))
@@ -149,21 +152,25 @@ func TestAllocRegressionBareProposal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	buf := make([]byte, 0, dec.EncodedSize())
 	if n := testing.AllocsPerRun(200, func() {
-		if _, err := EncodeMessage(dec); err != nil {
+		if _, err := AppendMessage(buf, dec); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 0 {
-		t.Errorf("bare proposal EncodeMessage with cache: %v allocs/op, budget 0", n)
+		t.Errorf("decoded bare proposal AppendMessage: %v allocs/op, budget 0", n)
+	}
+	if got, _ := AppendMessage(buf, dec); !bytes.Equal(got, enc) {
+		t.Error("decoded bare proposal re-encodes to different bytes")
 	}
 }
 
 // TestAllocRegressionHeaderRelay gates the messages the relay path now
 // sends once per vote: the header-form proposal (with the steady-state
 // credentials — proposer fast vote and a 3-signer parent notarization)
-// and the BlockRequest. Encode stays on the one-allocation fresh path,
-// and a relay decoded in place re-encodes with none; the in-place decode
-// fits the proposal arena like the body form does.
+// and the BlockRequest. Encode stays on the one-allocation path, and a
+// relay decoded in place re-encodes into a reserved buffer with none; the
+// in-place decode fits the proposal arena like the body form does.
 func TestAllocRegressionHeaderRelay(t *testing.T) {
 	r := rand.New(rand.NewSource(18))
 	b := NewBlock(9, 2, 0, BlockID{4, 5}, BytesPayload(randomBytes(r, 64<<10)))
@@ -188,12 +195,16 @@ func TestAllocRegressionHeaderRelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	buf := make([]byte, 0, received.EncodedSize())
 	if n := testing.AllocsPerRun(200, func() {
-		if _, err := EncodeMessage(received); err != nil {
+		if _, err := AppendMessage(buf, received); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 0 {
-		t.Errorf("header relay EncodeMessage with cache: %v allocs/op, budget 0", n)
+		t.Errorf("received header relay AppendMessage: %v allocs/op, budget 0", n)
+	}
+	if got, _ := AppendMessage(buf, received); !bytes.Equal(got, mustEncode(relay)) {
+		t.Error("received header relay re-encodes to different bytes")
 	}
 	if n := testing.AllocsPerRun(200, func() {
 		if _, err := EncodeMessage(req); err != nil {
@@ -349,8 +360,8 @@ func TestDecodeArenaOverflow(t *testing.T) {
 
 // TestAllocRegressionEncode gates the steady-state allocation budget of
 // the encode hot path: one exact-size allocation for a fresh encode,
-// zero for an append into pre-reserved capacity, zero for re-encoding a
-// message decoded in place. A failure here means the zero-allocation
+// zero for an append into pre-reserved capacity, for a fresh message and
+// for one decoded in place alike. A failure here means the zero-allocation
 // pipeline regressed.
 func TestAllocRegressionEncode(t *testing.T) {
 	r := rand.New(rand.NewSource(14))
@@ -378,10 +389,10 @@ func TestAllocRegressionEncode(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		if _, err := EncodeMessage(dec); err != nil {
+		if _, err := AppendMessage(buf, dec); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 0 {
-		t.Errorf("EncodeMessage with cache: %v allocs/op, budget 0", n)
+		t.Errorf("AppendMessage of a decoded message: %v allocs/op, budget 0", n)
 	}
 }

@@ -48,7 +48,8 @@ func benchVoteMsg() *VoteMsg {
 
 // BenchmarkEncodeDecode measures the wire codec on the block-broadcast
 // hot path: encoding charges the proposer once per message, decoding
-// charges every receiver once per delivery.
+// charges every receiver once per delivery; reencode encodes a message
+// decoded in place.
 func BenchmarkEncodeDecode(b *testing.B) {
 	bench := func(name string, m Message) {
 		enc, err := EncodeMessage(m)
@@ -82,7 +83,7 @@ func BenchmarkEncodeDecode(b *testing.B) {
 				}
 			}
 		})
-		b.Run("encode-cached/"+name, func(b *testing.B) {
+		b.Run("reencode/"+name, func(b *testing.B) {
 			dec, err := DecodeMessageInPlace(enc)
 			if err != nil {
 				b.Fatal(err)

@@ -3,7 +3,7 @@ package types
 import "sync"
 
 // Scratch-buffer pool shared by the encode paths that frame messages —
-// the TCP transport's frame writer and the WAL's record framing — so
+// VecHeadSize's measuring walk and the WAL's record framing — so
 // steady-state encoding allocates nothing. A pooled buffer is strictly
 // scratch: its bytes must be fully consumed (copied, or written to a
 // bufio.Writer) before PutBuffer, and it must never be handed to

@@ -21,11 +21,16 @@ const maxSliceLen = 64 << 20
 
 // encoder appends values to a buffer. In reference mode (vec) a byte
 // field of at least RefMin bytes is not appended: bytes writes its length
-// prefix and records the field as a Ref at the current offset.
+// prefix and records the field as a Ref at the current offset. In sizing
+// mode no byte field or its prefix is appended, and referenced sums the
+// lengths of the fields reference mode would record (see VecHeadSize).
 type encoder struct {
 	buf  []byte
 	refs []Ref
 	vec  bool
+
+	sizing     bool
+	referenced int
 }
 
 func (e *encoder) u8(v uint8)   { e.buf = append(e.buf, v) }
@@ -38,6 +43,12 @@ func (e *encoder) hash(v [32]byte) {
 }
 
 func (e *encoder) bytes(v []byte) {
+	if e.sizing {
+		if len(v) >= RefMin {
+			e.referenced += len(v)
+		}
+		return
+	}
 	e.u32(uint32(len(v)))
 	if e.vec && len(v) >= RefMin {
 		e.refs = append(e.refs, Ref{At: len(e.buf), Data: v})
@@ -182,13 +193,9 @@ func (d *decoder) done() error {
 }
 
 // EncodeMessage serializes any consensus message, prefixed with its kind
-// tag, in exactly one exact-size allocation (EncodedSize bytes). A
-// message decoded by DecodeMessageInPlace returns its received bytes
-// instead; treat the result as read-only. The inverse is DecodeMessage.
+// tag, in exactly one exact-size allocation (EncodedSize bytes). The
+// inverse is DecodeMessage.
 func EncodeMessage(m Message) ([]byte, error) {
-	if enc := cachedEncoding(m); enc != nil {
-		return enc, nil
-	}
 	return AppendMessage(make([]byte, 0, m.EncodedSize()), m)
 }
 
@@ -198,9 +205,6 @@ func EncodeMessage(m Message) ([]byte, error) {
 // pooled buffers instead of allocating per message. The TCP transport
 // frames with AppendMessageVec, which leaves large fields in place.
 func AppendMessage(buf []byte, m Message) ([]byte, error) {
-	if enc := cachedEncoding(m); enc != nil {
-		return append(buf, enc...), nil
-	}
 	e := encoder{buf: buf}
 	if err := e.message(m); err != nil {
 		return nil, err
@@ -210,8 +214,10 @@ func AppendMessage(buf []byte, m Message) ([]byte, error) {
 
 // RefMin is the smallest byte field AppendMessageVec takes by reference,
 // so votes, certificates and header relays still encode into one buffer.
-// The 4 KiB value is unmeasured: the only TCP workload sends 256 KiB
-// payloads, and any threshold up to that size frames them the same way.
+// A smaller field, such as each transaction of a block of small ones, is
+// copied into the head. The 4 KiB value is unmeasured: the only TCP
+// workload sends 16 KiB transactions, and any threshold up to that size
+// frames them the same way.
 const RefMin = 4 << 10
 
 // A Ref is a byte field that AppendMessageVec took by reference: Data
@@ -222,9 +228,10 @@ type Ref struct {
 }
 
 // AppendMessageVec is AppendMessage in reference mode: every byte field
-// of at least RefMin bytes (a payload, a batch body) is left where it
-// lies and returned as a Ref instead of being copied into buf. Segments
-// reassembles the encoding, byte for byte what AppendMessage produces.
+// of at least RefMin bytes (a payload, a batch body, a transaction of a
+// list payload) is left where it lies and returned as a Ref instead of
+// being copied into buf. Segments reassembles the encoding, byte for
+// byte what AppendMessage produces.
 // The Refs alias the message and, like it, must never be modified.
 func AppendMessageVec(buf []byte, m Message) ([]byte, []Ref, error) {
 	e := encoder{buf: buf, vec: true}
@@ -232,6 +239,27 @@ func AppendMessageVec(buf []byte, m Message) ([]byte, []Ref, error) {
 		return nil, nil, err
 	}
 	return e.buf, e.refs, nil
+}
+
+// VecHeadSize is the number of bytes AppendMessageVec appends for m: its
+// EncodedSize less the fields it takes by reference. Reserving it gives
+// the head one exact-size allocation that every field under RefMin is
+// copied into once. Measuring walks m without copying a byte field; a
+// message under RefMin bytes holds no field to reference and is not
+// walked.
+func VecHeadSize(m Message) int {
+	size := m.EncodedSize()
+	if size < RefMin {
+		return size
+	}
+	bp := GetBuffer()
+	defer PutBuffer(bp)
+	e := encoder{buf: (*bp)[:0], sizing: true}
+	if err := e.message(m); err != nil {
+		return size // AppendMessageVec fails on m too
+	}
+	*bp = e.buf[:0] // let the pool keep a grown buffer
+	return size - e.referenced
 }
 
 // Segments appends to dst the pieces whose concatenation is the encoding
@@ -312,57 +340,6 @@ func (e *encoder) message(m Message) error {
 	return nil
 }
 
-// cachedEncoding returns the received encoding DecodeMessageInPlace kept,
-// or nil.
-func cachedEncoding(m Message) []byte {
-	switch v := m.(type) {
-	case *Proposal:
-		return v.enc
-	case *VoteMsg:
-		return v.enc
-	case *CertMsg:
-		return v.enc
-	case *Advance:
-		return v.enc
-	case *NewView:
-		return v.enc
-	case *SyncResponse:
-		return v.enc
-	case *SnapshotResponse:
-		return v.enc
-	case *BatchAnnounce:
-		return v.enc
-	case *BatchResponse:
-		return v.enc
-	}
-	return nil
-}
-
-// setCachedEncoding installs a received encoding. enc must hold exactly
-// the message's wire bytes and must never be modified afterwards.
-func setCachedEncoding(m Message, enc []byte) {
-	switch v := m.(type) {
-	case *Proposal:
-		v.enc = enc
-	case *VoteMsg:
-		v.enc = enc
-	case *CertMsg:
-		v.enc = enc
-	case *Advance:
-		v.enc = enc
-	case *NewView:
-		v.enc = enc
-	case *SyncResponse:
-		v.enc = enc
-	case *SnapshotResponse:
-		v.enc = enc
-	case *BatchAnnounce:
-		v.enc = enc
-	case *BatchResponse:
-		v.enc = enc
-	}
-}
-
 // DecodeMessage parses a frame produced by EncodeMessage. Decoded byte
 // fields are copied out of data, so the caller keeps ownership of it.
 func DecodeMessage(data []byte) (Message, error) {
@@ -371,9 +348,7 @@ func DecodeMessage(data []byte) (Message, error) {
 
 // DecodeMessageInPlace parses a frame like DecodeMessage but without
 // copying: every byte field of the returned message (signatures, payload
-// data) aliases data, and data is retained as the message's cached
-// encoding, which EncodeMessage, AppendMessage and AppendMessageVec
-// return or reference instead of encoding again.
+// data) aliases data.
 //
 // Ownership contract: the caller transfers data to the message. The
 // buffer must not be modified, reused, or returned to a pool afterwards,
@@ -383,11 +358,7 @@ func DecodeMessage(data []byte) (Message, error) {
 // this for free; paths that scan a long-lived mapped region (WAL segment
 // recovery) must keep copying and use DecodeMessage.
 func DecodeMessageInPlace(data []byte) (Message, error) {
-	m, err := decodeMessage(data, true)
-	if err == nil {
-		setCachedEncoding(m, data)
-	}
-	return m, err
+	return decodeMessage(data, true)
 }
 
 func decodeMessage(data []byte, alias bool) (Message, error) {
@@ -636,7 +607,16 @@ func encodePayload(e *encoder, p Payload) {
 		return
 	}
 	e.u8(0)
-	e.bytes(p.Data)
+	if p.txs == nil {
+		e.bytes(p.Data)
+		return
+	}
+	// The list form's bytes are its transactions as byte fields, so it
+	// encodes as the contiguous form of those bytes does.
+	e.u32(uint32(p.Size()))
+	for _, tx := range p.txs {
+		e.bytes(tx)
+	}
 }
 
 func decodePayload(d *decoder) Payload {

@@ -449,7 +449,7 @@ func TestMarkedCertificateWire(t *testing.T) {
 	}
 }
 
-// normalize strips what encoding memoizes (cached bytes, cached IDs) so
+// normalize strips what decoding memoizes (cached IDs) so
 // messages compare by content.
 func normalize(m Message) Message {
 	switch v := m.(type) {

@@ -133,8 +133,6 @@ type Proposal struct {
 	// every header relay, and the body form sent in answer to a
 	// BlockRequest.
 	Relayed bool
-
-	enc []byte // received wire encoding (DecodeMessageInPlace)
 }
 
 func (*Proposal) Kind() MsgKind { return MsgProposal }
@@ -168,8 +166,6 @@ func (p *Proposal) WireSize() int {
 // VoteMsg carries one or more votes from a single replica.
 type VoteMsg struct {
 	Votes []Vote
-
-	enc []byte // received wire encoding (DecodeMessageInPlace)
 }
 
 func (*VoteMsg) Kind() MsgKind { return MsgVote }
@@ -185,8 +181,6 @@ func (m *VoteMsg) WireSize() int {
 // CertMsg broadcasts a certificate on its own.
 type CertMsg struct {
 	Cert *Certificate
-
-	enc []byte // received wire encoding (DecodeMessageInPlace)
 }
 
 func (*CertMsg) Kind() MsgKind { return MsgCert }
@@ -199,8 +193,6 @@ func (m *CertMsg) WireSize() int { return 1 + certWireSize(m.Cert) }
 type Advance struct {
 	Notarization *Certificate
 	Unlock       *UnlockProof
-
-	enc []byte // received wire encoding (DecodeMessageInPlace)
 }
 
 func (*Advance) Kind() MsgKind { return MsgAdvance }
@@ -216,8 +208,6 @@ type NewView struct {
 	HighQC *Certificate
 	// Signature authenticates the (round, sender) pair.
 	Signature []byte
-
-	enc []byte // received wire encoding (DecodeMessageInPlace)
 }
 
 func (*NewView) Kind() MsgKind { return MsgNewView }
@@ -314,7 +304,7 @@ func payloadEncodedSize(p Payload) int {
 	if p.IsSynthetic() {
 		return s + 1 + 4 + 8
 	}
-	return s + 1 + 4 + len(p.Data)
+	return s + 1 + 4 + p.Size()
 }
 
 // changeEncodedSize is the wire footprint of the reconfig wrapper: outer
@@ -370,8 +360,7 @@ func sliceWireSize(b []byte) int { return 4 + len(b) }
 // round it cannot connect to its tree) unicasts one to one peer at a
 // time, re-sends it to the next peer when that one stays silent, and
 // repeats until caught up.
-// SyncRequest stays comparable (tests use ==) and is 17 bytes on the
-// wire, so it carries no encoding cache.
+// SyncRequest stays comparable (tests use ==).
 type SyncRequest struct {
 	From Round
 	To   Round
@@ -389,8 +378,6 @@ func (*SyncRequest) WireSize() int { return 1 + 8 + 8 }
 type SyncResponse struct {
 	Blocks       []*Block
 	Finalization *Certificate
-
-	enc []byte // received wire encoding (DecodeMessageInPlace)
 }
 
 // Kind implements Message.
@@ -420,8 +407,7 @@ const MaxFrame = 32 << 20
 // window tip is strictly ahead. Unlike SyncRequest it is always unicast —
 // the fetch scheduler (internal/fetch) rotates peers on timeout
 // instead of fanning out.
-// SnapshotRequest stays comparable (tests use ==) and is 9 bytes on the
-// wire, so it carries no encoding cache.
+// SnapshotRequest stays comparable (tests use ==).
 type SnapshotRequest struct {
 	Have Round
 }
@@ -449,8 +435,6 @@ type SnapshotResponse struct {
 	Chain        []*Block
 	Finalization *Certificate
 	Sets         []*ValidatorSetDesc
-
-	enc []byte // received wire encoding (DecodeMessageInPlace)
 }
 
 // Kind implements Message.
@@ -501,8 +485,6 @@ type BatchAnnounce struct {
 	Origin ReplicaID
 	Digest [32]byte
 	Body   Payload
-
-	enc []byte // received wire encoding (DecodeMessageInPlace)
 }
 
 // Kind implements Message.
@@ -522,8 +504,7 @@ func (m *BatchAnnounce) IsAck() bool { return m.Body.Size() == 0 }
 // BatchRequest asks one peer for a batch body by digest. Like
 // SnapshotRequest it is always unicast — the dissem fetch scheduler
 // rotates peers on timeout instead of fanning out. It stays comparable
-// (tests use ==) and is 33 bytes on the wire, so it carries no encoding
-// cache.
+// (tests use ==).
 type BatchRequest struct {
 	Digest [32]byte
 }
@@ -543,8 +524,6 @@ func (*BatchRequest) EncodedSize() int { return 1 + 32 }
 type BatchResponse struct {
 	Digest [32]byte
 	Body   Payload
-
-	enc []byte // received wire encoding (DecodeMessageInPlace)
 }
 
 // Kind implements Message.
@@ -561,8 +540,7 @@ func (m *BatchResponse) EncodedSize() int { return 1 + 32 + payloadEncodedSize(m
 // vote named it — but the proposer's copy is overdue; the peer answers
 // with the body-form Proposal{Relayed: true}, or stays silent when it
 // does not hold the block. Always
-// unicast; it stays comparable (tests use ==) and is 41 bytes on the
-// wire, so it carries no encoding cache.
+// unicast; it stays comparable (tests use ==).
 type BlockRequest struct {
 	Round Round
 	ID    BlockID

@@ -11,7 +11,12 @@ import (
 //
 // Two representations are supported:
 //
-//   - Concrete: Data holds the actual bytes (SMR applications, TCP runs).
+//   - Concrete: the actual bytes (SMR applications, TCP runs), in one of
+//     two forms with the same bytes, Digest and encoding. Data holds them
+//     contiguously (BytesPayload), or a list of transactions stands for
+//     each transaction behind its little-endian uint32 length, laid end
+//     to end (TxsPayload): a mempool batch is the list it claimed, and
+//     the hash and the encoder walk it without building the bytes.
 //   - Synthetic: Data is nil and SynthSize/SynthSeed describe a pseudo-random
 //     bit vector of that size, as generated by the paper's leader workload
 //     (section 9.2). Synthetic payloads let the discrete-event simulator model
@@ -24,8 +29,8 @@ import (
 // Batches is non-empty the payload *references* batch bodies by digest
 // instead of carrying them. The block commits the ordered digest list
 // (plus an optional inline tail in Data, which the wire form carries but
-// honest proposers leave empty); the bodies travel out-of-band through
-// internal/dissem. Size still
+// honest proposers leave empty; such a payload never carries a list); the
+// bodies travel out-of-band through internal/dissem. Size still
 // reports the logical byte count — inline tail plus the sum of the
 // referenced batch sizes — so throughput accounting is representation-
 // independent, while the wire encoding of the proposal stays a few bytes
@@ -41,6 +46,10 @@ type Payload struct {
 	SynthSeed uint64
 	Batches   []BatchRef
 	Change    *ConfigChange
+
+	// txs is the list form of a concrete payload (TxsPayload); nil in
+	// every other form.
+	txs [][]byte
 
 	// digest memoizes Digest: payloads are immutable after construction,
 	// and for materialized payloads every recompute is a SHA-256 over the
@@ -114,6 +123,16 @@ func (c *ConfigChange) String() string {
 // BytesPayload wraps concrete bytes as a payload.
 func BytesPayload(data []byte) Payload { return Payload{Data: data} }
 
+// TxsPayload wraps a list of transactions as a concrete payload: the
+// payload of BytesPayload(each tx behind its little-endian uint32 length,
+// end to end), with the same Digest, Size and wire encoding, but built
+// without copying a transaction. The list and its transactions must never
+// be modified afterwards.
+func TxsPayload(txs [][]byte) Payload { return Payload{txs: txs} }
+
+// Txs returns the list a TxsPayload wraps; nil for every other form.
+func (p Payload) Txs() [][]byte { return p.txs }
+
 // ConfigChangePayload attaches a validator-set change to inner, clearing
 // any memoized digest (the change is part of payload identity).
 func ConfigChangePayload(change ConfigChange, inner Payload) Payload {
@@ -161,6 +180,9 @@ func (p Payload) Size() int {
 	s := int(p.SynthSize)
 	if p.Data != nil {
 		s = len(p.Data)
+	}
+	for _, tx := range p.txs {
+		s += 4 + len(tx)
 	}
 	for _, r := range p.Batches {
 		s += int(r.Size)
@@ -233,6 +255,15 @@ func (p *Payload) computeBaseDigest() [32]byte {
 	if len(p.Data) > 0 {
 		h.Write([]byte("banyan/payload/data/v1"))
 		h.Write(p.Data)
+	} else if len(p.txs) > 0 {
+		// The same bytes as the contiguous form, written a piece at a time.
+		h.Write([]byte("banyan/payload/data/v1"))
+		var prefix [4]byte
+		for _, tx := range p.txs {
+			binary.LittleEndian.PutUint32(prefix[:], uint32(len(tx)))
+			h.Write(prefix[:])
+			h.Write(tx)
+		}
 	} else if p.Size() == 0 {
 		h.Write([]byte("banyan/payload/empty/v1"))
 	} else {
@@ -248,11 +279,19 @@ func (p *Payload) computeBaseDigest() [32]byte {
 }
 
 // Materialize returns the concrete bytes of the payload, expanding a
-// synthetic descriptor into its pseudo-random bit vector. Concrete payloads
-// are returned as-is (not copied).
+// synthetic descriptor into its pseudo-random bit vector. Contiguous
+// payloads are returned as-is (not copied); a list is concatenated.
 func (p Payload) Materialize() []byte {
 	if p.Data != nil {
 		return p.Data
+	}
+	if p.txs != nil {
+		out := make([]byte, 0, p.Size())
+		for _, tx := range p.txs {
+			out = binary.LittleEndian.AppendUint32(out, uint32(len(tx)))
+			out = append(out, tx...)
+		}
+		return out
 	}
 	out := make([]byte, p.SynthSize)
 	// xorshift64* stream seeded by SynthSeed; fast, deterministic filler.

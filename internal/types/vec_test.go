@@ -2,20 +2,25 @@ package types
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 )
 
 // vecEncode runs AppendMessageVec behind a prefix, as the TCP transport
 // does behind its length prefix, and returns the concatenated segments
-// with the prefix cut off. It fails the test on a Ref that is shorter
-// than RefMin or out of order.
+// with the prefix cut off. It fails the test on a head whose length is
+// not VecHeadSize, or on a Ref that is shorter than RefMin or out of
+// order.
 func vecEncode(t *testing.T, m Message) []byte {
 	t.Helper()
 	prefix := []byte("pfx:")
 	head, refs, err := AppendMessageVec(append([]byte(nil), prefix...), m)
 	if err != nil {
 		t.Fatalf("%T: AppendMessageVec: %v", m, err)
+	}
+	if got, want := len(head)-len(prefix), VecHeadSize(m); got != want {
+		t.Fatalf("%T: head of %d bytes, VecHeadSize %d", m, got, want)
 	}
 	at := len(prefix)
 	for _, r := range refs {
@@ -33,7 +38,8 @@ func vecEncode(t *testing.T, m Message) []byte {
 
 // vecSeeds is one message of each kind the reference-mode encoder treats
 // differently: a relayed header, multi-block sync and snapshot responses,
-// batch bodies, and payloads just under, at and far over RefMin.
+// batch bodies, payloads just under, at and far over RefMin, and payloads
+// in list form (TxsPayload) with transactions on both sides of RefMin.
 func vecSeeds() []Message {
 	r := rand.New(rand.NewSource(21))
 	block := func(round Round, size int) *Block {
@@ -46,6 +52,10 @@ func vecSeeds() []Message {
 	set := &ValidatorSetDesc{Epoch: 1, Activation: 9, F: 1, P: 1,
 		Members: []ReplicaID{0, 1, 2, 3}, Keys: [][]byte{randomBytes(r, 32), randomBytes(r, 32), randomBytes(r, 32), randomBytes(r, 32)}}
 	body := BytesPayload(randomBytes(r, 2*RefMin))
+	txsBlock := NewBlock(10, 1, 0, BlockID{10}, TxsPayload([][]byte{
+		randomBytes(r, 16<<10), randomBytes(r, 100), randomBytes(r, RefMin), randomBytes(r, 16<<10)}))
+	txsBlock.Signature = randomBytes(r, 64)
+	txsBody := TxsPayload([][]byte{randomBytes(r, 2*RefMin), randomBytes(r, 7)})
 	return []Message{
 		&Proposal{Header: block(3, 64).SignedHeader(), ParentNotarization: cert, FastVote: &fv, Relayed: true},
 		&Proposal{Block: block(4, RefMin-1), ParentNotarization: cert, FastVote: &fv},
@@ -55,6 +65,8 @@ func vecSeeds() []Message {
 		&SnapshotResponse{Chain: []*Block{block(7, RefMin+1), block(8, 2*RefMin)}, Finalization: cert, Sets: []*ValidatorSetDesc{set}},
 		&BatchAnnounce{Origin: 2, Digest: body.Digest(), Body: body},
 		&BatchResponse{Digest: body.Digest(), Body: body},
+		&Proposal{Block: txsBlock, ParentNotarization: cert, FastVote: &fv},
+		&BatchAnnounce{Origin: 3, Digest: txsBody.Digest(), Body: txsBody},
 	}
 }
 
@@ -89,10 +101,56 @@ func TestAppendMessageVecReferencesPayload(t *testing.T) {
 	}
 }
 
+// asTxsList rebuilds the payloads of a body-form proposal or a batch
+// body in list form (TxsPayload), where the contiguous bytes split into
+// length-prefixed transactions; it reports false when m has none to
+// rebuild.
+func asTxsList(m Message) (Message, bool) {
+	split := func(p *Payload) bool {
+		if p.HasBatches() || len(p.Data) == 0 {
+			return false
+		}
+		var txs [][]byte
+		for data := p.Data; len(data) > 0; {
+			if len(data) < 4 || int(binary.LittleEndian.Uint32(data)) > len(data)-4 {
+				return false
+			}
+			n := 4 + int(binary.LittleEndian.Uint32(data))
+			txs = append(txs, data[4:n])
+			data = data[n:]
+		}
+		list := TxsPayload(txs)
+		if p.Change != nil {
+			list = ConfigChangePayload(*p.Change, list)
+		}
+		*p = list
+		return true
+	}
+	switch v := m.(type) {
+	case *Proposal:
+		if v.Block == nil {
+			return nil, false
+		}
+		b := *v.Block
+		cp := *v
+		cp.Block = &b
+		return &cp, split(&b.Payload)
+	case *BatchAnnounce:
+		cp := *v
+		return &cp, split(&cp.Body)
+	case *BatchResponse:
+		cp := *v
+		return &cp, split(&cp.Body)
+	}
+	return nil, false
+}
+
 // FuzzAppendMessageVec: whatever decodes, by copy or in place (its
 // payloads aliasing the received bytes), the reference-mode segments
-// concatenate to exactly the bytes EncodeMessage gives the copy. The
-// seeds (vecSeeds) run under plain go test.
+// concatenate to exactly the bytes EncodeMessage gives the copy, and so
+// do EncodeMessage and the segments of the message with its payload
+// rebuilt as a transaction list. The seeds (vecSeeds) run under plain go
+// test.
 func FuzzAppendMessageVec(f *testing.F) {
 	for _, m := range vecSeeds() {
 		f.Add(mustEncode(m))
@@ -115,6 +173,11 @@ func FuzzAppendMessageVec(f *testing.F) {
 		}
 		if !bytes.Equal(vecEncode(t, dec), want) {
 			t.Fatalf("%T decoded in place: segments differ from EncodeMessage", m)
+		}
+		if list, ok := asTxsList(m); ok {
+			if !bytes.Equal(mustEncode(list), want) || !bytes.Equal(vecEncode(t, list), want) {
+				t.Fatalf("%T in list form: encoding differs from the contiguous form", m)
+			}
 		}
 	})
 }

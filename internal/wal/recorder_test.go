@@ -140,9 +140,8 @@ func TestRecorderForcesOwnBeforeSend(t *testing.T) {
 }
 
 // TestRecorderLeavesOwnMessageUncached: journaling an own proposal
-// encodes it into the log's pooled buffer and caches nothing on the
-// message, so the TCP transport still sends its payload by reference. A
-// cached message would re-encode without allocating.
+// encodes it into the log's pooled buffer and leaves the message as it
+// was, so encoding it again takes the one exact-size allocation.
 func TestRecorderLeavesOwnMessageUncached(t *testing.T) {
 	eng := &fakeEngine{}
 	rec, err := NewRecorder(RecorderConfig{Dir: t.TempDir(), Engine: eng,
