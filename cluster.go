@@ -62,13 +62,6 @@ type ClusterConfig struct {
 	// the state below fin − PruneKeep, so a replica holds between
 	// PruneKeep and 2×PruneKeep rounds.
 	PruneKeep int
-	// OptimisticProposals enables Moonshot-style proposal pipelining in
-	// the Banyan engines: the next leader signs and broadcasts its block
-	// on the expected parent before the round certifies, confirming it
-	// with its fast vote or withdrawing it on a parent mismatch (see
-	// core.Config.OptimisticProposals). Keep the knob stable across
-	// restarts of a WAL-backed cluster.
-	OptimisticProposals bool
 	// Dissem decouples payload dissemination from ordering: replicas cut
 	// mempool transactions into digest-addressed batches broadcast off
 	// the consensus path, blocks commit ordered digest lists instead of
@@ -99,19 +92,18 @@ type ClusterConfig struct {
 // a field no mapping reads).
 func (cfg ClusterConfig) options() stack.Options {
 	o := stack.Options{
-		N:                   cfg.N,
-		P:                   cfg.P,
-		MaxN:                cfg.MaxN,
-		Delta:               cfg.Delta,
-		Scheme:              cfg.Scheme,
-		Seed:                cfg.Seed,
-		OptimisticProposals: cfg.OptimisticProposals,
-		DeepPrune:           cfg.DeepPrune,
-		PruneKeep:           types.Round(cfg.PruneKeep),
-		Dissem:              cfg.Dissem,
-		WALDir:              cfg.WALDir,
-		Obs:                 cfg.Obs,
-		ObsTraceEvents:      cfg.ObsTraceEvents,
+		N:              cfg.N,
+		P:              cfg.P,
+		MaxN:           cfg.MaxN,
+		Delta:          cfg.Delta,
+		Scheme:         cfg.Scheme,
+		Seed:           cfg.Seed,
+		DeepPrune:      cfg.DeepPrune,
+		PruneKeep:      types.Round(cfg.PruneKeep),
+		Dissem:         cfg.Dissem,
+		WALDir:         cfg.WALDir,
+		Obs:            cfg.Obs,
+		ObsTraceEvents: cfg.ObsTraceEvents,
 	}
 	if o.Delta == 0 {
 		o.Delta = 10 * time.Millisecond

@@ -10,8 +10,7 @@ import (
 // runDissem measures the batch-dissemination layer (internal/dissem):
 // blocks commit an ordered list of batch digests while the bodies travel
 // out-of-band, continuously, off the consensus path. Two claims are under
-// test, on the same constrained ~25 MB/s uplink the pipeline experiment
-// uses so body transfer dominates:
+// test, on a constrained ~25 MB/s uplink so body transfer dominates:
 //
 //   - Decoupling: the proposal's wire size is a function of the digest
 //     list, not the payload — it stays flat (within 2 KB) as the block

@@ -1,8 +1,8 @@
 // Command bench regenerates every table and figure of the paper's
 // evaluation (section 9) on the discrete-event WAN simulator, plus
 // ablations of the fast path, its parameter p, tip forwarding and quorum
-// geography, and the pipeline and dissem comparisons ARCHITECTURE.md
-// quotes for those two modes.
+// geography, and the dissem comparison ARCHITECTURE.md quotes for that
+// mode.
 //
 // Usage:
 //
@@ -54,7 +54,7 @@ func runCompared(cfg harness.Config) (*harness.Result, error) {
 func run(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	var (
-		exp      = fs.String("exp", "all", "comma-separated experiments: table1,fig1,fig2,fig6a,fig6b,fig6c,fig6d,fig6e,traffic,ablation-p,ablation-fastpath,ablation-forwarding,ablation-geography,pipeline,dissem or 'all'")
+		exp      = fs.String("exp", "all", "comma-separated experiments: table1,fig1,fig2,fig6a,fig6b,fig6c,fig6d,fig6e,traffic,ablation-p,ablation-fastpath,ablation-forwarding,ablation-geography,dissem or 'all'")
 		duration = fs.Duration("duration", 120*time.Second, "virtual duration per run (paper: 120s)")
 		seed     = fs.Uint64("seed", 1, "simulation seed")
 		quick    = fs.Bool("quick", false, "short runs and fewer sweep points")
@@ -121,7 +121,6 @@ var allExperiments = []experiment{
 	{"ablation-fastpath", "Ablation: Banyan with the fast path disabled", runAblationFastPath},
 	{"ablation-forwarding", "Ablation: tip forwarding on/off", runAblationForwarding},
 	{"ablation-geography", "Ablation: co-located vs spread quorum geography", runAblationGeography},
-	{"pipeline", "Optimistic proposal pipelining (Moonshot mode) vs baseline commit latency", runPipeline},
 	{"dissem", "Decoupled batch dissemination: digest-only proposals vs inline payloads", runDissem},
 }
 

@@ -58,25 +58,24 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("localnet", flag.ContinueOnError)
 	var (
-		n          = fs.Int("n", 4, "number of replicas")
-		pFlag      = fs.Int("p", 1, "Banyan fast-path slack p")
-		delta      = fs.Duration("delta", 20*time.Millisecond, "message-delay bound Δ")
-		duration   = fs.Duration("duration", 15*time.Second, "run time")
-		load       = fs.Int("load", 200, "transactions per second submitted across the cluster")
-		txSize     = fs.Int("tx-size", 512, "bytes per transaction")
-		basePort   = fs.Int("base-port", 0, "first TCP port (0 = ephemeral ports)")
-		walDir     = fs.String("wal-dir", "", "write-ahead log root (one subdirectory per replica; empty = no WAL)")
-		crashID    = fs.Int("crash", -1, "replica to kill mid-run (requires -wal-dir; must not be 0, the observer)")
-		crashAt    = fs.Duration("crash-at", 0, "when to kill it (0 = duration/3)")
-		restartAt  = fs.Duration("restart-at", 0, "when to restart it from its WAL (0 = 2*duration/3)")
-		diskLoss   = fs.Bool("disk-loss", false, "wipe the crashed replica's WAL before restarting: it returns with no durable state and must recover its chain from peers via snapshot state sync (runs all replicas deep-pruned so only a bounded window is serveable)")
-		optimistic = fs.Bool("optimistic", false, "enable optimistic proposal pipelining (Moonshot mode): the next leader broadcasts its block on the expected parent before the round certifies")
-		dissem     = fs.Bool("dissem", false, "route payloads through the batch-dissemination layer: proposals commit batch digests, bodies travel out-of-band, delivery gates on availability")
-		dissemB    = fs.Int("dissem-batch", 0, "dissemination batch cut size in bytes (0 = 64 KiB); transactions larger than this are rejected at Submit")
-		reconfig   = fs.Bool("reconfig", false, "script a live membership change: boot an extra replica mid-run, admit it via a finalized ConfigChange (it enters through snapshot state sync), then remove it again (runs deep-pruned)")
-		addAt      = fs.Duration("add-at", 0, "when to boot and admit the extra replica (0 = duration/4)")
-		removeAt   = fs.Duration("remove-at", 0, "when to remove it again (0 = duration/2)")
-		obsAddr    = fs.String("obs-addr", "", "serve replica 0's observability endpoint on this address: /metrics (Prometheus text), /debug/pprof/*, /trace (Chrome trace JSON), /trace/summary, /slow")
+		n         = fs.Int("n", 4, "number of replicas")
+		pFlag     = fs.Int("p", 1, "Banyan fast-path slack p")
+		delta     = fs.Duration("delta", 20*time.Millisecond, "message-delay bound Δ")
+		duration  = fs.Duration("duration", 15*time.Second, "run time")
+		load      = fs.Int("load", 200, "transactions per second submitted across the cluster")
+		txSize    = fs.Int("tx-size", 512, "bytes per transaction")
+		basePort  = fs.Int("base-port", 0, "first TCP port (0 = ephemeral ports)")
+		walDir    = fs.String("wal-dir", "", "write-ahead log root (one subdirectory per replica; empty = no WAL)")
+		crashID   = fs.Int("crash", -1, "replica to kill mid-run (requires -wal-dir; must not be 0, the observer)")
+		crashAt   = fs.Duration("crash-at", 0, "when to kill it (0 = duration/3)")
+		restartAt = fs.Duration("restart-at", 0, "when to restart it from its WAL (0 = 2*duration/3)")
+		diskLoss  = fs.Bool("disk-loss", false, "wipe the crashed replica's WAL before restarting: it returns with no durable state and must recover its chain from peers via snapshot state sync (runs all replicas deep-pruned so only a bounded window is serveable)")
+		dissem    = fs.Bool("dissem", false, "route payloads through the batch-dissemination layer: proposals commit batch digests, bodies travel out-of-band, delivery gates on availability")
+		dissemB   = fs.Int("dissem-batch", 0, "dissemination batch cut size in bytes (0 = 64 KiB); transactions larger than this are rejected at Submit")
+		reconfig  = fs.Bool("reconfig", false, "script a live membership change: boot an extra replica mid-run, admit it via a finalized ConfigChange (it enters through snapshot state sync), then remove it again (runs deep-pruned)")
+		addAt     = fs.Duration("add-at", 0, "when to boot and admit the extra replica (0 = duration/4)")
+		removeAt  = fs.Duration("remove-at", 0, "when to remove it again (0 = duration/2)")
+		obsAddr   = fs.String("obs-addr", "", "serve replica 0's observability endpoint on this address: /metrics (Prometheus text), /debug/pprof/*, /trace (Chrome trace JSON), /trace/summary, /slow")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -138,15 +137,14 @@ func run(args []string) error {
 
 	mkReplica := func(i int) (*banyan.Replica, error) {
 		cfg := banyan.ReplicaConfig{
-			ID:                  i,
-			N:                   *n,
-			MaxN:                maxN,
-			P:                   *pFlag,
-			Peers:               peers,
-			Delta:               *delta,
-			OptimisticProposals: *optimistic,
-			Dissem:              *dissem,
-			DissemBatchBytes:    *dissemB,
+			ID:               i,
+			N:                *n,
+			MaxN:             maxN,
+			P:                *pFlag,
+			Peers:            peers,
+			Delta:            *delta,
+			Dissem:           *dissem,
+			DissemBatchBytes: *dissemB,
 		}
 		if *diskLoss || *reconfig {
 			// Deep-pruned, tight windows: peers can only serve their last

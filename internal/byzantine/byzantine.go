@@ -130,148 +130,12 @@ func (e *EquivocatingLeader) split(prop *types.Proposal) []protocol.Action {
 	return acts
 }
 
-// OptimisticEquivocator attacks the optimistic proposal pipeline: every
-// own proposal — including the credential-less optimistic body broadcast
-// — is split into conflicting twins sent to different cluster halves,
-// and every own vote for a split block is equivocated to match (each
-// half sees the leader fast-voting "its" twin). An honest cluster must
-// never fast-commit either twin: the fast quorum n-p forces any two
-// commit quorums to share an honest replica, and honest replicas vote
-// for at most one rank-0 block per round.
-type OptimisticEquivocator struct {
-	adversary
-	signer *crypto.Signer
-	n      int
-	twins  map[types.BlockID]*types.Block // original block ID → forged twin
-}
-
-// NewOptimisticEquivocator wraps an engine (the adversary's own replica)
-// with its signer; n is the cluster size.
-func NewOptimisticEquivocator(inner protocol.Engine, signer *crypto.Signer, n int) *OptimisticEquivocator {
-	e := &OptimisticEquivocator{signer: signer, n: n, twins: make(map[types.BlockID]*types.Block)}
-	e.adversary = adversary{inner, "-opt-equivocator", e.rewrite}
-	return e
-}
-
-// Pairs returns the equivocated (original, twin) block-ID pairs produced
-// so far, keyed by the original's ID. Tests use it to assert at most one
-// of each pair ever commits.
-func (e *OptimisticEquivocator) Pairs() map[types.BlockID]types.BlockID {
-	out := make(map[types.BlockID]types.BlockID, len(e.twins))
-	for orig, twin := range e.twins {
-		out[orig] = twin.ID()
-	}
-	return out
-}
-
-func (e *OptimisticEquivocator) rewrite(acts []protocol.Action, _ time.Time) []protocol.Action {
-	out := make([]protocol.Action, 0, len(acts))
-	for _, a := range acts {
-		bc, ok := a.(protocol.Broadcast)
-		if !ok {
-			out = append(out, a)
-			continue
-		}
-		switch m := bc.Msg.(type) {
-		case *types.Proposal:
-			if m.Relayed || m.Block == nil || m.Block.Proposer != e.ID() {
-				out = append(out, a)
-				continue
-			}
-			out = append(out, e.splitProposal(m)...)
-		case *types.VoteMsg:
-			out = append(out, e.splitVotes(m)...)
-		default:
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// splitProposal forges a twin of an own proposal and sends the original
-// to the even half, the twin to the odd half. A bare (optimistic)
-// original yields a bare twin — the confirmation votes are equivocated
-// later by splitVotes.
-func (e *OptimisticEquivocator) splitProposal(prop *types.Proposal) []protocol.Action {
-	b := prop.Block
-	twin, ok := e.twins[b.ID()]
-	if !ok {
-		twinPayload := types.SyntheticPayload(b.Payload.Size()+1, uint64(b.Round)^0xEC0EC0)
-		twin = types.NewBlock(b.Round, b.Proposer, b.Rank, b.Parent, twinPayload)
-		if err := e.signer.SignBlock(twin); err != nil {
-			return []protocol.Action{protocol.Broadcast{Msg: prop}}
-		}
-		e.twins[b.ID()] = twin
-	}
-	twinProp := &types.Proposal{
-		Block:              twin,
-		ParentNotarization: prop.ParentNotarization,
-		ParentUnlock:       prop.ParentUnlock,
-	}
-	if prop.FastVote != nil {
-		fv := e.signer.SignVote(types.VoteFast, twin.Round, twin.ID())
-		twinProp.FastVote = &fv
-	}
-	var acts []protocol.Action
-	for i := 0; i < e.n; i++ {
-		id := types.ReplicaID(i)
-		if id == e.ID() {
-			continue
-		}
-		if i%2 == 0 {
-			acts = append(acts, protocol.Send{To: id, Msg: prop})
-		} else {
-			acts = append(acts, protocol.Send{To: id, Msg: twinProp})
-		}
-	}
-	return acts
-}
-
-// splitVotes rewrites an own vote message: votes for a split block go
-// out twice — the original to the even half, a re-signed vote for the
-// twin to the odd half — so each half sees a consistent leader. This is
-// what turns the optimistic confirmation fast vote into equivocation.
-func (e *OptimisticEquivocator) splitVotes(vm *types.VoteMsg) []protocol.Action {
-	split := false
-	for _, v := range vm.Votes {
-		if _, ok := e.twins[v.Block]; ok && v.Voter == e.ID() {
-			split = true
-			break
-		}
-	}
-	if !split {
-		return []protocol.Action{protocol.Broadcast{Msg: vm}}
-	}
-	odd := make([]types.Vote, 0, len(vm.Votes))
-	for _, v := range vm.Votes {
-		if twin, ok := e.twins[v.Block]; ok && v.Voter == e.ID() {
-			odd = append(odd, e.signer.SignVote(v.Kind, v.Round, twin.ID()))
-		} else {
-			odd = append(odd, v)
-		}
-	}
-	evenMsg, oddMsg := vm, &types.VoteMsg{Votes: odd}
-	var acts []protocol.Action
-	for i := 0; i < e.n; i++ {
-		id := types.ReplicaID(i)
-		if id == e.ID() {
-			continue
-		}
-		if i%2 == 0 {
-			acts = append(acts, protocol.Send{To: id, Msg: evenMsg})
-		} else {
-			acts = append(acts, protocol.Send{To: id, Msg: oddMsg})
-		}
-	}
-	return acts
-}
-
-// StaleParentLeader attacks the parent-extension rule the optimistic
-// path leans on: whenever it leads, it re-targets its rank-0 proposal at
-// the *grandparent* — a finalized-but-superseded extension point — and
-// re-signs its credentials for the forged block. Honest replicas must
-// refuse to vote for it (a rank-0 block must extend the previous round's
-// tip), costing the adversary its round but never safety.
+// StaleParentLeader attacks the parent-extension rule: whenever it
+// leads, it re-targets its rank-0 proposal at the *grandparent* — a
+// finalized-but-superseded extension point — and re-signs its
+// credentials for the forged block. Honest replicas must refuse to vote
+// for it (a rank-0 block must extend the previous round's tip), costing
+// the adversary its round but never safety.
 type StaleParentLeader struct {
 	adversary
 	signer *crypto.Signer

@@ -211,53 +211,3 @@ func TestCarriedPayloadDropsItsChange(t *testing.T) {
 		t.Fatalf("payload draws = %v, want only round 1's", calls)
 	}
 }
-
-// TestOvertakenOptimisticPayloadIsCarried: the chain jumps past the round
-// an optimistic proposal was made for (catch-up) before the proposal
-// could be confirmed or withdrawn; the inert block is dropped and its
-// payload rides the next own proposal.
-func TestOvertakenOptimisticPayloadIsCarried(t *testing.T) {
-	set := genesisSet(t, p411)
-	self := set.ReplicaAt(2, 0)
-	var calls []types.Round
-	r := newRig(t, p411, self, withOptimistic, countingPayloads(&calls))
-	a := r.leaderBlock(1, types.Genesis().ID(), 'a')
-	r.deliver(a.Proposer, r.proposalFor(a))
-	bare := bareProposals(r)
-	if len(bare) != 1 {
-		t.Fatalf("optimistic broadcasts = %d, want 1", len(bare))
-	}
-	opt := bare[0].Block
-
-	// The cluster moved on without this replica: rounds 2 to 5 finalized
-	// other blocks, learned through a sync response; it leads round 6.
-	chain := []*types.Block{a, r.rankedBlock(2, 1, a.ID(), 'b')}
-	for round := types.Round(3); round <= 5; round++ {
-		chain = append(chain, r.leaderBlock(round, chain[len(chain)-1].ID(), byte(round)))
-	}
-	tip := chain[len(chain)-1]
-	r.clearActs()
-	r.deliver(tip.Proposer, &types.SyncResponse{
-		Blocks:       chain,
-		Finalization: r.fastFinalCert(tip, set.ReplicaAt(5, 0), set.ReplicaAt(5, 1), set.ReplicaAt(5, 2)).Cert,
-	})
-	if r.eng.Round() != 6 {
-		t.Fatalf("round = %d, want 6 (jumped past the optimistic target)", r.eng.Round())
-	}
-
-	r.tick(time.Millisecond)
-	m := r.eng.Metrics()
-	if m["opt_withdrawn"] != 1 || m["payloads_carried"] != 1 {
-		t.Fatalf("opt_withdrawn=%d payloads_carried=%d, want 1/1", m["opt_withdrawn"], m["payloads_carried"])
-	}
-	next := ownProposalAt(r, 6)
-	if next == nil {
-		t.Fatal("no round-6 proposal")
-	}
-	if next.Payload.Digest() != opt.Payload.Digest() {
-		t.Fatal("round-6 proposal does not carry the overtaken optimistic payload")
-	}
-	if len(calls) != 1 {
-		t.Fatalf("payload draws = %v, want only the optimistic one", calls)
-	}
-}

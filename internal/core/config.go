@@ -81,20 +81,6 @@ type Config struct {
 	// pulls are still made and answered. Used by the forwarding ablation
 	// benchmark.
 	DisableForwarding bool
-	// OptimisticProposals enables Moonshot-style proposal pipelining: when
-	// this replica holds rank 0 for the next round, it signs and broadcasts
-	// its proposal on the *expected* parent (the current round's unique
-	// rank-0 block) as soon as that block arrives, instead of waiting for
-	// the round's certificate. The optimistic broadcast carries no fast
-	// vote and no parent credentials, so no replica can vote for it until
-	// the leader confirms it with its (single, per-round) fast vote; if the
-	// certified parent differs, the proposal is withdrawn — never
-	// fast-voted, hence permanently invalid everywhere — and the leader
-	// proposes on the real parent. Requires the fast path: the rank-0
-	// validity rule (proposer fast vote present) is what keeps a withdrawn
-	// proposal inert. The knob must be kept stable across restarts of a
-	// WAL-backed replica, as replay classifies journaled proposals with it.
-	OptimisticProposals bool
 	// PruneKeep is how many rounds below the finalized height are retained,
 	// and the pruning cadence: every PruneKeep finalized rounds the state
 	// below fin − PruneKeep is dropped, so between PruneKeep and
@@ -140,10 +126,6 @@ func (c *Config) validate() error {
 	}
 	if c.Params.P < 1 && !c.DisableFastPath {
 		return fmt.Errorf("core: fast path requires p >= 1, got %d", c.Params.P)
-	}
-	if c.OptimisticProposals && c.DisableFastPath {
-		return errors.New("core: OptimisticProposals requires the fast path " +
-			"(withdrawn proposals stay inert only under the rank-0 fast-vote validity rule)")
 	}
 	if c.Keyring == nil || c.Signer == nil {
 		return errors.New("core: keyring and signer are required")

@@ -85,21 +85,11 @@ type Engine struct {
 	// only come from the journal itself.
 	replaying bool
 
-	// opt is the in-flight optimistic proposal (Config.OptimisticProposals):
-	// a signed block for round opt.round, broadcast while this replica was
-	// still in round opt.round-1, extending the parent it expected that
-	// round to certify. It is deliberately NOT among rounds[opt.round]'s
-	// blocks or in the tree — it becomes this replica's proposal only when
-	// tryPropose confirms it (certified parent matched) and fast-votes it;
-	// a mismatch withdraws it, and the block, lacking its proposer's fast
-	// vote, can never satisfy validBlock anywhere.
-	opt *optimisticProposal
-
-	// carry queues the payloads of own blocks that can never finalize — an
-	// own block whose round finalized another, a withdrawn or overtaken
-	// optimistic proposal — oldest first. Proposals take from it before
-	// they ask Config.Payloads for anything new (nextPayload): the source
-	// handed the payload out for good, so dropping it here would lose it.
+	// carry queues the payloads of own blocks that can never finalize —
+	// an own block whose round finalized another — oldest first.
+	// Proposals take from it before they ask Config.Payloads for anything
+	// new (nextPayload): the source handed the payload out for good, so
+	// dropping it here would lose it.
 	// Exactly once holds because one block per round finalizes: no
 	// finalized block can name the payload of a block its round excluded.
 	// Under Config.Dissem nothing is carried: a batch stays in the store's
@@ -128,9 +118,6 @@ type Engine struct {
 		ssServed      int64
 		ssRejected    int64
 		ssBytes       int64
-		optProposed   int64
-		optConfirmed  int64
-		optWithdrawn  int64
 		carried       int64
 		batchServed   int64
 		delivDropped  int64
@@ -154,14 +141,6 @@ type deliveryItem struct {
 	// enq is when the chain entered the delivery queue (engine clock),
 	// the start point of the delivery-wait histogram.
 	enq time.Time
-}
-
-// optimisticProposal is a proposal signed and broadcast before its
-// parent round certified, pending confirmation or withdrawal.
-type optimisticProposal struct {
-	round  types.Round
-	parent types.BlockID
-	block  *types.Block
 }
 
 var _ protocol.Engine = (*Engine)(nil)
@@ -404,9 +383,6 @@ func (e *Engine) Metrics() map[string]int64 {
 		"statesync_served":   e.met.ssServed,
 		"statesync_rejected": e.met.ssRejected,
 		"statesync_bytes":    e.met.ssBytes,
-		"opt_proposed":       e.met.optProposed,
-		"opt_confirmed":      e.met.optConfirmed,
-		"opt_withdrawn":      e.met.optWithdrawn,
 		"payloads_carried":   e.met.carried,
 		"epoch":              int64(e.history.Current().Epoch()),
 		"epoch_changes":      e.met.epochChanges,
@@ -733,9 +709,6 @@ func (e *Engine) progress(now time.Time, acts []protocol.Action) []protocol.Acti
 			changed, acts = true, a
 		}
 		if c, a := e.tryPropose(now, acts); c {
-			changed, acts = true, a
-		}
-		if c, a := e.tryOptimisticPropose(acts); c {
 			changed, acts = true, a
 		}
 		if c, a := e.tryVote(now, acts); c {
@@ -1281,22 +1254,11 @@ func (e *Engine) parentOK(b *types.Block) bool {
 }
 
 // tryPropose implements Algorithm 1 line 23: propose once the proposal
-// delay for this replica's rank has elapsed. In OptimisticProposals mode
-// it is also where an in-flight optimistic proposal resolves: confirmed
-// (adopted and fast-voted) when the certified parent matches the
-// expected one, withdrawn otherwise.
+// delay for this replica's rank has elapsed.
 func (e *Engine) tryPropose(now time.Time, acts []protocol.Action) (bool, []protocol.Action) {
 	rs := e.getRound(e.round)
 	if e.replaying || !rs.started {
 		return false, acts
-	}
-	if e.opt != nil && e.opt.round < e.round {
-		// The chain advanced past the optimistic target without this
-		// replica proposing (catch-up jump): the never-fast-voted block is
-		// inert everywhere; only its payload lives on.
-		e.carryPayload(e.opt.block.Payload)
-		e.opt = nil
-		e.met.optWithdrawn++
 	}
 	if rs.proposed || rs.advanced {
 		return false, acts
@@ -1311,17 +1273,6 @@ func (e *Engine) tryPropose(now time.Time, acts []protocol.Action) (bool, []prot
 		return false, acts
 	}
 	parentID, parentNotar, parentProof := e.parentCreds(e.round)
-	if opt := e.opt; opt != nil && opt.round == e.round {
-		e.opt = nil
-		if opt.parent == parentID {
-			return true, e.confirmOptimistic(rs, opt, now, acts)
-		}
-		// Withdrawn: the round certified a different parent. Re-propose on
-		// the real parent; the withdrawn block's payload is carried like
-		// any other orphan's.
-		e.met.optWithdrawn++
-		e.carryPayload(opt.block.Payload)
-	}
 	payload := e.nextPayload(e.round, rank, parentID)
 	// A host-queued validator-set change rides this proposal, provided it
 	// would actually apply to the round's set (a stale or inapplicable
@@ -1355,82 +1306,6 @@ func (e *Engine) tryPropose(now time.Time, acts []protocol.Action) (bool, []prot
 		msg.FastVote = &fv
 	}
 	return true, append(acts, protocol.Broadcast{Msg: msg})
-}
-
-// tryOptimisticPropose implements the Moonshot-style pipelining mode
-// (Config.OptimisticProposals): when this replica holds rank 0 for the
-// next round and the current round has exactly one rank-0 block, the next
-// proposal's parent is overwhelmingly likely to be that block — so sign
-// and broadcast the proposal now, overlapping the (large) block body's
-// network transmission with the current round's quorum formation. The
-// broadcast is deliberately inert: it carries no fast vote and no parent
-// credentials, and validBlock requires the proposer's fast vote for a
-// rank-0 block, so no replica can vote for it until tryPropose later
-// confirms it. The leader's single per-round fast vote is thus the commit
-// point, and safety reduces to the existing vote rules.
-func (e *Engine) tryOptimisticPropose(acts []protocol.Action) (bool, []protocol.Action) {
-	if !e.cfg.OptimisticProposals || e.replaying {
-		return false, acts
-	}
-	next := e.round + 1
-	if e.opt != nil && e.opt.round >= next {
-		return false, acts
-	}
-	if e.setFor(next).RankOf(next, e.cfg.Self) != 0 {
-		return false, acts
-	}
-	rs := e.getRound(e.round)
-	if !rs.started || rs.advanced {
-		return false, acts
-	}
-	if nrs, ok := e.rounds[next]; ok && nrs.proposed {
-		return false, acts
-	}
-	// The expected parent is the current round's unique rank-0 block. Two
-	// rank-0 blocks mean the round's leader equivocated — no safe guess.
-	var parent *types.Block
-	for _, r := range rs.byID {
-		if r.block == nil || r.block.Rank != 0 {
-			continue
-		}
-		if parent != nil {
-			return false, acts
-		}
-		parent = r.block
-	}
-	if parent == nil {
-		return false, acts
-	}
-	if parent.Payload.Change != nil {
-		// The expected parent carries a validator-set change: if it
-		// finalizes, round next belongs to the *next* epoch and this
-		// replica's rank-0 guess (and the block's epoch stamp) would be
-		// stale. Wait for tryPropose on the certified parent instead.
-		return false, acts
-	}
-	b := types.NewBlock(next, e.cfg.Self, 0, parent.ID(), e.nextPayload(next, 0, parent.ID()))
-	b.Epoch = e.setFor(next).Epoch()
-	if err := e.cfg.Signer.SignBlock(b); err != nil {
-		e.stop(fmt.Errorf("core: signing optimistic block: %w", err))
-		return true, acts
-	}
-	e.opt = &optimisticProposal{round: next, parent: parent.ID(), block: b}
-	e.met.optProposed++
-	return true, append(acts, protocol.Broadcast{Msg: &types.Proposal{Block: b}})
-}
-
-// confirmOptimistic adopts a pipelined proposal whose expected parent was
-// certified: the already-broadcast block becomes this round's proposal,
-// and the fast vote receivers have been waiting for goes out as a tiny
-// VoteMsg — the block body is already on the wire, and receivers take the
-// parent credentials from the Advance, or the fast-finalization
-// certificate, broadcast as the previous round was left.
-func (e *Engine) confirmOptimistic(rs *roundState, opt *optimisticProposal,
-	now time.Time, acts []protocol.Action) []protocol.Action {
-	e.adoptOwn(rs, opt.block)
-	e.met.optConfirmed++
-	fv := e.castVote(rs, opt.block.ID(), now)
-	return append(acts, protocol.Broadcast{Msg: &types.VoteMsg{Votes: []types.Vote{fv}}})
 }
 
 // adoptOwn makes b this replica's proposal of its round: valid by
@@ -1540,7 +1415,7 @@ func (e *Engine) relayProposal(b *types.Block) *types.Proposal {
 // holds. For rank-0 blocks the relay also carries the proposer's fast
 // vote when this replica holds it: validity requires that vote
 // (Addition 2), and without it a replica the original broadcast missed —
-// dropped optimistic confirmation, or an equivocating leader sending
+// a leader that sent its body bare, or an equivocating leader sending
 // each twin to only half the cluster — could never validate the block,
 // splitting the cluster below the notarization quorum.
 func (e *Engine) relayCreds(b *types.Block, p *types.Proposal) {

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"testing"
 	"time"
 
+	"banyan/internal/blocktree"
 	"banyan/internal/crypto"
 	"banyan/internal/membership"
 	"banyan/internal/protocol"
@@ -151,6 +153,56 @@ func sends[T types.Message](r *rig) []protocol.Send {
 }
 
 func (r *rig) clearActs() { r.acts = nil }
+
+// countingPayloads records every NextPayload call so tests can assert
+// the payload source is consulted exactly once per proposed round (a
+// carried payload is reused, not drawn a second time).
+func countingPayloads(calls *[]types.Round) func(*Config) {
+	return func(c *Config) {
+		c.Payloads = protocol.PayloadFunc(func(r types.Round) types.Payload {
+			*calls = append(*calls, r)
+			return types.BytesPayload([]byte{byte(r), byte(len(*calls))})
+		})
+	}
+}
+
+// ownRound2Proposals filters the rig's own (non-relayed) round-2
+// proposal broadcasts — relays of peers' round-1 proposals don't count.
+func ownRound2Proposals(r *rig) []*types.Proposal {
+	var out []*types.Proposal
+	for _, p := range broadcasts[*types.Proposal](r) {
+		if !p.Relayed && p.Block != nil && p.Block.Round == 2 {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// bareProposals filters own credential-less rank-0 broadcasts: no fast
+// vote, no parent credentials.
+func bareProposals(r *rig) []*types.Proposal {
+	var out []*types.Proposal
+	for _, p := range broadcasts[*types.Proposal](r) {
+		if !p.Relayed && p.FastVote == nil && p.ParentNotarization == nil && p.Block.Rank == 0 {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// fastFinalCert builds a quorum fast-finalization certificate.
+func (r *rig) fastFinalCert(b *types.Block, voters ...types.ReplicaID) *types.CertMsg {
+	r.t.Helper()
+	votes := make([]types.Vote, len(voters))
+	for i, v := range voters {
+		votes[i] = r.fastVote(v, b)
+	}
+	cert, err := types.NewCertificate(types.CertFastFinalization, b.Round, b.ID(), votes)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	return &types.CertMsg{Cert: cert}
+}
 
 var p411 = types.Params{N: 4, F: 1, P: 1}
 
@@ -484,6 +536,176 @@ func TestValidityRequiresParentCredentials(t *testing.T) {
 	})
 	if !rs2.peek(b2.ID()).valid {
 		t.Fatal("block not validated after parent credentials arrived")
+	}
+}
+
+// TestReceiverParksBareLeaderProposal: a rank-0 body sent without its
+// proposer's fast vote — which a Byzantine leader can do — is unvoteable
+// (Addition 2) until that vote arrives: the receiver parks it, and the
+// proposer's fast vote alone makes it valid.
+func TestReceiverParksBareLeaderProposal(t *testing.T) {
+	set := genesisSet(t, p411)
+	observer := set.ReplicaAt(1, 3)
+	r := newRig(t, p411, observer)
+
+	a := r.leaderBlock(1, types.Genesis().ID(), 'a')
+	r.deliver(a.Proposer, r.proposalFor(a))
+	r.clearActs()
+
+	// Round 2's block arrives bare while round 1 is still open.
+	leader2 := set.ReplicaAt(2, 0)
+	b := types.NewBlock(2, leader2, 0, a.ID(), types.BytesPayload([]byte{'b'}))
+	if err := r.signers[leader2].SignBlock(b); err != nil {
+		t.Fatal(err)
+	}
+	r.deliver(leader2, &types.Proposal{Block: b})
+	for _, vm := range broadcasts[*types.VoteMsg](r) {
+		for _, v := range vm.Votes {
+			if v.Block == b.ID() {
+				t.Fatalf("voted %v for a bare rank-0 block", v.Kind)
+			}
+		}
+	}
+	// The block may sit in the ancestry tree, but it must not be VALID —
+	// validity is what gates every vote kind.
+	if rs := r.eng.rounds[2]; rs != nil && rs.peek(b.ID()).valid {
+		t.Fatal("bare rank-0 block marked valid")
+	}
+
+	// Certify round 1, then deliver the proposer's fast vote: the parked
+	// block becomes valid and this replica fast-votes it.
+	peer1, peer2 := set.ReplicaAt(1, 1), set.ReplicaAt(1, 2)
+	r.deliver(peer1, &types.VoteMsg{Votes: []types.Vote{r.fastVote(peer1, a), r.notarVote(peer1, a)}})
+	r.deliver(peer2, &types.VoteMsg{Votes: []types.Vote{r.fastVote(peer2, a), r.notarVote(peer2, a)}})
+	if r.eng.Round() != 2 {
+		t.Fatalf("round = %d, want 2", r.eng.Round())
+	}
+	r.clearActs()
+	r.deliver(leader2, &types.VoteMsg{Votes: []types.Vote{r.fastVote(leader2, b)}})
+	var fastVoted bool
+	for _, vm := range broadcasts[*types.VoteMsg](r) {
+		for _, v := range vm.Votes {
+			if v.Kind == types.VoteFast && v.Block == b.ID() {
+				fastVoted = true
+			}
+		}
+	}
+	if !fastVoted {
+		t.Fatal("parked block not fast-voted once its proposer's fast vote arrived")
+	}
+}
+
+// TestStaleFinalizedParentRejected: a rank-0 block extending a finalized
+// block from an older round (a superseded fork point) must not validate
+// — voting for it could notarize a chain that contradicts the finalized
+// prefix and halt the cluster (see parentOK).
+func TestStaleFinalizedParentRejected(t *testing.T) {
+	set := genesisSet(t, p411)
+	r := newRig(t, p411, set.ReplicaAt(4, 0)) // idle observer for rounds 1-3
+
+	a1 := r.leaderBlock(1, types.Genesis().ID(), 'a')
+	r.deliver(a1.Proposer, r.proposalFor(a1))
+	r.deliver(a1.Proposer, r.fastFinalCert(a1, 1, 2, 3))
+	if r.eng.Round() != 2 {
+		t.Fatalf("round = %d after finalizing round 1, want 2", r.eng.Round())
+	}
+
+	// Round-2 block extending genesis: genesis is finalized, but it is not
+	// the round-1 extension point — must stay invalid and unvoted.
+	r.clearActs()
+	stale := r.leaderBlock(2, types.Genesis().ID(), 's')
+	r.deliver(stale.Proposer, r.proposalFor(stale))
+	for _, vm := range broadcasts[*types.VoteMsg](r) {
+		for _, v := range vm.Votes {
+			if v.Block == stale.ID() {
+				t.Fatalf("voted %v for a stale-parent block", v.Kind)
+			}
+		}
+	}
+
+	// The legitimate extension of the round-1 tip still validates.
+	good := r.leaderBlock(2, a1.ID(), 'g')
+	r.deliver(good.Proposer, r.proposalFor(good))
+	var voted bool
+	for _, vm := range broadcasts[*types.VoteMsg](r) {
+		for _, v := range vm.Votes {
+			if v.Block == good.ID() {
+				voted = true
+			}
+		}
+	}
+	if !voted {
+		t.Fatal("adjacent finalized parent rejected")
+	}
+}
+
+// TestConflictingFinalizationFaults: a quorum certificate finalizing a
+// chain that contradicts the locally finalized prefix must fire the
+// safety-fault path (SafetyFault action, engine halt) rather than be
+// absorbed.
+func TestConflictingFinalizationFaults(t *testing.T) {
+	set := genesisSet(t, p411)
+	r := newRig(t, p411, set.ReplicaAt(4, 0))
+
+	a1 := r.leaderBlock(1, types.Genesis().ID(), 'a')
+	r.deliver(a1.Proposer, r.proposalFor(a1))
+	r.deliver(a1.Proposer, r.fastFinalCert(a1, 1, 2, 3))
+
+	// A conflicting round-1 fork b1, and b2 on top of it with forged-quorum
+	// credentials (every signer is available to the test).
+	b1 := r.leaderBlock(1, types.Genesis().ID(), 'b')
+	r.deliver(b1.Proposer, r.proposalFor(b1))
+	for _, voter := range []types.ReplicaID{1, 2, 3} {
+		r.deliver(voter, &types.VoteMsg{Votes: []types.Vote{r.fastVote(voter, b1)}})
+	}
+	notarB1, err := types.NewCertificate(types.CertNotarization, 1, b1.ID(), []types.Vote{
+		r.notarVote(1, b1), r.notarVote(2, b1), r.notarVote(3, b1),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b2 := r.leaderBlock(2, b1.ID(), 'c')
+	fv := r.fastVote(b2.Proposer, b2)
+	r.clearActs()
+	r.deliver(b2.Proposer, &types.Proposal{Block: b2, FastVote: &fv, ParentNotarization: notarB1})
+	r.deliver(b2.Proposer, r.fastFinalCert(b2, 1, 2, 3))
+
+	var faults []protocol.SafetyFault
+	for _, a := range r.acts {
+		if f, ok := a.(protocol.SafetyFault); ok {
+			faults = append(faults, f)
+		}
+	}
+	if len(faults) == 0 {
+		t.Fatal("conflicting finalization did not raise a SafetyFault")
+	}
+	if !errors.Is(faults[0].Err, blocktree.ErrSafetyViolation) {
+		t.Fatalf("fault = %v, want ErrSafetyViolation", faults[0].Err)
+	}
+}
+
+// TestLeaderNeverBroadcastsBareProposal: the round-2 leader proposes
+// only once round 1 certifies, and its rank-0 proposal carries its fast
+// vote; the engine never emits a credential-less one.
+func TestLeaderNeverBroadcastsBareProposal(t *testing.T) {
+	set := genesisSet(t, p411)
+	r := newRig(t, p411, set.ReplicaAt(2, 0))
+	a := r.leaderBlock(1, types.Genesis().ID(), 'a')
+	r.deliver(a.Proposer, r.proposalFor(a))
+	if props := ownRound2Proposals(r); len(props) != 0 {
+		t.Fatalf("%d round-2 proposals before round 1 certified", len(props))
+	}
+	peer1, peer2 := set.ReplicaAt(1, 2), set.ReplicaAt(1, 3)
+	r.deliver(peer1, &types.VoteMsg{Votes: []types.Vote{r.fastVote(peer1, a)}})
+	r.deliver(peer2, &types.VoteMsg{Votes: []types.Vote{r.fastVote(peer2, a)}})
+	if r.eng.Round() != 2 {
+		t.Fatalf("round = %d, want 2", r.eng.Round())
+	}
+	if props := ownRound2Proposals(r); len(props) != 1 || props[0].FastVote == nil {
+		t.Fatalf("round-2 proposals %v, want one carrying its fast vote", props)
+	}
+	if len(bareProposals(r)) != 0 {
+		t.Fatal("a bare rank-0 proposal was broadcast")
 	}
 }
 

@@ -311,89 +311,6 @@ func TestCrashedLeaderRoundFirstVoteIsFast(t *testing.T) {
 	}
 }
 
-// TestOptimisticRoundsOneSignature: an optimistic proposal's confirmation
-// — a lone fast vote in a VoteMsg — is the leader's notarization vote, so
-// no second VoteMsg follows it; after a withdrawal the fallback proposal
-// carries the vote like any other. Either way the round notarizes on fast
-// votes and finalizes.
-func TestOptimisticRoundsOneSignature(t *testing.T) {
-	for _, params := range clusterSizes {
-		for _, withdraw := range []bool{false, true} {
-			t.Run(fmt.Sprintf("n%d/withdraw=%v", params.N, withdraw), func(t *testing.T) {
-				set := genesisSet(t, params)
-				self := set.ReplicaAt(2, 0)
-				r := newRig(t, params, self, withOptimistic)
-				a := r.leaderBlock(1, types.Genesis().ID(), 'a')
-				r.deliver(a.Proposer, r.proposalFor(a))
-				bare := bareProposals(r)
-				if len(bare) != 1 {
-					t.Fatalf("%d optimistic broadcasts, want 1", len(bare))
-				}
-				parent := a
-				if withdraw {
-					// The leader's twin certifies instead.
-					parent = r.leaderBlock(1, types.Genesis().ID(), 'z')
-					r.deliver(parent.Proposer, r.proposalFor(parent))
-				}
-				r.clearActs()
-				for _, p := range peersOf(r, a.Proposer) {
-					if r.eng.Round() == 2 {
-						break
-					}
-					r.deliver(p, fastVoteMsg(r, p, parent))
-				}
-				if r.eng.Round() != 2 {
-					t.Fatalf("round %d, want 2", r.eng.Round())
-				}
-
-				var b *types.Block
-				own2 := 0 // this replica's round-2 votes outside a proposal
-				for _, vm := range broadcasts[*types.VoteMsg](r) {
-					for _, v := range vm.Votes {
-						if v.Round == 2 {
-							own2++
-							if v.Kind != types.VoteFast || v.Block != bare[0].Block.ID() {
-								t.Errorf("round-2 vote %v", v)
-							}
-						}
-					}
-				}
-				if withdraw {
-					props := ownRound2Proposals(r)
-					if len(props) != 1 || props[0].FastVote == nil || own2 != 0 {
-						t.Fatalf("withdraw: %d fallback proposals, %d loose round-2 votes", len(props), own2)
-					}
-					b = props[0].Block
-				} else {
-					if own2 != 1 {
-						t.Fatalf("confirm: %d round-2 votes, want the confirmation alone", own2)
-					}
-					b = bare[0].Block
-				}
-				rs := r.eng.rounds[2]
-				if !rs.peek(b.ID()).notarVoted || rs.notarSupport(b.ID()) != 1 {
-					t.Fatalf("in N %v, support=%d after proposing", rs.peek(b.ID()).notarVoted, rs.notarSupport(b.ID()))
-				}
-
-				r.clearActs()
-				peers := peersOf(r)
-				for _, p := range peers[:params.NotarizationQuorum()-1] {
-					r.deliver(p, fastVoteMsg(r, p, b))
-				}
-				if r.eng.Round() != 3 {
-					t.Fatalf("round %d after a notarization quorum for round 2", r.eng.Round())
-				}
-				for _, p := range peers[:params.FinalizationQuorum()-1] {
-					r.deliver(p, &types.VoteMsg{Votes: []types.Vote{r.finalVote(p, b)}})
-				}
-				if fin := r.eng.Tree().FinalizedRound(); fin != 2 {
-					t.Fatalf("finalized round %d, want 2", fin)
-				}
-			})
-		}
-	}
-}
-
 // TestReplayOldAndNewVoteForms: a journal from when the first vote of a
 // round was two signatures ([notarize, fast]) and one in today's form
 // ([fast]) restore the same voting record. And the record binds: a

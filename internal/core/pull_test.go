@@ -399,11 +399,11 @@ func TestFinalizedRoundDropsWanted(t *testing.T) {
 	}
 }
 
-// TestBareOptimisticBodyPlusHeaderRelayZeroPulls: the pipelined leader's
-// body arrived bare and the confirming fast vote was lost; a header relay
-// carrying that vote and the parent credentials validates the parked
-// body — no pull, the body is already here.
-func TestBareOptimisticBodyPlusHeaderRelayZeroPulls(t *testing.T) {
+// TestBareBodyPlusHeaderRelayZeroPulls: the leader's body arrived bare,
+// without its fast vote (a Byzantine leader can send it so); a header
+// relay carrying that vote and the parent credentials validates the
+// parked body — no pull, the body is already here.
+func TestBareBodyPlusHeaderRelayZeroPulls(t *testing.T) {
 	set := genesisSet(t, p411)
 	r := newRig(t, p411, set.ReplicaAt(1, 3))
 	a := r.leaderBlock(1, types.Genesis().ID(), 'a')
@@ -421,7 +421,7 @@ func TestBareOptimisticBodyPlusHeaderRelayZeroPulls(t *testing.T) {
 		t.Fatalf("round = %d, want 2", r.eng.Round())
 	}
 	if votedFor(r, b.ID()) {
-		t.Fatal("voted for the unconfirmed optimistic block")
+		t.Fatal("voted for the bare rank-0 block")
 	}
 	r.clearActs()
 	r.deliver(peer1, r.headerRelayFor(b))

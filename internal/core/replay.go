@@ -64,29 +64,7 @@ func (e *Engine) replayOwnProposal(m *types.Proposal) {
 		e.met.rejected++
 		return
 	}
-	rs := e.getRound(b.Round)
-	if e.cfg.OptimisticProposals && b.Rank == 0 && m.FastVote == nil && !rs.proposed {
-		// An optimistic proposal: the live path always attaches the fast
-		// vote to a rank-0 proposal, so a journaled own rank-0 proposal
-		// without one was broadcast before its parent round certified.
-		// Restore it as *pending*, exactly the pre-crash state — marking it
-		// proposed would let a restart resurrect a proposal the pre-crash
-		// replica may have withdrawn, and the later journaled fast vote
-		// (confirmation) or same-round proposal (fallback) resolves it just
-		// as the live path would. Checkpoint snapshots strip fast votes
-		// from own proposals too; those heal through the same confirmation
-		// record, which Snapshot always emits alongside.
-		e.opt = &optimisticProposal{round: b.Round, parent: b.Parent, block: b}
-		e.met.optProposed++
-		return
-	}
-	e.adoptOwn(rs, b)
-	if e.opt != nil && e.opt.round == b.Round {
-		// A journaled same-round proposal WITH credentials supersedes the
-		// optimistic one: the pre-crash replica withdrew and re-proposed.
-		e.opt = nil
-		e.met.optWithdrawn++
-	}
+	e.adoptOwn(e.getRound(b.Round), b)
 	if m.FastVote != nil {
 		e.replayOwnVote(*m.FastVote)
 	}
@@ -118,14 +96,6 @@ func (e *Engine) replayOwnVote(v types.Vote) {
 		// restores the same record.
 		rs.fastVoteSent = true
 		rs.recFor(v.Block).notarVoted = true
-		if opt := e.opt; opt != nil && opt.round == v.Round && opt.block.ID() == v.Block {
-			// The journaled fast vote names the pending optimistic block:
-			// that vote was its confirmation — adopt it as the round's
-			// proposal, as confirmOptimistic did before the crash.
-			e.adoptOwn(rs, opt.block)
-			e.met.optConfirmed++
-			e.opt = nil
-		}
 	case types.VoteFinalize:
 		rs.finalVoted = true
 	}

@@ -57,13 +57,6 @@ func (e *Engine) Snapshot() *protocol.Snapshot {
 			s.Own = append(s.Own, &types.VoteMsg{Votes: votes})
 		}
 	}
-	// A pending optimistic proposal (signed and broadcast, not yet
-	// confirmed or withdrawn) rides along so a checkpoint-plus-tail replay
-	// restores the same in-flight state as a full replay. Its missing fast
-	// vote is what marks it optimistic to ReplayOwn.
-	if e.opt != nil {
-		s.Own = append(s.Own, &types.Proposal{Block: e.opt.block})
-	}
 	if e.latestFinal != nil {
 		s.Own = append(s.Own, &types.CertMsg{Cert: e.latestFinal})
 	}

@@ -132,12 +132,6 @@ type Config struct {
 	// forwarding ablation; see ARCHITECTURE.md, "Header relays and body
 	// pulls").
 	NoForwarding bool
-	// OptimisticProposals enables Moonshot-style proposal pipelining in the
-	// Banyan engines: the next leader broadcasts its block on the expected
-	// parent before the round certifies, withdrawing on mismatch (see
-	// core.Config.OptimisticProposals). The cmd/bench "pipeline" experiment
-	// compares latency and throughput with this on and off.
-	OptimisticProposals bool
 	// Dissem routes payloads through the batch-dissemination layer
 	// (internal/dissem): proposals commit batch digests, bodies travel
 	// out-of-band, and delivery of finalized blocks gates on body
@@ -161,12 +155,8 @@ type Result struct {
 	Config Config
 
 	// Latency is the proposal finalization time distribution, measured at
-	// each block's proposer, over the post-warmup window. The clock starts
-	// when the proposal becomes protocol-active: at its broadcast normally,
-	// or — under OptimisticProposals — at the confirming fast vote, since
-	// the early credential-less body broadcast is a transport prefetch no
-	// replica can vote on (and which may still be withdrawn). Pipelining's
-	// overlap win additionally shows up in BlockInterval/ThroughputBps.
+	// each block's proposer from its proposal broadcast, over the
+	// post-warmup window.
 	Latency metrics.Summary
 	// LatencySamples retains the raw series for variance plots (Fig. 6c).
 	LatencySamples []time.Duration
@@ -184,8 +174,8 @@ type Result struct {
 	FastFinal, SlowFinal, IndirectFinal int64
 
 	// Counters sums every replica's engine counters (protocol.Engine's
-	// Metrics) per key across the cluster: opt_proposed, settled_dropped,
-	// verify_cache_misses and the rest.
+	// Metrics) per key across the cluster: payloads_carried,
+	// settled_dropped, verify_cache_misses and the rest.
 	Counters map[string]int64
 
 	// Faults counts safety faults across the cluster (must be zero).
@@ -293,19 +283,18 @@ func (c *Config) fill() error {
 // fast path.
 func (c Config) Options() stack.Options {
 	o := stack.Options{
-		N:                   c.Params.N,
-		F:                   c.Params.F,
-		P:                   c.Params.P,
-		Delta:               c.Delta,
-		DisableFastPath:     c.Protocol == BanyanNoFast,
-		BlockBytes:          c.BlockSize,
-		Scheme:              c.Scheme,
-		Seed:                c.Seed,
-		NoForwarding:        c.NoForwarding,
-		OptimisticProposals: c.OptimisticProposals,
-		Dissem:              c.Dissem,
-		DissemBatchBytes:    c.DissemBatchBytes,
-		Obs:                 c.Obs,
+		N:                c.Params.N,
+		F:                c.Params.F,
+		P:                c.Params.P,
+		Delta:            c.Delta,
+		DisableFastPath:  c.Protocol == BanyanNoFast,
+		BlockBytes:       c.BlockSize,
+		Scheme:           c.Scheme,
+		Seed:             c.Seed,
+		NoForwarding:     c.NoForwarding,
+		Dissem:           c.Dissem,
+		DissemBatchBytes: c.DissemBatchBytes,
+		Obs:              c.Obs,
 	}
 	if o.Scheme == "" {
 		o.Scheme = "hmac"
@@ -345,18 +334,9 @@ func Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("harness: all replicas crashed")
 	}
 
-	// proposalClock times one own proposal. An optimistic (credential-less
-	// rank-0) broadcast records awaitingConfirm: the clock restarts at the
-	// proposer's confirming fast vote, the moment the block becomes
-	// voteable (see Result.Latency).
-	type proposalClock struct {
-		at              time.Time
-		proposer        types.ReplicaID
-		awaitingConfirm bool
-	}
 	var (
 		warmupEnd       = simnet.Epoch.Add(cfg.Warmup)
-		proposedAt      = make(map[types.BlockID]proposalClock)
+		proposedAt      = make(map[types.BlockID]time.Time)
 		latency         = metrics.NewSeries()
 		throughput      = metrics.NewThroughput(cfg.Duration - cfg.Warmup)
 		faultErrors     []error
@@ -364,37 +344,20 @@ func Run(cfg Config) (*Result, error) {
 	)
 	hooks := simnet.Hooks{
 		OnBroadcast: func(node types.ReplicaID, at time.Time, msg types.Message) {
-			switch m := msg.(type) {
-			case *types.Proposal:
-				if m.Relayed || m.Block == nil || m.Block.Proposer != node {
-					return
-				}
-				if !at.Before(warmupEnd) {
-					if w := m.WireSize(); w > maxProposalWire {
-						maxProposalWire = w
-					}
-					proposedAt[m.Block.ID()] = proposalClock{
-						at:              at,
-						proposer:        node,
-						awaitingConfirm: m.Block.Rank == 0 && m.FastVote == nil,
-					}
-				}
-			case *types.VoteMsg:
-				for _, v := range m.Votes {
-					if v.Kind != types.VoteFast || v.Voter != node {
-						continue
-					}
-					if pc, ok := proposedAt[v.Block]; ok && pc.awaitingConfirm && pc.proposer == node {
-						proposedAt[v.Block] = proposalClock{at: at, proposer: node}
-					}
-				}
+			m, ok := msg.(*types.Proposal)
+			if !ok || m.Relayed || m.Block == nil || m.Block.Proposer != node || at.Before(warmupEnd) {
+				return
 			}
+			if w := m.WireSize(); w > maxProposalWire {
+				maxProposalWire = w
+			}
+			proposedAt[m.Block.ID()] = at
 		},
 		OnCommit: func(node types.ReplicaID, at time.Time, c protocol.Commit) {
 			for _, b := range c.Blocks {
 				if b.Proposer == node {
-					if pc, ok := proposedAt[b.ID()]; ok {
-						latency.Add(at.Sub(pc.at))
+					if t, ok := proposedAt[b.ID()]; ok {
+						latency.Add(at.Sub(t))
 						delete(proposedAt, b.ID())
 					}
 				}

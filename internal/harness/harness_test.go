@@ -340,14 +340,12 @@ func TestObsInvisibleToVirtualTime(t *testing.T) {
 			Params:    ParamsFor(Banyan, 4, 1, 1),
 			Topology:  topo,
 			BlockSize: 256 << 10,
-			// A constrained uplink, as in the pipeline experiment, so the
-			// optimistic path proposes, confirms and withdraws.
-			BandwidthBps:        25e6,
-			Duration:            10 * time.Second,
-			Seed:                5,
-			OptimisticProposals: true,
-			Dissem:              true,
-			Obs:                 on,
+			// A constrained uplink, so body transfer shapes the timing.
+			BandwidthBps: 25e6,
+			Duration:     10 * time.Second,
+			Seed:         5,
+			Dissem:       true,
+			Obs:          on,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -358,8 +356,7 @@ func TestObsInvisibleToVirtualTime(t *testing.T) {
 	if off.BlocksCommitted == 0 {
 		t.Fatal("no block committed")
 	}
-	t.Logf("%d blocks, latency %v, %d optimistic proposals (%d withdrawn)",
-		off.BlocksCommitted, off.Latency.Mean, off.Counters["opt_proposed"], off.Counters["opt_withdrawn"])
+	t.Logf("%d blocks, latency %v", off.BlocksCommitted, off.Latency.Mean)
 	if off.Latency != on.Latency {
 		t.Errorf("latency: off %#v, on %#v", off.Latency, on.Latency)
 	}

@@ -120,6 +120,53 @@ func TestBanyanEquivocatingLeader(t *testing.T) {
 	}
 }
 
+// TestStaleParentLeader: a Byzantine leader re-targets its rank-0
+// proposals at the grandparent — a finalized but superseded extension
+// point — with its fast vote re-signed for the forgery. The extension
+// rule (a rank-0 block must extend the previous round) must hold: no
+// forged block ever commits, no honest replica faults, and the adversary
+// only costs the cluster its own rounds' fast path.
+func TestStaleParentLeader(t *testing.T) {
+	params := types.Params{N: 4, F: 1, P: 1}
+	const evil = types.ReplicaID(2)
+	var adversary *byzantine.StaleParentLeader
+	engines := buildCluster(t, params, "banyan",
+		func(id types.ReplicaID, eng protocol.Engine, signer *crypto.Signer) protocol.Engine {
+			if id == evil {
+				adversary = byzantine.NewStaleParentLeader(eng, signer)
+				return adversary
+			}
+			return eng
+		})
+	honest := map[types.ReplicaID]bool{0: true, 1: true, 3: true}
+	log := runAdversarial(t, engines, simnet.Options{
+		Topology: wan.Uniform(4, 10*time.Millisecond),
+		Seed:     32,
+	}, 25*time.Second, honest)
+
+	log.checkPrefixConsistent(t)
+	for id := range honest {
+		if got := len(log.chains[id]); got < 80 {
+			t.Errorf("honest replica %d committed only %d blocks under stale-parent attack", id, got)
+		}
+	}
+	forged := adversary.ForgedIDs()
+	if len(forged) == 0 {
+		t.Fatal("adversary never forged a stale-parent proposal — the scenario did not engage")
+	}
+	committed := make(map[types.BlockID]bool)
+	for _, chain := range log.chains {
+		for _, id := range chain {
+			committed[id] = true
+		}
+	}
+	for _, id := range forged {
+		if committed[id] {
+			t.Errorf("stale-parent block %s was committed", id)
+		}
+	}
+}
+
 // TestICCEquivocatingLeader: the ICC baseline also survives equivocation.
 func TestICCEquivocatingLeader(t *testing.T) {
 	params := types.Params{N: 4, F: 1}

@@ -5,6 +5,8 @@
 package integration_test
 
 import (
+	"os"
+	"strconv"
 	"testing"
 	"time"
 
@@ -17,6 +19,17 @@ import (
 	"banyan/internal/types"
 	"banyan/internal/wan"
 )
+
+// propertyTrials mirrors the core package helper: BANYAN_PROPERTY_TRIALS
+// scales the randomized batteries up for the long-mode CI job.
+func propertyTrials(def int) int {
+	if s := os.Getenv("BANYAN_PROPERTY_TRIALS"); s != "" {
+		if n, err := strconv.Atoi(s); err == nil && n > 0 {
+			return n
+		}
+	}
+	return def
+}
 
 // commitLog records each replica's committed block sequence.
 type commitLog struct {

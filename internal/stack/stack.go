@@ -52,11 +52,9 @@ type Options struct {
 	Seed   uint64
 	// NoForwarding disables the line-35 relay.
 	NoForwarding bool
-	// OptimisticProposals, DeepPrune and PruneKeep are the core.Config
-	// fields of the same names.
-	OptimisticProposals bool
-	DeepPrune           bool
-	PruneKeep           types.Round
+	// DeepPrune and PruneKeep are the core.Config fields of the same names.
+	DeepPrune bool
+	PruneKeep types.Round
 	// Dissem routes payloads through the dissemination layer;
 	// DissemBatchBytes is the batch cut size (0 = 64 KiB).
 	Dissem           bool
@@ -207,21 +205,20 @@ func Build(self types.ReplicaID, o Options, s Survivors) (*Stack, error) {
 		})
 	}
 	eng, err := core.New(core.Config{
-		Params:              o.Params(),
-		Self:                self,
-		Keyring:             s.Keyring,
-		Verifier:            st.Verifier,
-		Signer:              s.Signer,
-		Payloads:            s.Payloads,
-		Delta:               o.Delta,
-		Reconfig:            s.Reconfig,
-		DisableFastPath:     o.DisableFastPath,
-		DisableForwarding:   o.NoForwarding,
-		OptimisticProposals: o.OptimisticProposals,
-		DeepPrune:           o.DeepPrune,
-		PruneKeep:           o.PruneKeep,
-		Dissem:              st.Store,
-		Obs:                 s.Obs,
+		Params:            o.Params(),
+		Self:              self,
+		Keyring:           s.Keyring,
+		Verifier:          st.Verifier,
+		Signer:            s.Signer,
+		Payloads:          s.Payloads,
+		Delta:             o.Delta,
+		Reconfig:          s.Reconfig,
+		DisableFastPath:   o.DisableFastPath,
+		DisableForwarding: o.NoForwarding,
+		DeepPrune:         o.DeepPrune,
+		PruneKeep:         o.PruneKeep,
+		Dissem:            st.Store,
+		Obs:               s.Obs,
 	})
 	if err != nil {
 		return nil, err

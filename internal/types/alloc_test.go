@@ -122,11 +122,11 @@ func TestDecodeMessageInPlaceAliases(t *testing.T) {
 	}
 }
 
-// TestAllocRegressionBareProposal gates the optimistic body broadcast —
-// a credential-less rank-0 proposal — the same way: it is sent once per
-// round by the pipelining leader and must stay on the one-allocation
-// encode path, and, once decoded in place, re-encode into a reserved
-// buffer with zero allocations, with EncodedSize exact.
+// TestAllocRegressionBareProposal gates a credential-less rank-0
+// proposal — a bare body, as a Byzantine leader can send — the same way:
+// it must stay on the one-allocation encode path, and, once decoded in
+// place, re-encode into a reserved buffer with zero allocations, with
+// EncodedSize exact.
 func TestAllocRegressionBareProposal(t *testing.T) {
 	r := rand.New(rand.NewSource(15))
 	b := NewBlock(7, 3, 0, BlockID{1, 2, 3}, SyntheticPayload(4096, 99))

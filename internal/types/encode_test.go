@@ -154,13 +154,13 @@ func TestProposalRoundTrip(t *testing.T) {
 	}
 }
 
-// TestOptimisticProposalShapes pins the two wire shapes the optimistic
-// proposal pipeline adds: the credential-less rank-0 body broadcast
-// (no fast vote, no parent credentials — nothing but the block), and a
-// relayed rank-0 proposal carrying the proposer's fast vote (relays
+// TestBareAndRelayedProposalShapes pins two rank-0 wire shapes: the
+// bare body (no fast vote, no parent credentials — nothing but the
+// block), which a Byzantine leader can send and receivers must park, and
+// a relayed rank-0 proposal carrying the proposer's fast vote (relays
 // forward that vote so replicas the original broadcast missed can still
 // validate). Both must round-trip exactly and survive mutation fuzzing.
-func TestOptimisticProposalShapes(t *testing.T) {
+func TestBareAndRelayedProposalShapes(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	block := func() *Block {
 		var parent BlockID
@@ -174,10 +174,10 @@ func TestOptimisticProposalShapes(t *testing.T) {
 		bare := &Proposal{Block: block()}
 		got := roundTrip(t, bare).(*Proposal)
 		if got.Block.ID() != bare.Block.ID() {
-			t.Fatal("bare optimistic proposal changed block identity")
+			t.Fatal("bare proposal changed block identity")
 		}
 		if got.FastVote != nil || got.ParentNotarization != nil || got.ParentUnlock != nil || got.Relayed {
-			t.Fatalf("bare optimistic proposal grew fields in transit: %#v", got)
+			t.Fatalf("bare proposal grew fields in transit: %#v", got)
 		}
 
 		b := block()

@@ -44,12 +44,12 @@ func TestConfigFieldCounts(t *testing.T) {
 		cfg  any
 		want int
 	}{
-		{ClusterConfig{}, 15},
-		{ReplicaConfig{}, 21},
-		{harness.Config{}, 19},
-		{stack.Options{}, 18},
+		{ClusterConfig{}, 14},
+		{ReplicaConfig{}, 20},
+		{harness.Config{}, 18},
+		{stack.Options{}, 17},
 		{node.Config{}, 5},
-		{core.Config{}, 15},
+		{core.Config{}, 14},
 		{dissem.Config{}, 6},
 		{tcp.Config{}, 7},
 		{icc.Config{}, 7},

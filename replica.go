@@ -57,12 +57,6 @@ type ReplicaConfig struct {
 	// retains (0 = 16), and how often, in finalized rounds, it drops the
 	// rest; see ClusterConfig.PruneKeep.
 	PruneKeep int
-	// OptimisticProposals enables Moonshot-style proposal pipelining (see
-	// ClusterConfig.OptimisticProposals): the next leader broadcasts its
-	// block on the expected parent before the round certifies. Every
-	// replica of a deployment must use the same value, stable across
-	// restarts.
-	OptimisticProposals bool
 	// Dissem decouples payload dissemination from ordering (see
 	// ClusterConfig.Dissem): batches travel out-of-band, blocks commit
 	// digest lists, delivery waits for availability. Every replica of a
@@ -92,22 +86,21 @@ type ReplicaConfig struct {
 // the transport's own fields (ID, addresses, Logf) and ObsAddr.
 func (cfg ReplicaConfig) options() stack.Options {
 	o := stack.Options{
-		N:                   cfg.N,
-		F:                   cfg.F,
-		P:                   cfg.P,
-		MaxN:                cfg.MaxN,
-		Delta:               cfg.Delta,
-		BlockBytes:          cfg.MaxBlockBytes,
-		Scheme:              cfg.Scheme,
-		Seed:                cfg.ClusterSeed,
-		OptimisticProposals: cfg.OptimisticProposals,
-		DeepPrune:           cfg.DeepPrune,
-		PruneKeep:           types.Round(cfg.PruneKeep),
-		Dissem:              cfg.Dissem,
-		DissemBatchBytes:    cfg.DissemBatchBytes,
-		WALDir:              cfg.WALDir,
-		Obs:                 cfg.Obs || cfg.ObsAddr != "",
-		ObsTraceEvents:      cfg.ObsTraceEvents,
+		N:                cfg.N,
+		F:                cfg.F,
+		P:                cfg.P,
+		MaxN:             cfg.MaxN,
+		Delta:            cfg.Delta,
+		BlockBytes:       cfg.MaxBlockBytes,
+		Scheme:           cfg.Scheme,
+		Seed:             cfg.ClusterSeed,
+		DeepPrune:        cfg.DeepPrune,
+		PruneKeep:        types.Round(cfg.PruneKeep),
+		Dissem:           cfg.Dissem,
+		DissemBatchBytes: cfg.DissemBatchBytes,
+		WALDir:           cfg.WALDir,
+		Obs:              cfg.Obs || cfg.ObsAddr != "",
+		ObsTraceEvents:   cfg.ObsTraceEvents,
 	}
 	if o.Delta == 0 {
 		o.Delta = 50 * time.Millisecond

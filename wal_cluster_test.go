@@ -206,80 +206,6 @@ func TestClusterCheckpointRestart(t *testing.T) {
 		m["wal_checkpoints"], m["wal_replayed_records"], len(got), len(ref), walBytes)
 }
 
-// TestClusterCrashRestartOptimistic is the crash-restart scenario with
-// optimistic proposal pipelining (Moonshot mode) on: the victim's WAL
-// now journals credential-less optimistic bodies and their confirmation
-// or fallback, and a crash landing between those records must replay
-// without the restarted replica equivocating — a withdrawn body
-// resurrected as a proposal would be a second signed rank-0 block for
-// the same round. The victim crashes with no coordination to the
-// optimistic lifecycle, so across the run the journal is cut at
-// arbitrary phases; any equivocation would surface as a safety fault or
-// chain divergence below.
-func TestClusterCrashRestartOptimistic(t *testing.T) {
-	cluster, err := NewCluster(ClusterConfig{
-		N:                   4,
-		Delta:               5 * time.Millisecond,
-		Scheme:              "hmac",
-		WALDir:              t.TempDir(),
-		OptimisticProposals: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cluster.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Stop()
-
-	const victim = 1
-	waitForRound(t, cluster, 8, 20*time.Second)
-	if err := cluster.CrashReplica(victim); err != nil {
-		t.Fatal(err)
-	}
-	waitForRound(t, cluster, 16, 20*time.Second)
-	if err := cluster.RestartReplica(victim); err != nil {
-		t.Fatal(err)
-	}
-	waitForRound(t, cluster, 40, 30*time.Second)
-	cluster.Stop()
-
-	if faults := cluster.Faults(); len(faults) > 0 {
-		t.Fatalf("safety faults: %v", faults)
-	}
-	ref := cluster.FinalizedChain(0)
-	got := cluster.FinalizedChain(victim)
-	if len(ref) == 0 || len(got) == 0 {
-		t.Fatalf("empty chains: observer %d, victim %d", len(ref), len(got))
-	}
-	for i := 0; i < len(ref) && i < len(got); i++ {
-		if ref[i] != got[i] {
-			t.Fatalf("chain divergence at %d: observer %s, restarted %s", i, ref[i], got[i])
-		}
-	}
-	if len(got) < len(ref)-8 {
-		t.Fatalf("restarted replica holds %d blocks, observer %d", len(got), len(ref))
-	}
-	m := cluster.Metrics(victim)
-	if m["wal_replayed_records"] == 0 {
-		t.Error("restarted replica replayed no WAL records")
-	}
-	// The pipeline actually engaged: someone proposed optimistically and
-	// confirmed. (The victim alone may have been down during all of its
-	// leader rounds, so count cluster-wide.)
-	var proposed, confirmed int64
-	for i := 0; i < 4; i++ {
-		cm := cluster.Metrics(i)
-		proposed += cm["opt_proposed"]
-		confirmed += cm["opt_confirmed"]
-	}
-	if proposed == 0 || confirmed == 0 {
-		t.Errorf("optimistic pipeline never engaged: proposed=%d confirmed=%d", proposed, confirmed)
-	}
-	t.Logf("victim: %d blocks (observer %d), %d replayed records; cluster opt proposed=%d confirmed=%d",
-		len(got), len(ref), m["wal_replayed_records"], proposed, confirmed)
-}
-
 // TestClusterRestartRequiresWAL: crash-restart without a WALDir must be
 // rejected rather than silently restarting with amnesia.
 func TestClusterRestartRequiresWAL(t *testing.T) {
