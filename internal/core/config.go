@@ -57,10 +57,9 @@ type Config struct {
 	// changes: the engine attaches the pending change to its next
 	// proposal and clears the slot when it observes the change finalized.
 	Reconfig *membership.Reconfigurator
-	// Verifier is the batched, cached signature-verification pipeline the
-	// engine routes all VerifyVote/VerifyCert/VerifyUnlockProof/VerifyBlock
-	// checks through. Nil builds one over Keyring with the default pool
-	// and cache.
+	// Verifier is the cached signature-verification pipeline the engine
+	// routes all VerifyVote/VerifyCert/VerifyUnlockProof/VerifyBlock
+	// checks through. Nil builds one over Keyring with a fresh cache.
 	Verifier *crypto.Verifier
 	// Signer signs this replica's blocks and votes.
 	Signer *crypto.Signer

@@ -7,20 +7,20 @@ import (
 	"banyan/internal/types"
 )
 
-// The verification pipeline against its sequential baseline: VerifyCert
-// (one ed25519 operation per signature per delivery) versus a Verifier
-// (worker pool plus verified-signature cache). Two workloads per cluster
-// size:
+// The cached verification pipeline against the keyring: VerifyCert (one
+// curve operation per signature per delivery) versus a Verifier (the same
+// rule, each signature through the verified-signature cache). Two
+// workloads per cluster size:
 //
 //   - gossip: a round's notarization certificate delivered 3 times — the
 //     original broadcast, a header relay and the Advance all carry the same
 //     quorum of signatures. This is what the engine's ingestion path
 //     actually sees; the cache collapses deliveries 2 and 3.
-//   - cold: every signature seen exactly once (worst case for the cache;
-//     the worker pool is the only lever, so on a single-core host this
-//     pair measures the pipeline's overhead).
+//   - cold: every signature seen exactly once (worst case for the cache),
+//     so this pair measures what the cache costs: computing, looking up and
+//     storing one key per signature.
 //
-// The batched side builds a fresh Verifier every iteration, so cache state
+// The cached side builds a fresh Verifier every iteration, so cache state
 // never carries across iterations: each measurement is one cold delivery
 // plus two warm ones, exactly the per-round cost.
 
@@ -67,9 +67,9 @@ func benchSizes(b *testing.B, sigsPerCert int, fn func(b *testing.B, fx *verifyF
 	}
 }
 
-// BenchmarkVerifyGossipSequential is the baseline of the headline pair:
+// BenchmarkVerifyGossipKeyring is the baseline of the headline pair:
 // every delivery of a round's certificate re-verifies every signature.
-func BenchmarkVerifyGossipSequential(b *testing.B) {
+func BenchmarkVerifyGossipKeyring(b *testing.B) {
 	benchSizes(b, gossipRedundancy, func(b *testing.B, fx *verifyFixture) {
 		for i := 0; i < b.N; i++ {
 			for d := 0; d < gossipRedundancy; d++ {
@@ -81,10 +81,9 @@ func BenchmarkVerifyGossipSequential(b *testing.B) {
 	})
 }
 
-// BenchmarkVerifyGossipBatched is the pipeline side of the headline pair:
-// the cache absorbs the redundant deliveries, the pool parallelizes the
-// cold one.
-func BenchmarkVerifyGossipBatched(b *testing.B) {
+// BenchmarkVerifyGossipCached is the pipeline side of the headline pair:
+// the cache absorbs the redundant deliveries.
+func BenchmarkVerifyGossipCached(b *testing.B) {
 	benchSizes(b, gossipRedundancy, func(b *testing.B, fx *verifyFixture) {
 		for i := 0; i < b.N; i++ {
 			v := NewVerifier(fx.keyring)
@@ -97,9 +96,9 @@ func BenchmarkVerifyGossipBatched(b *testing.B) {
 	})
 }
 
-// BenchmarkVerifyColdSequential verifies every signature exactly once,
-// sequentially.
-func BenchmarkVerifyColdSequential(b *testing.B) {
+// BenchmarkVerifyColdKeyring verifies every signature exactly once,
+// through the keyring.
+func BenchmarkVerifyColdKeyring(b *testing.B) {
 	benchSizes(b, 1, func(b *testing.B, fx *verifyFixture) {
 		for i := 0; i < b.N; i++ {
 			if err := VerifyCert(fx.keyring, fx.cert, fx.quorum); err != nil {
@@ -109,11 +108,11 @@ func BenchmarkVerifyColdSequential(b *testing.B) {
 	})
 }
 
-// BenchmarkVerifyColdBatched verifies every signature exactly once through
-// the worker pool: a fresh Verifier per iteration never hits its cache, so
-// this is the pipeline's cost on signatures it has not seen — the pool's
-// speedup over ColdSequential, net of computing and storing cache keys.
-func BenchmarkVerifyColdBatched(b *testing.B) {
+// BenchmarkVerifyColdCached verifies every signature exactly once through
+// a Verifier: a fresh one per iteration never hits its cache, so this is
+// the pipeline's cost on signatures it has not seen — ColdKeyring plus
+// computing, looking up and storing a cache key per signature.
+func BenchmarkVerifyColdCached(b *testing.B) {
 	benchSizes(b, 1, func(b *testing.B, fx *verifyFixture) {
 		for i := 0; i < b.N; i++ {
 			v := NewVerifier(fx.keyring)

@@ -244,42 +244,131 @@ func blockDigest(id types.BlockID) [32]byte {
 	return d
 }
 
-// VerifyBlock checks the proposer signature on a block.
-func VerifyBlock(k *Keyring, b *types.Block) error {
+// check is the one signature check every verification rule below runs
+// over. A Keyring's check (no cache) verifies every signature outright; a
+// Verifier's goes through its VerifiedCache, so a signature verified
+// before costs a lookup instead of a curve operation, and a success is
+// remembered for the round it was made for.
+type check struct {
+	kr    *Keyring
+	cache *VerifiedCache // nil: verify outright, remember nothing
+}
+
+// sig checks replica id's signature over digest, made for round r.
+func (ck check) sig(r types.Round, id types.ReplicaID, digest [32]byte, sig []byte) bool {
+	if ck.cache == nil {
+		return ck.kr.Verify(id, digest, sig)
+	}
+	pub := ck.kr.PublicKey(id)
+	if pub == nil {
+		return false
+	}
+	key := VerifiedKey(ck.kr.scheme, pub, digest, sig)
+	if ck.cache.Contains(key) {
+		return true
+	}
+	if !ck.kr.scheme.Verify(pub, digest, sig) {
+		return false
+	}
+	ck.cache.Add(key, r)
+	return true
+}
+
+// block checks the proposer signature on a block.
+func (ck check) block(b *types.Block) error {
 	if b.IsGenesis() {
 		return nil
 	}
-	if !k.Verify(b.Proposer, blockDigest(b.ID()), b.Signature) {
+	if !ck.sig(b.Round, b.Proposer, blockDigest(b.ID()), b.Signature) {
 		return fmt.Errorf("crypto: bad proposer signature on %v", b)
 	}
 	return nil
 }
 
-// VerifyVote checks a single vote's signature.
-func VerifyVote(k *Keyring, v types.Vote) error {
+// header checks the proposer signature on a signed header: the same
+// signature block checks on the block it belongs to, so through a cache a
+// header relay warms the body and vice versa, and no payload is hashed to
+// get there.
+func (ck check) header(h *types.SignedHeader) error {
+	if !ck.sig(h.Round, h.Proposer, blockDigest(h.ID()), h.Signature) {
+		return fmt.Errorf("crypto: bad proposer signature on header r=%d id=%s", h.Round, h.ID())
+	}
+	return nil
+}
+
+// vote checks a single vote's signature.
+func (ck check) vote(v types.Vote) error {
 	if !v.Kind.Valid() {
 		return fmt.Errorf("crypto: invalid vote kind in %v", v)
 	}
-	if !k.Verify(v.Voter, v.Digest(), v.Signature) {
+	if !ck.sig(v.Round, v.Voter, v.Digest(), v.Signature) {
 		return fmt.Errorf("crypto: bad signature on %v", v)
 	}
 	return nil
 }
 
-// VerifyCert checks a certificate: shape (sorted unique signers meeting the
-// quorum) and every contained signature, each against the digest its
-// signer is marked as having signed (types.Certificate.Fast).
-func VerifyCert(k *Keyring, c *types.Certificate, quorum int) error {
+// cert checks a certificate. Everything that needs no signature comes
+// first: the shape (sorted unique signers meeting the quorum) and, when
+// set is not nil, every signer's membership in it. Then each signature,
+// in signer order, against the digest its signer is marked as having
+// signed (types.Certificate.Fast), stopping at the first failure.
+func (ck check) cert(c *types.Certificate, quorum int, set MemberSet) error {
 	if c == nil {
 		return fmt.Errorf("crypto: nil certificate")
 	}
-	if err := c.CheckShape(k.N(), quorum); err != nil {
+	if err := c.CheckShape(ck.kr.N(), quorum); err != nil {
 		return err
+	}
+	if set != nil {
+		for _, signer := range c.Signers {
+			if !set.Contains(signer) {
+				return fmt.Errorf("crypto: signer %d not a member of the certificate's epoch in %v", signer, c)
+			}
+		}
 	}
 	digests := c.SignerDigests()
 	for i, signer := range c.Signers {
-		if !k.Verify(signer, digests[c.FastBit(i)], c.Sigs[i]) {
+		if !ck.sig(c.Round, signer, digests[c.FastBit(i)], c.Sigs[i]) {
 			return fmt.Errorf("crypto: bad signature by %d in %v", signer, c)
+		}
+	}
+	return nil
+}
+
+// unlockProof checks an unlock proof. Everything that needs no signature
+// comes first: voters and signatures in step, every voter's membership in
+// set when it is not nil, and that the proof establishes its claim under
+// Definition 7.6 with the given threshold (f+p). Then each fast vote, in
+// entry and voter order, stopping at the first failure; its digest is
+// recomputed against the entry's header ID, so rank claims are bound by
+// the hash.
+func (ck check) unlockProof(u *types.UnlockProof, threshold int, set MemberSet) error {
+	if u == nil {
+		return fmt.Errorf("crypto: nil unlock proof")
+	}
+	for _, e := range u.Entries {
+		if len(e.Voters) != len(e.Sigs) {
+			return fmt.Errorf("crypto: unlock entry voters/sigs mismatch in %v", u)
+		}
+		if set == nil {
+			continue
+		}
+		for _, voter := range e.Voters {
+			if !set.Contains(voter) {
+				return fmt.Errorf("crypto: fast voter %d not a member of the proof's epoch in %v", voter, u)
+			}
+		}
+	}
+	if !u.Evaluate(threshold) {
+		return fmt.Errorf("crypto: unlock proof does not establish its claim: %v", u)
+	}
+	for _, e := range u.Entries {
+		id := e.Header.ID()
+		digest := types.VoteDigest(types.VoteFast, u.Round, id)
+		for i, voter := range e.Voters {
+			if !ck.sig(u.Round, voter, digest, e.Sigs[i]) {
+				return fmt.Errorf("crypto: bad fast vote by %d for %s in %v", voter, id, u)
+			}
 		}
 	}
 	return nil
@@ -295,45 +384,29 @@ type MemberSet interface {
 	Size() int
 }
 
+// VerifyBlock checks the proposer signature on a block.
+func VerifyBlock(k *Keyring, b *types.Block) error { return check{kr: k}.block(b) }
+
+// VerifyVote checks a single vote's signature.
+func VerifyVote(k *Keyring, v types.Vote) error { return check{kr: k}.vote(v) }
+
+// VerifyCert checks a certificate's shape and every contained signature.
+func VerifyCert(k *Keyring, c *types.Certificate, quorum int) error {
+	return check{kr: k}.cert(c, quorum, nil)
+}
+
 // VerifyCertIn is VerifyCert pinned to an epoch's validator set: every
 // signer must be a member in addition to holding a valid key. This is
 // what defeats a removed validator that keeps signing with its old —
 // still registered, still valid — key: its signatures verify, but a
 // certificate counting it no longer proves a quorum of the epoch.
 func VerifyCertIn(k *Keyring, c *types.Certificate, quorum int, set MemberSet) error {
-	if err := VerifyCert(k, c, quorum); err != nil {
-		return err
-	}
-	for _, signer := range c.Signers {
-		if !set.Contains(signer) {
-			return fmt.Errorf("crypto: signer %d not a member of the certificate's epoch in %v", signer, c)
-		}
-	}
-	return nil
+	return check{kr: k}.cert(c, quorum, set)
 }
 
-// VerifyUnlockProof checks that the proof's fast votes are genuine and that
-// they establish the claimed unlock under Definition 7.6 with the given
-// threshold (f+p). Vote digests are recomputed against each entry's header
-// ID, so rank claims are bound by the hash.
+// VerifyUnlockProof checks that the proof establishes the claimed unlock
+// under Definition 7.6 with the given threshold (f+p), and that its fast
+// votes are genuine.
 func VerifyUnlockProof(k *Keyring, u *types.UnlockProof, threshold int) error {
-	if u == nil {
-		return fmt.Errorf("crypto: nil unlock proof")
-	}
-	for _, e := range u.Entries {
-		id := e.Header.ID()
-		digest := types.VoteDigest(types.VoteFast, u.Round, id)
-		if len(e.Voters) != len(e.Sigs) {
-			return fmt.Errorf("crypto: unlock entry voters/sigs mismatch in %v", u)
-		}
-		for i, voter := range e.Voters {
-			if !k.Verify(voter, digest, e.Sigs[i]) {
-				return fmt.Errorf("crypto: bad fast vote by %d for %s in %v", voter, id, u)
-			}
-		}
-	}
-	if !u.Evaluate(threshold) {
-		return fmt.Errorf("crypto: unlock proof does not establish its claim: %v", u)
-	}
-	return nil
+	return check{kr: k}.unlockProof(u, threshold, nil)
 }

@@ -136,9 +136,9 @@ func TestAllocRegressionOneVoteMsg(t *testing.T) {
 }
 
 // TestAllocRegressionUncachedAdvance: an Advance whose 3-signer
-// notarization is new — three signatures queued in a pooled batch,
-// verified and cached — and the Settle that later drops them allocate
-// nothing once the pool and the cache's table are warm.
+// notarization is new — three signatures looked up, verified and cached
+// one after another — and the Settle that later drops them allocate
+// nothing once the cache's table is warm.
 func TestAllocRegressionUncachedAdvance(t *testing.T) {
 	keyring, signers := GenerateCluster(Ed25519(), 4, 4)
 	v := NewVerifier(keyring)

@@ -20,22 +20,22 @@ const (
 	numCorruptions
 )
 
-// buildTriples makes count signature triples over random digests, applying
-// the corruption chosen by pick(i) to triple i. It returns the triples and
-// the expected per-triple verdicts (computed from the corruption applied,
-// not from calling Verify).
+// buildTriples makes count (signer, digest, signature) triples over
+// random digests, applying the corruption chosen by pick(i) to triple i.
+// It returns the keyring, the triples and the expected per-triple
+// verdicts (computed from the corruption applied, not from calling
+// Verify).
 func buildTriples(t testing.TB, scheme Scheme, n, count int, seed int64,
-	pick func(i int) corruption) (pubs [][]byte, digests [][32]byte, sigs [][]byte, want []bool) {
+	pick func(i int) corruption) (keyring *Keyring, ids []types.ReplicaID, digests [][32]byte, sigs [][]byte, want []bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	_, signers := GenerateCluster(scheme, n, uint64(seed)+1)
-	keyring, _ := GenerateCluster(scheme, n, uint64(seed)+1)
+	keyring, signers := GenerateCluster(scheme, n, uint64(seed)+1)
 	for i := 0; i < count; i++ {
 		var digest [32]byte
 		rng.Read(digest[:])
 		who := rng.Intn(n)
 		sig := signers[who].Sign(digest)
-		pub := keyring.PublicKey(types.ReplicaID(who))
+		id := types.ReplicaID(who)
 		valid := true
 		switch pick(i) {
 		case corruptForged:
@@ -43,8 +43,7 @@ func buildTriples(t testing.TB, scheme Scheme, n, count int, seed int64,
 			sig[rng.Intn(len(sig))] ^= 1 << uint(rng.Intn(8))
 			valid = false
 		case corruptWrongKey:
-			other := (who + 1 + rng.Intn(n-1)) % n
-			pub = keyring.PublicKey(types.ReplicaID(other))
+			id = types.ReplicaID((who + 1 + rng.Intn(n-1)) % n)
 			valid = false
 		case corruptTruncated:
 			sig = sig[:rng.Intn(len(sig))]
@@ -56,61 +55,41 @@ func buildTriples(t testing.TB, scheme Scheme, n, count int, seed int64,
 			sig = nil
 			valid = false
 		}
-		pubs = append(pubs, pub)
+		ids = append(ids, id)
 		digests = append(digests, digest)
 		sigs = append(sigs, sig)
 		want = append(want, valid)
 	}
-	return pubs, digests, sigs, want
-}
-
-// verifyMany runs the pool over every (pub, digest, sig) triple and
-// returns one verdict per triple, in order.
-func verifyMany(p *VerifierPool, pubs [][]byte, digests [][32]byte, sigs [][]byte) []bool {
-	items := make([]sigItem, len(pubs))
-	for i := range items {
-		items[i] = sigItem{pub: pubs[i], digest: digests[i], sig: sigs[i]}
-	}
-	p.verify(items)
-	out := make([]bool, len(items))
-	for i := range items {
-		out[i] = items[i].ok
-	}
-	return out
-}
-
-// verifyManyValid reports whether every triple verifies.
-func verifyManyValid(p *VerifierPool, pubs [][]byte, digests [][32]byte, sigs [][]byte) bool {
-	for _, ok := range verifyMany(p, pubs, digests, sigs) {
-		if !ok {
-			return false
-		}
-	}
-	return true
+	return keyring, ids, digests, sigs, want
 }
 
 // TestBatchVerifierMatchesSequential is the core equivalence property:
 // for every mix of valid, forged, wrong-key, truncated, wrong-digest and
-// empty signatures, under both schemes, an inline batch (a one-worker
-// pool) returns exactly the verdicts per-signature Verify would.
+// empty signatures, under both schemes, the keyring's check and a
+// Verifier's cached one — on first sight and again once the cache holds
+// every success — return exactly the verdicts the scheme's own Verify
+// would.
 func TestBatchVerifierMatchesSequential(t *testing.T) {
 	for _, scheme := range schemes() {
 		t.Run(scheme.Name(), func(t *testing.T) {
 			for trial := 0; trial < 20; trial++ {
 				rng := rand.New(rand.NewSource(int64(trial)))
 				count := 1 + rng.Intn(40)
-				pubs, digests, sigs, want := buildTriples(t, scheme, 7, count, int64(trial),
+				keyring, ids, digests, sigs, want := buildTriples(t, scheme, 7, count, int64(trial),
 					func(int) corruption { return corruption(rng.Intn(int(numCorruptions))) })
-
-				got := verifyMany(NewVerifierPool(scheme, 1), pubs, digests, sigs)
+				v := NewVerifier(keyring)
 				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("trial %d: triple %d: batch verdict %v, want %v",
-							trial, i, got[i], want[i])
+					if seq := scheme.Verify(keyring.PublicKey(ids[i]), digests[i], sigs[i]); seq != want[i] {
+						t.Fatalf("trial %d: triple %d: scheme verdict %v, want %v", trial, i, seq, want[i])
 					}
-					if seq := scheme.Verify(pubs[i], digests[i], sigs[i]); seq != want[i] {
-						t.Fatalf("trial %d: triple %d: sequential verdict %v, want %v",
-							trial, i, seq, want[i])
+					if got := keyring.Verify(ids[i], digests[i], sigs[i]); got != want[i] {
+						t.Fatalf("trial %d: triple %d: keyring verdict %v, want %v", trial, i, got, want[i])
+					}
+					for pass := 0; pass < 2; pass++ {
+						if got := v.sig(1, ids[i], digests[i], sigs[i]); got != want[i] {
+							t.Fatalf("trial %d: triple %d, pass %d: verifier verdict %v, want %v",
+								trial, i, pass, got, want[i])
+						}
 					}
 				}
 			}
@@ -129,43 +108,55 @@ func (c *countingScheme) Verify(pub []byte, digest [32]byte, sig []byte) bool {
 	return c.Scheme.Verify(pub, digest, sig)
 }
 
-// TestBatchVerifierVerifiesEachTripleOnce: one forgery in a batch must not
-// make the batch verify the honest signatures around it a second time.
-func TestBatchVerifierVerifiesEachTripleOnce(t *testing.T) {
-	pubs, digests, sigs, _ := buildTriples(t, Ed25519(), 5, 33, 1,
-		func(i int) corruption {
-			if i == 16 {
-				return corruptForged
-			}
-			return corruptNone
-		})
-	scheme := &countingScheme{Scheme: Ed25519()}
-	if verifyManyValid(NewVerifierPool(scheme, 1), pubs, digests, sigs) {
-		t.Fatal("batch with a forgery reported all valid")
+// TestCertForgeryStopsAtItsSigner: signatures are checked in signer
+// order and checking stops at the first failure, so a certificate whose
+// signer k forged costs k+1 lookups and k+1 curve operations. The honest
+// prefix is cached: re-delivering it, as loose votes or as the repaired
+// certificate, costs one hit per signature and verifies none of them
+// again.
+func TestCertForgeryStopsAtItsSigner(t *testing.T) {
+	const n, quorum = 7, 5
+	genuine, signers := GenerateCluster(Ed25519(), n, 6)
+	pubs := make([][]byte, n)
+	for i := range pubs {
+		pubs[i] = genuine.PublicKey(types.ReplicaID(i))
 	}
-	if scheme.verifies != len(pubs) {
-		t.Fatalf("%d verifications for %d triples", scheme.verifies, len(pubs))
+	var block types.BlockID
+	block[0] = 4
+	votes := collectVotes(signers, types.VoteNotarize, 3, block, 0, 1, 2, 3, 4, 5, 6)
+	honest, err := types.NewCertificate(types.CertNotarization, 3, block, votes)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestVerifierPoolMatchesSequential checks the pool at several worker
-// counts, including fan-outs larger than the batch.
-func TestVerifierPoolMatchesSequential(t *testing.T) {
-	for _, scheme := range schemes() {
-		for _, workers := range []int{1, 2, 4, 64} {
-			pubs, digests, sigs, want := buildTriples(t, scheme, 9, 50, int64(workers),
-				func(i int) corruption { return corruption(i % int(numCorruptions)) })
-			pool := NewVerifierPool(scheme, workers)
-			got := verifyMany(pool, pubs, digests, sigs)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s workers=%d: triple %d got %v want %v",
-						scheme.Name(), workers, i, got[i], want[i])
-				}
+	for k := 0; k < n; k++ {
+		scheme := &countingScheme{Scheme: Ed25519()}
+		v := NewVerifier(NewKeyring(scheme, pubs))
+		forged := *honest
+		forged.Sigs = append([][]byte(nil), honest.Sigs...)
+		forged.Sigs[k] = append([]byte(nil), honest.Sigs[k]...)
+		forged.Sigs[k][0] ^= 1
+		if err := v.VerifyCert(&forged, quorum); err == nil {
+			t.Fatalf("k=%d: certificate with a forgery accepted", k)
+		}
+		if hits, misses := v.CacheStats(); hits != 0 || misses != int64(k+1) || scheme.verifies != k+1 {
+			t.Fatalf("k=%d: %d hits, %d misses, %d verifications, want 0, %d, %d",
+				k, hits, misses, scheme.verifies, k+1, k+1)
+		}
+		for _, vt := range votes[:k] {
+			if err := v.VerifyVote(vt); err != nil {
+				t.Fatal(err)
 			}
-			if verifyManyValid(pool, pubs, digests, sigs) {
-				t.Fatalf("%s workers=%d: mixed batch reported all-valid", scheme.Name(), workers)
-			}
+		}
+		if hits, misses := v.CacheStats(); hits != int64(k) || misses != int64(k+1) || scheme.verifies != k+1 {
+			t.Fatalf("k=%d: honest prefix as votes: %d hits, %d misses, %d verifications, want %d, %d, %d",
+				k, hits, misses, scheme.verifies, k, k+1, k+1)
+		}
+		if err := v.VerifyCert(honest, quorum); err != nil {
+			t.Fatalf("k=%d: repaired certificate rejected: %v", k, err)
+		}
+		if hits, misses := v.CacheStats(); hits != int64(2*k) || misses != int64(n+1) || scheme.verifies != n+1 {
+			t.Fatalf("k=%d: repaired certificate: %d hits, %d misses, %d verifications, want %d, %d, %d",
+				k, hits, misses, scheme.verifies, 2*k, n+1, n+1)
 		}
 	}
 }
@@ -317,30 +308,73 @@ func TestVerifierWarmsCache(t *testing.T) {
 }
 
 // TestMalformedAggregatesCostNoLookup: a certificate or unlock proof that
-// fails its structural checks — unsorted signers, voters and signatures
-// out of step — is rejected before a single signature is looked up, so a
-// peer cannot make the verifier work with an aggregate the engine would
+// fails a check needing no signature — unsorted signers, voters and
+// signatures out of step, a signer outside the epoch's set, a proof that
+// does not establish its claim — is rejected before a single signature is
+// looked up, even when every signature it carries is genuine, so a peer
+// cannot make the verifier work with an aggregate the engine would
 // refuse anyway.
 func TestMalformedAggregatesCostNoLookup(t *testing.T) {
-	keyring, signers := GenerateCluster(HMAC(), 4, 8)
-	v := NewVerifier(keyring)
+	keyring, signers := GenerateCluster(Ed25519(), 4, 8)
 	sig := signers[0].Sign([32]byte{})
-	if err := v.VerifyCert(&types.Certificate{
-		Kind:    types.CertNotarization,
-		Round:   1,
-		Signers: []types.ReplicaID{2, 1, 0},
-		Sigs:    [][]byte{sig, sig, sig},
-	}, 3); err == nil {
-		t.Fatal("certificate with unsorted signers accepted")
+	var block types.BlockID
+	block[0] = 2
+	evicted, err := types.NewCertificate(types.CertNotarization, 1, block,
+		collectVotes(signers, types.VoteNotarize, 1, block, 0, 1, 3))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := v.VerifyUnlockProof(&types.UnlockProof{Round: 1, Entries: []types.UnlockEntry{{
-		Voters: []types.ReplicaID{0, 1},
-		Sigs:   [][]byte{sig},
-	}}}, 2); err == nil {
-		t.Fatal("unlock proof with more voters than signatures accepted")
+	b := types.NewBlock(1, 0, 0, types.BlockID{}, types.BytesPayload([]byte("b")))
+	fast := collectVotes(signers, types.VoteFast, 1, b.ID(), 0, 1, 2)
+	proof := &types.UnlockProof{Round: 1, Block: b.ID(), Entries: []types.UnlockEntry{{
+		Header: b.Header(),
+		Voters: []types.ReplicaID{0, 1, 2},
+		Sigs:   [][]byte{fast[0].Signature, fast[1].Signature, fast[2].Signature},
+	}}}
+	for _, tc := range []struct {
+		name   string
+		verify func(v *Verifier) error
+	}{
+		{"certificate with unsorted signers", func(v *Verifier) error {
+			return v.VerifyCert(&types.Certificate{
+				Kind:    types.CertNotarization,
+				Round:   1,
+				Signers: []types.ReplicaID{2, 1, 0},
+				Sigs:    [][]byte{sig, sig, sig},
+			}, 3)
+		}},
+		{"unlock proof with more voters than signatures", func(v *Verifier) error {
+			return v.VerifyUnlockProof(&types.UnlockProof{Round: 1, Entries: []types.UnlockEntry{{
+				Voters: []types.ReplicaID{0, 1},
+				Sigs:   [][]byte{sig},
+			}}}, 2)
+		}},
+		{"certificate counting an evicted validator", func(v *Verifier) error {
+			return v.VerifyCertIn(evicted, 3, idSet{0: true, 1: true, 2: true})
+		}},
+		{"unlock proof with an evicted voter", func(v *Verifier) error {
+			return v.VerifyUnlockProofIn(proof, 2, idSet{0: true, 1: true, 3: true})
+		}},
+		{"unlock proof that does not establish its claim", func(v *Verifier) error {
+			return v.VerifyUnlockProof(proof, 3)
+		}},
+	} {
+		v := NewVerifier(keyring)
+		if err := tc.verify(v); err == nil {
+			t.Fatalf("%s accepted", tc.name)
+		}
+		if hits, misses := v.CacheStats(); hits+misses != 0 {
+			t.Fatalf("%s cost %d cache lookups, want 0", tc.name, hits+misses)
+		}
 	}
-	if hits, misses := v.CacheStats(); hits+misses != 0 {
-		t.Fatalf("malformed aggregates cost %d cache lookups, want 0", hits+misses)
+	// The same aggregates, well-placed, verify: their signatures are
+	// genuine, so only the cheap checks above turned them away.
+	v := NewVerifier(keyring)
+	if err := v.VerifyCertIn(evicted, 3, idSet{0: true, 1: true, 3: true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.VerifyUnlockProofIn(proof, 2, idSet{0: true, 1: true, 2: true}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -383,8 +417,10 @@ func TestVerifiedCacheEviction(t *testing.T) {
 	}
 }
 
-// FuzzBatchVerifyEquivalence: for arbitrary signature mutations, the
-// batch verdict must equal the sequential verdict, under both schemes.
+// FuzzBatchVerifyEquivalence: for arbitrary signature mutations, under
+// both schemes, the keyring's check and a Verifier's cached one return
+// the scheme's own verdict, before and after a valid companion signature
+// is cached beside the fuzzed one.
 func FuzzBatchVerifyEquivalence(f *testing.F) {
 	f.Add([]byte{0}, uint8(0), uint8(0))
 	f.Add([]byte{1, 2, 3}, uint8(3), uint8(64))
@@ -392,7 +428,7 @@ func FuzzBatchVerifyEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, mutation []byte, whoRaw, cut uint8) {
 		for _, scheme := range schemes() {
 			keyring, signers := GenerateCluster(scheme, 4, 11)
-			who := int(whoRaw) % 4
+			who := types.ReplicaID(whoRaw % 4)
 			var digest [32]byte
 			copy(digest[:], mutation)
 			sig := signers[who].Sign(digest)
@@ -404,20 +440,19 @@ func FuzzBatchVerifyEquivalence(f *testing.F) {
 			if int(cut) < len(sig) {
 				sig = sig[:cut]
 			}
-			pub := keyring.PublicKey(types.ReplicaID(who))
-			want := scheme.Verify(pub, digest, sig)
-
-			// Pair the fuzzed triple with a valid one so a failing batch
-			// exercises the mixed per-signature fallback.
-			other := signers[(who+1)%4].Sign(digest)
-			got := verifyMany(NewVerifierPool(scheme, 1),
-				[][]byte{pub, keyring.PublicKey(types.ReplicaID((who + 1) % 4))},
-				[][32]byte{digest, digest}, [][]byte{sig, other})
-			if got[0] != want {
-				t.Fatalf("%s: batch verdict %v, sequential %v", scheme.Name(), got[0], want)
+			want := scheme.Verify(keyring.PublicKey(who), digest, sig)
+			if got := keyring.Verify(who, digest, sig); got != want {
+				t.Fatalf("%s: keyring verdict %v, scheme %v", scheme.Name(), got, want)
 			}
-			if !got[1] {
-				t.Fatalf("%s: valid companion signature rejected", scheme.Name())
+			other := (who + 1) % 4
+			v := NewVerifier(keyring)
+			for pass := 0; pass < 2; pass++ {
+				if got := v.sig(1, who, digest, sig); got != want {
+					t.Fatalf("%s, pass %d: verifier verdict %v, scheme %v", scheme.Name(), pass, got, want)
+				}
+				if !v.sig(1, other, digest, signers[other].Sign(digest)) {
+					t.Fatalf("%s, pass %d: valid companion signature rejected", scheme.Name(), pass)
+				}
 			}
 		}
 	})

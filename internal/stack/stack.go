@@ -30,7 +30,7 @@ import (
 // Options are the knobs every host shares. The zero value of a field
 // selects its default (Fill); Delta, Scheme and the payload source have
 // per-host defaults and are the host's to set. The verification pipeline
-// has no knob: it sizes itself from GOMAXPROCS.
+// has no knob: it checks each signature inline, through its cache.
 type Options struct {
 	// N, F, P are the genesis fault parameters, which must satisfy
 	// n >= max(3f+2p-1, 3f+1): F = 0 picks the maximum for N and P, P = 0
