@@ -58,9 +58,7 @@ func newHost(id types.ReplicaID, opts stack.Options, keyring *crypto.Keyring,
 			if st.Store != nil {
 				o.DissemStoreBytes.Set(st.Store.HeldBytes())
 			}
-			hits, misses := st.Verifier.CacheStats()
-			o.VerifyCacheHits.Set(hits)
-			o.VerifyCacheMisses.Set(misses)
+			o.SigsVerified.Set(st.Verifier.Verified())
 		})
 	}
 	return h

@@ -402,8 +402,8 @@ func (w *PullWithholder) rewrite(acts []protocol.Action, _ time.Time) []protocol
 // every replica, a notarization and a fast-finalization certificate, and
 // an Advance carrying a notarization and an unlock proof — all naming
 // the block that really finalized, all well-formed, all with garbage
-// signatures that differ from burst to burst, so no structural check and
-// no cache can dismiss them. An honest victim must spend no signature
+// signatures that differ from burst to burst, so no structural check can
+// dismiss them. An honest victim must spend no signature
 // verification on any of it: the rounds are settled there, and settled
 // traffic is dropped before a verifier is consulted.
 type SettledFlooder struct {

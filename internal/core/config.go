@@ -57,9 +57,10 @@ type Config struct {
 	// changes: the engine attaches the pending change to its next
 	// proposal and clears the slot when it observes the change finalized.
 	Reconfig *membership.Reconfigurator
-	// Verifier is the cached signature-verification pipeline the engine
-	// routes all VerifyVote/VerifyCert/VerifyUnlockProof/VerifyBlock
-	// checks through. Nil builds one over Keyring with a fresh cache.
+	// Verifier is the signature-verification pipeline the engine routes
+	// all VerifyVote/VerifyCert/VerifyUnlockProof/VerifyBlock checks
+	// through; it counts the signatures it checks (sigs_verified). Nil
+	// builds one over Keyring.
 	Verifier *crypto.Verifier
 	// Signer signs this replica's blocks and votes.
 	Signer *crypto.Signer

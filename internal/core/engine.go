@@ -394,7 +394,7 @@ func (e *Engine) Metrics() map[string]int64 {
 		"final_votes_suppressed": e.met.finalVotesSuppressed,
 		"advances_skipped":       e.met.advancesSkipped,
 	}
-	m["verify_cache_hits"], m["verify_cache_misses"] = e.cfg.Verifier.CacheStats()
+	m["sigs_verified"] = e.cfg.Verifier.Verified()
 	// Every snapshot request counts, the first and each rotation alike.
 	begun, rotated := e.snapshots.Counts()
 	m["statesync_fetches"] = begun + rotated
@@ -425,16 +425,6 @@ func (e *Engine) Metrics() map[string]int64 {
 // nowhere.
 func (e *Engine) settled(r types.Round) bool {
 	return r <= e.tree.FinalizedRound() && r < e.round
-}
-
-// publishSettled raises the verifier cache's settled floor to the
-// engine's, so the cache drops the settled rounds' entries (Settle
-// ignores a floor it already has).
-func (e *Engine) publishSettled() {
-	// The lowest round that is not settled; zero before Start.
-	if live := min(e.tree.FinalizedRound()+1, e.round); live > 0 {
-		e.cfg.Verifier.Settle(live - 1)
-	}
 }
 
 func (e *Engine) onProposal(from types.ReplicaID, m *types.Proposal) {
@@ -751,7 +741,6 @@ func (e *Engine) progress(now time.Time, acts []protocol.Action) []protocol.Acti
 		acts = e.maybePull(now, acts)
 	}
 	e.maybePrune()
-	e.publishSettled()
 	return acts
 }
 

@@ -59,8 +59,8 @@ func TestFastVotesAloneNotarize(t *testing.T) {
 	set := genesisSet(t, p411)
 	r := newRig(t, p411, set.ReplicaAt(1, 3))
 	b, _ := fastFinalizeRound1(t, r)
-	if got := verifierLookups(r); got != 3 {
-		t.Errorf("round 1 cost %d signature lookups, want 3", got)
+	if got := sigsVerified(r); got != 3 {
+		t.Errorf("round 1 cost %d signature checks, want 3", got)
 	}
 	if got := voteKinds(r); len(got) != 1 || got[0] != types.VoteFast {
 		t.Errorf("own votes %v, want one fast vote", got)
@@ -152,16 +152,16 @@ func TestRedundantVoteFormsCostNothing(t *testing.T) {
 
 	// Fast vote first, bare notarization vote (garbage, even) after.
 	r.deliver(peers[0], fastVoteMsg(r, peers[0], b))
-	before, support := verifierLookups(r), rs.notarSupport(b.ID())
+	before, support := sigsVerified(r), rs.notarSupport(b.ID())
 	late := r.notarVote(peers[0], b)
 	late.Signature = []byte("never looked at")
 	r.deliver(peers[0], &types.VoteMsg{Votes: []types.Vote{late}})
-	if verifierLookups(r) != before || rs.notarSupport(b.ID()) != support || r.eng.Metrics()["rejected"] != 0 {
+	if sigsVerified(r) != before || rs.notarSupport(b.ID()) != support || r.eng.Metrics()["rejected"] != 0 {
 		t.Fatal("a notarization vote after the same voter's fast vote was looked at")
 	}
 	// The leader's separate notarization vote of old is one of these.
 	r.deliver(b.Proposer, &types.VoteMsg{Votes: []types.Vote{r.notarVote(b.Proposer, b)}})
-	if verifierLookups(r) != before || rs.notarSupport(b.ID()) != support {
+	if sigsVerified(r) != before || rs.notarSupport(b.ID()) != support {
 		t.Fatal("the leader's own notarization vote was looked at after its proposal's fast vote")
 	}
 

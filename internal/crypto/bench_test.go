@@ -7,22 +7,15 @@ import (
 	"banyan/internal/types"
 )
 
-// The cached verification pipeline against the keyring: VerifyCert (one
-// curve operation per signature per delivery) versus a Verifier (the same
-// rule, each signature through the verified-signature cache). Two
-// workloads per cluster size:
+// The cost of checking certificates against the keyring, one curve
+// operation per signature per delivery. Two workloads per cluster size:
 //
 //   - gossip: a round's notarization certificate delivered 3 times — the
 //     original broadcast, a header relay and the Advance all carry the same
-//     quorum of signatures. This is what the engine's ingestion path
-//     actually sees; the cache collapses deliveries 2 and 3.
-//   - cold: every signature seen exactly once (worst case for the cache),
-//     so this pair measures what the cache costs: computing, looking up and
-//     storing one key per signature.
-//
-// The cached side builds a fresh Verifier every iteration, so cache state
-// never carries across iterations: each measurement is one cold delivery
-// plus two warm ones, exactly the per-round cost.
+//     quorum of signatures. This is what a replica would pay if it checked
+//     every delivery; the engine drops the credentials it already holds
+//     before verifying, so it pays the cold cost once.
+//   - cold: every signature checked exactly once.
 
 const gossipRedundancy = 3
 
@@ -67,28 +60,13 @@ func benchSizes(b *testing.B, sigsPerCert int, fn func(b *testing.B, fx *verifyF
 	}
 }
 
-// BenchmarkVerifyGossipKeyring is the baseline of the headline pair:
-// every delivery of a round's certificate re-verifies every signature.
+// BenchmarkVerifyGossipKeyring re-verifies every signature on every
+// delivery of a round's certificate.
 func BenchmarkVerifyGossipKeyring(b *testing.B) {
 	benchSizes(b, gossipRedundancy, func(b *testing.B, fx *verifyFixture) {
 		for i := 0; i < b.N; i++ {
 			for d := 0; d < gossipRedundancy; d++ {
 				if err := VerifyCert(fx.keyring, fx.cert, fx.quorum); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-}
-
-// BenchmarkVerifyGossipCached is the pipeline side of the headline pair:
-// the cache absorbs the redundant deliveries.
-func BenchmarkVerifyGossipCached(b *testing.B) {
-	benchSizes(b, gossipRedundancy, func(b *testing.B, fx *verifyFixture) {
-		for i := 0; i < b.N; i++ {
-			v := NewVerifier(fx.keyring)
-			for d := 0; d < gossipRedundancy; d++ {
-				if err := v.VerifyCert(fx.cert, fx.quorum); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -102,21 +80,6 @@ func BenchmarkVerifyColdKeyring(b *testing.B) {
 	benchSizes(b, 1, func(b *testing.B, fx *verifyFixture) {
 		for i := 0; i < b.N; i++ {
 			if err := VerifyCert(fx.keyring, fx.cert, fx.quorum); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkVerifyColdCached verifies every signature exactly once through
-// a Verifier: a fresh one per iteration never hits its cache, so this is
-// the pipeline's cost on signatures it has not seen — ColdKeyring plus
-// computing, looking up and storing a cache key per signature.
-func BenchmarkVerifyColdCached(b *testing.B) {
-	benchSizes(b, 1, func(b *testing.B, fx *verifyFixture) {
-		for i := 0; i < b.N; i++ {
-			v := NewVerifier(fx.keyring)
-			if err := v.VerifyCert(fx.cert, fx.quorum); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -245,33 +245,19 @@ func blockDigest(id types.BlockID) [32]byte {
 }
 
 // check is the one signature check every verification rule below runs
-// over. A Keyring's check (no cache) verifies every signature outright; a
-// Verifier's goes through its VerifiedCache, so a signature verified
-// before costs a lookup instead of a curve operation, and a success is
-// remembered for the round it was made for.
+// over: each signature goes to the keyring once, and a Verifier's check
+// also counts it.
 type check struct {
-	kr    *Keyring
-	cache *VerifiedCache // nil: verify outright, remember nothing
+	kr       *Keyring
+	verified *atomic.Int64 // nil: count nothing
 }
 
-// sig checks replica id's signature over digest, made for round r.
-func (ck check) sig(r types.Round, id types.ReplicaID, digest [32]byte, sig []byte) bool {
-	if ck.cache == nil {
-		return ck.kr.Verify(id, digest, sig)
+// sig checks replica id's signature over digest.
+func (ck check) sig(id types.ReplicaID, digest [32]byte, sig []byte) bool {
+	if ck.verified != nil {
+		ck.verified.Add(1)
 	}
-	pub := ck.kr.PublicKey(id)
-	if pub == nil {
-		return false
-	}
-	key := VerifiedKey(ck.kr.scheme, pub, digest, sig)
-	if ck.cache.Contains(key) {
-		return true
-	}
-	if !ck.kr.scheme.Verify(pub, digest, sig) {
-		return false
-	}
-	ck.cache.Add(key, r)
-	return true
+	return ck.kr.Verify(id, digest, sig)
 }
 
 // block checks the proposer signature on a block.
@@ -279,18 +265,17 @@ func (ck check) block(b *types.Block) error {
 	if b.IsGenesis() {
 		return nil
 	}
-	if !ck.sig(b.Round, b.Proposer, blockDigest(b.ID()), b.Signature) {
+	if !ck.sig(b.Proposer, blockDigest(b.ID()), b.Signature) {
 		return fmt.Errorf("crypto: bad proposer signature on %v", b)
 	}
 	return nil
 }
 
 // header checks the proposer signature on a signed header: the same
-// signature block checks on the block it belongs to, so through a cache a
-// header relay warms the body and vice versa, and no payload is hashed to
-// get there.
+// signature block checks on the block it belongs to, without hashing the
+// payload to get there.
 func (ck check) header(h *types.SignedHeader) error {
-	if !ck.sig(h.Round, h.Proposer, blockDigest(h.ID()), h.Signature) {
+	if !ck.sig(h.Proposer, blockDigest(h.ID()), h.Signature) {
 		return fmt.Errorf("crypto: bad proposer signature on header r=%d id=%s", h.Round, h.ID())
 	}
 	return nil
@@ -301,7 +286,7 @@ func (ck check) vote(v types.Vote) error {
 	if !v.Kind.Valid() {
 		return fmt.Errorf("crypto: invalid vote kind in %v", v)
 	}
-	if !ck.sig(v.Round, v.Voter, v.Digest(), v.Signature) {
+	if !ck.sig(v.Voter, v.Digest(), v.Signature) {
 		return fmt.Errorf("crypto: bad signature on %v", v)
 	}
 	return nil
@@ -328,7 +313,7 @@ func (ck check) cert(c *types.Certificate, quorum int, set MemberSet) error {
 	}
 	digests := c.SignerDigests()
 	for i, signer := range c.Signers {
-		if !ck.sig(c.Round, signer, digests[c.FastBit(i)], c.Sigs[i]) {
+		if !ck.sig(signer, digests[c.FastBit(i)], c.Sigs[i]) {
 			return fmt.Errorf("crypto: bad signature by %d in %v", signer, c)
 		}
 	}
@@ -366,7 +351,7 @@ func (ck check) unlockProof(u *types.UnlockProof, threshold int, set MemberSet) 
 		id := e.Header.ID()
 		digest := types.VoteDigest(types.VoteFast, u.Round, id)
 		for i, voter := range e.Voters {
-			if !ck.sig(u.Round, voter, digest, e.Sigs[i]) {
+			if !ck.sig(voter, digest, e.Sigs[i]) {
 				return fmt.Errorf("crypto: bad fast vote by %d for %s in %v", voter, id, u)
 			}
 		}

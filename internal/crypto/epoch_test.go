@@ -64,7 +64,7 @@ func TestVerifyCertInEpochPinning(t *testing.T) {
 		t.Fatalf("honest new-epoch certificate rejected: %v", err)
 	}
 
-	// The cached Verifier facade applies the same pin.
+	// The Verifier applies the same pin.
 	v := NewVerifier(keyring)
 	if err := v.VerifyCertIn(after, quorum, newSet); err == nil {
 		t.Fatal("Verifier.VerifyCertIn accepted the removed validator's signature")

@@ -1,45 +1,45 @@
 package crypto
 
-import "banyan/internal/types"
+import (
+	"sync/atomic"
 
-// Verifier is the cached verification pipeline over one keyring. It runs
-// the same rules as the package-level VerifyBlock / VerifyVote /
-// VerifyCert / VerifyUnlockProof functions — each rule has one body, in
-// crypto.go — but checks every signature through a VerifiedCache, so
-// re-gossiped votes and certificates cost one cache lookup instead of a
-// curve operation. Signatures are checked inline, one at a time, in
-// signer order. The engine it serves calls it only for what it reads,
-// after dropping settled rounds, and publishes its settled floor here
-// (Settle) so the cache drops and no longer admits those rounds.
+	"banyan/internal/types"
+)
+
+// Verifier is one replica's verification pipeline: its keyring, and a
+// count of the signatures it verified. It runs the same rules as the
+// package-level VerifyBlock / VerifyVote / VerifyCert / VerifyUnlockProof
+// functions — each rule has one body, in crypto.go — checking every
+// signature inline, once, in signer order, and stopping at the first
+// failure. Nothing is remembered between calls: the engine it serves
+// calls it only for what it reads, after dropping what it already holds
+// or has settled, so a replayed message costs no signature check.
 //
 // A Verifier serves one replica and is safe for concurrent use.
 type Verifier struct {
 	check
+	n atomic.Int64
 }
 
 // NewVerifier builds a verification pipeline over the keyring.
 func NewVerifier(kr *Keyring) *Verifier {
-	return &Verifier{check{kr: kr, cache: NewVerifiedCache()}}
+	v := &Verifier{}
+	v.check = check{kr: kr, verified: &v.n}
+	return v
 }
 
 // Keyring returns the keyring the verifier checks against.
 func (v *Verifier) Keyring() *Keyring { return v.kr }
 
-// CacheStats returns cumulative cache (hits, misses).
-func (v *Verifier) CacheStats() (hits, misses int64) { return v.cache.Stats() }
-
-// Settle tells the cache that round r is settled: the engine has
-// finalized it and moved past it, so no vote, certificate or unlock proof
-// for a round up to r is verified again. The cache drops its entries for
-// those rounds and admits none. A lower r than before is ignored.
-func (v *Verifier) Settle(r types.Round) { v.cache.Settle(r) }
+// Verified returns the cumulative number of signatures the verifier has
+// checked, valid or not.
+func (v *Verifier) Verified() int64 { return v.n.Load() }
 
 // VerifyBlock checks the proposer signature on a block.
 func (v *Verifier) VerifyBlock(b *types.Block) error { return v.block(b) }
 
 // VerifyHeader checks the proposer signature on a signed header — the
-// same signature VerifyBlock checks on the block it belongs to, so a
-// header relay warms the cache for the body and vice versa.
+// same signature VerifyBlock checks on the block it belongs to.
 func (v *Verifier) VerifyHeader(h *types.SignedHeader) error { return v.header(h) }
 
 // VerifyVote checks a single vote's signature.

@@ -2,6 +2,7 @@ package crypto
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"banyan/internal/types"
@@ -66,9 +67,8 @@ func buildTriples(t testing.TB, scheme Scheme, n, count int, seed int64,
 // TestBatchVerifierMatchesSequential is the core equivalence property:
 // for every mix of valid, forged, wrong-key, truncated, wrong-digest and
 // empty signatures, under both schemes, the keyring's check and a
-// Verifier's cached one — on first sight and again once the cache holds
-// every success — return exactly the verdicts the scheme's own Verify
-// would.
+// Verifier's return exactly the verdicts the scheme's own Verify would,
+// and the Verifier counts each signature once.
 func TestBatchVerifierMatchesSequential(t *testing.T) {
 	for _, scheme := range schemes() {
 		t.Run(scheme.Name(), func(t *testing.T) {
@@ -85,12 +85,12 @@ func TestBatchVerifierMatchesSequential(t *testing.T) {
 					if got := keyring.Verify(ids[i], digests[i], sigs[i]); got != want[i] {
 						t.Fatalf("trial %d: triple %d: keyring verdict %v, want %v", trial, i, got, want[i])
 					}
-					for pass := 0; pass < 2; pass++ {
-						if got := v.sig(1, ids[i], digests[i], sigs[i]); got != want[i] {
-							t.Fatalf("trial %d: triple %d, pass %d: verifier verdict %v, want %v",
-								trial, i, pass, got, want[i])
-						}
+					if got := v.sig(ids[i], digests[i], sigs[i]); got != want[i] {
+						t.Fatalf("trial %d: triple %d: verifier verdict %v, want %v", trial, i, got, want[i])
 					}
+				}
+				if got := v.Verified(); got != int64(count) {
+					t.Fatalf("trial %d: %d signatures counted, want %d", trial, got, count)
 				}
 			}
 		})
@@ -110,10 +110,10 @@ func (c *countingScheme) Verify(pub []byte, digest [32]byte, sig []byte) bool {
 
 // TestCertForgeryStopsAtItsSigner: signatures are checked in signer
 // order and checking stops at the first failure, so a certificate whose
-// signer k forged costs k+1 lookups and k+1 curve operations. The honest
-// prefix is cached: re-delivering it, as loose votes or as the repaired
-// certificate, costs one hit per signature and verifies none of them
-// again.
+// signer k forged costs k+1 curve operations. Nothing is remembered:
+// re-delivering the honest prefix, as loose votes or as the repaired
+// certificate, costs its signatures again — the engine, not the verifier,
+// drops what it already holds.
 func TestCertForgeryStopsAtItsSigner(t *testing.T) {
 	const n, quorum = 7, 5
 	genuine, signers := GenerateCluster(Ed25519(), n, 6)
@@ -138,32 +138,58 @@ func TestCertForgeryStopsAtItsSigner(t *testing.T) {
 		if err := v.VerifyCert(&forged, quorum); err == nil {
 			t.Fatalf("k=%d: certificate with a forgery accepted", k)
 		}
-		if hits, misses := v.CacheStats(); hits != 0 || misses != int64(k+1) || scheme.verifies != k+1 {
-			t.Fatalf("k=%d: %d hits, %d misses, %d verifications, want 0, %d, %d",
-				k, hits, misses, scheme.verifies, k+1, k+1)
+		if got := v.Verified(); got != int64(k+1) || scheme.verifies != k+1 {
+			t.Fatalf("k=%d: %d signatures counted, %d verifications, want %d", k, got, scheme.verifies, k+1)
 		}
 		for _, vt := range votes[:k] {
 			if err := v.VerifyVote(vt); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if hits, misses := v.CacheStats(); hits != int64(k) || misses != int64(k+1) || scheme.verifies != k+1 {
-			t.Fatalf("k=%d: honest prefix as votes: %d hits, %d misses, %d verifications, want %d, %d, %d",
-				k, hits, misses, scheme.verifies, k, k+1, k+1)
+		if got := v.Verified(); got != int64(2*k+1) || scheme.verifies != 2*k+1 {
+			t.Fatalf("k=%d: honest prefix as votes: %d signatures counted, %d verifications, want %d",
+				k, got, scheme.verifies, 2*k+1)
 		}
 		if err := v.VerifyCert(honest, quorum); err != nil {
 			t.Fatalf("k=%d: repaired certificate rejected: %v", k, err)
 		}
-		if hits, misses := v.CacheStats(); hits != int64(2*k) || misses != int64(n+1) || scheme.verifies != n+1 {
-			t.Fatalf("k=%d: repaired certificate: %d hits, %d misses, %d verifications, want %d, %d, %d",
-				k, hits, misses, scheme.verifies, 2*k, n+1, n+1)
+		if got := v.Verified(); got != int64(2*k+1+n) || scheme.verifies != 2*k+1+n {
+			t.Fatalf("k=%d: repaired certificate: %d signatures counted, %d verifications, want %d",
+				k, got, scheme.verifies, 2*k+1+n)
 		}
 	}
 }
 
-// TestVerifierMatchesFreeFunctions: the cached pipeline must agree with
-// the package-level verification functions on both accepts and rejects —
-// including on repeat calls, where the cache serves the verdict.
+// TestVerifierCountsConcurrentChecks: a Verifier is checked from several
+// goroutines at once (its engine, a metrics scrape reading the count),
+// and the count is exact.
+func TestVerifierCountsConcurrentChecks(t *testing.T) {
+	keyring, signers := GenerateCluster(HMAC(), 4, 9)
+	v := NewVerifier(keyring)
+	const goroutines, each = 4, 200
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				vote := signers[g].SignVote(types.VoteFast, types.Round(i+1), types.BlockID{byte(g)})
+				if err := v.VerifyVote(vote); err != nil {
+					t.Error(err)
+					return
+				}
+				_ = v.Verified()
+			}
+		}()
+	}
+	wg.Wait()
+	if got := v.Verified(); got != goroutines*each {
+		t.Fatalf("%d signatures counted, want %d", got, goroutines*each)
+	}
+}
+
+// TestVerifierMatchesFreeFunctions: the pipeline must agree with the
+// package-level verification functions on both accepts and rejects.
 func TestVerifierMatchesFreeFunctions(t *testing.T) {
 	for _, scheme := range schemes() {
 		t.Run(scheme.Name(), func(t *testing.T) {
@@ -194,25 +220,23 @@ func TestVerifierMatchesFreeFunctions(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			for round := 0; round < 3; round++ { // repeat: exercise cache hits
-				if got, want := v.VerifyVote(vote), VerifyVote(keyring, vote); (got == nil) != (want == nil) {
-					t.Fatalf("round %d: VerifyVote mismatch: %v vs %v", round, got, want)
-				}
-				if got, want := v.VerifyVote(forged), VerifyVote(keyring, forged); (got == nil) != (want == nil) {
-					t.Fatalf("round %d: forged vote mismatch: %v vs %v", round, got, want)
-				}
-				if got, want := v.VerifyCert(cert, 3), VerifyCert(keyring, cert, 3); (got == nil) != (want == nil) {
-					t.Fatalf("round %d: VerifyCert mismatch: %v vs %v", round, got, want)
-				}
-				if got, want := v.VerifyCert(tampered, 3), VerifyCert(keyring, tampered, 3); (got == nil) != (want == nil) {
-					t.Fatalf("round %d: tampered cert mismatch: %v vs %v", round, got, want)
-				}
-				if got, want := v.VerifyCert(cert, 4), VerifyCert(keyring, cert, 4); (got == nil) != (want == nil) {
-					t.Fatalf("round %d: below-quorum mismatch: %v vs %v", round, got, want)
-				}
-				if got, want := v.VerifyBlock(blk), VerifyBlock(keyring, blk); (got == nil) != (want == nil) {
-					t.Fatalf("round %d: VerifyBlock mismatch: %v vs %v", round, got, want)
-				}
+			if got, want := v.VerifyVote(vote), VerifyVote(keyring, vote); (got == nil) != (want == nil) {
+				t.Fatalf("VerifyVote mismatch: %v vs %v", got, want)
+			}
+			if got, want := v.VerifyVote(forged), VerifyVote(keyring, forged); (got == nil) != (want == nil) {
+				t.Fatalf("forged vote mismatch: %v vs %v", got, want)
+			}
+			if got, want := v.VerifyCert(cert, 3), VerifyCert(keyring, cert, 3); (got == nil) != (want == nil) {
+				t.Fatalf("VerifyCert mismatch: %v vs %v", got, want)
+			}
+			if got, want := v.VerifyCert(tampered, 3), VerifyCert(keyring, tampered, 3); (got == nil) != (want == nil) {
+				t.Fatalf("tampered cert mismatch: %v vs %v", got, want)
+			}
+			if got, want := v.VerifyCert(cert, 4), VerifyCert(keyring, cert, 4); (got == nil) != (want == nil) {
+				t.Fatalf("below-quorum mismatch: %v vs %v", got, want)
+			}
+			if got, want := v.VerifyBlock(blk), VerifyBlock(keyring, blk); (got == nil) != (want == nil) {
+				t.Fatalf("VerifyBlock mismatch: %v vs %v", got, want)
 			}
 		})
 	}
@@ -235,87 +259,36 @@ func TestVerifierUnlockProofMatches(t *testing.T) {
 			Sigs:   [][]byte{votes[0].Signature, votes[1].Signature, votes[2].Signature},
 		}},
 	}
-	for round := 0; round < 2; round++ {
-		if err := v.VerifyUnlockProof(proof, 2); err != nil {
-			t.Fatal(err)
-		}
-		if err := v.VerifyUnlockProof(proof, 3); err == nil {
-			t.Fatal("proof accepted above its support")
-		}
-		if err := v.VerifyUnlockProof(nil, 1); err == nil {
-			t.Fatal("nil proof accepted")
-		}
-		lied := *proof
-		lied.Entries = []types.UnlockEntry{proof.Entries[0]}
-		lied.Entries[0].Header.Rank = 1
-		if err := v.VerifyUnlockProof(&lied, 2); err == nil {
-			t.Fatal("proof with falsified rank accepted")
-		}
+	if err := v.VerifyUnlockProof(proof, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.VerifyUnlockProof(proof, 3); err == nil {
+		t.Fatal("proof accepted above its support")
+	}
+	if err := v.VerifyUnlockProof(nil, 1); err == nil {
+		t.Fatal("nil proof accepted")
+	}
+	lied := *proof
+	lied.Entries = []types.UnlockEntry{proof.Entries[0]}
+	lied.Entries[0].Header.Rank = 1
+	if err := v.VerifyUnlockProof(&lied, 2); err == nil {
+		t.Fatal("proof with falsified rank accepted")
 	}
 }
 
-// TestVerifierNeverCachesFailures: a forged signature must be re-checked
-// (and re-rejected) on every delivery; only successes may enter the cache.
-func TestVerifierNeverCachesFailures(t *testing.T) {
-	keyring, signers := GenerateCluster(Ed25519(), 4, 2)
-	v := NewVerifier(keyring)
-	vote := signers[0].SignVote(types.VoteFast, 1, types.BlockID{})
-	bad := vote
-	bad.Signature = append([]byte(nil), vote.Signature...)
-	bad.Signature[3] ^= 1
-	for i := 0; i < 5; i++ {
-		if err := v.VerifyVote(bad); err == nil {
-			t.Fatalf("delivery %d: forged vote accepted", i)
-		}
-	}
-	hits, _ := v.CacheStats()
-	if hits != 0 {
-		t.Fatalf("forged vote produced %d cache hits", hits)
-	}
-}
-
-// TestVerifierWarmsCache: loose votes and the certificate that aggregates
-// them share cache entries. After VerifyVote of two of a notarization's
-// votes, VerifyCert checks only the third signature; after that, the
-// third loose vote is a cache hit.
-func TestVerifierWarmsCache(t *testing.T) {
-	keyring, signers := GenerateCluster(Ed25519(), 4, 5)
-	v := NewVerifier(keyring)
-	var block types.BlockID
-	block[1] = 3
-	votes := collectVotes(signers, types.VoteNotarize, 2, block, 0, 1, 2)
-	cert, err := types.NewCertificate(types.CertNotarization, 2, block, votes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, vt := range votes[:2] {
-		if err := v.VerifyVote(vt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := v.VerifyCert(cert, 3); err != nil {
-		t.Fatal(err)
-	}
-	if hits, misses := v.CacheStats(); hits != 2 || misses != 3 {
-		t.Fatalf("VerifyCert after two loose votes: %d hits, %d misses, want 2 and 3", hits, misses)
-	}
-	if err := v.VerifyVote(votes[2]); err != nil {
-		t.Fatal(err)
-	}
-	if hits, misses := v.CacheStats(); hits != 3 || misses != 3 {
-		t.Fatalf("loose vote after its certificate: %d hits, %d misses, want 3 and 3", hits, misses)
-	}
-}
-
-// TestMalformedAggregatesCostNoLookup: a certificate or unlock proof that
-// fails a check needing no signature — unsorted signers, voters and
-// signatures out of step, a signer outside the epoch's set, a proof that
-// does not establish its claim — is rejected before a single signature is
-// looked up, even when every signature it carries is genuine, so a peer
-// cannot make the verifier work with an aggregate the engine would
-// refuse anyway.
-func TestMalformedAggregatesCostNoLookup(t *testing.T) {
+// TestMalformedAggregatesCostNoCurveOperation: a certificate or unlock
+// proof that fails a check needing no signature — unsorted signers, voters
+// and signatures out of step, a signer outside the epoch's set, a proof
+// that does not establish its claim — is rejected before a single
+// signature is verified, even when every signature it carries is genuine,
+// so a peer cannot make the verifier work with an aggregate the engine
+// would refuse anyway.
+func TestMalformedAggregatesCostNoCurveOperation(t *testing.T) {
 	keyring, signers := GenerateCluster(Ed25519(), 4, 8)
+	pubs := make([][]byte, keyring.N())
+	for i := range pubs {
+		pubs[i] = keyring.PublicKey(types.ReplicaID(i))
+	}
 	sig := signers[0].Sign([32]byte{})
 	var block types.BlockID
 	block[0] = 2
@@ -359,12 +332,13 @@ func TestMalformedAggregatesCostNoLookup(t *testing.T) {
 			return v.VerifyUnlockProof(proof, 3)
 		}},
 	} {
-		v := NewVerifier(keyring)
+		scheme := &countingScheme{Scheme: Ed25519()}
+		v := NewVerifier(NewKeyring(scheme, pubs))
 		if err := tc.verify(v); err == nil {
 			t.Fatalf("%s accepted", tc.name)
 		}
-		if hits, misses := v.CacheStats(); hits+misses != 0 {
-			t.Fatalf("%s cost %d cache lookups, want 0", tc.name, hits+misses)
+		if scheme.verifies != 0 || v.Verified() != 0 {
+			t.Fatalf("%s cost %d curve operations (%d counted), want 0", tc.name, scheme.verifies, v.Verified())
 		}
 	}
 	// The same aggregates, well-placed, verify: their signatures are
@@ -378,49 +352,9 @@ func TestMalformedAggregatesCostNoLookup(t *testing.T) {
 	}
 }
 
-// TestVerifiedCacheEviction: the cache is round-scoped. Settle drops the
-// entries at or below the floor and keeps the rest, an entry for a
-// settled round is not admitted, a lower floor changes nothing, and at
-// the cap the cache empties before it admits, so it never holds more than
-// maxCached keys.
-func TestVerifiedCacheEviction(t *testing.T) {
-	c := NewVerifiedCache()
-	mk := func(i int) CacheKey {
-		var k CacheKey
-		k[0], k[1], k[2] = byte(i), byte(i>>8), byte(i>>16)
-		return k
-	}
-	for r := 1; r <= 10; r++ {
-		for j := 0; j < 3; j++ {
-			c.Add(mk(3*r+j), types.Round(r))
-		}
-	}
-	c.Settle(7)
-	if c.Len() != 9 || c.Contains(mk(3*7+2)) || !c.Contains(mk(3*8)) {
-		t.Fatalf("after Settle(7): %d entries, round 7 held %v, round 8 held %v",
-			c.Len(), c.Contains(mk(3*7+2)), c.Contains(mk(3*8)))
-	}
-	c.Settle(5)
-	c.Add(mk(100), 7)
-	c.Add(mk(101), 6)
-	if c.Len() != 9 || c.Contains(mk(100)) || c.Contains(mk(101)) {
-		t.Fatalf("a settled round's entry was admitted: %d entries", c.Len())
-	}
-	// A validator signing far-future rounds, which no Settle reaches, fills
-	// the cache; the next entry empties it first.
-	for i := 0; c.Len() < maxCached; i++ {
-		c.Add(mk(1000+i), types.Round(1<<40+i))
-	}
-	c.Add(mk(1<<20), 11)
-	if c.Len() != 1 || !c.Contains(mk(1<<20)) {
-		t.Fatalf("at the cap: %d entries after one more Add, want only the new one", c.Len())
-	}
-}
-
 // FuzzBatchVerifyEquivalence: for arbitrary signature mutations, under
-// both schemes, the keyring's check and a Verifier's cached one return
-// the scheme's own verdict, before and after a valid companion signature
-// is cached beside the fuzzed one.
+// both schemes, the keyring's check and a Verifier's return the scheme's
+// own verdict.
 func FuzzBatchVerifyEquivalence(f *testing.F) {
 	f.Add([]byte{0}, uint8(0), uint8(0))
 	f.Add([]byte{1, 2, 3}, uint8(3), uint8(64))
@@ -444,15 +378,8 @@ func FuzzBatchVerifyEquivalence(f *testing.F) {
 			if got := keyring.Verify(who, digest, sig); got != want {
 				t.Fatalf("%s: keyring verdict %v, scheme %v", scheme.Name(), got, want)
 			}
-			other := (who + 1) % 4
-			v := NewVerifier(keyring)
-			for pass := 0; pass < 2; pass++ {
-				if got := v.sig(1, who, digest, sig); got != want {
-					t.Fatalf("%s, pass %d: verifier verdict %v, scheme %v", scheme.Name(), pass, got, want)
-				}
-				if !v.sig(1, other, digest, signers[other].Sign(digest)) {
-					t.Fatalf("%s, pass %d: valid companion signature rejected", scheme.Name(), pass)
-				}
+			if got := NewVerifier(keyring).sig(who, digest, sig); got != want {
+				t.Fatalf("%s: verifier verdict %v, scheme %v", scheme.Name(), got, want)
 			}
 		}
 	})

@@ -175,7 +175,7 @@ type Result struct {
 
 	// Counters sums every replica's engine counters (protocol.Engine's
 	// Metrics) per key across the cluster: payloads_carried,
-	// settled_dropped, verify_cache_misses and the rest.
+	// settled_dropped, sigs_verified and the rest.
 	Counters map[string]int64
 
 	// Faults counts safety faults across the cluster (must be zero).

@@ -380,7 +380,7 @@ func TestObsInvisibleToVirtualTime(t *testing.T) {
 
 // TestCountersSummedAcrossReplicas: Result.Counters carries the engine
 // counters no figure reads — late traffic dropped for settled rounds,
-// verification cache misses — summed over the cluster, and a seed
+// signatures verified — summed over the cluster, and a seed
 // reproduces them exactly.
 func TestCountersSummedAcrossReplicas(t *testing.T) {
 	topo, err := wan.FourGlobal4()
@@ -402,7 +402,7 @@ func TestCountersSummedAcrossReplicas(t *testing.T) {
 		return res
 	}
 	a, b := run(), run()
-	for _, key := range []string{"settled_dropped", "verify_cache_misses"} {
+	for _, key := range []string{"settled_dropped", "sigs_verified"} {
 		if a.Counters[key] == 0 || a.Counters[key] != b.Counters[key] {
 			t.Errorf("%s: %d then %d, want the same non-zero count", key, a.Counters[key], b.Counters[key])
 		}

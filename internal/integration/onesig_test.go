@@ -20,7 +20,7 @@ import (
 type sigBudget struct {
 	perRound  map[types.Round]int // block + notarization + fast signatures made, by round
 	finalize  int                 // finalization-vote signatures made
-	misses    int64               // verifier cache misses, all replicas: signatures verified
+	verified  int64               // signatures verified, all replicas (sigs_verified)
 	finalized types.Round         // rounds every replica finalized
 }
 
@@ -66,7 +66,7 @@ func runSigBudget(t *testing.T, params types.Params, seed uint64, d time.Duratio
 	out.finalized = types.Round(1 << 62)
 	for _, eng := range engines {
 		m := eng.Metrics()
-		out.misses += m["verify_cache_misses"]
+		out.verified += m["sigs_verified"]
 		if m["resends"] != 0 || m["final_fast"] == 0 {
 			t.Fatalf("not a clean fast-path run: %d resends, %d fast finalizations", m["resends"], m["final_fast"])
 		}
@@ -86,9 +86,9 @@ func runSigBudget(t *testing.T, params types.Params, seed uint64, d time.Duratio
 // sends no second one. Same-seed runs sign and verify exactly the same.
 func TestSignatureBudget(t *testing.T) {
 	cases := []struct {
-		params    types.Params
-		d         time.Duration
-		maxMisses float64 // signatures verified per replica per finalized round
+		params      types.Params
+		d           time.Duration
+		maxVerified float64 // signatures verified per replica per finalized round
 	}{
 		{types.Params{N: 4, F: 1, P: 1}, 3 * time.Second, 3.0},   // 4.7 with two signatures per vote
 		{types.Params{N: 7, F: 2, P: 1}, 3 * time.Second, 7.0},   // n: block + n-1 peers' votes
@@ -107,17 +107,17 @@ func TestSignatureBudget(t *testing.T) {
 					t.Fatalf("round %d: %d signatures made, want n+1 = %d", r, got.perRound[r], n+1)
 				}
 			}
-			perReplicaRound := float64(got.misses) / float64(n) / float64(got.finalized)
+			perReplicaRound := float64(got.verified) / float64(n) / float64(got.finalized)
 			t.Logf("n=%d: %d rounds, %d signatures per round (+%.1f finalization votes), %.2f verified per replica per round",
 				n, got.finalized, n+1, float64(got.finalize)/float64(got.finalized), perReplicaRound)
-			if perReplicaRound > tc.maxMisses {
-				t.Errorf("%.2f signatures verified per replica per finalized round, budget %.1f", perReplicaRound, tc.maxMisses)
+			if perReplicaRound > tc.maxVerified {
+				t.Errorf("%.2f signatures verified per replica per finalized round, budget %.1f", perReplicaRound, tc.maxVerified)
 			}
 			again := runSigBudget(t, tc.params, 41, tc.d)
-			if again.misses != got.misses || again.finalize != got.finalize || again.finalized != got.finalized ||
+			if again.verified != got.verified || again.finalize != got.finalize || again.finalized != got.finalized ||
 				fmt.Sprint(again.perRound) != fmt.Sprint(got.perRound) {
 				t.Errorf("same seed, different budget: %d/%d/%d vs %d/%d/%d",
-					got.misses, got.finalize, got.finalized, again.misses, again.finalize, again.finalized)
+					got.verified, got.finalize, got.finalized, again.verified, again.finalize, again.finalized)
 			}
 		})
 	}

@@ -157,12 +157,11 @@ func (n *Node) Dropped() int64 {
 	return n.dropped
 }
 
-// Metrics proxies the engine's counters (safe to call while running only
-// from the commit consumer's perspective of freshness; values may lag).
+// Metrics returns the engine's counters once the node has stopped, and
+// nil while it runs.
 func (n *Node) Metrics() map[string]int64 {
-	// The engine is single-threaded inside the loop; to avoid a data race
-	// we snapshot via a request over the loop would be heavyweight. The
-	// loop exits before done is closed, so reading after Stop is safe.
+	// Only the loop touches the engine, so its counters are read only
+	// after the loop has exited: done is closed after that.
 	select {
 	case <-n.done:
 		return n.cfg.Engine.Metrics()

@@ -11,10 +11,9 @@ import (
 
 // TestNodeSkipsSettledRounds runs a real engine in a node. Once round 1
 // is finalized and left, honestly signed late traffic for it — which
-// would cost a cache miss, i.e. a curve operation, per signature if
-// anyone looked — is not verified: the miss counter moves only for the
-// round-2 proposal sent behind it, and the engine reports the items as
-// dropped.
+// would cost a curve operation per signature if anyone looked — is not
+// verified: the verifier's count moves only for the round-2 proposal
+// sent behind it, and the engine reports the items as dropped.
 func TestNodeSkipsSettledRounds(t *testing.T) {
 	params := types.Params{N: 4, F: 1, P: 1}
 	keyring, signers := crypto.GenerateCluster(crypto.Ed25519(), params.N, 11)
@@ -70,7 +69,7 @@ func TestNodeSkipsSettledRounds(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("round 1 did not finalize")
 	}
-	_, missesBefore := verifier.CacheStats()
+	verifiedBefore := verifier.Verified()
 
 	// Late, valid, never-seen signatures for round 1: 3 votes, and a
 	// notarization (3) and fast-finalization certificate (3) that include
@@ -109,9 +108,8 @@ func TestNodeSkipsSettledRounds(t *testing.T) {
 	})
 
 	n.Stop() // engine metrics are readable only once the loop has exited
-	if _, misses := verifier.CacheStats(); misses-missesBefore != 2 {
-		t.Errorf("%d signatures verified, want 2 (round-2 block and fast vote): settled traffic was verified",
-			misses-missesBefore)
+	if got := verifier.Verified() - verifiedBefore; got != 2 {
+		t.Errorf("%d signatures verified, want 2 (round-2 block and fast vote): settled traffic was verified", got)
 	}
 	if got := n.Metrics()["settled_dropped"]; got != 3+1+1+1 {
 		t.Errorf("engine dropped %d items as settled, want 6", got)

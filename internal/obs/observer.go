@@ -28,10 +28,9 @@ const (
 	GaugeMempoolDepth     = "mempool_depth"
 	GaugeDissemStoreBytes = "dissem_store_bytes"
 
-	// Cumulative counts read from the verification pipeline at scrape
-	// time: cache hits and cache misses (= signatures verified).
-	GaugeVerifyCacheHits   = "verify_cache_hits"
-	GaugeVerifyCacheMisses = "verify_cache_misses"
+	// GaugeSigsVerified is the cumulative count of signatures the
+	// verification pipeline has checked, read at scrape time.
+	GaugeSigsVerified = "sigs_verified"
 )
 
 // Observer bundles one replica's observability instruments: the shared
@@ -58,9 +57,7 @@ type Observer struct {
 	Epoch            *metrics.Gauge
 	MempoolDepth     *metrics.Gauge
 	DissemStoreBytes *metrics.Gauge
-
-	VerifyCacheHits   *metrics.Gauge
-	VerifyCacheMisses *metrics.Gauge
+	SigsVerified     *metrics.Gauge
 
 	collectMu sync.Mutex
 	collect   []func(*Observer)
@@ -92,9 +89,7 @@ func New(opts Options) *Observer {
 		Epoch:            reg.Gauge(GaugeEpoch),
 		MempoolDepth:     reg.Gauge(GaugeMempoolDepth),
 		DissemStoreBytes: reg.Gauge(GaugeDissemStoreBytes),
-
-		VerifyCacheHits:   reg.Gauge(GaugeVerifyCacheHits),
-		VerifyCacheMisses: reg.Gauge(GaugeVerifyCacheMisses),
+		SigsVerified:     reg.Gauge(GaugeSigsVerified),
 	}
 	o.Detector = NewSlowRoundDetector(DefaultSlowK, o.Tracer)
 	return o

@@ -30,7 +30,7 @@ import (
 // Options are the knobs every host shares. The zero value of a field
 // selects its default (Fill); Delta, Scheme and the payload source have
 // per-host defaults and are the host's to set. The verification pipeline
-// has no knob: it checks each signature inline, through its cache.
+// has no knob: it checks each signature inline, once, against the keyring.
 type Options struct {
 	// N, F, P are the genesis fault parameters, which must satisfy
 	// n >= max(3f+2p-1, 3f+1): F = 0 picks the maximum for N and P, P = 0
@@ -182,7 +182,7 @@ type Stack struct {
 	// Engine is the bare consensus engine.
 	Engine *core.Engine
 	// Verifier is the engine's verification pipeline; the host reads its
-	// cache counters for the metrics page.
+	// count of signatures verified for the metrics page.
 	Verifier *crypto.Verifier
 	// Store is nil without Dissem. It is fresh per build: batch bodies are
 	// not journaled, so a restarted replica refetches any finalized body

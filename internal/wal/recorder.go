@@ -2,6 +2,7 @@ package wal
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"banyan/internal/protocol"
@@ -36,7 +37,8 @@ type RecorderConfig struct {
 	// Engine is the wrapped consensus engine. Required. A non-empty log is
 	// replayed into it on Start.
 	Engine Engine
-	// Options tune the log (sync policy, segment size).
+	// Options tune the log (sync policy, segment size); Sync.Bytes is
+	// ignored, since the recorder syncs once per action batch.
 	Options Options
 	// CheckpointEvery, when positive, checkpoints the log each time the
 	// finalized round advances by that many rounds: the engine's
@@ -76,9 +78,13 @@ type Recorder struct {
 var _ protocol.Engine = (*Recorder)(nil)
 
 // NewRecorder opens (or reopens) the log and wraps the engine. Recovery
-// happens on Start.
+// happens on Start. The log never syncs on size: the batch Sync in record
+// is the one durability point of an action batch, so an own proposal,
+// however large, shares its fsync with the vote beside it.
 func NewRecorder(cfg RecorderConfig) (*Recorder, error) {
-	log, rec, err := Open(cfg.Dir, cfg.Options)
+	opts := cfg.Options
+	opts.Sync.Bytes = math.MaxInt
+	log, rec, err := Open(cfg.Dir, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -169,6 +169,33 @@ func TestRecorderLeavesOwnMessageUncached(t *testing.T) {
 	}
 }
 
+// TestRecorderOneSyncPerBatch: an action batch carrying a 300 KiB own
+// proposal and an own vote costs one fsync, the recorder's batch Sync,
+// whatever the log's byte threshold (256 KiB by default).
+func TestRecorderOneSyncPerBatch(t *testing.T) {
+	eng := &fakeEngine{}
+	rec, err := NewRecorder(RecorderConfig{Dir: t.TempDir(), Engine: eng,
+		Options: Options{Sync: SyncPolicy{Interval: time.Hour}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	now := time.Unix(100, 0)
+	rec.Start(now)
+	b := types.NewBlock(4, 3, 0, types.BlockID{1}, types.BytesPayload(make([]byte, 300<<10)))
+	b.Signature = []byte("sig")
+	eng.actions = []protocol.Action{
+		protocol.Broadcast{Msg: &types.Proposal{Block: b}},
+		protocol.Broadcast{Msg: voteMsg(4)},
+	}
+	before := rec.Metrics()["wal_syncs"]
+	rec.HandleMessage(2, voteMsg(3), now)
+	m := rec.Metrics()
+	if m["wal_appends"] != 2 || m["wal_syncs"]-before != 1 {
+		t.Fatalf("proposal and vote: %d appends, %d fsyncs, want 2 and 1", m["wal_appends"], m["wal_syncs"]-before)
+	}
+}
+
 // countSends tallies own-signature Broadcast/Send actions in a batch.
 func countSends(acts []protocol.Action) int {
 	n := 0
