@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"banyan/internal/node"
 	"banyan/internal/obs"
 	"banyan/internal/stack"
 	"banyan/internal/transport/channel"
@@ -128,9 +127,6 @@ type Cluster struct {
 	hosts  []*host
 	faults faultLog
 
-	commits   chan Commit
-	rawCommit chan node.CommitEvent
-
 	mu       sync.Mutex
 	nextPool int
 	started  bool
@@ -157,15 +153,13 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		hubOpts.Delay = func(_, _ types.ReplicaID) time.Duration { return d }
 	}
 	c := &Cluster{
-		opts:      opts,
-		hub:       channel.NewHub(opts.MaxN, hubOpts),
-		hosts:     make([]*host, opts.MaxN),
-		crashed:   make([]bool, opts.MaxN),
-		crashing:  make([]bool, opts.MaxN),
-		held:      make([]bool, opts.MaxN),
-		commits:   make(chan Commit, commitBuffer),
-		rawCommit: make(chan node.CommitEvent, commitBuffer),
-		done:      make(chan struct{}),
+		opts:     opts,
+		hub:      channel.NewHub(opts.MaxN, hubOpts),
+		hosts:    make([]*host, opts.MaxN),
+		crashed:  make([]bool, opts.MaxN),
+		crashing: make([]bool, opts.MaxN),
+		held:     make([]bool, opts.MaxN),
+		done:     make(chan struct{}),
 	}
 	for _, h := range cfg.HoldStart {
 		if h < 0 || h >= opts.MaxN {
@@ -181,6 +175,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	for i := range c.hosts {
 		id := types.ReplicaID(i)
 		c.hosts[i] = newHost(id, opts, keyring, signers[i], opts.ReplicaWALDir(id), nil)
+		if i == 0 {
+			c.hosts[i].commits = make(chan Commit, commitBuffer)
+		}
 		if err := c.buildReplica(i); err != nil {
 			// The replicas built so far never started, but their logs are
 			// open: each holds a segment file and a group-commit goroutine.
@@ -206,13 +203,9 @@ func (c *Cluster) Observer(replica int) *obs.Observer {
 }
 
 // buildReplica assembles (or reassembles, after a crash) replica i over
-// the shared hub; only replica 0 feeds the commit stream.
+// the shared hub.
 func (c *Cluster) buildReplica(i int) error {
-	var commits chan<- node.CommitEvent
-	if i == 0 {
-		commits = c.rawCommit
-	}
-	return c.hosts[i].build(c.hub.Transport(types.ReplicaID(i)), commits, c.faults.record)
+	return c.hosts[i].build(c.hub.Transport(types.ReplicaID(i)), c.faults.record)
 }
 
 // Start boots every replica.
@@ -224,7 +217,6 @@ func (c *Cluster) Start() error {
 	}
 	c.started = true
 	c.mu.Unlock()
-	go c.hosts[0].pump(c.rawCommit, c.commits, c.done)
 	for i, h := range c.hosts {
 		if c.held[i] {
 			continue
@@ -366,9 +358,11 @@ func (c *Cluster) SubmitAs(replica int, submitter uint64, tx []byte) error {
 	return h.pool.SubmitFrom(submitter, tx)
 }
 
-// Commits streams finalized blocks as observed by replica 0. The channel
-// closes on Stop.
-func (c *Cluster) Commits() <-chan Commit { return c.commits }
+// Commits streams finalized blocks as observed by replica 0, buffering
+// commitBuffer of them; while the buffer is full, further ones are
+// dropped and counted (Metrics(0)["commits_dropped"]). The channel closes
+// on Stop.
+func (c *Cluster) Commits() <-chan Commit { return c.hosts[0].commits }
 
 // N returns the cluster size.
 func (c *Cluster) N() int { return c.opts.N }
@@ -377,12 +371,18 @@ func (c *Cluster) N() int { return c.opts.N }
 func (c *Cluster) Faults() []error { return c.faults.list() }
 
 // Metrics returns a replica's protocol counters, including its mempool's
-// typed admission rejections. Only valid after Stop.
+// typed admission rejections and the messages addressed to it that the
+// hub dropped ("transport_dropped"). Only valid after Stop.
 func (c *Cluster) Metrics(replica int) map[string]int64 {
-	if h := c.host(replica); h != nil {
-		return h.metrics()
+	h := c.host(replica)
+	if h == nil {
+		return nil
 	}
-	return nil
+	m := h.metrics()
+	if m != nil {
+		m["transport_dropped"] = c.hub.Dropped(h.id)
+	}
+	return m
 }
 
 // CrashReplica simulates a crash of one replica: its node stops, and its
@@ -496,7 +496,6 @@ func (c *Cluster) Stop() {
 		return
 	}
 	c.stopped = true
-	started := c.started
 	// A replica mid-CrashReplica (crashing set, crashed not yet) must be
 	// treated as crashed: closing its log here would flush the very tail
 	// the simulated crash is about to abandon.
@@ -513,7 +512,5 @@ func (c *Cluster) Stop() {
 	}
 	c.hub.Close()
 	close(c.done)
-	if !started {
-		close(c.commits) // no pump ran to close it
-	}
+	close(c.hosts[0].commits) // every node loop has exited: none sends
 }

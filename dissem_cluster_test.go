@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"banyan/internal/dissem"
 	"banyan/internal/mempool"
 	"banyan/internal/obs"
 	"banyan/internal/types"
@@ -78,6 +77,11 @@ func runTxSequence(t *testing.T, dissem bool, txCount int) []string {
 	cluster.Stop()
 	if faults := cluster.Faults(); len(faults) > 0 {
 		t.Fatalf("faults (dissem=%v): %v", dissem, faults)
+	}
+	for i := 0; i < cluster.N(); i++ {
+		if d := cluster.Metrics(i)["transport_dropped"]; d != 0 {
+			t.Errorf("the hub dropped %d messages to replica %d (dissem=%v)", d, i, dissem)
+		}
 	}
 	if dissem {
 		// The run must actually have traveled the batch plane, not an
@@ -260,11 +264,119 @@ func TestClusterDissemCrashRestart(t *testing.T) {
 		len(got), len(ref), start, m["wal_replayed_records"], m["dissemFetches"], m["dissemDelivDropped"])
 }
 
+// TestClusterStalledReaderCommitsWhole: the application stops reading
+// Commits until the backlog passes the stream's buffer, while replica 0
+// keeps finalizing and compacting the batch bodies behind it. Every
+// Commit it then reads carries all of its transactions — the commit
+// brought its bodies out of the engine, so compaction cannot empty it —
+// and every finalized block is accounted for: read, or dropped and
+// counted in commits_dropped. A commit may fall short of its
+// PayloadBytes only by refs delivery skipped as repeats of earlier
+// finalized ones (a leader missing a block of its parent chain cannot
+// tell which batches that block took); those are counted in
+// dissemSkippedBytes, and an idle run has none.
+func TestClusterStalledReaderCommitsWhole(t *testing.T) {
+	cluster, err := NewCluster(ClusterConfig{
+		N:         4,
+		Delta:     5 * time.Millisecond,
+		Scheme:    "hmac",
+		Dissem:    true,
+		PruneKeep: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cluster.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Stop()
+	stopLoad := make(chan struct{})
+	loadDone := make(chan struct{})
+	endLoad := sync.OnceFunc(func() { close(stopLoad); <-loadDone })
+	defer endLoad()
+	go func() {
+		defer close(loadDone)
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for i := 0; ; i++ {
+			select {
+			case <-stopLoad:
+				return
+			case <-tick.C:
+				tx := make([]byte, 512)
+				copy(tx, fmt.Sprintf("stall-tx-%07d", i))
+				cluster.Submit(tx)
+			}
+		}
+	}()
+
+	// Stall until the buffer is full (well under a second on an idle
+	// machine), then long enough past it for the engine to compact the
+	// bodies of the blocks finalized meanwhile.
+	deadline := time.Now().Add(60 * time.Second)
+	for len(cluster.Commits()) < commitBuffer {
+		if time.Now().After(deadline) {
+			t.Fatalf("the backlog reached only %d of %d commits", len(cluster.Commits()), commitBuffer)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	time.Sleep(time.Second)
+
+	var read, carrying, short int
+	var shortBytes int64
+	check := func(c Commit) {
+		read++
+		size := 0
+		for _, tx := range c.Transactions {
+			size += 4 + len(tx)
+		}
+		if c.PayloadBytes > 0 {
+			carrying++
+		}
+		if size < c.PayloadBytes {
+			short++
+			shortBytes += int64(c.PayloadBytes - size)
+		}
+	}
+	for resumed := time.Now(); time.Since(resumed) < 500*time.Millisecond; {
+		select {
+		case c := <-cluster.Commits():
+			check(c)
+		case <-time.After(5 * time.Second):
+			t.Fatal("no commit for 5 s after the reader resumed")
+		}
+	}
+	endLoad()
+	cluster.Stop()
+	for c := range cluster.Commits() {
+		check(c)
+	}
+
+	if faults := cluster.Faults(); len(faults) > 0 {
+		t.Fatalf("faults: %v", faults)
+	}
+	m := cluster.Metrics(0)
+	dropped := m["commits_dropped"]
+	if dropped == 0 {
+		t.Error("the stalled reader dropped no commits: the backlog never passed the buffer")
+	}
+	if int64(read)+dropped != m["blocks_commit"] {
+		t.Errorf("%d commits read + %d dropped, but replica 0 delivered %d blocks", read, dropped, m["blocks_commit"])
+	}
+	if carrying == 0 {
+		t.Error("no commit carried a payload")
+	}
+	if skipped := m["dissemSkippedBytes"]; shortBytes > skipped {
+		t.Errorf("%d commits miss %d transaction bytes, but delivery skipped only %d", short, shortBytes, skipped)
+	}
+	t.Logf("%d commits read (%d with a payload, %d short), %d dropped", read, carrying, short, dropped)
+}
+
 // TestDecodeRefsThenInlineTail: an honest replica proposes no inline
 // tail beside its batch refs, but the digest-list wire form carries one
 // and a peer may send it (an older version, or a Byzantine proposer).
-// decodeTransactions resolves such a committed payload to the bodies of
-// its refs in ref order, then the tail.
+// decodeTransactions resolves such a committed payload to the bodies
+// delivery resolved for its refs, in ref order, then the tail.
 func TestDecodeRefsThenInlineTail(t *testing.T) {
 	cut := func(txs ...string) types.Payload {
 		pool := mempool.NewPool(1<<20, 1<<20)
@@ -276,14 +388,13 @@ func TestDecodeRefsThenInlineTail(t *testing.T) {
 		return pool.CutBatch(1 << 20)
 	}
 	first, second, tail := cut("a1", "a2"), cut("b1"), cut("t1", "t2")
-	store := dissem.NewStore(dissem.Config{Self: 1, N: 4})
+	bodies := []*types.Payload{&first, &second}
 	var refs []types.BatchRef
-	for _, body := range []types.Payload{first, second} {
-		store.Put(body.Digest(), body)
+	for _, body := range bodies {
 		refs = append(refs, types.BatchRef{Digest: body.Digest(), Size: uint32(body.Size())})
 	}
 	var got []string
-	for _, tx := range decodeTransactions(store, types.BatchPayload(refs, tail.Materialize()), 5) {
+	for _, tx := range decodeTransactions(types.BatchPayload(refs, tail.Materialize()), bodies) {
 		got = append(got, string(tx))
 	}
 	if want := []string{"a1", "a2", "b1", "t1", "t2"}; !slices.Equal(got, want) {
@@ -314,10 +425,9 @@ func TestDecodeTransactionsSharedTxs(t *testing.T) {
 		t.Fatalf("fixture: first body's list (len %d, cap %d) has no room for the second's %d",
 			len(shared), cap(shared), len(second.Txs()))
 	}
-	store := dissem.NewStore(dissem.Config{Self: 1, N: 4})
+	bodies := []*types.Payload{&first, &second}
 	var refs []types.BatchRef
-	for _, body := range []types.Payload{first, second} {
-		store.Put(body.Digest(), body)
+	for _, body := range bodies {
 		refs = append(refs, types.BatchRef{Digest: body.Digest(), Size: uint32(body.Size())})
 	}
 	want := []string{"a1", "a2", "a3", "a4", "a5", "b1", "b2"}
@@ -327,7 +437,7 @@ func TestDecodeTransactionsSharedTxs(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for _, tx := range decodeTransactions(store, types.BatchPayload(refs, nil), 5) {
+			for _, tx := range decodeTransactions(types.BatchPayload(refs, nil), bodies) {
 				got[g] = append(got[g], string(tx))
 			}
 		}()

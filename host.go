@@ -3,20 +3,21 @@ package banyan
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"banyan/internal/crypto"
-	"banyan/internal/dissem"
 	"banyan/internal/membership"
 	"banyan/internal/mempool"
 	"banyan/internal/metrics"
 	"banyan/internal/node"
 	"banyan/internal/obs"
+	"banyan/internal/protocol"
 	"banyan/internal/stack"
 	"banyan/internal/types"
 )
 
-// commitBuffer is the capacity of a Commits channel and of the node
-// commit queue feeding it.
+// commitBuffer is the capacity of a Commits channel.
 const commitBuffer = 1024
 
 // host is one replica as Cluster and Replica both run it: a stack on a
@@ -30,6 +31,11 @@ type host struct {
 	// reg, when non-nil, holds counters of the host's surroundings
 	// (transport drops) that Metrics reports beside the engine's.
 	reg *metrics.Registry
+	// commits, when non-nil, is the replica's public commit stream: the
+	// node goroutine sends each finalized block to it without blocking,
+	// and counts in commitsDropped what a full channel refuses.
+	commits        chan Commit
+	commitsDropped atomic.Int64
 
 	mu   sync.Mutex // guards st and node, which a restart swaps
 	st   *stack.Stack
@@ -67,15 +73,19 @@ func newHost(id types.ReplicaID, opts stack.Options, keyring *crypto.Keyring,
 // build assembles (or reassembles, after a crash) the replica's stack and
 // its node over tr. The mempool is reused across restarts — submitted
 // transactions survive.
-func (h *host) build(tr node.Transport, commits chan<- node.CommitEvent, onFault func(error)) error {
+func (h *host) build(tr node.Transport, onFault func(error)) error {
 	st, err := stack.Build(h.id, h.opts, h.surv)
 	if err != nil {
 		return err
 	}
+	var onCommit func(time.Time, protocol.Commit)
+	if h.commits != nil {
+		onCommit = h.commit
+	}
 	n, err := node.New(node.Config{
 		Engine:    st.Hosted,
 		Transport: tr,
-		Commits:   commits,
+		OnCommit:  onCommit,
 		OnFault:   onFault,
 	})
 	if err != nil {
@@ -97,8 +107,9 @@ func (h *host) stack() *stack.Stack {
 }
 
 // metrics returns the engine counters (plus WAL counters behind a log),
-// the registry's counters and the mempool's typed admission rejections.
-// Only valid once the node has stopped.
+// the registry's counters, the commits the stream dropped and the
+// mempool's typed admission rejections. Only valid once the node has
+// stopped.
 func (h *host) metrics() map[string]int64 {
 	h.mu.Lock()
 	n := h.node
@@ -112,6 +123,7 @@ func (h *host) metrics() map[string]int64 {
 			m[name] = v
 		}
 	}
+	m["commits_dropped"] = h.commitsDropped.Load()
 	h.pool.Metrics(m)
 	return m
 }
@@ -166,55 +178,47 @@ func (h *host) configChange(op types.ConfigOp, id int) (types.ConfigChange, erro
 // proposed it.
 func (h *host) propose(change types.ConfigChange) { h.surv.Reconfig.Propose(change) }
 
-// pump converts the host's node commit events into the public Commit
-// stream until done closes; it closes out on return.
-func (h *host) pump(raw <-chan node.CommitEvent, out chan<- Commit, done <-chan struct{}) {
-	defer close(out)
-	for {
+// commit converts the node's commit action into one public Commit per
+// block, on the node's goroutine: the action carries the bodies its
+// blocks' refs resolved to, so nothing is read back from the store. A
+// Commit the full channel refuses is dropped and counted.
+func (h *host) commit(at time.Time, c protocol.Commit) {
+	for i, b := range c.Blocks {
+		var bodies []*types.Payload
+		if c.Bodies != nil {
+			bodies = c.Bodies[i]
+		}
 		select {
-		case <-done:
-			return
-		case ev := <-raw:
-			store := h.stack().Store
-			for _, b := range ev.Blocks {
-				commit := Commit{
-					Round:        uint64(b.Round),
-					Epoch:        b.Epoch,
-					BlockID:      b.ID().String(),
-					Proposer:     int(b.Proposer),
-					Transactions: decodeTransactions(store, b.Payload, b.Round),
-					PayloadBytes: b.Payload.Size(),
-					Path:         pathOf(ev.Explicit),
-					At:           ev.At,
-				}
-				select {
-				case out <- commit:
-				case <-done:
-					return
-				}
-			}
+		case h.commits <- Commit{
+			Round:        uint64(b.Round),
+			Epoch:        b.Epoch,
+			BlockID:      b.ID().String(),
+			Proposer:     int(b.Proposer),
+			Transactions: decodeTransactions(b.Payload, bodies),
+			PayloadBytes: b.Payload.Size(),
+			Path:         pathOf(c.Explicit),
+			At:           at,
+		}:
+		default:
+			h.commitsDropped.Add(1)
 		}
 	}
 }
 
-// decodeTransactions resolves a committed payload, finalized at round r,
-// to its transaction list: inline payloads decode directly; digest-list
-// payloads decode every referenced batch body that delivery does not skip
-// (in ref order, from the local store — delivery gating guarantees the
-// bodies arrived before the commit) and then the inline tail.
-func decodeTransactions(store *dissem.Store, p types.Payload, r types.Round) [][]byte {
+// decodeTransactions resolves a committed payload to its transaction
+// list: inline payloads decode directly; digest-list payloads decode
+// bodies, the batch bodies delivery resolved for its refs (in ref order,
+// without the refs it skips), and then the inline tail.
+func decodeTransactions(p types.Payload, bodies []*types.Payload) [][]byte {
 	if !p.HasBatches() {
 		return mempool.DecodeBatch(p)
 	}
 	var txs [][]byte
-	for i := 0; store != nil && i < len(p.Batches); i++ {
-		body, ok := store.Body(p, r, i)
-		switch {
-		case !ok:
-		case txs == nil:
-			txs = mempool.DecodeBatch(body)
-		default:
-			txs = append(txs, mempool.DecodeBatch(body)...)
+	for _, body := range bodies {
+		if txs == nil {
+			txs = mempool.DecodeBatch(*body)
+		} else {
+			txs = append(txs, mempool.DecodeBatch(*body)...)
 		}
 	}
 	if len(p.Data) > 0 {

@@ -157,7 +157,9 @@ func (e *Engine) deliver(chain []*types.Block, mode protocol.FinalizationMode,
 // partially deliverable chain commits its resolvable prefix as
 // FinalizeIndirect (the original mode describes the chain's tip, which is
 // still gated); commit metrics count here, at delivery, so
-// blocks_commit/bytes_commit mean what the application saw.
+// blocks_commit/bytes_commit mean what the application saw. Each Commit
+// carries the bodies its blocks' refs resolved to, so a Compact after it,
+// even in the same step, cannot empty it.
 func (e *Engine) flushDelivery(acts []protocol.Action) []protocol.Action {
 	defer e.fetchGated()
 	for len(e.delivQueue) > 0 {
@@ -171,10 +173,17 @@ func (e *Engine) flushDelivery(acts []protocol.Action) []protocol.Action {
 		}
 		if n > 0 {
 			blocks := it.blocks[:n:n]
+			var bodies [][]*types.Payload
 			o := e.cfg.Obs
-			for _, b := range blocks {
+			for i, b := range blocks {
 				e.met.blocksCommit++
 				e.met.bytesCommit += int64(b.Payload.Size())
+				if len(b.Payload.Batches) > 0 {
+					if bodies == nil {
+						bodies = make([][]*types.Payload, n)
+					}
+					bodies[i] = e.cfg.Dissem.Bodies(b.Payload, b.Round)
+				}
 				e.cfg.Dissem.MarkDelivered(b.Payload, b.Round)
 				if o != nil && !e.replaying {
 					id := b.ID()
@@ -187,7 +196,7 @@ func (e *Engine) flushDelivery(acts []protocol.Action) []protocol.Action {
 			if n < len(it.blocks) {
 				mode = protocol.FinalizeIndirect
 			}
-			acts = append(acts, protocol.Commit{Blocks: blocks, Explicit: mode})
+			acts = append(acts, protocol.Commit{Blocks: blocks, Explicit: mode, Bodies: bodies})
 			it.blocks = it.blocks[n:]
 		}
 		if len(it.blocks) > 0 {

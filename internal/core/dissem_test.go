@@ -66,15 +66,13 @@ func refDigests(p types.Payload) [][32]byte {
 }
 
 // deliveredBatches lists, in commit order, the digests of the batch
-// bodies the rig's commits deliver — what the host decodes.
-func deliveredBatches(r *rig, store *dissem.Store) [][32]byte {
+// bodies the rig's commits carry — what the host decodes.
+func deliveredBatches(r *rig) [][32]byte {
 	var out [][32]byte
 	for _, c := range r.commits() {
-		for _, b := range c.Blocks {
-			for i := range b.Payload.Batches {
-				if body, ok := store.Body(b.Payload, b.Round, i); ok {
-					out = append(out, body.Digest())
-				}
+		for _, bodies := range c.Bodies {
+			for _, body := range bodies {
+				out = append(out, body.Digest())
 			}
 		}
 	}
@@ -181,9 +179,10 @@ func TestLateBodyOfFinalizedDigestIsServedNotProposed(t *testing.T) {
 		t.Fatalf("late announce answered with %v, want one ack to its origin", acks)
 	}
 	r.deliver(b1.Proposer, &types.BatchResponse{Digest: z.Digest(), Body: z})
-	if got := deliveredBatches(r, store); len(got) != 2 || got[0] != x.Digest() || got[1] != z.Digest() {
+	if got := deliveredBatches(r); len(got) != 2 || got[0] != x.Digest() || got[1] != z.Digest() {
 		t.Fatalf("delivered %x, want x then z", got)
 	}
+	delivered := r.commits()
 	r.clearActs()
 	peer := set.ReplicaAt(1, 3)
 	r.deliver(peer, &types.BatchRequest{Digest: x.Digest()})
@@ -200,6 +199,17 @@ func TestLateBodyOfFinalizedDigestIsServedNotProposed(t *testing.T) {
 	}
 	if next.Payload.HasBatches() {
 		t.Fatalf("round-3 proposal references %x; finalized digests are never proposed", refDigests(next.Payload))
+	}
+
+	// The round-1 commit carries its bodies: compacting them from the
+	// store leaves what it hands the application whole.
+	store.Compact(3)
+	if store.Has(x.Digest()) || store.Has(z.Digest()) {
+		t.Fatal("setup: round 1's bodies survived compaction")
+	}
+	if len(delivered) != 1 || len(delivered[0].Bodies) != 1 || len(delivered[0].Bodies[0]) != 2 ||
+		!bytes.Equal(delivered[0].Bodies[0][0].Data, x.Data) || !bytes.Equal(delivered[0].Bodies[0][1].Data, z.Data) {
+		t.Fatalf("round-1 commit after compaction: %+v", delivered)
 	}
 }
 
@@ -223,7 +233,7 @@ func TestRepeatedRefDeliveredOnce(t *testing.T) {
 		if r.eng.Tree().FinalizedRound() != 2 {
 			t.Fatalf("replica %d: finalized through %d, want 2", self, r.eng.Tree().FinalizedRound())
 		}
-		got := deliveredBatches(r, store)
+		got := deliveredBatches(r)
 		if len(got) != 2 || got[0] != x.Digest() || got[1] != y.Digest() {
 			t.Fatalf("replica %d delivered %x, want x once, then y", self, got)
 		}

@@ -9,7 +9,8 @@
 // throughput (FnF-BFT's argument, see ROADMAP).
 //
 // The Store is passive, driven by the consensus engine's event handlers
-// like everything else in this repository: it holds batch bodies by
+// like everything else in this repository, and touched only by the
+// engine's goroutine: it holds batch bodies by
 // digest, cuts new batches from a Source, counts availability acks for
 // the replica's own batches, and assembles proposals from one pool of
 // proposable batches, whoever cut them: its own once f+1 peers acked
@@ -28,12 +29,14 @@
 // *delivery* of finalized blocks waits for bodies. The bodies a finalized
 // block references but the store does not hold are fetched on miss
 // through the engine's retrieval layer (internal/fetch), proposer first:
-// a proposer holds every batch it references.
+// a proposer holds every batch it references. Delivery hands the
+// application the bodies themselves (Bodies), so a later Compact cannot
+// take them from a commit still on its way.
 package dissem
 
 import (
 	"slices"
-	"sync"
+	"sync/atomic"
 
 	"banyan/internal/types"
 )
@@ -42,8 +45,9 @@ import (
 // mempool implements it over client submissions; the harness implements
 // it with synthetic bit vectors. CutBatch removes up to max logical bytes
 // from the source and returns them as one batch body; a zero-size payload
-// means nothing is queued. Implementations must be safe for concurrent
-// use (the store serializes its own calls, but hosts may also submit).
+// means nothing is queued. The store calls it from the engine's
+// goroutine while hosts submit from others, so implementations must be
+// safe for concurrent use.
 type Source interface {
 	CutBatch(max int) types.Payload
 }
@@ -138,18 +142,18 @@ type refPos struct {
 	i     int
 }
 
-// Store is a replica's view of the dissemination layer. It is shared
-// between the consensus engine (payload assembly, availability gating)
-// and the host (delivery-time body lookup), so it carries its own lock;
-// every method is safe for concurrent use.
+// Store is a replica's view of the dissemination layer: payload
+// assembly, availability gating and the bodies delivery hands out. Only
+// the consensus engine's goroutine calls it, so it has no lock; HeldBytes
+// alone is safe to read from any goroutine.
 type Store struct {
-	mu  sync.Mutex
 	cfg Config
 	// foreignCap bounds the pooled bytes of each other origin: the
 	// 2×BlockBytes inventory TakeAnnounces keeps, plus one batch.
 	foreignCap int
 
 	batches map[[32]byte]batch
+	held    atomic.Int64 // total size of the bodies in batches
 	// pool holds the proposable batches in receipt order, which is cut
 	// order for the own ones and, on FIFO links, for every origin's.
 	// Entries a finalized block referenced are dropped lazily (dead).
@@ -173,6 +177,7 @@ type Store struct {
 	announced   int64 // bodies handed out for broadcast
 	refused     int64 // announces over their origin's cap
 	foreignRefs int64 // refs proposed from other origins
+	skipBytes   int64 // bytes of the refs delivery skipped
 }
 
 // NewStore creates a store. See Config for defaults.
@@ -203,8 +208,6 @@ func NewStore(cfg Config) *Store {
 // long before any proposal names them. The returned slice is valid until
 // the next call.
 func (s *Store) TakeAnnounces() []*types.BatchAnnounce {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	clear(s.announce)
 	s.announce = s.announce[:0]
 	if s.cfg.Source != nil {
@@ -240,14 +243,12 @@ func (s *Store) TakeAnnounces() []*types.BatchAnnounce {
 // the pool unless its origin's pooled bytes would pass the cap, in which
 // case it is refused: neither stored nor acked. The store keeps m.
 func (s *Store) Accept(origin types.ReplicaID, m *types.BatchAnnounce) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if _, held := s.batches[m.Digest]; held {
 		return true
 	}
 	b := batch{ann: m, origin: origin}
 	if _, fin := s.final[m.Digest]; fin {
-		s.batches[m.Digest] = b
+		s.hold(b)
 		return true
 	}
 	if s.foreign[origin]+b.size() > s.foreignCap {
@@ -262,19 +263,24 @@ func (s *Store) Accept(origin types.ReplicaID, m *types.BatchAnnounce) bool {
 // body.Digest() == digest). A fetched body is never pooled: only the
 // refs of finalized blocks are fetched. Reports whether the body was new.
 func (s *Store) Put(digest [32]byte, body types.Payload) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if _, ok := s.batches[digest]; ok {
 		return false
 	}
-	s.batches[digest] = batch{ann: &types.BatchAnnounce{Digest: digest, Body: body}, origin: types.NoReplica}
+	s.hold(batch{ann: &types.BatchAnnounce{Digest: digest, Body: body}, origin: types.NoReplica})
 	return true
 }
 
-// addPool stores b and makes it proposable. Caller holds the lock.
+// hold stores b, a body the store does not hold yet.
+func (s *Store) hold(b batch) {
+	s.batches[b.ann.Digest] = b
+	s.held.Add(int64(b.size()))
+}
+
+// addPool stores b, a body the store does not hold yet, and makes it
+// proposable.
 func (s *Store) addPool(b batch) {
 	b.pooled = true
-	s.batches[b.ann.Digest] = b
+	s.hold(b)
 	s.pool = append(s.pool, b.ann)
 	if b.own {
 		s.ownBytes += b.size()
@@ -285,7 +291,7 @@ func (s *Store) addPool(b batch) {
 }
 
 // unpool takes the held batch b out of the proposal pool, compacting the
-// pool once half of it is dead. Caller holds the lock.
+// pool once half of it is dead.
 func (s *Store) unpool(b batch) {
 	b.pooled = false
 	s.batches[b.ann.Digest] = b
@@ -310,7 +316,7 @@ func (s *Store) unpool(b batch) {
 // live returns the batch of a pool entry, and whether the entry is live:
 // its batch still held, as the same announce, and proposable. An entry
 // whose batch was compacted and later pooled again from a new announce is
-// dead. Caller holds the lock.
+// dead.
 func (s *Store) live(ann *types.BatchAnnounce) (batch, bool) {
 	b := s.batches[ann.Digest]
 	return b, b.ann == ann && b.pooled
@@ -318,8 +324,6 @@ func (s *Store) live(ann *types.BatchAnnounce) (batch, bool) {
 
 // Get returns a stored batch body.
 func (s *Store) Get(digest [32]byte) (types.Payload, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if b, ok := s.batches[digest]; ok {
 		return b.ann.Body, true
 	}
@@ -328,8 +332,6 @@ func (s *Store) Get(digest [32]byte) (types.Payload, bool) {
 
 // Has reports whether the store holds a body.
 func (s *Store) Has(digest [32]byte) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	_, ok := s.batches[digest]
 	return ok
 }
@@ -339,8 +341,6 @@ func (s *Store) RecordAck(digest [32]byte, peer types.ReplicaID) {
 	if peer == s.cfg.Self {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if b, ok := s.batches[digest]; ok && b.own && b.pooled && b.acks.add(peer, s.cfg.AckQuorum) {
 		s.batches[digest] = b
 		s.acks++
@@ -356,8 +356,6 @@ func (s *Store) RecordAck(digest [32]byte, peer types.ReplicaID) {
 // empty payload is a valid proposal, so availability never stalls the
 // vote path.
 func (s *Store) Propose(chain []types.BatchRef) types.Payload {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	used := 0
 	pick := s.pick[:0]
 	ownBlocked := false
@@ -415,8 +413,6 @@ func (s *Store) MarkFinalized(p types.Payload, r types.Round) {
 	if len(p.Batches) == 0 {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for i, ref := range p.Batches {
 		if b, ok := s.batches[ref.Digest]; ok && b.pooled {
 			s.unpool(b)
@@ -436,7 +432,7 @@ func (s *Store) MarkFinalized(p types.Payload, r types.Round) {
 }
 
 // skipped reports whether delivery skips ref i of the payload finalized
-// at round r. Caller holds the lock.
+// at round r.
 func (s *Store) skipped(r types.Round, i int) bool {
 	if len(s.skip) == 0 {
 		return false
@@ -450,8 +446,6 @@ func (s *Store) skipped(r types.Round, i int) bool {
 // skip — the fetch-on-miss work list for delivery gating. A nil result
 // means the payload is deliverable now.
 func (s *Store) Missing(p types.Payload, r types.Round) [][32]byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var missing [][32]byte
 	for i, ref := range p.Batches {
 		if _, ok := s.batches[ref.Digest]; !ok && !s.skipped(r, i) {
@@ -461,27 +455,28 @@ func (s *Store) Missing(p types.Payload, r types.Round) [][32]byte {
 	return missing
 }
 
-// Body returns the body of ref i of p, the payload finalized at round r,
-// as delivery sees it: false when delivery skips the ref or the body is
-// gone.
-func (s *Store) Body(p types.Payload, r types.Round, i int) (types.Payload, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.skipped(r, i) {
-		return types.Payload{}, false
+// Bodies returns the bodies of the refs of p, the payload finalized at
+// round r, as delivery hands them out: in ref order, without the refs
+// delivery skips or whose body the store lacks (none, once Missing is
+// empty). Each points into the announce that carried it, so it outlives
+// the body's compaction and costs no copy. Delivery calls it once per
+// block, and it counts the bytes of the refs it skips.
+func (s *Store) Bodies(p types.Payload, r types.Round) []*types.Payload {
+	bodies := make([]*types.Payload, 0, len(p.Batches))
+	for i, ref := range p.Batches {
+		if s.skipped(r, i) {
+			s.skipBytes += int64(ref.Size)
+		} else if b, ok := s.batches[ref.Digest]; ok {
+			bodies = append(bodies, &b.ann.Body)
+		}
 	}
-	if b, ok := s.batches[p.Batches[i].Digest]; ok {
-		return b.ann.Body, true
-	}
-	return types.Payload{}, false
+	return bodies
 }
 
 // MarkDelivered records that p, the payload finalized at round r, was
 // delivered (or dropped as stale) in round r, making its bodies eligible
 // for compaction once the retention window moves past r.
 func (s *Store) MarkDelivered(p types.Payload, r types.Round) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for i, ref := range p.Batches {
 		if s.skipped(r, i) {
 			continue
@@ -504,13 +499,12 @@ func (s *Store) MarkDelivered(p types.Payload, r types.Round) {
 // nor finalized goes. The finalized-digest index forgets digests more
 // than indexWindow rounds below the highest delivered round.
 func (s *Store) Compact(floor types.Round) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for digest, b := range s.batches {
 		if b.pooled {
 			continue
 		}
 		if m, ok := s.final[digest]; !ok || m.delivered != 0 && m.delivered < floor {
+			s.held.Add(-int64(b.size()))
 			delete(s.batches, digest)
 		}
 	}
@@ -527,22 +521,12 @@ func (s *Store) Compact(floor types.Round) {
 }
 
 // HeldBytes returns the total size of batch bodies currently held —
-// the live footprint of the dissemination plane. Scrape-cadence only
-// (it walks the body map under the lock); the hot paths never call it.
-func (s *Store) HeldBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var n int64
-	for _, b := range s.batches {
-		n += int64(b.size())
-	}
-	return n
-}
+// the live footprint of the dissemination plane. It reads a running
+// total, so a scrape may call it from any goroutine.
+func (s *Store) HeldBytes() int64 { return s.held.Load() }
 
 // Metrics reports the store's counters into m under dissem-prefixed keys.
 func (s *Store) Metrics(m map[string]int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	m["dissemBatchesCut"] = s.cut
 	m["dissemAcks"] = s.acks
 	m["dissemAnnounced"] = s.announced
@@ -550,6 +534,7 @@ func (s *Store) Metrics(m map[string]int64) {
 	m["dissemOwnPending"] = int64(s.ownPooled)
 	m["dissemForeignRefs"] = s.foreignRefs
 	m["dissemRefused"] = s.refused
+	m["dissemSkippedBytes"] = s.skipBytes
 	held := 0
 	for _, n := range s.foreign {
 		held = max(held, n)

@@ -141,14 +141,13 @@ func TestStorePutGetMissingBodies(t *testing.T) {
 	if len(missing) != 1 || missing[0] != b2.Digest() {
 		t.Fatalf("wrong missing set: %v", missing)
 	}
-	if _, ok := s.Body(p, 1, 1); ok {
-		t.Fatal("Body served a missing batch")
+	if got := s.Bodies(p, 1); len(got) != 1 || !bytes.Equal(got[0].Data, b1.Data) {
+		t.Fatalf("Bodies served a missing batch: %v", got)
 	}
 	s.Put(b2.Digest(), b2)
-	got0, ok0 := s.Body(p, 1, 0)
-	got1, ok1 := s.Body(p, 1, 1)
-	if !ok0 || !ok1 || !bytes.Equal(got0.Data, b1.Data) || !bytes.Equal(got1.Data, b2.Data) {
-		t.Fatalf("Body wrong: %v %v", got0, got1)
+	got := s.Bodies(p, 1)
+	if len(got) != 2 || !bytes.Equal(got[0].Data, b1.Data) || !bytes.Equal(got[1].Data, b2.Data) {
+		t.Fatalf("Bodies wrong: %v", got)
 	}
 	// A fetched body is never proposable.
 	if p := s.Propose(nil); p.Size() != 0 {
@@ -174,12 +173,23 @@ func TestStoreCompactRetainsWindow(t *testing.T) {
 	s.Put(orphan.Digest(), orphan) // neither pooled nor finalized
 	s.MarkDelivered(ref(old), 5)
 	s.MarkDelivered(ref(young), 20)
+	if got := s.HeldBytes(); got != 5*10 {
+		t.Fatalf("HeldBytes = %d before compaction, want 50", got)
+	}
+	kept := s.Bodies(ref(old), 5)
 	s.Compact(10)
 	if s.Has(old.Digest()) || s.Has(orphan.Digest()) {
 		t.Fatal("compaction kept a body behind the floor, or one nothing references")
 	}
 	if !s.Has(young.Digest()) || !s.Has(undelivered.Digest()) || !s.Has(pooled.Digest()) {
 		t.Fatal("compaction dropped a retained, undelivered or pooled body")
+	}
+	if got := s.HeldBytes(); got != 3*10 {
+		t.Fatalf("HeldBytes = %d after compaction, want 30", got)
+	}
+	// A body handed out before compaction stays readable after it.
+	if len(kept) != 1 || !bytes.Equal(kept[0].Data, old.Data) {
+		t.Fatalf("compaction emptied a body already handed out: %v", kept)
 	}
 }
 
@@ -251,23 +261,25 @@ func TestStoreSkipsRepeatedRefs(t *testing.T) {
 	twice := types.BatchPayload([]types.BatchRef{ref, ref}, nil)
 	s.MarkFinalized(twice, 10)
 	s.MarkFinalized(twice, 10) // marking again changes nothing
-	if _, ok := s.Body(twice, 10, 0); !ok {
-		t.Fatal("first ref skipped")
-	}
-	if _, ok := s.Body(twice, 10, 1); ok {
-		t.Fatal("second ref of the same block delivered")
+	if n := len(s.Bodies(twice, 10)); n != 1 {
+		t.Fatalf("%d of a block's two refs to one body delivered, want the first only", n)
 	}
 	once := types.BatchPayload([]types.BatchRef{ref}, nil)
 	s.MarkFinalized(once, 10+indexWindow)
-	if _, ok := s.Body(once, 10+indexWindow, 0); ok {
+	if len(s.Bodies(once, 10+indexWindow)) != 0 {
 		t.Fatal("repeat within the window delivered")
 	}
 	if len(s.Missing(once, 10+indexWindow)) != 0 {
 		t.Fatal("a skipped ref gates delivery")
 	}
 	s.MarkFinalized(once, 11+indexWindow)
-	if _, ok := s.Body(once, 11+indexWindow, 0); !ok {
+	if len(s.Bodies(once, 11+indexWindow)) != 1 {
 		t.Fatal("repeat beyond the window skipped")
+	}
+	m := map[string]int64{}
+	s.Metrics(m)
+	if got := m["dissemSkippedBytes"]; got != 2*10 {
+		t.Fatalf("dissemSkippedBytes = %d, want the two skipped 10-byte refs", got)
 	}
 }
 

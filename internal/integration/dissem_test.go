@@ -28,24 +28,22 @@ func makeDissemEngines(t *testing.T, params types.Params,
 	wrap func(id types.ReplicaID, eng protocol.Engine, signer *crypto.Signer) protocol.Engine,
 ) []protocol.Engine {
 	t.Helper()
-	engines, _ := makeDissemCluster(t, params, func(id types.ReplicaID) dissem.Source {
+	return makeDissemCluster(t, params, func(id types.ReplicaID) dissem.Source {
 		return mempool.NewSynthetic(4<<10, 99^uint64(id)<<32, false)
 	}, wrap)
-	return engines
 }
 
 // makeDissemCluster is makeDissemEngines with a per-replica source (nil:
-// the replica cuts nothing) that also returns the stores.
+// the replica cuts nothing).
 func makeDissemCluster(t *testing.T, params types.Params, source func(types.ReplicaID) dissem.Source,
 	wrap func(id types.ReplicaID, eng protocol.Engine, signer *crypto.Signer) protocol.Engine,
-) ([]protocol.Engine, []*dissem.Store) {
+) []protocol.Engine {
 	t.Helper()
 	keyring, signers := crypto.GenerateCluster(crypto.Ed25519(), params.N, 99)
 	engines := make([]protocol.Engine, params.N)
-	stores := make([]*dissem.Store, params.N)
 	for i := 0; i < params.N; i++ {
 		id := types.ReplicaID(i)
-		stores[i] = dissem.NewStore(dissem.Config{
+		store := dissem.NewStore(dissem.Config{
 			Self:       id,
 			N:          params.N,
 			BatchBytes: 4 << 10,
@@ -55,7 +53,7 @@ func makeDissemCluster(t *testing.T, params types.Params, source func(types.Repl
 		eng, err := core.New(core.Config{
 			Params: params, Self: id, Keyring: keyring, Signer: signers[i],
 			Delta:  50 * time.Millisecond,
-			Dissem: stores[i],
+			Dissem: store,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -65,7 +63,7 @@ func makeDissemCluster(t *testing.T, params types.Params, source func(types.Repl
 			engines[i] = wrap(id, eng, signers[i])
 		}
 	}
-	return engines, stores
+	return engines
 }
 
 // TestDissemBatchWithholder: a Byzantine origin announces its batch
@@ -174,22 +172,20 @@ func TestDissemRandomizedLossReorder(t *testing.T) {
 // (the refs delivery does not skip), keyed by body digest.
 type batchCounter map[types.ReplicaID]map[[32]byte]int
 
-// hook wraps a commit hook to count every delivered body, and calls seen
-// (if set) with each.
-func (c batchCounter) hook(stores []*dissem.Store, base func(types.ReplicaID, time.Time, protocol.Commit),
+// hook wraps a commit hook to count every body a commit carries — what
+// the application is handed — and calls seen (if set) with each.
+func (c batchCounter) hook(base func(types.ReplicaID, time.Time, protocol.Commit),
 	seen func(node types.ReplicaID, body types.Payload)) func(types.ReplicaID, time.Time, protocol.Commit) {
 	return func(node types.ReplicaID, at time.Time, cm protocol.Commit) {
 		base(node, at, cm)
 		if c[node] == nil {
 			c[node] = make(map[[32]byte]int)
 		}
-		for _, b := range cm.Blocks {
-			for i := range b.Payload.Batches {
-				if body, ok := stores[node].Body(b.Payload, b.Round, i); ok {
-					c[node][body.Digest()]++
-					if seen != nil {
-						seen(node, body)
-					}
+		for _, bodies := range cm.Bodies {
+			for _, body := range bodies {
+				c[node][body.Digest()]++
+				if seen != nil {
+					seen(node, *body)
 				}
 			}
 		}
@@ -225,7 +221,7 @@ func TestDissemStrandedOriginCommitsOnce(t *testing.T) {
 	for i := 0; i < k; i++ {
 		bodies = append(bodies, types.SyntheticPayload(4<<10, 0x57A4D<<20|uint64(i)))
 	}
-	engines, stores := makeDissemCluster(t, params, func(id types.ReplicaID) dissem.Source {
+	engines := makeDissemCluster(t, params, func(id types.ReplicaID) dissem.Source {
 		if id == stranded {
 			return &listSource{bodies: append([]types.Payload(nil), bodies...)}
 		}
@@ -237,7 +233,7 @@ func TestDissemStrandedOriginCommitsOnce(t *testing.T) {
 	log := newCommitLog()
 	hooks := log.hooks()
 	counts := batchCounter{}
-	hooks.OnCommit = counts.hook(stores, hooks.OnCommit, nil)
+	hooks.OnCommit = counts.hook(hooks.OnCommit, nil)
 	net, err := simnet.New(engines, simnet.Options{Topology: wan.Uniform(4, oneWay), Seed: 5}, hooks)
 	if err != nil {
 		t.Fatal(err)
@@ -302,7 +298,7 @@ func TestDissemBatchFlooderIsCapped(t *testing.T) {
 	}
 	for _, flood := range []bool{false, true} {
 		var flooder *byzantine.BatchFlooder
-		engines, stores := makeDissemCluster(t, params, synthetic,
+		engines := makeDissemCluster(t, params, synthetic,
 			func(id types.ReplicaID, eng protocol.Engine, _ *crypto.Signer) protocol.Engine {
 				if flood && id == evil {
 					flooder = byzantine.NewBatchFlooder(eng, 4<<10, 1)
@@ -320,7 +316,7 @@ func TestDissemBatchFlooderIsCapped(t *testing.T) {
 		log := newCommitLog()
 		hooks := log.hooks()
 		counts := batchCounter{}
-		hooks.OnCommit = counts.hook(stores, hooks.OnCommit, func(node types.ReplicaID, body types.Payload) {
+		hooks.OnCommit = counts.hook(hooks.OnCommit, func(node types.ReplicaID, body types.Payload) {
 			if origin, isJunk := floodOrigin(body); isJunk {
 				junk[node]++
 			} else {

@@ -40,13 +40,6 @@ type Transport interface {
 	Close() error
 }
 
-// CommitEvent reports finalized blocks to the application.
-type CommitEvent struct {
-	Blocks   []*types.Block
-	Explicit protocol.FinalizationMode
-	At       time.Time
-}
-
 // Config assembles a node.
 type Config struct {
 	// Engine is the consensus state machine to host. Required.
@@ -54,10 +47,10 @@ type Config struct {
 	// Transport connects the node to its peers. Required. The node owns it
 	// and closes it on Stop.
 	Transport Transport
-	// Commits, when non-nil, receives finalization events. The node sends
-	// without blocking indefinitely: if the application falls behind by
-	// more than the channel capacity, events are dropped and counted.
-	Commits chan<- CommitEvent
+	// OnCommit, when non-nil, is called on the node's goroutine with every
+	// Commit action the engine emits and the time it was applied. It must
+	// not block: the engine waits for it.
+	OnCommit func(at time.Time, c protocol.Commit)
 	// OnFault, when non-nil, is called once if the engine reports a safety
 	// violation; the node stops afterwards.
 	OnFault func(error)
@@ -79,7 +72,6 @@ type Node struct {
 	stopOnce sync.Once
 
 	mu      sync.Mutex
-	dropped int64
 	started bool // the event loop owns done
 	stopped bool // Start refuses
 }
@@ -147,14 +139,6 @@ func (n *Node) closeTransport() {
 	if err := n.cfg.Transport.Close(); err != nil && n.cfg.OnFault != nil {
 		n.cfg.OnFault(fmt.Errorf("node: closing transport: %w", err))
 	}
-}
-
-// Dropped returns the number of commit events dropped because the
-// application reader fell behind.
-func (n *Node) Dropped() int64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.dropped
 }
 
 // Metrics returns the engine's counters once the node has stopped, and
@@ -246,14 +230,8 @@ func (n *Node) apply(acts []protocol.Action) bool {
 		case protocol.SetTimer:
 			n.setTimer(act)
 		case protocol.Commit:
-			if n.cfg.Commits != nil {
-				select {
-				case n.cfg.Commits <- CommitEvent{Blocks: act.Blocks, Explicit: act.Explicit, At: n.clock()}:
-				default:
-					n.mu.Lock()
-					n.dropped++
-					n.mu.Unlock()
-				}
+			if n.cfg.OnCommit != nil {
+				n.cfg.OnCommit(n.clock(), act)
 			}
 		case protocol.SafetyFault:
 			if n.cfg.OnFault != nil {

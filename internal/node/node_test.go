@@ -196,17 +196,17 @@ func TestNodeCommitsFlow(t *testing.T) {
 		},
 	}
 	tr := newMemTransport()
-	commits := make(chan CommitEvent, 4)
-	n, _ := New(Config{Engine: eng, Transport: tr, Commits: commits})
+	commits := make(chan protocol.Commit, 4)
+	n, _ := New(Config{Engine: eng, Transport: tr, OnCommit: func(_ time.Time, c protocol.Commit) { commits <- c }})
 	if err := n.Start(); err != nil {
 		t.Fatal(err)
 	}
 	defer n.Stop()
 	tr.in <- Inbound{From: 1, Msg: &types.CertMsg{}}
 	select {
-	case ev := <-commits:
-		if len(ev.Blocks) != 1 || ev.Explicit != protocol.FinalizeFast {
-			t.Fatalf("unexpected commit %+v", ev)
+	case c := <-commits:
+		if len(c.Blocks) != 1 || c.Explicit != protocol.FinalizeFast {
+			t.Fatalf("unexpected commit %+v", c)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("commit not delivered")

@@ -6,6 +6,7 @@ import (
 
 	"banyan/internal/core"
 	"banyan/internal/crypto"
+	"banyan/internal/protocol"
 	"banyan/internal/types"
 )
 
@@ -28,8 +29,8 @@ func TestNodeSkipsSettledRounds(t *testing.T) {
 	}
 	set := eng.History().Genesis()
 	tr := newMemTransport()
-	commits := make(chan CommitEvent, 4)
-	n, err := New(Config{Engine: eng, Transport: tr, Commits: commits})
+	commits := make(chan protocol.Commit, 4)
+	n, err := New(Config{Engine: eng, Transport: tr, OnCommit: func(_ time.Time, c protocol.Commit) { commits <- c }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,9 +63,9 @@ func TestNodeSkipsSettledRounds(t *testing.T) {
 	tr.in <- Inbound{From: b1.Proposer, Msg: votes(b1.Proposer, b1, types.VoteNotarize)}
 	tr.in <- Inbound{From: 2, Msg: votes(2, b1, types.VoteNotarize, types.VoteFast)}
 	select {
-	case ev := <-commits:
-		if len(ev.Blocks) != 1 || ev.Blocks[0].ID() != b1.ID() {
-			t.Fatalf("unexpected commit %+v", ev)
+	case c := <-commits:
+		if len(c.Blocks) != 1 || c.Blocks[0].ID() != b1.ID() {
+			t.Fatalf("unexpected commit %+v", c)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("round 1 did not finalize")

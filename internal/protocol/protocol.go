@@ -123,6 +123,12 @@ type SetTimer struct {
 type Commit struct {
 	Blocks   []*types.Block
 	Explicit FinalizationMode
+	// Bodies holds, under batch dissemination, the batch bodies of each
+	// block's refs that delivery resolved, in ref order without the refs
+	// it skips: Bodies[i] belongs to Blocks[i]. The bodies are shared, not
+	// copied, and stay readable after the engine compacts its store. Nil
+	// for a block without refs, and nil throughout when no block has any.
+	Bodies [][]*types.Payload
 }
 
 // SafetyFault reports a detected safety violation (conflicting

@@ -39,7 +39,7 @@ type Hub struct {
 	queues []chan node.Inbound
 
 	closed  atomic.Bool
-	dropped atomic.Int64
+	dropped []atomic.Int64 // per destination
 
 	wg sync.WaitGroup
 }
@@ -50,9 +50,10 @@ func NewHub(n int, opts Options) *Hub {
 		opts.QueueLen = 4096
 	}
 	h := &Hub{
-		n:      n,
-		opts:   opts,
-		queues: make([]chan node.Inbound, n),
+		n:       n,
+		opts:    opts,
+		queues:  make([]chan node.Inbound, n),
+		dropped: make([]atomic.Int64, n),
 	}
 	for i := range h.queues {
 		h.queues[i] = make(chan node.Inbound, opts.QueueLen)
@@ -80,9 +81,9 @@ func (h *Hub) Drain(id types.ReplicaID) {
 	}
 }
 
-// Dropped returns the number of messages dropped (full queues, sends
-// after Close).
-func (h *Hub) Dropped() int64 { return h.dropped.Load() }
+// Dropped returns the number of messages addressed to replica id that
+// the hub dropped (its queue full, or sent after Close).
+func (h *Hub) Dropped(id types.ReplicaID) int64 { return h.dropped[id].Load() }
 
 // Close shuts the hub down; pending delayed deliveries are awaited, then
 // all queues close. Sends after Close are dropped; the replicas must have
@@ -99,7 +100,7 @@ func (h *Hub) Close() {
 
 func (h *Hub) deliver(from, to types.ReplicaID, msg types.Message) {
 	if h.closed.Load() {
-		h.dropped.Add(1)
+		h.dropped[to].Add(1)
 		return
 	}
 	var delay time.Duration
@@ -124,7 +125,7 @@ func (h *Hub) enqueue(to types.ReplicaID, in node.Inbound) {
 	select {
 	case h.queues[to] <- in:
 	default:
-		h.dropped.Add(1)
+		h.dropped[to].Add(1)
 	}
 }
 

@@ -63,8 +63,8 @@ func TestQueueOverflowDrops(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		hub.Transport(0).Send(1, &types.CertMsg{})
 	}
-	if hub.Dropped() != 6 {
-		t.Fatalf("dropped = %d, want 6", hub.Dropped())
+	if hub.Dropped(1) != 6 || hub.Dropped(0) != 0 {
+		t.Fatalf("dropped = %d to replica 1 and %d to replica 0, want 6 and 0", hub.Dropped(1), hub.Dropped(0))
 	}
 }
 
@@ -78,8 +78,8 @@ func TestCloseClosesReceive(t *testing.T) {
 	}
 	// Sends after close are dropped, not panicking.
 	hub.Transport(1).Send(0, &types.CertMsg{})
-	if hub.Dropped() != 1 {
-		t.Fatalf("dropped = %d after a send to a closed hub, want 1", hub.Dropped())
+	if hub.Dropped(0) != 1 {
+		t.Fatalf("dropped = %d after a send to a closed hub, want 1", hub.Dropped(0))
 	}
 }
 

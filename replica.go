@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"banyan/internal/metrics"
-	"banyan/internal/node"
 	"banyan/internal/obs"
 	"banyan/internal/stack"
 	"banyan/internal/transport/tcp"
@@ -119,13 +118,9 @@ type Replica struct {
 	obsSrv  *obs.Server // nil without ObsAddr
 	faults  faultLog
 
-	commits   chan Commit
-	rawCommit chan node.CommitEvent
-
 	mu      sync.Mutex
 	started bool
 	stopped bool
-	done    chan struct{}
 }
 
 // NewReplica assembles a replica; call Start to run it.
@@ -164,14 +159,12 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 		return nil, err
 	}
 	r := &Replica{
-		host:      newHost(types.ReplicaID(cfg.ID), opts, keyring, signers[cfg.ID], opts.WALDir, counters),
-		tr:        tr,
-		obsAddr:   cfg.ObsAddr,
-		commits:   make(chan Commit, commitBuffer),
-		rawCommit: make(chan node.CommitEvent, commitBuffer),
-		done:      make(chan struct{}),
+		host:    newHost(types.ReplicaID(cfg.ID), opts, keyring, signers[cfg.ID], opts.WALDir, counters),
+		tr:      tr,
+		obsAddr: cfg.ObsAddr,
 	}
-	if err := r.host.build(tr, r.rawCommit, r.faults.record); err != nil {
+	r.host.commits = make(chan Commit, commitBuffer)
+	if err := r.host.build(tr, r.faults.record); err != nil {
 		tr.Close()
 		return nil, err
 	}
@@ -197,7 +190,6 @@ func (r *Replica) Start() error {
 		r.obsSrv = srv
 	}
 	r.started = true
-	go r.host.pump(r.rawCommit, r.commits, r.done)
 	return r.host.node.Start()
 }
 
@@ -233,9 +225,11 @@ func (r *Replica) SubmitFrom(submitter uint64, tx []byte) error {
 	return r.host.pool.SubmitFrom(submitter, tx)
 }
 
-// Commits streams blocks finalized by this replica. The channel closes
+// Commits streams blocks finalized by this replica, buffering
+// commitBuffer of them; while the buffer is full, further ones are
+// dropped and counted (Metrics()["commits_dropped"]). The channel closes
 // on Stop or Crash.
-func (r *Replica) Commits() <-chan Commit { return r.commits }
+func (r *Replica) Commits() <-chan Commit { return r.host.commits }
 
 // ProposeAddValidator queues a ConfigChange admitting a provisioned
 // identity (see MaxN): the next time this replica leads a round it
@@ -277,8 +271,8 @@ func (r *Replica) MemberIDs() []int { return r.host.memberIDs() }
 func (r *Replica) Faults() []error { return r.faults.list() }
 
 // Metrics returns the engine counters (plus WAL counters when a WALDir
-// is set, and transport counters such as "transport_dropped"). Only
-// valid after Stop.
+// is set, transport counters such as "transport_dropped", and the
+// commits the stream dropped, "commits_dropped"). Only valid after Stop.
 func (r *Replica) Metrics() map[string]int64 { return r.host.metrics() }
 
 // Stop shuts the replica down gracefully, flushing the WAL tail.
@@ -301,15 +295,11 @@ func (r *Replica) shutdown(flush bool) {
 		return
 	}
 	r.stopped = true
-	started := r.started
 	r.mu.Unlock()
 	if r.obsSrv != nil {
 		r.obsSrv.Close()
 	}
 	r.host.node.Stop()
 	r.host.closeLog(flush, &r.faults)
-	close(r.done)
-	if !started {
-		close(r.commits) // no pump ran to close it
-	}
+	close(r.host.commits) // the node loop has exited: nothing sends
 }
