@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"banyan/internal/dissem"
 	"banyan/internal/types"
@@ -114,6 +115,43 @@ func TestLeaderSkipsRefsOfItsParentChain(t *testing.T) {
 	}
 	if m := r.eng.Metrics(); m["dissemForeignRefs"] != 1 {
 		t.Fatalf("dissemForeignRefs = %d, want 1", m["dissemForeignRefs"])
+	}
+}
+
+// TestLeaderWithoutParentBodyProposesNoRefs (n=7): the replica never
+// receives round 1's leader block b, which references x; it votes for a
+// rank-2 block d on timeout and leaves the round on an Advance carrying
+// b's notarization. Leading round 2 on b, it cannot tell which refs b's
+// chain holds, so its proposal references none: not x again, and not y
+// either.
+func TestLeaderWithoutParentBodyProposesNoRefs(t *testing.T) {
+	set := genesisSet(t, p721)
+	self := set.ReplicaAt(2, 0)
+	store := dissem.NewStore(dissem.Config{Self: self, N: p721.N})
+	r := newRig(t, p721, self, func(c *Config) { c.Dissem = store })
+	x, y := batchBody('x'), batchBody('y')
+	origin := set.ReplicaAt(1, 3)
+	r.announce(origin, x)
+	r.announce(origin, y)
+
+	// Four fast-marked signers of five unlock b by themselves (more than
+	// f+p = 3) and stay short of a fast finalization.
+	b := r.refBlock(1, 0, types.Genesis().ID(), x)
+	d := r.rankedBlock(1, 2, types.Genesis().ID(), 'd')
+	r.deliver(d.Proposer, &types.Proposal{Block: d})
+	r.tick(time.Second)
+	peers := othersThan(r)
+	r.deliver(peers[0], &types.Advance{Notarization: mixedNotarization(r, b, peers[:4], peers[4:5])})
+	if _, held := r.eng.Tree().Block(b.ID()); held || r.eng.Round() != 2 || r.eng.Tree().FinalizedRound() != 0 {
+		t.Fatalf("round %d, finalized %d, b held %v; want round 2 on b's notarization alone",
+			r.eng.Round(), r.eng.Tree().FinalizedRound(), held)
+	}
+	next := ownProposalAt(r, 2)
+	if next == nil || next.Parent != b.ID() {
+		t.Fatalf("round-2 proposal %v does not extend b", next)
+	}
+	if got := refDigests(next.Payload); len(got) != 0 {
+		t.Fatalf("round-2 proposal references %x, want nothing while b's refs are unknown", got)
 	}
 }
 

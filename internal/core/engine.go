@@ -1007,7 +1007,7 @@ func (e *Engine) onSnapshotResponse(m *types.SnapshotResponse) []protocol.Action
 		e.met.ssRejected++
 		return nil
 	}
-	e.met.ssBytes += int64(m.WireSize())
+	e.met.ssBytes += int64(types.WireSize(m))
 	newFin := e.tree.FinalizedRound()
 	rs := e.getRound(newFin)
 	rs.finalized = true
@@ -1055,7 +1055,7 @@ func (e *Engine) onSyncRequest(from types.ReplicaID, m *types.SyncRequest) []pro
 		return nil
 	}
 	resp := &types.SyncResponse{Finalization: e.latestFinal}
-	size := resp.EncodedSize()
+	size := types.EncodedSize(resp)
 	for r := start; r <= end; r++ {
 		id, ok := e.tree.FinalizedAt(r)
 		if !ok {
@@ -1639,14 +1639,19 @@ func (e *Engine) carryPayload(p types.Payload) {
 
 // nextPayload returns what this replica proposes at the given rank of
 // round r on parent: under Config.Dissem, the store's proposable batches
-// that the parent chain does not reference yet; otherwise a carried
-// payload, else a fresh one from the source. The oldest carried payload
-// is kept for a round this replica leads — the rank-0 block is the one a
-// round prefers — and a fallback proposal takes the next oldest, so no
-// payload can cycle through losing proposals forever.
+// that the parent chain does not reference yet, or nothing when a block
+// of that chain is missing here; otherwise a carried payload, else a
+// fresh one from the source. The oldest carried payload is kept for a
+// round this replica leads — the rank-0 block is the one a round prefers
+// — and a fallback proposal takes the next oldest, so no payload can
+// cycle through losing proposals forever.
 func (e *Engine) nextPayload(r types.Round, rank types.Rank, parent types.BlockID) types.Payload {
 	if e.cfg.Dissem != nil {
-		return e.cfg.Dissem.Propose(e.chainRefs(parent))
+		chain, whole := e.chainRefs(parent)
+		if !whole {
+			return types.Payload{} // the missing block's refs are unknown
+		}
+		return e.cfg.Dissem.Propose(chain)
 	}
 	if carried, ok := e.takeCarried(rank); ok {
 		return carried
@@ -1672,16 +1677,18 @@ func (e *Engine) takeCarried(rank types.Rank) (types.Payload, bool) {
 
 // chainRefs returns the batch refs of the blocks from parent down to the
 // local finalized tip: what a proposal on parent must not reference
-// again (the refs of finalized blocks have left the store's pool). The
-// slice is scratch, reused by the next call.
-func (e *Engine) chainRefs(parent types.BlockID) []types.BatchRef {
+// again (the refs of finalized blocks have left the store's pool). It
+// reports false when the walk stops at a block this replica does not
+// hold, short of the tip. The slice is scratch, reused by the next call.
+func (e *Engine) chainRefs(parent types.BlockID) ([]types.BatchRef, bool) {
 	refs := e.chainScratch[:0]
 	fin := e.tree.FinalizedRound()
-	for b, ok := e.tree.Block(parent); ok && b.Round > fin; b, ok = e.tree.Block(b.Parent) {
+	b, ok := e.tree.Block(parent)
+	for ; ok && b.Round > fin; b, ok = e.tree.Block(b.Parent) {
 		refs = append(refs, b.Payload.Batches...)
 	}
 	e.chainScratch = refs
-	return refs
+	return refs, ok
 }
 
 func isMissingAncestor(err error) bool {

@@ -852,8 +852,8 @@ func TestRelayOnVote(t *testing.T) {
 		if p.FastVote == nil || p.FastVote.Voter != b.Proposer {
 			t.Fatal("rank-0 relay lost the proposer's fast vote")
 		}
-		if p.WireSize() > 400 {
-			t.Fatalf("header relay is %d bytes on the wire", p.WireSize())
+		if types.WireSize(p) > 400 {
+			t.Fatalf("header relay is %d bytes on the wire", types.WireSize(p))
 		}
 	}
 	if relayed != 1 || r.eng.Metrics()["relays"] != 1 {

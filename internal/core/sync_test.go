@@ -128,8 +128,8 @@ func TestSyncResponseFitsOneFrame(t *testing.T) {
 		t.Fatalf("setup: finalized only %d rounds", fin)
 	}
 	whole := &types.SyncResponse{Blocks: chain[:32], Finalization: r.eng.latestFinal}
-	if whole.EncodedSize() <= types.MaxFrame {
-		t.Fatalf("setup: 32 blocks encode to %d bytes, within the %d-byte frame", whole.EncodedSize(), types.MaxFrame)
+	if types.EncodedSize(whole) <= types.MaxFrame {
+		t.Fatalf("setup: 32 blocks encode to %d bytes, within the %d-byte frame", types.EncodedSize(whole), types.MaxFrame)
 	}
 
 	served := types.Round(0)
@@ -147,7 +147,7 @@ func TestSyncResponseFitsOneFrame(t *testing.T) {
 		if resp == nil || len(resp.Blocks) == 0 {
 			t.Fatalf("no sync response from round %d", served+1)
 		}
-		if size := resp.EncodedSize(); size > types.MaxFrame {
+		if size := types.EncodedSize(resp); size > types.MaxFrame {
 			t.Fatalf("response from round %d: %d blocks encode to %d bytes, over the %d-byte frame",
 				served+1, len(resp.Blocks), size, types.MaxFrame)
 		}

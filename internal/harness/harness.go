@@ -348,7 +348,7 @@ func Run(cfg Config) (*Result, error) {
 			if !ok || m.Relayed || m.Block == nil || m.Block.Proposer != node || at.Before(warmupEnd) {
 				return
 			}
-			if w := m.WireSize(); w > maxProposalWire {
+			if w := types.WireSize(m); w > maxProposalWire {
 				maxProposalWire = w
 			}
 			proposedAt[m.Block.ID()] = at

@@ -109,7 +109,7 @@ func headerRelayEquivalence(t *testing.T, params types.Params, span time.Duratio
 				if p.Block != nil {
 					t.Errorf("a relay carried a body on the loss-free path: %v", p.Block)
 				}
-				out.relayBytes += p.WireSize()
+				out.relayBytes += types.WireSize(p)
 				out.relayMsgs++
 			}
 		}

@@ -388,7 +388,7 @@ func (s *Network) unicast(from, to types.ReplicaID, msg types.Message) {
 		s.stats.Dropped++
 		return
 	}
-	size := msg.WireSize()
+	size := types.WireSize(msg)
 	s.stats.Messages++
 	s.stats.Bytes += int64(size)
 	if k := int(msg.Kind()); k < len(s.stats.ByKind) {

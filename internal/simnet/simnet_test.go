@@ -57,7 +57,7 @@ func (e *echoEngine) emit(now time.Time) []protocol.Action {
 }
 
 func (e *echoEngine) HandleMessage(from types.ReplicaID, msg types.Message, now time.Time) []protocol.Action {
-	e.received = append(e.received, recvRecord{from: from, at: now, size: msg.WireSize()})
+	e.received = append(e.received, recvRecord{from: from, at: now, size: types.WireSize(msg)})
 	return nil
 }
 
@@ -305,7 +305,7 @@ func TestAllocRegressionBroadcastDeliver(t *testing.T) {
 	if want := 22 * n * (n - 1); sinks[3].received*n != want || !net.Idle() {
 		t.Fatalf("replica 3 received %d messages, want %d; idle %v", sinks[3].received, want/n, net.Idle())
 	}
-	size := int64(acts[0].(protocol.Broadcast).Msg.WireSize())
+	size := int64(types.WireSize(acts[0].(protocol.Broadcast).Msg))
 	if st := net.Stats(); st.ByKind[types.MsgVote] != (KindStats{Messages: st.Messages, Bytes: st.Messages * size}) {
 		t.Fatalf("votes by kind %+v, want all %d messages of %d bytes", st.ByKind[types.MsgVote], st.Messages, size)
 	}

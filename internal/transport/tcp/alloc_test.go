@@ -54,7 +54,7 @@ func discardSender(t *testing.T, n int) (tr *Transport, read func() int64) {
 // it, so the dialers are connected and idle afterwards.
 func broadcastDrained(t *testing.T, tr *Transport, read func() int64, peers int, m types.Message) {
 	t.Helper()
-	want := read() + int64(peers*(4+m.EncodedSize()))
+	want := read() + int64(peers*(4+types.EncodedSize(m)))
 	if err := tr.Broadcast(m); err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +121,8 @@ func TestAllocRegressionBroadcastSmallTxs(t *testing.T) {
 	b := types.NewBlock(9, 0, 0, types.BlockID{1}, types.TxsPayload(txs))
 	b.Signature = make([]byte, 64)
 	m := &types.Proposal{Block: b}
-	if m.EncodedSize() <= 1<<20 {
-		t.Fatalf("proposal encodes to %d bytes; the case is a block over 1 MiB", m.EncodedSize())
+	if types.EncodedSize(m) <= 1<<20 {
+		t.Fatalf("proposal encodes to %d bytes; the case is a block over 1 MiB", types.EncodedSize(m))
 	}
 	broadcastDrained(t, tr, read, peers, m)
 
@@ -135,8 +135,8 @@ func TestAllocRegressionBroadcastSmallTxs(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perOp := (after.TotalAlloc - before.TotalAlloc) / runs
-	t.Logf("Broadcast of a %d-byte proposal of 512 B transactions to %d peers: %d B/op", m.EncodedSize(), peers, perOp)
-	if budget := uint64(m.EncodedSize() + 16<<10); perOp >= budget {
+	t.Logf("Broadcast of a %d-byte proposal of 512 B transactions to %d peers: %d B/op", types.EncodedSize(m), peers, perOp)
+	if budget := uint64(types.EncodedSize(m) + 16<<10); perOp >= budget {
 		t.Errorf("Broadcast of a proposal of 512 B transactions: %d B/op, budget < %d", perOp, budget)
 	}
 }

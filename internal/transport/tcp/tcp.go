@@ -399,21 +399,22 @@ func (t *Transport) readLoop(conn net.Conn) {
 	}
 }
 
-// encodeFrame builds the length-prefixed frame of msg. The message is
-// encoded in reference mode straight into one exact-size allocation, the
-// head (types.VecHeadSize): the fixed fields and the byte fields under
+// encodeFrame builds the length-prefixed frame of msg. One counting pass
+// (types.VecHeadSize) gives the frame's size and its head's; the message
+// is then encoded in reference mode straight into one exact-size
+// allocation, the head: the fixed fields and the byte fields under
 // types.RefMin — a few hundred bytes for a proposal of large
 // transactions, the whole of a vote or of a block of small transactions.
 // Each of those bytes is copied once; the large fields stay where they
 // lie. The frame does not touch the message: no encoding is cached on it.
 func encodeFrame(msg types.Message) (frame, error) {
-	size := msg.EncodedSize()
+	headSize, size := types.VecHeadSize(msg)
 	if size > types.MaxFrame {
 		// The receiver would close the connection on this frame, losing
 		// every frame queued behind it.
 		return frame{}, fmt.Errorf("tcp: %T encodes to %d bytes, over the %d-byte frame bound", msg, size, types.MaxFrame)
 	}
-	head, refs, err := types.AppendMessageVec(make([]byte, 4, 4+types.VecHeadSize(msg)), msg)
+	head, refs, err := types.AppendMessageVec(make([]byte, 4, 4+headSize), msg)
 	if err != nil {
 		return frame{}, err
 	}
@@ -422,10 +423,10 @@ func encodeFrame(msg types.Message) (frame, error) {
 		n += len(r.Data)
 	}
 	if n != size {
-		// The prefix is written from the EncodedSize prediction; if an
-		// implementation ever lets it drift from the encoded bytes, fail
-		// the send here rather than ship a mis-framed stream that tears
-		// down the peer connection with no local clue.
+		// The prefix is written from the counted size; if the counting
+		// pass ever drifts from the encoded bytes, fail the send here
+		// rather than ship a mis-framed stream that tears down the peer
+		// connection with no local clue.
 		return frame{}, fmt.Errorf("tcp: %T EncodedSize %d != encoded length %d", msg, size, n)
 	}
 	binary.LittleEndian.PutUint32(head[:4], uint32(size))

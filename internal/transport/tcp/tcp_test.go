@@ -438,14 +438,14 @@ func TestOversizedMessageRefused(t *testing.T) {
 	trs := pairedTransports(t, 2)
 	body := types.BytesPayload(make([]byte, 1<<20))
 	huge := &types.SyncResponse{}
-	for r := types.Round(1); len(huge.Blocks) == 0 || huge.EncodedSize() <= types.MaxFrame; r++ {
+	for r := types.Round(1); len(huge.Blocks) == 0 || types.EncodedSize(huge) <= types.MaxFrame; r++ {
 		huge.Blocks = append(huge.Blocks, types.NewBlock(r, 0, 0, types.BlockID{}, body))
 	}
 	if err := trs[0].Send(1, huge); err == nil {
-		t.Fatalf("Send of a %d-byte message succeeded", huge.EncodedSize())
+		t.Fatalf("Send of a %d-byte message succeeded", types.EncodedSize(huge))
 	}
 	if err := trs[0].Broadcast(huge); err == nil {
-		t.Fatalf("Broadcast of a %d-byte message succeeded", huge.EncodedSize())
+		t.Fatalf("Broadcast of a %d-byte message succeeded", types.EncodedSize(huge))
 	}
 	if err := trs[0].Send(1, &types.SyncRequest{From: 1, To: 2}); err != nil {
 		t.Fatal(err)

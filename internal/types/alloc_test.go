@@ -51,7 +51,7 @@ func TestEncodedSizeExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := m.EncodedSize(), len(enc); got != want {
+		if got, want := EncodedSize(m), len(enc); got != want {
 			t.Fatalf("%T: EncodedSize %d != encoded length %d", m, got, want)
 		}
 	}
@@ -138,7 +138,7 @@ func TestAllocRegressionBareProposal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := m.EncodedSize(), len(enc); got != want {
+	if got, want := EncodedSize(m), len(enc); got != want {
 		t.Fatalf("EncodedSize %d != encoded length %d", got, want)
 	}
 	if n := testing.AllocsPerRun(200, func() {
@@ -152,7 +152,7 @@ func TestAllocRegressionBareProposal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, 0, dec.EncodedSize())
+	buf := make([]byte, 0, EncodedSize(dec))
 	if n := testing.AllocsPerRun(200, func() {
 		if _, err := AppendMessage(buf, dec); err != nil {
 			t.Fatal(err)
@@ -195,7 +195,7 @@ func TestAllocRegressionHeaderRelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, 0, received.EncodedSize())
+	buf := make([]byte, 0, EncodedSize(received))
 	if n := testing.AllocsPerRun(200, func() {
 		if _, err := AppendMessage(buf, received); err != nil {
 			t.Fatal(err)
@@ -312,7 +312,7 @@ func TestAllocRegressionMarkedCertificate(t *testing.T) {
 			}
 		}
 		if n := testing.AllocsPerRun(200, func() {
-			if _, err := AppendMessage(make([]byte, 0, markedMsgs[i].EncodedSize()), markedMsgs[i]); err != nil {
+			if _, err := AppendMessage(make([]byte, 0, EncodedSize(markedMsgs[i])), markedMsgs[i]); err != nil {
 				t.Fatal(err)
 			}
 		}); n > 1 {
@@ -375,7 +375,7 @@ func TestAllocRegressionEncode(t *testing.T) {
 		t.Errorf("EncodeMessage: %v allocs/op, budget 1", n)
 	}
 
-	buf := make([]byte, 0, m.EncodedSize())
+	buf := make([]byte, 0, EncodedSize(m))
 	if n := testing.AllocsPerRun(200, func() {
 		if _, err := AppendMessage(buf, m); err != nil {
 			t.Fatal(err)

@@ -2,12 +2,11 @@ package types
 
 import "sync"
 
-// Scratch-buffer pool shared by the encode paths that frame messages —
-// VecHeadSize's measuring walk and the WAL's record framing — so
-// steady-state encoding allocates nothing. A pooled buffer is strictly
-// scratch: its bytes must be fully consumed (copied, or written to a
-// bufio.Writer) before PutBuffer, and it must never be handed to
-// DecodeMessageInPlace, which retains its input.
+// Scratch-buffer pool for the WAL's record framing, so steady-state
+// journaling allocates nothing. A pooled buffer is strictly scratch: its
+// bytes must be fully consumed (copied, or written to a bufio.Writer)
+// before PutBuffer, and it must never be handed to DecodeMessageInPlace,
+// which retains its input.
 
 const (
 	// bufPoolInitCap sizes fresh pool buffers to hold a typical vote or

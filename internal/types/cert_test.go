@@ -376,8 +376,8 @@ func FuzzMixedCertificate(f *testing.F) {
 			return
 		}
 		enc, err := EncodeMessage(&CertMsg{Cert: cm.Cert})
-		if err != nil || len(enc) != m.EncodedSize() {
-			t.Fatalf("re-encode: %v, %d bytes, EncodedSize %d", err, len(enc), m.EncodedSize())
+		if err != nil || len(enc) != EncodedSize(m) {
+			t.Fatalf("re-encode: %v, %d bytes, EncodedSize %d", err, len(enc), EncodedSize(m))
 		}
 		again, err := DecodeMessage(enc)
 		if err != nil || !reflect.DeepEqual(again.(*CertMsg).Cert, cm.Cert) {

@@ -19,42 +19,78 @@ var ErrTruncated = errors.New("types: truncated encoding")
 // repository produces.
 const maxSliceLen = 64 << 20
 
-// encoder appends values to a buffer. In reference mode (vec) a byte
-// field of at least RefMin bytes is not appended: bytes writes its length
-// prefix and records the field as a Ref at the current offset. In sizing
-// mode no byte field or its prefix is appended, and referenced sums the
-// lengths of the fields reference mode would record (see VecHeadSize).
+// encoder appends values to buf. It is the one place the wire layout is
+// written: every size of a message is a counting pass of it.
+//
+// In reference mode (vec) a byte field of at least RefMin bytes is not
+// appended: bytes writes its length prefix and records the field as a Ref
+// at the current offset. In counting mode (count) nothing is appended: n
+// counts the encoded length and ref the bytes reference mode would take
+// by reference; with logical set, each synthetic payload counts at its
+// logical size, 1+4+SynthSize, as if its bytes were present.
 type encoder struct {
 	buf  []byte
 	refs []Ref
 	vec  bool
 
-	sizing     bool
-	referenced int
+	count   bool
+	logical bool
+	n, ref  int
 }
 
-func (e *encoder) u8(v uint8)   { e.buf = append(e.buf, v) }
-func (e *encoder) u16(v uint16) { e.buf = binary.LittleEndian.AppendUint16(e.buf, v) }
-func (e *encoder) u32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
-func (e *encoder) u64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
-func (e *encoder) id(v BlockID) { e.buf = append(e.buf, v[:]...) }
+// counted adds k to n and reports true in counting mode; it reports false,
+// counting nothing, when the caller is to append.
+func (e *encoder) counted(k int) bool {
+	if e.count {
+		e.n += k
+	}
+	return e.count
+}
+
+func (e *encoder) u8(v uint8) {
+	if !e.counted(1) {
+		e.buf = append(e.buf, v)
+	}
+}
+
+func (e *encoder) u16(v uint16) {
+	if !e.counted(2) {
+		e.buf = binary.LittleEndian.AppendUint16(e.buf, v)
+	}
+}
+
+func (e *encoder) u32(v uint32) {
+	if !e.counted(4) {
+		e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
+	}
+}
+
+func (e *encoder) u64(v uint64) {
+	if !e.counted(8) {
+		e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
+	}
+}
+
+func (e *encoder) id(v BlockID) { e.hash(v) }
+
 func (e *encoder) hash(v [32]byte) {
-	e.buf = append(e.buf, v[:]...)
+	if !e.counted(32) {
+		e.buf = append(e.buf, v[:]...)
+	}
 }
 
 func (e *encoder) bytes(v []byte) {
-	if e.sizing {
-		if len(v) >= RefMin {
-			e.referenced += len(v)
-		}
-		return
-	}
 	e.u32(uint32(len(v)))
-	if e.vec && len(v) >= RefMin {
+	switch {
+	case e.counted(len(v)):
+		if len(v) >= RefMin {
+			e.ref += len(v)
+		}
+	case e.vec && len(v) >= RefMin:
 		e.refs = append(e.refs, Ref{At: len(e.buf), Data: v})
-		return
+	default:
+		e.buf = append(e.buf, v...)
 	}
-	e.buf = append(e.buf, v...)
 }
 
 func (e *encoder) bool(v bool) {
@@ -196,11 +232,38 @@ func (d *decoder) done() error {
 // tag, in exactly one exact-size allocation (EncodedSize bytes). The
 // inverse is DecodeMessage.
 func EncodeMessage(m Message) ([]byte, error) {
-	return AppendMessage(make([]byte, 0, m.EncodedSize()), m)
+	return AppendMessage(make([]byte, 0, EncodedSize(m)), m)
+}
+
+// countMessage walks m in counting mode and returns its encoded length
+// and the bytes reference mode takes by reference; logical counts each
+// synthetic payload at its logical size. A message of no known type
+// counts its kind tag alone: every encoder rejects it.
+func countMessage(m Message, logical bool) (n, ref int) {
+	e := encoder{count: true, logical: logical}
+	_ = e.message(m)
+	return e.n, e.ref
+}
+
+// EncodedSize is the exact length of EncodeMessage's output: a counting
+// pass of the encoder, which appends nothing.
+func EncodedSize(m Message) int {
+	n, _ := countMessage(m, false)
+	return n
+}
+
+// WireSize is the number of bytes m is billed on the wire, which the
+// discrete-event simulator charges against link bandwidth: EncodedSize
+// with each synthetic payload at its logical size, 1+4+SynthSize, where
+// its encoding is a 13-byte descriptor. For concrete payloads the two are
+// equal.
+func WireSize(m Message) int {
+	n, _ := countMessage(m, true)
+	return n
 }
 
 // AppendMessage appends the wire encoding of m to buf and returns the
-// extended slice. Reserving EncodedSize() bytes of spare capacity makes
+// extended slice. Reserving EncodedSize(m) bytes of spare capacity makes
 // the call allocation-free, which is how the WAL's record framing shares
 // pooled buffers instead of allocating per message. The TCP transport
 // frames with AppendMessageVec, which leaves large fields in place.
@@ -241,25 +304,13 @@ func AppendMessageVec(buf []byte, m Message) ([]byte, []Ref, error) {
 	return e.buf, e.refs, nil
 }
 
-// VecHeadSize is the number of bytes AppendMessageVec appends for m: its
-// EncodedSize less the fields it takes by reference. Reserving it gives
-// the head one exact-size allocation that every field under RefMin is
-// copied into once. Measuring walks m without copying a byte field; a
-// message under RefMin bytes holds no field to reference and is not
-// walked.
-func VecHeadSize(m Message) int {
-	size := m.EncodedSize()
-	if size < RefMin {
-		return size
-	}
-	bp := GetBuffer()
-	defer PutBuffer(bp)
-	e := encoder{buf: (*bp)[:0], sizing: true}
-	if err := e.message(m); err != nil {
-		return size // AppendMessageVec fails on m too
-	}
-	*bp = e.buf[:0] // let the pool keep a grown buffer
-	return size - e.referenced
+// VecHeadSize returns the number of bytes AppendMessageVec appends for m
+// (its head) and m's EncodedSize, from one counting pass. Reserving head
+// gives the head one exact-size allocation that every field under RefMin
+// is copied into once.
+func VecHeadSize(m Message) (head, size int) {
+	n, ref := countMessage(m, false)
+	return n - ref, n
 }
 
 // Segments appends to dst the pieces whose concatenation is the encoding
@@ -288,8 +339,8 @@ func (e *encoder) message(m Message) error {
 		encodeProposal(e, v)
 	case *VoteMsg:
 		e.u16(uint16(len(v.Votes)))
-		for _, vote := range v.Votes {
-			encodeVote(e, vote)
+		for i := range v.Votes {
+			encodeVote(e, &v.Votes[i])
 		}
 	case *CertMsg:
 		encodeOptCert(e, v.Cert)
@@ -325,12 +376,12 @@ func (e *encoder) message(m Message) error {
 	case *BatchAnnounce:
 		e.u16(uint16(v.Origin))
 		e.hash(v.Digest)
-		encodePayload(e, v.Body)
+		encodePayload(e, &v.Body)
 	case *BatchRequest:
 		e.hash(v.Digest)
 	case *BatchResponse:
 		e.hash(v.Digest)
-		encodePayload(e, v.Body)
+		encodePayload(e, &v.Body)
 	case *BlockRequest:
 		e.u64(uint64(v.Round))
 		e.id(v.ID)
@@ -458,8 +509,13 @@ func AppendBlock(buf []byte, b *Block) []byte {
 	return e.buf
 }
 
-// BlockEncodedSize returns the exact length AppendBlock produces.
-func BlockEncodedSize(b *Block) int { return blockEncodedSize(b) }
+// BlockEncodedSize returns the exact length AppendBlock produces: a
+// counting pass of the encoder.
+func BlockEncodedSize(b *Block) int {
+	e := encoder{count: true}
+	encodeBlock(&e, b)
+	return e.n
+}
 
 // DecodeBlockPrefix decodes one block from the front of data, returning
 // the block and the number of bytes consumed. Byte fields are copied out
@@ -481,7 +537,7 @@ func encodeProposal(e *encoder, p *Proposal) {
 	e.bool(p.Relayed)
 	if h := p.headerForm(); h != nil {
 		e.u8(proposalHeaderTag)
-		encodeHeader(e, h.BlockHeader)
+		encodeHeader(e, &h.BlockHeader)
 		e.bytes(h.Signature)
 	} else {
 		encodeBlock(e, p.Block)
@@ -490,7 +546,7 @@ func encodeProposal(e *encoder, p *Proposal) {
 	encodeOptUnlock(e, p.ParentUnlock)
 	if p.FastVote != nil {
 		e.bool(true)
-		encodeVote(e, *p.FastVote)
+		encodeVote(e, p.FastVote)
 	} else {
 		e.bool(false)
 	}
@@ -556,7 +612,7 @@ func encodeBlock(e *encoder, b *Block) {
 	e.u16(uint16(b.Proposer))
 	e.u16(uint16(b.Rank))
 	e.id(b.Parent)
-	encodePayload(e, b.Payload)
+	encodePayload(e, &b.Payload)
 	e.bytes(b.Signature)
 }
 
@@ -581,7 +637,7 @@ func decodeBlockInto(b *Block, d *decoder, cc *ConfigChange) *Block {
 	return b
 }
 
-func encodePayload(e *encoder, p Payload) {
+func encodePayload(e *encoder, p *Payload) {
 	if p.Change != nil {
 		// Reconfig wrapper: tag 3 carries the change, then the content
 		// form encodes as usual behind it.
@@ -601,6 +657,10 @@ func encodePayload(e *encoder, p Payload) {
 		return
 	}
 	if p.IsSynthetic() {
+		if e.logical {
+			e.n += 1 + 4 + int(p.SynthSize)
+			return
+		}
 		e.u8(1)
 		e.u32(p.SynthSize)
 		e.u64(p.SynthSeed)
@@ -714,6 +774,14 @@ func AppendValidatorSetDesc(buf []byte, s *ValidatorSetDesc) []byte {
 	return e.buf
 }
 
+// EncodedSize is the exact length AppendValidatorSetDesc appends: a
+// counting pass of the encoder.
+func (d *ValidatorSetDesc) EncodedSize() int {
+	e := encoder{count: true}
+	encodeValidatorSetDesc(&e, d)
+	return e.n
+}
+
 // DecodeValidatorSetDescPrefix decodes one descriptor from the front of
 // data, returning it and the number of bytes consumed. Byte fields are
 // copied out of data. The inverse of AppendValidatorSetDesc.
@@ -726,7 +794,7 @@ func DecodeValidatorSetDescPrefix(data []byte) (*ValidatorSetDesc, int, error) {
 	return s, d.off, nil
 }
 
-func encodeVote(e *encoder, v Vote) {
+func encodeVote(e *encoder, v *Vote) {
 	e.u8(uint8(v.Kind))
 	e.u64(uint64(v.Round))
 	e.id(v.Block)
@@ -818,7 +886,7 @@ func decodeOptCertInto(c *Certificate, signers []ReplicaID, sigs [][]byte, d *de
 	return c
 }
 
-func encodeHeader(e *encoder, h BlockHeader) {
+func encodeHeader(e *encoder, h *BlockHeader) {
 	e.u64(uint64(h.Round))
 	e.u32(h.Epoch)
 	e.u16(uint16(h.Proposer))
@@ -848,8 +916,9 @@ func encodeOptUnlock(e *encoder, u *UnlockProof) {
 	e.id(u.Block)
 	e.bool(u.All)
 	e.u32(uint32(len(u.Entries)))
-	for _, en := range u.Entries {
-		encodeHeader(e, en.Header)
+	for i := range u.Entries {
+		en := &u.Entries[i]
+		encodeHeader(e, &en.Header)
 		e.u32(uint32(len(en.Voters)))
 		for i, v := range en.Voters {
 			e.u16(uint16(v))

@@ -223,7 +223,7 @@ func TestHeaderProposalRoundTrip(t *testing.T) {
 		if r.Intn(2) == 0 {
 			p.FastVote = &fv
 		}
-		bare := p.WireSize()
+		bare := WireSize(p)
 		if r.Intn(2) == 0 {
 			p.ParentNotarization = randomCert(r)
 		}
@@ -231,8 +231,8 @@ func TestHeaderProposalRoundTrip(t *testing.T) {
 			p.ParentUnlock = randomUnlock(r)
 		}
 		enc := mustEncode(p)
-		if p.WireSize() != len(enc) || p.EncodedSize() != len(enc) {
-			t.Fatalf("header proposal: WireSize %d, EncodedSize %d, encoded %d", p.WireSize(), p.EncodedSize(), len(enc))
+		if WireSize(p) != len(enc) || EncodedSize(p) != len(enc) {
+			t.Fatalf("header proposal: WireSize %d, EncodedSize %d, encoded %d", WireSize(p), EncodedSize(p), len(enc))
 		}
 		if bare > 300 {
 			t.Fatalf("header relay without parent credentials is %d bytes (payload %d)", bare, b.Payload.Size())
@@ -294,8 +294,8 @@ func TestBlockRequestRoundTrip(t *testing.T) {
 		m := &BlockRequest{Round: Round(r.Uint64())}
 		r.Read(m.ID[:])
 		enc := mustEncode(m)
-		if len(enc) != 41 || m.WireSize() != 41 || m.EncodedSize() != 41 {
-			t.Fatalf("BlockRequest sizes: enc %d wire %d encoded %d", len(enc), m.WireSize(), m.EncodedSize())
+		if len(enc) != 41 || WireSize(m) != 41 || EncodedSize(m) != 41 {
+			t.Fatalf("BlockRequest sizes: enc %d wire %d encoded %d", len(enc), WireSize(m), EncodedSize(m))
 		}
 		if got := roundTrip(t, m).(*BlockRequest); *got != *m {
 			t.Fatalf("round-trip mismatch: %+v vs %+v", got, m)
@@ -393,8 +393,8 @@ func TestMarkedCertificateWire(t *testing.T) {
 		&SyncResponse{Finalization: &marked}, // wrong kind of certificate for the field: still round-trips
 	} {
 		enc := mustEncode(m)
-		if m.EncodedSize() != len(enc) {
-			t.Fatalf("%T: EncodedSize %d, encoded %d", m, m.EncodedSize(), len(enc))
+		if EncodedSize(m) != len(enc) {
+			t.Fatalf("%T: EncodedSize %d, encoded %d", m, EncodedSize(m), len(enc))
 		}
 		if got := roundTrip(t, m); !reflect.DeepEqual(normalize(got), normalize(m)) {
 			t.Fatalf("%T round-trip mismatch:\n got %#v\nwant %#v", m, got, m)
@@ -537,8 +537,8 @@ func TestWireSizeMatchesEncoding(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.WireSize() != len(enc) {
-			t.Fatalf("%T: WireSize %d != encoded %d", m, m.WireSize(), len(enc))
+		if WireSize(m) != len(enc) {
+			t.Fatalf("%T: WireSize %d != encoded %d", m, WireSize(m), len(enc))
 		}
 	}
 }
@@ -548,7 +548,7 @@ func TestWireSizeMatchesEncoding(t *testing.T) {
 func TestSyntheticWireSizeCharged(t *testing.T) {
 	small := NewBlock(1, 0, 0, BlockID{}, SyntheticPayload(1<<20, 7))
 	big := NewBlock(1, 0, 0, BlockID{}, SyntheticPayload(2<<20, 7))
-	ps, pb := (&Proposal{Block: small}).WireSize(), (&Proposal{Block: big}).WireSize()
+	ps, pb := WireSize(&Proposal{Block: small}), WireSize(&Proposal{Block: big})
 	if pb-ps != 1<<20 {
 		t.Fatalf("synthetic payload size not charged: %d vs %d", ps, pb)
 	}
@@ -812,11 +812,11 @@ func TestBatchPayloadIdentity(t *testing.T) {
 
 	small := &Proposal{Block: NewBlock(1, 0, 0, BlockID{}, BatchPayload([]BatchRef{{Size: 64 << 10}}, nil))}
 	big := &Proposal{Block: NewBlock(1, 0, 0, BlockID{}, BatchPayload([]BatchRef{{Size: 4 << 20}}, nil))}
-	if small.WireSize() != big.WireSize() {
-		t.Fatalf("proposal wire size depends on referenced body size: %d vs %d", small.WireSize(), big.WireSize())
+	if WireSize(small) != WireSize(big) {
+		t.Fatalf("proposal wire size depends on referenced body size: %d vs %d", WireSize(small), WireSize(big))
 	}
-	if enc := mustEncode(big); len(enc) != big.WireSize() {
-		t.Fatalf("batch proposal WireSize %d != encoded %d", big.WireSize(), len(enc))
+	if enc := mustEncode(big); len(enc) != WireSize(big) {
+		t.Fatalf("batch proposal WireSize %d != encoded %d", WireSize(big), len(enc))
 	}
 
 	blk := NewBlock(5, 2, 1, BlockID{}, p)

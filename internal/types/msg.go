@@ -90,20 +90,11 @@ func (k MsgKind) String() string {
 }
 
 // Message is the interface implemented by everything exchanged between
-// replicas.
-//
-// WireSize is the number of bytes the message is charged on the wire: the
-// discrete-event simulator bills it against link bandwidth, and synthetic
-// payloads count at their logical size even though their encoding is a
-// small descriptor.
-//
-// EncodedSize is the exact length of EncodeMessage's output. Encoders use
-// it to make one exact-size allocation (or none, with AppendMessage into
-// a pooled buffer); for concrete payloads it equals WireSize.
+// replicas. Its wire layout is written once, in the encoder (encode.go);
+// every size of a message is a counting pass of that encoder: EncodedSize,
+// WireSize and VecHeadSize.
 type Message interface {
 	Kind() MsgKind
-	WireSize() int
-	EncodedSize() int
 }
 
 // Proposal carries a block proposal. It has two forms. The body form
@@ -146,23 +137,6 @@ func (p *Proposal) headerForm() *SignedHeader {
 	return p.Header
 }
 
-// WireSize sums the proposal's components; the block's payload counts at
-// its logical size so synthetic payloads are charged like real ones.
-func (p *Proposal) WireSize() int {
-	s := 1 + 2 // kind tag + flags
-	if h := p.headerForm(); h != nil {
-		s += headerWireSize(h)
-	} else {
-		s += blockWireSize(p.Block)
-	}
-	s += certWireSize(p.ParentNotarization)
-	s += unlockWireSize(p.ParentUnlock)
-	if p.FastVote != nil {
-		s += voteWireSize(*p.FastVote)
-	}
-	return s
-}
-
 // VoteMsg carries one or more votes from a single replica.
 type VoteMsg struct {
 	Votes []Vote
@@ -170,22 +144,12 @@ type VoteMsg struct {
 
 func (*VoteMsg) Kind() MsgKind { return MsgVote }
 
-func (m *VoteMsg) WireSize() int {
-	s := 1 + 2
-	for _, v := range m.Votes {
-		s += voteWireSize(v)
-	}
-	return s
-}
-
 // CertMsg broadcasts a certificate on its own.
 type CertMsg struct {
 	Cert *Certificate
 }
 
 func (*CertMsg) Kind() MsgKind { return MsgCert }
-
-func (m *CertMsg) WireSize() int { return 1 + certWireSize(m.Cert) }
 
 // Advance is Banyan's end-of-round broadcast: the notarization of the
 // round's notarized-and-unlocked block plus its unlock proof, guaranteeing
@@ -197,10 +161,6 @@ type Advance struct {
 
 func (*Advance) Kind() MsgKind { return MsgAdvance }
 
-func (m *Advance) WireSize() int {
-	return 1 + certWireSize(m.Notarization) + unlockWireSize(m.Unlock)
-}
-
 // NewView is the HotStuff pacemaker timeout message.
 type NewView struct {
 	Round  Round
@@ -211,149 +171,6 @@ type NewView struct {
 }
 
 func (*NewView) Kind() MsgKind { return MsgNewView }
-
-func (m *NewView) WireSize() int {
-	return 1 + 8 + 2 + certWireSize(m.HighQC) + sliceWireSize(m.Signature)
-}
-
-// EncodedSize implements Message. For synthetic payloads the encoding is
-// a 13-byte descriptor rather than the logical bytes WireSize charges.
-func (p *Proposal) EncodedSize() int {
-	s := 1 + 2 // kind tag + flags
-	if h := p.headerForm(); h != nil {
-		s += headerWireSize(h)
-	} else {
-		s += blockEncodedSize(p.Block)
-	}
-	s += certWireSize(p.ParentNotarization)
-	s += unlockWireSize(p.ParentUnlock)
-	if p.FastVote != nil {
-		s += voteWireSize(*p.FastVote)
-	}
-	return s
-}
-
-// EncodedSize implements Message.
-func (m *VoteMsg) EncodedSize() int { return m.WireSize() }
-
-// EncodedSize implements Message.
-func (m *CertMsg) EncodedSize() int { return m.WireSize() }
-
-// EncodedSize implements Message.
-func (m *Advance) EncodedSize() int { return m.WireSize() }
-
-// EncodedSize implements Message.
-func (m *NewView) EncodedSize() int { return m.WireSize() }
-
-// EncodedSize implements Message.
-func (*SyncRequest) EncodedSize() int { return 1 + 8 + 8 }
-
-// EncodedSize implements Message.
-func (m *SyncResponse) EncodedSize() int {
-	s := 1 + 4
-	for _, b := range m.Blocks {
-		s += blockEncodedSize(b)
-	}
-	return s + certWireSize(m.Finalization)
-}
-
-func blockWireSize(b *Block) int {
-	if b == nil {
-		return 1
-	}
-	// round + epoch + proposer + rank + parent + payload + signature
-	return 1 + 8 + 4 + 2 + 2 + 32 + payloadWireSize(b.Payload) + sliceWireSize(b.Signature)
-}
-
-// blockEncodedSize is blockWireSize with the payload at its encoded —
-// not logical — size.
-func blockEncodedSize(b *Block) int {
-	if b == nil {
-		return 1
-	}
-	return 1 + 8 + 4 + 2 + 2 + 32 + payloadEncodedSize(b.Payload) + sliceWireSize(b.Signature)
-}
-
-// headerWireSize is the footprint of a signed header inside a proposal:
-// form tag + round + epoch + proposer + rank + parent + payload digest +
-// signature — the same whatever the payload's size or form.
-func headerWireSize(h *SignedHeader) int {
-	return 1 + 8 + 4 + 2 + 2 + 32 + 32 + sliceWireSize(h.Signature)
-}
-
-func payloadWireSize(p Payload) int {
-	if p.HasBatches() {
-		// Digest-list payloads are as small on the wire as in the encoding:
-		// the bodies travel (and are billed) out-of-band in BatchAnnounce,
-		// so the vote path stays independent of block size.
-		return payloadEncodedSize(p)
-	}
-	// change wrapper + tag + (length prefix + logical bytes)
-	return changeEncodedSize(p.Change) + 1 + 4 + p.Size()
-}
-
-// payloadEncodedSize is the exact encoding length: synthetic payloads
-// travel as a (size, seed) descriptor, digest-list payloads as
-// (count, refs..., inline tail), and a ConfigChange rides as a wrapper
-// tag ahead of any of the three content forms.
-func payloadEncodedSize(p Payload) int {
-	s := changeEncodedSize(p.Change)
-	if p.HasBatches() {
-		return s + 1 + 4 + batchRefEncodedSize*len(p.Batches) + 4 + len(p.Data)
-	}
-	if p.IsSynthetic() {
-		return s + 1 + 4 + 8
-	}
-	return s + 1 + 4 + p.Size()
-}
-
-// changeEncodedSize is the wire footprint of the reconfig wrapper: outer
-// tag + op + replica + key; zero when the payload carries no change.
-func changeEncodedSize(c *ConfigChange) int {
-	if c == nil {
-		return 0
-	}
-	return 1 + 1 + 2 + sliceWireSize(c.PubKey)
-}
-
-// batchRefEncodedSize is the wire footprint of one BatchRef: 32-byte
-// digest plus 4-byte size.
-const batchRefEncodedSize = 32 + 4
-
-func voteWireSize(v Vote) int {
-	return 1 + 8 + 32 + 2 + sliceWireSize(v.Signature)
-}
-
-func certWireSize(c *Certificate) int {
-	if c == nil {
-		return 1
-	}
-	s := 1 + 1 + 8 + 32 + 4
-	s += 2 * len(c.Signers)
-	for _, sig := range c.Sigs {
-		s += sliceWireSize(sig)
-	}
-	if len(c.Fast) > 0 {
-		s += sliceWireSize(c.Fast)
-	}
-	return s
-}
-
-func unlockWireSize(u *UnlockProof) int {
-	if u == nil {
-		return 1
-	}
-	s := 1 + 8 + 32 + 1 + 4
-	for _, e := range u.Entries {
-		s += 8 + 4 + 2 + 2 + 32 + 32 + 4 + 2*len(e.Voters)
-		for _, sig := range e.Sigs {
-			s += sliceWireSize(sig)
-		}
-	}
-	return s
-}
-
-func sliceWireSize(b []byte) int { return 4 + len(b) }
 
 // SyncRequest asks peers for finalized blocks in rounds [From, To]. A
 // replica that detects it is behind (a finalization certificate for a
@@ -369,9 +186,6 @@ type SyncRequest struct {
 // Kind implements Message.
 func (*SyncRequest) Kind() MsgKind { return MsgSyncRequest }
 
-// WireSize implements Message.
-func (*SyncRequest) WireSize() int { return 1 + 8 + 8 }
-
 // SyncResponse carries a finalized chain segment (ascending rounds) and
 // the responder's latest finalization certificate, which transitively
 // proves every block in the segment once the requester's tree connects.
@@ -382,15 +196,6 @@ type SyncResponse struct {
 
 // Kind implements Message.
 func (*SyncResponse) Kind() MsgKind { return MsgSyncResponse }
-
-// WireSize implements Message.
-func (m *SyncResponse) WireSize() int {
-	s := 1 + 4
-	for _, b := range m.Blocks {
-		s += blockWireSize(b)
-	}
-	return s + certWireSize(m.Finalization)
-}
 
 // MaxSyncBlocks bounds the blocks in one SyncResponse; requesters iterate.
 // A responder also stops adding blocks before the response's encoding
@@ -415,12 +220,6 @@ type SnapshotRequest struct {
 // Kind implements Message.
 func (*SnapshotRequest) Kind() MsgKind { return MsgSnapshotRequest }
 
-// WireSize implements Message.
-func (*SnapshotRequest) WireSize() int { return 1 + 8 }
-
-// EncodedSize implements Message.
-func (*SnapshotRequest) EncodedSize() int { return 1 + 8 }
-
 // SnapshotResponse carries the responder's finalized chain window
 // (ascending, contiguous rounds ending at its window tip) and a
 // finalization certificate at or above the tip. The requester verifies
@@ -440,32 +239,6 @@ type SnapshotResponse struct {
 // Kind implements Message.
 func (*SnapshotResponse) Kind() MsgKind { return MsgSnapshotResponse }
 
-// WireSize implements Message.
-func (m *SnapshotResponse) WireSize() int {
-	s := 1 + 4
-	for _, b := range m.Chain {
-		s += blockWireSize(b)
-	}
-	return s + certWireSize(m.Finalization) + setsEncodedSize(m.Sets)
-}
-
-// EncodedSize implements Message.
-func (m *SnapshotResponse) EncodedSize() int {
-	s := 1 + 4
-	for _, b := range m.Chain {
-		s += blockEncodedSize(b)
-	}
-	return s + certWireSize(m.Finalization) + setsEncodedSize(m.Sets)
-}
-
-func setsEncodedSize(sets []*ValidatorSetDesc) int {
-	s := 4
-	for _, d := range sets {
-		s += d.EncodedSize()
-	}
-	return s
-}
-
 // MaxSnapshotBlocks bounds the window in one SnapshotResponse. Windows
 // are PruneKeep-sized (default 16), so this is generous headroom rather
 // than a pagination unit.
@@ -481,6 +254,9 @@ const MaxBatchRefs = 1 << 16
 // verify body-against-digest and ignore the sender identity. An announce
 // with an empty body, unicast back to the origin, is the availability
 // ack the origin counts before referencing the batch from a proposal.
+// WireSize bills the body at its logical size: this is where the
+// bandwidth cost of dissemination lives, instead of on the proposer's
+// uplink, whose digest-list payload stays a few bytes per batch.
 type BatchAnnounce struct {
 	Origin ReplicaID
 	Digest [32]byte
@@ -489,14 +265,6 @@ type BatchAnnounce struct {
 
 // Kind implements Message.
 func (*BatchAnnounce) Kind() MsgKind { return MsgBatchAnnounce }
-
-// WireSize implements Message: the body is billed at its logical size —
-// this is where the bandwidth cost of dissemination lives, instead of on
-// the proposer's uplink.
-func (m *BatchAnnounce) WireSize() int { return 1 + 2 + 32 + payloadWireSize(m.Body) }
-
-// EncodedSize implements Message.
-func (m *BatchAnnounce) EncodedSize() int { return 1 + 2 + 32 + payloadEncodedSize(m.Body) }
 
 // IsAck reports whether the announce is an empty-body availability ack.
 func (m *BatchAnnounce) IsAck() bool { return m.Body.Size() == 0 }
@@ -512,12 +280,6 @@ type BatchRequest struct {
 // Kind implements Message.
 func (*BatchRequest) Kind() MsgKind { return MsgBatchRequest }
 
-// WireSize implements Message.
-func (*BatchRequest) WireSize() int { return 1 + 32 }
-
-// EncodedSize implements Message.
-func (*BatchRequest) EncodedSize() int { return 1 + 32 }
-
 // BatchResponse returns a requested batch body. The requester verifies
 // the body digests to the requested value before storing it; a mismatch
 // is dropped and the fetch rotates to the next peer.
@@ -528,12 +290,6 @@ type BatchResponse struct {
 
 // Kind implements Message.
 func (*BatchResponse) Kind() MsgKind { return MsgBatchResponse }
-
-// WireSize implements Message.
-func (m *BatchResponse) WireSize() int { return 1 + 32 + payloadWireSize(m.Body) }
-
-// EncodedSize implements Message.
-func (m *BatchResponse) EncodedSize() int { return 1 + 32 + payloadEncodedSize(m.Body) }
 
 // BlockRequest asks one peer for the body of the round-Round block ID. A
 // replica sends it when it has heard of the block — a header relay or a
@@ -548,26 +304,3 @@ type BlockRequest struct {
 
 // Kind implements Message.
 func (*BlockRequest) Kind() MsgKind { return MsgBlockRequest }
-
-// WireSize implements Message.
-func (*BlockRequest) WireSize() int { return 1 + 8 + 32 }
-
-// EncodedSize implements Message.
-func (*BlockRequest) EncodedSize() int { return 1 + 8 + 32 }
-
-// Compile-time interface checks.
-var (
-	_ Message = (*Proposal)(nil)
-	_ Message = (*VoteMsg)(nil)
-	_ Message = (*CertMsg)(nil)
-	_ Message = (*Advance)(nil)
-	_ Message = (*NewView)(nil)
-	_ Message = (*SyncRequest)(nil)
-	_ Message = (*SyncResponse)(nil)
-	_ Message = (*SnapshotRequest)(nil)
-	_ Message = (*SnapshotResponse)(nil)
-	_ Message = (*BatchAnnounce)(nil)
-	_ Message = (*BatchRequest)(nil)
-	_ Message = (*BatchResponse)(nil)
-	_ Message = (*BlockRequest)(nil)
-)

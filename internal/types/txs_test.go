@@ -82,9 +82,9 @@ func TestTxsPayloadMatchesBytes(t *testing.T) {
 			for _, pair := range pairs {
 				lm, fm := pair.lm, pair.fm
 				want := mustEncode(fm)
-				if lm.EncodedSize() != fm.EncodedSize() || lm.WireSize() != fm.WireSize() {
+				if EncodedSize(lm) != EncodedSize(fm) || WireSize(lm) != WireSize(fm) {
 					t.Fatalf("%s (change %v) %T: EncodedSize %d / %d, WireSize %d / %d", name, withChange, lm,
-						lm.EncodedSize(), fm.EncodedSize(), lm.WireSize(), fm.WireSize())
+						EncodedSize(lm), EncodedSize(fm), WireSize(lm), WireSize(fm))
 				}
 				if got := mustEncode(lm); !bytes.Equal(got, want) {
 					t.Fatalf("%s (change %v) %T: EncodeMessage bytes differ", name, withChange, lm)

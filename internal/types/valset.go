@@ -107,12 +107,3 @@ func (d *ValidatorSetDesc) Equal(o *ValidatorSetDesc) bool {
 	}
 	return true
 }
-
-// EncodedSize is the exact wire length of one descriptor.
-func (d *ValidatorSetDesc) EncodedSize() int {
-	s := 4 + 8 + 2 + 2 + 4 // epoch + activation + f + p + member count
-	for _, k := range d.Keys {
-		s += 2 + 4 + len(k) // member id + key length prefix + key
-	}
-	return s
-}

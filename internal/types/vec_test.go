@@ -10,8 +10,8 @@ import (
 // vecEncode runs AppendMessageVec behind a prefix, as the TCP transport
 // does behind its length prefix, and returns the concatenated segments
 // with the prefix cut off. It fails the test on a head whose length is
-// not VecHeadSize, or on a Ref that is shorter than RefMin or out of
-// order.
+// not VecHeadSize's head, on segments whose length is not its size, or on
+// a Ref that is shorter than RefMin or out of order.
 func vecEncode(t *testing.T, m Message) []byte {
 	t.Helper()
 	prefix := []byte("pfx:")
@@ -19,8 +19,9 @@ func vecEncode(t *testing.T, m Message) []byte {
 	if err != nil {
 		t.Fatalf("%T: AppendMessageVec: %v", m, err)
 	}
-	if got, want := len(head)-len(prefix), VecHeadSize(m); got != want {
-		t.Fatalf("%T: head of %d bytes, VecHeadSize %d", m, got, want)
+	headSize, size := VecHeadSize(m)
+	if got := len(head) - len(prefix); got != headSize {
+		t.Fatalf("%T: head of %d bytes, VecHeadSize %d", m, got, headSize)
 	}
 	at := len(prefix)
 	for _, r := range refs {
@@ -32,6 +33,9 @@ func vecEncode(t *testing.T, m Message) []byte {
 	got := bytes.Join(Segments(nil, head, refs), nil)
 	if !bytes.HasPrefix(got, prefix) {
 		t.Fatalf("%T: segments lost the prefix", m)
+	}
+	if len(got)-len(prefix) != size {
+		t.Fatalf("%T: segments of %d bytes, VecHeadSize counts %d", m, len(got)-len(prefix), size)
 	}
 	return got[len(prefix):]
 }
@@ -88,8 +92,8 @@ func TestAppendMessageVecReferencesPayload(t *testing.T) {
 	if len(refs) != 1 || &refs[0].Data[0] != &data[0] || len(refs[0].Data) != len(data) {
 		t.Fatalf("got %d Refs, want one to Payload.Data", len(refs))
 	}
-	if len(head)+len(data) != m.EncodedSize() || len(head) > 2<<10 {
-		t.Fatalf("head %d bytes + payload %d != EncodedSize %d", len(head), len(data), m.EncodedSize())
+	if len(head)+len(data) != EncodedSize(m) || len(head) > 2<<10 {
+		t.Fatalf("head %d bytes + payload %d != EncodedSize %d", len(head), len(data), EncodedSize(m))
 	}
 
 	for size, want := range map[int]int{RefMin - 1: 0, RefMin: 1} {
@@ -149,8 +153,9 @@ func asTxsList(m Message) (Message, bool) {
 // payloads aliasing the received bytes), the reference-mode segments
 // concatenate to exactly the bytes EncodeMessage gives the copy, and so
 // do EncodeMessage and the segments of the message with its payload
-// rebuilt as a transaction list. The seeds (vecSeeds) run under plain go
-// test.
+// rebuilt as a transaction list. EncodedSize counts the encoding's
+// length and VecHeadSize the head's (vecEncode checks it). The seeds
+// (vecSeeds) run under plain go test.
 func FuzzAppendMessageVec(f *testing.F) {
 	for _, m := range vecSeeds() {
 		f.Add(mustEncode(m))
@@ -163,6 +168,9 @@ func FuzzAppendMessageVec(f *testing.F) {
 		want, err := EncodeMessage(m)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if EncodedSize(m) != len(want) {
+			t.Fatalf("%T: EncodedSize %d, encoded %d", m, EncodedSize(m), len(want))
 		}
 		if !bytes.Equal(vecEncode(t, m), want) {
 			t.Fatalf("%T: segments differ from EncodeMessage", m)

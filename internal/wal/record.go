@@ -73,9 +73,9 @@ type Record struct {
 func (r Record) payloadSize() int {
 	switch r.Kind {
 	case KindInbound:
-		return 3 + r.Msg.EncodedSize()
+		return 3 + types.EncodedSize(r.Msg)
 	case KindOwn:
-		return 1 + r.Msg.EncodedSize()
+		return 1 + types.EncodedSize(r.Msg)
 	case KindCommit:
 		return 1 + 8 + 32 + 1 + 4
 	case KindCheckpoint:
@@ -87,7 +87,7 @@ func (r Record) payloadSize() int {
 			s += types.BlockEncodedSize(b)
 		}
 		for _, m := range r.Snapshot.Own {
-			s += 4 + m.EncodedSize()
+			s += 4 + types.EncodedSize(m)
 		}
 		for _, d := range r.Snapshot.Sets {
 			s += d.EncodedSize()
@@ -131,7 +131,7 @@ func (r Record) appendPayload(buf []byte) ([]byte, error) {
 		}
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.Own)))
 		for _, m := range s.Own {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(m.EncodedSize()))
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(types.EncodedSize(m)))
 			var err error
 			if buf, err = types.AppendMessage(buf, m); err != nil {
 				return nil, fmt.Errorf("wal: %w", err)
