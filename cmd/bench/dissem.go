@@ -63,7 +63,7 @@ func runDissem(o options) error {
 				Dissem:           dissem,
 				DissemBatchBytes: batchBytes,
 			}
-			res, err := harness.Run(cfg)
+			res, err := runChecked(cfg)
 			if err != nil {
 				return err
 			}

@@ -48,7 +48,34 @@ type options struct {
 // its own.
 func runCompared(cfg harness.Config) (*harness.Result, error) {
 	cfg.NoForwarding = true
-	return harness.Run(cfg)
+	return runChecked(cfg)
+}
+
+// runChecked is the one way an experiment runs a configuration: a run
+// whose result fails checkResult is an error, so the whole command fails
+// rather than print its row.
+func runChecked(cfg harness.Config) (*harness.Result, error) {
+	res, err := harness.Run(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkResult(cfg.Protocol, res); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// checkResult refuses a run with a safety fault anywhere in the cluster,
+// or one in which no block committed: a figure row of a stalled protocol
+// is a row of zeros, not a measurement.
+func checkResult(proto harness.Protocol, r *harness.Result) error {
+	switch {
+	case r.Faults > 0:
+		return fmt.Errorf("%s: %d safety faults", proto, r.Faults)
+	case r.BlocksCommitted == 0:
+		return fmt.Errorf("%s: no block committed", proto)
+	}
+	return nil
 }
 
 func run(args []string) error {
@@ -422,10 +449,6 @@ func runTraffic(o options) error {
 		if err != nil {
 			return err
 		}
-		if res.BlocksCommitted == 0 {
-			fmt.Printf("%-12s %12d %14s %16s %14s\n", proto, 0, "-", "-", "-")
-			continue
-		}
 		if proto == harness.Banyan {
 			banyan = res
 		}
@@ -439,9 +462,6 @@ func runTraffic(o options) error {
 	}
 	fmt.Println("(overhead = wire bytes beyond one payload copy, as a multiple of the payload;")
 	fmt.Println(" includes the n-1 unicasts of every broadcast plus tip-forwarding relays)")
-	if banyan == nil {
-		return nil
-	}
 	blocks := float64(banyan.BlocksCommitted)
 	fmt.Printf("\n%-18s %14s %16s %12s\n", "banyan kind", "msgs/block", "wire-KB/block", "bytes/msg")
 	for kind, st := range banyan.Traffic {
@@ -468,7 +488,7 @@ func runAblationP(o options) error {
 			fmt.Printf("%-22s invalid: %v\n", fmt.Sprintf("f=%d,p=%d", pp.f, pp.p), err)
 			continue
 		}
-		res, err := harness.Run(harness.Config{
+		res, err := runChecked(harness.Config{
 			Protocol:  harness.Banyan,
 			Params:    params,
 			Topology:  topo,
@@ -521,7 +541,7 @@ func runAblationForwarding(o options) error {
 	printHeader()
 	for _, off := range []bool{false, true} {
 		for _, proto := range []harness.Protocol{harness.Banyan, harness.ICC} {
-			res, err := harness.Run(harness.Config{
+			res, err := runChecked(harness.Config{
 				Protocol:     proto,
 				Params:       harness.ParamsFor(proto, 19, 6, 1),
 				Topology:     topo,

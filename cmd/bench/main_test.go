@@ -43,6 +43,27 @@ func TestQuickExperimentsRun(t *testing.T) {
 	}
 }
 
+// TestCheckResult: a run with a safety fault or without a committed
+// block fails the experiment instead of printing a row.
+func TestCheckResult(t *testing.T) {
+	for _, tc := range []struct {
+		res  harness.Result
+		want string
+	}{
+		{harness.Result{BlocksCommitted: 5}, ""},
+		{harness.Result{BlocksCommitted: 5, Faults: 2}, "icc: 2 safety faults"},
+		{harness.Result{}, "icc: no block committed"},
+	} {
+		got := ""
+		if err := checkResult(harness.ICC, &tc.res); err != nil {
+			got = err.Error()
+		}
+		if got != tc.want {
+			t.Errorf("%+v: error %q, want %q", tc.res, got, tc.want)
+		}
+	}
+}
+
 // TestFig1Steps is Figure 1's claim as an assertion: on a uniform
 // topology with the processing model off, Banyan's fast path finalizes a
 // proposal in 2 communication steps and ICC in 3, exactly.

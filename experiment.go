@@ -28,7 +28,8 @@ type ExperimentConfig struct {
 	Duration time.Duration
 	// Seed drives all randomness deterministically.
 	Seed uint64
-	// CrashReplicas are crashed at time zero (Figure 6d).
+	// CrashReplicas are crashed at time zero (Figure 6d). HotStuff, which
+	// has no pacemaker, refuses them.
 	CrashReplicas []int
 	// Delta overrides the auto-derived Δ bound (0 = auto). The crash
 	// experiment uses it to set the paper's 3-second timeout (Δ = 1.5s).

@@ -106,17 +106,6 @@ func (t *Tree) MarkNotarized(id types.BlockID) {
 // IsNotarized reports whether the block is known notarized.
 func (t *Tree) IsNotarized(id types.BlockID) bool { return t.notarized[id] }
 
-// NotarizedAt returns the stored blocks at a round that are notarized.
-func (t *Tree) NotarizedAt(round types.Round) []*types.Block {
-	var out []*types.Block
-	for _, id := range t.byRound[round] {
-		if t.notarized[id] {
-			out = append(out, t.blocks[id])
-		}
-	}
-	return out
-}
-
 // FinalizedRound returns the highest finalized round (kMax).
 func (t *Tree) FinalizedRound() types.Round { return t.finalizedRound }
 
@@ -285,27 +274,6 @@ func (t *Tree) Length(id types.BlockID) int {
 	return l
 }
 
-// ChainTo returns the chain from (exclusive) the finalized prefix to the
-// given block, oldest first, or nil if not fully connected.
-func (t *Tree) ChainTo(id types.BlockID) []*types.Block {
-	var chain []*types.Block
-	cur, ok := t.blocks[id]
-	for ok {
-		if t.IsFinalized(cur.ID()) {
-			break
-		}
-		chain = append(chain, cur)
-		cur, ok = t.blocks[cur.Parent]
-	}
-	if !ok {
-		return nil
-	}
-	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-		chain[i], chain[j] = chain[j], chain[i]
-	}
-	return chain
-}
-
 // Prune drops blocks in rounds strictly below keepFrom that are not on the
 // finalized chain, plus stale memoized lengths, bounding long-run memory.
 // Finalized blocks are kept (they form the output history unless the
@@ -354,29 +322,6 @@ func (t *Tree) PruneDeep(keepFrom types.Round) {
 		}
 		delete(t.byRound, round)
 	}
-}
-
-// Stats summarizes the tree for diagnostics.
-type Stats struct {
-	Blocks         int
-	Notarized      int
-	FinalizedRound types.Round
-	MaxRound       types.Round
-}
-
-// Stats returns store counters.
-func (t *Tree) Stats() Stats {
-	s := Stats{
-		Blocks:         len(t.blocks),
-		Notarized:      len(t.notarized),
-		FinalizedRound: t.finalizedRound,
-	}
-	for r := range t.byRound {
-		if r > s.MaxRound {
-			s.MaxRound = r
-		}
-	}
-	return s
 }
 
 // FinalizedChain returns the finalized block IDs from round 1 up to kMax in

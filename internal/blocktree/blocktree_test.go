@@ -189,10 +189,6 @@ func TestNotarization(t *testing.T) {
 	if tr.IsNotarized(blocks[1].ID()) {
 		t.Fatal("unmarked block reported notarized")
 	}
-	nb := tr.NotarizedAt(1)
-	if len(nb) != 1 || !nb[0].Equal(blocks[0]) {
-		t.Fatalf("NotarizedAt(1) = %v", nb)
-	}
 	// Marking before Add is allowed (certificates can precede blocks).
 	tr.MarkNotarized(blocks[1].ID())
 	if !tr.IsNotarized(blocks[1].ID()) {
@@ -216,24 +212,6 @@ func TestLength(t *testing.T) {
 	tr.Add(orphan)
 	if got := tr.Length(orphan.ID()); got != -1 {
 		t.Fatalf("orphan length = %d, want -1", got)
-	}
-}
-
-func TestChainTo(t *testing.T) {
-	tr := New()
-	blocks := chainBlocks(4, 1)
-	for _, b := range blocks {
-		tr.Add(b)
-	}
-	if _, err := tr.Finalize(blocks[1].ID()); err != nil {
-		t.Fatal(err)
-	}
-	chain := tr.ChainTo(blocks[3].ID())
-	if len(chain) != 2 || chain[0].Round != 3 || chain[1].Round != 4 {
-		t.Fatalf("ChainTo returned %v", chain)
-	}
-	if got := tr.ChainTo(types.BlockID{5}); got != nil {
-		t.Fatalf("ChainTo(unknown) = %v, want nil", got)
 	}
 }
 
@@ -265,9 +243,8 @@ func TestPrune(t *testing.T) {
 	if !tr.Contains(forks[8].ID()) {
 		t.Fatal("fork above the prune floor was removed")
 	}
-	st := tr.Stats()
-	if st.FinalizedRound != 10 {
-		t.Fatalf("stats: %+v", st)
+	if got := tr.FinalizedRound(); got != 10 {
+		t.Fatalf("finalized round %d after pruning, want 10", got)
 	}
 }
 

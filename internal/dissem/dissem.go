@@ -330,12 +330,6 @@ func (s *Store) Get(digest [32]byte) (types.Payload, bool) {
 	return types.Payload{}, false
 }
 
-// Has reports whether the store holds a body.
-func (s *Store) Has(digest [32]byte) bool {
-	_, ok := s.batches[digest]
-	return ok
-}
-
 // RecordAck notes that peer holds one of this replica's own batches.
 func (s *Store) RecordAck(digest [32]byte, peer types.ReplicaID) {
 	if peer == s.cfg.Self {

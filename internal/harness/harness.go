@@ -460,6 +460,10 @@ func (c Config) baseline() ([]protocol.Engine, error) {
 	if c.Dissem {
 		return nil, fmt.Errorf("banyan: Dissem requires a Banyan protocol, got %q", c.Protocol)
 	}
+	// HotStuff has no pacemaker: a crashed leader would stall it for ever.
+	if c.Protocol == HotStuff && len(c.Crash) > 0 {
+		return nil, fmt.Errorf("banyan: Crash is not supported by %q, which has no pacemaker", c.Protocol)
+	}
 	f := c.Params.F
 	if f == 0 {
 		f = types.MaxFaultyFor(c.Params.N)
@@ -498,8 +502,6 @@ func (c Config) baseline() ([]protocol.Engine, error) {
 				Keyring:  keyring,
 				Signer:   signers[i],
 				Payloads: c.payloads(i),
-				// Generous enough that the happy path never times out.
-				ViewTimeout: 6 * c.Delta,
 			})
 		case Streamlet:
 			engines[i], err = streamlet.New(streamlet.Config{

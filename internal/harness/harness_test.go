@@ -122,6 +122,11 @@ func TestProtocolRunsPinned(t *testing.T) {
 	if want := `banyan: Dissem requires a Banyan protocol, got "icc"`; err == nil || err.Error() != want {
 		t.Errorf("ICC with Dissem: error %v, want %q", err, want)
 	}
+	_, err = Run(Config{Protocol: HotStuff, Params: ParamsFor(HotStuff, 4, 1, 0), Topology: topo,
+		Duration: time.Second, Crash: []types.ReplicaID{1}})
+	if want := `banyan: Crash is not supported by "hotstuff", which has no pacemaker`; err == nil || err.Error() != want {
+		t.Errorf("HotStuff with Crash: error %v, want %q", err, want)
+	}
 }
 
 // TestCrashParityBanyanICC is Figure 6d's claim as an assertion: under

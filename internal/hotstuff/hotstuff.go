@@ -10,14 +10,14 @@
 // observes finalization of its block roughly seven message delays after
 // proposing — the latency gap to ICC/Banyan that Figure 6 quantifies.
 //
-// The pacemaker rotates leaders round-robin; on view timeout replicas send
-// a NewView with their highest QC to the next leader, which proposes after
-// a quorum of NewViews.
+// Leaders rotate round-robin and a view ends only when its QC forms: there
+// is no pacemaker, so no view timeout and no NewView message. The engine
+// is built for the paper's fault-free comparison runs (Figures 6a, 6b and
+// 6e); a crashed leader stalls it for ever, and the harness refuses to
+// crash a HotStuff replica.
 package hotstuff
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
@@ -42,8 +42,6 @@ type Config struct {
 	Signer *crypto.Signer
 	// Payloads supplies block payloads when this replica leads.
 	Payloads protocol.PayloadSource
-	// ViewTimeout is the pacemaker timeout for a view without progress.
-	ViewTimeout time.Duration
 }
 
 func (c *Config) validate() error {
@@ -55,9 +53,6 @@ func (c *Config) validate() error {
 	}
 	if !c.Set.Contains(c.Self) {
 		return fmt.Errorf("hotstuff: self id %d not in the validator set", c.Self)
-	}
-	if c.ViewTimeout <= 0 {
-		return errors.New("hotstuff: ViewTimeout must be positive")
 	}
 	if c.Payloads == nil {
 		c.Payloads = protocol.EmptyPayloads
@@ -86,12 +81,8 @@ type Engine struct {
 
 	// votes collects view votes by block: view -> block -> voter -> sig.
 	votes map[types.Round]map[types.BlockID]map[types.ReplicaID][]byte
-	// newViews collects pacemaker messages per target view.
-	newViews map[types.Round]map[types.ReplicaID]*types.NewView
 	// proposedIn marks views in which this replica already proposed.
 	proposedIn map[types.Round]bool
-	// timerSet marks views whose timeout has been scheduled.
-	timerSet map[types.Round]bool
 
 	stopped bool
 	fault   error
@@ -99,8 +90,6 @@ type Engine struct {
 	met struct {
 		proposals    int64
 		votesSent    int64
-		newViews     int64
-		timeouts     int64
 		qcFormed     int64
 		commits      int64
 		blocksCommit int64
@@ -120,9 +109,7 @@ func New(cfg Config) (*Engine, error) {
 		cfg:        cfg,
 		tree:       blocktree.New(),
 		votes:      make(map[types.Round]map[types.BlockID]map[types.ReplicaID][]byte),
-		newViews:   make(map[types.Round]map[types.ReplicaID]*types.NewView),
 		proposedIn: make(map[types.Round]bool),
-		timerSet:   make(map[types.Round]bool),
 	}
 	e.locked = e.tree.Genesis().ID()
 	return e, nil
@@ -157,42 +144,20 @@ func (e *Engine) HandleMessage(from types.ReplicaID, msg types.Message, now time
 		for _, v := range m.Votes {
 			acts = e.onVote(v, now, acts)
 		}
-	case *types.NewView:
-		acts = e.onNewView(m, now, acts)
 	default:
 		e.met.rejected++
 	}
 	return e.drainFault(acts)
 }
 
-// HandleTimer implements protocol.Engine: pacemaker timeout.
-func (e *Engine) HandleTimer(id protocol.TimerID, now time.Time) []protocol.Action {
-	if e.stopped || id.Kind != protocol.TimerView || id.Round != e.view {
-		return nil
-	}
-	e.met.timeouts++
-	// Move to the next view and tell its leader with our highest QC.
-	var acts []protocol.Action
-	next := e.view + 1
-	nv := e.makeNewView(next)
-	leader := e.cfg.Set.Leader(next)
-	if leader == e.cfg.Self {
-		e.recordNewView(nv)
-	} else {
-		acts = append(acts, protocol.Send{To: leader, Msg: nv})
-	}
-	e.met.newViews++
-	acts = e.enterView(next, now, acts)
-	return e.drainFault(acts)
-}
+// HandleTimer implements protocol.Engine: the engine sets no timers.
+func (e *Engine) HandleTimer(protocol.TimerID, time.Time) []protocol.Action { return nil }
 
 // Metrics implements protocol.Engine.
 func (e *Engine) Metrics() map[string]int64 {
 	return map[string]int64{
 		"proposals":     e.met.proposals,
 		"votes_sent":    e.met.votesSent,
-		"new_views":     e.met.newViews,
-		"timeouts":      e.met.timeouts,
 		"qc_formed":     e.met.qcFormed,
 		"commits":       e.met.commits,
 		"blocks_commit": e.met.blocksCommit,
@@ -204,18 +169,11 @@ func (e *Engine) Metrics() map[string]int64 {
 
 // ---------------------------------------------------------------------------
 
-// enterView advances to the given view, arming its pacemaker timer and
-// proposing if this replica leads it and already holds the justification.
+// enterView advances to the given view, proposing if this replica leads it
+// and already holds the justification.
 func (e *Engine) enterView(v types.Round, now time.Time, acts []protocol.Action) []protocol.Action {
 	if v > e.view {
 		e.view = v
-	}
-	if !e.timerSet[e.view] {
-		e.timerSet[e.view] = true
-		acts = append(acts, protocol.SetTimer{
-			ID: protocol.TimerID{Round: e.view, Kind: protocol.TimerView},
-			At: now.Add(e.cfg.ViewTimeout),
-		})
 	}
 	e.prune()
 	return e.tryPropose(now, acts)
@@ -233,15 +191,9 @@ func (e *Engine) prune() {
 			delete(e.votes, v)
 		}
 	}
-	for v := range e.newViews {
-		if v < floor {
-			delete(e.newViews, v)
-		}
-	}
 	for v := range e.proposedIn {
 		if v < floor {
 			delete(e.proposedIn, v)
-			delete(e.timerSet, v)
 		}
 	}
 	if fin := e.tree.FinalizedRound(); fin > keep {
@@ -266,15 +218,10 @@ func (e *Engine) qcBlock(qc *types.Certificate) types.BlockID {
 }
 
 // tryPropose proposes in the current view if this replica is its leader
-// and either holds a QC for the previous view (happy path) or a quorum of
-// NewView messages (after timeouts).
+// and holds a QC for the previous view.
 func (e *Engine) tryPropose(now time.Time, acts []protocol.Action) []protocol.Action {
 	v := e.view
-	if e.proposedIn[v] || e.cfg.Set.Leader(v) != e.cfg.Self {
-		return acts
-	}
-	ready := qcView(e.highQC) == v-1 || len(e.newViews[v]) >= e.cfg.quorum()
-	if !ready {
+	if e.proposedIn[v] || e.cfg.Set.Leader(v) != e.cfg.Self || qcView(e.highQC) != v-1 {
 		return acts
 	}
 	parent := e.qcBlock(e.highQC)
@@ -478,62 +425,6 @@ func (e *Engine) onVote(v types.Vote, now time.Time, acts []protocol.Action) []p
 	e.tree.MarkNotarized(v.Block)
 	acts = e.update(qc, acts)
 	return e.enterView(v.Round+1, now, acts)
-}
-
-// onNewView collects pacemaker messages for views this replica leads.
-func (e *Engine) onNewView(m *types.NewView, now time.Time, acts []protocol.Action) []protocol.Action {
-	if m.Round < 1 || !e.cfg.Set.Contains(m.Sender) {
-		e.met.rejected++
-		return acts
-	}
-	if e.cfg.Set.Leader(m.Round) != e.cfg.Self {
-		return acts
-	}
-	if !e.cfg.Keyring.Verify(m.Sender, newViewDigest(m.Round, m.Sender), m.Signature) {
-		e.met.rejected++
-		return acts
-	}
-	if m.HighQC != nil {
-		if err := e.checkQC(m.HighQC); err != nil {
-			e.met.rejected++
-			return acts
-		}
-		acts = e.update(m.HighQC, acts)
-	}
-	e.recordNewView(m)
-	if m.Round > e.view && len(e.newViews[m.Round]) >= e.cfg.quorum() {
-		acts = e.enterView(m.Round, now, acts)
-	} else {
-		acts = e.tryPropose(now, acts)
-	}
-	return acts
-}
-
-func (e *Engine) recordNewView(m *types.NewView) {
-	bySender, ok := e.newViews[m.Round]
-	if !ok {
-		bySender = make(map[types.ReplicaID]*types.NewView)
-		e.newViews[m.Round] = bySender
-	}
-	bySender[m.Sender] = m
-}
-
-func (e *Engine) makeNewView(target types.Round) *types.NewView {
-	nv := &types.NewView{Round: target, Sender: e.cfg.Self, HighQC: e.highQC}
-	nv.Signature = e.cfg.Signer.Sign(newViewDigest(target, e.cfg.Self))
-	return nv
-}
-
-func newViewDigest(round types.Round, sender types.ReplicaID) [32]byte {
-	var buf [10]byte
-	binary.LittleEndian.PutUint64(buf[0:8], uint64(round))
-	binary.LittleEndian.PutUint16(buf[8:10], uint16(sender))
-	h := sha256.New()
-	h.Write([]byte("banyan/hotstuff/newview/v1"))
-	h.Write(buf[:])
-	var d [32]byte
-	h.Sum(d[:0])
-	return d
 }
 
 // checkQC verifies a QC once and caches acceptance via the block tree's

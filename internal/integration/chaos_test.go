@@ -152,8 +152,8 @@ func TestChaosAllProtocols(t *testing.T) {
 	type mk func(*testing.T, types.Params, time.Duration, int) []protocol.Engine
 	builders := map[string]mk{
 		"icc": makeICCEngines,
-		"hotstuff": func(t *testing.T, p types.Params, d time.Duration, size int) []protocol.Engine {
-			return makeHotStuffEngines(t, p, 10*d, size)
+		"hotstuff": func(t *testing.T, p types.Params, _ time.Duration, size int) []protocol.Engine {
+			return makeHotStuffEngines(t, p, size)
 		},
 		"streamlet": makeStreamletEngines,
 	}

@@ -158,7 +158,8 @@ func TestReconfigAddThenRemove(t *testing.T) {
 	if hist.Len() != 3 {
 		t.Fatalf("observer history holds %d sets, want 3 (genesis, +joiner, -joiner)", hist.Len())
 	}
-	set0, set1, set2 := hist.SetForEpoch(0), hist.SetForEpoch(1), hist.SetForEpoch(2)
+	set0, set2 := hist.Genesis(), hist.Current()
+	set1 := hist.SetForRound(set2.Activation() - 1)
 	if set1.Size() != 5 || !set1.Contains(joiner) {
 		t.Fatalf("epoch 1 set is %v, want 5 members including %d", set1.Members(), joiner)
 	}
@@ -318,7 +319,7 @@ func TestReconfigRemoveCurrentLeader(t *testing.T) {
 	if hist.Len() != 2 {
 		t.Fatalf("observer history holds %d sets, want 2", hist.Len())
 	}
-	next := hist.SetForEpoch(1)
+	next := hist.Current()
 	if next.Contains(removed) {
 		t.Fatalf("epoch 1 still contains replica %d", removed)
 	}

@@ -161,22 +161,6 @@ func Table() []Entry {
 	}
 }
 
-// HotStuffChained returns the row for the 3-chain HotStuff variant this
-// repository implements (the paper's table lists the pipelined Fast
-// HotStuff instead; chained HotStuff commits on a 3-chain, ~7δ at the
-// proposer).
-func HotStuffChained() Entry {
-	return Entry{
-		Name:       "HotStuff (chained, 3-phase)",
-		FinalSteps: 7, FinalUnit: Delta,
-		FinalReq: q2f1, FinalReqExpr: "2f+1",
-		CreateSteps: 2, CreateUnit: Delta,
-		CreateReq: q2f1, CreateReqExpr: "2f+1",
-		Replicas: n3f1, ReplicasExpr: "3f+1",
-		Rotating: true, Implemented: true,
-	}
-}
-
 // Render formats the table with quorums evaluated at (f, p), mirroring
 // Table 1's layout.
 func Render(f, p int) string {

@@ -64,13 +64,6 @@ func TestTableMatchesPaper(t *testing.T) {
 	}
 }
 
-func TestHotStuffChainedRow(t *testing.T) {
-	hs := HotStuffChained()
-	if hs.FinalSteps != 7 || !hs.Implemented {
-		t.Errorf("chained HotStuff row: %+v", hs)
-	}
-}
-
 func TestRender(t *testing.T) {
 	out := Render(6, 1)
 	for _, want := range []string{"Banyan", "ICC / Simplex", "3f+p*-1=18", "2f+p*=13", "3f+2p*-1=19"} {

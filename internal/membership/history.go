@@ -57,22 +57,6 @@ func (h *History) SetForRound(r types.Round) *ValidatorSet {
 	return h.sets[0]
 }
 
-// SetForEpoch returns the set with the given epoch, or nil when the
-// history has not reached it.
-func (h *History) SetForEpoch(epoch uint32) *ValidatorSet {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	if int(epoch) >= len(h.sets) {
-		return nil
-	}
-	return h.sets[epoch]
-}
-
-// EpochForRound returns the epoch in effect at round r.
-func (h *History) EpochForRound(r types.Round) uint32 {
-	return h.SetForRound(r).Epoch()
-}
-
 // Apply derives the next set from a change finalized at round changeRound
 // (activation changeRound+1) and appends it. An inapplicable change — one
 // Apply on the current set rejects, or one finalized at a round the

@@ -365,12 +365,6 @@ func TestHistoryLookup(t *testing.T) {
 		if got := hist.SetForRound(tc.round).Epoch(); got != tc.epoch {
 			t.Errorf("round %d resolved to epoch %d, want %d", tc.round, got, tc.epoch)
 		}
-		if got := hist.EpochForRound(tc.round); got != tc.epoch {
-			t.Errorf("EpochForRound(%d) = %d, want %d", tc.round, got, tc.epoch)
-		}
-	}
-	if hist.SetForEpoch(3) != nil {
-		t.Fatal("SetForEpoch returned a set beyond the history")
 	}
 	if hist.Current().Epoch() != 2 || hist.Genesis().Epoch() != 0 {
 		t.Fatal("Current/Genesis misrouted")

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -159,19 +158,4 @@ func (r *Registry) Histograms() map[string]HistSnapshot {
 		out[name] = h.Snapshot()
 	}
 	return out
-}
-
-// Names returns the registered counter names, sorted.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.counters))
-	for name := range r.counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

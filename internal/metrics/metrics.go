@@ -180,14 +180,6 @@ func (t *Throughput) BytesPerSecond() float64 {
 	return float64(t.Bytes) / t.window.Seconds()
 }
 
-// BlocksPerSecond returns committed blocks per second of window.
-func (t *Throughput) BlocksPerSecond() float64 {
-	if t.window <= 0 {
-		return 0
-	}
-	return float64(t.Blocks) / t.window.Seconds()
-}
-
 // BlockInterval returns the average time between committed blocks (the
 // "block interval" of Figure 6d), or 0 with no blocks.
 func (t *Throughput) BlockInterval() time.Duration {

@@ -102,9 +102,6 @@ func TestThroughput(t *testing.T) {
 	if got := tp.BytesPerSecond(); got != float64(20<<20)/10 {
 		t.Errorf("BytesPerSecond = %f", got)
 	}
-	if got := tp.BlocksPerSecond(); got != 2 {
-		t.Errorf("BlocksPerSecond = %f", got)
-	}
 	if got := tp.BlockInterval(); got != 500*time.Millisecond {
 		t.Errorf("BlockInterval = %v", got)
 	}
@@ -112,7 +109,7 @@ func TestThroughput(t *testing.T) {
 
 func TestThroughputEmpty(t *testing.T) {
 	tp := NewThroughput(0)
-	if tp.BytesPerSecond() != 0 || tp.BlocksPerSecond() != 0 || tp.BlockInterval() != 0 {
+	if tp.BytesPerSecond() != 0 || tp.BlockInterval() != 0 {
 		t.Fatal("zero-window throughput must report zeros")
 	}
 	tp2 := NewThroughput(time.Second)

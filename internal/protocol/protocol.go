@@ -30,8 +30,7 @@ const (
 	// TimerNotarize fires when the notarization delay for a rank expires
 	// (Δ_notary(r) = 2Δ·r).
 	TimerNotarize
-	// TimerView fires when a view/epoch timeout elapses (HotStuff pacemaker,
-	// Streamlet epochs).
+	// TimerView fires when a Streamlet epoch ends.
 	TimerView
 	// TimerResend fires when a replica has been stuck in one round long
 	// enough to suspect message loss; the engine rebroadcasts its round

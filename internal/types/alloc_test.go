@@ -34,7 +34,6 @@ func TestEncodedSizeExact(t *testing.T) {
 			&VoteMsg{Votes: []Vote{randomVote(r), randomVote(r)}},
 			&CertMsg{Cert: randomCert(r)},
 			&Advance{Notarization: randomCert(r), Unlock: randomUnlock(r)},
-			&NewView{Round: Round(i), Sender: 1, HighQC: randomCert(r), Signature: []byte("sig")},
 			&SyncResponse{Blocks: []*Block{randomBlock(r)}, Finalization: randomCert(r)},
 			&SnapshotResponse{Chain: []*Block{randomBlock(r)}, Finalization: randomCert(r)},
 			&BatchAnnounce{Origin: ReplicaID(i), Digest: [32]byte{byte(i)}, Body: randomBlock(r).Payload},

@@ -133,12 +133,3 @@ func (b *Block) String() string {
 func (b *Block) IsGenesis() bool {
 	return b.Round == 0 && b.Parent.IsZero() && b.Proposer == NoReplica
 }
-
-// HeaderEqualExceptPayload reports whether two blocks agree on everything
-// except the payload — used by equivocation tests.
-func (b *Block) HeaderEqualExceptPayload(other *Block) bool {
-	return b.Round == other.Round &&
-		b.Proposer == other.Proposer &&
-		b.Rank == other.Rank &&
-		bytes.Equal(b.Parent[:], other.Parent[:])
-}

@@ -347,11 +347,6 @@ func (e *encoder) message(m Message) error {
 	case *Advance:
 		encodeOptCert(e, v.Notarization)
 		encodeOptUnlock(e, v.Unlock)
-	case *NewView:
-		e.u64(uint64(v.Round))
-		e.u16(uint16(v.Sender))
-		encodeOptCert(e, v.HighQC)
-		e.bytes(v.Signature)
 	case *SyncRequest:
 		e.u64(uint64(v.From))
 		e.u64(uint64(v.To))
@@ -436,13 +431,6 @@ func decodeMessage(data []byte, alias bool) (Message, error) {
 		m = &CertMsg{Cert: decodeOptCert(d)}
 	case MsgAdvance:
 		m = &Advance{Notarization: decodeOptCert(d), Unlock: decodeOptUnlock(d)}
-	case MsgNewView:
-		m = &NewView{
-			Round:  Round(d.u64()),
-			Sender: ReplicaID(d.u16()),
-		}
-		m.(*NewView).HighQC = decodeOptCert(d)
-		m.(*NewView).Signature = d.bytes()
 	case MsgSyncRequest:
 		m = &SyncRequest{From: Round(d.u64()), To: Round(d.u64())}
 	case MsgSyncResponse:

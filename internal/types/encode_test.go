@@ -490,25 +490,6 @@ func TestAdvanceRoundTrip(t *testing.T) {
 	}
 }
 
-func TestNewViewRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	for i := 0; i < 200; i++ {
-		m := &NewView{
-			Round:  Round(r.Uint64() >> 16),
-			Sender: ReplicaID(r.Intn(1 << 15)),
-		}
-		if r.Intn(2) == 0 {
-			m.HighQC = randomCert(r)
-		}
-		m.Signature = make([]byte, 64)
-		r.Read(m.Signature)
-		got := roundTrip(t, m).(*NewView)
-		if !reflect.DeepEqual(got, m) {
-			t.Fatalf("round-trip mismatch:\n got %#v\nwant %#v", got, m)
-		}
-	}
-}
-
 // TestWireSizeMatchesEncoding checks WireSize equals the encoded length
 // for concrete (non-synthetic) payloads — the property the bandwidth model
 // relies on.
@@ -516,7 +497,7 @@ func TestWireSizeMatchesEncoding(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
 	for i := 0; i < 300; i++ {
 		var m Message
-		switch r.Intn(5) {
+		switch r.Intn(4) {
 		case 0:
 			b := randomBlock(r)
 			if b.Payload.IsSynthetic() {
@@ -528,10 +509,8 @@ func TestWireSizeMatchesEncoding(t *testing.T) {
 			m = &VoteMsg{Votes: []Vote{randomVote(r), randomVote(r)}}
 		case 2:
 			m = &CertMsg{Cert: randomCert(r)}
-		case 3:
-			m = &Advance{Notarization: randomCert(r), Unlock: randomUnlock(r)}
 		default:
-			m = &NewView{Round: 9, Sender: 3, HighQC: randomCert(r), Signature: []byte("sig")}
+			m = &Advance{Notarization: randomCert(r), Unlock: randomUnlock(r)}
 		}
 		enc, err := EncodeMessage(m)
 		if err != nil {
@@ -561,6 +540,7 @@ func TestDecodeErrors(t *testing.T) {
 	}{
 		{"empty", nil},
 		{"unknown kind", []byte{99}},
+		{"retired kind", []byte{5}},
 		{"truncated proposal", []byte{byte(MsgProposal), 1, 1}},
 		{"truncated vote", []byte{byte(MsgVote), 2, 0}},
 		{"trailing garbage", append(mustEncode(&CertMsg{}), 0xFF)},

@@ -18,9 +18,10 @@ const (
 	// MsgAdvance is Banyan's round-advance broadcast: the notarization and
 	// unlock proof of the block that closed the round (Addition 1, line 50).
 	MsgAdvance
-	// MsgNewView is the HotStuff pacemaker's timeout message carrying the
-	// sender's highest QC to the next leader.
-	MsgNewView
+	// Byte 5 is retired (it carried a HotStuff pacemaker message) and stays
+	// unused: the WAL decodes old inbound records by kind, so no kind may
+	// move to another byte.
+	_
 	// MsgSyncRequest asks peers for the finalized chain segment a lagging
 	// replica is missing (the catch-up subprotocol; production ICC has an
 	// equivalent state-sync component the paper leaves out of scope).
@@ -53,7 +54,7 @@ const (
 )
 
 // NumMsgKinds bounds the MsgKind values: a table indexed by kind has this
-// many entries, entry 0 naming no kind.
+// many entries, entry 0 and the retired entry 5 naming no kind.
 const NumMsgKinds = int(MsgBlockRequest) + 1
 
 func (k MsgKind) String() string {
@@ -66,8 +67,6 @@ func (k MsgKind) String() string {
 		return "cert"
 	case MsgAdvance:
 		return "advance"
-	case MsgNewView:
-		return "new-view"
 	case MsgSyncRequest:
 		return "sync-request"
 	case MsgSyncResponse:
@@ -160,17 +159,6 @@ type Advance struct {
 }
 
 func (*Advance) Kind() MsgKind { return MsgAdvance }
-
-// NewView is the HotStuff pacemaker timeout message.
-type NewView struct {
-	Round  Round
-	Sender ReplicaID
-	HighQC *Certificate
-	// Signature authenticates the (round, sender) pair.
-	Signature []byte
-}
-
-func (*NewView) Kind() MsgKind { return MsgNewView }
 
 // SyncRequest asks peers for finalized blocks in rounds [From, To]. A
 // replica that detects it is behind (a finalization certificate for a

@@ -53,7 +53,7 @@ func TestConfigFieldCounts(t *testing.T) {
 		{dissem.Config{}, 6},
 		{tcp.Config{}, 7},
 		{icc.Config{}, 7},
-		{hotstuff.Config{}, 6},
+		{hotstuff.Config{}, 5},
 		{streamlet.Config{}, 6},
 	} {
 		if got := reflect.TypeOf(c.cfg).NumField(); got != c.want {
