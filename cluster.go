@@ -57,9 +57,12 @@ type ClusterConfig struct {
 	// sync instead of block-by-block replay.
 	DeepPrune bool
 	// PruneKeep is how many rounds below the finalized height the Banyan
-	// engines retain (0 = 16): every PruneKeep finalized rounds they drop
-	// the state below fin − PruneKeep, so a replica holds between
-	// PruneKeep and 2×PruneKeep rounds.
+	// engines retain (0 = 16). Vote ledgers are held for exactly
+	// PruneKeep rounds and reused as finalization passes them; every
+	// PruneKeep finalized rounds the engines drop the rest of the state
+	// below fin − PruneKeep (blocks, batches, the WAL behind a
+	// checkpoint), so of that a replica holds between PruneKeep and
+	// 2×PruneKeep rounds.
 	PruneKeep int
 	// Dissem decouples payload dissemination from ordering: replicas cut
 	// mempool transactions into digest-addressed batches broadcast off

@@ -16,7 +16,9 @@ import (
 
 // TestAllocRegressionVoteLedger: filing the k-th fast vote of a known
 // block and re-evaluating Definition 7.6 over the round allocates nothing —
-// a bit, a slot of the signature slice, ORs and popcounts.
+// a bit, a slot of the signature slice, ORs and popcounts. Once the round
+// is reset for reuse, neither does the first fast vote for its first
+// block: the record, its map slot and its arrays are the old round's.
 func TestAllocRegressionVoteLedger(t *testing.T) {
 	const n = 19
 	params := types.Params{N: n, F: 6, P: 1}
@@ -41,6 +43,16 @@ func TestAllocRegressionVoteLedger(t *testing.T) {
 	if int(voter) != n || rs.set(types.VoteFast, lead.ID()).count() != n || !rs.peek(twin.ID()).unlocked {
 		t.Fatalf("%d voters filed, %d votes held, twin unlocked %v",
 			voter, rs.set(types.VoteFast, lead.ID()).count(), rs.peek(twin.ID()).unlocked)
+	}
+	next := types.NewBlock(2, 0, 0, lead.ID(), types.BytesPayload([]byte{4}))
+	if got := testing.AllocsPerRun(10, func() {
+		rs.reset()
+		rs.recordVote(types.VoteFast, next.ID(), 0, sig, set)
+	}); got != 0 {
+		t.Fatalf("the first fast vote of a reused round allocates %.0f times, want 0", got)
+	}
+	if rs.set(types.VoteFast, next.ID()).count() != 1 || rs.set(types.VoteFast, lead.ID()) != nil {
+		t.Fatal("the reused round does not hold exactly the new vote")
 	}
 }
 
@@ -82,25 +94,35 @@ func (m *meteredEngine) HandleTimer(id protocol.TimerID, now time.Time) []protoc
 // race detector). At n=7 and n=19 a round is left on a notarization whose
 // fast-marked signers unlock it by themselves, so no unlock proof is built
 // or taken in: a typical n=19 round 49 → 44, the most 61 → 56 (n=7: 64 →
-// 59; 58 and 61 under the race detector).
+// 59; 58 and 61 under the race detector). From PruneKeep rounds past the
+// start, finalization retires a round per round entered and the next
+// round reuses its ledger — map, records and vote-set arrays — so a
+// reused round has its own budget: typical 30 → 23 at n=4 (the most 29,
+// 31 under the race detector), and 44 → 35 at n=7 and n=19 (the most 41,
+// 43 under the race detector).
 func TestAllocRegressionFastPathRound(t *testing.T) {
 	for _, tc := range []struct {
-		params types.Params
-		self   types.ReplicaID
-		budget uint64
+		params         types.Params
+		self           types.ReplicaID
+		budget, reused uint64
 	}{
-		{types.Params{N: 4, F: 1, P: 1}, 2, 54},
-		{types.Params{N: 7, F: 2, P: 1}, 3, 62},
-		{types.Params{N: 19, F: 6, P: 1}, 7, 60},
+		{types.Params{N: 4, F: 1, P: 1}, 2, 54, 37},
+		{types.Params{N: 7, F: 2, P: 1}, 3, 62, 44},
+		{types.Params{N: 19, F: 6, P: 1}, 7, 60, 45},
 	} {
 		t.Run(fmt.Sprintf("n%d", tc.params.N), func(t *testing.T) {
-			fastPathRoundAllocs(t, tc.params, tc.self, tc.budget)
+			fastPathRoundAllocs(t, tc.params, tc.self, tc.budget, tc.reused)
 		})
 	}
 }
 
-func fastPathRoundAllocs(t *testing.T, params types.Params, self types.ReplicaID, budget uint64) {
-	const rounds = 40
+func fastPathRoundAllocs(t *testing.T, params types.Params, self types.ReplicaID, budget, reused uint64) {
+	// Rounds below fin − PruneKeep are retired, and their states reused,
+	// from about round PruneKeep+2 on; reuse is the rule from reuseFrom.
+	const (
+		rounds    = defaultPruneKeep + 24
+		reuseFrom = defaultPruneKeep + 4
+	)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	// The meter reads the process's Mallocs, so it also counts what other
 	// goroutines allocate inside a metered call. After each collection the
@@ -108,9 +130,11 @@ func fastPathRoundAllocs(t *testing.T, params types.Params, self types.ReplicaID
 	// net/netip), which allocates as it walks its maps; on the one P it
 	// runs inside whatever call it preempts, which read 61 of 56 at n=19
 	// under -run 'Dissem|Late|Repeated|Leader|Batch|Deliver|Alloc'. The
-	// engine keeps no pool or weak pointer, so its own count does not move
-	// with collections: the rounds run with the collector off, after a
-	// yield has let a cleanup that is already awake finish.
+	// engine keeps no pool or weak pointer — its spare list of retired
+	// rounds is its own and does not depend on the collector — so its own
+	// count does not move with collections: the rounds run with the
+	// collector off, after a yield has let a cleanup that is already awake
+	// finish.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	runtime.Gosched()
 	n := params.N
@@ -140,13 +164,20 @@ func fastPathRoundAllocs(t *testing.T, params types.Params, self types.ReplicaID
 	if got := metered.Metrics()["final_fast"]; got < rounds-2 {
 		t.Fatalf("%d of %d rounds finalized on the fast path", got, rounds)
 	}
+	if len(metered.spare) > 1 || len(metered.rounds) > int(defaultPruneKeep)+3 {
+		t.Errorf("%d rounds held and %d spare in steady state", len(metered.rounds), len(metered.spare))
+	}
 	set := metered.History().Genesis()
 	for r := types.Round(3); r < rounds; r++ { // the first rounds grow the engine's maps
+		limit := budget
+		if r >= reuseFrom {
+			limit = reused
+		}
 		switch allocs := metered.byRound[r]; {
 		case set.Leader(r) == self:
 			t.Logf("round %d (leader): %d allocations", r, allocs)
-		case allocs > budget:
-			t.Errorf("round %d: %d allocations at a non-leader, budget %d", r, allocs, budget)
+		case allocs > limit:
+			t.Errorf("round %d: %d allocations at a non-leader, budget %d", r, allocs, limit)
 		}
 	}
 	t.Logf("allocations per round: %v", metered.byRound)

@@ -82,9 +82,13 @@ type Config struct {
 	// benchmark.
 	DisableForwarding bool
 	// PruneKeep is how many rounds below the finalized height are retained,
-	// and the pruning cadence: every PruneKeep finalized rounds the state
-	// below fin − PruneKeep is dropped, so between PruneKeep and
-	// 2×PruneKeep rounds stay held. Zero selects the default.
+	// and the pruning cadence. Vote ledgers are held for exactly PruneKeep
+	// rounds: a round is retired, and its ledger reused, as soon as the
+	// finalized height passes fin − PruneKeep. The tree, the batch store
+	// and the WAL checkpoint keep the cadence: every PruneKeep finalized
+	// rounds the rest of the state below fin − PruneKeep is dropped, so
+	// between PruneKeep and 2×PruneKeep rounds of it stay held. Zero
+	// selects the default.
 	PruneKeep types.Round
 	// DeepPrune additionally evicts finalized block bodies below the prune
 	// floor (Tree.PruneDeep), bounding memory by the window size instead of

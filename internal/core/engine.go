@@ -28,6 +28,12 @@ type Engine struct {
 
 	round  types.Round // current round k
 	rounds map[types.Round]*roundState
+	// spare holds rounds retired below the finalized height, reset, for
+	// getRound to reuse (retireRounds); retiredBelow is the floor they were
+	// last retired under. The engine owns the list: what it holds does not
+	// depend on the garbage collector.
+	spare        []*roundState
+	retiredBelow types.Round
 
 	// extFinal holds explicit finalization certificates received from
 	// peers, per round, applied by tryFinalize.
@@ -476,9 +482,11 @@ func (e *Engine) onProposal(from types.ReplicaID, m *types.Proposal) {
 		if o != nil {
 			verifyStart = time.Now() // real time: verification is CPU-bound
 		}
-		if err := e.cfg.Verifier.VerifyBlock(b); err != nil {
-			e.met.rejected++
-			return
+		if !e.headerChecked(h.Round, id, b.Signature) {
+			if err := e.cfg.Verifier.VerifyBlock(b); err != nil {
+				e.met.rejected++
+				return
+			}
 		}
 		if o != nil && !e.replaying {
 			d := time.Since(verifyStart)
@@ -499,11 +507,13 @@ func (e *Engine) onProposal(from types.ReplicaID, m *types.Proposal) {
 		// neither the round's blocks nor the tree — nothing downstream can
 		// vote for, extend, or serve a block without its body — and only
 		// marks the body as wanted from the relayer (pull.go).
-		if err := e.cfg.Verifier.VerifyHeader(m.Header); err != nil {
-			e.met.rejected++
-			return
+		if !e.headerChecked(h.Round, id, m.Header.Signature) {
+			if err := e.cfg.Verifier.VerifyHeader(m.Header); err != nil {
+				e.met.rejected++
+				return
+			}
 		}
-		if !e.want(h.Round, id, h.Proposer, from) {
+		if !e.want(h.Round, id, h.Proposer, from, m.Header.Signature) {
 			return
 		}
 	}
@@ -551,7 +561,7 @@ func (e *Engine) onVote(v types.Vote) {
 		// A vote for a block this replica has no body for: the voter holds
 		// it (nobody votes for a body they lack), so it can be pulled from
 		// there should the proposer's copy not show up.
-		e.want(v.Round, v.Block, v.Voter, v.Voter)
+		e.want(v.Round, v.Block, v.Voter, v.Voter, nil)
 	}
 }
 
@@ -1119,11 +1129,18 @@ func (e *Engine) onSyncResponse(m *types.SyncResponse) {
 	}
 }
 
-// getRound returns (creating lazily) the state for a round.
+// getRound returns (creating lazily, from a retired round when one is
+// spare) the state for a round.
 func (e *Engine) getRound(r types.Round) *roundState {
 	rs, ok := e.rounds[r]
 	if !ok {
-		rs = newRoundState()
+		if n := len(e.spare); n > 0 {
+			rs = e.spare[n-1]
+			e.spare[n-1] = nil
+			e.spare = e.spare[:n-1]
+		} else {
+			rs = newRoundState()
+		}
 		e.rounds[r] = rs
 	}
 	return rs
@@ -1904,10 +1921,53 @@ func (e *Engine) stop(err error) {
 	}
 }
 
-// maybePrune drops the state below fin − PruneKeep each time the finalized
-// height has advanced PruneKeep rounds past the last prune.
+// Bounds on the retired rounds kept for reuse.
+const (
+	// maxSpareRounds caps the spare list. Finalization retires about one
+	// round per round entered, so in steady state it holds 0–1; a jump
+	// retires many at once, and the rest go to the collector.
+	maxSpareRounds = 4
+	// maxReusedRecords is the most block IDs a round may have named and
+	// still be reused: a round flooded with IDs (a Byzantine voter's) goes
+	// to the collector instead of pinning its records in the spare list.
+	maxReusedRecords = 8
+)
+
+// retireRounds drops the rounds below floor and keeps them, reset, for
+// getRound: nothing reads a round PruneKeep rounds below the finalized
+// height (onProposal drops it as too old, and every other message for
+// it is settled). A round past maxReusedRecords, or beyond a full spare
+// list, is left to the collector. It walks the rounds held, not the
+// round numbers below floor, so a snapshot or suffix-sync jump costs
+// what is held; it returns how many rounds it visited.
+func (e *Engine) retireRounds(floor types.Round) (visited int) {
+	if floor <= e.retiredBelow {
+		return 0
+	}
+	e.retiredBelow = floor
+	for r, rs := range e.rounds {
+		visited++
+		if r >= floor {
+			continue
+		}
+		delete(e.rounds, r)
+		if len(e.spare) < maxSpareRounds && len(rs.byID) <= maxReusedRecords {
+			rs.reset()
+			e.spare = append(e.spare, rs)
+		}
+	}
+	return visited
+}
+
+// maybePrune retires the rounds below fin − PruneKeep as soon as the
+// finalized height passes them, and drops the rest of the state below
+// that floor — tree, batch store, external finalizations — each time the
+// finalized height has advanced PruneKeep rounds past the last prune.
 func (e *Engine) maybePrune() {
 	fin := e.tree.FinalizedRound()
+	if fin > e.cfg.PruneKeep {
+		e.retireRounds(fin - e.cfg.PruneKeep)
+	}
 	if fin < e.lastPrune+e.cfg.PruneKeep {
 		return
 	}
@@ -1919,11 +1979,6 @@ func (e *Engine) maybePrune() {
 	if e.cfg.Dissem != nil {
 		e.cfg.Dissem.Compact(floor)
 		e.dropStaleDeliveries(floor)
-	}
-	for r := range e.rounds {
-		if r < floor {
-			delete(e.rounds, r)
-		}
 	}
 	for r := range e.extFinal {
 		if r < floor {

@@ -863,9 +863,10 @@ func TestRelayOnVote(t *testing.T) {
 
 // TestStaleMessagesIgnored: messages for long-finalized rounds do not
 // disturb the engine or allocate state, and after every round the engine
-// holds no round state and no tree block more than 2×PruneKeep rounds
-// below its finalized height: it prunes every PruneKeep finalized rounds,
-// down to fin − PruneKeep.
+// holds no round state more than PruneKeep rounds below its finalized
+// height — rounds are retired as finalization passes them — and no tree
+// block more than 2×PruneKeep rounds below it: the tree is pruned every
+// PruneKeep finalized rounds, down to fin − PruneKeep.
 func TestStaleMessagesIgnored(t *testing.T) {
 	const keep = 2
 	set := genesisSet(t, p411)
@@ -878,7 +879,7 @@ func TestStaleMessagesIgnored(t *testing.T) {
 		}
 		low := fin - 2*keep
 		for held := range r.eng.rounds {
-			if held < low {
+			if held < fin-keep {
 				t.Fatalf("round %d: holds state for round %d, finalized %d", round, held, fin)
 			}
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"sort"
 	"time"
 
@@ -52,6 +53,11 @@ type wantedBody struct {
 	// header relayers and voters (a replica never votes for a body it
 	// does not hold).
 	holders []types.ReplicaID
+	// sig is the proposer signature of the first header that verified for
+	// the block, nil while only votes named it: a later copy of the header
+	// or the body carrying the same signature needs no second check
+	// (headerChecked).
+	sig     []byte
 	heardAt time.Time
 	// queued marks that the pull was handed to the fetcher (Δ elapsed).
 	queued bool
@@ -59,14 +65,18 @@ type wantedBody struct {
 
 // want records that the round-r block id exists and holder has its body.
 // source is the signer whose verified signature says so: the proposer of
-// a relayed header, or the voter. It reports false when the entry was
-// refused: the round is already finalized, or a bound is hit.
-func (e *Engine) want(r types.Round, id types.BlockID, source, holder types.ReplicaID) bool {
+// a relayed header, whose signature sig is, or the voter, with sig nil.
+// It reports false when the entry was refused: the round is already
+// finalized, or a bound is hit.
+func (e *Engine) want(r types.Round, id types.BlockID, source, holder types.ReplicaID, sig []byte) bool {
 	if r <= e.tree.FinalizedRound() || holder == e.cfg.Self {
 		return false
 	}
 	key := pullKey{round: r, id: id}
 	if w, ok := e.wanted[key]; ok {
+		if w.sig == nil {
+			w.sig = sig
+		}
 		for _, h := range w.holders {
 			if h == holder {
 				return true
@@ -91,9 +101,19 @@ func (e *Engine) want(r types.Round, id types.BlockID, source, holder types.Repl
 	e.wanted[key] = &wantedBody{
 		source:  source,
 		holders: []types.ReplicaID{holder},
+		sig:     sig,
 		heardAt: e.now,
 	}
 	return true
+}
+
+// headerChecked reports whether the proposer signature sig over the
+// round-r block id was verified already: the wanted entry's header
+// carried the very same bytes. The ID covers the header and, for a body,
+// its payload hash, so only the signature check is saved.
+func (e *Engine) headerChecked(r types.Round, id types.BlockID, sig []byte) bool {
+	w := e.wanted[pullKey{round: r, id: id}]
+	return w != nil && w.sig != nil && bytes.Equal(w.sig, sig)
 }
 
 // bodyArrived forgets the wanted entry of a block whose body just landed

@@ -475,3 +475,57 @@ func TestReplayHeaderWithoutBodyRepulls(t *testing.T) {
 		t.Fatal("restarted replica did not vote once the body was pulled")
 	}
 }
+
+// TestWantedHeaderVerifiedOnce: a wanted entry made from a verified
+// header keeps its signature, so another relay of that header and the
+// body carrying the same signature cost no second check; the same ID
+// under other signature bytes is checked, and an entry made from a vote
+// verifies the first header that reaches it.
+func TestWantedHeaderVerifiedOnce(t *testing.T) {
+	set := genesisSet(t, p411)
+	r := newRig(t, p411, set.ReplicaAt(1, 3))
+	b := r.leaderBlock(1, types.Genesis().ID(), 1)
+	relay := func() *types.Proposal { return &types.Proposal{Header: b.SignedHeader(), Relayed: true} }
+	flipped := append([]byte(nil), b.Signature...)
+	flipped[0] ^= 1
+
+	r.deliver(set.ReplicaAt(1, 1), relay())
+	checked := sigsVerified(r)
+	r.deliver(set.ReplicaAt(1, 2), relay())
+	if got := sigsVerified(r); got != checked {
+		t.Fatalf("an identical header relay verified %d signatures, want 0", got-checked)
+	}
+	if w := r.eng.wanted[pullKey{round: 1, id: b.ID()}]; w == nil || len(w.holders) != 2 {
+		t.Fatalf("second relayer not recorded as a holder: %+v", w)
+	}
+
+	rejected := r.eng.Metrics()["rejected"]
+	forged := relay()
+	forged.Header.Signature = flipped
+	r.deliver(set.ReplicaAt(1, 1), forged)
+	forgedBody := types.NewBlock(b.Round, b.Proposer, b.Rank, b.Parent, b.Payload)
+	forgedBody.Signature = flipped
+	r.deliver(b.Proposer, &types.Proposal{Block: forgedBody})
+	if got := sigsVerified(r); got != checked+2 || r.eng.Metrics()["rejected"] != rejected+2 {
+		t.Fatalf("same ID, other signature: %d checked, %d rejected; want 2 and 2",
+			got-checked, r.eng.Metrics()["rejected"]-rejected)
+	}
+
+	r.deliver(b.Proposer, &types.Proposal{Block: b})
+	if got := sigsVerified(r); got != checked+2 || r.eng.getRound(1).block(b.ID()) == nil {
+		t.Fatalf("body with the checked signature: %d verified, held %v",
+			got-checked-2, r.eng.getRound(1).block(b.ID()) != nil)
+	}
+
+	// An entry a vote made holds no header signature: the first header
+	// that reaches it is checked, the next is not.
+	late := r.rankedBlock(1, 1, types.Genesis().ID(), 2)
+	r.deliver(set.ReplicaAt(1, 2), &types.VoteMsg{Votes: []types.Vote{r.notarVote(set.ReplicaAt(1, 2), late)}})
+	checked = sigsVerified(r)
+	for i := 0; i < 2; i++ {
+		r.deliver(set.ReplicaAt(1, 1), &types.Proposal{Header: late.SignedHeader(), Relayed: true})
+	}
+	if got := sigsVerified(r); got != checked+1 {
+		t.Fatalf("two relays onto a vote-made entry verified %d signatures, want 1", got-checked)
+	}
+}

@@ -28,6 +28,9 @@ type roundState struct {
 	// for it, a certificate, an unlock proof, this replica's own vote). Nil
 	// until then.
 	byID map[types.BlockID]*blockState
+	// spare lists, through their next links, the records a reset cleared,
+	// for recFor to reuse.
+	spare *blockState
 
 	// gen counts the changes to what Definition 7.6 is evaluated over — a
 	// vote filed, a block received, the ledgers scrubbed — and unlockGen is
@@ -103,9 +106,32 @@ type blockState struct {
 	// VoteNotarize ledger holds only the bare ones: a second block in the
 	// round, the no-fast-path configuration, or a Byzantine voter.
 	votes [types.VoteFast + 1]voteSet
+	// next links a cleared record into its round's spare list.
+	next *blockState
 }
 
 func newRoundState() *roundState { return &roundState{} }
+
+// reset clears the round for reuse as another one, keeping what it
+// allocated: the map, the records, and each vote set's arrays, cleared
+// and cut to length 0 so that no block, certificate or signature of the
+// old round stays reachable through them (recordVote reslices them).
+func (rs *roundState) reset() {
+	for _, r := range rs.byID {
+		votes := r.votes
+		*r = blockState{}
+		for kind, vs := range votes {
+			clear(vs.voters)
+			clear(vs.sigs)
+			r.votes[kind] = voteSet{voters: vs.voters[:0], sigs: vs.sigs[:0]}
+		}
+		r.next, rs.spare = rs.spare, r
+	}
+	clear(rs.byID)
+	clear(rs.notarTimers)
+	clear(rs.served)
+	*rs = roundState{byID: rs.byID, spare: rs.spare, notarTimers: rs.notarTimers[:0], served: rs.served[:0]}
+}
 
 // rec returns the record of a block ID, nil when the round holds nothing
 // for it.
@@ -118,7 +144,11 @@ func (rs *roundState) recFor(id types.BlockID) *blockState {
 		if rs.byID == nil {
 			rs.byID = make(map[types.BlockID]*blockState)
 		}
-		r = &blockState{}
+		if r = rs.spare; r != nil {
+			rs.spare, r.next = r.next, nil
+		} else {
+			r = &blockState{}
+		}
 		rs.byID[id] = r
 	}
 	return r
@@ -203,7 +233,8 @@ func (rs *roundState) markNotarTimer(rank types.Rank) bool {
 // first vote arrives to the span of the round's validator set, which
 // bounds every ID recordVote lets in. IDs are never reused or re-keyed, so
 // an index means the same replica in every epoch. Readers walk the
-// bitset, in voter order.
+// bitset, in voter order. Both arrays are zero past their length, so a
+// set reset to length 0 is resliced, not remade.
 type voteSet struct {
 	voters types.VoterSet
 	sigs   [][]byte
@@ -224,7 +255,7 @@ func (vs *voteSet) count() int {
 // none: a set exists once sized by its first vote. A nil record holds
 // none.
 func (r *blockState) set(kind types.VoteKind) *voteSet {
-	if r == nil || r.votes[kind].sigs == nil {
+	if r == nil || len(r.votes[kind].sigs) == 0 {
 		return nil
 	}
 	return &r.votes[kind]
@@ -259,13 +290,17 @@ func (rs *roundState) recordVote(kind types.VoteKind, block types.BlockID, voter
 	}
 	r := rs.recFor(block)
 	vs := &r.votes[kind]
-	if int(voter) >= len(vs.sigs) {
+	if span := set.Span(); int(voter) >= len(vs.sigs) {
 		// The block's first vote of the kind — or a later epoch, with a
 		// joiner's higher ID, took the round over since that sized the set.
-		voters, sigs := types.NewVoterSet(set.Span()), make([][]byte, set.Span())
-		copy(voters, vs.voters)
-		copy(sigs, vs.sigs)
-		vs.voters, vs.sigs = voters, sigs
+		if words := (span + 63) / 64; cap(vs.sigs) >= span && cap(vs.voters) >= words {
+			vs.voters, vs.sigs = vs.voters[:words], vs.sigs[:span]
+		} else {
+			voters, sigs := types.NewVoterSet(span), make([][]byte, span)
+			copy(voters, vs.voters)
+			copy(sigs, vs.sigs)
+			vs.voters, vs.sigs = voters, sigs
+		}
 	}
 	vs.voters.Add(voter)
 	vs.sigs[voter] = sig

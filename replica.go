@@ -53,8 +53,10 @@ type ReplicaConfig struct {
 	// Replica at an empty WALDir and Start it).
 	DeepPrune bool
 	// PruneKeep is how many rounds below the finalized height the engine
-	// retains (0 = 16), and how often, in finalized rounds, it drops the
-	// rest; see ClusterConfig.PruneKeep.
+	// retains (0 = 16): exactly that many rounds of vote ledgers, reused
+	// as finalization passes them, and, dropped every PruneKeep finalized
+	// rounds, between PruneKeep and 2×PruneKeep rounds of blocks, batches
+	// and WAL; see ClusterConfig.PruneKeep.
 	PruneKeep int
 	// Dissem decouples payload dissemination from ordering (see
 	// ClusterConfig.Dissem): batches travel out-of-band, blocks commit
