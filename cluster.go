@@ -57,8 +57,9 @@ type ClusterConfig struct {
 	// sync instead of block-by-block replay.
 	DeepPrune bool
 	// PruneKeep is how many rounds below the finalized height the Banyan
-	// engines retain (0 = 16). Vote ledgers are held for exactly
-	// PruneKeep rounds and reused as finalization passes them; every
+	// engines retain (0 = 16). Vote ledgers are held from fin − PruneKeep
+	// up (PruneKeep+1 finalized rounds plus the open ones) and reused as
+	// finalization passes them; every
 	// PruneKeep finalized rounds the engines drop the rest of the state
 	// below fin − PruneKeep (blocks, batches, the WAL behind a
 	// checkpoint), so of that a replica holds between PruneKeep and

@@ -82,9 +82,10 @@ type Config struct {
 	// benchmark.
 	DisableForwarding bool
 	// PruneKeep is how many rounds below the finalized height are retained,
-	// and the pruning cadence. Vote ledgers are held for exactly PruneKeep
-	// rounds: a round is retired, and its ledger reused, as soon as the
-	// finalized height passes fin − PruneKeep. The tree, the batch store
+	// and the pruning cadence. Vote ledgers are held from fin − PruneKeep
+	// up (PruneKeep+1 finalized rounds plus the open ones): a round is
+	// retired, and its ledger reused, as soon as the finalized height
+	// passes fin − PruneKeep. The tree, the batch store
 	// and the WAL checkpoint keep the cadence: every PruneKeep finalized
 	// rounds the rest of the state below fin − PruneKeep is dropped, so
 	// between PruneKeep and 2×PruneKeep rounds of it stay held. Zero

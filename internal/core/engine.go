@@ -1939,14 +1939,13 @@ const (
 // it is settled). A round past maxReusedRecords, or beyond a full spare
 // list, is left to the collector. It walks the rounds held, not the
 // round numbers below floor, so a snapshot or suffix-sync jump costs
-// what is held; it returns how many rounds it visited.
-func (e *Engine) retireRounds(floor types.Round) (visited int) {
+// what is held.
+func (e *Engine) retireRounds(floor types.Round) {
 	if floor <= e.retiredBelow {
-		return 0
+		return
 	}
 	e.retiredBelow = floor
 	for r, rs := range e.rounds {
-		visited++
 		if r >= floor {
 			continue
 		}
@@ -1956,7 +1955,6 @@ func (e *Engine) retireRounds(floor types.Round) (visited int) {
 			e.spare = append(e.spare, rs)
 		}
 	}
-	return visited
 }
 
 // maybePrune retires the rounds below fin − PruneKeep as soon as the

@@ -178,9 +178,10 @@ func TestRecycledRoundMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestRetiredRoundsStayBounded: a jump of over 10 000 rounds visits only
-// the rounds held, the spare list never passes its cap, and a round
-// flooded with block IDs is not kept for reuse.
+// TestRetiredRoundsStayBounded: a jump of over 10 000 rounds retires
+// every held round below the floor in one pass, a second pass under the
+// same floor does nothing, the spare list never passes its cap, and a
+// round flooded with block IDs is not kept for reuse.
 func TestRetiredRoundsStayBounded(t *testing.T) {
 	set := genesisSet(t, p411)
 	r := newRig(t, p411, set.ReplicaAt(1, 3))
@@ -197,9 +198,11 @@ func TestRetiredRoundsStayBounded(t *testing.T) {
 	for round := types.Round(jump); round < jump+5; round++ {
 		e.getRound(round)
 	}
-	held := len(e.rounds)
-	if visited := e.retireRounds(jump); visited != held {
-		t.Fatalf("a jump to round %d visited %d rounds, %d held", jump, visited, held)
+	e.retireRounds(jump)
+	for round := range e.rounds {
+		if round < jump {
+			t.Fatalf("round %d still held after retiring below %d", round, jump)
+		}
 	}
 	if len(e.rounds) != 5 || len(e.spare) != maxSpareRounds {
 		t.Fatalf("%d rounds held and %d spare after the jump, want 5 and %d", len(e.rounds), len(e.spare), maxSpareRounds)
@@ -209,9 +212,13 @@ func TestRetiredRoundsStayBounded(t *testing.T) {
 			t.Fatal("a round flooded with block IDs was kept for reuse")
 		}
 	}
-	if visited := e.retireRounds(jump); visited != 0 {
-		t.Fatalf("retiring under the same floor again visited %d rounds", visited)
+	stale := newRoundState()
+	e.rounds[jump-1] = stale
+	e.retireRounds(jump)
+	if e.rounds[jump-1] != stale {
+		t.Fatal("retiring under the same floor again walked the rounds")
 	}
+	delete(e.rounds, jump-1)
 	for i := 0; i < maxSpareRounds; i++ {
 		e.getRound(jump + 5 + types.Round(i))
 	}

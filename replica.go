@@ -53,8 +53,9 @@ type ReplicaConfig struct {
 	// Replica at an empty WALDir and Start it).
 	DeepPrune bool
 	// PruneKeep is how many rounds below the finalized height the engine
-	// retains (0 = 16): exactly that many rounds of vote ledgers, reused
-	// as finalization passes them, and, dropped every PruneKeep finalized
+	// retains (0 = 16): vote ledgers from fin − PruneKeep up (PruneKeep+1
+	// finalized rounds plus the open ones), reused as finalization passes
+	// them, and, dropped every PruneKeep finalized
 	// rounds, between PruneKeep and 2×PruneKeep rounds of blocks, batches
 	// and WAL; see ClusterConfig.PruneKeep.
 	PruneKeep int
