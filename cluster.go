@@ -51,10 +51,13 @@ type ClusterConfig struct {
 	// checkpoint summarizes.
 	WALDir string
 	// DeepPrune evicts finalized block bodies below the Banyan engines'
-	// prune floor. Replicas then hold (and can serve catch-up from) only
-	// a bounded window of the chain; peers that fall behind that window —
-	// fresh joiners, disk-loss restarts — recover via peer snapshot state
-	// sync instead of block-by-block replay.
+	// prune floor. Without it a replica keeps every finalized body (its
+	// block tree's maps hold only the recent rounds; the finalized chain
+	// is a log beside them) and serves catch-up from its whole history.
+	// With it replicas hold (and can serve catch-up from) only a bounded
+	// window of the chain; peers that fall behind that window — fresh
+	// joiners, disk-loss restarts — recover via peer snapshot state sync
+	// instead of block-by-block replay.
 	DeepPrune bool
 	// PruneKeep is how many rounds below the finalized height the Banyan
 	// engines retain (0 = 16). Vote ledgers are held from fin − PruneKeep

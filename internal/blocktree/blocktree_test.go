@@ -176,6 +176,21 @@ func TestStreamletStyleGaps(t *testing.T) {
 	if err != nil || len(chain) != 1 {
 		t.Fatalf("chain=%d err=%v", len(chain), err)
 	}
+	// A gap across the log's chunks: the skipped rounds read as empty.
+	b4 := types.NewBlock(3*logChunk, 3, 0, b3.ID(), types.BytesPayload([]byte("d")))
+	tr.Add(b4)
+	if _, err := tr.Finalize(b4.ID()); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := tr.FinalizedAt(logChunk); ok {
+		t.Fatal("a skipped round reads as finalized")
+	}
+	if got, ok := tr.FinalizedBlock(b4.Round); !ok || got != b4 || tr.Length(b4.ID()) != 4 {
+		t.Fatalf("round %d: block %v, length %d", b4.Round, ok, tr.Length(b4.ID()))
+	}
+	if ids := tr.FinalizedChain(); len(ids) != 4 || ids[3] != b4.ID() {
+		t.Fatalf("FinalizedChain lists %d blocks", len(ids))
+	}
 }
 
 func TestNotarization(t *testing.T) {
@@ -236,7 +251,8 @@ func TestPrune(t *testing.T) {
 		if tr.Contains(forks[i].ID()) {
 			t.Fatalf("fork at round %d survived pruning", i+1)
 		}
-		if !tr.Contains(blocks[i].ID()) {
+		// The finalized block left the window but not the log.
+		if got, ok := tr.FinalizedBlock(blocks[i].Round); !ok || got != blocks[i] {
 			t.Fatalf("finalized block at round %d was pruned", i+1)
 		}
 	}
@@ -245,6 +261,87 @@ func TestPrune(t *testing.T) {
 	}
 	if got := tr.FinalizedRound(); got != 10 {
 		t.Fatalf("finalized round %d after pruning, want 10", got)
+	}
+	if got := len(tr.FinalizedChain()); got != 10 {
+		t.Fatalf("FinalizedChain has %d entries after pruning, want 10", got)
+	}
+	// Conflicts stay detected: the surviving fork at a finalized round,
+	// and a chain through it that would join the finalized prefix below
+	// its tip.
+	if _, err := tr.Finalize(forks[8].ID()); !errors.Is(err, ErrSafetyViolation) {
+		t.Fatalf("finalizing a fork below the tip: err=%v, want safety violation", err)
+	}
+	past := types.NewBlock(11, 0, 0, forks[8].ID(), types.BytesPayload([]byte{0xEE}))
+	tr.Add(past)
+	if _, err := tr.Finalize(past.ID()); !errors.Is(err, ErrSafetyViolation) {
+		t.Fatalf("finalizing a chain through a fork: err=%v, want safety violation", err)
+	}
+	if _, err := tr.AdoptFinalized(chainBlocks(12, 2)[1:]); !errors.Is(err, ErrSafetyViolation) {
+		t.Fatalf("adopting a window that conflicts below the floor: err=%v", err)
+	}
+}
+
+// TestPruneHoldsOnlyTheWindow: however long the finalized chain grows,
+// the block-ID-keyed maps hold only the prune window — at most 2×keep+1
+// rounds, genesis included — while the log lists the whole chain. Only
+// the log's bodies tell the two modes apart.
+func TestPruneHoldsOnlyTheWindow(t *testing.T) {
+	const (
+		rounds = 10000
+		keep   = 16
+	)
+	for _, deep := range []bool{false, true} {
+		t.Run(fmt.Sprintf("deep=%v", deep), func(t *testing.T) {
+			tr := New()
+			parent := types.Genesis().ID()
+			var first *types.Block
+			for r := types.Round(1); r <= rounds; r++ {
+				b := types.NewBlock(r, 0, 0, parent, types.BytesPayload([]byte{byte(r), byte(r >> 8)}))
+				fork := types.NewBlock(r, 1, 1, parent, types.BytesPayload([]byte{0xFF, byte(r)}))
+				tr.Add(b)
+				tr.Add(fork)
+				tr.MarkNotarized(fork.ID())
+				if _, err := tr.Finalize(b.ID()); err != nil {
+					t.Fatal(err)
+				}
+				if first == nil {
+					first = b
+				}
+				parent = b.ID()
+				if r%keep == 0 && r > keep {
+					if deep {
+						tr.PruneDeep(r - keep)
+					} else {
+						tr.Prune(r - keep)
+					}
+				}
+				if len(tr.byRound) > 2*keep+1 {
+					t.Fatalf("round %d: window holds %d rounds, want at most %d", r, len(tr.byRound), 2*keep+1)
+				}
+			}
+			// Two blocks per round, genesis alone at round 0.
+			if limit := 2*(len(tr.byRound)-1) + 1; len(tr.blocks) > limit || len(tr.notarized) > limit || len(tr.lengths) > limit {
+				t.Fatalf("maps hold %d blocks, %d notarization marks, %d lengths over %d rounds",
+					len(tr.blocks), len(tr.notarized), len(tr.lengths), len(tr.byRound))
+			}
+			chain := tr.FinalizedChain()
+			if len(chain) != rounds || chain[0] != first.ID() || chain[rounds-1] != parent {
+				t.Fatalf("FinalizedChain lists %d of %d rounds", len(chain), rounds)
+			}
+			if id, ok := tr.FinalizedAt(1); !ok || id != first.ID() {
+				t.Fatal("FinalizedAt(1) lost")
+			}
+			got, ok := tr.FinalizedBlock(1)
+			switch {
+			case deep && ok:
+				t.Fatal("FinalizedBlock(1) serves a body after deep pruning")
+			case !deep && (!ok || got != first):
+				t.Fatal("FinalizedBlock(1) lost the body without deep pruning")
+			}
+			if l := tr.Length(parent); l != rounds {
+				t.Fatalf("tip length %d, want %d", l, rounds)
+			}
+		})
 	}
 }
 
@@ -350,6 +447,41 @@ func TestAdoptFinalizedFreshTree(t *testing.T) {
 	}
 }
 
+// TestAdoptFinalizedFarAhead: a window far above the finalized tip costs
+// the window, not the rounds below it: the log restarts at the window's
+// floor.
+func TestAdoptFinalizedFarAhead(t *testing.T) {
+	const floor = 1_000_000
+	tr := New()
+	parent := types.BlockID{0xAB}
+	window := make([]*types.Block, 8)
+	for i := range window {
+		window[i] = types.NewBlock(floor+types.Round(i), 0, 0, parent, types.BytesPayload([]byte{byte(i)}))
+		parent = window[i].ID()
+	}
+	added, err := tr.AdoptFinalized(window)
+	if err != nil || len(added) != len(window) {
+		t.Fatalf("added %d blocks, err %v", len(added), err)
+	}
+	if len(tr.final) != 1 || len(tr.final[0]) != len(window) {
+		t.Fatalf("log holds %d chunks for a %d-block window", len(tr.final), len(window))
+	}
+	if got := len(tr.FinalizedChain()); got != len(window) {
+		t.Fatalf("FinalizedChain has %d entries, want %d", got, len(window))
+	}
+	if _, ok := tr.FinalizedAt(floor - 1); ok {
+		t.Fatal("a round below the window reads as finalized")
+	}
+	if id, ok := tr.FinalizedAt(0); !ok || id != types.Genesis().ID() {
+		t.Fatal("genesis is no longer finalized")
+	}
+	next := types.NewBlock(floor+8, 1, 0, parent, types.BytesPayload([]byte{9}))
+	tr.Add(next)
+	if chain, err := tr.Finalize(next.ID()); err != nil || len(chain) != 1 {
+		t.Fatalf("Finalize after a far adopt: chain=%d err=%v", len(chain), err)
+	}
+}
+
 // TestAdoptFinalizedOnPopulatedTree: adoption on a live tree returns only
 // the rounds above the old finalized height and tolerates overlap that
 // agrees with the prefix.
@@ -404,7 +536,7 @@ func TestAdoptFinalizedRejections(t *testing.T) {
 }
 
 // TestPruneDeep: block bodies below the floor are dropped while the
-// finalized ID map (conflict detection, FinalizedChain) survives.
+// finalized log's IDs (conflict detection, FinalizedChain) survive.
 func TestPruneDeep(t *testing.T) {
 	tr := New()
 	blocks := chainBlocks(30, 7)

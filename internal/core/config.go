@@ -88,14 +88,19 @@ type Config struct {
 	// passes fin − PruneKeep. The tree, the batch store
 	// and the WAL checkpoint keep the cadence: every PruneKeep finalized
 	// rounds the rest of the state below fin − PruneKeep is dropped, so
-	// between PruneKeep and 2×PruneKeep rounds of it stay held. Zero
-	// selects the default.
+	// between PruneKeep and 2×PruneKeep rounds of it stay held — all but
+	// the tree's finalized log, which keeps every finalized block's ID
+	// (and body, without DeepPrune). Zero selects the default.
 	PruneKeep types.Round
-	// DeepPrune additionally evicts finalized block bodies below the prune
-	// floor (Tree.PruneDeep), bounding memory by the window size instead of
-	// chain length. A deep-pruned replica cannot serve chain-suffix sync
-	// below its window; peers that far behind recover via snapshot state
-	// sync, which this option therefore depends on for cluster liveness.
+	// DeepPrune decides whether the tree's finalized log keeps the bodies
+	// of the blocks below the prune floor (Tree.PruneDeep drops them):
+	// with it, memory is bounded by the window size instead of chain
+	// length. Either way the tree's block maps hold only the window and
+	// the log keeps every finalized ID. A deep-pruned replica cannot serve
+	// chain-suffix sync below its window; peers that far behind recover
+	// via snapshot state sync, which this option therefore depends on for
+	// cluster liveness. Without it a replica serves suffix sync from its
+	// whole finalized history.
 	DeepPrune bool
 	// Dissem, when set, decouples payload dissemination from ordering: the
 	// store replaces Payloads (proposals commit batch digests instead of

@@ -106,6 +106,10 @@ type Engine struct {
 	// unfinalized parent chain.
 	chainScratch []types.BatchRef
 
+	// acts backs the action list Start, HandleMessage and HandleTimer
+	// return: the host consumes it before its next call (actions).
+	acts []protocol.Action
+
 	lastPrune types.Round
 
 	met struct {
@@ -223,9 +227,17 @@ func (e *Engine) History() *membership.History { return e.history }
 // Start implements protocol.Engine: the replica enters round 1.
 func (e *Engine) Start(now time.Time) []protocol.Action {
 	e.now = now
-	var acts []protocol.Action
-	acts = e.enterRound(1, now, acts)
-	return e.progress(now, acts)
+	acts := e.enterRound(1, now, e.actions())
+	e.acts = e.progress(now, acts)
+	return e.acts
+}
+
+// actions returns the engine's action list, emptied for the call about to
+// fill it. The previous call's list is valid only until this call (the
+// protocol.Engine contract); clearing it releases the messages it held.
+func (e *Engine) actions() []protocol.Action {
+	clear(e.acts)
+	return e.acts[:0]
 }
 
 // HandleMessage implements protocol.Engine.
@@ -270,7 +282,8 @@ func (e *Engine) HandleMessage(from types.ReplicaID, msg types.Message, now time
 		e.met.rejected++
 		return nil
 	}
-	return e.progress(now, nil)
+	e.acts = e.progress(now, e.actions())
+	return e.acts
 }
 
 // HandleTimer implements protocol.Engine. Most timers carry no state of
@@ -281,7 +294,7 @@ func (e *Engine) HandleTimer(id protocol.TimerID, now time.Time) []protocol.Acti
 		return nil
 	}
 	e.now = now
-	var acts []protocol.Action
+	acts := e.actions()
 	if id.Kind == protocol.TimerResend && id.Round == e.round {
 		acts = e.resendRound(now, acts)
 	}
@@ -300,7 +313,8 @@ func (e *Engine) HandleTimer(id protocol.TimerID, now time.Time) []protocol.Acti
 			return nil // the body landed before it fell overdue: the common case
 		}
 	}
-	return e.progress(now, acts)
+	e.acts = e.progress(now, acts)
+	return e.acts
 }
 
 // resendRound rebroadcasts this replica's state for a round it has been
@@ -1067,11 +1081,7 @@ func (e *Engine) onSyncRequest(from types.ReplicaID, m *types.SyncRequest) []pro
 	resp := &types.SyncResponse{Finalization: e.latestFinal}
 	size := types.EncodedSize(resp)
 	for r := start; r <= end; r++ {
-		id, ok := e.tree.FinalizedAt(r)
-		if !ok {
-			break
-		}
-		b, ok := e.tree.Block(id)
+		b, ok := e.tree.FinalizedBlock(r)
 		if !ok {
 			break
 		}

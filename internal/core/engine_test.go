@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -53,7 +54,9 @@ func newRig(t *testing.T, params types.Params, self types.ReplicaID, opts ...fun
 		eng:     eng,
 		now:     time.Unix(0, 0),
 	}
-	r.acts = eng.Start(r.now)
+	// The engine reuses its action list from call to call; the rig keeps
+	// its own copy of everything returned.
+	r.acts = slices.Clone(eng.Start(r.now))
 	return r
 }
 

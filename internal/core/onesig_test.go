@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -354,7 +355,7 @@ func TestReplayOldAndNewVoteForms(t *testing.T) {
 
 		// Second life, live: the leader's twin shows up and wins the round.
 		twin := r.leaderBlock(1, types.Genesis().ID(), 'z')
-		acts := eng.HandleMessage(twin.Proposer, r.proposalFor(twin), now)
+		acts := slices.Clone(eng.HandleMessage(twin.Proposer, r.proposalFor(twin), now))
 		for _, p := range []types.ReplicaID{set.ReplicaAt(1, 2), set.ReplicaAt(1, 3)} {
 			acts = append(acts, eng.HandleMessage(p, fastVoteMsg(r, p, twin), now)...)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -447,7 +448,7 @@ func TestReplayHeaderWithoutBodyRepulls(t *testing.T) {
 	e := replayRig(t, r)
 	restart := r.now.Add(time.Hour)
 	e.BeginReplay()
-	acts := e.Start(restart)
+	acts := slices.Clone(e.Start(restart))
 	acts = append(acts, e.HandleMessage(relayer, relay, restart)...)
 	for _, a := range acts {
 		switch a.(type) {

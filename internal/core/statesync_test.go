@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -28,7 +29,7 @@ func newWindowServer(t *testing.T, rounds types.Round) *rig {
 		t.Fatalf("setup: server finalized only %d rounds", fin)
 	}
 	if _, ok := r.eng.Tree().FinalizedAt(1); !ok {
-		t.Fatal("setup: finalized ID map must survive deep pruning")
+		t.Fatal("setup: finalized IDs must survive deep pruning")
 	}
 	if id, _ := r.eng.Tree().FinalizedAt(1); r.eng.Tree().Contains(id) {
 		t.Fatal("setup: server still holds round-1 block; deep prune did not run")
@@ -238,7 +239,7 @@ func TestSnapshotFetchRotatesPeerOnTimeout(t *testing.T) {
 	// Before the deadline: the timer fire re-arms without resending.
 	fresh.clearActs()
 	fresh.now = fresh.now.Add(time.Millisecond)
-	fresh.acts = fresh.eng.HandleTimer(protocol.TimerID{Kind: protocol.TimerStateSync}, fresh.now)
+	fresh.acts = slices.Clone(fresh.eng.HandleTimer(protocol.TimerID{Kind: protocol.TimerStateSync}, fresh.now))
 	if len(sends[*types.SnapshotRequest](fresh)) != 0 {
 		t.Fatal("resent before the per-peer deadline")
 	}
@@ -246,7 +247,7 @@ func TestSnapshotFetchRotatesPeerOnTimeout(t *testing.T) {
 	// Past the deadline: rotate to the next peer.
 	fresh.clearActs()
 	fresh.now = fresh.now.Add(8 * rigDelta)
-	fresh.acts = fresh.eng.HandleTimer(protocol.TimerID{Kind: protocol.TimerStateSync}, fresh.now)
+	fresh.acts = slices.Clone(fresh.eng.HandleTimer(protocol.TimerID{Kind: protocol.TimerStateSync}, fresh.now))
 	retries := sends[*types.SnapshotRequest](fresh)
 	if len(retries) != 1 {
 		t.Fatalf("expected one retry, got %d", len(retries))

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -102,6 +104,51 @@ func TestSyncRequestServesFinalizedChain(t *testing.T) {
 		if _, ok := a.(protocol.Send); ok {
 			t.Fatal("responded to a request beyond the finalized prefix")
 		}
+	}
+}
+
+// TestPrunedReplicaServesSuffixSync: after 200 rounds at PruneKeep 4,
+// round 1 has long left either replica's prune window. A shallow-pruned
+// replica still answers a SyncRequest for rounds 1..10 with the original
+// blocks, from its finalized log; a deep-pruned one has dropped their
+// bodies and serves none (its peers that far behind take a snapshot).
+func TestPrunedReplicaServesSuffixSync(t *testing.T) {
+	for _, deep := range []bool{false, true} {
+		t.Run(fmt.Sprintf("deep=%v", deep), func(t *testing.T) {
+			set := genesisSet(t, p411)
+			r := newRig(t, p411, set.Leader(1), func(c *Config) {
+				c.PruneKeep = 4
+				c.DeepPrune = deep
+			})
+			chain := buildFinalizedChain(t, r, 200)
+			if fin := r.eng.Tree().FinalizedRound(); fin < 190 {
+				t.Fatalf("setup: finalized only %d rounds", fin)
+			}
+			if r.eng.Tree().Contains(chain[0].ID()) {
+				t.Fatal("setup: round 1 is still in the prune window")
+			}
+			r.clearActs()
+			r.deliver(2, &types.SyncRequest{From: 1, To: 10})
+			resp := sends[*types.SyncResponse](r)
+			if deep {
+				if len(resp) != 0 {
+					t.Fatal("a deep-pruned replica served rounds below its window")
+				}
+				return
+			}
+			if len(resp) != 1 {
+				t.Fatalf("%d sync responses, want 1", len(resp))
+			}
+			blocks := resp[0].Msg.(*types.SyncResponse).Blocks
+			if len(blocks) != 10 {
+				t.Fatalf("response has %d blocks, want 10 (rounds 1..10)", len(blocks))
+			}
+			for i, b := range blocks {
+				if b != chain[i] {
+					t.Fatalf("response block %d is not the original round-%d block", i, i+1)
+				}
+			}
+		})
 	}
 }
 
@@ -255,7 +302,7 @@ func TestSuffixSyncRotatesPeerOnTimeout(t *testing.T) {
 	// Before the deadline: the timer fire re-arms without resending.
 	lag.clearActs()
 	lag.now = lag.now.Add(time.Millisecond)
-	lag.acts = lag.eng.HandleTimer(timer.ID, lag.now)
+	lag.acts = slices.Clone(lag.eng.HandleTimer(timer.ID, lag.now))
 	if len(sends[*types.SyncRequest](lag)) != 0 {
 		t.Fatal("resent before the per-peer deadline")
 	}
@@ -263,7 +310,7 @@ func TestSuffixSyncRotatesPeerOnTimeout(t *testing.T) {
 	// At the deadline: the same segment goes to the next peer.
 	lag.clearActs()
 	lag.now = timer.At
-	lag.acts = lag.eng.HandleTimer(timer.ID, lag.now)
+	lag.acts = slices.Clone(lag.eng.HandleTimer(timer.ID, lag.now))
 	retries := sends[*types.SyncRequest](lag)
 	if len(retries) != 1 {
 		t.Fatalf("expected one retry, got %d", len(retries))
@@ -363,14 +410,14 @@ func TestResendAfterStall(t *testing.T) {
 		if i > 0 {
 			r.clearActs()
 			r.now = r.now.Add(interval)
-			r.acts = r.eng.HandleTimer(protocol.TimerID{Round: 1, Kind: protocol.TimerResend}, r.now)
+			r.acts = slices.Clone(r.eng.HandleTimer(protocol.TimerID{Round: 1, Kind: protocol.TimerResend}, r.now))
 			if len(sends[*types.SyncRequest](r)) != 1 {
 				t.Fatalf("resend %d did not probe", i+1)
 			}
 		}
 		r.clearActs()
 		r.now = r.now.Add(2 * rigDelta)
-		r.acts = r.eng.HandleTimer(protocol.TimerID{Kind: protocol.TimerSuffixSync}, r.now)
+		r.acts = slices.Clone(r.eng.HandleTimer(protocol.TimerID{Kind: protocol.TimerSuffixSync}, r.now))
 		if n := len(sends[*types.SyncRequest](r)); n != 0 {
 			t.Fatalf("probe %d re-sent %d times at its deadline", i+1, n)
 		}
@@ -384,7 +431,7 @@ func TestResendAfterStall(t *testing.T) {
 
 	// A stale resend fire (old round) does nothing.
 	r.clearActs()
-	r.acts = r.eng.HandleTimer(protocol.TimerID{Round: 0, Kind: protocol.TimerResend}, r.now)
+	r.acts = slices.Clone(r.eng.HandleTimer(protocol.TimerID{Round: 0, Kind: protocol.TimerResend}, r.now))
 	if len(broadcasts[*types.VoteMsg](r)) != 0 {
 		t.Fatal("stale resend timer rebroadcast votes")
 	}

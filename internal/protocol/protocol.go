@@ -174,7 +174,9 @@ func (m FinalizationMode) String() string {
 //
 // Hosts guarantee single-threaded access: calls never overlap. All methods
 // receive the host's current time and return the actions to execute, in
-// order.
+// order. A returned slice is valid until the engine's next Start,
+// HandleMessage or HandleTimer call, which may reuse its backing array: a
+// host consumes the actions, or copies them, before it calls in again.
 type Engine interface {
 	// ID is the replica this engine instance runs for.
 	ID() types.ReplicaID

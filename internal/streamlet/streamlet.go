@@ -416,7 +416,7 @@ func (e *Engine) prune() {
 		}
 	}
 	for id := range e.chainLen {
-		if b, ok := e.tree.Block(id); !ok || (b.Round < floor && !e.tree.IsFinalized(id)) {
+		if b, ok := e.tree.Block(id); !ok || b.Round < floor {
 			delete(e.chainLen, id)
 		}
 	}

@@ -47,10 +47,11 @@ type ReplicaConfig struct {
 	// everything above its last checkpoint as catch-up lands it.
 	WALDir string
 	// DeepPrune evicts finalized block bodies below the engine's prune
-	// floor; see ClusterConfig.DeepPrune. A deployment running DeepPrune
-	// serves catch-up from a bounded window, and replicas that lose
-	// their disk rejoin via peer snapshot state sync (point a fresh
-	// Replica at an empty WALDir and Start it).
+	// floor; without it the replica keeps every finalized body and serves
+	// catch-up from all of them. See ClusterConfig.DeepPrune. A
+	// deployment running DeepPrune serves catch-up from a bounded window,
+	// and replicas that lose their disk rejoin via peer snapshot state
+	// sync (point a fresh Replica at an empty WALDir and Start it).
 	DeepPrune bool
 	// PruneKeep is how many rounds below the finalized height the engine
 	// retains (0 = 16): vote ledgers from fin − PruneKeep up (PruneKeep+1
