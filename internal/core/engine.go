@@ -1418,8 +1418,9 @@ func (e *Engine) tryVote(now time.Time, acts []protocol.Action) (bool, []protoco
 }
 
 // relayProposal builds the header relay of a block this replica is about
-// to vote for (or is resending): the signed header — no payload, whatever
-// the payload's form — plus the credentials of relayCreds.
+// to vote for (or is resending): the block's own signed header, shared
+// by every relay — no payload, whatever the payload's form — plus the
+// credentials of relayCreds.
 func (e *Engine) relayProposal(b *types.Block) *types.Proposal {
 	p := &types.Proposal{Header: b.SignedHeader(), Relayed: true}
 	e.relayCreds(b, p)
@@ -1439,7 +1440,7 @@ func (e *Engine) relayCreds(b *types.Block, p *types.Proposal) {
 		if fast := e.getRound(b.Round).set(types.VoteFast, b.ID()); fast.has(b.Proposer) {
 			p.FastVote = &types.Vote{
 				Kind: types.VoteFast, Round: b.Round, Block: b.ID(),
-				Voter: b.Proposer, Signature: fast.sigs[b.Proposer],
+				Voter: b.Proposer, Signature: fast.sig(b.Proposer),
 			}
 		}
 	}

@@ -101,8 +101,10 @@ func TestHeaderForUnknownBlockIsOnlyWanted(t *testing.T) {
 
 	// A header whose signature does not verify is rejected outright.
 	forged := r.headerRelayFor(r.leaderBlock(1, types.Genesis().ID(), 2))
-	forged.Header.Signature = append([]byte(nil), forged.Header.Signature...)
-	forged.Header.Signature[0] ^= 1
+	header := *forged.Header // the block's own header is not to be written
+	header.Signature = append([]byte(nil), header.Signature...)
+	header.Signature[0] ^= 1
+	forged.Header = &header
 	before := r.eng.Metrics()["rejected"]
 	r.deliver(relayer, forged)
 	if len(r.eng.wanted) != 1 || r.eng.Metrics()["rejected"] != before+1 {
@@ -502,7 +504,9 @@ func TestWantedHeaderVerifiedOnce(t *testing.T) {
 
 	rejected := r.eng.Metrics()["rejected"]
 	forged := relay()
-	forged.Header.Signature = flipped
+	header := *forged.Header // the block's own header is not to be written
+	header.Signature = flipped
+	forged.Header = &header
 	r.deliver(set.ReplicaAt(1, 1), forged)
 	forgedBody := types.NewBlock(b.Round, b.Proposer, b.Rank, b.Parent, b.Payload)
 	forgedBody.Signature = flipped

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"banyan/internal/crypto"
 	"banyan/internal/membership"
 	"banyan/internal/types"
 )
@@ -155,7 +156,7 @@ func TestRecycledRoundMatchesFresh(t *testing.T) {
 			spare := *rec
 			for kind, vs := range spare.votes {
 				if len(vs.sigs) != 0 || len(vs.voters) != 0 {
-					t.Errorf("spare record %d: %v set has length %d", i, types.VoteKind(kind), len(vs.sigs))
+					t.Errorf("spare record %d: %v set has length %d", i, types.VoteKind(kind+1), len(vs.sigs))
 				}
 			}
 			spare.votes = [len(spare.votes)]voteSet{}
@@ -166,16 +167,111 @@ func TestRecycledRoundMatchesFresh(t *testing.T) {
 		for kind, vs := range rec.votes {
 			for _, s := range vs.sigs[:cap(vs.sigs)] {
 				if s != nil && s[0] != 'n' {
-					t.Errorf("record %d: old %v signature %v still reachable", i, types.VoteKind(kind), s)
+					t.Errorf("record %d: old %v signature %v still reachable", i, types.VoteKind(kind+1), s)
 				}
 			}
 			for _, w := range vs.voters[len(vs.voters):cap(vs.voters)] {
 				if w != 0 {
-					t.Errorf("record %d: %v voter bits past the set's length", i, types.VoteKind(kind))
+					t.Errorf("record %d: %v voter bits past the set's length", i, types.VoteKind(kind+1))
 				}
 			}
 		}
 	}
+}
+
+// TestPublishedCertificateNeverChanges: a certificate the ledger forms —
+// a capped prefix of a vote log, or a filtered copy of one — stays byte
+// for byte as it was published while its round goes on: more votes, a
+// bare vote displaced by a fast vote, a scrub, a scrubbed voter filed
+// again under a later set, and the round's retirement and reuse as
+// another round. Every one still verifies, which includes naming no
+// signer twice (types.Certificate.CheckShape).
+func TestPublishedCertificateNeverChanges(t *testing.T) {
+	params := types.Params{N: 7, F: 2, P: 1}
+	set := genesisSet(t, params)
+	smaller := setWithout(t, set, 4, 5)
+	later, err := membership.New(smaller.Epoch()+1, 5, set.Members(), make([][]byte, params.N), params.F, params.P)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyring, signers := crypto.GenerateCluster(crypto.Ed25519(), params.N, 9)
+	block := func(round types.Round, rank types.Rank) types.BlockID {
+		return types.NewBlock(round, set.ReplicaAt(round, rank), rank, types.Genesis().ID(), types.BytesPayload([]byte{byte(rank)})).ID()
+	}
+	rs := newRoundState()
+	vote := func(kind types.VoteKind, round types.Round, id types.BlockID, in *membership.ValidatorSet, voters ...types.ReplicaID) {
+		for _, v := range voters {
+			rs.recordVote(kind, id, v, signers[v].SignVote(kind, round, id).Signature, in)
+		}
+	}
+	type published struct {
+		cert, copy *types.Certificate
+		in         *membership.ValidatorSet
+	}
+	var certs []published
+	form := func(round types.Round, id types.BlockID, in *membership.ValidatorSet, kinds ...types.CertKind) {
+		for _, kind := range kinds {
+			c := rs.certificate(kind, round, id)
+			cp := *c
+			cp.Signers, cp.Fast = slices.Clone(c.Signers), slices.Clone(c.Fast)
+			cp.Sigs = make([][]byte, len(c.Sigs))
+			for i, sig := range c.Sigs {
+				cp.Sigs[i] = slices.Clone(sig)
+			}
+			certs = append(certs, published{c, &cp, in})
+		}
+	}
+	check := func(step string) {
+		t.Helper()
+		for i, p := range certs {
+			if !reflect.DeepEqual(p.cert, p.copy) {
+				t.Fatalf("after %s: certificate %d changed: %+v, published as %+v", step, i, p.cert, p.copy)
+			}
+			if err := crypto.VerifyCertIn(keyring, p.cert, len(p.copy.Signers), p.in); err != nil {
+				t.Fatalf("after %s: certificate %d (%v): %v", step, i, p.cert, err)
+			}
+		}
+	}
+	all := []types.CertKind{types.CertNotarization, types.CertFastFinalization, types.CertFinalization}
+
+	b, twin := block(5, 0), block(5, 1)
+	vote(types.VoteFast, 5, b, set, 0, 1, 2, 3, 4)
+	vote(types.VoteFinalize, 5, b, set, 0, 1, 2, 3, 4)
+	vote(types.VoteNotarize, 5, twin, set, 5, 6)
+	form(5, b, set, all...)
+	form(5, twin, set, types.CertNotarization)
+	check("the first votes")
+
+	vote(types.VoteFast, 5, b, set, 5)
+	vote(types.VoteFinalize, 5, b, set, 5, 6)
+	form(5, b, set, all...)
+	check("more votes")
+
+	vote(types.VoteNotarize, 5, b, set, 6)
+	form(5, b, set, types.CertNotarization) // fast and bare votes merged
+	vote(types.VoteFast, 5, b, set, 6)
+	form(5, b, set, types.CertNotarization, types.CertFastFinalization)
+	check("a bare vote displaced by a fast vote")
+
+	rs.scrubNonMembers(smaller, smaller.Params().NotarizationQuorum())
+	form(5, b, smaller, all...)
+	check("scrubNonMembers")
+
+	vote(types.VoteFast, 5, b, later, 4)
+	vote(types.VoteFinalize, 5, b, later, 4)
+	form(5, b, later, all...)
+	check("a scrubbed voter filed again under a later set")
+	if c := certs[len(certs)-1].cert; len(c.Signers) != params.N {
+		t.Fatalf("finalization after the re-filed vote has %d signers, want %d", len(c.Signers), params.N)
+	}
+
+	rs.reset()
+	next := block(6, 0)
+	vote(types.VoteFast, 6, next, set, 6, 5, 4, 3, 2, 1, 0)
+	vote(types.VoteFinalize, 6, next, set, 6, 5, 4, 3, 2)
+	vote(types.VoteNotarize, 6, block(6, 1), set, 0, 1, 2, 3, 4, 5, 6)
+	form(6, next, set, all...)
+	check("retirement and reuse as another round")
 }
 
 // TestRetiredRoundsStayBounded: a jump of over 10 000 rounds retires

@@ -87,14 +87,18 @@ type blockState struct {
 	// valid marks a block that passed valid() (Algorithm 2 line 62);
 	// pending is its proposal while the parent credentials are not yet
 	// established, awaiting revalidation.
-	valid   bool
 	pending *types.Proposal
+	valid   bool
 	// notarVoted puts the block in N: this replica notarization-voted for
 	// it (Algorithm 1 line 21).
 	notarVoted bool
 	// unlocked marks a Condition-1 unlock (Definition 7.6), from the votes
 	// held, an unlock proof, or a certificate that unlocks itself.
 	unlocked bool
+	// lent has bit kind set once the kind's log lent a certificate its
+	// prefix (lend); reset drops such a log instead of reusing it. It sits
+	// with the flags above, not in voteSet, to keep a record at 256 bytes.
+	lent uint8
 	// notarization is the block's certificate, formed or received: a
 	// notarization certificate, or the fast-finalization certificate that
 	// replaces it once held (absorbFast). A received notarization that
@@ -104,8 +108,9 @@ type blockState struct {
 	// recordVote; a kind's set exists from its first vote on (set). A fast
 	// vote is also its voter's notarization vote for the block, so the
 	// VoteNotarize ledger holds only the bare ones: a second block in the
-	// round, the no-fast-path configuration, or a Byzantine voter.
-	votes [types.VoteFast + 1]voteSet
+	// round, the no-fast-path configuration, or a Byzantine voter. Kind k
+	// is votes[k-1] (log).
+	votes [types.VoteFast]voteSet
 	// next links a cleared record into its round's spare list.
 	next *blockState
 }
@@ -113,17 +118,25 @@ type blockState struct {
 func newRoundState() *roundState { return &roundState{} }
 
 // reset clears the round for reuse as another one, keeping what it
-// allocated: the map, the records, and each vote set's arrays, cleared
-// and cut to length 0 so that no block, certificate or signature of the
-// old round stays reachable through them (recordVote reslices them).
+// allocated: the map, the records, and each vote set's bitset and log,
+// cleared and cut to length 0 so that no block, certificate or signature
+// of the old round stays reachable through them (recordVote reslices
+// them). A log that lent a certificate its prefix is dropped instead: the
+// certificate still holds it, and reusing it would rewrite the signers
+// and signatures of a published certificate.
 func (rs *roundState) reset() {
 	for _, r := range rs.byID {
-		votes := r.votes
+		votes, lent := r.votes, r.lent
 		*r = blockState{}
-		for kind, vs := range votes {
+		for i, vs := range votes {
 			clear(vs.voters)
-			clear(vs.sigs)
-			r.votes[kind] = voteSet{voters: vs.voters[:0], sigs: vs.sigs[:0]}
+			ids, sigs := vs.ids[:0], vs.sigs[:0]
+			if lent&(1<<(i+1)) != 0 {
+				ids, sigs = nil, nil
+			} else {
+				clear(vs.sigs)
+			}
+			r.votes[i] = voteSet{voters: vs.voters[:0], ids: ids, sigs: sigs}
 		}
 		r.next, rs.spare = rs.spare, r
 	}
@@ -228,15 +241,20 @@ func (rs *roundState) markNotarTimer(rank types.Rank) bool {
 	return true
 }
 
-// voteSet holds the votes of one kind for one block: the voters as a
-// bitset and their signatures indexed by ReplicaID, sized when the block's
-// first vote arrives to the span of the round's validator set, which
-// bounds every ID recordVote lets in. IDs are never reused or re-keyed, so
-// an index means the same replica in every epoch. Readers walk the
-// bitset, in voter order. Both arrays are zero past their length, so a
-// set reset to length 0 is resliced, not remade.
+// voteSet holds the votes of one kind for one block. ids and sigs are its
+// log: every vote filed, in arrival order, each signature stored once.
+// voters is the set of voters the log counts, as a bitset sized when the
+// block's first vote arrives to the span of the round's validator set,
+// which bounds every ID recordVote lets in; IDs are never reused or
+// re-keyed, so a bit means the same replica in every epoch. A voter whose
+// fast vote displaced its bare one, or that a scrub removed, loses its bit
+// and keeps its log entry, so the log can hold entries the set no longer
+// counts, and a voter scrubbed and filed again holds two. The log is only
+// ever appended to until reset: a certificate formed from it is a capped
+// prefix (certificate).
 type voteSet struct {
 	voters types.VoterSet
+	ids    []types.ReplicaID
 	sigs   [][]byte
 }
 
@@ -251,15 +269,62 @@ func (vs *voteSet) count() int {
 	return vs.voters.Count()
 }
 
+// sig returns the signature of a voter the set counts: its latest in the
+// log.
+func (vs *voteSet) sig(voter types.ReplicaID) []byte {
+	for i := len(vs.ids) - 1; i >= 0; i-- {
+		if vs.ids[i] == voter {
+			return vs.sigs[i]
+		}
+	}
+	return nil
+}
+
+// exact reports whether the log holds the counted votes and nothing else:
+// every counted voter has an entry, so a log no longer than the count
+// holds each of them once.
+func (vs *voteSet) exact() bool { return vs == nil || len(vs.ids) == vs.count() }
+
+// lend returns the whole log of the given kind as a certificate's signers
+// and signatures, capped so that neither the certificate nor a later
+// append can write into the other, and marks the log lent.
+func (r *blockState) lend(kind types.VoteKind) ([]types.ReplicaID, [][]byte) {
+	vs := r.set(kind)
+	if vs == nil {
+		return nil, nil
+	}
+	r.lent |= 1 << kind
+	k := len(vs.ids)
+	return vs.ids[:k:k], vs.sigs[:k:k]
+}
+
+// appendCounted appends the votes the set counts to ids and sigs, each
+// voter's latest, in the order they were filed: the filtered copy of a log
+// that is not exact.
+func (vs *voteSet) appendCounted(ids []types.ReplicaID, sigs [][]byte) ([]types.ReplicaID, [][]byte) {
+	if vs == nil {
+		return ids, sigs
+	}
+	for i, id := range vs.ids {
+		if vs.voters.Has(id) && !slices.Contains(vs.ids[i+1:], id) {
+			ids, sigs = append(ids, id), append(sigs, vs.sigs[i])
+		}
+	}
+	return ids, sigs
+}
+
 // set returns the votes of the given kind held for the block, nil if
 // none: a set exists once sized by its first vote. A nil record holds
 // none.
 func (r *blockState) set(kind types.VoteKind) *voteSet {
-	if r == nil || len(r.votes[kind].sigs) == 0 {
+	if r == nil || len(r.log(kind).ids) == 0 {
 		return nil
 	}
-	return &r.votes[kind]
+	return r.log(kind)
 }
+
+// log returns the block's ledger of the given kind, empty or not.
+func (r *blockState) log(kind types.VoteKind) *voteSet { return &r.votes[kind-1] }
 
 // set returns the votes of the given kind held for a block, nil if none.
 func (rs *roundState) set(kind types.VoteKind, block types.BlockID) *voteSet {
@@ -289,21 +354,26 @@ func (rs *roundState) recordVote(kind types.VoteKind, block types.BlockID, voter
 		return
 	}
 	r := rs.recFor(block)
-	vs := &r.votes[kind]
-	if span := set.Span(); int(voter) >= len(vs.sigs) {
+	vs := r.log(kind)
+	span := set.Span()
+	if words := (span + 63) / 64; len(vs.voters) < words {
 		// The block's first vote of the kind — or a later epoch, with a
 		// joiner's higher ID, took the round over since that sized the set.
-		if words := (span + 63) / 64; cap(vs.sigs) >= span && cap(vs.voters) >= words {
-			vs.voters, vs.sigs = vs.voters[:words], vs.sigs[:span]
+		if cap(vs.voters) >= words {
+			vs.voters = vs.voters[:words]
 		} else {
-			voters, sigs := types.NewVoterSet(span), make([][]byte, span)
+			voters := types.NewVoterSet(span)
 			copy(voters, vs.voters)
-			copy(sigs, vs.sigs)
-			vs.voters, vs.sigs = voters, sigs
+			vs.voters = voters
 		}
 	}
+	if cap(vs.ids) == 0 {
+		// A new log, or one a reset dropped because it was lent, has room
+		// for every member; only a voter filed again after a scrub grows it.
+		vs.ids, vs.sigs = make([]types.ReplicaID, 0, span), make([][]byte, 0, span)
+	}
+	vs.ids, vs.sigs = append(vs.ids, voter), append(vs.sigs, sig)
 	vs.voters.Add(voter)
-	vs.sigs[voter] = sig
 	if bare := r.set(types.VoteNotarize); kind == types.VoteFast && bare != nil {
 		bare.voters.Remove(voter)
 	}
@@ -340,37 +410,49 @@ func (rs *roundState) firstBlock(ok func(types.BlockID) bool, kinds ...types.Vot
 }
 
 // certificate aggregates the votes held for a block into a certificate of
-// the given kind, signers ascending: what types.NewCertificate builds from
-// the same votes. A notarization takes the fast voters and the bare ones,
-// marking the former.
+// the given kind, signers in the order their votes were filed. A
+// notarization takes the fast voters and the bare ones, marking the
+// former. Whenever one log holds exactly the votes the certificate needs —
+// a finalization, a fast-finalization, a notarization of only fast or
+// only bare votes — the certificate is that log's capped prefix and copies
+// no signature; the log is appended to only past it, and never reused once
+// lent (reset), so the certificate stays as published. A log holding
+// votes its set no longer counts, or a notarization merging the two
+// kinds, is copied.
 func (rs *roundState) certificate(kind types.CertKind, round types.Round, block types.BlockID) *types.Certificate {
-	votes := rs.set(kind.VoteKind(), block)
+	c := &types.Certificate{Kind: kind, Round: round, Block: block}
+	r := rs.rec(block)
+	votes := r.set(kind.VoteKind())
 	var fast *voteSet
 	if kind == types.CertNotarization {
-		fast = rs.set(types.VoteFast, block)
+		fast = r.set(types.VoteFast)
 	}
-	n := votes.count() + fast.count()
-	c := &types.Certificate{
-		Kind: kind, Round: round, Block: block,
-		Signers: make([]types.ReplicaID, 0, n),
-		Sigs:    make([][]byte, 0, n),
-	}
-	if fast.count() > 0 {
-		c.Fast = make([]byte, (n+7)/8)
-	}
-	for id := types.ReplicaID(0); len(c.Signers) < n; id++ {
-		switch {
-		case fast.has(id):
-			c.Fast[len(c.Signers)/8] |= 1 << (len(c.Signers) % 8)
-			c.Sigs = append(c.Sigs, fast.sigs[id])
-		case votes.has(id):
-			c.Sigs = append(c.Sigs, votes.sigs[id])
-		default:
-			continue
-		}
-		c.Signers = append(c.Signers, id)
+	switch {
+	case fast.count() > 0 && votes.count() == 0 && fast.exact():
+		c.Signers, c.Sigs = r.lend(types.VoteFast)
+		c.Fast = fastMarker(len(c.Signers), len(c.Signers))
+	case fast.count() == 0 && votes.exact():
+		c.Signers, c.Sigs = r.lend(kind.VoteKind())
+	default:
+		n := fast.count() + votes.count()
+		c.Signers, c.Sigs = fast.appendCounted(make([]types.ReplicaID, 0, n), make([][]byte, 0, n))
+		c.Fast = fastMarker(len(c.Signers), n)
+		c.Signers, c.Sigs = votes.appendCounted(c.Signers, c.Sigs)
 	}
 	return c
+}
+
+// fastMarker returns a certificate's Fast marker for n signers of which
+// the first marked are fast-marked: nil when none is.
+func fastMarker(marked, n int) []byte {
+	if marked == 0 {
+		return nil
+	}
+	m := make([]byte, (n+7)/8)
+	for i := range marked {
+		m[i/8] |= 1 << (i % 8)
+	}
+	return m
 }
 
 // ownVotes returns the votes the given replica holds in this round's
@@ -382,7 +464,7 @@ func (rs *roundState) ownVotes(round types.Round, self types.ReplicaID) []types.
 		for block, r := range rs.byID {
 			if vs := r.set(kind); vs.has(self) {
 				votes = append(votes, types.Vote{
-					Kind: kind, Round: round, Block: block, Voter: self, Signature: vs.sigs[self],
+					Kind: kind, Round: round, Block: block, Voter: self, Signature: vs.sig(self),
 				})
 			}
 		}

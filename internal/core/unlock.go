@@ -101,7 +101,7 @@ func (rs *roundState) buildUnlockProof(round types.Round, block types.BlockID, t
 		e.Voters = fast.voters.AppendTo(make([]types.ReplicaID, 0, fast.count()))
 		e.Sigs = make([][]byte, len(e.Voters))
 		for j, voter := range e.Voters {
-			e.Sigs[j] = fast.sigs[voter]
+			e.Sigs[j] = fast.sig(voter)
 		}
 	}
 	return proof

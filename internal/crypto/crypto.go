@@ -293,7 +293,7 @@ func (ck check) vote(v types.Vote) error {
 }
 
 // cert checks a certificate. Everything that needs no signature comes
-// first: the shape (sorted unique signers meeting the quorum) and, when
+// first: the shape (distinct signers meeting the quorum) and, when
 // set is not nil, every signer's membership in it. Then each signature,
 // in signer order, against the digest its signer is marked as having
 // signed (types.Certificate.Fast), stopping at the first failure.

@@ -277,7 +277,7 @@ func TestVerifierUnlockProofMatches(t *testing.T) {
 }
 
 // TestMalformedAggregatesCostNoCurveOperation: a certificate or unlock
-// proof that fails a check needing no signature — unsorted signers, voters
+// proof that fails a check needing no signature — a signer named twice, voters
 // and signatures out of step, a signer outside the epoch's set, a proof
 // that does not establish its claim — is rejected before a single
 // signature is verified, even when every signature it carries is genuine,
@@ -308,11 +308,11 @@ func TestMalformedAggregatesCostNoCurveOperation(t *testing.T) {
 		name   string
 		verify func(v *Verifier) error
 	}{
-		{"certificate with unsorted signers", func(v *Verifier) error {
+		{"certificate with a duplicate signer", func(v *Verifier) error {
 			return v.VerifyCert(&types.Certificate{
 				Kind:    types.CertNotarization,
 				Round:   1,
-				Signers: []types.ReplicaID{2, 1, 0},
+				Signers: []types.ReplicaID{0, 1, 0},
 				Sigs:    [][]byte{sig, sig, sig},
 			}, 3)
 		}},
@@ -346,6 +346,14 @@ func TestMalformedAggregatesCostNoCurveOperation(t *testing.T) {
 	v := NewVerifier(keyring)
 	if err := v.VerifyCertIn(evicted, 3, idSet{0: true, 1: true, 3: true}); err != nil {
 		t.Fatal(err)
+	}
+	// Signers in any order: a permutation of distinct genuine signers is
+	// the certificate an engine forms from votes in arrival order.
+	permuted := *evicted
+	permuted.Signers = []types.ReplicaID{evicted.Signers[2], evicted.Signers[0], evicted.Signers[1]}
+	permuted.Sigs = [][]byte{evicted.Sigs[2], evicted.Sigs[0], evicted.Sigs[1]}
+	if err := v.VerifyCertIn(&permuted, 3, idSet{0: true, 1: true, 3: true}); err != nil {
+		t.Fatalf("permuted certificate: %v", err)
 	}
 	if err := v.VerifyUnlockProofIn(proof, 2, idSet{0: true, 1: true, 2: true}); err != nil {
 		t.Fatal(err)

@@ -395,3 +395,19 @@ func TestAllocRegressionEncode(t *testing.T) {
 		t.Errorf("AppendMessage of a decoded message: %v allocs/op, budget 0", n)
 	}
 }
+
+// TestAllocRegressionSignedHeader: a block's header relays cost no
+// allocation — every relay carries the block's own signed header — and
+// that header is the block's: same fields, same ID, same signature.
+func TestAllocRegressionSignedHeader(t *testing.T) {
+	b := NewBlock(3, 1, 0, BlockID{1}, BytesPayload([]byte("body")))
+	b.Epoch, b.Signature = 2, []byte("sig")
+	var h *SignedHeader
+	if got := testing.AllocsPerRun(100, func() { h = b.SignedHeader() }); got != 0 {
+		t.Fatalf("a block's signed header costs %.0f allocations per relay, want 0", got)
+	}
+	want := BlockHeader{Round: 3, Epoch: 2, Proposer: 1, Parent: BlockID{1}, PayloadDigest: b.Payload.Digest()}
+	if h != b.SignedHeader() || h.BlockHeader != want || h.ID() != b.ID() || h.ID() != want.ID() || string(h.Signature) != "sig" {
+		t.Fatalf("signed header %+v (ID %v) does not match block %v", h, h.ID(), b.ID())
+	}
+}

@@ -2,8 +2,6 @@ package types
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 )
@@ -35,52 +33,39 @@ func (id BlockID) Compare(other BlockID) int { return bytes.Compare(id[:], other
 // The Rank field is the proposer's rank in the round's leader permutation.
 // It is carried in the block for convenience and must be validated against
 // the leader schedule of the round's validator set by every receiver.
+//
+// A block is its signed header plus its body: the header fields (Round,
+// Epoch, Proposer, Rank, Parent, PayloadDigest), the Signature and the ID
+// cache are those of the embedded SignedHeader, which SignedHeader hands
+// to every header relay of the block without a copy. PayloadDigest is
+// filled in when the block is hashed (ID).
 type Block struct {
-	Round Round
-	// Epoch is the membership epoch the block was proposed under: the
-	// epoch of the validator set in effect at Round. It is part of the
-	// hashed header, so a block cannot be replayed under a different
-	// epoch's quorum rules; receivers validate it against their own
-	// membership history for the round. Genesis and the baseline engines
-	// (hotstuff/streamlet/icc) stay at epoch 0 forever.
-	Epoch     uint32
-	Proposer  ReplicaID
-	Rank      Rank
-	Parent    BlockID
-	Payload   Payload
-	Signature []byte // proposer's signature over ID()
-
-	id     BlockID // cached hash
-	hashed bool
+	signedHeader
+	Payload Payload
 }
+
+// signedHeader names the SignedHeader a Block embeds, so that the field
+// does not take the name of the SignedHeader method.
+type signedHeader = SignedHeader
 
 // NewBlock assembles an unsigned block. The signature is attached by the
 // proposer via crypto.Signer before broadcast.
 func NewBlock(round Round, proposer ReplicaID, rank Rank, parent BlockID, payload Payload) *Block {
-	return &Block{
-		Round:    round,
-		Proposer: proposer,
-		Rank:     rank,
-		Parent:   parent,
-		Payload:  payload,
-	}
+	b := &Block{Payload: payload}
+	b.Round, b.Proposer, b.Rank, b.Parent = round, proposer, rank, parent
+	return b
 }
 
 // Genesis returns the canonical genesis block shared by all replicas. It is
 // notarized, finalized and unlocked by definition (paper, section 8.1).
 func Genesis() *Block {
-	return &Block{
-		Round:    0,
-		Proposer: NoReplica,
-		Rank:     0,
-		Parent:   ZeroBlockID,
-		Payload:  Payload{},
-	}
+	return NewBlock(0, NoReplica, 0, ZeroBlockID, Payload{})
 }
 
 // ID returns the block's SHA-256 header digest, computing and caching it on
-// first use. The digest covers round, epoch, proposer, rank, parent and the
-// payload digest — not the signature, which signs this digest.
+// first use, with the payload digest it covers. The digest covers round,
+// epoch, proposer, rank, parent and the payload digest — not the
+// signature, which signs this digest.
 //
 // Caching contract: blocks are immutable once constructed (NewBlock +
 // SignBlock, or wire decode), and the first ID call must happen-before
@@ -88,32 +73,15 @@ func Genesis() *Block {
 // a proposer hashes when signing, and a decoded block belongs to the one
 // receiver whose engine goroutine hashes it first — so the engine,
 // encoder, and journal all read a warm cache instead of re-running
-// SHA-256 at propose, vote, certify, encode, and journal time.
+// SHA-256 at propose, vote, certify, encode, and journal time, and a
+// block's signed header is complete before the block is shared.
 func (b *Block) ID() BlockID {
 	if !b.hashed {
-		b.id = b.computeID()
+		b.PayloadDigest = b.Payload.Digest()
+		b.id = b.BlockHeader.ID()
 		b.hashed = true
 	}
 	return b.id
-}
-
-func (b *Block) computeID() BlockID {
-	// Layout must stay in lockstep with BlockHeader.ID (cert.go): unlock
-	// proofs carry bare headers that must re-hash to the same IDs.
-	var hdr [8 + 4 + 2 + 2 + 32 + 32]byte
-	binary.LittleEndian.PutUint64(hdr[0:8], uint64(b.Round))
-	binary.LittleEndian.PutUint32(hdr[8:12], b.Epoch)
-	binary.LittleEndian.PutUint16(hdr[12:14], uint16(b.Proposer))
-	binary.LittleEndian.PutUint16(hdr[14:16], uint16(b.Rank))
-	copy(hdr[16:48], b.Parent[:])
-	ph := b.Payload.Digest()
-	copy(hdr[48:80], ph[:])
-	h := sha256.New()
-	h.Write([]byte("banyan/block/v2"))
-	h.Write(hdr[:])
-	var id BlockID
-	h.Sum(id[:0])
-	return id
 }
 
 // Equal reports whether two blocks have the same identity (header hash).

@@ -13,7 +13,13 @@ import (
 // BlockID the votes name, so the rank claim is bound by collision
 // resistance.
 type BlockHeader struct {
-	Round         Round
+	Round Round
+	// Epoch is the membership epoch the block was proposed under: the
+	// epoch of the validator set in effect at Round. It is part of the
+	// hashed header, so a block cannot be replayed under a different
+	// epoch's quorum rules; receivers validate it against their own
+	// membership history for the round. Genesis and the baseline engines
+	// (hotstuff/streamlet/icc) stay at epoch 0 forever.
 	Epoch         uint32
 	Proposer      ReplicaID
 	Rank          Rank
@@ -21,8 +27,8 @@ type BlockHeader struct {
 	PayloadDigest [32]byte
 }
 
-// ID computes the block ID this header hashes to. Layout must stay in
-// lockstep with Block.computeID (block.go).
+// ID computes the block ID this header hashes to: the ID of every block
+// with this header (Block.ID).
 func (h BlockHeader) ID() BlockID {
 	var hdr [8 + 4 + 2 + 2 + 32 + 32]byte
 	binary.LittleEndian.PutUint64(hdr[0:8], uint64(h.Round))
@@ -39,16 +45,10 @@ func (h BlockHeader) ID() BlockID {
 	return id
 }
 
-// Header extracts the block's header.
+// Header returns the block's header.
 func (b *Block) Header() BlockHeader {
-	return BlockHeader{
-		Round:         b.Round,
-		Epoch:         b.Epoch,
-		Proposer:      b.Proposer,
-		Rank:          b.Rank,
-		Parent:        b.Parent,
-		PayloadDigest: b.Payload.Digest(),
-	}
+	b.ID()
+	return b.BlockHeader
 }
 
 // SignedHeader is a block without its body: the hashed header plus the
@@ -73,10 +73,14 @@ func (h *SignedHeader) ID() BlockID {
 	return h.id
 }
 
-// SignedHeader extracts the block's signed header, carrying the block's
-// cached ID along.
+// SignedHeader returns the block's signed header: the block itself
+// without its body, shared by every header relay of the block at no
+// allocation. It is the block's own, so no holder writes into it; it is
+// complete once the block is hashed, which a block shared between
+// goroutines is before it is shared (Block.ID).
 func (b *Block) SignedHeader() *SignedHeader {
-	return &SignedHeader{BlockHeader: b.Header(), Signature: b.Signature, id: b.ID(), hashed: true}
+	b.ID()
+	return &b.signedHeader
 }
 
 // CertKind distinguishes the aggregate certificates of the protocol.
@@ -139,11 +143,17 @@ func (k CertKind) VoteKind() VoteKind {
 // vote), so its signature covers the fast-vote digest. Fast marks those
 // signers. The aggregate is over two messages at most, which is what a
 // BLS deployment would carry as a two-message aggregate signature.
+//
+// Signers may come in any order: the engine lists them in the order their
+// votes arrived, because its certificates are capped prefixes of its vote
+// logs rather than copies. A certificate is immutable once published —
+// it may share its Signers and Sigs arrays with the log it came from and
+// with every receiver it was handed to — so no holder writes into them.
 type Certificate struct {
 	Kind    CertKind
 	Round   Round
 	Block   BlockID
-	Signers []ReplicaID // ascending, no duplicates
+	Signers []ReplicaID // distinct, in any order
 	Sigs    [][]byte    // Sigs[i] is Signers[i]'s signature over SignerDigests()[FastBit(i)]
 	// Fast is a bitmap over signer positions, notarization certificates
 	// only: bit i set means Sigs[i] covers the fast-vote digest for
@@ -231,10 +241,11 @@ func (c *Certificate) SignerDigests() (d [2][32]byte) {
 }
 
 // CheckShape verifies the structural well-formedness of the certificate:
-// sorted unique signers with in-range IDs and one signature each, meeting
-// the given quorum, and a Fast marker only on a notarization certificate,
-// sized to the signer list, with no bit set beyond it. Signature
-// verification is done by crypto.VerifyCert.
+// distinct signers, in any order, with IDs below n and one signature
+// each, meeting the given quorum, and a Fast marker only on a
+// notarization certificate, sized to the signer list, with no bit set
+// beyond it. It allocates nothing up to n = 256. Signature verification
+// is done by crypto.VerifyCert.
 func (c *Certificate) CheckShape(n, quorum int) error {
 	if !c.Kind.Valid() {
 		return fmt.Errorf("certificate: invalid kind %d", c.Kind)
@@ -245,13 +256,20 @@ func (c *Certificate) CheckShape(n, quorum int) error {
 	if len(c.Signers) < quorum {
 		return fmt.Errorf("certificate: %d signers below quorum %d", len(c.Signers), quorum)
 	}
+	// Up to 256 replicas the signers seen are a bitset on the stack.
+	var buf [4]uint64
+	seen := VoterSet(buf[:])
+	if n > 64*len(buf) {
+		seen = NewVoterSet(n)
+	}
 	for i, s := range c.Signers {
 		if int(s) >= n {
 			return fmt.Errorf("certificate: signer %d out of range (n=%d)", s, n)
 		}
-		if i > 0 && c.Signers[i-1] >= s {
-			return fmt.Errorf("certificate: signers not strictly ascending at index %d", i)
+		if seen.Has(s) {
+			return fmt.Errorf("certificate: signer %d named twice, again at index %d", s, i)
 		}
+		seen.Add(s)
 	}
 	if len(c.Fast) == 0 {
 		return nil

@@ -24,12 +24,8 @@ func randomVote(r *rand.Rand) Vote {
 }
 
 func randomBlock(r *rand.Rand) *Block {
-	b := &Block{
-		Round:    Round(r.Uint64() >> 16),
-		Epoch:    uint32(r.Intn(8)),
-		Proposer: ReplicaID(r.Intn(1 << 15)),
-		Rank:     Rank(r.Intn(1 << 15)),
-	}
+	b := NewBlock(Round(r.Uint64()>>16), ReplicaID(r.Intn(1<<15)), Rank(r.Intn(1<<15)), BlockID{}, Payload{})
+	b.Epoch = uint32(r.Intn(8))
 	r.Read(b.Parent[:])
 	switch r.Intn(4) {
 	case 0: // concrete payload

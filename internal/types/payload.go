@@ -50,14 +50,6 @@ type Payload struct {
 	// txs is the list form of a concrete payload (TxsPayload); nil in
 	// every other form.
 	txs [][]byte
-
-	// digest memoizes Digest: payloads are immutable after construction,
-	// and for materialized payloads every recompute is a SHA-256 over the
-	// full data. The cache travels with copies of the struct, so a payload
-	// digested before being embedded in a block (or copied into a header)
-	// never hashes twice.
-	digest   [32]byte
-	digested bool
 }
 
 // BatchRef names one disseminated batch: the digest addresses the body
@@ -133,22 +125,17 @@ func TxsPayload(txs [][]byte) Payload { return Payload{txs: txs} }
 // Txs returns the list a TxsPayload wraps; nil for every other form.
 func (p Payload) Txs() [][]byte { return p.txs }
 
-// ConfigChangePayload attaches a validator-set change to inner, clearing
-// any memoized digest (the change is part of payload identity).
+// ConfigChangePayload attaches a validator-set change to inner (the change
+// is part of payload identity).
 func ConfigChangePayload(change ConfigChange, inner Payload) Payload {
 	inner.Change = &change
-	inner.digest, inner.digested = [32]byte{}, false
 	return inner
 }
 
 // WithoutChange returns the payload's content with any validator-set
-// change detached (and, the change being part of payload identity, the
-// memoized digest with it).
+// change detached.
 func (p Payload) WithoutChange() Payload {
-	if p.Change != nil {
-		p.Change = nil
-		p.digest, p.digested = [32]byte{}, false
-	}
+	p.Change = nil
 	return p
 }
 
@@ -190,26 +177,14 @@ func (p Payload) Size() int {
 	return s
 }
 
-// Digest returns a stable content digest, computed once and memoized
-// (payloads are immutable after construction). For synthetic payloads it
+// Digest returns a stable content digest. For synthetic payloads it
 // hashes the (size, seed) descriptor, which identifies the pseudo-random
 // content. Empty payloads digest identically whether represented as nil
 // Data, empty Data, or a zero-size synthetic descriptor, so wire
-// round-trips preserve block identity.
-//
-// Concurrency follows the Block.ID contract: the first Digest call must
-// happen-before any concurrent use of the payload. Hosts satisfy this
-// naturally — a proposer hashes before broadcasting, and a decoded
-// payload belongs to the one receiver whose engine goroutine hashes it.
+// round-trips preserve block identity. It is computed on each call: a
+// block keeps its payload's digest in its header (Block.ID), and nothing
+// else reads one twice.
 func (p *Payload) Digest() [32]byte {
-	if !p.digested {
-		p.digest = p.computeDigest()
-		p.digested = true
-	}
-	return p.digest
-}
-
-func (p *Payload) computeDigest() [32]byte {
 	base := p.computeBaseDigest()
 	if p.Change == nil {
 		return base
